@@ -1,9 +1,10 @@
 """Load-test bench: many concurrent scripted sessions against the server.
 
-``python -m repro.bench loadtest`` boots a LiveSim server in-process —
-sharded (``--workers N``) or single-process threaded (``--workers 0``)
-— then drives ``--sessions`` scripted edit-run-debug sessions from a
-pool of ``--concurrency`` client threads over real sockets.  Every
+``python -m repro.bench loadtest`` boots the LiveSim server in-process —
+N worker processes (``--workers N``) or its one worker on a thread
+(``--workers 0``) — then drives ``--sessions`` scripted edit-run-debug
+sessions from a pool of ``--concurrency`` client threads over real
+sockets.  Every
 command is timed client-side into an :mod:`repro.obs` histogram per
 command class (open / instpipe / run / peek / close), and the run is
 summarized as p50/p95/p99 latency per class plus aggregate
@@ -17,12 +18,13 @@ The same JSON artifact (``repro.bench.loadtest/v1``) feeds:
   the fig7 gate (throughput is report-only: it depends on core count,
   which calibration cannot normalize away);
 * the scaling claim — ``--compare-single`` reruns the identical
-  workload against the single-process threaded server and reports the
-  sharded/single throughput ratio (≥2x expected with 4 workers on a
-  ≥4-core host; on fewer cores the ratio degrades toward parity and
-  the artifact records ``cpu_count`` so readers can tell why).
+  workload with the worker hosted on a thread of the server process
+  (the same code on one core) and reports the N-process/thread-hosted
+  throughput ratio (≥2x expected with 4 workers on a ≥4-core host; on
+  fewer cores the ratio degrades toward parity and the artifact
+  records ``cpu_count`` so readers can tell why).
 
-``--chaos`` (sharded mode only) disrupts the pool *during* the
+``--chaos`` (worker processes only) disrupts the pool *during* the
 measured run: a controller thread SIGKILLs one worker, then resizes
 the pool W→2W→W through the ``resize`` admin verb, recording a
 disruption window around each action.  Every command is timestamped
@@ -322,32 +324,23 @@ def _split_by_disruption(
 
 
 def run_loadtest(config: LoadtestConfig) -> Dict:
-    """Boot a server, drive the workload, return the result dict.
+    """Boot the server, drive the workload, return the result dict.
 
-    ``config.workers > 0`` boots the sharded asyncio frontend;
-    ``config.workers == 0`` boots the single-process threaded server
-    (the comparison point for the scaling claim).
+    ``config.workers > 0`` runs that many worker processes;
+    ``config.workers == 0`` hosts the one worker on a thread of this
+    process (the comparison point for the scaling claim).
     """
+    from ..server.frontend import ShardedFrontend
+
     scratch = tempfile.mkdtemp(prefix="livesim-loadtest-")
-    store_root = os.path.join(scratch, "store")
     server = None
     try:
-        if config.workers > 0:
-            from ..server.frontend import ShardedFrontend
-
-            server = ShardedFrontend(
-                port=0,
-                workers=config.workers,
-                store_root=store_root,
-                state_root=os.path.join(scratch, "state"),
-            )
-        else:
-            from ..server.service import LiveSimServer
-            from ..server.store import ArtifactStore
-
-            server = LiveSimServer(
-                port=0, artifact_store=ArtifactStore(store_root)
-            )
+        server = ShardedFrontend(
+            port=0,
+            workers=config.workers,
+            store_root=os.path.join(scratch, "store"),
+            state_root=os.path.join(scratch, "state"),
+        )
         host, port = server.start()
 
         chaos: Optional[_ChaosController] = None
@@ -355,7 +348,7 @@ def run_loadtest(config: LoadtestConfig) -> Dict:
         if config.chaos:
             if config.workers <= 0:
                 raise ValueError(
-                    "--chaos needs the sharded server (--workers >= 1)"
+                    "--chaos needs worker processes (--workers >= 1)"
                 )
             chaos = _ChaosController(server, host, port, config,
                                      chaos_stop)
@@ -378,7 +371,7 @@ def run_loadtest(config: LoadtestConfig) -> Dict:
 
     commands = registry.counter("loadtest.commands")
     result: Dict = {
-        "mode": "sharded" if config.workers > 0 else "threaded",
+        "mode": "sharded" if config.workers > 0 else "thread-hosted",
         "wall_s": wall_s,
         "commands": commands,
         "commands_per_sec": commands / wall_s if wall_s > 0 else 0.0,
@@ -570,8 +563,8 @@ def _print_summary(payload: Dict, out) -> None:
     single = payload.get("single_process")
     if single:
         print(
-            f"  single-process: {single['commands_per_sec']:.1f} "
-            "commands/sec -> sharded speedup "
+            f"  thread-hosted: {single['commands_per_sec']:.1f} "
+            "commands/sec -> worker-process speedup "
             f"{payload.get('speedup_vs_single', 0.0):.2f}x",
             file=out,
         )
@@ -613,8 +606,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--sessions", type=int, default=64)
     parser.add_argument("--workers", type=int, default=4,
-                        help="worker processes (0 = single-process "
-                             "threaded server)")
+                        help="worker processes (0 = the one worker "
+                             "on a thread of the server process)")
     parser.add_argument("--runs", type=int, default=3,
                         help="run/peek iterations per session")
     parser.add_argument("--run-cycles", type=int, default=200,
@@ -622,8 +615,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--concurrency", type=int, default=16,
                         help="concurrent client threads")
     parser.add_argument("--compare-single", action="store_true",
-                        help="rerun the workload single-process and "
-                             "report the throughput ratio")
+                        help="rerun the workload with the worker on a "
+                             "thread and report the throughput ratio")
     parser.add_argument("--chaos", action="store_true",
                         help="kill one worker and resize the pool "
                              "W->2W->W during the measured run; the "
@@ -654,7 +647,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
               "--workers >= 0", file=sys.stderr)
         return 2
     if args.chaos and args.workers < 1:
-        print("error: --chaos needs the sharded server "
+        print("error: --chaos needs worker processes "
               "(--workers >= 1)", file=sys.stderr)
         return 2
 

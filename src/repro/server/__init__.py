@@ -6,21 +6,22 @@ protocol, backed by an on-disk content-addressed store of compiled
 modules so compile work survives restarts and is shared across users.
 
 * :mod:`repro.server.protocol` — request/response/event framing
-  (``repro.server/v1``).
+  (``repro.server/v1``) and the one declaration of every verb.
 * :mod:`repro.server.store` — the on-disk artifact store
   :class:`~repro.server.store.ArtifactStore` that
   :class:`~repro.live.compiler_live.LiveCompiler` reads through.
 * :mod:`repro.server.service` — :class:`SessionManager` (one
   :class:`~repro.live.session.LiveSession` per named session behind a
-  per-session lock) and :class:`LiveSimServer` (threaded socket
-  front-end with idle eviction and graceful shutdown).
+  per-session lock), result summaries and event pumps: what a worker
+  hosts.
 * :mod:`repro.server.client` — blocking :class:`LiveSimClient` and the
   ``python -m repro.server.client`` REPL.
 * :mod:`repro.server.shard` — consistent-hash ring, per-session crash
-  journal, and the worker-process side of sharded mode.
-* :mod:`repro.server.frontend` — the asyncio front door that shards
-  sessions across worker processes (``--workers N``), restarting and
-  rehydrating them on crashes.
+  journal, and the session worker.
+* :mod:`repro.server.frontend` — the server: an asyncio front door
+  that routes sessions to worker processes (``--workers N``),
+  restarting and rehydrating them on crashes, or to one worker on a
+  thread of its own process (``--workers 0``, the default).
 
 Run a server::
 
@@ -39,7 +40,6 @@ from .protocol import (
 from .service import (
     DEFAULT_PORT,
     DuplicateSessionError,
-    LiveSimServer,
     ManagedSession,
     SessionManager,
     UnknownSessionError,
@@ -70,7 +70,6 @@ __all__ = [
     "Event",
     "HashRing",
     "LiveSimClient",
-    "LiveSimServer",
     "ManagedSession",
     "PROTOCOL_VERSION",
     "ProtocolError",

@@ -6,19 +6,22 @@ client sends ``shutdown``.  The listening address is printed on stdout
 the real port::
 
     $ python -m repro.server --port 0 --store /tmp/livesim-store
-    livesim server listening on 127.0.0.1:43251
+    livesim server listening on 127.0.0.1:43251 (in-process worker)
 
-With ``--workers N`` the sessions are sharded across N worker
-*processes* behind an asyncio front door (same wire protocol, many
-cores)::
+There is one server (:class:`~repro.server.frontend.ShardedFrontend`);
+``--workers`` only chooses where its session workers run.  The default
+``--workers 0`` hosts the one worker on a thread of the server process
+and, without ``--state-dir``, keeps no session journal.  ``--workers
+N`` shards the sessions across N worker *processes* (same code, same
+wire protocol, many cores, crash recovery from the journals)::
 
     $ python -m repro.server --port 0 --workers 4 \\
           --store /tmp/livesim-store --state-dir /tmp/livesim-state
-    livesim server listening on 127.0.0.1:43251 (sharded, 4 workers)
+    livesim server listening on 127.0.0.1:43251 (4 worker processes)
 
-``--workers`` only sets the *starting* pool size: a sharded server
-resizes at runtime through the ``resize`` admin verb (and moves single
-sessions with ``migrate``), e.g. from the client REPL::
+``--workers`` only sets the *starting* pool size: the pool resizes at
+runtime through the ``resize`` admin verb (and moves single sessions
+with ``migrate``), e.g. from the client REPL::
 
     repl> resize 8
     repl> migrate alice, 3
@@ -31,8 +34,7 @@ import sys
 from typing import List, Optional
 
 from .frontend import ShardedFrontend, default_state_root
-from .service import DEFAULT_PORT, LiveSimServer
-from .store import ArtifactStore
+from .service import DEFAULT_PORT
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,61 +52,47 @@ def _build_parser() -> argparse.ArgumentParser:
                              "all sessions (and across restarts)")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
                         help="shard sessions across N worker processes "
-                             "behind an asyncio front door (default 0: "
-                             "single-process threaded server); the pool "
-                             "can be resized at runtime with the "
-                             "'resize' admin verb")
+                             "(default 0: one worker on a thread of the "
+                             "server process); the pool can be resized "
+                             "at runtime with the 'resize' admin verb")
     parser.add_argument("--state-dir", metavar="DIR",
-                        help="session-journal directory for sharded "
-                             "crash recovery (default: <store>.state, "
-                             "or a fresh temp dir without --store)")
+                        help="session-journal directory for crash "
+                             "recovery and migration (default with "
+                             "--workers N: <store>.state, or a fresh "
+                             "temp dir without --store; with --workers "
+                             "0: none, nothing is journaled)")
     parser.add_argument("--idle-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="evict sessions idle longer than this "
-                             "(threaded mode only)")
+                        help="evict sessions idle longer than this")
     parser.add_argument("--checkpoint-interval", type=int, default=10_000)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.workers > 0:
-        state_dir = args.state_dir or default_state_root(args.store)
-        server = ShardedFrontend(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            store_root=args.store,
-            state_root=state_dir,
-            checkpoint_interval=args.checkpoint_interval,
-        )
-        host, port = server.start()
-        print(f"livesim server listening on {host}:{port} "
-              f"(sharded, {args.workers} workers)", flush=True)
-        print(f"session state dir: {state_dir}",
-              file=sys.stderr, flush=True)
-        if args.store:
-            print(f"artifact store: {args.store}",
-                  file=sys.stderr, flush=True)
-        try:
-            server.serve_forever()
-        finally:
-            server.shutdown()
-            print("livesim server stopped", flush=True)
-        return 0
-    store = ArtifactStore(args.store) if args.store else None
-    server = LiveSimServer(
+    state_dir = args.state_dir
+    if state_dir is None and args.workers > 0:
+        state_dir = default_state_root(args.store)
+    server = ShardedFrontend(
         host=args.host,
         port=args.port,
-        artifact_store=store,
-        idle_timeout=args.idle_timeout,
+        workers=args.workers,
+        store_root=args.store,
+        state_root=state_dir,
         checkpoint_interval=args.checkpoint_interval,
+        idle_timeout=args.idle_timeout,
     )
     host, port = server.start()
-    print(f"livesim server listening on {host}:{port}", flush=True)
-    if store is not None:
-        print(f"artifact store: {store.root} "
-              f"({len(store)} artifacts)", file=sys.stderr, flush=True)
+    hosting = (f"{args.workers} worker processes" if args.workers
+               else "in-process worker")
+    print(f"livesim server listening on {host}:{port} ({hosting})",
+          flush=True)
+    if state_dir:
+        print(f"session state dir: {state_dir}",
+              file=sys.stderr, flush=True)
+    if args.store:
+        print(f"artifact store: {args.store}",
+              file=sys.stderr, flush=True)
     try:
         server.serve_forever()
     finally:

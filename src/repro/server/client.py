@@ -264,7 +264,7 @@ class LiveSimClient:
         return self.request("stats")
 
     def resize(self, workers: int) -> Any:
-        """Resize a sharded server's worker pool (admin verb)."""
+        """Resize the server's worker pool (admin verb)."""
         return self.request("resize", workers=workers)
 
     def migrate(self, session: str, worker: int) -> Any:
@@ -350,9 +350,9 @@ def _trace_verb_request(
     client: LiveSimClient, session: str, line: str
 ) -> Any:
     """Route a watch/unwatch/trace/replay REPL line through the
-    dedicated protocol verbs (rather than generic ``cmd``), so a
-    sharded server records the watch for re-arm across crash recovery
-    and migration."""
+    dedicated protocol verbs (rather than generic ``cmd``), so the
+    server records the watch for re-arm across crash recovery and
+    migration."""
     verb, rest = (line.split(None, 1) + [""])[:2]
     operands = [op.strip() for op in rest.split(",")] if rest else []
     if any(not op for op in operands):
@@ -387,7 +387,7 @@ def _trace_verb_request(
 
 def run_lines(client: LiveSimClient, session: str, lines, out) -> None:
     """Drive one command per line; REPL verbs: quit, stats, sessions,
-    resize N, migrate session, worker-id (sharded servers only), plus
+    resize N, migrate session, worker-id, plus
     watch/unwatch/trace/replay routed via their protocol verbs."""
     for raw in lines:
         line = raw.split("#", 1)[0].strip()

@@ -1,21 +1,26 @@
-"""Asyncio front door for the process-sharded LiveSim server.
+"""Asyncio front door of the LiveSim server — the only one.
 
-One :class:`ShardedFrontend` owns a pool of worker processes (see
+One :class:`ShardedFrontend` owns a pool of workers (see
 :mod:`repro.server.shard`) and an asyncio JSON-lines socket server
-speaking the same ``repro.server/v1`` protocol as the threaded
-:class:`~repro.server.service.LiveSimServer` — existing clients work
-unchanged.  Each request is routed by consistent hash of its session
-name to a persistent worker; responses and streamed events come back
-over the worker pipe tagged with a frontend-assigned routing id (rid),
-which is how a ``verify_status`` event finds the client connection that
-started the verify even after the session has been rehydrated on a
-fresh worker process.
+speaking the ``repro.server/v1`` protocol.  Each request is validated
+against its verb's declaration (:data:`repro.server.protocol.VERBS`)
+and routed by consistent hash of its session name to a persistent
+worker; responses and streamed events come back over the worker pipe
+tagged with a frontend-assigned routing id (rid), which is how a
+``verify_status`` event finds the client connection that started the
+verify even after the session has been rehydrated on a fresh worker.
+
+Hosting: ``workers=N`` runs N worker *processes*; ``workers=0`` runs
+the same :func:`~repro.server.shard.worker_main` on a *thread* of this
+process behind the same pipe (no second core, no spawn cost, no crash
+isolation).  :meth:`ShardedFrontend._spawn_worker_sync` is the only
+place that knows the difference.
 
 Crash recovery: when a worker dies (EOF on its pipe), in-flight
 requests fail with a ``worker`` error, the process is respawned into
 the same ring slot, and every session mapped to it is rehydrated from
 its on-disk journal plus last saved checkpoint before any queued
-command is forwarded.  Sessions without a journal (no ``--state-dir``)
+command is forwarded.  Sessions without a journal (no ``state_root``)
 are dropped instead.
 
 Live resize: the ``resize`` admin verb grows or shrinks the pool at
@@ -27,11 +32,17 @@ worker force-persists a checkpoint at the current cycle, the new
 worker rehydrates, the route table flips atomically, and the old copy
 closes keeping the journal files the new owner adopted.
 
-Observability: the frontend keeps its own ``server.requests`` /
-``server.cmd.<name>.seconds`` metrics (end-to-end, including proxy
-overhead) plus ``server.worker_restarts`` / ``server.sessions_dropped``
-counters; per-worker metrics are available via ``stats`` with
-``deep=true``.
+Idle eviction: with ``idle_timeout`` set, a periodic task sends the
+ordinary ``close`` for every session that finished its last command
+longer ago than that.
+
+Observability: one client request is one sample of the frontend's
+``server.requests`` / ``server.request_seconds`` /
+``server.cmd.<name>.seconds`` (end-to-end, including the worker hop);
+workers count what they execute as ``worker.*``.  ``stats`` sums the
+workers' trace and pass-cache counters (``deep=true`` adds their full
+metrics), next to ``server.worker_restarts`` /
+``server.sessions_dropped`` and friends.
 """
 
 from __future__ import annotations
@@ -43,15 +54,12 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from .. import obs
 from . import protocol
 from .protocol import (
-    ADMIN_COMMANDS,
-    BASE_COMMANDS,
     PROTOCOL_VERSION,
-    TRACE_COMMANDS,
     Event,
     ProtocolError,
     Request,
@@ -61,7 +69,6 @@ from .protocol import (
     error_response,
     ok_response,
 )
-from .service import build_trace_line
 from .shard import HashRing, WorkerConfig, worker_main
 
 # Events are routed by the rid of the request that started them; one
@@ -75,10 +82,6 @@ MAX_EVENT_ROUTES = 1024
 # are dropped (newest state wins for progress streams) and
 # ``server.events_dropped`` counts the loss.
 MAX_EVENT_QUEUE = 256
-
-# The worker pool can be resized at runtime; cap it so a typo'd
-# ``resize`` cannot fork-bomb the host.
-MAX_WORKERS = 64
 
 _SPAWN_TIMEOUT = 60.0
 
@@ -154,8 +157,17 @@ class _Client:
         self._event_signal.set()
 
 
+class _WorkerThread(threading.Thread):
+    """The ``workers=0`` host: a worker on a thread, where the pool
+    expects a process.  A thread cannot be killed; it leaves its loop
+    when the frontend's end of its pipe closes."""
+
+    def kill(self) -> None:
+        pass
+
+
 class _WorkerHandle:
-    """Parent-side state for one worker process slot."""
+    """Parent-side state for one worker slot."""
 
     def __init__(self, worker_id: int):
         self.id = worker_id
@@ -169,7 +181,12 @@ class _WorkerHandle:
 
 
 class ShardedFrontend:
-    """Process-sharded, asyncio LiveSim server front-end."""
+    """The LiveSim server: asyncio front door over a worker pool.
+
+    ``workers=0`` hosts the one worker on a thread of this process,
+    ``workers=N`` runs N worker processes; everything else is the same
+    code.  ``idle_timeout`` (seconds) evicts idle sessions.
+    """
 
     def __init__(
         self,
@@ -179,30 +196,29 @@ class ShardedFrontend:
         store_root: Optional[str] = None,
         state_root: Optional[str] = None,
         checkpoint_interval: int = 10_000,
-        verify_poll: float = 0.05,
-        ring_replicas: int = 64,
-        restart_workers: bool = True,
-        start_method: str = "spawn",
+        idle_timeout: Optional[float] = None,
         worker_extra: Optional[Dict[str, Any]] = None,
     ):
-        if workers < 1:
-            raise ValueError("sharded frontend needs at least 1 worker")
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
         self._host = host
         self._port = port
-        self.num_workers = workers
+        self._thread_hosted = workers == 0
+        self.num_workers = max(workers, 1)
         self.store_root = store_root
         self.state_root = state_root
         self._checkpoint_interval = checkpoint_interval
-        self._verify_poll = verify_poll
-        self._ring_replicas = ring_replicas
-        self._restart_workers = restart_workers
+        self._idle_timeout = idle_timeout
         self._worker_extra = dict(worker_extra or {})
-        self._mp = multiprocessing.get_context(start_method)
-        self.ring = HashRing(range(workers), replicas=ring_replicas)
+        self._mp = multiprocessing.get_context("spawn")
+        self.ring = HashRing(range(self.num_workers))
         self._workers: Dict[int, _WorkerHandle] = {
-            wid: _WorkerHandle(wid) for wid in range(workers)
+            wid: _WorkerHandle(wid) for wid in range(self.num_workers)
         }
         self._sessions: Dict[str, int] = {}
+        # When each session's last command finished (monotonic seconds),
+        # for idle eviction.
+        self._last_used: Dict[str, float] = {}
         # Armed live watches, per session: (client, request params)
         # pairs, so a crash-rehydration or migration can re-issue the
         # ``watch`` on whichever worker owns the session *now* and the
@@ -220,6 +236,7 @@ class ShardedFrontend:
         self._rids = itertools.count(1)
         self._pending: Dict[int, Tuple[asyncio.Future, int]] = {}
         self._routes: Dict[int, _Client] = {}
+        self._clients: Set[_Client] = set()
         self.address: Optional[Tuple[str, int]] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -231,11 +248,7 @@ class ShardedFrontend:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
-        """Boot workers + listener on a background event-loop thread.
-
-        Mirrors ``LiveSimServer.start()`` so tests and tools can embed
-        either server behind the same two calls.
-        """
+        """Boot workers + listener on a background event-loop thread."""
         if self._thread is not None:
             raise RuntimeError("frontend already started")
         self._thread = threading.Thread(
@@ -304,11 +317,21 @@ class ShardedFrontend:
             raise
         self.address = server.sockets[0].getsockname()[:2]
         self._started.set()
+        reaper = (
+            self._loop.create_task(self._reap_idle())
+            if self._idle_timeout else None
+        )
         try:
             async with server:
                 await self._stop_event.wait()
+                # Hang up on every client: EOF ends its handler, where
+                # the loop's teardown would cancel it mid-read.
+                for client in list(self._clients):
+                    client.writer.close()
         finally:
             self._stopping = True
+            if reaper is not None:
+                reaper.cancel()
             await self._stop_all_workers()
 
     # -- worker lifecycle ----------------------------------------------------
@@ -321,17 +344,18 @@ class ShardedFrontend:
             store_root=self.store_root,
             state_root=self.state_root,
             checkpoint_interval=self._checkpoint_interval,
-            verify_poll=self._verify_poll,
             extra=dict(self._worker_extra),
         )
-        process = self._mp.Process(
+        host = _WorkerThread if self._thread_hosted else self._mp.Process
+        process = host(
             target=worker_main,
             args=(child_conn, config),
             name=f"livesim-worker-{wid}",
             daemon=True,
         )
         process.start()
-        child_conn.close()
+        if not self._thread_hosted:
+            child_conn.close()  # the child process holds its own copy
         try:
             if not parent_conn.poll(_SPAWN_TIMEOUT):
                 raise RuntimeError(f"worker {wid} never became ready")
@@ -346,7 +370,7 @@ class ShardedFrontend:
         except BaseException:
             process.kill()
             raise
-        return process, parent_conn, ready.get("pid", process.pid)
+        return process, parent_conn, ready.get("pid")
 
     async def _start_worker(self, wid: int) -> None:
         worker = self._workers[wid]
@@ -412,9 +436,8 @@ class ShardedFrontend:
                     },
                 })
                 self._pending.pop(rid, None)
-        if self._stopping or not self._restart_workers:
-            return
-        self._loop.create_task(self._restart_worker(wid))
+        if not self._stopping:
+            self._loop.create_task(self._restart_worker(wid))
 
     async def _restart_worker(self, wid: int) -> None:
         """Respawn a dead worker and rehydrate its sessions."""
@@ -443,12 +466,10 @@ class ShardedFrontend:
                 except WorkerCommandError:
                     # No journal (or replay failed): the session is
                     # gone; stop routing to it.
-                    self._sessions.pop(name, None)
-                    self._watch_records.pop(name, None)
+                    self._forget_session(name)
                     obs.incr("server.sessions_dropped")
                     continue
                 await self._rearm_watches(name, worker)
-            obs.gauge("server.sessions", len(self._sessions))
 
     async def _ensure_worker(self, wid: int) -> _WorkerHandle:
         worker = self._workers.get(wid)
@@ -459,10 +480,6 @@ class ShardedFrontend:
             })
         if worker.alive:
             return worker
-        if not self._restart_workers:
-            raise WorkerCommandError({
-                "type": "worker", "message": f"worker {wid} is down",
-            })
         async with worker.lock:
             pass  # wait for any in-progress restart
         if not worker.alive:
@@ -523,8 +540,6 @@ class ShardedFrontend:
             # that kills every worker it touches.
             if exc.payload.get("type") != "worker" or self._stopping:
                 raise
-            if not self._restart_workers:
-                raise
             obs.incr("server.request_failovers")
             worker = await self._ensure_worker(wid)
             return await self._forward_to(worker, client, cmd, params)
@@ -581,6 +596,7 @@ class ShardedFrontend:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         client = _Client(writer)
+        self._clients.add(client)
         obs.incr("server.connections_accepted")
         pump = self._loop.create_task(client.pump_events())
         try:
@@ -622,6 +638,7 @@ class ShardedFrontend:
                     return
         finally:
             client.closed = True
+            self._clients.discard(client)
             client.wake_pump()
             pump.cancel()
             self._drop_client_routes(client)
@@ -636,10 +653,10 @@ class ShardedFrontend:
     ) -> Tuple[Response, bool]:
         started = time.perf_counter()
         obs.incr("server.requests")
-        stop_after = False
         try:
-            value, stop_after = await self._dispatch(client, request)
-            response = ok_response(request.id, value)
+            response = ok_response(
+                request.id, await self._dispatch(client, request)
+            )
         except WorkerCommandError as exc:
             response = Response(
                 id=request.id, ok=False, error=exc.payload
@@ -655,95 +672,73 @@ class ShardedFrontend:
         elapsed = time.perf_counter() - started
         obs.histogram("server.request_seconds", elapsed)
         obs.histogram(f"server.cmd.{request.cmd}.seconds", elapsed)
-        return response, stop_after
+        return response, response.ok and request.cmd == "shutdown"
 
-    @staticmethod
-    def _str_param(params: Dict, name: str) -> str:
-        value = params.get(name)
-        if not isinstance(value, str) or not value:
-            raise ProtocolError(f"{name!r} must be a non-empty string")
+    async def _dispatch(self, client: _Client, request: Request) -> Any:
+        verb = protocol.check_request(request)
+        if verb.routed:
+            return await self._route(client, request.cmd, request.params)
+        handler = getattr(self, f"_cmd_{request.cmd}")
+        return await handler(client, request.params)
+
+    async def _route(
+        self, client: Optional[_Client], cmd: str, params: Dict[str, Any]
+    ) -> Any:
+        """Forward one session command to the worker that owns it."""
+        name = params["session"]
+        # Commands aimed at a session mid-migration queue until the
+        # route table flips, then run on the new owner — callers
+        # see latency, never a spurious unknown-session error.
+        while name in self._migrating:
+            await self._migrating[name].wait()
+        wid = self._sessions.get(name)
+        if wid is None:
+            raise WorkerCommandError({
+                "type": "unknown-session",
+                "message": f"unknown session {name!r}",
+            })
+        self._inflight[name] = self._inflight.get(name, 0) + 1
+        try:
+            value = await self._forward(client, wid, cmd, params)
+        finally:
+            left = self._inflight.pop(name) - 1
+            if left:
+                self._inflight[name] = left
+            if name in self._sessions:
+                self._last_used[name] = time.monotonic()
+        if cmd == "watch":
+            self._record_watch(name, client, params)
+        elif cmd == "unwatch":
+            self._forget_watch(name, params)
+        elif cmd == "close":
+            self._forget_session(name)
         return value
 
-    async def _dispatch(
-        self, client: _Client, request: Request
-    ) -> Tuple[Any, bool]:
-        cmd = request.cmd
-        params = request.params
-        if cmd == "ping":
-            return {
-                "pong": True,
-                "protocol": PROTOCOL_VERSION,
-                "sharded": True,
-                "workers": self.num_workers,
-            }, False
-        if cmd == "open":
-            return await self._cmd_open(client, params), False
-        if cmd in ("cmd", "reload", "close") or cmd in TRACE_COMMANDS:
-            name = self._str_param(params, "session")
-            if cmd == "cmd":
-                self._str_param(params, "line")
-            if cmd in TRACE_COMMANDS:
-                # Validate here so a malformed watch/trace fails fast
-                # with a protocol error instead of a worker round-trip;
-                # the worker rebuilds the same canonical line.
-                build_trace_line(cmd, params)
-            if cmd == "reload":
-                self._str_param(params, "source")
-                verify = params.get("verify", False)
-                if verify not in (False, True, "background"):
-                    raise ProtocolError(
-                        "'verify' must be true, false, or \"background\""
-                    )
-                if not isinstance(params.get("override", False), bool):
-                    raise ProtocolError("'override' must be a boolean")
-            # Commands aimed at a session mid-migration queue until the
-            # route table flips, then run on the new owner — callers
-            # see latency, never a spurious unknown-session error.
-            while True:
-                gate = self._migrating.get(name)
-                if gate is None:
-                    break
-                await gate.wait()
-            wid = self._sessions.get(name)
-            if wid is None:
-                raise WorkerCommandError({
-                    "type": "unknown-session",
-                    "message": f"unknown session {name!r}",
-                })
-            self._inflight[name] = self._inflight.get(name, 0) + 1
-            try:
-                value = await self._forward(client, wid, cmd, params)
-            finally:
-                left = self._inflight.get(name, 1) - 1
-                if left > 0:
-                    self._inflight[name] = left
-                else:
-                    self._inflight.pop(name, None)
-            if cmd == "watch":
-                self._record_watch(name, client, params)
-            elif cmd == "unwatch":
-                self._forget_watch(name, params)
-            elif cmd == "close":
-                self._sessions.pop(name, None)
-                self._watch_records.pop(name, None)
-                obs.gauge("server.sessions", len(self._sessions))
-            return value, False
-        if cmd == "sessions":
-            return await self._cmd_sessions(), False
-        if cmd == "stats":
-            return await self._cmd_stats(params), False
-        if cmd == "resize":
-            return await self._cmd_resize(params), False
-        if cmd == "migrate":
-            return await self._cmd_migrate(params), False
-        if cmd == "shutdown":
-            return {
-                "stopping": True, "sessions": len(self._sessions),
-            }, True
-        known = sorted(BASE_COMMANDS + ADMIN_COMMANDS + TRACE_COMMANDS)
-        raise ProtocolError(
-            f"unknown server command {cmd!r}; expected one of {known}"
-        )
+    def _forget_session(self, name: str) -> None:
+        """Stop routing to a session that closed or was lost."""
+        self._sessions.pop(name, None)
+        self._watch_records.pop(name, None)
+        self._last_used.pop(name, None)
+        obs.gauge("server.sessions", len(self._sessions))
+
+    async def _reap_idle(self) -> None:
+        """Evict sessions idle past ``idle_timeout`` with the ordinary
+        ``close``.  A session with a command in flight or mid-migration
+        is not idle, whatever its timestamp says."""
+        while True:
+            await asyncio.sleep(min(self._idle_timeout / 2.0, 1.0))
+            for name in list(self._last_used):
+                # Re-read: the awaits below let other tasks run.
+                used = self._last_used.get(name)
+                if (used is None or name in self._inflight
+                        or name in self._migrating
+                        or time.monotonic() - used <= self._idle_timeout):
+                    continue
+                try:
+                    await self._route(None, "close", {"session": name})
+                    obs.incr("server.sessions_evicted")
+                except WorkerCommandError:
+                    pass  # already gone, or its worker is: nothing to do
 
     # -- live-watch bookkeeping ----------------------------------------------
 
@@ -812,16 +807,23 @@ class ShardedFrontend:
         else:
             self._watch_records.pop(name, None)
 
+    # -- verbs the frontend answers itself: _cmd_<verb>(client, params) -------
+
+    async def _cmd_ping(self, client: _Client, params: Dict) -> Dict:
+        return {
+            "pong": True,
+            "protocol": PROTOCOL_VERSION,
+            "sharded": not self._thread_hosted,
+            "workers": self.num_workers,
+        }
+
+    async def _cmd_shutdown(self, client: _Client, params: Dict) -> Dict:
+        return {"stopping": True, "sessions": len(self._sessions)}
+
     async def _cmd_open(
         self, client: _Client, params: Dict[str, Any]
     ) -> Any:
-        name = self._str_param(params, "session")
-        self._str_param(params, "source")
-        reset_cycles = params.get("reset_cycles", 2)
-        if not isinstance(reset_cycles, int) or isinstance(
-            reset_cycles, bool
-        ):
-            raise ProtocolError("'reset_cycles' must be an integer")
+        name = params["session"]
         if name in self._sessions:
             raise WorkerCommandError({
                 "type": "duplicate-session",
@@ -830,11 +832,13 @@ class ShardedFrontend:
         wid = self.ring.lookup(name)
         value = await self._forward(client, wid, "open", params)
         self._sessions[name] = wid
-        obs.incr("server.sessions_opened")
+        self._last_used[name] = time.monotonic()
         obs.gauge("server.sessions", len(self._sessions))
         return value
 
-    async def _cmd_sessions(self) -> List[Dict[str, Any]]:
+    async def _cmd_sessions(
+        self, client: _Client, params: Dict
+    ) -> List[Dict[str, Any]]:
         live = [w for w in self._workers.values() if w.alive]
         results = await asyncio.gather(*[
             self._forward_to(worker, None, "describe", {})
@@ -848,7 +852,9 @@ class ShardedFrontend:
         entries.sort(key=lambda entry: entry.get("session", ""))
         return entries
 
-    async def _cmd_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    async def _cmd_stats(
+        self, client: _Client, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
         workers = []
         for wid in sorted(self._workers):
             worker = self._workers[wid]
@@ -863,16 +869,19 @@ class ShardedFrontend:
                 ),
             })
         metrics = obs.get_metrics().as_dict()
-        counters = metrics.get("counters", {})
         stats: Dict[str, Any] = {
             "protocol": PROTOCOL_VERSION,
-            "sharded": True,
+            "sharded": not self._thread_hosted,
             "sessions": len(self._sessions),
             "workers": workers,
             "metrics": metrics,
-            # Dropped *event lines* on slow client connections (the
-            # frontend owns the sockets, so this is a local counter).
-            "events_dropped": counters.get("server.events_dropped", 0),
+            # Backpressure is a first-class stat, not something buried
+            # in the metrics dump: dropped *event lines* on slow client
+            # connections (the frontend owns the sockets), so clients
+            # can tell "I am too slow" from "the server is fine".
+            "events_dropped": metrics.get("counters", {}).get(
+                "server.events_dropped", 0
+            ),
         }
         if self.store_root is not None:
             from .store import ArtifactStore
@@ -883,9 +892,6 @@ class ShardedFrontend:
                 "artifacts": len(store),
                 "bytes": store.total_bytes(),
             }
-        # Trace-capture counters live in the worker processes; sum them
-        # across the pool so clients see one pair of totals, same shape
-        # as the threaded server's stats.
         live = [w for w in self._workers.values() if w.alive]
         results = await asyncio.gather(*[
             self._forward_to(worker, None, "stats", {})
@@ -895,18 +901,26 @@ class ShardedFrontend:
             result for result in results
             if not isinstance(result, BaseException)
         ]
-        trace = {"cycles_dropped": 0, "events_dropped": 0}
-        for entry in worker_stats:
-            worker_counters = (
-                (entry.get("metrics") or {}).get("counters", {})
-            )
-            trace["cycles_dropped"] += worker_counters.get(
-                "trace.cycles_dropped", 0
-            )
-            trace["events_dropped"] += worker_counters.get(
-                "trace.events_dropped", 0
-            )
-        stats["trace"] = trace
+        # Trace-capture and pass-cache counters live where the sessions
+        # run; sum them over the pool so clients see one set of totals.
+        # Thread-hosted workers share one registry: count each pid once.
+        totals: Dict[str, int] = {}
+        for entry in {e["pid"]: e for e in worker_stats}.values():
+            for name, value in entry["metrics"]["counters"].items():
+                if name.startswith(("trace.", "passes.")):
+                    totals[name] = totals.get(name, 0) + value
+        stats["trace"] = {
+            kind: totals.get(f"trace.{kind}", 0)
+            for kind in ("cycles_dropped", "events_dropped")
+        }
+        # One {hits, misses} entry per repro.passes pass that ran.
+        passes: Dict[str, Dict[str, int]] = {}
+        for name, value in totals.items():
+            parts = name.split(".")
+            if len(parts) == 3 and parts[2] in ("cache_hits", "cache_misses"):
+                entry = passes.setdefault(parts[1], {"hits": 0, "misses": 0})
+                entry[parts[2][len("cache_"):]] = value
+        stats["passes"] = passes
         if params.get("deep"):
             stats["worker_stats"] = worker_stats
         return stats
@@ -921,7 +935,9 @@ class ShardedFrontend:
                            "start the server with --state-dir",
             })
 
-    async def _cmd_resize(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    async def _cmd_resize(
+        self, client: _Client, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
         """Grow or shrink the worker pool at runtime.
 
         Target worker ids are always ``0..N-1``: a grow spawns the
@@ -930,12 +946,7 @@ class ShardedFrontend:
         the journal path (persist -> rehydrate -> flip -> close);
         commands aimed at a moving session queue behind its gate.
         """
-        target = params.get("workers")
-        if (not isinstance(target, int) or isinstance(target, bool)
-                or not 1 <= target <= MAX_WORKERS):
-            raise ProtocolError(
-                f"'workers' must be an integer in [1, {MAX_WORKERS}]"
-            )
+        target = params["workers"]
         started = time.perf_counter()
         async with self._resize_lock:
             previous = len(self._workers)
@@ -944,8 +955,7 @@ class ShardedFrontend:
                     "workers": target, "previous": previous,
                     "migrated": [], "spawned": [], "retired": [],
                 }
-            new_ring = HashRing(range(target),
-                                replicas=self._ring_replicas)
+            new_ring = HashRing(range(target))
             spawned: List[int] = []
             retired: List[int] = []
             if target > previous:
@@ -1013,13 +1023,12 @@ class ShardedFrontend:
                 "seconds": time.perf_counter() - started,
             }
 
-    async def _cmd_migrate(self, params: Dict[str, Any]) -> Dict[str, Any]:
+    async def _cmd_migrate(
+        self, client: _Client, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
         """Move one named session to an explicit worker (the hook for
         load balancing off per-worker obs histograms)."""
-        name = self._str_param(params, "session")
-        target = params.get("worker")
-        if not isinstance(target, int) or isinstance(target, bool):
-            raise ProtocolError("'worker' must be an integer worker id")
+        name, target = params["session"], params["worker"]
         self._require_state_dir("migrate")
         async with self._resize_lock:
             if target not in self._workers:
@@ -1056,10 +1065,8 @@ class ShardedFrontend:
                 obs.incr("server.migrations_failed")
                 if forced:
                     # Its worker is retiring: the session cannot stay.
-                    self._sessions.pop(name, None)
-                    self._watch_records.pop(name, None)
+                    self._forget_session(name)
                     obs.incr("server.sessions_dropped")
-        obs.gauge("server.sessions", len(self._sessions))
         return migrated
 
     async def _migrate_session(self, name: str, dest: int) -> None:
@@ -1158,7 +1165,6 @@ def default_state_root(store_root: Optional[str]) -> str:
 __all__ = [
     "MAX_EVENT_QUEUE",
     "MAX_EVENT_ROUTES",
-    "MAX_WORKERS",
     "ShardedFrontend",
     "WorkerCommandError",
     "default_state_root",

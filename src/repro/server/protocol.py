@@ -23,6 +23,12 @@ Event (server -> client, unsolicited, e.g. background-verify progress)::
 The framing layer knows nothing about sessions or simulators; it only
 classifies lines and converts arbitrary command results into JSON-safe
 values (:func:`to_jsonable`).
+
+The commands themselves are declared once, in :data:`VERBS`: each
+verb's required and optional parameters with their types, and whether
+it is routed to the worker owning its session.  The server validates
+every request against that table (:func:`check_request`) before
+anything else looks at it.
 """
 
 from __future__ import annotations
@@ -30,24 +36,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 PROTOCOL_VERSION = "repro.server/v1"
-
-# Server command verbs.  Both front-ends accept the base set; the
-# sharded frontend adds the pool-administration verbs (the threaded
-# server has no worker pool to administer).  The framing layer itself
-# never interprets verbs — these live here so the two servers and the
-# client agree on one canonical list.
-BASE_COMMANDS = (
-    "close", "cmd", "open", "ping", "reload", "sessions",
-    "shutdown", "stats",
-)
-ADMIN_COMMANDS = ("migrate", "resize")
-# Live-trace verbs: sugar over the interpreter's watch/unwatch/trace/
-# replay command lines, plus server-side value_change event streaming
-# for ``watch``.  Supported by both front-ends.
-TRACE_COMMANDS = ("replay", "trace", "unwatch", "watch")
 
 # A request line longer than this is a protocol error, not a command:
 # it bounds per-connection memory against a hostile or broken client.
@@ -86,6 +77,124 @@ class Event:
 
 
 Message = Union[Request, Response, Event]
+
+
+# -- verbs -------------------------------------------------------------------
+
+# The worker pool can be resized at runtime; cap it so a typo'd
+# ``resize`` cannot fork-bomb the host.
+MAX_WORKERS = 64
+
+# A parameter type: (check, what a valid value is).
+Param = Tuple[Callable[[Any], bool], str]
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_name(value: Any) -> bool:
+    # Names are spliced into comma-separated Table I command lines.
+    return (isinstance(value, str) and bool(value)
+            and not set(value) & set(",\n#"))
+
+
+STR: Param = (lambda v: isinstance(v, str) and bool(v), "a non-empty string")
+NAME: Param = (_is_name, "a non-empty string without ',' '#' or newlines")
+NAMES: Param = (
+    lambda v: isinstance(v, list) and all(map(_is_name, v)),
+    "a list of signal names without ',' '#' or newlines",
+)
+INT: Param = (_is_int, "an integer")
+CYCLE: Param = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+COUNT: Param = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+BOOL: Param = (lambda v: isinstance(v, bool), "a boolean")
+VERIFY: Param = (
+    lambda v: v in (False, True, "background"),
+    'true, false, or "background"',
+)
+WORKERS: Param = (
+    lambda v: _is_int(v) and 1 <= v <= MAX_WORKERS,
+    f"an integer in [1, {MAX_WORKERS}]",
+)
+
+
+@dataclass(frozen=True)
+class Verb:
+    """One server command: the parameters it takes (other keys are
+    ignored) and whether the frontend routes it to the worker that owns
+    ``params["session"]`` or handles it itself."""
+
+    required: Dict[str, Param] = field(default_factory=dict)
+    optional: Dict[str, Param] = field(default_factory=dict)
+    routed: bool = False
+
+
+_SESSION = {"session": STR}
+_SIGNAL = {**_SESSION, "pipe": NAME, "signal": NAME}
+
+# The one declaration of every verb: the frontend validates requests
+# against it before anything is forwarded, so workers read parameters
+# without re-checking them, and both sides dispatch by verb name.
+# ``watch``/``unwatch``/``trace``/``replay`` are sugar for the Table I
+# command line :func:`trace_line` builds (``watch`` also streams
+# ``value_change`` events); ``resize``/``migrate`` administer the pool.
+VERBS: Dict[str, Verb] = {
+    "ping": Verb(),
+    "open": Verb({**_SESSION, "source": STR}, {"reset_cycles": INT}),
+    # max_events: for a ``cmd`` whose line is a ``watch``.
+    "cmd": Verb({**_SESSION, "line": STR}, {"max_events": COUNT},
+                routed=True),
+    "reload": Verb({**_SESSION, "source": STR},
+                   {"verify": VERIFY, "override": BOOL}, routed=True),
+    "close": Verb(_SESSION, routed=True),
+    "watch": Verb(_SIGNAL, {"max_events": COUNT}, routed=True),
+    "unwatch": Verb(_SIGNAL, routed=True),
+    "trace": Verb({**_SESSION, "pipe": NAME},
+                  {"signal": NAME, "start": CYCLE, "end": CYCLE},
+                  routed=True),
+    "replay": Verb({**_SESSION, "pipe": NAME, "start": CYCLE, "end": CYCLE},
+                   {"signals": NAMES}, routed=True),
+    "sessions": Verb(),
+    "stats": Verb(),
+    "shutdown": Verb(),
+    "resize": Verb({"workers": WORKERS}),
+    "migrate": Verb({**_SESSION, "worker": INT}),
+}
+
+
+def check_request(request: Request) -> Verb:
+    """Validate ``request`` against its verb's declaration."""
+    verb = VERBS.get(request.cmd)
+    if verb is None:
+        raise ProtocolError(
+            f"unknown server command {request.cmd!r}; expected one of "
+            f"{sorted(VERBS)}"
+        )
+    for params, may_omit in ((verb.required, False), (verb.optional, True)):
+        for key, (check, what) in params.items():
+            value = request.params.get(key)
+            if not (check(value) or (may_omit and value is None)):
+                raise ProtocolError(f"{key!r} must be {what}")
+    return verb
+
+
+def trace_line(cmd: str, params: Dict[str, Any]) -> str:
+    """The canonical Table I line of a validated watch / unwatch /
+    trace / replay request, so the journal and the ``cmd`` path see
+    exactly one form."""
+    operands = [params["pipe"]]
+    if cmd == "replay":
+        operands += [params["start"], params["end"]]
+        operands += params.get("signals") or []
+    elif params.get("signal") is not None:
+        operands.append(params["signal"])
+        start, end = params.get("start"), params.get("end")
+        if start is not None or end is not None:
+            operands.append(start or 0)
+        if end is not None:
+            operands.append(end)
+    return f"{cmd} " + ", ".join(map(str, operands))
 
 
 # -- encoding ----------------------------------------------------------------

@@ -1,38 +1,36 @@
-"""Multi-session LiveSim service: many users, one simulator process.
+"""The session side of the LiveSim server: what a worker hosts.
 
-The paper's workflow is one designer in one process; the service turns
-that into infrastructure: a threaded JSON-lines socket server where
-each *named session* owns a full :class:`~repro.live.session.LiveSession`
-(design source, pipes, checkpoints, background verification) behind a
-per-session lock, so independent sessions make progress concurrently
-while commands within one session stay serialized.
+The paper's workflow is one designer in one process; the server turns
+that into infrastructure.  Each *named session* owns a full
+:class:`~repro.live.session.LiveSession` (design source, pipes,
+checkpoints, background verification) behind a per-session lock, so
+independent sessions make progress concurrently while commands within
+one session stay serialized.  This module holds the pieces every
+:class:`~repro.server.shard.SessionWorker` is built from:
 
-Layering::
-
-    _Connection  -- one socket, reads requests / writes responses+events
-    LiveSimServer -- accept loop, dispatch, idle reaper, shutdown
-    SessionManager -- named LiveSession + CommandInterpreter registry
+* :class:`SessionManager` — the registry of named
+  :class:`ManagedSession` (LiveSession + CommandInterpreter + lock);
+* :func:`summarize` / :func:`error_payload` — command results and
+  exceptions as wire-level JSON;
+* :func:`watch_verify_loop` / :func:`watch_trace_loop` — the pumps
+  behind ``verify_status`` and ``value_change`` events.
 
 All sessions share one on-disk :class:`~repro.server.store.ArtifactStore`
 (when configured), so the second session compiling a design the first
 one already compiled — or a warm restart of the whole server — loads
 artifacts from disk instead of running codegen.
 
-Observability: ``server.requests`` / ``server.request_errors``
-counters, ``server.sessions`` / ``server.connections`` gauges, and
-``server.request_seconds`` + per-command ``server.cmd.<name>.seconds``
-latency histograms.
+The socket front door is :mod:`repro.server.frontend`.
 """
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .. import obs
-from ..analyze import AnalysisReport, GateBlockedError, count_by_severity
+from ..analyze import AnalysisReport, GateBlockedError
 from ..hdl.errors import HDLError, SimulationError
 from ..live.checkpoint import Checkpoint
 from ..live.commands import CommandError, CommandInterpreter
@@ -41,20 +39,7 @@ from ..live.session import ERDReport, LiveSession
 from ..sanitize import SanitizerError
 from ..sim.pipeline import Pipe
 from ..sim.testbench import reset_sequence
-from ..trace.buffer import DEFAULT_SUB_QUEUE as TRACE_SUB_QUEUE
-from . import protocol
-from .protocol import (
-    PROTOCOL_VERSION,
-    Event,
-    ProtocolError,
-    Request,
-    Response,
-    encode_event,
-    encode_response,
-    error_response,
-    ok_response,
-    to_jsonable,
-)
+from .protocol import ProtocolError, to_jsonable
 
 DEFAULT_PORT = 7391
 
@@ -168,11 +153,7 @@ def summarize(value: Any) -> Any:
 
 
 def error_payload(exc: Exception) -> Dict[str, Any]:
-    """Map one command exception to its wire-level error object.
-
-    Shared by the threaded server and the sharded session workers so a
-    client sees identical errors whichever front-end served it.
-    """
+    """Map one command exception to its wire-level error object."""
     if isinstance(exc, CommandError):
         return {"type": "command", "message": str(exc)}
     if isinstance(exc, UnknownSessionError):
@@ -224,7 +205,7 @@ def watch_verify_loop(
     events until the job leaves the running state.
 
     ``send_event(data: dict) -> bool`` delivers one event (False stops
-    the watch); ``should_stop() -> bool`` is the server/worker shutdown
+    the watch); ``should_stop() -> bool`` is the worker's shutdown
     flag.  Runs in the caller's thread — spawn one per watch.
     """
     last = None
@@ -252,82 +233,6 @@ def watch_verify_loop(
 # -- live-trace value-change streaming ---------------------------------------
 
 
-def build_trace_line(cmd: str, params: Dict) -> Tuple[str, Optional[Dict]]:
-    """Validate a watch/unwatch/trace/replay request and build the
-    canonical interpreter command line for it.
-
-    Returns ``(line, watch_opts)`` where ``watch_opts`` (only for
-    ``watch``) carries subscription options that exist on the wire but
-    not in the command syntax (``max_events``).  Shared by the threaded
-    server and the sharded workers so both journal identical lines.
-    """
-
-    def need_name(key: str) -> str:
-        value = params.get(key)
-        if not isinstance(value, str) or not value:
-            raise ProtocolError(f"{key!r} must be a non-empty string")
-        if any(ch in value for ch in ",\n#"):
-            raise ProtocolError(f"{key!r} must not contain ',' '#' or "
-                                "newlines")
-        return value
-
-    def opt_cycle(key: str) -> Optional[int]:
-        value = params.get(key)
-        if value is None:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ProtocolError(f"{key!r} must be a non-negative integer")
-        return value
-
-    pipe = need_name("pipe")
-    if cmd == "watch":
-        signal = need_name("signal")
-        max_events = params.get("max_events")
-        if max_events is not None and (
-            not isinstance(max_events, int)
-            or isinstance(max_events, bool)
-            or max_events < 1
-        ):
-            raise ProtocolError("'max_events' must be a positive integer")
-        opts = {"max_events": max_events} if max_events else {}
-        return f"watch {pipe}, {signal}", opts
-    if cmd == "unwatch":
-        signal = need_name("signal")
-        return f"unwatch {pipe}, {signal}", None
-    if cmd == "trace":
-        signal = params.get("signal")
-        if signal is None:
-            return f"trace {pipe}", None
-        signal = need_name("signal")
-        start = opt_cycle("start")
-        end = opt_cycle("end")
-        line = f"trace {pipe}, {signal}"
-        if start is not None or end is not None:
-            line += f", {start or 0}"
-            if end is not None:
-                line += f", {end}"
-        return line, None
-    # replay
-    start = opt_cycle("start")
-    end = opt_cycle("end")
-    if start is None or end is None:
-        raise ProtocolError("'start' and 'end' are required for replay")
-    line = f"replay {pipe}, {start}, {end}"
-    signals = params.get("signals")
-    if signals is not None:
-        if not isinstance(signals, list) or not all(
-            isinstance(s, str) and s for s in signals
-        ):
-            raise ProtocolError("'signals' must be a list of signal names")
-        for signal in signals:
-            if any(ch in signal for ch in ",\n#"):
-                raise ProtocolError(
-                    "signal names must not contain ',' '#' or newlines"
-                )
-            line += f", {signal}"
-    return line, None
-
-
 def watch_trace_loop(
     managed: "ManagedSession",
     pipe: str,
@@ -343,7 +248,7 @@ def watch_trace_loop(
 
     ``sub`` is a :class:`repro.trace.TraceSubscription`;
     ``send_event(data: dict) -> bool`` delivers one event (False stops
-    the watch); ``should_stop() -> bool`` is the server/worker shutdown
+    the watch); ``should_stop() -> bool`` is the worker's shutdown
     flag.  Runs in the caller's thread — spawn one per watch.  The
     simulation side never blocks on this loop: the subscription queue
     drops oldest under backpressure and counts the drops.
@@ -378,43 +283,33 @@ class ManagedSession:
     """One named LiveSession plus its interpreter and serialization lock."""
 
     def __init__(self, name: str, session: LiveSession,
-                 tb_handle: Optional[str], clock):
+                 tb_handle: Optional[str]):
         self.name = name
         self.session = session
         self.interp = CommandInterpreter(session)
         self.tb_handle = tb_handle
         self.lock = threading.RLock()
-        self._clock = clock
-        self.created = clock()
-        self.last_used = self.created
+        self.last_used = time.monotonic()
         self.commands = 0
 
     def touch(self) -> None:
-        self.last_used = self._clock()
+        self.last_used = time.monotonic()
         self.commands += 1
 
     def idle_seconds(self) -> float:
-        return self._clock() - self.last_used
+        return time.monotonic() - self.last_used
 
 
 class SessionManager:
-    """Registry of named sessions with idle eviction.
-
-    ``clock`` is injectable (monotonic seconds) so eviction is testable
-    without real waiting.
-    """
+    """Registry of the named sessions one worker owns."""
 
     def __init__(
         self,
         artifact_store=None,
         checkpoint_interval: int = 10_000,
-        idle_timeout: Optional[float] = None,
-        clock=time.monotonic,
     ):
         self.artifact_store = artifact_store
         self.checkpoint_interval = checkpoint_interval
-        self.idle_timeout = idle_timeout
-        self._clock = clock
         self._lock = threading.Lock()
         self._sessions: Dict[str, ManagedSession] = {}
 
@@ -453,7 +348,7 @@ class SessionManager:
                     {"reset_name": "rst", "cycles": reset_cycles},
                 ),
             )
-        managed = ManagedSession(name, session, tb_handle, self._clock)
+        managed = ManagedSession(name, session, tb_handle)
         with self._lock:
             if name in self._sessions:  # lost a creation race
                 session.close()
@@ -506,41 +401,6 @@ class SessionManager:
                 managed.session.close()
         obs.gauge("server.sessions", 0)
 
-    def evict_idle(self) -> List[str]:
-        """Close sessions idle past ``idle_timeout``.
-
-        A session whose lock is held (mid-command) is never evicted,
-        whatever its timestamp says.
-        """
-        if self.idle_timeout is None:
-            return []
-        evicted = []
-        with self._lock:
-            candidates = [
-                (name, managed)
-                for name, managed in self._sessions.items()
-                if managed.idle_seconds() > self.idle_timeout
-            ]
-        for name, managed in candidates:
-            if not managed.lock.acquire(blocking=False):
-                continue
-            try:
-                with self._lock:
-                    if self._sessions.get(name) is not managed:
-                        continue
-                    if managed.idle_seconds() <= self.idle_timeout:
-                        continue
-                    del self._sessions[name]
-                managed.session.close()
-                evicted.append(name)
-            finally:
-                managed.lock.release()
-        if evicted:
-            obs.incr("server.sessions_evicted", len(evicted))
-            with self._lock:
-                obs.gauge("server.sessions", len(self._sessions))
-        return evicted
-
     # -- introspection -------------------------------------------------------
 
     @property
@@ -566,470 +426,3 @@ class SessionManager:
             }
             for managed in sessions
         ]
-
-
-# -- connections -------------------------------------------------------------
-
-
-class _Connection:
-    """One client socket: request reader plus thread-safe writer."""
-
-    def __init__(self, sock: socket.socket, peer: str):
-        self.sock = sock
-        self.peer = peer
-        self.closed = False
-        self._wlock = threading.Lock()
-
-    def send_line(self, text: str) -> bool:
-        with self._wlock:
-            if self.closed:
-                return False
-            try:
-                self.sock.sendall(text.encode("utf-8"))
-                return True
-            except OSError:
-                self.closed = True
-                return False
-
-    def send_response(self, response: Response) -> bool:
-        return self.send_line(encode_response(response))
-
-    def send_event(self, name: str, session: str, data: Dict) -> bool:
-        return self.send_line(
-            encode_event(Event(name=name, session=session, data=data))
-        )
-
-    def close(self) -> None:
-        with self._wlock:
-            self.closed = True
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-
-
-class LiveSimServer:
-    """Threaded JSON-lines socket front-end over a SessionManager."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        artifact_store=None,
-        idle_timeout: Optional[float] = None,
-        checkpoint_interval: int = 10_000,
-        verify_poll: float = 0.05,
-        reaper_interval: Optional[float] = None,
-    ):
-        self.manager = SessionManager(
-            artifact_store=artifact_store,
-            checkpoint_interval=checkpoint_interval,
-            idle_timeout=idle_timeout,
-        )
-        self._host = host
-        self._port = port
-        self._verify_poll = verify_poll
-        self._reaper_interval = reaper_interval or (
-            min(idle_timeout / 2.0, 1.0) if idle_timeout else None
-        )
-        self._listener: Optional[socket.socket] = None
-        self._stop = threading.Event()
-        self._threads: List[threading.Thread] = []
-        self._conn_lock = threading.Lock()
-        self._connections: List[_Connection] = []
-        self.address: Optional[Tuple[str, int]] = None
-
-    # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> Tuple[str, int]:
-        """Bind, listen, and spawn the accept (and reaper) threads."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(32)
-        self._listener = listener
-        self.address = listener.getsockname()[:2]
-        accept = threading.Thread(
-            target=self._accept_loop, name="livesim-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
-        if self._reaper_interval is not None:
-            reaper = threading.Thread(
-                target=self._reaper_loop, name="livesim-reaper", daemon=True
-            )
-            reaper.start()
-            self._threads.append(reaper)
-        return self.address
-
-    def serve_forever(self) -> None:
-        if self._listener is None:
-            self.start()
-        try:
-            while not self._stop.wait(0.2):
-                pass
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            self.shutdown()
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop accepting, close every connection and session, join
-        worker threads.  Idempotent; callable from a handler thread."""
-        if self._stop.is_set() and self._listener is None:
-            return
-        self._stop.set()
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            # A blocked accept() is not reliably woken by close() alone;
-            # poke it with a throwaway connection first.
-            if self.address is not None:
-                try:
-                    socket.create_connection(self.address, timeout=1).close()
-                except OSError:
-                    pass
-            try:
-                listener.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            connections = list(self._connections)
-        for conn in connections:
-            conn.close()
-        self.manager.close_all()
-        current = threading.current_thread()
-        for thread in self._threads:
-            if thread is not current:
-                thread.join(timeout)
-        obs.gauge("server.connections", 0)
-
-    # -- accept / reap -------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        while not self._stop.is_set() and listener is not None:
-            try:
-                sock, addr = listener.accept()
-            except OSError:
-                return  # listener closed: shutting down
-            if self._stop.is_set():  # the shutdown wake-up poke
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-                return
-            conn = _Connection(sock, f"{addr[0]}:{addr[1]}")
-            with self._conn_lock:
-                self._connections.append(conn)
-                obs.gauge("server.connections", len(self._connections))
-            thread = threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name=f"livesim-conn-{conn.peer}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _reaper_loop(self) -> None:
-        while not self._stop.wait(self._reaper_interval):
-            self.manager.evict_idle()
-
-    # -- per-connection ------------------------------------------------------
-
-    def _serve_connection(self, conn: _Connection) -> None:
-        obs.incr("server.connections_accepted")
-        rfile = conn.sock.makefile("rb")
-        try:
-            while not self._stop.is_set():
-                line = rfile.readline(protocol.MAX_LINE_BYTES + 2)
-                if not line:
-                    return
-                if len(line) > protocol.MAX_LINE_BYTES:
-                    conn.send_response(error_response(
-                        -1, "protocol",
-                        f"line exceeds {protocol.MAX_LINE_BYTES} bytes",
-                    ))
-                    return
-                if not line.strip():
-                    continue
-                try:
-                    message = protocol.decode(line)
-                except ProtocolError as exc:
-                    conn.send_response(
-                        error_response(-1, "protocol", str(exc))
-                    )
-                    continue
-                if not isinstance(message, Request):
-                    conn.send_response(error_response(
-                        -1, "protocol", "only requests flow client->server"
-                    ))
-                    continue
-                response, stop_after = self._handle_request(conn, message)
-                conn.send_response(response)
-                if stop_after:
-                    threading.Thread(
-                        target=self.shutdown, daemon=True
-                    ).start()
-                    return
-        finally:
-            try:
-                rfile.close()
-            except OSError:
-                pass
-            conn.close()
-            with self._conn_lock:
-                if conn in self._connections:
-                    self._connections.remove(conn)
-                obs.gauge("server.connections", len(self._connections))
-
-    def _handle_request(
-        self, conn: _Connection, request: Request
-    ) -> Tuple[Response, bool]:
-        started = time.perf_counter()
-        obs.incr("server.requests")
-        stop_after = False
-        try:
-            value, stop_after = self._dispatch(conn, request)
-            response = ok_response(request.id, value)
-        except Exception as exc:  # a bug must not kill the connection
-            response = Response(
-                id=request.id, ok=False, error=error_payload(exc)
-            )
-        if not response.ok:
-            obs.incr("server.request_errors")
-        elapsed = time.perf_counter() - started
-        obs.histogram("server.request_seconds", elapsed)
-        obs.histogram(f"server.cmd.{request.cmd}.seconds", elapsed)
-        return response, stop_after
-
-    # -- dispatch ------------------------------------------------------------
-
-    def _dispatch(
-        self, conn: _Connection, request: Request
-    ) -> Tuple[Any, bool]:
-        cmd = request.cmd
-        params = request.params
-        if cmd == "ping":
-            return {"pong": True, "protocol": PROTOCOL_VERSION}, False
-        if cmd == "open":
-            return self._cmd_open(params), False
-        if cmd == "cmd":
-            return self._cmd_execute(conn, params), False
-        if cmd == "reload":
-            return self._cmd_reload(conn, params), False
-        if cmd in protocol.TRACE_COMMANDS:
-            return self._cmd_trace_verb(conn, cmd, params), False
-        if cmd == "sessions":
-            return self.manager.describe(), False
-        if cmd == "stats":
-            return self._cmd_stats(), False
-        if cmd == "close":
-            name = self._str_param(params, "session")
-            self.manager.close(name)
-            return {"closed": name}, False
-        if cmd == "shutdown":
-            return {"stopping": True, "sessions": self.manager.count}, True
-        raise ProtocolError(
-            f"unknown server command {cmd!r}; expected one of "
-            f"{sorted(protocol.BASE_COMMANDS + protocol.TRACE_COMMANDS)}"
-        )
-
-    @staticmethod
-    def _str_param(params: Dict, name: str) -> str:
-        value = params.get(name)
-        if not isinstance(value, str) or not value:
-            raise ProtocolError(f"{name!r} must be a non-empty string")
-        return value
-
-    def _cmd_open(self, params: Dict) -> Dict:
-        name = self._str_param(params, "session")
-        source = self._str_param(params, "source")
-        reset_cycles = params.get("reset_cycles", 2)
-        if not isinstance(reset_cycles, int) or isinstance(reset_cycles, bool):
-            raise ProtocolError("'reset_cycles' must be an integer")
-        return self.manager.open(name, source, reset_cycles=reset_cycles)
-
-    def _cmd_execute(
-        self,
-        conn: _Connection,
-        params: Dict,
-        watch_opts: Optional[Dict] = None,
-    ) -> Any:
-        name = self._str_param(params, "session")
-        line = self._str_param(params, "line")
-        managed = self.manager.get(name)
-        with managed.lock:
-            result = managed.interp.execute(line)
-            managed.touch()
-        verb = result.command.lower()
-        if verb == "verify":
-            pipe = CommandInterpreter.parse(line)[1][0]
-            self._watch_verify(conn, managed, pipe)
-        elif verb == "watch":
-            operands = CommandInterpreter.parse(line)[1]
-            self._watch_trace(
-                conn, managed, operands[0], operands[1],
-                **(watch_opts or {}),
-            )
-        return summarize(result.value)
-
-    def _cmd_trace_verb(
-        self, conn: _Connection, cmd: str, params: Dict
-    ) -> Any:
-        """The dedicated watch/unwatch/trace/replay protocol verbs —
-        sugar that builds the interpreter command line, so the journal
-        and the ``cmd`` path see exactly one canonical form."""
-        line, watch_opts = build_trace_line(cmd, params)
-        forwarded = {"session": params.get("session"), "line": line}
-        return self._cmd_execute(conn, forwarded, watch_opts=watch_opts)
-
-    def _cmd_reload(self, conn: _Connection, params: Dict) -> Any:
-        name = self._str_param(params, "session")
-        source = self._str_param(params, "source")
-        verify = params.get("verify", False)
-        if verify not in (False, True, "background"):
-            raise ProtocolError(
-                "'verify' must be true, false, or \"background\""
-            )
-        override = params.get("override", False)
-        if not isinstance(override, bool):
-            raise ProtocolError("'override' must be a boolean")
-        managed = self.manager.get(name)
-        with managed.lock:
-            report = managed.session.apply_change(
-                source, verify=verify, override_gate=override
-            )
-            managed.touch()
-        if report.behavioral:
-            # Findings stream to the initiating connection like
-            # verify_status events do; the response stays compact.
-            conn.send_event("lint_findings", name, {
-                "version": report.version,
-                "counts": count_by_severity(report.diagnostics),
-                "findings": [d.to_json() for d in report.diagnostics],
-                "new_findings": [d.to_json() for d in report.new_findings],
-                "gate_overridden": report.gate_overridden,
-            })
-        for pipe in report.background_verifies:
-            self._watch_verify(conn, managed, pipe)
-        return summarize(report)
-
-    @staticmethod
-    def _pass_cache_stats(counters: Dict[str, int]) -> Dict[str, Dict]:
-        passes: Dict[str, Dict[str, int]] = {}
-        for name, value in counters.items():
-            if not name.startswith("passes."):
-                continue
-            parts = name.split(".", 2)
-            if len(parts) != 3:
-                continue
-            _, pass_name, kind = parts
-            if kind == "cache_hits":
-                passes.setdefault(pass_name, {}).update(hits=value)
-            elif kind == "cache_misses":
-                passes.setdefault(pass_name, {}).update(misses=value)
-        for entry in passes.values():
-            entry.setdefault("hits", 0)
-            entry.setdefault("misses", 0)
-        return passes
-
-    def _cmd_stats(self) -> Dict:
-        metrics = obs.get_metrics().as_dict()
-        counters = metrics.get("counters", {})
-        stats: Dict[str, Any] = {
-            "protocol": PROTOCOL_VERSION,
-            "sessions": self.manager.count,
-            "metrics": metrics,
-            # Backpressure is a first-class stat, not something buried
-            # in the metrics dump: clients watch these to tell "I am
-            # too slow" from "the server is fine".
-            "events_dropped": counters.get("server.events_dropped", 0),
-            "trace": {
-                "cycles_dropped": counters.get("trace.cycles_dropped", 0),
-                "events_dropped": counters.get("trace.events_dropped", 0),
-            },
-            # Per-pass compile-cache counters (repro.passes): one
-            # {hits, misses} entry per pass that ran at least once.
-            "passes": self._pass_cache_stats(counters),
-        }
-        store = self.manager.artifact_store
-        if store is not None:
-            stats["store"] = {
-                "root": store.root,
-                "artifacts": len(store),
-                "bytes": store.total_bytes(),
-            }
-        return stats
-
-    # -- background-verify event streaming -----------------------------------
-
-    def _watch_verify(
-        self, conn: _Connection, managed: ManagedSession, pipe: str
-    ) -> None:
-        """Stream ``verify_status`` events for one pipe's background
-        verification to the connection that started it, until the job
-        leaves the running state (or the connection/server dies)."""
-
-        def loop() -> None:
-            watch_verify_loop(
-                managed,
-                pipe,
-                lambda data: conn.send_event(
-                    "verify_status", managed.name, data
-                ),
-                lambda: self._stop.is_set() or conn.closed,
-                self._verify_poll,
-            )
-
-        thread = threading.Thread(
-            target=loop, name=f"livesim-verify-{managed.name}", daemon=True
-        )
-        thread.start()
-        self._threads.append(thread)
-
-    # -- value-change event streaming ----------------------------------------
-
-    def _watch_trace(
-        self,
-        conn: _Connection,
-        managed: ManagedSession,
-        pipe: str,
-        signal: str,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Stream batched ``value_change`` events for one watched
-        signal to the connection that armed the watch, until unwatch
-        closes the subscription or the connection/server dies."""
-        session = managed.session
-        with managed.lock:
-            buffer = session.trace_buffer(pipe, create=True)
-            sub = buffer.subscribe(
-                [signal],
-                max_events=max_events or TRACE_SUB_QUEUE,
-            )
-
-        def loop() -> None:
-            watch_trace_loop(
-                managed,
-                pipe,
-                signal,
-                sub,
-                lambda data: conn.send_event(
-                    "value_change", managed.name, data
-                ),
-                lambda: self._stop.is_set() or conn.closed,
-                self._verify_poll,
-            )
-
-        thread = threading.Thread(
-            target=loop,
-            name=f"livesim-trace-{managed.name}-{pipe}",
-            daemon=True,
-        )
-        thread.start()
-        self._threads.append(thread)

@@ -1,9 +1,9 @@
-"""Process sharding for the LiveSim server: ring, journal, worker.
+"""Sharding for the LiveSim server: ring, journal, worker.
 
-The threaded server (:mod:`repro.server.service`) serializes every
-session behind one GIL, so aggregate throughput is capped at ~1 core.
-Sharded mode splits the session population across a pool of worker
-*processes*:
+One Python process serializes every session behind one GIL, so its
+aggregate throughput is capped at ~1 core.  The server therefore
+splits the session population across a pool of workers, by default
+one *process* each:
 
 * :class:`HashRing` — consistent hashing of session name -> worker id,
   so a resize moves only ~1/W of the sessions and every frontend
@@ -14,12 +14,14 @@ Sharded mode splits the session population across a pool of worker
   is recovered by replaying the journal on a fresh worker (compiles hit
   the shared :class:`~repro.server.store.ArtifactStore`, so this is
   cheap) and restoring each pipe from its last saved checkpoint.
-* :class:`SessionWorker` / :func:`worker_main` — the worker process: a
+* :class:`SessionWorker` / :func:`worker_main` — the worker: a
   :class:`~repro.server.service.SessionManager` slice driven by framed
   messages over a :class:`multiprocessing.connection.Connection`, with
   command execution on a small thread pool (per-session locks keep one
   session serialized) and ``verify_status`` / ``lint_findings`` events
-  streamed back tagged with the originating request id.
+  streamed back tagged with the originating request id.  The frontend
+  runs it as a process, or for ``--workers 0`` on a thread of its own
+  process; the worker cannot tell which.
 
 The asyncio front door that owns the workers lives in
 :mod:`repro.server.frontend`.
@@ -39,12 +41,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
+from ..analyze import count_by_severity
 from ..live.commands import CommandInterpreter
+from ..trace.buffer import DEFAULT_SUB_QUEUE as TRACE_SUB_QUEUE
+from .protocol import trace_line
 from .service import (
-    TRACE_SUB_QUEUE,
     ManagedSession,
     SessionManager,
-    build_trace_line,
     error_payload,
     summarize,
     watch_trace_loop,
@@ -62,8 +65,8 @@ JOURNAL_FORMAT = "repro.journal/v1"
 # the trace probes (``session.watch`` is idempotent), while the live
 # subscriptions are re-armed by the frontend after the route settles.
 STRUCTURAL_VERBS = frozenset(
-    {"instpipe", "inststage", "copypipe", "swapstage", "san", "ldch",
-     "watch", "unwatch"}
+    {"instpipe", "inststage", "copypipe", "swapstage", "san", "opt",
+     "ldch", "watch", "unwatch"}
 )
 
 
@@ -281,7 +284,7 @@ class WorkerConfig:
 
 
 class SessionWorker:
-    """One worker process: a SessionManager slice behind a pipe.
+    """One worker: a SessionManager slice behind a pipe.
 
     Requests arrive as ``{"kind": "request", "rid": ..., "cmd": ...,
     "params": {...}}`` dicts; each executes on a thread-pool thread
@@ -369,52 +372,35 @@ class SessionWorker:
         cmd = message.get("cmd", "")
         params = message.get("params") or {}
         started = time.perf_counter()
-        obs.incr("server.requests")
+        # ``worker.*``, not ``server.*``: the frontend counts client
+        # requests, and a thread-hosted worker shares its registry.
+        obs.incr("worker.requests")
         try:
             value = self._dispatch(rid, cmd, params)
             response = {"kind": "response", "rid": rid, "ok": True,
                         "value": value}
         except Exception as exc:
-            obs.incr("server.request_errors")
+            obs.incr("worker.request_errors")
             response = {"kind": "response", "rid": rid, "ok": False,
                         "error": error_payload(exc)}
         elapsed = time.perf_counter() - started
-        obs.histogram("server.request_seconds", elapsed)
-        obs.histogram(f"server.cmd.{cmd}.seconds", elapsed)
+        obs.histogram("worker.request_seconds", elapsed)
+        obs.histogram(f"worker.cmd.{cmd}.seconds", elapsed)
         self._send(response)
 
     def _dispatch(self, rid: int, cmd: str, params: Dict[str, Any]) -> Any:
-        if cmd == "ping":
-            return {"pong": True, "worker": self.config.worker_id}
-        if cmd == "open":
-            return self._cmd_open(params)
-        if cmd == "cmd":
-            return self._cmd_execute(rid, params)
+        """Run one request the frontend validated (see
+        :data:`repro.server.protocol.VERBS`) or built itself
+        (``persist`` / ``rehydrate`` / ``describe``)."""
         if cmd in ("watch", "unwatch", "trace", "replay"):
-            return self._cmd_trace_verb(rid, cmd, params)
-        if cmd == "reload":
-            return self._cmd_reload(rid, params)
-        if cmd == "close":
-            name = str(params.get("session"))
-            self.manager.close(name)
-            journal = self._journals.pop(name, None)
-            if journal is not None and not params.get("keep_state"):
-                # keep_state: the session is migrating to another
-                # worker, which adopts the journal + checkpoint files.
-                journal.delete()
-            return {"closed": name}
-        if cmd == "persist":
-            return self._cmd_persist(str(params.get("session")))
-        if cmd == "describe":
-            entries = self.manager.describe()
-            for entry in entries:
-                entry["worker"] = self.config.worker_id
-            return entries
-        if cmd == "stats":
-            return self._cmd_stats()
-        if cmd == "rehydrate":
-            return self._cmd_rehydrate(str(params.get("session")))
-        raise ValueError(f"unknown worker command {cmd!r}")
+            # Sugar for a Table I line: journaling and watch arming
+            # fall out of the normal command path.
+            params = dict(params, line=trace_line(cmd, params))
+            cmd = "cmd"
+        handler = getattr(self, f"_cmd_{cmd}", None)
+        if handler is None:
+            raise ValueError(f"unknown worker command {cmd!r}")
+        return handler(rid, params)
 
     # -- journal helpers -----------------------------------------------------
 
@@ -482,10 +468,13 @@ class SessionWorker:
 
     # -- commands ------------------------------------------------------------
 
-    def _cmd_open(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        name = str(params.get("session"))
-        source = str(params.get("source"))
-        reset_cycles = params.get("reset_cycles", 2)
+    def _cmd_open(
+        self, rid: int, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        name, source = params["session"], params["source"]
+        reset_cycles = params.get("reset_cycles")
+        if reset_cycles is None:
+            reset_cycles = 2
         info = self.manager.open(name, source, reset_cycles=reset_cycles)
         journal = self._journal(name)
         if journal is not None:
@@ -504,14 +493,8 @@ class SessionWorker:
                 raise
         return info
 
-    def _cmd_execute(
-        self,
-        rid: int,
-        params: Dict[str, Any],
-        watch_opts: Optional[Dict[str, Any]] = None,
-    ) -> Any:
-        name = str(params.get("session"))
-        line = str(params.get("line"))
+    def _cmd_cmd(self, rid: int, params: Dict[str, Any]) -> Any:
+        name, line = params["session"], params["line"]
         crash_line = self.config.extra.get("crash_line")
         if crash_line is not None and line.strip() == crash_line:
             # Chaos hook for failover tests: die exactly like a
@@ -542,21 +525,9 @@ class SessionWorker:
             operands = CommandInterpreter.parse(line)[1]
             self._watch_trace(
                 rid, managed, operands[0], operands[1],
-                **(watch_opts or {}),
+                params.get("max_events") or TRACE_SUB_QUEUE,
             )
         return summarize(result.value)
-
-    def _cmd_trace_verb(
-        self, rid: int, cmd: str, params: Dict[str, Any]
-    ) -> Any:
-        """watch/unwatch/trace/replay protocol verbs, forwarded by the
-        frontend: build the canonical interpreter line (the same one
-        the threaded server journals) and run it through the normal
-        command path so journaling and watch arming fall out."""
-        line, watch_opts = build_trace_line(cmd, params)
-        forwarded = dict(params)
-        forwarded["line"] = line
-        return self._cmd_execute(rid, forwarded, watch_opts=watch_opts)
 
     def _warn_journal(
         self, rid: int, name: str, line: str, error: str
@@ -574,10 +545,9 @@ class SessionWorker:
         })
 
     def _cmd_reload(self, rid: int, params: Dict[str, Any]) -> Any:
-        name = str(params.get("session"))
-        source = str(params.get("source"))
-        verify = params.get("verify", False)
-        override = bool(params.get("override", False))
+        name, source = params["session"], params["source"]
+        verify = params.get("verify") or False
+        override = bool(params.get("override"))
         managed = self.manager.get(name)
         with managed.lock:
             report = managed.session.apply_change(
@@ -598,8 +568,6 @@ class SessionWorker:
         if journal_error is not None:
             self._warn_journal(rid, name, "<reload>", journal_error)
         if report.behavioral:
-            from ..analyze import count_by_severity
-
             self._send_event(rid, "lint_findings", name, {
                 "version": report.version,
                 "counts": count_by_severity(report.diagnostics),
@@ -611,7 +579,27 @@ class SessionWorker:
             self._watch_verify(rid, managed, pipe)
         return summarize(report)
 
-    def _cmd_stats(self) -> Dict[str, Any]:
+    def _cmd_close(
+        self, rid: int, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        name = params["session"]
+        self.manager.close(name)
+        journal = self._journals.pop(name, None)
+        if journal is not None and not params.get("keep_state"):
+            # keep_state: the session is migrating to another
+            # worker, which adopts the journal + checkpoint files.
+            journal.delete()
+        return {"closed": name}
+
+    def _cmd_describe(self, rid: int, params: Dict[str, Any]) -> List[Dict]:
+        entries = self.manager.describe()
+        for entry in entries:
+            entry["worker"] = self.config.worker_id
+        return entries
+
+    def _cmd_stats(
+        self, rid: int, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
         stats: Dict[str, Any] = {
             "worker": self.config.worker_id,
             "pid": os.getpid(),
@@ -630,7 +618,9 @@ class SessionWorker:
 
     # -- migration -----------------------------------------------------------
 
-    def _cmd_persist(self, name: str) -> Dict[str, Any]:
+    def _cmd_persist(
+        self, rid: int, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
         """Force the session's full recovery state to disk.
 
         Called by the frontend as the first step of a migration: a
@@ -639,6 +629,7 @@ class SessionWorker:
         receiving worker rehydrates with zero simulation loss (unlike
         a crash, whose recovery point is the last saved checkpoint).
         """
+        name = params["session"]
         managed = self.manager.get(name)
         journal = self._journal(name)
         if journal is None:
@@ -661,7 +652,9 @@ class SessionWorker:
 
     # -- crash recovery ------------------------------------------------------
 
-    def _cmd_rehydrate(self, name: str) -> Dict[str, Any]:
+    def _cmd_rehydrate(
+        self, rid: int, params: Dict[str, Any]
+    ) -> Dict[str, Any]:
         """Rebuild one session from its journal + checkpoints.
 
         Called by the frontend after it restarts a crashed worker (or
@@ -672,6 +665,7 @@ class SessionWorker:
         through the shared artifact store, so the expensive half of
         this is usually a disk load, not codegen.
         """
+        name = params["session"]
         if self.config.state_root is None:
             raise ValueError(
                 "worker has no state dir; cannot rehydrate sessions"
@@ -752,7 +746,7 @@ class SessionWorker:
         managed: ManagedSession,
         pipe: str,
         signal: str,
-        max_events: Optional[int] = None,
+        max_events: int,
     ) -> None:
         """Stream batched ``value_change`` events for one watched
         signal, tagged with the arming request's rid so the frontend
@@ -760,10 +754,7 @@ class SessionWorker:
         session = managed.session
         with managed.lock:
             buffer = session.trace_buffer(pipe, create=True)
-            sub = buffer.subscribe(
-                [signal],
-                max_events=max_events or TRACE_SUB_QUEUE,
-            )
+            sub = buffer.subscribe([signal], max_events=max_events)
 
         def loop() -> None:
             watch_trace_loop(

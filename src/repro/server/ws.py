@@ -2,12 +2,12 @@
 
 A thin, stdlib-only bridge so browsers can speak ``repro.server/v1``:
 each WebSocket connection is paired with one TCP connection to the
-upstream LiveSim server (threaded or sharded — the gateway does not
-care), text frames are forwarded as protocol lines, and upstream lines
-(responses *and* streamed events such as ``value_change``) come back as
-text frames.  The gateway adds no protocol of its own: what a
-``LiveSimClient`` would write on the socket, a browser writes in a
-frame.
+upstream LiveSim server (however its workers are hosted — the gateway
+does not care), text frames are forwarded as protocol lines, and
+upstream lines (responses *and* streamed events such as
+``value_change``) come back as text frames.  The gateway adds no
+protocol of its own: what a ``LiveSimClient`` would write on the
+socket, a browser writes in a frame.
 
 Plain HTTP ``GET /`` serves the bundled single-file page
 (``static/livesim.html``) that renders live waveforms from ``watch``

@@ -7,6 +7,8 @@ which is cheap.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 from repro import compile_design
@@ -53,6 +55,75 @@ module top (
   counter #(.W(8)) u1 (.clk(clk), .rst(rst), .step(8'd3), .count(c1));
 endmodule
 """
+
+
+# -- the LiveSim server, in both hostings ------------------------------------
+
+
+@contextlib.contextmanager
+def running_server(tmp, workers, **kwargs):
+    """Boot the server with its store and state dir under ``tmp``:
+    ``workers=0`` hosts the worker on a thread, ``N`` in N processes."""
+    from repro.server.frontend import ShardedFrontend
+
+    server = ShardedFrontend(
+        workers=workers,
+        store_root=str(tmp / "store"),
+        state_root=str(tmp / "state"),
+        **kwargs,
+    )
+    server.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+
+
+@pytest.fixture(scope="module", params=[0, 2], ids=["thread", "procs"])
+def server(request, tmp_path_factory):
+    """One server per test module and hosting (spawning workers is the
+    expensive part); tests clean up the sessions they open."""
+    tmp = tmp_path_factory.mktemp("server")
+    with running_server(tmp, request.param) as srv:
+        yield srv
+
+
+# For tests that need worker processes (kill, migrate, resize): run on
+# the process-hosted ``server`` only.
+worker_processes_only = pytest.mark.parametrize(
+    "server", [2], indirect=True, ids=["procs"]
+)
+
+
+def connect(server, **kwargs):
+    from repro.server.client import LiveSimClient
+
+    host, port = server.address
+    kwargs.setdefault("read_timeout", 120.0)
+    return LiveSimClient(host, port, timeout=30.0, **kwargs)
+
+
+@pytest.fixture
+def client(server):
+    """A connection that closes every session the test left open."""
+    with connect(server) as conn:
+        yield conn
+        for entry in conn.sessions():
+            conn.close_session(entry["session"])
+
+
+def names_on_each_worker(prefix, workers=2):
+    """Session names (one per worker) a ``workers``-wide ring places
+    on workers 0..workers-1, in worker order."""
+    from repro.server.shard import HashRing
+
+    ring = HashRing(range(workers))
+    names, i = {}, 0
+    while len(names) < workers:
+        name = f"{prefix}-{i}"
+        names.setdefault(ring.lookup(name), name)
+        i += 1
+    return [names[w] for w in range(workers)]
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 """Load-test harness tests: the scripted driver (against the cheap
-single-process server — no worker spawn cost in the unit suite), the
+thread-hosted worker — no worker spawn cost in the unit suite), the
 p99 baseline-gate logic, and the chaos-mode sample classification."""
 
 import pytest
@@ -15,11 +15,11 @@ from repro.bench.loadtest import (
 
 
 class TestDriver:
-    def test_small_threaded_run(self):
+    def test_small_thread_hosted_run(self):
         result = run_loadtest(LoadtestConfig(
             sessions=3, workers=0, runs=1, run_cycles=20, concurrency=2,
         ))
-        assert result["mode"] == "threaded"
+        assert result["mode"] == "thread-hosted"
         assert result["errors"] == 0
         # open + instpipe + (run + peek) * 1 + close = 5 per session.
         assert result["commands"] == 3 * 5

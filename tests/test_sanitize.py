@@ -31,7 +31,7 @@ from repro.sanitize import (
     SanitizerRuntime,
 )
 from repro.server.client import ServerError
-from repro.server.service import LiveSimServer
+from repro.server.frontend import ShardedFrontend
 from repro.server.store import ArtifactStore, key_digest
 from repro.sim import Pipe
 from repro.sim.testbench import reset_sequence
@@ -452,7 +452,7 @@ class TestSanCommand:
 
 @pytest.fixture
 def server():
-    srv = LiveSimServer(port=0)
+    srv = ShardedFrontend(workers=0)
     srv.start()
     yield srv
     srv.shutdown()

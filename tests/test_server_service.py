@@ -1,4 +1,5 @@
-"""LiveSim server tests: session registry, socket end-to-end, the
+"""LiveSim server tests: session registry, socket end-to-end on both
+hostings (worker on a thread / worker processes), idle eviction, the
 acceptance-criteria concurrency and warm-restart scenarios."""
 
 import threading
@@ -8,50 +9,36 @@ import pytest
 
 from repro import obs
 from repro.server import protocol
-from repro.server.client import LiveSimClient, ServerError
+from repro.server.client import ServerError
 from repro.server.service import (
     DuplicateSessionError,
-    LiveSimServer,
     SessionManager,
     UnknownSessionError,
     summarize,
 )
-from repro.server.store import ArtifactStore
-from tests.conftest import COUNTER_SRC
+from tests.conftest import COUNTER_SRC, connect, running_server
 
 EDITED_SRC = COUNTER_SRC.replace("assign sum = a + b;",
                                  "assign sum = a - b;")
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 1000.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
+HOSTINGS = pytest.mark.parametrize(
+    "workers", [0, 1], ids=["thread", "process"]
+)
 
 
-@pytest.fixture
-def server():
-    srv = LiveSimServer(port=0)
-    srv.start()
-    yield srv
-    srv.shutdown()
-
-
-def _client(srv, **kwargs):
-    host, port = srv.address
-    return LiveSimClient(host, port, timeout=30.0, **kwargs)
-
-
-def _no_livesim_threads():
+def _livesim_threads():
     return [
-        t.name for t in threading.enumerate()
+        t for t in threading.enumerate()
         if t.is_alive() and t.name.startswith("livesim-")
     ]
+
+
+def _wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not condition():
+        time.sleep(0.05)
+    return condition()
 
 
 class TestSessionManager:
@@ -105,58 +92,6 @@ class TestSessionManager:
         finally:
             manager.close_all()
 
-    def test_evict_idle_respects_timeout_and_touch(self):
-        clock = FakeClock()
-        manager = SessionManager(idle_timeout=30.0, clock=clock)
-        try:
-            manager.open("old", COUNTER_SRC)
-            manager.open("busy", COUNTER_SRC)
-            clock.advance(31.0)
-            manager.get("busy").touch()
-            assert manager.evict_idle() == ["old"]
-            assert manager.names() == ["busy"]
-            # Nothing left past the timeout: no-op.
-            assert manager.evict_idle() == []
-        finally:
-            manager.close_all()
-
-    def test_evict_idle_disabled_without_timeout(self):
-        clock = FakeClock()
-        manager = SessionManager(clock=clock)
-        try:
-            manager.open("alice", COUNTER_SRC)
-            clock.advance(10_000.0)
-            assert manager.evict_idle() == []
-        finally:
-            manager.close_all()
-
-    def test_evict_never_reaps_mid_command(self):
-        clock = FakeClock()
-        manager = SessionManager(idle_timeout=5.0, clock=clock)
-        try:
-            manager.open("alice", COUNTER_SRC)
-            managed = manager.get("alice")
-            clock.advance(60.0)
-            holding = threading.Event()
-            release = threading.Event()
-
-            def command_in_flight():
-                with managed.lock:
-                    holding.set()
-                    release.wait(10.0)
-
-            worker = threading.Thread(target=command_in_flight, daemon=True)
-            worker.start()
-            assert holding.wait(5.0)
-            # Idle by the clock, but the lock is held: not evicted.
-            assert manager.evict_idle() == []
-            assert manager.names() == ["alice"]
-            release.set()
-            worker.join(5.0)
-            assert manager.evict_idle() == ["alice"]
-        finally:
-            manager.close_all()
-
     def test_describe(self):
         manager = SessionManager()
         try:
@@ -197,123 +132,135 @@ class TestSummarize:
 
 
 class TestSocketEndToEnd:
-    def test_ping(self, server):
-        with _client(server) as client:
-            assert client.ping() == {
-                "pong": True, "protocol": protocol.PROTOCOL_VERSION,
-            }
+    def test_ping(self, server, client):
+        assert client.ping() == {
+            "pong": True,
+            "protocol": protocol.PROTOCOL_VERSION,
+            "sharded": not server._thread_hosted,
+            "workers": server.num_workers,
+        }
 
-    def test_full_session_flow(self, server):
-        with _client(server) as client:
-            info = client.open_session("alice", COUNTER_SRC)
-            assert info["handles"]["top"] == "stage2"
-            client.command("alice", "instPipe p0, stage2")
-            result = client.command("alice", "run tb0, p0, 100")
-            assert result["c0"] == 98
-            peek = client.command("alice", "peek p0")
-            assert peek["c0"] == 98
-            cp = client.command("alice", "chkp p0")
-            assert cp["_type"] == "Checkpoint"
-            assert cp["cycle"] == 100
+    def test_full_session_flow(self, client):
+        info = client.open_session("alice", COUNTER_SRC)
+        assert info["handles"]["top"] == "stage2"
+        client.command("alice", "instPipe p0, stage2")
+        result = client.command("alice", "run tb0, p0, 100")
+        assert result["c0"] == 98
+        peek = client.command("alice", "peek p0")
+        assert peek["c0"] == 98
+        cp = client.command("alice", "chkp p0")
+        assert cp["_type"] == "Checkpoint"
+        assert cp["cycle"] == 100
+        assert client.close_session("alice") == {"closed": "alice"}
 
-    def test_hot_reload_over_the_wire(self, server):
-        with _client(server) as client:
+    def test_hot_reload_over_the_wire(self, client):
+        client.open_session("alice", COUNTER_SRC)
+        client.command("alice", "instPipe p0, stage2")
+        client.command("alice", "run tb0, p0, 40")
+        report = client.reload("alice", EDITED_SRC)
+        assert report["_type"] == "ERDReport"
+        assert report["behavioral"] is True
+        assert report["recompiled_keys"] == ["adder#(W=8)"]
+        assert report["pipes_updated"] == ["p0"]
+        # Replay re-executes history under the *new* semantics:
+        # with "a - b" the counter steps -1 per cycle, so 38 live
+        # cycles land at -38 mod 256.
+        peek = client.command("alice", "peek p0")
+        assert peek["c0"] == 256 - 38
+
+    def test_error_kinds(self, client):
+        with pytest.raises(ServerError) as err:
+            client.command("nope", "peek p0")
+        assert err.value.kind == "unknown-session"
+        client.open_session("alice", COUNTER_SRC)
+        with pytest.raises(ServerError) as err:
             client.open_session("alice", COUNTER_SRC)
-            client.command("alice", "instPipe p0, stage2")
-            client.command("alice", "run tb0, p0, 40")
-            report = client.reload("alice", EDITED_SRC)
-            assert report["_type"] == "ERDReport"
-            assert report["behavioral"] is True
-            assert report["recompiled_keys"] == ["adder#(W=8)"]
-            assert report["pipes_updated"] == ["p0"]
-            # Replay re-executes history under the *new* semantics:
-            # with "a - b" the counter steps -1 per cycle, so 38 live
-            # cycles land at -38 mod 256.
-            peek = client.command("alice", "peek p0")
-            assert peek["c0"] == 256 - 38
+        assert err.value.kind == "duplicate-session"
+        with pytest.raises(ServerError) as err:
+            client.command("alice", "teleport p0")
+        assert err.value.kind == "command"
+        with pytest.raises(ServerError) as err:
+            client.command("alice", "ldLib x, /no/such/lib.v")
+        assert err.value.kind == "command"
+        assert "/no/such/lib.v" in err.value.message
+        with pytest.raises(ServerError) as err:
+            client.request("frobnicate")
+        assert err.value.kind == "protocol"
+        with pytest.raises(ServerError, match="'reset_cycles' must be"):
+            client.open_session("bad", COUNTER_SRC, reset_cycles="2")
+        # The connection and the session survived every error.
+        assert client.ping()["pong"] is True
+        client.command("alice", "instPipe p0, stage2")
 
-    def test_error_kinds(self, server):
-        with _client(server) as client:
-            with pytest.raises(ServerError) as err:
-                client.command("nope", "peek p0")
-            assert err.value.kind == "unknown-session"
-            client.open_session("alice", COUNTER_SRC)
-            with pytest.raises(ServerError) as err:
-                client.open_session("alice", COUNTER_SRC)
-            assert err.value.kind == "duplicate-session"
-            with pytest.raises(ServerError) as err:
-                client.command("alice", "teleport p0")
-            assert err.value.kind == "command"
-            with pytest.raises(ServerError) as err:
-                client.command("alice", "ldLib x, /no/such/lib.v")
-            assert err.value.kind == "command"
-            assert "/no/such/lib.v" in err.value.message
-            with pytest.raises(ServerError) as err:
-                client.request("frobnicate")
-            assert err.value.kind == "protocol"
-            # The connection survived every error.
-            assert client.ping()["pong"] is True
+    def test_malformed_line_gets_error_not_disconnect(self, client):
+        client._sock.sendall(b"this is not json\n")
+        message = client._read_message()
+        assert not message.ok
+        assert message.error["type"] == "protocol"
+        assert client.ping()["pong"] is True
 
-    def test_malformed_line_gets_error_not_disconnect(self, server):
-        with _client(server) as client:
-            client._sock.sendall(b"this is not json\n")
-            message = client._read_message()
-            assert not message.ok
-            assert message.error["type"] == "protocol"
-            assert client.ping()["pong"] is True
+    def test_sessions_and_stats(self, client):
+        client.open_session("alice", COUNTER_SRC)
+        client.open_session("bob", COUNTER_SRC)
+        listing = client.sessions()
+        assert sorted(s["session"] for s in listing) == ["alice", "bob"]
+        stats = client.stats()
+        assert stats["sessions"] == 2
+        assert stats["metrics"]["counters"]["server.requests"] >= 3
+        assert "server.request_seconds" in stats["metrics"]["histograms"]
+        client.close_session("bob")
+        assert client.stats()["sessions"] == 1
 
-    def test_sessions_and_stats(self, server):
-        with _client(server) as client:
-            client.open_session("alice", COUNTER_SRC)
-            client.open_session("bob", COUNTER_SRC)
-            listing = client.sessions()
-            assert sorted(s["session"] for s in listing) == ["alice", "bob"]
-            stats = client.stats()
-            assert stats["sessions"] == 2
-            assert stats["metrics"]["counters"]["server.requests"] >= 3
-            assert "server.request_seconds" in stats["metrics"]["histograms"]
-            client.close_session("bob")
-            assert client.stats()["sessions"] == 1
+    def test_one_request_is_one_sample(self, client):
+        """N commands add exactly N to ``server.requests`` and its
+        histograms, also when the worker shares the frontend's
+        registry; pass-cache counters reach ``stats`` either way."""
+        client.open_session("alice", COUNTER_SRC)
+        client.command("alice", "instPipe p0, stage2")
+        client.command("alice", "opt full")
+        before = client.stats()
+        for _ in range(20):
+            client.command("alice", "peek p0")
+        after = client.stats()
 
-    def test_verify_events_stream_to_the_client(self, server):
-        with _client(server) as client:
-            client.open_session("alice", COUNTER_SRC)
-            client.command("alice", "instPipe p0, stage2")
-            client.command("alice", "run tb0, p0, 60")
-            status = client.command("alice", "verify p0")
-            assert status["state"] in ("running", "consistent")
-            final = client.wait_event(
-                "verify_status",
-                predicate=lambda e: e.data["state"] != "running",
-                timeout=30.0,
-            )
-            assert final.session == "alice"
-            assert final.data["pipe"] == "p0"
-            assert final.data["state"] == "consistent"
-            report = client.command("alice", "verifyWait p0")
-            assert report["all_consistent"] is True
+        def samples(stats, name):
+            return stats["metrics"]["histograms"][name]["count"]
 
-    def test_shutdown_command_stops_everything(self):
-        srv = LiveSimServer(port=0)
-        srv.start()
-        with _client(srv) as client:
-            client.open_session("alice", COUNTER_SRC)
-            ack = client.shutdown_server()
-            assert ack == {"stopping": True, "sessions": 1}
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and _no_livesim_threads():
-            time.sleep(0.05)
-        assert _no_livesim_threads() == []
-        assert srv.manager.count == 0
-        # A second shutdown is an idempotent no-op.
-        srv.shutdown()
+        def grew(name):
+            return samples(after, name) - samples(before, name)
+
+        # 20 commands plus the second ``stats`` itself.
+        assert (after["metrics"]["counters"]["server.requests"]
+                - before["metrics"]["counters"]["server.requests"]) == 21
+        assert grew("server.request_seconds") == 21
+        assert grew("server.cmd.cmd.seconds") == 20
+        assert after["passes"]["constprop"]["misses"] >= 3
+        assert set(after["passes"]["constprop"]) == {"hits", "misses"}
+
+    def test_verify_events_stream_to_the_client(self, client):
+        client.open_session("alice", COUNTER_SRC)
+        client.command("alice", "instPipe p0, stage2")
+        client.command("alice", "run tb0, p0, 60")
+        status = client.command("alice", "verify p0")
+        assert status["state"] in ("running", "consistent")
+        final = client.wait_event(
+            "verify_status",
+            predicate=lambda e: e.data["state"] != "running",
+            timeout=30.0,
+        )
+        assert final.session == "alice"
+        assert final.data["pipe"] == "p0"
+        assert final.data["state"] == "consistent"
+        report = client.command("alice", "verifyWait p0")
+        assert report["all_consistent"] is True
 
     def test_two_clients_distinct_sessions_progress_concurrently(
-        self, server
+        self, server, client
     ):
         """Acceptance criterion: one client mid-``run`` must not block
         another session's hot reload — locks are per-session."""
-        with _client(server) as alice, _client(server) as bob:
+        alice = client
+        with connect(server) as bob:
             alice.open_session("alice", COUNTER_SRC)
             alice.command("alice", "instPipe p0, stage2")
             bob.open_session("bob", COUNTER_SRC)
@@ -329,21 +276,12 @@ class TestSocketEndToEnd:
 
             runner = threading.Thread(target=long_run, daemon=True)
             runner.start()
-            # Wait until alice's run actually holds her session lock.
-            managed_alice = server.manager.get("alice")
-            deadline = time.monotonic() + 10.0
-            in_flight = False
-            while time.monotonic() < deadline:
-                if managed_alice.lock.acquire(blocking=False):
-                    managed_alice.lock.release()
-                    time.sleep(0.01)
-                else:
-                    in_flight = True
-                    break
-            assert in_flight, "alice's run never started"
+            assert _wait_until(lambda: "alice" in server._inflight), (
+                "alice's run never started"
+            )
             # With alice mid-run, bob hot-reloads — and completes.
             report = bob.reload("bob", EDITED_SRC)
-            assert report["recompiled_keys"] == ["adder#(W=8)"]
+            assert report["behavioral"] is True
             assert runner.is_alive(), (
                 "alice's run finished before bob's reload — "
                 "no overlap was exercised"
@@ -353,83 +291,101 @@ class TestSocketEndToEnd:
             runner.join(60.0)
             assert run_result["value"]["c0"] == (300000 - 2) % 256
 
+
+class TestServerLifecycle:
+    @HOSTINGS
+    def test_shutdown_command_stops_everything(self, tmp_path, workers):
+        others = set(_livesim_threads())  # the module's shared server
+        with running_server(tmp_path, workers) as srv:
+            with connect(srv) as client:
+                client.open_session("alice", COUNTER_SRC)
+                ack = client.shutdown_server()
+                assert ack == {"stopping": True, "sessions": 1}
+            assert _wait_until(
+                lambda: set(_livesim_threads()) <= others
+            )
+            assert all(
+                not worker.process.is_alive()
+                for worker in srv._workers.values()
+            )
+            # A second shutdown is an idempotent no-op.
+            srv.shutdown()
+
     def test_warm_server_restart_hits_the_store(self, tmp_path):
         """Acceptance criterion: a restarted server compiling the same
         design takes every module from the on-disk store — zero
-        codegen, ``compile.store_hits > 0``."""
-        store_root = str(tmp_path / "artifacts")
-
-        srv1 = LiveSimServer(port=0, artifact_store=ArtifactStore(store_root))
-        srv1.start()
-        try:
-            with _client(srv1) as client:
-                client.open_session("cold", COUNTER_SRC)
-                client.command("cold", "instPipe p0, stage2")
-                assert client.command("cold", "run tb0, p0, 10")["c0"] == 8
-                stats = client.stats()
-                assert stats["store"]["artifacts"] == 3
-        finally:
-            srv1.shutdown()
+        codegen, ``compile.store_hits > 0``.  (Thread-hosted, so the
+        worker's counters are this process's.)"""
+        with running_server(tmp_path, 0) as srv1, connect(srv1) as client:
+            client.open_session("cold", COUNTER_SRC)
+            client.command("cold", "instPipe p0, stage2")
+            assert client.command("cold", "run tb0, p0, 10")["c0"] == 8
+            assert client.stats()["store"]["artifacts"] == 3
 
         metrics = obs.get_metrics()
         compiled = metrics.counter("codegen.modules_compiled")
         hits = metrics.counter("compile.store_hits")
 
-        srv2 = LiveSimServer(port=0, artifact_store=ArtifactStore(store_root))
-        srv2.start()
-        try:
-            with _client(srv2) as client:
-                client.open_session("warm", COUNTER_SRC)
-                client.command("warm", "instPipe p0, stage2")
-                # Rehydrated modules simulate identically.
-                assert client.command("warm", "run tb0, p0, 10")["c0"] == 8
-                stats = client.stats()
-        finally:
-            srv2.shutdown()
+        with running_server(tmp_path, 0) as srv2, connect(srv2) as client:
+            client.open_session("warm", COUNTER_SRC)
+            client.command("warm", "instPipe p0, stage2")
+            # Rehydrated modules simulate identically.
+            assert client.command("warm", "run tb0, p0, 10")["c0"] == 8
+            stats = client.stats()
 
         assert metrics.counter("compile.store_hits") == hits + 3
         assert metrics.counter("codegen.modules_compiled") == compiled
         assert stats["store"]["artifacts"] == 3
 
     def test_store_shared_across_sessions_in_one_server(self, tmp_path):
-        srv = LiveSimServer(
-            port=0, artifact_store=ArtifactStore(str(tmp_path))
-        )
-        srv.start()
-        try:
-            metrics = obs.get_metrics()
-            with _client(srv) as client:
-                client.open_session("first", COUNTER_SRC)
-                # Compilation is lazy: instPipe triggers it (and the
-                # write-behind to the shared store).
-                client.command("first", "instPipe p0, stage2")
-                compiled = metrics.counter("codegen.modules_compiled")
-                hits = metrics.counter("compile.store_hits")
-                # The second session's in-process cache is empty; all
-                # three modules come from the shared disk store.
-                client.open_session("second", COUNTER_SRC)
-                client.command("second", "instPipe p0, stage2")
-                assert metrics.counter("compile.store_hits") == hits + 3
-                assert (
-                    metrics.counter("codegen.modules_compiled") == compiled
-                )
-        finally:
-            srv.shutdown()
+        metrics = obs.get_metrics()
+        with running_server(tmp_path, 0) as srv, connect(srv) as client:
+            client.open_session("first", COUNTER_SRC)
+            # Compilation is lazy: instPipe triggers it (and the
+            # write-behind to the shared store).
+            client.command("first", "instPipe p0, stage2")
+            compiled = metrics.counter("codegen.modules_compiled")
+            hits = metrics.counter("compile.store_hits")
+            # The second session's in-process cache is empty; all
+            # three modules come from the shared disk store.
+            client.open_session("second", COUNTER_SRC)
+            client.command("second", "instPipe p0, stage2")
+            assert metrics.counter("compile.store_hits") == hits + 3
+            assert metrics.counter("codegen.modules_compiled") == compiled
 
 
-class TestIdleReaperThread:
-    def test_reaper_evicts_on_the_wire(self):
-        srv = LiveSimServer(port=0, idle_timeout=0.2, reaper_interval=0.05)
-        srv.start()
-        try:
-            with _client(srv) as client:
+@HOSTINGS
+class TestIdleEviction:
+    def test_reaper_evicts_on_the_wire(self, tmp_path, workers):
+        with running_server(tmp_path, workers, idle_timeout=0.2) as srv:
+            with connect(srv) as client:
                 client.open_session("ephemeral", COUNTER_SRC)
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline and srv.manager.count:
-                    time.sleep(0.05)
-                assert srv.manager.count == 0
+                assert _wait_until(lambda: not srv._sessions)
+                assert client.sessions() == []
                 with pytest.raises(ServerError) as err:
                     client.command("ephemeral", "peek p0")
                 assert err.value.kind == "unknown-session"
-        finally:
-            srv.shutdown()
+
+    def test_evict_never_reaps_mid_command(self, tmp_path, workers):
+        with running_server(tmp_path, workers, idle_timeout=0.2) as srv:
+            with connect(srv) as client, connect(srv) as other:
+                client.open_session("alice", COUNTER_SRC)
+                client.command("alice", "instPipe p0, stage2")
+                result = {}
+                runner = threading.Thread(
+                    target=lambda: result.update(client.command(
+                        "alice", "run tb0, p0, 500000"
+                    )),
+                    daemon=True,
+                )
+                runner.start()
+                assert _wait_until(lambda: "alice" in srv._inflight)
+                # Idle by the clock for several timeouts, but a command
+                # is in flight: not evicted.
+                time.sleep(0.6)
+                assert runner.is_alive(), "the run ended too early to tell"
+                assert [s["session"] for s in other.sessions()] == ["alice"]
+                runner.join(60.0)
+                assert result["c0"] == (500000 - 2) % 256
+                # Once it has finished and idled, it goes.
+                assert _wait_until(lambda: not srv._sessions)

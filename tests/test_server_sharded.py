@@ -1,8 +1,10 @@
-"""End-to-end tests for sharded mode: the asyncio front door, worker
-processes, crash rehydration, live resize/migration, and per-client
-event routing.
+"""End-to-end tests for what only worker *processes* can show: session
+placement, crash rehydration, live resize/migration, and per-client
+event routing across a worker restart.  (Everything a thread-hosted
+worker does too is in test_server_service.py / test_trace_server.py,
+on both hostings.)
 
-One module-scoped frontend (2 worker processes) serves every test —
+One module-scoped server (2 worker processes) serves every test —
 spawning workers is the expensive part.  Resize tests return the pool
 to its original size, and the crash test runs last so earlier tests
 can assert zero restarts.
@@ -13,74 +15,32 @@ import threading
 
 import pytest
 
-from repro.server.client import LiveSimClient, ServerError
-from repro.server.frontend import ShardedFrontend
+from repro.server.client import ServerError
 from repro.server.shard import HashRing
-from tests.conftest import COUNTER_SRC
+from tests.conftest import (
+    COUNTER_SRC,
+    connect,
+    names_on_each_worker,
+    running_server,
+    worker_processes_only,
+)
 
 WORKERS = 2
 
 
-@pytest.fixture(scope="module")
-def frontend(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("sharded")
-    fe = ShardedFrontend(
-        workers=WORKERS,
-        store_root=str(tmp / "store"),
-        state_root=str(tmp / "state"),
-    )
-    fe.start()
-    yield fe
-    fe.shutdown()
-
-
-def _client(frontend, **kwargs):
-    host, port = frontend.address
-    kwargs.setdefault("read_timeout", 120.0)
-    return LiveSimClient(host, port, timeout=30.0, **kwargs)
-
-
-def _names_on_each_worker(prefix):
-    """Session names (one per worker) the frontend's ring will place
-    on workers 0..WORKERS-1, in worker order."""
-    ring = HashRing(range(WORKERS))
-    names, i = {}, 0
-    while len(names) < WORKERS:
-        name = f"{prefix}-{i}"
-        names.setdefault(ring.lookup(name), name)
-        i += 1
-    return [names[w] for w in range(WORKERS)]
-
-
+@worker_processes_only
 class TestShardedBasics:
-    def test_ping_reports_sharding(self, frontend):
-        with _client(frontend) as client:
+    def test_ping_reports_sharding(self, server):
+        with connect(server) as client:
             pong = client.ping()
             assert pong["pong"] is True
             assert pong["sharded"] is True
             assert pong["workers"] == WORKERS
+            assert server.num_workers == WORKERS
 
-    def test_open_run_close_roundtrip(self, frontend):
-        with _client(frontend) as client:
-            info = client.open_session("basic", COUNTER_SRC)
-            assert info["handles"]["top"] == "stage2"
-            client.command("basic", "instPipe p0, stage2")
-            result = client.command("basic", "run tb0, p0, 50")
-            assert result["c0"] == 48
-            assert client.close_session("basic") == {"closed": "basic"}
-
-    def test_unknown_and_duplicate_sessions_error(self, frontend):
-        with _client(frontend) as client:
-            with pytest.raises(ServerError, match="unknown session"):
-                client.command("ghost", "peek p0")
-            client.open_session("dup", COUNTER_SRC)
-            with pytest.raises(ServerError, match="already exists"):
-                client.open_session("dup", COUNTER_SRC)
-            client.close_session("dup")
-
-    def test_sessions_spread_across_workers(self, frontend):
-        first, second = _names_on_each_worker("spread")
-        with _client(frontend) as client:
+    def test_sessions_spread_across_workers(self, server):
+        first, second = names_on_each_worker("spread")
+        with connect(server) as client:
             client.open_session(first, COUNTER_SRC)
             client.open_session(second, COUNTER_SRC)
             stats = client.stats()
@@ -92,21 +52,13 @@ class TestShardedBasics:
             client.close_session(first)
             client.close_session(second)
 
-    def test_command_errors_carry_worker_payloads(self, frontend):
-        with _client(frontend) as client:
-            client.open_session("errs", COUNTER_SRC)
-            with pytest.raises(ServerError, match="unknown command"):
-                client.command("errs", "frobnicate p0")
-            # The session survives a failed command.
-            client.command("errs", "instPipe p0, stage2")
-            client.close_session("errs")
 
-
+@worker_processes_only
 class TestShardedResize:
     # Runs after the basics; returns the pool to WORKERS so the crash
     # test's restart accounting still holds.
 
-    def test_resize_grow_and_shrink_preserves_state(self, frontend):
+    def test_resize_grow_and_shrink_preserves_state(self, server):
         ring2 = HashRing(range(2))
         ring4 = HashRing(range(4))
         movers, stayers, i = [], [], 0
@@ -119,13 +71,16 @@ class TestShardedResize:
                 stayers.append(name)
         names = movers[:2] + stayers[:2]
 
-        with _client(frontend) as client:
+        with connect(server) as client:
             for name in names:
                 client.open_session(name, COUNTER_SRC)
                 client.command(name, "instPipe p0, stage2")
                 assert client.command(
                     name, "run tb0, p0, 100"
                 )["c0"] == 98
+            # A build setting, too, must move with its session.
+            client.command(movers[0], "opt full")
+            before = client.command(movers[0], "peek p0")
 
             # Hammer the moving sessions from another connection while
             # the pool resizes: commands must queue behind the
@@ -134,7 +89,7 @@ class TestShardedResize:
             errors = []
 
             def hammer():
-                with _client(frontend) as other:
+                with connect(server) as other:
                     j = 0
                     while not stop.is_set():
                         try:
@@ -171,6 +126,7 @@ class TestShardedResize:
                     assert client.command(
                         name, "peek p0"
                     )["c0"] == 98
+                assert client.command(movers[0], "opt")["level"] == "full"
 
                 shrunk = client.resize(2)
                 assert shrunk["workers"] == 2
@@ -183,29 +139,33 @@ class TestShardedResize:
 
             stats = client.stats()
             assert sorted(w["id"] for w in stats["workers"]) == [0, 1]
+            assert client.command(movers[0], "opt")["level"] == "full"
+            assert client.command(movers[0], "peek p0") == before
             for name in names:
                 assert client.command(
                     name, "run tb0, p0, 10"
                 )["c0"] == 108
                 client.close_session(name)
 
-    def test_resize_to_same_size_is_a_noop(self, frontend):
-        with _client(frontend) as client:
+    def test_resize_to_same_size_is_a_noop(self, server):
+        with connect(server) as client:
             value = client.resize(WORKERS)
             assert value["workers"] == WORKERS
             assert value["migrated"] == []
             assert value["spawned"] == []
 
-    def test_resize_validates_worker_count(self, frontend):
-        with _client(frontend) as client:
+    def test_resize_validates_worker_count(self, server):
+        with connect(server) as client:
             with pytest.raises(ServerError, match="must be an integer"):
                 client.resize(0)
 
-    def test_explicit_migrate_moves_one_session(self, frontend):
-        with _client(frontend) as client:
+    def test_explicit_migrate_moves_one_session(self, server):
+        with connect(server) as client:
             client.open_session("mover", COUNTER_SRC)
             client.command("mover", "instPipe p0, stage2")
-            assert client.command("mover", "run tb0, p0, 60")["c0"] == 58
+            client.command("mover", "opt full")
+            before = client.command("mover", "run tb0, p0, 60")
+            assert before["c0"] == 58
             src = next(
                 s["worker"] for s in client.sessions()
                 if s["session"] == "mover"
@@ -220,14 +180,15 @@ class TestShardedResize:
                 s["worker"] for s in client.sessions()
                 if s["session"] == "mover"
             ) == dest
-            assert client.command("mover", "peek p0")["c0"] == 58
+            assert client.command("mover", "peek p0") == before
+            assert client.command("mover", "opt")["level"] == "full"
             # Migrating to the worker it already lives on is a no-op.
             again = client.migrate("mover", dest)
             assert again["migrated"] is False
             client.close_session("mover")
 
-    def test_migrate_rejects_bad_targets(self, frontend):
-        with _client(frontend) as client:
+    def test_migrate_rejects_bad_targets(self, server):
+        with connect(server) as client:
             with pytest.raises(ServerError, match="no worker 9"):
                 client.open_session("badmig", COUNTER_SRC)
                 client.migrate("badmig", 9)
@@ -236,19 +197,20 @@ class TestShardedResize:
             client.close_session("badmig")
 
 
+@worker_processes_only
 class TestShardedCrashRecovery:
     # Must run after the basics: it restarts worker processes.
 
-    def test_kill_worker_rehydrates_sessions(self, frontend):
-        victim_name, survivor_name = _names_on_each_worker("crash")
-        with _client(frontend) as client, _client(frontend) as other:
+    def test_kill_worker_rehydrates_sessions(self, server):
+        victim_name, survivor_name = names_on_each_worker("crash")
+        with connect(server) as client, connect(server) as other:
             client.open_session(victim_name, COUNTER_SRC)
             client.open_session(survivor_name, COUNTER_SRC)
             client.command(victim_name, "instPipe p0, stage2")
             client.command(survivor_name, "instPipe p0, stage2")
-            assert client.command(
-                victim_name, "run tb0, p0, 200"
-            )["c0"] == 198
+            client.command(victim_name, "opt full")
+            before = client.command(victim_name, "run tb0, p0, 200")
+            assert before["c0"] == 198
             assert client.command(victim_name, "chkp p0")["cycle"] == 200
             client.command(survivor_name, "run tb0, p0, 50")
 
@@ -259,7 +221,8 @@ class TestShardedCrashRecovery:
             # First command after the kill blocks on restart +
             # rehydration: journal replay rebuilds the design, the
             # checkpoint store restores the simulated state.
-            assert client.command(victim_name, "peek p0")["c0"] == 198
+            assert client.command(victim_name, "peek p0") == before
+            assert client.command(victim_name, "opt")["level"] == "full"
             assert client.command(
                 victim_name, "run tb0, p0, 10"
             )["c0"] == 208
@@ -296,15 +259,10 @@ class TestFailoverReplayDies:
         # A poison command that SIGKILL-crashes every worker it
         # touches: the frontend replays it exactly once against the
         # recovered session, then gives up instead of restart-looping.
-        fe = ShardedFrontend(
-            workers=1,
-            store_root=str(tmp_path / "store"),
-            state_root=str(tmp_path / "state"),
-            worker_extra={"crash_line": "peek poison"},
-        )
-        host, port = fe.start()
-        try:
-            with LiveSimClient(host, port, read_timeout=120.0) as client:
+        with running_server(
+            tmp_path, 1, worker_extra={"crash_line": "peek poison"}
+        ) as server:
+            with connect(server) as client:
                 client.open_session("boom", COUNTER_SRC)
                 client.command("boom", "instPipe p0, stage2")
                 assert client.command(
@@ -328,5 +286,3 @@ class TestFailoverReplayDies:
                 # keeps working for non-poison commands.
                 assert client.command("boom", "peek p0")["c0"] == 48
                 client.close_session("boom")
-        finally:
-            fe.shutdown()

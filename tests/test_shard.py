@@ -123,6 +123,9 @@ class TestSessionJournal:
     def test_structural_verbs_cover_the_table_i_structure_commands(self):
         assert "instpipe" in STRUCTURAL_VERBS
         assert "swapstage" in STRUCTURAL_VERBS
+        # Build settings are structure too: a rehydrated session must
+        # come back at the opt level and sanitize mode it was left at.
+        assert {"san", "opt"} <= STRUCTURAL_VERBS
         # run is recovered from checkpoints, never replayed.
         assert "run" not in STRUCTURAL_VERBS
 
@@ -216,14 +219,14 @@ class TestSessionWorkerJournaling:
         state.write_text("not a directory")
         worker = _worker(state_root=str(state))
         with pytest.raises(OSError):
-            worker._cmd_open({"session": "alice", "source": COUNTER_SRC})
+            worker._cmd_open(0, {"session": "alice", "source": COUNTER_SRC})
         # The failed open must not leave the session resident: a retry
         # (after the operator fixes the dir) would otherwise die with
         # duplicate-session forever.
         assert "alice" not in worker.manager.names()
         state.unlink()
         info = worker._cmd_open(
-            {"session": "alice", "source": COUNTER_SRC}
+            0, {"session": "alice", "source": COUNTER_SRC}
         )
         assert "top" in info["handles"]
 
@@ -232,10 +235,10 @@ class TestSessionWorkerJournaling:
     ):
         state = str(tmp_path / "state")
         worker = _worker(state_root=state)
-        worker._cmd_open({"session": "alice", "source": COUNTER_SRC})
+        worker._cmd_open(0, {"session": "alice", "source": COUNTER_SRC})
         lib = tmp_path / "extra.v"
         lib.write_text(BLINKER_SRC)
-        worker._cmd_execute(
+        worker._cmd_cmd(
             1, {"session": "alice", "line": f"ldLib extras, {lib}"}
         )
         # The file diverging — or vanishing — after the load must not
@@ -248,7 +251,7 @@ class TestSessionWorkerJournaling:
         ]
         # A fresh worker rehydrates the lib from the journaled text.
         other = _worker(state_root=state)
-        info = other._cmd_rehydrate("alice")
+        info = other._cmd_rehydrate(0, {"session": "alice"})
         assert info["rehydrated"] is True
         session = other.manager.get("alice").session
         assert session.stage_handle_for("blinker")
@@ -259,12 +262,12 @@ class TestSessionWorkerJournaling:
         state = tmp_path / "state"
         worker = _worker(state_root=str(state))
         info = worker._cmd_open(
-            {"session": "alice", "source": COUNTER_SRC}
+            0, {"session": "alice", "source": COUNTER_SRC}
         )
         handle = info["handles"]["top"]
         shutil.rmtree(state)
         state.write_text("journal root is gone")  # breaks every flush
-        value = worker._cmd_execute(
+        value = worker._cmd_cmd(
             7, {"session": "alice", "line": f"instPipe p0, {handle}"}
         )
         assert value is not None  # the command itself succeeded
@@ -286,10 +289,10 @@ class TestSessionWorkerJournaling:
         journal.append({"op": "line", "line": "instPipe b0, stage99"})
         worker = _worker(state_root=str(tmp_path))
         with pytest.raises(Exception, match="stage99"):
-            worker._cmd_rehydrate("ghost")
+            worker._cmd_rehydrate(0, {"session": "ghost"})
 
     def test_persist_without_state_dir_raises(self):
         worker = _worker(state_root=None)
-        worker._cmd_open({"session": "alice", "source": COUNTER_SRC})
+        worker._cmd_open(0, {"session": "alice", "source": COUNTER_SRC})
         with pytest.raises(ValueError, match="state dir"):
-            worker._cmd_persist("alice")
+            worker._cmd_persist(0, {"session": "alice"})

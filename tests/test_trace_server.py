@@ -1,10 +1,10 @@
-"""Live trace over the wire: watch/unwatch/trace/replay on the
-threaded server and the sharded frontend, value-change streaming,
-backpressure accounting, and subscription survival across hot reload,
-worker crash, and migration.
+"""Live trace over the wire: watch/unwatch/trace/replay on the server
+in both hostings, value-change streaming, backpressure accounting, and
+subscription survival across hot reload, worker crash, and migration.
 
-The sharded tests share one module-scoped 2-worker frontend; the crash
-test runs last so earlier tests can rely on live workers.
+Each hosting is one module-scoped server; the migration and crash
+tests need worker processes, and the crash test runs last so earlier
+tests can rely on live workers.
 """
 
 import os
@@ -12,17 +12,17 @@ import time
 
 import pytest
 
-from repro.server.client import LiveSimClient, ServerError
-from repro.server.frontend import ShardedFrontend
-from repro.server.service import LiveSimServer
-from repro.server.shard import HashRing
-from tests.conftest import COUNTER_SRC
+from repro.server.client import ServerError
+from tests.conftest import (
+    COUNTER_SRC,
+    connect,
+    names_on_each_worker,
+    worker_processes_only,
+)
 
 DOUBLED = COUNTER_SRC.replace("assign sum = a + b;",
                               "assign sum = a + b + b;")
 RENAMED = COUNTER_SRC.replace("count_q", "cnt_q")
-
-WORKERS = 2
 
 
 def _drain_changes(client, signal, until_cycle, timeout=30.0):
@@ -59,193 +59,134 @@ def _assert_streamed_matches_trace(client, session, seen):
         assert post[cycle] == value, f"cycle {cycle}: {value} != {post[cycle]}"
 
 
-class TestThreadedTraceVerbs:
-    @pytest.fixture
-    def server(self):
-        srv = LiveSimServer(port=0, checkpoint_interval=10)
-        srv.start()
-        yield srv
-        srv.shutdown()
+class TestTraceVerbs:
+    def test_watch_streams_value_changes(self, client):
+        client.open_session("s", COUNTER_SRC)
+        client.command("s", "instPipe p0, stage2")
+        info = client.watch("s", "p0", "c0")
+        assert info["signal"] == "c0" and info["missing"] is False
+        client.command("s", "run tb0, p0, 30")
+        seen, _, _ = _drain_changes(client, "c0", until_cycle=29)
+        assert len(seen) >= 27  # change-only: reset plateau is one
+        _assert_streamed_matches_trace(client, "s", seen)
 
-    def _client(self, srv):
-        host, port = srv.address
-        return LiveSimClient(host, port, timeout=30.0, read_timeout=60.0)
+    def test_unwatch_stops_the_stream(self, client):
+        client.open_session("s", COUNTER_SRC)
+        client.command("s", "instPipe p0, stage2")
+        client.watch("s", "p0", "c0")
+        client.command("s", "run tb0, p0, 5")
+        _drain_changes(client, "c0", until_cycle=4)
+        assert client.unwatch("s", "p0", "c0")["removed"] is True
+        client.events.clear()
+        client.command("s", "run tb0, p0, 10")
+        with pytest.raises(TimeoutError):
+            client.wait_event("value_change", timeout=0.5)
 
-    def test_watch_streams_value_changes(self, server):
-        with self._client(server) as client:
-            client.open_session("s", COUNTER_SRC)
-            client.command("s", "instPipe p0, stage2")
-            info = client.watch("s", "p0", "c0")
-            assert info["signal"] == "c0" and info["missing"] is False
-            client.command("s", "run tb0, p0, 30")
-            seen, _, _ = _drain_changes(client, "c0", until_cycle=29)
-            assert len(seen) >= 27  # change-only: reset plateau is one
-            _assert_streamed_matches_trace(client, "s", seen)
+    def test_trace_without_signal_returns_status(self, client):
+        client.open_session("s", COUNTER_SRC)
+        client.command("s", "instPipe p0, stage2")
+        client.watch("s", "p0", "c0")
+        client.command("s", "run tb0, p0, 10")
+        status = client.trace("s", "p0")
+        assert status["probes"][0]["signal"] == "c0"
+        assert status["probes"][0]["samples"] == 10
 
-    def test_unwatch_stops_the_stream(self, server):
-        with self._client(server) as client:
-            client.open_session("s", COUNTER_SRC)
-            client.command("s", "instPipe p0, stage2")
-            client.watch("s", "p0", "c0")
-            client.command("s", "run tb0, p0, 5")
-            _drain_changes(client, "c0", until_cycle=4)
-            assert client.unwatch("s", "p0", "c0")["removed"] is True
-            client.events.clear()
-            client.command("s", "run tb0, p0, 10")
-            with pytest.raises(TimeoutError):
-                client.wait_event("value_change", timeout=0.5)
+    def test_replay_bit_identical_over_socket(self, client):
+        client.open_session("s", COUNTER_SRC)
+        client.command("s", "instPipe p0, stage2")
+        client.watch("s", "p0", "c0")
+        client.command("s", "run tb0, p0, 40")
+        live = client.trace("s", "p0", "c0", 10, 30)["samples"]
+        replay = client.replay("s", "p0", 10, 30, signals=["c0"])
+        assert replay["signals"]["c0"] == live
 
-    def test_trace_without_signal_returns_status(self, server):
-        with self._client(server) as client:
-            client.open_session("s", COUNTER_SRC)
-            client.command("s", "instPipe p0, stage2")
-            client.watch("s", "p0", "c0")
-            client.command("s", "run tb0, p0, 10")
-            status = client.trace("s", "p0")
-            assert status["probes"][0]["signal"] == "c0"
-            assert status["probes"][0]["samples"] == 10
+    def test_watch_survives_hot_reload(self, client):
+        client.open_session("s", COUNTER_SRC)
+        client.command("s", "instPipe p0, stage2")
+        client.watch("s", "p0", "c0")
+        client.command("s", "run tb0, p0, 20")
+        _drain_changes(client, "c0", until_cycle=19)
+        client.reload("s", DOUBLED)
+        client.command("s", "run tb0, p0, 10")
+        seen, _, _ = _drain_changes(client, "c0", until_cycle=29)
+        assert max(seen) == 29
+        _assert_streamed_matches_trace(client, "s", seen)
 
-    def test_replay_bit_identical_over_socket(self, server):
-        with self._client(server) as client:
-            client.open_session("s", COUNTER_SRC)
-            client.command("s", "instPipe p0, stage2")
-            client.watch("s", "p0", "c0")
-            client.command("s", "run tb0, p0, 40")
-            live = client.trace("s", "p0", "c0", 10, 30)["samples"]
-            replay = client.replay("s", "p0", 10, 30, signals=["c0"])
-            assert replay["signals"]["c0"] == live
+    def test_vanished_signal_marked_not_fatal(self, client):
+        client.open_session("s", COUNTER_SRC)
+        client.command("s", "instPipe p0, stage2")
+        client.watch("s", "p0", "u0.count_q")
+        client.command("s", "run tb0, p0, 10")
+        _drain_changes(client, "u0.count_q", until_cycle=9)
+        client.reload("s", RENAMED)
+        client.command("s", "run tb0, p0, 5")
+        _, markers, _ = _drain_changes(
+            client, "u0.count_q", until_cycle=14, timeout=2.0
+        )
+        assert {"signal": "u0.count_q", "missing": True} in markers
+        status = client.trace("s", "p0")
+        assert status["probes"][0]["missing"] is True
 
-    def test_watch_survives_hot_reload(self, server):
-        with self._client(server) as client:
-            client.open_session("s", COUNTER_SRC)
-            client.command("s", "instPipe p0, stage2")
-            client.watch("s", "p0", "c0")
-            client.command("s", "run tb0, p0, 20")
-            _drain_changes(client, "c0", until_cycle=19)
-            client.reload("s", DOUBLED)
-            client.command("s", "run tb0, p0, 10")
-            seen, _, _ = _drain_changes(client, "c0", until_cycle=29)
-            assert max(seen) == 29
-            _assert_streamed_matches_trace(client, "s", seen)
+    def test_backpressure_reports_drops(self, client):
+        client.open_session("s", COUNTER_SRC)
+        client.command("s", "instPipe p0, stage2")
+        client.watch("s", "p0", "c0", max_events=2)
+        result = client.command("s", "run tb0, p0, 200")
+        assert result["c0"] == 198  # sim never blocked on the queue
+        seen, _, dropped = _drain_changes(
+            client, "c0", until_cycle=199
+        )
+        assert dropped > 0
+        _assert_streamed_matches_trace(client, "s", seen)
+        stats = client.stats()
+        assert stats["trace"]["events_dropped"] >= dropped
 
-    def test_vanished_signal_marked_not_fatal(self, server):
-        with self._client(server) as client:
-            client.open_session("s", COUNTER_SRC)
-            client.command("s", "instPipe p0, stage2")
-            client.watch("s", "p0", "u0.count_q")
-            client.command("s", "run tb0, p0, 10")
-            _drain_changes(client, "u0.count_q", until_cycle=9)
-            client.reload("s", RENAMED)
-            client.command("s", "run tb0, p0, 5")
-            _, markers, _ = _drain_changes(
-                client, "u0.count_q", until_cycle=14, timeout=2.0
-            )
-            assert {"signal": "u0.count_q", "missing": True} in markers
-            status = client.trace("s", "p0")
-            assert status["probes"][0]["missing"] is True
+    def test_stats_exposes_trace_counters(self, client):
+        client.open_session("s", COUNTER_SRC)
+        client.command("s", "instPipe p0, stage2")
+        client.watch("s", "p0", "c0")
+        client.command("s", "run tb0, p0, 10")
+        stats = client.stats()
+        assert "events_dropped" in stats
+        assert set(stats["trace"]) == {
+            "cycles_dropped", "events_dropped",
+        }
+        assert "worker_stats" not in stats  # only with deep=true
 
-    def test_backpressure_reports_drops(self, server):
-        with self._client(server) as client:
-            client.open_session("s", COUNTER_SRC)
-            client.command("s", "instPipe p0, stage2")
-            client.watch("s", "p0", "c0", max_events=2)
-            result = client.command("s", "run tb0, p0, 200")
-            assert result["c0"] == 198  # sim never blocked on the queue
-            seen, _, dropped = _drain_changes(
-                client, "c0", until_cycle=199
-            )
-            assert dropped > 0
-            _assert_streamed_matches_trace(client, "s", seen)
-            stats = client.stats()
-            assert stats["trace"]["events_dropped"] >= dropped
+    def test_wire_validation_errors(self, client):
+        client.open_session("s", COUNTER_SRC)
+        client.command("s", "instPipe p0, stage2")
+        with pytest.raises(ServerError, match="signal"):
+            client.request("watch", session="s", pipe="p0")
+        with pytest.raises(ServerError, match="start"):
+            client.request("replay", session="s", pipe="p0", end=10)
+        with pytest.raises(ServerError):
+            client.watch("s", "p0", "bad,name")
+        with pytest.raises(ServerError):
+            client.trace("s", "p0", "c0", start=-1)
 
-    def test_stats_exposes_trace_counters(self, server):
-        with self._client(server) as client:
-            client.open_session("s", COUNTER_SRC)
-            client.command("s", "instPipe p0, stage2")
-            client.watch("s", "p0", "c0")
-            client.command("s", "run tb0, p0, 10")
-            stats = client.stats()
-            assert "events_dropped" in stats
-            assert set(stats["trace"]) == {
-                "cycles_dropped", "events_dropped",
-            }
-
-    def test_wire_validation_errors(self, server):
-        with self._client(server) as client:
-            client.open_session("s", COUNTER_SRC)
-            client.command("s", "instPipe p0, stage2")
-            with pytest.raises(ServerError, match="signal"):
-                client.request("watch", session="s", pipe="p0")
-            with pytest.raises(ServerError, match="start"):
-                client.request("replay", session="s", pipe="p0", end=10)
-            with pytest.raises(ServerError):
-                client.watch("s", "p0", "bad,name")
-            with pytest.raises(ServerError):
-                client.trace("s", "p0", "c0", start=-1)
-
-    def test_repl_lines_route_trace_verbs(self, server, capsys):
+    def test_repl_lines_route_trace_verbs(self, client, capsys):
         from repro.server.client import run_lines
 
-        with self._client(server) as client:
-            client.open_session("s", COUNTER_SRC)
-            import sys
-            run_lines(client, "s", [
-                "instPipe p0, stage2",
-                "watch p0, c0",
-                "run tb0, p0, 12",
-                "trace p0, c0, 0, 5",
-                "replay p0, 2, 8, c0",
-                "unwatch p0, c0",
-            ], sys.stdout)
+        client.open_session("s", COUNTER_SRC)
+        import sys
+        run_lines(client, "s", [
+            "instPipe p0, stage2",
+            "watch p0, c0",
+            "run tb0, p0, 12",
+            "trace p0, c0, 0, 5",
+            "replay p0, 2, 8, c0",
+            "unwatch p0, c0",
+        ], sys.stdout)
         out = capsys.readouterr().out
         assert "'signal': 'c0'" in out
         assert "'removed': True" in out
 
 
-@pytest.fixture(scope="module")
-def frontend(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("trace-sharded")
-    fe = ShardedFrontend(
-        workers=WORKERS,
-        store_root=str(tmp / "store"),
-        state_root=str(tmp / "state"),
-    )
-    fe.start()
-    yield fe
-    fe.shutdown()
-
-
-def _client(frontend, **kwargs):
-    host, port = frontend.address
-    kwargs.setdefault("read_timeout", 120.0)
-    return LiveSimClient(host, port, timeout=30.0, **kwargs)
-
-
-def _names_on_each_worker(prefix):
-    ring = HashRing(range(WORKERS))
-    names, i = {}, 0
-    while len(names) < WORKERS:
-        name = f"{prefix}-{i}"
-        names.setdefault(ring.lookup(name), name)
-        i += 1
-    return [names[w] for w in range(WORKERS)]
-
-
-class TestShardedTraceStreaming:
-    def test_watch_streams_from_worker(self, frontend):
-        with _client(frontend) as client:
-            client.open_session("st", COUNTER_SRC)
-            client.command("st", "instPipe p0, stage2")
-            client.watch("st", "p0", "c0")
-            client.command("st", "run tb0, p0, 30")
-            seen, _, _ = _drain_changes(client, "c0", until_cycle=29)
-            assert max(seen) == 29
-            _assert_streamed_matches_trace(client, "st", seen)
-            client.close_session("st")
-
-    def test_events_only_reach_the_arming_client(self, frontend):
-        with _client(frontend) as armed, _client(frontend) as other:
+@worker_processes_only
+class TestTraceAcrossWorkers:
+    def test_events_only_reach_the_arming_client(self, server):
+        with connect(server) as armed, connect(server) as other:
             armed.open_session("rt", COUNTER_SRC)
             armed.command("rt", "instPipe p0, stage2")
             armed.watch("rt", "p0", "c0")
@@ -256,26 +197,9 @@ class TestShardedTraceStreaming:
                 other.wait_event("value_change", timeout=0.5)
             armed.close_session("rt")
 
-    def test_replay_and_stats_forwarded(self, frontend):
-        with _client(frontend) as client:
-            client.open_session("sr", COUNTER_SRC)
-            client.command("sr", "instPipe p0, stage2")
-            client.watch("sr", "p0", "c0")
-            client.command("sr", "run tb0, p0, 40")
-            live = client.trace("sr", "p0", "c0", 5, 35)["samples"]
-            replay = client.replay("sr", "p0", 5, 35, signals=["c0"])
-            assert replay["signals"]["c0"] == live
-            stats = client.stats()
-            assert set(stats["trace"]) == {
-                "cycles_dropped", "events_dropped",
-            }
-            assert "events_dropped" in stats
-            assert "worker_stats" not in stats
-            client.close_session("sr")
-
-    def test_watch_survives_migration(self, frontend):
-        first, second = _names_on_each_worker("mig")
-        with _client(frontend) as client:
+    def test_watch_survives_migration(self, server):
+        first, second = names_on_each_worker("mig")
+        with connect(server) as client:
             client.open_session(first, COUNTER_SRC)
             client.command(first, "instPipe p0, stage2")
             client.watch(first, "p0", "c0")
@@ -291,12 +215,12 @@ class TestShardedTraceStreaming:
             _assert_streamed_matches_trace(client, first, seen)
             client.close_session(first)
 
-    def test_watch_survives_crash_rehydration(self, frontend):
+    def test_watch_survives_crash_rehydration(self, server):
         # SIGKILL the session's worker: the journaled watch re-arms on
         # the restarted worker and streaming resumes with no gap
         # (this test runs last — it restarts a worker).
-        first, _ = _names_on_each_worker("crash")
-        with _client(frontend) as client:
+        first, _ = names_on_each_worker("crash")
+        with connect(server) as client:
             client.open_session(first, COUNTER_SRC)
             client.command(first, "instPipe p0, stage2")
             client.watch(first, "p0", "c0")

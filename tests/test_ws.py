@@ -7,7 +7,7 @@ import socket
 
 import pytest
 
-from repro.server.service import LiveSimServer
+from repro.server.frontend import ShardedFrontend
 from repro.server.ws import (
     OP_BINARY,
     OP_CONT,
@@ -145,7 +145,7 @@ class TestFrameCodec:
 class TestGatewayEndToEnd:
     @pytest.fixture
     def stack(self):
-        server = LiveSimServer(port=0)
+        server = ShardedFrontend(workers=0)
         host, port = server.start()
         gateway = WsGateway(upstream_host=host, upstream_port=port,
                             port=0)

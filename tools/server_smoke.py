@@ -11,8 +11,9 @@ artifacts.  The cold leg also stands up the WebSocket gateway
 (``repro.server.ws``) against the running server and drives the live
 trace path through it: static page served, ``watch`` streamed value
 changes matching a post-hoc ``trace`` read, and a bit-identical
-``replay`` window.  A third leg boots the sharded frontend
-(``--workers 2``),
+``replay`` window.  The first two legs run the default hosting (the
+worker on a thread of the server process); a third boots the same
+server with ``--workers 2`` worker processes,
 SIGKILLs one worker mid-session, checks the session rehydrates on the
 restarted worker from its journal + checkpoint, then resizes the pool
 2->4->2 and checks a migrated session keeps its simulated state
@@ -173,6 +174,9 @@ def stop_server(proc, client):
 
 def cold_session(host, port, patch_path):
     client = LiveSimClient(host, port, timeout=60.0, read_timeout=120.0)
+    pong = client.ping()
+    check(pong.get("sharded") is False and pong.get("workers") == 1,
+          "ping: one worker, hosted in the server process")
     info = client.open_session("smoke", DESIGN)
     check(info["handles"].get("top") == "stage2", "open: top is stage2")
     client.command("smoke", "instPipe p0, stage2")
@@ -402,7 +406,7 @@ def sharded_session(host, port):
     client = LiveSimClient(host, port, timeout=60.0, read_timeout=120.0)
     pong = client.ping()
     check(pong.get("sharded") is True and pong.get("workers") == 2,
-          "sharded: ping reports 2 workers")
+          "sharded: ping reports 2 worker processes")
     client.open_session(victim, DESIGN)
     client.open_session(survivor, DESIGN)
     client.command(victim, "instPipe p0, stage2")
