@@ -33,7 +33,7 @@ Quick start::
 from typing import Dict, Optional, Tuple
 
 from .baseline import BaselineCompiler, BaselineResult
-from .codegen import CompiledModule, compile_netlist, design_cost
+from .codegen import BuildConfig, CompiledModule, compile_netlist, design_cost
 from .hdl import (
     CompileBudgetExceeded,
     ElaborationError,
@@ -82,6 +82,7 @@ __all__ = [
     "Testbench",
     "BaselineCompiler",
     "BaselineResult",
+    "BuildConfig",
     "CompiledModule",
     "compile_netlist",
     "design_cost",
@@ -112,10 +113,10 @@ def compile_design(
     propagation, dead-logic elimination; ``"full"`` adds sensitivity
     guards) — bit-identical to the plain build by construction.
     """
+    build = BuildConfig(mux_style=mux_style, opt=opt)
     netlist = elaborate(parse(source), top, params)
     if opt != "none":
         from .passes import run_opt_pipeline
 
-        return netlist, run_opt_pipeline(netlist, opt=opt,
-                                         mux_style=mux_style)
-    return netlist, compile_netlist(netlist, mux_style)
+        return netlist, run_opt_pipeline(netlist, build)
+    return netlist, compile_netlist(netlist, build)

@@ -116,6 +116,7 @@ def _analyze_file(
         # Drive the analyzer through the pass pipeline the compiler
         # uses at this level; AnalyzePass runs pre-optimization, so
         # the findings must match the plain path bit for bit.
+        from ..codegen.build import BuildConfig
         from ..passes import (
             AnalyzePass,
             ElaborateFactsPass,
@@ -127,7 +128,7 @@ def _analyze_file(
             AnalyzePass(analyzer),
             ElaborateFactsPass(),
         ]).build()
-        data = PassData(netlist=netlist, opt=opt)
+        data = PassData(netlist=netlist, build=BuildConfig(opt=opt))
         pipeline.run(data)
         report = data.facts["analyze.report"]
     else:

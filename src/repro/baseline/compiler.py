@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .. import obs
+from ..codegen.build import BuildConfig
 from ..codegen.flatgen import compile_flat
 from ..codegen.pygen import CompiledModule, compile_module
 from ..hdl.errors import CompileBudgetExceeded
@@ -149,10 +150,11 @@ class BaselineCompiler:
         synthetic.top = top_key
 
         library: Dict[str, CompiledModule] = {}
+        build = BuildConfig(mux_style=self.mux_style)
         for key in self._postorder(synthetic, top_key):
             self._check_budget(started)
             library[key] = compile_module(
-                synthetic.modules[key], synthetic, self.mux_style
+                synthetic.modules[key], synthetic, build
             )
             result.instances_compiled += 1
         result.library = library

@@ -15,10 +15,13 @@ contrasts (Fig. 4):
 costs from the IR for the host performance model (Table VII).
 """
 
+from .build import BuildConfig, ModuleKey
 from .cost import DesignCost, ModuleCost, design_cost, module_cost
 from .pygen import CompiledModule, compile_module, compile_netlist
 
 __all__ = [
+    "BuildConfig",
+    "ModuleKey",
     "CompiledModule",
     "compile_netlist",
     "compile_module",

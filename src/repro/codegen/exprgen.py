@@ -86,8 +86,6 @@ class ExprGen:
         """
         self._resolver = resolver
         self._emitter = emitter
-        if mux_style not in ("branch", "select"):
-            raise ValueError(f"unknown mux_style {mux_style!r}")
         self._mux_style = mux_style
 
     # -- width inference ----------------------------------------------------

@@ -33,9 +33,10 @@ from ..hdl import ast_nodes as ast
 from ..hdl.consteval import expr_reads, stmt_reads_writes
 from ..hdl.errors import CodegenError, CompileBudgetExceeded
 from ..ir.netlist import ModuleIR, Netlist
+from .build import BuildConfig
 from .emitter import FunctionEmitter, block
 from .exprgen import ExprGen, Resolver, StmtGen, mask_of
-from .pygen import CACHE_SLOTS, CompiledModule, MemSpec
+from .pygen import CACHE_SLOTS, CompiledModule, MemSpec, state_layout
 
 
 @dataclass
@@ -483,6 +484,7 @@ def compile_flat(
     exceeds ``budget_seconds`` — the analogue of the paper's 24-hour
     Verilator timeout on the 16x16 PGAS.
     """
+    build = BuildConfig(mux_style=mux_style)  # rejects an unknown style
     started = time.perf_counter()
     top = netlist.top_module
     compiler = _FlatCompiler(netlist, mux_style, budget_seconds)
@@ -522,7 +524,7 @@ def compile_flat(
         comb_input_ports=tuple(top.inputs),  # flat eval takes everything
         outputs=tuple(top.outputs),
         num_regs=compiler._num_regs,
-        state_size=2 * compiler._num_regs + CACHE_SLOTS + 2 * compiler._mem_count,
+        layout=state_layout(compiler._num_regs, compiler._mem_count, False, 0),
         reg_slots=dict(compiler._reg_slots),
         reg_widths=dict(compiler._reg_widths),
         mem_specs=dict(compiler._mem_specs),
@@ -530,5 +532,5 @@ def compile_flat(
         interface_fp=top.interface_fingerprint(),
         source_hash=hashlib.sha256(source.encode()).hexdigest(),
         compile_seconds=elapsed,
-        mux_style=mux_style,
+        build=build,
     )

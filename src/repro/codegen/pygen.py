@@ -44,18 +44,55 @@ import hashlib
 import linecache
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import stmt_reads_writes
 from ..hdl.errors import CodegenError
 from ..ir.netlist import ModuleIR, Netlist
+from .build import BuildConfig, ModuleKey
 from .emitter import FunctionEmitter, block
 from .exprgen import ExprGen, Resolver, StmtGen, mask_of
 from .optplan import OptPlan, optimize_stmts, substitute_expr
 
 CACHE_SLOTS = 2
+
+
+class StateLayout(NamedTuple):
+    """Where each region of an instance's state list starts."""
+
+    cache_key_slot: int  # eval_out memo key; the value sits one above
+    mem_base: int  # NM contents lists, then NM pending-write lists
+    # Sanitized builds (repro.sanitize) add NM + 2 slots:
+    #   [sanitize_base]           register poison bitmap (bit i <-> reg i)
+    #   [sanitize_base + 1 + j]   memory j word-poison bitmap
+    #   [nw_slot]                 per-cycle nonblocking-write dict
+    sanitize_base: int
+    reg_poison_slot: int  # -1 in clean builds
+    nw_slot: int  # -1 in clean builds
+    # opt=full builds append one (input-key tuple, cached outputs) slot
+    # pair per sensitivity guard, after the sanitizer region.
+    sens_base: int
+    state_size: int
+
+
+def state_layout(
+    num_regs: int, num_mems: int, sanitize: bool, guards: int
+) -> StateLayout:
+    cache_key_slot = 2 * num_regs
+    mem_base = cache_key_slot + CACHE_SLOTS
+    sanitize_base = mem_base + 2 * num_mems
+    sens_base = sanitize_base + (num_mems + 2 if sanitize else 0)
+    return StateLayout(
+        cache_key_slot=cache_key_slot,
+        mem_base=mem_base,
+        sanitize_base=sanitize_base,
+        reg_poison_slot=sanitize_base if sanitize else -1,
+        nw_slot=sanitize_base + 1 + num_mems if sanitize else -1,
+        sens_base=sens_base,
+        state_size=sens_base + 2 * guards,
+    )
 
 
 @dataclass
@@ -88,7 +125,7 @@ class CompiledModule:
     comb_input_ports: Tuple[str, ...]  # the eval_out argument list
     outputs: Tuple[str, ...]
     num_regs: int
-    state_size: int
+    layout: StateLayout
     reg_slots: Dict[str, int]  # register name -> current-value slot
     reg_widths: Dict[str, int]
     mem_specs: Dict[str, MemSpec]
@@ -96,20 +133,8 @@ class CompiledModule:
     interface_fp: str
     source_hash: str
     compile_seconds: float
-    mux_style: str
-    # Sanitized builds (repro.sanitize) extend the state layout past
-    # ``base = 2*NR + CACHE_SLOTS + 2*NM`` with:
-    #   [base]          register poison bitmap (bit i <-> reg slot i)
-    #   [base+1 + j]    memory j word-poison bitmap
-    #   [base+1 + NM]   per-cycle nonblocking-write dict
-    sanitize: bool = False
-    # Optimized builds (opt=full) append ``sens_slot_count`` guard
-    # pairs after the sanitizer region (or directly after base when
-    # not sanitized):
-    #   [sens_base + 2*g]      guard g's input-key tuple (or None)
-    #   [sens_base + 2*g + 1]  guard g's cached output tuple
-    opt: str = "none"
-    sens_slot_count: int = 0
+    build: BuildConfig
+    sens_slot_count: int = 0  # opt=full sensitivity guards
     # Proof-driven elision accounting (repro.sanitize.elide): total
     # instrumentation sites this build considered, and how many the
     # stable-tier value facts removed or downgraded.
@@ -120,30 +145,6 @@ class CompiledModule:
     # poisoning them.
     reg_const_init: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def cache_key_slot(self) -> int:
-        return 2 * self.num_regs
-
-    @property
-    def sanitize_base(self) -> int:
-        return 2 * self.num_regs + CACHE_SLOTS + 2 * len(self.mem_specs)
-
-    @property
-    def sens_base(self) -> int:
-        return self.sanitize_base + (
-            len(self.mem_specs) + 2 if self.sanitize else 0
-        )
-
-    @property
-    def reg_poison_slot(self) -> int:
-        return self.sanitize_base if self.sanitize else -1
-
-    @property
-    def nw_slot(self) -> int:
-        if not self.sanitize:
-            return -1
-        return self.sanitize_base + 1 + len(self.mem_specs)
-
     def make_state(self) -> list:
         state: list = [0] * (2 * self.num_regs)
         state.extend([None, None])  # eval_out memo (key, value)
@@ -152,7 +153,7 @@ class CompiledModule:
             state.append([0] * spec.depth)
         for spec in ordered:
             state.append([])
-        if self.sanitize:
+        if self.build.sanitize:
             # Cold start is defined power-on zero: all poison clear.
             state.append(0)  # register poison bitmap
             state.extend(0 for _ in ordered)  # per-memory word poison
@@ -168,13 +169,12 @@ class CompiledModule:
 
 
 class _ModuleCompiler:
-    def __init__(self, ir: ModuleIR, netlist: Netlist, mux_style: str,
-                 sanitize: bool = False, plan: Optional[OptPlan] = None,
-                 elision=None):
+    def __init__(self, ir: ModuleIR, netlist: Netlist, build: BuildConfig,
+                 plan: Optional[OptPlan] = None, elision=None):
         self._ir = ir
         self._netlist = netlist
-        self._mux_style = mux_style
-        self._sanitize = sanitize
+        self._mux_style = build.mux_style
+        self._sanitize = sanitize = build.sanitize
         # ElisionPlan (repro.sanitize.elide), sanitized builds only.
         self._elide = elision if sanitize else None
         self._san_sites = 0
@@ -209,12 +209,13 @@ class _ModuleCompiler:
                 self._opt_bodies[("seq", i)] = optimize_stmts(
                     seq.body, plan.consts, plan.const_widths
                 )
-        base = 2 * ir.num_regs + CACHE_SLOTS
         nm = len(ir.memories)
-        sbase = base + 2 * nm  # start of the sanitizer slots
-        self._poison_slot = sbase if sanitize else -1
-        self._nw_slot = sbase + 1 + nm if sanitize else -1
-        self._sens_base = sbase + (nm + 2 if sanitize else 0)
+        self.layout = layout = state_layout(
+            ir.num_regs, nm, sanitize, self.sens_slot_count
+        )
+        self._poison_slot = layout.reg_poison_slot
+        self._nw_slot = layout.nw_slot
+        self._sens_base = layout.sens_base
         # Instrumentation sites (module, signal, file-absolute line),
         # emitted as a literal _SAN_I table inside the generated source
         # so store rehydration carries them for free.
@@ -227,9 +228,9 @@ class _ModuleCompiler:
                 name=mem.name,
                 width=mem.width,
                 depth=mem.depth,
-                slot=base + i,
-                pending_slot=base + nm + i,
-                poison_slot=sbase + 1 + i if sanitize else -1,
+                slot=layout.mem_base + i,
+                pending_slot=layout.mem_base + nm + i,
+                poison_slot=layout.sanitize_base + 1 + i if sanitize else -1,
             )
 
     @property
@@ -906,17 +907,16 @@ class _ModuleCompiler:
 def compile_module(
     ir: ModuleIR,
     netlist: Netlist,
-    mux_style: str = "branch",
-    sanitize: bool = False,
+    build: BuildConfig = BuildConfig(),
     runtime: object = None,
     opt_plan: Optional[OptPlan] = None,
-    opt_level: str = "none",
     elision=None,
     reg_const_init: Optional[Dict[str, int]] = None,
+    key: Optional[ModuleKey] = None,
 ) -> CompiledModule:
     """Compile one specialization into a :class:`CompiledModule`.
 
-    With ``sanitize=True`` the generated source is instrumented with
+    Under ``build.sanitize`` the generated source is instrumented with
     calls into ``runtime`` (a :class:`repro.sanitize.SanitizerRuntime`),
     bound as the module-global ``_san`` at exec time.  ``elision`` (an
     :class:`repro.sanitize.ElisionPlan`) drops ob/tr sites the value
@@ -926,34 +926,23 @@ def compile_module(
     With an ``opt_plan`` (see :mod:`repro.passes`), the emitted code is
     constant-folded, dead logic is dropped, and opt=full adds
     sensitivity guards plus pure-subtree skips.
+
+    ``key`` is the cache address the pass pipeline compiles for; it
+    names the ``linecache`` entry.  Direct callers have none and get
+    the bare ``(spec, build)`` key.
     """
     if opt_plan is not None and opt_plan.is_noop:
         opt_plan = None  # nothing to apply: emit the plain shape
-    if not sanitize:
-        elision = None
+    if key is None:
+        key = ModuleKey(ir.key, build=build)
     started = time.perf_counter()
-    with obs.span("codegen.module", key=ir.key, sanitize=sanitize,
-                  opt=opt_level):
+    with obs.span("codegen.module", key=ir.key, sanitize=build.sanitize,
+                  opt=build.opt):
         compiler = _ModuleCompiler(
-            ir, netlist, mux_style, sanitize=sanitize, plan=opt_plan,
-            elision=elision,
+            ir, netlist, build, plan=opt_plan, elision=elision,
         )
         source = compiler.generate()
-        # Distinct linecache entries per build flavour of the same
-        # specialization (clean / sanitized / elided / optimized).
-        if sanitize:
-            flavor = ":san-e" if elision is not None else ":san"
-            filename = f"<lhdl:{ir.key}{flavor}>"
-        else:
-            filename = f"<lhdl:{ir.key}>"
-        if opt_level != "none":
-            filename = filename[:-1] + f":o-{opt_level}>"
-        code = compile(source, filename, "exec")
-        namespace: Dict[str, object] = {"_san": runtime} if sanitize else {}
-        exec(code, namespace)  # noqa: S102 - generated, trusted code
-        linecache.cache[filename] = (
-            len(source), None, source.splitlines(keepends=True), filename
-        )
+        fns = exec_source(source, key.filename, build, runtime)
     elapsed = time.perf_counter() - started
     obs.incr("codegen.modules_compiled")
     reg_slots = {
@@ -961,45 +950,56 @@ def compile_module(
         for name, sig in ir.signals.items()
         if sig.state_index is not None
     }
-    mem_specs = dict(compiler._mem_slot)
     return CompiledModule(
         key=ir.key,
         name=ir.name,
         ir=ir,
-        eval_out_fn=namespace["eval_out"],  # type: ignore[arg-type]
-        eval_seq_fn=namespace["eval_seq"],  # type: ignore[arg-type]
-        tick_fn=namespace["tick"],  # type: ignore[arg-type]
         source=source,
         inputs=tuple(ir.inputs),
         comb_input_ports=tuple(compiler.comb_ports),
         outputs=tuple(ir.outputs),
         num_regs=ir.num_regs,
-        state_size=(
-            2 * ir.num_regs + CACHE_SLOTS + 2 * len(ir.memories)
-            + (len(ir.memories) + 2 if sanitize else 0)
-            + 2 * compiler.sens_slot_count
-        ),
+        layout=compiler.layout,
         reg_slots=reg_slots,  # type: ignore[arg-type]
         reg_widths={name: ir.signals[name].width for name in reg_slots},
-        mem_specs=mem_specs,
+        mem_specs=dict(compiler._mem_slot),
         child_insts=tuple((i.name, i.child_key) for i in ir.instances),
         interface_fp=ir.interface_fingerprint(),
         source_hash=hashlib.sha256(source.encode()).hexdigest(),
         compile_seconds=elapsed,
-        mux_style=mux_style,
-        sanitize=sanitize,
-        opt=opt_level,
+        build=build,
         sens_slot_count=compiler.sens_slot_count,
         san_sites=compiler._san_sites,
         san_elided=compiler._san_elided,
         reg_const_init=dict(reg_const_init or {}),
+        **fns,
     )
+
+
+def exec_source(
+    source: str, filename: str, build: BuildConfig, runtime: object
+) -> Dict[str, Callable]:
+    """Exec generated ``source`` and return the three entry points as
+    :class:`CompiledModule` keyword arguments (also how the artifact
+    store rehydrates a module).  Instrumented source binds ``runtime``
+    as its ``_san`` global."""
+    namespace: Dict[str, object] = (
+        {"_san": runtime} if build.sanitize else {}
+    )
+    exec(compile(source, filename, "exec"), namespace)  # noqa: S102
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(keepends=True), filename
+    )
+    return {
+        "eval_out_fn": namespace["eval_out"],
+        "eval_seq_fn": namespace["eval_seq"],
+        "tick_fn": namespace["tick"],
+    }
 
 
 def compile_netlist(
     netlist: Netlist,
-    mux_style: str = "branch",
-    sanitize: bool = False,
+    build: BuildConfig = BuildConfig(),
     runtime: object = None,
 ) -> Dict[str, CompiledModule]:
     """Compile every specialization in ``netlist`` (bottom-up).
@@ -1016,9 +1016,7 @@ def compile_netlist(
         ir = netlist.modules[key]
         for inst in ir.instances:
             visit(inst.child_key)
-        compiled[key] = compile_module(
-            ir, netlist, mux_style, sanitize=sanitize, runtime=runtime
-        )
+        compiled[key] = compile_module(ir, netlist, build, runtime)
 
     visit(netlist.top)
     return compiled

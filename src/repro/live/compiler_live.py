@@ -1,12 +1,17 @@
 """LiveCompiler: incremental, cache-driven compilation.
 
-Compilation is cached at specialization granularity.  A compiled module
-is reusable when
+Compilation is cached at specialization granularity, keyed by
+:class:`~repro.codegen.build.ModuleKey`.  A compiled module is reusable
+when
 
 * its own module source (token fingerprint) is unchanged,
-* its parameter set is the same (part of the spec key), and
+* its parameter set is the same (part of the spec key),
 * every child's *interface* fingerprint is unchanged (the parent's
-  generated code depends on child port order/widths, not child bodies).
+  generated code depends on child port order/widths, not child bodies),
+* the value facts its code was specialised on are unchanged, and
+* it was built under the same :class:`~repro.codegen.build.BuildConfig`
+  (every flavour of a design coexists in the cache, so toggling back is
+  a hit).
 
 So a body-only edit recompiles exactly one module; an interface edit
 recompiles the module plus its ancestor chain — matching the paper's
@@ -15,12 +20,13 @@ description of how far a change propagates.
 
 from __future__ import annotations
 
+import linecache
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .. import obs
-from ..codegen.optplan import OPT_LEVELS
+from ..codegen.build import BuildConfig, ModuleKey
 from ..codegen.pygen import CompiledModule
 from ..hdl.ast_nodes import shift_lines
 from ..hdl.elaborate import elaborate
@@ -29,16 +35,6 @@ from ..hdl.parser import parse
 from ..ir.netlist import Netlist
 from ..passes import PassData, build_compile_pipeline
 from .parser_live import LiveParseResult, LiveParser
-
-# (spec key, module fingerprint, child interface fps, mux style,
-#  sanitize flag, opt level, value-facts/plan fp) — sanitized/clean,
-# per-opt-level, and per-facts artifacts coexist in the cache and in
-# the artifact store.  At opt=full the child-fp components carry a
-# "+pure" tag when the child subtree is pure (and, under sanitize,
-# instrumentation-free); the last component is the dataflow-facts
-# digest plus a "+e" elision marker, empty when dataflow is gated off
-# (see repro.passes.codegen.CodegenPass).
-CacheKey = Tuple[str, str, Tuple[str, ...], str, bool, str, str]
 
 
 @dataclass
@@ -51,8 +47,6 @@ class CompileReport:
     parse_seconds: float = 0.0
     elaborate_seconds: float = 0.0
     codegen_seconds: float = 0.0
-    sanitize: bool = False
-    opt: str = "none"
     # Per-pass incrementality accounting (repro.passes): which spec
     # keys each optimization pass recomputed vs served from its cache,
     # and wall time per pass.
@@ -82,65 +76,31 @@ class LiveCompiler:
     def __init__(
         self,
         source: str,
-        mux_style: str = "branch",
+        build: BuildConfig = BuildConfig(),
         store=None,
-        sanitize: bool = False,
         sanitize_runtime=None,
-        san_elide: bool = True,
-        opt: str = "none",
     ):
-        """``store`` is an optional on-disk artifact store (duck-typed
-        ``load(cache_key)`` / ``save(cache_key, module)``, see
+        """``build`` is the flavour every compile is made under; assign
+        :attr:`build` to switch it — artifacts of every flavour coexist
+        in the cache, so switching back is a hit.  Under
+        ``build.sanitize`` the generated code binds ``sanitize_runtime``
+        (a :class:`repro.sanitize.SanitizerRuntime`).
+
+        ``store`` is an optional on-disk artifact store (duck-typed
+        ``load(key, sanitize_runtime=)`` / ``save(key, module)``, see
         :class:`repro.server.store.ArtifactStore`).  The in-memory
         cache reads through it and writes behind it, so artifacts
-        survive restarts and are shared across sessions.
-
-        With ``sanitize=True``, compiles emit instrumented code bound
-        to ``sanitize_runtime`` (a
-        :class:`repro.sanitize.SanitizerRuntime`).  The flag is part of
-        the cache key, so clean and sanitized artifacts coexist and
-        toggling is a cache hit after the first compile.
-
-        ``opt`` selects the optimization level (see
-        :data:`repro.codegen.optplan.OPT_LEVELS`); it too joins the
-        cache key, so per-level artifacts coexist."""
-        if opt not in OPT_LEVELS:
-            raise ValueError(f"unknown opt level {opt!r} (know {OPT_LEVELS})")
+        survive restarts and are shared across sessions."""
         self.parser = LiveParser(source)
         self._design = parse(source)
-        self._mux_style = mux_style
-        self._cache: Dict[CacheKey, CompiledModule] = {}
+        self.build = build
+        self._cache: Dict[ModuleKey, CompiledModule] = {}
         self._store = store
-        self._sanitize = sanitize
         self._sanitize_runtime = sanitize_runtime
-        self._san_elide = san_elide
-        self._opt = opt
         # One pipeline for the compiler's lifetime: the pass instances
         # hold the per-pass caches that make hot reload incremental.
         self._pipeline = build_compile_pipeline()
         self._last_parse_seconds = 0.0
-
-    @property
-    def sanitize(self) -> bool:
-        return self._sanitize
-
-    def set_sanitize(self, enabled: bool, runtime=None) -> None:
-        """Switch instrumented codegen on/off for subsequent compiles."""
-        self._sanitize = enabled
-        if runtime is not None:
-            self._sanitize_runtime = runtime
-
-    @property
-    def opt(self) -> str:
-        return self._opt
-
-    def set_opt(self, level: str) -> None:
-        """Switch the optimization level for subsequent compiles."""
-        if level not in OPT_LEVELS:
-            raise ValueError(
-                f"unknown opt level {level!r} (know {OPT_LEVELS})"
-            )
-        self._opt = level
 
     @property
     def pipeline(self):
@@ -232,9 +192,7 @@ class LiveCompiler:
     ) -> CompileResult:
         """Elaborate + compile ``top`` through the pass pipeline,
         reusing cached modules (and cached per-pass results)."""
-        report = CompileReport(
-            top=top, sanitize=self._sanitize, opt=self._opt
-        )
+        report = CompileReport(top=top)
         report.parse_seconds = self._last_parse_seconds
         self._last_parse_seconds = 0.0
 
@@ -251,16 +209,13 @@ class LiveCompiler:
         data = PassData(
             netlist=netlist,
             fps=fps,
-            mux_style=self._mux_style,
-            sanitize=self._sanitize,
+            build=self.build,
             sanitize_runtime=self._sanitize_runtime,
-            san_elide=self._san_elide,
-            opt=self._opt,
             compile_cache=self._cache,
             store=self._store,
             report=report,
         )
-        with obs.span("codegen", top=top, opt=self._opt):
+        with obs.span("codegen", top=top, opt=self.build.opt):
             self._pipeline.run(data)
         library: Dict[str, CompiledModule] = data.facts["codegen.library"]
         report.codegen_seconds = time.perf_counter() - started
@@ -274,18 +229,22 @@ class LiveCompiler:
 
         The cache only grows when fingerprints change, so a long edit
         session can accumulate dead versions; this trims to the most
-        recently inserted ``keep_generations`` entries per spec key.
-        Returns the number of evicted entries.
+        recently inserted ``keep_generations`` entries per spec key and
+        build flavour (the flavours of one generation are all live: a
+        ``san``/``opt`` toggle comes back to them).  Returns the number
+        of evicted entries.
         """
-        by_spec: Dict[str, List[CacheKey]] = {}
+        by_flavour: Dict[tuple, List[ModuleKey]] = {}
         for cache_key in self._cache:
-            by_spec.setdefault(cache_key[0], []).append(cache_key)
+            by_flavour.setdefault(
+                (cache_key.spec, cache_key.build), []
+            ).append(cache_key)
         evicted = 0
-        for spec, keys in by_spec.items():
-            if len(keys) > keep_generations:
-                for key in keys[: len(keys) - keep_generations]:
-                    del self._cache[key]
-                    evicted += 1
+        for keys in by_flavour.values():
+            for key in keys[: max(0, len(keys) - keep_generations)]:
+                del self._cache[key]
+                linecache.cache.pop(key.filename, None)
+                evicted += 1
         if evicted:
             obs.incr("compile.cache_evicted", evicted)
             obs.gauge("compile.cache_size", len(self._cache))

@@ -660,6 +660,7 @@ _WORKER_TESTBENCHES: Dict[Tuple, Testbench] = {}
 def _cached_design(context: WorkerContext) -> Tuple[str, Dict, bool]:
     """(top key, compiled library, compiled-now flag) for the context's
     fingerprint, compiling at most once per fingerprint per worker."""
+    from ..codegen.build import BuildConfig
     from ..codegen.pygen import compile_netlist
     from ..hdl.elaborate import elaborate
     from ..hdl.parser import parse
@@ -670,7 +671,9 @@ def _cached_design(context: WorkerContext) -> Tuple[str, Dict, bool]:
         return entry[0], entry[1], False
     design = parse(context.source)
     netlist = elaborate(design, context.top, context.params)
-    library = compile_netlist(netlist, context.mux_style)
+    library = compile_netlist(
+        netlist, BuildConfig(mux_style=context.mux_style)
+    )
     while len(_WORKER_DESIGNS) >= WORKER_DESIGN_CACHE_SIZE:
         _WORKER_DESIGNS.pop(next(iter(_WORKER_DESIGNS)))
     _WORKER_DESIGNS[fingerprint] = (netlist.top, library)

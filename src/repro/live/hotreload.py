@@ -196,15 +196,16 @@ class HotReloader:
                 new_state[slot + num_regs] = value
                 report.registers_migrated += 1
 
-        old_sanitized = getattr(old_code, "sanitize", False)
-        if new_code.sanitize:
+        old_sanitized = old_code.build.sanitize
+        if new_code.build.sanitize:
             # State this reload *introduces* (registers with no migrated
             # value) is poison — the sanitizer's uninit-read check fires
             # if the new logic reads it before writing it.  Same-name
             # migrated registers carry the old poison bit; renames drop
             # it (documented limitation).
             old_poison = (
-                inst.state[old_code.reg_poison_slot] if old_sanitized else 0
+                inst.state[old_code.layout.reg_poison_slot]
+                if old_sanitized else 0
             )
             # A CREATE op materializes a value the simulation never
             # computed — poisoned just like a register with no migrated
@@ -217,7 +218,7 @@ class HotReloader:
             # from-reset run would hold is fully known, so reading it is
             # not reading uninitialized state (the "fully-known init"
             # elision case).  CREATE'd registers keep user semantics.
-            const_init = getattr(new_code, "reg_const_init", {})
+            const_init = new_code.reg_const_init
             pbits = 0
             for name, slot in new_code.reg_slots.items():
                 if name not in migrated or name in created:
@@ -234,7 +235,7 @@ class HotReloader:
                     old_slot = old_code.reg_slots.get(name)
                     if old_slot is not None and (old_poison >> old_slot) & 1:
                         pbits |= 1 << slot
-            new_state[new_code.reg_poison_slot] = pbits
+            new_state[new_code.layout.reg_poison_slot] = pbits
 
         # Memories follow the same rules, keyed by (possibly renamed)
         # name; shrunk widths mask, changed depths copy the overlap.
@@ -264,7 +265,7 @@ class HotReloader:
             )
             report.memories_migrated += 1
 
-        if new_code.sanitize:
+        if new_code.build.sanitize:
             for name, spec in new_code.mem_specs.items():
                 carried = copied.get(name)
                 if carried is None:

@@ -19,7 +19,7 @@ checkpoint reload -> replay — the under-2-seconds path of Figs. 7/8.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
@@ -31,6 +31,7 @@ from ..analyze import (
     evaluate_gate,
     sort_diagnostics,
 )
+from ..codegen.build import BuildConfig
 from ..codegen.optplan import OPT_LEVELS
 from ..hdl.errors import HDLError, SimulationError
 from ..sanitize import SANITIZE_MODES, SanitizerRuntime
@@ -67,6 +68,15 @@ from .transform import (
 )
 
 
+def _build(base: BuildConfig, **changes) -> BuildConfig:
+    """``base`` with ``changes``; an invalid value is the session's
+    error type, not :class:`BuildConfig`'s ``ValueError``."""
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:
+        raise SimulationError(str(exc)) from None
+
+
 @dataclass
 class ERDReport:
     """Timing breakdown of one edit-run-debug iteration (Fig. 8)."""
@@ -100,13 +110,9 @@ class ERDReport:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     new_findings: List[Diagnostic] = field(default_factory=list)
     gate_overridden: bool = False
-    # Sanitizer accounting.  Sanitized and clean compiles populate
-    # *different* cache entries, so bench ablation rows must not mix
-    # them: recompiled/reused_keys above hold the union, these two hold
-    # the sanitized subset.
+    # Whether this iteration compiled instrumented code.  The flag is
+    # session-wide, so it holds for every key in recompiled/reused_keys.
     sanitize: bool = False
-    sanitized_recompiled_keys: List[str] = field(default_factory=list)
-    sanitized_reused_keys: List[str] = field(default_factory=list)
     # Pass-framework accounting (repro.passes): the active opt level
     # and, per optimization pass, which spec keys were recomputed vs
     # served from the pass's fingerprint cache this iteration.  A hot
@@ -171,10 +177,6 @@ class LiveSession:
                 f"unknown sanitize mode {sanitize!r}; expected one of "
                 f"{SANITIZE_MODES}"
             )
-        if opt not in OPT_LEVELS:
-            raise SimulationError(
-                f"unknown opt level {opt!r}; expected one of {OPT_LEVELS}"
-            )
         # One runtime per session, forever: instrumented code exec'd at
         # any point binds this exact object, so mode flips are live in
         # already-compiled modules.
@@ -182,12 +184,12 @@ class LiveSession:
         self._sanitize_mode = sanitize
         self.compiler = LiveCompiler(
             source,
-            mux_style=mux_style,
+            build=_build(
+                BuildConfig(), mux_style=mux_style,
+                sanitize=sanitize != "off", opt=opt, san_elide=san_elide,
+            ),
             store=artifact_store,
-            sanitize=sanitize != "off",
             sanitize_runtime=self.sanitize_runtime,
-            san_elide=san_elide,
-            opt=opt,
         )
         self.analyzer = analyzer if analyzer is not None else Analyzer()
         self.gate_policy = (
@@ -206,7 +208,6 @@ class LiveSession:
         self.reload_distance = reload_distance
         self.checkpoints_enabled = checkpoints_enabled
         self._gc_policy = gc_policy or GCPolicy()
-        self._mux_style = mux_style
         self._pipe_sessions: Dict[str, _PipeSession] = {}
         self._testbenches: Dict[str, Testbench] = {}
         self._tb_specs: Dict[str, Tuple[str, Dict]] = {}
@@ -568,8 +569,8 @@ class LiveSession:
         report = ERDReport(
             behavioral=parse_result.behavioral,
             version=self.version,
-            sanitize=self.compiler.sanitize,
-            opt=self.compiler.opt,
+            sanitize=self.compiler.build.sanitize,
+            opt=self.compiler.build.opt,
         )
         report.parse_seconds = parse_result.parse_seconds
         obs.incr("live.apply_changes")
@@ -620,13 +621,6 @@ class LiveSession:
             result = compile_results[name]
             report.recompiled_keys.extend(result.report.recompiled_keys)
             report.reused_keys.extend(result.report.reused_keys)
-            if result.report.sanitize:
-                report.sanitized_recompiled_keys.extend(
-                    result.report.recompiled_keys
-                )
-                report.sanitized_reused_keys.extend(
-                    result.report.reused_keys
-                )
             for pass_name, keys in result.report.pass_computed.items():
                 report.pass_computed_keys.setdefault(
                     pass_name, []
@@ -856,17 +850,51 @@ class LiveSession:
         return merged
 
     # ------------------------------------------------------------------
-    # Runtime sanitizer (repro.sanitize)
+    # Build flavour: sanitizer (repro.sanitize), opt level (repro.passes)
     # ------------------------------------------------------------------
+
+    def set_build(self, build: BuildConfig) -> Dict[str, List[str]]:
+        """Recompile every pipe under ``build`` and hot swap the new
+        libraries in, preserving all state.
+
+        Every flavour's artifacts coexist in the compile cache, so
+        returning to one already visited recompiles nothing.  All pipes
+        compile before any is swapped, so a failed compile leaves the
+        session as it was.
+        """
+        previous = self.compiler.build
+        recompiled: List[str] = []
+        swapped: List[str] = []
+        if build != previous:
+            with obs.span("build.toggle", sanitize=build.sanitize,
+                          opt=build.opt):
+                self.compiler.build = build
+                try:
+                    results = {
+                        name: self.compiler.compile_top(
+                            session.module, session.params
+                        )
+                        for name, session in self._pipe_sessions.items()
+                    }
+                except HDLError:
+                    self.compiler.build = previous
+                    raise
+                reloader = HotReloader()
+                for name, session in self._pipe_sessions.items():
+                    result = results[name]
+                    recompiled.extend(result.report.recompiled_keys)
+                    reloader.swap_pipe(session.pipe, result.library)
+                    session.compile_result = result
+                    if session.trace is not None:
+                        session.trace.rebind(session.pipe)
+                    swapped.append(name)
+        return {"recompiled_keys": recompiled, "swapped_pipes": swapped}
 
     def set_sanitize(self, mode: str) -> Dict[str, object]:
         """Switch the sanitizer mode for this session.
 
-        ``report`` <-> ``trap`` is a pure runtime flip.  Crossing the
-        ``off`` boundary recompiles every pipe with (or without)
-        instrumentation — a cache hit after the first toggle, since the
-        sanitize flag is part of the compile cache key — and hot swaps
-        the new library in, preserving all state.
+        ``report`` <-> ``trap`` is a pure runtime flip; crossing the
+        ``off`` boundary is a :meth:`set_build`.
         """
         if mode not in SANITIZE_MODES:
             raise SimulationError(
@@ -874,34 +902,13 @@ class LiveSession:
                 f"{SANITIZE_MODES}"
             )
         previous = self._sanitize_mode
+        result = self.set_build(
+            _build(self.compiler.build, sanitize=mode != "off")
+        )
         self.sanitize_runtime.mode = mode
         self._sanitize_mode = mode
-        want = mode != "off"
-        recompiled: List[str] = []
-        swapped: List[str] = []
-        if want != self.compiler.sanitize:
-            with obs.span("sanitize.toggle", mode=mode):
-                self.compiler.set_sanitize(
-                    want, runtime=self.sanitize_runtime
-                )
-                reloader = HotReloader()
-                for name, session in self._pipe_sessions.items():
-                    result = self.compiler.compile_top(
-                        session.module, session.params
-                    )
-                    recompiled.extend(result.report.recompiled_keys)
-                    reloader.swap_pipe(session.pipe, result.library)
-                    session.compile_result = result
-                    if session.trace is not None:
-                        session.trace.rebind(session.pipe)
-                    swapped.append(name)
         obs.incr("sanitize.toggles")
-        return {
-            "mode": mode,
-            "previous": previous,
-            "recompiled_keys": recompiled,
-            "swapped_pipes": swapped,
-        }
+        return {"mode": mode, "previous": previous, **result}
 
     @property
     def sanitize_mode(self) -> str:
@@ -910,59 +917,24 @@ class LiveSession:
     def sanitize_status(self) -> Dict[str, object]:
         """Mode, per-check hit counters, and finding count."""
         status = self.sanitize_runtime.status()
-        status["instrumented"] = self.compiler.sanitize
+        status["instrumented"] = self.compiler.build.sanitize
         return status
 
-    # ------------------------------------------------------------------
-    # Optimization level (repro.passes)
-    # ------------------------------------------------------------------
-
     def set_opt(self, level: str) -> Dict[str, object]:
-        """Switch the optimization level for this session.
-
-        Changing level recompiles every pipe through the pass pipeline
-        at the new level — a cache hit after the first toggle, since
-        the opt level is part of the compile cache key — and hot swaps
-        the new library in, preserving all state.
-        """
-        if level not in OPT_LEVELS:
-            raise SimulationError(
-                f"unknown opt level {level!r}; expected one of "
-                f"{OPT_LEVELS}"
-            )
-        previous = self.compiler.opt
-        recompiled: List[str] = []
-        swapped: List[str] = []
-        if level != previous:
-            with obs.span("opt.toggle", level=level):
-                self.compiler.set_opt(level)
-                reloader = HotReloader()
-                for name, session in self._pipe_sessions.items():
-                    result = self.compiler.compile_top(
-                        session.module, session.params
-                    )
-                    recompiled.extend(result.report.recompiled_keys)
-                    reloader.swap_pipe(session.pipe, result.library)
-                    session.compile_result = result
-                    if session.trace is not None:
-                        session.trace.rebind(session.pipe)
-                    swapped.append(name)
+        """Switch the optimization level: a :meth:`set_build`."""
+        previous = self.compiler.build
+        result = self.set_build(_build(previous, opt=level))
         obs.incr("opt.toggles")
-        return {
-            "level": level,
-            "previous": previous,
-            "recompiled_keys": recompiled,
-            "swapped_pipes": swapped,
-        }
+        return {"level": level, "previous": previous.opt, **result}
 
     @property
     def opt(self) -> str:
-        return self.compiler.opt
+        return self.compiler.build.opt
 
     def opt_status(self) -> Dict[str, object]:
         """Current level and the pipeline's pass order."""
         return {
-            "level": self.compiler.opt,
+            "level": self.compiler.build.opt,
             "levels": list(OPT_LEVELS),
             "passes": self.compiler.pipeline.order,
         }
@@ -1297,7 +1269,7 @@ class LiveSession:
             source=self.compiler.source,
             top=session.module,
             params=session.params,
-            mux_style=self._mux_style,
+            mux_style=self.compiler.build.mux_style,
             tb_specs=dict(self._tb_specs),
         )
 

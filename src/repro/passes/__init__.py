@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..codegen.build import BuildConfig
 from ..codegen.optplan import OPT_LEVELS
 from ..codegen.pygen import CompiledModule
 from ..ir.netlist import Netlist
@@ -74,11 +75,8 @@ def build_compile_pipeline() -> PassPipeline:
 
 def run_opt_pipeline(
     netlist: Netlist,
-    opt: str = "none",
-    mux_style: str = "branch",
-    sanitize: bool = False,
+    build: BuildConfig,
     sanitize_runtime=None,
-    san_elide: bool = True,
     fps: Optional[Dict[str, str]] = None,
 ) -> Dict[str, CompiledModule]:
     """One-shot compile of ``netlist`` through the pass pipeline.
@@ -86,16 +84,11 @@ def run_opt_pipeline(
     Returns key -> CompiledModule for every specialization under the
     top.  Fresh pass instances each call: no cross-call caching.
     """
-    if opt not in OPT_LEVELS:
-        raise ValueError(f"unknown opt level {opt!r} (know {OPT_LEVELS})")
     data = PassData(
         netlist=netlist,
         fps=fps or {},
-        mux_style=mux_style,
-        sanitize=sanitize,
+        build=build,
         sanitize_runtime=sanitize_runtime,
-        san_elide=san_elide,
-        opt=opt,
     )
     build_compile_pipeline().run(data)
     return data.facts["codegen.library"]

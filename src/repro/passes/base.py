@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
+from ..codegen.build import BuildConfig
 from ..ir.netlist import Netlist
 
 
@@ -35,13 +36,8 @@ class PassData:
 
     netlist: Netlist
     fps: Dict[str, str] = field(default_factory=dict)  # module name -> fp
-    mux_style: str = "branch"
-    sanitize: bool = False
-    sanitize_runtime: Any = None
-    # Proof-driven check elision (repro.sanitize.elide).  On by
-    # default; the bench flips it off to measure the overhead delta.
-    san_elide: bool = True
-    opt: str = "none"
+    build: BuildConfig = BuildConfig()
+    sanitize_runtime: Any = None  # bound by instrumented code at exec
     compile_cache: Optional[Dict] = None
     store: Any = None
     report: Any = None  # CompileReport, when driven by LiveCompiler
@@ -93,7 +89,7 @@ class PassPipeline:
     def run(self, data: PassData) -> PassData:
         for p in self.passes:
             started = time.perf_counter()
-            with obs.span(f"passes.{p.name}", opt=data.opt):
+            with obs.span(f"passes.{p.name}", opt=data.build.opt):
                 p.run(data)
             elapsed = time.perf_counter() - started
             if data.report is not None:

@@ -7,14 +7,14 @@ proven constant init for hot-reload migration, and which subtrees are
 instrumentation-free (so the dynamic optimization passes can stack
 with the sanitizer).
 
-``CodegenPass`` holds what used to be ``LiveCompiler.compile_top``'s
-visit loop: bottom-up over the instance tree, with the in-memory
+``CodegenPass`` visits the instance tree bottom-up with the in-memory
 compile cache in front of the artifact store in front of
-``compile_module``.  It assembles each specialization's
-:class:`~repro.codegen.optplan.OptPlan` from the optimization facts
-and folds the opt level plus the value-facts digest into the cache
-key, so plain, optimized, sanitized, and elided artifacts all coexist
-(``repro.store/v4``).
+``compile_module``.  It addresses all three by one
+:class:`~repro.codegen.build.ModuleKey` per specialization — source
+fingerprint, child interfaces, value-facts digest and the session's
+:class:`~repro.codegen.build.BuildConfig` — so plain, optimized,
+sanitized and elided artifacts coexist, and assembles the
+:class:`~repro.codegen.optplan.OptPlan` a miss compiles with.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .. import obs
+from ..codegen.build import ModuleKey
 from ..codegen.optplan import OptPlan
 from ..codegen.pygen import CompiledModule, compile_module
 from ..sanitize.elide import (
@@ -50,7 +51,7 @@ class SanitizePlanPass(Pass):
         self._cache: Dict[Tuple[str, str, str], Tuple[ElisionPlan, dict]] = {}
 
     def run(self, data: PassData) -> None:
-        enabled = bool(data.sanitize)
+        enabled = data.build.sanitize
         plan: Dict[str, object] = {
             "enabled": enabled,
             "runtime": data.sanitize_runtime if enabled else None,
@@ -60,7 +61,7 @@ class SanitizePlanPass(Pass):
         }
         if enabled:
             plan["san_free"] = san_free_keys(data.netlist)
-            if data.san_elide:
+            if data.build.san_elide:
                 facts = data.facts["dataflow.facts"]
                 elide: Dict[str, ElisionPlan] = {}
                 const_init: Dict[str, dict] = {}
@@ -99,13 +100,12 @@ class CodegenPass(Pass):
     def run(self, data: PassData) -> None:
         netlist = data.netlist
         report = data.report
+        build = data.build
         san_plan = data.facts["sanitize.plan"]
-        sanitize = san_plan["enabled"]
         runtime = san_plan["runtime"]
         elide_plans: Dict[str, ElisionPlan] = san_plan["elide"]
         const_init: Dict[str, dict] = san_plan["const_init"]
         san_free = san_plan["san_free"]
-        opt = data.opt
         elab = data.facts["elab.facts"]
         value_facts = data.facts["dataflow.facts"]
         consts_facts = data.facts["opt.consts"]
@@ -120,7 +120,7 @@ class CodegenPass(Pass):
             dead = dead_facts.get(key, _EMPTY_DEAD)
             sens = sens_facts.get(key, _EMPTY_SENS)
             return OptPlan(
-                level=opt,
+                level=build.opt,
                 consts=consts,
                 const_widths=widths,
                 dead_assigns=tuple(sorted(dead.assigns)),
@@ -130,21 +130,15 @@ class CodegenPass(Pass):
                 skip_children=sens.skip_children,
             )
 
-        def plan_fp(key: str) -> str:
+        def facts_fp(key: str) -> str:
             # The generated code is a function of the value facts
             # whenever any consumer is active (optimizer consts, or
             # sanitizer elision); cross-module fact flow means a parent
             # edit can change a child's facts without touching the
             # child's own fingerprint, so the digest must join the key.
-            # Empty when dataflow is gated off (opt=none, no sanitize)
-            # to keep the legacy key shape.
+            # Empty when dataflow is gated off (opt=none, no sanitize).
             mod_facts = value_facts.get(key)
-            if mod_facts is None:
-                return ""
-            fp = mod_facts.digest
-            if key in elide_plans:
-                fp += "+e"
-            return fp
+            return mod_facts.digest if mod_facts is not None else ""
 
         def child_fp(inst, compiled: CompiledModule) -> str:
             # At opt=full a parent's code depends on child *purity*
@@ -153,8 +147,8 @@ class CodegenPass(Pass):
             # Under sanitize the skip additionally requires the child
             # subtree to carry zero instrumentation sites.
             fp = compiled.interface_fp
-            if opt == "full" and elab[inst.child_key].pure and (
-                not sanitize or inst.child_key in san_free
+            if build.opt == "full" and elab[inst.child_key].pure and (
+                not build.sanitize or inst.child_key in san_free
             ):
                 fp += "+pure"
             return fp
@@ -167,54 +161,40 @@ class CodegenPass(Pass):
                 child_fp(inst, visit(inst.child_key))
                 for inst in ir.instances
             )
-            cache_key = (
-                key, data.fingerprint(ir.name), child_fps,
-                data.mux_style, sanitize, opt, plan_fp(key),
+            cache_key = ModuleKey(
+                key, data.fingerprint(ir.name), child_fps, facts_fp(key),
+                build,
             )
-            if cache is not None:
-                cached = cache.get(cache_key)
-                if cached is not None:
-                    library[key] = cached
-                    if report is not None:
-                        report.reused_keys.append(key)
-                    obs.incr("compile.cache_hits")
-                    return cached
-            if store is not None:
-                if sanitize:
-                    # Rehydrated instrumented code must rebind this
-                    # session's sanitizer runtime.
-                    stored = store.load(cache_key, sanitize_runtime=runtime)
-                else:
-                    stored = store.load(cache_key)
-                if stored is not None:
-                    # Disk hit: the generated code is reused with zero
-                    # codegen, exactly like a memory hit — it just also
-                    # worked across a restart or another session.
-                    if cache is not None:
-                        cache[cache_key] = stored
-                    library[key] = stored
-                    if report is not None:
-                        report.reused_keys.append(key)
-                    return stored
-            compiled = compile_module(
-                ir,
-                netlist,
-                data.mux_style,
-                sanitize=sanitize,
-                runtime=runtime,
-                opt_plan=plan_for(key) if opt != "none" else None,
-                opt_level=opt,
-                elision=elide_plans.get(key) if sanitize else None,
-                reg_const_init=const_init.get(key),
-            )
+            compiled = cache.get(cache_key) if cache is not None else None
+            if compiled is not None:
+                obs.incr("compile.cache_hits")
+            elif store is not None:
+                # A disk hit reuses the generated code with zero codegen,
+                # like a memory hit that also works across a restart or
+                # another session; instrumented code rebinds this
+                # session's sanitizer runtime.
+                compiled = store.load(cache_key, sanitize_runtime=runtime)
+            reused = compiled is not None
+            if not reused:
+                compiled = compile_module(
+                    ir,
+                    netlist,
+                    build,
+                    runtime=runtime,
+                    opt_plan=plan_for(key) if build.opt != "none" else None,
+                    elision=elide_plans.get(key),
+                    reg_const_init=const_init.get(key),
+                    key=cache_key,
+                )
+                obs.incr("compile.cache_misses")
+                if store is not None:
+                    store.save(cache_key, compiled)
             if cache is not None:
                 cache[cache_key] = compiled
             library[key] = compiled
             if report is not None:
-                report.recompiled_keys.append(key)
-            obs.incr("compile.cache_misses")
-            if store is not None:
-                store.save(cache_key, compiled)
+                (report.reused_keys if reused
+                 else report.recompiled_keys).append(key)
             return compiled
 
         visit(netlist.top)

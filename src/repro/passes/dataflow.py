@@ -1349,7 +1349,7 @@ class ValueFactsPass(Pass):
         self._cache: Dict[tuple, ModuleValueFacts] = {}
 
     def run(self, data: PassData) -> None:
-        if data.opt == "none" and not data.sanitize:
+        if data.build.opt == "none" and not data.build.sanitize:
             data.facts["dataflow.facts"] = {}
             return
         data.facts["dataflow.facts"] = compute_netlist_facts(

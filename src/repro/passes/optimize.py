@@ -103,7 +103,7 @@ class ConstPropPass(Pass):
 
     def run(self, data: PassData) -> None:
         out: Dict[str, Tuple[dict, dict]] = {}
-        if data.opt != "none":
+        if data.build.opt != "none":
             value_facts = data.facts["dataflow.facts"]
             for key, ir in data.netlist.modules.items():
                 mod_facts = value_facts.get(key)
@@ -205,9 +205,9 @@ class DeadLogicPass(Pass):
 
     def run(self, data: PassData) -> None:
         out: Dict[str, DeadFacts] = {}
-        if data.opt != "none":
+        if data.build.opt != "none":
             consts_facts = data.facts["opt.consts"]
-            sanitize = bool(data.sanitize)
+            sanitize = data.build.sanitize
             for key, ir in data.netlist.modules.items():
                 cache_key = (key, data.fingerprint(ir.name), sanitize)
                 cached = self._cache.get(cache_key)
@@ -316,7 +316,7 @@ class SensitivityPrunePass(Pass):
 
     def run(self, data: PassData) -> None:
         out: Dict[str, SensFacts] = {}
-        if data.opt == "full":
+        if data.build.opt == "full":
             elab = data.facts["elab.facts"]
             dead_facts = data.facts["opt.dead"]
             san_plan = data.facts["sanitize.plan"]

@@ -1,6 +1,6 @@
 """The runtime half of the sanitizer: the hooks generated code calls.
 
-Instrumented modules (``compile_module(..., sanitize=True)``) are
+Instrumented modules (``compile_module`` under ``build.sanitize``) are
 exec'd with ``_san`` bound to one shared :class:`SanitizerRuntime` per
 session.  The hook names are deliberately terse — they appear once per
 instrumented site in the generated source:

@@ -45,7 +45,7 @@ from .service import (
     UnknownSessionError,
 )
 from .shard import HashRing, SessionJournal, WorkerConfig
-from .store import STORE_FORMAT, ArtifactStore, key_digest
+from .store import STORE_FORMAT, ArtifactStore
 
 
 def __getattr__(name):
@@ -84,5 +84,4 @@ __all__ = [
     "UnknownSessionError",
     "WorkerCommandError",
     "WorkerConfig",
-    "key_digest",
 ]

@@ -120,10 +120,6 @@ def summarize(value: Any) -> Any:
             "new_findings": [d.to_json() for d in value.new_findings],
             "gate_overridden": value.gate_overridden,
             "sanitize": value.sanitize,
-            "sanitized_recompiled_keys": list(
-                value.sanitized_recompiled_keys
-            ),
-            "sanitized_reused_keys": list(value.sanitized_reused_keys),
             "opt": value.opt,
             "pass_computed_keys": {
                 name: list(keys)

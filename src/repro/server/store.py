@@ -1,9 +1,9 @@
 """Content-addressed on-disk store for compiled-module artifacts.
 
 :class:`~repro.live.compiler_live.LiveCompiler` caches compiled modules
-in memory keyed by ``(spec, fingerprint, child_fps, mux_style)`` — the
-exact conditions under which a compiled module is reusable.  This store
-persists those artifacts under the same key so they outlive the
+in memory keyed by :class:`~repro.codegen.build.ModuleKey` — the exact
+conditions under which a compiled module is reusable.  This store
+persists those artifacts at the key's ``digest`` so they outlive the
 process: a warm server restart, or a second session compiling the same
 design, loads the generated code from disk instead of running codegen.
 
@@ -18,6 +18,8 @@ Writes are atomic (tmp file in the same directory + ``os.replace``) so
 concurrent sessions — or a crash mid-write — can never publish a torn
 artifact.  The store is a cache: every failure path (corrupt file,
 version skew, full disk) degrades to a miss and the compiler recompiles.
+The digest folds in :data:`STORE_FORMAT`, so a directory written under
+another format is never addressed: a cold cache, not an error.
 
 Counters: ``compile.store_hits`` / ``compile.store_misses`` /
 ``compile.store_writes`` / ``compile.store_errors``.
@@ -25,95 +27,22 @@ Counters: ``compile.store_hits`` / ``compile.store_misses`` /
 
 from __future__ import annotations
 
-import hashlib
-import json
-import linecache
+import dataclasses
 import os
 import pickle
 import tempfile
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .. import obs
-from ..codegen.pygen import CompiledModule
-
-# Bumped whenever the pickled payload layout or the CompiledModule
-# field set changes; artifacts with another format read as misses.
-# v2: CompiledModule grew a ``sanitize`` field and the cache key a
-# sanitize flag (clean and instrumented artifacts coexist).
-# v3: CompiledModule grew ``opt`` and ``sens_slot_count`` and the
-# cache key an opt level (per-level artifacts coexist; legacy keys
-# address opt=none).
-# v4: CompiledModule grew ``san_sites``/``san_elided``/
-# ``reg_const_init`` and the cache key a value-facts/plan fingerprint
-# (per-facts artifacts coexist; legacy keys address plan_fp="").
-STORE_FORMAT = "repro.store/v4"
+from ..codegen.build import STORE_FORMAT, ModuleKey
+from ..codegen.pygen import CompiledModule, exec_source
 
 # CompiledModule fields persisted to disk — everything except the
 # three function objects, which are rebuilt from ``source`` on load.
-_PICKLED_FIELDS = (
-    "key",
-    "name",
-    "ir",
-    "source",
-    "inputs",
-    "comb_input_ports",
-    "outputs",
-    "num_regs",
-    "state_size",
-    "reg_slots",
-    "reg_widths",
-    "mem_specs",
-    "child_insts",
-    "interface_fp",
-    "source_hash",
-    "compile_seconds",
-    "mux_style",
-    "sanitize",
-    "opt",
-    "sens_slot_count",
-    "san_sites",
-    "san_elided",
-    "reg_const_init",
+_PICKLED_FIELDS = tuple(
+    f.name for f in dataclasses.fields(CompiledModule)
+    if not f.name.endswith("_fn")
 )
-
-
-def key_digest(cache_key: Sequence) -> str:
-    """Stable content address for one compiler cache key.
-
-    Legacy 4-tuple keys (pre-sanitizer) digest identically to the
-    equivalent 7-tuple with ``sanitize=False, opt="none",
-    plan_fp=""``; legacy 5-/6-tuples likewise address the defaults for
-    the components they omit.
-    """
-    spec, fingerprint, child_fps, mux_style = cache_key[:4]
-    sanitize = bool(cache_key[4]) if len(cache_key) > 4 else False
-    opt = cache_key[5] if len(cache_key) > 5 else "none"
-    plan_fp = cache_key[6] if len(cache_key) > 6 else ""
-    parts = [spec, fingerprint, list(child_fps), mux_style]
-    if sanitize:
-        # Appended only when set, so clean keys keep their v1 address.
-        parts.append("sanitize")
-    if opt != "none":
-        # Same discipline: unoptimized keys keep their legacy address.
-        parts.append(f"opt:{opt}")
-    if plan_fp:
-        # And again: facts-independent keys keep their legacy address.
-        parts.append(f"plan:{plan_fp}")
-    canonical = json.dumps(parts)
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _normalize_key(cache_key: Sequence) -> tuple:
-    """Canonical 7-tuple form (legacy keys get sanitize=False,
-    opt="none", and/or plan_fp="")."""
-    key = tuple(cache_key)
-    if len(key) == 4:
-        key = key + (False,)
-    if len(key) == 5:
-        key = key + ("none",)
-    if len(key) == 6:
-        key = key + ("",)
-    return key
 
 
 class ArtifactStore:
@@ -124,14 +53,14 @@ class ArtifactStore:
 
     # -- paths ---------------------------------------------------------------
 
-    def path_for(self, cache_key: Sequence) -> str:
-        digest = key_digest(cache_key)
+    def path_for(self, cache_key: ModuleKey) -> str:
+        digest = cache_key.digest
         return os.path.join(self.root, digest[:2], digest + ".pkl")
 
     # -- read-through --------------------------------------------------------
 
     def load(
-        self, cache_key: Sequence, sanitize_runtime=None
+        self, cache_key: ModuleKey, sanitize_runtime=None
     ) -> Optional[CompiledModule]:
         """Rehydrate the artifact for ``cache_key`` or None on a miss.
 
@@ -160,16 +89,14 @@ class ArtifactStore:
         return module
 
     def _rehydrate(
-        self, cache_key: Sequence, payload, sanitize_runtime=None
+        self, cache_key: ModuleKey, payload, sanitize_runtime=None
     ) -> Optional[CompiledModule]:
         if not isinstance(payload, dict):
             obs.incr("compile.store_errors")
             return None
         if payload.get("format") != STORE_FORMAT:
             return None  # version skew, not corruption: silent miss
-        if _normalize_key(payload.get("cache_key", ())) != _normalize_key(
-            cache_key
-        ):
+        if payload.get("cache_key") != cache_key:
             # Digest collision or a tampered file; never serve it.
             obs.incr("compile.store_errors")
             return None
@@ -177,9 +104,7 @@ class ArtifactStore:
         if not isinstance(fields, dict) or set(fields) != set(_PICKLED_FIELDS):
             obs.incr("compile.store_errors")
             return None
-        source = fields["source"]
-        sanitized = bool(fields.get("sanitize"))
-        if sanitized and sanitize_runtime is None:
+        if cache_key.build.sanitize and sanitize_runtime is None:
             # An instrumented artifact without a runtime to bind would
             # crash at eval time; treat as a miss and recompile.
             obs.incr("compile.store_errors")
@@ -188,47 +113,28 @@ class ArtifactStore:
                 "loaded without a sanitize_runtime"
             )
             return None
-        plan_fp = cache_key[6] if len(cache_key) > 6 else ""
-        if sanitized:
-            # Mirror compile_module's elided-build flavour so the
-            # linecache entry matches the original compile.
-            flavor = ":san-e" if plan_fp.endswith("+e") else ":san"
-            filename = f"<lhdl:{fields['key']}{flavor}>"
-        else:
-            filename = f"<lhdl:{fields['key']}>"
-        opt_level = fields.get("opt", "none")
-        if opt_level != "none":
-            # Mirror compile_module's per-flavour linecache naming.
-            filename = filename[:-1] + f":o-{opt_level}>"
         try:
-            namespace: dict = (
-                {"_san": sanitize_runtime} if sanitized else {}
-            )
-            exec(compile(source, filename, "exec"), namespace)  # noqa: S102
-            module = CompiledModule(
-                eval_out_fn=namespace["eval_out"],
-                eval_seq_fn=namespace["eval_seq"],
-                tick_fn=namespace["tick"],
+            return CompiledModule(
+                **exec_source(
+                    fields["source"], cache_key.filename, cache_key.build,
+                    sanitize_runtime,
+                ),
                 **fields,
             )
         except Exception as exc:  # corrupt source: degrade to a miss
             obs.incr("compile.store_errors")
             _note_error(f"rehydrate {fields.get('key')}: {exc}")
             return None
-        linecache.cache[filename] = (
-            len(source), None, source.splitlines(keepends=True), filename
-        )
-        return module
 
     # -- write-behind --------------------------------------------------------
 
-    def save(self, cache_key: Sequence, module: CompiledModule) -> bool:
+    def save(self, cache_key: ModuleKey, module: CompiledModule) -> bool:
         """Persist one artifact; returns False (and counts an error)
         when the write fails — the store never breaks a compile."""
         path = self.path_for(cache_key)
         payload = {
             "format": STORE_FORMAT,
-            "cache_key": _normalize_key(cache_key),
+            "cache_key": cache_key,
             "fields": {
                 name: getattr(module, name) for name in _PICKLED_FIELDS
             },

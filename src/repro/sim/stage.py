@@ -138,8 +138,8 @@ class StageInst:
         self.state[slot] = value & mask
         # Keep pending consistent so a poke survives an eval-less tick.
         self.state[slot + self.code.num_regs] = value & mask
-        if self.code.sanitize:
-            self.state[self.code.reg_poison_slot] &= ~(1 << slot)
+        if self.code.build.sanitize:
+            self.state[self.code.layout.reg_poison_slot] &= ~(1 << slot)
         self._drop_cached_evals()
 
     def memory(self, name: str) -> List[int]:
@@ -157,8 +157,8 @@ class StageInst:
         state = self.state
         reg_poison: Tuple[str, ...] = ()
         mem_poison: Dict[str, int] = {}
-        if self.code.sanitize:
-            pbits = state[self.code.reg_poison_slot]
+        if self.code.build.sanitize:
+            pbits = state[self.code.layout.reg_poison_slot]
             reg_poison = tuple(
                 name
                 for name, slot in self.code.reg_slots.items()
@@ -210,7 +210,7 @@ class StageInst:
                 raise SimulationError(f"snapshot memory {name!r} mismatch")
             self.state[spec.slot][:] = words
             del self.state[spec.pending_slot][:]
-        if self.code.sanitize:
+        if self.code.build.sanitize:
             self._restore_poison(
                 getattr(snap, "reg_poison", ()),
                 getattr(snap, "mem_poison", {}),
@@ -243,7 +243,7 @@ class StageInst:
             value = migrated.get(name, 0) & ((1 << self.code.reg_widths[name]) - 1)
             self.state[slot] = value
             self.state[slot + num_regs] = value
-        if self.code.sanitize:
+        if self.code.build.sanitize:
             # Registers the translated snapshot never carried are fresh
             # state: mark them poisoned ("skip_init"-style restore).  A
             # CREATE op materializes a value the simulation never
@@ -257,7 +257,7 @@ class StageInst:
                 elif op.kind == "rename" and op.name in carried:
                     carried.discard(op.name)
                     carried.add(op.new_name)
-            const_init = getattr(self.code, "reg_const_init", {})
+            const_init = self.code.reg_const_init
             fresh = []
             for name in self.code.reg_slots:
                 if name in created or name in carried:
@@ -285,7 +285,7 @@ class StageInst:
         translated = {
             new_name: snap.mems[old_name] for old_name, new_name in name_map.items()
         }
-        if self.code.sanitize:
+        if self.code.build.sanitize:
             snap_mem_poison = getattr(snap, "mem_poison", {})
             old_name_of = {new: old for old, new in name_map.items()}
         for name, spec in self.code.mem_specs.items():
@@ -293,7 +293,7 @@ class StageInst:
             words = translated.get(name)
             if words is None:
                 target[:] = [0] * spec.depth
-                if self.code.sanitize:
+                if self.code.build.sanitize:
                     # A memory the snapshot never had is all fresh state.
                     self.state[spec.poison_slot] = (1 << spec.depth) - 1
             else:
@@ -302,7 +302,7 @@ class StageInst:
                 target[0:count] = [w & mask for w in words[0:count]]
                 if count < spec.depth:
                     target[count:] = [0] * (spec.depth - count)
-                if self.code.sanitize:
+                if self.code.build.sanitize:
                     # Depth growth beyond the snapshotted words is fresh;
                     # carried word poison covers the copied range.
                     poison = ((1 << spec.depth) - 1) & ~((1 << count) - 1)
@@ -330,12 +330,12 @@ class StageInst:
             slot = self.code.reg_slots.get(name)
             if slot is not None:
                 pbits |= 1 << slot
-        self.state[self.code.reg_poison_slot] = pbits
+        self.state[self.code.layout.reg_poison_slot] = pbits
         for name, spec in self.code.mem_specs.items():
             self.state[spec.poison_slot] = mem_poison.get(name, 0) & (
                 (1 << spec.depth) - 1
             )
-        self.state[self.code.nw_slot].clear()
+        self.state[self.code.layout.nw_slot].clear()
 
     def reset_state(self) -> None:
         """Zero all registers and memories (power-on state)."""
@@ -365,7 +365,7 @@ class StageInst:
         evaluation after any such transition.
         """
         self.state[2 * self.code.num_regs] = None
-        base = self.code.sens_base
+        base = self.code.layout.sens_base
         for g in range(self.code.sens_slot_count):
             self.state[base + 2 * g] = None
             self.state[base + 2 * g + 1] = None
@@ -396,7 +396,7 @@ class StageInst:
         spec = self.code.mem_specs[name]
         mask = (1 << spec.width) - 1
         target[offset : offset + len(words)] = [w & mask for w in words]
-        if self.code.sanitize:
+        if self.code.build.sanitize:
             self.state[spec.poison_slot] &= ~(
                 ((1 << len(words)) - 1) << offset
             )

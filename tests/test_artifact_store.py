@@ -3,10 +3,14 @@ tolerance, and the LiveCompiler read-through/write-behind path."""
 
 import os
 import pickle
+from dataclasses import replace
+
+import pytest
 
 from repro import obs
+from repro.codegen.build import BuildConfig, ModuleKey
 from repro.live.compiler_live import LiveCompiler
-from repro.server.store import ArtifactStore, key_digest
+from repro.server.store import ArtifactStore
 from tests.conftest import COUNTER_SRC
 
 
@@ -18,27 +22,83 @@ def _compile_one(store=None):
 
 def _one_cache_key(compiler, spec="adder#(W=8)"):
     for cache_key in compiler._cache:
-        if cache_key[0] == spec:
+        if cache_key.spec == spec:
             return cache_key
     raise AssertionError(f"no cache key for {spec}")
 
 
-class TestKeyDigest:
-    def test_stable_and_distinct(self):
-        key_a = ("top", "fp1", ("c1", "c2"), "branch")
-        assert key_digest(key_a) == key_digest(("top", "fp1",
-                                                ("c1", "c2"), "branch"))
-        assert key_digest(key_a) != key_digest(("top", "fp2",
-                                                ("c1", "c2"), "branch"))
-        assert key_digest(key_a) != key_digest(("top", "fp1",
-                                                ("c1",), "branch"))
-        assert key_digest(key_a) != key_digest(("top", "fp1",
-                                                ("c1", "c2"), "table"))
+class TestModuleKey:
+    """The one key: cache identity, store address and linecache name."""
 
-    def test_list_and_tuple_child_fps_agree(self):
-        assert key_digest(("m", "fp", ("a",), "branch")) == key_digest(
-            ["m", "fp", ["a"], "branch"]
-        )
+    BUILD = BuildConfig(sanitize=True)
+    KEY = ModuleKey("top", "fp1", ("c1", "c2"), "facts1", BUILD)
+
+    @pytest.mark.parametrize("changed", [
+        replace(KEY, spec="top#(W=8)"),
+        replace(KEY, fingerprint="fp2"),
+        replace(KEY, child_fps=("c1",)),
+        replace(KEY, child_fps=("c1", "c2+pure")),
+        replace(KEY, facts_fp=""),
+        replace(KEY, build=replace(BUILD, mux_style="select")),
+        replace(KEY, build=replace(BUILD, sanitize=False)),
+        replace(KEY, build=replace(BUILD, opt="basic")),
+        replace(KEY, build=replace(BUILD, opt="full")),
+        replace(KEY, build=replace(BUILD, san_elide=False)),
+    ])
+    def test_every_field_reaches_digest_and_filename(self, changed):
+        assert changed != self.KEY
+        assert changed.digest != self.KEY.digest
+        assert changed.filename != self.KEY.filename
+
+    def test_equal_keys_agree(self):
+        twin = ModuleKey("top", "fp1", ("c1", "c2"), "facts1",
+                         BuildConfig(sanitize=True))
+        assert twin == self.KEY and hash(twin) == hash(self.KEY)
+        assert twin.digest == self.KEY.digest
+        assert twin.filename == self.KEY.filename
+
+    def test_build_config_validates_once_for_everyone(self):
+        with pytest.raises(ValueError, match="unknown opt level"):
+            BuildConfig(opt="extreme")
+        with pytest.raises(ValueError, match="unknown mux_style"):
+            replace(self.BUILD, mux_style="table")
+
+    @pytest.mark.parametrize("where", ["own_path", "own_store"])
+    def test_other_store_format_is_a_silent_miss(
+        self, tmp_path, monkeypatch, where
+    ):
+        """A payload of another STORE_FORMAT — rewritten in place at
+        the address this format digests to, or left in a store
+        directory that format wrote — is a cold cache, never an error."""
+        store = ArtifactStore(str(tmp_path))
+        compiler, _ = _compile_one()
+        cache_key = _one_cache_key(compiler)
+        module = compiler._cache[cache_key]
+        if where == "own_path":
+            store.save(cache_key, module)
+            path = store.path_for(cache_key)
+            with open(path, "rb") as fh:
+                payload = pickle.load(fh)
+            payload["format"] = "repro.store/v4"
+            with open(path, "wb") as fh:
+                pickle.dump(payload, fh)
+        else:
+            from repro.codegen import build
+            from repro.server import store as store_module
+
+            with monkeypatch.context() as patched:
+                for mod in (build, store_module):
+                    patched.setattr(mod, "STORE_FORMAT", "repro.store/v4")
+                old_key = replace(cache_key)  # fresh digest cache
+                assert store.save(old_key, module)
+                assert store.load(old_key) is not None
+                assert store.path_for(old_key) != store.path_for(cache_key)
+        metrics = obs.get_metrics()
+        misses = metrics.counter("compile.store_misses")
+        errors = metrics.counter("compile.store_errors")
+        assert store.load(cache_key) is None
+        assert metrics.counter("compile.store_misses") == misses + 1
+        assert metrics.counter("compile.store_errors") == errors
 
 
 class TestRoundTrip:
@@ -63,7 +123,7 @@ class TestRoundTrip:
         store = ArtifactStore(str(tmp_path))
         metrics = obs.get_metrics()
         before = metrics.counter("compile.store_misses")
-        assert store.load(("nope", "fp", (), "branch")) is None
+        assert store.load(ModuleKey("nope", "fp")) is None
         assert metrics.counter("compile.store_misses") == before + 1
 
     def test_len_and_clear(self, tmp_path):
@@ -90,23 +150,6 @@ class TestCorruptionTolerance:
         errors = metrics.counter("compile.store_errors")
         assert store.load(cache_key) is None
         assert metrics.counter("compile.store_errors") == errors + 1
-
-    def test_format_skew_is_a_silent_miss(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        compiler, _ = _compile_one()
-        cache_key = _one_cache_key(compiler)
-        store.save(cache_key, compiler._cache[cache_key])
-        path = store.path_for(cache_key)
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        payload["format"] = "repro.store/v0"
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
-        metrics = obs.get_metrics()
-        errors = metrics.counter("compile.store_errors")
-        assert store.load(cache_key) is None
-        # Version skew is expected across upgrades — not an error.
-        assert metrics.counter("compile.store_errors") == errors
 
     def test_key_mismatch_never_served(self, tmp_path):
         store = ArtifactStore(str(tmp_path))

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import compile_design
+from repro.codegen.build import BuildConfig
 from repro.codegen.pygen import compile_netlist
 from repro.hdl import elaborate, parse
 from repro.hdl.parser import parse_expr
@@ -49,7 +50,9 @@ from tests.test_fuzz_hierarchy import random_design, stimulus
 def sanitized_pipe(source, top):
     runtime = SanitizerRuntime(mode="report")
     netlist = elaborate(parse(source), top)
-    library = compile_netlist(netlist, sanitize=True, runtime=runtime)
+    library = compile_netlist(
+        netlist, BuildConfig(sanitize=True), runtime=runtime
+    )
     return Pipe(netlist.top, library), runtime
 
 
@@ -60,8 +63,9 @@ def pipeline_pipe(source, top, san_elide=True, opt="none"):
     runtime = SanitizerRuntime(mode="report")
     netlist = elaborate(parse(source), top)
     library = run_opt_pipeline(
-        netlist, opt=opt, sanitize=True, sanitize_runtime=runtime,
-        san_elide=san_elide,
+        netlist,
+        BuildConfig(sanitize=True, opt=opt, san_elide=san_elide),
+        sanitize_runtime=runtime,
     )
     return Pipe(netlist.top, library), library, runtime
 

@@ -1,10 +1,24 @@
 """LiveCompiler tests: incremental recompilation and cache behaviour."""
 
+import linecache
+
 import pytest
 
 from repro.hdl.errors import HDLError
 from repro.live.compiler_live import LiveCompiler
+from repro.live.session import LiveSession
 from tests.conftest import COUNTER_SRC
+
+TWO_MODULE_SRC = """
+module leaf (input clk, input [7:0] a, output [7:0] y);
+  reg [7:0] q;
+  always @(posedge clk) q <= a + 8'd1;
+  assign y = q;
+endmodule
+module top (input clk, input [7:0] a, output [7:0] y);
+  leaf u (.clk(clk), .a(a), .y(y));
+endmodule
+"""
 
 
 class TestFullCompile:
@@ -146,9 +160,15 @@ class TestCacheManagement:
             compiler.update_source(COUNTER_SRC.replace("a + b", variant))
             compiler.compile_top("top")
         assert compiler.cache_size() == 3 + len(variants)
+        names = {key.filename for key in compiler._cache}
+        assert names <= set(linecache.cache)
         evicted = compiler.evict_stale(keep_generations=2)
         # Only the adder spec exceeded the bound: 4 generations -> 2.
         assert evicted == 2
+        # An evicted generation takes its generated-source listing along.
+        kept = {key.filename for key in compiler._cache}
+        assert len(kept) == len(names) - 2
+        assert not (names - kept) & set(linecache.cache)
         assert compiler.cache_size() == 3 + len(variants) - 2
         # The two *newest* generations were kept: the current source
         # ("a & b") and the previous one ("a ^ b") compile fully from
@@ -160,6 +180,22 @@ class TestCacheManagement:
         compiler.update_source(COUNTER_SRC.replace("a + b", "a - b"))
         result = compiler.compile_top("top")
         assert result.report.recompiled_keys == ["adder#(W=8)"]
+
+    def test_evict_stale_keeps_every_flavour_of_the_live_generation(self):
+        """The six sanitize x opt flavours of an un-edited design are
+        one generation each, not six generations of one spec."""
+        session = LiveSession(TWO_MODULE_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        for mode in ("report", "off"):
+            for level in ("basic", "full", "none"):
+                session.set_sanitize(mode)
+                session.set_opt(level)
+        assert session.compiler.cache_size() == 2 * 6
+        assert session.compiler.evict_stale() == 0
+        for mode in ("report", "off"):
+            for level in ("basic", "full", "none"):
+                assert session.set_sanitize(mode)["recompiled_keys"] == []
+                assert session.set_opt(level)["recompiled_keys"] == []
 
     def test_evict_stale_counts_evictions(self):
         from repro import obs

@@ -6,11 +6,16 @@ code, per-pass cache incrementality across a hot reload, opt-level
 key separation in the artifact store, and the runtime ``opt`` toggle.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro import Pipe, compile_design
+from repro import BuildConfig, Pipe, compile_design
+from repro.codegen.build import ModuleKey
 from repro.hdl.errors import SimulationError
 from repro.live.commands import CommandInterpreter
+from repro.live.compiler_live import LiveCompiler
+from repro.live.hotreload import HotReloader
 from repro.live.session import LiveSession
 from repro.passes import (
     Pass,
@@ -20,7 +25,6 @@ from repro.passes import (
     build_compile_pipeline,
     run_opt_pipeline,
 )
-from repro.server.store import _normalize_key, key_digest
 from repro.sim.testbench import hold_inputs
 from tests.conftest import COUNTER_SRC
 
@@ -90,7 +94,7 @@ class TestPassManager:
 
     def test_run_opt_pipeline_rejects_unknown_level(self):
         with pytest.raises(ValueError, match="unknown opt level"):
-            run_opt_pipeline(_netlist(), opt="extreme")
+            run_opt_pipeline(_netlist(), BuildConfig(opt="extreme"))
 
 
 CONST_SRC = """
@@ -142,7 +146,7 @@ class TestOptimizationPasses:
         assert "v_unused" not in opt_mod.source
         assert "v_unused" in plain_mod.source
         assert len(opt_mod.source) < len(plain_mod.source)
-        assert opt_mod.opt == "basic"
+        assert opt_mod.build.opt == "basic"
 
     def test_basic_opt_bit_exact_on_const_design(self):
         plain_netlist, plain_lib = compile_design(CONST_SRC, "m")
@@ -158,9 +162,9 @@ class TestOptimizationPasses:
         _, lib = compile_design(GUARD_SRC, "m", opt="full")
         (mod,) = lib.values()
         assert mod.sens_slot_count == 1
-        assert mod.opt == "full"
+        assert mod.build.opt == "full"
         # Guard slots ride at the end of the state vector.
-        assert mod.state_size == mod.sens_base + 2
+        assert mod.layout.state_size == mod.layout.sens_base + 2
 
     def test_guarded_module_bit_exact_including_held_inputs(self):
         plain_netlist, plain_lib = compile_design(GUARD_SRC, "m")
@@ -180,56 +184,25 @@ class TestOptimizationPasses:
         _, lib = compile_design(GUARD_SRC, "m")
         (mod,) = lib.values()
         assert mod.sens_slot_count == 0
-        assert mod.opt == "none"
+        assert mod.build.opt == "none"
 
 
 class TestStoreKeySeparation:
-    KEY = ("m#()", "fp0", ("child-fp",), "branch")
-
-    def test_opt_levels_address_distinct_artifacts(self):
-        none_digest = key_digest(self.KEY + (False, "none"))
-        basic_digest = key_digest(self.KEY + (False, "basic"))
-        full_digest = key_digest(self.KEY + (False, "full"))
-        assert len({none_digest, basic_digest, full_digest}) == 3
-
-    def test_legacy_keys_address_opt_none(self):
-        assert key_digest(self.KEY) == key_digest(self.KEY + (False, "none"))
-        assert key_digest(self.KEY + (False,)) == key_digest(
-            self.KEY + (False, "none")
-        )
-        # ... and plan_fp="" (the v4 component): same address either way.
-        assert key_digest(self.KEY) == key_digest(
-            self.KEY + (False, "none", "")
-        )
-
-    def test_plan_fp_addresses_distinct_artifacts(self):
-        base = self.KEY + (True, "none", "")
-        elided = self.KEY + (True, "none", "abc123+e")
-        assert key_digest(base) != key_digest(elided)
-
-    def test_normalize_pads_legacy_tuples(self):
-        assert _normalize_key(self.KEY) == self.KEY + (False, "none", "")
-        assert _normalize_key(self.KEY + (True,)) == self.KEY + (
-            True, "none", ""
-        )
-        full = self.KEY + (False, "full", "d1gest")
-        assert _normalize_key(full) == full
-
     def test_store_roundtrip_preserves_opt_fields(self, tmp_path):
         from repro.server.store import ArtifactStore
 
         _, lib = compile_design(GUARD_SRC, "m", opt="full")
         (mod,) = lib.values()
         store = ArtifactStore(str(tmp_path))
-        cache_key = (mod.key, "fp", (), "branch", False, "full")
+        cache_key = ModuleKey(mod.key, "fp", build=mod.build)
         assert store.save(cache_key, mod)
         loaded = store.load(cache_key)
         assert loaded is not None
-        assert loaded.opt == "full"
+        assert loaded.build == BuildConfig(opt="full")
         assert loaded.sens_slot_count == mod.sens_slot_count
-        assert loaded.state_size == mod.state_size
+        assert loaded.layout == mod.layout
         # The opt=none address must still be a miss: levels coexist.
-        assert store.load((mod.key, "fp", (), "branch", False, "none")) is None
+        assert store.load(ModuleKey(mod.key, "fp")) is None
 
 
 ADDER_EDIT = COUNTER_SRC.replace(
@@ -371,6 +344,50 @@ class TestLiveOptToggle:
         session, _ = self._session(opt="basic")
         result = session.set_opt("basic")
         assert result["recompiled_keys"] == []
+
+    def test_set_build_crosses_both_axes_in_one_compile_and_swap(
+        self, monkeypatch
+    ):
+        session, tb = self._session()
+        session.inst_pipe("p1", session.stage_handle_for("top"))
+        session.watch("p0", "c0")
+        session.run(tb, "p0", 9)
+        session.run(tb, "p1", 4)
+        calls = []
+        for cls, attr in ((LiveCompiler, "compile_top"),
+                          (HotReloader, "swap_pipe")):
+            original = getattr(cls, attr)
+
+            def counted(self, *args, _original=original, _attr=attr):
+                calls.append(_attr)
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, attr, counted)
+        clean = session.compiler.build
+        before = {name: session.peek(name) for name in ("p0", "p1")}
+
+        result = session.set_build(replace(clean, sanitize=True, opt="full"))
+        assert calls == ["compile_top"] * 2 + ["swap_pipe"] * 2
+        assert result["swapped_pipes"] == ["p0", "p1"]
+        assert set(result["recompiled_keys"]) == set(
+            session.pipe("p0").library
+        )
+        assert session.opt == "full"
+        assert session.sanitize_status()["instrumented"] is True
+        assert {n: session.peek(n) for n in before} == before
+
+        back = session.set_build(clean)
+        assert back["recompiled_keys"] == []
+        assert back["swapped_pipes"] == ["p0", "p1"]
+        assert session.set_build(clean)["swapped_pipes"] == []
+        assert {n: session.peek(n) for n in before} == before
+        # The probe survived both swaps and keeps sampling.
+        session.run(tb, "p0", 3)
+        status = session.trace_status("p0")
+        assert [p["missing"] for p in status["probes"]] == [False]
+        samples = session.trace_read("p0", "c0")["samples"]
+        assert [cycle for cycle, _ in samples] == list(range(12))
+        assert [value for _, value in samples] == list(range(12))
 
     def test_opt_command_verb(self):
         session, tb = self._session()

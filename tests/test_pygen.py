@@ -36,7 +36,7 @@ class TestStateLayout:
         code = library["counter#(W=8)"]
         state = code.make_state()
         assert len(state) == 2 * code.num_regs + CACHE_SLOTS
-        assert state[code.cache_key_slot] is None
+        assert state[code.layout.cache_key_slot] is None
 
     def test_memory_slots(self, pgas1_netlist_library):
         _, _, library = pgas1_netlist_library
@@ -59,7 +59,7 @@ class TestMemoization:
         pipe = Pipe(netlist.top, library)
         pipe.set_inputs(rst=0)
         first = pipe.eval()
-        key_slot = pipe.top.code.cache_key_slot
+        key_slot = pipe.top.code.layout.cache_key_slot
         cached_key = pipe.top.state[key_slot]
         assert cached_key is not None
         assert pipe.eval() == first
@@ -71,7 +71,7 @@ class TestMemoization:
         pipe.set_inputs(rst=0)
         pipe.eval()
         pipe.tick()
-        assert pipe.top.state[pipe.top.code.cache_key_slot] is None
+        assert pipe.top.state[pipe.top.code.layout.cache_key_slot] is None
 
     def test_input_change_misses_cache(self, counter_design):
         netlist, library = counter_design
@@ -89,7 +89,7 @@ class TestMemoization:
         pipe.eval()
         inst = pipe.find("u0")
         inst.poke_reg("count_q", 77)
-        assert inst.state[inst.code.cache_key_slot] is None
+        assert inst.state[inst.code.layout.cache_key_slot] is None
         pipe.invalidate()
         assert pipe.eval()["c0"] == 77
 

@@ -16,6 +16,7 @@ import io
 import pytest
 
 from repro.__main__ import Shell
+from repro.codegen.build import BuildConfig
 from repro.codegen.pygen import compile_netlist
 from repro.hdl import elaborate, parse
 from repro.hdl.errors import SimulationError
@@ -32,7 +33,7 @@ from repro.sanitize import (
 )
 from repro.server.client import ServerError
 from repro.server.frontend import ShardedFrontend
-from repro.server.store import ArtifactStore, key_digest
+from repro.server.store import ArtifactStore
 from repro.sim import Pipe
 from repro.sim.testbench import reset_sequence
 
@@ -103,7 +104,9 @@ MEM_EDIT = MEM_SRC.replace("mem[idx_q[1:0]]", "mem[idx_q]")
 def sanitized_pipe(source, top, mode="report"):
     runtime = SanitizerRuntime(mode=mode)
     netlist = elaborate(parse(source), top)
-    library = compile_netlist(netlist, sanitize=True, runtime=runtime)
+    library = compile_netlist(
+        netlist, BuildConfig(sanitize=True), runtime=runtime
+    )
     return Pipe(netlist.top, library), runtime
 
 
@@ -372,21 +375,22 @@ class TestSetSanitize:
         session.run(tb, "p0", 3)
         assert session.sanitize_status()["instrumented"] is True
 
-    def test_erd_report_splits_sanitized_from_clean_compiles(self):
-        # Clean session: the sanitized subsets stay empty.
+    def test_erd_report_names_the_flavour_it_compiled(self):
+        # The flag is session-wide: every key an iteration reports was
+        # compiled (or reused) under it.
         session, _ = live_session()
         report = session.apply_change(EDIT)
         assert report.sanitize is False
         assert report.recompiled_keys
-        assert report.sanitized_recompiled_keys == []
-        assert report.sanitized_reused_keys == []
-        # Sanitized session: every compile lands in the sanitized split.
         session, _ = live_session(sanitize="report")
         report = session.apply_change(EDIT)
         assert report.sanitize is True
-        assert report.sanitized_recompiled_keys == report.recompiled_keys
+        assert report.recompiled_keys
+        library = session.pipe("p0").library
+        assert all(library[key].build.sanitize for key in library)
         reverted = session.apply_change(SRC)
-        assert reverted.sanitized_reused_keys == reverted.reused_keys
+        assert reverted.sanitize is True
+        assert reverted.reused_keys and not reverted.recompiled_keys
 
 
 # ---------------------------------------------------------------------------
@@ -513,20 +517,14 @@ class TestServerSanitize:
 
 
 class TestStoreKeySeparation:
-    def test_key_digest_isolates_the_sanitize_flag(self):
-        clean = ("m", "fp", ("a",), "branch")
-        assert key_digest(clean) != key_digest(clean + (True,))
-        # Legacy 4-tuples address the same artifact as explicit False:
-        # pre-sanitizer stores stay readable.
-        assert key_digest(clean) == key_digest(clean + (False,))
-
     def test_clean_and_sanitized_coexist_on_disk(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         LiveCompiler(SRC, store=store).compile_top("top")
         assert len(store) == 1
         runtime = SanitizerRuntime(mode="report")
         LiveCompiler(
-            SRC, store=store, sanitize=True, sanitize_runtime=runtime
+            SRC, BuildConfig(sanitize=True), store=store,
+            sanitize_runtime=runtime,
         ).compile_top("top")
         assert len(store) == 2  # same module, two artifacts
 
@@ -534,7 +532,8 @@ class TestStoreKeySeparation:
         store = ArtifactStore(str(tmp_path))
         runtime = SanitizerRuntime(mode="report")
         compiler = LiveCompiler(
-            SRC, store=store, sanitize=True, sanitize_runtime=runtime
+            SRC, BuildConfig(sanitize=True), store=store,
+            sanitize_runtime=runtime,
         )
         compiler.compile_top("top")
         cache_key = next(iter(compiler._cache))
@@ -543,12 +542,12 @@ class TestStoreKeySeparation:
         runtime2 = SanitizerRuntime(mode="report")
         loaded = store.load(cache_key, sanitize_runtime=runtime2)
         assert loaded is not None
-        assert loaded.sanitize is True
-        assert loaded.state_size == original.state_size
+        assert loaded.build.sanitize is True
+        assert loaded.layout == original.layout
         # The rehydrated hooks really call the new runtime: poison a
         # register by hand and read it.
         state = loaded.make_state()
-        state[loaded.reg_poison_slot] = (1 << len(loaded.reg_slots)) - 1
+        state[loaded.layout.reg_poison_slot] = (1 << len(loaded.reg_slots)) - 1
         loaded.eval_out_fn(state, ())
         assert runtime2.hits[SAN_UNINIT] > 0
 
@@ -556,7 +555,8 @@ class TestStoreKeySeparation:
         store = ArtifactStore(str(tmp_path))
         runtime = SanitizerRuntime(mode="report")
         compiler = LiveCompiler(
-            SRC, store=store, sanitize=True, sanitize_runtime=runtime
+            SRC, BuildConfig(sanitize=True), store=store,
+            sanitize_runtime=runtime,
         )
         compiler.compile_top("top")
         cache_key = next(iter(compiler._cache))

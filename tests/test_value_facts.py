@@ -6,7 +6,7 @@ propagation, the facts cache, and the elision plans + const-reg
 initialization built on top (repro.sanitize.elide).
 """
 
-from repro import compile_design
+from repro import BuildConfig, compile_design
 from repro.hdl import elaborate, parse
 from repro.passes.dataflow import (
     ValueFact,
@@ -384,8 +384,8 @@ class TestCompiledElision:
         runtime = SanitizerRuntime(mode="report")
         netlist = elaborate(parse(ELIDE_SRC), "m")
         library = run_opt_pipeline(
-            netlist, sanitize=True, sanitize_runtime=runtime,
-            san_elide=san_elide,
+            netlist, BuildConfig(sanitize=True, san_elide=san_elide),
+            sanitize_runtime=runtime,
         )
         return netlist, library, runtime
 
