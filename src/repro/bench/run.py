@@ -198,12 +198,19 @@ def run_bench(
 def compare_to_baseline(
     current: Dict, baseline: Dict, max_regression: float
 ) -> List[str]:
-    """Fig7 per-edit latency gate; returns failure messages (empty = ok)."""
-    failures: List[str] = []
+    """Fig7 per-edit latency gate, plus the paper's absolute ERD < 2 s
+    bound on every fig8 bar the run produced; returns failure messages
+    (empty = ok)."""
+    failures: List[str] = [
+        f"fig8: hot-reload ERD at {bar['n']}x{bar['n']} took "
+        f"{bar['total_s']:.2f} s, not under two seconds"
+        for bar in current.get("fig8") or []
+        if not bar["under_two_seconds"]
+    ]
     base_fig7 = (baseline.get("fig7") or {}).get("per_edit_latency_s") or {}
     cur_fig7 = (current.get("fig7") or {}).get("per_edit_latency_s") or {}
     if not base_fig7:
-        return ["baseline JSON has no fig7.per_edit_latency_s data"]
+        return failures + ["baseline JSON has no fig7.per_edit_latency_s data"]
 
     scale = 1.0
     base_cal = baseline.get("calibration_s")

@@ -273,27 +273,34 @@ class CheckpointStore:
     def load(self, path: str) -> None:
         """Restore a saved store, including its overhead statistics.
 
-        Files written before stats were persisted derive
-        ``total_captured``/``total_capture_seconds`` from the
-        checkpoints themselves.  The current GC policy is re-applied
-        immediately: a file saved under a looser policy must not leave
-        the store over budget.
+        The current GC policy is re-applied immediately: a file saved
+        under a looser policy must not leave the store over budget.
         """
         with open(path, "rb") as fh:
             data = pickle.load(fh)  # noqa: S301 - local trusted file
+        try:
+            stats = data["stats"]
+            loaded = (
+                data["interval"],
+                list(data["checkpoints"]),
+                data["next_id"],
+                stats["total_captured"],
+                stats["total_capture_seconds"],
+                stats["total_collected"],
+            )
+        except (TypeError, KeyError, IndexError) as exc:
+            raise SimulationError(
+                f"{path!r} is not a checkpoint store file: {exc!r}"
+            ) from None
         with self._lock:
-            self.interval = data["interval"]
-            self._checkpoints = list(data["checkpoints"])
-            self._next_id = data["next_id"]
-            stats = data.get("stats") or {}
-            self.total_captured = stats.get(
-                "total_captured", len(self._checkpoints)
-            )
-            self.total_capture_seconds = stats.get(
-                "total_capture_seconds",
-                sum(c.capture_seconds for c in self._checkpoints),
-            )
-            self.total_collected = stats.get("total_collected", 0)
+            (
+                self.interval,
+                self._checkpoints,
+                self._next_id,
+                self.total_captured,
+                self.total_capture_seconds,
+                self.total_collected,
+            ) = loaded
             self.gc()
 
     def total_bytes(self) -> int:

@@ -32,6 +32,7 @@ from ..hdl.ast_nodes import shift_lines
 from ..hdl.elaborate import elaborate
 from ..hdl.errors import HDLError
 from ..hdl.parser import parse
+from ..hdl.source_regions import MODULE_REGION
 from ..ir.netlist import Netlist
 from ..passes import PassData, build_compile_pipeline
 from .parser_live import LiveParseResult, LiveParser
@@ -142,12 +143,14 @@ class LiveCompiler:
         result = self.parser.analyze(new_source)
         if not result.behavioral:
             # Comments/whitespace only: commit the text, keep everything.
-            self.parser.commit(new_source)
+            self.parser.commit(result)
             self._last_parse_seconds = time.perf_counter() - started
             result.parse_seconds = self._last_parse_seconds
             return result
 
-        regions = self._module_regions(new_source)
+        regions = {
+            r.name: r for r in result.regions if r.kind == MODULE_REGION
+        }
         incremental_ok = (
             not result.directive_changed
             and not result.removed_modules
@@ -175,15 +178,10 @@ class LiveCompiler:
             self._design = design
         for name in result.removed_modules:
             self._design.modules.pop(name, None)
-        self.parser.commit(new_source)
+        self.parser.commit(result)
         self._last_parse_seconds = time.perf_counter() - started
         result.parse_seconds = self._last_parse_seconds
         return result
-
-    def _module_regions(self, new_source: str) -> dict:
-        from ..hdl.source_regions import module_regions
-
-        return module_regions(new_source)
 
     # -- compilation ---------------------------------------------------------------
 

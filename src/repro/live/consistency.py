@@ -6,7 +6,8 @@ Instead of re-running from cycle 0, LiveSim verifies checkpoint deltas
 independently: for each interval ``[cp_k, cp_{k+1}]``, reload ``cp_k``
 under the patched design, replay the recorded operations to
 ``cp_{k+1}``'s cycle, and compare the resulting state against the
-stored ``cp_{k+1}`` (translated through the register transforms).
+stored ``cp_{k+1}`` (the store is retargeted to the new version's
+names at every edit, :mod:`repro.live.transform`).
 
 Because every segment is independent, the work parallelizes across as
 many cores as there are checkpoints.  When the checkpoints are not
@@ -58,9 +59,6 @@ from ..sim.pipeline import Pipe, PipeSnapshot
 from ..sim.testbench import Testbench
 from .checkpoint import Checkpoint
 from .replay import SessionOp, replay_ops
-from .transform import RegisterTransform
-
-TransformLookup = Callable[[str], Optional[RegisterTransform]]
 
 # How many compiled designs one worker process keeps around.  Edits
 # ping-pong between a handful of fingerprints (inject/fix pairs), so a
@@ -151,11 +149,9 @@ class ConsistencyChecker:
         self,
         build_pipe: Callable[[], Pipe],
         tb_lookup: Callable[[str], Testbench],
-        transform_for: TransformLookup = lambda module: None,
     ):
         self._build_pipe = build_pipe
         self._tb_lookup = tb_lookup
-        self._transform_for = transform_for
 
     # -- segment construction ---------------------------------------------------
 
@@ -226,9 +222,7 @@ class ConsistencyChecker:
         with obs.span("consistency.segment", index=segment.index,
                       end_cycle=segment.end_cycle):
             pipe = self._build_pipe()
-            result = _run_segment(
-                pipe, segment, ops, self._tb_lookup, self._transform_for
-            )
+            result = _run_segment(pipe, segment, ops, self._tb_lookup)
         result.seconds = time.perf_counter() - seg_started
         return result
 
@@ -265,18 +259,17 @@ def _run_segment(
     segment: _Segment,
     ops: Sequence[SessionOp],
     tb_lookup: Callable[[str], Testbench],
-    transform_for: TransformLookup,
 ) -> SegmentResult:
     """Replay one delta and compare final state to the stored end."""
     if segment.start_snapshot is None:
         pipe.reset_state()
     else:
-        pipe.restore_transformed(segment.start_snapshot, transform_for)
+        pipe.restore_transformed(segment.start_snapshot)
     replay_ops(pipe, list(ops), segment.end_cycle, tb_lookup)
     actual = pipe.top.snapshot()
-    # Canonicalize the stored end snapshot into the current version's
-    # namespace by loading it through the same transform path.
-    pipe.restore_transformed(segment.end_snapshot, transform_for)
+    # Canonicalize the stored end snapshot into the current design's
+    # layout (widths, depths) by loading it the same way.
+    pipe.restore_transformed(segment.end_snapshot)
     expected = pipe.top.snapshot()
     consistent = actual.equal_state(expected)
     detail = ""
@@ -366,8 +359,7 @@ class WorkerContext:
     kwargs); the factory is imported and called in the worker to
     recreate the testbench.  Factories must build replay-safe
     testbenches (stimulus a pure function of the rebased cycle) —
-    workers cache them across verify calls.  ``transforms`` maps module
-    name -> the old-version -> current-version register transform.
+    workers cache them across verify calls.
     """
 
     source: str
@@ -375,7 +367,6 @@ class WorkerContext:
     params: Dict[str, int]
     mux_style: str
     tb_specs: Dict[str, Tuple[str, Dict]]
-    transforms: Dict[str, RegisterTransform] = field(default_factory=dict)
 
     def fingerprint(self) -> str:
         """Design identity for the worker-side compiled cache."""
@@ -692,8 +683,8 @@ def _cached_testbench(handle: str, factory_path: str, kwargs: Dict) -> Testbench
 
 
 def _build_from_context(context: WorkerContext):
-    """Build (build_pipe, tb_lookup, transform_for, compiled) closures,
-    serving the design and testbenches from the worker caches."""
+    """Build (build_pipe, tb_lookup, compiled) closures, serving the
+    design and testbenches from the worker caches."""
     top_key, library, compiled = _cached_design(context)
     testbenches: Dict[str, Testbench] = {
         handle: _cached_testbench(handle, factory_path, kwargs)
@@ -709,10 +700,7 @@ def _build_from_context(context: WorkerContext):
             raise SimulationError(f"worker has no testbench {handle!r}")
         return testbench
 
-    def transform_for(module: str) -> Optional[RegisterTransform]:
-        return context.transforms.get(module)
-
-    return build_pipe, tb_lookup, transform_for, compiled
+    return build_pipe, tb_lookup, compiled
 
 
 def _pool_verify_segment(
@@ -728,9 +716,9 @@ def _pool_verify_segment(
     ops: List[SessionOp] = pickle.loads(ops_payload)  # noqa: S301
     segment: _Segment = pickle.loads(segment_payload)  # noqa: S301
     started = time.perf_counter()
-    build_pipe, tb_lookup, transform_for, compiled = _build_from_context(context)
+    build_pipe, tb_lookup, compiled = _build_from_context(context)
     pipe = build_pipe()
-    result = _run_segment(pipe, segment, ops, tb_lookup, transform_for)
+    result = _run_segment(pipe, segment, ops, tb_lookup)
     result.seconds = time.perf_counter() - started
     result.compiled = compiled
     return result, os.getpid()

@@ -43,6 +43,12 @@ class LiveParseResult:
     directive_line: Optional[int] = None  # earliest affected directive
     poisoned_modules: Set[str] = field(default_factory=set)  # below directive
     parse_seconds: float = 0.0
+    # What the analysis worked out about the new text;
+    # :meth:`LiveParser.commit` adopts it as the baseline instead of
+    # splitting and lexing again.
+    source: str = ""
+    regions: List[SourceRegion] = field(default_factory=list)
+    fingerprints: Dict[str, str] = field(default_factory=dict)
 
     @property
     def modules_to_recompile(self) -> Set[str]:
@@ -126,7 +132,7 @@ class LiveParser:
     def analyze(self, new_source: str) -> LiveParseResult:
         """Compare ``new_source`` against the current text.
 
-        Does **not** commit; call :meth:`commit` with the same text once
+        Does **not** commit; call :meth:`commit` with the result once
         the downstream compile succeeded, so a failed edit can be
         retried without corrupting the baseline.
         """
@@ -144,7 +150,12 @@ class LiveParser:
                 new_fps[region.name] = behavioral_fingerprint(region.text)
         old_fps = self._fingerprints
 
-        result = LiveParseResult(behavioral=False)
+        result = LiveParseResult(
+            behavioral=False,
+            source=new_source,
+            regions=new_regions,
+            fingerprints=new_fps,
+        )
         old_names = set(old_fps)
         new_names = set(new_fps)
         result.added_modules = new_names - old_names
@@ -204,20 +215,11 @@ class LiveParser:
                 return min(candidates) if candidates else 1
         return 1
 
-    def commit(self, new_source: str) -> None:
-        """Accept ``new_source`` as the new baseline."""
-        self._source = new_source
-        new_regions = split_regions(new_source)
-        fingerprints: Dict[str, str] = {}
-        for region in new_regions:
-            if region.kind != MODULE_REGION:
-                continue
-            if self._region_texts.get(region.name) == region.text:
-                fingerprints[region.name] = self._fingerprints[region.name]
-            else:
-                fingerprints[region.name] = behavioral_fingerprint(region.text)
-        self._regions = new_regions
-        self._fingerprints = fingerprints
+    def commit(self, result: LiveParseResult) -> None:
+        """Accept the text ``result`` analyzed as the new baseline."""
+        self._source = result.source
+        self._regions = result.regions
+        self._fingerprints = result.fingerprints
         self._region_texts = {
-            r.name: r.text for r in new_regions if r.kind == MODULE_REGION
+            r.name: r.text for r in result.regions if r.kind == MODULE_REGION
         }

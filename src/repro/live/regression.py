@@ -136,7 +136,7 @@ class RegressionSuite:
                     f"case {case.name!r}: no checkpoint at or before "
                     f"cycle {case.start}"
                 )
-        pipe.restore_transformed(checkpoint.snapshot, lambda module: None)
+        pipe.restore_transformed(checkpoint.snapshot)
         pipe.cycle = checkpoint.cycle
         return pipe
 

@@ -35,7 +35,7 @@ from ..codegen.build import BuildConfig
 from ..codegen.optplan import OPT_LEVELS
 from ..hdl.errors import HDLError, SimulationError
 from ..sanitize import SANITIZE_MODES, SanitizerRuntime
-from ..sim.pipeline import Pipe
+from ..sim.pipeline import Pipe, PipeSnapshot
 from ..sim.testbench import Testbench
 from ..trace import TraceBuffer
 from ..trace.buffer import DEFAULT_CAPACITY
@@ -450,9 +450,8 @@ class LiveSession:
             checkpoint = candidates[-1]
         else:
             checkpoint = checkpoint_or_path
-        transforms = self._transforms_between(checkpoint.version, self.version)
         session.pipe.restore_transformed(
-            checkpoint.snapshot, lambda module: transforms.get(module)
+            self._in_current_version(session, checkpoint)
         )
         session.pipe.cycle = checkpoint.cycle
         # Truncate history at the rewind point; an op spanning it is
@@ -660,9 +659,7 @@ class LiveSession:
                     session, result, version_transforms, new_version
                 )
                 if checkpoint is not None:
-                    session.pipe.restore_transformed(
-                        checkpoint.snapshot, lambda module: None
-                    )
+                    session.pipe.restore_transformed(checkpoint.snapshot)
                     session.pipe.cycle = checkpoint.cycle
                     report.checkpoint_cycle = checkpoint.cycle
                     obs.incr("live.checkpoint_reloads")
@@ -753,13 +750,10 @@ class LiveSession:
         new_version: str,
     ) -> None:
         """Translate stored checkpoints into the new version namespace."""
-        module_name_of = {
-            key: ir.name for key, ir in result.netlist.modules.items()
-        }
         for checkpoint in session.store.all():
             if transforms:
-                checkpoint.snapshot.state = translate_snapshot(
-                    checkpoint.snapshot.state, module_name_of, transforms
+                checkpoint.snapshot = self._translated(
+                    checkpoint.snapshot, result, transforms
                 )
             checkpoint.version = new_version
 
@@ -1064,11 +1058,8 @@ class LiveSession:
             )
             base = session.store.nearest_before(start)
             if base is not None:
-                transforms = self._transforms_between(
-                    base.version, self.version
-                )
                 scratch.restore_transformed(
-                    base.snapshot, lambda module: transforms.get(module)
+                    self._in_current_version(session, base)
                 )
                 scratch.cycle = base.cycle
             buffer = TraceBuffer(capacity=None)
@@ -1126,7 +1117,6 @@ class LiveSession:
         checker = ConsistencyChecker(
             build_pipe=lambda: Pipe(result.netlist.top, result.library),
             tb_lookup=self._testbench,
-            transform_for=lambda module: None,
         )
         context = None
         pool = None
@@ -1281,9 +1271,7 @@ class LiveSession:
         )
         base = session.store.nearest_before(stop_cycle)
         if base is not None:
-            session.pipe.restore_transformed(
-                base.snapshot, lambda module: None
-            )
+            session.pipe.restore_transformed(base.snapshot)
             session.pipe.cycle = base.cycle
         else:
             session.pipe.reset_state()
@@ -1331,25 +1319,37 @@ class LiveSession:
             raise SimulationError(f"unknown testbench handle {handle!r}")
         return testbench
 
-    def _transforms_between(
-        self, old_version: str, new_version: str
-    ) -> Dict[str, RegisterTransform]:
-        if old_version == new_version:
-            return {}
-        transforms: Dict[str, RegisterTransform] = {}
-        for version in self.history.path(old_version, new_version):
-            node_transforms = {
-                module: self.history.transform_for(version, module)
-                for module in self._modules_with_transforms(version)
-            }
-            for module, transform in node_transforms.items():
-                base = transforms.get(module, RegisterTransform())
-                transforms[module] = base.compose(transform)
-        return transforms
+    def _in_current_version(
+        self, session: _PipeSession, checkpoint
+    ) -> PipeSnapshot:
+        """``checkpoint``'s snapshot in the current version's names.
 
-    def _modules_with_transforms(self, version: str) -> List[str]:
-        node = self.history._node(version)  # session is a friend class
-        return list(node.transforms)
+        Checkpoints taken by this session are retargeted at every edit;
+        one read from a file (``ldch``, and what it adopts into the
+        store) may still speak an ancestor version's.
+        """
+        if checkpoint.version == self.version:
+            return checkpoint.snapshot
+        return self._translated(
+            checkpoint.snapshot,
+            session.compile_result,
+            self.history.composed_transforms(checkpoint.version, self.version),
+        )
+
+    @staticmethod
+    def _translated(
+        snapshot: PipeSnapshot,
+        result: CompileResult,
+        transforms: Dict[str, RegisterTransform],
+    ) -> PipeSnapshot:
+        module_name_of = {
+            key: ir.name for key, ir in result.netlist.modules.items()
+        }
+        return PipeSnapshot(
+            snapshot.cycle,
+            snapshot.inputs,
+            translate_snapshot(snapshot.state, module_name_of, transforms),
+        )
 
     def _next_version(self) -> str:
         self._version_counter += 1

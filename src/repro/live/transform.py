@@ -1,16 +1,26 @@
 """Register transformation rules and history (paper Tables V and VI).
 
 A checkpoint records the entire state of a pipeline.  After a code
-change the register topology may differ, so checkpoints cannot be
-blindly transferred.  LiveSim applies deterministic rules:
+change the register topology may differ, so state cannot be blindly
+transferred.  LiveSim applies deterministic rules, to registers and
+memories alike and to the sanitizer's shadow state (which names hold a
+value the simulation never computed) together with the values:
 
-========================  =========================================
-Scenario                  Action
-========================  =========================================
-Register created          Initialize to 0 (or another given value)
-Register deleted          Ignore data from the checkpoint
-Single register renamed   Map old-name to new-name
-========================  =========================================
+========================  ==============================  =====================
+Scenario                  Value                           Shadow state (poison)
+========================  ==============================  =====================
+Register created          ``init_value`` (default 0)      poisoned
+Register deleted          dropped                         dropped
+Single register renamed   moves to the new name           moves with the value
+Not named by any op       kept under its name             kept
+========================  ==============================  =====================
+
+This table is the one statement of the rules and :func:`translate` is
+their one interpreter: a hot swap, a checkpoint reload and the
+retargeting of a checkpoint store all cross a design version by
+translating name-keyed state here and then fitting it into the new
+layout with :meth:`repro.sim.stage.StageInst.load` (widths, depths and
+state the translated snapshot does not carry are that method's half).
 
 When the mapping is ambiguous, LiveSim "will make its best guess based
 on the similarities of names and types" — implemented here with width
@@ -22,10 +32,11 @@ exploration is not limited to a linear sequence of changes.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..hdl.errors import SimulationError
+from ..sim.stage import StateSnapshot
 
 CREATE = "create"
 DELETE = "delete"
@@ -64,16 +75,7 @@ class RegisterTransform:
     def apply(self, values: Mapping[str, int]) -> Dict[str, int]:
         """Translate a name->value map from the old version's namespace
         into the new version's namespace."""
-        result: Dict[str, int] = dict(values)
-        for op in self.ops:
-            if op.kind == DELETE:
-                result.pop(op.name, None)
-            elif op.kind == RENAME:
-                if op.name in result:
-                    result[op.new_name] = result.pop(op.name)
-            elif op.kind == CREATE:
-                result[op.name] = op.init_value
-        return result
+        return translate(self, StateSnapshot("", "", dict(values), {})).regs
 
     def compose(self, later: "RegisterTransform") -> "RegisterTransform":
         return RegisterTransform(ops=self.ops + later.ops)
@@ -117,67 +119,56 @@ def guess_transforms(
     return RegisterTransform(ops=ops)
 
 
-def translate_snapshot(
-    snap,
-    module_name_of: "Mapping[str, str]",
-    transform_for: "Mapping[str, RegisterTransform]",
-):
-    """Rewrite a :class:`~repro.sim.stage.StateSnapshot` tree into a new
-    version's register namespace.
+def translate(
+    transform: RegisterTransform, snap: StateSnapshot
+) -> StateSnapshot:
+    """One module's name-keyed state in the new version's namespace
+    (``snap.children`` ride along untranslated).
 
-    ``module_name_of`` maps spec key -> module name; ``transform_for``
-    maps module name -> transform (missing entries mean identity).
-    Used by the session to retarget stored checkpoints right after a
-    hot reload, so every checkpoint in the store always speaks the
-    current version's naming.
+    Applies the Table V rules at the top of this module, op by op, to
+    the register values, the memories, and the sanitizer's poisoned
+    register names and per-memory word-poison bitmaps alike.
     """
-    from ..sim.stage import StateSnapshot
-
-    module = module_name_of.get(snap.key, snap.key)
-    transform = transform_for.get(module)
-    reg_poison = set(getattr(snap, "reg_poison", ()))
-    mem_poison = dict(getattr(snap, "mem_poison", {}))
-    if transform is None or transform.is_identity():
-        regs = dict(snap.regs)
-        mems = {name: list(words) for name, words in snap.mems.items()}
-    else:
-        regs = transform.apply(snap.regs)
-        name_map = {name: name for name in snap.mems}
-        for op in transform.ops:
-            if op.kind == RENAME and op.name in name_map:
-                name_map[op.name] = op.new_name
-            elif op.kind == DELETE:
-                name_map.pop(op.name, None)
-        mems = {
-            new_name: list(snap.mems[old_name])
-            for old_name, new_name in name_map.items()
-        }
-        # Sanitizer shadow state follows the rename/delete/create ops:
-        # a *created* register holds a value the simulation never
-        # computed, so it reads as poisoned until first written.
-        for op in transform.ops:
-            if op.kind == RENAME:
-                if op.name in reg_poison:
-                    reg_poison.discard(op.name)
-                    reg_poison.add(op.new_name)
-                if op.name in mem_poison:
-                    mem_poison[op.new_name] = mem_poison.pop(op.name)
-            elif op.kind == DELETE:
-                reg_poison.discard(op.name)
-                mem_poison.pop(op.name, None)
-            elif op.kind == CREATE:
-                reg_poison.add(op.name)
-    return StateSnapshot(
-        key=snap.key,
-        name=snap.name,
+    regs, mems = dict(snap.regs), dict(snap.mems)
+    poisoned, mem_poison = dict.fromkeys(snap.reg_poison), dict(snap.mem_poison)
+    for op in transform.ops:
+        if op.kind == CREATE:
+            regs[op.name] = op.init_value
+            poisoned[op.name] = None
+            continue
+        for table in (regs, mems, poisoned, mem_poison):
+            if op.name in table:
+                entry = table.pop(op.name)
+                if op.kind == RENAME:
+                    table[op.new_name] = entry
+    return replace(
+        snap,
         regs=regs,
         mems=mems,
+        reg_poison=tuple(sorted(poisoned)),
+        mem_poison=mem_poison,
+    )
+
+
+def translate_snapshot(
+    snap: StateSnapshot,
+    module_name_of: Mapping[str, str],
+    transforms: Mapping[str, RegisterTransform],
+) -> StateSnapshot:
+    """:func:`translate` mapped over a snapshot tree.
+
+    ``module_name_of`` maps spec key -> module name; ``transforms``
+    maps module name -> transform (missing entries mean identity).
+    """
+    transform = transforms.get(module_name_of.get(snap.key, snap.key))
+    if transform is not None:
+        snap = translate(transform, snap)
+    return replace(
+        snap,
         children=[
-            translate_snapshot(child, module_name_of, transform_for)
+            translate_snapshot(child, module_name_of, transforms)
             for child in snap.children
         ],
-        reg_poison=tuple(sorted(reg_poison & set(regs))),
-        mem_poison=mem_poison,
     )
 
 
@@ -243,9 +234,6 @@ class RegisterTransformHistory:
         Register Transform History if the mapping is incorrect"."""
         self._node(version).transforms[module] = transform
 
-    def transform_for(self, version: str, module: str) -> RegisterTransform:
-        return self._node(version).transforms.get(module, RegisterTransform())
-
     def _path_to_root(self, version: str) -> List[str]:
         path = [version]
         node = self._node(version)
@@ -269,13 +257,17 @@ class RegisterTransformHistory:
         index = chain.index(old_version)
         return list(reversed(chain[:index]))
 
-    def composed_transform(
-        self, old_version: str, new_version: str, module: str
-    ) -> RegisterTransform:
-        """Transform translating ``module`` state across versions."""
-        composed = RegisterTransform()
+    def composed_transforms(
+        self, old_version: str, new_version: str
+    ) -> Dict[str, RegisterTransform]:
+        """Module name -> transform translating that module's state
+        from ``old_version`` to ``new_version`` (identity when absent)."""
+        composed: Dict[str, RegisterTransform] = {}
         for version in self.path(old_version, new_version):
-            composed = composed.compose(self.transform_for(version, module))
+            for module, transform in self._node(version).transforms.items():
+                composed[module] = composed.get(
+                    module, RegisterTransform()
+                ).compose(transform)
         return composed
 
     def rows(self) -> List[Tuple[str, str, str]]:

@@ -191,17 +191,13 @@ class Pipe:
         self._inputs = dict(snap.inputs)
         self._last_outputs = None
 
-    def restore_transformed(
-        self,
-        snap: "PipeSnapshot",
-        transform_for: Callable[[str], object],
-    ) -> None:
-        """Load a snapshot captured under a different design version.
+    def restore_transformed(self, snap: "PipeSnapshot") -> None:
+        """Load a snapshot that need not match this design version.
 
-        See :meth:`StageInst.restore_transformed`; top-level inputs
-        keep their old values where the port still exists.
+        See :meth:`StageInst.load`; top-level inputs keep their old
+        values where the port still exists.
         """
-        self.top.restore_transformed(snap.state, transform_for)
+        self.top.load(snap.state)
         self.cycle = snap.cycle
         self._inputs = {
             name: snap.inputs.get(name, 0) for name in self.top.code.inputs

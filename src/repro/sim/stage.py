@@ -3,14 +3,16 @@
 A :class:`StageInst` is the paper's "Stage" object (§III-B1): a block of
 logic with external IO, internal registers/memories, and child stages.
 Its ``code`` attribute points at a shared :class:`CompiledModule`; hot
-reload replaces that pointer (and migrates state) without touching the
-rest of the tree.
+reload replaces that pointer without touching the rest of the tree.
+State enters an instance through one door, :meth:`StageInst.load`; the
+rules that carry it across a design version live in
+:mod:`repro.live.transform`, which this package knows nothing about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..codegen.pygen import CompiledModule
 from ..hdl.errors import SimulationError
@@ -21,8 +23,8 @@ class StateSnapshot:
     """A deep, picklable copy of one instance subtree's state.
 
     Registers and memories are keyed by *name* so a snapshot taken
-    under one design version can be transformed into another version's
-    namespace (paper §III-E).
+    under one design version can be translated into another version's
+    namespace (paper §III-E, :mod:`repro.live.transform`).
     """
 
     key: str
@@ -30,9 +32,8 @@ class StateSnapshot:
     regs: Dict[str, int]
     mems: Dict[str, List[int]]
     children: List["StateSnapshot"] = field(default_factory=list)
-    # Sanitizer shadow state (empty for clean builds and legacy
-    # pickles — read with getattr defaults): names of poisoned regs and
-    # per-memory word-poison bitmaps.
+    # Sanitizer shadow state (empty for clean builds): names of
+    # poisoned regs and per-memory word-poison bitmaps.
     reg_poison: Tuple[str, ...] = ()
     mem_poison: Dict[str, int] = field(default_factory=dict)
 
@@ -185,157 +186,92 @@ class StageInst:
         )
 
     def restore(self, snap: StateSnapshot) -> None:
-        """Restore a snapshot taken from an *identical* module version.
+        """Restore a snapshot taken from an *identical* module version;
+        anything else is an error and leaves this subtree untouched.
 
-        Version-crossing restores (after a hot reload) go through
-        :mod:`repro.live.transform`, which applies the paper's register
-        transformation rules instead of requiring identity.
+        A snapshot from another version is first translated into this
+        version's namespace (:mod:`repro.live.transform`) and then goes
+        through :meth:`load`, which fits instead of requiring identity.
         """
+        self._require_identical(snap)
+        self.load(snap)
+
+    def _require_identical(self, snap: StateSnapshot) -> None:
         if snap.key != self.code.key:
             raise SimulationError(
                 f"snapshot is for {snap.key!r} but instance runs {self.code.key!r}"
             )
-        num_regs = self.code.num_regs
         if set(snap.regs) != set(self.code.reg_slots):
             raise SimulationError(
                 f"snapshot register set differs for {self.code.key!r}"
             )
-        for name, slot in self.code.reg_slots.items():
-            value = snap.regs[name]
-            self.state[slot] = value
-            self.state[slot + num_regs] = value
         for name, spec in self.code.mem_specs.items():
             words = snap.mems.get(name)
             if words is None or len(words) != spec.depth:
                 raise SimulationError(f"snapshot memory {name!r} mismatch")
-            self.state[spec.slot][:] = words
-            del self.state[spec.pending_slot][:]
-        if self.code.build.sanitize:
-            self._restore_poison(
-                getattr(snap, "reg_poison", ()),
-                getattr(snap, "mem_poison", {}),
-            )
-        self._drop_cached_evals()
         if len(snap.children) != len(self.children):
             raise SimulationError("snapshot child count mismatch")
         for child, child_snap in zip(self.children, snap.children):
-            child.restore(child_snap)
+            child._require_identical(child_snap)
 
-    def restore_transformed(
-        self,
-        snap: StateSnapshot,
-        transform_for: "Callable[[str], object]",
-    ) -> None:
-        """Restore a snapshot from a *different* design version.
+    def load(self, snap: StateSnapshot) -> None:
+        """Fit name-keyed state into this subtree's current layout.
 
-        ``transform_for(module_name)`` returns the
-        :class:`~repro.live.transform.RegisterTransform` translating
-        that module's old state names into the current ones (identity
-        when unknown).  Registers absent from the translated snapshot
-        initialize to 0 — the paper's "register created" rule.
+        The snapshot speaks this version's names (the Table V rules in
+        :mod:`repro.live.transform` put it there); what is left is
+        shape.  Values are masked to the declared width; a memory keeps
+        the overlapping words and a grown tail reads zero.  State the
+        snapshot does not carry is zero and — to the sanitizer — fresh:
+        poisoned like the state the snapshot itself marks poisoned,
+        unless ``reg_const_init`` proves the value a from-reset run
+        would hold, which is then adopted clean.  Children are matched
+        by instance name; one the snapshot lacks restarts at power-on.
         """
-        transform = transform_for(self.code.name)
-        migrated = transform.apply(snap.regs) if transform is not None else dict(
-            snap.regs
-        )
-        num_regs = self.code.num_regs
-        for name, slot in self.code.reg_slots.items():
-            value = migrated.get(name, 0) & ((1 << self.code.reg_widths[name]) - 1)
-            self.state[slot] = value
-            self.state[slot + num_regs] = value
-        if self.code.build.sanitize:
-            # Registers the translated snapshot never carried are fresh
-            # state: mark them poisoned ("skip_init"-style restore).  A
-            # CREATE op materializes a value the simulation never
-            # computed, so it counts as fresh too; carried snapshot
-            # poison survives under its (possibly renamed) name.
-            carried = set(getattr(snap, "reg_poison", ()))
-            created = set()
-            for op in getattr(transform, "ops", ()) or ():
-                if op.kind == "create":
-                    created.add(op.name)
-                elif op.kind == "rename" and op.name in carried:
-                    carried.discard(op.name)
-                    carried.add(op.new_name)
-            const_init = self.code.reg_const_init
-            fresh = []
-            for name in self.code.reg_slots:
-                if name in created or name in carried:
-                    fresh.append(name)
-                elif name not in migrated:
-                    value = const_init.get(name)
-                    if value is None:
-                        fresh.append(name)
-                    else:
-                        # Proven constant from reset (env-tier dataflow
-                        # fact): adopt the proven value, poison-free —
-                        # the "fully-known init" case.
-                        slot = self.code.reg_slots[name]
-                        value &= (1 << self.code.reg_widths[name]) - 1
-                        self.state[slot] = value
-                        self.state[slot + num_regs] = value
-            self._restore_poison(tuple(fresh), {})
-        name_map = {name: name for name in snap.mems}
-        if transform is not None:
-            for op in getattr(transform, "ops", ()):
-                if op.kind == "rename" and op.name in name_map:
-                    name_map[op.name] = op.new_name
-                elif op.kind == "delete":
-                    name_map.pop(op.name, None)
-        translated = {
-            new_name: snap.mems[old_name] for old_name, new_name in name_map.items()
-        }
-        if self.code.build.sanitize:
-            snap_mem_poison = getattr(snap, "mem_poison", {})
-            old_name_of = {new: old for old, new in name_map.items()}
-        for name, spec in self.code.mem_specs.items():
-            target = self.state[spec.slot]
-            words = translated.get(name)
-            if words is None:
-                target[:] = [0] * spec.depth
-                if self.code.build.sanitize:
-                    # A memory the snapshot never had is all fresh state.
-                    self.state[spec.poison_slot] = (1 << spec.depth) - 1
-            else:
-                count = min(len(words), spec.depth)
-                mask = (1 << spec.width) - 1
-                target[0:count] = [w & mask for w in words[0:count]]
-                if count < spec.depth:
-                    target[count:] = [0] * (spec.depth - count)
-                if self.code.build.sanitize:
-                    # Depth growth beyond the snapshotted words is fresh;
-                    # carried word poison covers the copied range.
-                    poison = ((1 << spec.depth) - 1) & ~((1 << count) - 1)
-                    poison |= snap_mem_poison.get(
-                        old_name_of.get(name, name), 0
-                    ) & ((1 << count) - 1)
-                    self.state[spec.poison_slot] = poison
-            del self.state[spec.pending_slot][:]
+        code = self.code
+        state = self.state
+        num_regs = code.num_regs
+        poisoned = list(snap.reg_poison)
+        for name, slot in code.reg_slots.items():
+            value = snap.regs.get(name)
+            if value is None:
+                value = code.reg_const_init.get(name)
+                if value is None:
+                    value = 0
+                    poisoned.append(name)
+            value &= (1 << code.reg_widths[name]) - 1
+            state[slot] = value
+            state[slot + num_regs] = value
+        for name, spec in code.mem_specs.items():
+            words = snap.mems.get(name, [])[: spec.depth]  # a copy
+            count = len(words)
+            mask = (1 << spec.width) - 1
+            # Same-width words (the common case) are copied, not
+            # re-masked one by one.
+            if words and max(words) > mask:
+                words = [w & mask for w in words]
+            words += [0] * (spec.depth - count)
+            state[spec.slot][:] = words
+            del state[spec.pending_slot][:]
+            if code.build.sanitize:
+                carried = (1 << count) - 1
+                state[spec.poison_slot] = (
+                    ((1 << spec.depth) - 1) & ~carried
+                ) | (snap.mem_poison.get(name, 0) & carried)
+        if code.build.sanitize:
+            pbits = 0
+            for name in poisoned:
+                slot = code.reg_slots.get(name)
+                if slot is not None:
+                    pbits |= 1 << slot
+            state[code.layout.reg_poison_slot] = pbits
+            state[code.layout.nw_slot].clear()
         self._drop_cached_evals()
         for child in self.children:
             child_snap = snap.child(child.name)
             if child_snap is not None:
-                child.restore_transformed(child_snap, transform_for)
+                child.load(child_snap)
             else:
                 child.reset_state()
-
-    def _restore_poison(
-        self,
-        reg_poison: Tuple[str, ...],
-        mem_poison: Dict[str, int],
-    ) -> None:
-        """Replace the sanitizer shadow state from snapshot form."""
-        pbits = 0
-        for name in reg_poison:
-            slot = self.code.reg_slots.get(name)
-            if slot is not None:
-                pbits |= 1 << slot
-        self.state[self.code.layout.reg_poison_slot] = pbits
-        for name, spec in self.code.mem_specs.items():
-            self.state[spec.poison_slot] = mem_poison.get(name, 0) & (
-                (1 << spec.depth) - 1
-            )
-        self.state[self.code.layout.nw_slot].clear()
 
     def reset_state(self) -> None:
         """Zero all registers and memories (power-on state)."""

@@ -178,6 +178,18 @@ class TestRegressionGate:
         failures = compare_to_baseline(current, self._artifact(0.1), 0.25)
         assert "missing from current run" in failures[0]
 
+    def test_a_fig8_bar_over_two_seconds_fails(self):
+        current = self._artifact(0.1)
+        current["fig8"] = [
+            {"n": 1, "total_s": 0.4, "under_two_seconds": True},
+            {"n": 2, "total_s": 2.3, "under_two_seconds": False},
+        ]
+        failures = compare_to_baseline(current, self._artifact(0.1), 0.25)
+        assert len(failures) == 1
+        assert "2x2" in failures[0] and "under two seconds" in failures[0]
+        current["fig8"].pop()
+        assert compare_to_baseline(current, self._artifact(0.1), 0.25) == []
+
     def test_empty_baseline_fails(self):
         failures = compare_to_baseline(
             self._artifact(0.1), {"schema": "repro.bench/v1"}, 0.25

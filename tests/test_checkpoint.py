@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_design
+from repro.hdl.errors import SimulationError
 from repro.live.checkpoint import Checkpoint, CheckpointStore, GCPolicy
 from repro.sim import Pipe
 from tests.conftest import COUNTER_SRC
@@ -257,27 +258,25 @@ class TestPersistence:
         assert len(tight) <= 5
         assert tight.total_collected > 0
 
-    def test_load_legacy_file_derives_stats(self, tmp_path):
-        # Files written before stats were persisted still load, with
-        # capture stats derived from the checkpoints themselves.
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            ["not", "a", "dict"],
+            {"interval": 10, "checkpoints": [], "next_id": 1},
+            {"interval": 10, "checkpoints": [], "next_id": 1,
+             "stats": {"total_captured": 0}},
+        ],
+        ids=["not_a_dict", "no_stats", "partial_stats"],
+    )
+    def test_load_rejects_a_payload_without_the_current_keys(
+        self, tmp_path, payload
+    ):
         import pickle
 
-        pipe = make_pipe()
-        store = CheckpointStore(interval=10)
-        pipe.step(2)
-        store.take(pipe, "1.0", 0)
-        path = str(tmp_path / "legacy.pkl")
+        path = str(tmp_path / "other.pkl")
         with open(path, "wb") as fh:
-            pickle.dump(
-                {
-                    "interval": store.interval,
-                    "checkpoints": store.all(),
-                    "next_id": 1,
-                },
-                fh,
-            )
+            pickle.dump(payload, fh)
         loaded = CheckpointStore(interval=99)
-        loaded.load(path)
-        assert loaded.total_captured == 1
-        assert loaded.total_capture_seconds > 0
-        assert loaded.total_collected == 0
+        with pytest.raises(SimulationError, match="other.pkl"):
+            loaded.load(path)
+        assert loaded.interval == 99 and len(loaded) == 0

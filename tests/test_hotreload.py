@@ -6,7 +6,11 @@ import pytest
 from repro import compile_design
 from repro.hdl.errors import SimulationError
 from repro.live.hotreload import HotReloader
-from repro.live.transform import RegisterTransform, TransformOp
+from repro.live.transform import (
+    RegisterTransform,
+    TransformOp,
+    translate_snapshot,
+)
 from repro.sim import Pipe
 from tests.conftest import COUNTER_SRC
 
@@ -222,3 +226,166 @@ class TestSwapStage:
         _, new_lib = compiled(widened)
         with pytest.raises(SimulationError, match="interface changed"):
             HotReloader().swap_stage(pipe, "u0.u_add", new_lib)
+
+
+# -- one state-migration path: swap == snapshot -> translate -> load ----------
+
+LANES_SRC = """
+module lane (input clk, input rst, input [7:0] step, output [7:0] y);
+  reg [7:0] a_q;
+  reg [7:0] keep_q;
+  reg [7:0] spare_q;
+  reg [7:0] m [0:7];
+  assign y = a_q ^ m[keep_q[2:0]];
+  always @(posedge clk) begin
+    if (rst) begin
+      a_q <= 8'd0;
+      keep_q <= 8'd0;
+    end else begin
+      a_q <= a_q + step;
+      keep_q <= keep_q + 8'd1;
+      spare_q <= a_q;
+      m[keep_q[2:0]] <= a_q;
+    end
+  end
+endmodule
+
+module top (input clk, input rst, output [7:0] y0, output [7:0] y1,
+            output [7:0] t);
+  reg [7:0] t_q;
+  assign t = t_q;
+  lane u0 (.clk(clk), .rst(rst), .step(8'd37), .y(y0));
+  lane u1 (.clk(clk), .rst(rst), .step(8'd91), .y(y1));
+  always @(posedge clk) t_q <= t_q + 8'd1;
+endmodule
+"""
+
+# Pre-poisoned in u0 under sanitize: these registers, these words of m.
+POISONED_REGS = ("a_q", "spare_q")
+POISONED_WORDS = 0b10100110
+# A pure rename compiles to byte-identical code (state is slot-addressed)
+# and keeps the state arrays; pairing it with a logic change forces the
+# swap path the test is about.
+TWEAK = ("keep_q <= keep_q + 8'd1;", "keep_q <= keep_q + 8'd2;")
+
+
+def _edited(*pairs):
+    source = LANES_SRC
+    for old, new in pairs:
+        assert old in source
+        source = source.replace(old, new)
+    return source
+
+
+# id -> (edited source, module whose state crosses, its transform,
+#        u0's expected poisoned registers and memory words under sanitize)
+MIGRATIONS = {
+    "reg_rename": (
+        _edited(("a_q", "b_q"), TWEAK), "lane",
+        [TransformOp("rename", "a_q", new_name="b_q")],
+        {"b_q", "spare_q"}, {"m": POISONED_WORDS},
+    ),
+    "reg_create": (
+        _edited(("reg [7:0] spare_q;", "reg [7:0] spare_q;\n  reg [7:0] new_q;"),
+                ("spare_q <= a_q;", "spare_q <= a_q;\n      new_q <= spare_q;")),
+        "lane", [TransformOp("create", "new_q", init_value=5)],
+        {"a_q", "spare_q", "new_q"}, {"m": POISONED_WORDS},
+    ),
+    "reg_delete": (
+        _edited(("  reg [7:0] spare_q;\n", ""), ("      spare_q <= a_q;\n", "")),
+        "lane", [TransformOp("delete", "spare_q")],
+        {"a_q"}, {"m": POISONED_WORDS},
+    ),
+    "reg_width_shrink": (
+        _edited(("reg [7:0] a_q;", "reg [3:0] a_q;")), "lane", [],
+        {"a_q", "spare_q"}, {"m": POISONED_WORDS},
+    ),
+    "mem_rename": (
+        _edited(("m [0:7]", "n [0:7]"), ("m[keep_q", "n[keep_q"), TWEAK),
+        "lane", [TransformOp("rename", "m", new_name="n")],
+        {"a_q", "spare_q"}, {"n": POISONED_WORDS},
+    ),
+    "mem_depth_grow": (
+        _edited(("m [0:7]", "m [0:15]"), ("keep_q[2:0]", "keep_q[3:0]")),
+        "lane", [],
+        {"a_q", "spare_q"}, {"m": 0xFF00 | POISONED_WORDS},
+    ),
+    "mem_depth_shrink": (
+        _edited(("m [0:7]", "m [0:3]"), ("keep_q[2:0]", "keep_q[1:0]")),
+        "lane", [],
+        {"a_q", "spare_q"}, {"m": 0xF & POISONED_WORDS},
+    ),
+    "mem_width_shrink": (
+        _edited(("reg [7:0] m ", "reg [3:0] m ")), "lane", [],
+        {"a_q", "spare_q"}, {"m": POISONED_WORDS},
+    ),
+    "parent_only": (
+        _edited(("t_q <= t_q + 8'd1;", "t_q <= t_q + 8'd2;")), "top", [],
+        {"a_q", "spare_q"}, {"m": POISONED_WORDS},
+    ),
+}
+
+
+def _lanes_library(source, sanitize):
+    from repro.codegen.build import BuildConfig
+    from repro.codegen.pygen import compile_netlist
+    from repro.hdl.elaborate import elaborate
+    from repro.hdl.parser import parse
+    from repro.sanitize import SanitizerRuntime
+
+    return compile_netlist(
+        elaborate(parse(source), "top"),
+        BuildConfig(sanitize=sanitize),
+        runtime=SanitizerRuntime(mode="report") if sanitize else None,
+    )
+
+
+def _shadow(snap):
+    return (
+        set(snap.reg_poison), snap.mem_poison,
+        [_shadow(child) for child in snap.children],
+    )
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["clean", "sanitize"])
+@pytest.mark.parametrize("case", sorted(MIGRATIONS))
+def test_swap_is_snapshot_translate_load(case, sanitize):
+    """Hot-swapping a running pipe and loading its pre-swap snapshot,
+    translated by the same transform, into a fresh pipe of the new
+    library are the same state crossing: same values, same poison."""
+    source, module, ops, reg_poison, mem_poison = MIGRATIONS[case]
+    transforms = {module: RegisterTransform(ops)}
+    live = Pipe("top", _lanes_library(LANES_SRC, sanitize))
+    live.set_inputs(rst=1)
+    live.step(1)
+    live.set_inputs(rst=0)
+    live.step(13)
+    if sanitize:
+        u0 = live.find("u0")
+        for name in POISONED_REGS:
+            u0.state[u0.code.layout.reg_poison_slot] |= (
+                1 << u0.code.reg_slots[name]
+            )
+        u0.state[u0.code.mem_specs["m"].poison_slot] = POISONED_WORDS
+    before = live.snapshot()
+    assert before.state.child("u0").regs["a_q"] == (13 * 37) & 0xFF
+
+    new_library = _lanes_library(source, sanitize)
+    report = HotReloader(transforms).swap_pipe(live, new_library)
+    assert module in report.modules_changed
+
+    loaded = Pipe("top", new_library)
+    before.state = translate_snapshot(
+        before.state, {"top": "top", "lane": "lane"}, transforms
+    )
+    loaded.restore_transformed(before)
+
+    if sanitize:
+        u0 = loaded.top.snapshot().child("u0")
+        assert (set(u0.reg_poison), u0.mem_poison) == (reg_poison, mem_poison)
+    for _ in range(2):  # right after the crossing, and a few cycles on
+        swapped, reference = live.top.snapshot(), loaded.top.snapshot()
+        assert swapped.equal_state(reference)
+        assert _shadow(swapped) == _shadow(reference)
+        live.step(3)
+        loaded.step(3)

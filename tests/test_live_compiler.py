@@ -108,6 +108,61 @@ class TestIncrementalRecompile:
         result = compiler.compile_top("top")
         assert result.library["top"] is not None
 
+    def test_syntax_error_commits_nothing_to_the_parser(self):
+        compiler = LiveCompiler(COUNTER_SRC)
+        parser = compiler.parser
+        before = (
+            parser.source,
+            parser.regions,
+            {name: parser.fingerprint(name) for name in parser.module_names()},
+        )
+        with pytest.raises(HDLError):
+            compiler.update_source(
+                COUNTER_SRC.replace("assign sum = a + b;", "assign sum = ;")
+            )
+        assert before == (
+            parser.source,
+            parser.regions,
+            {name: parser.fingerprint(name) for name in parser.module_names()},
+        )
+
+    @pytest.mark.parametrize(
+        "edit, behavioral, lexed",
+        [
+            ("assign sum = a - b;", True, 1),
+            ("assign sum = a + b;  // reviewed", False, 1),
+        ],
+    )
+    def test_an_edit_splits_once_and_lexes_its_region_once(
+        self, monkeypatch, edit, behavioral, lexed
+    ):
+        from repro.hdl import source_regions
+        from repro.live import parser_live
+        from repro.live.session import LiveSession
+
+        session = LiveSession(COUNTER_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        calls = {"split": 0, "lex": 0}
+
+        def counted(name, fn):
+            def wrapper(text):
+                calls[name] += 1
+                return fn(text)
+            return wrapper
+
+        split = counted("split", source_regions.split_regions)
+        monkeypatch.setattr(source_regions, "split_regions", split)
+        monkeypatch.setattr(parser_live, "split_regions", split)
+        monkeypatch.setattr(
+            parser_live, "behavioral_fingerprint",
+            counted("lex", parser_live.behavioral_fingerprint),
+        )
+        report = session.apply_change(
+            COUNTER_SRC.replace("assign sum = a + b;", edit)
+        )
+        assert report.behavioral == behavioral
+        assert calls == {"split": 1, "lex": lexed}
+
     def test_added_module_compiles(self):
         compiler = LiveCompiler(COUNTER_SRC)
         compiler.compile_top("top")

@@ -105,8 +105,10 @@ class TestCommit:
     def test_commit_updates_baseline(self):
         parser = LiveParser(COUNTER_SRC)
         new = COUNTER_SRC.replace("a + b", "a - b")
-        assert parser.analyze(new).behavioral
-        parser.commit(new)
+        result = parser.analyze(new)
+        assert result.behavioral
+        parser.commit(result)
+        assert parser.source == new
         assert not parser.analyze(new).behavioral
 
     def test_analyze_without_commit_keeps_baseline(self):
@@ -119,7 +121,7 @@ class TestCommit:
     def test_fingerprints_survive_commit_fast_path(self):
         parser = LiveParser(COUNTER_SRC)
         fp = parser.fingerprint("adder")
-        parser.commit(COUNTER_SRC + "\n// trailing comment\n")
+        parser.commit(parser.analyze(COUNTER_SRC + "\n// trailing comment\n"))
         assert parser.fingerprint("adder") == fp
 
     def test_parse_seconds_recorded(self):

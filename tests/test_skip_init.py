@@ -10,7 +10,11 @@ design has since been edited, thanks to the Table V transform rules.
 
 from repro.live.checkpoint import CheckpointStore
 from repro.live.session import LiveSession
-from repro.live.transform import RegisterTransform, TransformOp
+from repro.live.transform import (
+    RegisterTransform,
+    TransformOp,
+    translate_snapshot,
+)
 from repro.sim.testbench import hold_inputs
 from tests.conftest import COUNTER_SRC
 
@@ -60,9 +64,12 @@ class TestSkipInitialization:
         transform = RegisterTransform(
             [TransformOp("rename", "count_q", new_name="tally_q")]
         )
-        session.pipe("p0").restore_transformed(
-            checkpoint.snapshot, lambda module: transform
+        checkpoint.snapshot.state = translate_snapshot(
+            checkpoint.snapshot.state,
+            {"counter#(W=8)": "counter"},
+            {"counter": transform},
         )
+        session.pipe("p0").restore_transformed(checkpoint.snapshot)
         session.pipe("p0").cycle = checkpoint.cycle
         pipe = session.pipe("p0")
         assert pipe.find("u0").peek_reg("tally_q") == 500 & 0xFF

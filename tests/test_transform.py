@@ -131,7 +131,7 @@ class TestHistory:
             "m": RegisterTransform([TransformOp(RENAME, "someR",
                                                 new_name="newR2")]),
         })
-        composed = history.composed_transform("1.0", "1.2", "m")
+        composed = history.composed_transforms("1.0", "1.2")["m"]
         assert composed.apply({"someR": 5}) == {"someR": 5, "newR": 0} or (
             composed.apply({"someR": 5}) == {"newR2": 5, "newR": 0}
         )
@@ -154,7 +154,7 @@ class TestHistory:
                 TransformOp(DELETE, "newR"),
             ]),
         })
-        via_a = history.composed_transform("1.1", "1.3a", "m")
+        via_a = history.composed_transforms("1.1", "1.3a")["m"]
         result = via_a.apply({"newR": 3, "otherR": 4})
         assert "newR" not in result
         assert result["myR1"] == 0  # created in 1.2, renamed in 1.3a
@@ -164,7 +164,7 @@ class TestHistory:
         history.add_version("1.1", "1.0")
         history.add_version("1.1b", "1.0")
         with pytest.raises(SimulationError, match="cross branches"):
-            history.composed_transform("1.1", "1.1b", "m")
+            history.composed_transforms("1.1", "1.1b")["m"]
 
     def test_same_version_is_empty_path(self):
         history = RegisterTransformHistory("1.0")
@@ -188,7 +188,7 @@ class TestHistory:
             "1.1", "m",
             RegisterTransform([TransformOp(RENAME, "a", new_name="b")]),
         )
-        composed = history.composed_transform("1.0", "1.1", "m")
+        composed = history.composed_transforms("1.0", "1.1")["m"]
         assert composed.apply({"a": 1}) == {"b": 1}
 
     def test_rows_render_like_table6(self):
