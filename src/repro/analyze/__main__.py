@@ -59,18 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "report; new or missing findings exit 2",
     )
     parser.add_argument(
-        "--opt", choices=("none", "basic", "full"), default="none",
-        help="run analysis through the repro.passes pipeline at this "
-             "optimization level; analysis sees the pre-optimization "
-             "netlist, so findings are identical at every level (the "
-             "CI gate asserts this against one shared baseline)",
-    )
-    parser.add_argument(
         "--explain", action="store_true",
         help="append each proof-backed finding's value derivation "
              "chain (one indented line per contributing fact); the "
-             "chain's line numbers are pre-optimization source lines "
-             "at every --opt level, same as the findings themselves",
+             "chain's line numbers are source lines, same as the "
+             "findings themselves",
     )
     parser.add_argument(
         "--fail-on-error", action="store_true",
@@ -98,7 +91,7 @@ def _collect_designs(paths: List[str]) -> List[str]:
 
 
 def _analyze_file(
-    analyzer: Analyzer, path: str, top: Optional[str], opt: str = "none"
+    analyzer: Analyzer, path: str, top: Optional[str]
 ) -> Tuple[dict, int]:
     with open(path) as fh:
         source = fh.read()
@@ -112,27 +105,7 @@ def _analyze_file(
             f"{path}: top module {chosen!r} not in design (have {modules})"
         )
     netlist = elaborate(design, chosen)
-    if opt != "none":
-        # Drive the analyzer through the pass pipeline the compiler
-        # uses at this level; AnalyzePass runs pre-optimization, so
-        # the findings must match the plain path bit for bit.
-        from ..codegen.build import BuildConfig
-        from ..passes import (
-            AnalyzePass,
-            ElaborateFactsPass,
-            PassData,
-            PassManager,
-        )
-
-        pipeline = PassManager([
-            AnalyzePass(analyzer),
-            ElaborateFactsPass(),
-        ]).build()
-        data = PassData(netlist=netlist, build=BuildConfig(opt=opt))
-        pipeline.run(data)
-        report = data.facts["analyze.report"]
-    else:
-        report = analyzer.analyze_netlist(netlist)
+    report = analyzer.analyze_netlist(netlist)
     rel = os.path.relpath(path).replace(os.sep, "/")
     return design_entry(rel, chosen, report.diagnostics), len(report.errors)
 
@@ -150,8 +123,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     error_findings = 0
     try:
         for path in paths:
-            entry, errors = _analyze_file(analyzer, path, args.top,
-                                          args.opt)
+            entry, errors = _analyze_file(analyzer, path, args.top)
             entries.append(entry)
             error_findings += errors
             for severity, count in entry["counts"].items():
@@ -174,7 +146,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     report = build_report(entries, meta={
         "tool": "python -m repro.analyze",
         "designs_analyzed": len(entries),
-        "opt": args.opt,
     })
     print(f"total: {total['error']} error(s), {total['warning']} "
           f"warning(s), {total['info']} info")

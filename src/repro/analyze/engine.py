@@ -1,12 +1,13 @@
 """The incremental analyzer: fingerprint-cached analysis runs.
 
-Mirrors :class:`~repro.live.compiler_live.LiveCompiler`'s cache
-discipline: results are cached per specialization under a key built
-from the module's *behavioural fingerprint* plus a combinational
-summary of each child.  A body-only edit therefore re-analyzes exactly
-one module on the next hot reload; an untouched design re-analyzes
-nothing and an :class:`AnalysisReport` says so explicitly
-(``analyzed_keys`` / ``reused_keys`` — the acceptance counters).
+Findings live in the same :class:`~repro.codegen.build.DerivedCache` as
+the compiler's results (a session hands its compiler's cache in), per
+specialization under the module identity — *behavioural fingerprint*
+and value-facts digest — plus a combinational summary of each child.
+A body-only edit therefore re-analyzes exactly one module on the next
+hot reload; an untouched design re-analyzes nothing and an
+:class:`AnalysisReport` says so explicitly (``analyzed_keys`` /
+``reused_keys`` — the acceptance counters).
 
 The child component of the key is the child's *comb signature*
 (interface fingerprint + per-output input dependencies), because the
@@ -23,16 +24,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
+from ..codegen.build import DerivedCache
 from ..ir.netlist import ModuleIR, Netlist
 from .checks import Check, CheckContext, default_checks
 from .diagnostics import Diagnostic, count_by_severity, sort_diagnostics
-
-# (spec key, module fingerprint, child comb signatures, check set,
-#  value-facts digest) — the last component is what makes proof-backed
-# findings cache-correct: cross-module fact flow means a parent edit
-# can change this module's findings without touching its fingerprint.
-AnalysisKey = Tuple[str, str, Tuple[str, ...], str, str]
-
 
 @dataclass
 class AnalysisReport:
@@ -56,6 +51,10 @@ class AnalysisReport:
     def was_incremental(self) -> bool:
         return bool(self.reused_keys)
 
+    def note(self, kind: str, spec: str, hit: bool) -> None:
+        """An ``analyze`` cache lookup reused / analyzed ``spec``."""
+        (self.reused_keys if hit else self.analyzed_keys).append(spec)
+
     def findings(self, severity: Optional[str] = None) -> List[Diagnostic]:
         if severity is None:
             return list(self.diagnostics)
@@ -72,16 +71,14 @@ def comb_signature(ir: ModuleIR) -> str:
 
 
 class Analyzer:
-    """Owns the check set and the per-specialization result cache."""
+    """Owns the check set; results live in a :class:`DerivedCache`."""
 
-    def __init__(self, checks: Optional[Sequence[Check]] = None):
+    def __init__(self, checks: Optional[Sequence[Check]] = None,
+                 cache: Optional[DerivedCache] = None):
         self._checks: List[Check] = list(
             checks if checks is not None else default_checks()
         )
-        self._cache: Dict[AnalysisKey, Tuple[Diagnostic, ...]] = {}
-        # Dataflow value-facts cache (repro.passes.dataflow), shared
-        # across analyze runs under the same fingerprint discipline.
-        self._facts_cache: Dict = {}
+        self.cache = cache if cache is not None else DerivedCache()
         self._check_set = ",".join(
             sorted(type(c).__name__ for c in self._checks)
         )
@@ -91,7 +88,7 @@ class Analyzer:
         return list(self._checks)
 
     def cache_size(self) -> int:
-        return len(self._cache)
+        return len(self.cache.entries("analyze"))
 
     def analyze_netlist(
         self,
@@ -108,13 +105,26 @@ class Analyzer:
 
         ``value_facts`` (key -> ``ModuleValueFacts``) feeds the
         proof-backed checks; when omitted, the analyzer computes them
-        itself through its own fingerprint-keyed facts cache.
+        through the same cache (a hit when the compile pipeline already
+        did).
         """
         started = time.perf_counter()
         report = AnalysisReport(top=netlist.top)
+        # Without fingerprints nothing identifies a module across
+        # calls, so this call's results go to a cache of its own.
+        cache = self.cache if fingerprint_of is not None else DerivedCache()
+        fps = {
+            ir.name: fingerprint_of(ir.name) if fingerprint_of else ""
+            for ir in netlist.modules.values()
+        }
         with obs.span("analyze", top=netlist.top):
             if value_facts is None:
-                value_facts = self._compute_facts(netlist, fingerprint_of)
+                # Function-level import: repro.passes imports this
+                # package (comb_signature), so it must not import
+                # repro.passes at module load time.
+                from ..passes.dataflow import compute_netlist_facts
+
+                value_facts = compute_netlist_facts(netlist, fps, cache)
             ctx = CheckContext(netlist, value_facts)
             signatures = {
                 key: comb_signature(ir)
@@ -122,90 +132,30 @@ class Analyzer:
             }
             for key in sorted(netlist.modules):
                 ir = netlist.modules[key]
-                diags = self._analyze_module(
-                    ir, ctx, signatures, fingerprint_of, report
+                mod_facts = ctx.facts_for(key)
+                diags = cache.lookup(
+                    "analyze", key,
+                    (key, fps[ir.name],
+                     mod_facts.digest if mod_facts is not None else "",
+                     tuple(signatures[i.child_key] for i in ir.instances),
+                     self._check_set),
+                    lambda: self._run_checks(ir, ctx),
+                    report=report,
                 )
                 report.diagnostics.extend(diags)
         report.diagnostics = sort_diagnostics(report.diagnostics)
         report.seconds = time.perf_counter() - started
         obs.incr("analyze.runs")
-        obs.gauge("analyze.cache_size", len(self._cache))
+        obs.gauge("analyze.cache_size", self.cache_size())
         obs.gauge("analyze.findings", len(report.diagnostics))
         return report
 
-    def _compute_facts(
-        self,
-        netlist: Netlist,
-        fingerprint_of: Optional[Callable[[str], str]],
-    ):
-        # Function-level import: repro.passes imports repro.analyze
-        # (AnalyzePass), so this package must not import it at module
-        # load time.
-        from ..passes.dataflow import compute_netlist_facts
-
-        fps: Dict[str, str] = {}
-        if fingerprint_of is not None:
-            fps = {
-                netlist.modules[key].name: fingerprint_of(
-                    netlist.modules[key].name
-                )
-                for key in netlist.modules
-            }
-        return compute_netlist_facts(
-            netlist,
-            fps=fps,
-            cache=self._facts_cache if fingerprint_of is not None else None,
-        )
-
-    def _analyze_module(
-        self,
-        ir: ModuleIR,
-        ctx: CheckContext,
-        signatures: Dict[str, str],
-        fingerprint_of: Optional[Callable[[str], str]],
-        report: AnalysisReport,
+    def _run_checks(
+        self, ir: ModuleIR, ctx: CheckContext
     ) -> Tuple[Diagnostic, ...]:
-        cache_key: Optional[AnalysisKey] = None
-        if fingerprint_of is not None:
-            child_sigs = tuple(
-                signatures[inst.child_key] for inst in ir.instances
-            )
-            mod_facts = ctx.facts_for(ir.key)
-            facts_digest = mod_facts.digest if mod_facts is not None else ""
-            cache_key = (
-                ir.key, fingerprint_of(ir.name), child_sigs,
-                self._check_set, facts_digest,
-            )
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                report.reused_keys.append(ir.key)
-                obs.incr("analyze.cache_hits")
-                return cached
         diags: List[Diagnostic] = []
         with obs.span("analyze.module", key=ir.key):
             for check in self._checks:
                 diags.extend(check.run(ir, ctx))
-        result = tuple(diags)
-        if cache_key is not None:
-            self._cache[cache_key] = result
-        report.analyzed_keys.append(ir.key)
-        obs.incr("analyze.cache_misses")
         obs.incr("analyze.modules_analyzed")
-        return result
-
-    def evict_stale(self, keep_generations: int = 4) -> int:
-        """Bound the cache like the compile cache: keep the newest
-        ``keep_generations`` entries per spec key."""
-        by_spec: Dict[str, List[AnalysisKey]] = {}
-        for cache_key in self._cache:
-            by_spec.setdefault(cache_key[0], []).append(cache_key)
-        evicted = 0
-        for keys in by_spec.values():
-            if len(keys) > keep_generations:
-                for key in keys[: len(keys) - keep_generations]:
-                    del self._cache[key]
-                    evicted += 1
-        if evicted:
-            obs.incr("analyze.cache_evicted", evicted)
-            obs.gauge("analyze.cache_size", len(self._cache))
-        return evicted
+        return tuple(diags)

@@ -1,22 +1,26 @@
-"""The build flavour and the compiled-module address.
+"""The build flavour, the compiled-module address and the derived cache.
 
 :class:`BuildConfig` names *how* a design is compiled; :class:`ModuleKey`
-decides *when a compiled module is reusable*.  The in-memory compile
-cache keys on the ``ModuleKey`` itself, the artifact store on its
-``digest`` and ``linecache`` on its ``filename`` — nothing else derives
-any of the three.
+decides *when a compiled module is reusable*.  The in-memory cache keys
+on the ``ModuleKey`` itself, the artifact store on its ``digest`` and
+``linecache`` on its ``filename`` — nothing else derives any of the
+three.  :class:`DerivedCache` is where a design session keeps every
+per-module derived result: value facts, pass results, findings and
+compiled modules.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import linecache
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
-from .optplan import OPT_LEVELS
+from .. import obs
 
+OPT_LEVELS = ("none", "basic", "full")
 MUX_STYLES = ("branch", "select")
 
 # Folded into every digest, so bumping it (whenever the pickled payload
@@ -78,3 +82,80 @@ class ModuleKey:
     def filename(self) -> str:
         """The ``linecache`` name of this module's generated source."""
         return f"<lhdl:{self.spec}@{self.digest[:16]}>"
+
+    def miss_reason(self, latest: Optional["ModuleKey"]) -> str:
+        """Why this key missed, given the bucket's most recent key: the
+        first component that differs (``cold``: nothing to compare)."""
+        if latest is None:
+            return "cold"
+        if self.fingerprint != latest.fingerprint:
+            return "fingerprint"
+        if self.child_fps != latest.child_fps:
+            return "child_fps"
+        return "facts_fp"
+
+
+# Entries kept per (kind, spec, build): the most recently *used* ones.
+# A revert goes back exactly one generation, and a hit refreshes it.
+CACHE_GENERATIONS = 4
+
+
+class DerivedCache:
+    """Every per-module derived result of one design session.
+
+    One ``kind`` per producer (``compile``, ``analyze``,
+    ``passes.<name>``) is at once the counter prefix
+    (``<kind>.cache_hits`` / ``cache_misses`` / ``cache_evicted``) and,
+    with the spec and — for results that differ per flavour — the
+    :class:`BuildConfig`, the bucket the bound applies to.
+    """
+
+    def __init__(self) -> None:
+        # (kind, spec, build) -> {key: value}, least recently used first.
+        self._buckets: Dict[tuple, Dict[Hashable, Any]] = {}
+
+    def lookup(
+        self,
+        kind: str,
+        spec: str,
+        key: Hashable,
+        compute: Callable[[], Any],
+        build: Optional[BuildConfig] = None,
+        report: Any = None,
+    ) -> Any:
+        """The value cached under ``key``, else ``compute()``, stored.
+
+        ``report`` (duck-typed ``note(kind, spec, hit)``) learns which
+        specs were reused and which computed.
+        """
+        bucket = self._buckets.setdefault((kind, spec, build), {})
+        hit = key in bucket
+        if hit:
+            value = bucket.pop(key)
+        else:
+            value = compute()
+        bucket[key] = value  # most recently used last
+        obs.incr(f"{kind}.cache_hits" if hit else f"{kind}.cache_misses")
+        if report is not None:
+            report.note(kind, spec, hit)
+        if len(bucket) > CACHE_GENERATIONS:
+            stale = next(iter(bucket))
+            del bucket[stale]
+            if isinstance(stale, ModuleKey):
+                linecache.cache.pop(stale.filename, None)
+            obs.incr(f"{kind}.cache_evicted")
+        return value
+
+    def latest(self, kind: str, spec: str,
+               build: Optional[BuildConfig] = None) -> Optional[Hashable]:
+        """The most recently used key of a bucket (None when empty)."""
+        return next(reversed(self._buckets.get((kind, spec, build), {})), None)
+
+    def entries(self, kind: str) -> Dict[Hashable, Any]:
+        """key -> value over every bucket of ``kind``."""
+        return {
+            key: value
+            for (bucket_kind, _, _), bucket in self._buckets.items()
+            if bucket_kind == kind
+            for key, value in bucket.items()
+        }

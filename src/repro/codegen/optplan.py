@@ -22,8 +22,6 @@ from typing import Dict, List, Tuple
 from ..hdl import ast_nodes as ast
 from .exprgen import mask_of
 
-OPT_LEVELS = ("none", "basic", "full")
-
 
 @dataclass(frozen=True)
 class OptPlan:

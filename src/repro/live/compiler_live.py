@@ -1,8 +1,11 @@
 """LiveCompiler: incremental, cache-driven compilation.
 
-Compilation is cached at specialization granularity, keyed by
-:class:`~repro.codegen.build.ModuleKey`.  A compiled module is reusable
-when
+Everything derived from a module (value facts, pass results, findings,
+the compiled module) lives in the compiler's one
+:class:`~repro.codegen.build.DerivedCache`, bounded to the most
+recently used generations.  Compilation is cached at specialization
+granularity, keyed by :class:`~repro.codegen.build.ModuleKey`.  A
+compiled module is reusable when
 
 * its own module source (token fingerprint) is unchanged,
 * its parameter set is the same (part of the spec key),
@@ -20,13 +23,12 @@ description of how far a change propagates.
 
 from __future__ import annotations
 
-import linecache
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .. import obs
-from ..codegen.build import BuildConfig, ModuleKey
+from ..codegen.build import BuildConfig, DerivedCache
 from ..codegen.pygen import CompiledModule
 from ..hdl.ast_nodes import shift_lines
 from ..hdl.elaborate import elaborate
@@ -55,6 +57,11 @@ class CompileReport:
     pass_reused: Dict[str, List[str]] = field(default_factory=dict)
     pass_seconds: Dict[str, float] = field(default_factory=dict)
 
+    def note(self, kind: str, spec: str, hit: bool) -> None:
+        """A ``passes.<name>`` cache lookup reused / computed ``spec``."""
+        keys = self.pass_reused if hit else self.pass_computed
+        keys.setdefault(kind.split(".")[1], []).append(spec)
+
     @property
     def total_seconds(self) -> float:
         return self.parse_seconds + self.elaborate_seconds + self.codegen_seconds
@@ -72,7 +79,7 @@ class CompileResult:
 
 
 class LiveCompiler:
-    """Owns the evolving design source and the compilation cache."""
+    """Owns the evolving design source and the derived-result cache."""
 
     def __init__(
         self,
@@ -95,11 +102,11 @@ class LiveCompiler:
         self.parser = LiveParser(source)
         self._design = parse(source)
         self.build = build
-        self._cache: Dict[ModuleKey, CompiledModule] = {}
+        # What makes hot reload incremental; the session's analyzer
+        # shares it, so facts the pipeline computed are not recomputed.
+        self.cache = DerivedCache()
         self._store = store
         self._sanitize_runtime = sanitize_runtime
-        # One pipeline for the compiler's lifetime: the pass instances
-        # hold the per-pass caches that make hot reload incremental.
         self._pipeline = build_compile_pipeline()
         self._last_parse_seconds = 0.0
 
@@ -120,7 +127,8 @@ class LiveCompiler:
         return self._design
 
     def cache_size(self) -> int:
-        return len(self._cache)
+        """Compiled modules held in memory."""
+        return len(self.cache.entries("compile"))
 
     # -- source evolution -------------------------------------------------------
 
@@ -209,7 +217,7 @@ class LiveCompiler:
             fps=fps,
             build=self.build,
             sanitize_runtime=self._sanitize_runtime,
-            compile_cache=self._cache,
+            cache=self.cache,
             store=self._store,
             report=report,
         )
@@ -217,33 +225,9 @@ class LiveCompiler:
             self._pipeline.run(data)
         library: Dict[str, CompiledModule] = data.facts["codegen.library"]
         report.codegen_seconds = time.perf_counter() - started
-        obs.gauge("compile.cache_size", len(self._cache))
+        obs.gauge("compile.cache_size", self.cache_size())
+        obs.gauge("facts.cache_size", sum(
+            len(self.cache.entries(kind))
+            for kind in ("passes.dataflow", "passes.dataflow.summary")
+        ))
         return CompileResult(netlist=netlist, library=library, report=report)
-
-    # -- cache maintenance ---------------------------------------------------------
-
-    def evict_stale(self, keep_generations: int = 4) -> int:
-        """Drop cache entries beyond a bounded population.
-
-        The cache only grows when fingerprints change, so a long edit
-        session can accumulate dead versions; this trims to the most
-        recently inserted ``keep_generations`` entries per spec key and
-        build flavour (the flavours of one generation are all live: a
-        ``san``/``opt`` toggle comes back to them).  Returns the number
-        of evicted entries.
-        """
-        by_flavour: Dict[tuple, List[ModuleKey]] = {}
-        for cache_key in self._cache:
-            by_flavour.setdefault(
-                (cache_key.spec, cache_key.build), []
-            ).append(cache_key)
-        evicted = 0
-        for keys in by_flavour.values():
-            for key in keys[: max(0, len(keys) - keep_generations)]:
-                del self._cache[key]
-                linecache.cache.pop(key.filename, None)
-                evicted += 1
-        if evicted:
-            obs.incr("compile.cache_evicted", evicted)
-            obs.gauge("compile.cache_size", len(self._cache))
-        return evicted

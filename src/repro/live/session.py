@@ -31,8 +31,7 @@ from ..analyze import (
     evaluate_gate,
     sort_diagnostics,
 )
-from ..codegen.build import BuildConfig
-from ..codegen.optplan import OPT_LEVELS
+from ..codegen.build import OPT_LEVELS, BuildConfig
 from ..hdl.errors import HDLError, SimulationError
 from ..sanitize import SANITIZE_MODES, SanitizerRuntime
 from ..sim.pipeline import Pipe, PipeSnapshot
@@ -165,7 +164,6 @@ class LiveSession:
         checkpoints_enabled: bool = True,
         initial_version: str = "1.0",
         artifact_store=None,
-        analyzer: Optional[Analyzer] = None,
         gate_policy: Optional[GatePolicy] = None,
         sanitize: str = "off",
         san_elide: bool = True,
@@ -191,7 +189,7 @@ class LiveSession:
             store=artifact_store,
             sanitize_runtime=self.sanitize_runtime,
         )
-        self.analyzer = analyzer if analyzer is not None else Analyzer()
+        self.analyzer = Analyzer(cache=self.compiler.cache)
         self.gate_policy = (
             gate_policy if gate_policy is not None else GatePolicy()
         )
@@ -806,8 +804,8 @@ class LiveSession:
         """Run the static analyzer over the current design.
 
         Analyzes one pipe's netlist, or every instantiated pipe when
-        ``pipe_name`` is None.  Results come from the analyzer's
-        fingerprint cache, so an unchanged design re-analyzes nothing
+        ``pipe_name`` is None.  Results come from the session's derived
+        cache, so an unchanged design re-analyzes nothing
         (``reused_keys`` says so).
         """
         names = (

@@ -1,26 +1,25 @@
 """repro.passes — the composable netlist pass framework.
 
-Compilation stages (elaboration facts, static analysis, optimization,
+Compilation stages (elaboration facts, value facts, optimization,
 sanitizer planning, code generation) are :class:`Pass` objects that
 declare the facts they require and produce; :class:`PassManager`
 topo-orders and validates a pipeline at build time, and
 :class:`PassData` is the shared carrier one compile threads through it.
 
 ``build_compile_pipeline()`` is the compiler's default pipeline
-(:class:`~repro.live.compiler_live.LiveCompiler` owns one instance, so
-per-pass caches persist across hot reloads); ``run_opt_pipeline`` is
-the one-shot convenience ``repro.compile_design(opt=...)`` uses.
+(:class:`~repro.live.compiler_live.LiveCompiler` runs it with its one
+:class:`~repro.codegen.build.DerivedCache` on the carrier, so per-pass
+results persist across hot reloads); ``run_opt_pipeline`` is the
+one-shot convenience ``repro.compile_design(opt=...)`` uses.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..codegen.build import BuildConfig
-from ..codegen.optplan import OPT_LEVELS
+from ..codegen.build import OPT_LEVELS, BuildConfig
 from ..codegen.pygen import CompiledModule
 from ..ir.netlist import Netlist
-from .analyze import AnalyzePass
 from .base import Pass, PassData, PassManager, PassPipeline, PipelineError
 from .codegen import CodegenPass, SanitizePlanPass
 from .dataflow import (
@@ -34,7 +33,6 @@ from .optimize import ConstPropPass, DeadLogicPass, SensitivityPrunePass
 
 __all__ = [
     "OPT_LEVELS",
-    "AnalyzePass",
     "CodegenPass",
     "ConstPropPass",
     "DeadLogicPass",
@@ -82,7 +80,7 @@ def run_opt_pipeline(
     """One-shot compile of ``netlist`` through the pass pipeline.
 
     Returns key -> CompiledModule for every specialization under the
-    top.  Fresh pass instances each call: no cross-call caching.
+    top.  A fresh cache each call: no cross-call caching.
     """
     data = PassData(
         netlist=netlist,

@@ -6,23 +6,22 @@ registered passes by those declarations and validates the pipeline —
 a missing producer or a dependency cycle raises
 :class:`PipelineError` at build time, not mid-compile.
 
-Facts live in ``PassData.facts`` (fact name -> value).  Passes that
-want hot-reload-grade incrementality keep per-specialization caches on
-the pass *instance* keyed by the compiler's fingerprint keys (the pass
-instances live as long as the :class:`~repro.live.compiler_live.\
-LiveCompiler` that owns the pipeline), and report what they reused via
-:meth:`PassData.note_computed` / :meth:`PassData.note_reused` — the
-counters the ERD report and ``stats`` surface.
+Facts live in ``PassData.facts`` (fact name -> value).  Per-module
+results that should survive a hot reload go through
+:meth:`PassData.cached`: the session's
+:class:`~repro.codegen.build.DerivedCache` under the one module
+identity, which also feeds the computed/reused key lists the ERD report
+and ``stats`` surface.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..codegen.build import BuildConfig
+from ..codegen.build import BuildConfig, DerivedCache
 from ..ir.netlist import Netlist
 
 
@@ -38,25 +37,32 @@ class PassData:
     fps: Dict[str, str] = field(default_factory=dict)  # module name -> fp
     build: BuildConfig = BuildConfig()
     sanitize_runtime: Any = None  # bound by instrumented code at exec
-    compile_cache: Optional[Dict] = None
+    cache: DerivedCache = field(default_factory=DerivedCache)
     store: Any = None
     report: Any = None  # CompileReport, when driven by LiveCompiler
     facts: Dict[str, Any] = field(default_factory=dict)
 
-    def fingerprint(self, module_name: str) -> str:
-        return self.fps.get(module_name, "")
+    def identity(self, spec: str) -> Tuple[str, str, str]:
+        """The one module identity every derived result is keyed on:
+        spec, source fingerprint and value-facts digest.  Cross-module
+        fact flow means a parent edit can change a child's facts without
+        touching its fingerprint, so the digest is part of *who the
+        module is* ("" while dataflow is gated off)."""
+        mod_facts = self.facts["dataflow.facts"].get(spec)
+        return (
+            spec,
+            self.fps.get(self.netlist.modules[spec].name, ""),
+            mod_facts.digest if mod_facts is not None else "",
+        )
 
-    # -- per-pass cache accounting (merged into ERDReport / stats) -----------
-
-    def note_computed(self, pass_name: str, key: str) -> None:
-        obs.incr(f"passes.{pass_name}.cache_misses")
-        if self.report is not None:
-            self.report.pass_computed.setdefault(pass_name, []).append(key)
-
-    def note_reused(self, pass_name: str, key: str) -> None:
-        obs.incr(f"passes.{pass_name}.cache_hits")
-        if self.report is not None:
-            self.report.pass_reused.setdefault(pass_name, []).append(key)
+    def cached(self, pass_name: str, spec: str, extras: tuple,
+               compute: Callable[[], Any]) -> Any:
+        """``pass_name``'s result for ``spec``: cached under the module
+        identity plus the pass's own ``extras``, else ``compute()``."""
+        return self.cache.lookup(
+            f"passes.{pass_name}", spec, self.identity(spec) + extras,
+            compute, report=self.report,
+        )
 
 
 class Pass:

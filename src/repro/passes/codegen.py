@@ -7,19 +7,19 @@ proven constant init for hot-reload migration, and which subtrees are
 instrumentation-free (so the dynamic optimization passes can stack
 with the sanitizer).
 
-``CodegenPass`` visits the instance tree bottom-up with the in-memory
-compile cache in front of the artifact store in front of
+``CodegenPass`` visits the instance tree bottom-up with the session's
+derived cache in front of the artifact store in front of
 ``compile_module``.  It addresses all three by one
-:class:`~repro.codegen.build.ModuleKey` per specialization — source
-fingerprint, child interfaces, value-facts digest and the session's
-:class:`~repro.codegen.build.BuildConfig` — so plain, optimized,
-sanitized and elided artifacts coexist, and assembles the
+:class:`~repro.codegen.build.ModuleKey` per specialization — the module
+identity (source fingerprint, value-facts digest), child interfaces and
+the session's :class:`~repro.codegen.build.BuildConfig` — so plain,
+optimized, sanitized and elided artifacts coexist, and assembles the
 :class:`~repro.codegen.optplan.OptPlan` a miss compiles with.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List
 
 from .. import obs
 from ..codegen.build import ModuleKey
@@ -46,10 +46,6 @@ class SanitizePlanPass(Pass):
     requires = ("dataflow.facts",)
     produces = ("sanitize.plan",)
 
-    def __init__(self):
-        # (key, fp, facts digest) -> (ElisionPlan, const-init map)
-        self._cache: Dict[Tuple[str, str, str], Tuple[ElisionPlan, dict]] = {}
-
     def run(self, data: PassData) -> None:
         enabled = data.build.sanitize
         plan: Dict[str, object] = {
@@ -69,21 +65,13 @@ class SanitizePlanPass(Pass):
                     mod_facts = facts.get(key)
                     if mod_facts is None:
                         continue
-                    cache_key = (key, data.fingerprint(ir.name),
-                                 mod_facts.digest)
-                    cached = self._cache.get(cache_key)
-                    if cached is not None:
-                        data.note_reused(self.name, key)
-                    else:
-                        cached = (
-                            build_elision_plan(mod_facts),
-                            reg_const_init(mod_facts, ir),
-                        )
-                        self._cache[cache_key] = cached
-                        data.note_computed(self.name, key)
-                    elide[key] = cached[0]
-                    if cached[1]:
-                        const_init[key] = cached[1]
+                    elide[key], init = data.cached(
+                        self.name, key, (),
+                        lambda: (build_elision_plan(mod_facts),
+                                 reg_const_init(mod_facts, ir)),
+                    )
+                    if init:
+                        const_init[key] = init
                 plan["elide"] = elide
                 plan["const_init"] = const_init
         data.facts["sanitize.plan"] = plan
@@ -107,13 +95,13 @@ class CodegenPass(Pass):
         const_init: Dict[str, dict] = san_plan["const_init"]
         san_free = san_plan["san_free"]
         elab = data.facts["elab.facts"]
-        value_facts = data.facts["dataflow.facts"]
         consts_facts = data.facts["opt.consts"]
         dead_facts = data.facts["opt.dead"]
         sens_facts = data.facts["opt.sensitivity"]
-        cache = data.compile_cache
+        cache = data.cache
         store = data.store
         library: Dict[str, CompiledModule] = {}
+        recompiled: List[str] = []
 
         def plan_for(key: str) -> OptPlan:
             consts, widths = consts_facts.get(key, ({}, {}))
@@ -129,16 +117,6 @@ class CodegenPass(Pass):
                 guard_inputs=sens.guard_inputs,
                 skip_children=sens.skip_children,
             )
-
-        def facts_fp(key: str) -> str:
-            # The generated code is a function of the value facts
-            # whenever any consumer is active (optimizer consts, or
-            # sanitizer elision); cross-module fact flow means a parent
-            # edit can change a child's facts without touching the
-            # child's own fingerprint, so the digest must join the key.
-            # Empty when dataflow is gated off (opt=none, no sanitize).
-            mod_facts = value_facts.get(key)
-            return mod_facts.digest if mod_facts is not None else ""
 
         def child_fp(inst, compiled: CompiledModule) -> str:
             # At opt=full a parent's code depends on child *purity*
@@ -161,41 +139,50 @@ class CodegenPass(Pass):
                 child_fp(inst, visit(inst.child_key))
                 for inst in ir.instances
             )
-            cache_key = ModuleKey(
-                key, data.fingerprint(ir.name), child_fps, facts_fp(key),
-                build,
-            )
-            compiled = cache.get(cache_key) if cache is not None else None
-            if compiled is not None:
-                obs.incr("compile.cache_hits")
-            elif store is not None:
+            # The generated code is a function of the value facts
+            # whenever any consumer is active (optimizer consts, or
+            # sanitizer elision), so the whole module identity joins
+            # the key, not just the source fingerprint.
+            spec, fingerprint, facts_fp = data.identity(key)
+            cache_key = ModuleKey(spec, fingerprint, child_fps, facts_fp,
+                                  build)
+
+            def obtain() -> CompiledModule:
+                obs.incr("compile.cache_miss." + cache_key.miss_reason(
+                    cache.latest("compile", key, build)
+                ))
                 # A disk hit reuses the generated code with zero codegen,
                 # like a memory hit that also works across a restart or
                 # another session; instrumented code rebinds this
                 # session's sanitizer runtime.
-                compiled = store.load(cache_key, sanitize_runtime=runtime)
-            reused = compiled is not None
-            if not reused:
-                compiled = compile_module(
-                    ir,
-                    netlist,
-                    build,
-                    runtime=runtime,
-                    opt_plan=plan_for(key) if build.opt != "none" else None,
-                    elision=elide_plans.get(key),
-                    reg_const_init=const_init.get(key),
-                    key=cache_key,
-                )
-                obs.incr("compile.cache_misses")
+                compiled = None
                 if store is not None:
-                    store.save(cache_key, compiled)
-            if cache is not None:
-                cache[cache_key] = compiled
-            library[key] = compiled
-            if report is not None:
-                (report.reused_keys if reused
-                 else report.recompiled_keys).append(key)
-            return compiled
+                    compiled = store.load(cache_key, sanitize_runtime=runtime)
+                if compiled is None:
+                    compiled = compile_module(
+                        ir,
+                        netlist,
+                        build,
+                        runtime=runtime,
+                        opt_plan=plan_for(key) if build.opt != "none" else None,
+                        elision=elide_plans.get(key),
+                        reg_const_init=const_init.get(key),
+                        key=cache_key,
+                    )
+                    recompiled.append(key)
+                    if store is not None:
+                        store.save(cache_key, compiled)
+                return compiled
+
+            library[key] = cache.lookup(
+                "compile", key, cache_key, obtain, build
+            )
+            return library[key]
 
         visit(netlist.top)
+        if report is not None:
+            report.recompiled_keys.extend(recompiled)
+            report.reused_keys.extend(
+                key for key in library if key not in recompiled
+            )
         data.facts["codegen.library"] = library

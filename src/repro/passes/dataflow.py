@@ -39,6 +39,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..codegen.build import DerivedCache
 from ..codegen.exprgen import ExprGen, mask_of
 from ..codegen.optplan import _fold_binary, _fold_unary, num_value, num_width
 from ..hdl import ast_nodes as ast
@@ -1220,21 +1221,28 @@ def _inputs_all_top(ir: ModuleIR, input_facts: Dict[str, ValueFact]) -> bool:
 
 
 def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
-                          on_computed=None, on_reused=None,
-                          ) -> Dict[str, ModuleValueFacts]:
+                          report=None) -> Dict[str, ModuleValueFacts]:
     """Two-phase cross-module analysis.
 
     Phase 1 walks bottom-up with unconstrained inputs, producing
     context-free summaries (parents read child output facts from
     these).  Phase 2 walks top-down, joining each child's input facts
     over every instantiation site — a constant-driven input
-    specializes the child.  Results cache per
-    ``(key, fingerprint, child digests, input digest)`` so a hot
-    reload recomputes only the dirty module (and parents/children only
-    when the facts crossing the boundary actually changed).
+    specializes the child.  Results go through ``cache`` (a
+    :class:`~repro.codegen.build.DerivedCache`; private to this call
+    when omitted) per ``(key, fingerprint, child digests, input
+    digest)`` so a hot reload recomputes only the dirty module (and
+    parents/children only when the facts crossing the boundary actually
+    changed); ``report`` is told which phase-2 results were reused.
     """
     fps = fps or {}
+    cache = cache if cache is not None else DerivedCache()
     topo = _topo_module_keys(netlist)
+
+    def child_envs(ir: ModuleIR) -> Tuple[list, list]:
+        """Per instance, the child summary's (env, stable) tiers."""
+        kids = [summaries[inst.child_key] for inst in ir.instances]
+        return [kid.env for kid in kids], [kid.stable for kid in kids]
 
     summaries: Dict[str, ModuleValueFacts] = {}
     for key in topo:
@@ -1242,17 +1250,11 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
         child_digests = tuple(
             summaries[inst.child_key].digest for inst in ir.instances
         )
-        cache_key = ("p1", key, fps.get(ir.name, ""), child_digests)
-        cached = cache.get(cache_key) if cache is not None else None
-        if cached is None:
-            cached = _ModuleAnalysis(
-                ir, {}, {},
-                [summaries[inst.child_key].env for inst in ir.instances],
-                [summaries[inst.child_key].stable for inst in ir.instances],
-            ).run(key)
-            if cache is not None:
-                cache[cache_key] = cached
-        summaries[key] = cached
+        summaries[key] = cache.lookup(
+            "passes.dataflow.summary", key,
+            (key, fps.get(ir.name, ""), child_digests),
+            lambda: _ModuleAnalysis(ir, {}, {}, *child_envs(ir)).run(key),
+        )
 
     results: Dict[str, ModuleValueFacts] = {}
     joined_full: Dict[str, Dict[str, Optional[ValueFact]]] = {}
@@ -1277,38 +1279,30 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
         child_digests = tuple(
             summaries[inst.child_key].digest for inst in ir.instances
         )
-        cache_key = ("p2", key, fps.get(ir.name, ""), child_digests,
-                     _facts_digest(input_facts, stable_inputs))
-        cached = cache.get(cache_key) if cache is not None else None
-        if cached is not None:
-            if on_reused is not None:
-                on_reused(key)
-        elif _inputs_all_top(ir, input_facts) \
-                and _inputs_all_top(ir, stable_inputs):
-            # Every instantiation site drives this module with
-            # unconstrained values, so the context-free phase-1 walk
-            # already IS the specialized result — skip the fixpoint.
-            cached = summaries[key]
-            if cache is not None:
-                cache[cache_key] = cached
-            if on_computed is not None:
-                on_computed(key)
-        else:
+
+        def specialize() -> ModuleValueFacts:
+            if _inputs_all_top(ir, input_facts) \
+                    and _inputs_all_top(ir, stable_inputs):
+                # Every instantiation site drives this module with
+                # unconstrained values, so the context-free phase-1 walk
+                # already IS the specialized result — skip the fixpoint.
+                return summaries[key]
             sites = site_counts.get(key, 0)
             origin = (
                 f"joined over {sites} instantiation site(s)"
                 if sites else "module input"
             )
-            cached = _ModuleAnalysis(
-                ir, input_facts, stable_inputs,
-                [summaries[inst.child_key].env for inst in ir.instances],
-                [summaries[inst.child_key].stable for inst in ir.instances],
+            return _ModuleAnalysis(
+                ir, input_facts, stable_inputs, *child_envs(ir),
                 input_origins={port: origin for port in input_facts},
             ).run(key)
-            if cache is not None:
-                cache[cache_key] = cached
-            if on_computed is not None:
-                on_computed(key)
+
+        cached = cache.lookup(
+            "passes.dataflow", key,
+            (key, fps.get(ir.name, ""), child_digests,
+             _facts_digest(input_facts, stable_inputs)),
+            specialize, report=report,
+        )
         results[key] = cached
 
         full_ev = FactEval(ir, cached.env)
@@ -1335,27 +1329,21 @@ class ValueFactsPass(Pass):
 
     Skipped entirely (empty fact dict) when nothing downstream
     consumes it — plain ``opt=none`` unsanitized compiles pay zero
-    analysis cost.  Per-module results cache on the pass instance so
-    hot reloads recompute only dirty modules; cross-module input
-    digests keep a parent's edit from invalidating an unaffected
-    child and vice versa.
+    analysis cost.  Per-module results live in the session's derived
+    cache, which the analyzer reads too, so hot reloads recompute only
+    dirty modules and the facts of an edit are computed once;
+    cross-module input digests keep a parent's edit from invalidating
+    an unaffected child and vice versa.
     """
 
     name = "dataflow"
     requires = ("elab.facts",)
     produces = ("dataflow.facts",)
 
-    def __init__(self):
-        self._cache: Dict[tuple, ModuleValueFacts] = {}
-
     def run(self, data: PassData) -> None:
         if data.build.opt == "none" and not data.build.sanitize:
             data.facts["dataflow.facts"] = {}
             return
         data.facts["dataflow.facts"] = compute_netlist_facts(
-            data.netlist,
-            fps=data.fps,
-            cache=self._cache,
-            on_computed=lambda key: data.note_computed(self.name, key),
-            on_reused=lambda key: data.note_reused(self.name, key),
+            data.netlist, fps=data.fps, cache=data.cache, report=data.report,
         )

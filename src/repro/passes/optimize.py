@@ -5,12 +5,10 @@ All three are *facts-only*: they never mutate the shared ModuleIR.
 Codegen consumes their conclusions through an
 :class:`~repro.codegen.optplan.OptPlan`.
 
-Results cache on the pass instance under the compiler's fingerprint
-keys — ``(spec key, module fingerprint)`` — so a hot reload re-runs
-each pass only for the dirty module (the same discipline as the
-compile and analyze caches).  Cache hits/misses surface as
-``passes.<name>.cache_hits/misses`` counters and per-pass key lists on
-the compile report.
+Per-module results go through :meth:`PassData.cached` — the session's
+derived cache under the module identity (spec, fingerprint, value-facts
+digest) plus each pass's own extras — so a hot reload re-runs each pass
+only for the modules whose identity moved.
 
 Fixpoint modules are exempt from every optimization: their comb locals
 round-trip through the memo slot between iteration passes, so neither
@@ -98,27 +96,17 @@ class ConstPropPass(Pass):
     requires = ("elab.facts", "dataflow.facts")
     produces = ("opt.consts",)
 
-    def __init__(self):
-        self._cache: Dict[Tuple[str, str, str], Tuple[dict, dict]] = {}
-
     def run(self, data: PassData) -> None:
         out: Dict[str, Tuple[dict, dict]] = {}
         if data.build.opt != "none":
             value_facts = data.facts["dataflow.facts"]
             for key, ir in data.netlist.modules.items():
                 mod_facts = value_facts.get(key)
-                digest = mod_facts.digest if mod_facts is not None else ""
-                cache_key = (key, data.fingerprint(ir.name), digest)
-                cached = self._cache.get(cache_key)
-                if cached is not None:
-                    data.note_reused(self.name, key)
-                else:
-                    stable = mod_facts.stable if mod_facts is not None \
-                        else None
-                    cached = self._find_consts(ir, stable)
-                    self._cache[cache_key] = cached
-                    data.note_computed(self.name, key)
-                out[key] = cached
+                stable = mod_facts.stable if mod_facts is not None else None
+                out[key] = data.cached(
+                    self.name, key, (),
+                    lambda: self._find_consts(ir, stable),
+                )
         data.facts["opt.consts"] = out
 
     @staticmethod
@@ -200,26 +188,18 @@ class DeadLogicPass(Pass):
     requires = ("opt.consts",)
     produces = ("opt.dead",)
 
-    def __init__(self):
-        self._cache: Dict[Tuple[str, str, bool], DeadFacts] = {}
-
     def run(self, data: PassData) -> None:
         out: Dict[str, DeadFacts] = {}
         if data.build.opt != "none":
             consts_facts = data.facts["opt.consts"]
             sanitize = data.build.sanitize
             for key, ir in data.netlist.modules.items():
-                cache_key = (key, data.fingerprint(ir.name), sanitize)
-                cached = self._cache.get(cache_key)
-                if cached is not None:
-                    data.note_reused(self.name, key)
-                else:
-                    consts, widths = consts_facts.get(key, ({}, {}))
-                    cached = self._find_dead(ir, consts, widths,
-                                             protect_sites=sanitize)
-                    self._cache[cache_key] = cached
-                    data.note_computed(self.name, key)
-                out[key] = cached
+                consts, widths = consts_facts.get(key, ({}, {}))
+                out[key] = data.cached(
+                    self.name, key, (sanitize,),
+                    lambda: self._find_dead(ir, consts, widths,
+                                            protect_sites=sanitize),
+                )
         data.facts["opt.dead"] = out
 
     @staticmethod
@@ -311,9 +291,6 @@ class SensitivityPrunePass(Pass):
     requires = ("elab.facts", "opt.dead", "sanitize.plan")
     produces = ("opt.sensitivity",)
 
-    def __init__(self):
-        self._cache: Dict[Tuple[str, str, Tuple[bool, ...]], SensFacts] = {}
-
     def run(self, data: PassData) -> None:
         out: Dict[str, SensFacts] = {}
         if data.build.opt == "full":
@@ -328,17 +305,14 @@ class SensitivityPrunePass(Pass):
                     and (not sanitize or inst.child_key in san_free)
                     for inst in ir.instances
                 )
-                cache_key = (key, data.fingerprint(ir.name), child_skip)
-                cached = self._cache.get(cache_key)
-                if cached is not None:
-                    data.note_reused(self.name, key)
-                else:
-                    cached = self._plan_module(
+                # ``sanitize`` because the dead set consumed here is
+                # itself keyed on it.
+                out[key] = data.cached(
+                    self.name, key, (sanitize, child_skip),
+                    lambda: self._plan_module(
                         ir, dead_facts.get(key, _EMPTY_DEAD), child_skip
-                    )
-                    self._cache[cache_key] = cached
-                    data.note_computed(self.name, key)
-                out[key] = cached
+                    ),
+                )
         data.facts["opt.sensitivity"] = out
 
     @staticmethod

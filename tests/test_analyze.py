@@ -2,10 +2,14 @@
 analyzer, the hot-reload gate, line attribution after incremental
 edits, and the repro.analyze/v1 CLI + baseline diff."""
 
+import glob
 import json
+import os
+import re
 
 import pytest
 
+from repro import obs
 from repro.analyze import (
     COMB_LOOP,
     DEAD_BRANCH,
@@ -26,6 +30,7 @@ from repro.analyze import (
     load_report,
 )
 from repro.analyze.__main__ import main as analyze_main
+from repro.codegen.build import CACHE_GENERATIONS
 from repro.hdl import elaborate, parse
 from repro.live.session import LiveSession
 from repro.sim.testbench import hold_inputs
@@ -458,22 +463,19 @@ class TestAnalyzerCache:
         assert [k.split("#")[0] for k in report.analyzed_keys] == ["adder"]
         assert len(report.analysis_reused_keys) >= 2
 
-    def test_evict_stale_bounds_generations(self):
+    def test_bound_holds_generations(self):
         session = LiveSession(COUNTER_SRC)
         session.inst_pipe("p0", session.stage_handle_for("top"))
-        analyzer = session.analyzer
-        source = COUNTER_SRC
+        metrics = obs.get_metrics()
+        before = metrics.counter("analyze.cache_evicted")
         for step in range(6):
-            source = source.replace(
-                "assign sum = a + b", "assign sum = a + b + 8'd1 - 8'd1",
-            ) if step % 2 == 0 else source.replace(
-                "assign sum = a + b + 8'd1 - 8'd1", "assign sum = a + b",
-            )
-            session.apply_change(source)
-        before = analyzer.cache_size()
-        evicted = analyzer.evict_stale(keep_generations=1)
-        assert evicted > 0
-        assert analyzer.cache_size() == before - evicted
+            session.apply_change(COUNTER_SRC.replace(
+                "assign sum = a + b", f"assign sum = a + b + 8'd{step + 1}",
+            ))
+        # Seven adder generations, bounded; counter/top stay at one.
+        assert session.analyzer.cache_size() == 2 + CACHE_GENERATIONS
+        assert metrics.counter("analyze.cache_evicted") == before + 3
+        assert session.lint("p0").analyzed_keys == []
 
 
 # ---------------------------------------------------------------------------
@@ -699,28 +701,10 @@ class TestCli:
         assert analyze_main([str(oob), "--top", "m", "--explain"]) == 0
         explained = capsys.readouterr().out
         assert "module input" in explained
-
-    def test_explain_lines_are_pre_opt_at_every_level(
-        self, tmp_path, capsys
-    ):
-        # Satellite regression: under --opt full the findings AND the
-        # --explain derivation chains must cite pre-optimization
-        # source lines — byte-identical output across levels.
-        oob = tmp_path / "oob.v"
-        oob.write_text(VR_OOB_SRC)
-        outputs = {}
-        for level in ("none", "basic", "full"):
-            assert analyze_main(
-                [str(oob), "--top", "m", "--explain", "--opt", level]
-            ) == 0
-            outputs[level] = capsys.readouterr().out
-        assert outputs["none"] == outputs["basic"] == outputs["full"]
-        lines = VR_OOB_SRC.splitlines()
-        import re
-
-        chain = re.search(r"idx .*\(line (\d+), assign\)",
-                          outputs["full"])
+        # The chain cites the user's source lines.
+        chain = re.search(r"idx .*\(line (\d+), assign\)", explained)
         assert chain is not None
+        lines = VR_OOB_SRC.splitlines()
         assert "assign idx" in lines[int(chain.group(1)) - 1]
 
     def test_bad_design_is_a_toolchain_error(self, tmp_path, capsys):
@@ -768,3 +752,24 @@ class TestSurfaces:
         assert wire["_type"] == "AnalysisReport"
         assert wire["findings"] == []
         assert wire["counts"] == {"error": 0, "warning": 0, "info": 0}
+
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+        os.path.dirname(__file__), "..", "examples", "designs", "*.v"
+    ))), ids=os.path.basename)
+    def test_findings_identical_at_every_build_flavour(self, path):
+        # Analysis sees the elaborated netlist, never the optimizer's or
+        # the sanitizer's output: the session a user runs must report
+        # the same findings whatever it is compiling under.
+        with open(path) as fh:
+            source = fh.read()
+        top = list(parse(source).modules)[-1]
+        findings = {}
+        for level in ("none", "basic", "full"):
+            for san in ("off", "report"):
+                session = LiveSession(source, opt=level, sanitize=san)
+                session.inst_pipe("p0", session.stage_handle_for(top))
+                findings[level, san] = sorted(
+                    d.identity() for d in session.lint().diagnostics
+                )
+        assert len(findings) == 6
+        assert all(f == findings["none", "off"] for f in findings.values())

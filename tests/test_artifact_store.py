@@ -21,7 +21,7 @@ def _compile_one(store=None):
 
 
 def _one_cache_key(compiler, spec="adder#(W=8)"):
-    for cache_key in compiler._cache:
+    for cache_key in compiler.cache.entries("compile"):
         if cache_key.spec == spec:
             return cache_key
     raise AssertionError(f"no cache key for {spec}")
@@ -73,7 +73,7 @@ class TestModuleKey:
         store = ArtifactStore(str(tmp_path))
         compiler, _ = _compile_one()
         cache_key = _one_cache_key(compiler)
-        module = compiler._cache[cache_key]
+        module = compiler.cache.entries("compile")[cache_key]
         if where == "own_path":
             store.save(cache_key, module)
             path = store.path_for(cache_key)
@@ -106,7 +106,7 @@ class TestRoundTrip:
         store = ArtifactStore(str(tmp_path))
         compiler, result = _compile_one()
         cache_key = _one_cache_key(compiler)
-        module = compiler._cache[cache_key]
+        module = compiler.cache.entries("compile")[cache_key]
         assert store.save(cache_key, module)
         loaded = store.load(cache_key)
         assert loaded is not None
@@ -129,7 +129,7 @@ class TestRoundTrip:
     def test_len_and_clear(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         compiler, _ = _compile_one()
-        for cache_key, module in compiler._cache.items():
+        for cache_key, module in compiler.cache.entries("compile").items():
             store.save(cache_key, module)
         assert len(store) == 3
         assert store.total_bytes() > 0
@@ -142,7 +142,7 @@ class TestCorruptionTolerance:
         store = ArtifactStore(str(tmp_path))
         compiler, _ = _compile_one()
         cache_key = _one_cache_key(compiler)
-        store.save(cache_key, compiler._cache[cache_key])
+        store.save(cache_key, compiler.cache.entries("compile")[cache_key])
         path = store.path_for(cache_key)
         with open(path, "wb") as fh:
             fh.write(b"\x80\x04garbage")
@@ -156,7 +156,7 @@ class TestCorruptionTolerance:
         compiler, _ = _compile_one()
         key_a = _one_cache_key(compiler, "adder#(W=8)")
         key_b = _one_cache_key(compiler, "top")
-        store.save(key_a, compiler._cache[key_a])
+        store.save(key_a, compiler.cache.entries("compile")[key_a])
         # Copy a's artifact into b's address (a forged/colliding file).
         os.makedirs(os.path.dirname(store.path_for(key_b)), exist_ok=True)
         with open(store.path_for(key_a), "rb") as src:
@@ -168,7 +168,7 @@ class TestCorruptionTolerance:
     def test_no_tmp_files_left_behind(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         compiler, _ = _compile_one()
-        for cache_key, module in compiler._cache.items():
+        for cache_key, module in compiler.cache.entries("compile").items():
             store.save(cache_key, module)
         leftovers = [
             name
@@ -186,7 +186,7 @@ class TestCorruptionTolerance:
         cache_key = _one_cache_key(compiler)
         metrics = obs.get_metrics()
         errors = metrics.counter("compile.store_errors")
-        assert not store.save(cache_key, compiler._cache[cache_key])
+        assert not store.save(cache_key, compiler.cache.entries("compile")[cache_key])
         assert metrics.counter("compile.store_errors") == errors + 1
 
 
@@ -253,13 +253,20 @@ class TestCompilerReadThrough:
         assert metrics.counter("compile.store_hits") == hits
         assert metrics.counter("compile.cache_hits") == mem_hits + 3
 
-    def test_evict_stale_leaves_disk_artifacts(self, tmp_path):
+    def test_memory_bound_leaves_disk_artifacts(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         compiler, _ = _compile_one(store)
-        for variant in ["a - b", "a ^ b"]:
+        metrics = obs.get_metrics()
+        evicted = metrics.counter("compile.cache_evicted")
+        variants = ["a - b", "a ^ b", "a & b", "a | b", "a * b"]
+        for variant in variants:
             compiler.update_source(COUNTER_SRC.replace("a + b", variant))
             compiler.compile_top("top")
-        on_disk = len(store)
-        assert compiler.evict_stale(keep_generations=1) > 0
-        # The in-memory trim is a RAM bound; durable artifacts stay.
-        assert len(store) == on_disk
+        assert metrics.counter("compile.cache_evicted") == evicted + 2
+        # The in-memory bound is a RAM bound; durable artifacts stay,
+        # so a generation that left memory comes back from disk.
+        assert len(store) == 3 + len(variants)
+        compiler.update_source(COUNTER_SRC)
+        hits = metrics.counter("compile.store_hits")
+        assert compiler.compile_top("top").report.recompiled_keys == []
+        assert metrics.counter("compile.store_hits") == hits + 1

@@ -1,9 +1,11 @@
 """LiveCompiler tests: incremental recompilation and cache behaviour."""
 
 import linecache
+import re
 
 import pytest
 
+from repro.codegen.build import CACHE_GENERATIONS, BuildConfig
 from repro.hdl.errors import HDLError
 from repro.live.compiler_live import LiveCompiler
 from repro.live.session import LiveSession
@@ -17,6 +19,17 @@ module leaf (input clk, input [7:0] a, output [7:0] y);
 endmodule
 module top (input clk, input [7:0] a, output [7:0] y);
   leaf u (.clk(clk), .a(a), .y(y));
+endmodule
+"""
+
+MODE_SRC = """
+module leaf (input clk, input [3:0] mode, input [7:0] a, output [7:0] y);
+  reg [7:0] q;
+  always @(posedge clk) q <= (mode != 4'd0) ? a + 8'd1 : a;
+  assign y = q;
+endmodule
+module top (input clk, input [7:0] a, output [7:0] y);
+  leaf u (.clk(clk), .mode(4'd0), .a(a), .y(y));
 endmodule
 """
 
@@ -191,52 +204,144 @@ class TestCacheManagement:
         compiler.compile_top("top")
         assert compiler.cache_size() == baseline + 1
 
-    def test_evict_stale_bounds_population(self):
+    def test_bound_holds_population(self):
         compiler = LiveCompiler(COUNTER_SRC)
         compiler.compile_top("top")
         variants = ["a - b", "a ^ b", "a & b", "a | b", "a * b", "a + b + 1"]
         for variant in variants:
             compiler.update_source(COUNTER_SRC.replace("a + b", variant))
             compiler.compile_top("top")
-        evicted = compiler.evict_stale(keep_generations=2)
-        assert evicted > 0
+        # Seven adder generations, bounded; counter/top stay at one.
+        assert compiler.cache_size() == 2 + CACHE_GENERATIONS
         # Current version still compiles from cache.
         result = compiler.compile_top("top")
         assert result.report.recompiled_keys == []
 
-    def test_evict_stale_keeps_newest_generations_per_spec(self):
-        """Eviction is per spec key in insertion order: the newest
-        ``keep_generations`` versions of each module survive."""
+    def test_bound_keeps_most_recently_used_generations_per_spec(self):
+        """The bound is per spec key in order of *use*: a generation a
+        revert came back to outlives ones inserted after it."""
         compiler = LiveCompiler(COUNTER_SRC)
         compiler.compile_top("top")
-        # Four adder generations; counter/top each stay at one.
         variants = ["a - b", "a ^ b", "a & b"]
         for variant in variants:
             compiler.update_source(COUNTER_SRC.replace("a + b", variant))
             compiler.compile_top("top")
+        # Four adder generations fill the bucket; nothing left yet.
         assert compiler.cache_size() == 3 + len(variants)
-        names = {key.filename for key in compiler._cache}
+        names = {key.filename for key in compiler.cache.entries("compile")}
         assert names <= set(linecache.cache)
-        evicted = compiler.evict_stale(keep_generations=2)
-        # Only the adder spec exceeded the bound: 4 generations -> 2.
-        assert evicted == 2
-        # An evicted generation takes its generated-source listing along.
-        kept = {key.filename for key in compiler._cache}
-        assert len(kept) == len(names) - 2
-        assert not (names - kept) & set(linecache.cache)
-        assert compiler.cache_size() == 3 + len(variants) - 2
-        # The two *newest* generations were kept: the current source
-        # ("a & b") and the previous one ("a ^ b") compile fully from
-        # cache, while an evicted older generation recompiles.
-        result = compiler.compile_top("top")
-        assert result.report.recompiled_keys == []
-        compiler.update_source(COUNTER_SRC.replace("a + b", "a ^ b"))
+        # Use the oldest ("a + b"), then insert a fifth: the least
+        # recently used ("a - b") leaves, not the oldest inserted.
+        compiler.update_source(COUNTER_SRC)
         assert compiler.compile_top("top").report.recompiled_keys == []
+        compiler.update_source(COUNTER_SRC.replace("a + b", "a | b"))
+        compiler.compile_top("top")
+        assert compiler.cache_size() == 3 + len(variants)
+        # An evicted generation takes its generated-source listing along.
+        kept = {key.filename for key in compiler.cache.entries("compile")}
+        assert len(names - kept) == 1
+        assert not (names - kept) & set(linecache.cache)
+        assert kept <= set(linecache.cache)
+        # The previous generation (what a revert goes back to) and the
+        # others still held compile fully from cache ...
+        for variant in ("a + b", "a & b", "a ^ b", "a | b"):
+            compiler.update_source(COUNTER_SRC.replace("a + b", variant))
+            assert compiler.compile_top("top").report.recompiled_keys == []
+        # ... while the evicted one recompiles.
         compiler.update_source(COUNTER_SRC.replace("a + b", "a - b"))
         result = compiler.compile_top("top")
         assert result.report.recompiled_keys == ["adder#(W=8)"]
 
-    def test_evict_stale_keeps_every_flavour_of_the_live_generation(self):
+    def test_bound_holds_by_itself_over_a_long_edit_session(self):
+        """Nobody calls an eviction method: forty fresh edits across two
+        modules and three build flavours, and after each one every kind
+        of derived result is bounded, generated-source listings track
+        the compiled entries, the running modules are still held and
+        the previous text is one hit away."""
+        kinds = ("compile", "analyze", "passes.dataflow.summary") + tuple(
+            f"passes.{name}" for name in (
+                "dataflow", "constprop", "sanitize_plan", "deadlogic",
+                "sensitivity",
+            )
+        )
+
+        def listings():
+            return {n for n in linecache.cache if n.startswith("<lhdl:")}
+
+        foreign = listings()  # other tests' sessions share linecache
+        session = LiveSession(COUNTER_SRC, checkpoint_interval=10)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        cache = session.compiler.cache
+        specs, flavours = 3, 1
+        source = COUNTER_SRC
+        for step in range(40):
+            if step == 20:
+                session.set_sanitize("report")
+                session.set_opt("full")
+                flavours = 3
+            previous = source
+            if step % 2:
+                source = re.sub(r"assign sum = a \+ b[^;]*;",
+                                f"assign sum = a + b + 8'd{step};", source)
+            else:
+                source = re.sub(r"count_q <= next[^;]*;",
+                                f"count_q <= next + 8'd{step};", source)
+            assert len(session.apply_change(source).recompiled_keys) == 1
+            assert session.apply_change(previous).recompiled_keys == []
+            assert session.apply_change(source).recompiled_keys == []
+
+            compiled = cache.entries("compile")
+            for kind in kinds:
+                assert len(cache.entries(kind)) <= (
+                    CACHE_GENERATIONS * specs * flavours
+                ), (step, kind)
+            assert listings() - foreign == {
+                key.filename for key in compiled
+            } - foreign
+            held = {id(module) for module in compiled.values()}
+            running = session.pipe("p0").library.values()
+            assert {id(module) for module in running} <= held
+        # The bound was reached, not merely never approached.
+        assert session.compiler.cache_size() > CACHE_GENERATIONS * specs
+
+    def test_compile_miss_says_which_key_component_moved(self):
+        from repro import obs
+
+        metrics = obs.get_metrics()
+
+        def reasons():
+            return [
+                metrics.counter(f"compile.cache_miss.{reason}")
+                for reason in ("cold", "fingerprint", "child_fps", "facts_fp")
+            ]
+
+        def missed(source):
+            before = reasons()
+            compiler.update_source(source)
+            recompiled = compiler.compile_top("top").report.recompiled_keys
+            return recompiled, [b - a for a, b in zip(before, reasons())]
+
+        source = MODE_SRC
+        compiler = LiveCompiler(source, build=BuildConfig(opt="basic"))
+        assert missed(source) == (["leaf", "top"], [2, 0, 0, 0])
+        # A body edit moves the module's own fingerprint ...
+        source = source.replace("a + 8'd1", "a + 8'd2")
+        assert missed(source) == (["leaf"], [0, 1, 0, 0])
+        # ... a parent-only edit of a constant fed to the child moves
+        # the child's value facts ...
+        source = source.replace(".mode(4'd0)", ".mode(4'd1)")
+        assert missed(source) == (["leaf", "top"], [0, 1, 0, 1])
+        # ... and a child interface edit moves the parent's child_fps.
+        source = source.replace(
+            "output [7:0] y);\n  reg",
+            "output [7:0] y, output z);\n  assign z = 1'b0;\n  reg",
+        )
+        assert missed(source) == (["leaf", "top"], [0, 1, 1, 0])
+        assert metrics.gauge_value("facts.cache_size") == len(
+            compiler.cache.entries("passes.dataflow")
+        ) + len(compiler.cache.entries("passes.dataflow.summary"))
+
+    def test_bound_keeps_every_flavour_of_the_live_generation(self):
         """The six sanitize x opt flavours of an un-edited design are
         one generation each, not six generations of one spec."""
         session = LiveSession(TWO_MODULE_SRC)
@@ -246,38 +351,38 @@ class TestCacheManagement:
                 session.set_sanitize(mode)
                 session.set_opt(level)
         assert session.compiler.cache_size() == 2 * 6
-        assert session.compiler.evict_stale() == 0
         for mode in ("report", "off"):
             for level in ("basic", "full", "none"):
                 assert session.set_sanitize(mode)["recompiled_keys"] == []
                 assert session.set_opt(level)["recompiled_keys"] == []
 
-    def test_evict_stale_counts_evictions(self):
+    def test_bound_counts_evictions(self):
         from repro import obs
 
         compiler = LiveCompiler(COUNTER_SRC)
+        compiler.compile_top("top")
+        metrics = obs.get_metrics()
+        before = metrics.counter("compile.cache_evicted")
+        variants = ["a - b", "a ^ b", "a & b", "a | b", "a * b", "a + b + 1"]
+        for variant in variants:
+            compiler.update_source(COUNTER_SRC.replace("a + b", variant))
+            compiler.compile_top("top")
+        evicted = 1 + len(variants) - CACHE_GENERATIONS
+        assert metrics.counter("compile.cache_evicted") == before + evicted
+        assert metrics.gauge_value("compile.cache_size") == compiler.cache_size()
+
+    def test_bound_is_silent_below_it(self):
+        from repro import obs
+
+        compiler = LiveCompiler(COUNTER_SRC)
+        metrics = obs.get_metrics()
+        before = metrics.counter("compile.cache_evicted")
         compiler.compile_top("top")
         for variant in ["a - b", "a ^ b", "a & b"]:
             compiler.update_source(COUNTER_SRC.replace("a + b", variant))
             compiler.compile_top("top")
-        metrics = obs.get_metrics()
-        before = metrics.counter("compile.cache_evicted")
-        evicted = compiler.evict_stale(keep_generations=1)
-        assert evicted == 3
-        assert metrics.counter("compile.cache_evicted") == before + 3
-        assert metrics.gauge_value("compile.cache_size") == compiler.cache_size()
-
-    def test_evict_stale_noop_below_bound(self):
-        from repro import obs
-
-        compiler = LiveCompiler(COUNTER_SRC)
-        compiler.compile_top("top")
-        metrics = obs.get_metrics()
-        before = metrics.counter("compile.cache_evicted")
-        size = compiler.cache_size()
-        assert compiler.evict_stale(keep_generations=4) == 0
-        # The no-op path touches neither the cache nor the counter.
-        assert compiler.cache_size() == size
+        # Exactly at the bound: nothing left, nothing counted.
+        assert compiler.cache_size() == 2 + CACHE_GENERATIONS
         assert metrics.counter("compile.cache_evicted") == before
         assert compiler.compile_top("top").report.recompiled_keys == []
 

@@ -23,6 +23,7 @@ from repro.passes import (
     PassManager,
     PipelineError,
     build_compile_pipeline,
+    dataflow,
     run_opt_pipeline,
 )
 from repro.sim.testbench import hold_inputs
@@ -253,6 +254,50 @@ class TestPassCacheIncrementality:
         assert isinstance(data["pass_reused_keys"], dict)
 
 
+    # The child's ``sel``/``use_t`` are dead exactly while the parent
+    # feeds ``mode`` the constant 0: every pass result that consumed
+    # that constant must follow the *value facts*, not just the child's
+    # (unchanged) source fingerprint.
+    MODE_SRC = """
+module child (input clk, input [3:0] mode, input [7:0] a, output [7:0] y);
+  wire sel;
+  wire [7:0] use_t;
+  reg [7:0] q;
+  assign sel = mode != 4'd0;
+  assign use_t = a + 8'd4;
+  always @(posedge clk) q <= sel ? use_t : a;
+  assign y = q;
+endmodule
+module top (input clk, input [7:0] a, output [7:0] y);
+  child u (.clk(clk), .mode(4'd0), .a(a), .y(y));
+endmodule
+"""
+
+    @pytest.mark.parametrize("opt", ["basic", "full"])
+    @pytest.mark.parametrize("before,after", [
+        ("4'd0", "a[3:0]"), ("a[3:0]", "4'd0"), ("4'd0", "4'd2"),
+    ])
+    def test_parent_only_edit_recomputes_the_childs_dead_set(
+        self, opt, before, after
+    ):
+        source = self.MODE_SRC.replace(".mode(4'd0)", f".mode({before})")
+        edited = self.MODE_SRC.replace(".mode(4'd0)", f".mode({after})")
+        session = LiveSession(source, checkpoint_interval=2, opt=opt)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        tb = session.load_testbench(hold_inputs(a=1))
+        session.run(tb, "p0", 3)
+        report = session.apply_change(edited)
+        assert session.version == report.version != "1.0"
+        session.run(tb, "p0", 3)
+
+        netlist, library = compile_design(edited, "top", opt=opt)
+        fresh = Pipe(netlist.top, library)
+        fresh.step(6, driver=lambda pipe: pipe.set_inputs(a=1))
+        assert session.pipe("p0").outputs() == fresh.eval()
+        assert "child" in report.pass_computed_keys["deadlogic"]
+        assert report.recompiled_keys == ["child", "top"]
+
+
 class TestDataflowCacheMatrix:
     """Satellite: a hot reload of one module must not recompute
     ``dataflow.facts`` for clean modules — at every (opt, sanitize)
@@ -294,6 +339,32 @@ class TestDataflowCacheMatrix:
         assert session.pipe("p0").cycle == 8
         session.run(tb, "p0", 2)
         assert session.pipe("p0").cycle == 10
+
+    @pytest.mark.parametrize("opt,sanitize", MATRIX)
+    def test_facts_of_an_edit_are_computed_once(
+        self, opt, sanitize, monkeypatch
+    ):
+        # The pass and the analyzer's gate read the same cache, so
+        # whichever runs second (the analyzer; first and only when the
+        # pass is gated off) walks nothing -- and neither does lint().
+        session, tb = self._session(opt, sanitize)
+        session.run(tb, "p0", 8)
+        walks = []
+        original = dataflow._ModuleAnalysis.run
+
+        def counted(self, key):
+            walks.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(dataflow._ModuleAnalysis, "run", counted)
+        report = session.apply_change(ADDER_EDIT)
+        if (opt, sanitize) != ("none", "off"):
+            assert report.pass_computed_keys["dataflow"] == ["adder#(W=8)"]
+        # One context-free summary walk plus one walk specialised on the
+        # constant ``step`` its only instantiation site feeds it.
+        assert walks == ["adder#(W=8)"] * 2
+        assert session.lint().analyzed_keys == []
+        assert len(walks) == 2
 
     @pytest.mark.parametrize("sanitize", ["off", "report"])
     def test_facts_ride_cache_when_only_opt_level_toggles(self, sanitize):

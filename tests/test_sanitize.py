@@ -366,10 +366,10 @@ class TestSetSanitize:
     def test_toggle_back_off_restores_clean_codegen(self):
         session, tb = live_session()
         session.set_sanitize("report")
-        cached = len(session.compiler._cache)
+        cached = session.compiler.cache_size()
         session.set_sanitize("off")
         # Both variants stay cached: flipping back is swap-only.
-        assert len(session.compiler._cache) == cached
+        assert session.compiler.cache_size() == cached
         result = session.set_sanitize("report")
         assert result["swapped_pipes"] == ["p0"]
         session.run(tb, "p0", 3)
@@ -536,8 +536,8 @@ class TestStoreKeySeparation:
             sanitize_runtime=runtime,
         )
         compiler.compile_top("top")
-        cache_key = next(iter(compiler._cache))
-        original = compiler._cache[cache_key]
+        cache_key = next(iter(compiler.cache.entries("compile")))
+        original = compiler.cache.entries("compile")[cache_key]
         # A fresh runtime stands in for the restoring session.
         runtime2 = SanitizerRuntime(mode="report")
         loaded = store.load(cache_key, sanitize_runtime=runtime2)
@@ -559,5 +559,5 @@ class TestStoreKeySeparation:
             sanitize_runtime=runtime,
         )
         compiler.compile_top("top")
-        cache_key = next(iter(compiler._cache))
+        cache_key = next(iter(compiler.cache.entries("compile")))
         assert store.load(cache_key) is None

@@ -7,7 +7,9 @@ initialization built on top (repro.sanitize.elide).
 """
 
 from repro import BuildConfig, compile_design
+from repro.codegen.build import DerivedCache
 from repro.hdl import elaborate, parse
+from repro.live.compiler_live import CompileReport
 from repro.passes.dataflow import (
     ValueFact,
     compute_netlist_facts,
@@ -273,19 +275,15 @@ class TestCrossModule:
     def test_cache_reuses_clean_modules(self):
         netlist = elaborate(parse(HIER_SRC), "m")
         fps = {"leaf": "fp-leaf", "m": "fp-m"}
-        cache = {}
-        computed, reused = [], []
-        compute_netlist_facts(
-            netlist, fps=fps, cache=cache,
-            on_computed=computed.append, on_reused=reused.append,
+        cache = DerivedCache()
+        first, second = CompileReport("m"), CompileReport("m")
+        compute_netlist_facts(netlist, fps=fps, cache=cache, report=first)
+        assert first.pass_computed["dataflow"] and not first.pass_reused
+        compute_netlist_facts(netlist, fps=fps, cache=cache, report=second)
+        assert not second.pass_computed
+        assert sorted(second.pass_reused["dataflow"]) == sorted(
+            first.pass_computed["dataflow"]
         )
-        assert computed and not reused
-        computed2, reused2 = [], []
-        compute_netlist_facts(
-            netlist, fps=fps, cache=cache,
-            on_computed=computed2.append, on_reused=reused2.append,
-        )
-        assert not computed2 and sorted(reused2) == sorted(computed)
 
     def test_digest_changes_with_behaviour(self):
         # The parent edit changes what it feeds the (untouched) child:
