@@ -5,7 +5,8 @@ Covers three more of the paper's §III-A use cases on one session:
 
 * a regression system that re-checks invariants from arbitrary states
   (not just reset) after every design change;
-* the "insert printfs and replay" flow via waveform probes + VCD;
+* the "insert printfs and replay" flow: a time-travel replay window,
+  live probes (named and computed) and VCD export;
 * driving the simulator with the paper's literal command strings.
 
 Run:  python examples/regression_and_waves.py
@@ -16,8 +17,8 @@ import tempfile
 from repro.live.commands import CommandInterpreter
 from repro.live.regression import RegressionSuite
 from repro.live.session import LiveSession
-from repro.sim import WaveformRecorder
 from repro.sim.testbench import reset_sequence
+from repro.trace import TraceProbe
 
 DESIGN = """
 module lfsr #(parameter W = 16) (
@@ -98,23 +99,25 @@ chkp p0                      # manual checkpoint on top of the periodic ones
     print("  -> 'lockstep' still passes: both instances share the one "
           "patched module (Fig. 4d in action).")
 
-    # --- waveforms: rewind and record the window of interest --------------
-    checkpoint = session.store("p0").nearest_before(300)
-    session.ldch("p0", checkpoint)
-    recorder = WaveformRecorder(pipe)
-    recorder.probe_register("u_a", "state")
-    recorder.probe_expr(
-        "parity", 1, lambda p: bin(p.outputs()["a"]).count("1") & 1
-    )
-    recorder.record(32, driver=lambda p: p.set_inputs(rst=0, clk=0))
-    trace = recorder.trace("u_a.state")
-    print(f"\nrecorded {len(trace.values)} samples from cycle "
-          f"{trace.cycles[0]}; first values: "
-          f"{[hex(v) for v in trace.values[:4]]}")
-    with tempfile.NamedTemporaryFile(suffix=".vcd", delete=False) as fh:
-        recorder.to_vcd(fh.name)
-        print(f"VCD written to {fh.name} (open in any waveform viewer)")
+    # --- waveforms: replay the window of interest with probes in place ----
+    # The probe goes in after the fact; replay_window re-simulates the
+    # window on a scratch pipe from the nearest checkpoint, so the live
+    # pipe stays where it is.
+    window = session.replay_window("p0", 300, 332, ["u_a.state"])
+    samples = window["signals"]["u_a.state"]
+    print(f"\nreplayed {len(samples)} samples from cycle {samples[0][0]} "
+          f"(base checkpoint @ {window['base_cycle']}); first values: "
+          f"{[hex(v) for _c, v in samples[:4]]}")
 
+    # A computed probe (the 'printf') rides along on the live pipe.
+    session.watch("p0", "u_a.state")
+    session.trace_buffer("p0").add_probe(TraceProbe(
+        "parity", 1, lambda p: bin(p.outputs()["a"]).count("1") & 1
+    ))
+    interp.execute(f"run {tb_handle}, p0, 32")
+    with tempfile.NamedTemporaryFile(suffix=".vcd", delete=False) as fh:
+        session.trace_buffer("p0").to_vcd(fh.name)
+        print(f"VCD written to {fh.name} (open in any waveform viewer)")
 
 if __name__ == "__main__":
     main()

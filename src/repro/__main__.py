@@ -153,14 +153,17 @@ class Shell:
         if len(operands) != 1:
             raise CommandError("usage: verify <pipe>")
         report = self.session.verify_consistency(operands[0], repair=True)
-        if report.all_consistent:
-            self._print(f"{len(report.segments)} checkpoint deltas "
-                        "consistent")
-        else:
+        if report.divergence_cycle is not None:
             self._print(
                 f"divergence from cycle {report.divergence_cycle}; "
                 "history repaired"
             )
+        else:
+            self._print(f"{len(report.segments)} checkpoint deltas "
+                        "consistent")
+        if report.unverifiable_segments:
+            self._print(f"{report.unverifiable_segments} checkpoint deltas "
+                        "unverifiable: no recorded history across them")
 
     def _cmd_regs(self, operands: List[str]) -> None:
         if len(operands) != 2:

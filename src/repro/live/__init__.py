@@ -10,6 +10,8 @@
   branching Register Transform History (Tables V and VI).
 * :mod:`repro.live.checkpoint` — checkpoint store with the Fig. 2
   garbage-collection policy.
+* :mod:`repro.live.replay` — the recorded ops, the one ``rewind``
+  every time-travel goes through, and the replay that follows it.
 * :mod:`repro.live.consistency` — parallel checkpoint-delta
   verification (Fig. 6).
 * :mod:`repro.live.session` — the LiveSession command API (Table I).

@@ -15,15 +15,53 @@ and its cost is measured and reported by the overhead bench exactly as
 
 from __future__ import annotations
 
+import os
 import pickle
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import IO, Callable, List, Optional
 
 from .. import obs
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe, PipeSnapshot
+
+
+# What unpickling a file that is not ours, or reading the payload of
+# one that has the wrong shape, raises (the pickle docs list these
+# "but not necessarily limited to"; the rest showed up under byte
+# flips and truncation).
+_UNREADABLE = (
+    pickle.UnpicklingError, EOFError, AttributeError, ImportError,
+    LookupError, ValueError, TypeError, ArithmeticError, MemoryError,
+)
+
+
+def atomic_write(
+    path: str, write: Callable[[IO], None], mode: str = "wb"
+) -> None:
+    """Replace ``path`` with what ``write(fh)`` produces, or leave it
+    exactly as it was: the bytes go to a temporary file beside it that
+    is renamed over ``path`` only once ``write`` returned.
+
+    The session journal, the artifact store and the checkpoint-store
+    file (a crashed worker's recovery point) are all written this way,
+    so a crash or a full disk mid-write never leaves a torn file.
+    """
+    fd, tmp_path = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=".tmp-"
+    )
+    try:
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass
@@ -168,40 +206,39 @@ class CheckpointStore:
         return candidates[-1] if candidates else None
 
     def reload_candidate(
-        self, stop_cycle: int, distance: int = 10_000
+        self, stop_cycle: int, distance: int = 10_000, since: int = 0
     ) -> Optional[Checkpoint]:
         """The checkpoint closest to ``stop_cycle - distance`` (§III-D).
 
-        Never returns a checkpoint after ``stop_cycle``.
+        Never returns a checkpoint after ``stop_cycle`` or before
+        ``since``.
         """
         target = max(stop_cycle - distance, 0)
         with self._lock:
-            candidates = [c for c in self._checkpoints if c.cycle <= stop_cycle]
+            candidates = [
+                c for c in self._checkpoints
+                if since <= c.cycle <= stop_cycle
+            ]
         if not candidates:
             return None
         # Ties break toward the later checkpoint: same distance from
         # the target, but less replay to reach the stop point.
         return min(candidates, key=lambda c: (abs(c.cycle - target), -c.cycle))
 
-    def adopt(
-        self,
-        checkpoints: List[Checkpoint],
-        up_to: Optional[int] = None,
-    ) -> int:
+    def adopt(self, checkpoints: List[Checkpoint]) -> int:
         """Merge externally-loaded checkpoints (a saved store file)
         into this store, skipping cycles already present.
 
-        ``ldch`` uses this so rewinding to a file keeps the file's
-        *history* available too: a session rehydrated from a journal
-        can then serve ``replay`` windows reaching back before the
-        restore point instead of re-simulating from power-on.
+        With :meth:`take` one of the store's two doors: the caller
+        (``ldch``) hands over snapshots already in the session's
+        current version.  Rewinding to a file keeps the file's older
+        checkpoints too, so a session rehydrated from a journal has a
+        base at its restore point and at the cycles before it.
         """
         added = 0
         with self._lock:
             have = {c.cycle for c in self._checkpoints}
             for checkpoint in checkpoints:
-                if up_to is not None and checkpoint.cycle > up_to:
-                    continue
                 if checkpoint.cycle in have:
                     continue
                 checkpoint.id = self._next_id
@@ -223,20 +260,6 @@ class CheckpointStore:
         if dropped:
             obs.incr("checkpoint.invalidated", dropped)
         return dropped
-
-    def clear(self) -> None:
-        with self._lock:
-            self._checkpoints = []
-
-    def replace_snapshot(self, checkpoint_id: int, snapshot: PipeSnapshot,
-                         version: str) -> None:
-        with self._lock:
-            for checkpoint in self._checkpoints:
-                if checkpoint.id == checkpoint_id:
-                    checkpoint.snapshot = snapshot
-                    checkpoint.version = version
-                    return
-        raise SimulationError(f"no checkpoint with id {checkpoint_id}")
 
     # -- GC ------------------------------------------------------------------------
 
@@ -267,18 +290,19 @@ class CheckpointStore:
                     "total_collected": self.total_collected,
                 },
             }
-        with open(path, "wb") as fh:
-            pickle.dump(payload, fh)
+        atomic_write(path, lambda fh: pickle.dump(payload, fh))
 
     def load(self, path: str) -> None:
         """Restore a saved store, including its overhead statistics.
 
         The current GC policy is re-applied immediately: a file saved
         under a looser policy must not leave the store over budget.
+        A file that is not a store file -- truncated, empty, garbled,
+        the wrong shape -- is a :class:`SimulationError` naming it.
         """
-        with open(path, "rb") as fh:
-            data = pickle.load(fh)  # noqa: S301 - local trusted file
         try:
+            with open(path, "rb") as fh:
+                data = pickle.load(fh)  # noqa: S301 - local trusted file
             stats = data["stats"]
             loaded = (
                 data["interval"],
@@ -288,7 +312,7 @@ class CheckpointStore:
                 stats["total_capture_seconds"],
                 stats["total_collected"],
             )
-        except (TypeError, KeyError, IndexError) as exc:
+        except _UNREADABLE as exc:
             raise SimulationError(
                 f"{path!r} is not a checkpoint store file: {exc!r}"
             ) from None

@@ -55,10 +55,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..hdl.errors import SimulationError
-from ..sim.pipeline import Pipe, PipeSnapshot
+from ..sim.pipeline import Pipe
 from ..sim.testbench import Testbench
 from .checkpoint import Checkpoint
-from .replay import SessionOp, replay_ops
+from .replay import SessionOp, recorded_from, replay_ops, rewind
 
 # How many compiled designs one worker process keeps around.  Edits
 # ping-pong between a handful of fingerprints (inject/fix pairs), so a
@@ -96,10 +96,34 @@ class ConsistencyReport:
     # no SegmentResult.
     cancelled_segments: int = 0
     status: str = "complete"  # "complete" | "cancelled"
+    # Checkpoint deltas with no recorded history between their ends
+    # (cycles a migration did not carry, or run behind the session's
+    # back): nothing can be replayed across them, so they have no
+    # SegmentResult either.
+    unverifiable_segments: int = 0
+    # Segments whose verification died (a worker crashed, a testbench
+    # raised), and a completion callback that did.
+    errors: List[str] = field(default_factory=list)
 
     @property
     def all_consistent(self) -> bool:
-        return all(s.consistent for s in self.segments)
+        return not self.errors and all(s.consistent for s in self.segments)
+
+    @property
+    def verdict(self) -> str:
+        """``failed`` | ``divergent`` | ``consistent`` | ``unverifiable``.
+
+        ``consistent`` takes at least one verified delta, or a store
+        with nothing to verify: checkpoints none of whose deltas could
+        be checked are ``unverifiable``, not fine.
+        """
+        if self.errors:
+            return "failed"
+        if not self.all_consistent:
+            return "divergent"
+        if self.unverifiable_segments and not self.segments:
+            return "unverifiable"
+        return "consistent"
 
     @property
     def cpu_seconds(self) -> float:
@@ -124,22 +148,31 @@ class ConsistencyReport:
 class VerifyStatus:
     """Point-in-time view of a (possibly in-flight) verification."""
 
-    state: str  # "idle" | "running" | "consistent" | "divergent" | "cancelled"
+    # "idle" | "running" | "cancelled" | a ConsistencyReport.verdict
+    state: str
     total_segments: int = 0
     completed_segments: int = 0
     cancelled_segments: int = 0
+    unverifiable_segments: int = 0
     consistent: Optional[bool] = None
     divergence_cycle: Optional[int] = None
+    error: Optional[str] = None  # the first, when state is "failed"
     wall_seconds: float = 0.0
 
 
 @dataclass
 class _Segment:
     index: int
-    start_snapshot: Optional[PipeSnapshot]  # None => power-on reset state
-    start_cycle: int
-    end_snapshot: PipeSnapshot
-    end_cycle: int
+    base: Optional[Checkpoint]  # None => power-on
+    end: Checkpoint
+
+    @property
+    def start_cycle(self) -> int:
+        return self.base.cycle if self.base is not None else 0
+
+    @property
+    def end_cycle(self) -> int:
+        return self.end.cycle
 
 
 class ConsistencyChecker:
@@ -156,22 +189,21 @@ class ConsistencyChecker:
     # -- segment construction ---------------------------------------------------
 
     @staticmethod
-    def make_segments(checkpoints: Sequence[Checkpoint]) -> List[_Segment]:
-        ordered = sorted(checkpoints, key=lambda c: c.cycle)
+    def make_segments(
+        checkpoints: Sequence[Checkpoint], ops: Sequence[SessionOp]
+    ) -> Tuple[List[_Segment], int]:
+        """One segment per checkpoint delta ``ops`` can replay, and the
+        number of deltas they cannot (no recorded history across)."""
         segments: List[_Segment] = []
         previous: Optional[Checkpoint] = None
-        for i, checkpoint in enumerate(ordered):
-            segments.append(
-                _Segment(
-                    index=i,
-                    start_snapshot=previous.snapshot if previous else None,
-                    start_cycle=previous.cycle if previous else 0,
-                    end_snapshot=checkpoint.snapshot,
-                    end_cycle=checkpoint.cycle,
-                )
-            )
+        for i, checkpoint in enumerate(
+            sorted(checkpoints, key=lambda c: c.cycle)
+        ):
+            start = previous.cycle if previous is not None else 0
+            if recorded_from(ops, checkpoint.cycle, start) <= start:
+                segments.append(_Segment(i, previous, checkpoint))
             previous = checkpoint
-        return segments
+        return segments, len(checkpoints) - len(segments)
 
     # -- serial verification --------------------------------------------------------
 
@@ -194,8 +226,10 @@ class ConsistencyChecker:
         """
         started = time.perf_counter()
         with obs.span("consistency.verify", workers=max(workers, 1)):
-            segments = self.make_segments(checkpoints)
-            report = ConsistencyReport(workers=max(workers, 1))
+            segments, unverifiable = self.make_segments(checkpoints, ops)
+            report = ConsistencyReport(
+                workers=max(workers, 1), unverifiable_segments=unverifiable
+            )
             if not segments:
                 report.wall_seconds = time.perf_counter() - started
                 return report
@@ -261,15 +295,12 @@ def _run_segment(
     tb_lookup: Callable[[str], Testbench],
 ) -> SegmentResult:
     """Replay one delta and compare final state to the stored end."""
-    if segment.start_snapshot is None:
-        pipe.reset_state()
-    else:
-        pipe.restore_transformed(segment.start_snapshot)
-    replay_ops(pipe, list(ops), segment.end_cycle, tb_lookup)
+    rewind(pipe, segment.base)
+    replay_ops(pipe, ops, segment.end_cycle, tb_lookup)
     actual = pipe.top.snapshot()
     # Canonicalize the stored end snapshot into the current design's
     # layout (widths, depths) by loading it the same way.
-    pipe.restore_transformed(segment.end_snapshot)
+    pipe.restore_transformed(segment.end.snapshot)
     expected = pipe.top.snapshot()
     consistent = actual.equal_state(expected)
     detail = ""
@@ -396,10 +427,6 @@ class VerifierPool:
         self._lock = threading.Lock()
         self._worker_indices: Dict[int, int] = {}
 
-    @property
-    def alive(self) -> bool:
-        return self._executor is not None
-
     def _ensure_executor(self) -> Executor:
         with self._lock:
             if self._executor is None:
@@ -476,9 +503,11 @@ class VerifierPool:
 class VerifyJob:
     """Handle to one background verification run."""
 
-    def __init__(self, total_segments: int, workers: int):
+    def __init__(self, total_segments: int, workers: int,
+                 unverifiable_segments: int):
         self.total_segments = total_segments
         self.workers = workers
+        self.unverifiable_segments = unverifiable_segments
         self.started = time.perf_counter()
         self.superseded = False
         self._futures: List[Future] = []
@@ -488,7 +517,6 @@ class VerifyJob:
         self._lock = threading.Lock()
         self._done = threading.Event()
         self._report: Optional[ConsistencyReport] = None
-        self._thread: Optional[threading.Thread] = None
 
     # -- control -------------------------------------------------------------
 
@@ -532,22 +560,24 @@ class VerifyJob:
                 total_segments=self.total_segments,
                 completed_segments=completed,
                 cancelled_segments=cancelled,
+                unverifiable_segments=self.unverifiable_segments,
                 wall_seconds=time.perf_counter() - self.started,
             )
         assert report is not None
-        if self.superseded:
-            state = "cancelled"
-        elif report.all_consistent:
-            state = "consistent"
-        else:
-            state = "divergent"
+        state = "cancelled" if self.superseded else report.verdict
         return VerifyStatus(
             state=state,
             total_segments=self.total_segments,
             completed_segments=completed,
             cancelled_segments=cancelled,
-            consistent=report.all_consistent if not self.superseded else None,
+            unverifiable_segments=self.unverifiable_segments,
+            # Cancelled or unverifiable: nothing is known either way.
+            consistent=(
+                None if state in ("cancelled", "unverifiable")
+                else report.all_consistent
+            ),
             divergence_cycle=report.divergence_cycle,
+            error=report.errors[0] if report.errors else None,
             wall_seconds=report.wall_seconds,
         )
 
@@ -559,9 +589,9 @@ class VerifyJob:
                 result, pid = future.result()
             except CancelledError:
                 continue  # counted when cancel() revoked it
-            except Exception as exc:  # worker died / unpicklable state
+            except Exception as exc:  # worker died / testbench raised
                 with self._lock:
-                    self._errors.append(str(exc))
+                    self._errors.append(f"{type(exc).__name__}: {exc}")
                 obs.incr("consistency.worker_errors")
                 continue
             result.worker = pool.worker_index(pid)
@@ -579,6 +609,8 @@ class VerifyJob:
                 wall_seconds=time.perf_counter() - self.started,
                 cancelled_segments=self._cancelled,
                 status="cancelled" if self.superseded else "complete",
+                unverifiable_segments=self.unverifiable_segments,
+                errors=self._errors,
             )
             self._report = report
         obs.record(
@@ -591,12 +623,16 @@ class VerifyJob:
         divergent = sum(1 for s in results if not s.consistent)
         if divergent:
             obs.incr("consistency.divergences", divergent)
-        self._done.set()
-        if on_complete is not None:
-            try:
+        try:
+            if on_complete is not None:
                 on_complete(self, report)
-            except Exception:
-                obs.incr("consistency.callback_errors")
+        except Exception as exc:  # acting on the verdict failed: say so
+            report.errors.append(
+                f"on_complete: {type(exc).__name__}: {exc}"
+            )
+            obs.incr("consistency.callback_errors")
+        finally:
+            self._done.set()
 
 
 class BackgroundVerifier:
@@ -606,24 +642,23 @@ class BackgroundVerifier:
     def __init__(self, pool: VerifierPool):
         self._pool = pool
 
-    @property
-    def pool(self) -> VerifierPool:
-        return self._pool
-
     def start(
         self,
-        segments: Sequence[_Segment],
+        checkpoints: Sequence[Checkpoint],
         ops: Sequence[SessionOp],
         context: WorkerContext,
         on_complete=None,
         label: str = "verify",
     ) -> VerifyJob:
-        """Submit every segment and return immediately.
+        """Submit every verifiable delta and return immediately.
 
         ``on_complete(job, report)`` fires on a collector thread once
         all segments completed or were cancelled.
         """
-        job = VerifyJob(total_segments=len(segments), workers=self._pool.workers)
+        segments, unverifiable = ConsistencyChecker.make_segments(
+            checkpoints, ops
+        )
+        job = VerifyJob(len(segments), self._pool.workers, unverifiable)
         obs.incr("consistency.background_jobs")
         if not segments:
             job._finish(on_complete)
@@ -635,7 +670,6 @@ class BackgroundVerifier:
             name=f"livesim-{label}",
             daemon=True,
         )
-        job._thread = thread
         thread.start()
         return job
 

@@ -24,10 +24,11 @@ from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
 from ..sim.testbench import Testbench
 from .checkpoint import Checkpoint
+from .replay import replay_ops, rewind
 from .session import LiveSession
 
 CheckFn = Callable[[Pipe], bool]
-StartSpec = Union[None, int, Checkpoint]  # None=reset, int=checkpoint cycle
+StartSpec = Union[None, int, Checkpoint]  # None=power-on, int=cycle
 
 
 @dataclass
@@ -119,25 +120,18 @@ class RegressionSuite:
     # -- execution -----------------------------------------------------------
 
     def _start_pipe(self, case: RegressionCase) -> Pipe:
-        """A disposable pipe positioned at the case's start state."""
-        live = self._session.pipe(self._pipe_name)
-        pipe = live.copy(name=f"regression:{case.name}")
-        if case.start is None:
-            pipe.reset_state()
-            return pipe
-        if isinstance(case.start, Checkpoint):
-            checkpoint = case.start
-        else:
-            checkpoint = self._session.store(self._pipe_name).nearest_before(
-                case.start
+        """A disposable pipe positioned at the case's start state: a
+        checkpoint, power-on, or the state the session's recorded
+        history reaches at a cycle."""
+        timeline = self._session.timeline(self._pipe_name)
+        pipe = timeline.pipe.copy(name=f"regression:{case.name}")
+        if isinstance(case.start, int):
+            rewind(pipe, timeline.base(case.start))
+            replay_ops(
+                pipe, timeline.ops, case.start, self._session.testbench
             )
-            if checkpoint is None:
-                raise SimulationError(
-                    f"case {case.name!r}: no checkpoint at or before "
-                    f"cycle {case.start}"
-                )
-        pipe.restore_transformed(checkpoint.snapshot)
-        pipe.cycle = checkpoint.cycle
+        else:
+            rewind(pipe, case.start)
         return pipe
 
     def run(self, names: Optional[Sequence[str]] = None) -> RegressionReport:

@@ -1,19 +1,26 @@
-"""Session history and replay.
+"""Session history, rewind and replay.
 
 LiveSim views testbench runs as *operations on the UUT* whose "history
 is tracked and checkpointed as part of the simulation session.  This
 allows those same operations to be applied again, should the design be
 updated due to a change in source code" (paper §III-B1).
+
+Every time-travel in the session -- hot reload, repair, a replay
+window, a verification segment, ``ldch``, a regression case -- is the
+same three steps: pick a *base* the recorded ops reach the target from
+without a gap (:func:`recorded_from` is the test), :func:`rewind` a
+pipe to it, :func:`replay_ops` forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
 from ..sim.testbench import Testbench
+from .checkpoint import Checkpoint
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,51 @@ class SessionOp:
     @property
     def cycles(self) -> int:
         return self.end_cycle - self.start_cycle
+
+
+def recorded_from(
+    ops: Sequence[SessionOp], cycle: int, floor: int = 0
+) -> int:
+    """The earliest cycle from which ``ops`` cover every cycle up to
+    ``cycle`` without a gap: a base there can be replayed to ``cycle``.
+
+    ``cycle`` itself when nothing recorded leads up to it (cycles run
+    behind the session's back, or history a migration did not carry).
+    The walk stops once it is at or below ``floor``; what lies further
+    back does not matter to a base at ``floor``.
+    """
+    start = cycle
+    for op in reversed(ops):
+        if start <= floor:
+            break
+        if op.start_cycle >= start:
+            continue
+        if op.end_cycle < start:
+            break
+        start = op.start_cycle
+    return start
+
+
+def rewind(pipe: Pipe, base: Optional[Checkpoint]) -> None:
+    """Put ``pipe`` at ``base``, or at power-on when ``base`` is None.
+
+    ``base`` speaks the pipe's design version (every checkpoint in a
+    session's store does).  Power-on is what a fresh :class:`Pipe` has:
+    zero state, zero inputs, cycle 0, poison clear --
+    ``Pipe.reset_state`` alone keeps the inputs last driven, which a
+    replay would then see in cycles that never had them.  Samples a
+    trace attached to the pipe holds from the rewind point on describe
+    a timeline that no longer exists; its subscribers get a rewind
+    marker.
+    """
+    if base is not None:
+        pipe.restore_transformed(base.snapshot)
+    else:
+        pipe.reset_state()
+        for name in pipe.input_names:
+            pipe.set_input(name, 0)
+    if pipe.trace_buffer is not None:
+        pipe.trace_buffer.truncate_from(pipe.cycle)
 
 
 def replay_ops(

@@ -38,7 +38,7 @@ from ..sim.pipeline import Pipe, PipeSnapshot
 from ..sim.testbench import Testbench
 from ..trace import TraceBuffer
 from ..trace.buffer import DEFAULT_CAPACITY
-from .checkpoint import CheckpointStore, GCPolicy
+from .checkpoint import Checkpoint, CheckpointStore, GCPolicy
 from .compiler_live import CompileResult, LiveCompiler
 from .consistency import (
     BackgroundVerifier,
@@ -50,7 +50,7 @@ from .consistency import (
     WorkerContext,
 )
 from .hotreload import HotReloader, SwapReport
-from .replay import SessionOp, replay_ops
+from .replay import SessionOp, recorded_from, replay_ops, rewind
 from .tables import (
     STAGE,
     TESTBENCH,
@@ -138,7 +138,15 @@ class ERDReport:
 
 @dataclass
 class _PipeSession:
-    """Runtime bookkeeping for one instantiated pipeline."""
+    """One instantiated pipeline and its timeline: the live pipe, the
+    checkpoints taken along the way, the recorded ops that connect
+    them, and the trace attached to the pipe.
+
+    Every snapshot in ``store`` speaks the session's current design
+    version: ``take`` captures under it, ``ldch`` translates what it
+    adopts, and every edit retargets the lot.  Readers use
+    ``checkpoint.snapshot`` as is.
+    """
 
     name: str
     handle: str
@@ -146,9 +154,41 @@ class _PipeSession:
     params: Dict[str, int]
     pipe: Pipe
     store: CheckpointStore
+    compile_result: CompileResult
     ops: List[SessionOp] = field(default_factory=list)
-    compile_result: Optional[CompileResult] = None
     trace: Optional[TraceBuffer] = None
+
+    def base(self, cycle: int, distance: int = 0) -> Optional[Checkpoint]:
+        """Where to :func:`~repro.live.replay.rewind` to so that
+        replaying the recorded ops reaches ``cycle``: the stored
+        checkpoint closest to ``cycle - distance`` among those the ops
+        lead on from without a gap, or None for power-on when they
+        reach back to cycle 0.
+
+        Raises :class:`SimulationError` when neither exists: cycles
+        before ``cycle`` were never recorded (stepped behind the
+        session's back, or run before a migration, which carries
+        checkpoints but not run history) and no checkpoint lies past
+        them.
+        """
+        pick = self.store.reload_candidate(cycle, distance)
+        floor = pick.cycle if pick is not None else 0
+        recorded = recorded_from(self.ops, cycle, floor)
+        if recorded > floor:
+            pick = self.store.reload_candidate(cycle, distance, recorded)
+            if pick is None:
+                gap = max(
+                    (op.end_cycle for op in self.ops
+                     if op.end_cycle < recorded),
+                    default=0,
+                )
+                raise SimulationError(
+                    f"pipe {self.name!r} cannot be rewound to replay to "
+                    f"cycle {cycle}: cycles {gap}..{recorded - 1} were "
+                    "never recorded and there is no checkpoint in "
+                    f"{recorded}..{cycle}"
+                )
+        return pick
 
 
 class LiveSession:
@@ -369,7 +409,7 @@ class LiveSession:
 
     def copy_pipe(self, new_name: str, old_name: str) -> Pipe:
         """``copyPipe`` — duplicate a pipeline including its state."""
-        old = self._session(old_name)
+        old = self.timeline(old_name)
         clone = old.pipe.copy(name=new_name)
         store = CheckpointStore(
             interval=self.checkpoint_interval,
@@ -397,8 +437,8 @@ class LiveSession:
     def run(self, tb_handle: str, pipe_name: str, cycles: int) -> Dict[str, int]:
         """``run`` — apply a testbench for N cycles, recording history
         and taking checkpoints at the configured cadence."""
-        session = self._session(pipe_name)
-        testbench = self._testbench(tb_handle)
+        session = self.timeline(pipe_name)
+        testbench = self.testbench(tb_handle)
         pipe = session.pipe
         start_cycle = pipe.cycle
         testbench.rebase(start_cycle)
@@ -421,7 +461,7 @@ class LiveSession:
 
     def chkp(self, pipe_name: str, path: Optional[str] = None):
         """``chkp`` — take a checkpoint now (optionally persist all)."""
-        session = self._session(pipe_name)
+        session = self.timeline(pipe_name)
         checkpoint = session.store.take(
             session.pipe, self.version, len(session.ops)
         )
@@ -432,36 +472,36 @@ class LiveSession:
     def ldch(self, pipe_name: str, checkpoint_or_path) -> None:
         """``ldch`` — load a checkpoint's state into a pipeline.
 
-        History recorded after the checkpoint's cycle is truncated: the
-        user is rewinding and will write new history from there.
+        A path rewinds to the newest checkpoint in the file.  History
+        recorded after the checkpoint's cycle is truncated: the user is
+        rewinding and will write new history from there.
         """
-        session = self._session(pipe_name)
+        session = self.timeline(pipe_name)
         # Rewinding rewrites the history the verifier is replaying.
         self.cancel_verify(pipe_name)
-        candidates = []
         if isinstance(checkpoint_or_path, str):
             store = CheckpointStore(interval=session.store.interval)
             store.load(checkpoint_or_path)
-            candidates = store.all()
-            if not candidates:
+            loaded = store.all()
+            if not loaded:
                 raise SimulationError("checkpoint file holds no checkpoints")
-            checkpoint = candidates[-1]
         else:
-            checkpoint = checkpoint_or_path
-        session.pipe.restore_transformed(
-            self._in_current_version(session, checkpoint)
-        )
-        session.pipe.cycle = checkpoint.cycle
+            loaded = [checkpoint_or_path]
+        # What comes in may speak an ancestor version's names; the
+        # store and the pipe only ever see the current one's.
+        loaded = [self._in_current_version(session, c) for c in loaded]
+        checkpoint = loaded[-1]
+        rewind(session.pipe, checkpoint)
         # Truncate history at the rewind point; an op spanning it is
         # trimmed (its earlier cycles really happened and still back
         # the surviving checkpoints).  Checkpoints from the abandoned
         # future go too — the user is about to write a new one.
         session.store.invalidate_after(checkpoint.cycle)
-        # A file rewind also adopts the file's older checkpoints, so a
-        # rehydrated session (whose own store starts empty) can still
-        # time-travel to cycles before the restore point.
-        if candidates:
-            session.store.adopt(candidates, up_to=checkpoint.cycle)
+        # The store adopts the rewind point and, from a file, the older
+        # checkpoints with it: a rehydrated session (whose own store
+        # starts empty) has a base where it stands and can still
+        # time-travel to the cycles before.
+        session.store.adopt(loaded)
         trimmed = []
         for op in session.ops:
             if op.end_cycle <= checkpoint.cycle:
@@ -475,10 +515,6 @@ class LiveSession:
                     )
                 )
         session.ops = trimmed
-        # Trace samples from the abandoned future describe a timeline
-        # that no longer exists; subscribers get a rewind marker.
-        if session.trace is not None:
-            session.trace.truncate_from(checkpoint.cycle)
 
     def swap_stage(
         self, pipe_name: str, stage_path: str, reloader: Optional[HotReloader] = None
@@ -488,7 +524,7 @@ class LiveSession:
         Normally :meth:`apply_change` swaps whole pipes; this is the
         targeted variant for interface-compatible single-stage swaps.
         """
-        session = self._session(pipe_name)
+        session = self.timeline(pipe_name)
         result = self.compiler.compile_top(session.module, session.params)
         session.compile_result = result
         reloader = reloader or HotReloader()
@@ -578,11 +614,13 @@ class LiveSession:
         new_version = self._next_version()
         report.version = new_version
 
-        # Phase 1: compile every pipe's top before touching any state,
-        # so a failure rolls back cleanly.
+        # Phase 1: compile every pipe's top and choose every pipe's
+        # rewind base before touching any state, so a failure rolls
+        # back cleanly.
         version_transforms: Dict[str, RegisterTransform] = dict(transforms or {})
         compile_results: Dict[str, CompileResult] = {}
         analysis_results: Dict[str, AnalysisReport] = {}
+        bases: Dict[str, Optional[Checkpoint]] = {}
         try:
             for name, session in self._pipe_sessions.items():
                 started = time.perf_counter()
@@ -598,7 +636,15 @@ class LiveSession:
                 compile_results, analysis_results, report, override_gate
             )
             report.analyze_seconds = time.perf_counter() - started
-        except HDLError:
+            # A pipe whose history cannot be replayed to where it
+            # stands refuses the edit here, not after the swap.
+            started = time.perf_counter()
+            for name, session in self._pipe_sessions.items():
+                bases[name] = session.base(
+                    session.pipe.cycle, self.reload_distance
+                )
+            report.reload_seconds = time.perf_counter() - started
+        except (HDLError, SimulationError):
             obs.incr("live.rolled_back_edits")
             self.compiler.update_source(old_source)
             raise
@@ -627,7 +673,7 @@ class LiveSession:
                     pass_name, []
                 ).extend(keys)
 
-            if old_result is not None and transforms is None:
+            if transforms is None:
                 self._guess_version_transforms(
                     old_result, result, version_transforms
                 )
@@ -648,34 +694,27 @@ class LiveSession:
             if session.trace is not None:
                 session.trace.rebind(session.pipe)
 
+            # The replay below re-captures the rewound window under
+            # the new design (trace subscribers see a rewind marker,
+            # then the fresh values).
             started = time.perf_counter()
             with obs.span("reload", pipe=name):
-                checkpoint = session.store.reload_candidate(
-                    stop_cycle, self.reload_distance
-                )
                 self._retarget_store(
                     session, result, version_transforms, new_version
                 )
-                if checkpoint is not None:
-                    session.pipe.restore_transformed(checkpoint.snapshot)
-                    session.pipe.cycle = checkpoint.cycle
-                    report.checkpoint_cycle = checkpoint.cycle
+                base = bases[name]
+                rewind(session.pipe, base)
+                if base is not None:
+                    report.checkpoint_cycle = base.cycle
                     obs.incr("live.checkpoint_reloads")
                 else:
-                    session.pipe.reset_state()
                     obs.incr("live.reset_reloads")
-                # Samples past the restore point describe the old
-                # design's timeline; the replay below re-captures the
-                # window under the new design (subscribers see a
-                # rewind marker, then the fresh values).
-                if session.trace is not None:
-                    session.trace.truncate_from(session.pipe.cycle)
             report.reload_seconds += time.perf_counter() - started
 
             started = time.perf_counter()
             with obs.span("replay", pipe=name, stop_cycle=stop_cycle):
                 replayed = replay_ops(
-                    session.pipe, session.ops, stop_cycle, self._testbench
+                    session.pipe, session.ops, stop_cycle, self.testbench
                 )
             report.replay_seconds += time.perf_counter() - started
             report.cycles_replayed += replayed
@@ -816,12 +855,9 @@ class LiveSession:
         merged = AnalysisReport()
         seen: set = set()
         for name in names:
-            session = self._session(name)
-            result = session.compile_result
-            if result is None:
-                raise SimulationError(f"pipe {name!r} was never compiled")
+            session = self.timeline(name)
             analysis = self.analyzer.analyze_netlist(
-                result.netlist,
+                session.compile_result.netlist,
                 fingerprint_of=self.compiler.parser.fingerprint,
             )
             merged.top = merged.top or analysis.top
@@ -940,7 +976,7 @@ class LiveSession:
     ) -> Optional[TraceBuffer]:
         """The pipe's attached trace buffer (created on demand with
         ``create=True``); None when the pipe has never been watched."""
-        session = self._session(pipe_name)
+        session = self.timeline(pipe_name)
         if session.trace is None and create:
             session.trace = TraceBuffer(capacity=self.trace_capacity)
             session.pipe.attach_trace(session.trace)
@@ -954,7 +990,7 @@ class LiveSession:
         are harmless.  Raises when the signal does not exist in the
         *current* design (later reloads may mark it missing instead).
         """
-        session = self._session(pipe_name)
+        session = self.timeline(pipe_name)
         buffer = self.trace_buffer(pipe_name, create=True)
         probe = buffer.watch(session.pipe, signal)
         obs.incr("trace.watches")
@@ -1020,14 +1056,15 @@ class LiveSession:
         """``replay`` — time-travel: re-simulate ``[start, end)`` on a
         scratch pipe and return the captured samples.
 
-        Restores the nearest checkpoint at-or-before ``start`` (or
-        power-on reset when none), replays the recorded op history
-        forward with tracing on, and never disturbs the live pipe.
+        Rewinds the scratch pipe to the nearest replayable checkpoint
+        at-or-before ``start`` (or power-on), replays the recorded op
+        history forward with tracing on, and never disturbs the live
+        pipe.
         Simulation is deterministic, so the returned values are
         bit-identical to what live capture saw for those cycles.
         ``signals`` defaults to the pipe's currently watched set.
         """
-        session = self._session(pipe_name)
+        session = self.timeline(pipe_name)
         if end <= start or start < 0:
             raise SimulationError(
                 f"bad replay window [{start}, {end})"
@@ -1038,8 +1075,6 @@ class LiveSession:
                 f"cycle {session.pipe.cycle}"
             )
         result = session.compile_result
-        if result is None:
-            raise SimulationError(f"pipe {pipe_name!r} was never compiled")
         if signals is None:
             signals = (
                 session.trace.names() if session.trace is not None else []
@@ -1054,12 +1089,8 @@ class LiveSession:
                 result.netlist.top, result.library,
                 name=f"{pipe_name}_replay",
             )
-            base = session.store.nearest_before(start)
-            if base is not None:
-                scratch.restore_transformed(
-                    self._in_current_version(session, base)
-                )
-                scratch.cycle = base.cycle
+            base = session.base(start)
+            rewind(scratch, base)
             buffer = TraceBuffer(capacity=None)
             missing: List[str] = []
             for name in signals:
@@ -1074,7 +1105,7 @@ class LiveSession:
                 )
             scratch.attach_trace(buffer)
             replayed = replay_ops(
-                scratch, session.ops, end, self._testbench
+                scratch, session.ops, end, self.testbench
             )
             obs.incr("trace.replays")
         return {
@@ -1102,19 +1133,21 @@ class LiveSession:
     ) -> ConsistencyReport:
         """Verify checkpoint deltas under the current design.
 
+        A delta the recorded ops do not span (a rehydrated session's
+        checkpoints from before the move) cannot be replayed: it is
+        counted in ``unverifiable_segments``, and ``report.verdict`` is
+        ``unverifiable`` when that is all there is.
         With ``repair=True`` and a divergence found, checkpoints after
         the divergence point are invalidated and regenerated by
         replaying from the last consistent checkpoint, and the pipe's
         visible state is re-established (the paper's "update the final
         results as necessary").
         """
-        session = self._session(pipe_name)
+        session = self.timeline(pipe_name)
         result = session.compile_result
-        if result is None:
-            raise SimulationError(f"pipe {pipe_name!r} was never compiled")
         checker = ConsistencyChecker(
             build_pipe=lambda: Pipe(result.netlist.top, result.library),
-            tb_lookup=self._testbench,
+            tb_lookup=self.testbench,
         )
         context = None
         pool = None
@@ -1128,8 +1161,9 @@ class LiveSession:
             session.store.all(), session.ops, workers=workers,
             worker_context=context, pool=pool,
         )
-        if repair and not report.all_consistent:
-            self._repair(session, report)
+        bad = report.first_divergent
+        if repair and bad is not None:
+            self._repair(session, bad.end_cycle)
         return report
 
     def verify_background(
@@ -1151,9 +1185,7 @@ class LiveSession:
         A background verify for a pipe supersedes that pipe's previous
         in-flight job, and any behavioural edit supersedes all jobs.
         """
-        session = self._session(pipe_name)
-        if session.compile_result is None:
-            raise SimulationError(f"pipe {pipe_name!r} was never compiled")
+        session = self.timeline(pipe_name)
         context = self._worker_context(session)
         if context is None:
             raise SimulationError(
@@ -1162,7 +1194,6 @@ class LiveSession:
             )
         self.cancel_verify(pipe_name)
         pool = self._ensure_verifier_pool(workers)
-        segments = ConsistencyChecker.make_segments(session.store.all())
         verify_version = self.version
 
         def _done(job: VerifyJob, report: ConsistencyReport) -> None:
@@ -1171,7 +1202,7 @@ class LiveSession:
                 on_complete(report)
 
         job = BackgroundVerifier(pool).start(
-            segments,
+            session.store.all(),
             session.ops,
             context,
             on_complete=_done,
@@ -1190,20 +1221,18 @@ class LiveSession:
         self._verify_reports[pipe_name] = report
         if job.superseded or self.version != verify_version:
             return  # verdict describes a design that is no longer live
-        if report.all_consistent:
-            return
         session = self._pipe_sessions.get(pipe_name)
-        if session is None:
+        bad = report.first_divergent
+        if session is None or bad is None:
             return
-        divergence = report.divergence_cycle or 0
-        session.store.invalidate_after(
-            divergence - 1 if divergence > 0 else -1
-        )
+        # The bad delta's end is the first checkpoint shown stale; the
+        # one it started from is the last state shown good.
+        session.store.invalidate_after(bad.end_cycle - 1)
         obs.incr("consistency.background_invalidations")
 
     def verify_status(self, pipe_name: str) -> VerifyStatus:
         """Verdict / progress of the pipe's latest background verify."""
-        self._session(pipe_name)  # validate the name
+        self.timeline(pipe_name)  # validate the name
         job = self._verify_jobs.get(pipe_name)
         if job is not None:
             return job.status()
@@ -1261,25 +1290,18 @@ class LiveSession:
             tb_specs=dict(self._tb_specs),
         )
 
-    def _repair(self, session: _PipeSession, report: ConsistencyReport) -> None:
-        divergence = report.divergence_cycle or 0
+    def _repair(self, session: _PipeSession, stale_from: int) -> None:
+        """Drop the checkpoints from ``stale_from`` on (the end of the
+        first bad delta) and re-establish them, and the pipe's visible
+        state, from the last one before."""
         stop_cycle = session.pipe.cycle
-        session.store.invalidate_after(
-            divergence - 1 if divergence > 0 else -1
-        )
-        base = session.store.nearest_before(stop_cycle)
-        if base is not None:
-            session.pipe.restore_transformed(base.snapshot)
-            session.pipe.cycle = base.cycle
-        else:
-            session.pipe.reset_state()
-        if session.trace is not None:
-            session.trace.truncate_from(session.pipe.cycle)
+        session.store.invalidate_after(stale_from - 1)
+        rewind(session.pipe, session.base(stop_cycle))
         replay_ops(
             session.pipe,
             session.ops,
             stop_cycle,
-            self._testbench,
+            self.testbench,
             on_cycle=lambda pipe: session.store.maybe_take(
                 pipe, self.version, len(session.ops)
             ),
@@ -1290,49 +1312,54 @@ class LiveSession:
     # ------------------------------------------------------------------
 
     def pipe(self, name: str) -> Pipe:
-        return self._session(name).pipe
+        return self.timeline(name).pipe
 
     def peek(self, pipe_name: str) -> Dict[str, int]:
         """Current output values without advancing the simulation."""
-        return self._session(pipe_name).pipe.outputs()
+        return self.timeline(pipe_name).pipe.outputs()
 
     def checkpoints(self, pipe_name: str):
-        return self._session(pipe_name).store.all()
+        return self.timeline(pipe_name).store.all()
 
     def store(self, pipe_name: str) -> CheckpointStore:
-        return self._session(pipe_name).store
+        return self.timeline(pipe_name).store
 
     def ops(self, pipe_name: str) -> List[SessionOp]:
-        return list(self._session(pipe_name).ops)
+        return list(self.timeline(pipe_name).ops)
 
-    def _session(self, name: str) -> _PipeSession:
+    def timeline(self, name: str) -> _PipeSession:
+        """The named pipe with its checkpoints, recorded ops and trace."""
         session = self._pipe_sessions.get(name)
         if session is None:
             raise SimulationError(f"unknown pipeline {name!r}")
         return session
 
-    def _testbench(self, handle: str) -> Testbench:
+    def testbench(self, handle: str) -> Testbench:
         testbench = self._testbenches.get(handle)
         if testbench is None:
             raise SimulationError(f"unknown testbench handle {handle!r}")
         return testbench
 
     def _in_current_version(
-        self, session: _PipeSession, checkpoint
-    ) -> PipeSnapshot:
-        """``checkpoint``'s snapshot in the current version's names.
+        self, session: _PipeSession, checkpoint: Checkpoint
+    ) -> Checkpoint:
+        """A copy of ``checkpoint`` in the current version's names,
+        stamped with it: the form the store adopts.
 
-        Checkpoints taken by this session are retargeted at every edit;
-        one read from a file (``ldch``, and what it adopts into the
-        store) may still speak an ancestor version's.
+        Checkpoints in the store are retargeted at every edit; one
+        ``ldch`` brings in (a file, an object the caller kept) may
+        still speak an ancestor version's.
         """
-        if checkpoint.version == self.version:
-            return checkpoint.snapshot
-        return self._translated(
-            checkpoint.snapshot,
-            session.compile_result,
-            self.history.composed_transforms(checkpoint.version, self.version),
-        )
+        snapshot = checkpoint.snapshot
+        if checkpoint.version != self.version:
+            snapshot = self._translated(
+                snapshot,
+                session.compile_result,
+                self.history.composed_transforms(
+                    checkpoint.version, self.version
+                ),
+            )
+        return replace(checkpoint, snapshot=snapshot, version=self.version)
 
     @staticmethod
     def _translated(

@@ -86,6 +86,9 @@ def summarize(value: Any) -> Any:
             "divergence_cycle": value.divergence_cycle,
             "segments": len(value.segments),
             "cancelled_segments": value.cancelled_segments,
+            "unverifiable_segments": value.unverifiable_segments,
+            "errors": list(value.errors),
+            "verdict": value.verdict,
             "status": value.status,
             "workers": value.workers,
             "wall_seconds": value.wall_seconds,

@@ -33,7 +33,6 @@ import bisect
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..analyze import count_by_severity
+from ..live.checkpoint import atomic_write
 from ..live.commands import CommandInterpreter
 from ..trace.buffer import DEFAULT_SUB_QUEUE as TRACE_SUB_QUEUE
 from .protocol import trace_line
@@ -188,19 +188,9 @@ class SessionJournal:
 
     def _flush(self) -> None:
         os.makedirs(self.root, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
+        atomic_write(
+            self.path, lambda fh: json.dump(self._payload, fh), mode="w"
         )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(self._payload, fh)
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
 
     # -- writing -------------------------------------------------------------
 

@@ -14,7 +14,7 @@ unpickles them and re-``exec``'s the stored source — the cheap half of
 compilation (the expensive half, IR scheduling + code generation, is
 what the store skips).
 
-Writes are atomic (tmp file in the same directory + ``os.replace``) so
+Writes are atomic (:func:`repro.live.checkpoint.atomic_write`) so
 concurrent sessions — or a crash mid-write — can never publish a torn
 artifact.  The store is a cache: every failure path (corrupt file,
 version skew, full disk) degrades to a miss and the compiler recompiles.
@@ -30,12 +30,12 @@ from __future__ import annotations
 import dataclasses
 import os
 import pickle
-import tempfile
 from typing import Optional, Tuple
 
 from .. import obs
 from ..codegen.build import STORE_FORMAT, ModuleKey
 from ..codegen.pygen import CompiledModule, exec_source
+from ..live.checkpoint import atomic_write
 
 # CompiledModule fields persisted to disk — everything except the
 # three function objects, which are rebuilt from ``source`` on load.
@@ -140,21 +140,10 @@ class ArtifactStore:
             },
         }
         try:
-            directory = os.path.dirname(path)
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                dir=directory, prefix=".tmp-", suffix=".pkl"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            atomic_write(path, lambda fh: pickle.dump(
+                payload, fh, protocol=pickle.HIGHEST_PROTOCOL
+            ))
         except (OSError, pickle.PicklingError, TypeError) as exc:
             obs.incr("compile.store_errors")
             _note_error(f"save {path}: {exc}")

@@ -1,9 +1,8 @@
-"""Simulation kernel: instances, pipelines, testbenches, waveforms."""
+"""Simulation kernel: instances, pipelines, testbenches."""
 
 from .pipeline import Pipe
 from .stage import StageInst, StateSnapshot
 from .testbench import CallbackTestbench, Testbench, VectorTestbench
-from .waveform import Probe, Trace, WaveformRecorder
 
 __all__ = [
     "StageInst",
@@ -12,7 +11,4 @@ __all__ = [
     "Testbench",
     "CallbackTestbench",
     "VectorTestbench",
-    "Probe",
-    "Trace",
-    "WaveformRecorder",
 ]

@@ -8,7 +8,6 @@ combinational logic, compute pending register values) followed by
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Dict, Optional, Tuple
 
 from ..codegen.pygen import CompiledModule
@@ -111,9 +110,6 @@ class Pipe:
         every tick.  One buffer per pipe; None detaches."""
         self._trace = buffer
 
-    def detach_trace(self) -> None:
-        self._trace = None
-
     @property
     def trace_buffer(self):
         return self._trace
@@ -205,7 +201,13 @@ class Pipe:
         self._last_outputs = None
 
     def reset_state(self) -> None:
-        """Return every register/memory to power-on zero; cycle to 0."""
+        """Return every register/memory to power-on zero; cycle to 0.
+
+        The inputs keep the values last driven (a testbench resets a
+        design and goes on driving it).  A rewind to power-on, where
+        nothing has been driven yet, is
+        :func:`repro.live.replay.rewind` with no base.
+        """
         self.top.reset_state()
         self.cycle = 0
         self._last_outputs = None
@@ -237,6 +239,3 @@ class PipeSnapshot:
 
     def total_bytes(self) -> int:
         return self.state.total_bytes() + 8 * (len(self.inputs) + 1)
-
-    def clone(self) -> "PipeSnapshot":
-        return copy.deepcopy(self)

@@ -3,8 +3,7 @@
 A :class:`TraceBuffer` is attached to a pipe (``Pipe.attach_trace``)
 and from then on :meth:`capture` runs inside every ``tick`` — after
 combinational settle, before the clock edge commits — so a sample at
-cycle N holds the same settled pre-edge values a
-:class:`~repro.sim.waveform.WaveformRecorder` would record.
+cycle N holds the settled pre-edge values of cycle N.
 
 Costs are bounded by construction: capture is O(probes) per cycle with
 no allocation beyond the appended tuples, each probe's history lives in
@@ -13,8 +12,8 @@ a ring of ``capacity`` samples (drop-oldest, counted on the
 bounded deques that drop their *oldest* event under backpressure — the
 simulation loop never blocks on a slow consumer.
 
-Checkpoint rewind (``ldch`` / a reload that restores an earlier
-checkpoint) calls :meth:`truncate_from`: samples at-or-after the
+A rewind of the pipe (:func:`repro.live.replay.rewind`: ``ldch``, a
+reload, a repair) calls :meth:`truncate_from`: samples at-or-after the
 restore cycle are discarded (they describe an abandoned timeline) and
 every subscriber receives a ``{"rewind": cycle}`` marker so it can do
 the same.
@@ -30,6 +29,7 @@ from .. import obs
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
 from .probes import TraceProbe
+from .vcd import write_vcd
 
 DEFAULT_CAPACITY = 4096
 DEFAULT_SUB_QUEUE = 256
@@ -63,9 +63,6 @@ class _Ring:
             items.pop()
             dropped += 1
         return dropped
-
-    def clear(self) -> None:
-        self._items.clear()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -189,12 +186,6 @@ class TraceBuffer:
         self._prune_subs()
         return True
 
-    def probe(self, name: str) -> TraceProbe:
-        entry = self._entries.get(name)
-        if entry is None:
-            raise SimulationError(f"no probe named {name!r}")
-        return entry.probe
-
     def has_probe(self, name: str) -> bool:
         return name in self._entries
 
@@ -263,11 +254,6 @@ class TraceBuffer:
         if dropped or self._subs:
             self._publish(None, {"rewind": cycle})
         return dropped
-
-    def clear_samples(self) -> None:
-        for entry in self._entries.values():
-            entry.ring.clear()
-            entry.last = _UNSET
 
     # -- subscriptions --------------------------------------------------------
 
@@ -364,9 +350,7 @@ class TraceBuffer:
 
     def to_vcd(self, path: str, timescale: str = "1 ns",
                module_name: str = "uut") -> None:
-        """Export every probe's history through the shared VCD writer."""
-        from ..sim.waveform import write_vcd  # circular at import time
-
+        """Export every probe's history as one VCD file."""
         write_vcd(
             path,
             [(e.probe.name, e.probe.width)

@@ -100,9 +100,9 @@ class TraceProbe:
 
     - *named* probes (``signal`` set) resolve against the pipe and can
       re-:meth:`bind` after a hot reload;
-    - *expression* probes (``signal`` None, explicit getter) come from
-      the :class:`~repro.sim.waveform.WaveformRecorder` compatibility
-      layer and are never re-bound.
+    - *expression* probes (``signal`` None, explicit getter) compute a
+      value from the pipe, the 'printf' of the live flow
+      (``TraceBuffer.add_probe``), and are never re-bound.
     """
 
     __slots__ = ("name", "signal", "width", "getter", "missing")

@@ -198,3 +198,87 @@ class TestVerifyCommands:
         with LiveSession(COUNTER_SRC, checkpoint_interval=10) as session:
             session.inst_pipe("p0", session.stage_handle_for("top"))
         session.close()  # second close is a no-op
+
+
+RESET_SPEC = (
+    "repro.sim.testbench:reset_sequence", {"reset_name": "rst", "cycles": 2}
+)
+
+
+def exploding_testbench():
+    """What a verify worker builds for ``test_a_segment_that_dies``."""
+    from repro.sim.testbench import CallbackTestbench
+
+    def drive(pipe):
+        raise RuntimeError("boom in the worker")
+
+    return CallbackTestbench("exploding", drive=drive)
+
+
+def counter_session(factory=RESET_SPEC):
+    from repro.sim.testbench import reset_sequence
+
+    session = LiveSession(COUNTER_SRC, checkpoint_interval=10)
+    session.inst_pipe("p0", session.stage_handle_for("top"))
+    tb = session.load_testbench(reset_sequence("rst", 2), factory=factory)
+    return session, tb
+
+
+class TestVerdictsTellTheTruth:
+    """A verdict over nothing is not ``consistent``, a segment that
+    died is not silence, and the blocking and the background verifier
+    say the same thing about the same session."""
+
+    def _both(self, session):
+        serial = session.verify_consistency("p0")
+        session.verify_background("p0", workers=1)
+        background = session.wait_for_verify("p0", timeout=120)
+        assert background is not None
+        for field in ("verdict", "all_consistent", "unverifiable_segments",
+                      "divergence_cycle", "errors"):
+            assert getattr(serial, field) == getattr(background, field), field
+        assert len(serial.segments) == len(background.segments)
+        return background, session.verify_status("p0")
+
+    def test_checkpoints_without_history_are_unverifiable(self, tmp_path):
+        first, tb = counter_session()
+        first.run(tb, "p0", 25)
+        path = str(tmp_path / "p0.ckpt")
+        first.chkp("p0", path)
+        # What a rehydrated session is: the checkpoints, no run ops.
+        session, tb = counter_session()
+        try:
+            session.ldch("p0", path)
+            report, status = self._both(session)
+            assert report.verdict == status.state == "unverifiable"
+            assert report.segments == [] and report.unverifiable_segments == 3
+            assert status.consistent is None and status.total_segments == 0
+            assert session.store("p0").cycles() == [10, 20, 25]
+
+            session.run(tb, "p0", 10)  # 25..35 is recorded and checkable
+            report, status = self._both(session)
+            assert report.verdict == status.state == "consistent"
+            assert [s.start_cycle for s in report.segments] == [25]
+            assert status.completed_segments == 1
+            assert status.unverifiable_segments == 3
+        finally:
+            session.close()
+
+    def test_a_segment_that_dies_fails_the_verdict(self):
+        session, tb = counter_session(
+            ("tests.test_background_verify:exploding_testbench", {})
+        )
+        try:
+            session.run(tb, "p0", 25)
+            session.verify_background("p0", workers=1)
+            report = session.wait_for_verify("p0", timeout=120)
+            status = session.verify_status("p0")
+            assert report.verdict == status.state == "failed"
+            assert not report.all_consistent and status.consistent is False
+            assert len(report.errors) == 2 and report.segments == []
+            assert "boom in the worker" in status.error
+            # No divergence was shown: nothing is invalidated over it.
+            assert report.divergence_cycle is None
+            assert session.store("p0").cycles() == [10, 20]
+        finally:
+            session.close()

@@ -280,3 +280,58 @@ class TestPersistence:
         with pytest.raises(SimulationError, match="other.pkl"):
             loaded.load(path)
         assert loaded.interval == 99 and len(loaded) == 0
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "garbled"])
+    def test_ldch_of_an_unreadable_file_is_a_command_error(
+        self, tmp_path, damage
+    ):
+        from repro.live.commands import CommandError, CommandInterpreter
+        from repro.live.session import LiveSession
+        from repro.sim.testbench import hold_inputs
+
+        session = LiveSession(COUNTER_SRC, checkpoint_interval=10)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        tb = session.load_testbench(hold_inputs(rst=0))
+        session.run(tb, "p0", 25)
+        path = tmp_path / "cut.ckpt"
+        session.chkp("p0", str(path))
+        good = path.read_bytes()
+        path.write_bytes({
+            "truncated": good[: len(good) // 2],
+            "empty": b"",
+            "garbled": bytes(b ^ 0x5A for b in good),
+        }[damage])
+        interp = CommandInterpreter(session, read_file={}.__getitem__)
+        # The shell and the server report a CommandError as a failed
+        # command; an UnpicklingError would have been an internal error.
+        with pytest.raises(CommandError, match="cut.ckpt"):
+            interp.execute(f"ldch p0, {path}")
+        # Nothing moved: the pipe, its store and its history are intact.
+        assert session.pipe("p0").cycle == 25
+        assert session.store("p0").cycles() == [10, 20, 25]
+        assert session.ops("p0")[-1].end_cycle == 25
+
+    def test_a_save_that_dies_midway_leaves_the_previous_file(
+        self, tmp_path, monkeypatch
+    ):
+        import pickle
+
+        pipe = make_pipe()
+        store = CheckpointStore(interval=10)
+        store.take(pipe, "1.0", 0)
+        path = tmp_path / "recovery.ckpt"
+        store.save(str(path))
+        before = path.read_bytes()
+
+        pipe.step(5)
+        store.take(pipe, "1.0", 1)
+
+        def dies_midway(payload, fh, *args, **kwargs):
+            fh.write(b"half a pick")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pickle, "dump", dies_midway)
+        with pytest.raises(OSError, match="No space"):
+            store.save(str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["recovery.ckpt"]

@@ -5,7 +5,6 @@ import pytest
 
 from repro.live.checkpoint import GCPolicy
 from repro.live.session import LiveSession
-from repro.sim import WaveformRecorder
 from repro.sim.testbench import hold_inputs
 from tests.conftest import COUNTER_SRC
 
@@ -95,24 +94,20 @@ class TestProbesAcrossReload:
     def test_recorder_survives_hot_swap(self):
         session = LiveSession(COUNTER_SRC, checkpoint_interval=1000)
         session.inst_pipe("p0", session.stage_handle_for("top"))
-        pipe = session.pipe("p0")
-        recorder = WaveformRecorder(pipe)
-        recorder.probe_register("u0", "count_q")
-        # Sampling wrapper keeps the cycles inside the session history,
-        # so the live loop can still replay them after the edit.
-        tb = session.load_testbench(recorder.wrap(hold_inputs(rst=0)))
+        session.watch("p0", "u0.count_q")
+        tb = session.load_testbench(hold_inputs(rst=0))
 
         session.run(tb, "p0", 5)
         session.apply_change(
             COUNTER_SRC.replace("assign sum = a + b;",
                                 "assign sum = a + b + 8'd1;")
         )
-        recorder.clear()  # the replayed estimate re-samples; start fresh
         session.run(tb, "p0", 3)
-        values = recorder.trace("u0.count_q").values
         # No checkpoints: the estimate replayed 0..5 with the +2 adder,
-        # leaving count=10; three more cycles sample 10/12/14.
-        assert values == [10, 12, 14]
+        # re-capturing those cycles and leaving count=10; three more
+        # cycles sample 10/12/14.
+        samples = session.trace_read("p0", "u0.count_q")["samples"]
+        assert samples == [[c, 2 * c] for c in range(8)]
 
 
 class TestGCUnderLongSessions:

@@ -231,7 +231,10 @@ class TestShardedCrashRecovery:
 
             # Event streams route to the requesting client — and only
             # to it — even though the session now lives in a brand-new
-            # worker process.
+            # worker process.  The verdict covers what the recovered
+            # session can replay: the ten cycles run since, not the 200
+            # whose run history died with the worker.
+            assert client.command(victim_name, "chkp p0")["cycle"] == 210
             client.command(victim_name, "verify p0")
             event = client.wait_event(
                 "verify_status",
@@ -240,6 +243,8 @@ class TestShardedCrashRecovery:
             )
             assert event.session == victim_name
             assert event.data["state"] == "consistent"
+            assert event.data["completed_segments"] == 1
+            assert event.data["unverifiable_segments"] == 1
             with pytest.raises(TimeoutError):
                 other.wait_event("verify_status", timeout=0.5)
 

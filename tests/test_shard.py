@@ -204,10 +204,11 @@ class _FakeConn:
         pass
 
 
-def _worker(state_root=None):
+def _worker(state_root=None, **config):
     return SessionWorker(
         _FakeConn(),
-        WorkerConfig(worker_id=0, state_root=state_root, max_threads=1),
+        WorkerConfig(worker_id=0, state_root=state_root, max_threads=1,
+                     **config),
     )
 
 
@@ -296,3 +297,65 @@ class TestSessionWorkerJournaling:
         worker._cmd_open(0, {"session": "alice", "source": COUNTER_SRC})
         with pytest.raises(ValueError, match="state dir"):
             worker._cmd_persist(0, {"session": "alice"})
+
+
+class TestReloadAfterRehydrate:
+    # A migration or a crash recovery carries the checkpoints, not the
+    # run history: the moved session can replay what it ran since and
+    # nothing before.  The first reload used to rewind to a checkpoint
+    # it had no history to replay from, and fail after the swap.
+
+    EDIT = COUNTER_SRC.replace(
+        "assign sum = a + b;", "assign sum = a + b + 8'd1;"
+    )
+
+    def _moved(self, state_root):
+        first = _worker(state_root, checkpoint_interval=10)
+        first._cmd_open(0, {"session": "s", "source": COUNTER_SRC})
+        first._cmd_cmd(0, {"session": "s", "line": "instPipe p0, stage2"})
+        first._cmd_cmd(0, {"session": "s", "line": "run tb0, p0, 25"})
+        first._cmd_persist(0, {"session": "s"})
+        second = _worker(state_root, checkpoint_interval=10)
+        assert second._cmd_rehydrate(0, {"session": "s"})["pipes"] == {
+            "p0": 25
+        }
+        return second
+
+    def test_reload_right_after_the_move(self, tmp_path):
+        worker = self._moved(str(tmp_path))
+        session = worker.manager.get("s").session
+        assert session.store("p0").cycles() == [10, 20, 25]
+        assert session.ops("p0") == []
+        report = worker._cmd_reload(0, {"session": "s", "source": self.EDIT})
+        assert report["_type"] == "ERDReport"
+        assert report["checkpoint_cycle"] == 25
+        assert report["cycles_replayed"] == 0
+        assert report["version"] == session.version == "1.1"
+        # c0 was 23 at cycle 25 (two reset cycles); +2 a cycle now.
+        assert worker._cmd_cmd(
+            0, {"session": "s", "line": "run tb0, p0, 5"}
+        )["c0"] == 33
+
+    def test_reload_replays_only_what_was_run_since(self, tmp_path):
+        worker = self._moved(str(tmp_path))
+        worker._cmd_cmd(0, {"session": "s", "line": "run tb0, p0, 10"})
+        report = worker._cmd_reload(0, {"session": "s", "source": self.EDIT})
+        assert report["checkpoint_cycle"] == 25
+        assert report["cycles_replayed"] == 10
+        assert worker._cmd_cmd(
+            0, {"session": "s", "line": "peek p0"}
+        )["c0"] == 23 + 20
+
+    def test_a_recovery_point_cut_in_half_is_an_error_naming_the_file(
+        self, tmp_path
+    ):
+        self._moved(str(tmp_path))
+        (ckpt,) = [p for p in tmp_path.iterdir() if p.suffix == ".ckpt"]
+        ckpt.write_bytes(ckpt.read_bytes()[:100])
+        from repro.hdl.errors import SimulationError
+        from repro.server.service import error_payload
+
+        for _ in range(2):
+            with pytest.raises(SimulationError, match=ckpt.name) as caught:
+                _worker(str(tmp_path))._cmd_rehydrate(0, {"session": "s"})
+            assert error_payload(caught.value)["type"] == "simulation"

@@ -1,19 +1,34 @@
 """Stateful property testing of the live loop.
 
 A Hypothesis state machine drives a LiveSession through random
-interleavings of run / edit / rewind / verify+repair and checks the
-one invariant that spans all of them: after repair, the pipeline's
-outputs equal an analytically computed ground truth (the counter's
-value is a pure function of the cycle count and the *current* adder
-delta, because repair re-executes the whole recorded history under the
-current design).
+interleavings of run / edit / rewind / verify+repair / rehydrate /
+replay and checks the invariants that span all of them.  The central
+one: after repair, the pipeline's outputs equal a ground truth the
+machine computes itself, by folding the recorded stimulus over the
+counters under the *current* adder delta (repair re-executes the
+recorded history under the current design).
+
+The top has a data input, and the testbenches drive disjoint inputs
+(one ``rst``, the others ``step``), so an input keeps the value the
+last testbench to care about it left: a rewind that forgets, or
+invents, an input value shows in the counters.
 
 Edits also change the register topology -- the counter register is
 renamed back and forth and a second register comes and goes -- which
 leaves the ground truth alone: a rename carries the state (Table V), so
 history stays consistent across it without a repair, and the machine
 runs once on clean code and once under the sanitizer.
+
+``rehydrate`` is what a server worker does to a migrated or recovered
+session: checkpoint where the pipe stands, save the store, build a
+fresh session by replaying the journaled edits, ``ldch`` the file.  The
+checkpoints come along, the run history does not; from then on the
+ground truth starts at the state the pipe was handed over in.
 """
+
+import os
+import shutil
+import tempfile
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -27,15 +42,28 @@ from hypothesis.stateful import (
 
 from repro.live.session import LiveSession
 from repro.live.transform import RegisterTransform, TransformOp
-from repro.sim.testbench import hold_inputs
+from repro.sim.testbench import hold_inputs, reset_sequence
 from tests.conftest import COUNTER_SRC
 
 DELTAS = [0, 1, 2, 5]
 REG_NAMES = ["count_q", "tally_q"]
+RESET_CYCLES = 3
+# name -> (input it drives, testbench factory)
+TESTBENCHES = {
+    "reset": ("rst", lambda: reset_sequence("rst", RESET_CYCLES)),
+    "step1": ("step", lambda: hold_inputs(step=1)),
+    "step4": ("step", lambda: hold_inputs(step=4)),
+}
+
+STEPPED_SRC = COUNTER_SRC.replace(
+    "  input rst,\n  output [7:0] c0,",
+    "  input rst,\n  input [7:0] step,\n  output [7:0] c0,",
+).replace(".step(8'd1)", ".step(step)")
+assert STEPPED_SRC.count("step(step)") == 1
 
 
 def design(delta: int, reg: str = "count_q", shadow: bool = False) -> str:
-    source = COUNTER_SRC
+    source = STEPPED_SRC
     if delta:
         source = source.replace(
             "assign sum = a + b;", f"assign sum = a + b + 8'd{delta};"
@@ -57,21 +85,74 @@ class LiveLoopMachine(RuleBasedStateMachine):
 
     @initialize()
     def setup(self) -> None:
-        self.session = LiveSession(
-            COUNTER_SRC, checkpoint_interval=7, sanitize=self.sanitize
-        )
-        self.session.inst_pipe("p0", self.session.stage_handle_for("top"))
-        self.tb = self.session.load_testbench(hold_inputs(rst=0))
+        self.tmp = tempfile.mkdtemp(prefix="liveloop-")
         self.delta = 0  # current adder modification
         self.reg = "count_q"  # current name of the counter register
         self.shadow = False  # is the second register there?
         self.repaired = True  # history currently consistent with design
+        self.journal = []  # every edit applied: (source, transforms)
+        self._open()
+        # Ground truth: the state the recorded history starts from and,
+        # per recorded cycle since, which input was driven to what.
+        self.origin = {"cycle": 0, "rst": 0, "step": 0, "c0": 0, "c1": 0}
+        self.driven = []
+        # Start where the inputs have a past: from here on a rewind to
+        # power-on that kept ``step`` would replay the reset with it.
+        self.run("reset", 5)
+        self.run("step4", 3)
+
+    def _open(self) -> None:
+        self.session = LiveSession(
+            design(0), checkpoint_interval=7, sanitize=self.sanitize
+        )
+        self.session.inst_pipe("p0", self.session.stage_handle_for("top"))
+        self.tbs = {
+            name: self.session.load_testbench(make())
+            for name, (_port, make) in TESTBENCHES.items()
+        }
+        self.session.watch("p0", "c0")
+        for source, transforms in self.journal:
+            self.session.apply_change(source, transforms=transforms)
+
+    def teardown(self) -> None:
+        shutil.rmtree(self.tmp, ignore_errors=True)
+
+    def expected(self) -> dict:
+        """The origin state folded over the recorded stimulus under the
+        current delta."""
+        now = dict(self.origin)
+        for port, value in self.driven:
+            now[port] = value
+            if now["rst"]:
+                now["c0"] = now["c1"] = 0
+            else:
+                now["c0"] = (now["c0"] + now["step"] + self.delta) & 0xFF
+                now["c1"] = (now["c1"] + 3 + self.delta) & 0xFF
+        return now
+
+    def _start_over_from_the_pipe(self) -> None:
+        pipe = self.session.pipe("p0")
+        self.origin = {
+            "cycle": pipe.cycle,
+            "rst": pipe.get_input("rst"),
+            "step": pipe.get_input("step"),
+            **pipe.outputs(),
+        }
+        self.driven = []
 
     # -- actions -------------------------------------------------------------
 
-    @rule(cycles=st.integers(min_value=1, max_value=23))
-    def run(self, cycles: int) -> None:
-        self.session.run(self.tb, "p0", cycles)
+    @rule(
+        tb=st.sampled_from(sorted(TESTBENCHES)),
+        cycles=st.integers(min_value=1, max_value=23),
+    )
+    def run(self, tb: str, cycles: int) -> None:
+        start = self.session.pipe("p0").cycle
+        self.session.run(self.tbs[tb], "p0", cycles)
+        port = TESTBENCHES[tb][0]
+        for cycle in range(start, start + cycles):
+            value = int(cycle < RESET_CYCLES) if port == "rst" else int(tb[4:])
+            self.driven.append((port, value))
 
     @rule(
         delta=st.sampled_from(DELTAS),
@@ -86,12 +167,20 @@ class LiveLoopMachine(RuleBasedStateMachine):
             transforms = {"counter": RegisterTransform(
                 [TransformOp("rename", self.reg, new_name=reg)]
             )}
+        before = self.session.version
+        # Never a SimulationError: the machine keeps no hole in the
+        # history, so every edit has a base to replay from.
         report = self.session.apply_change(
             design(delta, reg, shadow), transforms=transforms
         )
+        self.journal.append((design(delta, reg, shadow), transforms))
         assert report.behavioral == (
             (delta, reg, shadow) != (self.delta, self.reg, self.shadow)
         )
+        # The version moves with the committed source, never behind it.
+        assert self.session.compiler.source == design(delta, reg, shadow)
+        assert report.version == self.session.version
+        assert (self.session.version != before) == report.behavioral
         # A new adder rewrites history; so does a register the stored
         # checkpoints hold no value for.  A rename or a removal does not.
         if delta != self.delta or (shadow and not self.shadow):
@@ -101,45 +190,99 @@ class LiveLoopMachine(RuleBasedStateMachine):
     @rule()
     def rewind_to_some_checkpoint(self) -> None:
         store = self.session.store("p0")
-        if len(store):
-            self.session.ldch("p0", store.all()[0])
+        if not len(store):
+            return
+        checkpoint = store.all()[0]
+        self.session.ldch("p0", checkpoint)
+        kept = checkpoint.cycle - self.origin["cycle"]
+        if kept >= 0:
+            del self.driven[kept:]
+        else:
+            # A checkpoint from before the session was handed over: no
+            # recorded history leads up to it.
+            self._start_over_from_the_pipe()
 
     @rule()
     def repair(self) -> None:
         self.session.verify_consistency("p0", repair=True)
         self.repaired = True
 
+    @rule()
+    def rehydrate(self) -> None:
+        path = os.path.join(self.tmp, "p0.ckpt")
+        self.session.chkp("p0", path)
+        before = self.session.peek("p0"), self.session.version
+        self.session.close()
+        self._open()
+        self.session.ldch("p0", path)
+        assert (self.session.peek("p0"), self.session.version) == before
+        assert self.session.ops("p0") == []
+        self._start_over_from_the_pipe()
+
+    @rule(
+        delta=st.sampled_from(DELTAS),
+        reg=st.sampled_from(REG_NAMES),
+        shadow=st.booleans(),
+    )
+    def edit_right_after_rehydrate(self, delta, reg, shadow) -> None:
+        self.rehydrate()
+        self.edit(delta, reg, shadow)
+
+    @precondition(lambda self: self.repaired and self.driven)
+    @rule(data=st.data())
+    def replay_window(self, data) -> None:
+        # Time-travel equals what was captured live, wherever the
+        # window lies in the recorded history.
+        first = self.origin["cycle"]
+        last = first + len(self.driven)
+        start = data.draw(st.integers(first, last - 1), label="start")
+        end = data.draw(st.integers(start + 1, last), label="end")
+        replayed = self.session.replay_window("p0", start, end)
+        live = self.session.trace_read("p0", "c0", start, end)
+        assert replayed["signals"]["c0"] == live["samples"]
+        assert len(live["samples"]) == end - start
+
     # -- invariants -----------------------------------------------------------
 
     @invariant()
     def history_covers_pipe_position(self) -> None:
-        ops = self.session.ops("p0")
-        end = ops[-1].end_cycle if ops else 0
-        assert self.session.pipe("p0").cycle <= end or not ops
+        # Raises when no base can be replayed to where the pipe stands.
+        timeline = self.session.timeline("p0")
+        timeline.base(timeline.pipe.cycle)
+        assert timeline.pipe.cycle == (
+            self.origin["cycle"] + len(self.driven)
+        )
 
     @invariant()
     def checkpoints_never_after_now(self) -> None:
-        ops = self.session.ops("p0")
-        history_end = ops[-1].end_cycle if ops else 0
+        now = self.session.pipe("p0").cycle
         for checkpoint in self.session.checkpoints("p0"):
-            assert checkpoint.cycle <= history_end
+            assert checkpoint.cycle <= now
+
+    @invariant()
+    def store_speaks_the_current_version(self) -> None:
+        for checkpoint in self.session.checkpoints("p0"):
+            assert checkpoint.version == self.session.version
+            regs = checkpoint.snapshot.state.child("u0").regs
+            assert set(regs) - {"shadow_q"} == {self.reg}
 
     @precondition(lambda self: self.repaired)
     @invariant()
-    def repaired_outputs_match_analytic_model(self) -> None:
+    def repaired_outputs_match_ground_truth(self) -> None:
         pipe = self.session.pipe("p0")
-        cycle = pipe.cycle
-        # The adder computes count + step + delta: u0 advances by
-        # 1+delta per cycle, u1 by 3+delta.
-        assert pipe.outputs()["c0"] == (cycle * (1 + self.delta)) & 0xFF
-        assert pipe.outputs()["c1"] == (cycle * (3 + self.delta)) & 0xFF
-        assert pipe.find("u0").peek_reg(self.reg) == pipe.outputs()["c0"]
+        expected = self.expected()
+        assert pipe.outputs() == {"c0": expected["c0"], "c1": expected["c1"]}
+        assert pipe.find("u0").peek_reg(self.reg) == expected["c0"]
+        assert pipe.get_input("rst") == expected["rst"]
+        assert pipe.get_input("step") == expected["step"]
 
-    @precondition(lambda self: self.repaired)
     @invariant()
-    def repaired_history_verifies(self) -> None:
+    def verdicts_tell_the_truth(self) -> None:
         report = self.session.verify_consistency("p0")
-        assert report.all_consistent
+        if self.repaired:
+            assert report.all_consistent
+        if report.verdict == "consistent" and self.session.checkpoints("p0"):
+            assert report.segments  # never a verdict over nothing
 
 
 class SanitizedLiveLoopMachine(LiveLoopMachine):

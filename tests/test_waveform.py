@@ -1,34 +1,48 @@
-"""Waveform recorder and VCD export tests."""
+"""Offline waveform recording and VCD export on a bare pipe: an
+unbounded TraceBuffer attached to it samples every cycle the pipe (or
+a testbench driving it) steps."""
 
 import pytest
 
 from repro import compile_design
 from repro.hdl.errors import SimulationError
-from repro.sim import Pipe, WaveformRecorder
+from repro.live.session import LiveSession
+from repro.sim import Pipe
+from repro.sim.testbench import hold_inputs
+from repro.trace import TraceBuffer, TraceProbe
+from repro.trace.vcd import vcd_id
 from tests.conftest import COUNTER_SRC
+
+
+def recording(pipe):
+    buffer = TraceBuffer(capacity=None)
+    pipe.attach_trace(buffer)
+    return buffer
 
 
 def recorder_on_counter():
     netlist, library = compile_design(COUNTER_SRC, "top")
     pipe = Pipe(netlist.top, library)
     pipe.set_inputs(rst=0)
-    return pipe, WaveformRecorder(pipe)
+    return pipe, recording(pipe)
+
+
+def values(buffer, name):
+    return [value for _cycle, value in buffer.window(name)]
 
 
 class TestProbes:
     def test_register_probe(self):
         pipe, rec = recorder_on_counter()
-        rec.probe_register("u0", "count_q")
-        rec.record(5)
-        trace = rec.trace("u0.count_q")
-        assert trace.values == [0, 1, 2, 3, 4]
-        assert trace.cycles == [0, 1, 2, 3, 4]
+        rec.watch(pipe, "u0.count_q")
+        pipe.step(5)
+        assert rec.window("u0.count_q") == [[c, c] for c in range(5)]
 
     def test_output_probe(self):
         pipe, rec = recorder_on_counter()
-        rec.probe_output("c1")
-        rec.record(3)
-        assert rec.trace("c1").values == [0, 3, 6]
+        rec.watch(pipe, "c1")
+        pipe.step(3)
+        assert values(rec, "c1") == [0, 3, 6]
 
     def test_memory_word_probe(self, pgas1_netlist_library):
         from repro.riscv.programs import busy_counter, load_same_program
@@ -39,81 +53,83 @@ class TestProbes:
         pipe.set_inputs(rst=1)
         pipe.step(2)
         pipe.set_inputs(rst=0)
-        rec = WaveformRecorder(pipe)
-        rec.probe_memory_word("n_0.u_mem", "mem", 0x200 // 8, name="count")
-        rec.record(40)
-        values = rec.trace("count").values
-        assert values[0] == 0
-        assert values[-1] > values[0]
-        assert values == sorted(values)  # monotone counter
+        rec = recording(pipe)
+        count = f"n_0.u_mem.mem[{0x200 // 8}]"
+        rec.watch(pipe, count)
+        pipe.step(40)
+        counted = values(rec, count)
+        assert counted[0] == 0
+        assert counted[-1] > counted[0]
+        assert counted == sorted(counted)  # monotone counter
 
     def test_custom_expr_probe(self):
+        # A computed probe -- the 'printf' of the live flow.
         pipe, rec = recorder_on_counter()
-        rec.probe_expr("sum", 16, lambda p: p.outputs()["c0"] + p.outputs()["c1"])
-        rec.record(4)
-        assert rec.trace("sum").values == [0, 4, 8, 12]
+        rec.add_probe(TraceProbe(
+            "sum", 16, lambda p: p.outputs()["c0"] + p.outputs()["c1"]
+        ))
+        pipe.step(4)
+        assert values(rec, "sum") == [0, 4, 8, 12]
 
     def test_unknown_register_rejected(self):
         pipe, rec = recorder_on_counter()
         with pytest.raises(SimulationError):
-            rec.probe_register("u0", "nope")
+            rec.watch(pipe, "u0.nope")
 
     def test_duplicate_probe_rejected(self):
         pipe, rec = recorder_on_counter()
-        rec.probe_output("c0")
+        rec.add_probe(TraceProbe("c0", 8, lambda p: p.outputs()["c0"]))
         with pytest.raises(SimulationError):
-            rec.probe_output("c0")
+            rec.add_probe(TraceProbe("c0", 8, lambda p: 0))
 
 
 class TestTraceQueries:
     def test_at_returns_last_value_before(self):
         pipe, rec = recorder_on_counter()
-        rec.probe_register("u0", "count_q")
-        rec.record(6)
-        trace = rec.trace("u0.count_q")
-        assert trace.at(3) == 3
-        assert trace.at(100) == 5
-        assert trace.at(-1) is None
+        rec.watch(pipe, "u0.count_q")
+        pipe.step(6)
+
+        def at(cycle):
+            upto = rec.window("u0.count_q", end=cycle + 1)
+            return upto[-1][1] if upto else None
+
+        assert at(3) == 3
+        assert at(100) == 5
+        assert at(-1) is None
 
     def test_changes_compresses_repeats(self):
         pipe, rec = recorder_on_counter()
         pipe.set_inputs(rst=1)
-        rec.probe_register("u0", "count_q")
-        rec.record(4)  # held in reset: constant 0
+        rec.watch(pipe, "u0.count_q")
+        pipe.step(4)  # held in reset: constant 0
         pipe.set_inputs(rst=0)
-        rec.record(3)
-        changes = rec.trace("u0.count_q").changes()
+        pipe.step(3)
         # Samples: 0,0,0,0 (reset), 0 (release latches next edge), 1, 2.
-        assert changes == [(0, 0), (5, 1), (6, 2)]
-
-    def test_clear(self):
-        pipe, rec = recorder_on_counter()
-        rec.probe_output("c0")
-        rec.record(3)
-        rec.clear()
-        assert rec.trace("c0").values == []
+        assert rec.changes_of("u0.count_q") == [(0, 0), (5, 1), (6, 2)]
 
 
 class TestReplayIntegration:
     def test_rewind_and_record_window(self):
-        """The paper's 'printf and replay' flow: snapshot, run past the
-        point of interest, rewind, attach probes, replay the window."""
-        pipe, rec = recorder_on_counter()
-        pipe.step(20)
-        snap = pipe.snapshot()
-        pipe.step(30)  # ran past the interesting window
-        pipe.restore(snap)
-        rec.probe_register("u0", "count_q")
-        rec.record(5)
-        assert rec.trace("u0.count_q").values == [20, 21, 22, 23, 24]
+        """The paper's 'printf and replay' flow: run past the point of
+        interest, then replay the window with the probe in place."""
+        session = LiveSession(COUNTER_SRC, checkpoint_interval=20)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        tb = session.load_testbench(hold_inputs(rst=0))
+        session.run(tb, "p0", 50)  # ran past the interesting window
+        window = session.replay_window("p0", 20, 25, ["u0.count_q"])
+        assert window["base_cycle"] == 20
+        assert window["signals"]["u0.count_q"] == [
+            [c, c] for c in range(20, 25)
+        ]
+        assert session.pipe("p0").cycle == 50  # the live pipe never moved
 
 
 class TestVCD:
     def test_vcd_structure(self, tmp_path):
         pipe, rec = recorder_on_counter()
-        rec.probe_register("u0", "count_q")
-        rec.probe_output("c1")
-        rec.record(4)
+        rec.watch(pipe, "u0.count_q")
+        rec.watch(pipe, "c1")
+        pipe.step(4)
         path = tmp_path / "wave.vcd"
         rec.to_vcd(str(path))
         text = path.read_text()
@@ -134,9 +150,9 @@ endmodule
 """
         netlist, library = compile_design(source, "m")
         pipe = Pipe(netlist.top, library)
-        rec = WaveformRecorder(pipe)
-        rec.probe_register("", "t_q")
-        rec.record(4)
+        rec = recording(pipe)
+        rec.watch(pipe, "t_q")
+        pipe.step(4)
         path = tmp_path / "bit.vcd"
         rec.to_vcd(str(path))
         lines = path.read_text().splitlines()
@@ -146,10 +162,16 @@ endmodule
     def test_vcd_ids_unique_beyond_94_probes(self, tmp_path):
         pipe, rec = recorder_on_counter()
         for i in range(120):
-            rec.probe_expr(f"p{i}", 8, lambda p, i=i: i)
-        rec.record(1)
-        ids = {WaveformRecorder._vcd_id(i) for i in range(120)}
-        assert len(ids) == 120
+            rec.add_probe(TraceProbe(f"p{i}", 8, lambda p, i=i: i))
+        pipe.step(1)
+        path = tmp_path / "many.vcd"
+        rec.to_vcd(str(path))
+        declared = [
+            line.split()[3] for line in path.read_text().splitlines()
+            if line.startswith("$var")
+        ]
+        assert declared == [vcd_id(i) for i in range(120)]
+        assert len(set(declared)) == 120
 
 
 class TestRecordWithTestbench:
@@ -157,10 +179,9 @@ class TestRecordWithTestbench:
         from repro.sim.testbench import reset_sequence
 
         pipe, rec = recorder_on_counter()
-        rec.probe_output("c0")
+        rec.watch(pipe, "c0")
         tb = reset_sequence("rst", cycles=2)
-        ran = rec.record_with_testbench(tb, 6)
-        assert ran == 6
-        # Unlike record(), testbench-driven sampling happens after the
-        # tick: values are the post-edge state of each cycle.
-        assert rec.trace("c0").values == [0, 0, 1, 2, 3, 4]
+        assert tb.run(pipe, 6) == 6
+        # Settled pre-edge values: reset holds 0 through cycles 0-1,
+        # the release latches on the edge after cycle 2.
+        assert values(rec, "c0") == [0, 0, 0, 1, 2, 3]

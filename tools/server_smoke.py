@@ -17,7 +17,10 @@ server with ``--workers 2`` worker processes,
 SIGKILLs one worker mid-session, checks the session rehydrates on the
 restarted worker from its journal + checkpoint, then resizes the pool
 2->4->2 and checks a migrated session keeps its simulated state
-through both moves.
+through both moves.  Each moved session then takes a behavioural
+``reload`` and a ``run``: it replays what it ran since the move from
+the checkpoint it was handed over at, exactly as an in-process session
+given the same commands does.
 
 Exit code 0 means every step passed.  Used by the ``server-smoke`` CI
 job; also runnable by hand::
@@ -91,6 +94,9 @@ module adder #(parameter W = 8) (
   assign sum = a + b + 8'd1;
 endmodule
 """
+
+# DESIGN with the +1 adder: the behavioural edit a moved session takes.
+EDITED = DESIGN.replace("assign sum = a + b;", "assign sum = a + b + 8'd1;")
 
 # DESIGN with a combinational feedback loop added to top: the gate
 # must refuse this reload (a *new* error finding) until overridden.
@@ -184,6 +190,21 @@ def cold_session(host, port, patch_path):
     check(result["c0"] == 198, f"run: c0={result['c0']} (want 198)")
     cp = client.command("smoke", "chkp p0")
     check(cp["cycle"] == 200, "chkp at cycle 200")
+    # Before the partial swap below: after it u0 and u1 run different
+    # adders, which no from-reset run of one design reproduces.
+    client.command("smoke", "verify p0")
+    event = client.wait_event(
+        "verify_status",
+        predicate=lambda e: e.data["state"] != "running",
+        timeout=60.0,
+    )
+    check(event.data["state"] == "consistent"
+          and event.data["completed_segments"] == 1,
+          f"verify: state={event.data['state']}, "
+          f"{event.data['completed_segments']} delta verified")
+    report = client.command("smoke", "verifyWait p0")
+    check(report["all_consistent"] is True and report["segments"] == 1,
+          "verifyWait: all consistent")
     client.command("smoke", f"ldLib patch, {patch_path}")
     swap = client.command("smoke", "swapStage p0, u0.u_add")
     check(swap["swapped_instances"] == 1, "swapStage: 1 instance swapped")
@@ -191,16 +212,6 @@ def cold_session(host, port, patch_path):
     result = client.command("smoke", "run tb0, p0, 10")
     check(result["c0"] == 198 + 20,
           f"patched run: c0={result['c0']} (want 218)")
-    client.command("smoke", "verify p0")
-    event = client.wait_event(
-        "verify_status",
-        predicate=lambda e: e.data["state"] != "running",
-        timeout=60.0,
-    )
-    check(event.data["state"] == "consistent",
-          f"verify: state={event.data['state']}")
-    report = client.command("smoke", "verifyWait p0")
-    check(report["all_consistent"] is True, "verifyWait: all consistent")
 
     # Static analysis over the socket: the design is clean.
     lint = client.command("smoke", "lint p0")
@@ -385,6 +396,41 @@ def warm_session(host, port):
     return client
 
 
+def reload_after_move(client, name, steps):
+    """A session that was rehydrated on another worker (its checkpoints
+    moved with it, its run history did not) takes a behavioural reload
+    and runs on.  ``steps`` is everything it was told since reset; the
+    counter must match an in-process session told the same."""
+    from repro.live.session import LiveSession
+    from repro.sim.testbench import reset_sequence
+
+    before = next(s["version"] for s in client.sessions()
+                  if s["session"] == name)
+    report = client.reload(name, EDITED)
+    check(report["behavioral"] and report["version"] != before,
+          f"moved session: reload ok, version {before} -> "
+          f"{report['version']} (replayed {report['cycles_replayed']} "
+          f"from checkpoint @ {report['checkpoint_cycle']})")
+    result = client.command(name, "run tb0, p0, 10")
+
+    session = LiveSession(DESIGN)
+    session.inst_pipe("p0", session.stage_handle_for("top"))
+    tb = session.load_testbench(reset_sequence("rst", cycles=2))
+    for step in steps + ["reload", 10]:
+        if step == "chkp":
+            session.chkp("p0")
+        elif step == "reload":
+            reference = session.apply_change(EDITED)
+        else:
+            session.run(tb, "p0", step)
+    check(report["cycles_replayed"] == reference.cycles_replayed
+          and report["checkpoint_cycle"] == reference.checkpoint_cycle,
+          "moved session: same base and replay as in-process")
+    check(result["c0"] == session.peek("p0")["c0"],
+          "moved session: run after reload matches in-process "
+          f"(c0={result['c0']})")
+
+
 def sharded_session(host, port):
     """Sharded leg: two sessions on different workers, one worker
     SIGKILLed mid-session; its session must come back on the restarted
@@ -436,7 +482,9 @@ def sharded_session(host, port):
           "rehydrate: other worker's session untouched")
 
     # Event streams still reach this client after the session moved to
-    # the restarted worker process.
+    # the restarted worker process.  The verdict covers the ten cycles
+    # run since; the 200 before died with the worker's run history.
+    client.command(victim, "chkp p0")
     client.command(victim, "verify p0")
     event = client.wait_event(
         "verify_status",
@@ -446,6 +494,10 @@ def sharded_session(host, port):
     check(event.session == victim
           and event.data["state"] == "consistent",
           "rehydrate: verify events route to the client")
+    check(event.data["completed_segments"] == 1
+          and event.data["unverifiable_segments"] == 1,
+          "rehydrate: one delta verified, one unverifiable")
+    reload_after_move(client, victim, [200, "chkp", 10, "chkp"])
 
     stats = client.stats()
     by_id = {w["id"]: w for w in stats["workers"]}
@@ -493,6 +545,8 @@ def resize_step(client):
     result = client.command(name, "run tb0, p0, 10")
     check(result["c0"] == 128,
           "resize: session simulates after moving back")
+    # Each migration checkpointed the pipe where it stood (cycle 120).
+    reload_after_move(client, name, [120, "chkp", 10])
     stats = client.stats()
     check(sorted(w["id"] for w in stats["workers"]) == [0, 1],
           "resize: stats shows the shrunk pool")
