@@ -110,8 +110,8 @@ def compile_design(
     Returns ``(netlist, library)``; build a runnable UUT with
     ``Pipe(netlist.top, library)``.  ``opt`` above ``"none"`` routes
     compilation through the :mod:`repro.passes` pipeline (constant
-    propagation, dead-logic elimination; ``"full"`` adds sensitivity
-    guards) — bit-identical to the plain build by construction.
+    propagation, dead-logic elimination; ``"full"`` adds pure-subtree
+    skips) — bit-identical to the plain build by construction.
     """
     build = BuildConfig(mux_style=mux_style, opt=opt)
     netlist = elaborate(parse(source), top, params)

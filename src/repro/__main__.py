@@ -79,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="none",
                         help="optimization level for generated code "
                              "(constant propagation, dead-logic "
-                             "elimination; full adds sensitivity "
-                             "guards). Toggle live with the `opt` verb")
+                             "elimination; full adds pure-subtree "
+                             "skips). Toggle live with the `opt` verb")
     return parser
 
 

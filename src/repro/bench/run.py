@@ -163,7 +163,7 @@ def run_bench(
 
     if "opt" in targets:
         # Report-only (no regression gate): raw_sim_speed with the full
-        # pass pipeline (constprop + dead logic + sensitivity guards)
+        # pass pipeline (constprop + dead logic + pure-child skips)
         # vs the plain build on the same mesh.  Correctness is covered
         # elsewhere — the differential fuzzers assert bit-exactness.
         speed = opt_speedup(n=sizes[0], sim_cycles=sim_cycles)
@@ -317,8 +317,7 @@ def _print_summary(payload: Dict, out) -> None:
         ]
         print(format_table(
             f"Optimization speedup ({opt['n']}x{opt['n']} mesh, "
-            f"speedup {speedup:.2f}x, "
-            f"{opt['guarded_blocks']} guarded blocks)"
+            f"speedup {speedup:.2f}x)"
             if speedup else
             f"Optimization speedup ({opt['n']}x{opt['n']} mesh)",
             ["sim Hz", "compile ms"],

@@ -323,7 +323,6 @@ class OptSpeedupResult:
     opt_sim_hz: float = 0.0
     plain_compile_s: float = 0.0
     opt_compile_s: float = 0.0
-    guarded_blocks: int = 0
 
     @property
     def speedup(self) -> Optional[float]:
@@ -337,8 +336,8 @@ def opt_speedup(n: int = 1, sim_cycles: int = 150) -> OptSpeedupResult:
     """Measure the opt=full speedup on the fig7-style PGAS workload.
 
     Builds the same mesh twice — plain and with the full pass pipeline
-    (constant propagation, dead-logic elimination, sensitivity guards,
-    pure-child skips) — and reports simulated cycles/second for each.
+    (constant propagation, dead-logic elimination, pure-child skips) —
+    and reports simulated cycles/second for each.
     Report-only: the interesting number is the ratio; the differential
     fuzzers are what assert the two builds agree bit for bit.
     """
@@ -357,10 +356,6 @@ def opt_speedup(n: int = 1, sim_cycles: int = 150) -> OptSpeedupResult:
     opt = PGASWorkbench(n, baseline_budget_s=None, opt="full")
     session = opt.build_session()
     result.opt_compile_s = opt.full_compile_seconds
-    result.guarded_blocks = sum(
-        module.sens_slot_count
-        for module in session.pipe("uut").library.values()
-    )
     opt.run(5)
     started = time.perf_counter()
     opt.run(sim_cycles)

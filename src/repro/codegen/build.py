@@ -26,7 +26,7 @@ MUX_STYLES = ("branch", "select")
 # Folded into every digest, so bumping it (whenever the pickled payload
 # or the CompiledModule field set changes) turns an old store directory
 # into a cold cache: its artifacts are never addressed again.
-STORE_FORMAT = "repro.store/v5"
+STORE_FORMAT = "repro.store/v6"
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class ModuleKey:
     """The exact conditions under which a compiled module is reusable.
 
     ``fingerprint`` is the module's own token fingerprint, ``child_fps``
-    its children's interface fingerprints (tagged ``+pure`` where the
+    its children's comb signatures (tagged ``+pure`` where the
     parent's code skips a pure subtree) and ``facts_fp`` the digest of
     the dataflow facts its code was specialised on ("" when dataflow is
     gated off).

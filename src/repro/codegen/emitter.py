@@ -32,6 +32,13 @@ class FunctionEmitter:
         self._temp_counter += 1
         return f"_{hint}{self._temp_counter}"
 
+    def splice(self, body: "FunctionEmitter") -> None:
+        """Append ``body``'s lines at the current indentation (a body
+        generated before the prologue that depends on it)."""
+        prefix = self._indent_str * self._level
+        self._lines.extend(prefix + text if text else text
+                           for text in body._lines)
+
     def source(self) -> str:
         return "\n".join(self._lines) + "\n"
 

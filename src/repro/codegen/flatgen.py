@@ -1,6 +1,6 @@
 """Flattening code generation (the Verilator compilation model, Fig. 4b).
 
-The entire hierarchy is compiled into ONE eval/tick pair: every
+The entire hierarchy is compiled into ONE eval/cycle pair: every
 instance's logic is inlined with hierarchical name mangling, and every
 instance gets its own copy of its module's code.  This enables
 cross-module optimization (modeled by the ``select`` mux style and the
@@ -165,7 +165,7 @@ class _FlatCompiler:
             self._allocate(inst.child_key, child_path)
 
     def _finalize_slots(self) -> None:
-        # Layout matches CompiledModule.make_state: two memo slots sit
+        # Layout matches CompiledModule.make_state: the memo slots sit
         # between the pending registers and the memories.
         base = 2 * self._num_regs + CACHE_SLOTS
         for i, spec in enumerate(self._mem_specs.values()):
@@ -441,10 +441,8 @@ class _FlatCompiler:
             emit.line(f"return ({returns})")
 
         emit.blank()
-        with block(emit, f"def eval_seq(s, ch{', ' + args if args else ''}):"):
-            emit.line("pass  # comb and pending both computed in eval")
-        emit.blank()
-        with block(emit, "def tick(s, ch):"):
+        # comb and pending are both computed in eval: cycle is the commit.
+        with block(emit, f"def cycle(s, ch{', ' + args if args else ''}):"):
             wrote = False
             if self._num_regs:
                 emit.line(
@@ -517,14 +515,13 @@ def compile_flat(
         name=top.name,
         ir=flat_ir,
         eval_out_fn=namespace["eval"],  # type: ignore[arg-type]
-        eval_seq_fn=namespace["eval_seq"],  # type: ignore[arg-type]
-        tick_fn=namespace["tick"],  # type: ignore[arg-type]
+        cycle_fn=namespace["cycle"],  # type: ignore[arg-type]
         source=source,
         inputs=tuple(top.inputs),
         comb_input_ports=tuple(top.inputs),  # flat eval takes everything
         outputs=tuple(top.outputs),
         num_regs=compiler._num_regs,
-        layout=state_layout(compiler._num_regs, compiler._mem_count, False, 0),
+        layout=state_layout(compiler._num_regs, compiler._mem_count, False),
         reg_slots=dict(compiler._reg_slots),
         reg_widths=dict(compiler._reg_widths),
         mem_specs=dict(compiler._mem_specs),

@@ -31,12 +31,8 @@ class OptPlan:
       sized literals (values already masked to the declared width).
     * ``dead_assigns`` / ``dead_blocks`` — schedule-index sets whose
       results nothing live reads; their emission is skipped.
-    * ``guard_blocks`` — comb blocks that get a per-block input-change
-      guard in ``eval_seq`` (two appended state slots each, in
-      ``guard_blocks`` order); ``guard_inputs`` maps each guarded block
-      to the ordered residual read list forming its key.
     * ``skip_children`` — instance indices whose subtree is pure
-      (stateless): their ``eval_seq``/``tick`` calls are elided.
+      (stateless): their ``cycle`` calls are elided.
     """
 
     level: str = "none"
@@ -44,8 +40,6 @@ class OptPlan:
     const_widths: Dict[str, int] = field(default_factory=dict)
     dead_assigns: Tuple[int, ...] = ()
     dead_blocks: Tuple[int, ...] = ()
-    guard_blocks: Tuple[int, ...] = ()
-    guard_inputs: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
     skip_children: Tuple[int, ...] = ()
 
     @property
@@ -54,7 +48,6 @@ class OptPlan:
             not self.consts
             and not self.dead_assigns
             and not self.dead_blocks
-            and not self.guard_blocks
             and not self.skip_children
         )
 

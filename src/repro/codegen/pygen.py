@@ -6,7 +6,7 @@ object and differ only in their state arrays, reproducing the paper's
 Fig. 4d: *"Each module is only compiled once, which drastically reduces
 the amount of code that needs to be compiled."*
 
-Evaluation is two-phase, the standard cycle-simulator structure:
+A cycle is two walks of the instance tree, through two entry points:
 
 * ``eval_out(state, children, *comb_inputs) -> outputs`` — a *pure*
   function of the instance state and the inputs that combinationally
@@ -16,13 +16,37 @@ Evaluation is two-phase, the standard cycle-simulator structure:
   enables) are NOT arguments — which is what lets a pipeline with
   feedback (branch redirect into fetch, writeback into decode)
   schedule in one ordered pass with no fixed-point iteration.
-* ``eval_seq(state, children, *all_inputs)`` — runs once per cycle
-  with every input settled: recomputes the combinational values it
-  needs (child outputs come from the memoized ``eval_out``), computes
-  pending register values and memory writes, and recurses into
-  children's ``eval_seq``.
-* ``tick(state, children)`` — commits pending values and invalidates
-  the memo (the clock edge).
+* ``cycle(state, children, *all_inputs)`` — runs once per cycle with
+  every input settled: finishes the combinational values, computes
+  pending register values and memory writes, runs the children's
+  ``cycle``, then commits its own pending state and drops the memo
+  (the clock edge, on the way back up).
+
+Each combinational unit is evaluated once per cycle.  A signal is
+*settled in phase 1* when it depends on no input outside the
+``eval_out`` arguments (``ModuleIR.signal_deps``); ``eval_out`` emits
+the scheduled units that define a settled signal and stores, next to
+the memo, one tuple of the settled locals ``cycle`` reads.  ``cycle``
+unpacks that tuple and emits only the units that define an unsettled
+signal.  A child instance is called from ``eval_out`` when one of its
+combinational outputs is settled, and again from ``cycle`` when one of
+its ``eval_out`` arguments reads an unsettled signal (the second call
+refreshes the child's own memo and tuple with the real arguments).
+``cycle`` first compares the memo key with its real arguments and
+calls ``eval_out`` on a mismatch, so the tuple it unpacks was always
+computed from these arguments and this state.
+
+Ordering invariant: a parent reads registered child outputs and
+evaluates every child argument from its locals and its own uncommitted
+state, never from a child's state after that child's ``cycle``; so a
+sibling never sees another sibling's post-edge value, and the parent's
+own commit comes last.  (An exception out of ``cycle`` — a sanitizer
+trap — therefore leaves the edge half taken: see :mod:`repro.sanitize`.)
+
+Modules with a genuine combinational loop (``needs_fixpoint``) take
+every input in ``eval_out``, carry their comb locals between passes in
+the memo-key slot instead of memoizing, and re-run the whole
+combinational body in ``cycle`` from the carried values.
 
 State array layout per instance (a plain Python list)::
 
@@ -30,12 +54,16 @@ State array layout per instance (a plain Python list)::
     [NR .. 2*NR)       pending (next-cycle) values
     [2*NR]             eval_out memo key (args tuple or None)
     [2*NR + 1]         eval_out memo value (outputs tuple)
-    [2*NR+2 + j]       memory j contents (list of ints)
-    [2*NR+2+NM + j]    memory j pending writes (list of (addr, value))
+    [2*NR + 2]         settled locals ``cycle`` reads (tuple)
+    [2*NR+3 + j]       memory j contents (list of ints)
+    [2*NR+3+NM + j]    memory j pending writes (list of (addr, value))
 
-Anything that mutates state outside ``tick`` (snapshot restore, pokes,
-direct memory writes) must invalidate the memo — see
-:meth:`repro.sim.stage.StageInst.invalidate_cache`.
+followed, in sanitized builds, by the poison bitmaps and the per-cycle
+nonblocking-write dict (see :class:`StateLayout`).
+
+Anything that mutates state outside ``cycle`` (snapshot restore, pokes,
+direct memory writes) must drop the memo of the instance and of every
+ancestor — see :meth:`repro.sim.stage.StageInst.invalidate_cache`.
 """
 
 from __future__ import annotations
@@ -56,13 +84,13 @@ from .emitter import FunctionEmitter, block
 from .exprgen import ExprGen, Resolver, StmtGen, mask_of
 from .optplan import OptPlan, optimize_stmts, substitute_expr
 
-CACHE_SLOTS = 2
+CACHE_SLOTS = 3  # eval_out memo key, memo value, settled locals for cycle
 
 
 class StateLayout(NamedTuple):
     """Where each region of an instance's state list starts."""
 
-    cache_key_slot: int  # eval_out memo key; the value sits one above
+    cache_key_slot: int  # eval_out memo key; value and locals sit above
     mem_base: int  # NM contents lists, then NM pending-write lists
     # Sanitized builds (repro.sanitize) add NM + 2 slots:
     #   [sanitize_base]           register poison bitmap (bit i <-> reg i)
@@ -71,27 +99,20 @@ class StateLayout(NamedTuple):
     sanitize_base: int
     reg_poison_slot: int  # -1 in clean builds
     nw_slot: int  # -1 in clean builds
-    # opt=full builds append one (input-key tuple, cached outputs) slot
-    # pair per sensitivity guard, after the sanitizer region.
-    sens_base: int
     state_size: int
 
 
-def state_layout(
-    num_regs: int, num_mems: int, sanitize: bool, guards: int
-) -> StateLayout:
+def state_layout(num_regs: int, num_mems: int, sanitize: bool) -> StateLayout:
     cache_key_slot = 2 * num_regs
     mem_base = cache_key_slot + CACHE_SLOTS
     sanitize_base = mem_base + 2 * num_mems
-    sens_base = sanitize_base + (num_mems + 2 if sanitize else 0)
     return StateLayout(
         cache_key_slot=cache_key_slot,
         mem_base=mem_base,
         sanitize_base=sanitize_base,
         reg_poison_slot=sanitize_base if sanitize else -1,
         nw_slot=sanitize_base + 1 + num_mems if sanitize else -1,
-        sens_base=sens_base,
-        state_size=sens_base + 2 * guards,
+        state_size=sanitize_base + (num_mems + 2 if sanitize else 0),
     )
 
 
@@ -118,8 +139,7 @@ class CompiledModule:
     name: str
     ir: ModuleIR
     eval_out_fn: Callable
-    eval_seq_fn: Callable
-    tick_fn: Callable
+    cycle_fn: Callable
     source: str
     inputs: Tuple[str, ...]
     comb_input_ports: Tuple[str, ...]  # the eval_out argument list
@@ -134,7 +154,6 @@ class CompiledModule:
     source_hash: str
     compile_seconds: float
     build: BuildConfig
-    sens_slot_count: int = 0  # opt=full sensitivity guards
     # Proof-driven elision accounting (repro.sanitize.elide): total
     # instrumentation sites this build considered, and how many the
     # stable-tier value facts removed or downgraded.
@@ -147,7 +166,7 @@ class CompiledModule:
 
     def make_state(self) -> list:
         state: list = [0] * (2 * self.num_regs)
-        state.extend([None, None])  # eval_out memo (key, value)
+        state.extend([None] * CACHE_SLOTS)  # eval_out memo: cold
         ordered = sorted(self.mem_specs.values(), key=lambda m: m.slot)
         for spec in ordered:
             state.append([0] * spec.depth)
@@ -158,8 +177,6 @@ class CompiledModule:
             state.append(0)  # register poison bitmap
             state.extend(0 for _ in ordered)  # per-memory word poison
             state.append({})  # nonblocking writes this cycle
-        for _ in range(self.sens_slot_count):
-            state.extend([None, None])  # guard (key, outputs) — cold miss
         return state
 
 
@@ -187,35 +204,36 @@ class _ModuleCompiler:
             # be deferred reliably — fall back to the conservative ABI.
             self._comb_ports = list(ir.inputs)
             plan = None  # comb locals round-trip the memo slot: no opt
+        # The partition: signals that need an input eval_out does not
+        # get.  Their units run in cycle; everything else in eval_out.
+        comb = set(self._comb_ports)
+        self._unsettled: Set[str] = {
+            name for name, deps in ir.signal_deps.items() if not deps <= comb
+        }
+        # The settled comb locals cycle reads, in declaration order:
+        # what eval_out leaves in the tuple slot (set by _gen_cycle).
+        self._stash: List[str] = []
         self._plan = plan
-        self._seq_phase = False
         self._dead_assigns: Set[int] = set()
         self._dead_blocks: Set[int] = set()
-        self._guard_pos: Dict[int, int] = {}
         self._opt_bodies: Dict[Tuple[str, int], list] = {}
         if plan is not None:
             self._dead_assigns = set(plan.dead_assigns)
             self._dead_blocks = set(plan.dead_blocks)
-            self._guard_pos = {
-                blk: pos for pos, blk in enumerate(plan.guard_blocks)
-            }
-            # Pre-transform block bodies once: constant substitution plus
-            # static branch pruning, shared between eval_out and eval_seq.
-            for i, comb in enumerate(ir.comb_blocks):
+            # Pre-transform block bodies once: constant substitution
+            # plus static branch pruning.
+            for i, comb_block in enumerate(ir.comb_blocks):
                 self._opt_bodies[("comb", i)] = optimize_stmts(
-                    comb.body, plan.consts, plan.const_widths
+                    comb_block.body, plan.consts, plan.const_widths
                 )
             for i, seq in enumerate(ir.seq_blocks):
                 self._opt_bodies[("seq", i)] = optimize_stmts(
                     seq.body, plan.consts, plan.const_widths
                 )
         nm = len(ir.memories)
-        self.layout = layout = state_layout(
-            ir.num_regs, nm, sanitize, self.sens_slot_count
-        )
+        self.layout = layout = state_layout(ir.num_regs, nm, sanitize)
         self._poison_slot = layout.reg_poison_slot
         self._nw_slot = layout.nw_slot
-        self._sens_base = layout.sens_base
         # Instrumentation sites (module, signal, file-absolute line),
         # emitted as a literal _SAN_I table inside the generated source
         # so store rehydration carries them for free.
@@ -236,10 +254,6 @@ class _ModuleCompiler:
     @property
     def comb_ports(self) -> List[str]:
         return self._comb_ports
-
-    @property
-    def sens_slot_count(self) -> int:
-        return len(self._plan.guard_blocks) if self._plan is not None else 0
 
     # -- optimization plan plumbing -------------------------------------------
 
@@ -269,38 +283,47 @@ class _ModuleCompiler:
 
     # -- name resolution ------------------------------------------------------
 
-    def _resolver(self, available_inputs: Optional[Set[str]] = None) -> Resolver:
-        """``available_inputs`` restricts which input ports may be read;
-        others lower to literal 0.
+    def _open_body(
+        self, zeroed: Set[str] = frozenset()  # type: ignore[assignment]
+    ) -> Tuple[ExprGen, Set[str]]:
+        """Start one function's body in a fresh emitter.
 
-        Used by eval_out, whose arguments are only the comb-relevant
-        inputs: the per-output dataflow guarantees that any value
-        tainted by a zeroed input cannot reach an output (if it could,
-        the input would have been comb-relevant), so the zeros only
-        flow into dead-for-phase-1 values that eval_seq recomputes with
-        the real inputs.
+        Returns the expression generator for it and the set it fills
+        with every input, comb local and memory the emitted code names;
+        the function's prologue (masks, binds, the tuple of settled
+        locals) is written from that set once the body is complete.
+        Reads of ``zeroed`` signals lower to literal 0.
+
+        Used by eval_out, which is not given the unsettled signals: the
+        per-signal dataflow guarantees that a value tainted by a zero
+        cannot reach a settled signal (if it could, that signal would
+        be unsettled too), so the zeros only flow into the arguments of
+        a child whose other outputs are wanted now; cycle calls that
+        child again with the real arguments.
         """
         ir = self._ir
+        reads: Set[str] = set()
 
         def signal_ref(name: str) -> str:
             sig = ir.signals.get(name)
             if sig is None:
                 raise CodegenError(f"unknown signal {name!r} in {ir.name}")
-            if sig.kind == "input":
-                if available_inputs is not None and name not in available_inputs:
-                    return "0"
-                return f"i_{name}"
             if sig.state_index is not None:
                 return f"s[{sig.state_index}]"
-            return f"v_{name}"
+            if name in zeroed:
+                return "0"
+            reads.add(name)
+            return f"i_{name}" if sig.kind == "input" else f"v_{name}"
 
         def signal_width(name: str) -> Optional[int]:
             sig = ir.signals.get(name)
             return sig.width if sig is not None else None
 
         def memory_ref(name: str) -> Optional[str]:
-            spec = self._mem_slot.get(name)
-            return f"_m_{name}" if spec is not None else None
+            if name not in self._mem_slot:
+                return None
+            reads.add(name)
+            return f"_m_{name}"
 
         resolver = Resolver(
             signal_ref=signal_ref,
@@ -311,7 +334,8 @@ class _ModuleCompiler:
         )
         if self._sanitize:
             self._attach_sanitize_hooks(resolver)
-        return resolver
+        self._emit = FunctionEmitter()
+        return ExprGen(resolver, self._emit, self._mux_style), reads
 
     # -- sanitizer instrumentation (repro.sanitize) ---------------------------
 
@@ -424,47 +448,52 @@ class _ModuleCompiler:
     # -- generation ------------------------------------------------------------
 
     def generate(self) -> str:
-        self._gen_eval_out()
-        self._emit.blank()
-        self._gen_eval_seq()
-        self._emit.blank()
-        self._gen_tick()
+        # cycle first: the settled locals it reads are what eval_out
+        # must leave in the tuple slot.
+        cycle = self._gen_cycle()
+        source = self._gen_eval_out().source() + "\n" + cycle.source()
         if self._sanitize:
             # Module-level, after the defs: the hooks index it at call
             # time, so ordering relative to the functions is free.
-            self._emit.blank()
-            self._emit.line(f"_SAN_I = {self._san_infos!r}")
-        return self._emit.source()
+            source += f"\n_SAN_I = {self._san_infos!r}\n"
+        return source
 
     def _arg_list(self, ports: List[str]) -> str:
-        args = ", ".join(f"i_{name}" for name in ports)
-        return (", " + args) if args else ""
+        return "".join(f", i_{name}" for name in ports)
+
+    @staticmethod
+    def _tuple(prefix: str, names: List[str]) -> str:
+        return "(" + "".join(f"{prefix}{name}, " for name in names) + ")"
 
     def _mask_inputs(self, ports: List[str]) -> None:
         for name in ports:
             width = self._ir.signals[name].width
             self._emit.line(f"i_{name} &= {mask_of(width)}")
 
-    def _bind_memories(self, names: List[str]) -> None:
-        for name in names:
-            self._emit.line(f"_m_{name} = s[{self._mem_slot[name].slot}]")
+    def _bind_memories(self, reads: Set[str]) -> None:
+        for name, spec in self._mem_slot.items():
+            if name in reads:
+                self._emit.line(f"_m_{name} = s[{spec.slot}]")
 
-    def _bind_registered_child_outputs(self) -> None:
+    def _bind_registered_child_outputs(self, wanted: Set[str]) -> None:
         """Registered child outputs are state: bind them up front so
-        consumers never wait on the producing instance."""
+        consumers never wait on the producing instance, and never see
+        it after its commit."""
         for index, inst in enumerate(self._ir.instances):
             child = self._netlist.modules[inst.child_key]
             for port in inst.registered_ports:
                 target = inst.output_conns[port]
-                slot = child.signals[port].state_index
-                self._emit.line(f"v_{target} = ch[{index}].state[{slot}]")
+                if target in wanted:
+                    slot = child.signals[port].state_index
+                    self._emit.line(f"v_{target} = ch[{index}].state[{slot}]")
 
-    # -- the combinational body (shared between eval_out and eval_seq) -----------
+    # -- the combinational body, split between eval_out and cycle -------------
 
     def _gen_early_binds(self) -> None:
         """Prepass for wiring cycles (see repro.ir.schedule): call the
         involved children with zero arguments and bind only their
-        dependency-free outputs, which are correct under any inputs."""
+        dependency-free outputs, which are correct under any inputs
+        (and therefore always settled: eval_out only)."""
         by_instance: Dict[int, List[Tuple[str, str]]] = {}
         for index, port, target in self._ir.early_bind:
             by_instance.setdefault(index, []).append((port, target))
@@ -473,11 +502,11 @@ class _ModuleCompiler:
             child = self._netlist.modules[inst.child_key]
             ref = self._emit.fresh("e")
             self._emit.line(f"{ref} = ch[{index}]")
-            zeros = ", ".join("0" for _ in self._child_comb_ports(inst))
+            zeros = ", 0" * len(self._child_comb_ports(inst))
             result = self._emit.fresh("er")
             self._emit.line(
                 f"{result} = {ref}.code.eval_out_fn({ref}.state, "
-                f"{ref}.children{', ' + zeros if zeros else ''})"
+                f"{ref}.children{zeros})"
             )
             for port, target in bindings:
                 j = list(child.outputs).index(port)
@@ -485,66 +514,64 @@ class _ModuleCompiler:
 
     def _comb_signal_names(self) -> List[str]:
         """Every comb-driven signal local, in deterministic order."""
-        names: List[str] = []
-        for assign in self._ir.comb_assigns:
-            names.append(assign.defines)
+        names = [assign.defines for assign in self._ir.comb_assigns]
         for comb in self._ir.comb_blocks:
             names.extend(comb.defines)
         for inst in self._ir.instances:
-            registered = set(inst.registered_ports)
-            for port, target in inst.output_conns.items():
-                if port not in registered:
-                    names.append(target)
-        seen = set()
-        unique = []
-        for name in names:
-            if name not in seen:
-                seen.add(name)
-                unique.append(name)
-        return unique
+            names.extend(inst.comb_defines)
+        return list(dict.fromkeys(names))
 
     def _gen_fixpoint_prelude(self) -> None:
         """For genuine comb loops: seed every comb local from the value
         slot (carried across fixpoint passes), or zero on the first
-        pass of a cycle.  tick() clears the slot."""
+        pass of a cycle.  The commit clears the slot."""
         names = self._comb_signal_names()
         if not names:
             return
-        slot = 2 * self._ir.num_regs  # the memo-key slot doubles as the guard
-        locals_tuple = ", ".join(f"v_{n}" for n in names)
-        if len(names) == 1:
-            locals_tuple += ","
+        slot = self.layout.cache_key_slot  # doubles as the carry slot
         with block(self._emit, f"if s[{slot}] is None:"):
             for name in names:
                 self._emit.line(f"v_{name} = 0")
         with block(self._emit, "else:"):
-            self._emit.line(f"({locals_tuple}) = s[{slot}]")
+            self._emit.line(f"{self._tuple('v_', names)} = s[{slot}]")
 
     def _gen_fixpoint_save(self) -> None:
         names = self._comb_signal_names()
-        if not names:
-            return
-        slot = 2 * self._ir.num_regs
-        locals_tuple = ", ".join(f"v_{n}" for n in names)
-        if len(names) == 1:
-            locals_tuple += ","
-        self._emit.line(f"s[{slot}] = ({locals_tuple})")
+        if names:
+            self._emit.line(
+                f"s[{self.layout.cache_key_slot}] = {self._tuple('v_', names)}"
+            )
 
-    def _gen_comb_body(self, exprgen: ExprGen) -> None:
+    def _runs_here(self, defines, in_cycle: bool) -> bool:
+        """Whether the assign or block defining ``defines`` belongs to
+        this function.  (All defines of one block share one dependency
+        set, so a block is never split; a fixpoint module re-runs its
+        whole body in both.)"""
         if self._ir.needs_fixpoint:
+            return True
+        return in_cycle != self._unsettled.isdisjoint(defines)
+
+    def _gen_comb_body(self, exprgen: ExprGen, in_cycle: bool) -> None:
+        ir = self._ir
+        if ir.needs_fixpoint:
             self._gen_fixpoint_prelude()
-        self._gen_early_binds()
-        for unit_kind, index in self._ir.schedule:
+        if ir.needs_fixpoint or not in_cycle:
+            self._gen_early_binds()
+        for unit_kind, index in ir.schedule:
             if unit_kind == "assign":
-                self._gen_comb_assign(exprgen, index)
+                if index not in self._dead_assigns and self._runs_here(
+                    (ir.comb_assigns[index].defines,), in_cycle
+                ):
+                    self._gen_comb_assign(exprgen, index)
             elif unit_kind == "block":
-                self._gen_comb_block(exprgen, index)
+                if index not in self._dead_blocks and self._runs_here(
+                    ir.comb_blocks[index].defines, in_cycle
+                ):
+                    self._gen_comb_block(exprgen, index)
             else:
-                self._gen_instance_out(exprgen, index)
+                self._gen_instance_out(exprgen, index, in_cycle)
 
     def _gen_comb_assign(self, exprgen: ExprGen, index: int) -> None:
-        if index in self._dead_assigns:
-            return
         assign = self._ir.comb_assigns[index]
         code = exprgen.gen(self._expr(assign.value))
         width = self._ir.signals[assign.target.name].width
@@ -560,10 +587,7 @@ class _ModuleCompiler:
         self._emit.line(f"v_{assign.target.name} = {code}")
 
     def _gen_comb_block(self, exprgen: ExprGen, index: int) -> None:
-        if index in self._dead_blocks:
-            return
         comb = self._ir.comb_blocks[index]
-        body = self._comb_body_stmts(index)
         stmtgen = StmtGen(
             exprgen=exprgen,
             emitter=self._emit,
@@ -576,41 +600,9 @@ class _ModuleCompiler:
             target_width=lambda name: self._ir.signals[name].width,
             trunc_hook=self._trunc_hook if self._sanitize else None,
         )
-        pos = self._guard_pos.get(index) if self._seq_phase else None
-        if pos is None:
-            for name in comb.defines:
-                self._emit.line(f"v_{name} = 0")
-            stmtgen.gen_stmts(body)
-            return
-        # Sensitivity guard (opt=full, eval_seq only): if this block's
-        # residual inputs match last cycle's, restore the cached output
-        # tuple instead of re-evaluating the body.  Sound because the
-        # outputs are a pure function of the key — defines start from a
-        # deterministic zero-init every evaluation.
-        kslot = self._sens_base + 2 * pos
-        vslot = kslot + 1
-        key_names = self._plan.guard_inputs[index]
-        key_refs = [
-            exprgen.gen(ast.Id(name=name, line=comb.line))
-            for name in key_names
-        ]
-        key_code = ", ".join(key_refs)
-        if len(key_refs) == 1:
-            key_code += ","
-        sk = self._emit.fresh("sk")
-        self._emit.line(f"{sk} = ({key_code})")
-        defines = list(comb.defines)
-        locals_tuple = ", ".join(f"v_{name}" for name in defines)
-        if len(defines) == 1:
-            locals_tuple += ","
-        with block(self._emit, f"if s[{kslot}] == {sk}:"):
-            self._emit.line(f"({locals_tuple}) = s[{vslot}]")
-        with block(self._emit, "else:"):
-            for name in defines:
-                self._emit.line(f"v_{name} = 0")
-            stmtgen.gen_stmts(body)
-            self._emit.line(f"s[{kslot}] = {sk}")
-            self._emit.line(f"s[{vslot}] = ({locals_tuple})")
+        for name in comb.defines:
+            self._emit.line(f"v_{name} = 0")
+        stmtgen.gen_stmts(self._comb_body_stmts(index))
 
     @staticmethod
     def _forbid_comb_mem_write(name: str, addr: str, value: str, line: int) -> None:
@@ -624,158 +616,188 @@ class _ModuleCompiler:
             return list(child.inputs)
         return child.comb_input_ports
 
-    def _gen_instance_out(self, exprgen: ExprGen, index: int) -> None:
-        inst = self._ir.instances[index]
+    def _gen_instance_out(self, exprgen: ExprGen, index: int,
+                          in_cycle: bool) -> None:
+        """Call one child's eval_out and bind the outputs this function
+        owns: the settled ones in eval_out, the unsettled ones in cycle
+        (which calls iff an argument reads an unsettled signal, i.e.
+        iff eval_out could not have passed the real arguments)."""
+        ir = self._ir
+        inst = ir.instances[index]
         child = self._netlist.modules[inst.child_key]
+        registered = set(inst.registered_ports)
+        binds = [
+            (j, inst.output_conns[port])
+            for j, port in enumerate(child.outputs)
+            if port in inst.output_conns and port not in registered
+        ]
+        if ir.needs_fixpoint:
+            pass  # the whole body, every pass
+        elif in_cycle:
+            arg_reads = inst.reads if child.needs_fixpoint else inst.comb_reads
+            if self._unsettled.isdisjoint(arg_reads):
+                return
+            binds = [b for b in binds if b[1] in self._unsettled]
+        else:
+            early = {t for i, _, t in ir.early_bind if i == index}
+            binds = [
+                b for b in binds
+                if b[1] not in self._unsettled and b[1] not in early
+            ]
+            if not binds:
+                return  # its own cycle evaluates it, with every input
         ref = self._emit.fresh("c")
         self._emit.line(f"{ref} = ch[{index}]")
-        arg_codes = [
-            exprgen.gen(self._expr(inst.input_conns[port]))
+        args = "".join(
+            ", " + exprgen.gen(self._expr(inst.input_conns[port]))
             for port in self._child_comb_ports(inst)
-        ]
+        )
         result = self._emit.fresh("r")
-        call_args = ", ".join(arg_codes)
         self._emit.line(
             f"{result} = {ref}.code.eval_out_fn({ref}.state, {ref}.children"
-            f"{', ' + call_args if call_args else ''})"
+            f"{args})"
         )
-        registered = set(inst.registered_ports)
-        for j, port in enumerate(child.outputs):
-            target = inst.output_conns.get(port)
-            if target is not None and port not in registered:
-                self._emit.line(f"v_{target} = {result}[{j}]")
-
-    def _memories_read_in_comb(self) -> List[str]:
-        reads: Set[str] = set()
-        for assign in self._ir.comb_assigns:
-            reads |= set(assign.reads)
-        for comb in self._ir.comb_blocks:
-            reads |= set(comb.reads)
-        for inst in self._ir.instances:
-            reads |= set(inst.reads)
-        return [name for name in self._mem_slot if name in reads]
+        for j, target in binds:
+            self._emit.line(f"v_{target} = {result}[{j}]")
 
     def _output_ref(self, name: str) -> str:
         sig = self._ir.signals[name]
         if sig.state_index is not None:
-            # Registered outputs expose the current (pre-tick) value.
+            # Registered outputs expose the current (pre-edge) value.
             return f"s[{sig.state_index}]"
         return f"v_{name}"
 
     # -- phase 1: eval_out --------------------------------------------------------
 
-    def _gen_eval_out(self) -> None:
+    def _gen_eval_out(self) -> FunctionEmitter:
         ir = self._ir
         use_cache = not ir.needs_fixpoint
-        exprgen = ExprGen(
-            self._resolver(available_inputs=set(self._comb_ports)),
-            self._emit,
-            self._mux_style,
-        )
-        header = f"def eval_out(s, ch{self._arg_list(self._comb_ports)}):"
-        cache_slot = 2 * ir.num_regs
-        with block(self._emit, header):
+        key_slot = self.layout.cache_key_slot
+        exprgen, reads = self._open_body(zeroed=self._unsettled)
+        body = self._emit
+        self._gen_comb_body(exprgen, in_cycle=False)
+        if not use_cache:
+            self._gen_fixpoint_save()
+        returns = "".join(f"{self._output_ref(name)}, " for name in ir.outputs)
+        body.line(f"_ret = ({returns})")
+        if use_cache:
+            body.line(f"s[{key_slot}] = _ck")
+            body.line(f"s[{key_slot + 1}] = _ret")
+            if self._stash:
+                body.line(
+                    f"s[{key_slot + 2}] = {self._tuple('v_', self._stash)}"
+                )
+        body.line("return _ret")
+
+        self._emit = fn = FunctionEmitter()
+        with block(fn, f"def eval_out(s, ch{self._arg_list(self._comb_ports)}):"):
             self._mask_inputs(self._comb_ports)
             if use_cache:
-                args_tuple = ", ".join(f"i_{p}" for p in self._comb_ports)
-                if self._comb_ports:
-                    self._emit.line(f"_ck = ({args_tuple},)")
-                else:
-                    self._emit.line("_ck = ()")
-                with block(self._emit, f"if s[{cache_slot}] == _ck:"):
-                    self._emit.line(f"return s[{cache_slot + 1}]")
-            self._bind_memories(self._memories_read_in_comb())
-            self._bind_registered_child_outputs()
-            self._gen_comb_body(exprgen)
-            if not use_cache:
-                self._gen_fixpoint_save()
-            returns = ", ".join(self._output_ref(name) for name in ir.outputs)
-            if len(ir.outputs) == 1:
-                returns += ","
-            self._emit.line(f"_ret = ({returns})")
-            if use_cache:
-                self._emit.line(f"s[{cache_slot}] = _ck")
-                self._emit.line(f"s[{cache_slot + 1}] = _ret")
-            self._emit.line("return _ret")
+                fn.line(f"_ck = {self._tuple('i_', self._comb_ports)}")
+                with block(fn, f"if s[{key_slot}] == _ck:"):
+                    fn.line(f"return s[{key_slot + 1}]")
+            self._bind_memories(reads)
+            self._bind_registered_child_outputs(
+                reads | set(self._stash) | set(ir.outputs)
+            )
+            fn.splice(body)
+        return fn
 
-    # -- phase 2: eval_seq ----------------------------------------------------------
+    # -- phase 2: cycle -------------------------------------------------------------
 
-    def _gen_eval_seq(self) -> None:
+    def _gen_cycle(self) -> FunctionEmitter:
         ir = self._ir
-        all_ports = list(ir.inputs)
-        exprgen = ExprGen(self._resolver(), self._emit, self._mux_style)
-        header = f"def eval_seq(s, ch{self._arg_list(all_ports)}):"
-        self._seq_phase = True  # guards only here; eval_out keeps its memo
-        with block(self._emit, header):
-            wrote = False
-            if ir.inputs:
-                self._mask_inputs(all_ports)
-                wrote = True
-            comb_mems = self._memories_read_in_comb()
-            seq_mems = [
-                name
-                for name in self._mem_slot
-                if name not in comb_mems
-                and (self._memory_written(name) or self._memory_read_in_seq(name))
+        num_regs = ir.num_regs
+        key_slot = self.layout.cache_key_slot
+        exprgen, reads = self._open_body()
+        body = self._emit
+        written = [n for n in self._mem_slot if self._memory_written(n)]
+        for name in written:
+            body.line(f"_pw_{name} = s[{self._mem_slot[name].pending_slot}]")
+            body.line(f"del _pw_{name}[:]")
+        tracks_writes = bool(self._sanitize and ir.seq_blocks and num_regs)
+        if tracks_writes:
+            # Fresh per-cycle write tracking for the nb-conflict check
+            # and the commit's poison clearing.
+            body.line(f"_nw = s[{self._nw_slot}]")
+            body.line("_nw.clear()")
+        self._gen_comb_body(exprgen, in_cycle=True)
+        if num_regs:
+            body.line(f"s[{num_regs}:{2 * num_regs}] = s[0:{num_regs}]")
+        for block_id, seq in enumerate(ir.seq_blocks):
+            self._gen_seq_block(exprgen, seq, block_id)
+        skip = self._skip_children()
+        for index, inst in enumerate(ir.instances):
+            if index in skip:
+                # Pure subtree: stateless, so its cycle would only
+                # recompute values nothing commits.  Skip it.
+                continue
+            child = self._netlist.modules[inst.child_key]
+            ref = body.fresh("c")
+            body.line(f"{ref} = ch[{index}]")
+            args = "".join(
+                ", " + exprgen.gen(self._expr(inst.input_conns[port]))
+                for port in child.inputs
+            )
+            body.line(f"{ref}.code.cycle_fn({ref}.state, {ref}.children{args})")
+        # The commit, after every child's: nothing above reads this
+        # module's state again.
+        if num_regs:
+            body.line(f"s[0:{num_regs}] = s[{num_regs}:{2 * num_regs}]")
+        body.line(f"s[{key_slot}] = None")
+        if tracks_writes:
+            # A register written this cycle (nw-dict key) is defined
+            # from here on: clear its poison bit.
+            with block(body, "if _nw:"):
+                body.line(f"_p = s[{self._poison_slot}]")
+                with block(body, "for _i in _nw:"):
+                    body.line("_p &= ~(1 << _i)")
+                body.line(f"s[{self._poison_slot}] = _p")
+        for name in written:
+            spec = self._mem_slot[name]
+            with block(body, f"if _pw_{name}:"):
+                body.line(f"_m = s[{spec.slot}]")
+                with block(body, f"for _a, _v in _pw_{name}:"):
+                    body.line("_m[_a] = _v")
+                    if self._sanitize:
+                        body.line(f"s[{spec.poison_slot}] &= ~(1 << _a)")
+                body.line(f"del _pw_{name}[:]")
+
+        fixpoint = ir.needs_fixpoint  # its body re-ran from the carry slot
+        if not fixpoint:
+            self._stash = [
+                name for name, sig in ir.signals.items()
+                if name in reads and sig.kind != "input"
+                and name not in self._unsettled
             ]
-            self._bind_memories(comb_mems + seq_mems)
-            wrote = wrote or bool(comb_mems or seq_mems)
-            for name in self._mem_slot:
-                if self._memory_written(name):
-                    spec = self._mem_slot[name]
-                    self._emit.line(f"_pw_{name} = s[{spec.pending_slot}]")
-                    self._emit.line(f"del _pw_{name}[:]")
-                    wrote = True
-            if self._sanitize and ir.seq_blocks and ir.num_regs:
-                # Fresh per-cycle write tracking for the nb-conflict
-                # check and tick's poison clearing.
-                self._emit.line(f"s[{self._nw_slot}].clear()")
-                wrote = True
-            self._bind_registered_child_outputs()
-            self._gen_comb_body(exprgen)
-            wrote = wrote or bool(ir.schedule) or bool(ir.instances)
-            if ir.num_regs:
-                self._emit.line(
-                    f"s[{ir.num_regs}:{2 * ir.num_regs}] = s[0:{ir.num_regs}]"
-                )
-                wrote = True
-            for block_id, seq in enumerate(ir.seq_blocks):
-                self._gen_seq_block(exprgen, seq, block_id)
-                wrote = True
-            skip = self._skip_children()
-            for index, inst in enumerate(ir.instances):
-                if index in skip:
-                    # Pure subtree: stateless, so eval_seq would only
-                    # recompute values tick never commits.  Skip it.
-                    continue
-                child = self._netlist.modules[inst.child_key]
-                ref = self._emit.fresh("c")
-                self._emit.line(f"{ref} = ch[{index}]")
-                arg_codes = [
-                    exprgen.gen(self._expr(inst.input_conns[port]))
-                    for port in child.inputs
-                ]
-                call_args = ", ".join(arg_codes)
-                self._emit.line(
-                    f"{ref}.code.eval_seq_fn({ref}.state, {ref}.children"
-                    f"{', ' + call_args if call_args else ''})"
-                )
-                wrote = True
-            if not wrote:
-                self._emit.line("pass")
-        self._seq_phase = False
+        self._emit = fn = FunctionEmitter()
+        with block(fn, f"def cycle(s, ch{self._arg_list(ir.inputs)}):"):
+            comb = [] if fixpoint else self._comb_ports
+            self._mask_inputs(
+                [p for p in ir.inputs if p in reads or p in comb]
+            )
+            if not fixpoint:
+                # The one compare that makes a stale tuple impossible:
+                # a poke, restore, swap, input change or a parent that
+                # did not call in phase 1 all land here.
+                with block(
+                    fn, f"if s[{key_slot}] != {self._tuple('i_', comb)}:"
+                ):
+                    fn.line(f"eval_out(s, ch{self._arg_list(comb)})")
+                if self._stash:
+                    fn.line(
+                        f"{self._tuple('v_', self._stash)} = s[{key_slot + 2}]"
+                    )
+            self._bind_memories(reads)
+            # Elsewhere registered child outputs come in the tuple.
+            self._bind_registered_child_outputs(reads if fixpoint else set())
+            fn.splice(body)
+        return fn
 
     def _memory_written(self, name: str) -> bool:
         for seq in self._ir.seq_blocks:
             _, writes = stmt_reads_writes(seq.body)
             if name in writes:
-                return True
-        return False
-
-    def _memory_read_in_seq(self, name: str) -> bool:
-        for seq in self._ir.seq_blocks:
-            reads, _ = stmt_reads_writes(seq.body)
-            if name in reads:
                 return True
         return False
 
@@ -825,15 +847,14 @@ class _ModuleCompiler:
             if self._elide is not None and self._elide.rr_fast \
                     and len(self._seq_writer_blocks().get(name, ())) <= 1:
                 # One statically-possible writer block: the cross-block
-                # conflict can never fire, and tick only reads the dict
-                # keys to clear poison — write the entry inline.
+                # conflict can never fire, and the commit only reads the
+                # dict keys to clear poison — write the entry inline.
                 self._emit.line(
-                    f"s[{self._nw_slot}][{sig.state_index}] = "
-                    f"({block_id}, {mask})"
+                    f"_nw[{sig.state_index}] = ({block_id}, {mask})"
                 )
                 return
             self._emit.line(
-                f"_san.nw(s[{self._nw_slot}], {sig.state_index}, "
+                f"_san.nw(_nw, {sig.state_index}, "
                 f"{block_id}, {mask}, {self._san_info(name, line)})"
             )
 
@@ -849,59 +870,6 @@ class _ModuleCompiler:
             write_note=write_note if self._sanitize else None,
         )
         stmtgen.gen_stmts(self._seq_body_stmts(block_id))
-
-    # -- tick ---------------------------------------------------------------
-
-    def _gen_tick(self) -> None:
-        ir = self._ir
-        cache_slot = 2 * ir.num_regs
-        with block(self._emit, "def tick(s, ch):"):
-            if ir.num_regs:
-                self._emit.line(
-                    f"s[0:{ir.num_regs}] = s[{ir.num_regs}:{2 * ir.num_regs}]"
-                )
-            self._emit.line(f"s[{cache_slot}] = None")
-            if self._sanitize and ir.num_regs and ir.seq_blocks:
-                # A register written this cycle (nw-dict key) is defined
-                # from here on: clear its poison bit at commit.  The dict
-                # itself is cleared at the start of the next eval_seq.
-                self._emit.line(f"_nw = s[{self._nw_slot}]")
-                with block(self._emit, "if _nw:"):
-                    self._emit.line(f"_p = s[{self._poison_slot}]")
-                    with block(self._emit, "for _i in _nw:"):
-                        self._emit.line("_p &= ~(1 << _i)")
-                    self._emit.line(f"s[{self._poison_slot}] = _p")
-            for name, spec in self._mem_slot.items():
-                if not self._memory_written(name):
-                    continue
-                self._emit.line(f"_pw = s[{spec.pending_slot}]")
-                with block(self._emit, "if _pw:"):
-                    self._emit.line(f"_m = s[{spec.slot}]")
-                    with block(self._emit, "for _a, _v in _pw:"):
-                        self._emit.line("_m[_a] = _v")
-                        if self._sanitize:
-                            self._emit.line(
-                                f"s[{spec.poison_slot}] &= ~(1 << _a)"
-                            )
-                    self._emit.line("del _pw[:]")
-            if ir.instances:
-                skip = self._skip_children()
-                if not skip:
-                    with block(self._emit, "for _c in ch:"):
-                        self._emit.line(
-                            "_c.code.tick_fn(_c.state, _c.children)"
-                        )
-                else:
-                    # Pure subtrees have nothing to commit.
-                    for index in range(len(ir.instances)):
-                        if index in skip:
-                            continue
-                        self._emit.line(
-                            f"_c = ch[{index}]"
-                        )
-                        self._emit.line(
-                            "_c.code.tick_fn(_c.state, _c.children)"
-                        )
 
 
 def compile_module(
@@ -924,8 +892,8 @@ def compile_module(
     register reads; ``reg_const_init`` rides along for hot reload.
 
     With an ``opt_plan`` (see :mod:`repro.passes`), the emitted code is
-    constant-folded, dead logic is dropped, and opt=full adds
-    sensitivity guards plus pure-subtree skips.
+    constant-folded, dead logic is dropped, and opt=full skips the
+    ``cycle`` of pure subtrees.
 
     ``key`` is the cache address the pass pipeline compiles for; it
     names the ``linecache`` entry.  Direct callers have none and get
@@ -968,7 +936,6 @@ def compile_module(
         source_hash=hashlib.sha256(source.encode()).hexdigest(),
         compile_seconds=elapsed,
         build=build,
-        sens_slot_count=compiler.sens_slot_count,
         san_sites=compiler._san_sites,
         san_elided=compiler._san_elided,
         reg_const_init=dict(reg_const_init or {}),
@@ -979,7 +946,7 @@ def compile_module(
 def exec_source(
     source: str, filename: str, build: BuildConfig, runtime: object
 ) -> Dict[str, Callable]:
-    """Exec generated ``source`` and return the three entry points as
+    """Exec generated ``source`` and return the two entry points as
     :class:`CompiledModule` keyword arguments (also how the artifact
     store rehydrates a module).  Instrumented source binds ``runtime``
     as its ``_san`` global."""
@@ -992,8 +959,7 @@ def exec_source(
     )
     return {
         "eval_out_fn": namespace["eval_out"],
-        "eval_seq_fn": namespace["eval_seq"],
-        "tick_fn": namespace["tick"],
+        "cycle_fn": namespace["cycle"],
     }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from ..ir.dataflow import compute_output_deps
+from ..ir.dataflow import compute_output_deps, compute_signal_deps
 from ..ir.netlist import (
     CombAssignIR,
     CombBlockIR,
@@ -111,9 +111,10 @@ class Elaborator:
         self._assign_reg_slots(module, ir)
         self._check_drivers(module, ir)
         schedule_module(ir)
-        ir.output_deps = compute_output_deps(
+        ir.signal_deps = compute_signal_deps(
             ir, lambda key: self._specs[key]
         )
+        ir.output_deps = compute_output_deps(ir.signal_deps, ir.outputs)
         return ir
 
     def _signal_width(

@@ -1,8 +1,12 @@
-"""Input->output combinational dependency analysis (per output port).
+"""Input->signal combinational dependency analysis.
 
-For each module we compute ``output_deps``: for every output port, the
-set of input ports it combinationally depends on.  Registered outputs
-and state-sourced paths contribute nothing.
+For each module we compute ``signal_deps``: for every signal, the set
+of input ports it combinationally depends on.  Registers, memories and
+state-sourced paths contribute nothing.  The outputs' rows are
+``output_deps``, what a parent sees of the module; the other rows are
+what code generation partitions the module's own cycle on (a signal
+that needs an input ``eval_out`` does not receive is computed in
+``cycle`` — see :mod:`repro.codegen.pygen`).
 
 This is what lets the scheduler order instances correctly *without*
 false cycles: a CPU's fetch stage reads the branch redirect only into
@@ -21,16 +25,16 @@ router).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Set
+from typing import Callable, Dict, Iterable, Set
 
 from ..hdl.consteval import expr_reads
 from .netlist import ModuleIR
 
 
-def compute_output_deps(
+def compute_signal_deps(
     ir: ModuleIR, child_lookup: Callable[[str], ModuleIR]
 ) -> Dict[str, Set[str]]:
-    """Per-output input dependencies for ``ir``.
+    """Per-signal input dependencies for ``ir``.
 
     Children must already carry their own ``output_deps`` (elaboration
     is bottom-up).  Iterates to a fixed point so intra-module comb
@@ -91,4 +95,11 @@ def compute_output_deps(
         if not changed:
             break
 
-    return {name: deps.get(name, set()) for name in ir.outputs}
+    return deps
+
+
+def compute_output_deps(
+    signal_deps: Dict[str, Set[str]], outputs: Iterable[str]
+) -> Dict[str, Set[str]]:
+    """The outputs' rows of :func:`compute_signal_deps`."""
+    return {name: signal_deps.get(name, set()) for name in outputs}

@@ -144,8 +144,10 @@ class ModuleIR:
     needs_fixpoint: bool = False
     num_regs: int = 0
     clock_names: Tuple[str, ...] = ()
-    # Per-output combinational input dependencies (repro.ir.dataflow):
-    # output port -> set of input ports it combinationally depends on.
+    # Combinational input dependencies (repro.ir.dataflow): signal ->
+    # set of input ports it combinationally depends on, for every
+    # signal, and the outputs' rows of the same map.
+    signal_deps: Dict[str, "set"] = field(default_factory=dict)
     output_deps: Dict[str, "set"] = field(default_factory=dict)
 
     @property
@@ -153,7 +155,7 @@ class ModuleIR:
         """Inputs that combinationally affect at least one output.
 
         These — and only these — are arguments of the compiled
-        ``eval_out``; everything else is delivered in phase 2.
+        ``eval_out``; everything else is delivered to ``cycle``.
         """
         result: set = set()
         for deps in self.output_deps.values():

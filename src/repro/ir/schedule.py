@@ -7,7 +7,7 @@ every combinational value exactly once.
 Three mechanisms keep real designs acyclic at this granularity:
 
 * instances are ordered only by reads feeding the child's
-  *comb-relevant* inputs (sequential-only inputs arrive in phase 2);
+  *comb-relevant* inputs (sequential-only inputs arrive in ``cycle``);
 * only *combinationally driven* child outputs constrain consumers
   (registered outputs are state, pre-bound up front);
 * when the remaining graph still has cycles (a ring of stops each

@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Set
 
+from ..analyze.engine import comb_signature
 from ..codegen.pygen import CompiledModule
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
@@ -79,7 +80,6 @@ class HotReloader:
         self._swap_inst(pipe.top, top_key, new_library, report)
         pipe.library = dict(new_library)
         pipe.refresh_library_traits()
-        pipe._last_outputs = None
         report.seconds = time.perf_counter() - started
         return report
 
@@ -91,8 +91,9 @@ class HotReloader:
     ) -> SwapReport:
         """Swap only the subtree at ``stage_path`` (Table I swapStage).
 
-        The new stage must be interface-compatible with the old one,
-        because the parent's compiled code is not being replaced.
+        The new stage must look the same from outside (ports and
+        per-output dependencies: what the parent's compiled code was
+        generated against), because that code is not being replaced.
         """
         started = time.perf_counter()
         inst = pipe.find(stage_path)
@@ -101,7 +102,7 @@ class HotReloader:
             raise SimulationError(
                 f"new library has no module for key {inst.code.key!r}"
             )
-        if new_code.interface_fp != inst.code.interface_fp:
+        if comb_signature(new_code.ir) != comb_signature(inst.code.ir):
             raise SimulationError(
                 f"stage {stage_path!r} interface changed; the parent must be "
                 "recompiled — use swap_pipe instead"
@@ -110,7 +111,6 @@ class HotReloader:
         self._swap_inst(inst, inst.code.key, new_library, report)
         pipe.library.update(new_library)
         pipe.refresh_library_traits()
-        pipe._last_outputs = None
         report.seconds = time.perf_counter() - started
         return report
 
@@ -169,9 +169,9 @@ class HotReloader:
                 self._swap_inst(old_child, child_key, library, report)
                 inst.children.append(old_child)
             else:
-                inst.children.append(
-                    StageInst.build(child_key, library, name=child_name)
-                )
+                inst.children.append(StageInst.build(
+                    child_key, library, name=child_name, parent=inst
+                ))
                 report.rebuilt_instances += 1
 
     @staticmethod

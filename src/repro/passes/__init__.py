@@ -61,8 +61,8 @@ def build_compile_pipeline() -> PassPipeline:
     """
     manager = PassManager([
         CodegenPass(),
-        SensitivityPrunePass(),
         DeadLogicPass(),
+        SensitivityPrunePass(),
         ConstPropPass(),
         SanitizePlanPass(),
         ValueFactsPass(),

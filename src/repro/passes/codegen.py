@@ -113,18 +113,19 @@ class CodegenPass(Pass):
                 const_widths=widths,
                 dead_assigns=tuple(sorted(dead.assigns)),
                 dead_blocks=tuple(sorted(dead.blocks)),
-                guard_blocks=sens.guard_blocks,
-                guard_inputs=sens.guard_inputs,
                 skip_children=sens.skip_children,
             )
 
-        def child_fp(inst, compiled: CompiledModule) -> str:
-            # At opt=full a parent's code depends on child *purity*
-            # (pure subtrees skip eval_seq/tick), which the interface
-            # fp cannot see — tag it into the key's child component.
-            # Under sanitize the skip additionally requires the child
-            # subtree to carry zero instrumentation sites.
-            fp = compiled.interface_fp
+        def child_fp(inst) -> str:
+            # A parent's schedule, its eval_out arguments and its
+            # eval_out/cycle partition all read the child's *per-
+            # output* dependencies, which the interface fp (their
+            # union) cannot see: key on the comb signature.  At
+            # opt=full the parent also depends on child *purity* (pure
+            # subtrees skip cycle) — tag it in.  Under sanitize the
+            # skip additionally requires the child subtree to carry
+            # zero instrumentation sites.
+            fp = elab[inst.child_key].comb_signature
             if build.opt == "full" and elab[inst.child_key].pure and (
                 not build.sanitize or inst.child_key in san_free
             ):
@@ -135,10 +136,9 @@ class CodegenPass(Pass):
             if key in library:
                 return library[key]
             ir = netlist.modules[key]
-            child_fps = tuple(
-                child_fp(inst, visit(inst.child_key))
-                for inst in ir.instances
-            )
+            for inst in ir.instances:
+                visit(inst.child_key)  # bottom-up
+            child_fps = tuple(child_fp(inst) for inst in ir.instances)
             # The generated code is a function of the value facts
             # whenever any consumer is active (optimizer consts, or
             # sanitizer elision), so the whole module identity joins

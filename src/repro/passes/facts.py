@@ -8,7 +8,7 @@ bottom-up from the elaborated IR —
   :mod:`repro.analyze`;
 * ``pure`` — True when the whole *subtree* is stateless (no registers,
   memories, sequential blocks, or fixpoint iteration anywhere below):
-  its ``eval_seq``/``tick`` calls are no-ops a parent may elide.
+  its ``cycle`` call is a no-op a parent may elide.
 
 This pass recomputes every run (it is a dict walk, far cheaper than a
 cache probe per module would be worth); the expensive passes downstream
@@ -36,7 +36,7 @@ def module_is_pure(ir: ModuleIR, pure_children: bool) -> bool:
 
     Fixpoint modules are excluded even when register-free — they carry
     comb-local iteration state in the memo slot across passes, and
-    their tick clears it.
+    their cycle clears it.
     """
     return (
         pure_children

@@ -12,17 +12,13 @@ only for the modules whose identity moved.
 
 Fixpoint modules are exempt from every optimization: their comb locals
 round-trip through the memo slot between iteration passes, so neither
-branch pruning, dead elimination, nor guards can reason about a single
-linear evaluation.
+branch pruning nor dead elimination can reason about a single linear
+evaluation.
 
 Under sanitize the dynamic passes no longer stand down wholesale (the
 PR 9 posture): dead elimination drops only units the site census
 (:mod:`repro.sanitize.elide`) proves instrumentation-free, and
-sensitivity guards stay sound because a skipped body's checks are
-pure functions of the unchanged guard key — any finding they would
-re-report is already deduplicated per site, and every poison-
-introducing transition (swap, restore) lands in cold guard slots.
-Child-subtree skips additionally require the subtree to be san-free.
+child-subtree skips additionally require the subtree to be san-free.
 """
 
 from __future__ import annotations
@@ -43,8 +39,6 @@ from ..ir.netlist import ModuleIR
 from ..sanitize.elide import unit_site_count
 from .base import Pass, PassData
 
-MAX_GUARD_KEY = 12  # widest input tuple worth building every cycle
-
 
 # -- shared residual-read helpers (what the emitted code still reads) --------
 
@@ -56,19 +50,6 @@ def _expr_residual_reads(expr, consts, widths) -> Set[str]:
 def _stmts_residual_reads(stmts, consts, widths) -> Set[str]:
     reads, _ = stmt_reads_writes(optimize_stmts(stmts, consts, widths))
     return reads
-
-
-def _stmt_weight(stmts) -> int:
-    """Assignment count, recursively — the 'is a guard worth it' proxy."""
-    total = 0
-    for stmt in stmts:
-        if isinstance(stmt, (ast.NonBlocking, ast.Blocking)):
-            total += 1
-        elif isinstance(stmt, ast.If):
-            total += _stmt_weight(stmt.then_body) + _stmt_weight(stmt.else_body)
-        elif isinstance(stmt, ast.Case):
-            total += sum(_stmt_weight(body) for _, body in stmt.arms)
-    return total
 
 
 # -- constant propagation ----------------------------------------------------
@@ -162,13 +143,9 @@ class ConstPropPass(Pass):
 class DeadFacts:
     assigns: FrozenSet[int]
     blocks: FrozenSet[int]
-    # Residual reads per *live* comb block (what the optimized body
-    # still references) — the sensitivity pass keys guards on these.
-    block_reads: Dict[int, FrozenSet[str]]
 
 
-_EMPTY_DEAD = DeadFacts(assigns=frozenset(), blocks=frozenset(),
-                        block_reads={})
+_EMPTY_DEAD = DeadFacts(assigns=frozenset(), blocks=frozenset())
 
 
 class DeadLogicPass(Pass):
@@ -211,7 +188,7 @@ class DeadLogicPass(Pass):
         for seq in ir.seq_blocks:
             needed |= _stmts_residual_reads(seq.body, consts, widths)
         # Instance conns seed the walk up front, not at their schedule
-        # position: eval_seq calls every child at the *end* of the
+        # position: cycle calls every child at the *end* of the
         # function with all input conns (including seq-only ports), so
         # an assign scheduled after the instance is still consumed.
         for inst in ir.instances:
@@ -219,7 +196,6 @@ class DeadLogicPass(Pass):
                 needed |= _expr_residual_reads(conn, consts, widths)
         dead_assigns: Set[int] = set()
         dead_blocks: Set[int] = set()
-        block_reads: Dict[int, FrozenSet[str]] = {}
         for kind, index in reversed(ir.schedule):
             if kind == "inst":
                 continue
@@ -230,11 +206,9 @@ class DeadLogicPass(Pass):
                         and unit_site_count(ir, "block", index):
                     live = True  # dropping it would silence findings
                 if live:
-                    reads = frozenset(
-                        _stmts_residual_reads(comb.body, consts, widths)
+                    needed |= _stmts_residual_reads(
+                        comb.body, consts, widths
                     )
-                    block_reads[index] = reads
-                    needed |= reads
                 else:
                     dead_blocks.add(index)
             else:  # assign
@@ -252,7 +226,6 @@ class DeadLogicPass(Pass):
         return DeadFacts(
             assigns=frozenset(dead_assigns),
             blocks=frozenset(dead_blocks),
-            block_reads=block_reads,
         )
 
 
@@ -261,91 +234,39 @@ class DeadLogicPass(Pass):
 
 @dataclass(frozen=True)
 class SensFacts:
-    guard_blocks: Tuple[int, ...]
-    guard_inputs: Dict[int, Tuple[str, ...]]
     skip_children: Tuple[int, ...]
 
 
-_EMPTY_SENS = SensFacts(guard_blocks=(), guard_inputs={}, skip_children=())
+_EMPTY_SENS = SensFacts(skip_children=())
 
 
 class SensitivityPrunePass(Pass):
-    """opt=full only: emit per-block input-change guards in eval_seq
-    (a comb block whose residual inputs match last cycle's restores its
-    cached outputs instead of re-evaluating), and mark pure child
-    subtrees whose eval_seq/tick calls can be elided entirely.
+    """opt=full only: mark pure child subtrees, whose ``cycle`` call a
+    parent can elide entirely.  Under sanitize the skip additionally
+    requires the child subtree to be instrumentation-free (san-free).
 
-    Guards are sound without invalidation because a guarded block's
-    outputs are a pure function of its key: block-local defines start
-    from a deterministic zero-init, so a stale (key, outputs) pair in
-    state simply never matches a live key it would corrupt.  That same
-    argument carries under sanitize — a skipped re-eval would only
-    re-report per-site-deduplicated findings — with one rider: every
-    state-introducing transition (swap, checkpoint restore) must land
-    in cold guard slots, which hot reload's ``make_state`` and stage
-    restore both guarantee.  Child skips additionally require the
-    child subtree to be instrumentation-free (san-free).
+    (The pass used to emit per-block input-change guards as well, to
+    skip re-evaluating a comb block in the sequential half; since every
+    comb unit is evaluated once per cycle there is nothing to skip.)
     """
 
     name = "sensitivity"
-    requires = ("elab.facts", "opt.dead", "sanitize.plan")
+    requires = ("elab.facts", "sanitize.plan")
     produces = ("opt.sensitivity",)
 
     def run(self, data: PassData) -> None:
         out: Dict[str, SensFacts] = {}
         if data.build.opt == "full":
             elab = data.facts["elab.facts"]
-            dead_facts = data.facts["opt.dead"]
             san_plan = data.facts["sanitize.plan"]
             sanitize = san_plan["enabled"]
             san_free = san_plan["san_free"]
+            # A dict walk over facts already computed: cheaper than the
+            # cache probe per module the other passes are worth.
             for key, ir in data.netlist.modules.items():
-                child_skip = tuple(
-                    elab[inst.child_key].pure
+                out[key] = SensFacts(skip_children=tuple(
+                    index for index, inst in enumerate(ir.instances)
+                    if elab[inst.child_key].pure
                     and (not sanitize or inst.child_key in san_free)
-                    for inst in ir.instances
-                )
-                # ``sanitize`` because the dead set consumed here is
-                # itself keyed on it.
-                out[key] = data.cached(
-                    self.name, key, (sanitize, child_skip),
-                    lambda: self._plan_module(
-                        ir, dead_facts.get(key, _EMPTY_DEAD), child_skip
-                    ),
-                )
+                ))
         data.facts["opt.sensitivity"] = out
-
-    @staticmethod
-    def _plan_module(
-        ir: ModuleIR, dead: DeadFacts, child_skip: Tuple[bool, ...]
-    ) -> SensFacts:
-        if ir.needs_fixpoint:
-            return _EMPTY_SENS
-        skip_children = tuple(
-            index for index, skip in enumerate(child_skip) if skip
-        )
-        guards = []
-        guard_inputs: Dict[int, Tuple[str, ...]] = {}
-        for index, comb in enumerate(ir.comb_blocks):
-            reads = dead.block_reads.get(index)
-            if reads is None:  # dead block, or dead pass stood down
-                continue
-            if not comb.defines:
-                continue
-            if any(name in ir.memories for name in reads):
-                continue  # memory contents are not cheap-keyable
-            if _stmt_weight(comb.body) < 2:
-                continue  # guard overhead would beat the body
-            key_names = tuple(sorted(
-                name for name in reads
-                if name not in comb.defines and name in ir.signals
-            ))
-            if len(key_names) > MAX_GUARD_KEY:
-                continue
-            guards.append(index)
-            guard_inputs[index] = key_names
-        return SensFacts(
-            guard_blocks=tuple(guards),
-            guard_inputs=guard_inputs,
-            skip_children=skip_children,
-        )

@@ -32,10 +32,12 @@ Checks
 
 Modes: ``off`` (clean codegen, zero overhead), ``report`` (record
 findings, keep simulating), ``trap`` (raise :class:`SanitizerError` at
-the first offending cycle).  ``report`` <-> ``trap`` is a runtime
-toggle; ``off`` <-> instrumented requires a (cached) recompile plus a
-hot swap, which :meth:`repro.live.session.LiveSession.set_sanitize`
-performs.
+the first offending cycle; a trap inside ``cycle`` abandons that clock
+edge part-way, with the instances that already committed one cycle
+ahead — rewind to a checkpoint or reload before simulating on).
+``report`` <-> ``trap`` is a runtime toggle; ``off`` <-> instrumented
+requires a (cached) recompile plus a hot swap, which
+:meth:`repro.live.session.LiveSession.set_sanitize` performs.
 """
 
 from .elide import (

@@ -2,13 +2,15 @@
 
 A :class:`Pipe` owns the top :class:`StageInst` tree, the current input
 values, and the cycle counter.  One simulated cycle is ``eval`` (settle
-combinational logic, compute pending register values) followed by
-``tick`` (commit pending values — the clock edge).
+the combinational logic the outputs need) followed by ``tick`` (finish
+the rest with every input known, compute and commit the next state —
+the clock edge): one walk of the instance tree each, through the two
+entry points of :mod:`repro.codegen.pygen`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..codegen.pygen import CompiledModule
 from ..hdl.errors import ConvergenceError, SimulationError
@@ -30,14 +32,18 @@ class Pipe:
     ):
         self.name = name
         self.library = dict(library)
-        self.top = StageInst.build(top_key, self.library, name="top")
+        self.top = StageInst.build(
+            top_key, self.library, name="top", parent=self
+        )
         self.cycle = 0
         self.max_passes = max_passes
         self._inputs: Dict[str, int] = {
             port: 0 for port in self.top.code.inputs
         }
+        # The (eval_out, cycle) argument lists: rebuilt when an input
+        # changes or the library is swapped, not every cycle.
+        self._args: Optional[Tuple[List[int], List[int]]] = None
         self._last_outputs: Optional[Dict[str, int]] = None
-        self._fixpoint = self._scan_fixpoint()
         self._trace = None  # Optional[repro.trace.TraceBuffer]
 
     # -- inputs / outputs -------------------------------------------------------
@@ -53,8 +59,9 @@ class Pipe:
     def set_input(self, name: str, value: int) -> None:
         if name not in self._inputs:
             raise SimulationError(f"pipe has no input {name!r}")
-        self._inputs[name] = value
-        self._last_outputs = None
+        if self._inputs[name] != value:
+            self._inputs[name] = value
+            self._args = self._last_outputs = None
 
     def set_inputs(self, **values: int) -> None:
         for name, value in values.items():
@@ -65,29 +72,41 @@ class Pipe:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def _scan_fixpoint(self) -> bool:
-        return any(code.ir.needs_fixpoint for code in self.library.values())
-
     def refresh_library_traits(self) -> None:
-        """Recompute cached library-derived flags.
+        """Forget what was derived from the previous library.
 
         Must be called after the library is replaced in flight (the hot
         reloader does this).
         """
-        self._fixpoint = self._scan_fixpoint()
+        self._args = self._last_outputs = None
 
-    def _needs_fixpoint(self) -> bool:
-        return self._fixpoint
+    def _drop_cached_evals(self) -> None:
+        """The root end of :meth:`StageInst._drop_cached_evals`: state
+        changed somewhere below, so the cached outputs are stale."""
+        self._last_outputs = None
+
+    def _arg_lists(self) -> Tuple[List[int], List[int]]:
+        args = self._args
+        if args is None:
+            code, inputs = self.top.code, self._inputs
+            args = self._args = (
+                [inputs[name] for name in code.comb_input_ports],
+                [inputs[name] for name in code.inputs],
+            )
+        return args
 
     def eval(self) -> Dict[str, int]:
         """Settle combinational logic (phase 1); returns the outputs."""
         top = self.top
-        args = [self._inputs[name] for name in top.code.comb_input_ports]
-        result = top.code.eval_out_fn(top.state, top.children, *args)
-        if self._needs_fixpoint():
+        code = top.code
+        args = self._arg_lists()[0]
+        result = code.eval_out_fn(top.state, top.children, *args)
+        if code.ir.needs_fixpoint:
+            # A genuine comb loop at the top (a memoized top would just
+            # return its memo again): iterate until the outputs hold.
             previous = result
             for _ in range(self.max_passes):
-                result = top.code.eval_out_fn(top.state, top.children, *args)
+                result = code.eval_out_fn(top.state, top.children, *args)
                 if result == previous:
                     break
                 previous = result
@@ -96,7 +115,7 @@ class Pipe:
                     "combinational logic did not settle in "
                     f"{self.max_passes} passes (comb loop?)"
                 )
-        outputs = dict(zip(top.code.outputs, result))
+        outputs = dict(zip(code.outputs, result))
         self._last_outputs = outputs
         return outputs
 
@@ -122,9 +141,7 @@ class Pipe:
         trace = self._trace
         if trace is not None:
             trace.capture(self)
-        args = [self._inputs[name] for name in top.code.inputs]
-        top.code.eval_seq_fn(top.state, top.children, *args)
-        top.code.tick_fn(top.state, top.children)
+        top.code.cycle_fn(top.state, top.children, *self._arg_lists()[1])
         self.cycle += 1
         self._last_outputs = None
 
@@ -135,7 +152,6 @@ class Pipe:
         list obtained from :meth:`StageInst.memory`).
         """
         self.top.invalidate_cache()
-        self._last_outputs = None
 
     def step(
         self,
@@ -185,7 +201,7 @@ class Pipe:
         self.top.restore(snap.state)
         self.cycle = snap.cycle
         self._inputs = dict(snap.inputs)
-        self._last_outputs = None
+        self._args = self._last_outputs = None
 
     def restore_transformed(self, snap: "PipeSnapshot") -> None:
         """Load a snapshot that need not match this design version.
@@ -198,7 +214,7 @@ class Pipe:
         self._inputs = {
             name: snap.inputs.get(name, 0) for name in self.top.code.inputs
         }
-        self._last_outputs = None
+        self._args = self._last_outputs = None
 
     def reset_state(self) -> None:
         """Return every register/memory to power-on zero; cycle to 0.

@@ -69,13 +69,20 @@ class StateSnapshot:
 
 
 class StageInst:
-    """One instantiated stage: shared code + private state + children."""
+    """One instantiated stage: shared code + private state + children.
 
-    __slots__ = ("code", "state", "children", "name")
+    ``parent`` is the instance whose compiled code calls this one (the
+    owning :class:`~repro.sim.pipeline.Pipe` for the top): what was
+    evaluated from this instance's state is memoized up that chain, so
+    a mutation outside ``cycle`` invalidates root-ward along it.
+    """
 
-    def __init__(self, code: CompiledModule, name: str = "top"):
+    __slots__ = ("code", "state", "children", "name", "parent")
+
+    def __init__(self, code: CompiledModule, name: str = "top", parent=None):
         self.code = code
         self.name = name
+        self.parent = parent
         self.state = code.make_state()
         self.children: List[StageInst] = []
 
@@ -87,14 +94,17 @@ class StageInst:
         key: str,
         library: Dict[str, CompiledModule],
         name: str = "top",
+        parent=None,
     ) -> "StageInst":
         """Instantiate the subtree rooted at specialization ``key``."""
         code = library.get(key)
         if code is None:
             raise SimulationError(f"no compiled module for {key!r}")
-        inst = cls(code, name=name)
+        inst = cls(code, name=name, parent=parent)
         for child_name, child_key in code.child_insts:
-            inst.children.append(cls.build(child_key, library, name=child_name))
+            inst.children.append(
+                cls.build(child_key, library, name=child_name, parent=inst)
+            )
         return inst
 
     # -- navigation -------------------------------------------------------------
@@ -275,54 +285,36 @@ class StageInst:
 
     def reset_state(self) -> None:
         """Zero all registers and memories (power-on state)."""
-        self.state = self.code.make_state()
-        for child in self.children:
-            child.reset_state()
-
-    # -- pending-state signature (for fixed-point convergence) ---------------------
-
-    def pending_signature(self) -> tuple:
-        num_regs = self.code.num_regs
-        parts: list = [tuple(self.state[num_regs : 2 * num_regs])]
-        for spec in self.code.mem_specs.values():
-            parts.append(tuple(self.state[spec.pending_slot]))
-        for child in self.children:
-            parts.append(child.pending_signature())
-        return tuple(parts)
+        self._drop_cached_evals()
+        for _, inst in self.walk():
+            inst.state = inst.code.make_state()
 
     def _drop_cached_evals(self) -> None:
-        """Clear the eval_out memo and every sensitivity-guard slot.
-
-        Guard clearing is what keeps opt=full guards sound under
-        sanitize: a state mutation outside ``tick`` (poke, restore) can
-        set poison without changing a guard's value key, and a warm
-        guard would then skip the re-evaluation whose register-read
-        hooks report the poisoned read.  Cold slots force one full
-        evaluation after any such transition.
-        """
-        self.state[2 * self.code.num_regs] = None
-        base = self.code.layout.sens_base
-        for g in range(self.code.sens_slot_count):
-            self.state[base + 2 * g] = None
-            self.state[base + 2 * g + 1] = None
+        """Clear the eval_out memo of this instance and of every
+        ancestor, up to the pipe's cached outputs: all of them were
+        computed from state that is about to differ.  (Descendants
+        keep theirs: a child's result depends on its own state and
+        arguments only.)"""
+        self.state[self.code.layout.cache_key_slot] = None
+        if self.parent is not None:
+            self.parent._drop_cached_evals()
 
     def invalidate_cache(self) -> None:
-        """Drop the memoized eval_out result (and any sensitivity-guard
-        state), recursively.
+        """Drop every memoized eval_out result in this subtree (and,
+        root-ward, of every ancestor).
 
-        Must be called after mutating state outside ``tick`` — pokes,
-        snapshot restores, direct memory writes.  The accessors on this
-        class do it automatically; only callers who grab a memory list
-        via :meth:`memory` and write into it need to call this
-        themselves (or go through :meth:`write_memory`).
+        The accessors on this class invalidate what they must by
+        themselves; only callers who mutate state behind their back —
+        grab a memory list via :meth:`memory` and write into it — need
+        to call this (or go through :meth:`write_memory`).
         """
         self._drop_cached_evals()
-        for child in self.children:
-            child.invalidate_cache()
+        for _, inst in self.walk():
+            inst.state[inst.code.layout.cache_key_slot] = None
 
     def write_memory(self, name: str, offset: int, words: List[int]) -> None:
         """Write ``words`` into memory ``name`` starting at ``offset``
-        (word-indexed), with cache invalidation."""
+        (word-indexed), with memo invalidation."""
         target = self.memory(name)
         if offset < 0 or offset + len(words) > len(target):
             raise SimulationError(
@@ -336,7 +328,7 @@ class StageInst:
             self.state[spec.poison_slot] &= ~(
                 ((1 << len(words)) - 1) << offset
             )
-        self.invalidate_cache()
+        self._drop_cached_evals()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<StageInst {self.name} code={self.code.key}>"

@@ -101,6 +101,45 @@ class TestModuleKey:
         assert metrics.counter("compile.store_errors") == errors
 
 
+    def test_a_v5_store_is_a_cold_cache_at_v6(self, tmp_path, monkeypatch):
+        """v5 artifacts hold three entry points (eval_out / eval_seq /
+        tick) over another state layout.  Whether they sit where v5
+        addressed them or were copied to where v6 looks, a compile over
+        that store recompiles everything and execs none of them."""
+        from repro.codegen import build
+        from repro.server import store as store_module
+
+        store = ArtifactStore(str(tmp_path))
+        compiler, _ = _compile_one()
+        for cache_key, module in compiler.cache.entries("compile").items():
+            with monkeypatch.context() as patched:
+                for mod in (build, store_module):
+                    patched.setattr(mod, "STORE_FORMAT", "repro.store/v5")
+                old_key = replace(cache_key)  # fresh digest cache
+                assert store.save(old_key, module)
+                old_path = store.path_for(old_key)
+            with open(old_path, "rb") as fh:
+                payload = pickle.load(fh)
+            payload["fields"]["source"] = (
+                "def eval_out(s, ch):\n    raise AssertionError('v5')\n"
+                "def eval_seq(s, ch):\n    pass\n"
+                "def tick(s, ch):\n    pass\n"
+            )
+            payload["fields"]["sens_slot_count"] = 0
+            for path in (old_path, store.path_for(cache_key)):
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "wb") as fh:
+                    pickle.dump(payload, fh)
+        metrics = obs.get_metrics()
+        errors = metrics.counter("compile.store_errors")
+        _, result = _compile_one(store)
+        assert len(result.report.recompiled_keys) == 3
+        assert metrics.counter("compile.store_errors") == errors
+        for module in result.library.values():
+            assert "def cycle" in module.source
+            assert module.cycle_fn.__name__ == "cycle"
+
+
 class TestRoundTrip:
     def test_save_load_rebuilds_working_module(self, tmp_path):
         store = ArtifactStore(str(tmp_path))

@@ -25,6 +25,17 @@ def small_results():
     return collect_sizes(sizes=(1, 2), sim_cycles=40, baseline_budget_s=30.0)
 
 
+@pytest.fixture(scope="module")
+def mesh4_result():
+    """4x4: the smallest size where the baseline's compile-time gap is
+    structural (145 per-instance compiles against 10 shared modules,
+    ~3x) rather than two stopwatch samples within noise of each other
+    (2x2: 37 cheap compiles against 10 plus the session's front end)."""
+    bench = PGASWorkbench(4, baseline_budget_s=30.0)
+    return bench.collect(sim_cycles=20, run_cycles=20,
+                         measure_baseline_speed=False)
+
+
 class TestWorkbench:
     def test_collect_populates_all_fields(self, small_results):
         for result in small_results:
@@ -51,9 +62,29 @@ class TestWorkbench:
         assert by_n[1].baseline_instances == 10
         assert by_n[2].baseline_instances == 37
 
-    def test_baseline_compile_slower_at_2x2(self, small_results):
-        by_n = {r.n: r for r in small_results}
-        assert by_n[2].baseline_compile_s > by_n[2].livesim_full_compile_s
+    def test_baseline_compile_slower_at_2x2(self, small_results,
+                                            pgas2_netlist_library):
+        """The cause, not the stopwatch (at 2x2 the two wall-clock
+        samples sit within noise of each other): the baseline compiles
+        every instance, LiveSim every specialization once, and either
+        baseline flavour generates more source than the shared modules
+        add up to."""
+        from repro.baseline import BaselineCompiler
+
+        report = {r.n: r for r in small_results}[2].erd_report
+        shared_modules = len(report.recompiled_keys) + len(report.reused_keys)
+        assert shared_modules == 10
+        assert {r.n: r for r in small_results}[2].baseline_instances == 37
+        _, netlist, library = pgas2_netlist_library
+        shared_bytes = sum(len(code.source) for code in library.values())
+        for mode in ("replicate", "inline"):
+            baseline = BaselineCompiler(mode=mode).compile(netlist)
+            assert baseline.total_code_bytes() > shared_bytes, mode
+
+    def test_baseline_compile_slower_at_4x4(self, mesh4_result):
+        assert mesh4_result.baseline_instances == 145
+        assert (mesh4_result.baseline_compile_s
+                > mesh4_result.livesim_full_compile_s)
 
     def test_zero_budget_reports_na(self):
         bench = PGASWorkbench(1, baseline_budget_s=0.0)
@@ -102,8 +133,8 @@ class TestTable7:
 
 
 class TestTable8:
-    def test_rows_and_shape_checks(self, small_results):
-        rows = table8(small_results)
+    def test_rows_and_shape_checks(self, small_results, mesh4_result):
+        rows = table8(small_results + [mesh4_result])
         checks = table8_shape_checks(rows)
         assert checks["hot_reload_under_2s"]
         assert checks["hot_reload_sublinear"]
@@ -145,13 +176,12 @@ class TestFig7:
         crossing = fig7_crossover_kilocycles(live, veri)
         assert crossing is None or crossing > 0
 
-    def test_livesim_dominates_at_2x2(self, small_results):
-        """At 2x2+ LiveSim both compiles faster and (per the host
+    def test_livesim_dominates_at_4x4(self, mesh4_result):
+        """At 4x4+ LiveSim both compiles faster and (per the host
         model) simulates comparably or faster: it leads everywhere
         reachable in bounded time."""
-        by_n = {r.n: r for r in small_results}
-        rows = table7([2], trace_cycles=3)
-        series = fig7_series([by_n[2]], table7_rows=rows)
+        rows = table7([4], trace_cycles=3)
+        series = fig7_series([mesh4_result], table7_rows=rows)
         live = [s for s in series if "full simulation" in s.label][0]
         veri = [s for s in series if s.label.startswith("Verilator")][0]
         assert live.at(0) < veri.at(0)

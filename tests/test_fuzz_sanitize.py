@@ -102,9 +102,9 @@ class TestHierarchyFuzzSanitized:
         netlist, library = compile_design(source, "top")
         clean = Pipe(netlist.top, library)
         pipe, runtime = sanitized_pipe(source, "top")
-        for rst, x in stim:
-            clean.set_inputs(rst=int(rst), x=x)
-            pipe.set_inputs(rst=int(rst), x=x)
+        for inputs in stim:
+            clean.set_inputs(**inputs)
+            pipe.set_inputs(**inputs)
             assert pipe.eval() == clean.eval(), source
             clean.tick()
             pipe.tick()
@@ -150,9 +150,9 @@ class TestHierarchyFuzzElided:
         full, _, f_rt = pipeline_pipe(
             source, "top", san_elide=False, opt="full"
         )
-        for rst, x in stim:
+        for inputs in stim:
             for pipe in (clean, elided, full):
-                pipe.set_inputs(rst=int(rst), x=x)
+                pipe.set_inputs(**inputs)
             out = clean.eval()
             assert elided.eval() == out, source
             assert full.eval() == out, source

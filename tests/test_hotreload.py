@@ -45,6 +45,33 @@ class TestBasicSwap:
         pipe.step(1)
         assert pipe.outputs() == {"c0": 27, "c1": 79}
 
+    def test_swap_between_eval_and_tick_lands_on_a_cold_memo(self):
+        """The swapped instances and every ancestor forget what they
+        evaluated under the old code; a new or reused child points at
+        its parent, so later mutations still invalidate root-ward."""
+        pipe = warmed_pipe(25)
+        reference = warmed_pipe(25)
+        pipe.eval()  # every memo warm, under the old adder
+        _, new_lib = compiled(
+            COUNTER_SRC.replace("assign sum = a + b;",
+                                "assign sum = a + b + 8'd1;")
+        )
+        HotReloader().swap_pipe(pipe, new_lib)
+        HotReloader().swap_pipe(reference, new_lib)
+        key_slot = pipe.top.code.layout.cache_key_slot
+        assert pipe._last_outputs is None
+        assert pipe.top.state[key_slot] is None
+        for path, inst in pipe.top.walk():
+            parent = pipe if path == "top" else pipe.find(
+                ".".join(path.split(".")[1:-1])
+            )
+            assert inst.parent is parent, path
+        pipe.tick()
+        reference.step(1)
+        assert pipe.outputs() == reference.outputs() == {"c0": 27, "c1": 79}
+        pipe.find("u1.u_add").invalidate_cache()
+        assert pipe._last_outputs is None
+
     def test_unchanged_modules_not_swapped(self):
         pipe = warmed_pipe(5)
         old_top_code = pipe.top.code
@@ -226,6 +253,21 @@ class TestSwapStage:
         _, new_lib = compiled(widened)
         with pytest.raises(SimulationError, match="interface changed"):
             HotReloader().swap_stage(pipe, "u0.u_add", new_lib)
+
+
+    def test_per_output_dependency_change_rejected_for_stage_swap(self):
+        """Same ports, same union of comb-relevant inputs, but which
+        output depends on which input moved: the parent's compiled code
+        (its eval_out / cycle partition) no longer fits."""
+        from tests.test_live_compiler import DEP_SWAP_EDIT, DEP_SWAP_SRC
+
+        netlist, library = compiled(DEP_SWAP_SRC)
+        pipe = Pipe(netlist.top, library)
+        _, new_lib = compiled(DEP_SWAP_EDIT)
+        assert (new_lib["child"].interface_fp
+                == library["child"].interface_fp)
+        with pytest.raises(SimulationError, match="interface changed"):
+            HotReloader().swap_stage(pipe, "m.c", new_lib)
 
 
 # -- one state-migration path: swap == snapshot -> translate -> load ----------

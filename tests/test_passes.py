@@ -54,7 +54,7 @@ class TestPassManager:
         order = build_compile_pipeline().order
         assert order.index("elab_facts") < order.index("constprop")
         assert order.index("constprop") < order.index("deadlogic")
-        assert order.index("deadlogic") < order.index("sensitivity")
+        assert order.index("sanitize_plan") < order.index("sensitivity")
         assert order.index("sanitize_plan") < order.index("codegen")
         assert order[-1] == "codegen"
 
@@ -159,13 +159,20 @@ class TestOptimizationPasses:
             opt.set_inputs(a=a)
             assert plain.eval() == opt.eval()
 
-    def test_full_opt_emits_sensitivity_guard(self):
-        _, lib = compile_design(GUARD_SRC, "m", opt="full")
-        (mod,) = lib.values()
-        assert mod.sens_slot_count == 1
-        assert mod.build.opt == "full"
-        # Guard slots ride at the end of the state vector.
-        assert mod.layout.state_size == mod.layout.sens_base + 2
+    def test_opt_levels_share_one_state_layout(self):
+        """Every comb unit runs once per cycle, so there is nothing for
+        an input-change guard to skip: opt=full adds no state slots."""
+        _, plain = compile_design(GUARD_SRC, "m")
+        _, full = compile_design(GUARD_SRC, "m", opt="full")
+        (plain_mod,), (full_mod,) = plain.values(), full.values()
+        assert full_mod.build.opt == "full"
+        assert full_mod.layout == plain_mod.layout
+        assert len(full_mod.make_state()) == full_mod.layout.state_size
+        # t2 feeds both the output and the register: evaluated in
+        # eval_out, handed to cycle in the tuple slot, not recomputed.
+        eval_out, cycle = full_mod.source.split("def cycle")
+        assert "v_t2 = " in eval_out
+        assert "v_t2 = " not in cycle and "v_t2" in cycle
 
     def test_guarded_module_bit_exact_including_held_inputs(self):
         plain_netlist, plain_lib = compile_design(GUARD_SRC, "m")
@@ -181,12 +188,6 @@ class TestOptimizationPasses:
             opt.tick()
             assert plain.eval() == opt.eval()
 
-    def test_opt_none_module_has_no_guard_slots(self):
-        _, lib = compile_design(GUARD_SRC, "m")
-        (mod,) = lib.values()
-        assert mod.sens_slot_count == 0
-        assert mod.build.opt == "none"
-
 
 class TestStoreKeySeparation:
     def test_store_roundtrip_preserves_opt_fields(self, tmp_path):
@@ -200,7 +201,6 @@ class TestStoreKeySeparation:
         loaded = store.load(cache_key)
         assert loaded is not None
         assert loaded.build == BuildConfig(opt="full")
-        assert loaded.sens_slot_count == mod.sens_slot_count
         assert loaded.layout == mod.layout
         # The opt=none address must still be a miss: levels coexist.
         assert store.load(ModuleKey(mod.key, "fp")) is None
@@ -224,7 +224,7 @@ class TestPassCacheIncrementality:
         report = session.apply_change(ADDER_EDIT)
         assert report.behavioral
         assert report.opt == "full"
-        for name in ("constprop", "deadlogic", "sensitivity"):
+        for name in ("constprop", "deadlogic"):
             computed = report.pass_computed_keys.get(name, [])
             reused = report.pass_reused_keys.get(name, [])
             # Only the edited adder specialization recomputed; the
@@ -238,7 +238,7 @@ class TestPassCacheIncrementality:
     def test_first_compile_computes_every_key(self):
         session, _ = self._session()
         report = session._pipe_sessions["p0"].compile_result.report
-        for name in ("constprop", "deadlogic", "sensitivity"):
+        for name in ("constprop", "deadlogic"):
             assert not report.pass_reused.get(name)
             assert len(report.pass_computed.get(name, [])) == 3
 

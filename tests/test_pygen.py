@@ -99,8 +99,8 @@ class TestCompiledMetadata:
         _, library = counter_design
         code = library["adder#(W=8)"]
         assert "def eval_out" in code.source
-        assert "def eval_seq" in code.source
-        assert "def tick" in code.source
+        assert "def cycle" in code.source
+        assert code.source.count("def ") == 2  # two entry points
 
     def test_interface_fp_matches_ir(self, counter_design):
         netlist, library = counter_design

@@ -75,6 +75,92 @@ class TestPipeBasics:
                          "top.u1", "top.u1.u_add"]
 
 
+# ``en`` reaches only the register (sequential-only); ``a`` reaches the
+# output combinationally and the register through the same wire.
+MIXED_INPUT_SRC = """
+module m (input clk, input en, input [7:0] a, output [7:0] y,
+          output [7:0] q_out);
+  reg [7:0] q;
+  wire [7:0] t;
+  assign t = a + q;
+  assign y = t;
+  assign q_out = q;
+  always @(posedge clk) if (en) q <= t;
+endmodule
+"""
+
+
+class TestMutationBetweenEvalAndTick:
+    """A mutation outside ``cycle`` invalidates root-ward: every
+    ancestor's memo and the pipe's cached outputs were computed from
+    the state that just changed."""
+
+    def test_nested_poke_shows_immediately(self):
+        pipe = fresh_pipe()
+        pipe.step(3)
+        assert pipe.outputs()["c0"] == 3
+        pipe.find("u0").poke_reg("count_q", 100)
+        assert pipe.outputs()["c0"] == 100
+        assert pipe.eval()["c0"] == 100
+
+    def test_nested_write_memory_and_load_reach_the_root(self, pgas1_pipe):
+        pipe = pgas1_pipe
+        pipe.set_inputs(rst=0)
+        pipe.step(2)
+        key_slot = pipe.top.code.layout.cache_key_slot
+        for mutate in (
+            lambda: pipe.find("n_0.u_mem").write_memory("mem", 0, [0x13]),
+            lambda: pipe.find("n_0.u_core.u_if").load(
+                pipe.find("n_0.u_core.u_if").snapshot()
+            ),
+            lambda: pipe.find("n_0.u_core.u_wb").reset_state(),
+        ):
+            pipe.eval()
+            assert pipe.top.state[key_slot] is not None
+            mutate()
+            assert pipe.top.state[key_slot] is None
+            assert pipe.find("n_0").state[
+                pipe.find("n_0").code.layout.cache_key_slot
+            ] is None
+            assert pipe._last_outputs is None
+
+    def test_poke_after_eval_equals_poke_before_eval(self):
+        early, late = fresh_pipe(), fresh_pipe()
+        for pipe in (early, late):
+            pipe.step(3)
+        early.find("u0").poke_reg("count_q", 100)
+        early.eval()
+        late.eval()
+        late.find("u0").poke_reg("count_q", 100)
+        for pipe in (early, late):
+            pipe.tick()
+        assert late.snapshot().state.equal_state(early.snapshot().state)
+        assert late.outputs() == early.outputs() and late.outputs()["c0"] == 101
+
+    @pytest.mark.parametrize("late_input", ["a", "en"])
+    def test_set_input_after_eval_equals_a_fresh_pipe(self, late_input):
+        """``a`` is an eval_out argument, ``en`` is not: a change to
+        either between eval() and tick() must reach the next state."""
+        netlist, library = compile_design(MIXED_INPUT_SRC, "m")
+        final = {"a": 5, "en": 1}
+        stale = dict(final, **{late_input: 0})
+
+        fresh = Pipe(netlist.top, library)
+        fresh.set_inputs(**final)
+        fresh.step(2)
+
+        pipe = Pipe(netlist.top, library)
+        pipe.set_inputs(**final)
+        pipe.step(1)
+        pipe.set_inputs(**stale)
+        pipe.eval()
+        pipe.set_inputs(**final)
+        pipe.tick()
+        assert pipe.snapshot().state.equal_state(fresh.snapshot().state)
+        assert pipe.outputs() == fresh.outputs()
+        assert pipe.outputs()["q_out"] == 10
+
+
 class TestSnapshotAndCopy:
     def test_snapshot_restore_roundtrip(self):
         pipe = fresh_pipe()

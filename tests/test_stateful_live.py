@@ -17,7 +17,17 @@ Edits also change the register topology -- the counter register is
 renamed back and forth and a second register comes and goes -- which
 leaves the ground truth alone: a rename carries the state (Table V), so
 history stays consistent across it without a repair, and the machine
-runs once on clean code and once under the sanitizer.
+runs once on clean code and once under the sanitizer.  So does the
+edit that swaps which adder input its ``echo`` output depends on: the
+adder's interface (the union of its comb-relevant inputs) stays, what
+the counter's compiled code may assume about ``echo`` does not, and a
+counter left stale adds a non-zero term to every count.
+
+Whatever moves the pipe or replaces its code -- an edit's hot swap, a
+build-flavour toggle, ``ldch``, a replay window -- must leave no memoized
+evaluation behind that the next cycle could consume: each such rule
+ends by running one more cycle, which the invariants then hold to the
+ground truth like any other.
 
 ``rehydrate`` is what a server worker does to a migrated or recovered
 session: checkpoint where the pipe stands, save the store, build a
@@ -40,6 +50,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.codegen.build import OPT_LEVELS
 from repro.live.session import LiveSession
 from repro.live.transform import RegisterTransform, TransformOp
 from repro.sim.testbench import hold_inputs, reset_sequence
@@ -55,15 +66,27 @@ TESTBENCHES = {
     "step4": ("step", lambda: hold_inputs(step=4)),
 }
 
+# ``echo`` is one of the adder's inputs, so the term the counter adds is
+# zero whichever it is -- as long as the counter reads the real one.
 STEPPED_SRC = COUNTER_SRC.replace(
     "  input rst,\n  output [7:0] c0,",
     "  input rst,\n  input [7:0] step,\n  output [7:0] c0,",
-).replace(".step(8'd1)", ".step(step)")
+).replace(".step(8'd1)", ".step(step)").replace(
+    "  output [W-1:0] sum\n);\n  assign sum = a + b;",
+    "  output [W-1:0] sum,\n  output [W-1:0] echo\n);\n"
+    "  assign sum = a + b;\n  assign echo = a;",
+).replace(
+    "  wire [W-1:0] next;", "  wire [W-1:0] next;\n  wire [W-1:0] echo;"
+).replace(".sum(next));", ".sum(next), .echo(echo));").replace(
+    "count_q <= next;", "count_q <= next + (echo - count_q) * (echo - step);"
+)
 assert STEPPED_SRC.count("step(step)") == 1
+assert STEPPED_SRC.count("echo") == 7
 
 
-def design(delta: int, reg: str = "count_q", shadow: bool = False) -> str:
-    source = STEPPED_SRC
+def design(delta: int, reg: str = "count_q", shadow: bool = False,
+           echo: str = "a") -> str:
+    source = STEPPED_SRC.replace("assign echo = a;", f"assign echo = {echo};")
     if delta:
         source = source.replace(
             "assign sum = a + b;", f"assign sum = a + b + 8'd{delta};"
@@ -73,8 +96,9 @@ def design(delta: int, reg: str = "count_q", shadow: bool = False) -> str:
             "reg [W-1:0] count_q;",
             "reg [W-1:0] count_q;\n  reg [W-1:0] shadow_q;",
         ).replace(
-            "    else\n      count_q <= next;",
-            "    else begin\n      count_q <= next;\n"
+            "    else\n      count_q <= next + (echo - count_q) * (echo - step);",
+            "    else begin\n"
+            "      count_q <= next + (echo - count_q) * (echo - step);\n"
             "      shadow_q <= count_q;\n    end",
         )
     return source.replace("count_q", reg)
@@ -89,6 +113,7 @@ class LiveLoopMachine(RuleBasedStateMachine):
         self.delta = 0  # current adder modification
         self.reg = "count_q"  # current name of the counter register
         self.shadow = False  # is the second register there?
+        self.echo = "a"  # the adder input its echo output repeats
         self.repaired = True  # history currently consistent with design
         self.journal = []  # every edit applied: (source, transforms)
         self._open()
@@ -158,8 +183,9 @@ class LiveLoopMachine(RuleBasedStateMachine):
         delta=st.sampled_from(DELTAS),
         reg=st.sampled_from(REG_NAMES),
         shadow=st.booleans(),
+        echo=st.sampled_from("ab"),
     )
-    def edit(self, delta: int, reg: str, shadow: bool) -> None:
+    def edit(self, delta: int, reg: str, shadow: bool, echo: str) -> None:
         # The rename is stated (the two names are too unlike for the
         # guess); the second register is left to the guess.
         transforms = None
@@ -170,22 +196,39 @@ class LiveLoopMachine(RuleBasedStateMachine):
         before = self.session.version
         # Never a SimulationError: the machine keeps no hole in the
         # history, so every edit has a base to replay from.
-        report = self.session.apply_change(
-            design(delta, reg, shadow), transforms=transforms
-        )
-        self.journal.append((design(delta, reg, shadow), transforms))
+        source = design(delta, reg, shadow, echo)
+        counter = self.session.pipe("p0").find("u0").code
+        report = self.session.apply_change(source, transforms=transforms)
+        self.journal.append((source, transforms))
         assert report.behavioral == (
-            (delta, reg, shadow) != (self.delta, self.reg, self.shadow)
+            (delta, reg, shadow, echo)
+            != (self.delta, self.reg, self.shadow, self.echo)
         )
+        if echo != self.echo:
+            # The counter was compiled against the other adder: it is
+            # replaced too (by a fresh compile or a cached one).
+            assert counter is not self.session.pipe("p0").find("u0").code
         # The version moves with the committed source, never behind it.
-        assert self.session.compiler.source == design(delta, reg, shadow)
+        assert self.session.compiler.source == source
         assert report.version == self.session.version
         assert (self.session.version != before) == report.behavioral
         # A new adder rewrites history; so does a register the stored
         # checkpoints hold no value for.  A rename or a removal does not.
         if delta != self.delta or (shadow and not self.shadow):
             self.repaired = False
-        self.delta, self.reg, self.shadow = delta, reg, shadow
+        self.delta, self.reg, self.shadow, self.echo = (
+            delta, reg, shadow, echo
+        )
+        self.run("step1", 1)
+
+    @rule(opt=st.sampled_from(OPT_LEVELS))
+    def set_build(self, opt: str) -> None:
+        # State is preserved; code that came out byte-identical keeps
+        # its instances (and their memos, which still hold).
+        before = self.session.peek("p0")
+        self.session.set_opt(opt)
+        assert self.session.peek("p0") == before
+        self.run("step1", 1)
 
     @rule()
     def rewind_to_some_checkpoint(self) -> None:
@@ -201,6 +244,7 @@ class LiveLoopMachine(RuleBasedStateMachine):
             # A checkpoint from before the session was handed over: no
             # recorded history leads up to it.
             self._start_over_from_the_pipe()
+        self.run("step1", 1)
 
     @rule()
     def repair(self) -> None:
@@ -226,7 +270,7 @@ class LiveLoopMachine(RuleBasedStateMachine):
     )
     def edit_right_after_rehydrate(self, delta, reg, shadow) -> None:
         self.rehydrate()
-        self.edit(delta, reg, shadow)
+        self.edit(delta, reg, shadow, self.echo)
 
     @precondition(lambda self: self.repaired and self.driven)
     @rule(data=st.data())
@@ -241,6 +285,7 @@ class LiveLoopMachine(RuleBasedStateMachine):
         live = self.session.trace_read("p0", "c0", start, end)
         assert replayed["signals"]["c0"] == live["samples"]
         assert len(live["samples"]) == end - start
+        self.run("step1", 1)
 
     # -- invariants -----------------------------------------------------------
 
