@@ -14,10 +14,10 @@ import sys
 
 from repro.bench.figures import (
     checkpoint_overhead,
-    consistency_scaling,
     fig7_crossover_kilocycles,
     fig7_series,
     fig8_bars,
+    verify_pool_scaling,
 )
 from repro.bench.reporting import format_series, format_table
 from repro.bench.tables import table7, table7_formatted_rows, table8
@@ -96,16 +96,19 @@ def main() -> None:
           f"{overhead.checkpoint_bytes / 1e3:.0f} KB each; paper: 10-20%)")
 
     # ---- Figure 6 -------------------------------------------------------
-    scaling = consistency_scaling(n=sizes[0], run_cycles=300, interval=30,
+    scaling = verify_pool_scaling(n=sizes[0], run_cycles=300, interval=30,
                                   worker_counts=(2,))
-    rows6 = [[1, round(scaling.serial_wall_s, 3)]] + [
-        [w, round(t, 3)] for w, t in scaling.parallel_wall_s.items()
+    rows6 = [["serial", round(scaling.serial_wall_s, 3), None, None]] + [
+        [w, round(scaling.cold_wall_s[w], 3), round(scaling.warm_wall_s[w], 3),
+         round(scaling.after_edit_wall_s[w], 3)]
+        for w in sorted(scaling.warm_wall_s)
     ]
     print("\n" + format_table(
         f"Figure 6 — consistency verification ({scaling.checkpoints} "
-        "checkpoints)",
-        ["workers", "wall s"],
-        rows6,
+        "checkpoints, persistent pool)",
+        ["cold s", "warm s", "after-edit s"],
+        [row[1:] for row in rows6],
+        row_labels=[str(row[0]) for row in rows6],
     ))
 
 

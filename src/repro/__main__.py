@@ -153,7 +153,9 @@ class Shell:
         if len(operands) != 1:
             raise CommandError("usage: verify <pipe>")
         report = self.session.verify_consistency(operands[0], repair=True)
-        if report.divergence_cycle is not None:
+        if report.errors:
+            self._print(f"verification failed: {report.errors[0]}")
+        elif report.divergence_cycle is not None:
             self._print(
                 f"divergence from cycle {report.divergence_cycle}; "
                 "history repaired"

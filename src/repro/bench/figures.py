@@ -1,13 +1,14 @@
-"""Generators for the paper's figures (7 and 8) and the §V-B /
-Fig. 6 measurements."""
+"""Generators for the paper's figures (6, 7 and 8) and the §V-B
+measurement."""
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import obs
+from ..riscv.patches import single_stage_patches
 from .tables import Table7Row, table7
 from .workloads import PGASWorkbench, SizeResult
 
@@ -204,59 +205,21 @@ def checkpoint_overhead(
 
 
 # ---------------------------------------------------------------------------
-# Fig. 6: parallel consistency verification scaling
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConsistencyScalingResult:
-    n: int
-    checkpoints: int
-    serial_wall_s: float
-    parallel_wall_s: Dict[int, float] = field(default_factory=dict)
-    all_consistent: bool = True
-
-
-def consistency_scaling(
-    n: int = 1,
-    run_cycles: int = 300,
-    interval: int = 30,
-    worker_counts: Sequence[int] = (2, 4),
-) -> ConsistencyScalingResult:
-    """Verify a checkpointed session serially and with process pools.
-
-    Mirrors Fig. 6: segments are independent, so wall time drops as
-    workers are added (amortized against the workers' rebuild cost).
-    """
-    bench = PGASWorkbench(n, checkpoint_interval=interval)
-    session = bench.build_session()
-    tb = bench.tb_handle
-    assert tb is not None
-    session.run(tb, "uut", run_cycles)
-
-    report = session.verify_consistency("uut", workers=1)
-    result = ConsistencyScalingResult(
-        n=n,
-        checkpoints=len(session.store("uut")),
-        serial_wall_s=report.wall_seconds,
-        all_consistent=report.all_consistent,
-    )
-    for workers in worker_counts:
-        parallel = session.verify_consistency("uut", workers=workers)
-        result.parallel_wall_s[workers] = parallel.wall_seconds
-        result.all_consistent &= parallel.all_consistent
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Fig. 6 with the persistent pool: speedup vs workers, warm-cache effect
+# Fig. 6: consistency verification on the persistent pool
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class VerifyPoolScalingResult:
-    """Serial vs pooled verification, cold (workers must compile) and
-    warm (design served from the per-worker fingerprint cache)."""
+    """Serial vs pooled verification per worker count: cold (workers
+    compile the design), warm (nothing to compile) and after one
+    single-stage edit on the warm pool (the edited module to compile).
+
+    ``*_modules`` count module specialisations compiled, which repeat
+    exactly: ``warm_modules`` by all workers together,
+    ``after_edit_worker_modules`` by the worker that compiled most,
+    ``edit_modules`` by the session's own compile of the same edit.
+    """
 
     n: int
     checkpoints: int
@@ -264,8 +227,10 @@ class VerifyPoolScalingResult:
     serial_wall_s: float
     cold_wall_s: Dict[int, float] = field(default_factory=dict)
     warm_wall_s: Dict[int, float] = field(default_factory=dict)
-    worker_compiles: Dict[int, int] = field(default_factory=dict)
-    cache_hits: Dict[int, int] = field(default_factory=dict)
+    after_edit_wall_s: Dict[int, float] = field(default_factory=dict)
+    warm_modules: Dict[int, int] = field(default_factory=dict)
+    after_edit_worker_modules: Dict[int, int] = field(default_factory=dict)
+    edit_modules: Dict[int, int] = field(default_factory=dict)
     all_consistent: bool = True
 
     def speedup(self, workers: int) -> Optional[float]:
@@ -284,16 +249,20 @@ def verify_pool_scaling(
     """Fig.-6-style speedup-vs-workers using the persistent pool.
 
     For each worker count the pool is started cold (first verify pays
-    one compile per worker) and then reused warm (every segment hits
-    the worker-side design cache) — the warm number is what a user sees
-    re-verifying after the first edit of a session.
+    one design compile per worker), reused warm (nothing to compile),
+    and reused again after one single-stage edit, the live loop's
+    edit-then-verify: each worker's compiler follows the session's and
+    recompiles the edited module only.  Every worker count gets a patch
+    of its own, so the edit is new to the session's compile cache too.
+    The edit is verified and repaired in process first, so the history
+    the pool then checks is the edited design's own and every pass must
+    come out consistent.
     """
     bench = PGASWorkbench(n, checkpoint_interval=interval)
     session = bench.build_session()
     tb = bench.tb_handle
     assert tb is not None
     session.run(tb, "uut", run_cycles)
-    metrics = obs.get_metrics()
     try:
         serial = session.verify_consistency("uut", workers=1)
         result = VerifyPoolScalingResult(
@@ -303,23 +272,31 @@ def verify_pool_scaling(
             serial_wall_s=serial.wall_seconds,
             all_consistent=serial.all_consistent,
         )
-        for workers in worker_counts:
+        patches = single_stage_patches()
+        for index, workers in enumerate(worker_counts):
             session.reset_verifier_pool()  # cold start for this count
-            compiles_before = metrics.counter("consistency.worker_compiles")
-            hits_before = metrics.counter("consistency.worker_cache_hits")
             cold = session.verify_consistency("uut", workers=workers)
             warm = session.verify_consistency("uut", workers=workers)
+            edit = bench.hot_reload(patches[index % len(patches)].name)
+            session.verify_consistency("uut", repair=True)
+            after = session.verify_consistency("uut", workers=workers)
             result.cold_wall_s[workers] = cold.wall_seconds
             result.warm_wall_s[workers] = warm.wall_seconds
-            result.worker_compiles[workers] = (
-                metrics.counter("consistency.worker_compiles")
-                - compiles_before
+            result.after_edit_wall_s[workers] = after.wall_seconds
+            result.warm_modules[workers] = sum(
+                s.modules_compiled for s in warm.segments
             )
-            result.cache_hits[workers] = (
-                metrics.counter("consistency.worker_cache_hits") - hits_before
+            per_worker: Counter = Counter()
+            for segment in after.segments:
+                per_worker[segment.worker] += segment.modules_compiled
+            result.after_edit_worker_modules[workers] = max(
+                per_worker.values(), default=0
             )
+            result.edit_modules[workers] = len(edit.recompiled_keys)
             result.all_consistent &= (
-                cold.all_consistent and warm.all_consistent
+                cold.all_consistent
+                and warm.all_consistent
+                and after.all_consistent
             )
     finally:
         session.close()

@@ -1,14 +1,15 @@
 """Bench CLI: ``python -m repro.bench`` — one command, one artifact.
 
-Runs a subset of the paper's artifacts (fig7/fig8/table7/table8) at
-the requested mesh sizes, under the :mod:`repro.obs` tracer, and
+Runs a subset of the paper's artifacts (fig6/fig7/fig8/table7/table8)
+at the requested mesh sizes, under the :mod:`repro.obs` tracer, and
 emits a single JSON document (``repro.bench/v1``) that embeds the
 ``repro.obs/v1`` trace/metrics report.  The same artifact serves:
 
 * humans — phase-breakdown and latency tables are printed;
 * CI — ``--baseline PATH --max-regression 0.25`` compares the fig7
-  per-edit hot-reload latency against a checked-in baseline JSON and
-  exits non-zero on a regression.
+  per-edit hot-reload latency against a checked-in baseline JSON,
+  holds every fig8 bar under two seconds and checks fig6's counts, and
+  exits non-zero on a failure.
 
 Wall-clock latencies are machine-dependent, so each run also times a
 fixed pure-Python calibration loop.  When the current host is slower
@@ -35,18 +36,11 @@ from .figures import (
 )
 from .reporting import format_phase_breakdown, format_table
 from .tables import erd_phase_rows, table7, table8, table8_shape_checks
-from .workloads import (
-    collect_sizes,
-    opt_speedup,
-    sanitizer_overhead,
-    trace_overhead,
-)
+from .workloads import collect_sizes
 
 BENCH_SCHEMA_ID = "repro.bench/v1"
 DEFAULT_TARGETS = ("fig7", "table7")
-KNOWN_TARGETS = (
-    "fig6", "fig7", "fig8", "table7", "table8", "sanitize", "trace", "opt",
-)
+KNOWN_TARGETS = ("fig6", "fig7", "fig8", "table7", "table8")
 MAX_CALIBRATION_SCALE = 4.0
 
 
@@ -117,8 +111,8 @@ def run_bench(
         }
 
     if "fig6" in targets:
-        # Report-only (no regression gate): parallel verification wall
-        # time vs workers on the persistent pool, cold and warm.
+        # Verification on the persistent pool: serial, cold, warm and
+        # after one single-stage edit.  The gate reads its counts.
         scaling = verify_pool_scaling(
             n=sizes[0], run_cycles=320, interval=40, worker_counts=(2, 4)
         )
@@ -137,39 +131,6 @@ def run_bench(
             }
             for row in rows
         ]
-
-    if "sanitize" in targets:
-        # Report-only (no regression gate): ``san report`` slowdown vs
-        # clean codegen on the same mesh — elided (default) and
-        # unelided — plus site counts and the per-check hit counters
-        # (nonzero findings on the clean corpus = real bug; elided and
-        # unelided counters differing = elision suppressed a check).
-        overhead = sanitizer_overhead(n=sizes[0], sim_cycles=sim_cycles)
-        entry = asdict(overhead)
-        entry["slowdown"] = overhead.slowdown
-        entry["unelided_slowdown"] = overhead.unelided_slowdown
-        entry["elision_delta"] = overhead.elision_delta
-        payload["sanitize"] = entry
-
-    if "trace" in targets:
-        # Report-only (no regression gate): per-cycle ring-buffer
-        # capture slowdown with the mesh-wide outputs watched vs the
-        # same run untraced.  Keyed "trace_overhead" — plain "trace"
-        # is the obs report below.
-        capture = trace_overhead(n=sizes[0], sim_cycles=sim_cycles)
-        entry = asdict(capture)
-        entry["slowdown"] = capture.slowdown
-        payload["trace_overhead"] = entry
-
-    if "opt" in targets:
-        # Report-only (no regression gate): raw_sim_speed with the full
-        # pass pipeline (constprop + dead logic + pure-child skips)
-        # vs the plain build on the same mesh.  Correctness is covered
-        # elsewhere — the differential fuzzers assert bit-exactness.
-        speed = opt_speedup(n=sizes[0], sim_cycles=sim_cycles)
-        entry = asdict(speed)
-        entry["speedup"] = speed.speedup
-        payload["opt"] = entry
 
     if "table8" in targets:
         rows8 = table8(results)
@@ -199,14 +160,15 @@ def compare_to_baseline(
     current: Dict, baseline: Dict, max_regression: float
 ) -> List[str]:
     """Fig7 per-edit latency gate, plus the paper's absolute ERD < 2 s
-    bound on every fig8 bar the run produced; returns failure messages
-    (empty = ok)."""
+    bound on every fig8 bar and the fig6 counts the run produced;
+    returns failure messages (empty = ok)."""
     failures: List[str] = [
         f"fig8: hot-reload ERD at {bar['n']}x{bar['n']} took "
         f"{bar['total_s']:.2f} s, not under two seconds"
         for bar in current.get("fig8") or []
         if not bar["under_two_seconds"]
     ]
+    failures += _fig6_failures(current.get("fig6") or {})
     base_fig7 = (baseline.get("fig7") or {}).get("per_edit_latency_s") or {}
     cur_fig7 = (current.get("fig7") or {}).get("per_edit_latency_s") or {}
     if not base_fig7:
@@ -234,25 +196,64 @@ def compare_to_baseline(
     return failures
 
 
+def _fig6_failures(fig6: Dict) -> List[str]:
+    """What fig6 gates are its counts, which repeat exactly: every pass
+    all-consistent, a warm pool compiles nothing, and after an edit no
+    worker recompiles more modules than the session's own compile did.
+
+    Its wall clock (speed-up versus workers) gates nothing: the figure
+    needs at least as many idle cores as workers (>= 4 for the 4-worker
+    point), which neither a 2-core CI runner nor this repository's
+    build host has; ``benchmarks/test_bench_verify_pool.py::
+    test_verify_pool_speedup`` asserts it where they exist.
+    """
+    if not fig6:
+        return []
+    failures = []
+    if not fig6["all_consistent"]:
+        failures.append(
+            "fig6: a verification pass over a consistent history was not "
+            "all-consistent"
+        )
+    for workers, modules in sorted(fig6["warm_modules"].items()):
+        if modules:
+            failures.append(
+                f"fig6: the warm pass at {workers} workers compiled "
+                f"{modules} modules, not 0"
+            )
+    for workers, modules in sorted(fig6["after_edit_worker_modules"].items()):
+        allowed = fig6["edit_modules"][workers]
+        if modules > allowed:
+            failures.append(
+                f"fig6: after an edit a worker of {workers} recompiled "
+                f"{modules} modules; the session's own compile of that "
+                f"edit recompiled {allowed}"
+            )
+    return failures
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
 def _print_summary(payload: Dict, out) -> None:
     fig6 = payload.get("fig6")
     if fig6:
-        rows = [["serial", round(fig6["serial_wall_s"], 3), "", ""]]
+        rows = [["serial", round(fig6["serial_wall_s"], 3), "", "", "", ""]]
         for workers in sorted(fig6["warm_wall_s"]):
             warm = fig6["warm_wall_s"][workers]
             rows.append([
                 workers,
                 round(fig6["cold_wall_s"][workers], 3),
                 round(warm, 3),
+                round(fig6["after_edit_wall_s"][workers], 3),
+                fig6["after_edit_worker_modules"][workers],
                 round(fig6["serial_wall_s"] / warm, 2) if warm else "",
             ])
         print(format_table(
             "Fig. 6 — consistency verification vs workers "
             f"({fig6['segments']} segments, persistent pool)",
-            ["cold s", "warm s", "warm speedup"],
+            ["cold s", "warm s", "after-edit s", "modules/worker",
+             "warm speedup"],
             [row[1:] for row in rows],
             row_labels=[str(row[0]) for row in rows],
         ), file=out)
@@ -271,78 +272,6 @@ def _print_summary(payload: Dict, out) -> None:
                 for s in sizes
             ],
             row_labels=[f"{s}x{s}" for s in sizes],
-        ), file=out)
-        print(file=out)
-    sanitize = payload.get("sanitize")
-    if sanitize:
-        slowdown = sanitize.get("slowdown")
-        unelided = sanitize.get("unelided_slowdown")
-        rows = [
-            ["clean", round(sanitize["clean_sim_hz"], 1),
-             round(sanitize["clean_compile_s"] * 1e3, 1), "-"],
-            ["report (elided)", round(sanitize["sanitized_sim_hz"], 1),
-             round(sanitize["sanitized_compile_s"] * 1e3, 1),
-             f"{slowdown:.2f}x" if slowdown else "-"],
-        ]
-        if sanitize.get("unelided_sim_hz"):
-            rows.append(
-                ["report (unelided)",
-                 round(sanitize["unelided_sim_hz"], 1),
-                 round(sanitize["unelided_compile_s"] * 1e3, 1),
-                 f"{unelided:.2f}x" if unelided else "-"]
-            )
-        delta = sanitize.get("elision_delta")
-        title = (
-            f"Sanitizer overhead ({sanitize['n']}x{sanitize['n']} mesh, "
-            f"{sanitize['san_elided']}/{sanitize['san_sites']} sites "
-            "elided"
-            + (f", delta {delta:+.2f}x" if delta is not None else "")
-            + f", {sanitize['findings']} findings)"
-        )
-        print(format_table(
-            title,
-            ["sim Hz", "compile ms", "slowdown"],
-            [row[1:] for row in rows],
-            row_labels=[str(row[0]) for row in rows],
-        ), file=out)
-        print(file=out)
-    opt = payload.get("opt")
-    if opt:
-        speedup = opt.get("speedup")
-        rows = [
-            ["opt=none", round(opt["plain_sim_hz"], 1),
-             round(opt["plain_compile_s"] * 1e3, 1)],
-            ["opt=full", round(opt["opt_sim_hz"], 1),
-             round(opt["opt_compile_s"] * 1e3, 1)],
-        ]
-        print(format_table(
-            f"Optimization speedup ({opt['n']}x{opt['n']} mesh, "
-            f"speedup {speedup:.2f}x)"
-            if speedup else
-            f"Optimization speedup ({opt['n']}x{opt['n']} mesh)",
-            ["sim Hz", "compile ms"],
-            [row[1:] for row in rows],
-            row_labels=[str(row[0]) for row in rows],
-        ), file=out)
-        print(file=out)
-    capture = payload.get("trace_overhead")
-    if capture:
-        slowdown = capture.get("slowdown")
-        title = (
-            f"Trace capture overhead ({capture['n']}x{capture['n']} mesh, "
-            f"{capture['probes']} probes"
-        )
-        title += f", slowdown {slowdown:.2f}x)" if slowdown else ")"
-        rows = [
-            ["untraced", round(capture["plain_sim_hz"], 1), ""],
-            ["traced", round(capture["traced_sim_hz"], 1),
-             capture["cycles_dropped"]],
-        ]
-        print(format_table(
-            title,
-            ["sim Hz", "cycles dropped"],
-            [row[1:] for row in rows],
-            row_labels=[str(row[0]) for row in rows],
         ), file=out)
         print(file=out)
     phases = obs.aggregate_phases(payload["trace"])

@@ -48,9 +48,6 @@ class PGASWorkbench:
         checkpoint_interval: int = 50,
         baseline_budget_s: Optional[float] = 20.0,
         program: str = "counter",
-        sanitize: str = "off",
-        opt: str = "none",
-        san_elide: bool = True,
     ):
         self.n = n
         self.cores = n * n
@@ -59,9 +56,6 @@ class PGASWorkbench:
         self.checkpoint_interval = checkpoint_interval
         self.baseline_budget_s = baseline_budget_s
         self._program = program
-        self._sanitize = sanitize
-        self._opt = opt
-        self._san_elide = san_elide
         self.session: Optional[LiveSession] = None
         self.tb_handle: Optional[str] = None
 
@@ -70,11 +64,7 @@ class PGASWorkbench:
     def build_session(self) -> LiveSession:
         """Create the session and pipe; measures the full compile."""
         session = LiveSession(
-            self.source,
-            checkpoint_interval=self.checkpoint_interval,
-            sanitize=self._sanitize,
-            opt=self._opt,
-            san_elide=self._san_elide,
+            self.source, checkpoint_interval=self.checkpoint_interval
         )
         started = time.perf_counter()
         session.inst_pipe("uut", session.stage_handle_for(self.top))
@@ -210,213 +200,3 @@ def collect_sizes(
         bench = PGASWorkbench(n, baseline_budget_s=baseline_budget_s)
         results.append(bench.collect(sim_cycles=sim_cycles, **kwargs))
     return results
-
-
-@dataclass
-class SanitizerOverheadResult:
-    """``report``-mode slowdown vs clean codegen on the fig7 workload.
-
-    Two instrumented builds are measured: the shipping default with
-    proof-driven check elision active (``sanitized_*``), and the same
-    mesh with every site instrumented (``unelided_*``).  ``san_sites``
-    / ``san_elided`` count instrumentation sites across the elided
-    build's library — the static half of the elision story; the two
-    slowdowns are the dynamic half.
-    """
-
-    n: int
-    cores: int
-    clean_sim_hz: float = 0.0
-    sanitized_sim_hz: float = 0.0
-    unelided_sim_hz: float = 0.0
-    clean_compile_s: float = 0.0
-    sanitized_compile_s: float = 0.0
-    unelided_compile_s: float = 0.0
-    san_sites: int = 0
-    san_elided: int = 0
-    hits: Dict[str, int] = None  # type: ignore[assignment]
-    unelided_hits: Dict[str, int] = None  # type: ignore[assignment]
-    findings: int = 0
-
-    @property
-    def slowdown(self) -> Optional[float]:
-        """clean Hz / sanitized Hz (>= 1.0 when instrumentation costs)."""
-        if self.sanitized_sim_hz <= 0:
-            return None
-        return self.clean_sim_hz / self.sanitized_sim_hz
-
-    @property
-    def unelided_slowdown(self) -> Optional[float]:
-        """clean Hz / unelided Hz — what report mode cost pre-elision."""
-        if self.unelided_sim_hz <= 0:
-            return None
-        return self.clean_sim_hz / self.unelided_sim_hz
-
-    @property
-    def elision_delta(self) -> Optional[float]:
-        """Overhead removed by elision (unelided − elided slowdown)."""
-        if self.slowdown is None or self.unelided_slowdown is None:
-            return None
-        return self.unelided_slowdown - self.slowdown
-
-
-@dataclass
-class TraceOverheadResult:
-    """Live-trace capture slowdown vs tracing off on the fig7 workload."""
-
-    n: int
-    cores: int
-    probes: int = 0
-    plain_sim_hz: float = 0.0
-    traced_sim_hz: float = 0.0
-    cycles_dropped: int = 0
-
-    @property
-    def slowdown(self) -> Optional[float]:
-        """plain Hz / traced Hz (>= 1.0 when capture costs)."""
-        if self.traced_sim_hz <= 0:
-            return None
-        return self.plain_sim_hz / self.traced_sim_hz
-
-
-def trace_overhead(n: int = 1, sim_cycles: int = 150) -> TraceOverheadResult:
-    """Measure per-cycle trace-capture overhead on the fig7 workload.
-
-    Runs the same mesh session twice: once untraced, then with probes
-    on the mesh-wide outputs (``all_halted``, ``total_retired``) so
-    every cycle pays the ring-buffer append.  Report-only — the
-    interesting number is the slowdown ratio, not absolute Hz.
-    """
-    result = TraceOverheadResult(n=n, cores=n * n)
-
-    bench = PGASWorkbench(n, baseline_budget_s=None)
-    session = bench.build_session()
-    bench.run(5)
-    started = time.perf_counter()
-    bench.run(sim_cycles)
-    elapsed = time.perf_counter() - started
-    result.plain_sim_hz = sim_cycles / elapsed if elapsed else 0.0
-    session.close()
-
-    bench = PGASWorkbench(n, baseline_budget_s=None)
-    session = bench.build_session()
-    for signal in ("all_halted", "total_retired"):
-        session.watch("uut", signal)
-        result.probes += 1
-    bench.run(5)
-    started = time.perf_counter()
-    bench.run(sim_cycles)
-    elapsed = time.perf_counter() - started
-    result.traced_sim_hz = sim_cycles / elapsed if elapsed else 0.0
-    result.cycles_dropped = session.trace_buffer("uut").cycles_dropped
-    session.close()
-    return result
-
-
-@dataclass
-class OptSpeedupResult:
-    """opt=full speedup vs opt=none on the fig7-style PGAS workload."""
-
-    n: int
-    cores: int
-    plain_sim_hz: float = 0.0
-    opt_sim_hz: float = 0.0
-    plain_compile_s: float = 0.0
-    opt_compile_s: float = 0.0
-
-    @property
-    def speedup(self) -> Optional[float]:
-        """opt Hz / plain Hz (>= 1.0 when the passes pay off)."""
-        if self.plain_sim_hz <= 0:
-            return None
-        return self.opt_sim_hz / self.plain_sim_hz
-
-
-def opt_speedup(n: int = 1, sim_cycles: int = 150) -> OptSpeedupResult:
-    """Measure the opt=full speedup on the fig7-style PGAS workload.
-
-    Builds the same mesh twice — plain and with the full pass pipeline
-    (constant propagation, dead-logic elimination, pure-child skips) —
-    and reports simulated cycles/second for each.
-    Report-only: the interesting number is the ratio; the differential
-    fuzzers are what assert the two builds agree bit for bit.
-    """
-    result = OptSpeedupResult(n=n, cores=n * n)
-
-    plain = PGASWorkbench(n, baseline_budget_s=None)
-    session = plain.build_session()
-    result.plain_compile_s = plain.full_compile_seconds
-    plain.run(5)
-    started = time.perf_counter()
-    plain.run(sim_cycles)
-    elapsed = time.perf_counter() - started
-    result.plain_sim_hz = sim_cycles / elapsed if elapsed else 0.0
-    session.close()
-
-    opt = PGASWorkbench(n, baseline_budget_s=None, opt="full")
-    session = opt.build_session()
-    result.opt_compile_s = opt.full_compile_seconds
-    opt.run(5)
-    started = time.perf_counter()
-    opt.run(sim_cycles)
-    elapsed = time.perf_counter() - started
-    result.opt_sim_hz = sim_cycles / elapsed if elapsed else 0.0
-    session.close()
-    return result
-
-
-def sanitizer_overhead(
-    n: int = 1, sim_cycles: int = 150
-) -> SanitizerOverheadResult:
-    """Measure ``san report`` overhead on the fig7-style PGAS workload.
-
-    Builds the same mesh three ways — clean, sanitize=report with
-    proof-driven elision (the default), and sanitize=report with every
-    site instrumented — runs each through the session path, and
-    reports simulated cycles/second plus the per-check hit counters (a
-    clean corpus should show zero findings; nonzero here means real
-    signal, not noise).  The elided and unelided counters must match —
-    elision is only allowed to remove checks that can never fire.
-    """
-    result = SanitizerOverheadResult(
-        n=n, cores=n * n, hits={}, unelided_hits={}
-    )
-
-    clean = PGASWorkbench(n, baseline_budget_s=None)
-    session = clean.build_session()
-    result.clean_compile_s = clean.full_compile_seconds
-    clean.run(5)
-    started = time.perf_counter()
-    clean.run(sim_cycles)
-    elapsed = time.perf_counter() - started
-    result.clean_sim_hz = sim_cycles / elapsed if elapsed else 0.0
-    session.close()
-
-    sanitized = PGASWorkbench(n, baseline_budget_s=None, sanitize="report")
-    session = sanitized.build_session()
-    result.sanitized_compile_s = sanitized.full_compile_seconds
-    library = session.pipe("uut").library
-    result.san_sites = sum(m.san_sites for m in library.values())
-    result.san_elided = sum(m.san_elided for m in library.values())
-    sanitized.run(5)
-    started = time.perf_counter()
-    sanitized.run(sim_cycles)
-    elapsed = time.perf_counter() - started
-    result.sanitized_sim_hz = sim_cycles / elapsed if elapsed else 0.0
-    result.hits = session.sanitize_runtime.counters()
-    result.findings = len(session.sanitize_runtime.findings)
-    session.close()
-
-    unelided = PGASWorkbench(
-        n, baseline_budget_s=None, sanitize="report", san_elide=False
-    )
-    session = unelided.build_session()
-    result.unelided_compile_s = unelided.full_compile_seconds
-    unelided.run(5)
-    started = time.perf_counter()
-    unelided.run(sim_cycles)
-    elapsed = time.perf_counter() - started
-    result.unelided_sim_hz = sim_cycles / elapsed if elapsed else 0.0
-    result.unelided_hits = session.sanitize_runtime.counters()
-    session.close()
-    return result

@@ -110,6 +110,34 @@ def module_regions(source: str) -> dict:
     }
 
 
+def splice_modules(text: str, library: str) -> str:
+    """``text`` with ``library`` merged in, one definition per module.
+
+    A module ``library`` redefines replaces its region in ``text``, in
+    place; everything else in ``library`` (new modules, directives,
+    filler) is appended as written.
+    """
+    library_regions = split_regions(library)
+    incoming = {
+        r.name: r for r in library_regions if r.kind == MODULE_REGION
+    }
+    lines, rest = text.splitlines(), library.splitlines()
+    redefined = set()
+    # Bottom-up, so the line numbers of the regions still to go hold.
+    for region in reversed(split_regions(text)):
+        if region.kind == MODULE_REGION and region.name in incoming:
+            lines[region.start_line - 1 : region.end_line] = (
+                incoming[region.name].text.splitlines()
+            )
+            redefined.add(region.name)
+    for region in reversed(library_regions):
+        if region.kind == MODULE_REGION and region.name in redefined:
+            del rest[region.start_line - 1 : region.end_line]
+    merged = "\n".join(lines).rstrip() + "\n"
+    appended = "\n".join(rest).strip("\n")
+    return merged + "\n" + appended + "\n" if appended.strip() else merged
+
+
 def region_at_line(regions: List[SourceRegion], line: int) -> Optional[SourceRegion]:
     for region in regions:
         if region.contains_line(line):

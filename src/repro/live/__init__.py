@@ -12,8 +12,8 @@
   garbage-collection policy.
 * :mod:`repro.live.replay` — the recorded ops, the one ``rewind``
   every time-travel goes through, and the replay that follows it.
-* :mod:`repro.live.consistency` — parallel checkpoint-delta
-  verification (Fig. 6).
+* :mod:`repro.live.consistency` — checkpoint-delta verification
+  (Fig. 6): one job, run in process or on the persistent worker pool.
 * :mod:`repro.live.session` — the LiveSession command API (Table I).
 """
 
@@ -21,8 +21,6 @@ from .checkpoint import Checkpoint, CheckpointStore, GCPolicy
 from .commands import CommandError, CommandInterpreter, CommandResult
 from .compiler_live import CompileReport, LiveCompiler
 from .consistency import (
-    BackgroundVerifier,
-    ConsistencyChecker,
     ConsistencyReport,
     VerifierPool,
     VerifyJob,
@@ -63,8 +61,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointStore",
     "GCPolicy",
-    "BackgroundVerifier",
-    "ConsistencyChecker",
     "ConsistencyReport",
     "VerifierPool",
     "VerifyJob",

@@ -14,28 +14,31 @@ many cores as there are checkpoints.  When the checkpoints are not
 consistent, the earliest divergent segment localizes where the
 divergence occurred — "which may also be useful for debugging".
 
-Verification is a managed subsystem, not a one-shot function:
+A verification is one thing, whoever asks for it and whether or not
+they wait for it:
 
-* :class:`VerifierPool` — a persistent process pool that survives
-  across verify calls *and* across edits.  Each worker process keeps a
-  compiled-design cache keyed by a design fingerprint (source hash +
-  top + params + mux style), so verifying again — or verifying the
-  next edit of an unchanged specialization — skips the parse /
-  elaborate / compile that otherwise dominates worker startup.
-* Per-segment futures with dynamic scheduling: a straggler segment no
-  longer serializes a whole statically-assigned batch; idle workers
-  pull the next segment.
-* :class:`BackgroundVerifier` — runs a verify without blocking the
-  session.  Results stream in via a completion callback on a collector
-  thread; a superseding edit cancels in-flight segments.
-
-The paper §III-F: stored checkpoints are re-verified *in the
-background* while the user keeps simulating.
+* :func:`make_segments` cuts the store into the deltas the recorded
+  ops can replay.
+* One :class:`VerifyJob` submits them.  Its :meth:`~VerifyJob.collect`
+  is the only place that awaits a segment, catches one that died,
+  builds the :class:`ConsistencyReport` and bumps the counters.  A
+  blocking verify calls it on the caller's thread; a background verify
+  gives it a thread of its own (§III-F: stored checkpoints are
+  re-verified *in the background* while the user keeps simulating),
+  and a superseding edit cancels the segments that have not started.
+* A segment runs in one of two places, through :func:`_run_segment`
+  both times: :class:`InProcess`, on the pipe's own compiled library
+  and the session's testbenches, or the session's persistent
+  :class:`VerifierPool`, whose workers each keep one
+  :class:`~repro.live.compiler_live.LiveCompiler` in step with the
+  session's text (:class:`_WorkerDesign`), build their own testbenches
+  from factory specs and compile the plain flavour, so a background
+  job shares no ``Testbench`` and no sanitizer runtime with the
+  session thread.
 """
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import multiprocessing
 import os
@@ -54,16 +57,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..hdl.errors import SimulationError
+from ..codegen.build import BuildConfig
 from ..sim.pipeline import Pipe
 from ..sim.testbench import Testbench
 from .checkpoint import Checkpoint
+from .compiler_live import CompileResult, LiveCompiler
 from .replay import SessionOp, recorded_from, replay_ops, rewind
-
-# How many compiled designs one worker process keeps around.  Edits
-# ping-pong between a handful of fingerprints (inject/fix pairs), so a
-# small bound holds the useful set without unbounded memory growth.
-WORKER_DESIGN_CACHE_SIZE = 8
 
 
 @dataclass
@@ -80,9 +79,15 @@ class SegmentResult:
     # (-1 = verified in-process).  Dynamic scheduling means any worker
     # may pick up any segment.
     worker: int = -1
-    # True when handling this segment made the worker compile the
-    # design (a fingerprint cache miss).
-    compiled: bool = False
+    # Module specialisations the worker's LiveCompiler recompiled to
+    # serve this segment: the whole design on a cold worker, the edited
+    # module on the first segment after an edit, otherwise none.
+    modules_compiled: int = 0
+
+    @property
+    def compiled(self) -> bool:
+        """Handling this segment made the worker recompile something."""
+        return self.modules_compiled > 0
 
 
 @dataclass
@@ -175,117 +180,21 @@ class _Segment:
         return self.end.cycle
 
 
-class ConsistencyChecker:
-    """Verifies checkpoint deltas under the current (patched) design."""
-
-    def __init__(
-        self,
-        build_pipe: Callable[[], Pipe],
-        tb_lookup: Callable[[str], Testbench],
+def make_segments(
+    checkpoints: Sequence[Checkpoint], ops: Sequence[SessionOp]
+) -> Tuple[List[_Segment], int]:
+    """One segment per checkpoint delta ``ops`` can replay, and the
+    number of deltas they cannot (no recorded history across)."""
+    segments: List[_Segment] = []
+    previous: Optional[Checkpoint] = None
+    for i, checkpoint in enumerate(
+        sorted(checkpoints, key=lambda c: c.cycle)
     ):
-        self._build_pipe = build_pipe
-        self._tb_lookup = tb_lookup
-
-    # -- segment construction ---------------------------------------------------
-
-    @staticmethod
-    def make_segments(
-        checkpoints: Sequence[Checkpoint], ops: Sequence[SessionOp]
-    ) -> Tuple[List[_Segment], int]:
-        """One segment per checkpoint delta ``ops`` can replay, and the
-        number of deltas they cannot (no recorded history across)."""
-        segments: List[_Segment] = []
-        previous: Optional[Checkpoint] = None
-        for i, checkpoint in enumerate(
-            sorted(checkpoints, key=lambda c: c.cycle)
-        ):
-            start = previous.cycle if previous is not None else 0
-            if recorded_from(ops, checkpoint.cycle, start) <= start:
-                segments.append(_Segment(i, previous, checkpoint))
-            previous = checkpoint
-        return segments, len(checkpoints) - len(segments)
-
-    # -- serial verification --------------------------------------------------------
-
-    def verify(
-        self,
-        checkpoints: Sequence[Checkpoint],
-        ops: Sequence[SessionOp],
-        workers: int = 1,
-        worker_context: "Optional[WorkerContext]" = None,
-        pool: "Optional[VerifierPool]" = None,
-    ) -> ConsistencyReport:
-        """Verify every checkpoint delta, blocking until done.
-
-        ``workers > 1`` runs segments in worker processes and needs a
-        :class:`WorkerContext` (everything a fresh process requires to
-        rebuild the simulator); otherwise segments run serially in this
-        process.  Passing ``pool`` reuses a persistent
-        :class:`VerifierPool` (warm workers, warm design caches);
-        without one a transient pool is spun up and torn down.
-        """
-        started = time.perf_counter()
-        with obs.span("consistency.verify", workers=max(workers, 1)):
-            segments, unverifiable = self.make_segments(checkpoints, ops)
-            report = ConsistencyReport(
-                workers=max(workers, 1), unverifiable_segments=unverifiable
-            )
-            if not segments:
-                report.wall_seconds = time.perf_counter() - started
-                return report
-            if workers > 1 and worker_context is not None:
-                report.segments = self._verify_parallel(
-                    segments, ops, workers, worker_context, pool
-                )
-            else:
-                report.workers = 1
-                report.segments = [
-                    self._verify_segment(segment, ops) for segment in segments
-                ]
-            report.wall_seconds = time.perf_counter() - started
-        obs.incr("consistency.segments_verified", len(report.segments))
-        divergent = sum(1 for s in report.segments if not s.consistent)
-        if divergent:
-            obs.incr("consistency.divergences", divergent)
-        return report
-
-    def _verify_segment(
-        self, segment: _Segment, ops: Sequence[SessionOp]
-    ) -> SegmentResult:
-        seg_started = time.perf_counter()
-        with obs.span("consistency.segment", index=segment.index,
-                      end_cycle=segment.end_cycle):
-            pipe = self._build_pipe()
-            result = _run_segment(pipe, segment, ops, self._tb_lookup)
-        result.seconds = time.perf_counter() - seg_started
-        return result
-
-    # -- parallel verification ---------------------------------------------------------
-
-    def _verify_parallel(
-        self,
-        segments: List[_Segment],
-        ops: Sequence[SessionOp],
-        workers: int,
-        context: "WorkerContext",
-        pool: "Optional[VerifierPool]" = None,
-    ) -> List[SegmentResult]:
-        owned = pool is None
-        if pool is None:
-            pool = VerifierPool(workers)
-        try:
-            futures = pool.submit_segments(context, ops, segments)
-            results: List[SegmentResult] = []
-            for future in as_completed(futures):
-                result, pid = future.result()
-                result.worker = pool.worker_index(pid)
-                _note_segment_result(result)
-                results.append(result)
-        finally:
-            if owned:
-                pool.shutdown()
-        results.sort(key=lambda r: r.index)
-        return results
+        start = previous.cycle if previous is not None else 0
+        if recorded_from(ops, checkpoint.cycle, start) <= start:
+            segments.append(_Segment(i, previous, checkpoint))
+        previous = checkpoint
+    return segments, len(checkpoints) - len(segments)
 
 
 def _run_segment(
@@ -295,6 +204,7 @@ def _run_segment(
     tb_lookup: Callable[[str], Testbench],
 ) -> SegmentResult:
     """Replay one delta and compare final state to the stored end."""
+    started = time.perf_counter()
     rewind(pipe, segment.base)
     replay_ops(pipe, ops, segment.end_cycle, tb_lookup)
     actual = pipe.top.snapshot()
@@ -311,6 +221,7 @@ def _run_segment(
         start_cycle=segment.start_cycle,
         end_cycle=segment.end_cycle,
         consistent=consistent,
+        seconds=time.perf_counter() - started,
         detail=detail,
     )
 
@@ -363,62 +274,76 @@ def _describe_divergence(actual, expected, path: str = "top") -> str:
     return "states differ"
 
 
-def _note_segment_result(result: SegmentResult) -> None:
-    """Surface a worker-verified segment in the parent's obs stream."""
-    if result.compiled:
-        obs.incr("consistency.worker_compiles")
-    else:
-        obs.incr("consistency.worker_cache_hits")
-    obs.record(
-        "consistency.segment",
-        int(result.seconds * 1e9),
-        index=result.index,
-        worker=result.worker,
-    )
-
-
-# ----------------------------------------------------------------------------
-# Process-parallel worker support
-# ----------------------------------------------------------------------------
+# -- the two places a segment runs -------------------------------------------
 
 
 @dataclass
 class WorkerContext:
-    """Everything a fresh process needs to rebuild the simulator.
+    """Everything a pool worker needs to rebuild the simulator.
 
-    ``tb_specs`` maps testbench handle -> ("package.module:factory",
-    kwargs); the factory is imported and called in the worker to
-    recreate the testbench.  Factories must build replay-safe
-    testbenches (stimulus a pure function of the rebased cycle) —
-    workers cache them across verify calls.
+    ``build`` is the flavour the worker compiles: the session's, minus
+    the sanitizer and the optimiser.  ``tb_specs`` maps testbench
+    handle -> ("package.module:factory", kwargs); the factory is
+    imported and called in the worker to recreate the testbench.
+    Factories must build replay-safe testbenches (stimulus a pure
+    function of the rebased cycle) — workers keep them across verify
+    calls.
     """
 
     source: str
     top: str
     params: Dict[str, int]
-    mux_style: str
+    build: BuildConfig
     tb_specs: Dict[str, Tuple[str, Dict]]
 
-    def fingerprint(self) -> str:
-        """Design identity for the worker-side compiled cache."""
-        digest = hashlib.sha256(self.source.encode("utf-8"))
-        digest.update(b"\x00" + self.top.encode("utf-8"))
-        digest.update(
-            b"\x00" + repr(sorted(self.params.items())).encode("utf-8")
-        )
-        digest.update(b"\x00" + self.mux_style.encode("utf-8"))
-        return digest.hexdigest()
+
+class InProcess:
+    """Runs a segment where it is submitted: on the calling thread, a
+    fresh pipe on the session's own compiled library, the session's own
+    testbenches.  What ``workers=1`` gets, and a history some testbench
+    of which no worker could rebuild."""
+
+    workers = 1
+
+    def __init__(
+        self,
+        build_pipe: Callable[[], Pipe],
+        tb_lookup: Callable[[str], Testbench],
+    ):
+        self._build_pipe = build_pipe
+        self._tb_lookup = tb_lookup
+
+    def submit_segments(
+        self,
+        context: None,
+        ops: Sequence[SessionOp],
+        segments: Sequence[_Segment],
+    ) -> List[Future]:
+        """One settled future per segment; like an executor's, it holds
+        what the segment raised instead of raising it here."""
+        futures: List[Future] = []
+        for segment in segments:
+            future: Future = Future()
+            try:
+                result = _run_segment(
+                    self._build_pipe(), segment, ops, self._tb_lookup
+                )
+                future.set_result((result, None))
+            except Exception as exc:  # collect() reports it
+                future.set_exception(exc)
+            futures.append(future)
+        return futures
 
 
 class VerifierPool:
     """A process pool that outlives individual verify calls.
 
     The executor is created lazily on first submit and reused until
-    :meth:`shutdown` (or :meth:`resize`).  Keeping the workers alive is
-    what makes the per-worker design cache effective: a verify after an
-    edit ships only the context (cheap) and each worker compiles the
-    new fingerprint once, instead of every verify paying a process
-    spawn plus a full recompile per worker.
+    :meth:`shutdown`.  Keeping the workers alive is
+    what keeps their compilers warm: a verify after an edit ships only
+    the context (cheap) and each worker recompiles what the edit
+    touched, instead of every verify paying a process spawn plus a
+    from-scratch compile per worker.
     """
 
     def __init__(self, workers: int):
@@ -482,16 +407,6 @@ class VerifierPool:
                 self._worker_indices[pid] = len(self._worker_indices)
             return self._worker_indices[pid]
 
-    def resize(self, workers: int) -> None:
-        """Change the worker count; tears down the old executor (and
-        with it the worker-side caches) lazily."""
-        workers = max(int(workers), 1)
-        if workers == self.workers and self._executor is not None:
-            return
-        self.shutdown()
-        self.workers = workers
-        obs.incr("consistency.pool_resizes")
-
     def shutdown(self) -> None:
         with self._lock:
             executor, self._executor = self._executor, None
@@ -500,23 +415,44 @@ class VerifierPool:
             executor.shutdown(wait=False, cancel_futures=True)
 
 
-class VerifyJob:
-    """Handle to one background verification run."""
+# -- the one job -------------------------------------------------------------
 
-    def __init__(self, total_segments: int, workers: int,
-                 unverifiable_segments: int):
-        self.total_segments = total_segments
-        self.workers = workers
-        self.unverifiable_segments = unverifiable_segments
+
+class VerifyJob:
+    """One verification of a checkpoint history.
+
+    Construction cuts the history into segments and submits them to
+    ``place`` (an :class:`InProcess` or a :class:`VerifierPool`, which
+    needs the :class:`WorkerContext`); :meth:`collect` awaits them and
+    builds the report.  ``on_complete(job, report)`` fires at the end
+    of ``collect``, on the thread that runs it.
+    """
+
+    def __init__(
+        self,
+        checkpoints: Sequence[Checkpoint],
+        ops: Sequence[SessionOp],
+        place,
+        context: Optional[WorkerContext] = None,
+        on_complete=None,
+    ):
+        segments, unverifiable = make_segments(checkpoints, ops)
+        self.total_segments = len(segments)
+        self.unverifiable_segments = unverifiable
+        self.workers = place.workers
         self.started = time.perf_counter()
         self.superseded = False
-        self._futures: List[Future] = []
+        self._place = place
+        self._on_complete = on_complete
         self._results: List[SegmentResult] = []
         self._cancelled = 0
         self._errors: List[str] = []
         self._lock = threading.Lock()
         self._done = threading.Event()
         self._report: Optional[ConsistencyReport] = None
+        self._futures: List[Future] = (
+            place.submit_segments(context, ops, segments) if segments else []
+        )
 
     # -- control -------------------------------------------------------------
 
@@ -550,41 +486,36 @@ class VerifyJob:
         return self._report
 
     def status(self) -> VerifyStatus:
+        done = self._done.is_set()  # read first: set after the report
         with self._lock:
-            completed = len(self._results)
-            cancelled = self._cancelled
-            report = self._report
-        if not self._done.is_set():
-            return VerifyStatus(
+            status = VerifyStatus(
                 state="running",
                 total_segments=self.total_segments,
-                completed_segments=completed,
-                cancelled_segments=cancelled,
+                completed_segments=len(self._results),
+                cancelled_segments=self._cancelled,
                 unverifiable_segments=self.unverifiable_segments,
                 wall_seconds=time.perf_counter() - self.started,
             )
-        assert report is not None
-        state = "cancelled" if self.superseded else report.verdict
-        return VerifyStatus(
-            state=state,
-            total_segments=self.total_segments,
-            completed_segments=completed,
-            cancelled_segments=cancelled,
-            unverifiable_segments=self.unverifiable_segments,
+            report = self._report
+        if done:
+            status.state = "cancelled" if self.superseded else report.verdict
             # Cancelled or unverifiable: nothing is known either way.
-            consistent=(
-                None if state in ("cancelled", "unverifiable")
-                else report.all_consistent
-            ),
-            divergence_cycle=report.divergence_cycle,
-            error=report.errors[0] if report.errors else None,
-            wall_seconds=report.wall_seconds,
-        )
+            if status.state not in ("cancelled", "unverifiable"):
+                status.consistent = report.all_consistent
+            status.divergence_cycle = report.divergence_cycle
+            status.error = report.errors[0] if report.errors else None
+            status.wall_seconds = report.wall_seconds
+        return status
 
-    # -- collection (runs on the collector thread) ---------------------------
+    # -- collection ----------------------------------------------------------
 
-    def _collect(self, pool: VerifierPool, on_complete) -> None:
-        for future in as_completed(list(self._futures)):
+    def collect(self) -> ConsistencyReport:
+        """Await every segment, build the report, fire ``on_complete``.
+
+        Runs once per job: on the caller's thread for a blocking
+        verify, on a thread of its own for a background one.
+        """
+        for future in as_completed(self._futures):
             try:
                 result, pid = future.result()
             except CancelledError:
@@ -594,17 +525,27 @@ class VerifyJob:
                     self._errors.append(f"{type(exc).__name__}: {exc}")
                 obs.incr("consistency.worker_errors")
                 continue
-            result.worker = pool.worker_index(pid)
-            _note_segment_result(result)
+            if pid is not None:  # a pool worker ran it
+                result.worker = self._place.worker_index(pid)
+                obs.incr(
+                    "consistency.worker_compiles" if result.compiled
+                    else "consistency.worker_cache_hits"
+                )
+                obs.incr(
+                    "consistency.worker_modules_compiled",
+                    result.modules_compiled,
+                )
+            obs.record(
+                "consistency.segment",
+                int(result.seconds * 1e9),
+                index=result.index,
+                worker=result.worker,
+            )
             with self._lock:
                 self._results.append(result)
-        self._finish(on_complete)
-
-    def _finish(self, on_complete) -> None:
         with self._lock:
-            results = sorted(self._results, key=lambda r: r.index)
-            report = ConsistencyReport(
-                segments=results,
+            report = self._report = ConsistencyReport(
+                segments=sorted(self._results, key=lambda r: r.index),
                 workers=self.workers,
                 wall_seconds=time.perf_counter() - self.started,
                 cancelled_segments=self._cancelled,
@@ -612,20 +553,20 @@ class VerifyJob:
                 unverifiable_segments=self.unverifiable_segments,
                 errors=self._errors,
             )
-            self._report = report
         obs.record(
-            "consistency.background",
+            "consistency.verify",
             int(report.wall_seconds * 1e9),
-            segments=len(results),
+            workers=report.workers,
+            segments=len(report.segments),
             cancelled=report.cancelled_segments,
         )
-        obs.incr("consistency.segments_verified", len(results))
-        divergent = sum(1 for s in results if not s.consistent)
+        obs.incr("consistency.segments_verified", len(report.segments))
+        divergent = sum(1 for s in report.segments if not s.consistent)
         if divergent:
             obs.incr("consistency.divergences", divergent)
         try:
-            if on_complete is not None:
-                on_complete(self, report)
+            if self._on_complete is not None:
+                self._on_complete(self, report)
         except Exception as exc:  # acting on the verdict failed: say so
             report.errors.append(
                 f"on_complete: {type(exc).__name__}: {exc}"
@@ -633,76 +574,59 @@ class VerifyJob:
             obs.incr("consistency.callback_errors")
         finally:
             self._done.set()
+        return report
 
 
-class BackgroundVerifier:
-    """Streams a verification through a :class:`VerifierPool` without
-    blocking the caller (§III-F's "re-verified in the background")."""
-
-    def __init__(self, pool: VerifierPool):
-        self._pool = pool
-
-    def start(
-        self,
-        checkpoints: Sequence[Checkpoint],
-        ops: Sequence[SessionOp],
-        context: WorkerContext,
-        on_complete=None,
-        label: str = "verify",
-    ) -> VerifyJob:
-        """Submit every verifiable delta and return immediately.
-
-        ``on_complete(job, report)`` fires on a collector thread once
-        all segments completed or were cancelled.
-        """
-        segments, unverifiable = ConsistencyChecker.make_segments(
-            checkpoints, ops
-        )
-        job = VerifyJob(len(segments), self._pool.workers, unverifiable)
-        obs.incr("consistency.background_jobs")
-        if not segments:
-            job._finish(on_complete)
-            return job
-        job._futures = self._pool.submit_segments(context, ops, segments)
-        thread = threading.Thread(
-            target=job._collect,
-            args=(self._pool, on_complete),
-            name=f"livesim-{label}",
-            daemon=True,
-        )
-        thread.start()
-        return job
+# -- worker side -------------------------------------------------------------
 
 
-# -- worker-process side -----------------------------------------------------
+class _WorkerDesign:
+    """A worker's copy of the session's design: one
+    :class:`LiveCompiler` that follows the session's text edit by edit.
 
-# Per-process caches; populated lazily, survive across verify calls for
-# as long as the pool keeps the worker alive.
-_WORKER_DESIGNS: "Dict[str, Tuple[str, Dict]]" = {}
+    One per process.  A pool of processes gives every worker its own; a
+    pool of threads shares the hosting process's, hence the lock.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._compiler: Optional[LiveCompiler] = None
+        # The last compile_top and the (top, params) it was of, while
+        # it still describes the compiler's source and build.
+        self._result: Optional[CompileResult] = None
+        self._which: Optional[Tuple] = None
+
+    def compiled(self, context: WorkerContext) -> Tuple[CompileResult, int]:
+        """``context``'s design compiled, and how many module
+        specialisations this call had to recompile for it."""
+        which = (context.top, tuple(sorted(context.params.items())))
+        with self._lock:
+            compiler = self._compiler
+            if compiler is None:
+                compiler = self._compiler = LiveCompiler(
+                    context.source, context.build
+                )
+            else:
+                if compiler.build != context.build:
+                    compiler.build = context.build
+                    self._result = None
+                if (
+                    compiler.source != context.source
+                    and compiler.update_source(context.source).behavioral
+                ):
+                    self._result = None
+            if self._result is not None and self._which == which:
+                return self._result, 0
+            self._result = None  # stays so if the compile raises
+            self._result = compiler.compile_top(context.top, context.params)
+            self._which = which
+            return self._result, len(self._result.report.recompiled_keys)
+
+
+# Per-process worker state; populated lazily, lives for as long as the
+# pool keeps the worker alive.
+_WORKER_DESIGN = _WorkerDesign()
 _WORKER_TESTBENCHES: Dict[Tuple, Testbench] = {}
-
-
-def _cached_design(context: WorkerContext) -> Tuple[str, Dict, bool]:
-    """(top key, compiled library, compiled-now flag) for the context's
-    fingerprint, compiling at most once per fingerprint per worker."""
-    from ..codegen.build import BuildConfig
-    from ..codegen.pygen import compile_netlist
-    from ..hdl.elaborate import elaborate
-    from ..hdl.parser import parse
-
-    fingerprint = context.fingerprint()
-    entry = _WORKER_DESIGNS.get(fingerprint)
-    if entry is not None:
-        return entry[0], entry[1], False
-    design = parse(context.source)
-    netlist = elaborate(design, context.top, context.params)
-    library = compile_netlist(
-        netlist, BuildConfig(mux_style=context.mux_style)
-    )
-    while len(_WORKER_DESIGNS) >= WORKER_DESIGN_CACHE_SIZE:
-        _WORKER_DESIGNS.pop(next(iter(_WORKER_DESIGNS)))
-    _WORKER_DESIGNS[fingerprint] = (netlist.top, library)
-    return netlist.top, library, True
 
 
 def _cached_testbench(handle: str, factory_path: str, kwargs: Dict) -> Testbench:
@@ -714,27 +638,6 @@ def _cached_testbench(handle: str, factory_path: str, kwargs: Dict) -> Testbench
         testbench = factory(**kwargs)
         _WORKER_TESTBENCHES[key] = testbench
     return testbench
-
-
-def _build_from_context(context: WorkerContext):
-    """Build (build_pipe, tb_lookup, compiled) closures, serving the
-    design and testbenches from the worker caches."""
-    top_key, library, compiled = _cached_design(context)
-    testbenches: Dict[str, Testbench] = {
-        handle: _cached_testbench(handle, factory_path, kwargs)
-        for handle, (factory_path, kwargs) in context.tb_specs.items()
-    }
-
-    def build_pipe() -> Pipe:
-        return Pipe(top_key, library)
-
-    def tb_lookup(handle: str) -> Testbench:
-        testbench = testbenches.get(handle)
-        if testbench is None:
-            raise SimulationError(f"worker has no testbench {handle!r}")
-        return testbench
-
-    return build_pipe, tb_lookup, compiled
 
 
 def _pool_verify_segment(
@@ -750,9 +653,13 @@ def _pool_verify_segment(
     ops: List[SessionOp] = pickle.loads(ops_payload)  # noqa: S301
     segment: _Segment = pickle.loads(segment_payload)  # noqa: S301
     started = time.perf_counter()
-    build_pipe, tb_lookup, compiled = _build_from_context(context)
-    pipe = build_pipe()
-    result = _run_segment(pipe, segment, ops, tb_lookup)
-    result.seconds = time.perf_counter() - started
-    result.compiled = compiled
+    compiled, recompiled = _WORKER_DESIGN.compiled(context)
+    result = _run_segment(
+        Pipe(compiled.netlist.top, compiled.library),
+        segment,
+        ops,
+        lambda handle: _cached_testbench(handle, *context.tb_specs[handle]),
+    )
+    result.seconds = time.perf_counter() - started  # the compile counts
+    result.modules_compiled = recompiled
     return result, os.getpid()

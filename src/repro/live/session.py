@@ -13,11 +13,16 @@ Implements the paper's Table I command set::
 
 plus the live entry point :meth:`apply_change`, which executes the full
 edit-run-debug loop: LiveParser -> LiveCompiler -> hot reload ->
-checkpoint reload -> replay — the under-2-seconds path of Figs. 7/8.
+checkpoint reload -> replay — the under-2-seconds path of Figs. 7/8,
+and its §III-F backstop, :meth:`verify_consistency` /
+:meth:`verify_background`: one
+:class:`~repro.live.consistency.VerifyJob` either way, its segments run
+in process or on the session's persistent worker pool.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
@@ -33,6 +38,7 @@ from ..analyze import (
 )
 from ..codegen.build import OPT_LEVELS, BuildConfig
 from ..hdl.errors import HDLError, SimulationError
+from ..hdl.source_regions import splice_modules
 from ..sanitize import SANITIZE_MODES, SanitizerRuntime
 from ..sim.pipeline import Pipe, PipeSnapshot
 from ..sim.testbench import Testbench
@@ -41,9 +47,8 @@ from ..trace.buffer import DEFAULT_CAPACITY
 from .checkpoint import Checkpoint, CheckpointStore, GCPolicy
 from .compiler_live import CompileResult, LiveCompiler
 from .consistency import (
-    BackgroundVerifier,
-    ConsistencyChecker,
     ConsistencyReport,
+    InProcess,
     VerifierPool,
     VerifyJob,
     VerifyStatus,
@@ -206,7 +211,6 @@ class LiveSession:
         artifact_store=None,
         gate_policy: Optional[GatePolicy] = None,
         sanitize: str = "off",
-        san_elide: bool = True,
         trace_capacity: Optional[int] = DEFAULT_CAPACITY,
         opt: str = "none",
     ):
@@ -224,7 +228,7 @@ class LiveSession:
             source,
             build=_build(
                 BuildConfig(), mux_style=mux_style,
-                sanitize=sanitize != "off", opt=opt, san_elide=san_elide,
+                sanitize=sanitize != "off", opt=opt,
             ),
             store=artifact_store,
             sanitize_runtime=self.sanitize_runtime,
@@ -253,7 +257,6 @@ class LiveSession:
         self.trace_capacity = trace_capacity
         self._verifier_pool: Optional[VerifierPool] = None
         self._verify_jobs: Dict[str, VerifyJob] = {}
-        self._verify_reports: Dict[str, ConsistencyReport] = {}
         self._register_source_modules("design")
 
     # ------------------------------------------------------------------
@@ -286,12 +289,14 @@ class LiveSession:
         """``ldLib`` — register the stage objects found in a library.
 
         With ``source``, the text is merged into the session design
-        first (new modules become available, duplicates are an edit).
-        Returns the handles added.
+        first: new modules are appended, a module it redefines replaces
+        the old definition in place (an edit), so the session text
+        always parses from scratch.  Returns the handles added.
         """
         if source is not None:
-            merged = self.compiler.source.rstrip() + "\n\n" + source
-            self.compiler.update_source(merged)
+            self.compiler.update_source(
+                splice_modules(self.compiler.source, source)
+            )
         return self._register_source_modules(name)
 
     def _register_source_modules(self, lib_name: str) -> List[str]:
@@ -542,7 +547,6 @@ class LiveSession:
         new_source: str,
         transforms: Optional[Dict[str, RegisterTransform]] = None,
         verify: "bool | str" = False,
-        verify_workers: int = 1,
         override_gate: bool = False,
     ) -> ERDReport:
         """Execute one edit-run-debug iteration.
@@ -561,7 +565,9 @@ class LiveSession:
         repaired on divergence), so the reported state is exact — at
         the cost of re-executing the history, which is what the fast
         estimate exists to hide.  ``verify_seconds`` is reported
-        separately from the ERD total for exactly that reason.
+        separately from the ERD total for exactly that reason, and a
+        segment that dies fails that pipe's verdict in
+        ``report.consistency`` instead of raising once the swap landed.
         ``verify="background"`` instead kicks verification off on the
         persistent worker pool and returns immediately — the paper's
         actual §III-F behaviour; poll :meth:`verify_status` or
@@ -585,8 +591,7 @@ class LiveSession:
         """
         with obs.span("apply_change", version=self.version):
             return self._apply_change(
-                new_source, transforms, verify, verify_workers,
-                override_gate,
+                new_source, transforms, verify, override_gate
             )
 
     def _apply_change(
@@ -594,7 +599,6 @@ class LiveSession:
         new_source: str,
         transforms: Optional[Dict[str, RegisterTransform]],
         verify: "bool | str",
-        verify_workers: int,
         override_gate: bool = False,
     ) -> ERDReport:
         old_source = self.compiler.source
@@ -751,14 +755,14 @@ class LiveSession:
             # checkpoints are re-verified.  Kick the jobs off and
             # return immediately; verdicts land via verify_status().
             for name in report.pipes_updated:
-                self.verify_background(name, workers=verify_workers)
+                self.verify_background(name, workers=1)
                 report.background_verifies.append(name)
         elif verify:
             started = time.perf_counter()
-            with obs.span("verify", workers=verify_workers):
+            with obs.span("verify"):
                 for name in report.pipes_updated:
                     report.consistency[name] = self.verify_consistency(
-                        name, workers=verify_workers, repair=True
+                        name, repair=True
                     )
             report.verify_seconds = time.perf_counter() - started
         return report
@@ -1122,7 +1126,10 @@ class LiveSession:
         }
 
     # ------------------------------------------------------------------
-    # Consistency verification (§III-F)
+    # Consistency verification (§III-F): every verify is one VerifyJob.
+    # verify_consistency starts one, waits, and acts on the verdict when
+    # asked to repair; verify_background starts one on the pool and acts
+    # on the verdict when it lands.
     # ------------------------------------------------------------------
 
     def verify_consistency(
@@ -1132,6 +1139,13 @@ class LiveSession:
         repair: bool = False,
     ) -> ConsistencyReport:
         """Verify checkpoint deltas under the current design.
+
+        Segments run in this process, or on the persistent worker pool
+        when ``workers > 1`` and every testbench in the history has a
+        factory spec (``report.workers`` says which it was).  A segment
+        that dies (a worker crashed, a testbench raised) does not
+        raise: it makes ``report.verdict`` ``failed`` and its message
+        is in ``report.errors``.
 
         A delta the recorded ops do not span (a rehydrated session's
         checkpoints from before the move) cannot be replayed: it is
@@ -1144,33 +1158,26 @@ class LiveSession:
         results as necessary").
         """
         session = self.timeline(pipe_name)
-        result = session.compile_result
-        checker = ConsistencyChecker(
-            build_pipe=lambda: Pipe(result.netlist.top, result.library),
-            tb_lookup=self.testbench,
-        )
-        context = None
-        pool = None
-        if workers > 1:
-            context = self._worker_context(session)
-            if context is None:
-                workers = 1  # no rebuild recipe: fall back to serial
-            else:
-                pool = self._ensure_verifier_pool(workers)
-        report = checker.verify(
-            session.store.all(), session.ops, workers=workers,
-            worker_context=context, pool=pool,
-        )
-        bad = report.first_divergent
-        if repair and bad is not None:
-            self._repair(session, bad.end_cycle)
+        context = self._worker_context(session) if workers > 1 else None
+        report = self._start_verify(session, workers, context).collect()
+        if repair and self._invalidate_stale(session, report):
+            stop_cycle = session.pipe.cycle
+            rewind(session.pipe, session.base(stop_cycle))
+            replay_ops(
+                session.pipe,
+                session.ops,
+                stop_cycle,
+                self.testbench,
+                on_cycle=lambda pipe: session.store.maybe_take(
+                    pipe, self.version, len(session.ops)
+                ),
+            )
         return report
 
     def verify_background(
         self,
         pipe_name: str,
         workers: int = 2,
-        on_complete=None,
     ) -> VerifyJob:
         """Verify checkpoint deltas without blocking the session.
 
@@ -1180,7 +1187,6 @@ class LiveSession:
         exactly like the blocking path — the pipe's *visible* state is
         left alone (the user may be mid-run); re-establish it with
         ``verify_consistency(..., repair=True)`` if needed.
-        ``on_complete(report)`` fires on the collector thread.
 
         A background verify for a pipe supersedes that pipe's previous
         in-flight job, and any behavioural edit supersedes all jobs.
@@ -1193,42 +1199,63 @@ class LiveSession:
                 "pass factory= to load_testbench"
             )
         self.cancel_verify(pipe_name)
-        pool = self._ensure_verifier_pool(workers)
         verify_version = self.version
 
         def _done(job: VerifyJob, report: ConsistencyReport) -> None:
-            self._on_verify_complete(pipe_name, verify_version, job, report)
-            if on_complete is not None:
-                on_complete(report)
+            # A superseded verdict describes a design that is no longer
+            # live; it is never acted on.
+            if (
+                not job.superseded
+                and self.version == verify_version
+                and self._invalidate_stale(session, report)
+            ):
+                obs.incr("consistency.background_invalidations")
 
-        job = BackgroundVerifier(pool).start(
-            session.store.all(),
-            session.ops,
-            context,
-            on_complete=_done,
-            label=f"verify-{pipe_name}",
-        )
+        obs.incr("consistency.background_jobs")
+        job = self._start_verify(session, workers, context, _done)
         self._verify_jobs[pipe_name] = job
+        threading.Thread(
+            target=job.collect,
+            name=f"livesim-verify-{pipe_name}",
+            daemon=True,
+        ).start()
         return job
 
-    def _on_verify_complete(
+    def _start_verify(
         self,
-        pipe_name: str,
-        verify_version: str,
-        job: VerifyJob,
-        report: ConsistencyReport,
-    ) -> None:
-        self._verify_reports[pipe_name] = report
-        if job.superseded or self.version != verify_version:
-            return  # verdict describes a design that is no longer live
-        session = self._pipe_sessions.get(pipe_name)
+        session: _PipeSession,
+        workers: int,
+        context: Optional[WorkerContext],
+        on_complete=None,
+    ) -> VerifyJob:
+        """Submit the pipe's checkpoint deltas: to the pool when
+        ``context`` tells a worker how to rebuild the simulator, else
+        to this process (they have run when this returns)."""
+        if context is not None:
+            place = self._ensure_verifier_pool(workers)
+        else:
+            result = session.compile_result
+            place = InProcess(
+                lambda: Pipe(result.netlist.top, result.library),
+                self.testbench,
+            )
+        return VerifyJob(
+            session.store.all(), session.ops, place, context, on_complete
+        )
+
+    @staticmethod
+    def _invalidate_stale(
+        session: _PipeSession, report: ConsistencyReport
+    ) -> bool:
+        """Act on a verdict: drop the checkpoints it showed stale.
+        False when it showed none."""
         bad = report.first_divergent
-        if session is None or bad is None:
-            return
+        if bad is None:
+            return False
         # The bad delta's end is the first checkpoint shown stale; the
         # one it started from is the last state shown good.
         session.store.invalidate_after(bad.end_cycle - 1)
-        obs.incr("consistency.background_invalidations")
+        return True
 
     def verify_status(self, pipe_name: str) -> VerifyStatus:
         """Verdict / progress of the pipe's latest background verify."""
@@ -1244,9 +1271,7 @@ class LiveSession:
         """Block until the pipe's background verify lands (None on
         timeout or when none was ever started)."""
         job = self._verify_jobs.get(pipe_name)
-        if job is None:
-            return self._verify_reports.get(pipe_name)
-        return job.result(timeout)
+        return job.result(timeout) if job is not None else None
 
     def cancel_verify(self, pipe_name: str) -> int:
         """Cancel the pipe's in-flight background verify, if any.
@@ -1257,54 +1282,35 @@ class LiveSession:
         return job.cancel()
 
     def reset_verifier_pool(self) -> None:
-        """Tear down the persistent pool (workers exit, caches drop).
-        The next parallel verify spawns a fresh one."""
+        """Tear down the persistent pool (workers exit, and their warm
+        compilers with them).  The next pool verify spawns a fresh
+        one."""
         if self._verifier_pool is not None:
             self._verifier_pool.shutdown()
             self._verifier_pool = None
 
     def _ensure_verifier_pool(self, workers: int) -> VerifierPool:
-        if self._verifier_pool is None:
-            self._verifier_pool = VerifierPool(workers)
-        elif workers > self._verifier_pool.workers:
+        pool = self._verifier_pool
+        if pool is None or workers > pool.workers:
             # Grow to the widest request; never shrink implicitly — a
-            # resize kills warm workers and their design caches.
-            self._verifier_pool.resize(workers)
-        return self._verifier_pool
+            # new pool means cold workers, their warm compilers gone.
+            self.reset_verifier_pool()
+            pool = self._verifier_pool = VerifierPool(workers)
+        return pool
 
     def _worker_context(self, session: _PipeSession) -> Optional[WorkerContext]:
-        """Rebuild recipe for worker processes; None when a testbench
-        in the session history has no factory spec."""
-        missing = [
-            op.tb_handle
-            for op in session.ops
-            if op.tb_handle not in self._tb_specs
-        ]
-        if missing:
+        """Rebuild recipe for pool workers; None when a testbench in
+        the session history has no factory spec."""
+        if any(op.tb_handle not in self._tb_specs for op in session.ops):
             return None
         return WorkerContext(
             source=self.compiler.source,
             top=session.module,
             params=session.params,
-            mux_style=self.compiler.build.mux_style,
+            # The plain flavour: a worker shares no sanitizer runtime
+            # with the session, and checkpoints hold no optimiser state.
+            build=replace(self.compiler.build, sanitize=False, opt="none"),
             tb_specs=dict(self._tb_specs),
-        )
-
-    def _repair(self, session: _PipeSession, stale_from: int) -> None:
-        """Drop the checkpoints from ``stale_from`` on (the end of the
-        first bad delta) and re-establish them, and the pipe's visible
-        state, from the last one before."""
-        stop_cycle = session.pipe.cycle
-        session.store.invalidate_after(stale_from - 1)
-        rewind(session.pipe, session.base(stop_cycle))
-        replay_ops(
-            session.pipe,
-            session.ops,
-            stop_cycle,
-            self.testbench,
-            on_cycle=lambda pipe: session.store.maybe_take(
-                pipe, self.version, len(session.ops)
-            ),
         )
 
     # ------------------------------------------------------------------

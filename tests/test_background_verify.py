@@ -1,11 +1,13 @@
 """Background verification (§III-F: "re-verified in the background").
 
-The slow class drives real worker pools on the PGAS mesh: session
+The slow classes drive real worker pools on the PGAS mesh: session
 commands must keep running while a verify is in flight, a superseding
-edit must cancel pending segments, and a divergence must invalidate
-the checkpoints past the divergence cycle.  The cheap class covers the
+edit must cancel pending segments, a divergence must invalidate the
+checkpoints past the divergence cycle, and the one verification path
+must say the same thing about the same history wherever its segments
+run and whether or not the caller waits.  The cheap classes cover the
 ``verify``/``verifyStatus``/``verifyWait``/``peek`` command plumbing
-without ever spawning a process pool.
+and the verdicts over the counter design.
 """
 
 import pytest
@@ -32,7 +34,22 @@ loop:
 """
 
 
-def make_session(source=None, cycles=170):
+# Counts up first (positive immediates only), so the id-imm-sign bug
+# stays invisible for the first checkpoint delta and the divergence it
+# causes lands mid-history.
+LATE_ASM = """
+    li   s1, 0
+    li   s2, 12
+warm:
+    addi s1, s1, 1
+    blt  s1, s2, warm
+""" + ASM
+
+# The three ways to run the one verification path.
+PATHS = ("in-process", "pool", "background")
+
+
+def make_session(source=None, cycles=170, asm=ASM):
     session = LiveSession(
         source or build_pgas_source(1),
         checkpoint_interval=40,
@@ -40,10 +57,38 @@ def make_session(source=None, cycles=170):
     )
     session.inst_pipe("uut", session.stage_handle_for("pgas_mesh_1x1"))
     tb = session.load_testbench(
-        boot_program(ASM, count=1), factory=boot_program_spec(ASM, count=1)
+        boot_program(asm, count=1), factory=boot_program_spec(asm, count=1)
     )
     session.run(tb, "uut", cycles)
     return session, tb
+
+
+def verify_on(session, pipe, path, act=False):
+    """Verify ``pipe`` along one of :data:`PATHS`.  ``act`` acts on the
+    verdict: ``repair`` where the caller waits; the background job's
+    completion callback always does."""
+    if path == "background":
+        session.verify_background(pipe, workers=2)
+        report = session.wait_for_verify(pipe, timeout=300)
+        assert report is not None
+        return report
+    workers = 1 if path == "in-process" else 2
+    return session.verify_consistency(pipe, workers=workers, repair=act)
+
+
+def outcome(report):
+    """What every path must agree on."""
+    return {
+        "verdict": report.verdict,
+        "all_consistent": report.all_consistent,
+        "divergence_cycle": report.divergence_cycle,
+        "unverifiable_segments": report.unverifiable_segments,
+        "errors": report.errors,
+        "segments": [
+            (s.index, s.start_cycle, s.end_cycle, s.consistent)
+            for s in report.segments
+        ],
+    }
 
 
 @pytest.mark.slow
@@ -138,6 +183,58 @@ class TestBackgroundVerify:
             session.close()
 
 
+@pytest.mark.slow
+class TestOnePathParity:
+    """Same history, same verdict, same checkpoints left standing:
+    in process or on the pool, waited for or not."""
+
+    def _history(self, kind):
+        if kind == "consistent":
+            return make_session(asm=LATE_ASM)[0]
+        patch = get_patch("id-imm-sign")
+        session, _ = make_session(
+            patch.inject(build_pgas_source(1)), asm=LATE_ASM
+        )
+        session.apply_change(patch.fix(session.compiler.source))
+        return session
+
+    @pytest.mark.parametrize("kind", ["consistent", "divergent"])
+    def test_every_path_agrees(self, kind):
+        seen = {}
+        for path in PATHS:
+            session = self._history(kind)
+            try:
+                store = session.store("uut")
+                before = store.all()
+                report = verify_on(session, "uut", path, act=True)
+                assert report.workers == (1 if path == "in-process" else 2)
+                survivors = [
+                    c.cycle for c in store.all()
+                    if any(c is b for b in before)
+                ]
+                seen[path] = (outcome(report), survivors)
+                if path != "background":
+                    # Repair also regenerated what it dropped.
+                    assert store.cycles() == [40, 80, 120, 160]
+                    assert session.verify_consistency("uut").all_consistent
+                else:
+                    assert store.cycles() == survivors
+            finally:
+                session.close()
+        assert seen["pool"] == seen["in-process"]
+        assert seen["background"] == seen["in-process"]
+        verdict, survivors = seen["in-process"]
+        if kind == "consistent":
+            assert verdict["verdict"] == "consistent"
+            assert survivors == [40, 80, 120, 160]
+        else:
+            # The bug shows in the second delta: the first checkpoint
+            # is the last good state and the only one left standing.
+            assert verdict["verdict"] == "divergent"
+            assert verdict["divergence_cycle"] == 40
+            assert survivors == [40]
+
+
 def make_counter_interp(interval=10):
     session = LiveSession(COUNTER_SRC, checkpoint_interval=interval)
     session.inst_pipe("p0", session.stage_handle_for("top"))
@@ -226,19 +323,14 @@ def counter_session(factory=RESET_SPEC):
 
 class TestVerdictsTellTheTruth:
     """A verdict over nothing is not ``consistent``, a segment that
-    died is not silence, and the blocking and the background verifier
-    say the same thing about the same session."""
+    died is not silence, and every path says the same thing about the
+    same session."""
 
-    def _both(self, session):
-        serial = session.verify_consistency("p0")
-        session.verify_background("p0", workers=1)
-        background = session.wait_for_verify("p0", timeout=120)
-        assert background is not None
-        for field in ("verdict", "all_consistent", "unverifiable_segments",
-                      "divergence_cycle", "errors"):
-            assert getattr(serial, field) == getattr(background, field), field
-        assert len(serial.segments) == len(background.segments)
-        return background, session.verify_status("p0")
+    def _every_path(self, session):
+        reports = {path: verify_on(session, "p0", path) for path in PATHS}
+        for path in PATHS:
+            assert outcome(reports[path]) == outcome(reports["in-process"])
+        return reports["background"], session.verify_status("p0")
 
     def test_checkpoints_without_history_are_unverifiable(self, tmp_path):
         first, tb = counter_session()
@@ -249,14 +341,14 @@ class TestVerdictsTellTheTruth:
         session, tb = counter_session()
         try:
             session.ldch("p0", path)
-            report, status = self._both(session)
+            report, status = self._every_path(session)
             assert report.verdict == status.state == "unverifiable"
             assert report.segments == [] and report.unverifiable_segments == 3
             assert status.consistent is None and status.total_segments == 0
             assert session.store("p0").cycles() == [10, 20, 25]
 
             session.run(tb, "p0", 10)  # 25..35 is recorded and checkable
-            report, status = self._both(session)
+            report, status = self._every_path(session)
             assert report.verdict == status.state == "consistent"
             assert [s.start_cycle for s in report.segments] == [25]
             assert status.completed_segments == 1
@@ -270,8 +362,7 @@ class TestVerdictsTellTheTruth:
         )
         try:
             session.run(tb, "p0", 25)
-            session.verify_background("p0", workers=1)
-            report = session.wait_for_verify("p0", timeout=120)
+            report = verify_on(session, "p0", "background")
             status = session.verify_status("p0")
             assert report.verdict == status.state == "failed"
             assert not report.all_consistent and status.consistent is False
@@ -280,5 +371,42 @@ class TestVerdictsTellTheTruth:
             # No divergence was shown: nothing is invalidated over it.
             assert report.divergence_cycle is None
             assert session.store("p0").cycles() == [10, 20]
+            # Waiting for the same pool says the same, and raises
+            # nothing; in process the session's own testbench replays,
+            # which does not explode.
+            waited = verify_on(session, "p0", "pool", act=True)
+            assert outcome(waited) == outcome(report)
+            assert session.store("p0").cycles() == [10, 20]
+            assert verify_on(session, "p0", "in-process").verdict == (
+                "consistent"
+            )
         finally:
             session.close()
+
+    def test_a_segment_that_dies_in_process_fails_the_verdict(self):
+        # The session's own testbench raises at power-on once armed: the
+        # edit's replay starts from a checkpoint and never sees cycle 0,
+        # the verification's first delta does.
+        from repro.sim.testbench import CallbackTestbench
+
+        armed = []
+
+        def drive(pipe):
+            if armed and pipe.cycle == 0:
+                raise RuntimeError("boom at power-on")
+            pipe.set_input("rst", int(pipe.cycle < 2))
+
+        session = LiveSession(COUNTER_SRC, checkpoint_interval=10)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        tb = session.load_testbench(CallbackTestbench("armed", drive=drive))
+        session.run(tb, "p0", 25)
+        armed.append(True)
+        edited = COUNTER_SRC.replace("count_q <= 0;", "count_q <= 8'd9;")
+        erd = session.apply_change(edited, verify=True)
+        # The swap landed and the report carries the failure.
+        assert erd.version == session.version == "1.1"
+        report = erd.consistency["p0"]
+        assert report.verdict == "failed" and report.workers == 1
+        assert report.errors == ["RuntimeError: boom at power-on"]
+        assert [s.start_cycle for s in report.segments] == [10]
+        assert session.store("p0").cycles() == [10, 20]

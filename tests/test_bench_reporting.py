@@ -190,6 +190,40 @@ class TestRegressionGate:
         current["fig8"].pop()
         assert compare_to_baseline(current, self._artifact(0.1), 0.25) == []
 
+    def _fig6(self, **changes):
+        fig6 = {
+            "all_consistent": True,
+            "warm_modules": {2: 0, 4: 0},
+            "after_edit_worker_modules": {2: 1, 4: 1},
+            "edit_modules": {2: 1, 4: 1},
+        }
+        fig6.update(changes)
+        current = self._artifact(0.1)
+        current["fig6"] = fig6
+        return compare_to_baseline(current, self._artifact(0.1), 0.25)
+
+    def test_fig6_counts_as_expected_pass(self):
+        assert self._fig6() == []
+
+    def test_a_fig6_pass_that_is_not_consistent_fails(self):
+        failures = self._fig6(all_consistent=False)
+        assert len(failures) == 1 and "all-consistent" in failures[0]
+
+    def test_a_fig6_warm_pass_that_compiles_fails(self):
+        failures = self._fig6(warm_modules={2: 0, 4: 10})
+        assert len(failures) == 1
+        assert "warm pass at 4 workers compiled 10" in failures[0]
+
+    def test_a_fig6_worker_recompiling_more_than_the_edit_fails(self):
+        failures = self._fig6(after_edit_worker_modules={2: 1, 4: 10})
+        assert len(failures) == 1
+        assert "a worker of 4 recompiled 10" in failures[0]
+        # A cold worker's whole-design compile is not excused either,
+        # but an edit that itself dirties more raises the allowance.
+        assert self._fig6(
+            after_edit_worker_modules={2: 3, 4: 1}, edit_modules={2: 3, 4: 1}
+        ) == []
+
     def test_empty_baseline_fails(self):
         failures = compare_to_baseline(
             self._artifact(0.1), {"schema": "repro.bench/v1"}, 0.25
@@ -214,6 +248,14 @@ class TestCIWorkflow:
         }
         matrix = doc["jobs"]["test"]["strategy"]["matrix"]
         assert matrix["python-version"] == ["3.10", "3.11", "3.12"]
+        # The bench smoke runs the paper targets only, all of them
+        # gated; the deleted extension targets are not asked for.
+        bench = " ".join(
+            step.get("run", "") for step in doc["jobs"]["bench-smoke"]["steps"]
+        )
+        assert "repro.bench fig6 fig7 fig8 table7 --sizes" in " ".join(
+            bench.split()
+        )
         # Every job funnels through the shared setup action and the
         # workflow cancels superseded runs.
         assert "concurrency" in doc

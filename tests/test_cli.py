@@ -78,6 +78,17 @@ chkp p0
         shell.execute("lint")
         assert "lint clean" in out.getvalue()
 
+    def test_lint_verb_after_a_redefining_ldlib(self, tmp_path):
+        # Before any instPipe, lint parses the session text from
+        # scratch; a spliced redefinition leaves it parseable.
+        shell, out = make_shell()
+        lib = tmp_path / "adder.v"
+        lib.write_text(EDITED[:EDITED.index("module counter")])
+        shell.execute(f"ldLib extras, {lib}")
+        shell.execute("lint")
+        assert "error:" not in out.getvalue()
+        assert "lint clean" in out.getvalue()
+
     def test_errors_reported_not_raised(self):
         shell, out = make_shell()
         shell.execute("run tb0, ghost, 5")

@@ -1,12 +1,20 @@
-"""Process-parallel consistency verification (Fig. 6's scaling story).
+"""Consistency verification on the persistent pool (Fig. 6's scaling
+story).
 
 Workers rebuild the simulator from a picklable WorkerContext (source,
-top, testbench factory specs) and verify disjoint checkpoint batches.
+top, build flavour, testbench factory specs): each keeps one
+LiveCompiler that follows the session's text, and pulls segments as it
+goes idle.
 """
+
+import pickle
+import sys
+import threading
 
 import pytest
 
 from repro import obs
+from repro.live.consistency import _pool_verify_segment, make_segments
 from repro.live.session import LiveSession
 from repro.riscv import build_pgas_source
 from repro.riscv.patches import get_patch
@@ -90,8 +98,8 @@ class TestParallelVerification:
 
     def test_warm_pool_compiles_once_per_worker(self):
         # Verifying twice against an unchanged design must compile the
-        # design exactly once per worker: the second pass is served
-        # entirely from the worker-side fingerprint caches.
+        # design exactly once per worker: on the second pass every
+        # worker's compiler already holds it.
         session, _ = make_session()
         try:
             metrics = obs.get_metrics()
@@ -113,3 +121,102 @@ class TestParallelVerification:
             assert hits == total_segments - total_compiles
         finally:
             session.close()
+
+    def test_one_module_edit_recompiles_one_module_per_worker(self):
+        # Edit then verify, the live loop's own sequence: a warm
+        # worker's compiler follows the session's one-module edit and
+        # recompiles that module, not the design.
+        session, _ = make_session()
+        try:
+            metrics = obs.get_metrics()
+            cold = session.verify_consistency("uut", workers=2)
+            warm_workers = {s.worker for s in cold.segments}
+            assert all(
+                sum(s.modules_compiled for s in cold.segments
+                    if s.worker == w) > 1
+                for w in warm_workers
+            )
+            erd = session.apply_change(
+                get_patch("id-imm-sign").inject(session.compiler.source)
+            )
+            assert erd.recompiled_keys == ["rv_id"]
+            before = metrics.counter("consistency.worker_modules_compiled")
+            after = session.verify_consistency("uut", workers=2)
+            ran = {s.worker for s in after.segments} & warm_workers
+            assert ran
+            for worker in ran:
+                assert sum(
+                    s.modules_compiled for s in after.segments
+                    if s.worker == worker
+                ) == 1
+            assert metrics.counter(
+                "consistency.worker_modules_compiled"
+            ) - before == sum(s.modules_compiled for s in after.segments)
+        finally:
+            session.close()
+
+
+class TestWorkerDesignUnderThreads:
+    """Where the pool runs on threads (a daemonic server worker) every
+    thread shares the process's one compiler.  More threads than cores,
+    two designs taking turns: a segment must always replay on the
+    library of the design it was submitted with."""
+
+    def test_interleaved_designs_never_cross(self, monkeypatch):
+        from repro.live import consistency
+        from repro.sim.testbench import reset_sequence
+        from tests.conftest import COUNTER_SRC
+
+        # This process plays the worker: on state of its own, which
+        # pools forked by later tests must not inherit warm.
+        monkeypatch.setattr(
+            consistency, "_WORKER_DESIGN", consistency._WorkerDesign()
+        )
+        monkeypatch.setattr(consistency, "_WORKER_TESTBENCHES", {})
+
+        edited = COUNTER_SRC.replace(
+            "assign sum = a + b;", "assign sum = a + b + 8'd1;"
+        )
+        spec = ("repro.sim.testbench:reset_sequence",
+                {"reset_name": "rst", "cycles": 2})
+        payloads = []
+        for source in (COUNTER_SRC, edited):
+            session = LiveSession(source, checkpoint_interval=10)
+            session.inst_pipe("p0", session.stage_handle_for("top"))
+            tb = session.load_testbench(reset_sequence("rst", 2), spec)
+            session.run(tb, "p0", 25)
+            timeline = session.timeline("p0")
+            segments, _ = make_segments(timeline.store.all(), timeline.ops)
+            payloads.append((
+                pickle.dumps(session._worker_context(timeline)),
+                pickle.dumps(timeline.ops),
+                [pickle.dumps(segment) for segment in segments],
+            ))
+        verdicts, failures = [], []
+
+        def work(start):
+            try:
+                for i in range(start, start + 12):
+                    context, ops, segments = payloads[i % 2]
+                    result, _ = _pool_verify_segment(
+                        context, ops, segments[i % len(segments)]
+                    )
+                    verdicts.append(result.consistent)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert verdicts == [True] * (8 * 12)

@@ -5,7 +5,7 @@ import pytest
 from repro import compile_design
 from repro.hdl.errors import SimulationError
 from repro.live.checkpoint import CheckpointStore
-from repro.live.consistency import ConsistencyChecker
+from repro.live.consistency import InProcess, VerifyJob
 from repro.live.replay import SessionOp, replay_ops, trim_ops
 from repro.sim import Pipe
 from repro.sim.testbench import CallbackTestbench, hold_inputs
@@ -80,6 +80,13 @@ class TestReplayOps:
 
 
 class TestConsistencyChecker:
+    """The one entry point, a :class:`VerifyJob`, on a bare store."""
+
+    @staticmethod
+    def _verify(checkpoints, ops, build_pipe):
+        place = InProcess(build_pipe, tb_lookup_factory())
+        return VerifyJob(checkpoints, ops, place).collect()
+
     def _checkpointed_run(self, cycles=40, interval=10):
         netlist, library = compile_design(COUNTER_SRC, "top")
         pipe = Pipe(netlist.top, library)
@@ -99,8 +106,7 @@ class TestConsistencyChecker:
 
     def test_consistent_run_verifies(self):
         store, ops, build_pipe = self._checkpointed_run()
-        checker = ConsistencyChecker(build_pipe, tb_lookup_factory())
-        report = checker.verify(store.all(), ops)
+        report = self._verify(store.all(), ops, build_pipe)
         assert report.all_consistent
         assert len(report.segments) == len(store)
         assert report.divergence_cycle is None
@@ -111,8 +117,7 @@ class TestConsistencyChecker:
         # the (unchanged) design can never reach from cycle 10.
         victim = [c for c in store.all() if c.cycle == 20][0]
         victim.snapshot.state.child("u0").regs["count_q"] = 199
-        checker = ConsistencyChecker(build_pipe, tb_lookup_factory())
-        report = checker.verify(store.all(), ops)
+        report = self._verify(store.all(), ops, build_pipe)
         assert not report.all_consistent
         bad = report.first_divergent
         assert (bad.start_cycle, bad.end_cycle) == (10, 20)
@@ -124,20 +129,17 @@ class TestConsistencyChecker:
 
     def test_segment_zero_covers_reset_to_first_checkpoint(self):
         store, ops, build_pipe = self._checkpointed_run()
-        checker = ConsistencyChecker(build_pipe, tb_lookup_factory())
-        report = checker.verify(store.all(), ops)
+        report = self._verify(store.all(), ops, build_pipe)
         assert report.segments[0].start_cycle == 0
 
     def test_empty_store_verifies_trivially(self):
         _, ops, build_pipe = self._checkpointed_run()
-        checker = ConsistencyChecker(build_pipe, tb_lookup_factory())
-        report = checker.verify([], ops)
+        report = self._verify([], ops, build_pipe)
         assert report.all_consistent
         assert report.segments == []
 
     def test_cpu_seconds_covers_segments(self):
         store, ops, build_pipe = self._checkpointed_run()
-        checker = ConsistencyChecker(build_pipe, tb_lookup_factory())
-        report = checker.verify(store.all(), ops)
+        report = self._verify(store.all(), ops, build_pipe)
         assert report.cpu_seconds > 0
         assert report.wall_seconds >= 0

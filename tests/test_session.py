@@ -40,6 +40,40 @@ endmodule
         pipe.step(1)
         assert pipe.outputs()["y"] == 1
 
+    def test_ld_lib_splices_a_redefined_module(self):
+        # A library that redefines a module replaces the old definition
+        # in place: the session text parses from scratch, holds one
+        # definition, and the later one is what gets instantiated.
+        from repro.hdl.parser import parse
+        from repro.sim.testbench import reset_sequence
+
+        adder = COUNTER_SRC[:COUNTER_SRC.index("module counter")]
+        session = LiveSession(COUNTER_SRC, checkpoint_interval=10)
+        added = session.ld_lib("extras", adder.replace(
+            "assign sum = a + b;", "assign sum = a + b + 8'd1;"
+        ))
+        assert added == []  # nothing new, one module redefined
+        assert session.compiler.source == BUGGY.rstrip() + "\n"
+        assert sorted(parse(session.compiler.source).modules) == [
+            "adder", "counter", "top"
+        ]
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        tb = session.load_testbench(reset_sequence("rst", 2), factory=(
+            "repro.sim.testbench:reset_sequence",
+            {"reset_name": "rst", "cycles": 2},
+        ))
+        session.run(tb, "p0", 25)
+        assert session.pipe("p0").outputs()["c0"] == 46  # 23 cycles at +2
+        # Workers rebuild from the session text: they can, and agree.
+        try:
+            session.verify_background("p0", workers=1)
+            background = session.wait_for_verify("p0", timeout=120)
+            serial = session.verify_consistency("p0")
+            assert background.verdict == serial.verdict == "consistent"
+            assert len(background.segments) == len(serial.segments) == 2
+        finally:
+            session.close()
+
     def test_inst_pipe_creates_running_uut(self):
         session, tb = make_session()
         assert "p0" in session.pipelines

@@ -257,6 +257,39 @@ class TestSessionWorkerJournaling:
         session = other.manager.get("alice").session
         assert session.stage_handle_for("blinker")
 
+    def test_a_redefining_lib_survives_persist_and_rehydrate(
+        self, tmp_path
+    ):
+        from repro.hdl.parser import parse
+
+        state = str(tmp_path / "state")
+        worker = _worker(state_root=state)
+        worker._cmd_open(0, {"session": "alice", "source": COUNTER_SRC})
+        lib = tmp_path / "adder.v"
+        lib.write_text(
+            COUNTER_SRC[:COUNTER_SRC.index("module counter")].replace(
+                "assign sum = a + b;", "assign sum = a + b + 8'd1;"
+            )
+        )
+        worker._cmd_cmd(
+            1, {"session": "alice", "line": f"ldLib extras, {lib}"}
+        )
+        worker._cmd_cmd(
+            2, {"session": "alice", "line": "instPipe p0, stage2"}
+        )
+        worker._cmd_cmd(3, {"session": "alice", "line": "run tb0, p0, 12"})
+        worker._cmd_persist(0, {"session": "alice"})
+        source = worker.manager.get("alice").session.compiler.source
+        other = _worker(state_root=state)
+        assert other._cmd_rehydrate(0, {"session": "alice"})["pipes"] == {
+            "p0": 12
+        }
+        moved = other.manager.get("alice").session
+        assert moved.compiler.source == source
+        assert source.count("module adder") == 1
+        assert sorted(parse(source).modules) == ["adder", "counter", "top"]
+        assert moved.pipe("p0").outputs()["c0"] == 20  # 10 cycles at +2
+
     def test_journal_write_failure_warns_but_command_succeeds(
         self, tmp_path
     ):

@@ -6,6 +6,7 @@ from repro.hdl.source_regions import (
     TOPLEVEL_REGION,
     module_regions,
     region_at_line,
+    splice_modules,
     split_regions,
 )
 
@@ -87,3 +88,29 @@ def test_directive_inside_module_body_not_split():
     kinds = [r.kind for r in regions]
     assert kinds.count(MODULE_REGION) == 1
     assert kinds.count(DIRECTIVE_REGION) == 1
+
+
+def test_splice_replaces_in_place_and_appends_the_rest():
+    library = (
+        "module beta (input clk, output y);\n  assign y = clk;\nendmodule\n"
+        "\n// a new one\nmodule gamma (input clk);\nendmodule\n"
+    )
+    merged = splice_modules(SOURCE, library)
+    regions = split_regions(merged)
+    assert [r.name for r in regions if r.kind == MODULE_REGION] == [
+        "alpha", "beta", "gamma"
+    ]
+    # beta stays where it was, between its directives, with the new body.
+    beta = module_regions(merged)["beta"]
+    assert "assign y = clk;" in beta.text
+    assert [r.name for r in regions if r.kind == DIRECTIVE_REGION] == [
+        "`define W 8", "`ifdef W", "`endif"
+    ]
+    assert merged.index("`ifdef W") < merged.index("module beta")
+    assert merged.index("module beta") < merged.index("`endif")
+    assert merged.index("`endif") < merged.index("// a new one")
+
+
+def test_splice_with_nothing_redefined_appends_the_text():
+    library = "module gamma (input clk);\nendmodule\n"
+    assert splice_modules(SOURCE, library) == SOURCE.rstrip() + "\n\n" + library
