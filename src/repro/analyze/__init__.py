@@ -60,7 +60,7 @@ from .diagnostics import (
     count_by_severity,
     sort_diagnostics,
 )
-from .engine import AnalysisReport, Analyzer, comb_signature
+from .engine import AnalysisReport, Analyzer
 from .gate import GateBlockedError, GateDecision, GatePolicy, evaluate_gate
 from .report import (
     SCHEMA_ID,
@@ -110,7 +110,6 @@ __all__ = [
     "ValueRangeCheck",
     "WidthCheck",
     "build_report",
-    "comb_signature",
     "count_by_severity",
     "default_checks",
     "design_entry",

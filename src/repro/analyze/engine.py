@@ -10,15 +10,14 @@ hot reload; an untouched design re-analyzes nothing and an
 ``reused_keys`` — the acceptance counters).
 
 The child component of the key is the child's *comb signature*
-(interface fingerprint + per-output input dependencies), because the
-parent-side loop/race analyses consume exactly that much of the child:
-more than the compile cache's interface fingerprint, much less than
-the child's body.
+(:attr:`~repro.ir.netlist.ModuleIR.comb_signature`: interface
+fingerprint + per-output input dependencies), because the parent-side
+loop/race analyses consume exactly that much of the child: much less
+than the child's body.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -59,15 +58,6 @@ class AnalysisReport:
         if severity is None:
             return list(self.diagnostics)
         return [d for d in self.diagnostics if d.severity == severity]
-
-
-def comb_signature(ir: ModuleIR) -> str:
-    """Hash of what a parent's analyses can observe of a child."""
-    digest = hashlib.sha256(ir.interface_fingerprint().encode())
-    for port in sorted(ir.output_deps):
-        deps = ",".join(sorted(ir.output_deps[port]))
-        digest.update(f";{port}<-{deps}".encode())
-    return digest.hexdigest()
 
 
 class Analyzer:
@@ -119,17 +109,13 @@ class Analyzer:
         }
         with obs.span("analyze", top=netlist.top):
             if value_facts is None:
-                # Function-level import: repro.passes imports this
-                # package (comb_signature), so it must not import
-                # repro.passes at module load time.
+                # Function-level import: repro.passes reaches this
+                # package through repro.hdl (Diagnostic), so it must
+                # not import repro.passes at module load time.
                 from ..passes.dataflow import compute_netlist_facts
 
                 value_facts = compute_netlist_facts(netlist, fps, cache)
             ctx = CheckContext(netlist, value_facts)
-            signatures = {
-                key: comb_signature(ir)
-                for key, ir in netlist.modules.items()
-            }
             for key in sorted(netlist.modules):
                 ir = netlist.modules[key]
                 mod_facts = ctx.facts_for(key)
@@ -137,7 +123,8 @@ class Analyzer:
                     "analyze", key,
                     (key, fps[ir.name],
                      mod_facts.digest if mod_facts is not None else "",
-                     tuple(signatures[i.child_key] for i in ir.instances),
+                     tuple(netlist.modules[i.child_key].comb_signature
+                           for i in ir.instances),
                      self._check_set),
                     lambda: self._run_checks(ir, ctx),
                     report=report,

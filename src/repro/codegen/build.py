@@ -5,8 +5,8 @@ decides *when a compiled module is reusable*.  The in-memory cache keys
 on the ``ModuleKey`` itself, the artifact store on its ``digest`` and
 ``linecache`` on its ``filename`` — nothing else derives any of the
 three.  :class:`DerivedCache` is where a design session keeps every
-per-module derived result: value facts, pass results, findings and
-compiled modules.
+per-module derived result: elaborated IR, value facts, pass results,
+findings and compiled modules.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ CACHE_GENERATIONS = 4
 class DerivedCache:
     """Every per-module derived result of one design session.
 
-    One ``kind`` per producer (``compile``, ``analyze``,
+    One ``kind`` per producer (``elaborate``, ``compile``, ``analyze``,
     ``passes.<name>``) is at once the counter prefix
     (``<kind>.cache_hits`` / ``cache_misses`` / ``cache_evicted``) and,
     with the spec and — for results that differ per flavour — the

@@ -7,7 +7,7 @@ can point back at the user's file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 
@@ -239,37 +239,3 @@ class Design:
     """A parsed compilation unit: every module in one source text."""
 
     modules: Dict[str, Module] = field(default_factory=dict)
-
-
-def shift_lines(node, delta: int) -> None:
-    """Shift every source line in an AST subtree by ``delta``, in place.
-
-    An incremental edit re-parses one module region standalone, so the
-    sub-parse numbers lines from 1; without this shift every diagnostic
-    for that module would point into the region instead of the file.
-    Unset lines (0) stay unset.
-    """
-    if delta == 0:
-        return
-    _shift_lines(node, delta)
-
-
-def _shift_lines(obj, delta: int) -> None:
-    if isinstance(obj, (list, tuple)):
-        for item in obj:
-            _shift_lines(item, delta)
-        return
-    if isinstance(obj, dict):
-        for item in obj.values():
-            _shift_lines(item, delta)
-        return
-    if not is_dataclass(obj) or isinstance(obj, type):
-        return
-    for attr in ("line", "end_line"):
-        value = getattr(obj, attr, None)
-        if isinstance(value, int) and value > 0:
-            setattr(obj, attr, value + delta)
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, (list, tuple, dict)) or is_dataclass(value):
-            _shift_lines(value, delta)

@@ -6,11 +6,20 @@ parameter set).  Specializations are memoized, so a 16x16 PGAS mesh with
 256 identical cores elaborates the core's modules exactly once — this
 sharing is what LiveSim's compile-once/instantiate-many model (paper
 Fig. 4d) is built on.
+
+Across edits a ``ModuleIR`` is reused per specialization through the
+session's :class:`~repro.codegen.build.DerivedCache` (kind
+``elaborate``), keyed on ``(spec key, module fingerprint, ((child key,
+child comb signature) per instance))``: all that lowering reads of the
+module's text and of its children.  A body-only edit rebuilds one
+``ModuleIR``; the rest are the same objects as before, so a
+``ModuleIR`` is immutable once elaboration returns and its ``line``
+fields are those of the parse that produced it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from ..ir.dataflow import compute_output_deps, compute_signal_deps
 from ..ir.netlist import (
@@ -39,8 +48,18 @@ from .errors import ElaborationError, WidthError
 class Elaborator:
     """Drives hierarchy + parameter resolution over a parsed design."""
 
-    def __init__(self, design: ast.Design):
+    def __init__(
+        self, design: ast.Design, cache=None,
+        fingerprint_of: Optional[Callable[[str], str]] = None,
+    ):
+        """``cache`` (a ``DerivedCache``) and ``fingerprint_of`` (module
+        name -> behavioural fingerprint, normally
+        ``LiveParser.fingerprint``) make elaboration incremental;
+        without fingerprints nothing identifies a module across calls
+        and every ``ModuleIR`` is built from scratch."""
         self._design = design
+        self._cache = cache if fingerprint_of is not None else None
+        self._fingerprint_of = fingerprint_of
         self._specs: Dict[str, ModuleIR] = {}
         self._in_progress: Set[str] = set()
 
@@ -71,7 +90,26 @@ class Elaborator:
             raise ElaborationError(f"recursive instantiation of {name!r}", module.line)
         self._in_progress.add(key)
         try:
-            ir = self._build_module_ir(module, env, key)
+            # Children first: a parent's identity includes what it can
+            # see of them.
+            children = [
+                self._specialize(inst.module, {
+                    param: eval_const(expr, env)
+                    for param, expr in inst.param_overrides.items()
+                })
+                for inst in module.instances
+            ]
+            if self._cache is None:
+                ir = self._build_module_ir(module, env, key, children)
+            else:
+                ir = self._cache.lookup(
+                    "elaborate", key,
+                    (key, self._fingerprint_of(name), tuple(
+                        (child.key, child.comb_signature)
+                        for child in children
+                    )),
+                    lambda: self._build_module_ir(module, env, key, children),
+                )
         finally:
             self._in_progress.discard(key)
         self._specs[key] = ir
@@ -101,11 +139,12 @@ class Elaborator:
     # -- per-module IR construction -------------------------------------------
 
     def _build_module_ir(
-        self, module: ast.Module, env: Dict[str, int], key: str
+        self, module: ast.Module, env: Dict[str, int], key: str,
+        children: List[ModuleIR],
     ) -> ModuleIR:
         ir = ModuleIR(name=module.name, key=key, params=dict(env))
         self._declare_signals(module, env, ir)
-        self._lower_instances(module, env, ir)
+        self._lower_instances(module, env, ir, children)
         self._lower_assigns(module, env, ir)
         self._lower_always(module, env, ir)
         self._assign_reg_slots(module, ir)
@@ -180,20 +219,16 @@ class Elaborator:
             )
 
     def _lower_instances(
-        self, module: ast.Module, env: Dict[str, int], ir: ModuleIR
+        self, module: ast.Module, env: Dict[str, int], ir: ModuleIR,
+        children: List[ModuleIR],
     ) -> None:
         seen_names: Set[str] = set()
-        for inst in module.instances:
+        for inst, child in zip(module.instances, children):
             if inst.name in seen_names:
                 raise ElaborationError(
                     f"duplicate instance name {inst.name!r}", inst.line
                 )
             seen_names.add(inst.name)
-            child_overrides = {
-                name: eval_const(expr, env)
-                for name, expr in inst.param_overrides.items()
-            }
-            child = self._specialize(inst.module, child_overrides)
             inst_ir = InstanceIR(name=inst.name, child_key=child.key, line=inst.line)
             for port_name, conn in inst.connections.items():
                 child_sig = child.signals.get(port_name)
@@ -417,6 +452,9 @@ def elaborate(
     design: ast.Design,
     top: str,
     params: Optional[Dict[str, int]] = None,
+    cache=None,
+    fingerprint_of: Optional[Callable[[str], str]] = None,
 ) -> Netlist:
-    """Elaborate ``design`` with ``top`` as the root module."""
-    return Elaborator(design).elaborate(top, params)
+    """Elaborate ``design`` with ``top`` as the root module; ``cache``
+    and ``fingerprint_of`` as for :class:`Elaborator`."""
+    return Elaborator(design, cache, fingerprint_of).elaborate(top, params)

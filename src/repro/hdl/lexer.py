@@ -1,14 +1,32 @@
 """Lexer for LHDL, the Verilog subset used throughout this reproduction.
 
-The lexer works on preprocessed text (see ``repro.hdl.preprocessor``).
-Comments are skipped but counted, so LiveParser can tell comment-only
-edits apart from behavioural ones by comparing token streams rather
-than raw text.
+One compiled master pattern, driven by ``match(text, pos)``: each match
+skips whitespace and comments and takes one token.  A token's line and
+column come from counting the newlines the match skipped (no token
+spans a line), starting at ``start_line``, so a module region lexed on
+its own is born in file coordinates.  :func:`tokenize` is the only
+scanner; :func:`token_fingerprint` hashes a list it produced, which is
+how LiveParser fingerprints a changed region and LiveCompiler parses it
+from one lex.
+
+The lexer works on preprocessed text (see ``repro.hdl.preprocessor``)
+and on raw text, where a `` `NAME`` reference becomes a ``MACRO`` token
+so LiveParser can fingerprint module regions before preprocessing.
+Comments are skipped, so LiveParser can tell comment-only edits apart
+from behavioural ones by comparing token streams rather than raw text.
+
+Identifier, digit and base characters are ASCII classes: ``é`` or ``²``
+is a :class:`LexError` naming the character and its position
+(``str.isalpha`` / ``str.isdigit`` once let them through, into an
+identifier or a ``ValueError``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List
+import hashlib
+import re
+from functools import partial
+from typing import Iterable, List
 
 from .errors import LexError
 from .tokens import (
@@ -28,181 +46,127 @@ from .tokens import (
     Token,
 )
 
-_BASE_DIGITS = {
-    "h": "0123456789abcdefABCDEF",
-    "d": "0123456789",
-    "b": "01",
-    "o": "01234567",
-}
 _BASE_RADIX = {"h": 16, "d": 10, "b": 2, "o": 8}
+# Token(*fields) without the Python-level ``__new__`` a NamedTuple
+# generates: one C call per token, a fifth of the time to lex a region.
+_token = partial(tuple.__new__, Token)
 
 
-class Lexer:
-    """Streaming tokenizer over a single source string."""
+def _char_class(chars: Iterable[str]) -> str:
+    return "[" + re.escape("".join(sorted(chars))) + "]"
 
-    def __init__(self, text: str, start_line: int = 1):
-        self._text = text
-        self._pos = 0
-        self._line = start_line
-        self._col = 1
 
-    def _peek(self, ahead: int = 0) -> str:
-        i = self._pos + ahead
-        return self._text[i] if i < len(self._text) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        chunk = self._text[self._pos : self._pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._pos += count
-        return chunk
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._text):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._col
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start_line, start_col)
-            else:
-                return
-
-    def _lex_number(self) -> Token:
-        line, col = self._line, self._col
-        digits = ""
-        while self._peek().isdigit() or self._peek() == "_":
-            digits += self._advance()
-        digits = digits.replace("_", "")
-        if self._peek() == "'":
-            self._advance()
-            base_ch = self._advance().lower()
-            if base_ch not in _BASE_DIGITS:
-                raise LexError(f"unknown number base {base_ch!r}", line, col)
-            allowed = _BASE_DIGITS[base_ch]
-            body = ""
-            while True:
-                ch = self._peek()
-                # NB: guard against "" (EOF) — '"" in allowed' is True.
-                if not ch or (ch not in allowed and ch != "_"):
-                    break
-                body += self._advance()
-            body = body.replace("_", "")
-            if not body:
-                raise LexError("sized literal with no digits", line, col)
-            width = int(digits) if digits else 32
-            value = int(body, _BASE_RADIX[base_ch])
-            if width <= 0:
-                raise LexError("sized literal must have positive width", line, col)
-            value &= (1 << width) - 1
-            return Token(
-                SIZED_NUMBER, f"{width}'{base_ch}{body}", line, col,
-                num_value=value, num_width=width,
-            )
-        if not digits:
-            raise LexError("malformed number", line, col)
-        return Token(NUMBER, digits, line, col, num_value=int(digits))
-
-    def _lex_ident(self) -> Token:
-        line, col = self._line, self._col
-        name = ""
-        while self._peek().isalnum() or self._peek() in ("_", "$"):
-            name += self._advance()
-        kind = KEYWORD if name in KEYWORDS else IDENT
-        return Token(kind, name, line, col)
-
-    def _lex_syscall(self) -> Token:
-        line, col = self._line, self._col
-        name = self._advance()  # the '$'
-        while self._peek().isalnum() or self._peek() == "_":
-            name += self._advance()
-        if len(name) == 1:
-            raise LexError("bare '$' is not a valid token", line, col)
-        return Token(SYSCALL, name, line, col)
-
-    def next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        if self._pos >= len(self._text):
-            return Token(EOF, "", self._line, self._col)
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch == "'":
-            # Unsized based literal like 'b0 (width defaults to 32).
-            return self._lex_number()
-        if ch.isalpha() or ch == "_":
-            return self._lex_ident()
-        if ch == "$":
-            return self._lex_syscall()
-        if ch == "`":
-            # Raw (un-preprocessed) text: keep the macro reference as a
-            # token so LiveParser can fingerprint module regions before
-            # preprocessing.  Preprocessed text never contains these.
-            line, col = self._line, self._col
-            name = self._advance()
-            while self._peek().isalnum() or self._peek() == "_":
-                name += self._advance()
-            return Token(MACRO, name, line, col)
-        line, col = self._line, self._col
-        for op in MULTI_CHAR_OPS:
-            if self._text.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(OP, op, line, col)
-        if ch in SINGLE_CHAR_OPS:
-            self._advance()
-            return Token(OP, ch, line, col)
-        if ch in PUNCTUATION:
-            self._advance()
-            return Token(PUNCT, ch, line, col)
-        raise LexError(f"unexpected character {ch!r}", line, col)
-
-    def tokens(self) -> Iterator[Token]:
-        while True:
-            tok = self.next_token()
-            yield tok
-            if tok.kind == EOF:
-                return
+# Whitespace and comments, written so that a run has one parse (blanks,
+# then comment + blanks, repeated; a block comment ends at its first
+# ``*/``): a match that fails after it fails in linear time.
+_SKIP = re.compile(
+    r"[ \t\r\n]*(?:(?://[^\n]*|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)[ \t\r\n]*)*"
+)
+# Every token group is named by the kind it lexes to (IDENT also covers
+# keywords; _BAD is no kind).  Order matters: a sized literal before a
+# plain number, an unterminated comment (the only ``/*`` _SKIP leaves)
+# before the ``/`` operator, multi-character operators before single.
+_BAD = "BAD"
+_TOKEN = re.compile(
+    _SKIP.pattern
+    + rf"(?:(?P<{IDENT}>[A-Za-z_][A-Za-z0-9_$]*)"
+    rf"|(?P<{SIZED_NUMBER}>(?:[0-9][0-9_]*)?'"
+    r"(?:[hH][0-9a-fA-F_]*|[dD][0-9_]*|[bB][01_]*|[oO][0-7_]*))"
+    rf"|(?P<{NUMBER}>[0-9][0-9_]*)(?![0-9_'])"
+    rf"|(?P<{_BAD}>/\*)"
+    rf"|(?P<{OP}>" + "|".join(map(re.escape, MULTI_CHAR_OPS))
+    + "|" + _char_class(SINGLE_CHAR_OPS) + ")"
+    rf"|(?P<{PUNCT}>" + _char_class(PUNCTUATION) + ")"
+    rf"|(?P<{SYSCALL}>\$[A-Za-z0-9_]+)"
+    rf"|(?P<{MACRO}>`[A-Za-z0-9_]*)"
+    rf"|(?P<{EOF}>\Z))"
+)
 
 
 def tokenize(text: str, start_line: int = 1) -> List[Token]:
-    """Tokenize ``text`` fully, returning the EOF token as the last item."""
-    return list(Lexer(text, start_line=start_line).tokens())
+    """Tokenize ``text`` (its first line being line ``start_line``)
+    fully, returning the EOF token as the last item."""
+    tokens: List[Token] = []
+    append, match = tokens.append, _TOKEN.match
+    pos, line, line_start = 0, start_line, 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup if m is not None else _BAD
+        if kind == _BAD:
+            raise _error(text, pos, line)
+        start, end = m.span(kind)
+        if start != pos:
+            newlines = text.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, start) + 1
+        col = start - line_start + 1
+        value = text[start:end]
+        pos = end
+        if kind == IDENT:
+            if value in KEYWORDS:
+                kind = KEYWORD
+            append(_token((kind, value, line, col, None, None)))
+        elif kind == SIZED_NUMBER:
+            append(_sized_number(value, line, col))
+        elif kind == NUMBER:
+            digits = value.replace("_", "")
+            append(_token((NUMBER, digits, line, col, int(digits), None)))
+        else:
+            append(_token((kind, value, line, col, None, None)))
+            if kind == EOF:
+                return tokens
+
+
+def _sized_number(text: str, line: int, col: int) -> Token:
+    """``8'hFF`` / ``'b1`` (width defaults to 32), canonicalised."""
+    digits, _, based = text.partition("'")
+    base, body = based[0].lower(), based[1:].replace("_", "")
+    if not body:
+        raise LexError("sized literal with no digits", line, col)
+    width = int(digits.replace("_", "")) if digits else 32
+    if width <= 0:
+        raise LexError("sized literal must have positive width", line, col)
+    value = int(body, _BASE_RADIX[base]) & ((1 << width) - 1)
+    text = f"{width}'{base}{body}"
+    return _token((SIZED_NUMBER, text, line, col, value, width))
+
+
+def _error(text: str, pos: int, line: int) -> LexError:
+    """Why no token starts after the whitespace and comments at ``pos``."""
+    start = _SKIP.match(text, pos).end()
+    line += text.count("\n", pos, start)
+    col = start - text.rfind("\n", 0, start)
+    ch = text[start]
+    if text.startswith("/*", start):
+        return LexError("unterminated block comment", line, col)
+    if ch == "$":
+        return LexError("bare '$' is not a valid token", line, col)
+    if ch in "0123456789'":
+        # Digits lex unless a quote follows them, and a quote lexes
+        # unless what follows it is no base.
+        quote = text.index("'", start)
+        base = text[quote + 1 : quote + 2].lower()
+        return LexError(f"unknown number base {base!r}", line, col)
+    return LexError(f"unexpected character {ch!r}", line, col)
+
+
+def token_fingerprint(tokens: Iterable[Token]) -> str:
+    """Hash of a token stream: kinds, names and literal (value, width)
+    pairs, not positions or how a literal was spelled."""
+    return hashlib.sha256("".join(
+        f"{kind}\0{value}\1" if num is None else f"{kind}\0{num}/{width}\1"
+        for kind, value, _, _, num, width in tokens
+        if kind != EOF
+    ).encode()).hexdigest()
 
 
 def behavioral_fingerprint(text: str) -> str:
-    """Hash of the token stream, insensitive to comments and whitespace.
+    """Hash of ``text``'s token stream, insensitive to comments and
+    whitespace.
 
     LiveParser uses this to decide whether an edit changed behaviour
     (paper §III-C: "confirm that actual behavior was changed, not just
     comments or spacing").
     """
-    import hashlib
-
-    digest = hashlib.sha256()
-    for tok in Lexer(text).tokens():
-        if tok.kind == EOF:
-            break
-        digest.update(tok.kind.encode())
-        digest.update(b"\x00")
-        if tok.num_value is not None:
-            digest.update(str(tok.num_value).encode())
-            digest.update(b"/")
-            digest.update(str(tok.num_width).encode())
-        else:
-            digest.update(tok.value.encode())
-        digest.update(b"\x01")
-    return digest.hexdigest()
+    return token_fingerprint(tokenize(text))

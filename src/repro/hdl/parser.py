@@ -507,10 +507,21 @@ class Parser:
         return ast.Index(base=tok.value, index=first, line=tok.line)
 
 
-def parse(source: str, predefines: Optional[Dict[str, str]] = None) -> ast.Design:
-    """Preprocess + tokenize + parse ``source`` into a :class:`Design`."""
-    pp = preprocess(source, predefines)
-    return Parser(tokenize(pp.text)).parse_design()
+def parse(
+    source: str,
+    predefines: Optional[Dict[str, str]] = None,
+    tokens: Optional[List[Token]] = None,
+) -> ast.Design:
+    """Preprocess + tokenize + parse ``source`` into a :class:`Design`.
+
+    ``tokens`` is ``source`` already lexed, for macro-free text that
+    preprocessing would leave as it is (a module region LiveParser
+    fingerprinted, lexed at its file line): parsed without a second
+    scan, every node and error in the coordinates the tokens carry.
+    """
+    if tokens is None:
+        tokens = tokenize(preprocess(source, predefines).text)
+    return Parser(tokens).parse_design()
 
 
 def parse_expr(source: str) -> ast.Expr:

@@ -8,8 +8,7 @@ regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # Token kinds.
 KEYWORD = "KEYWORD"
@@ -69,13 +68,13 @@ SINGLE_CHAR_OPS = frozenset("+-*/%&|^~!<>?")
 PUNCTUATION = frozenset("()[]{}:;,.#=@")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token, in file coordinates.
 
     ``value`` is the raw text for identifiers/operators; for sized
     numbers it is the canonical ``(width, value)`` pair encoded by the
-    lexer in ``num_width``/``num_value``.
+    lexer in ``num_width``/``num_value``.  A named tuple because the
+    lexer builds one per token: construction is the cost that matters.
     """
 
     kind: str

@@ -9,7 +9,9 @@ six compiled code objects.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..hdl import ast_nodes as ast
@@ -184,8 +186,6 @@ class ModuleIR:
         compatible) — mirroring the paper's observation that interface
         edits widen the recompilation set.
         """
-        import hashlib
-
         digest = hashlib.sha256()
         for name in self.inputs:
             digest.update(f"i:{name}:{self.signals[name].width};".encode())
@@ -200,6 +200,22 @@ class ModuleIR:
         # The eval_out calling convention (which inputs are
         # comb-relevant) is part of the interface too.
         digest.update(("c:" + ",".join(self.comb_input_ports)).encode())
+        return digest.hexdigest()
+
+    @cached_property
+    def comb_signature(self) -> str:
+        """Hash of what a parent can observe of this module: the
+        interface plus each output's input dependencies.
+
+        The child component of every parent-side identity (elaboration,
+        compile and analyze caches, ``swapStage``'s compatibility
+        test).  Hashed once per ``ModuleIR``, on first use: the IR does
+        not change after elaboration.
+        """
+        digest = hashlib.sha256(self.interface_fingerprint().encode())
+        for port in sorted(self.output_deps):
+            deps = ",".join(sorted(self.output_deps[port]))
+            digest.update(f";{port}<-{deps}".encode())
         return digest.hexdigest()
 
 

@@ -1,7 +1,7 @@
 """LiveCompiler: incremental, cache-driven compilation.
 
-Everything derived from a module (value facts, pass results, findings,
-the compiled module) lives in the compiler's one
+Everything derived from a module (its elaborated IR, value facts, pass
+results, findings, the compiled module) lives in the compiler's one
 :class:`~repro.codegen.build.DerivedCache`, bounded to the most
 recently used generations.  Compilation is cached at specialization
 granularity, keyed by :class:`~repro.codegen.build.ModuleKey`.  A
@@ -19,6 +19,14 @@ compiled module is reusable when
 So a body-only edit recompiles exactly one module; an interface edit
 recompiles the module plus its ancestor chain — matching the paper's
 description of how far a change propagates.
+
+The front end is incremental the same way.  A changed module region is
+parsed from the tokens LiveParser already lexed to fingerprint it (one
+scan per changed region, in file coordinates), all changed regions are
+parsed before any is installed (a rejected edit leaves the design as it
+was), and elaboration reuses one ``ModuleIR`` per specialization from
+the same cache under ``(spec key, module fingerprint, child key + comb
+signature per instance)``.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from typing import Dict, List, Optional
 from .. import obs
 from ..codegen.build import BuildConfig, DerivedCache
 from ..codegen.pygen import CompiledModule
-from ..hdl.ast_nodes import shift_lines
 from ..hdl.elaborate import elaborate
 from ..hdl.errors import HDLError
 from ..hdl.parser import parse
@@ -168,24 +175,22 @@ class LiveCompiler:
             )
         )
         if incremental_ok:
-            for name in result.changed_modules | result.added_modules:
-                region = regions[name]
-                sub_design = parse(region.text)
+            # Every changed region parses before any is installed, so a
+            # syntax error in one leaves the design untouched.
+            parsed = {}
+            for name in sorted(result.changed_modules | result.added_modules):
+                sub_design = parse(
+                    regions[name].text, tokens=result.tokens[name]
+                )
                 if name not in sub_design.modules:
                     raise HDLError(
                         f"edited region no longer defines module {name!r}"
                     )
-                module_ast = sub_design.modules[name]
-                # The standalone sub-parse numbered lines from 1; shift
-                # them back to file coordinates so diagnostics point at
-                # the user's actual source.
-                shift_lines(module_ast, region.start_line - 1)
-                self._design.modules[name] = module_ast
+                parsed[name] = sub_design.modules[name]
+            self._design.modules.update(parsed)
         else:
-            design = parse(new_source)
-            self._design = design
-        for name in result.removed_modules:
-            self._design.modules.pop(name, None)
+            # Removed modules go with the old design.
+            self._design = parse(new_source)
         self.parser.commit(result)
         self._last_parse_seconds = time.perf_counter() - started
         result.parse_seconds = self._last_parse_seconds
@@ -204,7 +209,10 @@ class LiveCompiler:
 
         started = time.perf_counter()
         with obs.span("elaborate", top=top):
-            netlist = elaborate(self._design, top, params)
+            netlist = elaborate(
+                self._design, top, params,
+                cache=self.cache, fingerprint_of=self.parser.fingerprint,
+            )
         report.elaborate_seconds = time.perf_counter() - started
 
         started = time.perf_counter()

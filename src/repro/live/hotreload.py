@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Set
 
-from ..analyze.engine import comb_signature
 from ..codegen.pygen import CompiledModule
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
@@ -102,7 +101,7 @@ class HotReloader:
             raise SimulationError(
                 f"new library has no module for key {inst.code.key!r}"
             )
-        if comb_signature(new_code.ir) != comb_signature(inst.code.ir):
+        if new_code.ir.comb_signature != inst.code.ir.comb_signature:
             raise SimulationError(
                 f"stage {stage_path!r} interface changed; the parent must be "
                 "recompiled — use swap_pipe instead"

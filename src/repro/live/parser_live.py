@@ -14,6 +14,12 @@ The decision procedure:
 3. A changed/added/removed directive poisons every module whose region
    starts below the earliest affected directive line ("much more will
    have to be recompiled").
+
+A region whose text changed is lexed once, at its line in the file; the
+fingerprint is taken from that token list and the list travels in the
+:class:`LiveParseResult`, so LiveCompiler parses the region from the
+same tokens instead of scanning it again.  Regions whose text did not
+change are not lexed at all.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from ..hdl.lexer import behavioral_fingerprint
+from ..hdl.lexer import behavioral_fingerprint, token_fingerprint, tokenize
 from ..hdl.source_regions import (
     DIRECTIVE_REGION,
     MODULE_REGION,
     SourceRegion,
     split_regions,
 )
+from ..hdl.tokens import Token
 
 
 @dataclass
@@ -49,6 +56,9 @@ class LiveParseResult:
     source: str = ""
     regions: List[SourceRegion] = field(default_factory=list)
     fingerprints: Dict[str, str] = field(default_factory=dict)
+    # module name -> the tokens of its region, in file coordinates, for
+    # every module region whose text changed (the only ones lexed).
+    tokens: Dict[str, List[Token]] = field(default_factory=dict)
 
     @property
     def modules_to_recompile(self) -> Set[str]:
@@ -61,7 +71,13 @@ class LiveParser:
     def __init__(self, source: str):
         self._source = source
         self._regions = split_regions(source)
-        self._fingerprints = self._fingerprint_modules(self._regions)
+        self._fingerprints = {
+            region.name: token_fingerprint(
+                tokenize(region.text, region.start_line)
+            )
+            for region in self._regions
+            if region.kind == MODULE_REGION
+        }
         self._region_texts = {
             r.name: r.text for r in self._regions if r.kind == MODULE_REGION
         }
@@ -73,14 +89,6 @@ class LiveParser:
     @property
     def regions(self) -> List[SourceRegion]:
         return list(self._regions)
-
-    @staticmethod
-    def _fingerprint_modules(regions: List[SourceRegion]) -> Dict[str, str]:
-        fps: Dict[str, str] = {}
-        for region in regions:
-            if region.kind == MODULE_REGION:
-                fps[region.name] = behavioral_fingerprint(region.text)
-        return fps
 
     @staticmethod
     def _directive_signature(regions: List[SourceRegion]) -> List[str]:
@@ -141,13 +149,15 @@ class LiveParser:
         # Fast path: textually identical regions keep their fingerprint
         # (lexing is only paid for regions that actually changed).
         new_fps: Dict[str, str] = {}
+        tokens: Dict[str, List[Token]] = {}
         for region in new_regions:
             if region.kind != MODULE_REGION:
                 continue
             if self._region_texts.get(region.name) == region.text:
                 new_fps[region.name] = self._fingerprints[region.name]
             else:
-                new_fps[region.name] = behavioral_fingerprint(region.text)
+                tokens[region.name] = tokenize(region.text, region.start_line)
+                new_fps[region.name] = token_fingerprint(tokens[region.name])
         old_fps = self._fingerprints
 
         result = LiveParseResult(
@@ -155,6 +165,7 @@ class LiveParser:
             source=new_source,
             regions=new_regions,
             fingerprints=new_fps,
+            tokens=tokens,
         )
         old_names = set(old_fps)
         new_names = set(new_fps)

@@ -3,9 +3,8 @@
 Produces ``elab.facts``: per-specialization structural facts derived
 bottom-up from the elaborated IR —
 
-* ``comb_signature`` — what a parent-side analysis can observe of the
-  module (interface fp + per-output dependencies), shared with
-  :mod:`repro.analyze`;
+* ``comb_signature`` — what a parent can observe of the module
+  (interface fp + per-output dependencies), read off the ``ModuleIR``;
 * ``pure`` — True when the whole *subtree* is stateless (no registers,
   memories, sequential blocks, or fixpoint iteration anywhere below):
   its ``cycle`` call is a no-op a parent may elide.
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..analyze.engine import comb_signature
 from ..ir.netlist import ModuleIR
 from .base import Pass, PassData
 
@@ -63,7 +61,7 @@ class ElaborateFactsPass(Pass):
                 visit(inst.child_key).pure for inst in ir.instances
             )
             facts[key] = ElabFacts(
-                comb_signature=comb_signature(ir),
+                comb_signature=ir.comb_signature,
                 pure=module_is_pure(ir, pure_children),
             )
             return facts[key]

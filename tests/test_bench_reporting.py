@@ -234,6 +234,7 @@ class TestRegressionGate:
 class TestCIWorkflow:
     def test_workflow_yaml_parses(self):
         import pathlib
+        import re
 
         import pytest
 
@@ -256,6 +257,17 @@ class TestCIWorkflow:
         assert "repro.bench fig6 fig7 fig8 table7 --sizes" in " ".join(
             bench.split()
         )
+        # livebench's committed trajectory gates: the newest
+        # BENCH_<pr>.json, whichever it is, is what `check` reads.
+        smoke = " ".join(
+            step.get("run", "") for step in doc["jobs"]["server-smoke"]["steps"]
+        )
+        assert "--workload edit_loop2 --repeat 4 --seconds 12" in smoke
+        assert (
+            'run.py check "$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)" '
+            "LIVEBENCH_ci.json"
+        ) in smoke
+        assert not re.search(r"BENCH_\d+\.json", smoke)
         # Every job funnels through the shared setup action and the
         # workflow cancels superseded runs.
         assert "concurrency" in doc

@@ -1,11 +1,21 @@
 """Lexer unit tests: token classification, literals, comments, errors."""
 
+import glob
+import hashlib
+import os
+
 import pytest
 
 from repro.hdl.errors import LexError
 from repro.hdl.lexer import behavioral_fingerprint, tokenize
+from repro.hdl.source_regions import module_regions
 from repro.hdl.tokens import (
     EOF, IDENT, KEYWORD, NUMBER, OP, PUNCT, SIZED_NUMBER, SYSCALL,
+)
+from repro.riscv.pgas import build_pgas_source
+
+DESIGNS = os.path.join(
+    os.path.dirname(__file__), os.pardir, "examples", "designs"
 )
 
 
@@ -163,3 +173,126 @@ class TestFingerprint:
 
     def test_renamed_identifier_differs(self):
         assert behavioral_fingerprint("wire a;") != behavioral_fingerprint("wire b;")
+
+
+def positions(text, start_line=1):
+    return [(t.value, t.line, t.col) for t in tokenize(text, start_line)]
+
+
+class TestErrorParity:
+    """Message, line and column of every malformed input, as the
+    character-walking lexer (before PR 20) reported them."""
+
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("a /* never closed", "unterminated block comment", 1, 3),
+        ("a\n  /* never\nclosed", "unterminated block comment", 2, 3),
+        ("$ ", "bare '$' is not a valid token", 1, 1),
+        ("8'q0", "unknown number base 'q'", 1, 1),
+        ("12'Q", "unknown number base 'q'", 1, 1),
+        ("8'h ;", "sized literal with no digits", 1, 1),
+        ("8'h", "sized literal with no digits", 1, 1),
+        ("'", "unknown number base ''", 1, 1),
+        ("x = 8'", "unknown number base ''", 1, 5),
+        ("4'b_", "sized literal with no digits", 1, 1),
+        ("0'd1", "sized literal must have positive width", 1, 1),
+        ("a \\ b", "unexpected character '\\\\'", 1, 3),
+    ])
+    def test_malformed_input(self, text, message, line, col):
+        with pytest.raises(LexError) as err:
+            tokenize(text)
+        assert str(err.value) == f"line {line}:{col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("text, char, col", [
+        ("assign x = \u00b2;", "\u00b2", 12),
+        ("assign x = 1\u00b2;", "\u00b2", 13),
+        ("wire \u00e9;", "\u00e9", 6),
+        ("wire a\u00e9;", "\u00e9", 7),
+    ])
+    def test_non_ascii_is_a_lex_error(self, text, char, col):
+        # The one intended difference: str.isdigit / isalpha accepted
+        # these, ending in a ValueError or an identifier.
+        with pytest.raises(LexError) as err:
+            tokenize("\n" + text)
+        assert str(err.value) == f"line 2:{col}: unexpected character {char!r}"
+
+    def test_non_ascii_in_comments_is_skipped(self):
+        assert kinds("a // \u00e9\n/* \u00b2 */ b") == [
+            (IDENT, "a"), (IDENT, "b"),
+        ]
+
+    def test_a_failing_match_is_linear(self):
+        # Whitespace and comments have one parse, so the pattern cannot
+        # backtrack through every split of a long run before it fails.
+        with pytest.raises(LexError) as err:
+            tokenize("/*a*/ " * 2000 + " " * 2000 + "\\")
+        assert (err.value.line, err.value.col) == (1, 14001)
+
+
+class TestPositions:
+    def test_crlf(self):
+        assert positions("a\r\nb\r\n  c") == [
+            ("a", 1, 1), ("b", 2, 1), ("c", 3, 3), ("", 3, 4),
+        ]
+
+    def test_tab_is_one_column(self):
+        assert positions("\ta\tb") == [("a", 1, 2), ("b", 1, 4), ("", 1, 5)]
+
+    def test_line_comment_at_eof_without_newline(self):
+        assert positions("a // c") == [("a", 1, 1), ("", 1, 7)]
+
+    def test_block_comment_spanning_lines(self):
+        assert positions("a /* x\ny */ b /* z */\n c") == [
+            ("a", 1, 1), ("b", 2, 6), ("c", 3, 2), ("", 3, 3),
+        ]
+        assert positions("x /* 1\n2\n3 */   y") == [
+            ("x", 1, 1), ("y", 3, 8), ("", 3, 9),
+        ]
+
+    def test_start_line_offsets_tokens_and_errors(self):
+        assert positions("a\n b", start_line=41) == [
+            ("a", 41, 1), ("b", 42, 2), ("", 42, 3),
+        ]
+        with pytest.raises(LexError, match="line 42:3: bare"):
+            tokenize("a\n  $", start_line=41)
+
+
+def _design_texts():
+    texts = {"pgas2": build_pgas_source(2)}
+    for path in sorted(glob.glob(os.path.join(DESIGNS, "*.v"))):
+        with open(path) as fh:
+            texts[os.path.basename(path)] = fh.read()
+    return texts
+
+
+class TestGoldenStreams:
+    """The language did not move: digests computed at the parent of
+    PR 20 (commit 9373243), whose lexer walked characters."""
+
+    GOLDEN = {
+        # name: (token stream digest, region fingerprints digest)
+        "pgas2": ("76d8a01741cd2ec1", "4a042fd2a317fce5"),
+        "counter.v": ("228e595be490a81d", "8aecf67b14b49c9f"),
+        "pitfalls.v": ("af9afeab6255daa7", "d1afda3d924ed8e0"),
+        "ranges.v": ("00f722c12e216692", "402606f717d70a5b"),
+        "ring.v": ("01a5ee8a510fabe2", "4246cedb3307b96a"),
+    }
+
+    def test_every_design_is_pinned(self):
+        assert set(_design_texts()) == set(self.GOLDEN)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_token_stream_and_fingerprints(self, name):
+        text = _design_texts()[name]
+        stream = repr([
+            (t.kind, t.value, t.line, t.col, t.num_value, t.num_width)
+            for t in tokenize(text)
+        ])
+        fingerprints = repr(sorted(
+            (module, behavioral_fingerprint(region.text))
+            for module, region in module_regions(text).items()
+        ))
+        assert (
+            hashlib.sha256(stream.encode()).hexdigest()[:16],
+            hashlib.sha256(fingerprints.encode()).hexdigest()[:16],
+        ) == self.GOLDEN[name]

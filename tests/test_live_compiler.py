@@ -186,41 +186,92 @@ class TestIncrementalRecompile:
         )
 
     @pytest.mark.parametrize(
-        "edit, behavioral, lexed",
+        "old, new, behavioral, parsed, scanned",
         [
-            ("assign sum = a - b;", True, 1),
-            ("assign sum = a + b;  // reviewed", False, 1),
+            # One region changed behaviour: its text is scanned once,
+            # for the fingerprint and the parse alike.
+            ("assign sum = a + b;", "assign sum = a - b;", True, 1,
+             ["adder"]),
+            # Cosmetic: scanned once to learn that, never parsed.
+            ("assign sum = a + b;", "assign sum = a + b;  // reviewed",
+             False, 0, ["adder"]),
+            # A region that uses a macro cannot be parsed on its own:
+            # its raw text is scanned for the fingerprint, then the
+            # whole preprocessed file for the parse (two texts).
+            ("count_q <= 0;", "count_q <= `ZERO + 1;", True, 1,
+             ["counter", "<preprocessed file>"]),
+            # A `define edit changes no region text: only the whole
+            # preprocessed file is scanned.
+            ("`define ZERO 0", "`define ZERO 1", True, 1,
+             ["<preprocessed file>"]),
         ],
     )
     def test_an_edit_splits_once_and_lexes_its_region_once(
-        self, monkeypatch, edit, behavioral, lexed
+        self, monkeypatch, old, new, behavioral, parsed, scanned
     ):
-        from repro.hdl import source_regions
+        import sys
+
+        from repro.hdl import lexer, source_regions
+        from repro.hdl.parser import Parser
+        from repro.hdl.preprocessor import preprocess
         from repro.live import parser_live
         from repro.live.session import LiveSession
 
-        session = LiveSession(COUNTER_SRC)
+        source = "`define ZERO 0\n" + COUNTER_SRC
+        session = LiveSession(source)
         session.inst_pipe("p0", session.stage_handle_for("top"))
-        calls = {"split": 0, "lex": 0}
+        calls = {"split": 0, "parse": 0}
+        scans = []  # every text handed to the lexer from outside it
+        depth = [0]
+
+        def counted_scan(fn):
+            def wrapper(*args, **kwargs):
+                if not depth[0] and isinstance(args[0], str):
+                    scans.append(args[0])
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        # Every public function of the lexer, wherever repro bound it
+        # (``from x import f`` copies the reference into the importer).
+        for attr, fn in list(vars(lexer).items()):
+            if attr.startswith("_") or (
+                getattr(fn, "__module__", None) != lexer.__name__
+            ):
+                continue
+            wrapped = counted_scan(fn)
+            for mod_name, module in list(sys.modules.items()):
+                if module is None or not mod_name.startswith("repro"):
+                    continue
+                for key, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, key, wrapped)
 
         def counted(name, fn):
-            def wrapper(text):
+            def wrapper(*args):
                 calls[name] += 1
-                return fn(text)
+                return fn(*args)
             return wrapper
 
         split = counted("split", source_regions.split_regions)
         monkeypatch.setattr(source_regions, "split_regions", split)
         monkeypatch.setattr(parser_live, "split_regions", split)
         monkeypatch.setattr(
-            parser_live, "behavioral_fingerprint",
-            counted("lex", parser_live.behavioral_fingerprint),
+            Parser, "parse_design", counted("parse", Parser.parse_design)
         )
-        report = session.apply_change(
-            COUNTER_SRC.replace("assign sum = a + b;", edit)
-        )
+        edited = source.replace(old, new)
+        report = session.apply_change(edited)
         assert report.behavioral == behavioral
-        assert calls == {"split": 1, "lex": lexed}
+        assert calls == {"split": 1, "parse": parsed}
+        regions = source_regions.module_regions(edited)
+        assert scans == [
+            regions[name].text if name in regions
+            else preprocess(edited).text
+            for name in scanned
+        ]
 
     def test_added_module_compiles(self):
         compiler = LiveCompiler(COUNTER_SRC)
@@ -239,6 +290,274 @@ endmodule
         compiler.compile_top("extra")
         compiler.update_source(COUNTER_SRC)
         assert "extra" not in compiler.design.modules
+
+
+PAIR_SRC = """module a (input clk, input [7:0] x, output [7:0] y);
+  assign y = x + 8'd1;
+endmodule
+
+module b (input clk, input [7:0] x, output [7:0] y);
+  wire [7:0] t;
+  a u (.clk(clk), .x(x), .y(t));
+  assign y = t;
+endmodule
+"""
+
+
+class TestRejectedEdit:
+    """An edit that is refused leaves no trace: not in the text, not in
+    the fingerprints and not in the AST the next compile elaborates."""
+
+    @pytest.mark.parametrize("good, bad", [
+        (("+ 8'd1", "+ 8'd2"), ("assign y = t;", "assign y = t +;")),
+        (("assign y = t;", "assign y = t + 8'd1;"),
+         ("x + 8'd1;", "x + ;")),
+    ])
+    def test_a_two_module_edit_with_one_syntax_error(self, good, bad):
+        from repro.hdl.parser import parse
+
+        session = LiveSession(PAIR_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("b"))
+        pipe = session.pipe("p0")
+        pipe.set_inputs(x=10)
+        assert pipe.eval()["y"] == 11
+        with pytest.raises(HDLError):
+            session.apply_change(PAIR_SRC.replace(*good).replace(*bad))
+        assert session.compiler.source == PAIR_SRC
+        assert session.compiler.design.modules == parse(PAIR_SRC).modules
+        # Rebuilds of the unchanged source must not pick up the half of
+        # the edit that parsed.
+        session.set_opt("basic")
+        assert pipe.eval()["y"] == 11
+        session.set_sanitize("report")
+        assert pipe.eval()["y"] == 11
+        report = session.apply_change(PAIR_SRC.replace(*good))
+        assert report.behavioral
+        pipe.set_inputs(x=10)  # the replay rewound to power-on
+        assert pipe.eval()["y"] == 12
+
+
+class TestFileCoordinates:
+    """A diagnostic for an incrementally re-parsed module carries the
+    position a from-scratch build of the whole new text reports."""
+
+    EDITS = {
+        "lex": "assign y = t $ ;",
+        "parse": "assign y = t +;",
+        "elaborate": "assign y = nope;",
+        "width": "wire [0:3] w;\n  assign y = t;",
+    }
+
+    @staticmethod
+    def _from_scratch(source):
+        from repro.hdl.elaborate import elaborate
+        from repro.hdl.parser import parse
+
+        with pytest.raises(HDLError) as err:
+            elaborate(parse(source), "b")
+        return type(err.value), str(err.value), err.value.line, err.value.col
+
+    @pytest.mark.parametrize("kind", sorted(EDITS))
+    def test_errors(self, kind):
+        from repro.hdl.errors import (
+            ElaborationError, LexError, ParseError, WidthError,
+        )
+
+        edited = PAIR_SRC.replace("assign y = t;", self.EDITS[kind])
+        expected = self._from_scratch(edited)
+        assert expected[0] is {
+            "lex": LexError, "parse": ParseError,
+            "elaborate": ElaborationError, "width": WidthError,
+        }[kind]
+        assert expected[2] >= 6  # inside b, not region-relative
+
+        compiler = LiveCompiler(PAIR_SRC)
+        compiler.compile_top("b")
+        with pytest.raises(HDLError) as err:
+            compiler.update_source(edited)
+            compiler.compile_top("b")
+        assert expected == (
+            type(err.value), str(err.value), err.value.line, err.value.col
+        )
+
+        session = LiveSession(PAIR_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("b"))
+        with pytest.raises(HDLError) as err:
+            session.apply_change(edited)
+        assert expected == (
+            type(err.value), str(err.value), err.value.line, err.value.col
+        )
+        assert session.compiler.source == PAIR_SRC  # rolled back
+        assert session.apply_change(
+            PAIR_SRC.replace("assign y = t;", "assign y = t + 8'd1;")
+        ).behavioral
+
+    def test_analyzer_finding(self):
+        from repro.analyze import Analyzer
+        from repro.hdl.elaborate import elaborate
+        from repro.hdl.parser import parse
+
+        edited = PAIR_SRC.replace(
+            "assign y = t;", "wire [7:0] unused;\n  assign y = t;"
+        )
+        scratch = Analyzer().analyze_netlist(elaborate(parse(edited), "b"))
+        session = LiveSession(PAIR_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("b"))
+        session.apply_change(edited)
+        live = session.lint("p0")
+        assert [(d.kind, d.module, d.line) for d in live.diagnostics] == [
+            (d.kind, d.module, d.line) for d in scratch.diagnostics
+        ]
+        assert any(d.line == 8 for d in live.diagnostics)
+
+
+PARAM_SRC = """`define BUMP 8'd1
+module child #(parameter N = 1) (input clk, input [7:0] x, output [7:0] y);
+  assign y = x + N;
+endmodule
+module top (input clk, input [7:0] x, output [7:0] y);
+  wire [7:0] t;
+  child c (.clk(clk), .x(x), .y(t));
+  assign y = t + `BUMP;
+endmodule
+"""
+
+
+class TestIncrementalElaboration:
+    """Elaboration rebuilds the ModuleIR of the dirty specialization and
+    of every parent that can see the difference, and reuses the rest
+    (``elaborate.cache_hits`` / ``cache_misses``)."""
+
+    @staticmethod
+    def _elaborate(compiler, top, source=None):
+        """Update + compile: (netlist, specs built, specs reused)."""
+        from unittest import mock
+
+        from repro import obs
+        from repro.hdl.elaborate import Elaborator
+
+        metrics = obs.get_metrics()
+        before = [metrics.counter(f"elaborate.cache_{c}")
+                  for c in ("misses", "hits")]
+        built = []
+        build = Elaborator._build_module_ir
+
+        def counted(self, module, env, key, children):
+            built.append(key)
+            return build(self, module, env, key, children)
+
+        if source is not None:
+            compiler.update_source(source)
+        with mock.patch.object(Elaborator, "_build_module_ir", counted):
+            netlist = compiler.compile_top(top).netlist
+        misses, hits = (
+            metrics.counter(f"elaborate.cache_{c}") - was
+            for c, was in zip(("misses", "hits"), before)
+        )
+        assert (misses, hits) == (
+            len(built), len(netlist.modules) - len(built)
+        )
+        return netlist, sorted(built), hits
+
+    def test_body_edit_in_the_mesh_builds_one_module_ir(self):
+        from repro.riscv.patches import PATCHES
+        from repro.riscv.pgas import build_pgas_source, mesh_top_name
+
+        source, top = build_pgas_source(2), mesh_top_name(2)
+        compiler = LiveCompiler(source)
+        first, built, hits = self._elaborate(compiler, top)
+        assert (len(built), hits) == (10, 0)
+        edited = PATCHES["ex-forward-priority"].inject(source)
+        second, built, hits = self._elaborate(compiler, top, edited)
+        assert (built, hits) == (["rv_ex"], 9)
+        assert [
+            key for key, ir in second.modules.items()
+            if ir is not first.modules[key]
+        ] == ["rv_ex"]
+        # Revert: every specialization is a hit, the very objects.
+        third, built, hits = self._elaborate(compiler, top, source)
+        assert (built, hits) == ([], 10)
+        assert third.modules["rv_ex"] is first.modules["rv_ex"]
+
+    def test_port_added_to_a_child_rebuilds_the_parents_that_see_it(self):
+        compiler = LiveCompiler(COUNTER_SRC)
+        self._elaborate(compiler, "top")
+        edited = COUNTER_SRC.replace(
+            "  output [W-1:0] sum\n);",
+            "  output [W-1:0] sum,\n  output spare\n);\n  assign spare = 1'b0;",
+        )
+        # ``counter`` instantiates the adder; ``top`` sees only the
+        # counter, whose own signature did not move (the compile cache
+        # draws the same line: test_interface_edit_recompiles_parent_chain).
+        _, rebuilt, hits = self._elaborate(compiler, "top", edited)
+        assert (rebuilt, hits) == (["adder#(W=8)", "counter#(W=8)"], 1)
+
+    def test_per_output_dependency_swap_rebuilds_the_parents(self):
+        compiler = LiveCompiler(DEP_SWAP_SRC)
+        self._elaborate(compiler, "top")
+        _, rebuilt, _ = self._elaborate(compiler, "top", DEP_SWAP_EDIT)
+        assert rebuilt == ["child", "mid", "top"]
+
+    def test_child_output_turning_into_a_register_rebuilds_the_parent(self):
+        compiler = LiveCompiler(TWO_MODULE_SRC)
+        self._elaborate(compiler, "top")
+        # Body-only first: the parent is reused ...
+        body = TWO_MODULE_SRC.replace("a + 8'd1", "a + 8'd2")
+        _, rebuilt, _ = self._elaborate(compiler, "top", body)
+        assert rebuilt == ["leaf"]
+        # ... then ``y`` becomes the register itself: same ports, same
+        # widths, but the parent now reads it out of the child's state.
+        registered = TWO_MODULE_SRC.replace(
+            "output [7:0] y);\n  reg [7:0] q;", "output reg [7:0] y);"
+        ).replace("q <= a + 8'd1;\n  assign y = q;", "y <= a + 8'd1;")
+        third, rebuilt, _ = self._elaborate(compiler, "top", registered)
+        assert rebuilt == ["leaf", "top"]
+        assert third.modules["leaf"].signals["y"].state_index == 0
+
+    def test_child_parameter_default_moves_its_spec_key(self):
+        compiler = LiveCompiler(PARAM_SRC)
+        first, _, _ = self._elaborate(compiler, "top")
+        assert sorted(first.modules) == ["child#(N=1)", "top"]
+        edited = PARAM_SRC.replace("parameter N = 1", "parameter N = 2")
+        second, rebuilt, _ = self._elaborate(compiler, "top", edited)
+        # ``top``'s own text did not change; the child it binds did.
+        assert rebuilt == ["child#(N=2)", "top"]
+        assert sorted(second.modules) == ["child#(N=2)", "top"]
+
+    def test_define_edit_rebuilds_every_module_below_it(self):
+        compiler = LiveCompiler(PARAM_SRC)
+        self._elaborate(compiler, "top")
+        edited = PARAM_SRC.replace("`define BUMP 8'd1", "`define BUMP 8'd2")
+        _, rebuilt, _ = self._elaborate(compiler, "top", edited)
+        assert rebuilt == ["child#(N=1)", "top"]
+        _, rebuilt, hits = self._elaborate(compiler, "top", PARAM_SRC)
+        assert (rebuilt, hits) == ([], 2)
+
+    def test_failed_elaboration_caches_nothing(self):
+        compiler = LiveCompiler(COUNTER_SRC)
+        self._elaborate(compiler, "top")
+        held = dict(compiler.cache.entries("elaborate"))
+        with pytest.raises(HDLError, match="undeclared"):
+            self._elaborate(compiler, "top", COUNTER_SRC.replace(
+                "assign sum = a + b;", "assign sum = a + nope;"
+            ))
+        assert compiler.cache.entries("elaborate") == held
+        # What a session's rollback does: the old text comes back and
+        # the next compile rebuilds nothing.
+        _, rebuilt, hits = self._elaborate(compiler, "top", COUNTER_SRC)
+        assert (rebuilt, hits) == ([], 3)
+
+    def test_without_a_cache_every_elaboration_is_from_scratch(self):
+        from repro import obs
+        from repro.hdl.elaborate import elaborate
+        from repro.hdl.parser import parse
+
+        design = parse(COUNTER_SRC)
+        lookups = obs.get_metrics().counter("elaborate.cache_misses")
+        first, second = elaborate(design, "top"), elaborate(design, "top")
+        assert first == second
+        assert first.modules["top"] is not second.modules["top"]
+        assert obs.get_metrics().counter("elaborate.cache_misses") == lookups
 
 
 class TestCacheManagement:
@@ -368,6 +687,7 @@ class TestCacheManagement:
 
         source = MODE_SRC
         compiler = LiveCompiler(source, build=BuildConfig(opt="basic"))
+        elaborated = metrics.counter("elaborate.cache_misses")
         assert missed(source) == (["leaf", "top"], [2, 0, 0, 0])
         # A body edit moves the module's own fingerprint ...
         source = source.replace("a + 8'd1", "a + 8'd2")
@@ -385,6 +705,10 @@ class TestCacheManagement:
         assert metrics.gauge_value("facts.cache_size") == len(
             compiler.cache.entries("passes.dataflow")
         ) + len(compiler.cache.entries("passes.dataflow.summary"))
+        # Elaboration reuse counts in the same registry (what ``stats
+        # deep`` and the repro.obs/v1 report ship): 2 + 1 + 1 + 2 built.
+        counters = obs.report()["metrics"]["counters"]
+        assert counters["elaborate.cache_misses"] - elaborated == 6
 
     def test_bound_keeps_every_flavour_of_the_live_generation(self):
         """The six sanitize x opt flavours of an un-edited design are

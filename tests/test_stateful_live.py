@@ -39,6 +39,7 @@ ground truth starts at the state the pipe was handed over in.
 import os
 import shutil
 import tempfile
+from dataclasses import fields, is_dataclass
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -51,6 +52,8 @@ from hypothesis.stateful import (
 )
 
 from repro.codegen.build import OPT_LEVELS
+from repro.hdl.elaborate import elaborate
+from repro.hdl.parser import parse
 from repro.live.session import LiveSession
 from repro.live.transform import RegisterTransform, TransformOp
 from repro.sim.testbench import hold_inputs, reset_sequence
@@ -102,6 +105,21 @@ def design(delta: int, reg: str = "count_q", shadow: bool = False,
             "      shadow_q <= count_q;\n    end",
         )
     return source.replace("count_q", reg)
+
+
+def without_lines(node):
+    """``node`` (netlist, IR, AST) as plain data minus source lines."""
+    if is_dataclass(node):
+        return type(node).__name__, {
+            f.name: without_lines(getattr(node, f.name))
+            for f in fields(node)
+            if f.name not in ("line", "end_line")
+        }
+    if isinstance(node, dict):
+        return {key: without_lines(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [without_lines(item) for item in node]
+    return node
 
 
 class LiveLoopMachine(RuleBasedStateMachine):
@@ -296,6 +314,21 @@ class LiveLoopMachine(RuleBasedStateMachine):
         timeline.base(timeline.pipe.cycle)
         assert timeline.pipe.cycle == (
             self.origin["cycle"] + len(self.driven)
+        )
+
+    @invariant()
+    def netlist_is_what_elaboration_from_scratch_gives(self) -> None:
+        # Elaboration reuses a ModuleIR per specialization across
+        # edits.  A reused IR keeps the lines of the parse that made
+        # it, and an edit that adds lines to ``counter`` moves ``top``
+        # without re-parsing it: everything but the lines must agree.
+        timeline = self.session.timeline("p0")
+        scratch = elaborate(
+            parse(self.session.compiler.source),
+            timeline.module, timeline.params,
+        )
+        assert without_lines(timeline.compile_result.netlist) == (
+            without_lines(scratch)
         )
 
     @invariant()
