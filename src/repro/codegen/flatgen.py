@@ -526,7 +526,6 @@ def compile_flat(
         reg_widths=dict(compiler._reg_widths),
         mem_specs=dict(compiler._mem_specs),
         child_insts=(),
-        interface_fp=top.interface_fingerprint(),
         source_hash=hashlib.sha256(source.encode()).hexdigest(),
         compile_seconds=elapsed,
         build=build,

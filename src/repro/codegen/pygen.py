@@ -40,8 +40,17 @@ Ordering invariant: a parent reads registered child outputs and
 evaluates every child argument from its locals and its own uncommitted
 state, never from a child's state after that child's ``cycle``; so a
 sibling never sees another sibling's post-edge value, and the parent's
-own commit comes last.  (An exception out of ``cycle`` — a sanitizer
-trap — therefore leaves the edge half taken: see :mod:`repro.sanitize`.)
+own commit comes last.  An edge is atomic: a sanitizer trap inside
+``cycle`` is raised once the edge is complete, and any other exception
+re-syncs the tree (:meth:`repro.sim.pipeline.Pipe.tick`).
+
+Calling convention: arguments are in ``[0, 2**width)`` of their port
+and *the caller guarantees it*; the callee masks nothing.  By
+:mod:`exprgen`'s value invariant an argument can only exceed its port
+when the connected expression is statically wider, which is where the
+generated caller masks (``_child_args``); top-level inputs are masked by
+:class:`~repro.sim.pipeline.Pipe`, the only caller of the raw entry
+points under ``src/``.
 
 Modules with a genuine combinational loop (``needs_fixpoint``) take
 every input in ``eval_out``, carry their comb locals between passes in
@@ -61,6 +70,11 @@ State array layout per instance (a plain Python list)::
 followed, in sanitized builds, by the poison bitmaps and the per-cycle
 nonblocking-write dict (see :class:`StateLayout`).
 
+Invariant: whenever no clock edge is in flight, pending == current and
+every pending-write list is empty.  ``cycle`` relies on it (it commits
+with one copy) and restores it; the other writers (``make_state``,
+``StageInst.poke_reg`` / ``load``) set both halves.
+
 Anything that mutates state outside ``cycle`` (snapshot restore, pokes,
 direct memory writes) must drop the memo of the instance and of every
 ancestor — see :meth:`repro.sim.stage.StageInst.invalidate_cache`.
@@ -72,6 +86,7 @@ import hashlib
 import linecache
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
@@ -150,7 +165,6 @@ class CompiledModule:
     reg_widths: Dict[str, int]
     mem_specs: Dict[str, MemSpec]
     child_insts: Tuple[Tuple[str, str], ...]  # (instance name, child key)
-    interface_fp: str
     source_hash: str
     compile_seconds: float
     build: BuildConfig
@@ -163,6 +177,11 @@ class CompiledModule:
     # initializes swap-introduced registers from this map instead of
     # poisoning them.
     reg_const_init: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def sanitizer(self):
+        """The SanitizerRuntime this code reports to (clean build: None)."""
+        return self.cycle_fn.__globals__.get("_san")
 
     def make_state(self) -> list:
         state: list = [0] * (2 * self.num_regs)
@@ -290,8 +309,8 @@ class _ModuleCompiler:
 
         Returns the expression generator for it and the set it fills
         with every input, comb local and memory the emitted code names;
-        the function's prologue (masks, binds, the tuple of settled
-        locals) is written from that set once the body is complete.
+        the function's prologue (binds, the tuple of settled locals) is
+        written from that set once the body is complete.
         Reads of ``zeroed`` signals lower to literal 0.
 
         Used by eval_out, which is not given the unsettled signals: the
@@ -339,20 +358,18 @@ class _ModuleCompiler:
 
     # -- sanitizer instrumentation (repro.sanitize) ---------------------------
 
-    def _seq_writer_blocks(self) -> Dict[str, Set[int]]:
-        """Signal -> seq block ids that may write it, over the ORIGINAL
-        bodies (optimization only removes writes, so this map is an
-        over-approximation of the emitted writers — safe for the
-        single-writer nw fast path)."""
-        cached = getattr(self, "_seq_writers", None)
-        if cached is None:
-            cached = {}
-            for bid, blk in enumerate(self._ir.seq_blocks):
-                _, writes = stmt_reads_writes(blk.body)
-                for name in writes:
-                    cached.setdefault(name, set()).add(bid)
-            self._seq_writers = cached
-        return cached
+    @cached_property
+    def _seq_writers(self) -> Dict[str, Set[int]]:
+        """Register or memory -> seq block ids that may write it, over
+        the ORIGINAL bodies (optimization only removes writes, so this
+        map is an over-approximation of the emitted writers — safe for
+        the single-writer nw fast path)."""
+        writers: Dict[str, Set[int]] = {}
+        for bid, blk in enumerate(self._ir.seq_blocks):
+            _, writes = stmt_reads_writes(blk.body)
+            for name in writes:
+                writers.setdefault(name, set()).add(bid)
+        return writers
 
     def _san_info(self, signal: str, line: int) -> str:
         """Register one instrumentation site; returns its table ref."""
@@ -465,10 +482,23 @@ class _ModuleCompiler:
     def _tuple(prefix: str, names: List[str]) -> str:
         return "(" + "".join(f"{prefix}{name}, " for name in names) + ")"
 
-    def _mask_inputs(self, ports: List[str]) -> None:
-        for name in ports:
-            width = self._ir.signals[name].width
-            self._emit.line(f"i_{name} &= {mask_of(width)}")
+    def _child_args(self, exprgen: ExprGen, inst, ports: List[str]) -> str:
+        """Arguments for ``ports`` of one child, in range for the port
+        (the calling convention): an expression statically wider than
+        its port is masked here, a literal folded; the rest already fit."""
+        signals = self._netlist.modules[inst.child_key].signals
+        args = ""
+        for port in ports:
+            expr = self._expr(inst.input_conns[port])
+            code = exprgen.gen(expr)
+            if exprgen.width_of(expr) > signals[port].width:
+                mask = mask_of(signals[port].width)
+                if isinstance(expr, ast.Num):
+                    code = str(expr.value & mask)
+                else:
+                    code = f"(({code}) & {mask})"
+            args += ", " + code
+        return args
 
     def _bind_memories(self, reads: Set[str]) -> None:
         for name, spec in self._mem_slot.items():
@@ -494,23 +524,12 @@ class _ModuleCompiler:
         involved children with zero arguments and bind only their
         dependency-free outputs, which are correct under any inputs
         (and therefore always settled: eval_out only)."""
-        by_instance: Dict[int, List[Tuple[str, str]]] = {}
+        by_instance: Dict[int, Dict[str, str]] = {}
         for index, port, target in self._ir.early_bind:
-            by_instance.setdefault(index, []).append((port, target))
-        for index, bindings in by_instance.items():
-            inst = self._ir.instances[index]
-            child = self._netlist.modules[inst.child_key]
-            ref = self._emit.fresh("e")
-            self._emit.line(f"{ref} = ch[{index}]")
-            zeros = ", 0" * len(self._child_comb_ports(inst))
-            result = self._emit.fresh("er")
-            self._emit.line(
-                f"{result} = {ref}.code.eval_out_fn({ref}.state, "
-                f"{ref}.children{zeros})"
-            )
-            for port, target in bindings:
-                j = list(child.outputs).index(port)
-                self._emit.line(f"v_{target} = {result}[{j}]")
+            by_instance.setdefault(index, {})[port] = target
+        for index, binds in by_instance.items():
+            ports = self._child_comb_ports(self._ir.instances[index])
+            self._call_eval_out(index, binds, ", 0" * len(ports))
 
     def _comb_signal_names(self) -> List[str]:
         """Every comb-driven signal local, in deterministic order."""
@@ -612,9 +631,7 @@ class _ModuleCompiler:
 
     def _child_comb_ports(self, inst) -> List[str]:
         child = self._netlist.modules[inst.child_key]
-        if child.needs_fixpoint:
-            return list(child.inputs)
-        return child.comb_input_ports
+        return child.inputs if child.needs_fixpoint else child.comb_input_ports
 
     def _gen_instance_out(self, exprgen: ExprGen, index: int,
                           in_cycle: bool) -> None:
@@ -625,40 +642,36 @@ class _ModuleCompiler:
         ir = self._ir
         inst = ir.instances[index]
         child = self._netlist.modules[inst.child_key]
-        registered = set(inst.registered_ports)
-        binds = [
-            (j, inst.output_conns[port])
-            for j, port in enumerate(child.outputs)
-            if port in inst.output_conns and port not in registered
-        ]
+        binds = {p: t for p, t in inst.output_conns.items()
+                 if p not in inst.registered_ports}
         if ir.needs_fixpoint:
             pass  # the whole body, every pass
         elif in_cycle:
             arg_reads = inst.reads if child.needs_fixpoint else inst.comb_reads
             if self._unsettled.isdisjoint(arg_reads):
                 return
-            binds = [b for b in binds if b[1] in self._unsettled]
+            binds = {p: t for p, t in binds.items() if t in self._unsettled}
         else:
-            early = {t for i, _, t in ir.early_bind if i == index}
-            binds = [
-                b for b in binds
-                if b[1] not in self._unsettled and b[1] not in early
-            ]
+            elsewhere = {t for i, _, t in ir.early_bind if i == index}
+            elsewhere |= self._unsettled
+            binds = {p: t for p, t in binds.items() if t not in elsewhere}
             if not binds:
                 return  # its own cycle evaluates it, with every input
+        args = self._child_args(exprgen, inst, self._child_comb_ports(inst))
+        self._call_eval_out(index, binds, args)
+
+    def _call_eval_out(self, index: int, binds: Dict[str, str], args: str) -> None:
+        """Call child ``index``'s eval_out, its result bound by one unpack:
+        ``binds`` maps child output -> local, the rest land in ``_``; a call
+        that only refreshes the child's memo (nothing bound) assigns nothing."""
+        child = self._netlist.modules[self._ir.instances[index].child_key]
+        names = [f"v_{binds[p]}" if p in binds else "_" for p in child.outputs]
+        lhs = f"({', '.join(names)}, ) = " if binds else ""
         ref = self._emit.fresh("c")
         self._emit.line(f"{ref} = ch[{index}]")
-        args = "".join(
-            ", " + exprgen.gen(self._expr(inst.input_conns[port]))
-            for port in self._child_comb_ports(inst)
-        )
-        result = self._emit.fresh("r")
         self._emit.line(
-            f"{result} = {ref}.code.eval_out_fn({ref}.state, {ref}.children"
-            f"{args})"
+            f"{lhs}{ref}.code.eval_out_fn({ref}.state, {ref}.children{args})"
         )
-        for j, target in binds:
-            self._emit.line(f"v_{target} = {result}[{j}]")
 
     def _output_ref(self, name: str) -> str:
         sig = self._ir.signals[name]
@@ -691,7 +704,6 @@ class _ModuleCompiler:
 
         self._emit = fn = FunctionEmitter()
         with block(fn, f"def eval_out(s, ch{self._arg_list(self._comb_ports)}):"):
-            self._mask_inputs(self._comb_ports)
             if use_cache:
                 fn.line(f"_ck = {self._tuple('i_', self._comb_ports)}")
                 with block(fn, f"if s[{key_slot}] == _ck:"):
@@ -711,10 +723,9 @@ class _ModuleCompiler:
         key_slot = self.layout.cache_key_slot
         exprgen, reads = self._open_body()
         body = self._emit
-        written = [n for n in self._mem_slot if self._memory_written(n)]
+        written = [n for n in self._mem_slot if n in self._seq_writers]
         for name in written:
             body.line(f"_pw_{name} = s[{self._mem_slot[name].pending_slot}]")
-            body.line(f"del _pw_{name}[:]")
         tracks_writes = bool(self._sanitize and ir.seq_blocks and num_regs)
         if tracks_writes:
             # Fresh per-cycle write tracking for the nb-conflict check
@@ -722,8 +733,6 @@ class _ModuleCompiler:
             body.line(f"_nw = s[{self._nw_slot}]")
             body.line("_nw.clear()")
         self._gen_comb_body(exprgen, in_cycle=True)
-        if num_regs:
-            body.line(f"s[{num_regs}:{2 * num_regs}] = s[0:{num_regs}]")
         for block_id, seq in enumerate(ir.seq_blocks):
             self._gen_seq_block(exprgen, seq, block_id)
         skip = self._skip_children()
@@ -735,13 +744,11 @@ class _ModuleCompiler:
             child = self._netlist.modules[inst.child_key]
             ref = body.fresh("c")
             body.line(f"{ref} = ch[{index}]")
-            args = "".join(
-                ", " + exprgen.gen(self._expr(inst.input_conns[port]))
-                for port in child.inputs
-            )
+            args = self._child_args(exprgen, inst, child.inputs)
             body.line(f"{ref}.code.cycle_fn({ref}.state, {ref}.children{args})")
         # The commit, after every child's: nothing above reads this
-        # module's state again.
+        # module's state again.  Pending == current held on entry (the
+        # layout invariant), so this one copy is the whole edge.
         if num_regs:
             body.line(f"s[0:{num_regs}] = s[{num_regs}:{2 * num_regs}]")
         body.line(f"s[{key_slot}] = None")
@@ -772,11 +779,8 @@ class _ModuleCompiler:
             ]
         self._emit = fn = FunctionEmitter()
         with block(fn, f"def cycle(s, ch{self._arg_list(ir.inputs)}):"):
-            comb = [] if fixpoint else self._comb_ports
-            self._mask_inputs(
-                [p for p in ir.inputs if p in reads or p in comb]
-            )
             if not fixpoint:
+                comb = self._comb_ports
                 # The one compare that makes a stale tuple impossible:
                 # a poke, restore, swap, input change or a parent that
                 # did not call in phase 1 all land here.
@@ -793,13 +797,6 @@ class _ModuleCompiler:
             self._bind_registered_child_outputs(reads if fixpoint else set())
             fn.splice(body)
         return fn
-
-    def _memory_written(self, name: str) -> bool:
-        for seq in self._ir.seq_blocks:
-            _, writes = stmt_reads_writes(seq.body)
-            if name in writes:
-                return True
-        return False
 
     def _gen_seq_block(self, exprgen: ExprGen, seq, block_id: int = 0) -> None:
         num_regs = self._ir.num_regs
@@ -845,7 +842,7 @@ class _ModuleCompiler:
             mask = full if wmask is None else (wmask & full)
             self._san_sites += 1
             if self._elide is not None and self._elide.rr_fast \
-                    and len(self._seq_writer_blocks().get(name, ())) <= 1:
+                    and len(self._seq_writers.get(name, ())) <= 1:
                 # One statically-possible writer block: the cross-block
                 # conflict can never fire, and the commit only reads the
                 # dict keys to clear poison — write the entry inline.
@@ -932,7 +929,6 @@ def compile_module(
         reg_widths={name: ir.signals[name].width for name in reg_slots},
         mem_specs=dict(compiler._mem_slot),
         child_insts=tuple((i.name, i.child_key) for i in ir.instances),
-        interface_fp=ir.interface_fingerprint(),
         source_hash=hashlib.sha256(source.encode()).hexdigest(),
         compile_seconds=elapsed,
         build=build,

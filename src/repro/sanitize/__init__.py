@@ -32,9 +32,8 @@ Checks
 
 Modes: ``off`` (clean codegen, zero overhead), ``report`` (record
 findings, keep simulating), ``trap`` (raise :class:`SanitizerError` at
-the first offending cycle; a trap inside ``cycle`` abandons that clock
-edge part-way, with the instances that already committed one cycle
-ahead — rewind to a checkpoint or reload before simulating on).
+the first offending cycle; one that fires inside a clock edge is raised
+when the edge is complete, so the state is what ``report`` mode holds).
 ``report`` <-> ``trap`` is a runtime toggle; ``off`` <-> instrumented
 requires a (cached) recompile plus a hot swap, which
 :meth:`repro.live.session.LiveSession.set_sanitize` performs.

@@ -24,7 +24,7 @@ findings list is bounded by the number of instrumented sites, while
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .. import obs
 from ..analyze.diagnostics import SEVERITY_WARNING, Diagnostic
@@ -79,6 +79,8 @@ class SanitizerRuntime:
         self.hits: Dict[str, int] = {kind: 0 for kind in CHECK_KINDS}
         self.findings: List[Diagnostic] = []
         self._seen: Set[Tuple[str, str, str, int]] = set()
+        # A list while a clock edge is in flight: traps wait in it.
+        self._held: Optional[List[SanitizerError]] = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -97,6 +99,16 @@ class SanitizerRuntime:
             "hits": self.counters(),
             "findings": len(self.findings),
         }
+
+    def begin_edge(self) -> None:
+        """Pipe.tick, around ``cycle``: an edge is atomic, so until
+        :meth:`end_edge` a trap is held instead of raised."""
+        self._held = []
+
+    def end_edge(self) -> Optional[SanitizerError]:
+        """The first trap of the edge, for the caller to raise."""
+        held, self._held = self._held, None
+        return held[0] if held else None
 
     def _report(self, kind: str, info: SiteInfo, detail: str) -> None:
         self.hits[kind] += 1
@@ -118,7 +130,10 @@ class SanitizerRuntime:
             )
             obs.incr(f"sanitize.{kind}")
         if self.mode == "trap":
-            raise SanitizerError(kind, module, signal, line, detail)
+            error = SanitizerError(kind, module, signal, line, detail)
+            if self._held is None:
+                raise error
+            self._held.append(error)
 
     # -- hooks called from generated code ----------------------------------
 

@@ -86,12 +86,16 @@ class Pipe:
         self._last_outputs = None
 
     def _arg_lists(self) -> Tuple[List[int], List[int]]:
+        """What the generated code is called with: its calling convention
+        has the caller mask, so each input is cut to its port width here,
+        once per change (``get_input`` and snapshots keep what was set)."""
         args = self._args
         if args is None:
             code, inputs = self.top.code, self._inputs
-            args = self._args = (
-                [inputs[name] for name in code.comb_input_ports],
-                [inputs[name] for name in code.inputs],
+            signals = code.ir.signals  # flat and shared code alike
+            args = self._args = tuple(  # type: ignore[assignment]
+                [inputs[n] & ((1 << signals[n].width) - 1) for n in ports]
+                for ports in (code.comb_input_ports, code.inputs)
             )
         return args
 
@@ -134,16 +138,31 @@ class Pipe:
         return self._trace
 
     def tick(self) -> None:
-        """Run phase 2 and commit pending state — the clock edge."""
+        """Run phase 2 and commit pending state — the clock edge, which
+        every instance takes: a sanitizer trap inside it is raised from
+        here once the edge is complete (state and ``cycle`` are what
+        ``report`` mode holds), any other exception repairs the state
+        layout's invariant first."""
         top = self.top
         if self._last_outputs is None:
             self.eval()
         trace = self._trace
         if trace is not None:
             trace.capture(self)
-        top.code.cycle_fn(top.state, top.children, *self._arg_lists()[1])
+        sanitizer = top.code.sanitizer
+        if sanitizer is not None:
+            sanitizer.begin_edge()
+        try:
+            top.code.cycle_fn(top.state, top.children, *self._arg_lists()[1])
+        except BaseException:
+            top.abandon_edge()
+            raise
+        finally:
+            self._last_outputs = None
+            trap = sanitizer.end_edge() if sanitizer is not None else None
         self.cycle += 1
-        self._last_outputs = None
+        if trap is not None:
+            raise trap
 
     def invalidate(self) -> None:
         """Invalidate every instance's memoized combinational result.

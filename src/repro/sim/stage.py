@@ -147,7 +147,7 @@ class StageInst:
             )
         mask = (1 << self.code.reg_widths[name]) - 1
         self.state[slot] = value & mask
-        # Keep pending consistent so a poke survives an eval-less tick.
+        # Both halves: pending == current between edges (pygen's layout).
         self.state[slot + self.code.num_regs] = value & mask
         if self.code.build.sanitize:
             self.state[self.code.layout.reg_poison_slot] &= ~(1 << slot)
@@ -288,6 +288,17 @@ class StageInst:
         self._drop_cached_evals()
         for _, inst in self.walk():
             inst.state = inst.code.make_state()
+
+    def abandon_edge(self) -> None:
+        """Restore the layout invariant over this subtree after an
+        exception left ``cycle`` before every instance had committed:
+        pending := current, no pending memory write, no memo."""
+        for _, inst in self.walk():
+            state, code = inst.state, inst.code
+            state[code.num_regs : 2 * code.num_regs] = state[0 : code.num_regs]
+            for spec in code.mem_specs.values():
+                del state[spec.pending_slot][:]
+            state[code.layout.cache_key_slot] = None
 
     def _drop_cached_evals(self) -> None:
         """Clear the eval_out memo of this instance and of every

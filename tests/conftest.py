@@ -173,6 +173,17 @@ def pgas2_pipe(pgas2_netlist_library) -> Pipe:
     return Pipe(netlist.top, library)
 
 
+def assert_between_edges(pipe: Pipe) -> None:
+    """The state layout's invariant (:mod:`repro.codegen.pygen`): with
+    no clock edge in flight, pending == current and no memory write is
+    pending, in every instance."""
+    for path, inst in pipe.top.walk():
+        regs = inst.code.num_regs
+        assert inst.state[regs : 2 * regs] == inst.state[0:regs], path
+        for spec in inst.code.mem_specs.values():
+            assert inst.state[spec.pending_slot] == [], (path, spec.name)
+
+
 def run_cycles(pipe: Pipe, cycles: int, **inputs: int) -> dict:
     """Drive constant inputs for N cycles; return final outputs."""
     if inputs:

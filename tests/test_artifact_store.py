@@ -101,11 +101,13 @@ class TestModuleKey:
         assert metrics.counter("compile.store_errors") == errors
 
 
-    def test_a_v5_store_is_a_cold_cache_at_v6(self, tmp_path, monkeypatch):
-        """v5 artifacts hold three entry points (eval_out / eval_seq /
-        tick) over another state layout.  Whether they sit where v5
-        addressed them or were copied to where v6 looks, a compile over
-        that store recompiles everything and execs none of them."""
+    def test_a_v6_store_is_a_cold_cache_at_v7(self, tmp_path, monkeypatch):
+        """v6 artifacts follow the other calling convention (the callee
+        masks its arguments, so a v6 parent passes them unmasked: it
+        must never meet a v7 child) and carry an ``interface_fp`` field.
+        Whether they sit where v6 addressed them or were copied to
+        where v7 looks, a compile over that store recompiles everything
+        and execs none of them."""
         from repro.codegen import build
         from repro.server import store as store_module
 
@@ -114,18 +116,17 @@ class TestModuleKey:
         for cache_key, module in compiler.cache.entries("compile").items():
             with monkeypatch.context() as patched:
                 for mod in (build, store_module):
-                    patched.setattr(mod, "STORE_FORMAT", "repro.store/v5")
+                    patched.setattr(mod, "STORE_FORMAT", "repro.store/v6")
                 old_key = replace(cache_key)  # fresh digest cache
                 assert store.save(old_key, module)
                 old_path = store.path_for(old_key)
             with open(old_path, "rb") as fh:
                 payload = pickle.load(fh)
             payload["fields"]["source"] = (
-                "def eval_out(s, ch):\n    raise AssertionError('v5')\n"
-                "def eval_seq(s, ch):\n    pass\n"
-                "def tick(s, ch):\n    pass\n"
+                "def eval_out(s, ch, *args):\n    raise AssertionError('v6')\n"
+                "def cycle(s, ch, *args):\n    raise AssertionError('v6')\n"
             )
-            payload["fields"]["sens_slot_count"] = 0
+            payload["fields"]["interface_fp"] = "0" * 64
             for path in (old_path, store.path_for(cache_key)):
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 with open(path, "wb") as fh:
@@ -136,7 +137,7 @@ class TestModuleKey:
         assert len(result.report.recompiled_keys) == 3
         assert metrics.counter("compile.store_errors") == errors
         for module in result.library.values():
-            assert "def cycle" in module.source
+            assert "AssertionError" not in module.source
             assert module.cycle_fn.__name__ == "cycle"
 
 

@@ -21,6 +21,7 @@ from repro.codegen.flatgen import compile_flat
 from repro.codegen.pygen import compile_netlist
 from repro.hdl import elaborate, parse
 from repro.passes import run_opt_pipeline
+from repro.passes.dataflow import FactEval
 from repro.sanitize.runtime import SanitizerRuntime
 from repro.sim import Pipe
 from tests import test_schedule_dataflow
@@ -35,6 +36,16 @@ def _libraries(netlist):
         netlist, BuildConfig(sanitize=True, opt="full"),
         sanitize_runtime=SanitizerRuntime("report"),
     )
+
+
+def _binds(name, text):
+    """Whether ``text`` computes local ``v_<name>``: a plain assignment
+    or one name on the left of a child-result unpack (the unpack of the
+    tuple slot re-reads a value, it does not compute one)."""
+    return re.search(
+        rf"^\s*(?:v_{name} = |\((?:\w+, )*v_{name}, (?:\w+, )*\) = "
+        r"_\w+\.code\.eval_out_fn\()", text, re.M
+    ) is not None
 
 
 def _comb_defines(ir):
@@ -58,16 +69,14 @@ class TestOncePerCycle:
                 eval_out, cycle = code.source.split("def cycle")
                 lines += code.source.count("\n")
                 for name in _comb_defines(code.ir):
-                    assigned = re.compile(rf"^\s*v_{name} = ", re.M)
-                    where = [bool(assigned.search(part))
-                             for part in (eval_out, cycle)]
+                    where = [_binds(name, part) for part in (eval_out, cycle)]
                     # Neither: dead logic the optimizer dropped.
                     assert where != [True, True], (flavour, key, name)
                     if flavour == "default":
                         assert any(where), (key, name)
                 if key == "rv_ex":  # the ALU: in eval_out, nowhere else
-                    assert "v_alu_full = " in eval_out
-                    assert "v_alu_full = " not in cycle
+                    assert _binds("alu_full", eval_out)
+                    assert not _binds("alu_full", cycle)
             if flavour == "default":
                 assert lines <= 1000  # 1352 with eval_out/eval_seq/tick
 
@@ -121,12 +130,16 @@ endmodule
 """, "m")
     code = library["m"]
     assert code.comb_input_ports == ("a",)
+    # Raw entry points: the callee masks nothing (the calling
+    # convention), so every argument below is within its port's width,
+    # as Pipe and the generated callers guarantee.
     state = code.make_state()
     assert code.eval_out_fn(state, (), 7) == (7,)
     code.cycle_fn(state, (), 0, 1, 5)  # clk, en, a
     assert state[code.reg_slots["q"]] == 5
     assert code.eval_out_fn(state, (), 1) == (6,)
-    state[code.reg_slots["q"]] = 9  # behind the memo's back ...
+    q = code.reg_slots["q"]
+    state[q] = state[q + code.num_regs] = 9  # behind the memo's back ...
     state[code.layout.cache_key_slot] = None  # ... so it is dropped
     code.cycle_fn(state, (), 0, 1, 1)
     assert state[code.reg_slots["q"]] == 10
@@ -206,6 +219,16 @@ EARLY_BIND_RING = test_schedule_dataflow.TestEarlyBinding.RING.replace(
 ).replace(".in_d(d1),", ".in_d(d1 ^ x ^ late),")
 
 
+def _registers_by_path(pipe):
+    """``instance.path.register`` -> value, as the flat compiler names
+    the registers of the flattened design."""
+    return {
+        f"{path[4:]}.{name}".lstrip("."): value
+        for path, inst in pipe.top.walk()
+        for name, value in inst.registers().items()
+    }
+
+
 def _stimulus(seed: int, cycles: int = 40):
     rnd = random.Random(seed)
     for _ in range(cycles):
@@ -229,12 +252,7 @@ def test_agrees_with_the_flat_compiler_cycle_by_cycle(source, opt):
             assert shared.eval() == flat.eval(), (seed, shared.cycle)
             shared.tick()
             flat.tick()
-    registers = {
-        f"{path[4:]}.{name}".lstrip("."): value
-        for path, inst in shared.top.walk()
-        for name, value in inst.registers().items()
-    }
-    assert registers == flat.top.registers()
+    assert _registers_by_path(shared) == flat.top.registers()
 
 
 def test_the_shapes_are_what_they_say():
@@ -244,19 +262,212 @@ def test_the_shapes_are_what_they_say():
     netlist, library = compile_design(THREE_LEVEL, "top")
     assert netlist.modules["mid"].comb_input_ports == ["x"]
     eval_out, cycle = library["mid"].source.split("def cycle")
-    assert "v_req = " in eval_out and "v_value = " in cycle
+    assert _binds("req", eval_out) and _binds("value", cycle)
     assert "0)" in eval_out and "i_late)" in cycle  # the leaf's data port
 
     _, library = compile_design(MIXED_OUTPUTS, "top")
     eval_out, cycle = library["top"].source.split("def cycle")
-    assert "v_o1 = " in eval_out and "v_o2 = " not in eval_out
-    assert "v_o2 = " in cycle and "v_o1 = " not in cycle
+    assert _binds("o1", eval_out) and not _binds("o2", eval_out)
+    assert _binds("o2", cycle) and not _binds("o1", cycle)
     assert all(".eval_out_fn(" in part for part in (eval_out, cycle))
 
     _, library = compile_design(SIBLINGS, "top")
     eval_out, cycle = library["top"].source.split("def cycle")
     # qa is bound from a's state before a's cycle runs.
     assert "v_qa = ch[0].state" in eval_out and "v_qa, " in cycle
+
+
+# -- the calling convention: the caller masks, and only where it must ---------
+
+# Every way an argument can be statically wider than its port, under a
+# third level: a 64-bit sum and a 16-bit concatenation into 8-bit comb
+# ports, an unsized (32-bit) literal into a 1-bit port, an 8-bit input
+# into a 4-bit *sequential-only* port, and an 8-bit sum into the 4-bit
+# port of a ``needs_fixpoint`` child (a signal-level loop whose value
+# never depends on itself, so one pass settles it in either compiler).
+# Every other connection is a bare name of the port's own width.
+NARROWING = """
+module loopy (input clk, input [3:0] a, output [3:0] out);
+  wire [3:0] u;
+  wire [3:0] v;
+  reg [3:0] seen;
+  assign u = (v & 4'd0) | a;
+  assign v = u;
+  assign out = v ^ seen;
+  always @(posedge clk) seen <= v;
+endmodule
+module leaf (input clk, input en, input [7:0] a, input [7:0] b, input [3:0] k,
+             output [7:0] y, output [7:0] acc);
+  reg [7:0] acc;
+  assign y = a ^ b;
+  always @(posedge clk) if (en) acc <= acc + a + k;
+endmodule
+module mid (input clk, input rst, input [63:0] w, input [7:0] x,
+            input [7:0] late, output [7:0] y, output [7:0] acc,
+            output [3:0] out);
+  wire [7:0] ly;
+  reg [7:0] hold;
+  leaf u (.clk(clk), .en(1), .a(w + {56'd0, x}), .b({x, hold}), .k(late),
+          .y(ly), .acc(acc));
+  loopy l (.clk(clk), .a(x + late), .out(out));
+  assign y = ly;
+  always @(posedge clk) hold <= rst ? 8'd0 : hold + ly;
+endmodule
+module top (input clk, input rst, input [63:0] w, input [7:0] x,
+            input [7:0] late, output [7:0] y, output [7:0] acc,
+            output [3:0] out);
+  mid m (.clk(clk), .rst(rst), .w(w), .x(x), .late(late), .y(y), .acc(acc),
+         .out(out));
+endmodule
+"""
+NARROWED = {  # (parent, instance, port) -> the port's mask
+    ("mid", "u", "en"): 1, ("mid", "u", "a"): 255, ("mid", "u", "b"): 255,
+    ("mid", "u", "k"): 15, ("mid", "l", "a"): 15,
+}
+
+
+def _narrowing(netlist):
+    """Every connection whose expression is statically wider than its
+    port, straight from the netlist: {(parent, instance, port): mask}."""
+    found = {}
+    for key, ir in netlist.modules.items():
+        sizer = FactEval(ir, {})  # the width rules, without a generator
+        for inst in ir.instances:
+            child = netlist.modules[inst.child_key]
+            for port, expr in inst.input_conns.items():
+                width = child.signals[port].width
+                if sizer.width_of(expr) > width:
+                    found[key, inst.name, port] = (1 << width) - 1
+    return found
+
+
+def _child_call_args(code, netlist):
+    """(instance, port, argument text) of every child call in ``code``."""
+    ir = netlist.modules[code.key]
+    refs = {}
+    for line in code.source.splitlines():
+        bound = re.match(r"\s*(_c\d+) = ch\[(\d+)\]$", line)
+        if bound:
+            refs[bound[1]] = ir.instances[int(bound[2])]
+            continue
+        call = re.search(
+            r"(_c\d+)\.code\.(eval_out_fn|cycle_fn)\(\1\.state, "
+            r"\1\.children(.*)\)$", line,
+        )
+        if not call:
+            continue
+        inst = refs[call[1]]
+        child = netlist.modules[inst.child_key]
+        ports = child.inputs
+        if call[2] == "eval_out_fn" and not child.needs_fixpoint:
+            ports = child.comb_input_ports
+        args, depth, start = [], 0, 0
+        text = call[3] + ","
+        for at, char in enumerate(text):
+            depth += (char == "(") - (char == ")")
+            if char == "," and depth == 0:
+                args.append(text[start:at].strip())
+                start = at + 1
+        assert len(args[1:]) == len(ports), line
+        for port, arg in zip(ports, args[1:]):
+            yield inst.name, port, arg
+
+
+@pytest.mark.parametrize("build", [
+    BuildConfig(), BuildConfig(opt="full"), BuildConfig(sanitize=True),
+], ids=["default", "opt=full", "sanitize=report"])
+def test_narrowing_connections_agree_with_the_flat_compiler(build):
+    runtime = SanitizerRuntime("report") if build.sanitize else None
+    netlist = elaborate(parse(NARROWING), "top")
+    assert netlist.modules["loopy"].needs_fixpoint
+    assert netlist.modules["leaf"].comb_input_ports == ["a", "b"]  # not k
+    library = run_opt_pipeline(netlist, build, sanitize_runtime=runtime)
+    shared = Pipe(netlist.top, library)
+    flat_code = compile_flat(elaborate(parse(NARROWING), "top"))
+    flat = Pipe(flat_code.key, {flat_code.key: flat_code})
+    rnd = random.Random(21)
+    for _ in range(60):
+        inputs = {"rst": int(rnd.random() < 0.15), "w": rnd.getrandbits(64),
+                  "x": rnd.randrange(256), "late": rnd.randrange(256)}
+        shared.set_inputs(**inputs)
+        flat.set_inputs(**inputs)
+        assert shared.eval() == flat.eval(), shared.cycle
+        shared.tick()
+        flat.tick()
+    assert _registers_by_path(shared) == flat.top.registers()
+    assert runtime is None or runtime.findings == []  # no site is a port mask
+
+
+def test_the_caller_masks_exactly_the_narrowing_connections():
+    netlist = elaborate(parse(NARROWING), "top")
+    assert _narrowing(netlist) == NARROWED
+    for opt in ("none", "full"):
+        library = run_opt_pipeline(netlist, BuildConfig(opt=opt))
+        seen = set()
+        for key, code in library.items():
+            for inst, port, arg in _child_call_args(code, netlist):
+                mask = NARROWED.get((key, inst, port))
+                seen.add((key, inst, port))
+                if mask is None:
+                    assert "&" not in arg, (key, inst, port, arg)
+                elif port == "en":  # the literal: folded, not masked
+                    assert arg == "1"
+                elif arg != "0":  # (an unsettled read in eval_out)
+                    assert arg.endswith(f" & {mask})"), (key, inst, port, arg)
+        assert set(NARROWED) <= seen
+
+
+# Shifts and compares: where a bit above the port's width would show.
+HIGH_BITS_SHOW = """
+module top (input clk, input [7:0] x, input [7:0] late,
+            output [7:0] y, output big);
+  reg [7:0] q;
+  assign y = (x >> 1) ^ q;
+  assign big = x > 8'd200;
+  always @(posedge clk) q <= q + (late >> 2) + {7'd0, late < x};
+endmodule
+"""
+
+
+@pytest.mark.parametrize("raw", [0x1F3, -13], ids=["over-wide", "negative"])
+@pytest.mark.parametrize("backend", ["shared", "flat"])
+def test_a_top_level_input_is_masked_once_by_the_pipe(backend, raw):
+    def make():
+        if backend == "flat":
+            code = compile_flat(elaborate(parse(HIGH_BITS_SHOW), "top"))
+            return Pipe(code.key, {code.key: code})
+        netlist, library = compile_design(HIGH_BITS_SHOW, "top")
+        return Pipe(netlist.top, library)
+
+    given, masked = make(), make()
+    for cycle in range(6):
+        given.set_inputs(x=raw + cycle, late=raw - cycle)
+        masked.set_inputs(x=(raw + cycle) & 255, late=(raw - cycle) & 255)
+        assert given.eval() == masked.eval()
+        given.tick()
+        masked.tick()
+    assert given.snapshot().state.equal_state(masked.snapshot().state)
+    # What was set is what is kept: the mask is applied on the way in
+    # to the generated code, not to the pipe's record of its inputs.
+    assert given.get_input("x") == raw + 5
+    assert given.snapshot().inputs["late"] == raw - 5
+
+
+def test_the_kernel_carries_no_glue(pgas2_netlist_library):
+    """No callee-side input mask, one register copy per ``cycle`` (the
+    commit), child results bound by unpacking: in both flavours.  On
+    the PGAS mesh no connection narrows, so no caller masks either."""
+    _, netlist, _ = pgas2_netlist_library
+    assert _narrowing(netlist) == {}
+    for flavour, library in _libraries(netlist):
+        for key, code in library.items():
+            assert not re.search(r"\bi_\w+ &=", code.source), (flavour, key)
+            assert not re.search(r"_r\d+\[", code.source), (flavour, key)
+            _, cycle = code.source.split("def cycle")
+            copies = re.findall(r"^\s*s\[\d+:\d+\] = ", cycle, re.M)
+            assert len(copies) == (1 if code.num_regs else 0), (flavour, key)
+            # (The commit's ``del`` sits inside its ``if _pw_<mem>:``.)
+            assert not re.search(r"^    del _pw_", cycle, re.M), (flavour, key)
 
 
 def test_comb_loop_matches_a_reference_model():

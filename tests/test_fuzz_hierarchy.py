@@ -36,7 +36,9 @@ def random_design(draw):
     and that stage's aux is registered in the chain module: one
     instance with a settled output (out) and an unsettled one (aux).
     With ``three_level`` the chain sits in a ``mid`` module under a
-    thin top — the rv_core / rv_mem / d_rdata shape.
+    thin top — the rv_core / rv_mem / d_rdata shape.  With ``narrow``,
+    one stage port is four bits wide under its eight-bit drivers: the
+    callee masks nothing, so the generated caller has to.
     """
     n_stages = draw(st.integers(min_value=2, max_value=4))
     seq_op = draw(st.sampled_from(OPS))
@@ -50,14 +52,16 @@ def random_design(draw):
         st.none(), st.integers(min_value=0, max_value=n_stages - 1)
     ))
     three_level = draw(st.booleans())
+    narrow = draw(st.sampled_from([None, "in1", "in2", "in3"]))
+    msb = {port: 3 if port == narrow else 7 for port in ("in1", "in2", "in3")}
 
     stage = f"""
 module stage (
   input clk,
   input rst,
-  input [7:0] in1,
-  input [7:0] in2,
-  input [7:0] in3,
+  input [{msb["in1"]}:0] in1,
+  input [{msb["in2"]}:0] in2,
+  input [{msb["in3"]}:0] in3,
   output [7:0] out,
   output [7:0] aux
 );

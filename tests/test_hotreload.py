@@ -264,8 +264,8 @@ class TestSwapStage:
         netlist, library = compiled(DEP_SWAP_SRC)
         pipe = Pipe(netlist.top, library)
         _, new_lib = compiled(DEP_SWAP_EDIT)
-        assert (new_lib["child"].interface_fp
-                == library["child"].interface_fp)
+        assert (new_lib["child"].ir.interface_fingerprint()
+                == library["child"].ir.interface_fingerprint())
         with pytest.raises(SimulationError, match="interface changed"):
             HotReloader().swap_stage(pipe, "m.c", new_lib)
 

@@ -102,11 +102,6 @@ class TestCompiledMetadata:
         assert "def cycle" in code.source
         assert code.source.count("def ") == 2  # two entry points
 
-    def test_interface_fp_matches_ir(self, counter_design):
-        netlist, library = counter_design
-        for key, code in library.items():
-            assert code.interface_fp == netlist.modules[key].interface_fingerprint()
-
     def test_comb_input_ports_subset_of_inputs(self, pgas1_netlist_library):
         _, _, library = pgas1_netlist_library
         for code in library.values():

@@ -11,6 +11,7 @@ sanitized-vs-clean compile split.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import pytest
@@ -36,6 +37,7 @@ from repro.server.frontend import ShardedFrontend
 from repro.server.store import ArtifactStore
 from repro.sim import Pipe
 from repro.sim.testbench import reset_sequence
+from tests.conftest import assert_between_edges
 
 # The acceptance scenario: the edit adds a register that is READ (the
 # xor in the comb assign) in the same cycle the swap lands, before the
@@ -267,6 +269,113 @@ endmodule
         assert rt.hits[SAN_NB_CONFLICT] == 1
         assert rt.findings[0].kind == SAN_NB_CONFLICT
         assert "another always block" in rt.findings[0].message
+
+
+# ---------------------------------------------------------------------------
+# A clock edge is atomic: a trap is raised after it, anything else repairs it
+# ---------------------------------------------------------------------------
+
+# ``hidden`` is read at the edge only (no output depends on it), so a
+# poisoned ``hidden`` fires inside ``cycle``; in ``b`` that is after
+# ``a`` has already committed.  The top's own register and memory are
+# written every cycle, before the children run.
+SIBLINGS = """
+module stage (input clk, input rst, input [7:0] d, output [7:0] q);
+  reg [7:0] q;
+  reg [7:0] hidden;
+  always @(posedge clk) begin
+    hidden <= rst ? 8'd1 : hidden + d;
+    q <= rst ? 8'd0 : q + hidden;
+  end
+endmodule
+module top (input clk, input rst, input [7:0] x, output [7:0] y);
+  wire [7:0] qa;
+  wire [7:0] qb;
+  reg [7:0] r;
+  reg [7:0] m [0:3];
+  stage a (.clk(clk), .rst(rst), .d(x), .q(qa));
+  stage b (.clk(clk), .rst(rst), .d(qa ^ r), .q(qb));
+  assign y = qb ^ r ^ m[r[1:0]];
+  always @(posedge clk) begin
+    r <= rst ? 8'd0 : r + 8'd3;
+    m[r[1:0]] <= x;
+  end
+endmodule
+"""
+HIDDEN_READ_LINE = SIBLINGS.splitlines().index(
+    "    hidden <= rst ? 8'd1 : hidden + d;"
+) + 1
+
+
+def _running_siblings(mode):
+    pipe, runtime = sanitized_pipe(SIBLINGS, "top", mode=mode)
+    pipe.set_inputs(rst=1, x=5)
+    pipe.step(2)
+    pipe.set_inputs(rst=0)
+    pipe.step(4)
+    return pipe, runtime
+
+
+def _poison(inst, reg):
+    inst.state[inst.code.layout.reg_poison_slot] |= 1 << inst.code.reg_slots[reg]
+
+
+class TestAtomicEdge:
+    def test_a_trap_in_the_second_sibling_does_not_tear_the_edge(self):
+        pipe, runtime = _running_siblings("trap")
+        twin, _ = _running_siblings("report")
+        for each in (pipe, twin):
+            _poison(each.find("b"), "hidden")
+        with pytest.raises(SanitizerError) as exc_info:
+            pipe.tick()
+        exc = exc_info.value
+        assert (exc.kind, exc.module, exc.signal, exc.line) == (
+            SAN_UNINIT, "stage", "hidden", HIDDEN_READ_LINE
+        )
+        twin.tick()
+        # Every instance took the edge, as in report mode: ``a`` is not
+        # one cycle ahead of ``b`` and the top.
+        assert pipe.cycle == twin.cycle
+        assert pipe.snapshot().state.equal_state(twin.snapshot().state)
+        assert_between_edges(pipe)
+        runtime.mode = "report"
+        for each in (pipe, twin):
+            each.set_inputs(x=9)
+            each.step(10)
+        assert pipe.outputs() == twin.outputs()
+        assert pipe.snapshot().state.equal_state(twin.snapshot().state)
+
+    def test_only_the_first_trap_of_an_edge_is_raised(self):
+        pipe, runtime = _running_siblings("trap")
+        for name in "ab":
+            _poison(pipe.find(name), "hidden")
+        with pytest.raises(SanitizerError):
+            pipe.tick()
+        # Recorded, all of them: two reads in each of the two instances.
+        assert runtime.hits[SAN_UNINIT] == 4
+        pipe.tick()  # the write defined them: nothing is left to raise
+
+    def test_any_other_exception_leaves_the_tree_between_edges(self):
+        pipe, _ = _running_siblings("trap")
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        b = pipe.find("b")
+        real = b.code
+        b.code = dataclasses.replace(real, cycle_fn=interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            pipe.tick()
+        # ``a`` had committed and the top had computed its next state
+        # and queued its memory write when the stub raised.
+        assert_between_edges(pipe)
+        for _, inst in pipe.top.walk():
+            assert inst.state[inst.code.layout.cache_key_slot] is None
+        # The edge is over for the sanitizer too: phase 1 traps at once.
+        b.code = real
+        _poison(pipe.top, "r")
+        with pytest.raises(SanitizerError):
+            pipe.eval()
 
 
 # ---------------------------------------------------------------------------

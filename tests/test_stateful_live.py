@@ -41,7 +41,8 @@ import shutil
 import tempfile
 from dataclasses import fields, is_dataclass
 
-from hypothesis import settings
+import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -49,6 +50,7 @@ from hypothesis.stateful import (
     invariant,
     precondition,
     rule,
+    run_state_machine_as_test,
 )
 
 from repro.codegen.build import OPT_LEVELS
@@ -56,8 +58,9 @@ from repro.hdl.elaborate import elaborate
 from repro.hdl.parser import parse
 from repro.live.session import LiveSession
 from repro.live.transform import RegisterTransform, TransformOp
+from repro.sim.stage import StageInst
 from repro.sim.testbench import hold_inputs, reset_sequence
-from tests.conftest import COUNTER_SRC
+from tests.conftest import COUNTER_SRC, assert_between_edges
 
 DELTAS = [0, 1, 2, 5]
 REG_NAMES = ["count_q", "tally_q"]
@@ -308,6 +311,14 @@ class LiveLoopMachine(RuleBasedStateMachine):
     # -- invariants -----------------------------------------------------------
 
     @invariant()
+    def no_edge_is_in_flight(self) -> None:
+        # The generated ``cycle`` commits pending without first copying
+        # current into it: whatever else writes state -- a swap's load,
+        # a rewind, a repair, a rehydrated session's ``ldch`` -- has to
+        # leave both halves equal and no memory write queued.
+        assert_between_edges(self.session.pipe("p0"))
+
+    @invariant()
     def history_covers_pipe_position(self) -> None:
         # Raises when no base can be replayed to where the pipe stands.
         timeline = self.session.timeline("p0")
@@ -372,3 +383,27 @@ LiveLoopMachine.TestCase.settings = SanitizedLiveLoopMachine.TestCase.settings =
 )
 TestLiveLoopStateMachine = LiveLoopMachine.TestCase
 TestSanitizedLiveLoopStateMachine = SanitizedLiveLoopMachine.TestCase
+
+
+def test_a_load_that_forgets_pending_is_caught(monkeypatch):
+    """The seeded bug the invariant is there for.  Every register of
+    this design is written on every edge, so a ``load`` that fills only
+    the current half simulates correctly here; the outputs would never
+    show it."""
+    real_load = StageInst.load
+
+    def forgetful(self, snap):
+        regs = self.code.num_regs
+        pending = self.state[regs : 2 * regs]
+        real_load(self, snap)
+        self.state[regs : 2 * regs] = pending
+
+    monkeypatch.setattr(StageInst, "load", forgetful)
+    with pytest.raises(AssertionError) as caught:
+        run_state_machine_as_test(LiveLoopMachine, settings=settings(
+            max_examples=15, stateful_step_count=12, deadline=None,
+            database=None, phases=[Phase.generate],
+        ))
+    assert any(
+        frame.name == "assert_between_edges" for frame in caught.traceback
+    )
