@@ -24,13 +24,14 @@ def test_fig8_report(benchmark, size_results):
     )
     emit(format_table(
         "Figure 8 — edit-run-debug latency per mesh size (ms)",
-        ["cores", "parse", "compile", "swap", "reload", "replay",
+        ["cores", "parse", "compile", "analyze", "swap", "reload", "replay",
          "total", "swapped insts"],
         [
             [
                 bar.cores,
                 round(1e3 * bar.parse_s, 1),
                 round(1e3 * bar.compile_s, 1),
+                round(1e3 * bar.analyze_s, 1),
                 round(1e3 * bar.swap_s, 1),
                 round(1e3 * bar.reload_s, 1),
                 round(1e3 * bar.replay_s, 1),

@@ -118,6 +118,7 @@ class Fig8Bar:
     cores: int
     parse_s: float
     compile_s: float
+    analyze_s: float
     swap_s: float
     reload_s: float
     replay_s: float
@@ -138,6 +139,7 @@ def fig8_bars(results: Sequence[SizeResult]) -> List[Fig8Bar]:
                 cores=result.cores,
                 parse_s=report.parse_seconds,
                 compile_s=report.compile_seconds,
+                analyze_s=report.analyze_seconds,
                 swap_s=report.swap_seconds,
                 reload_s=report.reload_seconds,
                 replay_s=report.replay_seconds,

@@ -99,7 +99,7 @@ def table8(results: Sequence[SizeResult]) -> List[Table8Row]:
     ]
 
 
-ERD_PHASES = ("parse", "compile", "swap", "reload", "replay")
+ERD_PHASES = ("parse", "compile", "analyze", "swap", "reload", "replay")
 
 
 def erd_phase_rows(

@@ -68,8 +68,10 @@ def split_regions(source: str) -> List[SourceRegion]:
 
     while i < len(lines):
         raw = lines[i]
-        stripped = _strip_line_comment(raw)
-        directive = _DIRECTIVE_RE.match(stripped)
+        # Substring tests first: the regexes run only where they can match.
+        opens = "`" in raw or "module" in raw
+        stripped = _strip_line_comment(raw) if opens else raw
+        directive = opens and _DIRECTIVE_RE.match(stripped)
         if directive:
             flush_toplevel(i)
             regions.append(
@@ -79,13 +81,14 @@ def split_regions(source: str) -> List[SourceRegion]:
             )
             i += 1
             continue
-        module = _MODULE_RE.match(stripped)
+        module = opens and _MODULE_RE.match(stripped)
         if module:
             flush_toplevel(i)
             start = i
             name = module.group(1)
             while i < len(lines):
-                if _ENDMODULE_RE.search(_strip_line_comment(lines[i])):
+                if "endmodule" in lines[i] and _ENDMODULE_RE.search(
+                        _strip_line_comment(lines[i])):
                     break
                 i += 1
             end = min(i, len(lines) - 1)

@@ -130,6 +130,7 @@ class ERDReport:
         return (
             self.parse_seconds
             + self.compile_seconds
+            + self.analyze_seconds
             + self.swap_seconds
             + self.reload_seconds
             + self.replay_seconds

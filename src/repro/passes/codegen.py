@@ -125,7 +125,7 @@ class CodegenPass(Pass):
             # subtrees skip cycle) — tag it in.  Under sanitize the
             # skip additionally requires the child subtree to carry
             # zero instrumentation sites.
-            fp = elab[inst.child_key].comb_signature
+            fp = netlist.modules[inst.child_key].comb_signature
             if build.opt == "full" and elab[inst.child_key].pure and (
                 not build.sanitize or inst.child_key in san_free
             ):

@@ -31,6 +31,26 @@ sites (ob/tr) and branch conditions, keyed ``(kind, name, line)`` —
 the same granularity the runtime dedupes findings at — so the
 elision planner and the proof-backed checks reason about exactly the
 sites codegen instruments.
+
+Walks share work per *item* (a continuous assign, a comb block, a
+sequential block) through one memo per ``compute_netlist_facts`` call:
+``(item identity, the facts of every name the item can read)`` ->
+``(facts it writes, names every path assigns, its site calls)``.  "Can
+read" is the value's and the target index's reads for an assign, a
+comb block's ``reads`` (it zeroes the names it writes before its body
+runs), and the names a sequential block reads *or writes* (a path that
+leaves a register alone falls back to its current fact).  Widths,
+depths and the AST are constants of the ``ModuleIR``, and the memo dies
+with the call, so no key outlives them.  Every evaluation logs its
+site-recorder calls whether or not the walk records and a hit replays
+the log into the walk's recorder, so a recording walk may hit an entry
+a non-recording round made: later rounds, the final walk, the stable
+tier and the specialised phase-2 run re-evaluate only the cone of what
+differs between them (counted: ``dataflow.items_evaluated`` /
+``items_reused``).  Inside an item, branch arms run in place: every
+store goes through ``_put``, which journals ``(dict, name, previous)``,
+and unwinding the journal after an arm leaves ``env`` / ``writes`` equal
+to what they were before it; the merge joins only names an arm stored.
 """
 
 from __future__ import annotations
@@ -39,12 +59,13 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from .. import obs
 from ..codegen.build import DerivedCache
 from ..codegen.exprgen import ExprGen, mask_of
 from ..codegen.optplan import _fold_binary, _fold_unary, num_value, num_width
 from ..hdl import ast_nodes as ast
-from ..hdl.consteval import expr_reads
-from ..ir.netlist import ModuleIR, Netlist
+from ..hdl.consteval import expr_reads, stmt_reads_writes
+from ..ir.netlist import CombAssignIR, ModuleIR, Netlist, SeqBlockIR
 from .base import Pass, PassData
 
 WIDEN_ROUNDS = 4   # interval-growth rounds before widening kicks in
@@ -211,9 +232,10 @@ class FactEval:
     """Evaluates expressions over an environment of ValueFacts.
 
     ``eval`` returns ``None`` only for expressions whose width ExprGen
-    itself cannot size (the caller treats that as top).  When a
-    recorder is attached (the final converged walk), per-site facts
-    for ob/tr sites and decided branch conditions are captured.
+    itself cannot size (the caller treats that as top).  When a call
+    log (a list) is attached, the :class:`_SiteRecorder` calls for
+    ob/tr sites and decided branch conditions are appended to it as
+    ``(method name, *args)``, for :meth:`_SiteRecorder.replay`.
     """
 
     def __init__(self, ir: ModuleIR, env: Dict[str, ValueFact],
@@ -478,7 +500,8 @@ class FactEval:
         truth = cond.truth() if cond is not None else None
         if (self.rec is not None and truth is not None
                 and not isinstance(expr.cond, ast.Num)):
-            self.rec.cond(expr.line, "ternary", truth, expr.cond, cond)
+            self.rec.append(("cond", expr.line, "ternary", truth, expr.cond,
+                             cond))
         if truth is not None:
             arm = expr.if_true if truth else expr.if_false
             fact = self.eval(arm)
@@ -537,15 +560,15 @@ class FactEval:
             # finding, so the site is recorded.  Contents untracked.
             spec = self.ir.memories[expr.base]
             if self.rec is not None and not isinstance(expr.index, ast.Num):
-                self.rec.ob(expr.base, expr.line, index_fact, spec.depth,
-                            expr.index)
+                self.rec.append(("ob", expr.base, expr.line, index_fact,
+                                 spec.depth, expr.index))
             return vf_top(spec.width)
         sig = self.ir.signals.get(expr.base)
         if sig is None:
             return vf_top(1)
         if self.rec is not None and not isinstance(expr.index, ast.Num):
-            self.rec.ob(expr.base, expr.line, index_fact, sig.width,
-                        expr.index)
+            self.rec.append(("ob", expr.base, expr.line, index_fact,
+                             sig.width, expr.index))
         if index_fact is not None and index_fact.is_const:
             bit = index_fact.const_value
             if bit >= sig.width:
@@ -586,7 +609,8 @@ class FactEval:
             return vf_top(width)
         bound = sig.width - width + 1 if expr.ascending else sig.width
         if self.rec is not None and not isinstance(expr.start, ast.Num):
-            self.rec.ob(expr.base, expr.line, start_fact, bound, expr.start)
+            self.rec.append(("ob", expr.base, expr.line, start_fact, bound,
+                             expr.start))
         base_fact = self.env.get(expr.base)
         if start_fact is not None and start_fact.is_const \
                 and base_fact is not None:
@@ -721,6 +745,10 @@ class _SiteRecorder:
         elif prev.dead and not dead:
             self.case_sites[key] = CaseSite(False, prev.reads, prev.detail)
 
+    def replay(self, log) -> None:
+        for method, *args in log:
+            getattr(self, method)(*args)
+
 
 # ----------------------------------------------------------------------------
 # Per-module results
@@ -794,16 +822,22 @@ def _facts_digest(*envs: Dict[str, ValueFact]) -> str:
 
 class _ModuleAnalysis:
     def __init__(self, ir: ModuleIR, input_facts, stable_input_facts,
-                 child_envs, child_stable_envs, input_origins=None):
+                 child_envs, child_stable_envs, memo, input_origins=None):
         self.ir = ir
         self.input_facts = input_facts
         self.stable_input_facts = stable_input_facts
         self.child_envs = child_envs            # [inst idx] -> {port: fact}
         self.child_stable_envs = child_stable_envs
         self.input_origins = input_origins or {}
-        self.rec: Optional[_SiteRecorder] = None
+        self.memo = memo  # the call's item memo (module docstring)
+        self.journal: list = []  # undo log: (dict, name, previous fact)
         self.origins: Dict[str, Tuple[int, str]] = {}
         self.deps: Dict[str, Tuple[str, ...]] = {}
+        # Per sequential block: (names it reads or writes, names it reads).
+        self.seq_names = [
+            (tuple(sorted(reads | writes)), tuple(sorted(reads)))
+            for reads, writes in (stmt_reads_writes(seq.body)
+                                  for seq in ir.seq_blocks)]
 
     def _reg_signals(self):
         return [(name, sig) for name, sig in self.ir.signals.items()
@@ -823,11 +857,10 @@ class _ModuleAnalysis:
         regs = {name: vf_const(0, sig.width)
                 for name, sig in self._reg_signals()}
         rounds = 0
-        moving: Set[str] = set()
         while True:
             env = self._comb_walk(regs, self.input_facts, self.child_envs)
             writes, assigned = self._seq_walk(env)
-            moving = set()
+            moving: Set[str] = set()
             new_regs = {}
             for name, cur in regs.items():
                 written = writes.get(name)
@@ -849,12 +882,12 @@ class _ModuleAnalysis:
         for name in moving:  # cap hit: degrade the stragglers, stay sound
             regs[name] = vf_top(regs[name].width)
 
-        # Final converged walk with site recording + provenance.
-        self.rec = _SiteRecorder()
+        # Final walk with site recording + provenance: all memo hits,
+        # unless the cap hit and degraded a register.
+        env_rec = _SiteRecorder()
         env = self._comb_walk(regs, self.input_facts, self.child_envs,
-                              record=True)
-        _, assigned = self._seq_walk(env, record=True)
-        env_rec = self.rec
+                              env_rec)
+        _, assigned = self._seq_walk(env, env_rec)
 
         # Swap-stable tier: registers and child outputs unconstrained.
         # Sites recorded under this tier hold for *any* register state
@@ -863,11 +896,10 @@ class _ModuleAnalysis:
         # tier above is from-reset only and feeds the analyzer.
         top_regs = {name: vf_top(sig.width)
                     for name, sig in self._reg_signals()}
-        self.rec = _SiteRecorder()
+        stable_rec = _SiteRecorder()
         stable = self._comb_walk(top_regs, self.stable_input_facts,
-                                 self.child_stable_envs, record=True)
-        self._seq_walk(stable, record=True)
-        stable_rec = self.rec
+                                 self.child_stable_envs, stable_rec)
+        self._seq_walk(stable, stable_rec)
 
         return ModuleValueFacts(
             key=key, env=env, stable=stable,
@@ -884,57 +916,91 @@ class _ModuleAnalysis:
             digest=_facts_digest(env, stable, self.input_facts),
         )
 
+    # -- the item memo -------------------------------------------------------
+
+    def _item(self, item, names, env, rec):
+        """One item through the memo (module docstring); ``names`` is
+        every name it can read.  The caller stores a comb item's facts."""
+        key = (id(item), *map(env.get, names))
+        hit = self.memo.get(key)
+        obs.incr("dataflow.items_evaluated" if hit is None
+                 else "dataflow.items_reused")
+        if hit is None:
+            log, writes, assigned = [], {}, set()
+            ev = FactEval(self.ir, env, log)
+            del self.journal[:]
+            if isinstance(item, CombAssignIR):
+                self._exec_assign(ev, env, writes, item.target, item.value,
+                                  item.line)
+            elif isinstance(item, SeqBlockIR):
+                self._exec_stmts(ev, item.body, env, writes, assigned)
+            else:  # a comb block stores in env: its later statements read it
+                for name in item.defines:
+                    sig = self.ir.signals.get(name)
+                    if sig is not None:
+                        env[name] = writes[name] = vf_const(0, sig.width)
+                self._exec_stmts(ev, item.body, env, None, assigned)
+                writes = {name: env[name] for name in writes}
+            hit = self.memo[key] = (writes, assigned, log)
+        if rec is not None:
+            rec.replay(hit[2])
+        return hit
+
     # -- the comb schedule walk ----------------------------------------------
 
-    def _comb_walk(self, regs, input_facts, child_envs, record=False):
+    def _comb_walk(self, regs, input_facts, child_envs, rec=None):
         ir = self.ir
-        rec = self.rec if record else None
         env: Dict[str, ValueFact] = {}
         for name, sig in ir.signals.items():
             if sig.kind == "input":
                 given = input_facts.get(name)
                 env[name] = vf_to_width(given, sig.width) if given \
                     else vf_top(sig.width)
-                if record:
+                if rec is not None:
                     self.origins[name] = (
                         sig.line, self.input_origins.get(name, "module input")
                     )
         env.update(regs)
-        ev = FactEval(ir, env, rec)
         for inst_index, port, target in ir.early_bind:
             self._bind_child_output(env, child_envs, inst_index, port,
-                                    target, record)
+                                    target, rec)
         for kind, index in ir.schedule:
             if kind == "assign":
                 assign = ir.comb_assigns[index]
-                self._exec_assign(ev, env, None, assign.target, assign.value,
-                                  assign.line)
-                if record and assign.target.msb is None \
-                        and assign.target.index is None:
-                    self.origins[assign.target.name] = (assign.line, "assign")
-                    self.deps[assign.target.name] = _reads_of(assign.value)
+                target = assign.target
+                names = assign.reads  # the value's reads only
+                if target.index is not None or target.msb is not None:
+                    names += (_reads_of(target.index) + _reads_of(target.msb)
+                              + _reads_of(target.lsb))
+                env.update(self._item(assign, names, env, rec)[0])
+                if rec is not None and target.msb is None \
+                        and target.index is None:
+                    self.origins[target.name] = (assign.line, "assign")
+                    self.deps[target.name] = assign.reads
             elif kind == "block":
                 comb = ir.comb_blocks[index]
-                for name in comb.defines:
-                    sig = ir.signals.get(name)
-                    if sig is not None:
-                        env[name] = vf_const(0, sig.width)
-                    if record:
+                # ``comb.reads`` leaves out the names the block writes:
+                # it zeroes them before its body runs.
+                env.update(self._item(comb, comb.reads, env, rec)[0])
+                if rec is not None:
+                    for name in comb.defines:
                         self.origins[name] = (comb.line, "always block")
-                        self.deps[name] = tuple(sorted(comb.reads))
-                self._exec_stmts(ev, comb.body, env, None, set())
-            else:  # inst
+                        self.deps[name] = comb.reads
+            else:  # inst: two dict lookups per port, not worth a key
                 inst = ir.instances[index]
-                if record:
+                if rec is not None:
+                    log: list = []
+                    ev = FactEval(ir, env, log)
                     for conn in inst.input_conns.values():
                         ev.eval(conn)  # record sites inside connections
+                    rec.replay(log)
                 for port, target in inst.output_conns.items():
                     self._bind_child_output(env, child_envs, index, port,
-                                            target, record)
+                                            target, rec)
         return env
 
     def _bind_child_output(self, env, child_envs, inst_index, port, target,
-                           record):
+                           rec):
         ir = self.ir
         sig = ir.signals.get(target)
         if sig is None:
@@ -942,38 +1008,36 @@ class _ModuleAnalysis:
         fact = child_envs[inst_index].get(port)
         env[target] = vf_to_width(fact, sig.width) if fact is not None \
             else vf_top(sig.width)
-        if record:
+        if rec is not None:
             inst = ir.instances[inst_index]
             self.origins[target] = (
                 inst.line, f"output '{port}' of {inst.child_key}"
             )
-            self.deps[target] = tuple(sorted(inst.reads))
+            self.deps[target] = inst.reads
 
     # -- sequential transition -----------------------------------------------
 
-    def _seq_walk(self, env, record=False):
-        rec = self.rec if record else None
+    def _seq_walk(self, env, rec=None):
         merged: Dict[str, ValueFact] = {}
         assigned_all: Set[str] = set()
-        for seq in self.ir.seq_blocks:
-            ev = FactEval(self.ir, env, rec)
-            writes: Dict[str, ValueFact] = {}
-            assigned: Set[str] = set()
-            self._exec_stmts(ev, seq.body, env, writes, assigned)
-            if record:
-                from ..hdl.consteval import stmt_reads_writes
-
-                block_reads = tuple(sorted(stmt_reads_writes(seq.body)[0]))
-                for name in writes:
+        for seq, (names, block_reads) in zip(self.ir.seq_blocks,
+                                             self.seq_names):
+            writes, assigned, _ = self._item(seq, names, env, rec)
+            for name, fact in writes.items():
+                if rec is not None:
                     self.origins[name] = (seq.line, "register")
                     self.deps[name] = block_reads
-            for name, fact in writes.items():
                 prev = merged.get(name)
                 merged[name] = fact if prev is None else vf_join(prev, fact)
             assigned_all |= assigned
         return merged, assigned_all
 
     # -- statements ----------------------------------------------------------
+
+    def _put(self, dest, name, fact) -> None:
+        """The statement walk's one store, journalled for rollback."""
+        self.journal.append((dest, name, dest.get(name)))
+        dest[name] = fact
 
     def _exec_stmts(self, ev, stmts, env, writes, assigned):
         for stmt in stmts:
@@ -988,15 +1052,15 @@ class _ModuleAnalysis:
 
     def _exec_assign(self, ev, env, writes, target, value, line) -> bool:
         ir = self.ir
-        rec = ev.rec
         if target.name in ir.memories:
             # Memory write: the address carries an ob site keyed on the
             # memory name; contents stay untracked.
             if target.index is not None:
                 addr_fact = ev.eval(target.index)
-                if rec is not None and not isinstance(target.index, ast.Num):
-                    rec.ob(target.name, line, addr_fact,
-                           ir.memories[target.name].depth, target.index)
+                if not isinstance(target.index, ast.Num):
+                    ev.rec.append(("ob", target.name, line, addr_fact,
+                                   ir.memories[target.name].depth,
+                                   target.index))
             ev.eval(value)
             return False
         sig = ir.signals.get(target.name)
@@ -1009,26 +1073,27 @@ class _ModuleAnalysis:
             # register/wire value degrades to top (RMW untracked).
             if target.index is not None:
                 index_fact = ev.eval(target.index)
-                if rec is not None and not isinstance(target.index, ast.Num):
-                    rec.ob(target.name, line, index_fact, sig.width,
-                           target.index)
+                if not isinstance(target.index, ast.Num):
+                    ev.rec.append(("ob", target.name, line, index_fact,
+                                   sig.width, target.index))
             ev.eval(value)
-            dest[target.name] = vf_top(sig.width)
+            self._put(dest, target.name, vf_top(sig.width))
             return True  # the RMW result still lands every cycle
         value_width = ev.width_of(value)
         fact = ev.eval(value)
-        if rec is not None and value_width is not None \
-                and value_width > sig.width:
-            rec.tr(target.name, line, fact, sig.width, value_width, value)
-        dest[target.name] = vf_to_width(fact, sig.width) \
-            if fact is not None else vf_top(sig.width)
+        if value_width is not None and value_width > sig.width:
+            ev.rec.append(("tr", target.name, line, fact, sig.width,
+                           value_width, value))
+        self._put(dest, target.name, vf_to_width(fact, sig.width)
+                  if fact is not None else vf_top(sig.width))
         return True
 
     def _exec_if(self, ev, stmt, env, writes, assigned):
         cond_fact = ev.eval(stmt.cond)
         truth = cond_fact.truth() if cond_fact is not None else None
-        if ev.rec is not None and not isinstance(stmt.cond, ast.Num):
-            ev.rec.cond(stmt.line, "if", truth, stmt.cond, cond_fact)
+        if not isinstance(stmt.cond, ast.Num):
+            ev.rec.append(("cond", stmt.line, "if", truth, stmt.cond,
+                           cond_fact))
         if truth is True:
             self._exec_stmts(ev, stmt.then_body, env, writes, assigned)
             return
@@ -1040,61 +1105,49 @@ class _ModuleAnalysis:
 
     def _exec_branches(self, ev, bodies, env, writes, assigned,
                        include_identity):
-        """Run each body on private copies and merge the results
-        pointwise; ``assigned`` gains only names every path assigns."""
-        env_results, write_results, assigned_results = [], [], []
+        """Run each body in place, note what it stored and roll it back,
+        then merge pointwise over the names some arm stored;
+        ``assigned`` gains only names every path assigns."""
+        journal = self.journal
+        results, survivors = [], None
         for body in bodies:
-            env_copy = dict(env)
-            writes_copy = dict(writes) if writes is not None else None
-            assigned_copy: Set[str] = set()
-            branch_ev = FactEval(self.ir, env_copy, ev.rec)
-            self._exec_stmts(branch_ev, body, env_copy, writes_copy,
-                             assigned_copy)
-            env_results.append(env_copy)
-            write_results.append(writes_copy)
-            assigned_results.append(assigned_copy)
+            mark = len(journal)
+            arm_assigned: Set[str] = set()
+            self._exec_stmts(ev, body, env, writes, arm_assigned)
+            stored: Dict[str, ValueFact] = {}
+            while len(journal) > mark:  # newest first
+                where, name, previous = journal.pop()
+                stored.setdefault(name, where[name])  # the arm's last store
+                if previous is None:
+                    del where[name]
+                else:
+                    where[name] = previous
+            results.append(stored)
+            survivors = arm_assigned if survivors is None \
+                else survivors & arm_assigned
         if include_identity:
-            env_results.append(dict(env))
-            write_results.append(dict(writes) if writes is not None else None)
-            assigned_results.append(set())
-        self._merge_into(env, env_results, env)
-        if writes is not None:
-            # An unwritten path leaves the pending slot preloaded with
-            # the current value, so the fallback is ``env``.
-            self._merge_into(writes, write_results, env)
-        survivors = assigned_results[0]
-        for extra in assigned_results[1:]:
-            survivors = survivors & extra
+            results.append({})
+            survivors = set()
+        self._merge_into(writes if writes is not None else env, results, env)
         assigned |= survivors
 
-    def _merge_into(self, dst, results, fallback):
-        keys = set()
-        for result in results:
-            keys.update(result)
-        for name in keys:
-            # Branch envs start as dict(env) copies, so a key no branch
-            # touched holds the SAME fact object everywhere — keep it
-            # without joining (the dominant case on wide register files).
-            facts = []
-            degraded = False
-            for result in results:
-                fact = result.get(name)
-                if fact is None:
-                    fact = fallback.get(name)
-                if fact is None:
-                    degraded = True
+    def _merge_into(self, dest, results, env):
+        """Join each name some arm stored over all arms; an arm that
+        left it alone contributes the pre-branch value: the pending
+        slot, else the current value (which preloads the slot)."""
+        for name in {name for stored in results for name in stored}:
+            prior = dest.get(name)
+            if prior is None:
+                prior = env.get(name)
+            merged = None
+            for stored in results:
+                fact = stored.get(name, prior)
+                if fact is None:  # a path with no value at all: degrade
+                    sig = self.ir.signals.get(name)
+                    merged = vf_top(sig.width if sig is not None else 1)
                     break
-                facts.append(fact)
-            if degraded or not facts:
-                sig = self.ir.signals.get(name)
-                width = sig.width if sig is not None else 1
-                dst[name] = vf_top(width)
-                continue
-            merged = facts[0]
-            for fact in facts[1:]:
-                if fact is not merged:
-                    merged = vf_join(merged, fact)
-            dst[name] = merged
+                merged = fact if merged is None else vf_join(merged, fact)
+            self._put(dest, name, merged)
 
     def _exec_case(self, ev, stmt, env, writes, assigned):
         subject_fact = ev.eval(stmt.subject)
@@ -1142,13 +1195,14 @@ class _ModuleAnalysis:
 
     def _record_arm(self, ev, stmt, index, dead, subject_fact,
                     syntactic_const, why):
-        if ev.rec is None or syntactic_const:
+        if syntactic_const:
             return
         detail = ""
         if dead:
             described = subject_fact.describe() if subject_fact else "?"
             detail = f"subject {described}; {why}"
-        ev.rec.case_arm(stmt.line, index, dead, stmt.subject, detail)
+        ev.rec.append(("case_arm", stmt.line, index, dead, stmt.subject,
+                       detail))
 
     def _match_status(self, ev, subject_fact, labels) -> str:
         """'always' / 'never' / 'maybe' for one arm's label list."""
@@ -1238,6 +1292,7 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
     fps = fps or {}
     cache = cache if cache is not None else DerivedCache()
     topo = _topo_module_keys(netlist)
+    memo: dict = {}  # the item memo (module docstring); dies with the call
 
     def child_envs(ir: ModuleIR) -> Tuple[list, list]:
         """Per instance, the child summary's (env, stable) tiers."""
@@ -1253,7 +1308,8 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
         summaries[key] = cache.lookup(
             "passes.dataflow.summary", key,
             (key, fps.get(ir.name, ""), child_digests),
-            lambda: _ModuleAnalysis(ir, {}, {}, *child_envs(ir)).run(key),
+            lambda: _ModuleAnalysis(ir, {}, {}, *child_envs(ir),
+                                    memo).run(key),
         )
 
     results: Dict[str, ModuleValueFacts] = {}
@@ -1293,7 +1349,7 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
                 if sites else "module input"
             )
             return _ModuleAnalysis(
-                ir, input_facts, stable_inputs, *child_envs(ir),
+                ir, input_facts, stable_inputs, *child_envs(ir), memo,
                 input_origins={port: origin for port in input_facts},
             ).run(key)
 

@@ -1,13 +1,9 @@
 """Elaboration facts: the cheap whole-netlist summary later passes key on.
 
-Produces ``elab.facts``: per-specialization structural facts derived
-bottom-up from the elaborated IR —
-
-* ``comb_signature`` — what a parent can observe of the module
-  (interface fp + per-output dependencies), read off the ``ModuleIR``;
-* ``pure`` — True when the whole *subtree* is stateless (no registers,
-  memories, sequential blocks, or fixpoint iteration anywhere below):
-  its ``cycle`` call is a no-op a parent may elide.
+Produces ``elab.facts``: per specialization, derived bottom-up from the
+elaborated IR, ``pure`` — True when the whole *subtree* is stateless (no
+registers, memories, sequential blocks, or fixpoint iteration anywhere
+below): its ``cycle`` call is a no-op a parent may elide.
 
 This pass recomputes every run (it is a dict walk, far cheaper than a
 cache probe per module would be worth); the expensive passes downstream
@@ -25,7 +21,6 @@ from .base import Pass, PassData
 
 @dataclass(frozen=True)
 class ElabFacts:
-    comb_signature: str
     pure: bool
 
 
@@ -60,10 +55,7 @@ class ElaborateFactsPass(Pass):
             pure_children = all(
                 visit(inst.child_key).pure for inst in ir.instances
             )
-            facts[key] = ElabFacts(
-                comb_signature=ir.comb_signature,
-                pure=module_is_pure(ir, pure_children),
-            )
+            facts[key] = ElabFacts(pure=module_is_pure(ir, pure_children))
             return facts[key]
 
         for key in netlist.modules:

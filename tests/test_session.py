@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.tables import ERD_PHASES
 from repro.hdl.errors import SimulationError
 from repro.live.session import LiveSession
 from repro.live.transform import RegisterTransform, TransformOp
@@ -169,6 +170,19 @@ class TestApplyChange:
         assert report.cycles_replayed == 25
         assert pipe.cycle == 35
         assert pipe.outputs()["c0"] == (10 + 2 * 25)
+
+    def test_total_is_the_sum_of_the_six_phases(self):
+        # The analyzer's gate runs between compile and swap, on the
+        # reply path: it is part of the ERD (verify is not).
+        session, tb = make_session(interval=10)
+        session.run(tb, "p0", 35)
+        report = session.apply_change(BUGGY, verify=True)
+        assert report.analyzed_keys and report.analyze_seconds > 0
+        phases = ("parse", "compile", "analyze", "swap", "reload", "replay")
+        assert phases == ERD_PHASES
+        assert report.total_seconds == pytest.approx(
+            sum(getattr(report, f"{phase}_seconds") for phase in phases)
+        )
 
     def test_version_advances_per_change(self):
         session, tb = make_session()

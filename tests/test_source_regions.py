@@ -1,14 +1,25 @@
 """Source-region splitting tests (LiveParser's substrate)."""
 
+from pathlib import Path
+
+import pytest
+
 from repro.hdl.source_regions import (
+    _DIRECTIVE_RE,
+    _ENDMODULE_RE,
+    _MODULE_RE,
     DIRECTIVE_REGION,
     MODULE_REGION,
     TOPLEVEL_REGION,
+    SourceRegion,
+    _strip_line_comment,
     module_regions,
     region_at_line,
     splice_modules,
     split_regions,
 )
+from repro.riscv.patches import PATCHES
+from repro.riscv.pgas import build_pgas_source
 
 SOURCE = """\
 // top comment
@@ -114,3 +125,98 @@ def test_splice_replaces_in_place_and_appends_the_rest():
 def test_splice_with_nothing_redefined_appends_the_text():
     library = "module gamma (input clk);\nendmodule\n"
     assert splice_modules(SOURCE, library) == SOURCE.rstrip() + "\n\n" + library
+
+
+# ---------------------------------------------------------------------------
+# The scanner that runs every regex on every line (PR 21's loop, kept
+# verbatim): the substring tests in front of the regexes may skip work,
+# never change a boundary.
+# ---------------------------------------------------------------------------
+
+
+def reference_split_regions(source):
+    lines = source.splitlines()
+    regions = []
+    i = 0
+    pending_start = None
+
+    def flush_toplevel(upto):
+        nonlocal pending_start
+        if pending_start is None:
+            return
+        text = "\n".join(lines[pending_start - 1 : upto])
+        if text.strip():
+            regions.append(
+                SourceRegion(TOPLEVEL_REGION, "", pending_start, upto, text)
+            )
+        pending_start = None
+
+    while i < len(lines):
+        raw = lines[i]
+        stripped = _strip_line_comment(raw)
+        directive = _DIRECTIVE_RE.match(stripped)
+        if directive:
+            flush_toplevel(i)
+            regions.append(
+                SourceRegion(
+                    DIRECTIVE_REGION, stripped.strip(), i + 1, i + 1, raw
+                )
+            )
+            i += 1
+            continue
+        module = _MODULE_RE.match(stripped)
+        if module:
+            flush_toplevel(i)
+            start = i
+            name = module.group(1)
+            while i < len(lines):
+                if _ENDMODULE_RE.search(_strip_line_comment(lines[i])):
+                    break
+                i += 1
+            end = min(i, len(lines) - 1)
+            text = "\n".join(lines[start : end + 1])
+            regions.append(SourceRegion(MODULE_REGION, name, start + 1, end + 1, text))
+            i = end + 1
+            continue
+        if pending_start is None:
+            pending_start = i + 1
+        i += 1
+
+    flush_toplevel(len(lines))
+    return regions
+
+
+CORNER_CASES = [
+    SOURCE,
+    "// module fake (input x);\nmodule real_one (input x);\nendmodule\n",
+    "module tiny (input x); endmodule",
+    "module broken (input x);\n  wire w;\n",
+    "module a (input x);\nendmodule\nmodule b (input y);\nendmodule\n",
+    "`define A 1\nmodule m (input x);\n  wire [`A:0] w;\nendmodule\n",
+    # ``endmodule`` in a comment does not close; in a longer word neither.
+    "module m (input x);\n  // endmodule\n  wire endmodule_q;\nendmodule\n"
+    "trailing filler\n",
+    # A directive only counts at the start of its line, outside comments.
+    "  `ifdef A // `else\n// `define B\nwire `X;\n`endif\n`timescale 1ns\n",
+    "module\nmodule 9x;\n  module  spaced (input x);\r\nendmodule // module z\n",
+    "",
+    "\n\n// only filler\n",
+]
+
+
+def _sources():
+    for index, source in enumerate(CORNER_CASES):
+        yield pytest.param(source, id=f"corner{index}")
+    mesh = build_pgas_source(2)
+    yield pytest.param(mesh, id="mesh2")
+    yield pytest.param(build_pgas_source(4), id="mesh4")
+    for name, patch in PATCHES.items():
+        yield pytest.param(patch.inject(mesh), id=name)
+    designs = Path(__file__).resolve().parent.parent / "examples" / "designs"
+    for path in sorted(designs.glob("*.v")):
+        yield pytest.param(path.read_text(), id=path.name)
+
+
+@pytest.mark.parametrize("source", _sources())
+def test_regions_equal_the_every_line_scanner(source):
+    assert split_regions(source) == reference_split_regions(source)

@@ -6,10 +6,20 @@ propagation, the facts cache, and the elision plans + const-reg
 initialization built on top (repro.sanitize.elide).
 """
 
-from repro import BuildConfig, compile_design
+import contextlib
+import dataclasses
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+from repro import BuildConfig, compile_design, obs
 from repro.codegen.build import DerivedCache
-from repro.hdl import elaborate, parse
+from repro.hdl import ast_nodes as ast, elaborate, parse
+from repro.hdl.consteval import stmt_reads_writes
+from repro.ir.netlist import CombAssignIR, SeqBlockIR
 from repro.live.compiler_live import CompileReport
+from repro.passes import dataflow
 from repro.passes.dataflow import (
     ValueFact,
     compute_netlist_facts,
@@ -19,11 +29,15 @@ from repro.passes.dataflow import (
     vf_top,
     vf_widen,
 )
+from repro.riscv.patches import PATCHES
+from repro.riscv.pgas import build_pgas_source, mesh_top_name
 from repro.sanitize import (
     build_elision_plan,
     reg_const_init,
     san_free_keys,
 )
+from tests.test_fuzz_codegen import expr_text, module_for
+from tests.test_fuzz_hierarchy import random_design
 
 
 def facts_for(source, top="m", **kwargs):
@@ -416,3 +430,372 @@ class TestCompiledElision:
             p.tick()
             e.tick()
         assert p_rt.counters() == e_rt.counters()
+
+
+# ---------------------------------------------------------------------------
+# The item memo and the undo log, against an engine that never reuses
+# ---------------------------------------------------------------------------
+
+
+class _NeverHits(dict):
+    """An item memo whose lookups always miss."""
+
+    def get(self, key, default=None):
+        return None
+
+
+def _copying_exec_branches(self, ev, bodies, env, writes, assigned,
+                           include_identity):
+    """PR 21's branch execution, verbatim: every arm on private copies
+    of the environment, then a merge over every key."""
+    env_results, write_results, assigned_results = [], [], []
+    for body in bodies:
+        env_copy = dict(env)
+        writes_copy = dict(writes) if writes is not None else None
+        assigned_copy = set()
+        branch_ev = dataflow.FactEval(self.ir, env_copy, ev.rec)
+        self._exec_stmts(branch_ev, body, env_copy, writes_copy,
+                         assigned_copy)
+        env_results.append(env_copy)
+        write_results.append(writes_copy)
+        assigned_results.append(assigned_copy)
+    if include_identity:
+        env_results.append(dict(env))
+        write_results.append(dict(writes) if writes is not None else None)
+        assigned_results.append(set())
+    _all_keys_merge_into(self, env, env_results, env)
+    if writes is not None:
+        _all_keys_merge_into(self, writes, write_results, env)
+    survivors = assigned_results[0]
+    for extra in assigned_results[1:]:
+        survivors = survivors & extra
+    assigned |= survivors
+
+
+def _all_keys_merge_into(self, dst, results, fallback):
+    keys = set()
+    for result in results:
+        keys.update(result)
+    for name in keys:
+        facts = []
+        degraded = False
+        for result in results:
+            fact = result.get(name)
+            if fact is None:
+                fact = fallback.get(name)
+            if fact is None:
+                degraded = True
+                break
+            facts.append(fact)
+        if degraded or not facts:
+            sig = self.ir.signals.get(name)
+            width = sig.width if sig is not None else 1
+            dst[name] = vf_top(width)
+            continue
+        merged = facts[0]
+        for fact in facts[1:]:
+            if fact is not merged:
+                merged = vf_join(merged, fact)
+        dst[name] = merged
+
+
+@contextlib.contextmanager
+def never_reusing_engine():
+    """The same interpreter with nothing shared: the memo always
+    misses and branch arms run on copies (``src/`` has no switch for
+    either; the test substitutes the objects)."""
+    analysis = dataflow._ModuleAnalysis
+    original_init = analysis.__init__
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        self.memo = _NeverHits()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "__init__", init)
+        patch.setattr(analysis, "_exec_branches", _copying_exec_branches)
+        yield
+
+
+def facts_and_walks(netlist):
+    """``compute_netlist_facts`` plus what every walk returned, in
+    order (the stable tier's sequential transition reaches no result,
+    so only this trace can see it)."""
+    walks = []
+    analysis = dataflow._ModuleAnalysis
+    comb_walk, seq_walk = analysis._comb_walk, analysis._seq_walk
+
+    def traced_comb(self, *args):
+        env = comb_walk(self, *args)
+        walks.append((self.ir.key, "comb", dict(env)))
+        return env
+
+    def traced_seq(self, *args):
+        writes, assigned = seq_walk(self, *args)
+        walks.append((self.ir.key, "seq", dict(writes), set(assigned)))
+        return writes, assigned
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_comb_walk", traced_comb)
+        patch.setattr(analysis, "_seq_walk", traced_seq)
+        return compute_netlist_facts(netlist), walks
+
+
+def assert_reuse_changes_nothing(netlist):
+    got, got_walks = facts_and_walks(netlist)
+    with never_reusing_engine():
+        want, want_walks = facts_and_walks(netlist)
+    assert got.keys() == want.keys()
+    for key, expected in want.items():
+        # digest, env, stable, the six site dicts, origins, deps,
+        # always_written (and key, input_facts).
+        for spec in dataclasses.fields(expected):
+            assert getattr(got[key], spec.name) == getattr(
+                expected, spec.name), (key, spec.name)
+    assert len(got_walks) == len(want_walks)
+    for got_walk, want_walk in zip(got_walks, want_walks):
+        assert got_walk == want_walk, want_walk[:2]
+
+
+# One module with every shape the memo key and the rollback have to get
+# right (see TestNoReuseDifferential.test_hand_written_corner_cases).
+CORNERS_SRC = """
+module m (
+  input clk, input en, input [1:0] sel, input [7:0] a, input [7:0] b,
+  output [7:0] o_vec, output o1, output o2, output [1:0] o3,
+  output [7:0] o_p, output [7:0] o_q, output [7:0] o_u, output [7:0] o_w,
+  output [7:0] o_hold, output [7:0] o_part
+);
+  reg [2:0] idx_q;
+  reg [3:0] sat_q;
+  reg [7:0] hold_q;
+  reg [7:0] part_q;
+  reg [7:0] p;
+  reg [7:0] q;
+  reg [7:0] t;
+  reg [7:0] u;
+  reg [7:0] w;
+  wire [7:0] vec;
+  assign vec = a;
+  assign o_vec = vec;
+  assign o1 = b[idx_q]; assign o2 = b[sat_q]; assign o3 = b[idx_q +: 2];
+  assign o_p = p;
+  assign o_q = q;
+  assign o_u = u;
+  assign o_w = w;
+  assign o_hold = hold_q;
+  assign o_part = part_q;
+  always @(*) begin
+    case (sel)
+      2'd0: begin
+        if (a[0]) p = 8'd200; else q = b;
+      end
+      2'd1: q = a;
+      2'd2: q = {4'd0, sat_q};
+    endcase
+  end
+  always @(*) begin
+    w = t + 8'd1;
+    t = {5'd0, idx_q};
+    u = t ^ b;
+    if (en) t = u;
+  end
+  always @(posedge clk) begin
+    idx_q <= idx_q + 3'd1;
+    if (sat_q < 4'd10) sat_q <= sat_q + 4'd1;
+    if (en) hold_q <= 8'd5;
+    if (sel[0]) part_q[idx_q] <= 1'b1; else part_q <= {4'd0, b[3:0]};
+  end
+endmodule
+"""
+
+
+def corners_netlist():
+    netlist = elaborate(parse(CORNERS_SRC), "m")
+    # The elaborator refuses ``assign vec[idx_q] = a;``; the engine
+    # does not rely on that, so hand it one.
+    (assign,) = [item for item in netlist.modules["m"].comb_assigns
+                 if item.target.name == "vec"]
+    assign.target.index = ast.Id(name="idx_q", line=assign.line)
+    return netlist
+
+
+def _design_tops():
+    designs = Path(__file__).resolve().parent.parent / "examples" / "designs"
+    for path in sorted(designs.glob("*.v")):
+        for top in parse(path.read_text()).modules:
+            yield pytest.param(path, top, id=f"{path.name}-{top}")
+
+
+class TestNoReuseDifferential:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_pgas_mesh(self, n):
+        assert_reuse_changes_nothing(
+            elaborate(parse(build_pgas_source(n)), mesh_top_name(n)))
+
+    @pytest.mark.parametrize("name", list(PATCHES))
+    def test_patch_variants(self, name):
+        source = PATCHES[name].inject(build_pgas_source(2))
+        assert_reuse_changes_nothing(
+            elaborate(parse(source), mesh_top_name(2)))
+
+    @pytest.mark.parametrize("path,top", _design_tops())
+    def test_example_designs(self, path, top):
+        assert_reuse_changes_nothing(elaborate(parse(path.read_text()), top))
+
+    @given(source=random_design())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_hierarchies(self, source):
+        assert_reuse_changes_nothing(elaborate(parse(source), "top"))
+
+    @given(expr=expr_text())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_expressions(self, expr):
+        assert_reuse_changes_nothing(elaborate(parse(module_for(expr)), "m"))
+
+    def test_hand_written_corner_cases(self):
+        netlist = corners_netlist()
+        assert_reuse_changes_nothing(netlist)
+        facts = compute_netlist_facts(netlist)["m"]
+        # The corners are really there: a dynamically indexed
+        # continuous target whose index only the target reads ...
+        (vec_site,) = [site for (name, _), site in facts.ob_sites.items()
+                       if name == "vec"]
+        assert vec_site.reads == ("idx_q",) and vec_site.fact.hi == 7
+        # ... three sites under one (name, line) key, one of them with
+        # another bound (so the collision gives up on the fact) ...
+        (b_site,) = [site for (name, _), site in facts.ob_sites.items()
+                     if name == "b"]
+        assert b_site.fact is None and b_site.bound == 7
+        # ... a case without default whose arms write different names
+        # (p and q keep the zero of the path that skips them) ...
+        assert (facts.env["p"].lo, facts.env["p"].hi) == (0, 200)
+        assert facts.env["q"].is_top
+        # ... a comb block reading ``t`` before and after it writes it
+        # (``w`` sees the zero the block starts from) ...
+        assert facts.env["w"].is_const and facts.env["w"].const_value == 1
+        # ... a register one path leaves alone, and one written in part
+        # on one path and in full on the other.
+        assert (facts.env["hold_q"].lo, facts.env["hold_q"].hi) == (0, 5)
+        assert facts.env["part_q"].is_top
+        assert facts.always_written == {"idx_q", "part_q"}
+
+    # -- seeded bugs: the differential has to see each of them ---------------
+
+    def _seeded_item(self, monkeypatch, narrow):
+        original = dataflow._ModuleAnalysis._item
+
+        def item_with_a_short_key(self, item, names, env, rec):
+            return original(self, item, narrow(item, names), env, rec)
+
+        monkeypatch.setattr(dataflow._ModuleAnalysis, "_item",
+                            item_with_a_short_key)
+
+    def test_sees_an_assign_key_without_the_target_index(self, monkeypatch):
+        self._seeded_item(monkeypatch, lambda item, names: (
+            item.reads if isinstance(item, CombAssignIR) else names))
+        with pytest.raises(AssertionError, match="ob_sites"):
+            assert_reuse_changes_nothing(corners_netlist())
+
+    def test_sees_a_sequential_key_without_the_written_names(
+            self, monkeypatch):
+        self._seeded_item(monkeypatch, lambda item, names: (
+            tuple(sorted(stmt_reads_writes(item.body)[0]))
+            if isinstance(item, SeqBlockIR) else names))
+        with pytest.raises(AssertionError, match="seq"):
+            assert_reuse_changes_nothing(corners_netlist())
+
+    def test_sees_a_skipped_rollback_entry(self, monkeypatch):
+        original = dataflow._ModuleAnalysis._put
+
+        def put(self, dest, name, fact):
+            if name == "p":
+                dest[name] = fact  # stored, never journalled
+            else:
+                original(self, dest, name, fact)
+
+        monkeypatch.setattr(dataflow._ModuleAnalysis, "_put", put)
+        with pytest.raises(AssertionError, match="env"):
+            assert_reuse_changes_nothing(corners_netlist())
+
+
+class TestItemCounts:
+    """Item evaluations are a count the system reports (``stats`` and
+    the ``repro.obs/v1`` report carry the metrics registry)."""
+
+    @staticmethod
+    def _counts():
+        metrics = obs.get_metrics()
+        return (metrics.counter("dataflow.items_evaluated"),
+                metrics.counter("dataflow.items_reused"))
+
+    def _delta(self, run):
+        before = self._counts()
+        run()
+        after = self._counts()
+        return after[0] - before[0], after[1] - before[1]
+
+    def test_an_edit_evaluates_the_cone_of_what_differs(self):
+        netlist = elaborate(parse(build_pgas_source(2)), mesh_top_name(2))
+        fps = {ir.name: "v0" for ir in netlist.modules.values()}
+        cache = DerivedCache()
+
+        def run():
+            compute_netlist_facts(netlist, fps=fps, cache=cache)
+
+        evaluated, reused = self._delta(run)
+        assert (evaluated, reused) == (269, 754)  # 1023 item visits, cold
+        with never_reusing_engine():  # the differential's reference
+            assert self._delta(
+                lambda: compute_netlist_facts(netlist)) == (1023, 0)
+        # A fingerprint change of one stage: its summary, its parent's
+        # and its specialised run walk again, everything else is cached.
+        for module, visits, most in (("rv_ex", 370, 90), ("rv_id", 272, 75)):
+            fps[module] = "edited"
+            evaluated, reused = self._delta(run)
+            assert evaluated + reused == visits
+            assert evaluated <= most
+        assert self._delta(run) == (0, 0)  # nothing dirty, nothing visited
+        counters = obs.report()["metrics"]["counters"]
+        assert counters["dataflow.items_reused"] >= 754
+        assert counters["passes.dataflow.cache_hits"] > 0  # its neighbours
+
+    def test_a_converged_final_walk_evaluates_nothing(self):
+        netlist = elaborate(parse(build_pgas_source(2)), mesh_top_name(2))
+        analysis = dataflow._ModuleAnalysis
+        comb_walk, seq_walk = analysis._comb_walk, analysis._seq_walk
+        walks = []  # (module key, recording?, items evaluated)
+
+        def counted(walk):
+            def run(this, *args):
+                rec = args[-1] if isinstance(
+                    args[-1], dataflow._SiteRecorder) else None
+                before = self._counts()[0]
+                result = walk(this, *args)
+                walks.append((this.ir.key, rec is not None,
+                              self._counts()[0] - before))
+                return result
+            return run
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_comb_walk", counted(comb_walk))
+            patch.setattr(analysis, "_seq_walk", counted(seq_walk))
+            compute_netlist_facts(netlist)
+        converged = capped = 0
+        while walks:
+            # One run: fixpoint rounds, then the final and the stable
+            # walk (comb + seq each), which are the recording ones.
+            key = walks[0][0]
+            rounds = 0
+            while not walks[rounds][1]:
+                rounds += 1
+            run, walks = walks[:rounds + 4], walks[rounds + 4:]
+            assert all(walk[0] == key for walk in run)
+            final = run[rounds][2] + run[rounds + 1][2]
+            if rounds // 2 < dataflow.MAX_ROUNDS:
+                converged += 1
+                assert final == 0, key
+            else:
+                capped += 1  # rv_wb's retire counter: registers degraded
+                assert final > 0, key
+        assert converged and capped
