@@ -130,7 +130,13 @@ class Check:
 
 
 class WidthOracle:
-    """Width inference over folded expressions (mirrors codegen rules)."""
+    """The width the user *wrote*, for the width-mismatch checks.
+
+    Not the codegen rule (:func:`repro.hdl.consteval.width_of`): a bare
+    decimal is context-sized here (``None``, where codegen says
+    ``max(32, bit_length)``) and that propagates through every
+    composite, so ``w + 1`` is as wide as ``w``.
+    """
 
     def __init__(self, ir: ModuleIR):
         self._ir = ir

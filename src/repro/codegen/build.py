@@ -26,7 +26,7 @@ MUX_STYLES = ("branch", "select")
 # Folded into every digest, so bumping it (whenever the pickled payload
 # or the CompiledModule field set changes) turns an old store directory
 # into a cold cache: its artifacts are never addressed again.
-STORE_FORMAT = "repro.store/v7"
+STORE_FORMAT = "repro.store/v8"
 
 
 @dataclass(frozen=True)

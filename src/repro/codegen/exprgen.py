@@ -8,18 +8,14 @@ behind :class:`Resolver`.
 Value invariant: every generated sub-expression evaluates to a Python
 int already masked to the node's width (non-negative, ``< 2**width``).
 
-Width rules (documented deviation set from full Verilog, chosen to be
-predictable):
+The width of every node is :func:`repro.hdl.consteval.width_of` (a
+documented deviation set from full Verilog, chosen to be predictable;
+the rule is written out there and nowhere else).  ``$signed`` changes
+interpretation for ``<``, ``<=``, ``>``, ``>=`` and ``>>>`` only; both
+comparison operands must be signed.
 
-* arithmetic / bitwise binary: ``max(widths)``
-* comparisons, logical ops, reductions: 1
-* shifts: width of the left operand
-* concatenation: sum of parts; replication: ``count * width``
-* ``$signed`` changes interpretation for ``<``, ``<=``, ``>``, ``>=``
-  and ``>>>`` only; both comparison operands must be signed.
-
-Divide/modulo by zero yields 0 (Verilog would give X; this simulator
-has no X state).
+``x / 0`` is all-ones and ``x % 0`` is ``x`` (Verilog would give X; this
+simulator has no X state).
 """
 
 from __future__ import annotations
@@ -27,12 +23,9 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..hdl import ast_nodes as ast
-from ..hdl.errors import CodegenError, WidthError
+from ..hdl.consteval import const_int, mask_of, num_value, width_of
+from ..hdl.errors import CodegenError
 from .emitter import FunctionEmitter, block
-
-
-def mask_of(width: int) -> int:
-    return (1 << width) - 1
 
 
 class Resolver:
@@ -91,71 +84,13 @@ class ExprGen:
     # -- width inference ----------------------------------------------------
 
     def width_of(self, expr: ast.Expr) -> int:
-        if isinstance(expr, ast.Num):
-            if expr.width is not None:
-                return expr.width
-            return max(32, expr.value.bit_length())
-        if isinstance(expr, ast.Id):
-            width = self._resolver.signal_width(expr.name)
-            if width is None:
-                if self._maybe_memory_width(expr.name) is not None:
-                    raise CodegenError(
-                        f"memory {expr.name!r} used without an index",
-                        expr.line,
-                    )
-                raise CodegenError(f"unknown signal {expr.name!r}", expr.line)
-            return width
-        if isinstance(expr, ast.Unary):
-            if expr.op in ("!", "&", "|", "^"):
-                return 1
-            return self.width_of(expr.operand)
-        if isinstance(expr, ast.Binary):
-            op = expr.op
-            if op in ("==", "!=", "===", "!==", "<", "<=", ">", ">=", "&&", "||"):
-                return 1
-            if op in ("<<", ">>", ">>>", "<<<"):
-                return self.width_of(expr.left)
-            return max(self.width_of(expr.left), self.width_of(expr.right))
-        if isinstance(expr, ast.Ternary):
-            return max(self.width_of(expr.if_true), self.width_of(expr.if_false))
-        if isinstance(expr, ast.Concat):
-            return sum(self.width_of(p) for p in expr.parts)
-        if isinstance(expr, ast.Repl):
-            count = self._const(expr.count, "replication count")
-            if count < 1:
-                raise WidthError(
-                    f"replication count must be >= 1, got {count}", expr.line
-                )
-            return count * self.width_of(expr.value)
-        if isinstance(expr, ast.Index):
-            mem_width = self._maybe_memory_width(expr.base)
-            return mem_width if mem_width is not None else 1
-        if isinstance(expr, ast.Slice):
-            msb = self._const(expr.msb, "slice msb")
-            lsb = self._const(expr.lsb, "slice lsb")
-            if msb < lsb:
-                raise WidthError(f"slice [{msb}:{lsb}] is reversed", expr.line)
-            return msb - lsb + 1
-        if isinstance(expr, ast.IndexedPart):
-            return self._const(expr.width, "indexed part width")
-        if isinstance(expr, ast.SysCall):
-            if expr.func in ("$signed", "$unsigned"):
-                return self.width_of(expr.args[0])
-            if expr.func == "$clog2":
-                return 32
-        raise CodegenError(f"cannot size {type(expr).__name__}",
-                           getattr(expr, "line", 0))
+        return width_of(expr, self._resolver.signal_width,
+                        self._maybe_memory_width)
 
     def _maybe_memory_width(self, name: str) -> Optional[int]:
         if self._resolver.memory_ref(name) is not None:
             return self._resolver.memory_width(name)
         return None
-
-    def _const(self, expr: ast.Expr, what: str) -> int:
-        if isinstance(expr, ast.Num):
-            return expr.value
-        raise CodegenError(f"{what} must be constant",
-                           getattr(expr, "line", 0))
 
     @staticmethod
     def is_signed(expr: ast.Expr) -> bool:
@@ -170,7 +105,7 @@ class ExprGen:
     def gen(self, expr: ast.Expr) -> str:
         """Return a Python expression string for ``expr`` (masked)."""
         if isinstance(expr, ast.Num):
-            return str(expr.value & mask_of(self.width_of(expr)))
+            return str(num_value(expr))
         if isinstance(expr, ast.Id):
             mem_ref = self._resolver.memory_ref(expr.name)
             if mem_ref is not None:
@@ -359,7 +294,7 @@ class ExprGen:
         return "(" + " | ".join(parts) + ")"
 
     def _gen_repl(self, expr: ast.Repl) -> str:
-        count = self._const(expr.count, "replication count")
+        count = const_int(expr.count, "replication count")
         value_width = self.width_of(expr.value)
         factor = sum(1 << (i * value_width) for i in range(count))
         return f"((({self.gen(expr.value)}) * {factor}))"
@@ -396,18 +331,15 @@ class ExprGen:
         return f"((({base}) >> ({index_code})) & 1)"
 
     def _gen_slice(self, expr: ast.Slice) -> str:
-        msb = self._const(expr.msb, "slice msb")
-        lsb = self._const(expr.lsb, "slice lsb")
-        if msb < lsb:
-            raise WidthError(f"slice [{msb}:{lsb}] is reversed", expr.line)
+        width = self.width_of(expr)  # constant bounds, not reversed
+        lsb = expr.lsb.value
         base = self._signal_read(expr.base, expr.line)
-        width = msb - lsb + 1
         if lsb == 0:
             return f"(({base}) & {mask_of(width)})"
         return f"((({base}) >> {lsb}) & {mask_of(width)})"
 
     def _gen_indexed_part(self, expr: ast.IndexedPart) -> str:
-        width = self._const(expr.width, "indexed part width")
+        width = self.width_of(expr)
         base = self._signal_read(expr.base, expr.line)
         start = self.gen(expr.start)
         base_width = self._resolver.signal_width(expr.base)

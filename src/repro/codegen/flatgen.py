@@ -88,10 +88,6 @@ class _FlatScope:
                 return f"s[{slot}]"
             return self.local(name)  # inputs are bound locals too
 
-        def signal_width(name: str) -> Optional[int]:
-            sig = self.ir.signals.get(name)
-            return sig.width if sig is not None else None
-
         def memory_ref(name: str) -> Optional[str]:
             if name in self.ir.memories:
                 spec = compiler._mem_specs[self.global_id(name)]
@@ -103,7 +99,7 @@ class _FlatScope:
 
         return Resolver(
             signal_ref=signal_ref,
-            signal_width=signal_width,
+            signal_width=self.ir.signal_width,
             memory_ref=memory_ref,
             memory_width=lambda n: mem_spec(n).width,
             memory_depth=lambda n: mem_spec(n).depth,

@@ -334,10 +334,6 @@ class _ModuleCompiler:
             reads.add(name)
             return f"i_{name}" if sig.kind == "input" else f"v_{name}"
 
-        def signal_width(name: str) -> Optional[int]:
-            sig = ir.signals.get(name)
-            return sig.width if sig is not None else None
-
         def memory_ref(name: str) -> Optional[str]:
             if name not in self._mem_slot:
                 return None
@@ -346,7 +342,7 @@ class _ModuleCompiler:
 
         resolver = Resolver(
             signal_ref=signal_ref,
-            signal_width=signal_width,
+            signal_width=ir.signal_width,
             memory_ref=memory_ref,
             memory_width=lambda n: self._mem_slot[n].width,
             memory_depth=lambda n: self._mem_slot[n].depth,

@@ -1,11 +1,46 @@
-"""Constant evaluation and parameter folding over LHDL expressions."""
+"""What an LHDL expression means: its width, its constant value, its fold.
+
+Two rules live here and nowhere else.
+
+*Parameter arithmetic* (:func:`eval_const`) is unbounded-integer
+arithmetic: ``localparam W = A - B``, ``1 << 40``, memory depths and
+port ranges.
+
+*The runtime rule* is what generated code computes, a non-negative int
+masked to the node's width.  :func:`width_of` is the one place widths
+are decided; elaboration, the optimiser, the abstract interpreter, the
+sanitizer census and both code generators call it:
+
+* a sized literal has its width, a bare decimal (and a parameter)
+  ``max(32, bit_length)``;
+* arithmetic / bitwise binary and the ternary: ``max`` of the operands;
+* comparisons, logical operators and reductions: 1;
+* shifts: the left operand; ``~`` and ``-``: the operand;
+* concatenation: the sum of the parts; replication ``count * width``;
+* a bit-select is 1 bit (a memory word the memory's width), a
+  part-select its own width.
+
+Compares, ``/``, ``%`` and ``>>`` act on the masked values (a negative
+parameter compares as its two's complement), ``x / 0`` is all-ones and
+``x % 0`` is ``x``.  :func:`substitute` / :func:`rewrite_stmts` are the
+one folder: :func:`fold_params` / :func:`fold_stmts` run it at
+elaboration with parameters as bare literals, the optimiser
+(:mod:`repro.codegen.optplan`) with proven-constant wires as sized
+ones, so a folded expression is bit-identical to the unfolded one.
+``$signed`` / ``$unsigned`` wrappers block folding (their signedness
+changes how an *enclosing* compare or shift lowers).
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from . import ast_nodes as ast
-from .errors import ElaborationError
+from .errors import CodegenError, ElaborationError, WidthError
+
+WidthLookup = Callable[[str], Optional[int]]  # name -> width, None: unknown
+# (name, line) -> the literal standing for that name, None: not constant
+LiteralOf = Callable[[str, int], Optional[ast.Num]]
 
 
 def eval_const(expr: ast.Expr, env: Dict[str, int]) -> int:
@@ -94,121 +129,346 @@ def _apply_const_binary(op: str, left: int, right: int, line: int) -> int:
     raise ElaborationError(f"operator {op!r} not allowed in constant expression", line)
 
 
-def fold_params(expr: ast.Expr, env: Dict[str, int]) -> ast.Expr:
-    """Return a copy of ``expr`` with parameter references replaced by
-    literals and constant subtrees collapsed."""
+# ----------------------------------------------------------------------------
+# The runtime expression rule: widths, literals and the folder
+# ----------------------------------------------------------------------------
+
+
+def mask_of(width: int) -> int:
+    return (1 << width) - 1
+
+
+def num_width(num: ast.Num) -> int:
+    """A sized literal has its width; a bare decimal is 32 bits, or as
+    many as its magnitude needs."""
+    if num.width is not None:
+        return num.width
+    return max(32, num.value.bit_length())
+
+
+def num_value(num: ast.Num) -> int:
+    """The masked, non-negative value the generated code holds."""
+    return num.value & mask_of(num_width(num))
+
+
+def const_int(expr: ast.Expr, what: str) -> int:
+    """The raw value of a literal in a position that needs one (a
+    replication count, a part-select bound)."""
+    if isinstance(expr, ast.Num):
+        return expr.value
+    raise CodegenError(f"{what} must be constant", getattr(expr, "line", 0))
+
+
+_ONE_BIT_BINARY = frozenset(
+    ("==", "!=", "===", "!==", "<", "<=", ">", ">=", "&&", "||"))
+_SHIFTS = frozenset(("<<", ">>", ">>>", "<<<"))
+
+
+def width_of(expr: ast.Expr, signal_width: WidthLookup,
+             memory_width: WidthLookup) -> int:
+    """The width of ``expr`` in generated code (the module docstring's
+    rule).  Both lookups return ``None`` for a name they do not know."""
+    if isinstance(expr, ast.Num):
+        return num_width(expr)
+    if isinstance(expr, ast.Id):
+        width = signal_width(expr.name)
+        if width is None:
+            if memory_width(expr.name) is not None:
+                raise CodegenError(
+                    f"memory {expr.name!r} used without an index", expr.line
+                )
+            raise CodegenError(f"unknown signal {expr.name!r}", expr.line)
+        return width
+    if isinstance(expr, ast.Unary):
+        if expr.op in ("!", "&", "|", "^"):
+            return 1
+        return width_of(expr.operand, signal_width, memory_width)
+    if isinstance(expr, ast.Binary):
+        if expr.op in _ONE_BIT_BINARY:
+            return 1
+        left = width_of(expr.left, signal_width, memory_width)
+        if expr.op in _SHIFTS:
+            return left
+        return max(left, width_of(expr.right, signal_width, memory_width))
+    if isinstance(expr, ast.Ternary):
+        return max(width_of(expr.if_true, signal_width, memory_width),
+                   width_of(expr.if_false, signal_width, memory_width))
+    if isinstance(expr, ast.Concat):
+        return sum(width_of(p, signal_width, memory_width)
+                   for p in expr.parts)
+    if isinstance(expr, ast.Repl):
+        count = const_int(expr.count, "replication count")
+        if count < 1:
+            raise WidthError(
+                f"replication count must be >= 1, got {count}", expr.line
+            )
+        return count * width_of(expr.value, signal_width, memory_width)
+    if isinstance(expr, ast.Index):
+        mem_width = memory_width(expr.base)
+        return mem_width if mem_width is not None else 1
+    if isinstance(expr, ast.Slice):
+        msb = const_int(expr.msb, "slice msb")
+        lsb = const_int(expr.lsb, "slice lsb")
+        if msb < lsb:
+            raise WidthError(f"slice [{msb}:{lsb}] is reversed", expr.line)
+        return msb - lsb + 1
+    if isinstance(expr, ast.IndexedPart):
+        width = const_int(expr.width, "indexed part width")
+        if width < 0:  # a negative parameter; mask_of would not survive it
+            raise WidthError(
+                f"indexed part width must be >= 0, got {width}", expr.line
+            )
+        return width
+    if isinstance(expr, ast.SysCall):
+        if expr.func in ("$signed", "$unsigned"):
+            return width_of(expr.args[0], signal_width, memory_width)
+        if expr.func == "$clog2":
+            return 32
+    raise CodegenError(f"cannot size {type(expr).__name__}",
+                       getattr(expr, "line", 0))
+
+
+def fold_unary(op: str, operand: ast.Num, line: int) -> Optional[ast.Num]:
+    """``op`` applied to a literal, as the generated code computes it
+    (``None``: not an operator this folds)."""
+    width, value = num_width(operand), num_value(operand)
+    if op in ("~", "-"):
+        result = ~value if op == "~" else -value
+        return ast.Num(value=result & mask_of(width), width=width, line=line)
+    bit = {"!": not value, "&": value == mask_of(width), "|": value != 0,
+           "^": bin(value).count("1") & 1}.get(op)
+    return None if bit is None else ast.Num(value=int(bit), width=1, line=line)
+
+
+def fold_binary(op: str, left: ast.Num, right: ast.Num,
+                line: int) -> Optional[ast.Num]:
+    """``left op right`` over two literals, as the generated code
+    computes it: on masked non-negative values, at the rule's width.
+    Literals are unsigned (signedness needs a ``$signed`` node, and
+    those block folding), so ``>>>`` is ``>>``."""
+    lv, rv = num_value(left), num_value(right)
+    if op in _ONE_BIT_BINARY:
+        bit = {"==": lv == rv, "===": lv == rv, "!=": lv != rv,
+               "!==": lv != rv, "<": lv < rv, "<=": lv <= rv, ">": lv > rv,
+               ">=": lv >= rv, "&&": lv and rv, "||": lv or rv}[op]
+        return ast.Num(value=int(bool(bit)), width=1, line=line)
+    width = num_width(left)
+    if op in ("<<", "<<<"):
+        value = (lv << rv) & mask_of(width) if rv <= width else 0
+    elif op in (">>", ">>>"):
+        value = lv >> rv
+    else:
+        width = max(width, num_width(right))
+        if op == "/":
+            value = lv // rv if rv else mask_of(width)
+        elif op == "%":
+            value = lv % rv if rv else lv
+        else:
+            table = {"+": lv + rv, "-": lv - rv, "*": lv * rv,
+                     "&": lv & rv, "|": lv | rv, "^": lv ^ rv}
+            if op not in table:
+                return None
+            value = table[op] & mask_of(width)
+    return ast.Num(value=value, width=width, line=line)
+
+
+def _nums(*nodes: ast.Expr) -> bool:
+    for node in nodes:
+        if not isinstance(node, ast.Num):
+            return False
+    return True
+
+
+def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
+    """Rebuild ``expr`` with every name ``literal_of(name, line)`` knows
+    replaced by that literal and the constant subtrees this creates
+    collapsed.  Returns a new tree (or ``expr`` itself when nothing
+    applies); never mutates."""
     if isinstance(expr, ast.Num):
         return expr
     if isinstance(expr, ast.Id):
-        if expr.name in env:
-            return ast.Num(value=env[expr.name], line=expr.line)
-        return expr
+        return literal_of(expr.name, expr.line) or expr
     if isinstance(expr, ast.Unary):
-        operand = fold_params(expr.operand, env)
+        operand = substitute(expr.operand, literal_of)
         if isinstance(operand, ast.Num):
-            # Fold width-preservingly: ~ and - operate within the
-            # operand's width (32 for bare decimals), ! yields one bit.
-            width = operand.width if operand.width is not None else 32
-            mask = (1 << width) - 1
-            if expr.op == "~":
-                return ast.Num(value=(~operand.value) & mask, width=width,
-                               line=expr.line)
-            if expr.op == "-":
-                return ast.Num(value=(-operand.value) & mask, width=width,
-                               line=expr.line)
-            if expr.op == "!":
-                return ast.Num(value=0 if operand.value else 1, width=1,
-                               line=expr.line)
+            folded = fold_unary(expr.op, operand, expr.line)
+            if folded is not None:
+                return folded
         return ast.Unary(op=expr.op, operand=operand, line=expr.line)
     if isinstance(expr, ast.Binary):
-        left = fold_params(expr.left, env)
-        right = fold_params(expr.right, env)
+        left = substitute(expr.left, literal_of)
+        right = substitute(expr.right, literal_of)
         if isinstance(left, ast.Num) and isinstance(right, ast.Num):
-            try:
-                value = _apply_const_binary(expr.op, left.value, right.value,
-                                            expr.line)
-            except ElaborationError:
-                value = None
-            if value is not None:
-                # Preserve the runtime width semantics (see exprgen):
-                # arith/bitwise take max width, shifts the left width,
-                # comparisons/logical yield one bit.
-                wl = left.width if left.width is not None else 32
-                wr = right.width if right.width is not None else 32
-                if expr.op in ("==", "!=", "===", "!==", "<", "<=", ">",
-                               ">=", "&&", "||"):
-                    width = 1
-                elif expr.op in ("<<", ">>", ">>>", "<<<"):
-                    width = wl
-                else:
-                    width = max(wl, wr)
-                return ast.Num(
-                    value=value & ((1 << width) - 1),
-                    width=width,
-                    line=expr.line,
-                )
+            folded = fold_binary(expr.op, left, right, expr.line)
+            if folded is not None:
+                return folded
         return ast.Binary(op=expr.op, left=left, right=right, line=expr.line)
     if isinstance(expr, ast.Ternary):
-        return ast.Ternary(
-            cond=fold_params(expr.cond, env),
-            if_true=fold_params(expr.if_true, env),
-            if_false=fold_params(expr.if_false, env),
-            line=expr.line,
-        )
-    if isinstance(expr, ast.Concat):
-        return ast.Concat(parts=[fold_params(p, env) for p in expr.parts],
-                          line=expr.line)
-    if isinstance(expr, ast.Repl):
-        return ast.Repl(
-            count=fold_params(expr.count, env),
-            value=fold_params(expr.value, env),
-            line=expr.line,
-        )
-    if isinstance(expr, ast.Index):
-        index = fold_params(expr.index, env)
-        if expr.base in env and isinstance(index, ast.Num):
-            return ast.Num(value=(env[expr.base] >> index.value) & 1,
+        cond = substitute(expr.cond, literal_of)
+        if_true = substitute(expr.if_true, literal_of)
+        if_false = substitute(expr.if_false, literal_of)
+        if _nums(cond, if_true, if_false):
+            # Ternary width is max(arms); keep it on the survivor.
+            width = max(num_width(if_true), num_width(if_false))
+            chosen = if_true if num_value(cond) else if_false
+            return ast.Num(value=num_value(chosen), width=width,
                            line=expr.line)
+        return ast.Ternary(cond=cond, if_true=if_true, if_false=if_false,
+                           line=expr.line)
+    if isinstance(expr, ast.Concat):
+        parts = [substitute(p, literal_of) for p in expr.parts]
+        if _nums(*parts):
+            value = total = 0
+            for part in parts:
+                value = (value << num_width(part)) | num_value(part)
+                total += num_width(part)
+            return ast.Num(value=value, width=total, line=expr.line)
+        return ast.Concat(parts=parts, line=expr.line)
+    if isinstance(expr, ast.Repl):
+        count = substitute(expr.count, literal_of)
+        value = substitute(expr.value, literal_of)
+        if _nums(count, value) and count.value >= 1:
+            vw = num_width(value)
+            factor = sum(1 << (i * vw) for i in range(count.value))
+            return ast.Num(value=num_value(value) * factor,
+                           width=count.value * vw, line=expr.line)
+        return ast.Repl(count=count, value=value, line=expr.line)
+    if isinstance(expr, ast.Index):
+        index = substitute(expr.index, literal_of)
+        base = literal_of(expr.base, expr.line)
+        if base and isinstance(index, ast.Num):
+            return ast.Num(value=(num_value(base) >> num_value(index)) & 1,
+                           width=1, line=expr.line)
         return ast.Index(base=expr.base, index=index, line=expr.line)
     if isinstance(expr, ast.Slice):
-        msb = fold_params(expr.msb, env)
-        lsb = fold_params(expr.lsb, env)
-        if (expr.base in env and isinstance(msb, ast.Num)
-                and isinstance(lsb, ast.Num)):
-            # Bit-select on a parameter (e.g. DEPTH[LOGD:0]): fold to a
-            # sized literal so width inference sees the select's width.
+        msb = substitute(expr.msb, literal_of)
+        lsb = substitute(expr.lsb, literal_of)
+        base = literal_of(expr.base, expr.line)
+        if base and _nums(msb, lsb) and msb.value >= lsb.value >= 0:
             width = msb.value - lsb.value + 1
-            if width > 0:
-                value = (env[expr.base] >> lsb.value) & ((1 << width) - 1)
-                return ast.Num(value=value, width=width, line=expr.line)
+            return ast.Num(
+                value=(num_value(base) >> lsb.value) & mask_of(width),
+                width=width, line=expr.line,
+            )
         return ast.Slice(base=expr.base, msb=msb, lsb=lsb, line=expr.line)
     if isinstance(expr, ast.IndexedPart):
-        start = fold_params(expr.start, env)
-        width_e = fold_params(expr.width, env)
-        if (expr.base in env and isinstance(start, ast.Num)
-                and isinstance(width_e, ast.Num) and width_e.value > 0):
+        start = substitute(expr.start, literal_of)
+        width_e = substitute(expr.width, literal_of)
+        base = literal_of(expr.base, expr.line)
+        if base and _nums(start, width_e) and width_e.value > 0:
             width = width_e.value
-            shift = (start.value if expr.ascending
-                     else start.value - width + 1)
-            value = (env[expr.base] >> max(shift, 0)) & ((1 << width) - 1)
-            return ast.Num(value=value, width=width, line=expr.line)
-        return ast.IndexedPart(
-            base=expr.base,
-            start=start,
-            width=width_e,
-            ascending=expr.ascending,
-            line=expr.line,
-        )
-    if isinstance(expr, ast.SysCall):
-        args = [fold_params(a, env) for a in expr.args]
-        if expr.func == "$clog2" and all(isinstance(a, ast.Num) for a in args):
-            return ast.Num(
-                value=max(args[0].value - 1, 0).bit_length(),  # type: ignore[union-attr]
-                line=expr.line,
+            shift = (
+                num_value(start) if expr.ascending
+                else num_value(start) - (width - 1)
             )
+            if shift >= 0:  # negative shifts fault at runtime; keep those
+                return ast.Num(
+                    value=(num_value(base) >> shift) & mask_of(width),
+                    width=width, line=expr.line,
+                )
+        return ast.IndexedPart(base=expr.base, start=start, width=width_e,
+                               ascending=expr.ascending, line=expr.line)
+    if isinstance(expr, ast.SysCall):
+        args = [substitute(a, literal_of) for a in expr.args]
+        if expr.func == "$clog2" and args and isinstance(args[0], ast.Num):
+            # Parameter arithmetic (eval_const's rule), a bare literal.
+            return ast.Num(value=max(args[0].value - 1, 0).bit_length(),
+                           line=expr.line)
         return ast.SysCall(func=expr.func, args=args, line=expr.line)
-    raise ElaborationError(f"cannot fold expression node {type(expr).__name__}",
-                           getattr(expr, "line", 0))
+    return expr
+
+
+def rewrite_stmts(stmts: List[ast.Stmt], literal_of: LiteralOf,
+                  prune: bool) -> List[ast.Stmt]:
+    """:func:`substitute` through a statement list.  ``prune`` also
+    drops the branches a literal condition (or an all-literal ``case``)
+    makes unreachable; without it every ``if`` and arm stays, condition
+    folded, for the analyzer to report on."""
+    out: List[ast.Stmt] = []
+    for stmt in stmts:
+        if isinstance(stmt, (ast.NonBlocking, ast.Blocking)):
+            target = stmt.target
+            out.append(type(stmt)(
+                target=ast.LValue(
+                    name=target.name,
+                    index=_substitute_opt(target.index, literal_of),
+                    msb=_substitute_opt(target.msb, literal_of),
+                    lsb=_substitute_opt(target.lsb, literal_of),
+                    line=target.line,
+                ),
+                value=substitute(stmt.value, literal_of),
+                line=stmt.line,
+            ))
+        elif isinstance(stmt, ast.If):
+            cond = substitute(stmt.cond, literal_of)
+            if prune and isinstance(cond, ast.Num):
+                live = stmt.then_body if num_value(cond) else stmt.else_body
+                out.extend(rewrite_stmts(live, literal_of, prune))
+            else:
+                out.append(ast.If(
+                    cond=cond,
+                    then_body=rewrite_stmts(stmt.then_body, literal_of, prune),
+                    else_body=rewrite_stmts(stmt.else_body, literal_of, prune),
+                    line=stmt.line,
+                ))
+        elif isinstance(stmt, ast.Case):
+            subject = substitute(stmt.subject, literal_of)
+            arms = [
+                ([substitute(lbl, literal_of) for lbl in labels], body)
+                for labels, body in stmt.arms
+            ]
+            all_labels = [lbl for labels, _ in arms for lbl in labels]
+            if prune and _nums(subject, *all_labels):
+                out.extend(rewrite_stmts(
+                    _taken_arm(num_value(subject), arms), literal_of, prune
+                ))
+            else:
+                out.append(ast.Case(
+                    subject=subject,
+                    arms=[
+                        (labels, rewrite_stmts(body, literal_of, prune))
+                        for labels, body in arms
+                    ],
+                    line=stmt.line,
+                ))
+        else:
+            out.append(stmt)
+    return out
+
+
+def _substitute_opt(expr: Optional[ast.Expr],
+                    literal_of: LiteralOf) -> Optional[ast.Expr]:
+    return substitute(expr, literal_of) if expr is not None else None
+
+
+def _taken_arm(subject: int, arms) -> List[ast.Stmt]:
+    """The body an all-literal ``case`` runs: the first arm with a
+    matching label, else the default, else nothing."""
+    default: List[ast.Stmt] = []
+    for labels, body in arms:
+        if not labels:
+            default = body
+        elif any(num_value(lbl) == subject for lbl in labels):
+            return body
+    return default
+
+
+def _param_literals(env: Dict[str, int]) -> LiteralOf:
+    """Parameters as bare literals (``num_width`` sizes them)."""
+    def literal_of(name: str, line: int) -> Optional[ast.Num]:
+        return ast.Num(value=env[name], line=line) if name in env else None
+    return literal_of
+
+
+def fold_params(expr: ast.Expr, env: Dict[str, int]) -> ast.Expr:
+    """Return a copy of ``expr`` with parameter references replaced by
+    literals and constant subtrees collapsed."""
+    return substitute(expr, _param_literals(env))
+
+
+def fold_stmts(stmts: List[ast.Stmt], env: Dict[str, int]) -> List[ast.Stmt]:
+    """Parameter-fold every expression inside a statement list."""
+    return rewrite_stmts(stmts, _param_literals(env), prune=False)
 
 
 def expr_reads(expr: ast.Expr) -> Set[str]:
@@ -283,53 +543,3 @@ def _walk_stmts(stmts: List[ast.Stmt], reads: Set[str], writes: Set[str]) -> Non
                 for label in labels:
                     _collect_reads(label, reads)
                 _walk_stmts(body, reads, writes)
-
-
-def fold_stmts(stmts: List[ast.Stmt], env: Dict[str, int]) -> List[ast.Stmt]:
-    """Parameter-fold every expression inside a statement list."""
-    folded: List[ast.Stmt] = []
-    for stmt in stmts:
-        folded.append(_fold_stmt(stmt, env))
-    return folded
-
-
-def _fold_lvalue(lval: ast.LValue, env: Dict[str, int]) -> ast.LValue:
-    return ast.LValue(
-        name=lval.name,
-        index=fold_params(lval.index, env) if lval.index is not None else None,
-        msb=fold_params(lval.msb, env) if lval.msb is not None else None,
-        lsb=fold_params(lval.lsb, env) if lval.lsb is not None else None,
-        line=lval.line,
-    )
-
-
-def _fold_stmt(stmt: ast.Stmt, env: Dict[str, int]) -> ast.Stmt:
-    if isinstance(stmt, ast.NonBlocking):
-        return ast.NonBlocking(
-            target=_fold_lvalue(stmt.target, env),
-            value=fold_params(stmt.value, env),
-            line=stmt.line,
-        )
-    if isinstance(stmt, ast.Blocking):
-        return ast.Blocking(
-            target=_fold_lvalue(stmt.target, env),
-            value=fold_params(stmt.value, env),
-            line=stmt.line,
-        )
-    if isinstance(stmt, ast.If):
-        return ast.If(
-            cond=fold_params(stmt.cond, env),
-            then_body=fold_stmts(stmt.then_body, env),
-            else_body=fold_stmts(stmt.else_body, env),
-            line=stmt.line,
-        )
-    if isinstance(stmt, ast.Case):
-        return ast.Case(
-            subject=fold_params(stmt.subject, env),
-            arms=[
-                ([fold_params(lbl, env) for lbl in labels], fold_stmts(body, env))
-                for labels, body in stmt.arms
-            ],
-            line=stmt.line,
-        )
-    raise ElaborationError(f"unknown statement {type(stmt).__name__}", stmt.line)

@@ -178,6 +178,14 @@ class ModuleIR:
                 ordered[sig.state_index] = sig.name  # type: ignore[call-overload]
         return list(ordered)  # type: ignore[arg-type]
 
+    def signal_width(self, name: str) -> Optional[int]:
+        sig = self.signals.get(name)
+        return sig.width if sig is not None else None
+
+    def memory_width(self, name: str) -> Optional[int]:
+        mem = self.memories.get(name)
+        return mem.width if mem is not None else None
+
     def interface_fingerprint(self) -> str:
         """Hash of the port interface.
 

@@ -2,11 +2,11 @@
 
 Forward abstract interpretation over each module's comb schedule and
 sequential transitions.  Every signal gets a :class:`ValueFact` — a
-known-bits mask/value pair plus an unsigned interval — computed with
-the exact width and masking rules codegen applies at runtime (constant
-operands route through :mod:`repro.codegen.optplan`'s folders so the
-two can never disagree).  The seq back-edge runs to a fixpoint with
-interval widening after :data:`WIDEN_ROUNDS`.
+known-bits mask/value pair plus an unsigned interval — computed under
+the runtime rule of :mod:`repro.hdl.consteval`: widths are its
+``width_of``, constant operands go through its ``fold_unary`` /
+``fold_binary``.  The seq back-edge runs to a fixpoint with interval
+widening after :data:`WIDEN_ROUNDS`.
 
 Instance connections propagate facts across the hierarchy in two
 phases: a bottom-up pass summarizes every module with unconstrained
@@ -61,10 +61,19 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .. import obs
 from ..codegen.build import DerivedCache
-from ..codegen.exprgen import ExprGen, mask_of
-from ..codegen.optplan import _fold_binary, _fold_unary, num_value, num_width
+from ..codegen.exprgen import ExprGen
 from ..hdl import ast_nodes as ast
-from ..hdl.consteval import expr_reads, stmt_reads_writes
+from ..hdl.consteval import (
+    expr_reads,
+    fold_binary,
+    fold_unary,
+    mask_of,
+    num_value,
+    num_width,
+    stmt_reads_writes,
+    width_of,
+)
+from ..hdl.errors import HDLError
 from ..ir.netlist import CombAssignIR, ModuleIR, Netlist, SeqBlockIR
 from .base import Pass, PassData
 
@@ -224,15 +233,15 @@ def _as_num(fact: ValueFact, line: int) -> ast.Num:
 
 
 # ----------------------------------------------------------------------------
-# Abstract expression evaluation (mirrors ExprGen's width rules)
+# Abstract expression evaluation
 # ----------------------------------------------------------------------------
 
 
 class FactEval:
     """Evaluates expressions over an environment of ValueFacts.
 
-    ``eval`` returns ``None`` only for expressions whose width ExprGen
-    itself cannot size (the caller treats that as top).  When a call
+    ``eval`` returns ``None`` only for expressions codegen itself
+    cannot size (the caller treats that as top).  When a call
     log (a list) is attached, the :class:`_SiteRecorder` calls for
     ob/tr sites and decided branch conditions are appended to it as
     ``(method name, *args)``, for :meth:`_SiteRecorder.replay`.
@@ -243,68 +252,14 @@ class FactEval:
         self.ir = ir
         self.env = env
         self.rec = recorder
-
-    # -- width mirror (None where ExprGen would raise) -----------------------
+        self._widths = (ir.signal_width, ir.memory_width)  # bound once
 
     def width_of(self, expr) -> Optional[int]:
-        if isinstance(expr, ast.Num):
-            return num_width(expr)
-        if isinstance(expr, ast.Id):
-            sig = self.ir.signals.get(expr.name)
-            return sig.width if sig is not None else None
-        if isinstance(expr, ast.Unary):
-            if expr.op in ("!", "&", "|", "^"):
-                return 1
-            return self.width_of(expr.operand)
-        if isinstance(expr, ast.Binary):
-            if expr.op in ("==", "!=", "===", "!==", "<", "<=", ">", ">=",
-                           "&&", "||"):
-                return 1
-            if expr.op in ("<<", ">>", ">>>", "<<<"):
-                return self.width_of(expr.left)
-            wl, wr = self.width_of(expr.left), self.width_of(expr.right)
-            if wl is None or wr is None:
-                return None
-            return max(wl, wr)
-        if isinstance(expr, ast.Ternary):
-            wt = self.width_of(expr.if_true)
-            wf = self.width_of(expr.if_false)
-            if wt is None or wf is None:
-                return None
-            return max(wt, wf)
-        if isinstance(expr, ast.Concat):
-            total = 0
-            for part in expr.parts:
-                wp = self.width_of(part)
-                if wp is None:
-                    return None
-                total += wp
-            return total
-        if isinstance(expr, ast.Repl):
-            if not isinstance(expr.count, ast.Num) or expr.count.value < 1:
-                return None
-            wv = self.width_of(expr.value)
-            return expr.count.value * wv if wv is not None else None
-        if isinstance(expr, ast.Index):
-            if expr.base in self.ir.memories:
-                return self.ir.memories[expr.base].width
-            return 1
-        if isinstance(expr, ast.Slice):
-            if (isinstance(expr.msb, ast.Num) and isinstance(expr.lsb, ast.Num)
-                    and expr.msb.value >= expr.lsb.value):
-                return expr.msb.value - expr.lsb.value + 1
+        """The codegen width, ``None`` where codegen would raise."""
+        try:
+            return width_of(expr, *self._widths)
+        except HDLError:
             return None
-        if isinstance(expr, ast.IndexedPart):
-            if isinstance(expr.width, ast.Num) and expr.width.value > 0:
-                return expr.width.value
-            return None
-        if isinstance(expr, ast.SysCall):
-            if expr.func in ("$signed", "$unsigned"):
-                return self.width_of(expr.args[0]) if expr.args else None
-            if expr.func == "$clog2":
-                return 32
-            return None
-        return None
 
     def _top(self, expr) -> Optional[ValueFact]:
         width = self.width_of(expr)
@@ -349,7 +304,7 @@ class FactEval:
         if fact is None:
             return self._top(expr)
         if fact.is_const:
-            folded = _fold_unary(expr.op, _as_num(fact, expr.line), expr.line)
+            folded = fold_unary(expr.op, _as_num(fact, expr.line), expr.line)
             if folded is not None:
                 return vf_const(num_value(folded), num_width(folded))
         op, mask = expr.op, fact.mask
@@ -384,7 +339,7 @@ class FactEval:
             return vf_top(1)
         lf, rf = self.eval(expr.left), self.eval(expr.right)
         if lf is not None and rf is not None and lf.is_const and rf.is_const:
-            folded = _fold_binary(op, _as_num(lf, expr.line),
+            folded = fold_binary(op, _as_num(lf, expr.line),
                                   _as_num(rf, expr.line), expr.line)
             if folded is not None:
                 return vf_const(num_value(folded), num_width(folded))

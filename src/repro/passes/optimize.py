@@ -26,15 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
-from ..codegen.exprgen import mask_of
-from ..codegen.optplan import (
+from ..codegen.optplan import optimize_stmts, substitute_expr
+from ..hdl import ast_nodes as ast
+from ..hdl.consteval import (
+    expr_reads,
+    mask_of,
     num_value,
     num_width,
-    optimize_stmts,
-    substitute_expr,
+    stmt_reads_writes,
 )
-from ..hdl import ast_nodes as ast
-from ..hdl.consteval import expr_reads, stmt_reads_writes
 from ..ir.netlist import ModuleIR
 from ..sanitize.elide import unit_site_count
 from .base import Pass, PassData

@@ -38,10 +38,12 @@ silencing any finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Tuple
 
 from ..hdl import ast_nodes as ast
+from ..hdl.consteval import width_of
+from ..hdl.errors import HDLError
 from ..ir.netlist import ModuleIR, Netlist
 
 SiteKey = Tuple[str, int]  # (signal/memory name, source line)
@@ -109,7 +111,6 @@ def reg_const_init(facts, ir: ModuleIR) -> Dict[str, int]:
 class _Census:
     ir: ModuleIR
     count: int = 0
-    _width_cache: Dict[int, Optional[int]] = field(default_factory=dict)
 
     def _is_reg(self, name: str) -> bool:
         sig = self.ir.signals.get(name)
@@ -166,10 +167,11 @@ class _Census:
         self.count += 1  # unknown node: assume a site
 
     def _too_wide(self, value, declared: int) -> bool:
-        from ..passes.dataflow import FactEval
-
-        width = FactEval(self.ir, {}, None).width_of(value)
-        return width is None or width > declared
+        try:
+            return width_of(value, self.ir.signal_width,
+                            self.ir.memory_width) > declared
+        except HDLError:
+            return True  # codegen cannot size it: assume a site
 
     def assign(self, target, value, seq: bool) -> None:
         """Sites one assignment emits.  Signal bit-write indices and

@@ -239,3 +239,70 @@ class TestInputMasking:
         pipe = comb_pipe("a", inputs=("a",))
         pipe.set_inputs(a=0x1FF)  # wider than the 8-bit port
         assert pipe.eval()["y"] == 0xFF
+
+
+class TestFoldedEqualsRuntime:
+    """A constant folds to what the generated code would have computed.
+
+    Elaboration folds parameters and literals before either build
+    flavour sees them, so every pair here is one folded expression and
+    the same expression over inputs that hold the same values.
+    """
+
+    OPTS = ("none", "full")
+
+    @staticmethod
+    def outputs(exprs, opt, width=40, params="P = 1", **inputs):
+        """``exprs`` become ``width``-bit outputs ``y0, y1, ...`` of a
+        module with 8-bit inputs ``x``, ``z``, ``w``, ``d``."""
+        outs = ", ".join(f"output [{width - 1}:0] y{i}"
+                         for i in range(len(exprs)))
+        assigns = "\n".join(f"  assign y{i} = {expr};"
+                            for i, expr in enumerate(exprs))
+        source = f"""
+module m #(parameter {params}, parameter N = -1, parameter D = 7,
+           parameter Z = 0)
+         (input clk, input [7:0] x, input [7:0] z, input [7:0] w,
+          input [7:0] d, {outs});
+{assigns}
+endmodule
+"""
+        netlist, library = compile_design(source, "m", opt=opt)
+        pipe = Pipe(netlist.top, library)
+        pipe.set_inputs(**inputs)
+        out = pipe.eval()
+        return [out[f"y{i}"] for i in range(len(exprs))]
+
+    def test_bare_decimal_is_as_wide_as_its_magnitude(self):
+        for opt in self.OPTS:
+            assert self.outputs(
+                ["4294967296", "4294967296 + 0", "x + 4294967296",
+                 "-4294967296", "-(x + 4294967296)"], opt, x=0,
+            ) == [1 << 32] * 5  # the negations wrap at 33 bits
+
+    def test_parameter_selects_have_the_width_of_a_select(self):
+        pairs = [("~P[0]", "~w[0]"),
+                 ("~{P[0], 1'b1}", "~{w[0], 1'b1}"),
+                 ("~P[3:1]", "~w[3:1]"),
+                 ("~{P[1 +: 2], 1'b1}", "~{w[1 +: 2], 1'b1}"),
+                 ("~{P[2 -: 2], 1'b1}", "~{w[2 -: 2], 1'b1}")]
+        for opt in self.OPTS:
+            for value in (1, 5):
+                got = self.outputs([e for pair in pairs for e in pair], opt,
+                                   params=f"P = {value}", w=value)
+                assert got[0::2] == got[1::2], (opt, value)
+            assert got[:2] == [0, 0]  # value 5: ~P[0] is one bit wide
+
+    def test_negative_parameter_compares_unsigned(self):
+        for opt in self.OPTS:
+            assert self.outputs(
+                ["N < 0", "N < z", "N > 0", "N > z", "N >> 31", "N / 2"],
+                opt, z=0,
+            ) == [0, 0, 1, 1, 1, 0x7FFFFFFF]
+
+    def test_division_and_modulo_by_zero(self):
+        for opt in self.OPTS:
+            assert self.outputs(
+                ["8'd7 / 8'd0", "8'd7 % 8'd0", "D / Z", "D % Z",
+                 "d / z", "d % z"], opt, width=8, d=7, z=0,
+            ) == [255, 7, 255, 7, 255, 7]

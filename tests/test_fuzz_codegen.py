@@ -4,11 +4,19 @@ Hypothesis generates random LHDL expressions; each is compiled through
 BOTH code generators (shared-module pygen and flattening flatgen, in
 both mux styles) and the results are compared against an independent
 reference interpreter implementing the documented semantics
-(see repro.codegen.exprgen's module docstring).  Any disagreement is a
+(see repro.hdl.consteval's module docstring).  Any disagreement is a
 compiler bug.
+
+Literals and parameters fold at elaboration, so the corpus also draws
+bare decimals wider than 32 bits, parameters (negative ones and ones
+wider than 32 bits) and parameter selects, and one differential compares
+each expression with the same expression whose constant leaves arrive
+through input ports, where nothing can fold.
 """
 
 from __future__ import annotations
+
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +28,7 @@ from repro.hdl.parser import parse_expr
 from repro.sim import Pipe
 
 INPUTS = {"a": 8, "b": 8, "c": 16, "d": 1}
+PARAMS = {"P": 5, "Q": (1 << 35) + 9, "N": -3, "M": -(1 << 33) - 7}
 OUT_WIDTH = 16
 
 
@@ -28,13 +37,25 @@ OUT_WIDTH = 16
 # ---------------------------------------------------------------------------
 
 
+def name_width(name: str) -> int:
+    """An input's declared width; a parameter is a bare decimal."""
+    if name in INPUTS:
+        return INPUTS[name]
+    return max(32, PARAMS[name].bit_length())
+
+
+def name_value(name: str, env: dict) -> int:
+    value = env[name] if name in INPUTS else PARAMS[name]
+    return value & ((1 << name_width(name)) - 1)
+
+
 def ref_width(expr: ast.Expr) -> int:
     if isinstance(expr, ast.Num):
         return expr.width if expr.width is not None else max(
             32, expr.value.bit_length()
         )
     if isinstance(expr, ast.Id):
-        return INPUTS[expr.name]
+        return name_width(expr.name)
     if isinstance(expr, ast.Unary):
         return 1 if expr.op in ("!", "&", "|", "^") else ref_width(expr.operand)
     if isinstance(expr, ast.Binary):
@@ -78,7 +99,7 @@ def ref_eval(expr: ast.Expr, env: dict) -> int:
     if isinstance(expr, ast.Num):
         return expr.value & mask
     if isinstance(expr, ast.Id):
-        return env[expr.name] & mask
+        return name_value(expr.name, env)
     if isinstance(expr, ast.Unary):
         v = ref_eval(expr.operand, env)
         ow = ref_width(expr.operand)
@@ -156,9 +177,9 @@ def ref_eval(expr: ast.Expr, env: dict) -> int:
             out = (out << vw) | v
         return out
     if isinstance(expr, ast.Index):
-        return (env[expr.base] >> ref_eval(expr.index, env)) & 1
+        return (name_value(expr.base, env) >> ref_eval(expr.index, env)) & 1
     if isinstance(expr, ast.Slice):
-        return (env[expr.base] >> expr.lsb.value) & mask
+        return (name_value(expr.base, env) >> expr.lsb.value) & mask
     if isinstance(expr, ast.SysCall):
         return ref_eval(expr.args[0], env)
     raise AssertionError(type(expr))
@@ -170,39 +191,59 @@ def ref_eval(expr: ast.Expr, env: dict) -> int:
 
 
 @st.composite
-def expr_text(draw, depth=0):
+def marked_expr(draw, depth=0):
+    """Expression text with every literal and parameter leaf between
+    ``@`` marks: :func:`folded_text` drops the marks, :func:`routed`
+    turns each marked leaf into an input port."""
     if depth >= 3:
-        choice = draw(st.sampled_from(["id", "num"]))
+        choice = draw(st.sampled_from(["id", "num", "bare", "param"]))
     else:
         choice = draw(st.sampled_from(
-            ["id", "num", "bin", "bin", "un", "tern", "concat", "repl",
-             "slice", "index", "signed_cmp", "sra"]
+            ["id", "num", "bare", "param", "bin", "bin", "un", "tern",
+             "concat", "repl", "slice", "index", "pslice", "pindex",
+             "signed_cmp", "sra", "const_cmp", "const_cmp"]
         ))
     if choice == "id":
         return draw(st.sampled_from(sorted(INPUTS)))
     if choice == "num":
         width = draw(st.sampled_from([4, 8, 16]))
         value = draw(st.integers(0, (1 << width) - 1))
-        return f"{width}'d{value}"
+        return f"@{width}'d{value}@"
+    if choice == "bare":
+        return f"@{draw(st.integers(0, 1 << 40))}@"
+    if choice == "param":
+        return f"@{draw(st.sampled_from(sorted(PARAMS)))}@"
+    if choice in ("pslice", "pindex"):  # under ~ its width shows
+        lsb = draw(st.integers(0, 39))
+        msb = draw(st.integers(lsb, 39))
+        select = f"{msb}:{lsb}" if choice == "pslice" else f"{lsb}"
+        invert = draw(st.sampled_from(["", "~"]))
+        return f"({invert}@{draw(st.sampled_from(sorted(PARAMS)))}@[{select}])"
+    if choice == "const_cmp":  # a parameter against a constant: it folds
+        sides = [f"@{draw(st.sampled_from(sorted(PARAMS)))}@",
+                 draw(marked_expr(depth=3).filter(lambda text: "@" in text))]
+        op = draw(st.sampled_from(["<", "<=", ">", ">=", ">>", "/", "%"]))
+        first = draw(st.integers(0, 1))
+        return f"({sides[first]} {op} {sides[1 - first]})"
     if choice == "bin":
         op = draw(st.sampled_from(
             ["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>",
              "==", "!=", "<", "<=", ">", ">=", "&&", "||"]
         ))
-        left = draw(expr_text(depth=depth + 1))
-        right = draw(expr_text(depth=depth + 1))
+        left = draw(marked_expr(depth=depth + 1))
+        right = draw(marked_expr(depth=depth + 1))
         return f"({left} {op} {right})"
     if choice == "un":
         op = draw(st.sampled_from(["~", "-", "!", "&", "|", "^"]))
-        inner = draw(expr_text(depth=depth + 1))
+        inner = draw(marked_expr(depth=depth + 1))
         return f"({op}({inner}))"
     if choice == "tern":
-        c = draw(expr_text(depth=depth + 1))
-        t = draw(expr_text(depth=depth + 1))
-        f = draw(expr_text(depth=depth + 1))
+        c = draw(marked_expr(depth=depth + 1))
+        t = draw(marked_expr(depth=depth + 1))
+        f = draw(marked_expr(depth=depth + 1))
         return f"(({c}) ? ({t}) : ({f}))"
     if choice == "concat":
-        parts = draw(st.lists(expr_text(depth=depth + 1), min_size=2,
+        parts = draw(st.lists(marked_expr(depth=depth + 1), min_size=2,
                               max_size=3))
         return "{" + ", ".join(parts) + "}"
     if choice == "repl":
@@ -231,13 +272,43 @@ def expr_text(draw, depth=0):
     raise AssertionError(choice)
 
 
-def module_for(expr: str) -> str:
+_LEAF = re.compile(r"@([^@]+)@")
+
+
+def folded_text(marked: str) -> str:
+    return _LEAF.sub(r"\1", marked)
+
+
+def expr_text():
+    return marked_expr().map(folded_text)
+
+
+def routed(marked: str):
+    """``(text, widths, values)``: every marked leaf read from an input
+    port of the leaf's width, to be driven with the leaf's masked value."""
+    widths: dict = {}
+    values: dict = {}
+
+    def port(match) -> str:
+        leaf = parse_expr(match.group(1))
+        name = (f"p_{leaf.name}" if isinstance(leaf, ast.Id)
+                else f"k{len(widths)}")
+        widths[name] = ref_width(leaf)
+        values[name] = ref_eval(leaf, {})
+        return name
+
+    return _LEAF.sub(port, marked), widths, values
+
+
+def module_for(expr: str, extra_ports=()) -> str:
+    """``extra_ports``: ``(name, width)`` inputs besides ``INPUTS``."""
     ports = ", ".join(
         f"input [{w - 1}:0] {n}" if w > 1 else f"input {n}"
-        for n, w in INPUTS.items()
+        for n, w in [*INPUTS.items(), *extra_ports]
     )
+    params = ", ".join(f"parameter {n} = {v}" for n, v in PARAMS.items())
     return f"""
-module m (input clk, {ports}, output [{OUT_WIDTH - 1}:0] y);
+module m #({params}) (input clk, {ports}, output [{OUT_WIDTH - 1}:0] y);
   assign y = {expr};
 endmodule
 """
@@ -281,6 +352,27 @@ class TestExpressionFuzz:
             plain.set_inputs(**env)
             opt.set_inputs(**env)
             assert plain.eval()["y"] == opt.eval()["y"], expr
+
+    @given(marked=marked_expr())
+    @settings(max_examples=200, deadline=None)
+    def test_folded_equals_routed_through_ports(self, marked):
+        """The transformed and the untransformed form on one stimulus:
+        with its constant leaves behind input ports an expression
+        cannot fold, at elaboration or in the optimiser, and the folded
+        build has to compute the same ``y``."""
+        text, widths, values = routed(marked)
+        for opt in ("none", "full"):
+            netlist, library = compile_design(
+                module_for(folded_text(marked)), "m", opt=opt)
+            folded = Pipe(netlist.top, library)
+            netlist, library = compile_design(
+                module_for(text, widths.items()), "m", opt=opt)
+            unfolded = Pipe(netlist.top, library)
+            for env in STIMULI:
+                folded.set_inputs(**env)
+                unfolded.set_inputs(**env, **values)
+                assert folded.eval()["y"] == unfolded.eval()["y"], (
+                    marked, opt, env)
 
     @given(expr=expr_text())
     @settings(max_examples=40, deadline=None)

@@ -22,6 +22,10 @@ Checks:
 * F841  — local variable assigned but never used (simple cases)
 * I001  — import block ordering (ruff/isort defaults: sections,
           straight-before-from, furthest-to-closest relatives)
+* PLC2701 — under ``src/repro``: a ``_private`` name imported from
+          another ``repro`` package (ruff's rule is preview-only at
+          the pinned version, so CI relies on this script and on
+          ``tests/test_layering.py`` for it)
 
 Usage: ``python tools/lintcheck.py [paths...]`` (default: repo root).
 Exits non-zero when findings exist.
@@ -393,6 +397,39 @@ def _import_repr(node) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Private names stay inside their package (PLC2701, first-party only)
+# ---------------------------------------------------------------------------
+
+
+def check_private_imports(
+    path: Path, tree: ast.Module, findings: List[Finding]
+) -> None:
+    parts = path.with_suffix("").parts
+    if "src" not in parts:
+        return
+    # What follows the last "src": repro.<package>.<module>
+    module = list(parts[len(parts) - parts[::-1].index("src"):])
+    if module[:1] != ["repro"]:
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        target = node.module.split(".") if node.module else []
+        if node.level:
+            base = module[:-1]
+            target = base[:len(base) - (node.level - 1)] + target
+        if target[:1] != ["repro"] or target[:2] == module[:2]:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and not alias.name.startswith("__"):
+                findings.append(Finding(
+                    path, node.lineno, "PLC2701",
+                    f"private name {alias.name!r} imported from "
+                    f"{'.'.join(target)}",
+                ))
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -416,6 +453,7 @@ def check_file(path: Path) -> List[Finding]:
     check_unused_locals(path, tree, findings)
     check_redefinitions(path, tree, findings)
     check_import_order(path, tree, lines, findings)
+    check_private_imports(path, tree, findings)
     return findings
 
 
