@@ -31,15 +31,15 @@ from .emitter import FunctionEmitter, block
 class Resolver:
     """Maps signal/memory names to Python references for one scope.
 
-    The three optional hooks are the sanitizer's instrumentation points
-    (see :mod:`repro.sanitize`); they default to None, which generates
-    the clean, uninstrumented code:
+    ``hooks`` is the one optional instrumentation object (a sanitized
+    build's :class:`repro.sanitize.instrument.Instrumenter`); None
+    generates the clean code.  Expressions call three of its methods:
 
-    * ``reg_read_hook(name, ref_code, line)`` — wrap a register read;
+    * ``reg_read(name, ref_code, line)`` — wrap a register read;
       return the replacement expression, or None to keep ``ref_code``.
-    * ``mem_read_hook(name, index_code, line)`` — replace an indexed
+    * ``mem_read(name, index_code, line)`` — replace an indexed
       memory read entirely (bound + word-poison checked access).
-    * ``index_bound_hook(name, index_code, bound, line)`` — wrap a
+    * ``index_bound(name, index_code, bound, line)`` — wrap a
       dynamic bit/part-select index with a bound check.
     """
 
@@ -50,18 +50,14 @@ class Resolver:
         memory_ref: Callable[[str], Optional[str]],
         memory_width: Callable[[str], int],
         memory_depth: Callable[[str], int],
-        reg_read_hook: Optional[Callable[[str, str, int], Optional[str]]] = None,
-        mem_read_hook: Optional[Callable[[str, str, int], str]] = None,
-        index_bound_hook: Optional[Callable[[str, str, int, int], str]] = None,
+        hooks: Optional[object] = None,
     ):
         self.signal_ref = signal_ref
         self.signal_width = signal_width
         self.memory_ref = memory_ref
         self.memory_width = memory_width
         self.memory_depth = memory_depth
-        self.reg_read_hook = reg_read_hook
-        self.mem_read_hook = mem_read_hook
-        self.index_bound_hook = index_bound_hook
+        self.hooks = hooks
 
 
 class ExprGen:
@@ -137,12 +133,12 @@ class ExprGen:
                            getattr(expr, "line", 0))
 
     def _signal_read(self, name: str, line: int) -> str:
-        """Resolve a signal read, routed through the sanitizer's
-        register-read hook when one is installed."""
+        """Resolve a signal read, routed through the register-read hook
+        when hooks are installed."""
         ref = self._resolver.signal_ref(name)
-        hook = self._resolver.reg_read_hook
-        if hook is not None:
-            wrapped = hook(name, ref, line)
+        hooks = self._resolver.hooks
+        if hooks is not None:
+            wrapped = hooks.reg_read(name, ref, line)
             if wrapped is not None:
                 return f"({wrapped})"
         return ref
@@ -309,18 +305,18 @@ class ExprGen:
                        index_expr: ast.Expr, line: int) -> str:
         """Wrap a dynamic select index with the oob hook (constant
         indices are the static analyzer's domain and stay clean)."""
-        hook = self._resolver.index_bound_hook
-        if hook is None or isinstance(index_expr, ast.Num) or bound < 1:
+        hooks = self._resolver.hooks
+        if hooks is None or isinstance(index_expr, ast.Num) or bound < 1:
             return index_code
-        return hook(name, index_code, bound, line)
+        return hooks.index_bound(name, index_code, bound, line)
 
     def _gen_index(self, expr: ast.Index) -> str:
         mem_ref = self._resolver.memory_ref(expr.base)
         index_code = self.gen(expr.index)
         if mem_ref is not None:
-            hook = self._resolver.mem_read_hook
-            if hook is not None:
-                return hook(expr.base, index_code, expr.line)
+            hooks = self._resolver.hooks
+            if hooks is not None:
+                return hooks.mem_read(expr.base, index_code, expr.line)
             return f"{mem_ref}[{self._mem_index_code(expr.base, index_code, expr.line)}]"
         base = self._signal_read(expr.base, expr.line)
         width = self._resolver.signal_width(expr.base)
@@ -368,8 +364,8 @@ class StmtGen:
         mem_write: Callable[[str, str, str, int], None],
         is_memory: Callable[[str], bool],
         target_width: Callable[[str], int],
-        trunc_hook: Optional[Callable[[str, int, int, str], str]] = None,
-        write_note: Optional[Callable[[str, Optional[int], int], None]] = None,
+        hooks: Optional[object] = None,
+        block_id: Optional[int] = None,
     ):
         """Callbacks:
 
@@ -380,12 +376,17 @@ class StmtGen:
         * ``mem_write(name, addr_code, value_code, line)`` — memory
           word write.
         * ``target_width(name)`` — declared width of a target signal.
-        * ``trunc_hook(value_code, declared, line, name)`` — optional
-          sanitizer replacement for the silent truncation mask; returns
-          the complete (still masked) value expression.
-        * ``write_note(name, mask_or_None, line)`` — optional sanitizer
-          notification emitted before each register write (None mask
-          means the full declared width).
+
+        ``hooks`` is the resolver's instrumentation object (None: clean
+        code).  Statements call two more of its methods:
+
+        * ``trunc(value_code, declared, line, name)`` — replacement for
+          the silent truncation mask; returns the complete (still
+          masked) value expression.
+        * ``write_note(emitter, name, mask_or_None, line, block_id)`` —
+          written before each register write of sequential block
+          ``block_id`` (None mask: the full declared width).  A comb
+          block has no ``block_id`` and notes nothing.
         """
         self._exprgen = exprgen
         self._emitter = emitter
@@ -394,8 +395,14 @@ class StmtGen:
         self._mem_write = mem_write
         self._is_memory = is_memory
         self._target_width = target_width
-        self._trunc_hook = trunc_hook
-        self._write_note = write_note
+        self._hooks = hooks
+        self._block_id = block_id
+
+    def _note_write(self, name: str, mask: Optional[int], line: int) -> None:
+        if self._hooks is not None and self._block_id is not None:
+            self._hooks.write_note(
+                self._emitter, name, mask, line, self._block_id
+            )
 
     def gen_stmts(self, stmts: List[ast.Stmt]) -> None:
         for stmt in stmts:
@@ -438,13 +445,13 @@ class StmtGen:
                 f"((({current}) & ~(1 << {idx}))"
                 f" | ({val} << {idx})) & {mask_of(declared)}"
             )
-            if self._write_note is not None:
-                note_mask = (
-                    (1 << target.index.value) & mask_of(declared)
-                    if isinstance(target.index, ast.Num)
-                    else None  # dynamic bit: conservatively full width
-                )
-                self._write_note(target.name, note_mask, stmt.line)
+            self._note_write(
+                target.name,
+                (1 << target.index.value) & mask_of(declared)
+                if isinstance(target.index, ast.Num)
+                else None,  # dynamic bit: conservatively full width
+                stmt.line,
+            )
             self._write_target(ast.LValue(name=target.name, line=target.line), merged)
             return
         if target.msb is not None:
@@ -457,23 +464,20 @@ class StmtGen:
                 f"(({current}) & {hole})"
                 f" | ((({value_code}) & {mask_of(width)}) << {lsb})"
             )
-            if self._write_note is not None:
-                self._write_note(
-                    target.name,
-                    (mask_of(width) << lsb) & mask_of(declared),
-                    stmt.line,
-                )
+            self._note_write(
+                target.name, (mask_of(width) << lsb) & mask_of(declared),
+                stmt.line,
+            )
             self._write_target(ast.LValue(name=target.name, line=target.line), merged)
             return
         if value_width > declared:
-            if self._trunc_hook is not None:
-                value_code = self._trunc_hook(
+            if self._hooks is not None:
+                value_code = self._hooks.trunc(
                     value_code, declared, stmt.line, target.name
                 )
             else:
                 value_code = f"(({value_code}) & {mask_of(declared)})"
-        if self._write_note is not None:
-            self._write_note(target.name, None, stmt.line)
+        self._note_write(target.name, None, stmt.line)
         self._write_target(target, value_code)
 
     def _gen_if(self, stmt: ast.If) -> None:

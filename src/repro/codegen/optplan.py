@@ -8,7 +8,9 @@ pickled artifacts alias).
 
 The two transforms are :mod:`repro.hdl.consteval`'s folder with the
 plan's constants as *sized* literals (each carries the width the
-replaced read had) and unreachable branches pruned.
+replaced read had) and unreachable branches pruned.  Codegen asks the
+plan for them (:meth:`OptPlan.expr`, :meth:`OptPlan.body`); a build with
+nothing to apply compiles under :data:`NO_OPT`.
 """
 
 from __future__ import annotations
@@ -47,6 +49,26 @@ class OptPlan:
             and not self.dead_blocks
             and not self.skip_children
         )
+
+    def expr(self, expr: ast.Expr) -> ast.Expr:
+        """The expression codegen emits for ``expr``: constants
+        substituted and folded, or ``expr`` itself under a no-op plan."""
+        if self.is_noop:
+            return expr
+        return substitute_expr(expr, self.consts, self.const_widths)
+
+    def body(self, stmts: List[ast.Stmt]) -> List[ast.Stmt]:
+        """The statements codegen emits for a block body: constants
+        substituted and static branches pruned (also with no constants:
+        an ``if (1)`` goes), or ``stmts`` itself under a no-op plan."""
+        if self.is_noop:
+            return stmts
+        return optimize_stmts(stmts, self.consts, self.const_widths)
+
+
+# Nothing to apply: what a clean build, ``opt=none`` and a fixpoint
+# module (its comb locals round-trip the memo slot) compile under.
+NO_OPT = OptPlan()
 
 
 def _sized_literals(consts: Dict[str, int], widths: Dict[str, int]) -> LiteralOf:

@@ -78,6 +78,21 @@ with one copy) and restores it; the other writers (``make_state``,
 Anything that mutates state outside ``cycle`` (snapshot restore, pokes,
 direct memory writes) must drop the memo of the instance and of every
 ancestor — see :meth:`repro.sim.stage.StageInst.invalidate_cache`.
+
+Build flavours: the emitter above is the whole of a clean build, and
+each optional flavour is one object it calls.  The optimizer's is an
+:class:`~repro.codegen.optplan.OptPlan` (assembled by
+:class:`repro.passes.codegen.CodegenPass` from the pass facts): the
+emitter asks it for the expression or block body to emit and reads its
+dead units and skippable children; ``NO_OPT`` applies nothing.  The
+sanitizer's is an :class:`~repro.sanitize.instrument.Instrumenter`
+(built here, one per sanitized module compile, from the
+:class:`~repro.sanitize.elide.ElisionPlan` the sanitize-plan pass
+derived): it writes every hook, at the sites :mod:`exprgen` comes to and
+at the four structural points of ``cycle`` (opening, register commit,
+memory-word commit, module epilogue), and counts them; a clean build
+has ``None`` in its place.  :func:`site_count` is that same emitter
+run for its count alone.
 """
 
 from __future__ import annotations
@@ -86,7 +101,6 @@ import hashlib
 import linecache
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
@@ -94,10 +108,12 @@ from ..hdl import ast_nodes as ast
 from ..hdl.consteval import stmt_reads_writes
 from ..hdl.errors import CodegenError
 from ..ir.netlist import ModuleIR, Netlist
+from ..sanitize.elide import EMPTY_PLAN, ElisionPlan
+from ..sanitize.instrument import Instrumenter
 from .build import BuildConfig, ModuleKey
 from .emitter import FunctionEmitter, block
 from .exprgen import ExprGen, Resolver, StmtGen, mask_of
-from .optplan import OptPlan, optimize_stmts, substitute_expr
+from .optplan import NO_OPT, OptPlan
 
 CACHE_SLOTS = 3  # eval_out memo key, memo value, settled locals for cycle
 
@@ -168,9 +184,10 @@ class CompiledModule:
     source_hash: str
     compile_seconds: float
     build: BuildConfig
-    # Proof-driven elision accounting (repro.sanitize.elide): total
-    # instrumentation sites this build considered, and how many the
-    # stable-tier value facts removed or downgraded.
+    # Sanitizer accounting (repro.sanitize.instrument): the hooks the
+    # generator came to while emitting this build (an expression emitted
+    # in both entry points counts twice), and how many of them the
+    # stable-tier value facts let it write as clean code.
     san_sites: int = 0
     san_elided: int = 0
     # Registers proven constant from reset (env tier): hot reload
@@ -206,15 +223,10 @@ class CompiledModule:
 
 class _ModuleCompiler:
     def __init__(self, ir: ModuleIR, netlist: Netlist, build: BuildConfig,
-                 plan: Optional[OptPlan] = None, elision=None):
+                 plan: OptPlan = NO_OPT, elision: ElisionPlan = EMPTY_PLAN):
         self._ir = ir
         self._netlist = netlist
         self._mux_style = build.mux_style
-        self._sanitize = sanitize = build.sanitize
-        # ElisionPlan (repro.sanitize.elide), sanitized builds only.
-        self._elide = elision if sanitize else None
-        self._san_sites = 0
-        self._san_elided = 0
         self._emit = FunctionEmitter()
         self._comb_ports = list(ir.comb_input_ports)
         if ir.needs_fixpoint:
@@ -222,7 +234,7 @@ class _ModuleCompiler:
             # the runtime uses to settle it, and seq-only inputs cannot
             # be deferred reliably — fall back to the conservative ABI.
             self._comb_ports = list(ir.inputs)
-            plan = None  # comb locals round-trip the memo slot: no opt
+            plan = NO_OPT  # comb locals round-trip the memo slot
         # The partition: signals that need an input eval_out does not
         # get.  Their units run in cycle; everything else in eval_out.
         comb = set(self._comb_ports)
@@ -233,30 +245,9 @@ class _ModuleCompiler:
         # what eval_out leaves in the tuple slot (set by _gen_cycle).
         self._stash: List[str] = []
         self._plan = plan
-        self._dead_assigns: Set[int] = set()
-        self._dead_blocks: Set[int] = set()
-        self._opt_bodies: Dict[Tuple[str, int], list] = {}
-        if plan is not None:
-            self._dead_assigns = set(plan.dead_assigns)
-            self._dead_blocks = set(plan.dead_blocks)
-            # Pre-transform block bodies once: constant substitution
-            # plus static branch pruning.
-            for i, comb_block in enumerate(ir.comb_blocks):
-                self._opt_bodies[("comb", i)] = optimize_stmts(
-                    comb_block.body, plan.consts, plan.const_widths
-                )
-            for i, seq in enumerate(ir.seq_blocks):
-                self._opt_bodies[("seq", i)] = optimize_stmts(
-                    seq.body, plan.consts, plan.const_widths
-                )
+        sanitize = build.sanitize
         nm = len(ir.memories)
         self.layout = layout = state_layout(ir.num_regs, nm, sanitize)
-        self._poison_slot = layout.reg_poison_slot
-        self._nw_slot = layout.nw_slot
-        # Instrumentation sites (module, signal, file-absolute line),
-        # emitted as a literal _SAN_I table inside the generated source
-        # so store rehydration carries them for free.
-        self._san_infos: List[Tuple[str, str, int]] = []
         self._mem_slot: Dict[str, MemSpec] = {}
         for i, mem in enumerate(
             sorted(ir.memories.values(), key=lambda m: m.mem_index)
@@ -269,36 +260,22 @@ class _ModuleCompiler:
                 pending_slot=layout.mem_base + nm + i,
                 poison_slot=layout.sanitize_base + 1 + i if sanitize else -1,
             )
+        # Register or memory -> seq block ids that may write it, over
+        # the ORIGINAL bodies (optimization only removes writes, so this
+        # over-approximates the emitted writers: safe for the hooks'
+        # single-writer fast path).
+        self._seq_writers: Dict[str, Set[int]] = {}
+        for bid, blk in enumerate(ir.seq_blocks):
+            for name in stmt_reads_writes(blk.body)[1]:
+                self._seq_writers.setdefault(name, set()).add(bid)
+        # The sanitizer flavour: every hook this compile writes.
+        self.hooks = Instrumenter(
+            ir, layout, self._mem_slot, self._seq_writers, elision
+        ) if sanitize else None
 
     @property
     def comb_ports(self) -> List[str]:
         return self._comb_ports
-
-    # -- optimization plan plumbing -------------------------------------------
-
-    def _expr(self, expr):
-        """The expression codegen actually emits: constant-substituted
-        (and folded) under an active plan, verbatim otherwise."""
-        if self._plan is None:
-            return expr
-        return substitute_expr(
-            expr, self._plan.consts, self._plan.const_widths
-        )
-
-    def _comb_body_stmts(self, index: int) -> list:
-        if self._plan is None:
-            return self._ir.comb_blocks[index].body
-        return self._opt_bodies[("comb", index)]
-
-    def _seq_body_stmts(self, index: int) -> list:
-        if self._plan is None:
-            return self._ir.seq_blocks[index].body
-        return self._opt_bodies[("seq", index)]
-
-    def _skip_children(self) -> Set[int]:
-        if self._plan is None:
-            return set()
-        return set(self._plan.skip_children)
 
     # -- name resolution ------------------------------------------------------
 
@@ -346,117 +323,10 @@ class _ModuleCompiler:
             memory_ref=memory_ref,
             memory_width=lambda n: self._mem_slot[n].width,
             memory_depth=lambda n: self._mem_slot[n].depth,
+            hooks=self.hooks,
         )
-        if self._sanitize:
-            self._attach_sanitize_hooks(resolver)
         self._emit = FunctionEmitter()
         return ExprGen(resolver, self._emit, self._mux_style), reads
-
-    # -- sanitizer instrumentation (repro.sanitize) ---------------------------
-
-    @cached_property
-    def _seq_writers(self) -> Dict[str, Set[int]]:
-        """Register or memory -> seq block ids that may write it, over
-        the ORIGINAL bodies (optimization only removes writes, so this
-        map is an over-approximation of the emitted writers — safe for
-        the single-writer nw fast path)."""
-        writers: Dict[str, Set[int]] = {}
-        for bid, blk in enumerate(self._ir.seq_blocks):
-            _, writes = stmt_reads_writes(blk.body)
-            for name in writes:
-                writers.setdefault(name, set()).add(bid)
-        return writers
-
-    def _san_info(self, signal: str, line: int) -> str:
-        """Register one instrumentation site; returns its table ref."""
-        self._san_infos.append((self._ir.name, signal, line))
-        return f"_SAN_I[{len(self._san_infos) - 1}]"
-
-    def _attach_sanitize_hooks(self, resolver: Resolver) -> None:
-        ir = self._ir
-        elide = self._elide
-
-        def reg_read_hook(name: str, ref: str, line: int) -> Optional[str]:
-            sig = ir.signals.get(name)
-            if sig is None or sig.state_index is None:
-                return None  # inputs and comb wires carry no poison
-            self._san_sites += 1
-            call = (
-                f"_san.rr(s[{self._poison_slot}], {sig.state_index}, "
-                f"{ref}, {self._san_info(name, line)})"
-            )
-            if elide is not None and elide.rr_fast:
-                # Inline poison-bit fast path: the hook runs exactly
-                # when the bit is set (when it would report/trap), so
-                # findings and hit counts are preserved bit-for-bit.
-                return (
-                    f"{ref} if not s[{self._poison_slot}] >> "
-                    f"{sig.state_index} & 1 else {call}"
-                )
-            return call
-
-        def mem_read_hook(name: str, index_code: str, line: int) -> str:
-            spec = self._mem_slot[name]
-            self._san_sites += 1
-            info = self._san_info(name, line)
-            if elide is not None and elide.rr_fast:
-                # In-bounds and unpoisoned is the common case; the hook
-                # returns mem[index % depth], which equals mem[t] when
-                # t < depth, so the fast path is bit-exact and the call
-                # is made exactly when it would report.
-                t = f"_sv{len(self._san_infos)}"
-                return (
-                    f"(_m_{name}[{t}] if ({t} := ({index_code})) < "
-                    f"{spec.depth} and not s[{spec.poison_slot}] >> {t} & 1 "
-                    f"else _san.mr(_m_{name}, s[{spec.poison_slot}], "
-                    f"{t}, {info}))"
-                )
-            return (
-                f"_san.mr(_m_{name}, s[{spec.poison_slot}], "
-                f"({index_code}), {info})"
-            )
-
-        def index_bound_hook(
-            name: str, index_code: str, bound: int, line: int
-        ) -> str:
-            self._san_sites += 1
-            if elide is not None and (name, line) in elide.ob_safe:
-                self._san_elided += 1
-                return index_code  # proven in range for any reg state
-            info = self._san_info(name, line)
-            if elide is not None and elide.rr_fast:
-                # ob returns the index unchanged either way; only call
-                # out when it would report (index >= bound).
-                t = f"_sv{len(self._san_infos)}"
-                return (
-                    f"({t} if ({t} := ({index_code})) < {bound} "
-                    f"else _san.ob({t}, {bound}, {info}))"
-                )
-            return f"_san.ob(({index_code}), {bound}, {info})"
-
-        resolver.reg_read_hook = reg_read_hook
-        resolver.mem_read_hook = mem_read_hook
-        resolver.index_bound_hook = index_bound_hook
-
-    def _trunc_hook(self, value_code: str, declared: int, line: int,
-                    target: str) -> str:
-        mask = mask_of(declared)
-        self._san_sites += 1
-        if self._elide is not None and (target, line) in self._elide.tr_safe:
-            # Proven to fit: no bits exist above the mask to lose.
-            self._san_elided += 1
-            return f"(({value_code}) & {mask})"
-        info = self._san_info(target, line)
-        if self._elide is not None and self._elide.rr_fast:
-            # Values are non-negative, so bits above the mask exist
-            # exactly when value > mask; tr returns the value, so the
-            # call only matters when it would report.
-            t = f"_sv{len(self._san_infos)}"
-            return (
-                f"(({t} if ({t} := ({value_code})) <= {mask} "
-                f"else _san.tr({t}, {mask}, {info})) & {mask})"
-            )
-        return f"(_san.tr(({value_code}), {mask}, {info}) & {mask})"
 
     # -- generation ------------------------------------------------------------
 
@@ -465,11 +335,19 @@ class _ModuleCompiler:
         # must leave in the tuple slot.
         cycle = self._gen_cycle()
         source = self._gen_eval_out().source() + "\n" + cycle.source()
-        if self._sanitize:
-            # Module-level, after the defs: the hooks index it at call
-            # time, so ordering relative to the functions is free.
-            source += f"\n_SAN_I = {self._san_infos!r}\n"
+        if self.hooks is not None:
+            source += self.hooks.epilogue()
         return source
+
+    def gen_unit(self, kind: str, index: int) -> str:
+        """The text of one comb schedule unit alone, as ``cycle`` would
+        emit it (what :func:`site_count` counts the hooks of)."""
+        exprgen, _ = self._open_body()
+        if kind == "assign":
+            self._gen_comb_assign(exprgen, index)
+        else:
+            self._gen_comb_block(exprgen, index)
+        return self._emit.source()
 
     def _arg_list(self, ports: List[str]) -> str:
         return "".join(f", i_{name}" for name in ports)
@@ -485,7 +363,7 @@ class _ModuleCompiler:
         signals = self._netlist.modules[inst.child_key].signals
         args = ""
         for port in ports:
-            expr = self._expr(inst.input_conns[port])
+            expr = self._plan.expr(inst.input_conns[port])
             code = exprgen.gen(expr)
             if exprgen.width_of(expr) > signals[port].width:
                 mask = mask_of(signals[port].width)
@@ -568,18 +446,20 @@ class _ModuleCompiler:
 
     def _gen_comb_body(self, exprgen: ExprGen, in_cycle: bool) -> None:
         ir = self._ir
+        dead_assigns = set(self._plan.dead_assigns)
+        dead_blocks = set(self._plan.dead_blocks)
         if ir.needs_fixpoint:
             self._gen_fixpoint_prelude()
         if ir.needs_fixpoint or not in_cycle:
             self._gen_early_binds()
         for unit_kind, index in ir.schedule:
             if unit_kind == "assign":
-                if index not in self._dead_assigns and self._runs_here(
+                if index not in dead_assigns and self._runs_here(
                     (ir.comb_assigns[index].defines,), in_cycle
                 ):
                     self._gen_comb_assign(exprgen, index)
             elif unit_kind == "block":
-                if index not in self._dead_blocks and self._runs_here(
+                if index not in dead_blocks and self._runs_here(
                     ir.comb_blocks[index].defines, in_cycle
                 ):
                     self._gen_comb_block(exprgen, index)
@@ -588,11 +468,11 @@ class _ModuleCompiler:
 
     def _gen_comb_assign(self, exprgen: ExprGen, index: int) -> None:
         assign = self._ir.comb_assigns[index]
-        code = exprgen.gen(self._expr(assign.value))
+        code = exprgen.gen(self._plan.expr(assign.value))
         width = self._ir.signals[assign.target.name].width
         if exprgen.width_of(assign.value) > width:
-            if self._sanitize:
-                code = self._trunc_hook(
+            if self.hooks is not None:
+                code = self.hooks.trunc(
                     code, width,
                     getattr(assign.target, "line", 0),
                     assign.target.name,
@@ -613,11 +493,11 @@ class _ModuleCompiler:
             mem_write=self._forbid_comb_mem_write,
             is_memory=lambda name: name in self._mem_slot,
             target_width=lambda name: self._ir.signals[name].width,
-            trunc_hook=self._trunc_hook if self._sanitize else None,
+            hooks=self.hooks,
         )
         for name in comb.defines:
             self._emit.line(f"v_{name} = 0")
-        stmtgen.gen_stmts(self._comb_body_stmts(index))
+        stmtgen.gen_stmts(self._plan.body(comb.body))
 
     @staticmethod
     def _forbid_comb_mem_write(name: str, addr: str, value: str, line: int) -> None:
@@ -722,16 +602,13 @@ class _ModuleCompiler:
         written = [n for n in self._mem_slot if n in self._seq_writers]
         for name in written:
             body.line(f"_pw_{name} = s[{self._mem_slot[name].pending_slot}]")
-        tracks_writes = bool(self._sanitize and ir.seq_blocks and num_regs)
-        if tracks_writes:
-            # Fresh per-cycle write tracking for the nb-conflict check
-            # and the commit's poison clearing.
-            body.line(f"_nw = s[{self._nw_slot}]")
-            body.line("_nw.clear()")
+        hooks = self.hooks
+        if hooks is not None:
+            hooks.open_cycle(body)
         self._gen_comb_body(exprgen, in_cycle=True)
         for block_id, seq in enumerate(ir.seq_blocks):
             self._gen_seq_block(exprgen, seq, block_id)
-        skip = self._skip_children()
+        skip = self._plan.skip_children
         for index, inst in enumerate(ir.instances):
             if index in skip:
                 # Pure subtree: stateless, so its cycle would only
@@ -748,22 +625,16 @@ class _ModuleCompiler:
         if num_regs:
             body.line(f"s[0:{num_regs}] = s[{num_regs}:{2 * num_regs}]")
         body.line(f"s[{key_slot}] = None")
-        if tracks_writes:
-            # A register written this cycle (nw-dict key) is defined
-            # from here on: clear its poison bit.
-            with block(body, "if _nw:"):
-                body.line(f"_p = s[{self._poison_slot}]")
-                with block(body, "for _i in _nw:"):
-                    body.line("_p &= ~(1 << _i)")
-                body.line(f"s[{self._poison_slot}] = _p")
+        if hooks is not None:
+            hooks.commit_regs(body)
         for name in written:
             spec = self._mem_slot[name]
             with block(body, f"if _pw_{name}:"):
                 body.line(f"_m = s[{spec.slot}]")
                 with block(body, f"for _a, _v in _pw_{name}:"):
                     body.line("_m[_a] = _v")
-                    if self._sanitize:
-                        body.line(f"s[{spec.poison_slot}] &= ~(1 << _a)")
+                    if hooks is not None:
+                        hooks.commit_mem_word(body, name)
                 body.line(f"del _pw_{name}[:]")
 
         fixpoint = ir.needs_fixpoint  # its body re-ran from the carry slot
@@ -794,8 +665,9 @@ class _ModuleCompiler:
             fn.splice(body)
         return fn
 
-    def _gen_seq_block(self, exprgen: ExprGen, seq, block_id: int = 0) -> None:
+    def _gen_seq_block(self, exprgen: ExprGen, seq, block_id: int) -> None:
         num_regs = self._ir.num_regs
+        hooks = self.hooks
 
         def write_target(target: ast.LValue, code: str) -> None:
             sig = self._ir.signals[target.name]
@@ -812,17 +684,8 @@ class _ModuleCompiler:
 
         def mem_write(name: str, addr: str, value: str, line: int) -> None:
             spec = self._mem_slot[name]
-            if self._sanitize:
-                self._san_sites += 1
-                if self._elide is not None \
-                        and (name, line) in self._elide.ob_safe:
-                    self._san_elided += 1  # address proven < depth
-                else:
-                    # Bound-check the address before the wrap hides it.
-                    addr = (
-                        f"_san.ob(({addr}), {spec.depth}, "
-                        f"{self._san_info(name, line)})"
-                    )
+            if hooks is not None:
+                addr = hooks.mem_write_addr(name, addr, line)
             if spec.depth & (spec.depth - 1) == 0:
                 addr_code = f"({addr}) & {spec.depth - 1}"
             else:
@@ -830,25 +693,6 @@ class _ModuleCompiler:
             self._emit.line(
                 f"_pw_{name}.append(({addr_code}, "
                 f"({value}) & {mask_of(spec.width)}))"
-            )
-
-        def write_note(name: str, wmask: Optional[int], line: int) -> None:
-            sig = self._ir.signals[name]
-            full = mask_of(sig.width)
-            mask = full if wmask is None else (wmask & full)
-            self._san_sites += 1
-            if self._elide is not None and self._elide.rr_fast \
-                    and len(self._seq_writers.get(name, ())) <= 1:
-                # One statically-possible writer block: the cross-block
-                # conflict can never fire, and the commit only reads the
-                # dict keys to clear poison — write the entry inline.
-                self._emit.line(
-                    f"_nw[{sig.state_index}] = ({block_id}, {mask})"
-                )
-                return
-            self._emit.line(
-                f"_san.nw(_nw, {sig.state_index}, "
-                f"{block_id}, {mask}, {self._san_info(name, line)})"
             )
 
         stmtgen = StmtGen(
@@ -859,10 +703,10 @@ class _ModuleCompiler:
             mem_write=mem_write,
             is_memory=lambda name: name in self._mem_slot,
             target_width=lambda name: self._ir.signals[name].width,
-            trunc_hook=self._trunc_hook if self._sanitize else None,
-            write_note=write_note if self._sanitize else None,
+            hooks=hooks,
+            block_id=block_id,
         )
-        stmtgen.gen_stmts(self._seq_body_stmts(block_id))
+        stmtgen.gen_stmts(self._plan.body(seq.body))
 
 
 def compile_module(
@@ -870,42 +714,37 @@ def compile_module(
     netlist: Netlist,
     build: BuildConfig = BuildConfig(),
     runtime: object = None,
-    opt_plan: Optional[OptPlan] = None,
-    elision=None,
-    reg_const_init: Optional[Dict[str, int]] = None,
+    opt_plan: OptPlan = NO_OPT,
+    elision: ElisionPlan = EMPTY_PLAN,
     key: Optional[ModuleKey] = None,
 ) -> CompiledModule:
     """Compile one specialization into a :class:`CompiledModule`.
 
     Under ``build.sanitize`` the generated source is instrumented with
     calls into ``runtime`` (a :class:`repro.sanitize.SanitizerRuntime`),
-    bound as the module-global ``_san`` at exec time.  ``elision`` (an
-    :class:`repro.sanitize.ElisionPlan`) drops ob/tr sites the value
-    facts prove safe and puts the inline poison-bit fast path on
-    register reads; ``reg_const_init`` rides along for hot reload.
+    bound as the module-global ``_san`` at exec time; ``elision`` says
+    which sites the value facts let the instrumenter drop or shorten,
+    and its ``const_init`` rides along for hot reload.
 
-    With an ``opt_plan`` (see :mod:`repro.passes`), the emitted code is
-    constant-folded, dead logic is dropped, and opt=full skips the
-    ``cycle`` of pure subtrees.
+    ``opt_plan`` (see :mod:`repro.passes`) says what to fold, which
+    dead logic to drop and, at opt=full, which pure subtrees' ``cycle``
+    to skip.
 
     ``key`` is the cache address the pass pipeline compiles for; it
     names the ``linecache`` entry.  Direct callers have none and get
     the bare ``(spec, build)`` key.
     """
-    if opt_plan is not None and opt_plan.is_noop:
-        opt_plan = None  # nothing to apply: emit the plain shape
     if key is None:
         key = ModuleKey(ir.key, build=build)
     started = time.perf_counter()
     with obs.span("codegen.module", key=ir.key, sanitize=build.sanitize,
                   opt=build.opt):
-        compiler = _ModuleCompiler(
-            ir, netlist, build, plan=opt_plan, elision=elision,
-        )
+        compiler = _ModuleCompiler(ir, netlist, build, opt_plan, elision)
         source = compiler.generate()
         fns = exec_source(source, key.filename, build, runtime)
     elapsed = time.perf_counter() - started
     obs.incr("codegen.modules_compiled")
+    hooks = compiler.hooks
     reg_slots = {
         name: sig.state_index
         for name, sig in ir.signals.items()
@@ -928,11 +767,30 @@ def compile_module(
         source_hash=hashlib.sha256(source.encode()).hexdigest(),
         compile_seconds=elapsed,
         build=build,
-        san_sites=compiler._san_sites,
-        san_elided=compiler._san_elided,
-        reg_const_init=dict(reg_const_init or {}),
+        san_sites=hooks.sites if hooks is not None else 0,
+        san_elided=hooks.elided if hooks is not None else 0,
+        reg_const_init=dict(elision.const_init),
         **fns,
     )
+
+
+def site_count(ir: ModuleIR, netlist: Netlist,
+               unit: Optional[Tuple[str, int]] = None) -> int:
+    """Sanitizer sites the generator writes for module ``ir``, or for
+    its comb schedule ``unit`` (``("assign" | "block", index)``) alone.
+
+    The census is the generator: this runs the emitter with a fresh
+    instrumenter and no plan, so it counts what ``san_sites`` counts
+    and nothing else decides where a hook goes.  The optimizer asks it
+    which dead units and pure children it may drop under sanitize
+    (zero: none of their findings would be silenced).
+    """
+    compiler = _ModuleCompiler(ir, netlist, BuildConfig(sanitize=True))
+    if unit is None:
+        compiler.generate()
+    else:
+        compiler.gen_unit(*unit)
+    return compiler.hooks.sites
 
 
 def exec_source(

@@ -291,13 +291,22 @@ class LiveSession:
 
         With ``source``, the text is merged into the session design
         first: new modules are appended, a module it redefines replaces
-        the old definition in place (an edit), so the session text
-        always parses from scratch.  Returns the handles added.
+        the old definition in place, so the session text always parses
+        from scratch.  Redefining a module while pipes exist *is* an
+        edit and goes through :meth:`apply_change` (compile, gate, swap,
+        replay, or roll back whole); a library that only adds modules
+        is a source update and replays nothing.  Returns the handles
+        added.
         """
         if source is not None:
-            self.compiler.update_source(
-                splice_modules(self.compiler.source, source)
-            )
+            merged = splice_modules(self.compiler.source, source)
+            diff = (self.compiler.parser.analyze(merged)
+                    if self._pipe_sessions else None)
+            if diff is not None and (
+                    diff.changed_modules or diff.poisoned_modules):
+                self.apply_change(merged)
+            else:
+                self.compiler.update_source(merged)
         return self._register_source_modules(name)
 
     def _register_source_modules(self, lib_name: str) -> List[str]:

@@ -2,10 +2,11 @@
 
 ``SanitizePlanPass`` decides the instrumentation plan: which runtime
 generated code binds to, which check sites the dataflow facts prove
-safe to elide (:mod:`repro.sanitize.elide`), which registers carry a
-proven constant init for hot-reload migration, and which subtrees are
-instrumentation-free (so the dynamic optimization passes can stack
-with the sanitizer).
+safe to elide and which registers carry a proven constant init for
+hot-reload migration (:mod:`repro.sanitize.elide`), and which pure
+subtrees are instrumentation-free (so the dynamic optimization passes
+can stack with the sanitizer; the generator is asked,
+:func:`repro.codegen.pygen.site_count`).
 
 ``CodegenPass`` visits the instance tree bottom-up with the session's
 derived cache in front of the artifact store in front of
@@ -19,18 +20,13 @@ optimized, sanitized and elided artifacts coexist, and assembles the
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Set
 
 from .. import obs
 from ..codegen.build import ModuleKey
 from ..codegen.optplan import OptPlan
-from ..codegen.pygen import CompiledModule, compile_module
-from ..sanitize.elide import (
-    ElisionPlan,
-    build_elision_plan,
-    reg_const_init,
-    san_free_keys,
-)
+from ..codegen.pygen import CompiledModule, compile_module, site_count
+from ..sanitize.elide import EMPTY_PLAN, ElisionPlan, build_elision_plan
 from .base import Pass, PassData
 from .optimize import _EMPTY_DEAD, _EMPTY_SENS
 
@@ -39,42 +35,57 @@ class SanitizePlanPass(Pass):
     """Decide the instrumentation plan.  Beyond naming codegen's
     implicit runtime dependency, this is where static proof meets the
     dynamic checker: stable-tier value facts elide ob/tr sites, env-
-    tier constant registers feed hot reload's poison-free init, and a
-    site census marks san-free subtrees for the optimizer."""
+    tier constant registers feed hot reload's poison-free init, and
+    the pure subtrees the generator writes no site for are marked
+    san-free for the optimizer."""
 
     name = "sanitize_plan"
-    requires = ("dataflow.facts",)
+    requires = ("elab.facts", "dataflow.facts")
     produces = ("sanitize.plan",)
 
     def run(self, data: PassData) -> None:
         enabled = data.build.sanitize
-        plan: Dict[str, object] = {
+        netlist = data.netlist
+        elide: Dict[str, ElisionPlan] = {}
+        bare: Set[str] = set()  # pure modules with no site of their own
+        if enabled:
+            san_elide = data.build.san_elide
+            elab = data.facts["elab.facts"]
+            facts = data.facts["dataflow.facts"] if san_elide else {}
+            for key, ir in netlist.modules.items():
+                mod_facts = facts.get(key)
+                pure = elab[key].pure
+                if mod_facts is None and not pure:
+                    continue
+                # One entry (one computed / reused note) per module.
+                # ``pure`` is a fact of the subtree, not of the module
+                # identity the entry is cached under: it joins the key.
+                plan, no_site = data.cached(
+                    self.name, key, (san_elide, pure),
+                    lambda: (
+                        build_elision_plan(mod_facts, ir)
+                        if mod_facts is not None else EMPTY_PLAN,
+                        pure and site_count(ir, netlist) == 0,
+                    ),
+                )
+                if mod_facts is not None:
+                    elide[key] = plan
+                if no_site:
+                    bare.add(key)
+
+        def subtree_bare(key: str) -> bool:
+            return key in bare and all(
+                subtree_bare(inst.child_key)
+                for inst in netlist.modules[key].instances
+            )
+
+        data.facts["sanitize.plan"] = {
             "enabled": enabled,
             "runtime": data.sanitize_runtime if enabled else None,
-            "elide": {},
-            "const_init": {},
-            "san_free": frozenset(),
+            "elide": elide,
+            # A pure module's children are pure, so ``bare`` knows them.
+            "san_free": frozenset(filter(subtree_bare, bare)),
         }
-        if enabled:
-            plan["san_free"] = san_free_keys(data.netlist)
-            if data.build.san_elide:
-                facts = data.facts["dataflow.facts"]
-                elide: Dict[str, ElisionPlan] = {}
-                const_init: Dict[str, dict] = {}
-                for key, ir in data.netlist.modules.items():
-                    mod_facts = facts.get(key)
-                    if mod_facts is None:
-                        continue
-                    elide[key], init = data.cached(
-                        self.name, key, (),
-                        lambda: (build_elision_plan(mod_facts),
-                                 reg_const_init(mod_facts, ir)),
-                    )
-                    if init:
-                        const_init[key] = init
-                plan["elide"] = elide
-                plan["const_init"] = const_init
-        data.facts["sanitize.plan"] = plan
 
 
 class CodegenPass(Pass):
@@ -92,7 +103,6 @@ class CodegenPass(Pass):
         san_plan = data.facts["sanitize.plan"]
         runtime = san_plan["runtime"]
         elide_plans: Dict[str, ElisionPlan] = san_plan["elide"]
-        const_init: Dict[str, dict] = san_plan["const_init"]
         san_free = san_plan["san_free"]
         elab = data.facts["elab.facts"]
         consts_facts = data.facts["opt.consts"]
@@ -164,9 +174,8 @@ class CodegenPass(Pass):
                         netlist,
                         build,
                         runtime=runtime,
-                        opt_plan=plan_for(key) if build.opt != "none" else None,
-                        elision=elide_plans.get(key),
-                        reg_const_init=const_init.get(key),
+                        opt_plan=plan_for(key),
+                        elision=elide_plans.get(key, EMPTY_PLAN),
                         key=cache_key,
                     )
                     recompiled.append(key)

@@ -16,9 +16,11 @@ branch pruning nor dead elimination can reason about a single linear
 evaluation.
 
 Under sanitize the dynamic passes no longer stand down wholesale (the
-PR 9 posture): dead elimination drops only units the site census
-(:mod:`repro.sanitize.elide`) proves instrumentation-free, and
-child-subtree skips additionally require the subtree to be san-free.
+PR 9 posture): dead elimination drops only units with no sanitizer
+site, and child-subtree skips additionally require the subtree to be
+san-free.  The site count is asked of the generator
+(:func:`repro.codegen.pygen.site_count` runs the emitter over the unit
+or module): nothing here decides where a hook would go.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ..codegen.optplan import optimize_stmts, substitute_expr
+from ..codegen.pygen import site_count
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import (
     expr_reads,
@@ -35,8 +38,7 @@ from ..hdl.consteval import (
     num_width,
     stmt_reads_writes,
 )
-from ..ir.netlist import ModuleIR
-from ..sanitize.elide import unit_site_count
+from ..ir.netlist import ModuleIR, Netlist
 from .base import Pass, PassData
 
 
@@ -156,8 +158,8 @@ class DeadLogicPass(Pass):
     Reads are *residual* — computed on the constant-substituted,
     branch-pruned bodies, exactly what codegen will emit — so a signal
     read only inside a pruned branch keeps nothing alive.  Under
-    sanitize, a value-dead unit is only dropped when the site census
-    proves it emits zero instrumentation (instrumented reads are
+    sanitize, a value-dead unit is only dropped when the generator
+    writes no sanitizer site for it (instrumented reads are
     side-effecting findings); anything carrying a site stays live.
     """
 
@@ -170,18 +172,20 @@ class DeadLogicPass(Pass):
         if data.build.opt != "none":
             consts_facts = data.facts["opt.consts"]
             sanitize = data.build.sanitize
+            sanitized_in = data.netlist if sanitize else None
             for key, ir in data.netlist.modules.items():
                 consts, widths = consts_facts.get(key, ({}, {}))
                 out[key] = data.cached(
                     self.name, key, (sanitize,),
                     lambda: self._find_dead(ir, consts, widths,
-                                            protect_sites=sanitize),
+                                            sanitized_in),
                 )
         data.facts["opt.dead"] = out
 
     @staticmethod
     def _find_dead(ir: ModuleIR, consts: dict, widths: dict,
-                   protect_sites: bool = False) -> DeadFacts:
+                   sanitized_in: Optional[Netlist] = None) -> DeadFacts:
+        """``sanitized_in``: the netlist, when the build is sanitized."""
         if ir.needs_fixpoint:
             return _EMPTY_DEAD
         needed: Set[str] = set(ir.outputs)
@@ -194,38 +198,32 @@ class DeadLogicPass(Pass):
         for inst in ir.instances:
             for conn in inst.input_conns.values():
                 needed |= _expr_residual_reads(conn, consts, widths)
-        dead_assigns: Set[int] = set()
-        dead_blocks: Set[int] = set()
+        dead: Dict[str, Set[int]] = {"assign": set(), "block": set()}
         for kind, index in reversed(ir.schedule):
             if kind == "inst":
                 continue
             if kind == "block":
-                comb = ir.comb_blocks[index]
-                live = any(name in needed for name in comb.defines)
-                if not live and protect_sites \
-                        and unit_site_count(ir, "block", index):
-                    live = True  # dropping it would silence findings
-                if live:
-                    needed |= _stmts_residual_reads(
-                        comb.body, consts, widths
-                    )
-                else:
-                    dead_blocks.add(index)
-            else:  # assign
-                assign = ir.comb_assigns[index]
-                live = assign.target.name in needed
-                if not live and protect_sites \
-                        and unit_site_count(ir, "assign", index):
-                    live = True
-                if live:
-                    needed |= _expr_residual_reads(
-                        assign.value, consts, widths
-                    )
-                else:
-                    dead_assigns.add(index)
+                defines = ir.comb_blocks[index].defines
+            else:
+                defines = (ir.comb_assigns[index].target.name,)
+            # Dropping a unit with a site would silence its findings.
+            live = any(name in needed for name in defines) or (
+                sanitized_in is not None
+                and site_count(ir, sanitized_in, (kind, index)) > 0
+            )
+            if not live:
+                dead[kind].add(index)
+            elif kind == "block":
+                needed |= _stmts_residual_reads(
+                    ir.comb_blocks[index].body, consts, widths
+                )
+            else:
+                needed |= _expr_residual_reads(
+                    ir.comb_assigns[index].value, consts, widths
+                )
         return DeadFacts(
-            assigns=frozenset(dead_assigns),
-            blocks=frozenset(dead_blocks),
+            assigns=frozenset(dead["assign"]),
+            blocks=frozenset(dead["block"]),
         )
 
 

@@ -4,7 +4,11 @@ The static analyses in :mod:`repro.analyze` inspect the elaborated
 netlist; this package covers the *dynamic* side: codegen
 (:mod:`repro.codegen.pygen`) can emit instrumented code that calls into
 a shared :class:`SanitizerRuntime` on every register read, memory
-access, truncating assignment, and nonblocking write.  Findings come
+access, truncating assignment, and nonblocking write.  Where a hook
+goes and what it looks like is :class:`Instrumenter`'s
+(:mod:`repro.sanitize.instrument`), which the generator calls and
+which imports nothing of it; which hooks the value facts let it drop is
+:class:`ElisionPlan`'s (:mod:`repro.sanitize.elide`).  Findings come
 out as :class:`repro.analyze.Diagnostic` objects, so they flow through
 the same gate baselines, ``lint`` surfaces, and server events as the
 static checks.
@@ -43,11 +47,9 @@ from .elide import (
     EMPTY_PLAN,
     ElisionPlan,
     build_elision_plan,
-    module_site_count,
     reg_const_init,
-    san_free_keys,
-    unit_site_count,
 )
+from .instrument import Instrumenter
 from .runtime import (
     CHECK_KINDS,
     SAN_NB_CONFLICT,
@@ -64,6 +66,7 @@ __all__ = [
     "CHECK_KINDS",
     "EMPTY_PLAN",
     "ElisionPlan",
+    "Instrumenter",
     "SAN_NB_CONFLICT",
     "SAN_OOB",
     "SAN_TRUNC",
@@ -73,8 +76,5 @@ __all__ = [
     "SanitizerError",
     "SanitizerRuntime",
     "build_elision_plan",
-    "module_site_count",
     "reg_const_init",
-    "san_free_keys",
-    "unit_site_count",
 ]

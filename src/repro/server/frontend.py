@@ -415,29 +415,50 @@ class ShardedFrontend:
             # Unknown wid: a worker retired by resize whose pipe EOF
             # raced the retirement; nothing to do.
             return
+        self._detach(worker)
+        obs.incr("server.worker_deaths")
+        # The command may or may not have executed; the client decides.
+        self._fail_pending(wid, f"worker {wid} died mid-request; its "
+                           "sessions recover from their last saved checkpoint")
+        if not self._stopping:
+            self._loop.create_task(self._restart_worker(wid))
+
+    def _fail_pending(self, wid: int, message: str) -> None:
+        """Answer what is in flight on ``wid`` with a ``worker`` error."""
+        for rid, (fut, pending_wid) in list(self._pending.items()):
+            if pending_wid == wid:
+                del self._pending[rid]
+                if not fut.done():
+                    fut.set_result({
+                        "kind": "response", "rid": rid, "ok": False,
+                        "error": {"type": "worker", "message": message},
+                    })
+
+    def _detach(self, worker: _WorkerHandle) -> None:
+        """Stop listening to a (started) worker."""
         worker.alive = False
         try:
             self._loop.remove_reader(worker.conn.fileno())
         except (OSError, ValueError):
+            pass  # its pipe is closed already
+
+    async def _reap(self, worker: _WorkerHandle) -> None:
+        """The one worker teardown: detach, ask it to stop, join (kill
+        what does not leave in time), close the pipe.  A dead worker
+        goes through the same steps; one that never started has none."""
+        conn, process = worker.conn, worker.process
+        if conn is None:
+            return
+        self._detach(worker)
+        try:
+            conn.send({"kind": "control", "op": "shutdown"})
+        except (OSError, ValueError):
             pass
-        obs.incr("server.worker_deaths")
-        # Fail whatever was in flight on this worker: the command may
-        # or may not have executed; the client must decide.
-        for rid, (fut, pending_wid) in list(self._pending.items()):
-            if pending_wid == wid and not fut.done():
-                fut.set_result({
-                    "kind": "response", "rid": rid, "ok": False,
-                    "error": {
-                        "type": "worker",
-                        "message": (
-                            f"worker {wid} died mid-request; its sessions "
-                            "recover from their last saved checkpoint"
-                        ),
-                    },
-                })
-                self._pending.pop(rid, None)
-        if not self._stopping:
-            self._loop.create_task(self._restart_worker(wid))
+        await self._loop.run_in_executor(None, process.join, 5.0)
+        if process.is_alive():
+            process.kill()
+            await self._loop.run_in_executor(None, process.join, 5.0)
+        conn.close()
 
     async def _restart_worker(self, wid: int) -> None:
         """Respawn a dead worker and rehydrate its sessions."""
@@ -447,10 +468,7 @@ class ShardedFrontend:
         async with worker.lock:
             if worker.alive or self._stopping:
                 return
-            try:
-                worker.process.join(timeout=0)
-            except (OSError, ValueError):
-                pass
+            await self._reap(worker)
             await self._start_worker(wid)
             worker.restarts += 1
             obs.incr("server.worker_restarts")
@@ -493,31 +511,7 @@ class ShardedFrontend:
 
     async def _stop_all_workers(self) -> None:
         self._stopping = True
-        for worker in self._workers.values():
-            if worker.conn is None:
-                continue
-            try:
-                self._loop.remove_reader(worker.conn.fileno())
-            except (OSError, ValueError):
-                pass
-            if worker.alive:
-                try:
-                    worker.conn.send({"kind": "control", "op": "shutdown"})
-                except (OSError, ValueError):
-                    pass
-        for worker in self._workers.values():
-            process = worker.process
-            if process is None:
-                continue
-            await self._loop.run_in_executor(None, process.join, 5.0)
-            if process.is_alive():
-                process.kill()
-                await self._loop.run_in_executor(None, process.join, 5.0)
-            worker.alive = False
-            try:
-                worker.conn.close()
-            except (OSError, AttributeError):
-                pass
+        await asyncio.gather(*map(self._reap, self._workers.values()))
 
     # -- request forwarding --------------------------------------------------
 
@@ -977,19 +971,9 @@ class ShardedFrontend:
                         self._start_worker(wid) for wid in spawned
                     ])
                 except BaseException:
-                    for wid in spawned:
-                        handle = self._workers.pop(wid, None)
-                        if handle is None:
-                            continue
-                        if handle.conn is not None:
-                            try:
-                                self._loop.remove_reader(
-                                    handle.conn.fileno()
-                                )
-                            except (OSError, ValueError):
-                                pass
-                        if handle.process is not None:
-                            handle.process.kill()
+                    await asyncio.gather(*[
+                        self._reap(self._workers.pop(wid)) for wid in spawned
+                    ])
                     raise
                 self.ring = new_ring
                 self.num_workers = target
@@ -1112,46 +1096,11 @@ class ShardedFrontend:
     async def _retire_workers(self, wids: List[int]) -> None:
         """Shut down and remove the given (already-drained) workers."""
         for wid in wids:
-            worker = self._workers.pop(wid, None)
-            if worker is None:
-                continue
-            worker.alive = False
-            if worker.conn is not None:
-                try:
-                    self._loop.remove_reader(worker.conn.fileno())
-                except (OSError, ValueError):
-                    pass
-                try:
-                    worker.conn.send(
-                        {"kind": "control", "op": "shutdown"}
-                    )
-                except (OSError, ValueError):
-                    pass
-            # Fail anything still pending on the retiring worker (a
-            # drained worker should have none; belt and braces).
-            for rid, (fut, pending_wid) in list(self._pending.items()):
-                if pending_wid == wid and not fut.done():
-                    fut.set_result({
-                        "kind": "response", "rid": rid, "ok": False,
-                        "error": {
-                            "type": "worker",
-                            "message": f"worker {wid} retired by resize",
-                        },
-                    })
-                    self._pending.pop(rid, None)
-            process = worker.process
-            if process is not None:
-                await self._loop.run_in_executor(None, process.join, 5.0)
-                if process.is_alive():
-                    process.kill()
-                    await self._loop.run_in_executor(
-                        None, process.join, 5.0
-                    )
-            if worker.conn is not None:
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
+            worker = self._workers.pop(wid)
+            # A drained worker has no session command in flight; what
+            # is (a ``stats`` fan-out) gets an answer, not a hang.
+            self._fail_pending(wid, f"worker {wid} retired by resize")
+            await self._reap(worker)
             obs.incr("server.workers_retired")
 
 

@@ -2,8 +2,10 @@
 
 ``repro.hdl`` is the bottom of the compiler stack: it owns what an
 expression means (:mod:`repro.hdl.consteval`) and may not reach up into
-the layers that consume it.  Nothing takes another package's private
-names: a name two packages need is public where it lives.
+the layers that consume it.  ``repro.sanitize`` says where a hook goes
+and what it looks like, for a generator it does not import.  Nothing
+takes another package's private names: a name two packages need is
+public where it lives.
 """
 
 import ast
@@ -13,8 +15,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 FORBIDDEN = {
     "repro.hdl": {"repro.codegen", "repro.passes", "repro.sanitize"},
-    "repro.sanitize": {"repro.passes"},
+    "repro.sanitize": {"repro.passes", "repro.codegen"},
 }
+# The runtime's name and the site table in generated text.  (The
+# ``"_san"`` global ``exec_source`` binds is the one mention outside.)
+HOOK_SPELLINGS = ("_san.", "_SAN_I")
 
 
 def package_of(module: str) -> str:
@@ -60,3 +65,14 @@ def test_no_private_name_crosses_a_package():
         if name.startswith("_") and not name.startswith("__")
     ]
     assert not private, "\n".join(private)
+
+
+def test_only_the_sanitizer_spells_a_hook():
+    spelled = [
+        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if (SRC / "repro" / "sanitize") not in path.parents
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if any(spelling in line for spelling in HOOK_SPELLINGS)
+    ]
+    assert not spelled, "\n".join(spelled)

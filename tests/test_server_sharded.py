@@ -291,3 +291,38 @@ class TestFailoverReplayDies:
                 # keeps working for non-poison commands.
                 assert client.command("boom", "peek p0")["c0"] == 48
                 client.close_session("boom")
+
+
+class TestRetireWithARequestInFlight:
+    def test_pending_request_gets_the_worker_error(self, tmp_path):
+        # Session commands drain before their worker retires; a request
+        # not routed through a session (a ``stats`` fan-out) can still
+        # be in flight on it.  It is answered, not left hanging.
+        import asyncio
+
+        from repro.server.frontend import WorkerCommandError
+
+        with running_server(tmp_path, 2) as server:
+            async def retire_under_a_request():
+                # Deaf to worker 1 from here, so the request below is
+                # still pending when the retirement starts.
+                server._detach(server._workers[1])
+                request = asyncio.ensure_future(server._forward_to(
+                    server._workers[1], None, "stats", {}
+                ))
+                await asyncio.sleep(0.2)  # sent, and nobody listens
+                assert any(wid == 1 for _, wid in server._pending.values())
+                await server._retire_workers([1])
+                return await asyncio.wait_for(
+                    asyncio.gather(request, return_exceptions=True), 10.0
+                )
+
+            (outcome,) = asyncio.run_coroutine_threadsafe(
+                retire_under_a_request(), server._loop
+            ).result(30.0)
+            assert isinstance(outcome, WorkerCommandError)
+            assert outcome.payload == {
+                "type": "worker", "message": "worker 1 retired by resize",
+            }
+            assert sorted(server._workers) == [0]
+            assert not server._pending

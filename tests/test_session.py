@@ -323,6 +323,90 @@ class TestTransactionalApplyChange:
         assert session.pipe("p0").outputs()["c0"] == 12  # 5*2 replayed + 2
 
 
+ADDER = COUNTER_SRC[:COUNTER_SRC.index("module counter")]
+ADDER_PLUS_ONE = ADDER.replace("assign sum = a + b;",
+                               "assign sum = a + b + 8'd1;")
+
+
+class TestLdLibRedefinition:
+    """``ldLib`` of a module the design already defines is an edit."""
+
+    def test_pipes_follow_the_merged_source(self):
+        session, tb = make_session(interval=100)  # replay is from reset
+        session.run(tb, "p0", 10)
+        assert session.ld_lib("fix", ADDER_PLUS_ONE) == []
+        assert session.version != "1.0"
+        session.run(tb, "p0", 10)
+        # What a from-reset run of the session text holds at cycle 20.
+        fresh = LiveSession(session.compiler.source)
+        fresh.inst_pipe("p0", fresh.stage_handle_for("top"))
+        fresh.run(fresh.load_testbench(hold_inputs(rst=0)), "p0", 20)
+        assert session.pipe("p0").outputs() == fresh.pipe("p0").outputs()
+        assert session.pipe("p0").outputs()["c0"] == 40  # 20 cycles at +2
+
+    def test_additive_library_replays_nothing(self):
+        session, tb = make_session()
+        session.run(tb, "p0", 10)
+        added = session.ld_lib("extras", """
+module passthru (input [7:0] v, output [7:0] o);
+  assign o = v;
+endmodule
+""")
+        assert len(added) == 1
+        assert session.version == "1.0"
+        assert session.pipe("p0").cycle == 10
+
+    @pytest.mark.parametrize("broken", [
+        ADDER.replace("assign sum = a + b;", "assign sum = a + ;"),
+        ADDER.replace("  output [W-1:0] sum\n", "  output [W-1:0] total\n")
+             .replace("assign sum", "assign total"),
+    ], ids=["syntax", "elaboration"])
+    def test_failed_redefinition_changes_nothing(self, broken):
+        from repro.hdl.errors import HDLError
+
+        session, tb = make_session()
+        session.run(tb, "p0", 12)
+        before = session.compiler.source
+        with pytest.raises(HDLError):
+            session.ld_lib("bad", broken)
+        assert session.compiler.source == before
+        assert session.version == "1.0"
+        session.run(tb, "p0", 3)
+        assert session.pipe("p0").outputs()["c0"] == 15
+
+    def test_verify_agrees_in_process_and_on_the_pool(self):
+        from repro.sim.testbench import reset_sequence
+
+        session = LiveSession(COUNTER_SRC, checkpoint_interval=10)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        tb = session.load_testbench(reset_sequence("rst", 2), factory=(
+            "repro.sim.testbench:reset_sequence",
+            {"reset_name": "rst", "cycles": 2},
+        ))
+        session.run(tb, "p0", 25)
+        session.ld_lib("fix", ADDER_PLUS_ONE)
+        session.run(tb, "p0", 10)
+        try:
+            def verdicts(report):
+                return [(s.start_cycle, s.end_cycle, s.consistent)
+                        for s in report.segments]
+
+            # Checkpoints taken under the old adder are estimates now:
+            # both sides replay the same (new) design and say so.
+            here = session.verify_consistency("p0")
+            pool = session.verify_consistency("p0", workers=2)
+            assert pool.workers == 2
+            assert here.verdict == pool.verdict == "divergent"
+            assert verdicts(here) == verdicts(pool)
+            session.verify_consistency("p0", repair=True)
+            here = session.verify_consistency("p0")
+            pool = session.verify_consistency("p0", workers=2)
+            assert here.verdict == pool.verdict == "consistent"
+            assert verdicts(here) == verdicts(pool)
+        finally:
+            session.close()
+
+
 class TestApplyChangeWithVerify:
     def test_verify_true_repairs_inline(self):
         session, tb = make_session(interval=10)

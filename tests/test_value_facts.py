@@ -15,11 +15,12 @@ from hypothesis import given, settings
 
 from repro import BuildConfig, compile_design, obs
 from repro.codegen.build import DerivedCache
+from repro.codegen.pygen import site_count
 from repro.hdl import ast_nodes as ast, elaborate, parse
 from repro.hdl.consteval import stmt_reads_writes
 from repro.ir.netlist import CombAssignIR, SeqBlockIR
 from repro.live.compiler_live import CompileReport
-from repro.passes import dataflow
+from repro.passes import PassData, build_compile_pipeline, dataflow
 from repro.passes.dataflow import (
     ValueFact,
     compute_netlist_facts,
@@ -31,13 +32,18 @@ from repro.passes.dataflow import (
 )
 from repro.riscv.patches import PATCHES
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
-from repro.sanitize import (
-    build_elision_plan,
-    reg_const_init,
-    san_free_keys,
-)
+from repro.sanitize import build_elision_plan, reg_const_init
 from tests.test_fuzz_codegen import expr_text, module_for
 from tests.test_fuzz_hierarchy import random_design
+
+
+def san_free_of(netlist):
+    """What the sanitize plan marks san-free in a sanitized build."""
+    data = PassData(netlist=netlist, build=BuildConfig(sanitize=True))
+    for p in build_compile_pipeline().passes:
+        p.run(data)
+        if "sanitize.plan" in data.facts:
+            return data.facts["sanitize.plan"]["san_free"]
 
 
 def facts_for(source, top="m", **kwargs):
@@ -332,19 +338,19 @@ endmodule
 
 class TestElisionPlan:
     def test_safe_sites_elide(self):
-        facts, _ = facts_for(ELIDE_SRC)
-        plan = build_elision_plan(facts["m"])
+        facts, netlist = facts_for(ELIDE_SRC)
+        plan = build_elision_plan(facts["m"], netlist.modules["m"])
         assert plan.ob_safe  # a[sel] with sel in [0,7] vs bound 8
         assert plan.tr_safe  # t = nib with nib in [0,15] into 4 bits
         assert plan.rr_fast
 
     def test_unsafe_sites_stay(self):
-        facts, _ = facts_for("""
+        facts, netlist = facts_for("""
 module m (input [7:0] a, input [3:0] sel, output y);
   assign y = a[sel];
 endmodule
 """)
-        plan = build_elision_plan(facts["m"])
+        plan = build_elision_plan(facts["m"], netlist.modules["m"])
         assert not plan.ob_safe  # sel in [0,15] vs bound 8
 
     def test_const_reg_init_from_env_tier(self):
@@ -364,13 +370,17 @@ endmodule
 """), "m")
         init = reg_const_init(facts["m"], netlist.modules["m"])
         assert init == {"stuck": 0}
+        plan = build_elision_plan(facts["m"], netlist.modules["m"])
+        assert plan.const_init == init  # rides on the plan to codegen
 
     def test_san_free_requires_no_sites_anywhere(self):
         netlist = elaborate(parse(HIER_SRC), "m")
-        free = san_free_keys(netlist)
         # leaf has a tr site? v + 1 is 8-bit into 8-bit: no.  Neither
-        # module reads a register or memory: both are san-free.
-        assert set(free) == set(netlist.modules)
+        # module reads a register or memory: the generator writes no
+        # hook for either, and the plan marks both (pure) san-free.
+        for ir in netlist.modules.values():
+            assert site_count(ir, netlist) == 0
+        assert set(san_free_of(netlist)) == set(netlist.modules)
 
     def test_register_read_is_never_san_free(self):
         netlist = elaborate(parse("""
@@ -380,7 +390,8 @@ module m (input clk, output [7:0] y);
   assign y = q;
 endmodule
 """), "m")
-        assert san_free_keys(netlist) == frozenset()
+        assert site_count(netlist.modules["m"], netlist) > 0
+        assert san_free_of(netlist) == frozenset()
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,8 @@ endmodule
 """
 
 # Same adder interface, +1 behaviour: loading this library is an edit
-# (duplicate modules replace), and swapStage hot-swaps it into a pipe.
+# (duplicate modules replace) and hot-reloads the pipe like a reload;
+# swapStage then finds every stage on the latest compile.
 PATCH = """
 module adder #(parameter W = 8) (
   input clk,
@@ -190,8 +191,6 @@ def cold_session(host, port, patch_path):
     check(result["c0"] == 198, f"run: c0={result['c0']} (want 198)")
     cp = client.command("smoke", "chkp p0")
     check(cp["cycle"] == 200, "chkp at cycle 200")
-    # Before the partial swap below: after it u0 and u1 run different
-    # adders, which no from-reset run of one design reproduces.
     client.command("smoke", "verify p0")
     event = client.wait_event(
         "verify_status",
@@ -207,11 +206,14 @@ def cold_session(host, port, patch_path):
           "verifyWait: all consistent")
     client.command("smoke", f"ldLib patch, {patch_path}")
     swap = client.command("smoke", "swapStage p0, u0.u_add")
-    check(swap["swapped_instances"] == 1, "swapStage: 1 instance swapped")
-    # The patched adder adds +1: c0 now steps by 2 per cycle.
+    check(swap["swapped_instances"] == 0,
+          "swapStage: ldLib already swapped every instance")
+    # The patched adder adds +1 in both counters: c0 now steps by 2
+    # per cycle and c1 by 4 (the edit resumed from the chkp at 200).
     result = client.command("smoke", "run tb0, p0, 10")
-    check(result["c0"] == 198 + 20,
-          f"patched run: c0={result['c0']} (want 218)")
+    check(result["c0"] == 198 + 20 and result["c1"] == (3 * 198 + 40) % 256,
+          f"patched run: c0={result['c0']} c1={result['c1']} "
+          "(want 218, 122)")
 
     # Static analysis over the socket: the design is clean.
     lint = client.command("smoke", "lint p0")
