@@ -12,7 +12,7 @@ The width of every node is :func:`repro.hdl.consteval.width_of` (a
 documented deviation set from full Verilog, chosen to be predictable;
 the rule is written out there and nowhere else).  ``$signed`` changes
 interpretation for ``<``, ``<=``, ``>``, ``>=`` and ``>>>`` only; both
-comparison operands must be signed.
+comparison operands must be signed (:func:`repro.hdl.consteval.is_signed`).
 
 ``x / 0`` is all-ones and ``x % 0`` is ``x`` (Verilog would give X; this
 simulator has no X state).
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..hdl import ast_nodes as ast
-from ..hdl.consteval import const_int, mask_of, num_value, width_of
+from ..hdl.consteval import const_int, is_signed, mask_of, num_value, width_of
 from ..hdl.errors import CodegenError
 from .emitter import FunctionEmitter, block
 
@@ -87,14 +87,6 @@ class ExprGen:
         if self._resolver.memory_ref(name) is not None:
             return self._resolver.memory_width(name)
         return None
-
-    @staticmethod
-    def is_signed(expr: ast.Expr) -> bool:
-        if isinstance(expr, ast.SysCall) and expr.func == "$signed":
-            return True
-        if isinstance(expr, ast.Ternary):
-            return ExprGen.is_signed(expr.if_true) and ExprGen.is_signed(expr.if_false)
-        return False
 
     # -- generation -----------------------------------------------------------
 
@@ -235,7 +227,7 @@ class ExprGen:
         if op == ">>":
             return f"(({left}) >> ({right}))"
         if op == ">>>":
-            if ExprGen.is_signed(expr.left):
+            if is_signed(expr.left):
                 return f"(({self.sext(left, wl)} >> ({right})) & {mask_of(wl)})"
             return f"(({left}) >> ({right}))"
         if op in ("==", "==="):
@@ -243,7 +235,7 @@ class ExprGen:
         if op in ("!=", "!=="):
             return f"(1 if ({left}) != ({right}) else 0)"
         if op in ("<", "<=", ">", ">="):
-            signed = ExprGen.is_signed(expr.left) and ExprGen.is_signed(expr.right)
+            signed = is_signed(expr.left) and is_signed(expr.right)
             if signed:
                 left = self.sext(left, wl)
                 right = self.sext(right, wr)

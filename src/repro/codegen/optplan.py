@@ -1,8 +1,8 @@
 """Per-module optimization plans and how codegen applies their constants.
 
-The pass framework (:mod:`repro.passes`) analyzes each elaborated
-module and condenses its conclusions into one :class:`OptPlan` per
-specialization; codegen consumes the plan without ever mutating the
+The optimization passes (:mod:`repro.passes.optimize`) write one
+:class:`OptPlan` per specialization (constprop starts it, deadlogic and
+sensitivity refine it); codegen consumes it without ever mutating the
 shared :class:`~repro.ir.netlist.ModuleIR` (which analyzer caches and
 pickled artifacts alias).
 
@@ -34,7 +34,6 @@ class OptPlan:
       (stateless): their ``cycle`` calls are elided.
     """
 
-    level: str = "none"
     consts: Dict[str, int] = field(default_factory=dict)
     const_widths: Dict[str, int] = field(default_factory=dict)
     dead_assigns: Tuple[int, ...] = ()

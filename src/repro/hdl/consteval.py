@@ -22,7 +22,9 @@ sanitizer census and both code generators call it:
 
 Compares, ``/``, ``%`` and ``>>`` act on the masked values (a negative
 parameter compares as its two's complement), ``x / 0`` is all-ones and
-``x % 0`` is ``x``.  :func:`substitute` / :func:`rewrite_stmts` are the
+``x % 0`` is ``x``.  Where a compare or ``>>>`` reads its operands as
+two's complement instead is :func:`is_signed`, the signedness rule.
+:func:`substitute` / :func:`rewrite_stmts` are the
 one folder: :func:`fold_params` / :func:`fold_stmts` run it at
 elaboration with parameters as bare literals, the optimiser
 (:mod:`repro.codegen.optplan`) with proven-constant wires as sized
@@ -226,6 +228,17 @@ def width_of(expr: ast.Expr, signal_width: WidthLookup,
             return 32
     raise CodegenError(f"cannot size {type(expr).__name__}",
                        getattr(expr, "line", 0))
+
+
+def is_signed(expr: ast.Expr) -> bool:
+    """``$signed(x)``, or a ternary with two signed arms.  Signedness
+    changes ``<``, ``<=``, ``>``, ``>=`` (both operands signed) and
+    ``>>>`` (left operand signed) only."""
+    if isinstance(expr, ast.SysCall) and expr.func == "$signed":
+        return True
+    if isinstance(expr, ast.Ternary):
+        return is_signed(expr.if_true) and is_signed(expr.if_false)
+    return False
 
 
 def fold_unary(op: str, operand: ast.Num, line: int) -> Optional[ast.Num]:

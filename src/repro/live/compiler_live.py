@@ -231,7 +231,7 @@ class LiveCompiler:
         )
         with obs.span("codegen", top=top, opt=self.build.opt):
             self._pipeline.run(data)
-        library: Dict[str, CompiledModule] = data.facts["codegen.library"]
+        library: Dict[str, CompiledModule] = data.library
         report.codegen_seconds = time.perf_counter() - started
         obs.gauge("compile.cache_size", self.cache_size())
         obs.gauge("facts.cache_size", sum(

@@ -208,7 +208,6 @@ class LiveSession:
         reload_distance: int = 10_000,
         gc_policy: Optional[GCPolicy] = None,
         checkpoints_enabled: bool = True,
-        initial_version: str = "1.0",
         artifact_store=None,
         gate_policy: Optional[GatePolicy] = None,
         sanitize: str = "off",
@@ -224,7 +223,6 @@ class LiveSession:
         # any point binds this exact object, so mode flips are live in
         # already-compiled modules.
         self.sanitize_runtime = SanitizerRuntime(mode=sanitize)
-        self._sanitize_mode = sanitize
         self.compiler = LiveCompiler(
             source,
             build=_build(
@@ -245,8 +243,8 @@ class LiveSession:
         self.objects = ObjectLibraryTable()
         self.pipelines = PipelineTable()
         self.stages = StageTable(self.pipelines)
-        self.history = RegisterTransformHistory(initial_version)
-        self.version = initial_version
+        self.history = RegisterTransformHistory()
+        self.version = self.history.root
         self.checkpoint_interval = checkpoint_interval
         self.reload_distance = reload_distance
         self.checkpoints_enabled = checkpoints_enabled
@@ -943,18 +941,17 @@ class LiveSession:
                 f"unknown sanitize mode {mode!r}; expected one of "
                 f"{SANITIZE_MODES}"
             )
-        previous = self._sanitize_mode
+        previous = self.sanitize_mode
         result = self.set_build(
             _build(self.compiler.build, sanitize=mode != "off")
         )
         self.sanitize_runtime.mode = mode
-        self._sanitize_mode = mode
         obs.incr("sanitize.toggles")
         return {"mode": mode, "previous": previous, **result}
 
     @property
     def sanitize_mode(self) -> str:
-        return self._sanitize_mode
+        return self.sanitize_runtime.mode
 
     def sanitize_status(self) -> Dict[str, object]:
         """Mode, per-check hit counters, and finding count."""

@@ -1,12 +1,15 @@
-"""repro.passes — the composable netlist pass framework.
+"""repro.passes — the compile pipeline over one netlist.
 
-Compilation stages (elaboration facts, value facts, optimization,
-sanitizer planning, code generation) are :class:`Pass` objects that
-declare the facts they require and produce; :class:`PassManager`
-topo-orders and validates a pipeline at build time, and
-:class:`PassData` is the shared carrier one compile threads through it.
+Compilation is seven passes in one written order, each a
+:class:`Pass` that writes one or two typed fields of the
+:class:`PassData` carrier and reads fields only earlier passes wrote:
+``elab_facts`` (``pure``), ``dataflow`` (``value_facts``), ``constprop``
+(starts ``plans``, one :class:`~repro.codegen.optplan.OptPlan` per
+module), ``sanitize_plan`` (``elide``, ``san_free``), ``deadlogic`` and
+``sensitivity`` (refine ``plans``), ``codegen`` (``library``).
+:mod:`repro.passes.base` tabulates who reads what.
 
-``build_compile_pipeline()`` is the compiler's default pipeline
+``build_compile_pipeline()`` is that sequence
 (:class:`~repro.live.compiler_live.LiveCompiler` runs it with its one
 :class:`~repro.codegen.build.DerivedCache` on the carrier, so per-pass
 results persist across hot reloads); ``run_opt_pipeline`` is the
@@ -20,7 +23,7 @@ from typing import Dict, Optional
 from ..codegen.build import OPT_LEVELS, BuildConfig
 from ..codegen.pygen import CompiledModule
 from ..ir.netlist import Netlist
-from .base import Pass, PassData, PassManager, PassPipeline, PipelineError
+from .base import Pass, PassData, PassPipeline
 from .codegen import CodegenPass, SanitizePlanPass
 from .dataflow import (
     ModuleValueFacts,
@@ -40,9 +43,7 @@ __all__ = [
     "ModuleValueFacts",
     "Pass",
     "PassData",
-    "PassManager",
     "PassPipeline",
-    "PipelineError",
     "SanitizePlanPass",
     "SensitivityPrunePass",
     "ValueFact",
@@ -54,21 +55,16 @@ __all__ = [
 
 
 def build_compile_pipeline() -> PassPipeline:
-    """The default compile pipeline, validated and topo-ordered.
-
-    Passes are registered deliberately out of dependency order — the
-    manager's topological sort is what sequences them.
-    """
-    manager = PassManager([
-        CodegenPass(),
-        DeadLogicPass(),
-        SensitivityPrunePass(),
+    """The compile pipeline: the seven passes, in the order they run."""
+    return PassPipeline([
+        ElaborateFactsPass(),
+        ValueFactsPass(),
         ConstPropPass(),
         SanitizePlanPass(),
-        ValueFactsPass(),
-        ElaborateFactsPass(),
+        DeadLogicPass(),
+        SensitivityPrunePass(),
+        CodegenPass(),
     ])
-    return manager.build()
 
 
 def run_opt_pipeline(
@@ -88,5 +84,4 @@ def run_opt_pipeline(
         build=build,
         sanitize_runtime=sanitize_runtime,
     )
-    build_compile_pipeline().run(data)
-    return data.facts["codegen.library"]
+    return build_compile_pipeline().run(data).library

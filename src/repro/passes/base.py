@@ -1,13 +1,16 @@
-"""The pass framework: PassData carrier, Pass protocol, PassManager.
+"""The compile pipeline: the :class:`PassData` carrier and the pass sequence.
 
-A :class:`Pass` declares the fact names it ``requires`` and
-``produces``; :class:`PassManager.build` topologically orders the
-registered passes by those declarations and validates the pipeline —
-a missing producer or a dependency cycle raises
-:class:`PipelineError` at build time, not mid-compile.
+Seven passes run in the order :func:`repro.passes.build_compile_pipeline`
+writes down.  Each result is one typed field of the carrier, first
+written by one pass and read only by passes after it:
 
-Facts live in ``PassData.facts`` (fact name -> value).  Per-module
-results that should survive a hot reload go through
+* ``pure`` (elab_facts): read by sanitize_plan and sensitivity;
+* ``value_facts`` (dataflow): every later pass, as :meth:`PassData.identity`;
+* ``plans`` (constprop; deadlogic and sensitivity refine it): codegen;
+* ``elide`` / ``san_free`` (sanitize_plan): codegen / sensitivity;
+* ``library`` (codegen): the caller.
+
+Per-module results that should survive a hot reload go through
 :meth:`PassData.cached`: the session's
 :class:`~repro.codegen.build.DerivedCache` under the one module
 identity, which also feeds the computed/reused key lists the ERD report
@@ -18,20 +21,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from .. import obs
 from ..codegen.build import BuildConfig, DerivedCache
+from ..codegen.optplan import OptPlan
+from ..codegen.pygen import CompiledModule
 from ..ir.netlist import Netlist
-
-
-class PipelineError(Exception):
-    """A pipeline cannot be built: missing requirement or cycle."""
+from ..sanitize.elide import ElisionPlan
 
 
 @dataclass
 class PassData:
-    """The shared carrier every pass reads from and writes to."""
+    """What one compile threads through the passes: its inputs, then
+    one field per pass result (see the module docstring)."""
 
     netlist: Netlist
     fps: Dict[str, str] = field(default_factory=dict)  # module name -> fp
@@ -40,7 +43,13 @@ class PassData:
     cache: DerivedCache = field(default_factory=DerivedCache)
     store: Any = None
     report: Any = None  # CompileReport, when driven by LiveCompiler
-    facts: Dict[str, Any] = field(default_factory=dict)
+    pure: FrozenSet[str] = frozenset()  # keys with a stateless subtree
+    # key -> ModuleValueFacts; empty while dataflow is gated off.
+    value_facts: Dict[str, Any] = field(default_factory=dict)
+    plans: Dict[str, OptPlan] = field(default_factory=dict)  # empty at opt=none
+    elide: Dict[str, ElisionPlan] = field(default_factory=dict)  # empty unless sanitized
+    san_free: FrozenSet[str] = frozenset()  # pure and no sanitizer site below
+    library: Dict[str, CompiledModule] = field(default_factory=dict)
 
     def identity(self, spec: str) -> Tuple[str, str, str]:
         """The one module identity every derived result is keyed on:
@@ -48,7 +57,7 @@ class PassData:
         fact flow means a parent edit can change a child's facts without
         touching its fingerprint, so the digest is part of *who the
         module is* ("" while dataflow is gated off)."""
-        mod_facts = self.facts["dataflow.facts"].get(spec)
+        mod_facts = self.value_facts.get(spec)
         return (
             spec,
             self.fps.get(self.netlist.modules[spec].name, ""),
@@ -66,24 +75,16 @@ class PassData:
 
 
 class Pass:
-    """Base class: declare requires/produces, implement ``run``."""
+    """One step of the pipeline: a ``name`` and a ``run``."""
 
     name: str = "pass"
-    requires: Tuple[str, ...] = ()
-    produces: Tuple[str, ...] = ()
 
     def run(self, data: PassData) -> None:
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<{type(self).__name__} {self.name!r} "
-            f"requires={list(self.requires)} produces={list(self.produces)}>"
-        )
-
 
 class PassPipeline:
-    """A validated, topologically ordered pass sequence."""
+    """The passes, run in the order given."""
 
     def __init__(self, passes: Sequence[Pass]):
         self.passes: Tuple[Pass, ...] = tuple(passes)
@@ -97,67 +98,8 @@ class PassPipeline:
             started = time.perf_counter()
             with obs.span(f"passes.{p.name}", opt=data.build.opt):
                 p.run(data)
-            elapsed = time.perf_counter() - started
             if data.report is not None:
                 seconds = data.report.pass_seconds
-                seconds[p.name] = seconds.get(p.name, 0.0) + elapsed
-            missing = [f for f in p.produces if f not in data.facts]
-            if missing:
-                raise PipelineError(
-                    f"pass {p.name!r} declared but did not produce "
-                    f"facts {missing}"
-                )
+                seconds[p.name] = (seconds.get(p.name, 0.0)
+                                   + time.perf_counter() - started)
         return data
-
-
-class PassManager:
-    """Registers passes and builds validated pipelines."""
-
-    def __init__(self, passes: Optional[Sequence[Pass]] = None):
-        self._passes: List[Pass] = list(passes or ())
-
-    def add(self, p: Pass) -> "PassManager":
-        self._passes.append(p)
-        return self
-
-    @property
-    def passes(self) -> List[Pass]:
-        return list(self._passes)
-
-    def build(self) -> PassPipeline:
-        """Topo-order by requires/produces (stable: registration order
-        breaks ties).  Raises :class:`PipelineError` when a required
-        fact has no producer or the dependency graph has a cycle."""
-        producers: Dict[str, Pass] = {}
-        for p in self._passes:
-            for fact in p.produces:
-                if fact in producers:
-                    raise PipelineError(
-                        f"fact {fact!r} produced by both "
-                        f"{producers[fact].name!r} and {p.name!r}"
-                    )
-                producers[fact] = p
-        for p in self._passes:
-            for fact in p.requires:
-                if fact not in producers:
-                    raise PipelineError(
-                        f"pass {p.name!r} requires fact {fact!r} "
-                        "but no registered pass produces it"
-                    )
-        ordered: List[Pass] = []
-        emitted: set = set()
-        pending = list(self._passes)
-        while pending:
-            progressed = False
-            for p in list(pending):
-                if all(fact in emitted for fact in p.requires):
-                    ordered.append(p)
-                    emitted.update(p.produces)
-                    pending.remove(p)
-                    progressed = True
-            if not progressed:
-                names = [p.name for p in pending]
-                raise PipelineError(
-                    f"dependency cycle among passes {names}"
-                )
-        return PassPipeline(ordered)

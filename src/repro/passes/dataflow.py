@@ -61,12 +61,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .. import obs
 from ..codegen.build import DerivedCache
-from ..codegen.exprgen import ExprGen
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import (
     expr_reads,
     fold_binary,
     fold_unary,
+    is_signed,
     mask_of,
     num_value,
     num_width,
@@ -332,10 +332,10 @@ class FactEval:
     def _eval_binary(self, expr) -> Optional[ValueFact]:
         op = expr.op
         # Signed lowerings sign-extend at runtime; stay top there.
-        if op == ">>>" and ExprGen.is_signed(expr.left):
+        if op == ">>>" and is_signed(expr.left):
             return self._top(expr)
-        if (op in ("<", "<=", ">", ">=") and ExprGen.is_signed(expr.left)
-                and ExprGen.is_signed(expr.right)):
+        if (op in ("<", "<=", ">", ">=") and is_signed(expr.left)
+                and is_signed(expr.right)):
             return vf_top(1)
         lf, rf = self.eval(expr.left), self.eval(expr.right)
         if lf is not None and rf is not None and lf.is_const and rf.is_const:
@@ -1336,7 +1336,7 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
 
 
 class ValueFactsPass(Pass):
-    """Computes ``dataflow.facts``: key -> :class:`ModuleValueFacts`.
+    """Writes ``PassData.value_facts``: key -> :class:`ModuleValueFacts`.
 
     Skipped entirely (empty fact dict) when nothing downstream
     consumes it — plain ``opt=none`` unsanitized compiles pay zero
@@ -1348,13 +1348,9 @@ class ValueFactsPass(Pass):
     """
 
     name = "dataflow"
-    requires = ("elab.facts",)
-    produces = ("dataflow.facts",)
 
     def run(self, data: PassData) -> None:
-        if data.build.opt == "none" and not data.build.sanitize:
-            data.facts["dataflow.facts"] = {}
-            return
-        data.facts["dataflow.facts"] = compute_netlist_facts(
+        gated_off = data.build.opt == "none" and not data.build.sanitize
+        data.value_facts = {} if gated_off else compute_netlist_facts(
             data.netlist, fps=data.fps, cache=data.cache, report=data.report,
         )

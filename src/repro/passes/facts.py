@@ -1,9 +1,10 @@
 """Elaboration facts: the cheap whole-netlist summary later passes key on.
 
-Produces ``elab.facts``: per specialization, derived bottom-up from the
-elaborated IR, ``pure`` — True when the whole *subtree* is stateless (no
-registers, memories, sequential blocks, or fixpoint iteration anywhere
-below): its ``cycle`` call is a no-op a parent may elide.
+Writes ``PassData.pure``: the specializations whose whole *subtree* is
+stateless (no registers, memories, sequential blocks, or fixpoint
+iteration anywhere below), derived bottom-up from the elaborated IR —
+a pure child's ``cycle`` call is a no-op a parent may elide.  Reads
+only the netlist.
 
 This pass recomputes every run (it is a dict walk, far cheaper than a
 cache probe per module would be worth); the expensive passes downstream
@@ -12,16 +13,10 @@ cache per fingerprint key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from ..ir.netlist import ModuleIR
 from .base import Pass, PassData
-
-
-@dataclass(frozen=True)
-class ElabFacts:
-    pure: bool
 
 
 def module_is_pure(ir: ModuleIR, pure_children: bool) -> bool:
@@ -42,22 +37,19 @@ def module_is_pure(ir: ModuleIR, pure_children: bool) -> bool:
 
 class ElaborateFactsPass(Pass):
     name = "elab_facts"
-    produces = ("elab.facts",)
 
     def run(self, data: PassData) -> None:
         netlist = data.netlist
-        facts: Dict[str, ElabFacts] = {}
+        pure: Dict[str, bool] = {}
 
-        def visit(key: str) -> ElabFacts:
-            if key in facts:
-                return facts[key]
-            ir = netlist.modules[key]
-            pure_children = all(
-                visit(inst.child_key).pure for inst in ir.instances
-            )
-            facts[key] = ElabFacts(pure=module_is_pure(ir, pure_children))
-            return facts[key]
+        def visit(key: str) -> bool:
+            if key not in pure:
+                ir = netlist.modules[key]
+                pure[key] = module_is_pure(ir, all(
+                    visit(inst.child_key) for inst in ir.instances
+                ))
+            return pure[key]
 
         for key in netlist.modules:
             visit(key)
-        data.facts["elab.facts"] = facts
+        data.pure = frozenset(key for key, is_pure in pure.items() if is_pure)

@@ -2,8 +2,11 @@
 elimination, sensitivity pruning.
 
 All three are *facts-only*: they never mutate the shared ModuleIR.
-Codegen consumes their conclusions through an
-:class:`~repro.codegen.optplan.OptPlan`.
+Their conclusions are one :class:`~repro.codegen.optplan.OptPlan` per
+module in ``PassData.plans``, which codegen compiles under: constprop
+starts it from ``value_facts`` (empty at ``opt=none``), deadlogic fills
+in the dead units, and sensitivity (``opt=full``) the skippable
+children from ``pure`` or, in a sanitized build, ``san_free``.
 
 Per-module results go through :meth:`PassData.cached` — the session's
 derived cache under the module identity (spec, fingerprint, value-facts
@@ -25,10 +28,10 @@ or module): nothing here decides where a hook would go.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from dataclasses import replace
+from typing import Dict, Optional, Set, Tuple
 
-from ..codegen.optplan import optimize_stmts, substitute_expr
+from ..codegen.optplan import NO_OPT, OptPlan, optimize_stmts, substitute_expr
 from ..codegen.pygen import site_count
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import (
@@ -60,14 +63,14 @@ def _stmts_residual_reads(stmts, consts, widths) -> Set[str]:
 class ConstPropPass(Pass):
     """Find comb wires whose single driving assign folds to a literal.
 
-    Produces ``opt.consts``: key -> (consts, widths) where ``consts``
-    maps signal name to its value already masked to the declared width.
-    Active at every opt level above ``none`` (including under sanitize:
-    substitution only replaces *wire* reads, which carry no poison, and
-    the driving assign keeps its trunc instrumentation).
+    Starts ``PassData.plans``: key -> an :class:`OptPlan` whose
+    ``consts`` maps signal name to its value already masked to the
+    declared width.  Active at every opt level above ``none`` (including
+    under sanitize: substitution only replaces *wire* reads, which carry
+    no poison, and the driving assign keeps its trunc instrumentation).
 
     Beyond syntactic folding, the pass consumes the swap-stable tier of
-    ``dataflow.facts``: a wire whose interval proof pins one value in
+    ``value_facts``: a wire whose interval proof pins one value in
     *any* register state (e.g. a comparison decided by widths alone)
     folds even when its expression never reduces to a literal — the
     range-based comparison/dead-branch rung.  Only the stable tier may
@@ -76,27 +79,23 @@ class ConstPropPass(Pass):
     """
 
     name = "constprop"
-    requires = ("elab.facts", "dataflow.facts")
-    produces = ("opt.consts",)
 
     def run(self, data: PassData) -> None:
-        out: Dict[str, Tuple[dict, dict]] = {}
+        plans: Dict[str, OptPlan] = {}
         if data.build.opt != "none":
-            value_facts = data.facts["dataflow.facts"]
             for key, ir in data.netlist.modules.items():
-                mod_facts = value_facts.get(key)
+                mod_facts = data.value_facts.get(key)
                 stable = mod_facts.stable if mod_facts is not None else None
-                out[key] = data.cached(
+                plans[key] = data.cached(
                     self.name, key, (),
                     lambda: self._find_consts(ir, stable),
                 )
-        data.facts["opt.consts"] = out
+        data.plans = plans
 
     @staticmethod
-    def _find_consts(ir: ModuleIR,
-                     stable: Optional[dict] = None) -> Tuple[dict, dict]:
+    def _find_consts(ir: ModuleIR, stable: Optional[dict] = None) -> OptPlan:
         if ir.needs_fixpoint:
-            return {}, {}
+            return NO_OPT
         blocked: Set[str] = set()
         seen_assign: Set[str] = set()
         for assign in ir.comb_assigns:
@@ -135,25 +134,17 @@ class ConstPropPass(Pass):
             if fact is not None and fact.is_const:
                 consts[name] = fact.const_value & mask_of(declared)
                 widths[name] = declared
-        return consts, widths
+        return OptPlan(consts=consts, const_widths=widths)
 
 
 # -- dead-logic elimination --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeadFacts:
-    assigns: FrozenSet[int]
-    blocks: FrozenSet[int]
-
-
-_EMPTY_DEAD = DeadFacts(assigns=frozenset(), blocks=frozenset())
-
-
 class DeadLogicPass(Pass):
     """Backward liveness over the schedule: comb assigns/blocks whose
     defines reach no output, no sequential block, and no instance
-    connection are dropped from the emitted evals.
+    connection are dropped from the emitted evals (the plan's
+    ``dead_assigns`` / ``dead_blocks``).
 
     Reads are *residual* — computed on the constant-substituted,
     branch-pruned bodies, exactly what codegen will emit — so a signal
@@ -164,30 +155,28 @@ class DeadLogicPass(Pass):
     """
 
     name = "deadlogic"
-    requires = ("opt.consts",)
-    produces = ("opt.dead",)
 
     def run(self, data: PassData) -> None:
-        out: Dict[str, DeadFacts] = {}
-        if data.build.opt != "none":
-            consts_facts = data.facts["opt.consts"]
-            sanitize = data.build.sanitize
-            sanitized_in = data.netlist if sanitize else None
-            for key, ir in data.netlist.modules.items():
-                consts, widths = consts_facts.get(key, ({}, {}))
-                out[key] = data.cached(
-                    self.name, key, (sanitize,),
-                    lambda: self._find_dead(ir, consts, widths,
-                                            sanitized_in),
-                )
-        data.facts["opt.dead"] = out
+        sanitize = data.build.sanitize
+        sanitized_in = data.netlist if sanitize else None
+        for key, plan in list(data.plans.items()):
+            ir = data.netlist.modules[key]
+            assigns, blocks = data.cached(
+                self.name, key, (sanitize,),
+                lambda: self._find_dead(ir, plan.consts, plan.const_widths,
+                                        sanitized_in),
+            )
+            data.plans[key] = replace(plan, dead_assigns=assigns,
+                                      dead_blocks=blocks)
 
     @staticmethod
     def _find_dead(ir: ModuleIR, consts: dict, widths: dict,
-                   sanitized_in: Optional[Netlist] = None) -> DeadFacts:
-        """``sanitized_in``: the netlist, when the build is sanitized."""
+                   sanitized_in: Optional[Netlist] = None,
+                   ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Dead assign and block indices, ascending.  ``sanitized_in``:
+        the netlist, when the build is sanitized."""
         if ir.needs_fixpoint:
-            return _EMPTY_DEAD
+            return (), ()
         needed: Set[str] = set(ir.outputs)
         for seq in ir.seq_blocks:
             needed |= _stmts_residual_reads(seq.body, consts, widths)
@@ -221,27 +210,17 @@ class DeadLogicPass(Pass):
                 needed |= _expr_residual_reads(
                     ir.comb_assigns[index].value, consts, widths
                 )
-        return DeadFacts(
-            assigns=frozenset(dead["assign"]),
-            blocks=frozenset(dead["block"]),
-        )
+        return tuple(sorted(dead["assign"])), tuple(sorted(dead["block"]))
 
 
 # -- sensitivity pruning -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SensFacts:
-    skip_children: Tuple[int, ...]
-
-
-_EMPTY_SENS = SensFacts(skip_children=())
-
-
 class SensitivityPrunePass(Pass):
     """opt=full only: mark pure child subtrees, whose ``cycle`` call a
-    parent can elide entirely.  Under sanitize the skip additionally
-    requires the child subtree to be instrumentation-free (san-free).
+    parent can elide entirely (the plan's ``skip_children``).  Under
+    sanitize the skip additionally requires the child subtree to be
+    instrumentation-free: ``san_free``, a subset of ``pure``.
 
     (The pass used to emit per-block input-change guards as well, to
     skip re-evaluating a comb block in the sequential half; since every
@@ -249,22 +228,16 @@ class SensitivityPrunePass(Pass):
     """
 
     name = "sensitivity"
-    requires = ("elab.facts", "sanitize.plan")
-    produces = ("opt.sensitivity",)
 
     def run(self, data: PassData) -> None:
-        out: Dict[str, SensFacts] = {}
-        if data.build.opt == "full":
-            elab = data.facts["elab.facts"]
-            san_plan = data.facts["sanitize.plan"]
-            sanitize = san_plan["enabled"]
-            san_free = san_plan["san_free"]
-            # A dict walk over facts already computed: cheaper than the
-            # cache probe per module the other passes are worth.
-            for key, ir in data.netlist.modules.items():
-                out[key] = SensFacts(skip_children=tuple(
-                    index for index, inst in enumerate(ir.instances)
-                    if elab[inst.child_key].pure
-                    and (not sanitize or inst.child_key in san_free)
-                ))
-        data.facts["opt.sensitivity"] = out
+        if data.build.opt != "full":
+            return
+        skippable = data.san_free if data.build.sanitize else data.pure
+        # A dict walk over facts already computed: cheaper than the
+        # cache probe per module the other passes are worth.
+        for key, plan in list(data.plans.items()):
+            data.plans[key] = replace(plan, skip_children=tuple(
+                index
+                for index, inst in enumerate(data.netlist.modules[key].instances)
+                if inst.child_key in skippable
+            ))

@@ -346,56 +346,17 @@ def _print_event(event: Event, out) -> None:
           file=out)
 
 
-def _trace_verb_request(
-    client: LiveSimClient, session: str, line: str
-) -> Any:
-    """Route a watch/unwatch/trace/replay REPL line through the
-    dedicated protocol verbs (rather than generic ``cmd``), so the
-    server records the watch for re-arm across crash recovery and
-    migration."""
-    verb, rest = (line.split(None, 1) + [""])[:2]
-    operands = [op.strip() for op in rest.split(",")] if rest else []
-    if any(not op for op in operands):
-        raise ValueError(f"empty operand in {line!r}")
-    verb = verb.lower()
-    if verb == "watch":
-        if len(operands) != 2:
-            raise ValueError("usage: watch pipe-name, signal")
-        return client.watch(session, operands[0], operands[1])
-    if verb == "unwatch":
-        if len(operands) != 2:
-            raise ValueError("usage: unwatch pipe-name, signal")
-        return client.unwatch(session, operands[0], operands[1])
-    if verb == "trace":
-        if not 1 <= len(operands) <= 4:
-            raise ValueError(
-                "usage: trace pipe-name [, signal [, start [, end]]]"
-            )
-        args = operands + [None] * (4 - len(operands))
-        return client.trace(
-            session, args[0], args[1],
-            int(args[2], 0) if args[2] is not None else None,
-            int(args[3], 0) if args[3] is not None else None,
-        )
-    if len(operands) < 3:
-        raise ValueError("usage: replay pipe-name, start, end [, signal...]")
-    return client.replay(
-        session, operands[0], int(operands[1], 0), int(operands[2], 0),
-        operands[3:] or None,
-    )
-
-
 def run_lines(client: LiveSimClient, session: str, lines, out) -> None:
     """Drive one command per line; REPL verbs: quit, stats, sessions,
-    resize N, migrate session, worker-id, plus
-    watch/unwatch/trace/replay routed via their protocol verbs."""
+    resize N, migrate session, worker-id.  Every other line is a
+    Table I command sent as ``cmd`` (a ``watch`` line streams and
+    survives a crash or migration like the ``watch`` verb)."""
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line in ("quit", "exit"):
             return
-        verb = line.split(None, 1)[0].lower()
         try:
             if line == "stats":
                 value = client.stats()
@@ -413,8 +374,6 @@ def run_lines(client: LiveSimClient, session: str, lines, out) -> None:
                         "usage: migrate session, worker-id"
                     )
                 value = client.migrate(operands[0], int(operands[1]))
-            elif verb in ("watch", "unwatch", "trace", "replay"):
-                value = _trace_verb_request(client, session, line)
             else:
                 value = client.command(session, line)
             if value is not None:

@@ -57,6 +57,7 @@ from collections import OrderedDict, deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from .. import obs
+from ..live.commands import CommandInterpreter
 from . import protocol
 from .protocol import (
     PROTOCOL_VERSION,
@@ -155,6 +156,26 @@ class _Client:
     def wake_pump(self) -> None:
         """Unblock a pump waiting on the signal (used at close)."""
         self._event_signal.set()
+
+
+def _as_watch_verb(
+    cmd: str, params: Dict[str, Any]
+) -> Tuple[str, Dict[str, Any]]:
+    """A ``cmd`` that ran a ``watch`` / ``unwatch`` line arms or drops a
+    watch exactly like the verb (the worker streams for either form):
+    that verb and its parameters.  Any other request is itself."""
+    if cmd != "cmd":
+        return cmd, params
+    # The worker just ran the line, so it parses.
+    verb, operands = CommandInterpreter.parse(params["line"])
+    verb = verb.lower()
+    if verb not in ("watch", "unwatch"):
+        return cmd, params
+    signal = {"session": params["session"], "pipe": operands[0],
+              "signal": operands[1]}
+    if verb == "watch" and params.get("max_events") is not None:
+        signal["max_events"] = params["max_events"]
+    return verb, signal
 
 
 class _WorkerThread(threading.Thread):
@@ -700,11 +721,12 @@ class ShardedFrontend:
                 self._inflight[name] = left
             if name in self._sessions:
                 self._last_used[name] = time.monotonic()
-        if cmd == "watch":
+        verb, params = _as_watch_verb(cmd, params)
+        if verb == "watch":
             self._record_watch(name, client, params)
-        elif cmd == "unwatch":
+        elif verb == "unwatch":
             self._forget_watch(name, params)
-        elif cmd == "close":
+        elif verb == "close":
             self._forget_session(name)
         return value
 

@@ -249,6 +249,11 @@ class TestCIWorkflow:
         }
         matrix = doc["jobs"]["test"]["strategy"]["matrix"]
         assert matrix["python-version"] == ["3.10", "3.11", "3.12"]
+        # ruff, and the offline checker for what the pinned ruff lacks
+        # (PLC2701, cross-package private imports).
+        lint = [step.get("run", "") for step in doc["jobs"]["lint"]["steps"]]
+        assert "ruff check ." in lint
+        assert "python tools/lintcheck.py" in lint
         # The bench smoke runs the paper targets only, all of them
         # gated; the deleted extension targets are not asked for.
         bench = " ".join(

@@ -56,6 +56,19 @@ def test_lower_layers_do_not_import_upward():
     assert not upward, "\n".join(upward)
 
 
+def test_the_passes_do_not_import_the_expression_generator():
+    # What an expression means (width, fold, signedness) is hdl's; the
+    # passes read it there, not off the code generator.
+    reaching = [
+        f"{path.relative_to(SRC)}:{line}: {here} imports {target}"
+        for path, line, here, target, names in imports()
+        if package_of(here) == "repro.passes"
+        and (target == "repro.codegen.exprgen"
+             or (target == "repro.codegen" and "exprgen" in names))
+    ]
+    assert not reaching, "\n".join(reaching)
+
+
 def test_no_private_name_crosses_a_package():
     private = [
         f"{path.relative_to(SRC)}:{line}: {name} from {target}"

@@ -1,97 +1,149 @@
-"""repro.passes: pipeline mechanics, optimization passes, live toggle.
+"""repro.passes: the pipeline's order, optimization passes, live toggle.
 
-Covers the pass-manager contract (dependency ordering, build-time
-validation), the optimization passes' observable effects on generated
-code, per-pass cache incrementality across a hot reload, opt-level
-key separation in the artifact store, and the runtime ``opt`` toggle.
+Covers the one pass order and that it is the order the carrier's fields
+need, the optimization passes' observable effects on generated code,
+per-pass cache incrementality across a hot reload, opt-level key
+separation in the artifact store, and the runtime ``opt`` toggle.
 """
 
+import dataclasses
 from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from repro import BuildConfig, Pipe, compile_design
 from repro.codegen.build import ModuleKey
+from repro.hdl import elaborate, parse
 from repro.hdl.errors import SimulationError
 from repro.live.commands import CommandInterpreter
 from repro.live.compiler_live import LiveCompiler
 from repro.live.hotreload import HotReloader
 from repro.live.session import LiveSession
 from repro.passes import (
-    Pass,
     PassData,
-    PassManager,
-    PipelineError,
     build_compile_pipeline,
     dataflow,
     run_opt_pipeline,
 )
+from repro.riscv.pgas import build_pgas_source, mesh_top_name
+from repro.sanitize import SanitizerRuntime
 from repro.sim.testbench import hold_inputs
 from tests.conftest import COUNTER_SRC
 
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "designs"
 
-class _Stub(Pass):
-    def __init__(self, name, requires=(), produces=(), write=True):
-        self.name = name
-        self.requires = tuple(requires)
-        self.produces = tuple(produces)
-        self._write = write
-
-    def run(self, data):
-        if self._write:
-            for fact in self.produces:
-                data.facts[fact] = self.name
+# Each result field of the carrier and the pass that first writes it.
+FIRST_WRITER = {
+    "pure": "elab_facts",
+    "value_facts": "dataflow",
+    "plans": "constprop",
+    "elide": "sanitize_plan",
+    "san_free": "sanitize_plan",
+    "library": "codegen",
+}
+INPUT_FIELDS = {"netlist", "fps", "build", "sanitize_runtime", "cache",
+                "store", "report"}
 
 
 def _netlist(source=COUNTER_SRC, top="top"):
-    from repro.hdl import elaborate, parse
-
     return elaborate(parse(source), top)
 
 
+@lru_cache(maxsize=None)
+def _order_designs():
+    """The 2x2 mesh and every top of ``examples/designs/*.v``."""
+    designs = [elaborate(parse(build_pgas_source(2)), mesh_top_name(2))]
+    for path in sorted(EXAMPLES.glob("*.v")):
+        design = parse(path.read_text())
+        designs.extend(elaborate(design, top) for top in design.modules)
+    return designs
+
+
+class ReadTooEarly(Exception):
+    pass
+
+
+class _Unwritten:
+    """Stands in for a field no earlier pass has written: any use raises."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def _fail(self, *args):
+        raise ReadTooEarly(self.field)
+
+    __getattr__ = __getitem__ = __contains__ = __iter__ = _fail
+    __len__ = __bool__ = __eq__ = __hash__ = _fail
+
+
+def run_with_unwritten_fields(passes, netlist, build):
+    """Run ``passes`` in order; before each, every field first written by
+    it or by a later pass is an :class:`_Unwritten`, and after it, the
+    fields it first writes must hold a value."""
+    position = {p.name: index for index, p in enumerate(passes)}
+    runtime = SanitizerRuntime(mode="report") if build.sanitize else None
+    data = PassData(netlist=netlist, build=build, sanitize_runtime=runtime)
+    for index, p in enumerate(passes):
+        for field, writer in FIRST_WRITER.items():
+            if position[writer] >= index:
+                setattr(data, field, _Unwritten(field))
+        p.run(data)
+        for field, writer in FIRST_WRITER.items():
+            if writer == p.name:
+                assert not isinstance(getattr(data, field), _Unwritten), (
+                    f"{p.name} did not write {field}"
+                )
+    return data
+
+
+BUILDS = [
+    BuildConfig(opt=opt, sanitize=sanitize)
+    for opt in ("none", "basic", "full")
+    for sanitize in (False, True)
+]
+
+
 class TestPassManager:
-    def test_compile_pipeline_is_topo_ordered(self):
-        order = build_compile_pipeline().order
-        assert order.index("elab_facts") < order.index("constprop")
-        assert order.index("constprop") < order.index("deadlogic")
-        assert order.index("sanitize_plan") < order.index("sensitivity")
-        assert order.index("sanitize_plan") < order.index("codegen")
-        assert order[-1] == "codegen"
+    """The pipeline is one written sequence, and it is an order in which
+    no pass reads a field before the pass that writes it has run."""
 
-    def test_missing_requirement_fails_at_build_time(self):
-        manager = PassManager([_Stub("a", requires=("nothing.produces",))])
-        with pytest.raises(PipelineError, match="no registered pass"):
-            manager.build()
+    def test_compile_pipeline_is_the_written_order(self):
+        pipeline = build_compile_pipeline()
+        assert pipeline.order == [
+            "elab_facts", "dataflow", "constprop", "sanitize_plan",
+            "deadlogic", "sensitivity", "codegen",
+        ]
+        # Tracing wraps each instance's ``run`` and pops it off again.
+        for p in pipeline.passes:
+            assert "run" not in vars(p) and "run" in vars(type(p))
 
-    def test_duplicate_producer_rejected(self):
-        manager = PassManager([
-            _Stub("a", produces=("x",)),
-            _Stub("b", produces=("x",)),
-        ])
-        with pytest.raises(PipelineError, match="produced by both"):
-            manager.build()
+    def test_every_result_field_has_one_first_writer(self):
+        fields = {f.name for f in dataclasses.fields(PassData)}
+        assert fields - INPUT_FIELDS == set(FIRST_WRITER)
+        assert set(FIRST_WRITER.values()) <= set(build_compile_pipeline().order)
 
-    def test_dependency_cycle_rejected(self):
-        manager = PassManager([
-            _Stub("a", requires=("y",), produces=("x",)),
-            _Stub("b", requires=("x",), produces=("y",)),
-        ])
-        with pytest.raises(PipelineError, match="cycle"):
-            manager.build()
+    @pytest.mark.parametrize(
+        "build", BUILDS,
+        ids=[f"{b.opt}-{'san' if b.sanitize else 'clean'}" for b in BUILDS],
+    )
+    def test_no_pass_reads_a_field_a_later_pass_writes(self, build):
+        passes = build_compile_pipeline().passes
+        for netlist in _order_designs():
+            data = run_with_unwritten_fields(passes, netlist, build)
+            assert set(data.library) == set(netlist.modules)
 
-    def test_registration_order_broken_by_dependencies(self):
-        pipeline = PassManager([
-            _Stub("late", requires=("x",)),
-            _Stub("early", produces=("x",)),
-        ]).build()
-        assert pipeline.order == ["early", "late"]
-
-    def test_declared_but_unproduced_fact_raises_at_run(self):
-        pipeline = PassManager([
-            _Stub("liar", produces=("x",), write=False),
-        ]).build()
-        with pytest.raises(PipelineError, match="did not produce"):
-            pipeline.run(PassData(netlist=_netlist()))
+    def test_a_pass_moved_before_its_input_is_caught(self):
+        passes = list(build_compile_pipeline().passes)
+        names = [p.name for p in passes]
+        sensitivity = passes.pop(names.index("sensitivity"))
+        passes.insert(names.index("sanitize_plan"), sensitivity)
+        with pytest.raises(ReadTooEarly, match="san_free"):
+            run_with_unwritten_fields(
+                passes, _order_designs()[0],
+                BuildConfig(opt="full", sanitize=True),
+            )
 
     def test_run_opt_pipeline_rejects_unknown_level(self):
         with pytest.raises(ValueError, match="unknown opt level"):
@@ -300,7 +352,7 @@ endmodule
 
 class TestDataflowCacheMatrix:
     """Satellite: a hot reload of one module must not recompute
-    ``dataflow.facts`` for clean modules — at every (opt, sanitize)
+    ``value_facts`` for clean modules — at every (opt, sanitize)
     combination that runs the pass at all."""
 
     MATRIX = [

@@ -197,12 +197,20 @@ class TestTraceAcrossWorkers:
                 other.wait_event("value_change", timeout=0.5)
             armed.close_session("rt")
 
-    def test_watch_survives_migration(self, server):
-        first, second = names_on_each_worker("mig")
+    # A watch is armed by the ``watch`` verb or by a ``cmd`` whose line
+    # is ``watch``; the worker streams for both, so both must re-arm.
+    ARMING = {
+        "verb": lambda client, session: client.watch(session, "p0", "c0"),
+        "cmd": lambda client, session: client.command(session,
+                                                      "watch p0, c0"),
+    }
+
+    def _watch_survives_migration(self, server, arming):
+        first, second = names_on_each_worker("mig-" + arming)
         with connect(server) as client:
             client.open_session(first, COUNTER_SRC)
             client.command(first, "instPipe p0, stage2")
-            client.watch(first, "p0", "c0")
+            self.ARMING[arming](client, first)
             client.command(first, "run tb0, p0, 20")
             _drain_changes(client, "c0", until_cycle=19)
 
@@ -211,19 +219,25 @@ class TestTraceAcrossWorkers:
             client.events.clear()
             client.command(first, "run tb0, p0, 10")
             seen, _, _ = _drain_changes(client, "c0", until_cycle=29)
-            assert min(seen) >= 20 and max(seen) == 29
+            assert seen and min(seen) >= 20 and max(seen) == 29
             _assert_streamed_matches_trace(client, first, seen)
             client.close_session(first)
 
-    def test_watch_survives_crash_rehydration(self, server):
+    def test_watch_survives_migration(self, server):
+        self._watch_survives_migration(server, "verb")
+
+    def test_cmd_watch_survives_migration(self, server):
+        self._watch_survives_migration(server, "cmd")
+
+    def _watch_survives_crash_rehydration(self, server, arming):
         # SIGKILL the session's worker: the journaled watch re-arms on
         # the restarted worker and streaming resumes with no gap
-        # (this test runs last — it restarts a worker).
-        first, _ = names_on_each_worker("crash")
+        # (these tests run last — they restart a worker).
+        first, _ = names_on_each_worker("crash-" + arming)
         with connect(server) as client:
             client.open_session(first, COUNTER_SRC)
             client.command(first, "instPipe p0, stage2")
-            client.watch(first, "p0", "c0")
+            self.ARMING[arming](client, first)
             client.command(first, "run tb0, p0, 20")
             client.command(first, "chkp p0")
             _drain_changes(client, "c0", until_cycle=19)
@@ -236,10 +250,16 @@ class TestTraceAcrossWorkers:
             result = client.command(first, "run tb0, p0, 10")
             assert result["c0"] == 28
             seen, _, _ = _drain_changes(client, "c0", until_cycle=29)
-            assert min(seen) >= 20 and max(seen) == 29
+            assert seen and min(seen) >= 20 and max(seen) == 29
             _assert_streamed_matches_trace(client, first, seen)
             replay = client.replay(first, "p0", 20, 30, signals=["c0"])
             post = {c: v for c, v in replay["signals"]["c0"]}
             for cycle, value in seen.items():
                 assert post[cycle] == value
             client.close_session(first)
+
+    def test_watch_survives_crash_rehydration(self, server):
+        self._watch_survives_crash_rehydration(server, "verb")
+
+    def test_cmd_watch_survives_crash_rehydration(self, server):
+        self._watch_survives_crash_rehydration(server, "cmd")

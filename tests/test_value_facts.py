@@ -42,8 +42,8 @@ def san_free_of(netlist):
     data = PassData(netlist=netlist, build=BuildConfig(sanitize=True))
     for p in build_compile_pipeline().passes:
         p.run(data)
-        if "sanitize.plan" in data.facts:
-            return data.facts["sanitize.plan"]["san_free"]
+        if p.name == "sanitize_plan":
+            return data.san_free
 
 
 def facts_for(source, top="m", **kwargs):
