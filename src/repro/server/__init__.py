@@ -6,7 +6,9 @@ protocol, backed by an on-disk content-addressed store of compiled
 modules so compile work survives restarts and is shared across users.
 
 * :mod:`repro.server.protocol` — request/response/event framing
-  (``repro.server/v1``) and the one declaration of every verb.
+  (``repro.server/v1``) and the one declaration of every verb; every
+  Table I command line, ``watch`` and ``trace`` included, is one
+  ``cmd`` request.
 * :mod:`repro.server.store` — the on-disk artifact store
   :class:`~repro.server.store.ArtifactStore` that
   :class:`~repro.live.compiler_live.LiveCompiler` reads through.

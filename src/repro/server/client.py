@@ -7,12 +7,16 @@ Library use::
     with LiveSimClient("127.0.0.1", 7391) as client:
         client.open_session("alice", MY_SOURCE)
         client.command("alice", "instPipe p0, stage1")
+        client.command("alice", "watch p0, c0")
         client.command("alice", "run tb0, p0, 10000")
-        print(client.command("alice", "peek p0"))
+        print(client.command("alice", "trace p0, c0, 9990, 10000"))
 
+Every Table I line travels as one ``cmd`` request; the other methods
+are the server's own verbs (``open``, ``reload``, ``stats``, ...).
 One request is in flight at a time per client (the simple model a
 scripted session wants); server events that arrive while waiting for a
-response are buffered on :attr:`LiveSimClient.events` and can also be
+response (``value_change`` from a ``watch`` line, ``verify_status``,
+...) are buffered on :attr:`LiveSimClient.events` and can also be
 consumed with :meth:`wait_event`.
 
 REPL use (``python -m repro.server.client``)::
@@ -246,8 +250,14 @@ class LiveSimClient:
             reset_cycles=reset_cycles,
         )
 
-    def command(self, session: str, line: str) -> Any:
-        return self.request("cmd", session=session, line=line)
+    def command(self, session: str, line: str,
+                max_events: Optional[int] = None) -> Any:
+        """Run one Table I command line.  A ``watch`` line also streams
+        batched ``value_change`` events back on this connection
+        (buffered on :attr:`events` / :meth:`wait_event`), at most
+        ``max_events`` queued on the server before the oldest drop."""
+        extra = {} if max_events is None else {"max_events": max_events}
+        return self.request("cmd", session=session, line=line, **extra)
 
     def reload(self, session: str, source: str,
                verify: "bool | str" = False,
@@ -270,47 +280,6 @@ class LiveSimClient:
     def migrate(self, session: str, worker: int) -> Any:
         """Move one session to an explicit worker (admin verb)."""
         return self.request("migrate", session=session, worker=worker)
-
-    def watch(self, session: str, pipe: str, signal: str,
-              max_events: Optional[int] = None) -> Any:
-        """Arm a live watch: the server captures ``signal`` every cycle
-        and streams batched ``value_change`` events back on this
-        connection (buffered on :attr:`events` / :meth:`wait_event`)."""
-        params: dict = {"session": session, "pipe": pipe, "signal": signal}
-        if max_events is not None:
-            params["max_events"] = max_events
-        return self.request("watch", **params)
-
-    def unwatch(self, session: str, pipe: str, signal: str) -> Any:
-        return self.request(
-            "unwatch", session=session, pipe=pipe, signal=signal
-        )
-
-    def trace(self, session: str, pipe: str,
-              signal: Optional[str] = None,
-              start: Optional[int] = None,
-              end: Optional[int] = None) -> Any:
-        """Read captured samples (or, without ``signal``, the probe
-        inventory and drop counters)."""
-        params: dict = {"session": session, "pipe": pipe}
-        if signal is not None:
-            params["signal"] = signal
-        if start is not None:
-            params["start"] = start
-        if end is not None:
-            params["end"] = end
-        return self.request("trace", **params)
-
-    def replay(self, session: str, pipe: str, start: int, end: int,
-               signals: Optional[List[str]] = None) -> Any:
-        """Time-travel: re-simulate ``[start, end)`` from the nearest
-        checkpoint on a scratch pipe and return the traced window."""
-        params: dict = {
-            "session": session, "pipe": pipe, "start": start, "end": end,
-        }
-        if signals is not None:
-            params["signals"] = list(signals)
-        return self.request("replay", **params)
 
     def close_session(self, session: str) -> Any:
         return self.request("close", session=session)
@@ -349,8 +318,8 @@ def _print_event(event: Event, out) -> None:
 def run_lines(client: LiveSimClient, session: str, lines, out) -> None:
     """Drive one command per line; REPL verbs: quit, stats, sessions,
     resize N, migrate session, worker-id.  Every other line is a
-    Table I command sent as ``cmd`` (a ``watch`` line streams and
-    survives a crash or migration like the ``watch`` verb)."""
+    Table I command sent as ``cmd`` (a ``watch`` line streams, and the
+    stream survives a crash or migration)."""
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -158,24 +158,21 @@ class _Client:
         self._event_signal.set()
 
 
-def _as_watch_verb(
-    cmd: str, params: Dict[str, Any]
-) -> Tuple[str, Dict[str, Any]]:
-    """A ``cmd`` that ran a ``watch`` / ``unwatch`` line arms or drops a
-    watch exactly like the verb (the worker streams for either form):
-    that verb and its parameters.  Any other request is itself."""
-    if cmd != "cmd":
-        return cmd, params
+def _watch_of(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
+    """What a ``cmd`` that just ran does to a live watch: ``"watch"`` or
+    ``"unwatch"`` with ``{session, pipe, signal[, max_events]}`` (the
+    parameters a re-arm ``subscribe`` sends), or ``""`` for any other
+    Table I line."""
     # The worker just ran the line, so it parses.
     verb, operands = CommandInterpreter.parse(params["line"])
     verb = verb.lower()
     if verb not in ("watch", "unwatch"):
-        return cmd, params
-    signal = {"session": params["session"], "pipe": operands[0],
-              "signal": operands[1]}
+        return "", {}
+    watch = {"session": params["session"], "pipe": operands[0],
+             "signal": operands[1]}
     if verb == "watch" and params.get("max_events") is not None:
-        signal["max_events"] = params["max_events"]
-    return verb, signal
+        watch["max_events"] = params["max_events"]
+    return verb, watch
 
 
 class _WorkerThread(threading.Thread):
@@ -240,13 +237,12 @@ class ShardedFrontend:
         # When each session's last command finished (monotonic seconds),
         # for idle eviction.
         self._last_used: Dict[str, float] = {}
-        # Armed live watches, per session: (client, request params)
-        # pairs, so a crash-rehydration or migration can re-issue the
-        # ``watch`` on whichever worker owns the session *now* and the
-        # value_change stream keeps flowing to the same connection.
-        self._watch_records: Dict[
-            str, List[Tuple[_Client, Dict[str, Any]]]
-        ] = {}
+        # Armed live watches: session -> {(client, pipe, signal): watch}
+        # (see _watch_of), so a crash-rehydration or migration can
+        # re-arm them with ``subscribe`` on whichever worker owns the
+        # session *now* and the value_change stream keeps flowing to
+        # the same connection.
+        self._watches: Dict[str, Dict[Tuple, Dict[str, Any]]] = {}
         # Live-migration state: sessions currently moving (commands
         # queue on the event until the route table flips) and a count
         # of in-flight forwarded requests per session (a migration
@@ -721,19 +717,25 @@ class ShardedFrontend:
                 self._inflight[name] = left
             if name in self._sessions:
                 self._last_used[name] = time.monotonic()
-        verb, params = _as_watch_verb(cmd, params)
-        if verb == "watch":
-            self._record_watch(name, client, params)
-        elif verb == "unwatch":
-            self._forget_watch(name, params)
-        elif verb == "close":
+        if cmd == "close":
             self._forget_session(name)
+        elif cmd == "cmd":
+            verb, watch = _watch_of(params)
+            signal = (watch.get("pipe"), watch.get("signal"))
+            if verb == "watch":
+                self._watches.setdefault(name, {})[(client, *signal)] = watch
+            elif verb == "unwatch":
+                # It closes every subscription on that signal in the
+                # worker's buffer, whichever client armed it.
+                records = self._watches.get(name, {})
+                for key in [k for k in records if k[1:] == signal]:
+                    del records[key]
         return value
 
     def _forget_session(self, name: str) -> None:
         """Stop routing to a session that closed or was lost."""
         self._sessions.pop(name, None)
-        self._watch_records.pop(name, None)
+        self._watches.pop(name, None)
         self._last_used.pop(name, None)
         obs.gauge("server.sessions", len(self._sessions))
 
@@ -758,70 +760,33 @@ class ShardedFrontend:
 
     # -- live-watch bookkeeping ----------------------------------------------
 
-    def _record_watch(
-        self, name: str, client: _Client, params: Dict[str, Any]
-    ) -> None:
-        """Remember an armed watch so it can be re-issued wherever the
-        session lands after a crash or migration."""
-        key = (params.get("pipe"), params.get("signal"))
-        records = self._watch_records.setdefault(name, [])
-        records[:] = [
-            (cl, pr) for cl, pr in records
-            if cl is not client
-            or (pr.get("pipe"), pr.get("signal")) != key
-        ]
-        records.append((client, dict(params)))
-
-    def _forget_watch(self, name: str, params: Dict[str, Any]) -> None:
-        """``unwatch`` closes every subscription on that signal in the
-        worker's buffer, so drop all matching records, any client."""
-        key = (params.get("pipe"), params.get("signal"))
-        records = self._watch_records.get(name)
-        if records is None:
-            return
-        records[:] = [
-            (cl, pr) for cl, pr in records
-            if (pr.get("pipe"), pr.get("signal")) != key
-        ]
-        if not records:
-            self._watch_records.pop(name, None)
-
     def _drop_client_watches(self, client: _Client) -> None:
-        for name, records in list(self._watch_records.items()):
-            kept = [
-                (cl, pr) for cl, pr in records if cl is not client
-            ]
-            if kept:
-                self._watch_records[name] = kept
-            else:
-                self._watch_records.pop(name, None)
+        for records in self._watches.values():
+            for key in [k for k in records if k[0] is client]:
+                del records[key]
 
     async def _rearm_watches(
         self, name: str, worker: _WorkerHandle
     ) -> None:
-        """Re-issue every recorded watch for ``name`` against the
-        worker that owns it now: rehydration replayed the journalled
-        ``watch`` lines (so the probes exist), but the value_change
-        pumps and their rid routes died with the old process.  Takes
-        the handle, not the id — callers hold ``worker.lock`` or have
-        just ensured the worker, and ``_ensure_worker`` would deadlock
-        on that same lock."""
-        records = self._watch_records.get(name)
-        if not records:
-            return
-        kept: List[Tuple[_Client, Dict[str, Any]]] = []
-        for client, params in records:
+        """Re-arm every recorded watch for ``name`` on the worker that
+        owns it now with ``subscribe``: rehydration replayed the
+        journalled ``watch`` lines (so the probes exist), but the
+        value_change pumps and their rid routes died with the old
+        process.  Never the ``watch`` line itself, which would journal
+        it again on every move.  Takes the handle, not the id — callers
+        hold ``worker.lock`` or have just ensured the worker, and
+        ``_ensure_worker`` would deadlock on that same lock."""
+        records = self._watches.get(name, {})
+        for key, watch in list(records.items()):
+            client = key[0]
             if client.closed:
+                records.pop(key, None)
                 continue
             try:
-                await self._forward_to(worker, client, "watch", params)
-                kept.append((client, params))
+                await self._forward_to(worker, client, "subscribe", watch)
             except WorkerCommandError:
                 obs.incr("server.watch_rearm_failures")
-        if kept:
-            self._watch_records[name] = kept
-        else:
-            self._watch_records.pop(name, None)
+                records.pop(key, None)
 
     # -- verbs the frontend answers itself: _cmd_<verb>(client, params) -------
 

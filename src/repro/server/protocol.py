@@ -93,20 +93,8 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_name(value: Any) -> bool:
-    # Names are spliced into comma-separated Table I command lines.
-    return (isinstance(value, str) and bool(value)
-            and not set(value) & set(",\n#"))
-
-
 STR: Param = (lambda v: isinstance(v, str) and bool(v), "a non-empty string")
-NAME: Param = (_is_name, "a non-empty string without ',' '#' or newlines")
-NAMES: Param = (
-    lambda v: isinstance(v, list) and all(map(_is_name, v)),
-    "a list of signal names without ',' '#' or newlines",
-)
 INT: Param = (_is_int, "an integer")
-CYCLE: Param = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 COUNT: Param = (lambda v: _is_int(v) and v >= 1, "a positive integer")
 BOOL: Param = (lambda v: isinstance(v, bool), "a boolean")
 VERIFY: Param = (
@@ -131,13 +119,12 @@ class Verb:
 
 
 _SESSION = {"session": STR}
-_SIGNAL = {**_SESSION, "pipe": NAME, "signal": NAME}
 
 # The one declaration of every verb: the frontend validates requests
 # against it before anything is forwarded, so workers read parameters
 # without re-checking them, and both sides dispatch by verb name.
-# ``watch``/``unwatch``/``trace``/``replay`` are sugar for the Table I
-# command line :func:`trace_line` builds (``watch`` also streams
+# Every Table I line, ``watch`` / ``unwatch`` / ``trace`` / ``replay``
+# included, travels as ``cmd`` (a ``watch`` line also streams
 # ``value_change`` events); ``resize``/``migrate`` administer the pool.
 VERBS: Dict[str, Verb] = {
     "ping": Verb(),
@@ -148,13 +135,6 @@ VERBS: Dict[str, Verb] = {
     "reload": Verb({**_SESSION, "source": STR},
                    {"verify": VERIFY, "override": BOOL}, routed=True),
     "close": Verb(_SESSION, routed=True),
-    "watch": Verb(_SIGNAL, {"max_events": COUNT}, routed=True),
-    "unwatch": Verb(_SIGNAL, routed=True),
-    "trace": Verb({**_SESSION, "pipe": NAME},
-                  {"signal": NAME, "start": CYCLE, "end": CYCLE},
-                  routed=True),
-    "replay": Verb({**_SESSION, "pipe": NAME, "start": CYCLE, "end": CYCLE},
-                   {"signals": NAMES}, routed=True),
     "sessions": Verb(),
     "stats": Verb(),
     "shutdown": Verb(),
@@ -177,24 +157,6 @@ def check_request(request: Request) -> Verb:
             if not (check(value) or (may_omit and value is None)):
                 raise ProtocolError(f"{key!r} must be {what}")
     return verb
-
-
-def trace_line(cmd: str, params: Dict[str, Any]) -> str:
-    """The canonical Table I line of a validated watch / unwatch /
-    trace / replay request, so the journal and the ``cmd`` path see
-    exactly one form."""
-    operands = [params["pipe"]]
-    if cmd == "replay":
-        operands += [params["start"], params["end"]]
-        operands += params.get("signals") or []
-    elif params.get("signal") is not None:
-        operands.append(params["signal"])
-        start, end = params.get("start"), params.get("end")
-        if start is not None or end is not None:
-            operands.append(start or 0)
-        if end is not None:
-            operands.append(end)
-    return f"{cmd} " + ", ".join(map(str, operands))
 
 
 # -- encoding ----------------------------------------------------------------

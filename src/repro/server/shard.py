@@ -18,10 +18,11 @@ one *process* each:
   :class:`~repro.server.service.SessionManager` slice driven by framed
   messages over a :class:`multiprocessing.connection.Connection`, with
   command execution on a small thread pool (per-session locks keep one
-  session serialized) and ``verify_status`` / ``lint_findings`` events
-  streamed back tagged with the originating request id.  The frontend
-  runs it as a process, or for ``--workers 0`` on a thread of its own
-  process; the worker cannot tell which.
+  session serialized) and ``verify_status`` / ``lint_findings`` /
+  ``value_change`` events streamed back tagged with the originating
+  request id.  The frontend runs it as a process, or for
+  ``--workers 0`` on a thread of its own process; the worker cannot
+  tell which.
 
 The asyncio front door that owns the workers lives in
 :mod:`repro.server.frontend`.
@@ -37,14 +38,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..analyze import count_by_severity
 from ..live.checkpoint import atomic_write
 from ..live.commands import CommandInterpreter
 from ..trace.buffer import DEFAULT_SUB_QUEUE as TRACE_SUB_QUEUE
-from .protocol import trace_line
 from .service import (
     ManagedSession,
     SessionManager,
@@ -69,6 +69,15 @@ STRUCTURAL_VERBS = frozenset(
      "ldch", "watch", "unwatch"}
 )
 
+# Points each worker owns on the ring.  Part of session placement:
+# changing it moves sessions between workers.
+RING_REPLICAS = 64
+
+# A worker runs requests on this many threads (per-session locks keep
+# one session serialized) and its event pumps poll every POLL_SECONDS.
+MAX_THREADS = 8
+POLL_SECONDS = 0.05
+
 
 # -- consistent hashing ------------------------------------------------------
 
@@ -79,63 +88,32 @@ def _ring_point(label: str) -> int:
 
 
 class HashRing:
-    """Consistent-hash ring mapping string keys onto nodes.
+    """Consistent-hash ring mapping session names onto worker ids.
 
-    Each node owns ``replicas`` points on a 64-bit ring; a key belongs
-    to the first node point clockwise from its own hash.  Adding or
-    removing one node therefore remaps only the keys that fell in the
-    arcs it owned (~1/W of them), which is what lets a worker-pool
-    resize keep most sessions in place.
+    Each worker owns :data:`RING_REPLICAS` points on a 64-bit ring; a
+    name belongs to the first worker point clockwise from its own hash.
+    A pool that grows or shrinks by one worker therefore remaps only the
+    names in the arcs that worker owns (~1/W of them), which is what
+    lets a resize keep most sessions in place.
     """
 
-    def __init__(self, nodes: Sequence = (), replicas: int = 64):
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = replicas
-        self._points: List[Tuple[int, str]] = []  # (point, node key)
-        self._nodes: Dict[str, Any] = {}
-        for node in nodes:
-            self.add(node)
+    def __init__(self, nodes: Iterable[int]):
+        self._nodes = {str(node): node for node in nodes}
+        # (point, node key): equal points tie-break on the key, so the
+        # order the nodes came in never matters.
+        self._points: List[Tuple[int, str]] = sorted(
+            (_ring_point(f"{key}#{replica}"), key)
+            for key in self._nodes
+            for replica in range(RING_REPLICAS)
+        )
 
-    @staticmethod
-    def _key(node: Any) -> str:
-        return str(node)
-
-    def add(self, node: Any) -> None:
-        key = self._key(node)
-        if key in self._nodes:
-            return
-        self._nodes[key] = node
-        for replica in range(self.replicas):
-            point = _ring_point(f"{key}#{replica}")
-            bisect.insort(self._points, (point, key))
-
-    def remove(self, node: Any) -> None:
-        key = self._key(node)
-        if key not in self._nodes:
-            return
-        del self._nodes[key]
-        self._points = [
-            entry for entry in self._points if entry[1] != key
-        ]
-
-    def lookup(self, key: str):
+    def lookup(self, key: str) -> int:
         if not self._points:
             raise LookupError("hash ring has no nodes")
-        point = _ring_point(key)
-        index = bisect.bisect_right(self._points, (point, "￿"))
-        if index == len(self._points):
-            index = 0
-        return self._nodes[self._points[index][1]]
-
-    def nodes(self) -> List:
-        return [self._nodes[key] for key in sorted(self._nodes)]
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node: Any) -> bool:
-        return self._key(node) in self._nodes
+        index = bisect.bisect_right(
+            self._points, (_ring_point(key), "\uffff")
+        )
+        return self._nodes[self._points[index % len(self._points)][1]]
 
 
 # -- session journal ---------------------------------------------------------
@@ -268,8 +246,6 @@ class WorkerConfig:
     store_root: Optional[str] = None
     state_root: Optional[str] = None
     checkpoint_interval: int = 10_000
-    verify_poll: float = 0.05
-    max_threads: int = 8
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -299,7 +275,7 @@ class SessionWorker:
         self._send_lock = threading.Lock()
         self._stop = threading.Event()
         self._pool = ThreadPoolExecutor(
-            max_workers=config.max_threads,
+            max_workers=MAX_THREADS,
             thread_name_prefix=f"livesim-w{config.worker_id}",
         )
 
@@ -381,12 +357,7 @@ class SessionWorker:
     def _dispatch(self, rid: int, cmd: str, params: Dict[str, Any]) -> Any:
         """Run one request the frontend validated (see
         :data:`repro.server.protocol.VERBS`) or built itself
-        (``persist`` / ``rehydrate`` / ``describe``)."""
-        if cmd in ("watch", "unwatch", "trace", "replay"):
-            # Sugar for a Table I line: journaling and watch arming
-            # fall out of the normal command path.
-            params = dict(params, line=trace_line(cmd, params))
-            cmd = "cmd"
+        (``persist`` / ``rehydrate`` / ``describe`` / ``subscribe``)."""
         handler = getattr(self, f"_cmd_{cmd}", None)
         if handler is None:
             raise ValueError(f"unknown worker command {cmd!r}")
@@ -515,7 +486,7 @@ class SessionWorker:
             operands = CommandInterpreter.parse(line)[1]
             self._watch_trace(
                 rid, managed, operands[0], operands[1],
-                params.get("max_events") or TRACE_SUB_QUEUE,
+                params.get("max_events"),
             )
         return summarize(result.value)
 
@@ -708,6 +679,25 @@ class SessionWorker:
             "modules": info["modules"],
         }
 
+    def _cmd_subscribe(self, rid: int, params: Dict[str, Any]) -> Any:
+        """Re-arm a watch the frontend recorded, on the worker that owns
+        the session after a migration or crash rehydration.
+
+        The rehydration replayed the journaled ``watch`` line, so this
+        is not a command line: it runs nothing through the interpreter
+        and journals nothing.  ``session.watch`` is idempotent (and
+        re-creates a probe whose journal write had failed); the
+        ``value_change`` pump is what died with the old worker."""
+        managed = self.manager.get(params["session"])
+        pipe, signal = params["pipe"], params["signal"]
+        with managed.lock:
+            info = managed.session.watch(pipe, signal)
+            self._watch_trace(
+                rid, managed, pipe, signal,
+                params.get("max_events"),
+            )
+        return summarize(info)
+
     # -- events --------------------------------------------------------------
 
     def _watch_verify(
@@ -721,7 +711,7 @@ class SessionWorker:
                     rid, "verify_status", managed.name, data
                 ),
                 self._stop.is_set,
-                self.config.verify_poll,
+                POLL_SECONDS,
             )
 
         threading.Thread(
@@ -736,15 +726,19 @@ class SessionWorker:
         managed: ManagedSession,
         pipe: str,
         signal: str,
-        max_events: int,
+        max_events: Optional[int],
     ) -> None:
         """Stream batched ``value_change`` events for one watched
         signal, tagged with the arming request's rid so the frontend
-        can fan them out to the right client connection."""
+        can fan them out to the right client connection.  At most
+        ``max_events`` (default :data:`TRACE_SUB_QUEUE`) wait in the
+        subscription queue before the oldest drop."""
         session = managed.session
         with managed.lock:
             buffer = session.trace_buffer(pipe, create=True)
-            sub = buffer.subscribe([signal], max_events=max_events)
+            sub = buffer.subscribe(
+                [signal], max_events=max_events or TRACE_SUB_QUEUE
+            )
 
         def loop() -> None:
             watch_trace_loop(
@@ -756,7 +750,7 @@ class SessionWorker:
                     rid, "value_change", managed.name, data
                 ),
                 self._stop.is_set,
-                self.config.verify_poll,
+                POLL_SECONDS,
             )
 
         threading.Thread(

@@ -7,16 +7,15 @@ with an on-disk artifact store, drives a scripted client session
 reload refused by the static-analysis gate and forced with override),
 asserts a clean shutdown, then restarts the server on the same store
 and checks the warm path: the same design compiles entirely from disk
-artifacts.  The cold leg also stands up the WebSocket gateway
-(``repro.server.ws``) against the running server and drives the live
-trace path through it: static page served, ``watch`` streamed value
-changes matching a post-hoc ``trace`` read, and a bit-identical
-``replay`` window.  The first two legs run the default hosting (the
-worker on a thread of the server process); a third boots the same
-server with ``--workers 2`` worker processes,
-SIGKILLs one worker mid-session, checks the session rehydrates on the
-restarted worker from its journal + checkpoint, then resizes the pool
-2->4->2 and checks a migrated session keeps its simulated state
+artifacts.  The cold leg also drives the live trace path with the
+``watch`` / ``trace`` / ``replay`` Table I lines sent as ``cmd``:
+value changes streamed for the watched signal match a post-hoc
+``trace`` read and a bit-identical ``replay`` window.  The first two
+legs run the default hosting (the worker on a thread of the server
+process); a third boots the same server with ``--workers 2`` worker
+processes, SIGKILLs one worker mid-session, checks the session
+rehydrates on the restarted worker from its journal + checkpoint, then
+resizes the pool 2->4->2 and checks a migrated session keeps its simulated state
 through both moves.  Each moved session then takes a behavioural
 ``reload`` and a ``run``: it replays what it ran since the move from
 the checkpoint it was handed over at, exactly as an in-process session
@@ -28,10 +27,8 @@ job; also runnable by hand::
     PYTHONPATH=src python tools/server_smoke.py
 """
 
-import json
 import os
 import re
-import socket
 import subprocess
 import sys
 import tempfile
@@ -275,114 +272,47 @@ def sanitize_session(client):
     client.close_session("san")
 
 
-def gateway_session(host, port):
-    """WebSocket gateway leg: bridge a masked-frame stdlib client to
-    the running server, stream live value changes for a watched signal,
-    and check them against a post-hoc ``trace`` read and a time-travel
-    ``replay`` window."""
-    from repro.server.ws import (
-        OP_TEXT,
-        FrameParser,
-        WsGateway,
-        client_handshake,
-        encode_frame,
-        iter_messages,
-    )
+def trace_session(client):
+    """Live-trace leg: the watch / trace / replay Table I lines sent as
+    ``cmd``.  The value changes streamed for a watched signal must match
+    a post-hoc ``trace`` read and a time-travel ``replay`` window."""
+    client.open_session("trace", DESIGN)
+    client.command("trace", "instPipe p0, stage2")
+    watched = client.command("trace", "watch p0, c0")
+    check(watched["signal"] == "c0" and not watched["missing"],
+          "trace: watch armed a live probe")
+    client.command("trace", "run tb0, p0, 40")
 
-    gateway = WsGateway(upstream_host=host, upstream_port=port, port=0)
-    ws_host, ws_port = gateway.start()
-    try:
-        # Plain HTTP GET (no upgrade) serves the waveform page.
-        plain = socket.create_connection((ws_host, ws_port), timeout=10)
-        plain.sendall(b"GET / HTTP/1.1\r\nHost: smoke\r\n\r\n")
-        page = b""
-        while b"</html>" not in page:
-            chunk = plain.recv(65536)
-            if not chunk:
-                break
-            page += chunk
-        plain.close()
-        check(b"200 OK" in page and b"LiveSim live waveforms" in page,
-              "gateway: static waveform page served")
+    # Drain value_change events (change-only: reset-held values emit
+    # once), then read the full window post-hoc.
+    streamed = {}
+    deadline = time.monotonic() + 10.0
+    while len(streamed) < 38:
+        try:
+            event = client.wait_event(
+                "value_change",
+                timeout=max(deadline - time.monotonic(), 0.01),
+            )
+        except TimeoutError:
+            break
+        for item in event.data["events"]:
+            if "value" in item:
+                streamed[item["cycle"]] = item["value"]
+    check(len(streamed) >= 38,
+          f"trace: {len(streamed)} value changes streamed")
 
-        sock = socket.create_connection((ws_host, ws_port), timeout=30)
-        client_handshake(sock)
-        check(True, "gateway: RFC 6455 handshake accepted")
-        parser = FrameParser(require_mask=False)
-        messages = iter_messages(sock, parser)
-        state = {"rid": 0, "events": []}
-
-        def request(obj):
-            state["rid"] += 1
-            obj["id"] = state["rid"]
-            sock.sendall(encode_frame(
-                json.dumps(obj).encode(), OP_TEXT, mask=os.urandom(4)
-            ))
-            for _, payload in messages:
-                msg = json.loads(payload)
-                if "event" in msg:
-                    state["events"].append(msg)
-                    continue
-                if msg.get("id") == state["rid"]:
-                    if not msg.get("ok"):
-                        raise SystemExit(f"gateway request failed: {msg}")
-                    return msg["value"]
-            raise SystemExit("gateway closed mid-request")
-
-        pong = request({"cmd": "ping"})
-        check(pong.get("pong") is True, "gateway: ping bridged")
-        request({"cmd": "open", "session": "ws", "source": DESIGN})
-        request({"cmd": "cmd", "session": "ws",
-                 "line": "instPipe p0, stage2"})
-        watched = request({"cmd": "watch", "session": "ws",
-                           "pipe": "p0", "signal": "c0"})
-        check(watched["signal"] == "c0" and not watched["missing"],
-              "gateway: watch armed a live probe")
-        request({"cmd": "cmd", "session": "ws", "line": "run tb0, p0, 40"})
-
-        # Drain value_change events (change-only: reset-held values
-        # emit once), then read the full window post-hoc.
-        streamed = {}
-        sock.settimeout(0.5)
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and len(streamed) < 38:
-            try:
-                _, payload = next(iter_messages(sock, parser))
-            except (socket.timeout, StopIteration):
-                continue
-            msg = json.loads(payload)
-            if msg.get("event") != "value_change":
-                continue
-            for event in msg["data"]["events"]:
-                if "value" in event:
-                    streamed[event["cycle"]] = event["value"]
-        sock.settimeout(30)
-        check(len(streamed) >= 38,
-              f"gateway: {len(streamed)} value changes streamed")
-
-        window = request({"cmd": "trace", "session": "ws", "pipe": "p0",
-                          "signal": "c0", "start": 0, "end": 40})
-        post = {cycle: value for cycle, value in window["samples"]}
-        mismatches = [
-            cycle for cycle, value in streamed.items()
-            if post.get(cycle) != value
-        ]
-        check(not mismatches,
-              "gateway: streamed events match the post-hoc trace")
-
-        replay = request({"cmd": "replay", "session": "ws", "pipe": "p0",
-                          "start": 10, "end": 30, "signals": ["c0"]})
-        replayed = {cycle: value
-                    for cycle, value in replay["signals"]["c0"]}
-        check(all(replayed.get(c) == post.get(c) for c in range(10, 30)),
-              "gateway: replay window bit-identical to live trace")
-        removed = request({"cmd": "unwatch", "session": "ws",
-                           "pipe": "p0", "signal": "c0"})
-        check(removed["removed"] is True, "gateway: unwatch dropped probe")
-        request({"cmd": "close", "session": "ws"})
-        sock.close()
-    finally:
-        gateway.shutdown()
+    window = client.command("trace", "trace p0, c0, 0, 40")
+    post = {cycle: value for cycle, value in window["samples"]}
+    check(all(post.get(cycle) == value
+              for cycle, value in streamed.items()),
+          "trace: streamed events match the post-hoc trace")
+    replay = client.command("trace", "replay p0, 10, 30, c0")
+    replayed = {cycle: value for cycle, value in replay["signals"]["c0"]}
+    check(all(replayed.get(c) == post.get(c) for c in range(10, 30)),
+          "trace: replay window bit-identical to live trace")
+    removed = client.command("trace", "unwatch p0, c0")
+    check(removed["removed"] is True, "trace: unwatch dropped probe")
+    client.close_session("trace")
 
 
 def warm_session(host, port):
@@ -441,8 +371,7 @@ def sharded_session(host, port):
     from repro.server.shard import HashRing
 
     # Pick names the frontend's consistent-hash ring places on worker
-    # 0 and worker 1 respectively (same ring construction: 2 nodes,
-    # default replica count).
+    # 0 and worker 1 respectively (same ring construction: 2 workers).
     ring = HashRing(range(2))
     names, i = {}, 0
     while len(names) < 2:
@@ -568,8 +497,8 @@ def main():
             client = cold_session(host, port, patch_path)
             print("      sanitized session: san report + oob edit")
             sanitize_session(client)
-            print("      websocket gateway: watch / trace / replay")
-            gateway_session(host, port)
+            print("      live trace: watch / trace / replay lines")
+            trace_session(client)
         except BaseException:
             proc.kill()
             raise
