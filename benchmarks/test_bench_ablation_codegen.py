@@ -12,8 +12,8 @@ import time
 from repro.baseline import BaselineCompiler
 from repro.bench.reporting import format_table
 from repro.codegen.flatgen import compile_flat
-from repro.codegen.pygen import compile_netlist
 from repro.hdl import elaborate, parse
+from repro.passes import compile_netlist
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
 from repro.riscv.programs import busy_counter, load_same_program
 from repro.sim import Pipe

@@ -33,7 +33,7 @@ Quick start::
 from typing import Dict, Optional, Tuple
 
 from .baseline import BaselineCompiler, BaselineResult
-from .codegen import BuildConfig, CompiledModule, compile_netlist, design_cost
+from .codegen import BuildConfig, CompiledModule, design_cost
 from .hdl import (
     CompileBudgetExceeded,
     ElaborationError,
@@ -59,6 +59,7 @@ from .live import (
     RegisterTransformHistory,
     TransformOp,
 )
+from .passes import compile_netlist
 from .sim import Pipe, StageInst, Testbench
 
 __version__ = "1.0.0"
@@ -108,15 +109,13 @@ def compile_design(
     """One-call convenience: parse + elaborate + compile ``source``.
 
     Returns ``(netlist, library)``; build a runnable UUT with
-    ``Pipe(netlist.top, library)``.  ``opt`` above ``"none"`` routes
-    compilation through the :mod:`repro.passes` pipeline (constant
-    propagation, dead-logic elimination; ``"full"`` adds pure-subtree
-    skips) — bit-identical to the plain build by construction.
+    ``Pipe(netlist.top, library)``.  Compilation is the
+    :mod:`repro.passes` pipeline; ``opt`` above ``"none"`` turns on
+    constant propagation and dead-logic elimination (``"full"`` adds
+    pure-subtree skips) — bit-identical to the plain build by
+    construction.
     """
-    build = BuildConfig(mux_style=mux_style, opt=opt)
     netlist = elaborate(parse(source), top, params)
-    if opt != "none":
-        from .passes import run_opt_pipeline
-
-        return netlist, run_opt_pipeline(netlist, build)
-    return netlist, compile_netlist(netlist, build)
+    return netlist, compile_netlist(
+        netlist, BuildConfig(mux_style=mux_style, opt=opt)
+    )

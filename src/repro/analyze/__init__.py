@@ -7,7 +7,7 @@ blocking/nonblocking scheduling races, dead branches.  This package
 runs those analyses at hot-reload time, caches results per
 ``(module, parameter-set)`` under the same fingerprint keys the
 compile cache uses (so an edit re-analyzes only dirty modules), and
-lets a :class:`GatePolicy` refuse a swap that would introduce a new
+lets :func:`evaluate_gate` refuse a swap that would introduce a new
 error-class finding.
 
 Layout::
@@ -15,7 +15,7 @@ Layout::
     diagnostics  Diagnostic + severities + ordering
     checks       the analyses (Check subclasses + default_checks)
     engine       Analyzer: fingerprint-cached runs -> AnalysisReport
-    gate         GatePolicy / evaluate_gate / GateBlockedError
+    gate         evaluate_gate / GateBlockedError
     report       the repro.analyze/v1 JSON schema + baseline diff
     __main__     python -m repro.analyze (CLI + CI baseline gate)
 
@@ -61,7 +61,7 @@ from .diagnostics import (
     sort_diagnostics,
 )
 from .engine import AnalysisReport, Analyzer
-from .gate import GateBlockedError, GateDecision, GatePolicy, evaluate_gate
+from .gate import GateBlockedError, GateDecision, evaluate_gate
 from .report import (
     SCHEMA_ID,
     build_report,
@@ -102,7 +102,6 @@ __all__ = [
     "Diagnostic",
     "GateBlockedError",
     "GateDecision",
-    "GatePolicy",
     "LatchCheck",
     "MultiDriverCheck",
     "RaceCheck",

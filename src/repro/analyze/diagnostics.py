@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-# Severity classes, strongest first.  ``error`` findings are the ones a
-# gate policy may refuse a hot reload over (a new combinational loop,
+# Severity classes, strongest first.  ``error`` findings are the ones
+# the gate refuses a hot reload over (a new combinational loop,
 # a multiply-driven register); ``warning`` marks likely-bug idioms the
 # simulator tolerates; ``info`` is awareness-only (a parameter-folded
 # dead branch is often intentional).

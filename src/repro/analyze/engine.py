@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..codegen.build import DerivedCache
@@ -61,21 +61,12 @@ class AnalysisReport:
 
 
 class Analyzer:
-    """Owns the check set; results live in a :class:`DerivedCache`."""
+    """Runs :func:`default_checks`; results live in a
+    :class:`DerivedCache`."""
 
-    def __init__(self, checks: Optional[Sequence[Check]] = None,
-                 cache: Optional[DerivedCache] = None):
-        self._checks: List[Check] = list(
-            checks if checks is not None else default_checks()
-        )
+    def __init__(self, cache: Optional[DerivedCache] = None):
+        self._checks: List[Check] = default_checks()
         self.cache = cache if cache is not None else DerivedCache()
-        self._check_set = ",".join(
-            sorted(type(c).__name__ for c in self._checks)
-        )
-
-    @property
-    def checks(self) -> List[Check]:
-        return list(self._checks)
 
     def cache_size(self) -> int:
         return len(self.cache.entries("analyze"))
@@ -124,8 +115,7 @@ class Analyzer:
                     (key, fps[ir.name],
                      mod_facts.digest if mod_facts is not None else "",
                      tuple(netlist.modules[i.child_key].comb_signature
-                           for i in ir.instances),
-                     self._check_set),
+                           for i in ir.instances)),
                     lambda: self._run_checks(ir, ctx),
                     report=report,
                 )

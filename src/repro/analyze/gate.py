@@ -4,28 +4,28 @@ The live loop's promise is that an edit lands in the running
 simulation in under two seconds; the gate's job is to make sure a
 *broken* edit — one that introduces a combinational loop or a
 multiply-driven register — does not land silently.  ``apply_change``
-runs the analyzer after compiling the new design and asks the policy
+runs the analyzer after compiling the new design and asks the gate
 whether the swap may proceed; a refusal raises
 :class:`GateBlockedError` and rolls the session back, exactly like a
 syntax error would.
 
-By default only **new** error-class findings block: pre-existing
-findings were accepted when the design was loaded (or by an earlier
-override) and must not wedge every subsequent edit.  ``override=True``
+Only **new** error-class findings block: pre-existing findings were
+accepted when the design was loaded (or by an earlier override) and
+must not wedge every subsequent edit.  ``override=True``
 on the offending call lets the swap through and re-baselines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Sequence
+from typing import List, Sequence
 
 from ..hdl.errors import HDLError
 from .diagnostics import SEVERITY_ERROR, Diagnostic
 
 
 class GateBlockedError(HDLError):
-    """A hot reload was refused by the gate policy.
+    """A hot reload was refused by the gate.
 
     Subclasses :class:`HDLError` so every existing rollback path
     (``apply_change``'s transactional compile, the server's error
@@ -38,40 +38,6 @@ class GateBlockedError(HDLError):
         super().__init__(
             f"hot reload blocked by static analysis ({lines}); "
             "re-apply with override to force the swap"
-        )
-
-
-@dataclass(frozen=True)
-class GatePolicy:
-    """What findings may refuse a swap.
-
-    ``block_severities``
-        Findings of these severities are blocking (default: errors).
-    ``block_kinds`` / ``allow_kinds``
-        Optional kind-level overrides: ``block_kinds`` adds kinds that
-        block regardless of severity; ``allow_kinds`` exempts kinds
-        entirely (e.g. let ``nb-race`` through while still refusing
-        ``comb-loop``).
-    ``new_only``
-        Block only findings absent from the pre-edit baseline
-        (default).  With ``False`` the gate re-litigates every finding
-        on every edit.
-    ``enabled``
-        ``False`` turns the gate into a pure observer.
-    """
-
-    enabled: bool = True
-    block_severities: FrozenSet[str] = frozenset({SEVERITY_ERROR})
-    block_kinds: FrozenSet[str] = frozenset()
-    allow_kinds: FrozenSet[str] = frozenset()
-    new_only: bool = True
-
-    def is_blocking_kind(self, diag: Diagnostic) -> bool:
-        if diag.kind in self.allow_kinds:
-            return False
-        return (
-            diag.severity in self.block_severities
-            or diag.kind in self.block_kinds
         )
 
 
@@ -90,22 +56,18 @@ class GateDecision:
 
 
 def evaluate_gate(
-    policy: GatePolicy,
     before: Sequence[Diagnostic],
     after: Sequence[Diagnostic],
     override: bool = False,
 ) -> GateDecision:
     """Decide whether a swap from ``before`` findings to ``after`` may
-    proceed.  ``override`` records the decision but never blocks."""
+    proceed: a finding absent from ``before`` (by
+    :meth:`~Diagnostic.identity`) of error severity blocks.
+    ``override`` records the decision but never blocks."""
     baseline = {d.identity() for d in before}
     new = [d for d in after if d.identity() not in baseline]
     decision = GateDecision(new_findings=new, overridden=override)
-    if not policy.enabled:
-        return decision
-    candidates = new if policy.new_only else list(after)
-    decision.blocking = [
-        d for d in candidates if policy.is_blocking_kind(d)
-    ]
+    decision.blocking = [d for d in new if d.severity == SEVERITY_ERROR]
     if decision.blocking and not override:
         decision.allowed = False
     return decision

@@ -15,14 +15,9 @@ The same JSON artifact (``repro.bench.loadtest/v1``) feeds:
 * humans — a latency table and throughput line are printed;
 * CI — ``--baseline PATH`` gates the per-class p99 latency against a
   checked-in baseline with the same host-speed calibration scaling as
-  the fig7 gate (throughput is report-only: it depends on core count,
-  which calibration cannot normalize away);
-* the scaling claim — ``--compare-single`` reruns the identical
-  workload with the worker hosted on a thread of the server process
-  (the same code on one core) and reports the N-process/thread-hosted
-  throughput ratio (≥2x expected with 4 workers on a ≥4-core host; on
-  fewer cores the ratio degrades toward parity and the artifact
-  records ``cpu_count`` so readers can tell why).
+  the fig7 gate (throughput is not gated: it depends on core count,
+  which calibration cannot normalize away, so the artifact records
+  ``cpu_count``).
 
 ``--chaos`` (worker processes only) disrupts the pool *during* the
 measured run: a controller thread SIGKILLs one worker, then resizes
@@ -449,8 +444,7 @@ def run_loadtest(config: LoadtestConfig) -> Dict:
     return result
 
 
-def run_loadtest_payload(config: LoadtestConfig,
-                         compare_single: bool = False) -> Dict:
+def run_loadtest_payload(config: LoadtestConfig) -> Dict:
     """Full ``repro.bench.loadtest/v1`` artifact for one configuration."""
     from .run import calibrate
 
@@ -463,17 +457,6 @@ def run_loadtest_payload(config: LoadtestConfig,
         "config": asdict(config),
     }
     payload.update(run_loadtest(config))
-    if compare_single and config.workers > 0:
-        single = run_loadtest(
-            LoadtestConfig(**{
-                **asdict(config), "workers": 0, "chaos": False,
-            })
-        )
-        payload["single_process"] = single
-        if single["commands_per_sec"] > 0:
-            payload["speedup_vs_single"] = (
-                payload["commands_per_sec"] / single["commands_per_sec"]
-            )
     return payload
 
 
@@ -560,14 +543,6 @@ def _print_summary(payload: Dict, out) -> None:
         f"(host: {payload['cpu_count']} cores)",
         file=out,
     )
-    single = payload.get("single_process")
-    if single:
-        print(
-            f"  thread-hosted: {single['commands_per_sec']:.1f} "
-            "commands/sec -> worker-process speedup "
-            f"{payload.get('speedup_vs_single', 0.0):.2f}x",
-            file=out,
-        )
     chaos = payload.get("chaos")
     if chaos:
         kinds = [w["kind"] for w in chaos["disruptions"]]
@@ -614,9 +589,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cycles per run command")
     parser.add_argument("--concurrency", type=int, default=16,
                         help="concurrent client threads")
-    parser.add_argument("--compare-single", action="store_true",
-                        help="rerun the workload with the worker on a "
-                             "thread and report the throughput ratio")
     parser.add_argument("--chaos", action="store_true",
                         help="kill one worker and resize the pool "
                              "W->2W->W during the measured run; the "
@@ -660,9 +632,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         chaos=args.chaos,
         chaos_warmup=args.chaos_warmup,
     )
-    payload = run_loadtest_payload(
-        config, compare_single=args.compare_single
-    )
+    payload = run_loadtest_payload(config)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -42,10 +42,6 @@ class FunctionEmitter:
     def source(self) -> str:
         return "\n".join(self._lines) + "\n"
 
-    @property
-    def line_count(self) -> int:
-        return len(self._lines)
-
 
 class Block:
     """Context manager for an indented block: ``with emit.block("if x:"):``."""

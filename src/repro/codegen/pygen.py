@@ -812,27 +812,3 @@ def exec_source(
         "cycle_fn": namespace["cycle"],
     }
 
-
-def compile_netlist(
-    netlist: Netlist,
-    build: BuildConfig = BuildConfig(),
-    runtime: object = None,
-) -> Dict[str, CompiledModule]:
-    """Compile every specialization in ``netlist`` (bottom-up).
-
-    Returns key -> CompiledModule.  The total work is proportional to
-    the number of *unique* specializations, not instances — a 256-core
-    mesh compiles its core modules once.
-    """
-    compiled: Dict[str, CompiledModule] = {}
-
-    def visit(key: str) -> None:
-        if key in compiled:
-            return
-        ir = netlist.modules[key]
-        for inst in ir.instances:
-            visit(inst.child_key)
-        compiled[key] = compile_module(ir, netlist, build, runtime)
-
-    visit(netlist.top)
-    return compiled

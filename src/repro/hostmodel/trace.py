@@ -166,10 +166,6 @@ class TraceSynthesizer:
             return sum(seen.values())
         return sum(rec.code_bytes for rec in self._instances)
 
-    @property
-    def total_data_bytes(self) -> int:
-        return sum(rec.state_bytes for rec in self._instances)
-
     # -- trace replay ---------------------------------------------------------------
 
     def run(self, cycles: int = 8, warmup: int = 2) -> HostTraceStats:

@@ -170,14 +170,6 @@ class ModuleIR:
         comb = self.comb_inputs
         return [name for name in self.inputs if name in comb]
 
-    @property
-    def reg_names(self) -> List[str]:
-        ordered = [None] * self.num_regs  # type: ignore[list-item]
-        for sig in self.signals.values():
-            if sig.state_index is not None:
-                ordered[sig.state_index] = sig.name  # type: ignore[call-overload]
-        return list(ordered)  # type: ignore[arg-type]
-
     def signal_width(self, name: str) -> Optional[int]:
         sig = self.signals.get(name)
         return sig.width if sig is not None else None

@@ -56,9 +56,6 @@ class HotReloader:
     ):
         self._transforms = dict(transforms or {})
 
-    def set_transform(self, module: str, transform: RegisterTransform) -> None:
-        self._transforms[module] = transform
-
     # -- public API -----------------------------------------------------------
 
     def swap_pipe(

@@ -114,9 +114,6 @@ class RegressionSuite:
     def __len__(self) -> int:
         return len(self._cases)
 
-    def case_names(self) -> List[str]:
-        return [c.name for c in self._cases]
-
     # -- execution -----------------------------------------------------------
 
     def _start_pipe(self, case: RegressionCase) -> Pipe:

@@ -32,7 +32,6 @@ from ..analyze import (
     AnalysisReport,
     Analyzer,
     Diagnostic,
-    GatePolicy,
     evaluate_gate,
     sort_diagnostics,
 )
@@ -44,7 +43,7 @@ from ..sim.pipeline import Pipe, PipeSnapshot
 from ..sim.testbench import Testbench
 from ..trace import TraceBuffer
 from ..trace.buffer import DEFAULT_CAPACITY
-from .checkpoint import Checkpoint, CheckpointStore, GCPolicy
+from .checkpoint import Checkpoint, CheckpointStore
 from .compiler_live import CompileResult, LiveCompiler
 from .consistency import (
     ConsistencyReport,
@@ -79,6 +78,13 @@ def _build(base: BuildConfig, **changes) -> BuildConfig:
         return replace(base, **changes)
     except ValueError as exc:
         raise SimulationError(str(exc)) from None
+
+
+_VERIFY_MODES = (False, True, "background")
+_NO_FACTORY = (
+    "background verification needs testbench factory specs; "
+    "pass factory= to load_testbench"
+)
 
 
 @dataclass
@@ -203,15 +209,10 @@ class LiveSession:
     def __init__(
         self,
         source: str,
-        mux_style: str = "branch",
         checkpoint_interval: int = 10_000,
         reload_distance: int = 10_000,
-        gc_policy: Optional[GCPolicy] = None,
-        checkpoints_enabled: bool = True,
         artifact_store=None,
-        gate_policy: Optional[GatePolicy] = None,
         sanitize: str = "off",
-        trace_capacity: Optional[int] = DEFAULT_CAPACITY,
         opt: str = "none",
     ):
         if sanitize not in SANITIZE_MODES:
@@ -226,16 +227,12 @@ class LiveSession:
         self.compiler = LiveCompiler(
             source,
             build=_build(
-                BuildConfig(), mux_style=mux_style,
-                sanitize=sanitize != "off", opt=opt,
+                BuildConfig(), sanitize=sanitize != "off", opt=opt
             ),
             store=artifact_store,
             sanitize_runtime=self.sanitize_runtime,
         )
         self.analyzer = Analyzer(cache=self.compiler.cache)
-        self.gate_policy = (
-            gate_policy if gate_policy is not None else GatePolicy()
-        )
         # Per-pipe accepted findings: the gate blocks only findings
         # *new* relative to this baseline (seeded at inst_pipe,
         # advanced by every successful apply_change).
@@ -247,13 +244,10 @@ class LiveSession:
         self.version = self.history.root
         self.checkpoint_interval = checkpoint_interval
         self.reload_distance = reload_distance
-        self.checkpoints_enabled = checkpoints_enabled
-        self._gc_policy = gc_policy or GCPolicy()
         self._pipe_sessions: Dict[str, _PipeSession] = {}
         self._testbenches: Dict[str, Testbench] = {}
         self._tb_specs: Dict[str, Tuple[str, Dict]] = {}
         self._version_counter = 0
-        self.trace_capacity = trace_capacity
         self._verifier_pool: Optional[VerifierPool] = None
         self._verify_jobs: Dict[str, VerifyJob] = {}
         self._register_source_modules("design")
@@ -373,11 +367,7 @@ class LiveSession:
         module = str(entry.payload)
         result = self.compiler.compile_top(module, params)
         pipe = Pipe(result.netlist.top, result.library, name=name)
-        store = CheckpointStore(
-            interval=self.checkpoint_interval,
-            policy=self._gc_policy,
-            enabled=self.checkpoints_enabled,
-        )
+        store = CheckpointStore(interval=self.checkpoint_interval)
         session = _PipeSession(
             name=name,
             handle=stage_handle,
@@ -424,11 +414,7 @@ class LiveSession:
         """``copyPipe`` — duplicate a pipeline including its state."""
         old = self.timeline(old_name)
         clone = old.pipe.copy(name=new_name)
-        store = CheckpointStore(
-            interval=self.checkpoint_interval,
-            policy=self._gc_policy,
-            enabled=self.checkpoints_enabled,
-        )
+        store = CheckpointStore(interval=self.checkpoint_interval)
         session = _PipeSession(
             name=new_name,
             handle=old.handle,
@@ -579,14 +565,16 @@ class LiveSession:
         ``verify="background"`` instead kicks verification off on the
         persistent worker pool and returns immediately — the paper's
         actual §III-F behaviour; poll :meth:`verify_status` or
-        :meth:`wait_for_verify` for the verdict.  Without either,
-        verification stays explicit via :meth:`verify_consistency`.
+        :meth:`wait_for_verify` for the verdict; it refuses the edit
+        up front when a pipe's history uses a testbench loaded without
+        ``factory=``.  Without either, verification stays explicit via
+        :meth:`verify_consistency`; any other ``verify`` is refused.
 
         Between compile and swap the static analyzer
         (:mod:`repro.analyze`) runs over every pipe's new netlist —
         fingerprint-cached, so only edited modules are re-analyzed —
-        and the session's :class:`~repro.analyze.GatePolicy` may refuse
-        the swap when the edit introduces a new error-class finding
+        and :func:`~repro.analyze.evaluate_gate` refuses the swap when
+        the edit introduces a new error-class finding
         (e.g. a combinational loop).  A refusal raises
         :class:`~repro.analyze.GateBlockedError` and rolls back exactly
         like a compile failure; ``override_gate=True`` forces the swap
@@ -609,6 +597,11 @@ class LiveSession:
         verify: "bool | str",
         override_gate: bool = False,
     ) -> ERDReport:
+        if verify not in _VERIFY_MODES:
+            raise SimulationError(
+                f"unknown verify mode {verify!r}; expected one of "
+                f"{_VERIFY_MODES}"
+            )
         old_source = self.compiler.source
         parse_result = self.compiler.update_source(new_source)
         report = ERDReport(
@@ -649,12 +642,16 @@ class LiveSession:
             )
             report.analyze_seconds = time.perf_counter() - started
             # A pipe whose history cannot be replayed to where it
-            # stands refuses the edit here, not after the swap.
+            # stands, or verified in the background when asked to,
+            # refuses the edit here, not after the swap.
             started = time.perf_counter()
             for name, session in self._pipe_sessions.items():
                 bases[name] = session.base(
                     session.pipe.cycle, self.reload_distance
                 )
+                if (verify == "background"
+                        and self._worker_context(session) is None):
+                    raise SimulationError(_NO_FACTORY)
             report.reload_seconds = time.perf_counter() - started
         except (HDLError, SimulationError):
             obs.incr("live.rolled_back_edits")
@@ -817,7 +814,7 @@ class LiveSession:
         report: ERDReport,
         override_gate: bool,
     ) -> None:
-        """Analyze every pipe's new netlist and apply the gate policy.
+        """Analyze every pipe's new netlist and apply the gate.
 
         Raises :class:`~repro.analyze.GateBlockedError` (an
         :class:`HDLError`) when a new blocking finding appears and
@@ -837,7 +834,6 @@ class LiveSession:
                     seen.add((diag.identity(), diag.line))
                     report.diagnostics.append(diag)
             decision = evaluate_gate(
-                self.gate_policy,
                 self._analysis_baseline.get(name, []),
                 analysis.diagnostics,
                 override=override_gate,
@@ -989,7 +985,7 @@ class LiveSession:
         ``create=True``); None when the pipe has never been watched."""
         session = self.timeline(pipe_name)
         if session.trace is None and create:
-            session.trace = TraceBuffer(capacity=self.trace_capacity)
+            session.trace = TraceBuffer()
             session.pipe.attach_trace(session.trace)
         return session.trace
 
@@ -1026,7 +1022,7 @@ class LiveSession:
         buffer = self.trace_buffer(pipe_name)
         if buffer is None:
             return {
-                "pipe": pipe_name, "capacity": self.trace_capacity,
+                "pipe": pipe_name, "capacity": DEFAULT_CAPACITY,
                 "cycles_dropped": 0, "events_dropped": 0,
                 "subscriptions": 0, "probes": [],
             }
@@ -1201,10 +1197,7 @@ class LiveSession:
         session = self.timeline(pipe_name)
         context = self._worker_context(session)
         if context is None:
-            raise SimulationError(
-                "background verification needs testbench factory specs; "
-                "pass factory= to load_testbench"
-            )
+            raise SimulationError(_NO_FACTORY)
         self.cancel_verify(pipe_name)
         verify_version = self.version
 

@@ -55,10 +55,6 @@ class Span:
     def duration_ns(self) -> int:
         return max(self.end_ns - self.start_ns, 0)
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.duration_ns / 1e9
-
     def find(self, name: str) -> "List[Span]":
         """All descendant spans (including self) with ``name``."""
         found = [self] if self.name == name else []

@@ -12,13 +12,13 @@ module), ``sanitize_plan`` (``elide``, ``san_free``), ``deadlogic`` and
 ``build_compile_pipeline()`` is that sequence
 (:class:`~repro.live.compiler_live.LiveCompiler` runs it with its one
 :class:`~repro.codegen.build.DerivedCache` on the carrier, so per-pass
-results persist across hot reloads); ``run_opt_pipeline`` is the
-one-shot convenience ``repro.compile_design(opt=...)`` uses.
+results persist across hot reloads); :func:`compile_netlist` is the
+one-shot compile ``repro.compile_design`` uses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..codegen.build import OPT_LEVELS, BuildConfig
 from ..codegen.pygen import CompiledModule
@@ -49,8 +49,8 @@ __all__ = [
     "ValueFact",
     "ValueFactsPass",
     "build_compile_pipeline",
+    "compile_netlist",
     "compute_netlist_facts",
-    "run_opt_pipeline",
 ]
 
 
@@ -67,21 +67,18 @@ def build_compile_pipeline() -> PassPipeline:
     ])
 
 
-def run_opt_pipeline(
+def compile_netlist(
     netlist: Netlist,
-    build: BuildConfig,
+    build: BuildConfig = BuildConfig(),
     sanitize_runtime=None,
-    fps: Optional[Dict[str, str]] = None,
 ) -> Dict[str, CompiledModule]:
     """One-shot compile of ``netlist`` through the pass pipeline.
 
     Returns key -> CompiledModule for every specialization under the
-    top.  A fresh cache each call: no cross-call caching.
+    top, each compiled once however many instances share it.  A fresh
+    cache each call: no cross-call caching.
     """
     data = PassData(
-        netlist=netlist,
-        fps=fps or {},
-        build=build,
-        sanitize_runtime=sanitize_runtime,
+        netlist=netlist, build=build, sanitize_runtime=sanitize_runtime
     )
     return build_compile_pipeline().run(data).library

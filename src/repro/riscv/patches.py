@@ -183,10 +183,6 @@ _register(Patch(
 ))
 
 
-def patch_names() -> List[str]:
-    return list(PATCHES)
-
-
 def get_patch(name: str) -> Patch:
     patch = PATCHES.get(name)
     if patch is None:

@@ -16,6 +16,9 @@ from ..codegen.pygen import CompiledModule
 from ..hdl.errors import ConvergenceError, SimulationError
 from .stage import StageInst, StateSnapshot
 
+# Settling passes a top-level comb loop gets before ConvergenceError.
+MAX_PASSES = 16
+
 Driver = Callable[["Pipe"], None]
 Watcher = Callable[["Pipe", Dict[str, int]], bool]
 
@@ -28,7 +31,6 @@ class Pipe:
         top_key: str,
         library: Dict[str, CompiledModule],
         name: str = "pipe",
-        max_passes: int = 16,
     ):
         self.name = name
         self.library = dict(library)
@@ -36,7 +38,6 @@ class Pipe:
             top_key, self.library, name="top", parent=self
         )
         self.cycle = 0
-        self.max_passes = max_passes
         self._inputs: Dict[str, int] = {
             port: 0 for port in self.top.code.inputs
         }
@@ -109,7 +110,7 @@ class Pipe:
             # A genuine comb loop at the top (a memoized top would just
             # return its memo again): iterate until the outputs hold.
             previous = result
-            for _ in range(self.max_passes):
+            for _ in range(MAX_PASSES):
                 result = code.eval_out_fn(top.state, top.children, *args)
                 if result == previous:
                     break
@@ -117,7 +118,7 @@ class Pipe:
             else:
                 raise ConvergenceError(
                     "combinational logic did not settle in "
-                    f"{self.max_passes} passes (comb loop?)"
+                    f"{MAX_PASSES} passes (comb loop?)"
                 )
         outputs = dict(zip(code.outputs, result))
         self._last_outputs = outputs
@@ -253,7 +254,6 @@ class Pipe:
             self.top.code.key,
             self.library,
             name=name or f"{self.name}_copy",
-            max_passes=self.max_passes,
         )
         clone.restore(self.snapshot())
         return clone

@@ -12,8 +12,8 @@ import contextlib
 import pytest
 
 from repro import compile_design
-from repro.codegen.pygen import compile_netlist
 from repro.hdl import elaborate, parse
+from repro.passes import compile_netlist
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
 from repro.sim import Pipe
 

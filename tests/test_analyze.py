@@ -24,7 +24,6 @@ from repro.analyze import (
     Analyzer,
     Diagnostic,
     GateBlockedError,
-    GatePolicy,
     diff_reports,
     evaluate_gate,
     load_report,
@@ -502,37 +501,26 @@ class TestGatePolicyUnit:
         return Diagnostic(COMB_LOOP, "m", message, 3, SEVERITY_ERROR)
 
     def test_new_error_blocks(self):
-        decision = evaluate_gate(GatePolicy(), [], [self._err()])
+        decision = evaluate_gate([], [self._err()])
         assert not decision.allowed
         with pytest.raises(GateBlockedError, match="boom"):
             decision.raise_if_blocked()
 
     def test_preexisting_finding_does_not_block(self):
         diag = self._err()
-        decision = evaluate_gate(GatePolicy(), [diag], [diag])
+        decision = evaluate_gate([diag], [diag])
         assert decision.allowed and decision.new_findings == []
 
     def test_override_lets_it_through(self):
-        decision = evaluate_gate(
-            GatePolicy(), [], [self._err()], override=True
-        )
+        decision = evaluate_gate([], [self._err()], override=True)
         assert decision.allowed and decision.overridden
         assert decision.blocking  # recorded even though allowed
 
-    def test_allow_kinds_exempts(self):
-        policy = GatePolicy(allow_kinds=frozenset({COMB_LOOP}))
-        decision = evaluate_gate(policy, [], [self._err()])
-        assert decision.allowed
-
-    def test_block_kinds_escalates_warnings(self):
+    def test_new_warning_never_blocks(self):
         diag = Diagnostic(LATCH, "m", "latchy", 3, "warning")
-        policy = GatePolicy(block_kinds=frozenset({LATCH}))
-        assert not evaluate_gate(policy, [], [diag]).allowed
-
-    def test_disabled_gate_observes_only(self):
-        policy = GatePolicy(enabled=False)
-        decision = evaluate_gate(policy, [], [self._err()])
-        assert decision.allowed and decision.new_findings
+        decision = evaluate_gate([], [diag])
+        assert decision.allowed and decision.new_findings == [diag]
+        assert decision.blocking == []
 
 
 class TestGateLive:
@@ -575,14 +563,6 @@ class TestGateLive:
                                "assign sum = a + b + 8'd1;")
         report = session.apply_change(edited)  # must not raise
         assert report.behavioral
-
-    def test_disabled_policy_never_blocks(self):
-        session = LiveSession(
-            COUNTER_SRC, gate_policy=GatePolicy(enabled=False)
-        )
-        session.inst_pipe("p0", session.stage_handle_for("top"))
-        report = session.apply_change(LOOPY)
-        assert any(d.kind == COMB_LOOP for d in report.new_findings)
 
     def test_erd_report_carries_analysis_accounting(self):
         session, tb = make_session()

@@ -275,6 +275,22 @@ class TestVerifyCommands:
         with pytest.raises(CommandError, match="factory"):
             interp.execute("verify p0")
 
+    @pytest.mark.parametrize("verify, match", [
+        ("background", "factory"), ("bogus", "unknown verify mode"),
+    ])
+    def test_refused_verify_leaves_the_edit_unapplied(self, verify, match):
+        session, tb, _ = make_counter_interp()
+        session.run(tb, "p0", 20)
+        before = session.peek("p0")
+        edited = COUNTER_SRC.replace("assign sum = a + b;",
+                                     "assign sum = a + b + 8'd1;")
+        with pytest.raises(SimulationError, match=match):
+            session.apply_change(edited, verify=verify)
+        assert session.version == "1.0"
+        assert session.compiler.source == COUNTER_SRC
+        assert session.pipe("p0").cycle == 20
+        assert session.peek("p0") == before
+
     def test_verify_rejects_bad_worker_counts(self):
         _, _, interp = make_counter_interp()
         with pytest.raises(CommandError):

@@ -13,7 +13,7 @@ from repro import BuildConfig
 from repro.codegen import pygen
 from repro.codegen.pygen import compile_module, site_count
 from repro.hdl import elaborate, parse
-from repro.passes import run_opt_pipeline
+from repro.passes import compile_netlist
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
 from repro.sanitize import SanitizerRuntime
 
@@ -205,7 +205,7 @@ class TestOptimizerAsksTheGenerator:
         netlist = elaborate(parse(source), "m")
         runtime = SanitizerRuntime(mode="report") if build.get(
             "sanitize") else None
-        return netlist, run_opt_pipeline(
+        return netlist, compile_netlist(
             netlist, BuildConfig(opt="full", **build), runtime
         )
 

@@ -3,8 +3,8 @@ localization on buggy ones."""
 
 import pytest
 
-from repro.codegen.pygen import compile_netlist
 from repro.hdl import elaborate, parse
+from repro.passes import compile_netlist
 from repro.riscv import assemble, build_pgas_source
 from repro.riscv.cosim import Cosim, cosim_program
 from repro.riscv.patches import get_patch
@@ -104,8 +104,8 @@ class TestRandomLockstep:
     @settings(max_examples=15, deadline=None)
     def test_random_programs_lockstep(self, source):
         """Stronger than end-state differential: every retire compared."""
-        from repro.codegen.pygen import compile_netlist as _cn
         from repro.hdl import elaborate as _el, parse as _pa
+        from repro.passes import compile_netlist as _cn
 
         if "pipe" not in _LOCKSTEP_CACHE:
             netlist = _el(_pa(build_pgas_source(1)), "pgas_mesh_1x1")

@@ -18,9 +18,8 @@ import pytest
 from repro import compile_design
 from repro.codegen.build import BuildConfig
 from repro.codegen.flatgen import compile_flat
-from repro.codegen.pygen import compile_netlist
 from repro.hdl import elaborate, parse
-from repro.passes import run_opt_pipeline
+from repro.passes import compile_netlist
 from repro.passes.dataflow import FactEval
 from repro.sanitize.runtime import SanitizerRuntime
 from repro.sim import Pipe
@@ -32,7 +31,7 @@ RING_V = os.path.join(HERE, "..", "examples", "designs", "ring.v")
 
 def _libraries(netlist):
     yield "default", compile_netlist(netlist)
-    yield "sanitize=report, opt=full", run_opt_pipeline(
+    yield "sanitize=report, opt=full", compile_netlist(
         netlist, BuildConfig(sanitize=True, opt="full"),
         sanitize_runtime=SanitizerRuntime("report"),
     )
@@ -381,7 +380,7 @@ def test_narrowing_connections_agree_with_the_flat_compiler(build):
     netlist = elaborate(parse(NARROWING), "top")
     assert netlist.modules["loopy"].needs_fixpoint
     assert netlist.modules["leaf"].comb_input_ports == ["a", "b"]  # not k
-    library = run_opt_pipeline(netlist, build, sanitize_runtime=runtime)
+    library = compile_netlist(netlist, build, sanitize_runtime=runtime)
     shared = Pipe(netlist.top, library)
     flat_code = compile_flat(elaborate(parse(NARROWING), "top"))
     flat = Pipe(flat_code.key, {flat_code.key: flat_code})
@@ -402,7 +401,7 @@ def test_the_caller_masks_exactly_the_narrowing_connections():
     netlist = elaborate(parse(NARROWING), "top")
     assert _narrowing(netlist) == NARROWED
     for opt in ("none", "full"):
-        library = run_opt_pipeline(netlist, BuildConfig(opt=opt))
+        library = compile_netlist(netlist, BuildConfig(opt=opt))
         seen = set()
         for key, code in library.items():
             for inst, port, arg in _child_call_args(code, netlist):

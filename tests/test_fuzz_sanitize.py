@@ -26,9 +26,9 @@ from hypothesis import given, settings
 
 from repro import compile_design
 from repro.codegen.build import BuildConfig
-from repro.codegen.pygen import compile_netlist
 from repro.hdl import elaborate, parse
 from repro.hdl.parser import parse_expr
+from repro.passes import compile_netlist
 from repro.sanitize import (
     SAN_NB_CONFLICT,
     SAN_OOB,
@@ -51,18 +51,17 @@ def sanitized_pipe(source, top):
     runtime = SanitizerRuntime(mode="report")
     netlist = elaborate(parse(source), top)
     library = compile_netlist(
-        netlist, BuildConfig(sanitize=True), runtime=runtime
+        netlist, BuildConfig(sanitize=True, san_elide=False),
+        sanitize_runtime=runtime,
     )
     return Pipe(netlist.top, library), runtime
 
 
 def pipeline_pipe(source, top, san_elide=True, opt="none"):
     """Sanitized build through the pass pipeline (elision on/off)."""
-    from repro.passes import run_opt_pipeline
-
     runtime = SanitizerRuntime(mode="report")
     netlist = elaborate(parse(source), top)
-    library = run_opt_pipeline(
+    library = compile_netlist(
         netlist,
         BuildConfig(sanitize=True, opt=opt, san_elide=san_elide),
         sanitize_runtime=runtime,

@@ -370,15 +370,17 @@ MIGRATIONS = {
 
 def _lanes_library(source, sanitize):
     from repro.codegen.build import BuildConfig
-    from repro.codegen.pygen import compile_netlist
     from repro.hdl.elaborate import elaborate
     from repro.hdl.parser import parse
+    from repro.passes import compile_netlist
     from repro.sanitize import SanitizerRuntime
 
     return compile_netlist(
         elaborate(parse(source), "top"),
-        BuildConfig(sanitize=sanitize),
-        runtime=SanitizerRuntime(mode="report") if sanitize else None,
+        BuildConfig(sanitize=sanitize, san_elide=False),
+        sanitize_runtime=(
+            SanitizerRuntime(mode="report") if sanitize else None
+        ),
     )
 
 

@@ -113,11 +113,10 @@ class TestProbesAcrossReload:
 class TestGCUnderLongSessions:
     def test_store_population_bounded_during_run(self):
         session = LiveSession(
-            COUNTER_SRC,
-            checkpoint_interval=2,
-            gc_policy=GCPolicy(keep_latest=5, older_budget=4),
+            COUNTER_SRC, checkpoint_interval=2
         )
         session.inst_pipe("p0", session.stage_handle_for("top"))
+        session.store("p0").policy = GCPolicy(keep_latest=5, older_budget=4)
         tb = session.load_testbench(hold_inputs(rst=0))
         session.run(tb, "p0", 100)
         store = session.store("p0")
@@ -131,12 +130,10 @@ class TestGCUnderLongSessions:
 
     def test_reload_candidate_from_thinned_store(self):
         session = LiveSession(
-            COUNTER_SRC,
-            checkpoint_interval=2,
-            reload_distance=4,
-            gc_policy=GCPolicy(keep_latest=4, older_budget=3),
+            COUNTER_SRC, checkpoint_interval=2, reload_distance=4
         )
         session.inst_pipe("p0", session.stage_handle_for("top"))
+        session.store("p0").policy = GCPolicy(keep_latest=4, older_budget=3)
         tb = session.load_testbench(hold_inputs(rst=0))
         session.run(tb, "p0", 60)
         report = session.apply_change(

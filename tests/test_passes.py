@@ -24,8 +24,8 @@ from repro.live.session import LiveSession
 from repro.passes import (
     PassData,
     build_compile_pipeline,
+    compile_netlist,
     dataflow,
-    run_opt_pipeline,
 )
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
 from repro.sanitize import SanitizerRuntime
@@ -147,7 +147,7 @@ class TestPassManager:
 
     def test_run_opt_pipeline_rejects_unknown_level(self):
         with pytest.raises(ValueError, match="unknown opt level"):
-            run_opt_pipeline(_netlist(), BuildConfig(opt="extreme"))
+            compile_netlist(_netlist(), BuildConfig(opt="extreme"))
 
 
 CONST_SRC = """

@@ -7,8 +7,8 @@ logic, not dead code.
 
 import pytest
 
-from repro.codegen.pygen import compile_netlist
 from repro.hdl import elaborate, parse
+from repro.passes import compile_netlist
 from repro.riscv import assemble, build_pgas_source
 from repro.riscv.patches import PATCHES, get_patch, single_stage_patches
 from repro.sim import Pipe

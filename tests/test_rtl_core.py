@@ -240,7 +240,7 @@ class TestRandomDifferential:
     def test_random_programs_match_golden(self, source):
         from repro.riscv.pgas import build_pgas_source, mesh_top_name
         from repro.hdl import elaborate, parse
-        from repro.codegen.pygen import compile_netlist
+        from repro.passes import compile_netlist
 
         if "pipe" not in _PIPE_CACHE:
             netlist = elaborate(parse(build_pgas_source(1)), mesh_top_name(1))

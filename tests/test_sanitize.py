@@ -18,12 +18,12 @@ import pytest
 
 from repro.__main__ import Shell
 from repro.codegen.build import BuildConfig
-from repro.codegen.pygen import compile_netlist
 from repro.hdl import elaborate, parse
 from repro.hdl.errors import SimulationError
 from repro.live.commands import CommandError, CommandInterpreter
 from repro.live.compiler_live import LiveCompiler
 from repro.live.session import LiveSession
+from repro.passes import compile_netlist
 from repro.sanitize import (
     SAN_NB_CONFLICT,
     SAN_OOB,
@@ -107,7 +107,8 @@ def sanitized_pipe(source, top, mode="report"):
     runtime = SanitizerRuntime(mode=mode)
     netlist = elaborate(parse(source), top)
     library = compile_netlist(
-        netlist, BuildConfig(sanitize=True), runtime=runtime
+        netlist, BuildConfig(sanitize=True, san_elide=False),
+        sanitize_runtime=runtime,
     )
     return Pipe(netlist.top, library), runtime
 

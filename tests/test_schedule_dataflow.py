@@ -212,7 +212,7 @@ module m (input a, output y);
   assign y = p;
 endmodule
 """, "m")
-        pipe = Pipe(netlist.top, library, max_passes=8)
+        pipe = Pipe(netlist.top, library)
         pipe.set_inputs(a=0)
         with pytest.raises(ConvergenceError):
             pipe.eval()

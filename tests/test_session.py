@@ -203,8 +203,9 @@ class TestApplyChange:
         assert session.pipe("p0").cycle == 55
 
     def test_no_checkpoints_replays_from_reset(self):
-        session = LiveSession(COUNTER_SRC, checkpoints_enabled=False)
+        session = LiveSession(COUNTER_SRC)
         session.inst_pipe("p0", session.stage_handle_for("top"))
+        session.store("p0").enabled = False
         tb = session.load_testbench(hold_inputs(rst=0))
         session.run(tb, "p0", 30)
         report = session.apply_change(BUGGY)

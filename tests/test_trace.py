@@ -106,11 +106,14 @@ class TestRingCapture:
         assert samples[-1] == [19, 19]
 
     def test_drop_oldest_counts_cycles(self):
-        session, tb = make_session(trace_capacity=8)
+        session, tb = make_session()
+        buffer = TraceBuffer(capacity=8)
+        session.timeline("p0").trace = buffer
+        session.pipe("p0").attach_trace(buffer)
         session.watch("p0", "c0")
         before = counters().get("trace.cycles_dropped", 0)
         session.run(tb, "p0", 20)
-        buffer = session.trace_buffer("p0")
+        assert session.trace_buffer("p0") is buffer
         samples = buffer.window("c0")
         assert [cycle for cycle, _ in samples] == list(range(12, 20))
         assert buffer.cycles_dropped == 12

@@ -401,12 +401,12 @@ endmodule
 
 class TestCompiledElision:
     def _sanitized(self, san_elide):
-        from repro.passes import run_opt_pipeline
+        from repro.passes import compile_netlist
         from repro.sanitize import SanitizerRuntime
 
         runtime = SanitizerRuntime(mode="report")
         netlist = elaborate(parse(ELIDE_SRC), "m")
-        library = run_opt_pipeline(
+        library = compile_netlist(
             netlist, BuildConfig(sanitize=True, san_elide=san_elide),
             sanitize_runtime=runtime,
         )

@@ -26,6 +26,10 @@ Checks:
           another ``repro`` package (ruff's rule is preview-only at
           the pinned version, so CI relies on this script and on
           ``tests/test_layering.py`` for it)
+* RPR001 — under ``src/repro``: a public ``def`` whose name occurs
+          nowhere in the ``.py`` files of ``src/``, ``tests/``,
+          ``tools/``, ``benchmarks/`` or ``examples/`` but at its own
+          definitions (dead public API)
 
 Usage: ``python tools/lintcheck.py [paths...]`` (default: repo root).
 Exits non-zero when findings exist.
@@ -36,6 +40,7 @@ from __future__ import annotations
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -430,6 +435,52 @@ def check_private_imports(
 
 
 # ---------------------------------------------------------------------------
+# Public API has a caller (RPR001, src/repro only)
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "repro"
+CALLER_TREES = ("src", "tests", "tools", "benchmarks", "examples")
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def public_defs(text: str) -> List[Tuple[str, int]]:
+    try:
+        tree = ast.parse(text)
+    except SyntaxError:  # reported as E9
+        return []
+    return [
+        (node.name, node.lineno) for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def check_unreferenced_defs(files: Sequence[Path]) -> List[Finding]:
+    """A public ``def`` under ``src/repro`` whose name occurs in the
+    ``.py`` files of :data:`CALLER_TREES` (comments and strings
+    included) only at definitions of that name has no caller."""
+    words: Counter = Counter()
+    defined: Counter = Counter()
+    for path in iter_py_files([REPO / tree for tree in CALLER_TREES]):
+        text = path.read_text()
+        words.update(WORD.findall(text))
+        if PACKAGE in path.parents:
+            defined.update(name for name, _ in public_defs(text))
+    findings: List[Finding] = []
+    for path in files:
+        if PACKAGE not in path.resolve().parents:
+            continue
+        for name, line in public_defs(path.read_text()):
+            if words[name] <= defined[name]:
+                findings.append(Finding(
+                    path, line, "RPR001",
+                    f"public def {name!r} is referenced nowhere else",
+                ))
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -464,6 +515,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     files = iter_py_files(roots)
     for path in files:
         findings.extend(check_file(path))
+    findings.extend(check_unreferenced_defs(files))
     for finding in findings:
         print(finding)
     print(f"{len(findings)} finding(s) in {len(files)} file(s)")

@@ -61,7 +61,7 @@ def designs(only: Optional[Sequence[str]]) -> Iterator[Tuple[str, str, str]]:
 def rows(only: Optional[Sequence[str]] = None) -> List[str]:
     from repro.codegen.build import BuildConfig
     from repro.hdl import elaborate, parse
-    from repro.passes import run_opt_pipeline
+    from repro.passes import compile_netlist
     from repro.sanitize import SanitizerRuntime
 
     out = []
@@ -72,7 +72,7 @@ def rows(only: Optional[Sequence[str]] = None) -> List[str]:
                 build = BuildConfig(sanitize=sanitize, opt=opt,
                                     san_elide=elide)
                 runtime = SanitizerRuntime(mode="report") if sanitize else None
-                library = run_opt_pipeline(netlist, build, runtime)
+                library = compile_netlist(netlist, build, runtime)
                 digest = hashlib.sha256()
                 for key in sorted(library):
                     digest.update(library[key].source.encode())
