@@ -46,10 +46,6 @@ class AnalysisReport:
     def errors(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.is_error]
 
-    @property
-    def was_incremental(self) -> bool:
-        return bool(self.reused_keys)
-
     def note(self, kind: str, spec: str, hit: bool) -> None:
         """An ``analyze`` cache lookup reused / analyzed ``spec``."""
         (self.reused_keys if hit else self.analyzed_keys).append(spec)

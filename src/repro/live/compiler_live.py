@@ -49,33 +49,21 @@ from .parser_live import LiveParseResult, LiveParser
 
 @dataclass
 class CompileReport:
-    """What one compile pass did and how long it took (Fig. 8 data)."""
+    """What one compile recompiled and what it reused (times are the
+    ``elaborate`` / ``codegen`` / ``passes.<name>`` obs spans)."""
 
     top: str
     recompiled_keys: List[str] = field(default_factory=list)
     reused_keys: List[str] = field(default_factory=list)
-    parse_seconds: float = 0.0
-    elaborate_seconds: float = 0.0
-    codegen_seconds: float = 0.0
     # Per-pass incrementality accounting (repro.passes): which spec
-    # keys each optimization pass recomputed vs served from its cache,
-    # and wall time per pass.
+    # keys each optimization pass recomputed vs served from its cache.
     pass_computed: Dict[str, List[str]] = field(default_factory=dict)
     pass_reused: Dict[str, List[str]] = field(default_factory=dict)
-    pass_seconds: Dict[str, float] = field(default_factory=dict)
 
     def note(self, kind: str, spec: str, hit: bool) -> None:
         """A ``passes.<name>`` cache lookup reused / computed ``spec``."""
         keys = self.pass_reused if hit else self.pass_computed
         keys.setdefault(kind.split(".")[1], []).append(spec)
-
-    @property
-    def total_seconds(self) -> float:
-        return self.parse_seconds + self.elaborate_seconds + self.codegen_seconds
-
-    @property
-    def was_incremental(self) -> bool:
-        return bool(self.reused_keys)
 
 
 @dataclass
@@ -115,7 +103,6 @@ class LiveCompiler:
         self._store = store
         self._sanitize_runtime = sanitize_runtime
         self._pipeline = build_compile_pipeline()
-        self._last_parse_seconds = 0.0
 
     @property
     def pipeline(self):
@@ -159,8 +146,7 @@ class LiveCompiler:
         if not result.behavioral:
             # Comments/whitespace only: commit the text, keep everything.
             self.parser.commit(result)
-            self._last_parse_seconds = time.perf_counter() - started
-            result.parse_seconds = self._last_parse_seconds
+            result.parse_seconds = time.perf_counter() - started
             return result
 
         regions = {
@@ -192,8 +178,7 @@ class LiveCompiler:
             # Removed modules go with the old design.
             self._design = parse(new_source)
         self.parser.commit(result)
-        self._last_parse_seconds = time.perf_counter() - started
-        result.parse_seconds = self._last_parse_seconds
+        result.parse_seconds = time.perf_counter() - started
         return result
 
     # -- compilation ---------------------------------------------------------------
@@ -204,18 +189,11 @@ class LiveCompiler:
         """Elaborate + compile ``top`` through the pass pipeline,
         reusing cached modules (and cached per-pass results)."""
         report = CompileReport(top=top)
-        report.parse_seconds = self._last_parse_seconds
-        self._last_parse_seconds = 0.0
-
-        started = time.perf_counter()
         with obs.span("elaborate", top=top):
             netlist = elaborate(
                 self._design, top, params,
                 cache=self.cache, fingerprint_of=self.parser.fingerprint,
             )
-        report.elaborate_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
         fps = {
             name: self.parser.fingerprint(name)
             for name in {netlist.modules[k].name for k in netlist.modules}
@@ -232,7 +210,6 @@ class LiveCompiler:
         with obs.span("codegen", top=top, opt=self.build.opt):
             self._pipeline.run(data)
         library: Dict[str, CompiledModule] = data.library
-        report.codegen_seconds = time.perf_counter() - started
         obs.gauge("compile.cache_size", self.cache_size())
         obs.gauge("facts.cache_size", sum(
             len(self.cache.entries(kind))

@@ -13,11 +13,16 @@ Implements the paper's Table I command set::
 
 plus the live entry point :meth:`apply_change`, which executes the full
 edit-run-debug loop: LiveParser -> LiveCompiler -> hot reload ->
-checkpoint reload -> replay — the under-2-seconds path of Figs. 7/8,
-and its §III-F backstop, :meth:`verify_consistency` /
+checkpoint reload -> replay — the under-2-seconds path of Figs. 7/8.
+Its §III-F backstop is a separate step, :meth:`verify_consistency` /
 :meth:`verify_background`: one
 :class:`~repro.live.consistency.VerifyJob` either way, its segments run
 in process or on the session's persistent worker pool.
+
+Every per-pipe fact (the pipe, its checkpoints, ops, trace, accepted
+findings and background verification) lives in the pipe's one row of
+the Pipeline Table, and every compile reaches a pipe through
+:meth:`_PipeSession.land`.
 """
 
 from __future__ import annotations
@@ -80,7 +85,6 @@ def _build(base: BuildConfig, **changes) -> BuildConfig:
         raise SimulationError(str(exc)) from None
 
 
-_VERIFY_MODES = (False, True, "background")
 _NO_FACTORY = (
     "background verification needs testbench factory specs; "
     "pass factory= to load_testbench"
@@ -104,14 +108,6 @@ class ERDReport:
     reused_keys: List[str] = field(default_factory=list)
     swapped_instances: int = 0
     pipes_updated: List[str] = field(default_factory=list)
-    # Filled when apply_change(verify=True): pipe name -> the
-    # background verification verdict (post-repair state is correct).
-    consistency: Dict[str, "ConsistencyReport"] = field(default_factory=dict)
-    verify_seconds: float = 0.0
-    # Pipes whose verification was kicked off in the background
-    # (apply_change(verify="background")); verdicts arrive later via
-    # LiveSession.verify_status / wait_for_verify.
-    background_verifies: List[str] = field(default_factory=list)
     # Static analysis over the post-edit design (repro.analyze):
     # findings, cache accounting, and whether the gate was overridden.
     analyze_seconds: float = 0.0
@@ -148,11 +144,28 @@ class ERDReport:
         return self.total_seconds < 2.0
 
 
+def _merge_diagnostics(
+    into: List[Diagnostic], more: List[Diagnostic]
+) -> List[Diagnostic]:
+    """Append to ``into`` each of ``more`` it does not already hold
+    (same identity, same line); returns the ones appended."""
+    seen = {(d.identity(), d.line) for d in into}
+    added = []
+    for diag in more:
+        if (diag.identity(), diag.line) not in seen:
+            seen.add((diag.identity(), diag.line))
+            added.append(diag)
+    into.extend(added)
+    return added
+
+
 @dataclass
 class _PipeSession:
-    """One instantiated pipeline and its timeline: the live pipe, the
+    """One row of the session's Pipeline Table: an instantiated
+    pipeline and its timeline.  The live pipe, the compile it runs, the
     checkpoints taken along the way, the recorded ops that connect
-    them, and the trace attached to the pipe.
+    them, the trace attached to the pipe, the findings the gate has
+    accepted for it and its latest background verification.
 
     Every snapshot in ``store`` speaks the session's current design
     version: ``take`` captures under it, ``ldch`` translates what it
@@ -169,6 +182,23 @@ class _PipeSession:
     compile_result: CompileResult
     ops: List[SessionOp] = field(default_factory=list)
     trace: Optional[TraceBuffer] = None
+    # The gate blocks only findings new relative to these (seeded at
+    # instPipe, replaced by every edit that lands).
+    baseline: List[Diagnostic] = field(default_factory=list)
+    verify_job: Optional[VerifyJob] = None
+
+    def land(self, result: CompileResult, swap) -> SwapReport:
+        """Move the pipe onto ``result``: the one path by which a
+        compile reaches a pipe.  ``swap(pipe, library)`` replaces its
+        instances; then the row records what the pipe runs and the
+        trace re-resolves every probe by name (the swap may have
+        renamed, resized or removed watched signals; vanished ones are
+        marked missing, never fatal)."""
+        report = swap(self.pipe, result.library)
+        self.compile_result = result
+        if self.trace is not None:
+            self.trace.rebind(self.pipe)
+        return report
 
     def base(self, cycle: int, distance: int = 0) -> Optional[Checkpoint]:
         """Where to :func:`~repro.live.replay.rewind` to so that
@@ -233,10 +263,6 @@ class LiveSession:
             sanitize_runtime=self.sanitize_runtime,
         )
         self.analyzer = Analyzer(cache=self.compiler.cache)
-        # Per-pipe accepted findings: the gate blocks only findings
-        # *new* relative to this baseline (seeded at inst_pipe,
-        # advanced by every successful apply_change).
-        self._analysis_baseline: Dict[str, List[Diagnostic]] = {}
         self.objects = ObjectLibraryTable()
         self.pipelines = PipelineTable()
         self.stages = StageTable(self.pipelines)
@@ -244,12 +270,10 @@ class LiveSession:
         self.version = self.history.root
         self.checkpoint_interval = checkpoint_interval
         self.reload_distance = reload_distance
-        self._pipe_sessions: Dict[str, _PipeSession] = {}
         self._testbenches: Dict[str, Testbench] = {}
         self._tb_specs: Dict[str, Tuple[str, Dict]] = {}
         self._version_counter = 0
         self._verifier_pool: Optional[VerifierPool] = None
-        self._verify_jobs: Dict[str, VerifyJob] = {}
         self._register_source_modules("design")
 
     # ------------------------------------------------------------------
@@ -262,7 +286,7 @@ class LiveSession:
         Safe to call multiple times; the session stays usable for
         simulation, and the pool respawns on the next parallel verify.
         """
-        for name in list(self._verify_jobs):
+        for name in self.pipelines.names():
             self.cancel_verify(name)
         if self._verifier_pool is not None:
             self._verifier_pool.shutdown()
@@ -293,7 +317,7 @@ class LiveSession:
         if source is not None:
             merged = splice_modules(self.compiler.source, source)
             diff = (self.compiler.parser.analyze(merged)
-                    if self._pipe_sessions else None)
+                    if self.pipelines else None)
             if diff is not None and (
                     diff.changed_modules or diff.poisoned_modules):
                 self.apply_change(merged)
@@ -360,43 +384,44 @@ class LiveSession:
         stage_handle: str,
         params: Optional[Dict[str, int]] = None,
     ) -> Pipe:
-        """``instPipe`` — instantiate a pipeline from a stage handle."""
+        """``instPipe`` — instantiate a pipeline from a stage handle.
+        A taken name is refused before anything is compiled."""
+        self.pipelines.require_free(name)
         entry = self.objects.get(stage_handle)
         if entry.obj_type != STAGE:
             raise SimulationError(f"{stage_handle!r} is not a stage handle")
         module = str(entry.payload)
         result = self.compiler.compile_top(module, params)
         pipe = Pipe(result.netlist.top, result.library, name=name)
-        store = CheckpointStore(interval=self.checkpoint_interval)
-        session = _PipeSession(
+        # Findings present at instantiation are accepted and never
+        # block a later edit.
+        analysis = self.analyzer.analyze_netlist(
+            result.netlist, fingerprint_of=self.compiler.parser.fingerprint
+        )
+        self._add_row(_PipeSession(
             name=name,
             handle=stage_handle,
             module=module,
             params=dict(params or {}),
             pipe=pipe,
-            store=store,
+            store=CheckpointStore(interval=self.checkpoint_interval),
             compile_result=result,
-        )
-        self._pipe_sessions[name] = session
-        self.pipelines.add(name, stage_handle, pipe)
-        self._register_stages(name, pipe)
-        # Seed the gate baseline: findings present at instantiation are
-        # accepted and never block a later edit.
-        analysis = self.analyzer.analyze_netlist(
-            result.netlist, fingerprint_of=self.compiler.parser.fingerprint
-        )
-        self._analysis_baseline[name] = list(analysis.diagnostics)
+            baseline=list(analysis.diagnostics),
+        ))
         return pipe
 
-    def _register_stages(self, pipe_name: str, pipe: Pipe) -> None:
-        for path, inst in pipe.top.walk(prefix=""):
+    def _add_row(self, row: _PipeSession) -> None:
+        """Enter ``row`` in the Pipeline Table and its stages in the
+        Stage Table."""
+        self.pipelines.add(row)
+        for path, inst in row.pipe.top.walk(prefix=""):
             stage_path = path[len("top") :].lstrip(".")
             module_name = inst.code.name
             try:
                 handle = self.stage_handle_for(module_name)
             except SimulationError:
                 handle = module_name
-            self.stages.register(pipe_name, stage_path, handle)
+            self.stages.register(row.name, stage_path, handle)
 
     def inst_stage(
         self, pipe_name: str, stage_name: str, stage_handle: str
@@ -411,27 +436,24 @@ class LiveSession:
         self.stages.register(pipe_name, stage_name, stage_handle)
 
     def copy_pipe(self, new_name: str, old_name: str) -> Pipe:
-        """``copyPipe`` — duplicate a pipeline including its state."""
+        """``copyPipe`` — duplicate a pipeline including its state and
+        history (not its checkpoints, trace or verification).  A taken
+        name is refused before anything is copied."""
+        self.pipelines.require_free(new_name)
         old = self.timeline(old_name)
-        clone = old.pipe.copy(name=new_name)
-        store = CheckpointStore(interval=self.checkpoint_interval)
-        session = _PipeSession(
+        row = replace(
+            old,
             name=new_name,
-            handle=old.handle,
-            module=old.module,
             params=dict(old.params),
-            pipe=clone,
-            store=store,
+            pipe=old.pipe.copy(name=new_name),
+            store=CheckpointStore(interval=self.checkpoint_interval),
             ops=list(old.ops),
-            compile_result=old.compile_result,
+            trace=None,
+            baseline=list(old.baseline),
+            verify_job=None,
         )
-        self._pipe_sessions[new_name] = session
-        self.pipelines.add(new_name, old.handle, clone)
-        self._register_stages(new_name, clone)
-        self._analysis_baseline[new_name] = list(
-            self._analysis_baseline.get(old_name, [])
-        )
-        return clone
+        self._add_row(row)
+        return row.pipe
 
     def run(self, tb_handle: str, pipe_name: str, cycles: int) -> Dict[str, int]:
         """``run`` — apply a testbench for N cycles, recording history
@@ -515,22 +537,19 @@ class LiveSession:
                 )
         session.ops = trimmed
 
-    def swap_stage(
-        self, pipe_name: str, stage_path: str, reloader: Optional[HotReloader] = None
-    ) -> SwapReport:
+    def swap_stage(self, pipe_name: str, stage_path: str) -> SwapReport:
         """``swapStage`` — swap one stage subtree to the latest compile.
 
         Normally :meth:`apply_change` swaps whole pipes; this is the
         targeted variant for interface-compatible single-stage swaps.
         """
-        session = self.timeline(pipe_name)
-        result = self.compiler.compile_top(session.module, session.params)
-        session.compile_result = result
-        reloader = reloader or HotReloader()
-        swap = reloader.swap_stage(session.pipe, stage_path, result.library)
-        if session.trace is not None:
-            session.trace.rebind(session.pipe)
-        return swap
+        row = self.timeline(pipe_name)
+        return row.land(
+            self.compiler.compile_top(row.module, row.params),
+            lambda pipe, library: HotReloader().swap_stage(
+                pipe, stage_path, library
+            ),
+        )
 
     # ------------------------------------------------------------------
     # The live loop
@@ -540,7 +559,6 @@ class LiveSession:
         self,
         new_source: str,
         transforms: Optional[Dict[str, RegisterTransform]] = None,
-        verify: "bool | str" = False,
         override_gate: bool = False,
     ) -> ERDReport:
         """Execute one edit-run-debug iteration.
@@ -548,27 +566,17 @@ class LiveSession:
         1. LiveParser decides whether the edit changes behaviour.
         2. LiveCompiler recompiles only the affected specializations.
         3. Every pipe is hot reloaded (state migrated via register
-           transforms — explicit ``transforms`` override the guess).
+           transforms — an explicit entry in ``transforms`` overrides
+           the guess for its module; every other module is guessed).
         4. Each pipe reloads the checkpoint nearest ``reload_distance``
            cycles before its stop point and replays history to where it
            was, producing the fast estimate the user sees.
 
-        Checkpoint stores are retargeted to the new version.  With
-        ``verify=True``, step 5 runs the paper's backend refinement
-        inline: every pipe's checkpoint history is verified (and
-        repaired on divergence), so the reported state is exact — at
-        the cost of re-executing the history, which is what the fast
-        estimate exists to hide.  ``verify_seconds`` is reported
-        separately from the ERD total for exactly that reason, and a
-        segment that dies fails that pipe's verdict in
-        ``report.consistency`` instead of raising once the swap landed.
-        ``verify="background"`` instead kicks verification off on the
-        persistent worker pool and returns immediately — the paper's
-        actual §III-F behaviour; poll :meth:`verify_status` or
-        :meth:`wait_for_verify` for the verdict; it refuses the edit
-        up front when a pipe's history uses a testbench loaded without
-        ``factory=``.  Without either, verification stays explicit via
-        :meth:`verify_consistency`; any other ``verify`` is refused.
+        Checkpoint stores are retargeted to the new version.  The
+        paper's backend refinement (§III-F) is a separate step:
+        :meth:`verify_consistency` or :meth:`verify_background`.  The
+        edit cancels any verification in flight, whose verdict would
+        describe the old design.
 
         Between compile and swap the static analyzer
         (:mod:`repro.analyze`) runs over every pipe's new netlist —
@@ -586,22 +594,14 @@ class LiveSession:
         as they were.
         """
         with obs.span("apply_change", version=self.version):
-            return self._apply_change(
-                new_source, transforms, verify, override_gate
-            )
+            return self._apply_change(new_source, transforms, override_gate)
 
     def _apply_change(
         self,
         new_source: str,
         transforms: Optional[Dict[str, RegisterTransform]],
-        verify: "bool | str",
-        override_gate: bool = False,
+        override_gate: bool,
     ) -> ERDReport:
-        if verify not in _VERIFY_MODES:
-            raise SimulationError(
-                f"unknown verify mode {verify!r}; expected one of "
-                f"{_VERIFY_MODES}"
-            )
         old_source = self.compiler.source
         parse_result = self.compiler.update_source(new_source)
         report = ERDReport(
@@ -627,11 +627,11 @@ class LiveSession:
         analysis_results: Dict[str, AnalysisReport] = {}
         bases: Dict[str, Optional[Checkpoint]] = {}
         try:
-            for name, session in self._pipe_sessions.items():
+            for row in self.pipelines:
                 started = time.perf_counter()
-                with obs.span("compile", pipe=name):
-                    compile_results[name] = self.compiler.compile_top(
-                        session.module, session.params
+                with obs.span("compile", pipe=row.name):
+                    compile_results[row.name] = self.compiler.compile_top(
+                        row.module, row.params
                     )
                 report.compile_seconds += time.perf_counter() - started
             # Static analysis + gate: still before any state is touched,
@@ -642,16 +642,12 @@ class LiveSession:
             )
             report.analyze_seconds = time.perf_counter() - started
             # A pipe whose history cannot be replayed to where it
-            # stands, or verified in the background when asked to,
-            # refuses the edit here, not after the swap.
+            # stands refuses the edit here, not after the swap.
             started = time.perf_counter()
-            for name, session in self._pipe_sessions.items():
-                bases[name] = session.base(
-                    session.pipe.cycle, self.reload_distance
+            for row in self.pipelines:
+                bases[row.name] = row.base(
+                    row.pipe.cycle, self.reload_distance
                 )
-                if (verify == "background"
-                        and self._worker_context(session) is None):
-                    raise SimulationError(_NO_FACTORY)
             report.reload_seconds = time.perf_counter() - started
         except (HDLError, SimulationError):
             obs.incr("live.rolled_back_edits")
@@ -661,16 +657,15 @@ class LiveSession:
         # The edit supersedes any in-flight verification: its verdict
         # would describe the *old* design, and phase 2 is about to
         # retarget the very checkpoints it is reading.
-        for name in self._pipe_sessions:
+        for name in self.pipelines.names():
             self.cancel_verify(name)
 
         # Phase 2: swap, reload, replay.  Sanitizer findings raised by
         # the replay (e.g. an uninit read of state this very edit
         # introduced) are collected from this high-water mark.
         san_mark = len(self.sanitize_runtime.findings)
-        for name, session in self._pipe_sessions.items():
-            old_result = session.compile_result
-            result = compile_results[name]
+        for row in self.pipelines:
+            result = compile_results[row.name]
             report.recompiled_keys.extend(result.report.recompiled_keys)
             report.reused_keys.extend(result.report.reused_keys)
             for pass_name, keys in result.report.pass_computed.items():
@@ -682,37 +677,28 @@ class LiveSession:
                     pass_name, []
                 ).extend(keys)
 
-            if transforms is None:
-                self._guess_version_transforms(
-                    old_result, result, version_transforms
-                )
-            session.compile_result = result
-
+            self._guess_version_transforms(
+                row.compile_result, result, version_transforms
+            )
             reloader = HotReloader(version_transforms)
-            stop_cycle = session.pipe.cycle
+            stop_cycle = row.pipe.cycle
             started = time.perf_counter()
-            with obs.span("swap", pipe=name):
-                swap = reloader.swap_pipe(session.pipe, result.library)
+            with obs.span("swap", pipe=row.name):
+                swap = row.land(result, reloader.swap_pipe)
             report.swap_seconds += time.perf_counter() - started
             report.swapped_instances += swap.swapped_instances
             obs.incr("live.swapped_instances", swap.swapped_instances)
-
-            # The swap may have renamed, resized, or removed watched
-            # signals: re-resolve every probe by name.  Vanished
-            # signals are marked missing — never fatal.
-            if session.trace is not None:
-                session.trace.rebind(session.pipe)
 
             # The replay below re-captures the rewound window under
             # the new design (trace subscribers see a rewind marker,
             # then the fresh values).
             started = time.perf_counter()
-            with obs.span("reload", pipe=name):
+            with obs.span("reload", pipe=row.name):
                 self._retarget_store(
-                    session, result, version_transforms, new_version
+                    row, result, version_transforms, new_version
                 )
-                base = bases[name]
-                rewind(session.pipe, base)
+                base = bases[row.name]
+                rewind(row.pipe, base)
                 if base is not None:
                     report.checkpoint_cycle = base.cycle
                     obs.incr("live.checkpoint_reloads")
@@ -721,55 +707,33 @@ class LiveSession:
             report.reload_seconds += time.perf_counter() - started
 
             started = time.perf_counter()
-            with obs.span("replay", pipe=name, stop_cycle=stop_cycle):
+            with obs.span("replay", pipe=row.name, stop_cycle=stop_cycle):
                 replayed = replay_ops(
-                    session.pipe, session.ops, stop_cycle, self.testbench
+                    row.pipe, row.ops, stop_cycle, self.testbench
                 )
             report.replay_seconds += time.perf_counter() - started
             report.cycles_replayed += replayed
             obs.incr("live.cycles_replayed", replayed)
-            report.pipes_updated.append(name)
+            report.pipes_updated.append(row.name)
 
         self.history.add_version(
             new_version, self.version, version_transforms
         )
         self.version = new_version
 
-        # The swap landed: its findings become the accepted baseline
-        # (including any the user forced through with override_gate).
-        for name, analysis in analysis_results.items():
-            self._analysis_baseline[name] = list(analysis.diagnostics)
-
         # Sanitizer findings surfaced during the replay join the static
-        # diagnostics — one unified stream — and enter the baselines so
-        # the next edit's gate doesn't re-report them as new.
+        # diagnostics — one unified stream.
         fresh = self.sanitize_runtime.findings[san_mark:]
         if fresh:
-            seen = {(d.identity(), d.line) for d in report.diagnostics}
-            for diag in fresh:
-                if (diag.identity(), diag.line) not in seen:
-                    seen.add((diag.identity(), diag.line))
-                    report.diagnostics.append(diag)
-                    report.new_findings.append(diag)
+            report.new_findings.extend(
+                _merge_diagnostics(report.diagnostics, fresh)
+            )
             report.diagnostics = sort_diagnostics(report.diagnostics)
-            for name in self._analysis_baseline:
-                self._analysis_baseline[name].extend(fresh)
-
-        if verify == "background":
-            # Paper §III-F: the user keeps simulating while stored
-            # checkpoints are re-verified.  Kick the jobs off and
-            # return immediately; verdicts land via verify_status().
-            for name in report.pipes_updated:
-                self.verify_background(name, workers=1)
-                report.background_verifies.append(name)
-        elif verify:
-            started = time.perf_counter()
-            with obs.span("verify"):
-                for name in report.pipes_updated:
-                    report.consistency[name] = self.verify_consistency(
-                        name, repair=True
-                    )
-            report.verify_seconds = time.perf_counter() - started
+        # The swap landed: its findings (including any forced through
+        # with override_gate) and the replay's become the accepted
+        # baseline, so the next edit's gate doesn't re-report them.
+        for row in self.pipelines:
+            row.baseline = analysis_results[row.name].diagnostics + fresh
         return report
 
     def _guess_version_transforms(
@@ -820,23 +784,17 @@ class LiveSession:
         :class:`HDLError`) when a new blocking finding appears and
         ``override_gate`` is False; the caller's rollback handles it.
         """
-        seen: set = set()
-        for name in self._pipe_sessions:
+        for row in self.pipelines:
             analysis = self.analyzer.analyze_netlist(
-                compile_results[name].netlist,
+                compile_results[row.name].netlist,
                 fingerprint_of=self.compiler.parser.fingerprint,
             )
-            analysis_results[name] = analysis
+            analysis_results[row.name] = analysis
             report.analyzed_keys.extend(analysis.analyzed_keys)
             report.analysis_reused_keys.extend(analysis.reused_keys)
-            for diag in analysis.diagnostics:
-                if (diag.identity(), diag.line) not in seen:
-                    seen.add((diag.identity(), diag.line))
-                    report.diagnostics.append(diag)
+            _merge_diagnostics(report.diagnostics, analysis.diagnostics)
             decision = evaluate_gate(
-                self._analysis_baseline.get(name, []),
-                analysis.diagnostics,
-                override=override_gate,
+                row.baseline, analysis.diagnostics, override=override_gate
             )
             report.new_findings.extend(decision.new_findings)
             if decision.blocking and decision.overridden:
@@ -857,30 +815,22 @@ class LiveSession:
         """
         names = (
             [pipe_name] if pipe_name is not None
-            else list(self._pipe_sessions)
+            else self.pipelines.names()
         )
         started = time.perf_counter()
         merged = AnalysisReport()
-        seen: set = set()
         for name in names:
-            session = self.timeline(name)
             analysis = self.analyzer.analyze_netlist(
-                session.compile_result.netlist,
+                self.timeline(name).compile_result.netlist,
                 fingerprint_of=self.compiler.parser.fingerprint,
             )
             merged.top = merged.top or analysis.top
             merged.analyzed_keys.extend(analysis.analyzed_keys)
             merged.reused_keys.extend(analysis.reused_keys)
-            for diag in analysis.diagnostics:
-                if (diag.identity(), diag.line) not in seen:
-                    seen.add((diag.identity(), diag.line))
-                    merged.diagnostics.append(diag)
+            _merge_diagnostics(merged.diagnostics, analysis.diagnostics)
         # Runtime sanitizer findings ride the same surface as the
         # static checks — one diagnostics stream for the user.
-        for diag in self.sanitize_runtime.findings:
-            if (diag.identity(), diag.line) not in seen:
-                seen.add((diag.identity(), diag.line))
-                merged.diagnostics.append(diag)
+        _merge_diagnostics(merged.diagnostics, self.sanitize_runtime.findings)
         merged.diagnostics = sort_diagnostics(merged.diagnostics)
         merged.seconds = time.perf_counter() - started
         return merged
@@ -907,23 +857,20 @@ class LiveSession:
                 self.compiler.build = build
                 try:
                     results = {
-                        name: self.compiler.compile_top(
-                            session.module, session.params
+                        row.name: self.compiler.compile_top(
+                            row.module, row.params
                         )
-                        for name, session in self._pipe_sessions.items()
+                        for row in self.pipelines
                     }
                 except HDLError:
                     self.compiler.build = previous
                     raise
                 reloader = HotReloader()
-                for name, session in self._pipe_sessions.items():
-                    result = results[name]
+                for row in self.pipelines:
+                    result = results[row.name]
                     recompiled.extend(result.report.recompiled_keys)
-                    reloader.swap_pipe(session.pipe, result.library)
-                    session.compile_result = result
-                    if session.trace is not None:
-                        session.trace.rebind(session.pipe)
-                    swapped.append(name)
+                    row.land(result, reloader.swap_pipe)
+                    swapped.append(row.name)
         return {"recompiled_keys": recompiled, "swapped_pipes": swapped}
 
     def set_sanitize(self, mode: str) -> Dict[str, object]:
@@ -1212,8 +1159,9 @@ class LiveSession:
                 obs.incr("consistency.background_invalidations")
 
         obs.incr("consistency.background_jobs")
-        job = self._start_verify(session, workers, context, _done)
-        self._verify_jobs[pipe_name] = job
+        job = session.verify_job = self._start_verify(
+            session, workers, context, _done
+        )
         threading.Thread(
             target=job.collect,
             name=f"livesim-verify-{pipe_name}",
@@ -1259,27 +1207,22 @@ class LiveSession:
 
     def verify_status(self, pipe_name: str) -> VerifyStatus:
         """Verdict / progress of the pipe's latest background verify."""
-        self.timeline(pipe_name)  # validate the name
-        job = self._verify_jobs.get(pipe_name)
-        if job is not None:
-            return job.status()
-        return VerifyStatus(state="idle")
+        job = self.timeline(pipe_name).verify_job
+        return job.status() if job is not None else VerifyStatus(state="idle")
 
     def wait_for_verify(
         self, pipe_name: str, timeout: Optional[float] = None
     ) -> Optional[ConsistencyReport]:
         """Block until the pipe's background verify lands (None on
         timeout or when none was ever started)."""
-        job = self._verify_jobs.get(pipe_name)
+        job = self.timeline(pipe_name).verify_job
         return job.result(timeout) if job is not None else None
 
     def cancel_verify(self, pipe_name: str) -> int:
         """Cancel the pipe's in-flight background verify, if any.
         Returns the number of segments revoked before they ran."""
-        job = self._verify_jobs.get(pipe_name)
-        if job is None:
-            return 0
-        return job.cancel()
+        job = self.timeline(pipe_name).verify_job
+        return job.cancel() if job is not None else 0
 
     def reset_verifier_pool(self) -> None:
         """Tear down the persistent pool (workers exit, and their warm
@@ -1334,11 +1277,9 @@ class LiveSession:
         return list(self.timeline(pipe_name).ops)
 
     def timeline(self, name: str) -> _PipeSession:
-        """The named pipe with its checkpoints, recorded ops and trace."""
-        session = self._pipe_sessions.get(name)
-        if session is None:
-            raise SimulationError(f"unknown pipeline {name!r}")
-        return session
+        """The named pipe's Pipeline Table row: the pipe with its
+        checkpoints, recorded ops, trace and verification."""
+        return self.pipelines.get(name)
 
     def testbench(self, handle: str) -> Testbench:
         testbench = self._testbenches.get(handle)

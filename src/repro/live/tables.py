@@ -2,17 +2,16 @@
 
 * :class:`ObjectLibraryTable` — every stage/testbench object the
   session knows about, with its source path and object path.
-* :class:`PipelineTable` — name -> instantiated pipeline objects.
+* :class:`PipelineTable` — name -> one row per instantiated pipeline.
 * :class:`StageTable` — (pipe, stage-name) -> stage instance pointers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..hdl.errors import SimulationError
-from ..sim.pipeline import Pipe
 from ..sim.stage import StageInst
 
 STAGE = "Stage"
@@ -76,49 +75,48 @@ class ObjectLibraryTable:
 
 
 class PipelineTable:
-    """Name -> live pipeline objects (paper Table III)."""
+    """Name -> one row per instantiated pipeline (paper Table III).
+
+    A row is anything with ``name``, ``handle`` and ``pipe``; a
+    session's rows are its pipes' whole timelines
+    (:class:`repro.live.session._PipeSession`), so the table is the one
+    place a per-pipe fact lives.
+    """
 
     def __init__(self) -> None:
-        self._pipes: Dict[str, Tuple[str, Pipe]] = {}
+        self._rows: Dict[str, Any] = {}
 
-    def add(self, name: str, handle: str, pipe: Pipe) -> None:
-        if name in self._pipes:
+    def require_free(self, name: str) -> None:
+        if name in self._rows:
             raise SimulationError(f"pipeline name {name!r} already in use")
-        self._pipes[name] = (handle, pipe)
 
-    def get(self, name: str) -> Pipe:
-        try:
-            return self._pipes[name][1]
-        except KeyError:
-            raise SimulationError(f"unknown pipeline {name!r}") from None
+    def add(self, row) -> None:
+        self.require_free(row.name)
+        self._rows[row.name] = row
 
-    def handle_of(self, name: str) -> str:
-        try:
-            return self._pipes[name][0]
-        except KeyError:
-            raise SimulationError(f"unknown pipeline {name!r}") from None
-
-    def remove(self, name: str) -> None:
-        self._pipes.pop(name, None)
+    def get(self, name: str):
+        row = self._rows.get(name)
+        if row is None:
+            raise SimulationError(f"unknown pipeline {name!r}")
+        return row
 
     def names(self) -> List[str]:
-        return list(self._pipes)
+        return list(self._rows)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._pipes
+        return name in self._rows
 
     def __len__(self) -> int:
-        return len(self._pipes)
+        return len(self._rows)
 
-    def items(self) -> Iterator[Tuple[str, Pipe]]:
-        for name, (_, pipe) in self._pipes.items():
-            yield name, pipe
+    def __iter__(self) -> Iterator:
+        return iter(self._rows.values())
 
     def rows(self) -> List[Tuple[str, str, str]]:
         """(name, handle, pointer) rows mirroring Table III."""
         return [
-            (name, handle, hex(id(pipe)))
-            for name, (handle, pipe) in self._pipes.items()
+            (row.name, row.handle, hex(id(row.pipe)))
+            for row in self._rows.values()
         ]
 
 
@@ -126,7 +124,8 @@ class StageTable:
     """(pipe name, stage name) -> stage instances (paper Table IV).
 
     Stage names are hierarchical instance paths within the pipe's top
-    module ("" denotes the top stage itself).
+    module ("" denotes the top stage itself), resolved through the
+    pipe's Pipeline Table row.
     """
 
     def __init__(self, pipelines: PipelineTable):
@@ -137,15 +136,10 @@ class StageTable:
         self._stages[(pipe_name, stage_name)] = handle
 
     def resolve(self, pipe_name: str, stage_name: str) -> StageInst:
-        pipe = self._pipelines.get(pipe_name)
-        return pipe.find(stage_name)
+        return self._pipelines.get(pipe_name).pipe.find(stage_name)
 
     def handle_of(self, pipe_name: str, stage_name: str) -> Optional[str]:
         return self._stages.get((pipe_name, stage_name))
-
-    def forget_pipe(self, pipe_name: str) -> None:
-        for key in [k for k in self._stages if k[0] == pipe_name]:
-            del self._stages[key]
 
     def rows(self) -> List[Tuple[str, str, str, str]]:
         """(pipe, stage, handle, pointer) rows mirroring Table IV."""

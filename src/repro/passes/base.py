@@ -19,7 +19,6 @@ and ``stats`` surface.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Sequence, Tuple
 
@@ -95,11 +94,6 @@ class PassPipeline:
 
     def run(self, data: PassData) -> PassData:
         for p in self.passes:
-            started = time.perf_counter()
             with obs.span(f"passes.{p.name}", opt=data.build.opt):
                 p.run(data)
-            if data.report is not None:
-                seconds = data.report.pass_seconds
-                seconds[p.name] = (seconds.get(p.name, 0.0)
-                                   + time.perf_counter() - started)
         return data

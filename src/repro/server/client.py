@@ -260,11 +260,9 @@ class LiveSimClient:
         return self.request("cmd", session=session, line=line, **extra)
 
     def reload(self, session: str, source: str,
-               verify: "bool | str" = False,
                override: bool = False) -> Any:
         return self.request(
-            "reload", session=session, source=source, verify=verify,
-            override=override,
+            "reload", session=session, source=source, override=override,
         )
 
     def sessions(self) -> Any:

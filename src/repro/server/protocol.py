@@ -97,10 +97,6 @@ STR: Param = (lambda v: isinstance(v, str) and bool(v), "a non-empty string")
 INT: Param = (_is_int, "an integer")
 COUNT: Param = (lambda v: _is_int(v) and v >= 1, "a positive integer")
 BOOL: Param = (lambda v: isinstance(v, bool), "a boolean")
-VERIFY: Param = (
-    lambda v: v in (False, True, "background"),
-    'true, false, or "background"',
-)
 WORKERS: Param = (
     lambda v: _is_int(v) and 1 <= v <= MAX_WORKERS,
     f"an integer in [1, {MAX_WORKERS}]",
@@ -133,7 +129,7 @@ VERBS: Dict[str, Verb] = {
     "cmd": Verb({**_SESSION, "line": STR}, {"max_events": COUNT},
                 routed=True),
     "reload": Verb({**_SESSION, "source": STR},
-                   {"verify": VERIFY, "override": BOOL}, routed=True),
+                   {"override": BOOL}, routed=True),
     "close": Verb(_SESSION, routed=True),
     "sessions": Verb(),
     "stats": Verb(),

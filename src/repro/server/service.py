@@ -111,11 +111,6 @@ def summarize(value: Any) -> Any:
             "reused_keys": list(value.reused_keys),
             "swapped_instances": value.swapped_instances,
             "pipes_updated": list(value.pipes_updated),
-            "background_verifies": list(value.background_verifies),
-            "consistency": {
-                name: summarize(report)
-                for name, report in value.consistency.items()
-            },
             "analyze_seconds": value.analyze_seconds,
             "analyzed_keys": list(value.analyzed_keys),
             "analysis_reused_keys": list(value.analysis_reused_keys),

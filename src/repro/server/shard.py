@@ -507,12 +507,11 @@ class SessionWorker:
 
     def _cmd_reload(self, rid: int, params: Dict[str, Any]) -> Any:
         name, source = params["session"], params["source"]
-        verify = params.get("verify") or False
         override = bool(params.get("override"))
         managed = self.manager.get(name)
         with managed.lock:
             report = managed.session.apply_change(
-                source, verify=verify, override_gate=override
+                source, override_gate=override
             )
             managed.touch()
             journal = self._journal(name)
@@ -536,8 +535,6 @@ class SessionWorker:
                 "new_findings": [d.to_json() for d in report.new_findings],
                 "gate_overridden": report.gate_overridden,
             })
-        for pipe in report.background_verifies:
-            self._watch_verify(rid, managed, pipe)
         return summarize(report)
 
     def _cmd_close(
@@ -656,8 +653,7 @@ class SessionWorker:
                     managed.session.ld_lib(op["name"], op.get("source"))
                 elif kind == "reload":
                     managed.session.apply_change(
-                        op["source"], verify=False,
-                        override_gate=bool(op.get("override")),
+                        op["source"], override_gate=bool(op.get("override"))
                     )
                 elif kind == "line":
                     managed.interp.execute(op["line"])

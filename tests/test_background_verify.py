@@ -155,9 +155,9 @@ class TestBackgroundVerify:
         pytest.fail("verify finished before the edit on every attempt")
 
     def test_divergence_invalidates_checkpoints(self):
-        # apply_change(verify="background") wires the verify into the
-        # edit itself; the divergent verdict must drop every checkpoint
-        # past the divergence cycle (here: all of them).
+        # A verify started after the edit: the divergent verdict must
+        # drop every checkpoint past the divergence cycle (here: all of
+        # them).
         buggy = get_patch("id-imm-sign").inject(build_pgas_source(1))
         session, _ = make_session(buggy)
         try:
@@ -165,10 +165,8 @@ class TestBackgroundVerify:
             invalidated0 = metrics.counter(
                 "consistency.background_invalidations"
             )
-            erd = session.apply_change(
-                get_patch("id-imm-sign").fix(buggy), verify="background"
-            )
-            assert "uut" in erd.background_verifies
+            session.apply_change(get_patch("id-imm-sign").fix(buggy))
+            session.verify_background("uut", workers=1)
             report = session.wait_for_verify("uut", timeout=300)
             assert report is not None
             assert not report.all_consistent
@@ -274,22 +272,6 @@ class TestVerifyCommands:
         interp.execute(f"run {tb}, p0, 15")
         with pytest.raises(CommandError, match="factory"):
             interp.execute("verify p0")
-
-    @pytest.mark.parametrize("verify, match", [
-        ("background", "factory"), ("bogus", "unknown verify mode"),
-    ])
-    def test_refused_verify_leaves_the_edit_unapplied(self, verify, match):
-        session, tb, _ = make_counter_interp()
-        session.run(tb, "p0", 20)
-        before = session.peek("p0")
-        edited = COUNTER_SRC.replace("assign sum = a + b;",
-                                     "assign sum = a + b + 8'd1;")
-        with pytest.raises(SimulationError, match=match):
-            session.apply_change(edited, verify=verify)
-        assert session.version == "1.0"
-        assert session.compiler.source == COUNTER_SRC
-        assert session.pipe("p0").cycle == 20
-        assert session.peek("p0") == before
 
     def test_verify_rejects_bad_worker_counts(self):
         _, _, interp = make_counter_interp()
@@ -418,10 +400,10 @@ class TestVerdictsTellTheTruth:
         session.run(tb, "p0", 25)
         armed.append(True)
         edited = COUNTER_SRC.replace("count_q <= 0;", "count_q <= 8'd9;")
-        erd = session.apply_change(edited, verify=True)
-        # The swap landed and the report carries the failure.
+        erd = session.apply_change(edited)
         assert erd.version == session.version == "1.1"
-        report = erd.consistency["p0"]
+        # The verdict carries the failure; repair does not raise.
+        report = session.verify_consistency("p0", repair=True)
         assert report.verdict == "failed" and report.workers == 1
         assert report.errors == ["RuntimeError: boom at power-on"]
         assert [s.start_cycle for s in report.segments] == [10]

@@ -754,18 +754,3 @@ class TestCacheManagement:
         assert compiler.cache_size() == 2 + CACHE_GENERATIONS
         assert metrics.counter("compile.cache_evicted") == before
         assert compiler.compile_top("top").report.recompiled_keys == []
-
-
-class TestTimingFields:
-    def test_report_times_populated(self):
-        compiler = LiveCompiler(COUNTER_SRC)
-        result = compiler.compile_top("top")
-        report = result.report
-        assert report.elaborate_seconds > 0
-        assert report.codegen_seconds > 0
-        assert report.total_seconds >= report.codegen_seconds
-
-    def test_incremental_flag(self):
-        compiler = LiveCompiler(COUNTER_SRC)
-        assert not compiler.compile_top("top").report.was_incremental
-        assert compiler.compile_top("top").report.was_incremental

@@ -1,5 +1,7 @@
 """Internal table tests (paper Tables II-IV)."""
 
+from collections import namedtuple
+
 import pytest
 
 from repro import compile_design
@@ -15,6 +17,11 @@ from repro.live.tables import (
 )
 from repro.sim import Pipe
 from tests.conftest import COUNTER_SRC
+
+
+# What the Pipeline Table reads of a row (a session's rows are whole
+# pipe timelines).
+Row = namedtuple("Row", "name handle pipe")
 
 
 def make_pipe(name="p"):
@@ -66,42 +73,44 @@ class TestObjectLibraryTable:
 
 
 class TestPipelineTable:
-    def test_add_get_remove(self):
+    def test_add_and_get(self):
         table = PipelineTable()
-        pipe = make_pipe()
-        table.add("p0", "pipe0", pipe)
-        assert table.get("p0") is pipe
-        assert table.handle_of("p0") == "pipe0"
+        row = Row("p0", "pipe0", make_pipe())
+        table.add(row)
+        assert table.get("p0") is row
         assert table.names() == ["p0"]
-        table.remove("p0")
-        assert "p0" not in table
+        assert "p0" in table and len(table) == 1
 
     def test_duplicate_name_rejected(self):
         table = PipelineTable()
-        table.add("p0", "pipe0", make_pipe())
-        with pytest.raises(SimulationError):
-            table.add("p0", "pipe1", make_pipe())
+        first = Row("p0", "pipe0", make_pipe())
+        table.add(first)
+        with pytest.raises(SimulationError, match="already in use"):
+            table.require_free("p0")
+        with pytest.raises(SimulationError, match="already in use"):
+            table.add(Row("p0", "pipe1", make_pipe()))
+        assert table.get("p0") is first
 
     def test_rows_include_pointers(self):
         table = PipelineTable()
         pipe = make_pipe()
-        table.add("p0", "pipe0", pipe)
+        table.add(Row("p0", "pipe0", pipe))
         (name, handle, pointer), = table.rows()
         assert (name, handle) == ("p0", "pipe0")
         assert pointer == hex(id(pipe))
 
     def test_items_iterates(self):
         table = PipelineTable()
-        table.add("a", "pipe0", make_pipe("a"))
-        table.add("b", "pipe1", make_pipe("b"))
-        assert [name for name, _ in table.items()] == ["a", "b"]
+        table.add(Row("a", "pipe0", make_pipe("a")))
+        table.add(Row("b", "pipe1", make_pipe("b")))
+        assert [row.name for row in table] == ["a", "b"]
 
 
 class TestStageTable:
     def test_resolve_hierarchical_path(self):
         pipes = PipelineTable()
         pipe = make_pipe()
-        pipes.add("p0", "pipe0", pipe)
+        pipes.add(Row("p0", "pipe0", pipe))
         stages = StageTable(pipes)
         stages.register("p0", "u0", "stage0")
         inst = stages.resolve("p0", "u0")
@@ -111,21 +120,13 @@ class TestStageTable:
     def test_resolve_top_with_empty_path(self):
         pipes = PipelineTable()
         pipe = make_pipe()
-        pipes.add("p0", "pipe0", pipe)
+        pipes.add(Row("p0", "pipe0", pipe))
         stages = StageTable(pipes)
         assert stages.resolve("p0", "") is pipe.top
 
-    def test_forget_pipe(self):
-        pipes = PipelineTable()
-        pipes.add("p0", "pipe0", make_pipe())
-        stages = StageTable(pipes)
-        stages.register("p0", "u0", "stage0")
-        stages.forget_pipe("p0")
-        assert stages.handle_of("p0", "u0") is None
-
     def test_rows_mark_stale_entries(self):
         pipes = PipelineTable()
-        pipes.add("p0", "pipe0", make_pipe())
+        pipes.add(Row("p0", "pipe0", make_pipe()))
         stages = StageTable(pipes)
         stages.register("p0", "ghost_stage", "stage9")
         rows = stages.rows()

@@ -289,7 +289,7 @@ class TestPassCacheIncrementality:
 
     def test_first_compile_computes_every_key(self):
         session, _ = self._session()
-        report = session._pipe_sessions["p0"].compile_result.report
+        report = session.timeline("p0").compile_result.report
         for name in ("constprop", "deadlogic"):
             assert not report.pass_reused.get(name)
             assert len(report.pass_computed.get(name, [])) == 3
@@ -424,7 +424,7 @@ class TestDataflowCacheMatrix:
         session.run(tb, "p0", 4)
         result = session.set_opt("full")
         assert result["level"] == "full"
-        report = session._pipe_sessions["p0"].compile_result.report
+        report = session.timeline("p0").compile_result.report
         # The toggle recompiles codegen but the netlist is untouched:
         # every dataflow key must come from the cache.
         assert not report.pass_computed.get("dataflow")

@@ -14,6 +14,33 @@ COMMENT = COUNTER_SRC.replace("assign sum = a + b;",
                               "assign sum = a + b; // reviewed")
 
 
+# Two counters, one per module; an edit renames both registers.
+TWO_COUNTERS = """
+module ma (input clk, output [7:0] q);
+  reg [7:0] cnt_a;
+  assign q = cnt_a;
+  always @(posedge clk) cnt_a <= cnt_a + 8'd1;
+endmodule
+
+module mb (input clk, output [7:0] q);
+  reg [7:0] cnt_b;
+  assign q = cnt_b;
+  always @(posedge clk) cnt_b <= cnt_b + 8'd3;
+endmodule
+
+module top (input clk, output [7:0] y);
+  wire [7:0] a;
+  wire [7:0] b;
+  ma ua (.clk(clk), .q(a));
+  mb ub (.clk(clk), .q(b));
+  assign y = a + b;
+endmodule
+"""
+BOTH_RENAMED = TWO_COUNTERS.replace("cnt_a", "cnt_a2").replace(
+    "cnt_b", "cnt_b2"
+)
+
+
 def make_session(interval=10):
     session = LiveSession(COUNTER_SRC, checkpoint_interval=interval)
     session.inst_pipe("p0", session.stage_handle_for("top"))
@@ -147,6 +174,39 @@ endmodule
         assert types == {"Stage", "Testbench"}
 
 
+class TestPipeNames:
+    """A name is one row of the Pipeline Table: a taken one is refused
+    before anything is compiled, copied or overwritten."""
+
+    @pytest.mark.parametrize("verb", ["instPipe", "copyPipe"])
+    def test_taken_name_leaves_the_pipe_as_it_was(self, verb):
+        session, tb = make_session(interval=10)
+        session.inst_pipe("p1", session.stage_handle_for("top"))
+        session.watch("p0", "c0")
+        session.run(tb, "p0", 20)
+        pipe = session.pipe("p0")
+
+        def timeline():
+            return (
+                session.pipe("p0").cycle,
+                session.peek("p0"),
+                session.store("p0").cycles(),
+                session.ops("p0"),
+                session.trace_read("p0", "c0")["samples"],
+            )
+
+        before = timeline()
+        assert before[:3] == (20, {"c0": 20, "c1": 60}, [10, 20])
+        with pytest.raises(SimulationError, match="already in use"):
+            if verb == "instPipe":
+                session.inst_pipe("p0", session.stage_handle_for("top"))
+            else:
+                session.copy_pipe("p0", "p1")
+        assert timeline() == before
+        assert session.pipe("p0") is pipe
+        assert session.pipelines.get("p0").pipe is pipe
+
+
 class TestApplyChange:
     def test_comment_edit_short_circuits(self):
         session, tb = make_session()
@@ -173,10 +233,10 @@ class TestApplyChange:
 
     def test_total_is_the_sum_of_the_six_phases(self):
         # The analyzer's gate runs between compile and swap, on the
-        # reply path: it is part of the ERD (verify is not).
+        # reply path: it is part of the ERD.
         session, tb = make_session(interval=10)
         session.run(tb, "p0", 35)
-        report = session.apply_change(BUGGY, verify=True)
+        report = session.apply_change(BUGGY)
         assert report.analyzed_keys and report.analyze_seconds > 0
         phases = ("parse", "compile", "analyze", "swap", "reload", "replay")
         assert phases == ERD_PHASES
@@ -224,6 +284,31 @@ class TestApplyChange:
         )
         session.apply_change(renamed, transforms={"counter": transform})
         assert session.pipe("p0").find("u0").peek_reg("tally_q") == 12
+
+    def test_explicit_transform_keeps_the_guess_for_other_modules(self):
+        # An explicit entry for ``ma`` must not stop ``mb``'s rename from
+        # being guessed where the swap does not look: the checkpoint the
+        # edit rewinds to and the version history.
+        def edited(transforms):
+            session = LiveSession(
+                TWO_COUNTERS, checkpoint_interval=10, reload_distance=10
+            )
+            session.inst_pipe("p0", session.stage_handle_for("top"))
+            session.run(session.load_testbench(hold_inputs()), "p0", 50)
+            report = session.apply_change(BOTH_RENAMED, transforms=transforms)
+            assert report.checkpoint_cycle == 40
+            return session
+
+        rename_a = RegisterTransform(
+            [TransformOp("rename", "cnt_a", new_name="cnt_a2")]
+        )
+        explicit = edited({"ma": rename_a})
+        guessed = edited(None)
+        assert explicit.peek("p0") == guessed.peek("p0") == {"y": 200}
+        assert explicit.pipe("p0").find("ub").peek_reg("cnt_b2") == 150
+        history = explicit.history.composed_transforms("1.0", "1.1")
+        assert sorted(history) == ["ma", "mb"]
+        assert history["ma"] == rename_a
 
     def test_checkpoints_retargeted_to_new_version(self):
         session, tb = make_session(interval=10)
@@ -409,19 +494,7 @@ endmodule
 
 
 class TestApplyChangeWithVerify:
-    def test_verify_true_repairs_inline(self):
-        session, tb = make_session(interval=10)
-        session.run(tb, "p0", 35)
-        report = session.apply_change(BUGGY, verify=True)
-        # Background refinement ran and the state is exact: 35 cycles
-        # of the patched (+2) adder from reset.
-        assert "p0" in report.consistency
-        assert not report.consistency["p0"].all_consistent  # was stale
-        assert session.pipe("p0").outputs()["c0"] == 70
-        assert session.verify_consistency("p0").all_consistent
-        assert report.verify_seconds > 0
-        # The verify time is accounted separately from the ERD total.
-        assert report.total_seconds < report.total_seconds + report.verify_seconds
+    """An edit never verifies; the verify is the next call."""
 
     def test_verify_on_consistent_history_is_noop(self):
         session, tb = make_session(interval=10)
@@ -429,6 +502,7 @@ class TestApplyChangeWithVerify:
         # Change only the reset value: trajectories identical with
         # rst held low, so verification confirms without repair.
         changed = COUNTER_SRC.replace("count_q <= 0;", "count_q <= 8'd9;")
-        report = session.apply_change(changed, verify=True)
-        assert report.consistency["p0"].all_consistent
+        session.apply_change(changed)
+        report = session.verify_consistency("p0", repair=True)
+        assert report.all_consistent
         assert session.pipe("p0").outputs()["c0"] == 25

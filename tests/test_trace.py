@@ -287,6 +287,48 @@ class TestHotReloadAndRewind:
         assert {"rewind": target.cycle} in events
 
 
+def _swap_u0_adder(session):
+    session.compiler.update_source(DOUBLED)
+    session.swap_stage("p0", "u0.u_add")
+
+
+# Every route by which a compile reaches a live pipe, with the step the
+# watched ``u0.count_q`` takes per cycle on the code it lands.
+LANDING_ROUTES = {
+    "edit": (lambda session: session.apply_change(DOUBLED), 2),
+    "san report": (lambda session: session.set_sanitize("report"), 1),
+    "opt full": (lambda session: session.set_opt("full"), 1),
+    "swapStage": (_swap_u0_adder, 2),
+}
+
+
+class TestEveryLandingRoute:
+    @pytest.mark.parametrize("route", sorted(LANDING_ROUTES))
+    def test_watch_follows_the_landed_code(self, route):
+        land, step = LANDING_ROUTES[route]
+        # reload_distance=0: the edit rewinds to the checkpoint at 20,
+        # so replay below starts from the state live capture saw.
+        session, tb = make_session(reload_distance=0)
+        session.watch("p0", "u0.count_q")
+        probe = session.trace_buffer("p0").watch(session.pipe("p0"),
+                                                 "u0.count_q")
+        getter = probe.getter
+        session.run(tb, "p0", 20)
+        land(session)
+        assert probe.getter is not getter  # re-resolved on the new code
+        session.run(tb, "p0", 10)
+        row = session.timeline("p0")
+        assert all(
+            row.pipe.library[key] is module
+            for key, module in row.compile_result.library.items()
+        )
+        live = session.trace_read("p0", "u0.count_q", 20, 30)["samples"]
+        assert [cycle for cycle, _ in live] == list(range(20, 30))
+        assert {b - a for (_, a), (_, b) in zip(live, live[1:])} == {step}
+        replayed = session.replay_window("p0", 20, 30)
+        assert replayed["signals"]["u0.count_q"] == live
+
+
 class TestReplay:
     def test_replay_bit_identical_to_live_capture(self):
         session, tb = make_session()
