@@ -88,9 +88,10 @@ dead units and skippable children; ``NO_OPT`` applies nothing.  The
 sanitizer's is an :class:`~repro.sanitize.instrument.Instrumenter`
 (built here, one per sanitized module compile, from the
 :class:`~repro.sanitize.elide.ElisionPlan` the sanitize-plan pass
-derived): it writes every hook, at the sites :mod:`exprgen` comes to and
+derived): it writes every hook, at the sites :mod:`exprgen` comes to,
 at the four structural points of ``cycle`` (opening, register commit,
-memory-word commit, module epilogue), and counts them; a clean build
+memory-word commit, module epilogue) and in each function's prologue
+(the poison-bitmap binding), and counts them; a clean build
 has ``None`` in its place.  :func:`site_count` is that same emitter
 run for its count alone.
 """
@@ -584,6 +585,8 @@ class _ModuleCompiler:
                 fn.line(f"_ck = {self._tuple('i_', self._comb_ports)}")
                 with block(fn, f"if s[{key_slot}] == _ck:"):
                     fn.line(f"return s[{key_slot + 1}]")
+            if self.hooks is not None:
+                self.hooks.bind_poison(fn)
             self._bind_memories(reads)
             self._bind_registered_child_outputs(
                 reads | set(self._stash) | set(ir.outputs)
@@ -659,6 +662,8 @@ class _ModuleCompiler:
                     fn.line(
                         f"{self._tuple('v_', self._stash)} = s[{key_slot + 2}]"
                     )
+            if hooks is not None:
+                hooks.bind_poison(fn)
             self._bind_memories(reads)
             # Elsewhere registered child outputs come in the tuple.
             self._bind_registered_child_outputs(reads if fixpoint else set())

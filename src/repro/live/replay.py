@@ -96,16 +96,26 @@ def replay_ops(
     replays identically.  ``on_cycle`` (if given) runs after every
     simulated cycle — the checkpointer hooks in here.
 
+    ``ops`` are in cycle order (``run`` appends them, ``ldch`` trims
+    the tail), so the first op that ends after the pipe's cycle is
+    found by bisection: a replay costs the ops it overlaps, not the
+    length of the session.
+
     Returns the number of cycles executed.
     """
     if to_cycle < pipe.cycle:
         raise SimulationError(
             f"cannot replay backwards: pipe at {pipe.cycle}, target {to_cycle}"
         )
+    first, high = 0, len(ops)
+    while first < high:
+        middle = (first + high) // 2
+        if ops[middle].end_cycle <= pipe.cycle:
+            first = middle + 1
+        else:
+            high = middle
     executed = 0
-    for op in ops:
-        if op.end_cycle <= pipe.cycle:
-            continue
+    for op in ops[first:]:
         if op.start_cycle >= to_cycle:
             break
         testbench = tb_lookup(op.tb_handle)

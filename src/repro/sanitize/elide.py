@@ -11,17 +11,22 @@ facts into an :class:`ElisionPlan` that codegen consumes:
   declared width degrade to the plain mask — no lost bits exist.
 * ``rr`` sites (register reads) are never removed: a hot swap or
   checkpoint restore can poison any register at any time, so no static
-  proof covers them.  Instead every site gains an inline poison-bit
-  fast path — the ``_san.rr`` call is only made when the register's
-  poison bit is actually set, which preserves findings bit-for-bit
-  while taking the hook call off the hot path.
-* ``mr``, ``ob``, ``tr``, and ``nw`` sites that cannot be removed get
-  the same treatment under ``rr_fast``: the emitted code tests the
-  reporting condition inline and only calls the hook when it would
-  actually report (or, for ``nw`` on a statically single-writer
-  register, writes the tick-visible dict entry inline — the
-  cross-block conflict cannot exist).  Hit counters and findings are
-  identical by construction.
+  proof covers them.  Instead every site tests the register poison
+  bitmap its function bound once (``_pz``): a zero bitmap — every
+  cycle until a reload or a restore poisons something — costs one
+  truth test, and the ``_san.rr`` call is only made when the
+  register's own bit is set, which preserves findings bit-for-bit.
+* ``mr``, ``ob`` and ``tr`` sites that cannot be removed get the same
+  treatment under ``rr_fast``: the emitted code tests the reporting
+  condition inline and only calls the hook when it would actually
+  report.  Hit counters and findings are identical by construction.
+* ``nw`` on a statically single-writer register cannot conflict with
+  another block, so the note only feeds the commit's poison clearing:
+  it is a plain dict store, written only while ``_pz`` is nonzero (a
+  bitmap that is zero when the edge starts is zero at its commit; see
+  :mod:`repro.sanitize.instrument`).  A multi-writer register keeps
+  the ``_san.nw`` call, whose conflict check does not depend on
+  poison.
 
 Only the *stable* tier may justify removal: the from-reset (``env``)
 tier feeds the analyzer, but adopted or migrated state is free to

@@ -2,8 +2,9 @@
 
 One :class:`Instrumenter` per module compile.  The code generator
 (:mod:`repro.codegen.pygen`, through :mod:`~repro.codegen.exprgen`)
-calls it at every site that can misbehave at run time and at the four
-structural points of ``cycle``; it answers with the text to emit and
+calls it at every site that can misbehave at run time, at the four
+structural points of ``cycle`` and in each function's prologue (the
+``_pz`` binding below); it answers with the text to emit and
 counts what it wrote.  It is the only code that spells a call into the
 :class:`~repro.sanitize.runtime.SanitizerRuntime` (bound as the global
 ``_san`` when the source is exec'd) or the site table ``_SAN_I``.
@@ -26,6 +27,21 @@ other site tests its reporting condition inline and calls the hook only
 when it would report, so hit counts and findings are what the plain
 calls give.  Sanitized state layout (the poison bitmaps, the ``_nw``
 dict) is :class:`repro.codegen.pygen.StateLayout`'s.
+
+Each function that reads the register poison bitmap binds it once, as
+``_pz`` (:meth:`Instrumenter.bind_poison`), and a zero bitmap skips all
+per-bit poison work.  That is exact because poison bits are only ever
+set between edges, by :meth:`repro.sim.stage.StageInst.load`;
+``reset_state``, ``poke_reg``, ``write_memory`` and the commit only
+clear them, and nothing inside an edge writes this instance's bitmap
+before its own commit.  So a bitmap that is zero at the top of
+``cycle`` is still zero at the commit: no register read in between can
+report, and there is no bit for a write to clear.  Under ``rr_fast`` a
+single-writer write note exists only to feed that clearing, so it is
+written only while ``_pz`` is nonzero; a multi-writer note also feeds
+the conflict check, which does not depend on poison, and is always
+written.  Memory word poison is cleared at the commit only while that
+memory's bitmap is nonzero.
 """
 
 from __future__ import annotations
@@ -61,6 +77,8 @@ class Instrumenter:
         # literal table in the generated source, so store rehydration
         # carries it for free.
         self._infos: List[Tuple[str, str, int]] = []
+        # Whether the function being generated names ``_pz``.
+        self._reads_poison = False
         self.sites = 0
         self.elided = 0
 
@@ -81,18 +99,14 @@ class Instrumenter:
         if sig is None or sig.state_index is None:
             return None
         self.sites += 1
-        call = (
-            f"_san.rr(s[{self._poison_slot}], {sig.state_index}, "
-            f"{ref}, {self._info(name, line)})"
-        )
+        self._reads_poison = True
+        bit = sig.state_index
+        call = f"_san.rr(_pz, {bit}, {ref}, {self._info(name, line)})"
         if self._plan.rr_fast:
             # The hook runs exactly when the bit is set (when it would
             # report or trap).  Never elided: a swap or a restore can
             # poison any register at any time.
-            return (
-                f"{ref} if not s[{self._poison_slot}] >> "
-                f"{sig.state_index} & 1 else {call}"
-            )
+            return f"{call} if _pz and _pz >> {bit} & 1 else {ref}"
         return call
 
     def mem_read(self, name: str, index_code: str, line: int) -> str:
@@ -164,8 +178,11 @@ class Instrumenter:
         self.sites += 1
         if self._plan.rr_fast and len(self._seq_writers.get(name, ())) <= 1:
             # One block can write it, so the cross-block conflict cannot
-            # fire and the commit only reads the dict's keys.
-            emit.line(f"_nw[{sig.state_index}] = ({block_id}, {mask})")
+            # fire and only the commit's poison clearing reads the note:
+            # no poison, no note.
+            emit.line(
+                f"if _pz: _nw[{sig.state_index}] = ({block_id}, {mask})"
+            )
             return
         emit.line(
             f"_san.nw(_nw, {sig.state_index}, "
@@ -184,7 +201,15 @@ class Instrumenter:
             f"{self._info(name, line)})"
         )
 
-    # -- the structural points of cycle (pygen) -------------------------------
+    # -- the structural points of eval_out and cycle (pygen) ------------------
+
+    def bind_poison(self, emit) -> None:
+        """Prologue of a function, once its body is written: bind the
+        register poison bitmap as ``_pz`` if the body reads it (in
+        ``eval_out``, after the memo-hit return)."""
+        if self._reads_poison:
+            emit.line(f"_pz = s[{self._poison_slot}]")
+            self._reads_poison = False
 
     def open_cycle(self, emit) -> None:
         """Top of ``cycle``: this cycle's write notes start empty."""
@@ -194,23 +219,28 @@ class Instrumenter:
 
     def commit_regs(self, emit) -> None:
         """After the register commit: a register written this cycle
-        (a key of the notes) is defined from here on."""
+        (a key of the notes) is defined from here on.  ``_pz`` is still
+        the bitmap: nothing in the edge wrote it."""
         if not self._tracks_writes:
             return
-        emit.line("if _nw:")
+        self._reads_poison = True
+        emit.line("if _pz and _nw:")
         emit.push()
-        emit.line(f"_p = s[{self._poison_slot}]")
         emit.line("for _i in _nw:")
         emit.push()
-        emit.line("_p &= ~(1 << _i)")
+        emit.line("_pz &= ~(1 << _i)")
         emit.pop()
-        emit.line(f"s[{self._poison_slot}] = _p")
+        emit.line(f"s[{self._poison_slot}] = _pz")
         emit.pop()
 
     def commit_mem_word(self, emit, name: str) -> None:
         """Inside the commit loop of memory ``name``: word ``_a`` is
         defined from here on."""
-        emit.line(f"s[{self._mems[name].poison_slot}] &= ~(1 << _a)")
+        slot = self._mems[name].poison_slot
+        emit.line(f"if s[{slot}]:")
+        emit.push()
+        emit.line(f"s[{slot}] &= ~(1 << _a)")
+        emit.pop()
 
     def epilogue(self) -> str:
         """Module-level text after the two functions: the site table

@@ -40,8 +40,11 @@ def resolve_signal(
 
     Raises :class:`SimulationError` when the name does not name a
     register, output port, or memory word of the current design.
-    Getters re-walk the instance tree by path on every call, so they
-    stay valid across hot swaps that replace ``StageInst`` objects.
+    A register or memory-word getter holds the ``StageInst`` and the
+    slot the name resolves to now, and reads ``inst.state`` on every
+    call (a rewind to power-on replaces state lists, not instances).
+    Only a hot swap replaces instances or moves slots, and every swap
+    re-resolves the probes (``TraceBuffer.rebind``).
     """
     memory_word = _MEM_WORD_RE.match(signal)
     if memory_word:
@@ -59,8 +62,9 @@ def resolve_signal(
                 f"(depth {spec.depth})"
             )
 
-        def mem_getter(p: Pipe, _path=path, _mem=memory, _i=index) -> int:
-            return p.find(_path).memory(_mem)[_i]
+        def mem_getter(p: Pipe, _inst=inst, _slot=spec.slot,
+                       _i=index) -> int:
+            return _inst.state[_slot][_i]
 
         return spec.width, mem_getter
 
@@ -87,8 +91,9 @@ def resolve_signal(
         )
     width = inst.code.reg_widths[leaf]
 
-    def reg_getter(p: Pipe, _path=path, _reg=leaf) -> int:
-        return p.find(_path).peek_reg(_reg)
+    def reg_getter(p: Pipe, _inst=inst,
+                   _slot=inst.code.reg_slots[leaf]) -> int:
+        return _inst.state[_slot]
 
     return width, reg_getter
 

@@ -267,7 +267,8 @@ class TestCIWorkflow:
         smoke = " ".join(
             step.get("run", "") for step in doc["jobs"]["server-smoke"]["steps"]
         )
-        assert "--workload sim_mesh4,edit_loop2 --repeat 4 --seconds 12" in smoke
+        assert ("--workload sim_mesh4,sim_allon2,edit_loop2 --repeat 4 "
+                "--seconds 12") in smoke
         assert (
             'run.py check "$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)" '
             "LIVEBENCH_ci.json"

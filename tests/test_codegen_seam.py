@@ -78,6 +78,9 @@ class RecordingHooks:
         self.calls.append(("mem_write_addr", name))
         return addr_code
 
+    def bind_poison(self, emit):
+        self.calls.append(("bind_poison",))
+
     def open_cycle(self, emit):
         self.calls.append(("open_cycle",))
 
@@ -123,14 +126,17 @@ class TestHooksObject:
             ("mem_write_addr", "mem"),
             ("reg_read", "q"),  # .v(q) for the child's cycle
         ]
-        # eval_out owns ``y`` and the child's eval_out; the epilogue
-        # closes the module.
+        # Each function's prologue is written after its body.  eval_out
+        # owns ``y`` and the child's eval_out; the epilogue closes the
+        # module.
         assert calls[commit:] == [
             ("commit_regs",), ("commit_mem_word", "mem"),
+            ("bind_poison",),  # cycle's prologue
             ("reg_read", "sel"), ("reg_read", "q"),
             ("index_bound", "q", 4),
             ("reg_read", "sel"), ("mem_read", "mem"),
             ("reg_read", "q"),  # .v(q) again, for the child's eval_out
+            ("bind_poison",),  # eval_out's prologue
             ("epilogue",),
         ]
 

@@ -17,12 +17,19 @@ build must agree bit-for-bit with the clean build AND report exactly
 the hit counters of the unelided build — on the clean corpus and on a
 seeded-bug corpus where findings genuinely fire.  Elision removing a
 check that would have reported is the bug class these pin down.
+
+A cold start has no poison, so the elided build's poison-free path is
+all the corpora above exercise.  The poisoned-start differential loads
+a snapshot with random registers and memory words poisoned into both
+builds and steps them side by side.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro import compile_design
 from repro.codegen.build import BuildConfig
@@ -37,6 +44,7 @@ from repro.sanitize import (
     SanitizerRuntime,
 )
 from repro.sim import Pipe
+from repro.sim.pipeline import PipeSnapshot
 from tests.test_fuzz_codegen import (
     OUT_WIDTH,
     STIMULI,
@@ -257,3 +265,202 @@ class TestSeededBugsElided:
         session.run(tb, "p0", 1)
         findings = session.sanitize_runtime.findings
         assert any(f.kind == SAN_UNINIT for f in findings)
+
+
+# Poison only appears after a reload or a restore: the elided build then
+# leaves its poison-free path.  The corpus adds, to the random
+# hierarchies, registers written under an enable (their poison can
+# outlive a cycle), a memory, a child whose register is read from its
+# state, and a register two blocks write (plain ``nw`` hooks in both
+# builds).
+POISONABLE = """
+module cell (input clk, input en, input [7:0] d, output [7:0] q);
+  reg [7:0] q;
+  always @(posedge clk) if (en) q <= d;
+endmodule
+
+module top (
+  input clk,
+  input rst,
+  input [7:0] x,
+  input [7:0] late,
+  output [7:0] y
+);
+  reg [7:0] mem [0:3];
+  reg [1:0] idx_q;
+  reg [7:0] held_q;
+  reg [7:0] split_q;
+  wire [7:0] c;
+  cell u (.clk(clk), .en(late[0]), .d(x ^ held_q), .q(c));
+  assign y = mem[idx_q] ^ held_q ^ split_q ^ c;
+  always @(posedge clk) begin
+    idx_q <= x[1:0];
+    if (late[1]) mem[x[3:2]] <= x ^ late;
+    if (late[2]) held_q <= held_q + mem[idx_q];
+  end
+  always @(posedge clk) begin
+    if (rst) split_q[3:0] <= 4'd0;
+    else if (late[3]) split_q[3:0] <= x[3:0];
+  end
+  always @(posedge clk) begin
+    if (late[4]) split_q[7:4] <= late[7:4];
+  end
+endmodule
+"""
+
+# Word ``ra`` is read, word ``wa`` written.
+MEM_RW = """
+module top (
+  input clk,
+  input we,
+  input [1:0] wa,
+  input [1:0] ra,
+  input [7:0] d,
+  output [7:0] q
+);
+  reg [7:0] mem [0:3];
+  assign q = mem[ra];
+  always @(posedge clk) if (we) mem[wa] <= d;
+endmodule
+"""
+
+# Two blocks write every bit of ``q`` when both enables are high.
+TWO_WRITERS = """
+module top (
+  input clk,
+  input en1,
+  input en2,
+  input [3:0] a,
+  input [3:0] b,
+  output [3:0] y
+);
+  reg [3:0] q;
+  assign y = q;
+  always @(posedge clk) begin
+    if (en1) q <= a;
+  end
+  always @(posedge clk) begin
+    if (en2) q <= b;
+  end
+endmodule
+"""
+
+
+def _drive(pipe, inputs):
+    pipe.set_inputs(**{name: value for name, value in inputs.items()
+                       if name in pipe.input_names})
+
+
+def _poisoned(snap, pick_regs, pick_words):
+    """``snap`` with the registers ``pick_regs(names)`` chooses and the
+    memory words ``pick_words(name, depth)`` chooses marked poisoned,
+    over the whole subtree."""
+    return dataclasses.replace(
+        snap,
+        reg_poison=tuple(pick_regs(sorted(snap.regs))),
+        mem_poison={name: pick_words(name, len(words))
+                    for name, words in snap.mems.items()},
+        children=[_poisoned(child, pick_regs, pick_words)
+                  for child in snap.children],
+    )
+
+
+def _restore_poisoned(pipe, regs=(), words=None):
+    """Restore ``pipe``'s own state with ``regs`` and the memory word
+    bitmaps in ``words`` poisoned, as a restore or a reload would."""
+    snap = pipe.snapshot()
+    state = _poisoned(snap.state, lambda names: regs,
+                      lambda name, depth: (words or {}).get(name, 0))
+    pipe.restore(PipeSnapshot(snap.cycle, snap.inputs, state))
+
+
+def _reg_poison(pipe):
+    top = pipe.top
+    return top.state[top.code.layout.reg_poison_slot]
+
+
+class TestPoisonedStart:
+    @given(
+        source=st.one_of(random_design(),
+                         st.sampled_from([POISONABLE, SEEDED_OOB_MEM])),
+        stim=stimulus(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_elided_equals_plain_hooks_every_cycle(self, source, stim, data):
+        elided, _, e_rt = pipeline_pipe(source, "top")
+        plain, _, p_rt = pipeline_pipe(source, "top", san_elide=False)
+        pipes = (elided, plain)
+        # Two cold cycles give the registers values worth poisoning.
+        for inputs in stim[:2]:
+            for pipe in pipes:
+                _drive(pipe, inputs)
+                pipe.step(1)
+        snap = elided.snapshot()
+        state = _poisoned(
+            snap.state,
+            lambda names: data.draw(
+                st.lists(st.sampled_from(names), unique=True)
+                if names else st.just([])
+            ),
+            lambda name, depth: data.draw(st.integers(0, (1 << depth) - 1)),
+        )
+        for pipe in pipes:
+            pipe.restore(PipeSnapshot(snap.cycle, snap.inputs, state))
+        for inputs in stim:
+            for pipe in pipes:
+                _drive(pipe, inputs)
+            assert elided.eval() == plain.eval(), source
+            for pipe in pipes:
+                pipe.tick()
+            assert elided.top.snapshot() == plain.top.snapshot(), source
+            assert e_rt.hits == p_rt.hits, source
+            assert e_rt.findings == p_rt.findings, source
+
+
+@pytest.mark.parametrize("san_elide", [True, False])
+class TestPoisonLifecycle:
+    def test_written_register_reads_clean_the_next_cycle(self, san_elide):
+        from tests.test_sanitize import SRC
+
+        pipe, _, runtime = pipeline_pipe(SRC, "top", san_elide=san_elide)
+        pipe.set_inputs(rst=0)
+        pipe.step(3)
+        _restore_poisoned(pipe, regs=("count_q",))
+        # Cycle N reads count_q twice (the output, the increment) and
+        # writes it.
+        pipe.step(1)
+        assert runtime.hits[SAN_UNINIT] == 2
+        assert _reg_poison(pipe) == 0
+        pipe.step(5)  # N + 1 on: clean
+        assert runtime.hits[SAN_UNINIT] == 2
+        assert pipe.outputs()["count"] == 9
+
+    def test_written_memory_word_is_cleared(self, san_elide):
+        pipe, _, runtime = pipeline_pipe(MEM_RW, "top", san_elide=san_elide)
+        _restore_poisoned(pipe, words={"mem": 0b0110})
+        spec = pipe.top.code.mem_specs["mem"]
+        pipe.set_inputs(we=1, wa=1, ra=0, d=7)
+        pipe.step(1)  # reads clean word 0, writes poisoned word 1
+        assert runtime.hits[SAN_UNINIT] == 0
+        assert pipe.top.state[spec.poison_slot] == 0b0100
+        pipe.set_inputs(we=0, ra=1)
+        assert pipe.eval()["q"] == 7
+        assert runtime.hits[SAN_UNINIT] == 0
+        pipe.set_inputs(ra=2)  # never written: still poisoned
+        pipe.eval()
+        assert runtime.hits[SAN_UNINIT] == 1
+
+    def test_two_writer_conflict_reports_without_poison(self, san_elide):
+        pipe, library, runtime = pipeline_pipe(
+            TWO_WRITERS, "top", san_elide=san_elide
+        )
+        assert library["top"].source.count("_san.nw(") == 2
+        pipe.set_inputs(en1=1, en2=0, a=3, b=9)
+        pipe.step(1)
+        assert runtime.hits[SAN_NB_CONFLICT] == 0
+        pipe.set_inputs(en2=1)
+        pipe.step(1)
+        assert _reg_poison(pipe) == 0
+        assert runtime.hits[SAN_NB_CONFLICT] == 1
+        assert runtime.hits[SAN_UNINIT] == 0

@@ -72,6 +72,31 @@ class TestReplayOps:
         replay_ops(pipe, [SessionOp("tb0", 0, 5)], 5, lambda h: tb)
         assert tb.base == 0
 
+    def test_late_base_touches_only_the_overlapping_ops(self):
+        # A long session: 100 000 one-cycle runs, each under its own
+        # handle.  A replay from a base near the end looks up the
+        # testbenches of the ops it overlaps and no other.
+        total, base = 100_000, 99_990
+        ops = [SessionOp(f"tb{i}", i, i + 1) for i in range(total)]
+        pipe = make_pipe()
+        pipe.cycle = base  # the from-reset state at the base
+        pipe.find("u0").poke_reg("count_q", base & 0xFF)
+        pipe.find("u1").poke_reg("count_q", 3 * base & 0xFF)
+        reference = pipe.copy()
+        hold = hold_inputs(rst=0)
+        hold.run(reference, total - base)
+        looked_up = []
+
+        def lookup(handle):
+            looked_up.append(handle)
+            return hold
+
+        assert replay_ops(pipe, ops, total, lookup) == total - base
+        assert looked_up == [f"tb{i}" for i in range(base, total)]
+        assert pipe.cycle == reference.cycle == total
+        assert pipe.top.snapshot().equal_state(reference.top.snapshot())
+        assert pipe.outputs() == {"c0": total & 0xFF, "c1": 3 * total & 0xFF}
+
     def test_trim_ops(self):
         ops = [SessionOp("a", 0, 10), SessionOp("b", 10, 20),
                SessionOp("c", 20, 30)]

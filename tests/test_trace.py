@@ -329,6 +329,79 @@ class TestEveryLandingRoute:
         assert replayed["signals"]["u0.count_q"] == live
 
 
+# The counter design with a memory in each counter: ``log_m`` word i
+# holds the last count whose two low bits were i.
+LOGGED = COUNTER_SRC.replace(
+    "  reg [W-1:0] count_q;\n",
+    "  reg [W-1:0] count_q;\n  reg [W-1:0] log_m [0:3];\n",
+).replace(
+    "      count_q <= next;\n  end",
+    "      count_q <= next;\n    log_m[count_q[1:0]] <= count_q;\n  end",
+)
+LOGGED_DOUBLED = LOGGED.replace("assign sum = a + b;",
+                                "assign sum = a + b + b;")
+
+
+def _swap_logged_adder(session):
+    session.compiler.update_source(LOGGED_DOUBLED)
+    session.swap_stage("p0", "u0.u_add")
+
+
+def _edit_then_repair(session):
+    session.apply_change(LOGGED_DOUBLED)
+    report = session.verify_consistency("p0", repair=True)
+    assert report.first_divergent is not None  # the repair did run
+
+
+def _edit_from_power_on(session):
+    report = session.apply_change(LOGGED_DOUBLED)
+    assert report.checkpoint_cycle is None  # every state list is new
+
+
+# Every route that moves the instance a probe reads or its state lists,
+# with the session settings it needs.
+STATE_ROUTES = {
+    "edit": (lambda session: session.apply_change(LOGGED_DOUBLED), {}),
+    "edit, no checkpoint": (_edit_from_power_on,
+                            {"checkpoint_interval": 1000}),
+    "san report": (lambda session: session.set_sanitize("report"), {}),
+    "opt full": (lambda session: session.set_opt("full"), {}),
+    "swapStage": (_swap_logged_adder, {}),
+    "ldch": (lambda session: session.ldch(
+        "p0", session.store("p0").nearest_before(10)), {}),
+    "verify repair": (_edit_then_repair, {}),
+}
+
+
+class TestEveryRouteThatMovesState:
+    @pytest.mark.parametrize("route", sorted(STATE_ROUTES))
+    def test_probes_read_the_state_peek_reads(self, route):
+        move, settings = STATE_ROUTES[route]
+        session, tb = make_session(LOGGED, reload_distance=0, **settings)
+        signals = ("u0.count_q", "u0.log_m[2]")
+        for signal in signals:
+            session.watch("p0", signal)
+        session.run(tb, "p0", 20)
+        move(session)
+        pipe = session.pipe("p0")
+        start = pipe.cycle
+        peeked = {signal: [] for signal in signals}
+        for _ in range(10):
+            counter = pipe.find("u0")
+            peeked["u0.count_q"].append(
+                [pipe.cycle, counter.peek_reg("count_q")])
+            peeked["u0.log_m[2]"].append(
+                [pipe.cycle, counter.memory("log_m")[2]])
+            session.run(tb, "p0", 1)
+        replayed = session.replay_window("p0", start, start + 10)
+        for signal in signals:
+            live = session.trace_read("p0", signal, start,
+                                      start + 10)["samples"]
+            assert live == peeked[signal], signal
+            assert replayed["signals"][signal] == live, signal
+        assert len({value for _, value in peeked["u0.count_q"]}) == 10
+
+
 class TestReplay:
     def test_replay_bit_identical_to_live_capture(self):
         session, tb = make_session()
