@@ -43,7 +43,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..hdl import ast_nodes as ast
-from ..hdl.consteval import expr_reads, stmt_reads_writes
+from ..hdl.consteval import expr_reads
 from ..ir.netlist import ModuleIR, Netlist
 from .diagnostics import (
     SEVERITY_ERROR,
@@ -287,8 +287,7 @@ class UnusedSignalCheck(Check):
         for inst in ir.instances:
             used |= set(inst.reads)
         for seq in ir.seq_blocks:
-            reads, writes = stmt_reads_writes(seq.body)
-            used |= reads | writes
+            used |= set(seq.reads) | set(seq.writes)
         used |= set(ir.outputs)
 
         out: List[Diagnostic] = []
@@ -481,10 +480,9 @@ class MultiDriverCheck(Check):
     def run(self, ir: ModuleIR, ctx: CheckContext) -> List[Diagnostic]:
         sig_writers: Dict[str, List[int]] = {}
         mem_writers: Dict[str, List[int]] = {}
-        blocks: Sequence[Tuple[int, Set[str]]] = [
-            (block.line, stmt_reads_writes(block.body)[1])
-            for block in list(ir.seq_blocks) + list(ir.comb_blocks)
-        ]
+        blocks: Sequence[Tuple[int, Sequence[str]]] = [
+            (block.line, block.writes) for block in ir.seq_blocks
+        ] + [(block.line, block.defines) for block in ir.comb_blocks]
         for line, writes in blocks:
             for name in writes:
                 if name in ir.memories:
@@ -619,8 +617,7 @@ class RaceCheck(Check):
         writes_per_block: List[Tuple[int, str, Set[str]]] = []
         partial_per_block: List[Tuple[int, str, Dict[str, int]]] = []
         for idx, seq in enumerate(ir.seq_blocks):
-            _, writes = stmt_reads_writes(seq.body)
-            reg_writes = {w for w in writes if w in ir.signals}
+            reg_writes = {w for w in seq.writes if w in ir.signals}
             partial: Dict[str, int] = {}
             _collect_partial_writes(seq.body, ir, partial)
             writes_per_block.append((idx, seq.clock, reg_writes))

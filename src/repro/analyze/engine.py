@@ -3,7 +3,9 @@
 Findings live in the same :class:`~repro.codegen.build.DerivedCache` as
 the compiler's results (a session hands its compiler's cache in), per
 specialization under the module identity — *behavioural fingerprint*
-and value-facts digest — plus a combinational summary of each child.
+and the key of the run that computed its value facts
+(``ModuleValueFacts.run_key``) — plus a combinational summary of each
+child.
 A body-only edit therefore re-analyzes exactly one module on the next
 hot reload; an untouched design re-analyzes nothing and an
 :class:`AnalysisReport` says so explicitly (``analyzed_keys`` /
@@ -19,8 +21,8 @@ than the child's body.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..codegen.build import DerivedCache
@@ -70,15 +72,20 @@ class Analyzer:
     def analyze_netlist(
         self,
         netlist: Netlist,
-        fingerprint_of: Optional[Callable[[str], str]] = None,
+        parser=None,
         value_facts=None,
     ) -> AnalysisReport:
         """Analyze every specialization in ``netlist``.
 
-        ``fingerprint_of`` maps a *module name* to its behavioural
-        fingerprint (normally ``LiveParser.fingerprint``); without one,
-        results are computed fresh and not cached — the right behaviour
-        for one-shot CLI runs over a file.
+        ``parser`` (normally the session's ``LiveParser``) knows the
+        text the netlist was elaborated from: ``fingerprint(name)``, a
+        module's behavioural fingerprint, and ``header_line(name)``,
+        where its header is now.  Findings are cached per fingerprint,
+        in the coordinates of the IR they came from, and moved by as
+        many lines as the module's header moved since (an edit above a
+        module re-analyzes nothing, not even to renumber).  Without a
+        parser, results are computed fresh, not cached and not moved —
+        the right behaviour for one-shot CLI runs over a file.
 
         ``value_facts`` (key -> ``ModuleValueFacts``) feeds the
         proof-backed checks; when omitted, the analyzer computes them
@@ -89,9 +96,9 @@ class Analyzer:
         report = AnalysisReport(top=netlist.top)
         # Without fingerprints nothing identifies a module across
         # calls, so this call's results go to a cache of its own.
-        cache = self.cache if fingerprint_of is not None else DerivedCache()
+        cache = self.cache if parser is not None else DerivedCache()
         fps = {
-            ir.name: fingerprint_of(ir.name) if fingerprint_of else ""
+            ir.name: parser.fingerprint(ir.name) if parser else ""
             for ir in netlist.modules.values()
         }
         with obs.span("analyze", top=netlist.top):
@@ -106,16 +113,19 @@ class Analyzer:
             for key in sorted(netlist.modules):
                 ir = netlist.modules[key]
                 mod_facts = ctx.facts_for(key)
-                diags = cache.lookup(
+                born, diags = cache.lookup(
                     "analyze", key,
                     (key, fps[ir.name],
-                     mod_facts.digest if mod_facts is not None else "",
+                     mod_facts.run_key if mod_facts is not None else (),
                      tuple(netlist.modules[i.child_key].comb_signature
                            for i in ir.instances)),
-                    lambda: self._run_checks(ir, ctx),
+                    lambda: (ir.line, self._run_checks(ir, ctx)),
                     report=report,
                 )
-                report.diagnostics.extend(diags)
+                header = parser.header_line(ir.name) if parser else None
+                report.diagnostics.extend(
+                    _moved(diags, header - born) if header is not None
+                    else diags)
         report.diagnostics = sort_diagnostics(report.diagnostics)
         report.seconds = time.perf_counter() - started
         obs.incr("analyze.runs")
@@ -132,3 +142,10 @@ class Analyzer:
                 diags.extend(check.run(ir, ctx))
         obs.incr("analyze.modules_analyzed")
         return tuple(diags)
+
+
+def _moved(diags: Tuple[Diagnostic, ...], lines: int):
+    """``diags`` with every line ``lines`` further down the file."""
+    if not lines:
+        return diags
+    return [replace(d, line=d.line + lines) if d.line else d for d in diags]

@@ -16,7 +16,7 @@ import json
 import linecache
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .. import obs
 
@@ -26,7 +26,7 @@ MUX_STYLES = ("branch", "select")
 # Folded into every digest, so bumping it (whenever the pickled payload
 # or the CompiledModule field set changes) turns an old store directory
 # into a cold cache: its artifacts are never addressed again.
-STORE_FORMAT = "repro.store/v8"
+STORE_FORMAT = "repro.store/v9"
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,12 @@ class DerivedCache:
                build: Optional[BuildConfig] = None) -> Optional[Hashable]:
         """The most recently used key of a bucket (None when empty)."""
         return next(reversed(self._buckets.get((kind, spec, build), {})), None)
+
+    def recent(self, kind: str, spec: str,
+               build: Optional[BuildConfig] = None) -> List[Any]:
+        """The values of a bucket, most recently used first."""
+        return list(reversed(
+            self._buckets.get((kind, spec, build), {}).values()))
 
     def entries(self, kind: str) -> Dict[Hashable, Any]:
         """key -> value over every bucket of ``kind``."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..hdl import ast_nodes as ast
-from ..hdl.consteval import expr_reads, stmt_reads_writes
+from ..hdl.consteval import expr_reads
 from ..hdl.errors import CodegenError, CompileBudgetExceeded
 from ..ir.netlist import ModuleIR, Netlist
 from .build import BuildConfig
@@ -235,8 +235,7 @@ class _FlatCompiler:
             )
 
         for seq in ir.seq_blocks:
-            _, writes = stmt_reads_writes(seq.body)
-            for name in writes:
+            for name in seq.writes:
                 if name in ir.memories:
                     self._written_mems.add(scope.global_id(name))
 

@@ -106,7 +106,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
 from ..hdl import ast_nodes as ast
-from ..hdl.consteval import stmt_reads_writes
 from ..hdl.errors import CodegenError
 from ..ir.netlist import ModuleIR, Netlist
 from ..sanitize.elide import EMPTY_PLAN, ElisionPlan
@@ -267,7 +266,7 @@ class _ModuleCompiler:
         # single-writer fast path).
         self._seq_writers: Dict[str, Set[int]] = {}
         for bid, blk in enumerate(ir.seq_blocks):
-            for name in stmt_reads_writes(blk.body)[1]:
+            for name in blk.writes:
                 self._seq_writers.setdefault(name, set()).add(bid)
         # The sanitizer flavour: every hook this compile writes.
         self.hooks = Instrumenter(

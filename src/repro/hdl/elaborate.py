@@ -14,7 +14,12 @@ child comb signature) per instance))``: all that lowering reads of the
 module's text and of its children.  A body-only edit rebuilds one
 ``ModuleIR``; the rest are the same objects as before, so a
 ``ModuleIR`` is immutable once elaboration returns and its ``line``
-fields are those of the parse that produced it.
+fields are those of the parse that produced it (``ModuleIR.line`` is
+where that parse found the ``module`` header).
+
+Every schedule item (continuous assign, comb block, sequential block)
+carries a ``shape``: :func:`item_shape`, the key under which its value
+facts outlive the ``ModuleIR`` (:mod:`repro.passes.dataflow`).
 """
 
 from __future__ import annotations
@@ -142,7 +147,8 @@ class Elaborator:
         self, module: ast.Module, env: Dict[str, int], key: str,
         children: List[ModuleIR],
     ) -> ModuleIR:
-        ir = ModuleIR(name=module.name, key=key, params=dict(env))
+        ir = ModuleIR(name=module.name, key=key, params=dict(env),
+                      line=module.line)
         self._declare_signals(module, env, ir)
         self._lower_instances(module, env, ir, children)
         self._lower_assigns(module, env, ir)
@@ -324,6 +330,8 @@ class Elaborator:
                     line=assign.line,
                     reads=tuple(sorted(expr_reads(value))),
                     defines=target.name,
+                    shape=item_shape("assign", assign.line, ir,
+                                     target, value),
                 )
             )
 
@@ -332,6 +340,7 @@ class Elaborator:
     ) -> None:
         for block in module.always_blocks:
             body = fold_stmts(block.body, env)
+            reads, writes = stmt_reads_writes(body)
             if block.kind == "seq":
                 clock = block.clock or ""
                 clock_sig = ir.signals.get(clock)
@@ -339,10 +348,12 @@ class Elaborator:
                     raise ElaborationError(
                         f"clock {clock!r} must be an input port", block.line
                     )
-                ir.seq_blocks.append(SeqBlockIR(clock=clock, body=body,
-                                                line=block.line))
+                ir.seq_blocks.append(SeqBlockIR(
+                    clock=clock, body=body, line=block.line,
+                    reads=tuple(sorted(reads)), writes=tuple(sorted(writes)),
+                    shape=item_shape("seq", block.line, ir, body),
+                ))
             else:
-                reads, writes = stmt_reads_writes(body)
                 # Targets written by the block are not "reads" even if
                 # they also appear on a right-hand side (the generated
                 # code initializes them to zero first — no latches).
@@ -352,6 +363,7 @@ class Elaborator:
                         line=block.line,
                         reads=tuple(sorted(reads - writes)),
                         defines=tuple(sorted(writes)),
+                        shape=item_shape("comb", block.line, ir, body),
                     )
                 )
         ir.clock_names = tuple(sorted({b.clock for b in ir.seq_blocks}))
@@ -360,8 +372,7 @@ class Elaborator:
         seq_writes: Set[str] = set()
         mem_writes: Set[str] = set()
         for block in ir.seq_blocks:
-            _, writes = stmt_reads_writes(block.body)
-            for name in writes:
+            for name in block.writes:
                 if name in ir.memories:
                     mem_writes.add(name)
                 elif name in ir.signals:
@@ -426,8 +437,7 @@ class Elaborator:
         for inst in ir.instances:
             note_reads(inst.reads, inst.line)
         for block in ir.seq_blocks:
-            reads, _ = stmt_reads_writes(block.body)
-            note_reads(reads, block.line)
+            note_reads(block.reads, block.line)
         note_reads(ir.outputs, module.line)
         for name, read_line in read_anywhere.items():
             sig = ir.signals.get(name)
@@ -446,6 +456,147 @@ class Elaborator:
                     "but never driven",
                     sig.line,
                 )
+
+
+def item_shape(kind: str, line: int, ir: ModuleIR, *roots) -> str:
+    """What a schedule item is, wherever it sits in the file.
+
+    A prefix rendering of the item's folded tree (``roots``: the target
+    and value of an assign, the body of a block) that spells every
+    node's line relative to the item's first ``line``, then the width of
+    every name the tree mentions, the depth too for a memory, ``?`` for
+    an undeclared one.  Two items of equal shape evaluate alike over
+    equal facts of the names they read, and their site lines differ by
+    the distance between their first lines; nothing here changes when
+    the item only moves.
+    """
+    shape = _Shape(line)
+    out = shape.out
+    out.append(kind)
+    for root in roots:
+        if type(root) is list:
+            shape.stmts(root)
+        elif type(root) is ast.LValue:
+            shape.lvalue(root)
+        else:
+            shape.expr(root)
+    out.append("|")
+    for name in sorted(shape.names):
+        sig = ir.signals.get(name)
+        mem = ir.memories.get(name) if sig is None else None
+        out.append(f"{name}:{sig.width}" if sig is not None
+                   else f"{name}:{mem.width}x{mem.depth}" if mem is not None
+                   else f"{name}:?")
+    return " ".join(out)
+
+
+class _Shape:
+    """One :func:`item_shape` rendering in progress: the tokens so far,
+    the names met, and the line the rendering stands on."""
+
+    __slots__ = ("out", "names", "base", "at")
+
+    def __init__(self, line: int):
+        self.out: List[str] = []
+        self.names: Set[str] = set()
+        self.base = self.at = line
+
+    def _mark(self, line: int) -> None:
+        self.at = line
+        self.out.append(f"@{line - self.base}")
+
+    def expr(self, node) -> None:
+        if node.line != self.at:
+            self._mark(node.line)
+        out = self.out
+        kind = type(node)
+        if kind is ast.Id:
+            self.names.add(node.name)
+            out.append(node.name)
+        elif kind is ast.Num:
+            out.append(f"#{node.value}/{node.width}")
+        elif kind is ast.Binary:
+            out.append("b" + node.op)
+            self.expr(node.left)
+            self.expr(node.right)
+        elif kind is ast.Unary:
+            out.append("u" + node.op)
+            self.expr(node.operand)
+        elif kind is ast.Index:
+            self.names.add(node.base)
+            out.append("[")
+            out.append(node.base)
+            self.expr(node.index)
+        elif kind is ast.Slice:
+            self.names.add(node.base)
+            out.append("[:")
+            out.append(node.base)
+            self.expr(node.msb)
+            self.expr(node.lsb)
+        elif kind is ast.Ternary:
+            out.append("?")
+            self.expr(node.cond)
+            self.expr(node.if_true)
+            self.expr(node.if_false)
+        elif kind is ast.Concat:
+            out.append(f"{{{len(node.parts)}")
+            for part in node.parts:
+                self.expr(part)
+        elif kind is ast.Repl:
+            out.append("{{")
+            self.expr(node.count)
+            self.expr(node.value)
+        elif kind is ast.IndexedPart:
+            self.names.add(node.base)
+            out.append("[+" if node.ascending else "[-")
+            out.append(node.base)
+            self.expr(node.start)
+            self.expr(node.width)
+        elif kind is ast.SysCall:
+            out.append(f"{node.func}/{len(node.args)}")
+            for arg in node.args:
+                self.expr(arg)
+        else:  # no evaluation reads a node of another kind
+            out.append(repr(node))
+
+    def lvalue(self, target: ast.LValue) -> None:
+        if target.line != self.at:
+            self._mark(target.line)
+        self.names.add(target.name)
+        self.out.append("lv")
+        self.out.append(target.name)
+        for part in (target.index, target.msb, target.lsb):
+            if part is None:
+                self.out.append("-")
+            else:
+                self.expr(part)
+
+    def stmts(self, body: List[ast.Stmt]) -> None:
+        out = self.out
+        out.append(f"s{len(body)}")
+        for stmt in body:
+            if stmt.line != self.at:
+                self._mark(stmt.line)
+            kind = type(stmt)
+            if kind is ast.NonBlocking or kind is ast.Blocking:
+                out.append("<=" if kind is ast.NonBlocking else "=")
+                self.lvalue(stmt.target)
+                self.expr(stmt.value)
+            elif kind is ast.If:
+                out.append("if")
+                self.expr(stmt.cond)
+                self.stmts(stmt.then_body)
+                self.stmts(stmt.else_body)
+            elif kind is ast.Case:
+                out.append(f"case{len(stmt.arms)}")
+                self.expr(stmt.subject)
+                for labels, arm in stmt.arms:
+                    out.append(f"l{len(labels)}")
+                    for label in labels:
+                        self.expr(label)
+                    self.stmts(arm)
+            else:
+                out.append(repr(stmt))
 
 
 def elaborate(

@@ -68,6 +68,7 @@ class CombAssignIR:
     # Names read / defined, filled by the scheduler.
     reads: Tuple[str, ...] = ()
     defines: str = ""
+    shape: str = ""  # see ``repro.hdl.elaborate.item_shape``
 
 
 @dataclass
@@ -78,6 +79,7 @@ class CombBlockIR:
     line: int = 0
     reads: Tuple[str, ...] = ()
     defines: Tuple[str, ...] = ()
+    shape: str = ""
 
 
 @dataclass
@@ -87,6 +89,10 @@ class SeqBlockIR:
     clock: str
     body: List[ast.Stmt]
     line: int = 0
+    # The names the body reads and the names it writes.
+    reads: Tuple[str, ...] = ()
+    writes: Tuple[str, ...] = ()
+    shape: str = ""
 
 
 @dataclass
@@ -126,6 +132,9 @@ class ModuleIR:
     name: str
     key: str
     params: Dict[str, int] = field(default_factory=dict)
+    # The file line of the ``module`` header in the parse this IR was
+    # built from: every line below it is in those coordinates.
+    line: int = 0
     signals: Dict[str, SignalIR] = field(default_factory=dict)
     memories: Dict[str, MemoryIR] = field(default_factory=dict)
     inputs: List[str] = field(default_factory=list)  # declared order

@@ -22,11 +22,22 @@ description of how far a change propagates.
 
 The front end is incremental the same way.  A changed module region is
 parsed from the tokens LiveParser already lexed to fingerprint it (one
-scan per changed region, in file coordinates), all changed regions are
-parsed before any is installed (a rejected edit leaves the design as it
-was), and elaboration reuses one ``ModuleIR`` per specialization from
-the same cache under ``(spec key, module fingerprint, child key + comb
-signature per instance)``.
+scan per changed region, in file coordinates; none for a region text
+seen recently at the same line), all changed regions are parsed before
+any is installed (a rejected edit leaves the design as it was), and
+elaboration reuses one ``ModuleIR`` per specialization from the same
+cache under ``(spec key, module fingerprint, child key + comb signature
+per instance)``.  The initial design is parsed from the regions' tokens
+too, unless it needs the preprocessor.
+
+No cache key holds a position, so a module an edit only moved keeps its
+AST, IR, facts, findings and compiled code, all in the coordinates of
+the parse that made them.  Findings are placed in the file when they
+are reported: the analyzer moves a static one by where its module's
+header is now against where it was (``ModuleIR.line``), and
+:meth:`LiveCompiler.update_source` / :meth:`LiveCompiler.compile_top`
+move the site table of every sanitized module the cache holds the same
+way (:func:`repro.sanitize.place_sites`).
 """
 
 from __future__ import annotations
@@ -38,12 +49,16 @@ from typing import Dict, List, Optional
 from .. import obs
 from ..codegen.build import BuildConfig, DerivedCache
 from ..codegen.pygen import CompiledModule
+from ..hdl import ast_nodes as ast
 from ..hdl.elaborate import elaborate
 from ..hdl.errors import HDLError
+from ..hdl.lexer import tokenize
 from ..hdl.parser import parse
-from ..hdl.source_regions import MODULE_REGION
+from ..hdl.source_regions import MODULE_REGION, TOPLEVEL_REGION
 from ..ir.netlist import Netlist
 from ..passes import PassData, build_compile_pipeline
+from ..passes.dataflow import ITEMS
+from ..sanitize import place_sites
 from .parser_live import LiveParseResult, LiveParser
 
 
@@ -94,15 +109,40 @@ class LiveCompiler:
         :class:`repro.server.store.ArtifactStore`).  The in-memory
         cache reads through it and writes behind it, so artifacts
         survive restarts and are shared across sessions."""
-        self.parser = LiveParser(source)
-        self._design = parse(source)
-        self.build = build
         # What makes hot reload incremental; the session's analyzer
         # shares it, so facts the pipeline computed are not recomputed.
         self.cache = DerivedCache()
+        self.parser = LiveParser(source, self.cache)
+        self._design = self._parse_initial(source)
+        self.build = build
         self._store = store
         self._sanitize_runtime = sanitize_runtime
         self._pipeline = build_compile_pipeline()
+
+    def _parse_initial(self, source: str) -> ast.Design:
+        """``parse(source)``, from the tokens LiveParser lexed when the
+        module regions alone make up the design: no directive, no macro
+        (the incremental rule of :meth:`update_source`), nothing but
+        comments between modules and no module defined twice.  Every
+        region's parse stays in the cache, so a revert to this text
+        parses nothing."""
+        design = ast.Design()
+        try:
+            for region in self.parser.regions:
+                if region.kind == MODULE_REGION and "`" not in region.text:
+                    modules = self.parser.region_parse(
+                        region.name).design().modules
+                    if design.modules.keys() & modules.keys():
+                        break
+                    design.modules.update(modules)
+                elif region.kind != TOPLEVEL_REGION or len(
+                        tokenize(region.text)) > 1:
+                    break
+            else:
+                return design
+        except HDLError:
+            pass  # the whole-file parse below raises it in its own terms
+        return parse(source)
 
     @property
     def pipeline(self):
@@ -145,7 +185,7 @@ class LiveCompiler:
         result = self.parser.analyze(new_source)
         if not result.behavioral:
             # Comments/whitespace only: commit the text, keep everything.
-            self.parser.commit(result)
+            self._commit(result)
             result.parse_seconds = time.perf_counter() - started
             return result
 
@@ -165,9 +205,7 @@ class LiveCompiler:
             # syntax error in one leaves the design untouched.
             parsed = {}
             for name in sorted(result.changed_modules | result.added_modules):
-                sub_design = parse(
-                    regions[name].text, tokens=result.tokens[name]
-                )
+                sub_design = result.parses[name].design()
                 if name not in sub_design.modules:
                     raise HDLError(
                         f"edited region no longer defines module {name!r}"
@@ -177,9 +215,24 @@ class LiveCompiler:
         else:
             # Removed modules go with the old design.
             self._design = parse(new_source)
-        self.parser.commit(result)
+        self._commit(result)
         result.parse_seconds = time.perf_counter() - started
         return result
+
+    def _commit(self, result: LiveParseResult) -> None:
+        """Adopt the analyzed text; every compiled module the cache holds
+        moves its sites to where its module is in it now."""
+        self.parser.commit(result)
+        # Sanitized code runs only while the build is sanitized: turning
+        # the flavour back on lands its modules through compile_top.
+        if self.build.sanitize:
+            self._place_sites(self.cache.entries("compile").values())
+
+    def _place_sites(self, modules) -> None:
+        for module in modules:
+            header = self.parser.header_line(module.name)
+            if module.build.sanitize and header is not None:
+                place_sites(module, header)
 
     # -- compilation ---------------------------------------------------------------
 
@@ -210,9 +263,10 @@ class LiveCompiler:
         with obs.span("codegen", top=top, opt=self.build.opt):
             self._pipeline.run(data)
         library: Dict[str, CompiledModule] = data.library
+        self._place_sites(library.values())
         obs.gauge("compile.cache_size", self.cache_size())
         obs.gauge("facts.cache_size", sum(
             len(self.cache.entries(kind))
-            for kind in ("passes.dataflow", "passes.dataflow.summary")
+            for kind in ("passes.dataflow", "passes.dataflow.summary", ITEMS)
         ))
         return CompileResult(netlist=netlist, library=library, report=report)

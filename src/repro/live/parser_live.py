@@ -15,11 +15,16 @@ The decision procedure:
    starts below the earliest affected directive line ("much more will
    have to be recompiled").
 
-A region whose text changed is lexed once, at its line in the file; the
-fingerprint is taken from that token list and the list travels in the
-:class:`LiveParseResult`, so LiveCompiler parses the region from the
-same tokens instead of scanning it again.  Regions whose text did not
-change are not lexed at all.
+A region whose text changed is lexed once, at its line in the file
+(:class:`RegionParse`): the fingerprint is taken from that token list
+and LiveCompiler parses the region from the same tokens instead of
+scanning it again.  Regions whose text did not change are not lexed at
+all, and neither is a region whose text and start line were seen
+recently: the last :data:`~repro.codegen.build.CACHE_GENERATIONS`
+``RegionParse`` of every module live in the session's derived cache
+(kind ``parse``), so a revert lexes and parses nothing.  Sharing a
+parsed module between versions is safe because nothing mutates an AST
+after the parse (pinned by ``tests/test_live_compiler.py``).
 """
 
 from __future__ import annotations
@@ -28,14 +33,35 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
+from ..codegen.build import DerivedCache
+from ..hdl import ast_nodes as ast
 from ..hdl.lexer import behavioral_fingerprint, token_fingerprint, tokenize
+from ..hdl.parser import parse
 from ..hdl.source_regions import (
     DIRECTIVE_REGION,
     MODULE_REGION,
     SourceRegion,
     split_regions,
 )
-from ..hdl.tokens import Token
+
+
+class RegionParse:
+    """One module region's text at one start line: lexed once, in file
+    coordinates, for its fingerprint; parsed at most once, from the
+    same tokens, which go once they have."""
+
+    def __init__(self, region: SourceRegion):
+        self._text = region.text
+        self._tokens = tokenize(region.text, region.start_line)
+        self.fingerprint = token_fingerprint(self._tokens)
+        self._design: Optional[ast.Design] = None
+
+    def design(self) -> ast.Design:
+        """What the region parses to (raises the parse's HDLError)."""
+        if self._design is None:
+            self._design = parse(self._text, tokens=self._tokens)
+            self._tokens = None
+        return self._design
 
 
 @dataclass
@@ -55,10 +81,8 @@ class LiveParseResult:
     # splitting and lexing again.
     source: str = ""
     regions: List[SourceRegion] = field(default_factory=list)
-    fingerprints: Dict[str, str] = field(default_factory=dict)
-    # module name -> the tokens of its region, in file coordinates, for
-    # every module region whose text changed (the only ones lexed).
-    tokens: Dict[str, List[Token]] = field(default_factory=dict)
+    # module name -> its region's RegionParse, for every module region.
+    parses: Dict[str, RegionParse] = field(default_factory=dict)
 
     @property
     def modules_to_recompile(self) -> Set[str]:
@@ -68,19 +92,31 @@ class LiveParseResult:
 class LiveParser:
     """Stateful incremental parser over one evolving source text."""
 
-    def __init__(self, source: str):
+    def __init__(self, source: str, cache: Optional[DerivedCache] = None):
+        """``cache`` holds the recent :class:`RegionParse` of every module
+        (normally the session's :class:`DerivedCache`; private when
+        omitted)."""
+        self._cache = cache if cache is not None else DerivedCache()
+        regions = split_regions(source)
+        self._commit(source, regions, {
+            region.name: self._region_parse(region)
+            for region in regions if region.kind == MODULE_REGION
+        })
+
+    def _commit(self, source: str, regions: List[SourceRegion],
+                parses: Dict[str, RegionParse]) -> None:
         self._source = source
-        self._regions = split_regions(source)
-        self._fingerprints = {
-            region.name: token_fingerprint(
-                tokenize(region.text, region.start_line)
-            )
-            for region in self._regions
-            if region.kind == MODULE_REGION
+        self._regions = regions
+        self._parses = parses
+        self._module_regions = {
+            r.name: r for r in regions if r.kind == MODULE_REGION
         }
-        self._region_texts = {
-            r.name: r.text for r in self._regions if r.kind == MODULE_REGION
-        }
+
+    def _region_parse(self, region: SourceRegion) -> RegionParse:
+        return self._cache.lookup(
+            "parse", region.name, (region.text, region.start_line),
+            lambda: RegionParse(region),
+        )
 
     @property
     def source(self) -> str:
@@ -97,7 +133,17 @@ class LiveParser:
         ]
 
     def module_names(self) -> Set[str]:
-        return set(self._fingerprints)
+        return set(self._parses)
+
+    def region_parse(self, module_name: str) -> RegionParse:
+        """The committed text's :class:`RegionParse` of one module."""
+        return self._parses[module_name]
+
+    def header_line(self, module_name: str) -> Optional[int]:
+        """Where module ``module_name``'s header is in the committed
+        text (None for a module without a region)."""
+        region = self._module_regions.get(module_name)
+        return region.start_line if region is not None else None
 
     def fingerprint(self, module_name: str) -> str:
         """The committed behavioural fingerprint of one module.
@@ -111,17 +157,17 @@ class LiveParser:
         """
         import hashlib
 
-        fp = self._fingerprints.get(module_name)
-        if fp is None:
+        entry = self._parses.get(module_name)
+        if entry is None:
             # Module was merged into the design without a region (e.g.
             # generated programmatically): hash on demand.
             return behavioral_fingerprint(module_name)
-        region = self.region_of_module(module_name)
+        fp = entry.fingerprint
+        region = self._module_regions[module_name]
         context = [
             r.name
             for r in self._regions
-            if r.kind == DIRECTIVE_REGION
-            and (region is None or r.start_line < region.start_line)
+            if r.kind == DIRECTIVE_REGION and r.start_line < region.start_line
         ]
         if not context:
             return fp
@@ -130,12 +176,6 @@ class LiveParser:
             digest.update(b"\x00")
             digest.update(directive.encode())
         return digest.hexdigest()
-
-    def region_of_module(self, name: str) -> Optional[SourceRegion]:
-        for region in self._regions:
-            if region.kind == MODULE_REGION and region.name == name:
-                return region
-        return None
 
     def analyze(self, new_source: str) -> LiveParseResult:
         """Compare ``new_source`` against the current text.
@@ -146,26 +186,27 @@ class LiveParser:
         """
         started = time.perf_counter()
         new_regions = split_regions(new_source)
-        # Fast path: textually identical regions keep their fingerprint
-        # (lexing is only paid for regions that actually changed).
-        new_fps: Dict[str, str] = {}
-        tokens: Dict[str, List[Token]] = {}
+        # Fast path: textually identical regions keep their RegionParse
+        # (lexing is only paid for regions that actually changed, and
+        # not even then for a text seen recently at the same line).
+        parses: Dict[str, RegionParse] = {}
         for region in new_regions:
             if region.kind != MODULE_REGION:
                 continue
-            if self._region_texts.get(region.name) == region.text:
-                new_fps[region.name] = self._fingerprints[region.name]
-            else:
-                tokens[region.name] = tokenize(region.text, region.start_line)
-                new_fps[region.name] = token_fingerprint(tokens[region.name])
-        old_fps = self._fingerprints
+            old = self._module_regions.get(region.name)
+            parses[region.name] = (
+                self._parses[region.name]
+                if old is not None and old.text == region.text
+                else self._region_parse(region)
+            )
+        old_fps = {name: p.fingerprint for name, p in self._parses.items()}
+        new_fps = {name: p.fingerprint for name, p in parses.items()}
 
         result = LiveParseResult(
             behavioral=False,
             source=new_source,
             regions=new_regions,
-            fingerprints=new_fps,
-            tokens=tokens,
+            parses=parses,
         )
         old_names = set(old_fps)
         new_names = set(new_fps)
@@ -228,9 +269,4 @@ class LiveParser:
 
     def commit(self, result: LiveParseResult) -> None:
         """Accept the text ``result`` analyzed as the new baseline."""
-        self._source = result.source
-        self._regions = result.regions
-        self._fingerprints = result.fingerprints
-        self._region_texts = {
-            r.name: r.text for r in result.regions if r.kind == MODULE_REGION
-        }
+        self._commit(result.source, result.regions, result.parses)

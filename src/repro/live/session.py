@@ -396,7 +396,7 @@ class LiveSession:
         # Findings present at instantiation are accepted and never
         # block a later edit.
         analysis = self.analyzer.analyze_netlist(
-            result.netlist, fingerprint_of=self.compiler.parser.fingerprint
+            result.netlist, self.compiler.parser
         )
         self._add_row(_PipeSession(
             name=name,
@@ -787,7 +787,7 @@ class LiveSession:
         for row in self.pipelines:
             analysis = self.analyzer.analyze_netlist(
                 compile_results[row.name].netlist,
-                fingerprint_of=self.compiler.parser.fingerprint,
+                self.compiler.parser,
             )
             analysis_results[row.name] = analysis
             report.analyzed_keys.extend(analysis.analyzed_keys)
@@ -822,7 +822,7 @@ class LiveSession:
         for name in names:
             analysis = self.analyzer.analyze_netlist(
                 self.timeline(name).compile_result.netlist,
-                fingerprint_of=self.compiler.parser.fingerprint,
+                self.compiler.parser,
             )
             merged.top = merged.top or analysis.top
             merged.analyzed_keys.extend(analysis.analyzed_keys)

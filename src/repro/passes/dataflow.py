@@ -33,31 +33,43 @@ elision planner and the proof-backed checks reason about exactly the
 sites codegen instruments.
 
 Walks share work per *item* (a continuous assign, a comb block, a
-sequential block) through one memo per ``compute_netlist_facts`` call:
-``(item identity, the facts of every name the item can read)`` ->
-``(facts it writes, names every path assigns, its site calls)``.  "Can
-read" is the value's and the target index's reads for an assign, a
-comb block's ``reads`` (it zeroes the names it writes before its body
-runs), and the names a sequential block reads *or writes* (a path that
-leaves a register alone falls back to its current fact).  Widths,
-depths and the AST are constants of the ``ModuleIR``, and the memo dies
-with the call, so no key outlives them.  Every evaluation logs its
-site-recorder calls whether or not the walk records and a hit replays
-the log into the walk's recorder, so a recording walk may hit an entry
-a non-recording round made: later rounds, the final walk, the stable
-tier and the specialised phase-2 run re-evaluate only the cone of what
-differs between them (counted: ``dataflow.items_evaluated`` /
-``items_reused``).  Inside an item, branch arms run in place: every
-store goes through ``_put``, which journals ``(dict, name, previous)``,
-and unwinding the journal after an arm leaves ``env`` / ``writes`` equal
-to what they were before it; the merge joins only names an arm stored.
+sequential block) through the item memo: ``(item shape, the facts of
+every name the item can read)`` -> ``(facts it writes, names every path
+assigns, its site calls)``.  The shape
+(:func:`repro.hdl.elaborate.item_shape`) is everything the evaluation
+reads of the item and its ``ModuleIR``: the folded tree, its lines
+relative to the item's first line, and the width (and depth) of every
+name in it.  "Can read" is the value's and the target index's reads for
+an assign, a comb block's ``reads`` (it zeroes the names it writes
+before its body runs), and the names a sequential block reads *or
+writes* (a path that leaves a register alone falls back to its current
+fact).  Every evaluation logs its site-recorder calls, lines relative to
+the item's first line, whether or not the walk records; a hit replays
+the log into the walk's recorder at the item's line.  So a recording
+walk may hit an entry a non-recording round made, an item an edit only
+moved hits, and later rounds, the final walk, the stable tier, the
+specialised phase-2 run *and the next version of the module*
+re-evaluate only the cone of what differs between them (counted:
+``dataflow.items_evaluated`` / ``items_reused``).
+
+The memo lives in the session's derived cache (kind
+``passes.dataflow.items``): one dict per module run, the most recent
+:data:`~repro.codegen.build.CACHE_GENERATIONS` runs of each
+specialisation kept.  A run looks in its own dict, then in the older
+ones, and keeps what it takes from them; an entry dies with the last
+run that used it.  Entries hold facts, name sets and logs, never an IR
+or AST node.  Inside an item, branch arms run in place: every store goes
+through ``_put``, which journals ``(dict, name, previous)``, and
+unwinding the journal after an arm leaves ``env`` / ``writes`` equal to
+what they were before it; the merge joins only names an arm stored.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property, partial
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
 from ..codegen.build import DerivedCache
@@ -70,13 +82,13 @@ from ..hdl.consteval import (
     mask_of,
     num_value,
     num_width,
-    stmt_reads_writes,
     width_of,
 )
 from ..hdl.errors import HDLError
 from ..ir.netlist import CombAssignIR, ModuleIR, Netlist, SeqBlockIR
 from .base import Pass, PassData
 
+ITEMS = "passes.dataflow.items"  # the item memo's kind of derived cache
 WIDEN_ROUNDS = 4   # interval-growth rounds before widening kicks in
 MAX_ROUNDS = 12    # hard fixpoint cap (post-widening convergence is fast)
 EXPLAIN_DEPTH = 4  # derivation-chain depth surfaced by ``--explain``
@@ -87,14 +99,16 @@ EXPLAIN_DEPTH = 4  # derivation-chain depth surfaced by ``--explain``
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValueFact:
+class ValueFact(NamedTuple):
     """Known bits plus an unsigned interval, at a fixed bit width.
 
     Invariants (maintained by :func:`_make`): ``known_bits`` is a
     subset of ``known_mask``; ``lo <= hi`` and both fit in ``width``
     bits; every concrete value ``v`` satisfies
     ``v & known_mask == known_bits`` and ``lo <= v <= hi``.
+
+    A tuple: the item memo's keys hash and compare facts by the
+    thousand per edit, and a tuple does both in C.
     """
 
     width: int
@@ -138,10 +152,12 @@ class ValueFact:
         return ", ".join(parts)
 
     def key(self) -> Tuple[int, int, int, int, int]:
-        return (self.width, self.known_mask, self.known_bits,
-                self.lo, self.hi)
+        return tuple(self)
 
 
+# ValueFact(*fields) without the Python-level ``__new__`` a NamedTuple
+# generates (the walk builds facts by the ten thousand per edit).
+_fact = partial(tuple.__new__, ValueFact)
 _TOP_CACHE: Dict[int, ValueFact] = {}
 
 
@@ -150,13 +166,13 @@ def vf_top(width: int) -> ValueFact:
     # the (frozen) instance lets branch merges skip joins by identity.
     fact = _TOP_CACHE.get(width)
     if fact is None:
-        fact = _TOP_CACHE[width] = ValueFact(width, 0, 0, 0, mask_of(width))
+        fact = _TOP_CACHE[width] = _fact((width, 0, 0, 0, mask_of(width)))
     return fact
 
 
 def vf_const(value: int, width: int) -> ValueFact:
     value &= mask_of(width)
-    return ValueFact(width, mask_of(width), value, value, value)
+    return _fact((width, mask_of(width), value, value, value))
 
 
 def _make(width: int, km: int, kb: int, lo: int, hi: int) -> ValueFact:
@@ -178,8 +194,8 @@ def _make(width: int, km: int, kb: int, lo: int, hi: int) -> ValueFact:
     if lo > hi:
         return vf_top(width)
     if lo == hi:
-        return ValueFact(width, mask, lo, lo, lo)
-    return ValueFact(width, km, kb, lo, hi)
+        return _fact((width, mask, lo, lo, lo))
+    return _fact((width, km, kb, lo, hi))
 
 
 def vf_to_width(fact: ValueFact, width: int) -> ValueFact:
@@ -202,7 +218,7 @@ def vf_join(a: Optional[ValueFact], b: Optional[ValueFact],
             ) -> Optional[ValueFact]:
     if a is None or b is None:
         return None
-    if a is b:
+    if a == b:  # a fact is a fixpoint of _make, so is its join with itself
         return a
     width = max(a.width, b.width)
     a, b = vf_to_width(a, width), vf_to_width(b, width)
@@ -244,14 +260,16 @@ class FactEval:
     cannot size (the caller treats that as top).  When a call
     log (a list) is attached, the :class:`_SiteRecorder` calls for
     ob/tr sites and decided branch conditions are appended to it as
-    ``(method name, *args)``, for :meth:`_SiteRecorder.replay`.
+    ``(method name, line - base, *args)``, for
+    :meth:`_SiteRecorder.replay`.
     """
 
     def __init__(self, ir: ModuleIR, env: Dict[str, ValueFact],
-                 recorder=None):
+                 recorder=None, base: int = 0):
         self.ir = ir
         self.env = env
         self.rec = recorder
+        self.base = base
         self._widths = (ir.signal_width, ir.memory_width)  # bound once
 
     def width_of(self, expr) -> Optional[int]:
@@ -455,8 +473,8 @@ class FactEval:
         truth = cond.truth() if cond is not None else None
         if (self.rec is not None and truth is not None
                 and not isinstance(expr.cond, ast.Num)):
-            self.rec.append(("cond", expr.line, "ternary", truth, expr.cond,
-                             cond))
+            self.rec.append(("cond", expr.line - self.base, "ternary", truth,
+                             _reads_of(expr.cond), cond))
         if truth is not None:
             arm = expr.if_true if truth else expr.if_false
             fact = self.eval(arm)
@@ -515,15 +533,16 @@ class FactEval:
             # finding, so the site is recorded.  Contents untracked.
             spec = self.ir.memories[expr.base]
             if self.rec is not None and not isinstance(expr.index, ast.Num):
-                self.rec.append(("ob", expr.base, expr.line, index_fact,
-                                 spec.depth, expr.index))
+                self.rec.append(("ob", expr.line - self.base, expr.base,
+                                 index_fact, spec.depth,
+                                 _reads_of(expr.index)))
             return vf_top(spec.width)
         sig = self.ir.signals.get(expr.base)
         if sig is None:
             return vf_top(1)
         if self.rec is not None and not isinstance(expr.index, ast.Num):
-            self.rec.append(("ob", expr.base, expr.line, index_fact,
-                             sig.width, expr.index))
+            self.rec.append(("ob", expr.line - self.base, expr.base,
+                             index_fact, sig.width, _reads_of(expr.index)))
         if index_fact is not None and index_fact.is_const:
             bit = index_fact.const_value
             if bit >= sig.width:
@@ -564,8 +583,8 @@ class FactEval:
             return vf_top(width)
         bound = sig.width - width + 1 if expr.ascending else sig.width
         if self.rec is not None and not isinstance(expr.start, ast.Num):
-            self.rec.append(("ob", expr.base, expr.line, start_fact, bound,
-                             expr.start))
+            self.rec.append(("ob", expr.line - self.base, expr.base,
+                             start_fact, bound, _reads_of(expr.start)))
         base_fact = self.env.get(expr.base)
         if start_fact is not None and start_fact.is_const \
                 and base_fact is not None:
@@ -655,11 +674,11 @@ class _SiteRecorder:
         self.cond_sites: Dict[Tuple[int, str], CondSite] = {}
         self.case_sites: Dict[Tuple[int, int], CaseSite] = {}
 
-    def ob(self, name, line, fact, bound, index_expr):
+    def ob(self, line, name, fact, bound, reads):
         key = (name, line)
         prev = self.ob_sites.get(key)
         if prev is None:
-            self.ob_sites[key] = ObSite(fact, bound, _reads_of(index_expr))
+            self.ob_sites[key] = ObSite(fact, bound, reads)
         elif prev.bound != bound:
             # Two sites collide on the runtime's dedup key with
             # different bounds: give up on both.
@@ -669,40 +688,38 @@ class _SiteRecorder:
             self.ob_sites[key] = ObSite(vf_join(prev.fact, fact), bound,
                                         prev.reads)
 
-    def tr(self, name, line, fact, declared, value_width, value_expr):
+    def tr(self, line, name, fact, declared, value_width, reads):
         key = (name, line)
         prev = self.tr_sites.get(key)
         if prev is None:
-            self.tr_sites[key] = TrSite(fact, declared, value_width,
-                                        _reads_of(value_expr))
+            self.tr_sites[key] = TrSite(fact, declared, value_width, reads)
         else:
             self.tr_sites[key] = TrSite(
                 vf_join(prev.fact, fact), declared,
                 max(prev.value_width, value_width), prev.reads,
             )
 
-    def cond(self, line, kind, truth, cond_expr, fact):
+    def cond(self, line, kind, truth, reads, fact):
         key = (line, kind)
         prev = self.cond_sites.get(key)
         if prev is None:
             detail = fact.describe() if fact is not None else ""
-            self.cond_sites[key] = CondSite(truth, _reads_of(cond_expr),
-                                            detail)
+            self.cond_sites[key] = CondSite(truth, reads, detail)
         elif prev.truth != truth:
             self.cond_sites[key] = CondSite(None, prev.reads, prev.detail)
 
-    def case_arm(self, line, arm_index, dead, subject_expr, detail):
+    def case_arm(self, line, arm_index, dead, reads, detail):
         key = (line, arm_index)
         prev = self.case_sites.get(key)
         if prev is None:
-            self.case_sites[key] = CaseSite(dead, _reads_of(subject_expr),
-                                            detail)
+            self.case_sites[key] = CaseSite(dead, reads, detail)
         elif prev.dead and not dead:
             self.case_sites[key] = CaseSite(False, prev.reads, prev.detail)
 
-    def replay(self, log) -> None:
-        for method, *args in log:
-            getattr(self, method)(*args)
+    def replay(self, log, base: int = 0) -> None:
+        """Make the calls ``log`` holds, its lines counted from ``base``."""
+        for method, line, *args in log:
+            getattr(self, method)(line + base, *args)
 
 
 # ----------------------------------------------------------------------------
@@ -734,7 +751,28 @@ class ModuleValueFacts:
         default_factory=dict)
     origins: Dict[str, Tuple[int, str]] = field(default_factory=dict)
     deps: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    digest: str = ""
+    # The cache key of the run that computed these facts: equal run keys,
+    # equal facts.  The in-memory identity (the analyzer keys on it);
+    # ``digest`` is the one that is persisted.
+    run_key: tuple = ()
+    # All a parent reads of this module: ``(port, env fact, stable
+    # fact)`` per output, the parent's cache key component.
+    outputs: Tuple[tuple, ...] = ()
+    # What the module drives into each child, per instance: the facts of
+    # its input connections under ``env`` and under ``stable``
+    # (``None``: codegen cannot size the connection).
+    child_inputs: Tuple[Tuple[dict, dict], ...] = ()
+
+    @cached_property
+    def digest(self) -> str:
+        """sha256 over both tiers and the input facts: the facts part of
+        a compiled module's persisted identity (``ModuleKey.facts_fp``)."""
+        digest = hashlib.sha256()
+        for env in (self.env, self.stable, self.input_facts):
+            digest.update(b"|")
+            for name in sorted(env):
+                digest.update(f"{name}:{env[name].key()};".encode())
+        return digest.hexdigest()[:24]
 
     def explain(self, name: str, depth: int = EXPLAIN_DEPTH) -> List[str]:
         """Derivation chain for a signal's fact (``--explain``)."""
@@ -761,38 +799,31 @@ class ModuleValueFacts:
         return lines
 
 
-def _facts_digest(*envs: Dict[str, ValueFact]) -> str:
-    digest = hashlib.sha256()
-    for env in envs:
-        digest.update(b"|")
-        for name in sorted(env):
-            digest.update(f"{name}:{env[name].key()};".encode())
-    return digest.hexdigest()[:24]
-
-
 # ----------------------------------------------------------------------------
 # Per-module abstract interpretation
 # ----------------------------------------------------------------------------
 
 
 class _ModuleAnalysis:
-    def __init__(self, ir: ModuleIR, input_facts, stable_input_facts,
-                 child_envs, child_stable_envs, memo, input_origins=None):
+    def __init__(self, ir: ModuleIR, run_key: tuple, input_facts,
+                 stable_input_facts, child_envs, child_stable_envs, memos,
+                 input_origins=None):
         self.ir = ir
+        self.run_key = run_key
         self.input_facts = input_facts
         self.stable_input_facts = stable_input_facts
         self.child_envs = child_envs            # [inst idx] -> {port: fact}
         self.child_stable_envs = child_stable_envs
         self.input_origins = input_origins or {}
-        self.memo = memo  # the call's item memo (module docstring)
+        # The item memo (module docstring): this run's dict, then the
+        # older runs' of the same specialisation, most recent first.
+        self.memo, *self.older = memos
         self.journal: list = []  # undo log: (dict, name, previous fact)
         self.origins: Dict[str, Tuple[int, str]] = {}
         self.deps: Dict[str, Tuple[str, ...]] = {}
-        # Per sequential block: (names it reads or writes, names it reads).
-        self.seq_names = [
-            (tuple(sorted(reads | writes)), tuple(sorted(reads)))
-            for reads, writes in (stmt_reads_writes(seq.body)
-                                  for seq in ir.seq_blocks)]
+        # Per sequential block: the names it reads or writes.
+        self.seq_names = [tuple(sorted({*seq.reads, *seq.writes}))
+                          for seq in ir.seq_blocks]
 
     def _reg_signals(self):
         return [(name, sig) for name, sig in self.ir.signals.items()
@@ -807,7 +838,8 @@ class _ModuleAnalysis:
                 key=key, env=env, stable=dict(env),
                 input_facts=dict(self.input_facts),
                 always_written=frozenset(),
-                digest=_facts_digest(env, env, self.input_facts),
+                run_key=self.run_key,
+                **self._boundary(env, env),
             )
         regs = {name: vf_const(0, sig.width)
                 for name, sig in self._reg_signals()}
@@ -827,7 +859,7 @@ class _ModuleAnalysis:
                 new = vf_join(cur, nxt)
                 if rounds >= WIDEN_ROUNDS:
                     new = vf_widen(cur, new)
-                if new.key() != cur.key():
+                if new != cur:
                     moving.add(name)
                 new_regs[name] = new
             regs = new_regs
@@ -868,21 +900,44 @@ class _ModuleAnalysis:
             stable_tr_sites=stable_rec.tr_sites,
             origins=self.origins,
             deps=self.deps,
-            digest=_facts_digest(env, stable, self.input_facts),
+            run_key=self.run_key,
+            **self._boundary(env, stable),
         )
+
+    def _boundary(self, env, stable) -> dict:
+        """The facts that cross the module's boundary: what a parent
+        reads at the outputs, what each child is driven with."""
+        ir = self.ir
+        full_ev, stable_ev = FactEval(ir, env), FactEval(ir, stable)
+        return {
+            "outputs": tuple((port, env.get(port), stable.get(port))
+                             for port in ir.outputs),
+            "child_inputs": tuple(
+                ({port: full_ev.eval(conn)
+                  for port, conn in inst.input_conns.items()},
+                 {port: stable_ev.eval(conn)
+                  for port, conn in inst.input_conns.items()})
+                for inst in ir.instances),
+        }
 
     # -- the item memo -------------------------------------------------------
 
     def _item(self, item, names, env, rec):
         """One item through the memo (module docstring); ``names`` is
         every name it can read.  The caller stores a comb item's facts."""
-        key = (id(item), *map(env.get, names))
+        key = (item.shape, *map(env.get, names))
         hit = self.memo.get(key)
+        if hit is None:
+            for older in self.older:
+                hit = older.get(key)
+                if hit is not None:
+                    self.memo[key] = hit
+                    break
         obs.incr("dataflow.items_evaluated" if hit is None
                  else "dataflow.items_reused")
         if hit is None:
             log, writes, assigned = [], {}, set()
-            ev = FactEval(self.ir, env, log)
+            ev = FactEval(self.ir, env, log, item.line)
             del self.journal[:]
             if isinstance(item, CombAssignIR):
                 self._exec_assign(ev, env, writes, item.target, item.value,
@@ -898,7 +953,7 @@ class _ModuleAnalysis:
                 writes = {name: env[name] for name in writes}
             hit = self.memo[key] = (writes, assigned, log)
         if rec is not None:
-            rec.replay(hit[2])
+            rec.replay(hit[2], item.line)
         return hit
 
     # -- the comb schedule walk ----------------------------------------------
@@ -906,15 +961,15 @@ class _ModuleAnalysis:
     def _comb_walk(self, regs, input_facts, child_envs, rec=None):
         ir = self.ir
         env: Dict[str, ValueFact] = {}
-        for name, sig in ir.signals.items():
-            if sig.kind == "input":
-                given = input_facts.get(name)
-                env[name] = vf_to_width(given, sig.width) if given \
-                    else vf_top(sig.width)
-                if rec is not None:
-                    self.origins[name] = (
-                        sig.line, self.input_origins.get(name, "module input")
-                    )
+        for name in ir.inputs:
+            sig = ir.signals[name]
+            given = input_facts.get(name)
+            env[name] = vf_to_width(given, sig.width) if given \
+                else vf_top(sig.width)
+            if rec is not None:
+                self.origins[name] = (
+                    sig.line, self.input_origins.get(name, "module input")
+                )
         env.update(regs)
         for inst_index, port, target in ir.early_bind:
             self._bind_child_output(env, child_envs, inst_index, port,
@@ -975,13 +1030,12 @@ class _ModuleAnalysis:
     def _seq_walk(self, env, rec=None):
         merged: Dict[str, ValueFact] = {}
         assigned_all: Set[str] = set()
-        for seq, (names, block_reads) in zip(self.ir.seq_blocks,
-                                             self.seq_names):
+        for seq, names in zip(self.ir.seq_blocks, self.seq_names):
             writes, assigned, _ = self._item(seq, names, env, rec)
             for name, fact in writes.items():
                 if rec is not None:
                     self.origins[name] = (seq.line, "register")
-                    self.deps[name] = block_reads
+                    self.deps[name] = seq.reads
                 prev = merged.get(name)
                 merged[name] = fact if prev is None else vf_join(prev, fact)
             assigned_all |= assigned
@@ -1013,9 +1067,9 @@ class _ModuleAnalysis:
             if target.index is not None:
                 addr_fact = ev.eval(target.index)
                 if not isinstance(target.index, ast.Num):
-                    ev.rec.append(("ob", target.name, line, addr_fact,
-                                   ir.memories[target.name].depth,
-                                   target.index))
+                    ev.rec.append(("ob", line - ev.base, target.name,
+                                   addr_fact, ir.memories[target.name].depth,
+                                   _reads_of(target.index)))
             ev.eval(value)
             return False
         sig = ir.signals.get(target.name)
@@ -1029,16 +1083,17 @@ class _ModuleAnalysis:
             if target.index is not None:
                 index_fact = ev.eval(target.index)
                 if not isinstance(target.index, ast.Num):
-                    ev.rec.append(("ob", target.name, line, index_fact,
-                                   sig.width, target.index))
+                    ev.rec.append(("ob", line - ev.base, target.name,
+                                   index_fact, sig.width,
+                                   _reads_of(target.index)))
             ev.eval(value)
             self._put(dest, target.name, vf_top(sig.width))
             return True  # the RMW result still lands every cycle
         value_width = ev.width_of(value)
         fact = ev.eval(value)
         if value_width is not None and value_width > sig.width:
-            ev.rec.append(("tr", target.name, line, fact, sig.width,
-                           value_width, value))
+            ev.rec.append(("tr", line - ev.base, target.name, fact,
+                           sig.width, value_width, _reads_of(value)))
         self._put(dest, target.name, vf_to_width(fact, sig.width)
                   if fact is not None else vf_top(sig.width))
         return True
@@ -1047,8 +1102,8 @@ class _ModuleAnalysis:
         cond_fact = ev.eval(stmt.cond)
         truth = cond_fact.truth() if cond_fact is not None else None
         if not isinstance(stmt.cond, ast.Num):
-            ev.rec.append(("cond", stmt.line, "if", truth, stmt.cond,
-                           cond_fact))
+            ev.rec.append(("cond", stmt.line - ev.base, "if", truth,
+                           _reads_of(stmt.cond), cond_fact))
         if truth is True:
             self._exec_stmts(ev, stmt.then_body, env, writes, assigned)
             return
@@ -1156,8 +1211,8 @@ class _ModuleAnalysis:
         if dead:
             described = subject_fact.describe() if subject_fact else "?"
             detail = f"subject {described}; {why}"
-        ev.rec.append(("case_arm", stmt.line, index, dead, stmt.subject,
-                       detail))
+        ev.rec.append(("case_arm", stmt.line - ev.base, index, dead,
+                       _reads_of(stmt.subject), detail))
 
     def _match_status(self, ev, subject_fact, labels) -> str:
         """'always' / 'never' / 'maybe' for one arm's label list."""
@@ -1239,32 +1294,38 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
     over every instantiation site — a constant-driven input
     specializes the child.  Results go through ``cache`` (a
     :class:`~repro.codegen.build.DerivedCache`; private to this call
-    when omitted) per ``(key, fingerprint, child digests, input
-    digest)`` so a hot reload recomputes only the dirty module (and
-    parents/children only when the facts crossing the boundary actually
-    changed); ``report`` is told which phase-2 results were reused.
+    when omitted) per ``(key, fingerprint, the facts of every child's
+    outputs, input facts)`` so a hot reload recomputes only the dirty
+    module (and parents/children only when the facts crossing the
+    boundary actually changed); ``report`` is told which phase-2
+    results were reused.  The item memo of every run is the same
+    cache's (module docstring).
     """
     fps = fps or {}
     cache = cache if cache is not None else DerivedCache()
     topo = _topo_module_keys(netlist)
-    memo: dict = {}  # the item memo (module docstring); dies with the call
 
-    def child_envs(ir: ModuleIR) -> Tuple[list, list]:
-        """Per instance, the child summary's (env, stable) tiers."""
+    def analysis(ir: ModuleIR, run_key: tuple, *inputs,
+                 **origins) -> _ModuleAnalysis:
+        """A run of ``ir`` over the summaries of its children, with the
+        item memo of ``run_key`` and the older runs of ``ir.key``."""
+        cache.lookup(ITEMS, ir.key, run_key, dict)
         kids = [summaries[inst.child_key] for inst in ir.instances]
-        return [kid.env for kid in kids], [kid.stable for kid in kids]
+        return _ModuleAnalysis(
+            ir, run_key, *inputs, [kid.env for kid in kids],
+            [kid.stable for kid in kids], cache.recent(ITEMS, ir.key),
+            **origins)
 
     summaries: Dict[str, ModuleValueFacts] = {}
     for key in topo:
         ir = netlist.modules[key]
-        child_digests = tuple(
-            summaries[inst.child_key].digest for inst in ir.instances
+        child_outputs = tuple(
+            summaries[inst.child_key].outputs for inst in ir.instances
         )
+        summary_key = (key, fps.get(ir.name, ""), child_outputs)
         summaries[key] = cache.lookup(
-            "passes.dataflow.summary", key,
-            (key, fps.get(ir.name, ""), child_digests),
-            lambda: _ModuleAnalysis(ir, {}, {}, *child_envs(ir),
-                                    memo).run(key),
+            "passes.dataflow.summary", key, summary_key,
+            lambda: analysis(ir, summary_key, {}, {}).run(key),
         )
 
     results: Dict[str, ModuleValueFacts] = {}
@@ -1287,8 +1348,11 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
                 for port, fact in joined_stable.get(key, {}).items()
                 if fact is not None
             }
-        child_digests = tuple(
-            summaries[inst.child_key].digest for inst in ir.instances
+        run_key = (
+            key, fps.get(ir.name, ""),
+            tuple(summaries[inst.child_key].outputs for inst in ir.instances),
+            tuple(sorted(input_facts.items())),
+            tuple(sorted(stable_inputs.items())),
         )
 
         def specialize() -> ModuleValueFacts:
@@ -1303,30 +1367,25 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
                 f"joined over {sites} instantiation site(s)"
                 if sites else "module input"
             )
-            return _ModuleAnalysis(
-                ir, input_facts, stable_inputs, *child_envs(ir), memo,
+            return analysis(
+                ir, run_key, input_facts, stable_inputs,
                 input_origins={port: origin for port in input_facts},
             ).run(key)
 
-        cached = cache.lookup(
-            "passes.dataflow", key,
-            (key, fps.get(ir.name, ""), child_digests,
-             _facts_digest(input_facts, stable_inputs)),
-            specialize, report=report,
-        )
+        cached = cache.lookup("passes.dataflow", key, run_key, specialize,
+                              report=report)
         results[key] = cached
 
-        full_ev = FactEval(ir, cached.env)
-        stable_ev = FactEval(ir, cached.stable)
-        for inst in ir.instances:
+        for inst, (full, stable) in zip(ir.instances, cached.child_inputs):
             site_counts[inst.child_key] = site_counts.get(
                 inst.child_key, 0
             ) + 1
             full_slot = joined_full.setdefault(inst.child_key, {})
             stable_slot = joined_stable.setdefault(inst.child_key, {})
-            for port, conn in inst.input_conns.items():
-                _join_port(full_slot, port, full_ev.eval(conn))
-                _join_port(stable_slot, port, stable_ev.eval(conn))
+            for port, fact in full.items():
+                _join_port(full_slot, port, fact)
+            for port, fact in stable.items():
+                _join_port(stable_slot, port, fact)
     return results
 
 

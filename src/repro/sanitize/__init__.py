@@ -49,7 +49,7 @@ from .elide import (
     build_elision_plan,
     reg_const_init,
 )
-from .instrument import Instrumenter
+from .instrument import Instrumenter, place_sites
 from .runtime import (
     CHECK_KINDS,
     SAN_NB_CONFLICT,
@@ -76,5 +76,6 @@ __all__ = [
     "SanitizerError",
     "SanitizerRuntime",
     "build_elision_plan",
+    "place_sites",
     "reg_const_init",
 ]

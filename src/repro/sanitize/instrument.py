@@ -246,3 +246,23 @@ class Instrumenter:
         """Module-level text after the two functions: the site table
         (the hooks index it at call time, so the order is free)."""
         return f"\n_SAN_I = {self._infos!r}\n"
+
+
+def place_sites(module, header: int) -> None:
+    """Move the site table of compiled ``module`` so that its lines
+    count from ``header``, where the module's header is in the file now.
+
+    The table is born in the coordinates of the IR the module was
+    generated from (``module.ir.line``), and no cache key holds a
+    position, so a module an edit only moved runs the code compiled
+    before the move.  The hooks read the table at call time: rebinding
+    it moves every finding without a recompile.
+    """
+    namespace = module.cycle_fn.__globals__
+    at = namespace.get("_SAN_AT", module.ir.line)
+    if header != at:
+        namespace["_SAN_I"] = [
+            (name, signal, line + header - at)
+            for name, signal, line in namespace["_SAN_I"]
+        ]
+        namespace["_SAN_AT"] = header

@@ -668,6 +668,30 @@ class TestCacheManagement:
         # The bound was reached, not merely never approached.
         assert session.compiler.cache_size() > CACHE_GENERATIONS * specs
 
+    def test_item_memo_and_region_cache_stop_growing(self):
+        """Two hundred fresh edits, each a wire nobody reads set to a
+        new value (livebench's kind): the item memo and the region cache
+        reach a size and stay at it."""
+        from repro.analyze import Analyzer
+
+        compiler = LiveCompiler(TWO_MODULE_SRC)
+        analyzer = Analyzer(compiler.cache)
+        sizes = []
+        for nonce in range(200):
+            compiler.update_source(TWO_MODULE_SRC.replace(
+                "  assign y = q;\n",
+                "  assign y = q;\n  wire [31:0] n;\n"
+                f"  assign n = 32'd{nonce};\n", 1))
+            analyzer.analyze_netlist(compiler.compile_top("top").netlist,
+                                     compiler.parser)
+            memos = compiler.cache.entries("passes.dataflow.items").values()
+            sizes.append((len(memos), sum(map(len, memos)),
+                          len(compiler.cache.entries("parse"))))
+        # The newest runs and region texts of ``leaf``, and the one of
+        # ``top``, whose facts and text the edits never move.
+        assert sizes[-1] == (CACHE_GENERATIONS + 1, 20, CACHE_GENERATIONS + 1)
+        assert sizes[10:] == sizes[-1:] * 190
+
     def test_compile_miss_says_which_key_component_moved(self):
         from repro import obs
 
@@ -702,9 +726,10 @@ class TestCacheManagement:
             "output [7:0] y, output z);\n  assign z = 1'b0;\n  reg",
         )
         assert missed(source) == (["leaf", "top"], [0, 1, 1, 0])
-        assert metrics.gauge_value("facts.cache_size") == len(
-            compiler.cache.entries("passes.dataflow")
-        ) + len(compiler.cache.entries("passes.dataflow.summary"))
+        assert metrics.gauge_value("facts.cache_size") == sum(
+            len(compiler.cache.entries(kind)) for kind in (
+                "passes.dataflow", "passes.dataflow.summary",
+                "passes.dataflow.items"))
         # Elaboration reuse counts in the same registry (what ``stats
         # deep`` and the repro.obs/v1 report ship): 2 + 1 + 1 + 2 built.
         counters = obs.report()["metrics"]["counters"]
@@ -754,3 +779,137 @@ class TestCacheManagement:
         assert compiler.cache_size() == 2 + CACHE_GENERATIONS
         assert metrics.counter("compile.cache_evicted") == before
         assert compiler.compile_top("top").report.recompiled_keys == []
+
+
+class TestParsedModulesAreShared:
+    """A region's parsed module is shared by every version that holds
+    its text at its line (LiveParser's region cache), so nothing
+    downstream of the parser may mutate an AST."""
+
+    @staticmethod
+    def _designs():
+        from pathlib import Path
+
+        from repro.riscv.pgas import build_pgas_source, mesh_top_name
+
+        yield build_pgas_source(2), mesh_top_name(2)
+        designs = Path(__file__).resolve().parent.parent / "examples"
+        for path in sorted((designs / "designs").glob("*.v")):
+            yield path.read_text(), None
+
+    def test_no_build_flavour_mutates_the_ast(self):
+        from repro.analyze import Analyzer
+        from repro.codegen.build import OPT_LEVELS
+        from repro.hdl.elaborate import elaborate
+        from repro.hdl.parser import parse
+        from repro.passes import compile_netlist
+        from repro.sanitize import SanitizerRuntime
+        from repro.sim.pipeline import Pipe
+
+        for source, top in self._designs():
+            design = parse(source)
+            before = repr(design)
+            for top in [top] if top else list(design.modules):
+                netlist = elaborate(design, top)
+                Analyzer().analyze_netlist(netlist)
+                for sanitize in (False, True):
+                    for opt in OPT_LEVELS:
+                        runtime = SanitizerRuntime() if sanitize else None
+                        pipe = Pipe(netlist.top, compile_netlist(
+                            netlist, BuildConfig(sanitize=sanitize, opt=opt),
+                            runtime))
+                        pipe.eval()
+                        pipe.tick()
+            assert repr(design) == before
+
+    def test_a_session_leaves_every_cached_region_as_parsed(self):
+        from repro.hdl.lexer import tokenize
+        from repro.hdl.parser import parse
+
+        session = LiveSession(PAIR_SRC, checkpoint_interval=4)
+        session.inst_pipe("p0", session.stage_handle_for("b"))
+        session.pipe("p0").set_inputs(x=3)
+        edited = PAIR_SRC.replace("assign y = t;", "assign y = t + 8'd1;")
+        for text in (edited, PAIR_SRC, "// moved\n" + edited):
+            session.apply_change(text)
+            session.set_opt("full")
+            session.set_sanitize("report")
+            session.lint()
+            session.set_opt("none")
+            session.set_sanitize("off")
+        entries = session.compiler.cache.entries("parse")
+        assert len(entries) > 3
+        for (text, line), entry in entries.items():
+            assert repr(entry.design()) == repr(
+                parse(text, tokens=tokenize(text, line)))
+
+
+class TestInitialParse:
+    """The first design comes from the tokens LiveParser lexed to
+    fingerprint each module region, unless the text needs the
+    preprocessor; either way it is the design a whole-file parse gives."""
+
+    @staticmethod
+    def _lexed(monkeypatch):
+        """Characters every tokenize call from here on lexes."""
+        import repro.hdl.parser
+        import repro.live.compiler_live
+        import repro.live.parser_live
+        from repro.hdl.lexer import tokenize
+
+        seen = []
+
+        def counted(text, *args):
+            seen.append(len(text))
+            return tokenize(text, *args)
+
+        for module in (repro.hdl.parser, repro.live.compiler_live,
+                       repro.live.parser_live):
+            monkeypatch.setattr(module, "tokenize", counted)
+        return seen
+
+    def test_the_design_is_lexed_once(self, monkeypatch):
+        from repro.riscv.pgas import build_pgas_source
+
+        source = build_pgas_source(2)
+        lexed = self._lexed(monkeypatch)
+        compiler = LiveCompiler(source)
+        assert sum(lexed) <= len(source)
+        assert len(lexed) >= len(compiler.design.modules)
+        # A revert to the initial text lexes and parses nothing.
+        compiler.update_source(source.replace("8'd1", "8'd2", 1))
+        del lexed[:]
+        compiler.update_source(source)
+        assert lexed == []
+
+    def test_it_is_the_whole_file_parse(self):
+        from pathlib import Path
+
+        from repro.hdl.parser import parse
+        from repro.riscv.pgas import build_pgas_source
+
+        examples = Path(__file__).resolve().parent.parent / "examples"
+        sources = [build_pgas_source(2), COUNTER_SRC, PARAM_SRC,
+                   "// a comment first\n" + COUNTER_SRC] + [
+            path.read_text()
+            for path in sorted((examples / "designs").glob("*.v"))]
+        for source in sources:
+            assert LiveCompiler(source).design.modules == \
+                parse(source).modules
+
+    @pytest.mark.parametrize("source, error", [
+        (COUNTER_SRC + "\nstray text\n", "ParseError"),
+        (COUNTER_SRC + COUNTER_SRC, "ParseError"),  # every module twice
+        (COUNTER_SRC.replace("a + b;", "a + ;"), "ParseError"),
+    ])
+    def test_a_bad_text_fails_as_the_whole_file_parse_does(self, source,
+                                                           error):
+        from repro.hdl.parser import parse
+
+        with pytest.raises(HDLError) as whole:
+            parse(source)
+        with pytest.raises(HDLError) as live:
+            LiveCompiler(source)
+        assert type(live.value).__name__ == type(whole.value).__name__ \
+            == error
+        assert str(live.value) == str(whole.value)

@@ -506,3 +506,64 @@ class TestApplyChangeWithVerify:
         report = session.verify_consistency("p0", repair=True)
         assert report.all_consistent
         assert session.pipe("p0").outputs()["c0"] == 25
+
+
+# Module ``a`` (three lines) above ``top``, whose unused wire is on line 6
+# and whose truncating register write is on line 9.
+ABOVE_TOP = """module a (input x, output y);
+  assign y = x;
+endmodule
+module top (input clk, input [7:0] d, output [3:0] q);
+  wire [7:0] w;
+  wire spare;
+  reg [3:0] r;
+  assign w = d;
+  always @(posedge clk) r <= w;
+  assign q = r;
+endmodule
+"""
+
+
+class TestFindingsFollowTheirModule:
+    """An edit that moves a module down the file re-derives nothing of
+    it (every cache key is position-free), yet its findings report the
+    lines it sits on now."""
+
+    @staticmethod
+    def _lines(report, kind):
+        return [d.line for d in report.diagnostics
+                if d.module == "top" and d.kind == kind]
+
+    @pytest.mark.parametrize("added", [
+        "  wire z;\n  assign z = x;\n",   # behavioural: `a` recompiles
+        "  // one\n  // two\n",           # cosmetic: nothing recompiles
+    ])
+    def test_static_and_sanitizer_findings_move_with_top(self, added):
+        session = LiveSession(ABOVE_TOP, checkpoint_interval=10,
+                              sanitize="report")
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        session.run(session.load_testbench(hold_inputs(d=1)), "p0", 5)
+        lint = session.lint("p0")
+        assert self._lines(lint, "unused-signal") == [6]
+        assert self._lines(lint, "truncation") == [9]
+        row = session.timeline("p0")
+        top_parse = session.compiler.parser.region_parse("top")
+        top_ir = row.compile_result.netlist.modules["top"]
+        top_code = row.compile_result.library["top"]
+
+        report = session.apply_change(
+            ABOVE_TOP.replace("  assign y = x;\n", "  assign y = x;\n" + added))
+        assert "top" not in report.recompiled_keys
+        lint = session.lint("p0")
+        assert self._lines(lint, "unused-signal") == [8]
+        assert self._lines(lint, "truncation") == [11]
+        # The first overflow after the edit is reported where it is now.
+        session.run(session.load_testbench(hold_inputs(d=0xFF)), "p0", 3)
+        (found,) = [d for d in session.sanitize_runtime.findings
+                    if d.kind == "san-trunc-overflow"]
+        assert found.line == 11
+        # ... and none of it came from a second lex, elaboration or
+        # compile of `top`.
+        assert session.compiler.parser.region_parse("top") is top_parse
+        assert row.compile_result.netlist.modules["top"] is top_ir
+        assert row.compile_result.library["top"] is top_code
