@@ -26,15 +26,15 @@ MUX_STYLES = ("branch", "select")
 # Folded into every digest, so bumping it (whenever the pickled payload
 # or the CompiledModule field set changes) turns an old store directory
 # into a cold cache: its artifacts are never addressed again.
-STORE_FORMAT = "repro.store/v9"
+STORE_FORMAT = "repro.store/v10"
 
 
 @dataclass(frozen=True)
 class BuildConfig:
     """One design point of the code generator.
 
-    ``san_elide`` only matters under ``sanitize``: proof-driven check
-    elision and the inline fast paths (:mod:`repro.sanitize.elide`).
+    ``san_elide`` only matters under ``sanitize``: check elision by
+    width and the inline fast paths (:mod:`repro.sanitize.elide`).
     """
 
     mux_style: str = "branch"
@@ -60,8 +60,8 @@ class ModuleKey:
     ``fingerprint`` is the module's own token fingerprint, ``child_fps``
     its children's comb signatures (tagged ``+pure`` where the
     parent's code skips a pure subtree) and ``facts_fp`` the digest of
-    the dataflow facts its code was specialised on ("" when dataflow is
-    gated off).
+    the module's dataflow facts, whose constant registers a sanitized
+    build carries for hot reload ("" unless sanitized).
     """
 
     spec: str

@@ -39,8 +39,9 @@ class Resolver:
       return the replacement expression, or None to keep ``ref_code``.
     * ``mem_read(name, index_code, line)`` — replace an indexed
       memory read entirely (bound + word-poison checked access).
-    * ``index_bound(name, index_code, bound, line)`` — wrap a
-      dynamic bit/part-select index with a bound check.
+    * ``index_bound(name, index_code, width, bound, line)`` — wrap a
+      dynamic bit/part-select index, ``width`` bits wide, with a bound
+      check.
     """
 
     def __init__(
@@ -300,7 +301,8 @@ class ExprGen:
         hooks = self._resolver.hooks
         if hooks is None or isinstance(index_expr, ast.Num) or bound < 1:
             return index_code
-        return hooks.index_bound(name, index_code, bound, line)
+        return hooks.index_bound(name, index_code,
+                                 self.width_of(index_expr), bound, line)
 
     def _gen_index(self, expr: ast.Index) -> str:
         mem_ref = self._resolver.memory_ref(expr.base)
@@ -370,11 +372,13 @@ class StmtGen:
         * ``target_width(name)`` — declared width of a target signal.
 
         ``hooks`` is the resolver's instrumentation object (None: clean
-        code).  Statements call two more of its methods:
+        code).  Statements call three more of its methods:
 
         * ``trunc(value_code, declared, line, name)`` — replacement for
           the silent truncation mask; returns the complete (still
           masked) value expression.
+        * ``mem_write_addr(name, addr_code, width, line)`` — wrap the
+          ``width``-bit address of a memory write with a bound check.
         * ``write_note(emitter, name, mask_or_None, line, block_id)`` —
           written before each register write of sequential block
           ``block_id`` (None mask: the full declared width).  A comb
@@ -421,6 +425,11 @@ class StmtGen:
                     stmt.line,
                 )
             addr_code = self._exprgen.gen(target.index)
+            if self._hooks is not None:
+                addr_code = self._hooks.mem_write_addr(
+                    target.name, addr_code,
+                    self._exprgen.width_of(target.index), stmt.line,
+                )
             self._mem_write(target.name, addr_code, value_code, stmt.line)
             return
         declared = self._target_width(target.name)

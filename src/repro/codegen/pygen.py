@@ -186,8 +186,8 @@ class CompiledModule:
     build: BuildConfig
     # Sanitizer accounting (repro.sanitize.instrument): the hooks the
     # generator came to while emitting this build (an expression emitted
-    # in both entry points counts twice), and how many of them the
-    # stable-tier value facts let it write as clean code.
+    # in both entry points counts twice), and how many of them an index
+    # too narrow to reach its bound let it write as clean code.
     san_sites: int = 0
     san_elided: int = 0
     # Registers proven constant from reset (env tier): hot reload
@@ -671,7 +671,6 @@ class _ModuleCompiler:
 
     def _gen_seq_block(self, exprgen: ExprGen, seq, block_id: int) -> None:
         num_regs = self._ir.num_regs
-        hooks = self.hooks
 
         def write_target(target: ast.LValue, code: str) -> None:
             sig = self._ir.signals[target.name]
@@ -688,8 +687,6 @@ class _ModuleCompiler:
 
         def mem_write(name: str, addr: str, value: str, line: int) -> None:
             spec = self._mem_slot[name]
-            if hooks is not None:
-                addr = hooks.mem_write_addr(name, addr, line)
             if spec.depth & (spec.depth - 1) == 0:
                 addr_code = f"({addr}) & {spec.depth - 1}"
             else:
@@ -707,7 +704,7 @@ class _ModuleCompiler:
             mem_write=mem_write,
             is_memory=lambda name: name in self._mem_slot,
             target_width=lambda name: self._ir.signals[name].width,
-            hooks=hooks,
+            hooks=self.hooks,
             block_id=block_id,
         )
         stmtgen.gen_stmts(self._plan.body(seq.body))
@@ -727,8 +724,9 @@ def compile_module(
     Under ``build.sanitize`` the generated source is instrumented with
     calls into ``runtime`` (a :class:`repro.sanitize.SanitizerRuntime`),
     bound as the module-global ``_san`` at exec time; ``elision`` says
-    which sites the value facts let the instrumenter drop or shorten,
-    and its ``const_init`` rides along for hot reload.
+    whether the instrumenter drops the sites their widths make safe and
+    shortens the rest, and its ``const_init`` rides along for hot
+    reload.
 
     ``opt_plan`` (see :mod:`repro.passes`) says what to fold, which
     dead logic to drop and, at opt=full, which pure subtrees' ``cycle``

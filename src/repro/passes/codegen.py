@@ -1,9 +1,9 @@
 """The sanitize-plan and codegen passes (the back of the pipeline).
 
 ``SanitizePlanPass`` decides the instrumentation plan from ``pure`` and
-``value_facts``: which check sites the dataflow facts prove safe to
-elide and which registers carry a proven constant init for hot-reload
-migration (``PassData.elide``, :mod:`repro.sanitize.elide`), and which
+``value_facts``: whether check sites are elided by width and which
+registers carry a proven constant init for hot-reload migration
+(``PassData.elide``, :mod:`repro.sanitize.elide`), and which
 pure subtrees are instrumentation-free (``PassData.san_free``, so the
 dynamic optimization passes can stack with the sanitizer; the generator
 is asked, :func:`repro.codegen.pygen.site_count`).
@@ -33,11 +33,11 @@ from .base import Pass, PassData
 
 
 class SanitizePlanPass(Pass):
-    """Decide the instrumentation plan.  This is where static proof
-    meets the dynamic checker: stable-tier value facts elide ob/tr
-    sites, env-tier constant registers feed hot reload's poison-free
-    init, and the pure subtrees the generator writes no site for are
-    marked san-free for the optimizer."""
+    """Decide the instrumentation plan: ``san_elide`` turns on the
+    width rule and the inline fast paths, registers proven constant
+    from reset feed hot reload's poison-free init, and the pure
+    subtrees the generator writes no site for are marked san-free for
+    the optimizer."""
 
     name = "sanitize_plan"
 
@@ -111,10 +111,10 @@ class CodegenPass(Pass):
                 + ("+pure" if index in plan.skip_children else "")
                 for index, inst in enumerate(ir.instances)
             )
-            # The generated code is a function of the value facts
-            # whenever any consumer is active (optimizer consts, or
-            # sanitizer elision), so the whole module identity joins
-            # the key, not just the source fingerprint.
+            # A sanitized module carries its registers' constant init
+            # from the value facts, so the whole module identity joins
+            # the key, not just the source fingerprint (its digest is
+            # "" in a clean build).
             spec, fingerprint, facts_fp = data.identity(key)
             cache_key = ModuleKey(spec, fingerprint, child_fps, facts_fp,
                                   build)

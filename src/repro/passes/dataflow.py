@@ -12,25 +12,20 @@ Instance connections propagate facts across the hierarchy in two
 phases: a bottom-up pass summarizes every module with unconstrained
 inputs, then a top-down pass joins each child's input facts over all
 of its instantiation sites — a constant-driven child input specializes
-the child (the ROADMAP's cross-module constprop rung).
+the child.
 
-Two fact tiers per module:
-
-* ``env`` — the *from-reset* invariant (registers start from the
-  power-on zero state).  The analyzer's proof-backed checks and the
-  sanitizer's check elision consume this tier: sanitizer hooks are
-  value-transparent, so eliding a site never changes simulated values,
-  and elision is documented as from-reset semantics.
-* ``stable`` — the *swap-stable* tier (registers and child outputs
-  unconstrained), the only tier the optimizer may use for
-  value-affecting folding: a hot swap adopts live state, so optimized
-  code must be bit-exact under any register contents.
+One fact tier per module, ``env``: the *from-reset* invariant
+(registers start from the power-on zero state).  Its readers are the
+analyzer's proof-backed checks, ``--explain`` and
+:func:`repro.sanitize.elide.reg_const_init`.  No fact changes what
+generated code computes: a hot swap adopts live state outside the
+from-reset ranges, so the optimizer folds syntactically and the
+sanitizer elides a check by width alone.
 
 The final converged walk also records per-site facts for sanitizer
 sites (ob/tr) and branch conditions, keyed ``(kind, name, line)`` —
 the same granularity the runtime dedupes findings at — so the
-elision planner and the proof-backed checks reason about exactly the
-sites codegen instruments.
+proof-backed checks reason about exactly the sites codegen instruments.
 
 Walks share work per *item* (a continuous assign, a comb block, a
 sequential block) through the item memo: ``(item shape, the facts of
@@ -47,8 +42,8 @@ fact).  Every evaluation logs its site-recorder calls, lines relative to
 the item's first line, whether or not the walk records; a hit replays
 the log into the walk's recorder at the item's line.  So a recording
 walk may hit an entry a non-recording round made, an item an edit only
-moved hits, and later rounds, the final walk, the stable tier, the
-specialised phase-2 run *and the next version of the module*
+moved hits, and later rounds, the final walk, the specialised phase-2
+run *and the next version of the module*
 re-evaluate only the cone of what differs between them (counted:
 ``dataflow.items_evaluated`` / ``items_reused``).
 
@@ -611,15 +606,11 @@ def _reads_of(expr) -> Tuple[str, ...]:
 @dataclass
 class ObSite:
     """An index-bound (``ob``) check site.  ``fact is None`` means the
-    site's index could not be pinned (never elide, never flag)."""
+    site's index could not be pinned (never flagged)."""
 
     fact: Optional[ValueFact]
     bound: int
     reads: Tuple[str, ...]
-
-    @property
-    def safe(self) -> bool:
-        return self.fact is not None and self.fact.hi < self.bound
 
     @property
     def provably_oob(self) -> bool:
@@ -634,10 +625,6 @@ class TrSite:
     declared: int
     value_width: int
     reads: Tuple[str, ...]
-
-    @property
-    def safe(self) -> bool:
-        return self.fact is not None and self.fact.hi <= mask_of(self.declared)
 
     @property
     def provably_lossy(self) -> bool:
@@ -729,46 +716,37 @@ class _SiteRecorder:
 
 @dataclass
 class ModuleValueFacts:
-    """Everything the analyzer, sanitizer planner, and optimizer
-    consume for one module specialization."""
+    """Everything the analyzer and the sanitizer planner consume for
+    one module specialization."""
 
     key: str
-    env: Dict[str, ValueFact]          # from-reset tier
-    stable: Dict[str, ValueFact]       # swap-stable tier (regs top)
+    env: Dict[str, ValueFact]          # from reset
     input_facts: Dict[str, ValueFact]
     always_written: frozenset
     ob_sites: Dict[Tuple[str, int], ObSite] = field(default_factory=dict)
     tr_sites: Dict[Tuple[str, int], TrSite] = field(default_factory=dict)
     cond_sites: Dict[Tuple[int, str], CondSite] = field(default_factory=dict)
     case_sites: Dict[Tuple[int, int], CaseSite] = field(default_factory=dict)
-    # Same sites re-proven under the swap-stable tier (registers top):
-    # the only proofs strong enough to elide runtime checks, because
-    # hot-swap adoption and checkpoint restore can put registers
-    # anywhere inside their declared width.
-    stable_ob_sites: Dict[Tuple[str, int], ObSite] = field(
-        default_factory=dict)
-    stable_tr_sites: Dict[Tuple[str, int], TrSite] = field(
-        default_factory=dict)
     origins: Dict[str, Tuple[int, str]] = field(default_factory=dict)
     deps: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     # The cache key of the run that computed these facts: equal run keys,
     # equal facts.  The in-memory identity (the analyzer keys on it);
     # ``digest`` is the one that is persisted.
     run_key: tuple = ()
-    # All a parent reads of this module: ``(port, env fact, stable
-    # fact)`` per output, the parent's cache key component.
+    # All a parent reads of this module: ``(port, fact)`` per output,
+    # the parent's cache key component.
     outputs: Tuple[tuple, ...] = ()
     # What the module drives into each child, per instance: the facts of
-    # its input connections under ``env`` and under ``stable``
-    # (``None``: codegen cannot size the connection).
-    child_inputs: Tuple[Tuple[dict, dict], ...] = ()
+    # its input connections (``None``: codegen cannot size the
+    # connection).
+    child_inputs: Tuple[dict, ...] = ()
 
     @cached_property
     def digest(self) -> str:
-        """sha256 over both tiers and the input facts: the facts part of
+        """sha256 over the facts and the input facts: the facts part of
         a compiled module's persisted identity (``ModuleKey.facts_fp``)."""
         digest = hashlib.sha256()
-        for env in (self.env, self.stable, self.input_facts):
+        for env in (self.env, self.input_facts):
             digest.update(b"|")
             for name in sorted(env):
                 digest.update(f"{name}:{env[name].key()};".encode())
@@ -806,14 +784,11 @@ class ModuleValueFacts:
 
 class _ModuleAnalysis:
     def __init__(self, ir: ModuleIR, run_key: tuple, input_facts,
-                 stable_input_facts, child_envs, child_stable_envs, memos,
-                 input_origins=None):
+                 child_envs, memos, input_origins=None):
         self.ir = ir
         self.run_key = run_key
         self.input_facts = input_facts
-        self.stable_input_facts = stable_input_facts
         self.child_envs = child_envs            # [inst idx] -> {port: fact}
-        self.child_stable_envs = child_stable_envs
         self.input_origins = input_origins or {}
         # The item memo (module docstring): this run's dict, then the
         # older runs' of the same specialisation, most recent first.
@@ -825,27 +800,24 @@ class _ModuleAnalysis:
         self.seq_names = [tuple(sorted({*seq.reads, *seq.writes}))
                           for seq in ir.seq_blocks]
 
-    def _reg_signals(self):
-        return [(name, sig) for name, sig in self.ir.signals.items()
-                if sig.state_index is not None]
-
     def run(self, key: str) -> ModuleValueFacts:
         ir = self.ir
         if ir.needs_fixpoint:
             env = {name: vf_top(sig.width)
                    for name, sig in ir.signals.items()}
             return ModuleValueFacts(
-                key=key, env=env, stable=dict(env),
+                key=key, env=env,
                 input_facts=dict(self.input_facts),
                 always_written=frozenset(),
                 run_key=self.run_key,
-                **self._boundary(env, env),
+                **self._boundary(env),
             )
         regs = {name: vf_const(0, sig.width)
-                for name, sig in self._reg_signals()}
+                for name, sig in ir.signals.items()
+                if sig.state_index is not None}
         rounds = 0
         while True:
-            env = self._comb_walk(regs, self.input_facts, self.child_envs)
+            env = self._comb_walk(regs)
             writes, assigned = self._seq_walk(env)
             moving: Set[str] = set()
             new_regs = {}
@@ -871,52 +843,33 @@ class _ModuleAnalysis:
 
         # Final walk with site recording + provenance: all memo hits,
         # unless the cap hit and degraded a register.
-        env_rec = _SiteRecorder()
-        env = self._comb_walk(regs, self.input_facts, self.child_envs,
-                              env_rec)
-        _, assigned = self._seq_walk(env, env_rec)
-
-        # Swap-stable tier: registers and child outputs unconstrained.
-        # Sites recorded under this tier hold for *any* register state
-        # (hot-swap adoption, checkpoint restore, pokes), which is what
-        # makes them strong enough to elide runtime checks; the env
-        # tier above is from-reset only and feeds the analyzer.
-        top_regs = {name: vf_top(sig.width)
-                    for name, sig in self._reg_signals()}
-        stable_rec = _SiteRecorder()
-        stable = self._comb_walk(top_regs, self.stable_input_facts,
-                                 self.child_stable_envs, stable_rec)
-        self._seq_walk(stable, stable_rec)
-
+        rec = _SiteRecorder()
+        env = self._comb_walk(regs, rec)
+        _, assigned = self._seq_walk(env, rec)
         return ModuleValueFacts(
-            key=key, env=env, stable=stable,
+            key=key, env=env,
             input_facts=dict(self.input_facts),
             always_written=frozenset(assigned),
-            ob_sites=env_rec.ob_sites,
-            tr_sites=env_rec.tr_sites,
-            cond_sites=env_rec.cond_sites,
-            case_sites=env_rec.case_sites,
-            stable_ob_sites=stable_rec.ob_sites,
-            stable_tr_sites=stable_rec.tr_sites,
+            ob_sites=rec.ob_sites,
+            tr_sites=rec.tr_sites,
+            cond_sites=rec.cond_sites,
+            case_sites=rec.case_sites,
             origins=self.origins,
             deps=self.deps,
             run_key=self.run_key,
-            **self._boundary(env, stable),
+            **self._boundary(env),
         )
 
-    def _boundary(self, env, stable) -> dict:
+    def _boundary(self, env) -> dict:
         """The facts that cross the module's boundary: what a parent
         reads at the outputs, what each child is driven with."""
         ir = self.ir
-        full_ev, stable_ev = FactEval(ir, env), FactEval(ir, stable)
+        ev = FactEval(ir, env)
         return {
-            "outputs": tuple((port, env.get(port), stable.get(port))
-                             for port in ir.outputs),
+            "outputs": tuple((port, env.get(port)) for port in ir.outputs),
             "child_inputs": tuple(
-                ({port: full_ev.eval(conn)
-                  for port, conn in inst.input_conns.items()},
-                 {port: stable_ev.eval(conn)
-                  for port, conn in inst.input_conns.items()})
+                {port: ev.eval(conn)
+                 for port, conn in inst.input_conns.items()}
                 for inst in ir.instances),
         }
 
@@ -958,12 +911,12 @@ class _ModuleAnalysis:
 
     # -- the comb schedule walk ----------------------------------------------
 
-    def _comb_walk(self, regs, input_facts, child_envs, rec=None):
+    def _comb_walk(self, regs, rec=None):
         ir = self.ir
         env: Dict[str, ValueFact] = {}
         for name in ir.inputs:
             sig = ir.signals[name]
-            given = input_facts.get(name)
+            given = self.input_facts.get(name)
             env[name] = vf_to_width(given, sig.width) if given \
                 else vf_top(sig.width)
             if rec is not None:
@@ -972,8 +925,7 @@ class _ModuleAnalysis:
                 )
         env.update(regs)
         for inst_index, port, target in ir.early_bind:
-            self._bind_child_output(env, child_envs, inst_index, port,
-                                    target, rec)
+            self._bind_child_output(env, inst_index, port, target, rec)
         for kind, index in ir.schedule:
             if kind == "assign":
                 assign = ir.comb_assigns[index]
@@ -1005,17 +957,15 @@ class _ModuleAnalysis:
                         ev.eval(conn)  # record sites inside connections
                     rec.replay(log)
                 for port, target in inst.output_conns.items():
-                    self._bind_child_output(env, child_envs, index, port,
-                                            target, rec)
+                    self._bind_child_output(env, index, port, target, rec)
         return env
 
-    def _bind_child_output(self, env, child_envs, inst_index, port, target,
-                           rec):
+    def _bind_child_output(self, env, inst_index, port, target, rec):
         ir = self.ir
         sig = ir.signals.get(target)
         if sig is None:
             return
-        fact = child_envs[inst_index].get(port)
+        fact = self.child_envs[inst_index].get(port)
         env[target] = vf_to_width(fact, sig.width) if fact is not None \
             else vf_top(sig.width)
         if rec is not None:
@@ -1305,16 +1255,15 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
     cache = cache if cache is not None else DerivedCache()
     topo = _topo_module_keys(netlist)
 
-    def analysis(ir: ModuleIR, run_key: tuple, *inputs,
+    def analysis(ir: ModuleIR, run_key: tuple, input_facts,
                  **origins) -> _ModuleAnalysis:
         """A run of ``ir`` over the summaries of its children, with the
         item memo of ``run_key`` and the older runs of ``ir.key``."""
         cache.lookup(ITEMS, ir.key, run_key, dict)
-        kids = [summaries[inst.child_key] for inst in ir.instances]
         return _ModuleAnalysis(
-            ir, run_key, *inputs, [kid.env for kid in kids],
-            [kid.stable for kid in kids], cache.recent(ITEMS, ir.key),
-            **origins)
+            ir, run_key, input_facts,
+            [summaries[inst.child_key].env for inst in ir.instances],
+            cache.recent(ITEMS, ir.key), **origins)
 
     summaries: Dict[str, ModuleValueFacts] = {}
     for key in topo:
@@ -1325,39 +1274,27 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
         summary_key = (key, fps.get(ir.name, ""), child_outputs)
         summaries[key] = cache.lookup(
             "passes.dataflow.summary", key, summary_key,
-            lambda: analysis(ir, summary_key, {}, {}).run(key),
+            lambda: analysis(ir, summary_key, {}).run(key),
         )
 
     results: Dict[str, ModuleValueFacts] = {}
-    joined_full: Dict[str, Dict[str, Optional[ValueFact]]] = {}
-    joined_stable: Dict[str, Dict[str, Optional[ValueFact]]] = {}
+    joined: Dict[str, Dict[str, Optional[ValueFact]]] = {}
     site_counts: Dict[str, int] = {}
     for key in reversed(topo):
         ir = netlist.modules[key]
-        if key == netlist.top:
-            input_facts: Dict[str, ValueFact] = {}
-            stable_inputs: Dict[str, ValueFact] = {}
-        else:
-            input_facts = {
-                port: fact
-                for port, fact in joined_full.get(key, {}).items()
-                if fact is not None
-            }
-            stable_inputs = {
-                port: fact
-                for port, fact in joined_stable.get(key, {}).items()
-                if fact is not None
-            }
+        input_facts: Dict[str, ValueFact] = {} if key == netlist.top else {
+            port: fact
+            for port, fact in joined.get(key, {}).items()
+            if fact is not None
+        }
         run_key = (
             key, fps.get(ir.name, ""),
             tuple(summaries[inst.child_key].outputs for inst in ir.instances),
             tuple(sorted(input_facts.items())),
-            tuple(sorted(stable_inputs.items())),
         )
 
         def specialize() -> ModuleValueFacts:
-            if _inputs_all_top(ir, input_facts) \
-                    and _inputs_all_top(ir, stable_inputs):
+            if _inputs_all_top(ir, input_facts):
                 # Every instantiation site drives this module with
                 # unconstrained values, so the context-free phase-1 walk
                 # already IS the specialized result — skip the fixpoint.
@@ -1368,7 +1305,7 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
                 if sites else "module input"
             )
             return analysis(
-                ir, run_key, input_facts, stable_inputs,
+                ir, run_key, input_facts,
                 input_origins={port: origin for port in input_facts},
             ).run(key)
 
@@ -1376,16 +1313,13 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
                               report=report)
         results[key] = cached
 
-        for inst, (full, stable) in zip(ir.instances, cached.child_inputs):
+        for inst, conns in zip(ir.instances, cached.child_inputs):
             site_counts[inst.child_key] = site_counts.get(
                 inst.child_key, 0
             ) + 1
-            full_slot = joined_full.setdefault(inst.child_key, {})
-            stable_slot = joined_stable.setdefault(inst.child_key, {})
-            for port, fact in full.items():
-                _join_port(full_slot, port, fact)
-            for port, fact in stable.items():
-                _join_port(stable_slot, port, fact)
+            slot = joined.setdefault(inst.child_key, {})
+            for port, fact in conns.items():
+                _join_port(slot, port, fact)
     return results
 
 
@@ -1397,19 +1331,18 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
 class ValueFactsPass(Pass):
     """Writes ``PassData.value_facts``: key -> :class:`ModuleValueFacts`.
 
-    Skipped entirely (empty fact dict) when nothing downstream
-    consumes it — plain ``opt=none`` unsanitized compiles pay zero
-    analysis cost.  Per-module results live in the session's derived
-    cache, which the analyzer reads too, so hot reloads recompute only
-    dirty modules and the facts of an edit are computed once;
-    cross-module input digests keep a parent's edit from invalidating
-    an unaffected child and vice versa.
+    Runs only in a sanitized build, whose last reader in the pipeline is
+    :func:`~repro.sanitize.elide.reg_const_init`; elsewhere the dict is
+    empty and a clean compile pays no analysis.  Per-module results live
+    in the session's derived cache, which the analyzer reads too, so hot
+    reloads recompute only dirty modules and the facts of an edit are
+    computed once; cross-module input digests keep a parent's edit from
+    invalidating an unaffected child and vice versa.
     """
 
     name = "dataflow"
 
     def run(self, data: PassData) -> None:
-        gated_off = data.build.opt == "none" and not data.build.sanitize
-        data.value_facts = {} if gated_off else compute_netlist_facts(
+        data.value_facts = compute_netlist_facts(
             data.netlist, fps=data.fps, cache=data.cache, report=data.report,
-        )
+        ) if data.build.sanitize else {}

@@ -4,14 +4,14 @@ elimination, sensitivity pruning.
 All three are *facts-only*: they never mutate the shared ModuleIR.
 Their conclusions are one :class:`~repro.codegen.optplan.OptPlan` per
 module in ``PassData.plans``, which codegen compiles under: constprop
-starts it from ``value_facts`` (empty at ``opt=none``), deadlogic fills
-in the dead units, and sensitivity (``opt=full``) the skippable
-children from ``pure`` or, in a sanitized build, ``san_free``.
+starts it from the module's own assigns (no plan at ``opt=none``),
+deadlogic fills in the dead units, and sensitivity (``opt=full``) the
+skippable children from ``pure`` or, in a sanitized build, ``san_free``.
 
 Per-module results go through :meth:`PassData.cached` — the session's
 derived cache under the module identity (spec, fingerprint, value-facts
-digest) plus each pass's own extras — so a hot reload re-runs each pass
-only for the modules whose identity moved.
+digest, "" unless sanitized) plus each pass's own extras — so a hot
+reload re-runs each pass only for the modules whose identity moved.
 
 Fixpoint modules are exempt from every optimization: their comb locals
 round-trip through the memo slot between iteration passes, so neither
@@ -34,13 +34,7 @@ from typing import Dict, Optional, Set, Tuple
 from ..codegen.optplan import NO_OPT, OptPlan, optimize_stmts, substitute_expr
 from ..codegen.pygen import site_count
 from ..hdl import ast_nodes as ast
-from ..hdl.consteval import (
-    expr_reads,
-    mask_of,
-    num_value,
-    num_width,
-    stmt_reads_writes,
-)
+from ..hdl.consteval import expr_reads, mask_of, num_value, stmt_reads_writes
 from ..ir.netlist import ModuleIR, Netlist
 from .base import Pass, PassData
 
@@ -68,14 +62,7 @@ class ConstPropPass(Pass):
     declared width.  Active at every opt level above ``none`` (including
     under sanitize: substitution only replaces *wire* reads, which carry
     no poison, and the driving assign keeps its trunc instrumentation).
-
-    Beyond syntactic folding, the pass consumes the swap-stable tier of
-    ``value_facts``: a wire whose interval proof pins one value in
-    *any* register state (e.g. a comparison decided by widths alone)
-    folds even when its expression never reduces to a literal — the
-    range-based comparison/dead-branch rung.  Only the stable tier may
-    justify this: folding is value-affecting, and hot swaps adopt live
-    state outside the from-reset ranges.
+    Folding is syntactic: it reads no value facts.
     """
 
     name = "constprop"
@@ -84,16 +71,13 @@ class ConstPropPass(Pass):
         plans: Dict[str, OptPlan] = {}
         if data.build.opt != "none":
             for key, ir in data.netlist.modules.items():
-                mod_facts = data.value_facts.get(key)
-                stable = mod_facts.stable if mod_facts is not None else None
                 plans[key] = data.cached(
-                    self.name, key, (),
-                    lambda: self._find_consts(ir, stable),
+                    self.name, key, (), lambda: self._find_consts(ir),
                 )
         data.plans = plans
 
     @staticmethod
-    def _find_consts(ir: ModuleIR, stable: Optional[dict] = None) -> OptPlan:
+    def _find_consts(ir: ModuleIR) -> OptPlan:
         if ir.needs_fixpoint:
             return NO_OPT
         blocked: Set[str] = set()
@@ -124,15 +108,7 @@ class ConstPropPass(Pass):
             declared = ir.signals[name].width
             folded = substitute_expr(assign.value, consts, widths)
             if isinstance(folded, ast.Num):
-                value = num_value(folded)
-                if num_width(folded) > declared:
-                    value &= mask_of(declared)
-                consts[name] = value
-                widths[name] = declared
-                continue
-            fact = stable.get(name) if stable is not None else None
-            if fact is not None and fact.is_const:
-                consts[name] = fact.const_value & mask_of(declared)
+                consts[name] = num_value(folded) & mask_of(declared)
                 widths[name] = declared
         return OptPlan(consts=consts, const_widths=widths)
 

@@ -7,11 +7,11 @@ a shared :class:`SanitizerRuntime` on every register read, memory
 access, truncating assignment, and nonblocking write.  Where a hook
 goes and what it looks like is :class:`Instrumenter`'s
 (:mod:`repro.sanitize.instrument`), which the generator calls and
-which imports nothing of it; which hooks the value facts let it drop is
-:class:`ElisionPlan`'s (:mod:`repro.sanitize.elide`).  Findings come
-out as :class:`repro.analyze.Diagnostic` objects, so they flow through
-the same gate baselines, ``lint`` surfaces, and server events as the
-static checks.
+which imports nothing of it; whether it elides the sites their widths
+make safe is :class:`ElisionPlan`'s (:mod:`repro.sanitize.elide`).
+Findings come out as :class:`repro.analyze.Diagnostic` objects, so they
+flow through the same gate baselines, ``lint`` surfaces, and server
+events as the static checks.
 
 Checks
 ------

@@ -20,13 +20,16 @@ Sites (each adds one to :attr:`Instrumenter.sites`, emitted or elided):
 * ``nw`` — a nonblocking register write, noted in the per-cycle dict
   the conflict check and the commit's poison clearing read.
 
-The :class:`~repro.sanitize.elide.ElisionPlan` decides the shape: an
-``ob`` / ``tr`` site proven safe is written as the clean code would be
-(and counted in :attr:`Instrumenter.elided`); under ``rr_fast`` every
-other site tests its reporting condition inline and calls the hook only
-when it would report, so hit counts and findings are what the plain
-calls give.  Sanitized state layout (the poison bitmaps, the ``_nw``
-dict) is :class:`repro.codegen.pygen.StateLayout`'s.
+The :class:`~repro.sanitize.elide.ElisionPlan` decides the shape.
+Under ``rr_fast`` an ``ob`` site whose index is too narrow to reach its
+bound (``mask_of(width) < bound``) is written as the clean code would
+be and counted in :attr:`Instrumenter.elided`: every generated value is
+masked to its width (:mod:`repro.codegen.exprgen`), so the check can
+never fire, whatever the registers hold.  Every other site tests its
+reporting condition inline and calls the hook only when it would
+report, so hit counts and findings are what the plain calls give.
+Sanitized state layout (the poison bitmaps, the ``_nw`` dict) is
+:class:`repro.codegen.pygen.StateLayout`'s.
 
 Each function that reads the register poison bitmap binds it once, as
 ``_pz`` (:meth:`Instrumenter.bind_poison`), and a zero bitmap skips all
@@ -129,13 +132,21 @@ class Instrumenter:
             f"({index_code}), {info})"
         )
 
-    def index_bound(self, name: str, index_code: str, bound: int,
-                    line: int) -> str:
-        """A dynamic select index of ``name``, checked against ``bound``."""
-        self.sites += 1
-        if (name, line) in self._plan.ob_safe:
+    def _elide_by_width(self, width: int, bound: int) -> bool:
+        """Whether an index of ``width`` bits cannot reach ``bound``
+        (the width rule; counted as elided)."""
+        if self._plan.rr_fast and mask_of(width) < bound:
             self.elided += 1
-            return index_code  # proven in range for any register state
+            return True
+        return False
+
+    def index_bound(self, name: str, index_code: str, width: int,
+                    bound: int, line: int) -> str:
+        """A dynamic select index of ``name``, ``width`` bits wide,
+        checked against ``bound``."""
+        self.sites += 1
+        if self._elide_by_width(width, bound):
+            return index_code
         info = self._info(name, line)
         if self._plan.rr_fast:
             # ob returns the index either way: call when it reports.
@@ -154,9 +165,6 @@ class Instrumenter:
         the complete, still masked, value expression."""
         mask = mask_of(declared)
         self.sites += 1
-        if (target, line) in self._plan.tr_safe:
-            self.elided += 1  # proven to fit: no bits to lose
-            return f"(({value_code}) & {mask})"
         info = self._info(target, line)
         if self._plan.rr_fast:
             # Values are non-negative, so bits above the mask exist
@@ -189,17 +197,15 @@ class Instrumenter:
             f"{block_id}, {mask}, {self._info(name, line)})"
         )
 
-    def mem_write_addr(self, name: str, addr_code: str, line: int) -> str:
-        """The address of a write to memory ``name``, bound-checked
-        before the wrap hides it."""
+    def mem_write_addr(self, name: str, addr_code: str, width: int,
+                       line: int) -> str:
+        """The ``width``-bit address of a write to memory ``name``,
+        bound-checked before the wrap hides it."""
         self.sites += 1
-        if (name, line) in self._plan.ob_safe:
-            self.elided += 1  # proven < depth
+        depth = self._mems[name].depth
+        if self._elide_by_width(width, depth):
             return addr_code
-        return (
-            f"_san.ob(({addr_code}), {self._mems[name].depth}, "
-            f"{self._info(name, line)})"
-        )
+        return f"_san.ob(({addr_code}), {depth}, {self._info(name, line)})"
 
     # -- the structural points of eval_out and cycle (pygen) ------------------
 

@@ -63,8 +63,8 @@ class RecordingHooks:
         self.calls.append(("mem_read", name))
         return f"_m_{name}[{index_code}]"
 
-    def index_bound(self, name, index_code, bound, line):
-        self.calls.append(("index_bound", name, bound))
+    def index_bound(self, name, index_code, width, bound, line):
+        self.calls.append(("index_bound", name, width, bound))
         return index_code
 
     def trunc(self, value_code, declared, line, target):
@@ -74,8 +74,8 @@ class RecordingHooks:
     def write_note(self, emit, name, wmask, line, block_id):
         self.calls.append(("write_note", name, wmask, block_id))
 
-    def mem_write_addr(self, name, addr_code, line):
-        self.calls.append(("mem_write_addr", name))
+    def mem_write_addr(self, name, addr_code, width, line):
+        self.calls.append(("mem_write_addr", name, width))
         return addr_code
 
     def bind_poison(self, emit):
@@ -123,7 +123,7 @@ class TestHooksObject:
             ("reg_read", "a"), ("trunc", "t", 4),
             ("reg_read", "t"), ("write_note", "q", None, 0),
             ("reg_read", "a"), ("reg_read", "sel"),
-            ("mem_write_addr", "mem"),
+            ("mem_write_addr", "mem", 2),  # sel: 2 bits
             ("reg_read", "q"),  # .v(q) for the child's cycle
         ]
         # Each function's prologue is written after its body.  eval_out
@@ -133,7 +133,7 @@ class TestHooksObject:
             ("commit_regs",), ("commit_mem_word", "mem"),
             ("bind_poison",),  # cycle's prologue
             ("reg_read", "sel"), ("reg_read", "q"),
-            ("index_bound", "q", 4),
+            ("index_bound", "q", 2, 4),
             ("reg_read", "sel"), ("mem_read", "mem"),
             ("reg_read", "q"),  # .v(q) again, for the child's eval_out
             ("bind_poison",),  # eval_out's prologue

@@ -11,7 +11,7 @@ Reuses the generators from :mod:`tests.test_fuzz_codegen` and
   trunc-overflow fires exactly when the reference interpreter says the
   output assignment actually dropped nonzero bits.
 
-Both fuzzers also run with proof-driven check elision active
+Both fuzzers also run with check elision by width active
 (``repro.sanitize.elide``, through the pass pipeline): the elided
 build must agree bit-for-bit with the clean build AND report exactly
 the hit counters of the unelided build — on the clean corpus and on a
@@ -308,6 +308,37 @@ module top (
 endmodule
 """
 
+# Each site shape the width rule decides: a memory-write address and a
+# bit select too narrow to reach their bounds (elided), an arithmetic
+# write address as wide as a shallower memory's index space (kept: it
+# reports on 6 and 7), and a too-wide assignment of a constant whose
+# value fits (kept, inline: no rule reads a value).
+WIDTH_RULE = """
+module top (
+  input clk,
+  input rst,
+  input [7:0] x,
+  output [7:0] y,
+  output bit_y
+);
+  reg [7:0] mem [0:3];
+  reg [7:0] small [0:5];
+  reg [2:0] idx_q;
+  reg [7:0] acc_q;
+  wire [7:0] word;
+  assign word = x ^ acc_q;
+  assign bit_y = word[idx_q];
+  assign y = mem[idx_q[1:0]] ^ small[x[1:0]] ^ acc_q;
+  always @(posedge clk) begin
+    idx_q <= idx_q + 3'd1;
+    mem[idx_q[1:0]] <= x;
+    small[idx_q + 3'd2] <= x;
+    if (rst) acc_q <= 0;
+    else acc_q <= acc_q ^ x;
+  end
+endmodule
+"""
+
 # Word ``ra`` is read, word ``wa`` written.
 MEM_RW = """
 module top (
@@ -381,8 +412,8 @@ def _reg_poison(pipe):
 
 class TestPoisonedStart:
     @given(
-        source=st.one_of(random_design(),
-                         st.sampled_from([POISONABLE, SEEDED_OOB_MEM])),
+        source=st.one_of(random_design(), st.sampled_from(
+            [POISONABLE, SEEDED_OOB_MEM, WIDTH_RULE])),
         stim=stimulus(),
         data=st.data(),
     )
@@ -464,3 +495,36 @@ class TestPoisonLifecycle:
         assert _reg_poison(pipe) == 0
         assert runtime.hits[SAN_NB_CONFLICT] == 1
         assert runtime.hits[SAN_UNINIT] == 0
+
+
+class TestWidthRule:
+    def test_elides_by_width_and_reports_like_plain_hooks(self):
+        elided, e_lib, e_rt = pipeline_pipe(WIDTH_RULE, "top")
+        plain, p_lib, p_rt = pipeline_pipe(WIDTH_RULE, "top",
+                                           san_elide=False)
+        e_mod, p_mod = e_lib["top"], p_lib["top"]
+        # Of the three ob sites, word[idx_q] and mem[idx_q[1:0]] are
+        # the elided ones.
+        assert e_mod.san_sites == p_mod.san_sites
+        assert (e_mod.san_elided, p_mod.san_elided) == (2, 0)
+        assert e_mod.source.count("_san.ob(") == 1  # small[idx_q + 2]
+        assert p_mod.source.count("_san.ob(") == 3
+        assert "_san.tr(" in e_mod.source  # its value fits; it stays
+        pipes = (elided, plain)
+        for cycle in range(24):
+            if cycle == 9:  # a restore poisons every register and word
+                for pipe in pipes:
+                    _restore_poisoned(pipe, regs=("acc_q", "idx_q"),
+                                      words={"mem": 0b1111,
+                                             "small": 0b111111})
+            for pipe in pipes:
+                pipe.set_inputs(rst=int(cycle < 2 or cycle == 15),
+                                x=(cycle * 37 + 11) & 0xFF)
+            assert elided.eval() == plain.eval()
+            for pipe in pipes:
+                pipe.tick()
+            assert elided.top.snapshot() == plain.top.snapshot()
+        assert p_rt.hits[SAN_OOB] > 0  # small[6] and small[7] report
+        assert p_rt.hits[SAN_UNINIT] > 0
+        assert e_rt.hits == p_rt.hits
+        assert e_rt.findings == p_rt.findings

@@ -709,8 +709,11 @@ class TestCacheManagement:
             recompiled = compiler.compile_top("top").report.recompiled_keys
             return recompiled, [b - a for a, b in zip(before, reasons())]
 
+        # Sanitized: a clean build's facts_fp is "" (no compile reads
+        # the value facts), so only here can a parent-only edit move it.
         source = MODE_SRC
-        compiler = LiveCompiler(source, build=BuildConfig(opt="basic"))
+        compiler = LiveCompiler(source, build=BuildConfig(opt="basic",
+                                                          sanitize=True))
         elaborated = metrics.counter("elaborate.cache_misses")
         assert missed(source) == (["leaf", "top"], [2, 0, 0, 0])
         # A body edit moves the module's own fingerprint ...

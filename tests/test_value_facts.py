@@ -1,9 +1,9 @@
 """repro.passes.dataflow: the known-bits / value-range analysis.
 
 Covers the abstract domain's algebra, the forward walk over real
-modules (both fact tiers), site recording, cross-module input-fact
-propagation, the facts cache, and the elision plans + const-reg
-initialization built on top (repro.sanitize.elide).
+modules, site recording, cross-module input-fact propagation, the facts
+cache, the width rule the sanitizer elides by and the const-reg
+initialization built on the facts (repro.sanitize.elide).
 """
 
 import contextlib
@@ -35,7 +35,7 @@ from repro.passes.dataflow import (
 )
 from repro.riscv.patches import PATCHES
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
-from repro.sanitize import build_elision_plan, reg_const_init
+from repro.sanitize import ElisionPlan, build_elision_plan, reg_const_init
 from tests.test_fuzz_codegen import expr_text, module_for
 from tests.test_fuzz_hierarchy import random_design
 
@@ -152,7 +152,7 @@ endmodule
         assert mod.env["cleared"].is_const
         assert mod.env["cleared"].const_value == 0
 
-    def test_stable_tier_keeps_counting_register_top(self):
+    def test_counting_register_widens_to_top(self):
         facts, _ = facts_for("""
 module m (input clk, output [7:0] y);
   reg [7:0] count;
@@ -160,11 +160,8 @@ module m (input clk, output [7:0] y);
   assign y = count;
 endmodule
 """)
-        mod = facts["m"]
-        # From reset the counter can reach anything (widening); the
-        # swap-survivable tier must not assume reset either.
-        assert mod.env["count"].is_top
-        assert mod.stable["count"].is_top
+        # From reset the counter can reach anything (widening).
+        assert facts["m"].env["count"].is_top
 
     def test_invariant_register_stays_bounded_in_env_tier(self):
         facts, _ = facts_for("""
@@ -177,8 +174,6 @@ endmodule
         mod = facts["m"]
         # From-reset: {0} joined with [0,3] across rounds -> [0,3].
         assert (mod.env["held"].lo, mod.env["held"].hi) == (0, 3)
-        # Swap-survivable: an adopted state could hold anything.
-        assert mod.stable["held"].is_top
 
     def test_fixpoint_terminates_on_feedback(self):
         # Widening caps the rounds; this just has to finish.
@@ -215,9 +210,9 @@ module m (input [7:0] a, input [2:0] sel, output y);
   assign y = a[sel];
 endmodule
 """)
-        ((_, site),) = facts["m"].stable_ob_sites.items()
-        assert site.safe and not site.provably_oob
-        assert site.bound == 8
+        ((_, site),) = facts["m"].ob_sites.items()
+        assert (site.fact.lo, site.fact.hi, site.bound) == (0, 7, 8)
+        assert not site.provably_oob and site.reads == ("sel",)
 
     def test_provably_oob_memory_write(self):
         facts, _ = facts_for("""
@@ -242,13 +237,14 @@ module m (input [7:0] a, output [3:0] y);
   assign y = nib;
 endmodule
 """)
-        ((_, site),) = facts["m"].stable_tr_sites.items()
-        assert site.safe and not site.provably_lossy
+        ((_, site),) = facts["m"].tr_sites.items()
+        assert (site.fact.hi, site.declared, site.value_width) == (15, 4, 8)
+        assert not site.provably_lossy
 
     def test_conflicting_bounds_pin_site_to_unknown(self):
         # Two same-line sites on one signal can't happen, but two
         # recordings of one site across walks join; a joined fact that
-        # can exceed the bound must not be safe.
+        # straddles the bound is neither in range nor provably out.
         facts, _ = facts_for("""
 module m (input [7:0] a, input sel, output y);
   wire [3:0] idx;
@@ -256,8 +252,9 @@ module m (input [7:0] a, input sel, output y);
   assign y = a[idx];
 endmodule
 """)
-        ((_, site),) = facts["m"].stable_ob_sites.items()
-        assert not site.safe and not site.provably_oob
+        ((_, site),) = facts["m"].ob_sites.items()
+        assert (site.fact.lo, site.fact.hi, site.bound) == (2, 12, 8)
+        assert not site.provably_oob
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +336,46 @@ endmodule
 """
 
 
+def sanitized_module(source, san_elide=True, top="m"):
+    from repro.passes import compile_netlist
+
+    library = compile_netlist(
+        elaborate(parse(source), top),
+        BuildConfig(sanitize=True, san_elide=san_elide),
+    )
+    return library[top]
+
+
 class TestElisionPlan:
     def test_safe_sites_elide(self):
-        facts, netlist = facts_for(ELIDE_SRC)
-        plan = build_elision_plan(facts["m"], netlist.modules["m"])
-        assert plan.ob_safe  # a[sel] with sel in [0,7] vs bound 8
-        assert plan.tr_safe  # t = nib with nib in [0,15] into 4 bits
-        assert plan.rr_fast
+        # a[sel]: a 3-bit index cannot reach bit 8, whatever sel holds.
+        # t = nib: the facts say nib < 16, but a too-wide assignment is
+        # never elided by width, so its check stays, inline.
+        mod = sanitized_module(ELIDE_SRC)
+        assert (mod.san_sites, mod.san_elided) == (2, 1)
+        assert "_san.ob(" not in mod.source
+        assert "_san.tr(" in mod.source
 
     def test_unsafe_sites_stay(self):
-        facts, netlist = facts_for("""
+        # The facts are the same as above (sel is an input either way);
+        # only the index width moved, past the bound.
+        mod = sanitized_module("""
 module m (input [7:0] a, input [3:0] sel, output y);
   assign y = a[sel];
 endmodule
 """)
+        assert (mod.san_sites, mod.san_elided) == (1, 0)
+        assert "_san.ob(" in mod.source
+
+    def test_width_rule_needs_san_elide(self):
+        mod = sanitized_module(ELIDE_SRC, san_elide=False)
+        assert (mod.san_sites, mod.san_elided) == (2, 0)
+        assert "_san.ob(" in mod.source
+
+    def test_plan_reads_no_site_facts(self):
+        facts, netlist = facts_for(ELIDE_SRC)
         plan = build_elision_plan(facts["m"], netlist.modules["m"])
-        assert not plan.ob_safe  # sel in [0,15] vs bound 8
+        assert plan == ElisionPlan(rr_fast=True, const_init={})
 
     def test_const_reg_init_from_env_tier(self):
         facts, _ = facts_for("""
@@ -533,8 +554,9 @@ def never_reusing_engine():
 
 def facts_and_walks(netlist):
     """``compute_netlist_facts`` plus what every walk returned, in
-    order (the stable tier's sequential transition reaches no result,
-    so only this trace can see it)."""
+    order (a round's sequential writes reach the facts only joined
+    with the register's current fact, so only this trace sees them
+    all)."""
     walks = []
     analysis = dataflow._ModuleAnalysis
     comb_walk, seq_walk = analysis._comb_walk, analysis._seq_walk
@@ -558,7 +580,7 @@ def facts_and_walks(netlist):
 def assert_same_facts(got, want):
     assert got.keys() == want.keys()
     for key, expected in want.items():
-        # env, stable, the six site dicts, origins, deps, always_written,
+        # env, the four site dicts, origins, deps, always_written,
         # the boundary facts (and key, input_facts) ...
         for spec in dataclasses.fields(expected):
             if spec.name != "run_key":  # names a run, holds no fact
@@ -589,6 +611,7 @@ module m (
   reg [2:0] idx_q;
   reg [3:0] sat_q;
   reg [7:0] hold_q;
+  reg [7:0] lag_q;
   reg [7:0] part_q;
   reg [7:0] p;
   reg [7:0] q;
@@ -624,6 +647,7 @@ module m (
     idx_q <= idx_q + 3'd1;
     if (sat_q < 4'd10) sat_q <= sat_q + 4'd1;
     if (en) hold_q <= 8'd5;
+    if (sat_q > 4'd9) lag_q <= sel[0] ? 8'd2 : 8'd5;
     if (sel[0]) part_q[idx_q] <= 1'b1; else part_q <= {4'd0, b[3:0]};
   end
 endmodule
@@ -694,9 +718,13 @@ class TestNoReuseDifferential:
         # ... a comb block reading ``t`` before and after it writes it
         # (``w`` sees the zero the block starts from) ...
         assert facts.env["w"].is_const and facts.env["w"].const_value == 1
-        # ... a register one path leaves alone, and one written in part
-        # on one path and in full on the other.
+        # ... a register one path leaves alone, another that a path
+        # leaves alone while widening moves its fact (to [0, 7], past
+        # the [0, 5] of its writes) in a round whose reads equal the
+        # next one's, and one written in part on one path and in full
+        # on the other.
         assert (facts.env["hold_q"].lo, facts.env["hold_q"].hi) == (0, 5)
+        assert (facts.env["lag_q"].lo, facts.env["lag_q"].hi) == (0, 7)
         assert facts.env["part_q"].is_top
         assert facts.always_written == {"idx_q", "part_q"}
 
@@ -861,9 +889,11 @@ class TestAncestorsReadOutputs:
     def test_a_child_internal_fact_leaves_every_ancestor_cached(self):
         """A parent reads a child's outputs only, so a nonce (a wire
         nobody reads) in rv_ex re-runs rv_ex and no ancestor; what the
-        cache answers equals a cold run over the same netlist."""
+        cache answers equals a cold run over the same netlist.  (A
+        sanitized build: the only one whose compile runs dataflow.)"""
         top = mesh_top_name(2)
-        compiler = LiveCompiler(MESH, build=BuildConfig(opt="basic"))
+        compiler = LiveCompiler(MESH, build=BuildConfig(opt="basic",
+                                                        sanitize=True))
         analyzer = Analyzer(compiler.cache)
         analyzer.analyze_netlist(compiler.compile_top(top).netlist,
                                  compiler.parser)
@@ -909,19 +939,19 @@ class TestItemCounts:
             compute_netlist_facts(netlist, fps=fps, cache=cache)
 
         evaluated, reused = self._delta(run)
-        assert (evaluated, reused) == (269, 754)  # 1023 item visits, cold
+        assert (evaluated, reused) == (265, 527)  # 792 item visits, cold
         with never_reusing_engine():  # the differential's reference
             assert self._delta(
-                lambda: compute_netlist_facts(netlist)) == (1023, 0)
+                lambda: compute_netlist_facts(netlist)) == (792, 0)
         # A fingerprint change of one stage: its summary and its
         # specialised run walk again (its parent reads only its output
         # facts, which did not move), and every item hits.
-        for module, visits in (("rv_ex", 370), ("rv_id", 272)):
+        for module, visits in (("rv_ex", 296), ("rv_id", 204)):
             fps[module] = "edited"
             assert self._delta(run) == (0, visits)
         assert self._delta(run) == (0, 0)  # nothing dirty, nothing visited
         counters = obs.report()["metrics"]["counters"]
-        assert counters["dataflow.items_reused"] >= 754
+        assert counters["dataflow.items_reused"] >= 527
         assert counters["passes.dataflow.cache_hits"] > 0  # its neighbours
 
     def test_an_edit_evaluates_the_items_it_changed(self):
@@ -935,11 +965,11 @@ class TestItemCounts:
             return self._delta(
                 lambda: analyzer.analyze_netlist(netlist, compiler.parser))
 
-        assert edit(source) == (269, 754)
+        assert edit(source) == (265, 527)
         # One case arm of rv_ex's ALU block rewritten: a new ModuleIR,
         # whose two runs evaluate the block and the one item its new
         # fact reaches (84 while the memo died with each call).
-        assert edit(PATCHES["ex-sltu-signed"].inject(source)) == (3, 367)
+        assert edit(PATCHES["ex-sltu-signed"].inject(source)) == (3, 293)
         assert edit(source) == (0, 0)  # a revert: every module cached
 
     def test_an_assign_that_keeps_its_fact_is_the_one_item_evaluated(self):
@@ -975,13 +1005,13 @@ class TestItemCounts:
             compute_netlist_facts(netlist)
         converged = capped = 0
         while walks:
-            # One run: fixpoint rounds, then the final and the stable
-            # walk (comb + seq each), which are the recording ones.
+            # One run: fixpoint rounds, then the final walk (comb +
+            # seq), which is the recording one.
             key = walks[0][0]
             rounds = 0
             while not walks[rounds][1]:
                 rounds += 1
-            run, walks = walks[:rounds + 4], walks[rounds + 4:]
+            run, walks = walks[:rounds + 2], walks[rounds + 2:]
             assert all(walk[0] == key for walk in run)
             final = run[rounds][2] + run[rounds + 1][2]
             if rounds // 2 < dataflow.MAX_ROUNDS:
