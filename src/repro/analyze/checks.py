@@ -75,8 +75,8 @@ class CheckContext:
     Only child IR lookups plus the (optional) per-module value facts —
     nothing mutable, nothing session-scoped — so a check's result is a
     pure function of the module, its children's combinational
-    summaries, and the facts digest (all folded into the analyzer's
-    cache key).
+    summaries, and the run key of the facts (all folded into the
+    analyzer's cache key).
     """
 
     def __init__(self, netlist: Netlist, value_facts=None):

@@ -26,7 +26,7 @@ MUX_STYLES = ("branch", "select")
 # Folded into every digest, so bumping it (whenever the pickled payload
 # or the CompiledModule field set changes) turns an old store directory
 # into a cold cache: its artifacts are never addressed again.
-STORE_FORMAT = "repro.store/v10"
+STORE_FORMAT = "repro.store/v11"
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class BuildConfig:
     """One design point of the code generator.
 
     ``san_elide`` only matters under ``sanitize``: check elision by
-    width and the inline fast paths (:mod:`repro.sanitize.elide`).
+    width and the inline fast paths (:mod:`repro.sanitize.instrument`).
     """
 
     mux_style: str = "branch"
@@ -57,24 +57,23 @@ class BuildConfig:
 class ModuleKey:
     """The exact conditions under which a compiled module is reusable.
 
-    ``fingerprint`` is the module's own token fingerprint, ``child_fps``
-    its children's comb signatures (tagged ``+pure`` where the
-    parent's code skips a pure subtree) and ``facts_fp`` the digest of
-    the module's dataflow facts, whose constant registers a sanitized
-    build carries for hot reload ("" unless sanitized).
+    ``fingerprint`` is the module's own token fingerprint and
+    ``child_fps`` its children's comb signatures (tagged ``+pure``
+    where the parent's code skips a pure subtree).  No value fact
+    joins the key: none changes what generated code computes, in any
+    flavour.
     """
 
     spec: str
     fingerprint: str = ""
     child_fps: Tuple[str, ...] = ()
-    facts_fp: str = ""
     build: BuildConfig = BuildConfig()
 
     @cached_property
     def digest(self) -> str:
         canonical = json.dumps([
             STORE_FORMAT, self.spec, self.fingerprint, self.child_fps,
-            self.facts_fp, astuple(self.build),
+            astuple(self.build),
         ])
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -90,9 +89,7 @@ class ModuleKey:
             return "cold"
         if self.fingerprint != latest.fingerprint:
             return "fingerprint"
-        if self.child_fps != latest.child_fps:
-            return "child_fps"
-        return "facts_fp"
+        return "child_fps"
 
 
 # Entries kept per (kind, spec, build): the most recently *used* ones.

@@ -86,9 +86,8 @@ each optional flavour is one object it calls.  The optimizer's is an
 emitter asks it for the expression or block body to emit and reads its
 dead units and skippable children; ``NO_OPT`` applies nothing.  The
 sanitizer's is an :class:`~repro.sanitize.instrument.Instrumenter`
-(built here, one per sanitized module compile, from the
-:class:`~repro.sanitize.elide.ElisionPlan` the sanitize-plan pass
-derived): it writes every hook, at the sites :mod:`exprgen` comes to,
+(built here, one per sanitized module compile, told the build's
+``san_elide``): it writes every hook, at the sites :mod:`exprgen` comes to,
 at the four structural points of ``cycle`` (opening, register commit,
 memory-word commit, module epilogue) and in each function's prologue
 (the poison-bitmap binding), and counts them; a clean build
@@ -101,14 +100,13 @@ from __future__ import annotations
 import hashlib
 import linecache
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
 from ..hdl import ast_nodes as ast
 from ..hdl.errors import CodegenError
 from ..ir.netlist import ModuleIR, Netlist
-from ..sanitize.elide import EMPTY_PLAN, ElisionPlan
 from ..sanitize.instrument import Instrumenter
 from .build import BuildConfig, ModuleKey
 from .emitter import FunctionEmitter, block
@@ -190,10 +188,6 @@ class CompiledModule:
     # too narrow to reach its bound let it write as clean code.
     san_sites: int = 0
     san_elided: int = 0
-    # Registers proven constant from reset (env tier): hot reload
-    # initializes swap-introduced registers from this map instead of
-    # poisoning them.
-    reg_const_init: Dict[str, int] = field(default_factory=dict)
 
     @property
     def sanitizer(self):
@@ -223,7 +217,7 @@ class CompiledModule:
 
 class _ModuleCompiler:
     def __init__(self, ir: ModuleIR, netlist: Netlist, build: BuildConfig,
-                 plan: OptPlan = NO_OPT, elision: ElisionPlan = EMPTY_PLAN):
+                 plan: OptPlan = NO_OPT):
         self._ir = ir
         self._netlist = netlist
         self._mux_style = build.mux_style
@@ -270,7 +264,7 @@ class _ModuleCompiler:
                 self._seq_writers.setdefault(name, set()).add(bid)
         # The sanitizer flavour: every hook this compile writes.
         self.hooks = Instrumenter(
-            ir, layout, self._mem_slot, self._seq_writers, elision
+            ir, layout, self._mem_slot, self._seq_writers, build.san_elide
         ) if sanitize else None
 
     @property
@@ -716,17 +710,15 @@ def compile_module(
     build: BuildConfig = BuildConfig(),
     runtime: object = None,
     opt_plan: OptPlan = NO_OPT,
-    elision: ElisionPlan = EMPTY_PLAN,
     key: Optional[ModuleKey] = None,
 ) -> CompiledModule:
     """Compile one specialization into a :class:`CompiledModule`.
 
     Under ``build.sanitize`` the generated source is instrumented with
     calls into ``runtime`` (a :class:`repro.sanitize.SanitizerRuntime`),
-    bound as the module-global ``_san`` at exec time; ``elision`` says
-    whether the instrumenter drops the sites their widths make safe and
-    shortens the rest, and its ``const_init`` rides along for hot
-    reload.
+    bound as the module-global ``_san`` at exec time; ``build.san_elide``
+    says whether the instrumenter drops the sites their widths make safe
+    and shortens the rest.
 
     ``opt_plan`` (see :mod:`repro.passes`) says what to fold, which
     dead logic to drop and, at opt=full, which pure subtrees' ``cycle``
@@ -741,7 +733,7 @@ def compile_module(
     started = time.perf_counter()
     with obs.span("codegen.module", key=ir.key, sanitize=build.sanitize,
                   opt=build.opt):
-        compiler = _ModuleCompiler(ir, netlist, build, opt_plan, elision)
+        compiler = _ModuleCompiler(ir, netlist, build, opt_plan)
         source = compiler.generate()
         fns = exec_source(source, key.filename, build, runtime)
     elapsed = time.perf_counter() - started
@@ -771,7 +763,6 @@ def compile_module(
         build=build,
         san_sites=hooks.sites if hooks is not None else 0,
         san_elided=hooks.elided if hooks is not None else 0,
-        reg_const_init=dict(elision.const_init),
         **fns,
     )
 

@@ -11,11 +11,12 @@ compiled module is reusable when
 * its parameter set is the same (part of the spec key),
 * every child's *interface* fingerprint is unchanged (the parent's
   generated code depends on child port order/widths, not child bodies),
-* the value facts its code was specialised on are unchanged, and
+  and
 * it was built under the same :class:`~repro.codegen.build.BuildConfig`
   (every flavour of a design coexists in the cache, so toggling back is
   a hit).
 
+The rule is the same in every flavour: no value fact is part of it.
 So a body-only edit recompiles exactly one module; an interface edit
 recompiles the module plus its ancestor chain — matching the paper's
 description of how far a change propagates.

@@ -14,7 +14,7 @@ pipe to it, :func:`replay_ops` forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 from ..hdl.errors import SimulationError
@@ -141,6 +141,10 @@ def replay_ops(
     return executed
 
 
-def trim_ops(ops: Sequence[SessionOp], from_cycle: int) -> List[SessionOp]:
-    """Ops overlapping ``[from_cycle, ...)`` (for shipping to workers)."""
-    return [op for op in ops if op.end_cycle > from_cycle]
+def ops_until(ops: Sequence[SessionOp], cycle: int) -> List[SessionOp]:
+    """The history up to ``cycle``: the ops that end by then, and the
+    one that spans it cut there (its earlier cycles really happened)."""
+    return [
+        op if op.end_cycle <= cycle else replace(op, end_cycle=cycle)
+        for op in ops if op.start_cycle < cycle
+    ]

@@ -59,7 +59,7 @@ from .consistency import (
     WorkerContext,
 )
 from .hotreload import HotReloader, SwapReport
-from .replay import SessionOp, recorded_from, replay_ops, rewind
+from .replay import SessionOp, ops_until, recorded_from, replay_ops, rewind
 from .tables import (
     STAGE,
     TESTBENCH,
@@ -523,19 +523,7 @@ class LiveSession:
         # starts empty) has a base where it stands and can still
         # time-travel to the cycles before.
         session.store.adopt(loaded)
-        trimmed = []
-        for op in session.ops:
-            if op.end_cycle <= checkpoint.cycle:
-                trimmed.append(op)
-            elif op.start_cycle < checkpoint.cycle:
-                trimmed.append(
-                    SessionOp(
-                        tb_handle=op.tb_handle,
-                        start_cycle=op.start_cycle,
-                        end_cycle=checkpoint.cycle,
-                    )
-                )
-        session.ops = trimmed
+        session.ops = ops_until(session.ops, checkpoint.cycle)
 
     def swap_stage(self, pipe_name: str, stage_path: str) -> SwapReport:
         """``swapStage`` — swap one stage subtree to the latest compile.

@@ -1,11 +1,11 @@
 """repro.passes — the compile pipeline over one netlist.
 
 Compilation is seven passes in one written order, each a
-:class:`Pass` that writes one or two typed fields of the
+:class:`Pass` that writes one typed field of the
 :class:`PassData` carrier and reads fields only earlier passes wrote:
 ``elab_facts`` (``pure``), ``dataflow`` (``value_facts``), ``constprop``
 (starts ``plans``, one :class:`~repro.codegen.optplan.OptPlan` per
-module), ``sanitize_plan`` (``elide``, ``san_free``), ``deadlogic`` and
+module), ``sanitize_plan`` (``san_free``), ``deadlogic`` and
 ``sensitivity`` (refine ``plans``), ``codegen`` (``library``).
 :mod:`repro.passes.base` tabulates who reads what.
 

@@ -5,9 +5,10 @@ writes down.  Each result is one typed field of the carrier, first
 written by one pass and read only by passes after it:
 
 * ``pure`` (elab_facts): read by sanitize_plan and sensitivity;
-* ``value_facts`` (dataflow): every later pass, as :meth:`PassData.identity`;
+* ``value_facts`` (dataflow): no pass; the analyzer reads the same
+  facts from the session cache;
 * ``plans`` (constprop; deadlogic and sensitivity refine it): codegen;
-* ``elide`` / ``san_free`` (sanitize_plan): codegen / sensitivity;
+* ``san_free`` (sanitize_plan): sensitivity;
 * ``library`` (codegen): the caller.
 
 Per-module results that should survive a hot reload go through
@@ -27,7 +28,6 @@ from ..codegen.build import BuildConfig, DerivedCache
 from ..codegen.optplan import OptPlan
 from ..codegen.pygen import CompiledModule
 from ..ir.netlist import Netlist
-from ..sanitize.elide import ElisionPlan
 
 
 @dataclass
@@ -46,22 +46,14 @@ class PassData:
     # key -> ModuleValueFacts; empty while dataflow is gated off.
     value_facts: Dict[str, Any] = field(default_factory=dict)
     plans: Dict[str, OptPlan] = field(default_factory=dict)  # empty at opt=none
-    elide: Dict[str, ElisionPlan] = field(default_factory=dict)  # empty unless sanitized
     san_free: FrozenSet[str] = frozenset()  # pure and no sanitizer site below
     library: Dict[str, CompiledModule] = field(default_factory=dict)
 
-    def identity(self, spec: str) -> Tuple[str, str, str]:
+    def identity(self, spec: str) -> Tuple[str, str]:
         """The one module identity every derived result is keyed on:
-        spec, source fingerprint and value-facts digest.  Cross-module
-        fact flow means a parent edit can change a child's facts without
-        touching its fingerprint, so the digest is part of *who the
-        module is* ("" while dataflow is gated off)."""
-        mod_facts = self.value_facts.get(spec)
-        return (
-            spec,
-            self.fps.get(self.netlist.modules[spec].name, ""),
-            mod_facts.digest if mod_facts is not None else "",
-        )
+        spec and source fingerprint, in every flavour (no pass result
+        reads a value fact)."""
+        return spec, self.fps.get(self.netlist.modules[spec].name, "")
 
     def cached(self, pass_name: str, spec: str, extras: tuple,
                compute: Callable[[], Any]) -> Any:

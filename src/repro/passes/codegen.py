@@ -1,23 +1,20 @@
 """The sanitize-plan and codegen passes (the back of the pipeline).
 
-``SanitizePlanPass`` decides the instrumentation plan from ``pure`` and
-``value_facts``: whether check sites are elided by width and which
-registers carry a proven constant init for hot-reload migration
-(``PassData.elide``, :mod:`repro.sanitize.elide`), and which
-pure subtrees are instrumentation-free (``PassData.san_free``, so the
-dynamic optimization passes can stack with the sanitizer; the generator
-is asked, :func:`repro.codegen.pygen.site_count`).
+``SanitizePlanPass`` writes ``PassData.san_free``: the pure subtrees
+the generator writes no sanitizer site for (it is asked,
+:func:`repro.codegen.pygen.site_count`), so the dynamic optimization
+passes can stack with the sanitizer.  How each site looks is the
+build's ``san_elide`` alone (:mod:`repro.sanitize.instrument`).
 
 ``CodegenPass`` writes ``PassData.library``.  It visits the instance
 tree bottom-up with the session's derived cache in front of the artifact
 store in front of ``compile_module``, and addresses all three by one
 :class:`~repro.codegen.build.ModuleKey` per specialization — the module
-identity (source fingerprint, value-facts digest), child interfaces and
-the session's :class:`~repro.codegen.build.BuildConfig` — so plain,
-optimized, sanitized and elided artifacts coexist.  A miss compiles
-under the module's ``plans`` entry (:data:`~repro.codegen.optplan.NO_OPT`
-when it has none) and its ``elide`` entry, and a sanitized build binds
-the session's sanitizer runtime.
+identity (spec, source fingerprint), child interfaces and the session's
+:class:`~repro.codegen.build.BuildConfig` — so plain, optimized,
+sanitized and elided artifacts coexist.  A miss compiles under the
+module's ``plans`` entry (:data:`~repro.codegen.optplan.NO_OPT` when it
+has none), and a sanitized build binds the session's sanitizer runtime.
 """
 
 from __future__ import annotations
@@ -28,45 +25,23 @@ from .. import obs
 from ..codegen.build import ModuleKey
 from ..codegen.optplan import NO_OPT
 from ..codegen.pygen import CompiledModule, compile_module, site_count
-from ..sanitize.elide import EMPTY_PLAN, ElisionPlan, build_elision_plan
 from .base import Pass, PassData
 
 
 class SanitizePlanPass(Pass):
-    """Decide the instrumentation plan: ``san_elide`` turns on the
-    width rule and the inline fast paths, registers proven constant
-    from reset feed hot reload's poison-free init, and the pure
-    subtrees the generator writes no site for are marked san-free for
-    the optimizer."""
+    """Mark san-free the pure subtrees the generator writes no site
+    for, for the optimizer."""
 
     name = "sanitize_plan"
 
     def run(self, data: PassData) -> None:
         netlist = data.netlist
-        elide: Dict[str, ElisionPlan] = {}
         bare: Set[str] = set()  # pure modules with no site of their own
         if data.build.sanitize:
-            san_elide = data.build.san_elide
-            facts = data.value_facts if san_elide else {}
             for key, ir in netlist.modules.items():
-                mod_facts = facts.get(key)
-                pure = key in data.pure
-                if mod_facts is None and not pure:
-                    continue
-                # One entry (one computed / reused note) per module.
-                # ``pure`` is a fact of the subtree, not of the module
-                # identity the entry is cached under: it joins the key.
-                plan, no_site = data.cached(
-                    self.name, key, (san_elide, pure),
-                    lambda: (
-                        build_elision_plan(mod_facts, ir)
-                        if mod_facts is not None else EMPTY_PLAN,
-                        pure and site_count(ir, netlist) == 0,
-                    ),
-                )
-                if mod_facts is not None:
-                    elide[key] = plan
-                if no_site:
+                if key in data.pure and data.cached(
+                    self.name, key, (), lambda: site_count(ir, netlist) == 0
+                ):
                     bare.add(key)
 
         def subtree_bare(key: str) -> bool:
@@ -75,7 +50,6 @@ class SanitizePlanPass(Pass):
                 for inst in netlist.modules[key].instances
             )
 
-        data.elide = elide
         # A pure module's children are pure, so ``bare`` knows them.
         data.san_free = frozenset(filter(subtree_bare, bare))
 
@@ -111,13 +85,7 @@ class CodegenPass(Pass):
                 + ("+pure" if index in plan.skip_children else "")
                 for index, inst in enumerate(ir.instances)
             )
-            # A sanitized module carries its registers' constant init
-            # from the value facts, so the whole module identity joins
-            # the key, not just the source fingerprint (its digest is
-            # "" in a clean build).
-            spec, fingerprint, facts_fp = data.identity(key)
-            cache_key = ModuleKey(spec, fingerprint, child_fps, facts_fp,
-                                  build)
+            cache_key = ModuleKey(*data.identity(key), child_fps, build)
 
             def obtain() -> CompiledModule:
                 obs.incr("compile.cache_miss." + cache_key.miss_reason(
@@ -137,7 +105,6 @@ class CodegenPass(Pass):
                         build,
                         runtime=runtime,
                         opt_plan=plan,
-                        elision=data.elide.get(key, EMPTY_PLAN),
                         key=cache_key,
                     )
                     recompiled.append(key)

@@ -16,11 +16,12 @@ the child.
 
 One fact tier per module, ``env``: the *from-reset* invariant
 (registers start from the power-on zero state).  Its readers are the
-analyzer's proof-backed checks, ``--explain`` and
-:func:`repro.sanitize.elide.reg_const_init`.  No fact changes what
-generated code computes: a hot swap adopts live state outside the
-from-reset ranges, so the optimizer folds syntactically and the
-sanitizer elides a check by width alone.
+analyzer's proof-backed checks and ``--explain``; nothing in the
+compile reads it.  No fact changes what generated code computes, or
+which compiled module is reused: a hot swap adopts live state outside
+the from-reset ranges, so the optimizer folds syntactically, the
+sanitizer elides a check by width alone and state a new version
+introduces is poisoned whatever the facts say.
 
 The final converged walk also records per-site facts for sanitizer
 sites (ob/tr) and branch conditions, keyed ``(kind, name, line)`` —
@@ -61,9 +62,8 @@ what they were before it; the merge joins only names an arm stored.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
@@ -145,9 +145,6 @@ class ValueFact(NamedTuple):
                 f"bits {self.known_bits:#x} known under {self.known_mask:#x}"
             )
         return ", ".join(parts)
-
-    def key(self) -> Tuple[int, int, int, int, int]:
-        return tuple(self)
 
 
 # ValueFact(*fields) without the Python-level ``__new__`` a NamedTuple
@@ -716,8 +713,7 @@ class _SiteRecorder:
 
 @dataclass
 class ModuleValueFacts:
-    """Everything the analyzer and the sanitizer planner consume for
-    one module specialization."""
+    """Everything the analyzer consumes for one module specialization."""
 
     key: str
     env: Dict[str, ValueFact]          # from reset
@@ -730,8 +726,7 @@ class ModuleValueFacts:
     origins: Dict[str, Tuple[int, str]] = field(default_factory=dict)
     deps: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     # The cache key of the run that computed these facts: equal run keys,
-    # equal facts.  The in-memory identity (the analyzer keys on it);
-    # ``digest`` is the one that is persisted.
+    # equal facts.  The analyzer keys on it.
     run_key: tuple = ()
     # All a parent reads of this module: ``(port, fact)`` per output,
     # the parent's cache key component.
@@ -740,17 +735,6 @@ class ModuleValueFacts:
     # its input connections (``None``: codegen cannot size the
     # connection).
     child_inputs: Tuple[dict, ...] = ()
-
-    @cached_property
-    def digest(self) -> str:
-        """sha256 over the facts and the input facts: the facts part of
-        a compiled module's persisted identity (``ModuleKey.facts_fp``)."""
-        digest = hashlib.sha256()
-        for env in (self.env, self.input_facts):
-            digest.update(b"|")
-            for name in sorted(env):
-                digest.update(f"{name}:{env[name].key()};".encode())
-        return digest.hexdigest()[:24]
 
     def explain(self, name: str, depth: int = EXPLAIN_DEPTH) -> List[str]:
         """Derivation chain for a signal's fact (``--explain``)."""
@@ -1331,13 +1315,13 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
 class ValueFactsPass(Pass):
     """Writes ``PassData.value_facts``: key -> :class:`ModuleValueFacts`.
 
-    Runs only in a sanitized build, whose last reader in the pipeline is
-    :func:`~repro.sanitize.elide.reg_const_init`; elsewhere the dict is
-    empty and a clean compile pays no analysis.  Per-module results live
-    in the session's derived cache, which the analyzer reads too, so hot
-    reloads recompute only dirty modules and the facts of an edit are
-    computed once; cross-module input digests keep a parent's edit from
-    invalidating an unaffected child and vice versa.
+    No later pass reads the dict: the pass keeps its place in the
+    pipeline, and runs only in a sanitized build (elsewhere the dict is
+    empty and a clean compile pays no analysis).  Per-module results
+    live in the session's derived cache, which the analyzer reads, so
+    hot reloads recompute only dirty modules and the facts of an edit
+    are computed once; run keys over a module's input facts keep a
+    parent's edit from invalidating an unaffected child and vice versa.
     """
 
     name = "dataflow"

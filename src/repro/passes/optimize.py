@@ -9,8 +9,8 @@ deadlogic fills in the dead units, and sensitivity (``opt=full``) the
 skippable children from ``pure`` or, in a sanitized build, ``san_free``.
 
 Per-module results go through :meth:`PassData.cached` — the session's
-derived cache under the module identity (spec, fingerprint, value-facts
-digest, "" unless sanitized) plus each pass's own extras — so a hot
+derived cache under the module identity (spec, fingerprint) plus each
+pass's own extras — so a hot
 reload re-runs each pass only for the modules whose identity moved.
 
 Fixpoint modules are exempt from every optimization: their comb locals

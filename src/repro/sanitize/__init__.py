@@ -7,11 +7,11 @@ a shared :class:`SanitizerRuntime` on every register read, memory
 access, truncating assignment, and nonblocking write.  Where a hook
 goes and what it looks like is :class:`Instrumenter`'s
 (:mod:`repro.sanitize.instrument`), which the generator calls and
-which imports nothing of it; whether it elides the sites their widths
-make safe is :class:`ElisionPlan`'s (:mod:`repro.sanitize.elide`).
-Findings come out as :class:`repro.analyze.Diagnostic` objects, so they
-flow through the same gate baselines, ``lint`` surfaces, and server
-events as the static checks.
+which imports nothing of it; the build's ``san_elide`` says whether it
+elides the sites their widths make safe.  Findings come out as
+:class:`repro.analyze.Diagnostic` objects, so they flow through the
+same gate baselines, ``lint`` surfaces, and server events as the static
+checks.
 
 Checks
 ------
@@ -22,6 +22,9 @@ Checks
     only by state-*introducing* transitions — a hot reload that adds a
     register, a checkpoint restore into a design with state the
     snapshot never had, a memory grown past its snapshotted depth.
+    One rule covers them all (Table V, :mod:`repro.live.transform`):
+    a register or memory word the carried state lacks is zero and
+    poisoned, whatever a from-reset run would hold there.
 ``san-oob-index``
     Memory addresses and dynamic bit/part-select indices checked
     against declared bounds *before* the wrap-around masking that the
@@ -43,12 +46,6 @@ requires a (cached) recompile plus a hot swap, which
 :meth:`repro.live.session.LiveSession.set_sanitize` performs.
 """
 
-from .elide import (
-    EMPTY_PLAN,
-    ElisionPlan,
-    build_elision_plan,
-    reg_const_init,
-)
 from .instrument import Instrumenter, place_sites
 from .runtime import (
     CHECK_KINDS,
@@ -64,8 +61,6 @@ from .runtime import (
 
 __all__ = [
     "CHECK_KINDS",
-    "EMPTY_PLAN",
-    "ElisionPlan",
     "Instrumenter",
     "SAN_NB_CONFLICT",
     "SAN_OOB",
@@ -75,7 +70,5 @@ __all__ = [
     "SANITIZE_MODES",
     "SanitizerError",
     "SanitizerRuntime",
-    "build_elision_plan",
     "place_sites",
-    "reg_const_init",
 ]

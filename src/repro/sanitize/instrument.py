@@ -20,14 +20,16 @@ Sites (each adds one to :attr:`Instrumenter.sites`, emitted or elided):
 * ``nw`` — a nonblocking register write, noted in the per-cycle dict
   the conflict check and the commit's poison clearing read.
 
-The :class:`~repro.sanitize.elide.ElisionPlan` decides the shape.
-Under ``rr_fast`` an ``ob`` site whose index is too narrow to reach its
-bound (``mask_of(width) < bound``) is written as the clean code would
-be and counted in :attr:`Instrumenter.elided`: every generated value is
-masked to its width (:mod:`repro.codegen.exprgen`), so the check can
-never fire, whatever the registers hold.  Every other site tests its
-reporting condition inline and calls the hook only when it would
-report, so hit counts and findings are what the plain calls give.
+The build's ``san_elide`` decides the shape, and no rule reads a value
+fact: a hot swap, a checkpoint restore or a poke can put a register
+anywhere inside its declared width.  With it on, an ``ob`` site whose
+index is too narrow to reach its bound (``mask_of(width) < bound``) is
+written as the clean code would be and counted in
+:attr:`Instrumenter.elided`: every generated value is masked to its
+width (:mod:`repro.codegen.exprgen`), so the check can never fire,
+whatever the registers hold.  Every other site tests its reporting
+condition inline and calls the hook only when it would report, so hit
+counts and findings are what the plain calls give.
 Sanitized state layout (the poison bitmaps, the ``_nw`` dict) is
 :class:`repro.codegen.pygen.StateLayout`'s.
 
@@ -39,7 +41,7 @@ set between edges, by :meth:`repro.sim.stage.StageInst.load`;
 clear them, and nothing inside an edge writes this instance's bitmap
 before its own commit.  So a bitmap that is zero at the top of
 ``cycle`` is still zero at the commit: no register read in between can
-report, and there is no bit for a write to clear.  Under ``rr_fast`` a
+report, and there is no bit for a write to clear.  Under ``san_elide`` a
 single-writer write note exists only to feed that clearing, so it is
 written only while ``_pz`` is nonzero; a multi-writer note also feeds
 the conflict check, which does not depend on poison, and is always
@@ -53,7 +55,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..hdl.consteval import mask_of
 from ..ir.netlist import ModuleIR
-from .elide import EMPTY_PLAN, ElisionPlan
 
 
 class Instrumenter:
@@ -61,19 +62,20 @@ class Instrumenter:
 
     ``layout`` and ``mems`` are the generator's state layout and its
     name -> memory spec map (``depth``, ``poison_slot``); ``seq_writers``
-    maps a register to the sequential blocks that may write it.  Methods
-    that write statements take the emitter to write them with.
+    maps a register to the sequential blocks that may write it;
+    ``elide`` is the build's ``san_elide`` (off: every site a plain hook
+    call).  Methods that write statements take the emitter to write
+    them with.
     """
 
     def __init__(self, ir: ModuleIR, layout, mems: Dict[str, object],
-                 seq_writers: Dict[str, Set[int]],
-                 plan: ElisionPlan = EMPTY_PLAN):
+                 seq_writers: Dict[str, Set[int]], elide: bool):
         self._ir = ir
         self._poison_slot = layout.reg_poison_slot
         self._nw_slot = layout.nw_slot
         self._mems = mems
         self._seq_writers = seq_writers
-        self._plan = plan
+        self._elide = elide
         # Nothing to track without a register some block writes.
         self._tracks_writes = bool(ir.seq_blocks and ir.num_regs)
         # (module, signal, file-absolute line) per emitted site: a
@@ -105,7 +107,7 @@ class Instrumenter:
         self._reads_poison = True
         bit = sig.state_index
         call = f"_san.rr(_pz, {bit}, {ref}, {self._info(name, line)})"
-        if self._plan.rr_fast:
+        if self._elide:
             # The hook runs exactly when the bit is set (when it would
             # report or trap).  Never elided: a swap or a restore can
             # poison any register at any time.
@@ -117,7 +119,7 @@ class Instrumenter:
         mem = self._mems[name]
         self.sites += 1
         info = self._info(name, line)
-        if self._plan.rr_fast:
+        if self._elide:
             # The hook returns mem[index % depth], which is mem[t] when
             # t < depth: in bounds and unpoisoned never calls.
             t = self._temp()
@@ -135,7 +137,7 @@ class Instrumenter:
     def _elide_by_width(self, width: int, bound: int) -> bool:
         """Whether an index of ``width`` bits cannot reach ``bound``
         (the width rule; counted as elided)."""
-        if self._plan.rr_fast and mask_of(width) < bound:
+        if self._elide and mask_of(width) < bound:
             self.elided += 1
             return True
         return False
@@ -148,7 +150,7 @@ class Instrumenter:
         if self._elide_by_width(width, bound):
             return index_code
         info = self._info(name, line)
-        if self._plan.rr_fast:
+        if self._elide:
             # ob returns the index either way: call when it reports.
             t = self._temp()
             return (
@@ -166,7 +168,7 @@ class Instrumenter:
         mask = mask_of(declared)
         self.sites += 1
         info = self._info(target, line)
-        if self._plan.rr_fast:
+        if self._elide:
             # Values are non-negative, so bits above the mask exist
             # exactly when value > mask.
             t = self._temp()
@@ -184,7 +186,7 @@ class Instrumenter:
         full = mask_of(sig.width)
         mask = full if wmask is None else (wmask & full)
         self.sites += 1
-        if self._plan.rr_fast and len(self._seq_writers.get(name, ())) <= 1:
+        if self._elide and len(self._seq_writers.get(name, ())) <= 1:
             # One block can write it, so the cross-block conflict cannot
             # fire and only the commit's poison clearing reads the note:
             # no poison, no note.

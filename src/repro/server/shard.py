@@ -42,7 +42,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..analyze import count_by_severity
-from ..live.checkpoint import atomic_write
+from ..live.checkpoint import Checkpoint, atomic_write
 from ..live.commands import CommandInterpreter
 from ..trace.buffer import DEFAULT_SUB_QUEUE as TRACE_SUB_QUEUE
 from .service import (
@@ -59,14 +59,15 @@ JOURNAL_FORMAT = "repro.journal/v1"
 
 # Command verbs whose effect on session *structure* must survive a
 # worker crash.  They are replayed verbatim through the interpreter on
-# rehydration; ``run`` is deliberately absent — simulated state is
-# recovered from the checkpoint files instead of re-simulating.
+# rehydration; ``run``, ``chkp`` and ``ldch`` are deliberately absent —
+# simulated state is recovered from the checkpoint files (which those
+# three save) instead of re-simulating or re-reading the user's file.
 # ``watch``/``unwatch`` are structural too: replaying them recreates
 # the trace probes (``session.watch`` is idempotent), while the live
 # subscriptions are re-armed by the frontend after the route settles.
 STRUCTURAL_VERBS = frozenset(
     {"instpipe", "inststage", "copypipe", "swapstage", "san", "opt",
-     "ldch", "watch", "unwatch"}
+     "watch", "unwatch"}
 )
 
 # Points each worker owns on the ring.  Part of session placement:
@@ -272,6 +273,9 @@ class SessionWorker:
             checkpoint_interval=config.checkpoint_interval,
         )
         self._journals: Dict[str, SessionJournal] = {}
+        # session -> pipe -> the newest checkpoint of the pipe's store
+        # when the journal's file last saved it.
+        self._saved_newest: Dict[str, Dict[str, Checkpoint]] = {}
         self._send_lock = threading.Lock()
         self._stop = threading.Event()
         self._pool = ThreadPoolExecutor(
@@ -394,7 +398,10 @@ class SessionWorker:
                 {"op": "lib", "name": recorded[0], "source": recorded[1]}
             )
             return
-        if verb == "chkp":
+        if verb in ("chkp", "ldch"):
+            # ``ldch`` rewrites the store (the abandoned future goes, the
+            # loaded checkpoints come in), and recovery restores the
+            # store the file holds.
             self._persist_checkpoints(
                 managed, journal, operands[0], force=True
             )
@@ -415,16 +422,18 @@ class SessionWorker:
         pipe: str, force: bool,
     ) -> None:
         """Save one pipe's checkpoint store to the journal's file when
-        the newest checkpoint moved (or unconditionally on ``force``)."""
+        the newest checkpoint moved (or unconditionally on ``force``).
+        Moved means another checkpoint, not another cycle: after a
+        rewind the same cycle can hold another state."""
         store = managed.session.store(pipe)
-        cycles = store.cycles()
-        if not cycles:
+        checkpoints = store.all()
+        if not checkpoints:
             return
-        last_saved = getattr(store, "_journal_saved_cycle", None)
-        if not force and last_saved == cycles[-1]:
+        saved = self._saved_newest.setdefault(managed.name, {})
+        if not force and saved.get(pipe) is checkpoints[-1]:
             return
         store.save(journal.checkpoint_path(pipe))
-        store._journal_saved_cycle = cycles[-1]
+        saved[pipe] = checkpoints[-1]
         obs.incr("server.journal_checkpoints")
 
     # -- commands ------------------------------------------------------------
@@ -542,6 +551,7 @@ class SessionWorker:
     ) -> Dict[str, Any]:
         name = params["session"]
         self.manager.close(name)
+        self._saved_newest.pop(name, None)
         journal = self._journals.pop(name, None)
         if journal is not None and not params.get("keep_state"):
             # keep_state: the session is migrating to another
@@ -637,6 +647,7 @@ class SessionWorker:
             self.manager.close(name)  # drop any half-alive remnant
         except KeyError:
             pass
+        self._saved_newest.pop(name, None)
         started = time.perf_counter()
         ops = journal.ops()
         if not ops or ops[0]["op"] != "open":

@@ -230,12 +230,12 @@ class StageInst:
         The snapshot speaks this version's names (the Table V rules in
         :mod:`repro.live.transform` put it there); what is left is
         shape.  Values are masked to the declared width; a memory keeps
-        the overlapping words and a grown tail reads zero.  State the
-        snapshot does not carry is zero and — to the sanitizer — fresh:
-        poisoned like the state the snapshot itself marks poisoned,
-        unless ``reg_const_init`` proves the value a from-reset run
-        would hold, which is then adopted clean.  Children are matched
-        by instance name; one the snapshot lacks restarts at power-on.
+        the overlapping words and a grown tail reads zero.  A register
+        or memory word the snapshot does not carry is zero and, to the
+        sanitizer, poisoned like the state the snapshot itself marks
+        poisoned: Table V's rule for created state, whatever a
+        from-reset run would hold there.  Children are matched by
+        instance name; one the snapshot lacks restarts at power-on.
         """
         code = self.code
         state = self.state
@@ -244,10 +244,8 @@ class StageInst:
         for name, slot in code.reg_slots.items():
             value = snap.regs.get(name)
             if value is None:
-                value = code.reg_const_init.get(name)
-                if value is None:
-                    value = 0
-                    poisoned.append(name)
+                value = 0
+                poisoned.append(name)
             value &= (1 << code.reg_widths[name]) - 1
             state[slot] = value
             state[slot + num_regs] = value

@@ -31,14 +31,14 @@ class TestModuleKey:
     """The one key: cache identity, store address and linecache name."""
 
     BUILD = BuildConfig(sanitize=True)
-    KEY = ModuleKey("top", "fp1", ("c1", "c2"), "facts1", BUILD)
+    KEY = ModuleKey("top", "fp1", ("c1", "c2"), BUILD)
 
     @pytest.mark.parametrize("changed", [
         replace(KEY, spec="top#(W=8)"),
         replace(KEY, fingerprint="fp2"),
         replace(KEY, child_fps=("c1",)),
         replace(KEY, child_fps=("c1", "c2+pure")),
-        replace(KEY, facts_fp=""),
+        replace(KEY, child_fps=()),
         replace(KEY, build=replace(BUILD, mux_style="select")),
         replace(KEY, build=replace(BUILD, sanitize=False)),
         replace(KEY, build=replace(BUILD, opt="basic")),
@@ -51,7 +51,7 @@ class TestModuleKey:
         assert changed.filename != self.KEY.filename
 
     def test_equal_keys_agree(self):
-        twin = ModuleKey("top", "fp1", ("c1", "c2"), "facts1",
+        twin = ModuleKey("top", "fp1", ("c1", "c2"),
                          BuildConfig(sanitize=True))
         assert twin == self.KEY and hash(twin) == hash(self.KEY)
         assert twin.digest == self.KEY.digest

@@ -52,7 +52,8 @@ endmodule
 class RecordingHooks:
     """Writes the clean code and records every call made to it."""
 
-    def __init__(self, *_args):
+    def __init__(self, ir, layout, mems, seq_writers, elide):
+        self.elide = elide
         self.calls = []
 
     def reg_read(self, name, ref, line):
@@ -113,6 +114,7 @@ class TestHooksObject:
         )
         source = compiler.generate()
         compile(source, "<seam>", "exec")  # the fake's text is clean code
+        assert compiler.hooks.elide is SANITIZED.san_elide  # the one input
         calls = compiler.hooks.calls
         # cycle is generated first (eval_out stashes what it reads).
         # Its comb half owns ``t`` (``a`` is no eval_out argument),

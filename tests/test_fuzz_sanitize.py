@@ -12,7 +12,7 @@ Reuses the generators from :mod:`tests.test_fuzz_codegen` and
   output assignment actually dropped nonzero bits.
 
 Both fuzzers also run with check elision by width active
-(``repro.sanitize.elide``, through the pass pipeline): the elided
+(``san_elide``, through the pass pipeline): the elided
 build must agree bit-for-bit with the clean build AND report exactly
 the hit counters of the unelided build — on the clean corpus and on a
 seeded-bug corpus where findings genuinely fire.  Elision removing a
@@ -21,7 +21,9 @@ check that would have reported is the bug class these pin down.
 A cold start has no poison, so the elided build's poison-free path is
 all the corpora above exercise.  The poisoned-start differential loads
 a snapshot with random registers and memory words poisoned into both
-builds and steps them side by side.
+builds and steps them side by side, and brings a register in through
+every route a new version takes into a running pipe: it is poisoned on
+each, with the same hits and findings in both builds.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro import compile_design
 from repro.codegen.build import BuildConfig
 from repro.hdl import elaborate, parse
 from repro.hdl.parser import parse_expr
+from repro.live.transform import RegisterTransform
 from repro.passes import compile_netlist
 from repro.sanitize import (
     SAN_NB_CONFLICT,
@@ -410,6 +413,65 @@ def _reg_poison(pipe):
     return top.state[top.code.layout.reg_poison_slot]
 
 
+# A child whose output is read every cycle, and an edit that gives it a
+# register every write of which is zero.
+STUCK = """
+module cell (input clk, input [7:0] d, output [7:0] q);
+  reg [7:0] q_r;
+  assign q = q_r;
+  always @(posedge clk) q_r <= d;
+endmodule
+
+module top (input clk, input rst, input [7:0] x, output [7:0] y);
+  cell u (.clk(clk), .d(x ^ {7'd0, rst}), .q(y));
+endmodule
+"""
+STUCK_EDIT = STUCK.replace(
+    "  assign q = q_r;\n  always @(posedge clk) q_r <= d;\n",
+    "  reg [7:0] stuck;\n  assign q = q_r ^ stuck;\n"
+    "  always @(posedge clk) begin\n    q_r <= d;\n    stuck <= 8'd0;\n"
+    "  end\n",
+)
+
+
+def _stuck_session(san_elide):
+    """A sanitized session on STUCK, run for 25 cycles (checkpoints at
+    10 and 20)."""
+    from repro.live.session import LiveSession
+    from repro.sim.testbench import reset_sequence
+
+    session = LiveSession(STUCK, checkpoint_interval=10, sanitize="report")
+    session.set_build(dataclasses.replace(session.compiler.build,
+                                          san_elide=san_elide))
+    assert session.load_testbench(reset_sequence("rst")) == "tb0"
+    session.inst_pipe("p0", session.stage_handle_for("top"))
+    session.run("tb0", "p0", 25)
+    return session, session.sanitize_runtime
+
+
+def _ldch_pre_edit_file(session, path):
+    session.chkp("p0", path)
+    session.apply_change(STUCK_EDIT)
+    session.run("tb0", "p0", 5)
+    session.ldch("p0", path)
+
+
+def _swap_stage(session, path):
+    session.compiler.update_source(STUCK_EDIT)
+    session.swap_stage("p0", "u")
+
+
+# Every route by which a version brings ``stuck`` into a running pipe.
+CREATE_ROUTES = {
+    "guessed transform": lambda session, path: session.apply_change(
+        STUCK_EDIT),
+    "explicit transform without a create": lambda session, path:
+        session.apply_change(STUCK_EDIT, {"cell": RegisterTransform()}),
+    "ldch of a pre-edit file": _ldch_pre_edit_file,
+    "swapStage": _swap_stage,
+}
+
+
 class TestPoisonedStart:
     @given(
         source=st.one_of(random_design(), st.sampled_from(
@@ -447,6 +509,23 @@ class TestPoisonedStart:
             assert elided.top.snapshot() == plain.top.snapshot(), source
             assert e_rt.hits == p_rt.hits, source
             assert e_rt.findings == p_rt.findings, source
+
+    @pytest.mark.parametrize("route", sorted(CREATE_ROUTES))
+    def test_a_created_register_is_poisoned_on_every_route(
+        self, route, tmp_path
+    ):
+        results = []
+        for san_elide in (True, False):
+            session, runtime = _stuck_session(san_elide)
+            CREATE_ROUTES[route](session, str(tmp_path / f"{san_elide}"))
+            session.run("tb0", "p0", 3)
+            uninit = [f for f in runtime.findings if f.kind == SAN_UNINIT]
+            # Its every write is zero and the facts prove it constant:
+            # it is poisoned all the same.
+            assert runtime.hits[SAN_UNINIT] > 0, route
+            assert all(f.message.startswith("stuck:") for f in uninit), route
+            results.append((dict(runtime.hits), runtime.findings))
+        assert results[0] == results[1], route
 
 
 @pytest.mark.parametrize("san_elide", [True, False])

@@ -33,6 +33,18 @@ module top (input clk, input [7:0] a, output [7:0] y);
 endmodule
 """
 
+# The parent drives a constant ``k`` the child's mux select compares.
+K_SRC = """
+module leaf (input clk, input [3:0] k, input [7:0] a, output [7:0] y);
+  reg [7:0] q;
+  always @(posedge clk) q <= (k == 4'd1) ? a : a + 8'd1;
+  assign y = q;
+endmodule
+module top (input clk, input [7:0] a, output [7:0] y);
+  leaf u (.clk(clk), .k(4'd1), .a(a), .y(y));
+endmodule
+"""
+
 
 # ``a`` and ``b`` swap which input they depend on: the *union* of the
 # child's comb-relevant inputs (its interface fingerprint) is unchanged,
@@ -700,7 +712,7 @@ class TestCacheManagement:
         def reasons():
             return [
                 metrics.counter(f"compile.cache_miss.{reason}")
-                for reason in ("cold", "fingerprint", "child_fps", "facts_fp")
+                for reason in ("cold", "fingerprint", "child_fps")
             ]
 
         def missed(source):
@@ -709,26 +721,26 @@ class TestCacheManagement:
             recompiled = compiler.compile_top("top").report.recompiled_keys
             return recompiled, [b - a for a, b in zip(before, reasons())]
 
-        # Sanitized: a clean build's facts_fp is "" (no compile reads
-        # the value facts), so only here can a parent-only edit move it.
+        # Sanitized, where the value facts are computed: none of them
+        # is a key component.
         source = MODE_SRC
         compiler = LiveCompiler(source, build=BuildConfig(opt="basic",
                                                           sanitize=True))
         elaborated = metrics.counter("elaborate.cache_misses")
-        assert missed(source) == (["leaf", "top"], [2, 0, 0, 0])
+        assert missed(source) == (["leaf", "top"], [2, 0, 0])
         # A body edit moves the module's own fingerprint ...
         source = source.replace("a + 8'd1", "a + 8'd2")
-        assert missed(source) == (["leaf"], [0, 1, 0, 0])
+        assert missed(source) == (["leaf"], [0, 1, 0])
         # ... a parent-only edit of a constant fed to the child moves
-        # the child's value facts ...
+        # the parent's alone ...
         source = source.replace(".mode(4'd0)", ".mode(4'd1)")
-        assert missed(source) == (["leaf", "top"], [0, 1, 0, 1])
+        assert missed(source) == (["top"], [0, 1, 0])
         # ... and a child interface edit moves the parent's child_fps.
         source = source.replace(
             "output [7:0] y);\n  reg",
             "output [7:0] y, output z);\n  assign z = 1'b0;\n  reg",
         )
-        assert missed(source) == (["leaf", "top"], [0, 1, 1, 0])
+        assert missed(source) == (["leaf", "top"], [0, 1, 1])
         assert metrics.gauge_value("facts.cache_size") == sum(
             len(compiler.cache.entries(kind)) for kind in (
                 "passes.dataflow", "passes.dataflow.summary",
@@ -737,6 +749,26 @@ class TestCacheManagement:
         # deep`` and the repro.obs/v1 report ship): 2 + 1 + 1 + 2 built.
         counters = obs.report()["metrics"]["counters"]
         assert counters["elaborate.cache_misses"] - elaborated == 6
+
+    def test_a_sanitized_compile_is_keyed_by_its_source(self):
+        """A parent edit that changes the constant it drives into a
+        child recompiles the parent alone under the sanitizer too, as
+        in a clean build; the child's facts still move, and the
+        analyzer reads the new ones."""
+        source = K_SRC
+        session = LiveSession(source, sanitize="report")
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+
+        def leaf():
+            facts = session.compiler.cache.recent("passes.dataflow", "leaf")
+            proved = [d.message for d in session.lint().diagnostics
+                      if d.kind == "proved-condition"]
+            return facts[0].input_facts["k"].const_value, proved
+
+        assert leaf() == (1, ["mux select is provably always true (= 0x1)"])
+        report = session.apply_change(source.replace(".k(4'd1)", ".k(4'd3)"))
+        assert report.recompiled_keys == ["top"]
+        assert leaf() == (3, ["mux select is provably always false (= 0x0)"])
 
     def test_bound_keeps_every_flavour_of_the_live_generation(self):
         """The six sanitize x opt flavours of an un-edited design are

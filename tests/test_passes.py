@@ -39,7 +39,6 @@ FIRST_WRITER = {
     "pure": "elab_facts",
     "value_facts": "dataflow",
     "plans": "constprop",
-    "elide": "sanitize_plan",
     "san_free": "sanitize_plan",
     "library": "codegen",
 }

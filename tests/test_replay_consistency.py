@@ -6,7 +6,7 @@ from repro import compile_design
 from repro.hdl.errors import SimulationError
 from repro.live.checkpoint import CheckpointStore
 from repro.live.consistency import InProcess, VerifyJob
-from repro.live.replay import SessionOp, replay_ops, trim_ops
+from repro.live.replay import SessionOp, ops_until, replay_ops
 from repro.sim import Pipe
 from repro.sim.testbench import CallbackTestbench, hold_inputs
 from tests.conftest import COUNTER_SRC
@@ -97,11 +97,13 @@ class TestReplayOps:
         assert pipe.top.snapshot().equal_state(reference.top.snapshot())
         assert pipe.outputs() == {"c0": total & 0xFF, "c1": 3 * total & 0xFF}
 
-    def test_trim_ops(self):
+    def test_ops_until(self):
         ops = [SessionOp("a", 0, 10), SessionOp("b", 10, 20),
                SessionOp("c", 20, 30)]
-        assert trim_ops(ops, 15) == ops[1:]
-        assert trim_ops(ops, 0) == ops
+        assert ops_until(ops, 15) == [ops[0], SessionOp("b", 10, 15)]
+        assert ops_until(ops, 20) == ops[:2]
+        assert ops_until(ops, 30) == ops
+        assert ops_until(ops, 0) == []
 
 
 class TestConsistencyChecker:

@@ -111,8 +111,8 @@ class TestSessionJournal:
         # Build settings are structure too: a rehydrated session must
         # come back at the opt level and sanitize mode it was left at.
         assert {"san", "opt"} <= STRUCTURAL_VERBS
-        # run is recovered from checkpoints, never replayed.
-        assert "run" not in STRUCTURAL_VERBS
+        # What these did is recovered from checkpoints, never replayed.
+        assert not {"run", "chkp", "ldch"} & STRUCTURAL_VERBS
 
     def test_begin_append_roundtrip(self, tmp_path):
         journal = SessionJournal(str(tmp_path), "alice")
@@ -314,6 +314,53 @@ class TestSessionWorkerJournaling:
         worker._cmd_open(0, {"session": "alice", "source": COUNTER_SRC})
         with pytest.raises(ValueError, match="state dir"):
             worker._cmd_persist(0, {"session": "alice"})
+
+
+def _run_line(worker, line):
+    return worker._cmd_cmd(0, {"session": "s", "line": line})
+
+
+class TestRewindIsARecoveryPoint:
+    """What a crash brings back is where the pipe stands after a rewind,
+    never the future the rewind abandoned."""
+
+    def _worker(self, state_root):
+        worker = _worker(state_root, checkpoint_interval=10)
+        worker._cmd_open(0, {"session": "s", "source": COUNTER_SRC})
+        _run_line(worker, "instPipe p0, stage2")
+        return worker
+
+    def _rehydrated(self, state_root):
+        worker = _worker(state_root, checkpoint_interval=10)
+        pipes = worker._cmd_rehydrate(0, {"session": "s"})["pipes"]
+        return pipes, _run_line(worker, "peek p0")["c0"]
+
+    def test_ldch_survives_a_crash(self, tmp_path):
+        state, path = str(tmp_path / "state"), tmp_path / "p.ckpt"
+        worker = self._worker(state)
+        _run_line(worker, "run tb0, p0, 10")
+        _run_line(worker, f"chkp p0, {path}")
+        _run_line(worker, "run tb0, p0, 30")
+        _run_line(worker, f"ldch p0, {path}")
+        assert _run_line(worker, "peek p0")["c0"] == 8
+        assert self._rehydrated(state) == ({"p0": 10}, 8)
+        # Recovery reads the journal's store, not the user's file.
+        path.unlink()
+        assert self._rehydrated(state) == ({"p0": 10}, 8)
+
+    def test_another_state_at_the_saved_cycle_is_saved(self, tmp_path):
+        from repro.sim.testbench import reset_sequence
+
+        state = str(tmp_path / "state")
+        worker = self._worker(state)
+        _run_line(worker, "run tb0, p0, 40")  # saved: c0 == 38 at 40
+        session = worker.manager.get("s").session
+        # Back to cycle 10 without a journaled line, then to cycle 40
+        # again under a testbench that holds the counters in reset.
+        session.ldch("p0", session.store("p0").nearest_before(10))
+        held = session.load_testbench(reset_sequence("rst", cycles=1000))
+        _run_line(worker, f"run {held}, p0, 30")
+        assert self._rehydrated(state) == ({"p0": 40}, 0)
 
 
 class TestReloadAfterRehydrate:

@@ -2,8 +2,7 @@
 
 Covers the abstract domain's algebra, the forward walk over real
 modules, site recording, cross-module input-fact propagation, the facts
-cache, the width rule the sanitizer elides by and the const-reg
-initialization built on the facts (repro.sanitize.elide).
+cache and the width rule the sanitizer elides by (which reads no fact).
 """
 
 import contextlib
@@ -35,7 +34,6 @@ from repro.passes.dataflow import (
 )
 from repro.riscv.patches import PATCHES
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
-from repro.sanitize import ElisionPlan, build_elision_plan, reg_const_init
 from tests.test_fuzz_codegen import expr_text, module_for
 from tests.test_fuzz_hierarchy import random_design
 
@@ -305,17 +303,18 @@ class TestCrossModule:
             first.pass_computed["dataflow"]
         )
 
-    def test_digest_changes_with_behaviour(self):
+    def test_facts_change_with_behaviour(self):
         # The parent edit changes what it feeds the (untouched) child:
-        # the child's phase-2 facts — and so its digest — must move.
+        # the child's phase-2 facts must move.
         facts_a, _ = facts_for(HIER_SRC)
         facts_b, _ = facts_for(HIER_SRC.replace("8'd6", "8'd9"))
-        assert facts_a["leaf"].digest != facts_b["leaf"].digest
+        assert facts_a["leaf"].input_facts != facts_b["leaf"].input_facts
+        assert facts_a["leaf"].env != facts_b["leaf"].env
         assert facts_b["leaf"].input_facts["v"].hi == 9
 
 
 # ---------------------------------------------------------------------------
-# Elision plans + const-reg initialization
+# The width rule and san-free subtrees
 # ---------------------------------------------------------------------------
 
 
@@ -371,31 +370,6 @@ endmodule
         mod = sanitized_module(ELIDE_SRC, san_elide=False)
         assert (mod.san_sites, mod.san_elided) == (2, 0)
         assert "_san.ob(" in mod.source
-
-    def test_plan_reads_no_site_facts(self):
-        facts, netlist = facts_for(ELIDE_SRC)
-        plan = build_elision_plan(facts["m"], netlist.modules["m"])
-        assert plan == ElisionPlan(rr_fast=True, const_init={})
-
-    def test_const_reg_init_from_env_tier(self):
-        facts, _ = facts_for("""
-module m (input clk, output [7:0] y);
-  reg [7:0] stuck;
-  always @(posedge clk) stuck <= 8'd0;
-  assign y = stuck;
-endmodule
-""", top="m")
-        netlist = elaborate(parse("""
-module m (input clk, output [7:0] y);
-  reg [7:0] stuck;
-  always @(posedge clk) stuck <= 8'd0;
-  assign y = stuck;
-endmodule
-"""), "m")
-        init = reg_const_init(facts["m"], netlist.modules["m"])
-        assert init == {"stuck": 0}
-        plan = build_elision_plan(facts["m"], netlist.modules["m"])
-        assert plan.const_init == init  # rides on the plan to codegen
 
     def test_san_free_requires_no_sites_anywhere(self):
         netlist = elaborate(parse(HIER_SRC), "m")
@@ -581,12 +555,11 @@ def assert_same_facts(got, want):
     assert got.keys() == want.keys()
     for key, expected in want.items():
         # env, the four site dicts, origins, deps, always_written,
-        # the boundary facts (and key, input_facts) ...
+        # the boundary facts, key and input_facts.
         for spec in dataclasses.fields(expected):
             if spec.name != "run_key":  # names a run, holds no fact
                 assert getattr(got[key], spec.name) == getattr(
                     expected, spec.name), (key, spec.name)
-        assert got[key].digest == expected.digest  # ... and the digest
 
 
 def assert_reuse_changes_nothing(netlist):
