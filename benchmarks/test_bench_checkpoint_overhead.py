@@ -28,16 +28,19 @@ def test_checkpoint_overhead_report(benchmark, sizes):
             round(result.overhead_percent, 1),
             result.checkpoints_taken,
             result.checkpoint_bytes,
+            result.resident_bytes,
         ])
     emit(format_table(
         "§V-B — checkpointing overhead (paper: 10-20 %)",
         ["cores", "Hz (off)", "Hz (on)", "overhead %", "taken",
-         "bytes/checkpoint"],
+         "bytes/checkpoint", "resident B/checkpoint"],
         rows,
         row_labels=[f"{n}x{n}" for n in sizes[:2]],
     ))
     for row in rows:
         assert row[3] < 100  # bounded overhead
+        # Pages an interval did not write are shared, never copied.
+        assert 0 < row[6] < row[5]
 
 
 def test_checkpoint_size_scales_with_cores(benchmark, sizes):

@@ -163,7 +163,8 @@ class CheckpointOverheadResult:
     hz_with: float
     interval: int
     checkpoints_taken: int
-    checkpoint_bytes: int
+    checkpoint_bytes: int  # logical payload per checkpoint
+    resident_bytes: int  # what a checkpoint keeps resident, on average
 
     @property
     def overhead_percent(self) -> float:
@@ -196,13 +197,15 @@ def checkpoint_overhead(
     session.run(tb, "uut", cycles)
     hz_with = cycles / (time.perf_counter() - started)
 
+    count = max(len(store), 1)
     return CheckpointOverheadResult(
         n=n,
         hz_without=hz_without,
         hz_with=hz_with,
         interval=interval,
         checkpoints_taken=len(store),
-        checkpoint_bytes=store.total_bytes() // max(len(store), 1),
+        checkpoint_bytes=store.total_bytes() // count,
+        resident_bytes=store.resident_bytes() // count,
     )
 
 

@@ -7,10 +7,15 @@ point, replays forward, and reports the result — while older
 checkpoints are re-verified in the background.
 
 The paper forks the process so checkpoint capture stays off the
-simulation's critical path; here capture is an in-process deep snapshot
-(deterministic and picklable — which the parallel verifier requires)
-and its cost is measured and reported by the overhead bench exactly as
-§V-B does.
+simulation's critical path, and copy-on-write makes a checkpoint cost
+the pages written since the one before.  Here capture is an in-process
+snapshot (deterministic and picklable — which the parallel verifier
+requires) taken against the store's newest checkpoint: registers are
+copied, and each memory is a :class:`~repro.sim.stage.MemImage` that
+shares every page the interval did not write, so a checkpoint holds
+what its interval wrote (:meth:`CheckpointStore.resident_bytes`), and
+a saved store writes a shared page once.  Capture cost is measured and
+reported by the overhead bench exactly as §V-B does.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import IO, Callable, List, Optional
+from typing import IO, Callable, List, Optional, Set
 
 from .. import obs
 from ..hdl.errors import SimulationError
@@ -141,10 +146,17 @@ class CheckpointStore:
     # -- capture -------------------------------------------------------------
 
     def take(self, pipe: Pipe, version: str, op_index: int) -> Checkpoint:
-        """Capture the pipe state now (the Fig. 2a 'fork & save')."""
+        """Capture the pipe state now (the Fig. 2a 'fork & save').
+
+        The newest checkpoint is the base: every memory page the pipe
+        has not written since is shared with it, not copied.
+        """
+        with self._lock:
+            checkpoints = self._checkpoints
+            base = checkpoints[-1].snapshot if checkpoints else None
         started = time.perf_counter()
         with obs.span("checkpoint", cycle=pipe.cycle):
-            snapshot = pipe.snapshot()
+            snapshot = pipe.snapshot(base)
         elapsed = time.perf_counter() - started
         obs.incr("checkpoint.taken")
         with self._lock:
@@ -328,5 +340,15 @@ class CheckpointStore:
             self.gc()
 
     def total_bytes(self) -> int:
+        """The logical payload: every checkpoint's words, 8 B each."""
         with self._lock:
             return sum(c.total_bytes() for c in self._checkpoints)
+
+    def resident_bytes(self) -> int:
+        """What the store holds: :meth:`total_bytes` with each memory
+        page counted once however many checkpoints share it."""
+        seen: Set[int] = set()
+        with self._lock:
+            return sum(
+                c.snapshot.resident_bytes(seen) for c in self._checkpoints
+            )

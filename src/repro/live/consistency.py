@@ -233,7 +233,8 @@ def _ordered_union(first, second) -> List[str]:
 def _describe_divergence(actual, expected, path: str = "top") -> str:
     # Registers/memories present in either side count: a name only in
     # `expected` means the replayed design dropped state (and vice
-    # versa), which is exactly the divergence worth naming.
+    # versa), which is exactly the divergence worth naming.  A memory
+    # image is read as a sequence of words (`==` compares it by page).
     for name in _ordered_union(actual.regs, expected.regs):
         a = actual.regs.get(name)
         b = expected.regs.get(name)

@@ -127,7 +127,9 @@ def translate(
 
     Applies the Table V rules at the top of this module, op by op, to
     the register values, the memories, and the sanitizer's poisoned
-    register names and per-memory word-poison bitmaps alike.
+    register names and per-memory word-poison bitmaps alike.  A memory
+    image moves by name as it is: its pages stay shared with the
+    checkpoints they were captured against.
     """
     regs, mems = dict(snap.regs), dict(snap.mems)
     poisoned, mem_poison = dict.fromkeys(snap.reg_poison), dict(snap.mem_poison)

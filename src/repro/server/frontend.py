@@ -902,6 +902,12 @@ class ShardedFrontend:
                 entry = passes.setdefault(parts[1], {"hits": 0, "misses": 0})
                 entry[parts[2][len("cache_"):]] = value
         stats["passes"] = passes
+        # Sessions live on exactly one worker: their checkpoints add up.
+        checkpoints = {"count": 0, "bytes": 0, "resident_bytes": 0}
+        for entry in worker_stats:
+            for name, value in entry["checkpoints"].items():
+                checkpoints[name] += value
+        stats["checkpoints"] = checkpoints
         if params.get("deep"):
             stats["worker_stats"] = worker_stats
         return stats

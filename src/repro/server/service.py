@@ -406,6 +406,21 @@ class SessionManager:
         with self._lock:
             return sorted(self._sessions)
 
+    def checkpoint_totals(self) -> Dict[str, int]:
+        """The checkpoints every pipe of every session holds: how many,
+        their logical payload (``bytes``, 8 B per word) and what stays
+        resident (``resident_bytes``: a memory page shared by several
+        checkpoints of a store counted once)."""
+        with self._lock:
+            sessions = list(self._sessions.values())
+        totals = {"count": 0, "bytes": 0, "resident_bytes": 0}
+        for managed in sessions:
+            for row in list(managed.session.pipelines):
+                totals["count"] += len(row.store)
+                totals["bytes"] += row.store.total_bytes()
+                totals["resident_bytes"] += row.store.resident_bytes()
+        return totals
+
     def describe(self) -> List[Dict[str, Any]]:
         with self._lock:
             sessions = list(self._sessions.values())

@@ -574,6 +574,7 @@ class SessionWorker:
             "sessions": self.manager.count,
             "session_names": self.manager.names(),
             "metrics": obs.get_metrics().as_dict(),
+            "checkpoints": self.manager.checkpoint_totals(),
         }
         store = self.manager.artifact_store
         if store is not None:

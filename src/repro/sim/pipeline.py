@@ -10,7 +10,7 @@ entry points of :mod:`repro.codegen.pygen`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..codegen.pygen import CompiledModule
 from ..hdl.errors import ConvergenceError, SimulationError
@@ -210,11 +210,13 @@ class Pipe:
 
     # -- state ------------------------------------------------------------------
 
-    def snapshot(self) -> "PipeSnapshot":
+    def snapshot(self, base: Optional["PipeSnapshot"] = None) -> "PipeSnapshot":
+        """The pipe's state now; memory pages equal to ``base``'s are
+        shared with it (:meth:`StageInst.snapshot`)."""
         return PipeSnapshot(
             cycle=self.cycle,
             inputs=dict(self._inputs),
-            state=self.top.snapshot(),
+            state=self.top.snapshot(base.state if base is not None else None),
         )
 
     def restore(self, snap: "PipeSnapshot") -> None:
@@ -274,3 +276,8 @@ class PipeSnapshot:
 
     def total_bytes(self) -> int:
         return self.state.total_bytes() + 8 * (len(self.inputs) + 1)
+
+    def resident_bytes(self, seen: Set[int]) -> int:
+        """:meth:`total_bytes` less the memory pages already in ``seen``
+        (:meth:`StateSnapshot.resident_bytes`)."""
+        return self.state.resident_bytes(seen) + 8 * (len(self.inputs) + 1)

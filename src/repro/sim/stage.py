@@ -12,25 +12,111 @@ rules that carry it across a design version live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..codegen.pygen import CompiledModule
 from ..hdl.errors import SimulationError
 
+# Words per page of a memory image.  Smaller pages share more between
+# consecutive checkpoints but cost more to capture, larger ones the
+# reverse (the table in EXPERIMENTS.md, §V-B).
+PAGE_WORDS = 256
+
+
+class MemImage:
+    """One memory's words at capture, in pages of :data:`PAGE_WORDS`.
+
+    :meth:`capture` reuses each page of a base image whose contents
+    equal the live words there, so consecutive checkpoints share every
+    page the interval between them did not write: the in-process
+    counterpart of the copy-on-write pages a forked checkpoint shares
+    (paper §III-D).  No page is mutated after capture, and pickle
+    writes a shared page once.  A reader sees a sequence of words:
+    ``len``, iteration, an integer index, a slice (a new list), ``==``.
+    """
+
+    __slots__ = ("pages", "_length")
+
+    def __init__(self, pages: Tuple[List[int], ...], length: int):
+        self.pages = pages
+        self._length = length
+
+    @classmethod
+    def capture(cls, words: List[int], base=None) -> "MemImage":
+        """An image of ``words``.  ``base`` (any earlier image of the
+        same memory, or None) only decides which page objects are
+        reused; a page is reused only when its contents are equal."""
+        starts = range(0, len(words), PAGE_WORDS)
+        if isinstance(base, MemImage) and base._length == len(words):
+            pages = [
+                old if old == (page := words[start : start + PAGE_WORDS])
+                else page
+                for start, old in zip(starts, base.pages)
+            ]
+        else:
+            pages = [words[start : start + PAGE_WORDS] for start in starts]
+        return cls(tuple(pages), len(words))
+
+    def tolist(self) -> List[int]:
+        """The words as one new list (page by page, at C speed)."""
+        words: List[int] = []
+        for page in self.pages:
+            words += page
+        return words
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.pages)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.tolist()[index]
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("memory image index out of range")
+        return self.pages[index // PAGE_WORDS][index % PAGE_WORDS]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MemImage):
+            return self._length == other._length and all(
+                a is b or a == b for a, b in zip(self.pages, other.pages)
+            )
+        if isinstance(other, list):
+            return self.tolist() == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return MemImage, (self.pages, self._length)
+
+
+def _pages(words: Sequence[int]) -> Sequence[Sequence[int]]:
+    """The page objects holding an image (a flat list is one page)."""
+    return words.pages if isinstance(words, MemImage) else (words,)
+
 
 @dataclass
 class StateSnapshot:
-    """A deep, picklable copy of one instance subtree's state.
+    """A picklable capture of one instance subtree's state.
 
     Registers and memories are keyed by *name* so a snapshot taken
     under one design version can be translated into another version's
-    namespace (paper §III-E, :mod:`repro.live.transform`).
+    namespace (paper §III-E, :mod:`repro.live.transform`).  Register
+    values are copied; each memory is a :class:`MemImage`, whose pages
+    may be shared with the snapshot it was captured against.  A memory
+    read from a file written before images were paged is a plain list,
+    and every reader takes either.
     """
 
     key: str
     name: str
     regs: Dict[str, int]
-    mems: Dict[str, List[int]]
+    mems: Dict[str, Sequence[int]]
     children: List["StateSnapshot"] = field(default_factory=list)
     # Sanitizer shadow state (empty for clean builds): names of
     # poisoned regs and per-memory word-poison bitmaps.
@@ -38,7 +124,7 @@ class StateSnapshot:
     mem_poison: Dict[str, int] = field(default_factory=dict)
 
     def total_bytes(self) -> int:
-        """Rough payload size (8 bytes per register/memory word).
+        """Logical payload size (8 bytes per register/memory word).
 
         Used by the checkpoint-overhead bench; the paper notes the
         256-core PGAS checkpoint is < 3 MB.
@@ -48,6 +134,19 @@ class StateSnapshot:
             size += 8 * len(words)
         for child in self.children:
             size += child.total_bytes()
+        return size
+
+    def resident_bytes(self, seen: Set[int]) -> int:
+        """:meth:`total_bytes`, counting only the memory pages whose
+        ``id`` is not yet in ``seen`` (and adding them to it)."""
+        size = 8 * len(self.regs)
+        for words in self.mems.values():
+            for page in _pages(words):
+                if id(page) not in seen:
+                    seen.add(id(page))
+                    size += 8 * len(page)
+        for child in self.children:
+            size += child.resident_bytes(seen)
         return size
 
     def child(self, name: str) -> Optional["StateSnapshot"]:
@@ -164,7 +263,11 @@ class StageInst:
 
     # -- snapshot / restore -------------------------------------------------------
 
-    def snapshot(self) -> StateSnapshot:
+    def snapshot(self, base: Optional[StateSnapshot] = None) -> StateSnapshot:
+        """This subtree's state now.  With ``base`` (an earlier
+        snapshot of this subtree), every memory page whose contents
+        equal the same page of ``base``'s image of that memory is
+        shared with it; children are matched to ``base``'s by name."""
         state = self.state
         reg_poison: Tuple[str, ...] = ()
         mem_poison: Dict[str, int] = {}
@@ -180,6 +283,7 @@ class StageInst:
                 for name, spec in self.code.mem_specs.items()
                 if state[spec.poison_slot]
             }
+        base_mems = base.mems if base is not None else {}
         return StateSnapshot(
             key=self.code.key,
             name=self.name,
@@ -187,10 +291,13 @@ class StageInst:
                 name: state[slot] for name, slot in self.code.reg_slots.items()
             },
             mems={
-                name: list(state[spec.slot])
+                name: MemImage.capture(state[spec.slot], base_mems.get(name))
                 for name, spec in self.code.mem_specs.items()
             },
-            children=[child.snapshot() for child in self.children],
+            children=[
+                child.snapshot(base and base.child(child.name))
+                for child in self.children
+            ],
             reg_poison=reg_poison,
             mem_poison=mem_poison,
         )
@@ -250,7 +357,8 @@ class StageInst:
             state[slot] = value
             state[slot + num_regs] = value
         for name, spec in code.mem_specs.items():
-            words = snap.mems.get(name, [])[: spec.depth]  # a copy
+            # A slice is a new flat list of an image or a list alike.
+            words = snap.mems.get(name, [])[: spec.depth]
             count = len(words)
             mask = (1 << spec.width) - 1
             # Same-width words (the common case) are copied, not

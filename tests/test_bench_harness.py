@@ -218,6 +218,7 @@ class TestCheckpointOverheadBench:
         result = checkpoint_overhead(n=1, cycles=200, interval=20)
         assert result.checkpoints_taken > 0
         assert result.hz_with > 0
+        assert 0 < result.resident_bytes < result.checkpoint_bytes
         # Overhead is positive-ish but bounded (paper: 10-20%; ours
         # varies more in Python — assert it is not catastrophic).
         assert result.overhead_percent < 100

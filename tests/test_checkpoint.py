@@ -1,4 +1,8 @@
-"""Checkpoint store tests: capture cadence, selection, GC (Fig. 2)."""
+"""Checkpoint store tests: capture cadence, selection, GC (Fig. 2),
+page-shared memory images and persistence."""
+
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 from repro import compile_design
 from repro.hdl.errors import SimulationError
 from repro.live.checkpoint import Checkpoint, CheckpointStore, GCPolicy
+from repro.live.replay import rewind
+from repro.live.session import LiveSession
 from repro.sim import Pipe
+from repro.sim.pipeline import PipeSnapshot
+from repro.sim.stage import PAGE_WORDS
+from repro.sim.testbench import hold_inputs
 from tests.conftest import COUNTER_SRC
 
 
@@ -17,6 +26,68 @@ def make_pipe():
     pipe.step(1)
     pipe.set_inputs(rst=0)
     return pipe
+
+
+def mem_design(depth: int = 4 * PAGE_WORDS, name: str = "m") -> str:
+    """One memory of ``depth`` 64-bit words; out of reset, cycle c
+    writes word ``c % 1024``, so an interval writes a run of pages."""
+    return f"""
+module top (
+  input clk,
+  input rst,
+  output [63:0] q
+);
+  reg [9:0] ptr;
+  reg [63:0] {name} [0:{depth - 1}];
+  assign q = {name}[ptr];
+  always @(posedge clk) begin
+    if (rst)
+      ptr <= 0;
+    else begin
+      ptr <= ptr + 10'd1;
+      {name}[ptr] <= ptr + 64'd1;
+    end
+  end
+endmodule
+"""
+
+
+def make_mem_pipe():
+    """A pipe of :func:`mem_design` held in reset: its memory is idle."""
+    netlist, library = compile_design(mem_design(), "top")
+    pipe = Pipe(netlist.top, library)
+    pipe.set_inputs(rst=1)
+    pipe.step(1)
+    return pipe
+
+
+def page_ids(checkpoint):
+    """``id`` of every memory page the checkpoint's tree holds."""
+    ids, stack = set(), [checkpoint.snapshot.state]
+    while stack:
+        state = stack.pop()
+        for words in state.mems.values():
+            ids.update(map(id, words.pages))
+        stack.extend(state.children)
+    return ids
+
+
+def shadow(state):
+    """The sanitizer's poison over a snapshot tree."""
+    return (
+        set(state.reg_poison), state.mem_poison,
+        [shadow(child) for child in state.children],
+    )
+
+
+def flattened(state):
+    """``state`` with plain-list memory images, as a store file written
+    before images were paged holds them."""
+    return replace(
+        state,
+        mems={name: list(words) for name, words in state.mems.items()},
+        children=[flattened(child) for child in state.children],
+    )
 
 
 class TestCapture:
@@ -70,9 +141,124 @@ class TestCapture:
         pipe.step(10)
         assert cp.snapshot.state.child("u0").regs == before
 
+        # A memory image, and the pages the next checkpoint shares
+        # with it, survive every way the live memory is written.
+        pipe = make_mem_pipe()
+        pipe.top.write_memory("m", 0, list(range(1, 4 * PAGE_WORDS + 1)))
+        store = CheckpointStore(interval=10)
+        first = store.take(pipe, "1.0", 0)
+        pipe.step(1)
+        second = store.take(pipe, "1.0", 0)
+        image = first.snapshot.state.mems["m"]
+        assert second.snapshot.state.mems["m"].pages == image.pages
+        words = list(image)
+        pipe.top.write_memory("m", 0, [7] * (4 * PAGE_WORDS))
+        pipe.set_inputs(rst=0)
+        pipe.step(10)
+        pipe.top.memory("m")[-1] = 9
+        assert list(image) == words
+        assert list(second.snapshot.state.mems["m"]) == words
+
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             CheckpointStore(interval=0)
+
+
+@pytest.mark.parametrize("sanitize", ["off", "report"])
+class TestPageSharing:
+    """A checkpoint holds the memory pages its interval wrote: the rest
+    are the previous checkpoint's page objects, and sharing never
+    changes what a checkpoint restores."""
+
+    INTERVAL = 50
+
+    def _open(self, sanitize):
+        session = LiveSession(
+            mem_design(), checkpoint_interval=self.INTERVAL,
+            sanitize=sanitize,
+        )
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        tb = session.load_testbench(hold_inputs(rst=0))
+        return session, tb
+
+    def _run_intervals(self, session, tb, count, references):
+        """Run ``count`` intervals; after each, check the checkpoint it
+        took page by page against the live memory and keep an unshared
+        snapshot of the pipe as that cycle's reference."""
+        pipe = session.pipe("p0")
+        for _ in range(count):
+            session.run(tb, "p0", self.INTERVAL)
+            newest = session.checkpoints("p0")[-1]
+            assert newest.cycle == pipe.cycle
+            for name, image in newest.snapshot.state.mems.items():
+                live = pipe.top.memory(name)
+                assert len(image) == len(live)
+                for index, page in enumerate(image.pages):
+                    start = index * PAGE_WORDS
+                    assert page == live[start : start + PAGE_WORDS]
+            references[pipe.cycle] = pipe.snapshot()
+
+    def _assert_restores_exactly(self, session, references):
+        pipe = session.pipe("p0")
+        for checkpoint in session.checkpoints("p0"):
+            reference = references.get(checkpoint.cycle)
+            if reference is None:
+                continue  # taken before the last edit
+            rewind(pipe, checkpoint)
+            now = pipe.snapshot()
+            assert now.state.equal_state(reference.state)
+            assert shadow(now.state) == shadow(reference.state)
+        rewind(pipe, session.checkpoints("p0")[-1])
+
+    def test_consecutive_checkpoints_share_what_was_not_written(
+        self, sanitize
+    ):
+        session, tb = self._open(sanitize)
+        references = {}
+        self._run_intervals(session, tb, 8, references)
+        checkpoints = session.checkpoints("p0")
+        assert [c.cycle for c in checkpoints] == list(range(50, 401, 50))
+        for older, newer in zip(checkpoints, checkpoints[1:]):
+            # Cycle c writes word c (pointer out of reset at 0).
+            written = {
+                address // PAGE_WORDS
+                for address in range(older.cycle, newer.cycle)
+            }
+            old_pages = older.snapshot.state.mems["m"].pages
+            new_pages = newer.snapshot.state.mems["m"].pages
+            for index, (old, new) in enumerate(zip(old_pages, new_pages)):
+                assert (old is new) == (index not in written), index
+        store = session.store("p0")
+        assert store.resident_bytes() < store.total_bytes() / 2
+        self._assert_restores_exactly(session, references)
+
+    @pytest.mark.parametrize(
+        "edited",
+        [mem_design(depth=5 * PAGE_WORDS), mem_design(name="mm")],
+        ids=["depth", "rename"],
+    )
+    def test_the_first_take_after_a_memory_edit_shares_nothing(
+        self, sanitize, edited
+    ):
+        session, tb = self._open(sanitize)
+        references = {}
+        self._run_intervals(session, tb, 3, references)
+        before = set().union(*map(page_ids, session.checkpoints("p0")))
+        session.apply_change(edited)
+        # No checkpoint from before the edit has an image of the same
+        # length under the memory's new name to share pages with (the
+        # longer memory keeps the old words, the renamed one starts at
+        # zero); to the sanitizer what was not carried is poisoned.
+        references.clear()
+        self._run_intervals(session, tb, 3, references)
+        first, second, third = session.checkpoints("p0")[-3:]
+        assert not page_ids(first) & before
+        (image,) = first.snapshot.state.mems.values()
+        (image_after,) = second.snapshot.state.mems.values()
+        assert any(a is b for a, b in zip(image.pages, image_after.pages))
+        if sanitize == "report":
+            assert first.snapshot.state.mem_poison
+        self._assert_restores_exactly(session, references)
 
 
 class TestSelection:
@@ -335,3 +521,72 @@ class TestPersistence:
             store.save(str(path))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["recovery.ckpt"]
+
+    def test_a_saved_store_writes_a_shared_page_once(self, tmp_path):
+        # An idle memory of distinct 64-bit words: each checkpoint after
+        # the first shares every page, and so does the file.
+        pipe = make_mem_pipe()
+        rng = random.Random(33)
+        pipe.top.write_memory(
+            "m", 0, [rng.getrandbits(64) for _ in range(4 * PAGE_WORDS)]
+        )
+        store = CheckpointStore(interval=1)
+        store.take(pipe, "1.0", 0)
+        one, many = tmp_path / "one.ckpt", tmp_path / "many.ckpt"
+        store.save(str(one))
+        for _ in range(19):
+            pipe.step(1)
+            store.take(pipe, "1.0", 0)
+        store.save(str(many))
+        assert len(store) == 20
+        assert many.stat().st_size < 2 * one.stat().st_size
+        image_bytes = 8 * 4 * PAGE_WORDS
+        assert store.resident_bytes() == store.total_bytes() - 19 * image_bytes
+        loaded = CheckpointStore(interval=1)
+        loaded.load(str(many))
+        assert loaded.resident_bytes() == store.resident_bytes()
+
+    def test_a_store_file_with_flat_images_still_loads(self, tmp_path):
+        session = LiveSession(mem_design(), checkpoint_interval=50)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        tb = session.load_testbench(hold_inputs(rst=0))
+        session.run(tb, "p0", 200)
+        paged, flat = tmp_path / "paged.ckpt", tmp_path / "flat.ckpt"
+        session.store("p0").save(str(paged))
+        store = CheckpointStore(interval=50)
+        store.load(str(paged))
+        for checkpoint in store.all():
+            snapshot = checkpoint.snapshot
+            checkpoint.snapshot = PipeSnapshot(
+                snapshot.cycle, snapshot.inputs, flattened(snapshot.state)
+            )
+        store.save(str(flat))
+        assert b"MemImage" not in flat.read_bytes()
+        assert b"MemImage" in paged.read_bytes()
+
+        from_flat, from_paged = CheckpointStore(), CheckpointStore()
+        from_flat.load(str(flat))
+        from_paged.load(str(paged))
+        for a, b in zip(from_flat.all(), from_paged.all(), strict=True):
+            assert type(a.snapshot.state.mems["m"]) is list
+            assert a.snapshot.state.equal_state(b.snapshot.state)
+            assert b.snapshot.state.equal_state(a.snapshot.state)
+
+        pipe = session.pipe("p0")
+        session.ldch("p0", str(paged))
+        restored = pipe.snapshot()
+        session.ldch("p0", str(flat))
+        assert pipe.cycle == restored.cycle == 200
+        assert pipe.snapshot().state.equal_state(restored.state)
+
+        # A store of flat images only verifies, and the checkpoint taken
+        # against one (nothing to share) verifies with it.
+        session.store("p0").invalidate_after(-1)
+        session.ldch("p0", str(flat))
+        assert all(
+            type(c.snapshot.state.mems["m"]) is list
+            for c in session.checkpoints("p0")
+        )
+        assert session.verify_consistency("p0").verdict == "consistent"
+        session.run(tb, "p0", 50)
+        assert session.verify_consistency("p0").verdict == "consistent"

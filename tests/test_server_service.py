@@ -21,6 +21,20 @@ from tests.conftest import COUNTER_SRC, connect, running_server
 EDITED_SRC = COUNTER_SRC.replace("assign sum = a + b;",
                                  "assign sum = a - b;")
 
+# A 1 024-word memory written only while reset is asserted.
+MEMORY_SRC = """
+module top (input clk, input rst, output [7:0] q);
+  reg [9:0] ptr;
+  reg [7:0] m [0:1023];
+  assign q = m[ptr];
+  always @(posedge clk) begin
+    ptr <= ptr + 10'd1;
+    if (rst)
+      m[ptr] <= 8'd1;
+  end
+endmodule
+"""
+
 
 HOSTINGS = pytest.mark.parametrize(
     "workers", [0, 1], ids=["thread", "process"]
@@ -210,6 +224,18 @@ class TestSocketEndToEnd:
         assert "server.request_seconds" in stats["metrics"]["histograms"]
         client.close_session("bob")
         assert client.stats()["sessions"] == 1
+
+    def test_stats_report_what_checkpoints_hold(self, client):
+        info = client.open_session("alice", MEMORY_SRC)
+        client.command("alice", f"instPipe p0, {info['handles']['top']}")
+        for _ in range(3):
+            client.command("alice", "run tb0, p0, 5")
+            client.command("alice", "chkp p0")
+        held = client.stats()["checkpoints"]
+        assert held["count"] == 3
+        # The memory is idle after reset: the last two checkpoints hold
+        # its pages by reference.
+        assert held["resident_bytes"] == held["bytes"] - 2 * 8 * 1024
 
     def test_one_request_is_one_sample(self, client):
         """N commands add exactly N to ``server.requests`` and its
