@@ -30,37 +30,63 @@ Quick start::
     print(report.total_seconds, pipe.outputs())
 """
 
-from typing import Dict, Optional, Tuple
+from __future__ import annotations
 
-from .baseline import BaselineCompiler, BaselineResult
-from .codegen import BuildConfig, CompiledModule, design_cost
-from .hdl import (
-    CompileBudgetExceeded,
-    ElaborationError,
-    HDLError,
-    ParseError,
-    SimulationError,
-    elaborate,
-    parse,
-)
-from .ir.netlist import Netlist
-from .live import (
-    Checkpoint,
-    CheckpointStore,
-    CompileReport,
-    ConsistencyReport,
-    ERDReport,
-    GCPolicy,
-    HotReloader,
-    LiveCompiler,
-    LiveParser,
-    LiveSession,
-    RegisterTransform,
-    RegisterTransformHistory,
-    TransformOp,
-)
-from .passes import compile_netlist
-from .sim import Pipe, StageInst, Testbench
+import importlib
+import sys
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from .codegen import CompiledModule
+    from .ir.netlist import Netlist
+
+
+def lazy_exports(
+    package: str, exports: Dict[str, Sequence[str]]
+) -> Callable[[str], object]:
+    """A PEP 562 module ``__getattr__`` for ``package``: each name in
+    ``exports[module]`` is imported from ``module`` (relative to
+    ``package``) the first time it is read, then kept on the package.
+
+    Package roots resolve their public names this way, so that a process
+    imports a subsystem when it first uses one: opening a session,
+    running and editing never load verification, the baseline compiler,
+    the cost model, regression, cosimulation or trace reports.
+    """
+    where = {
+        name: module for module, names in exports.items() for name in names
+    }
+
+    def __getattr__(name: str) -> object:
+        try:
+            module = where[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module, package), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = lazy_exports(__name__, {
+    ".baseline": ("BaselineCompiler", "BaselineResult"),
+    ".codegen": ("BuildConfig", "CompiledModule", "design_cost"),
+    ".hdl": (
+        "CompileBudgetExceeded", "ElaborationError", "HDLError",
+        "ParseError", "SimulationError", "elaborate", "parse",
+    ),
+    ".live": (
+        "Checkpoint", "CheckpointStore", "CompileReport", "ConsistencyReport",
+        "ERDReport", "GCPolicy", "HotReloader", "LiveCompiler", "LiveParser",
+        "LiveSession", "RegisterTransform", "RegisterTransformHistory",
+        "TransformOp",
+    ),
+    ".passes": ("compile_netlist",),
+    ".sim": ("Pipe", "StageInst", "Testbench"),
+})
 
 __version__ = "1.0.0"
 
@@ -115,6 +141,10 @@ def compile_design(
     pure-subtree skips) — bit-identical to the plain build by
     construction.
     """
+    from .codegen import BuildConfig
+    from .hdl import elaborate, parse
+    from .passes import compile_netlist
+
     netlist = elaborate(parse(source), top, params)
     return netlist, compile_netlist(
         netlist, BuildConfig(mux_style=mux_style, opt=opt)

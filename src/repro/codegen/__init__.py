@@ -15,9 +15,13 @@ contrasts (Fig. 4):
 costs from the IR for the host performance model (Table VII).
 """
 
-from .build import BuildConfig, ModuleKey
-from .cost import DesignCost, ModuleCost, design_cost, module_cost
-from .pygen import CompiledModule, compile_module
+from .. import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".build": ("BuildConfig", "ModuleKey"),
+    ".cost": ("DesignCost", "ModuleCost", "design_cost", "module_cost"),
+    ".pygen": ("CompiledModule", "compile_module"),
+})
 
 __all__ = [
     "BuildConfig",

@@ -17,31 +17,29 @@
 * :mod:`repro.live.session` — the LiveSession command API (Table I).
 """
 
-from .checkpoint import Checkpoint, CheckpointStore, GCPolicy
-from .commands import CommandError, CommandInterpreter, CommandResult
-from .compiler_live import CompileReport, LiveCompiler
-from .consistency import (
-    ConsistencyReport,
-    VerifierPool,
-    VerifyJob,
-    VerifyStatus,
-)
-from .hotreload import HotReloader, SwapReport
-from .parser_live import LiveParser, LiveParseResult
-from .regression import (
-    CaseResult,
-    RegressionCase,
-    RegressionReport,
-    RegressionSuite,
-)
-from .session import ERDReport, LiveSession
-from .tables import ObjectEntry, ObjectLibraryTable, PipelineTable, StageTable
-from .transform import (
-    RegisterTransform,
-    RegisterTransformHistory,
-    TransformOp,
-    guess_transforms,
-)
+from .. import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".checkpoint": ("Checkpoint", "CheckpointStore", "GCPolicy"),
+    ".commands": ("CommandError", "CommandInterpreter", "CommandResult"),
+    ".compiler_live": ("CompileReport", "LiveCompiler"),
+    ".consistency": (
+        "ConsistencyReport", "VerifierPool", "VerifyJob", "VerifyStatus",
+    ),
+    ".hotreload": ("HotReloader", "SwapReport"),
+    ".parser_live": ("LiveParser", "LiveParseResult"),
+    ".regression": (
+        "CaseResult", "RegressionCase", "RegressionReport", "RegressionSuite",
+    ),
+    ".session": ("ERDReport", "LiveSession"),
+    ".tables": (
+        "ObjectEntry", "ObjectLibraryTable", "PipelineTable", "StageTable",
+    ),
+    ".transform": (
+        "RegisterTransform", "RegisterTransformHistory", "TransformOp",
+        "guess_transforms",
+    ),
+})
 
 __all__ = [
     "ObjectLibraryTable",

@@ -179,7 +179,10 @@ class CheckpointStore:
         """Capture if the configured interval elapsed since the last one."""
         if not self.enabled:
             return None
-        last_cycle = self._checkpoints[-1].cycle if self._checkpoints else None
+        # One read: the background verifier's collector may swap in a
+        # shorter (even empty) list between two.
+        checkpoints = self._checkpoints
+        last_cycle = checkpoints[-1].cycle if checkpoints else None
         if last_cycle is not None and pipe.cycle - last_cycle < self.interval:
             return None
         if last_cycle is None and pipe.cycle < self.interval:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..analyze import (
@@ -50,14 +50,6 @@ from ..trace import TraceBuffer
 from ..trace.buffer import DEFAULT_CAPACITY
 from .checkpoint import Checkpoint, CheckpointStore
 from .compiler_live import CompileResult, LiveCompiler
-from .consistency import (
-    ConsistencyReport,
-    InProcess,
-    VerifierPool,
-    VerifyJob,
-    VerifyStatus,
-    WorkerContext,
-)
 from .hotreload import HotReloader, SwapReport
 from .replay import SessionOp, ops_until, recorded_from, replay_ops, rewind
 from .tables import (
@@ -74,6 +66,15 @@ from .transform import (
     guess_transforms,
     translate_snapshot,
 )
+
+if TYPE_CHECKING:
+    from .consistency import (
+        ConsistencyReport,
+        VerifierPool,
+        VerifyJob,
+        VerifyStatus,
+        WorkerContext,
+    )
 
 
 def _build(base: BuildConfig, **changes) -> BuildConfig:
@@ -1067,7 +1068,9 @@ class LiveSession:
     # Consistency verification (§III-F): every verify is one VerifyJob.
     # verify_consistency starts one, waits, and acts on the verdict when
     # asked to repair; verify_background starts one on the pool and acts
-    # on the verdict when it lands.
+    # on the verdict when it lands.  repro.live.consistency (and the
+    # multiprocessing machinery behind the pool) is imported by the first
+    # verify, so opening, running and editing a session never load it.
     # ------------------------------------------------------------------
 
     def verify_consistency(
@@ -1167,6 +1170,8 @@ class LiveSession:
         """Submit the pipe's checkpoint deltas: to the pool when
         ``context`` tells a worker how to rebuild the simulator, else
         to this process (they have run when this returns)."""
+        from .consistency import InProcess, VerifyJob
+
         if context is not None:
             place = self._ensure_verifier_pool(workers)
         else:
@@ -1195,6 +1200,8 @@ class LiveSession:
 
     def verify_status(self, pipe_name: str) -> VerifyStatus:
         """Verdict / progress of the pipe's latest background verify."""
+        from .consistency import VerifyStatus
+
         job = self.timeline(pipe_name).verify_job
         return job.status() if job is not None else VerifyStatus(state="idle")
 
@@ -1221,6 +1228,8 @@ class LiveSession:
             self._verifier_pool = None
 
     def _ensure_verifier_pool(self, workers: int) -> VerifierPool:
+        from .consistency import VerifierPool
+
         pool = self._verifier_pool
         if pool is None or workers > pool.workers:
             # Grow to the widest request; never shrink implicitly — a
@@ -1232,6 +1241,8 @@ class LiveSession:
     def _worker_context(self, session: _PipeSession) -> Optional[WorkerContext]:
         """Rebuild recipe for pool workers; None when a testbench in
         the session history has no factory spec."""
+        from .consistency import WorkerContext
+
         if any(op.tb_handle not in self._tb_specs for op in session.ops):
             return None
         return WorkerContext(

@@ -19,18 +19,11 @@ into the stable ``repro.obs/v1`` JSON schema.
 
 from __future__ import annotations
 
+import importlib
+from types import ModuleType
 from typing import Dict, Optional, Union
 
 from .metrics import Histogram, MetricsRegistry
-from .report import (
-    SCHEMA_ID,
-    aggregate_phases,
-    build_report,
-    load_report,
-    span_names,
-    validate_report,
-    write_report,
-)
 from .span import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
@@ -60,6 +53,13 @@ __all__ = [
     "validate_report",
     "write_report",
 ]
+
+# Resolved from :mod:`repro.obs.report` on first use: the live loop
+# records, and only a caller that reports loads the report schema.
+_FROM_REPORT = frozenset((
+    "SCHEMA_ID", "aggregate_phases", "build_report", "load_report",
+    "span_names", "validate_report", "write_report",
+))
 
 _tracer: Union[Tracer, NullTracer] = NULL_TRACER
 _metrics = MetricsRegistry()
@@ -134,7 +134,28 @@ def histogram(name: str, value: Union[int, float]) -> None:
 # -- reporting ---------------------------------------------------------------
 
 
+def _report_module() -> ModuleType:
+    """:mod:`repro.obs.report`, imported on first use.  Importing a
+    submodule binds it on its package under its own name, which here is
+    the :func:`report` function: bind the function again."""
+    module = importlib.import_module(".report", __name__)
+    globals()["report"] = _REPORT
+    return module
+
+
+def __getattr__(name: str) -> object:
+    if name not in _FROM_REPORT:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_report_module(), name)
+    return value
+
+
 def report(meta: Optional[Dict] = None) -> Dict:
     """Snapshot the current spans + metrics as a ``repro.obs/v1`` dict."""
     tracer = _tracer if isinstance(_tracer, Tracer) else None
-    return build_report(tracer=tracer, metrics=_metrics, meta=meta)
+    return _report_module().build_report(
+        tracer=tracer, metrics=_metrics, meta=meta
+    )
+
+
+_REPORT = report

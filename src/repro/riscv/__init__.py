@@ -8,17 +8,19 @@ differential testing, and the curated bug/fix patch library used by the
 Fig. 8 hot-reload bench.
 """
 
-from .assembler import AsmError, assemble
-from .cosim import Cosim, CosimResult, Divergence, cosim_program
-from .golden import GoldenCore
-from .isa import Reg
-from .pgas import (
-    LOCAL_MEM_BYTES,
-    build_pgas_source,
-    global_address,
-    mesh_top_name,
-)
-from .rtl import CORE_MODULES_SOURCE, core_source
+from .. import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {
+    ".assembler": ("AsmError", "assemble"),
+    ".cosim": ("Cosim", "CosimResult", "Divergence", "cosim_program"),
+    ".golden": ("GoldenCore",),
+    ".isa": ("Reg",),
+    ".pgas": (
+        "LOCAL_MEM_BYTES", "build_pgas_source", "global_address",
+        "mesh_top_name",
+    ),
+    ".rtl": ("CORE_MODULES_SOURCE", "core_source"),
+})
 
 __all__ = [
     "Reg",

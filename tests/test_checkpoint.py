@@ -107,6 +107,25 @@ class TestCapture:
             store.maybe_take(pipe, "1.0", 0)
         assert store.cycles() == [5, 10, 15, 20]
 
+    def test_maybe_take_reads_the_store_once(self):
+        """A background verify's collector can empty the store
+        (``invalidate_after`` before the first checkpoint) while a run
+        asks whether to take one: the question reads the list once."""
+        pipe = make_pipe()
+        store = CheckpointStore(interval=5)
+        pipe.step(5)
+        store.take(pipe, "1.0", 0)
+
+        class CollectedOnRead(list):
+            def __bool__(self):
+                store.invalidate_after(0)  # the collector, between reads
+                return True
+
+        store._checkpoints = CollectedOnRead(store.all())
+        pipe.step(1)
+        assert store.maybe_take(pipe, "1.0", 0) is None
+        assert len(store) == 0
+
     def test_disabled_store_takes_nothing(self):
         pipe = make_pipe()
         store = CheckpointStore(interval=5, enabled=False)

@@ -2,11 +2,18 @@
 documented entry points work as advertised."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 from tests.conftest import COUNTER_SRC
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PACKAGES = [
     "repro",
@@ -19,7 +26,61 @@ PACKAGES = [
     "repro.hostmodel",
     "repro.riscv",
     "repro.bench",
+    "repro.obs",
 ]
+
+# What opening a session, running it and editing it never import: the
+# verifier pool (multiprocessing and what it pulls in), regression, the
+# baseline compiler and its flat generator, the cost model, the
+# cosimulator and its golden model, and trace reports.
+OFF_THE_LIVE_LOOP = [
+    "multiprocessing", "concurrent.futures", "socket", "selectors",
+    "subprocess", "logging",
+    "repro.live.consistency", "repro.live.regression",
+    "repro.baseline", "repro.codegen.flatgen", "repro.codegen.cost",
+    "repro.riscv.cosim", "repro.riscv.golden",
+    "repro.obs.report",
+]
+
+LIVE_LOOP_SCRIPT = """
+import json
+import sys
+
+from repro.live.commands import CommandInterpreter
+from repro.live.session import LiveSession
+from repro.riscv.patches import single_stage_patches
+from repro.riscv.pgas import build_pgas_source, mesh_top_name
+from repro.riscv.programs import boot_program, busy_counter
+
+source = build_pgas_source(2)
+session = LiveSession(source, checkpoint_interval=20, reload_distance=20)
+session.inst_pipe("p0", session.stage_handle_for(mesh_top_name(2)))
+tb = session.load_testbench(boot_program(busy_counter(), count=4))
+session.run(tb, "p0", 60)
+CommandInterpreter(session).execute("peek p0")
+report = session.apply_change(single_stage_patches()[0].inject(source))
+loaded = [name for name in json.loads(sys.argv[1]) if name in sys.modules]
+print(json.dumps({
+    "recompiled": report.recompiled_keys,
+    "loaded": loaded,
+    "verdict": session.verify_consistency("p0").verdict,
+}))
+"""
+
+
+def run_fresh(script, *args):
+    """``script`` in a new interpreter, without a bytecode cache (every
+    import compiles its source); returns what it printed."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    return done.stdout
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -46,6 +107,36 @@ def test_compile_design_entry_point():
     pipe.set_inputs(rst=0)
     pipe.step(3)
     assert pipe.outputs()["c0"] == 3
+
+
+def test_compile_design_after_importing_only_repro():
+    out = run_fresh(
+        "import sys, repro\n"
+        "netlist, library = repro.compile_design(sys.argv[1], 'top')\n"
+        "print(netlist.top in library)",
+        COUNTER_SRC,
+    )
+    assert out.split() == ["True"]
+
+
+def test_obs_report_stays_the_function_once_the_schema_loads():
+    # Importing repro.obs.report binds the submodule on the package,
+    # under the name of the package's report() function.
+    out = run_fresh(
+        "from repro import obs\n"
+        "assert obs.SCHEMA_ID == obs.report()['schema']\n"
+        "print(callable(obs.report))"
+    )
+    assert out.split() == ["True"]
+
+
+def test_the_live_loop_imports_only_what_it_runs():
+    """Set-up, run, peek and an edit on the 2x2 mesh load none of
+    ``OFF_THE_LIVE_LOOP``; verification then imports what it needs."""
+    out = json.loads(run_fresh(LIVE_LOOP_SCRIPT, json.dumps(OFF_THE_LIVE_LOOP)))
+    assert out["recompiled"] == ["rv_ex"]
+    assert out["loaded"] == []
+    assert out["verdict"] == "consistent"
 
 
 def test_compile_design_with_params():
