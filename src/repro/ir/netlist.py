@@ -25,6 +25,11 @@ def spec_key(module_name: str, params: Dict[str, int]) -> str:
     return f"{module_name}#({inner})"
 
 
+def module_of(key: str) -> str:
+    """The module name a :func:`spec_key` was made from."""
+    return key.split("#", 1)[0]
+
+
 @dataclass
 class SignalIR:
     """A scalar or vector signal (port, wire, or register)."""

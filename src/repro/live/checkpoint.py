@@ -25,7 +25,7 @@ import pickle
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Callable, List, Optional, Set
 
 from .. import obs
@@ -245,10 +245,12 @@ class CheckpointStore:
         into this store, skipping cycles already present.
 
         With :meth:`take` one of the store's two doors: the caller
-        (``ldch``) hands over snapshots already in the session's
-        current version.  Rewinding to a file keeps the file's older
-        checkpoints too, so a session rehydrated from a journal has a
-        base at its restore point and at the cycles before it.
+        (``ldch``) hands over checkpoints in the version they were taken
+        in, and each comes in as a copy under this store's next id (the
+        snapshot shared, never copied).  Rewinding to a file keeps the
+        file's older checkpoints too, so a session rehydrated from a
+        journal has a base at its restore point and at the cycles
+        before it.
         """
         added = 0
         with self._lock:
@@ -256,9 +258,8 @@ class CheckpointStore:
             for checkpoint in checkpoints:
                 if checkpoint.cycle in have:
                     continue
-                checkpoint.id = self._next_id
+                self._checkpoints.append(replace(checkpoint, id=self._next_id))
                 self._next_id += 1
-                self._checkpoints.append(checkpoint)
                 have.add(checkpoint.cycle)
                 added += 1
             self._checkpoints.sort(key=lambda c: c.cycle)

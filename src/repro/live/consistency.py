@@ -6,8 +6,9 @@ Instead of re-running from cycle 0, LiveSim verifies checkpoint deltas
 independently: for each interval ``[cp_k, cp_{k+1}]``, reload ``cp_k``
 under the patched design, replay the recorded operations to
 ``cp_{k+1}``'s cycle, and compare the resulting state against the
-stored ``cp_{k+1}`` (the store is retargeted to the new version's
-names at every edit, :mod:`repro.live.transform`).
+stored ``cp_{k+1}`` (a stored checkpoint keeps the version it was taken
+in; the session hands both over in the current version's names,
+:mod:`repro.live.transform`).
 
 Because every segment is independent, the work parallelizes across as
 many cores as there are checkpoints.  When the checkpoints are not

@@ -120,15 +120,16 @@ class RegressionSuite:
         """A disposable pipe positioned at the case's start state: a
         checkpoint, power-on, or the state the session's recorded
         history reaches at a cycle."""
-        timeline = self._session.timeline(self._pipe_name)
+        session = self._session
+        timeline = session.timeline(self._pipe_name)
         pipe = timeline.pipe.copy(name=f"regression:{case.name}")
         if isinstance(case.start, int):
-            rewind(pipe, timeline.base(case.start))
-            replay_ops(
-                pipe, timeline.ops, case.start, self._session.testbench
-            )
+            rewind(pipe, session.in_current_version(
+                timeline.base(case.start)
+            ))
+            replay_ops(pipe, timeline.ops, case.start, session.testbench)
         else:
-            rewind(pipe, case.start)
+            rewind(pipe, session.in_current_version(case.start))
         return pipe
 
     def run(self, names: Optional[Sequence[str]] = None) -> RegressionReport:

@@ -62,14 +62,15 @@ def recorded_from(
 def rewind(pipe: Pipe, base: Optional[Checkpoint]) -> None:
     """Put ``pipe`` at ``base``, or at power-on when ``base`` is None.
 
-    ``base`` speaks the pipe's design version (every checkpoint in a
-    session's store does).  Power-on is what a fresh :class:`Pipe` has:
-    zero state, zero inputs, cycle 0, poison clear --
-    ``Pipe.reset_state`` alone keeps the inputs last driven, which a
-    replay would then see in cycles that never had them.  Samples a
-    trace attached to the pipe holds from the rewind point on describe
-    a timeline that no longer exists; its subscribers get a rewind
-    marker.
+    ``base`` speaks the pipe's design version: a session reads every
+    checkpoint it restores through ``LiveSession.in_current_version``
+    (a stored one keeps the version it was taken in).  Power-on is
+    what a fresh :class:`Pipe` has: zero state, zero inputs, cycle 0,
+    poison clear -- ``Pipe.reset_state`` alone keeps the inputs last
+    driven, which a replay would then see in cycles that never had
+    them.  Samples a trace attached to the pipe holds from the rewind
+    point on describe a timeline that no longer exists; its subscribers
+    get a rewind marker.
     """
     if base is not None:
         pipe.restore_transformed(base.snapshot)

@@ -168,10 +168,10 @@ class _PipeSession:
     them, the trace attached to the pipe, the findings the gate has
     accepted for it and its latest background verification.
 
-    Every snapshot in ``store`` speaks the session's current design
-    version: ``take`` captures under it, ``ldch`` translates what it
-    adopts, and every edit retargets the lot.  Readers use
-    ``checkpoint.snapshot`` as is.
+    A checkpoint in ``store`` keeps the design version it was taken
+    in, whatever edits come after.  Every restore reads it through
+    :meth:`LiveSession.in_current_version`, which translates it into
+    the session's current names when an edit since changed a register.
     """
 
     name: str
@@ -499,8 +499,6 @@ class LiveSession:
         rewinding and will write new history from there.
         """
         session = self.timeline(pipe_name)
-        # Rewinding rewrites the history the verifier is replaying.
-        self.cancel_verify(pipe_name)
         if isinstance(checkpoint_or_path, str):
             store = CheckpointStore(interval=session.store.interval)
             store.load(checkpoint_or_path)
@@ -509,11 +507,16 @@ class LiveSession:
                 raise SimulationError("checkpoint file holds no checkpoints")
         else:
             loaded = [checkpoint_or_path]
-        # What comes in may speak an ancestor version's names; the
-        # store and the pipe only ever see the current one's.
-        loaded = [self._in_current_version(session, c) for c in loaded]
+        # What comes in keeps the version it was taken in.  One the
+        # history cannot translate into the current version (another
+        # branch, a version it never had) is refused here, before the
+        # pipe is touched, not by some later restore.
+        for version in {c.version for c in loaded}:
+            self.history.path(version, self.version)
+        # Rewinding rewrites the history the verifier is replaying.
+        self.cancel_verify(pipe_name)
         checkpoint = loaded[-1]
-        rewind(session.pipe, checkpoint)
+        rewind(session.pipe, self.in_current_version(checkpoint))
         # Truncate history at the rewind point; an op spanning it is
         # trimmed (its earlier cycles really happened and still back
         # the surviving checkpoints).  Checkpoints from the abandoned
@@ -561,8 +564,9 @@ class LiveSession:
            cycles before its stop point and replays history to where it
            was, producing the fast estimate the user sees.
 
-        Checkpoint stores are retargeted to the new version.  The
-        paper's backend refinement (§III-F) is a separate step:
+        Stored checkpoints keep the version they were taken in; the
+        base is read in the new version's names, one translation per
+        pipe.  The paper's backend refinement (§III-F) is a separate step:
         :meth:`verify_consistency` or :meth:`verify_background`.  The
         edit cancels any verification in flight, whose verdict would
         describe the old design.
@@ -605,13 +609,10 @@ class LiveSession:
             obs.incr("live.non_behavioral_edits")
             return report
 
-        new_version = self._next_version()
-        report.version = new_version
-
         # Phase 1: compile every pipe's top and choose every pipe's
         # rewind base before touching any state, so a failure rolls
-        # back cleanly.
-        version_transforms: Dict[str, RegisterTransform] = dict(transforms or {})
+        # back cleanly (and numbers no version: the journal a session
+        # is rehydrated from holds only the edits that landed).
         compile_results: Dict[str, CompileResult] = {}
         analysis_results: Dict[str, AnalysisReport] = {}
         bases: Dict[str, Optional[Checkpoint]] = {}
@@ -643,9 +644,21 @@ class LiveSession:
             self.compiler.update_source(old_source)
             raise
 
+        # Every pipe's transforms are known before any pipe swaps, so
+        # the new version enters the history here and each base crosses
+        # into it in one translation.
+        version_transforms: Dict[str, RegisterTransform] = dict(transforms or {})
+        for row in self.pipelines:
+            self._guess_version_transforms(
+                row.compile_result, compile_results[row.name],
+                version_transforms,
+            )
+        new_version = self._next_version()
+        self.history.add_version(new_version, self.version, version_transforms)
+        self.version = report.version = new_version
+
         # The edit supersedes any in-flight verification: its verdict
-        # would describe the *old* design, and phase 2 is about to
-        # retarget the very checkpoints it is reading.
+        # would describe the *old* design.
         for name in self.pipelines.names():
             self.cancel_verify(name)
 
@@ -653,6 +666,7 @@ class LiveSession:
         # the replay (e.g. an uninit read of state this very edit
         # introduced) are collected from this high-water mark.
         san_mark = len(self.sanitize_runtime.findings)
+        reloader = HotReloader(version_transforms)
         for row in self.pipelines:
             result = compile_results[row.name]
             report.recompiled_keys.extend(result.report.recompiled_keys)
@@ -666,10 +680,6 @@ class LiveSession:
                     pass_name, []
                 ).extend(keys)
 
-            self._guess_version_transforms(
-                row.compile_result, result, version_transforms
-            )
-            reloader = HotReloader(version_transforms)
             stop_cycle = row.pipe.cycle
             started = time.perf_counter()
             with obs.span("swap", pipe=row.name):
@@ -683,10 +693,7 @@ class LiveSession:
             # then the fresh values).
             started = time.perf_counter()
             with obs.span("reload", pipe=row.name):
-                self._retarget_store(
-                    row, result, version_transforms, new_version
-                )
-                base = bases[row.name]
+                base = self.in_current_version(bases[row.name])
                 rewind(row.pipe, base)
                 if base is not None:
                     report.checkpoint_cycle = base.cycle
@@ -704,11 +711,6 @@ class LiveSession:
             report.cycles_replayed += replayed
             obs.incr("live.cycles_replayed", replayed)
             report.pipes_updated.append(row.name)
-
-        self.history.add_version(
-            new_version, self.version, version_transforms
-        )
-        self.version = new_version
 
         # Sanitizer findings surfaced during the replay join the static
         # diagnostics — one unified stream.
@@ -740,21 +742,6 @@ class LiveSession:
             guessed = guess_transforms(old_mod.reg_widths, new_mod.reg_widths)
             if not guessed.is_identity():
                 out[new_mod.name] = guessed
-
-    def _retarget_store(
-        self,
-        session: _PipeSession,
-        result: CompileResult,
-        transforms: Dict[str, RegisterTransform],
-        new_version: str,
-    ) -> None:
-        """Translate stored checkpoints into the new version namespace."""
-        for checkpoint in session.store.all():
-            if transforms:
-                checkpoint.snapshot = self._translated(
-                    checkpoint.snapshot, result, transforms
-                )
-            checkpoint.version = new_version
 
     # ------------------------------------------------------------------
     # Static analysis (repro.analyze)
@@ -1033,7 +1020,7 @@ class LiveSession:
                 name=f"{pipe_name}_replay",
             )
             base = session.base(start)
-            rewind(scratch, base)
+            rewind(scratch, self.in_current_version(base))
             buffer = TraceBuffer(capacity=None)
             missing: List[str] = []
             for name in signals:
@@ -1103,7 +1090,10 @@ class LiveSession:
         report = self._start_verify(session, workers, context).collect()
         if repair and self._invalidate_stale(session, report):
             stop_cycle = session.pipe.cycle
-            rewind(session.pipe, session.base(stop_cycle))
+            rewind(
+                session.pipe,
+                self.in_current_version(session.base(stop_cycle)),
+            )
             replay_ops(
                 session.pipe,
                 session.ops,
@@ -1180,9 +1170,10 @@ class LiveSession:
                 lambda: Pipe(result.netlist.top, result.library),
                 self.testbench,
             )
-        return VerifyJob(
-            session.store.all(), session.ops, place, context, on_complete
-        )
+        # A pool worker has no history: every checkpoint goes out in
+        # the current version's names.
+        checkpoints = [self.in_current_version(c) for c in session.store.all()]
+        return VerifyJob(checkpoints, session.ops, place, context, on_complete)
 
     @staticmethod
     def _invalidate_stale(
@@ -1286,40 +1277,37 @@ class LiveSession:
             raise SimulationError(f"unknown testbench handle {handle!r}")
         return testbench
 
-    def _in_current_version(
-        self, session: _PipeSession, checkpoint: Checkpoint
-    ) -> Checkpoint:
-        """A copy of ``checkpoint`` in the current version's names,
-        stamped with it: the form the store adopts.
+    def in_current_version(
+        self, checkpoint: Optional[Checkpoint]
+    ) -> Optional[Checkpoint]:
+        """``checkpoint`` in the current design version's names: what
+        every restore of a stored or user-held checkpoint rewinds to.
 
-        Checkpoints in the store are retargeted at every edit; one
-        ``ldch`` brings in (a file, an object the caller kept) may
-        still speak an ancestor version's.
+        A checkpoint keeps the version it was taken in.  When no edit
+        since has renamed, created or deleted a register, its names are
+        the current ones and it comes back as it is (``version`` still
+        the ancestor's); otherwise the answer is a copy translated
+        through the transforms the history composes from that version
+        to this one, and stamped with this one.  None (power-on) stays
+        None.  A version that is not an ancestor raises
+        :class:`SimulationError`.
         """
+        if checkpoint is None:
+            return None
+        transforms = self.history.composed_transforms(
+            checkpoint.version, self.version
+        )
+        if not transforms:
+            return checkpoint
         snapshot = checkpoint.snapshot
-        if checkpoint.version != self.version:
-            snapshot = self._translated(
-                snapshot,
-                session.compile_result,
-                self.history.composed_transforms(
-                    checkpoint.version, self.version
-                ),
-            )
-        return replace(checkpoint, snapshot=snapshot, version=self.version)
-
-    @staticmethod
-    def _translated(
-        snapshot: PipeSnapshot,
-        result: CompileResult,
-        transforms: Dict[str, RegisterTransform],
-    ) -> PipeSnapshot:
-        module_name_of = {
-            key: ir.name for key, ir in result.netlist.modules.items()
-        }
-        return PipeSnapshot(
-            snapshot.cycle,
-            snapshot.inputs,
-            translate_snapshot(snapshot.state, module_name_of, transforms),
+        return replace(
+            checkpoint,
+            snapshot=PipeSnapshot(
+                snapshot.cycle,
+                snapshot.inputs,
+                translate_snapshot(snapshot.state, transforms),
+            ),
+            version=self.version,
         )
 
     def _next_version(self) -> str:

@@ -16,11 +16,13 @@ Not named by any op       kept under its name             kept
 ========================  ==============================  =====================
 
 This table is the one statement of the rules and :func:`translate` is
-their one interpreter: a hot swap, a checkpoint reload and the
-retargeting of a checkpoint store all cross a design version by
-translating name-keyed state here and then fitting it into the new
-layout with :meth:`repro.sim.stage.StageInst.load` (widths, depths and
-state the translated snapshot does not carry are that method's half).
+their one interpreter: a hot swap and every restore of a checkpoint
+(which keeps the version it was taken in, and is read in the current
+one's names through the transforms the history composes) cross a design
+version by translating name-keyed state here and then fitting it into
+the new layout with :meth:`repro.sim.stage.StageInst.load` (widths,
+depths and state the translated snapshot does not carry are that
+method's half).
 
 When the mapping is ambiguous, LiveSim "will make its best guess based
 on the similarities of names and types" — implemented here with width
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..hdl.errors import SimulationError
+from ..ir.netlist import module_of
 from ..sim.stage import StateSnapshot
 
 CREATE = "create"
@@ -154,22 +157,21 @@ def translate(
 
 def translate_snapshot(
     snap: StateSnapshot,
-    module_name_of: Mapping[str, str],
     transforms: Mapping[str, RegisterTransform],
 ) -> StateSnapshot:
     """:func:`translate` mapped over a snapshot tree.
 
-    ``module_name_of`` maps spec key -> module name; ``transforms``
-    maps module name -> transform (missing entries mean identity).
+    ``transforms`` maps module name -> transform (missing entries mean
+    identity); each snapshot names its module by its own spec key, so
+    the design the snapshot was taken under need not be at hand.
     """
-    transform = transforms.get(module_name_of.get(snap.key, snap.key))
+    transform = transforms.get(module_of(snap.key))
     if transform is not None:
         snap = translate(transform, snap)
     return replace(
         snap,
         children=[
-            translate_snapshot(child, module_name_of, transforms)
-            for child in snap.children
+            translate_snapshot(child, transforms) for child in snap.children
         ],
     )
 
@@ -236,28 +238,26 @@ class RegisterTransformHistory:
         Register Transform History if the mapping is incorrect"."""
         self._node(version).transforms[module] = transform
 
-    def _path_to_root(self, version: str) -> List[str]:
-        path = [version]
-        node = self._node(version)
-        while node.parent is not None:
-            path.append(node.parent)
-            node = self._node(node.parent)
-        return path
-
     def path(self, old_version: str, new_version: str) -> List[str]:
-        """Versions from (exclusive) old to (inclusive) new.
+        """Versions from (exclusive) old to (inclusive) new: the parents
+        of ``new_version`` walked until ``old_version``, so the cost is
+        the edits between the two, not the length of the history.
 
         Raises if ``old_version`` is not an ancestor of (or equal to)
         ``new_version`` — a checkpoint cannot cross branches.
         """
-        chain = self._path_to_root(new_version)
-        if old_version not in chain:
-            raise SimulationError(
-                f"version {old_version!r} is not an ancestor of "
-                f"{new_version!r}; checkpoints cannot cross branches"
-            )
-        index = chain.index(old_version)
-        return list(reversed(chain[:index]))
+        self._node(old_version)  # validate
+        chain: List[str] = []
+        version: Optional[str] = new_version
+        while version != old_version:
+            if version is None:
+                raise SimulationError(
+                    f"version {old_version!r} is not an ancestor of "
+                    f"{new_version!r}; checkpoints cannot cross branches"
+                )
+            chain.append(version)
+            version = self._node(version).parent
+        return chain[::-1]
 
     def composed_transforms(
         self, old_version: str, new_version: str

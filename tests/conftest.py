@@ -56,6 +56,29 @@ module top (
 endmodule
 """
 
+# Two counters, one per module; an edit renames both registers.
+TWO_COUNTERS = """
+module ma (input clk, output [7:0] q);
+  reg [7:0] cnt_a;
+  assign q = cnt_a;
+  always @(posedge clk) cnt_a <= cnt_a + 8'd1;
+endmodule
+
+module mb (input clk, output [7:0] q);
+  reg [7:0] cnt_b;
+  assign q = cnt_b;
+  always @(posedge clk) cnt_b <= cnt_b + 8'd3;
+endmodule
+
+module top (input clk, output [7:0] y);
+  wire [7:0] a;
+  wire [7:0] b;
+  ma ua (.clk(clk), .q(a));
+  mb ub (.clk(clk), .q(b));
+  assign y = a + b;
+endmodule
+"""
+
 
 # -- the LiveSim server, in both hostings ------------------------------------
 

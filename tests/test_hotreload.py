@@ -419,9 +419,7 @@ def test_swap_is_snapshot_translate_load(case, sanitize):
     assert module in report.modules_changed
 
     loaded = Pipe("top", new_library)
-    before.state = translate_snapshot(
-        before.state, {"top": "top", "lane": "lane"}, transforms
-    )
+    before.state = translate_snapshot(before.state, transforms)
     loaded.restore_transformed(before)
 
     if sanitize:

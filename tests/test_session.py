@@ -7,35 +7,13 @@ from repro.hdl.errors import SimulationError
 from repro.live.session import LiveSession
 from repro.live.transform import RegisterTransform, TransformOp
 from repro.sim.testbench import hold_inputs
-from tests.conftest import COUNTER_SRC
+from tests.conftest import COUNTER_SRC, TWO_COUNTERS
 
 BUGGY = COUNTER_SRC.replace("assign sum = a + b;", "assign sum = a + b + 8'd1;")
 COMMENT = COUNTER_SRC.replace("assign sum = a + b;",
                               "assign sum = a + b; // reviewed")
 
-
-# Two counters, one per module; an edit renames both registers.
-TWO_COUNTERS = """
-module ma (input clk, output [7:0] q);
-  reg [7:0] cnt_a;
-  assign q = cnt_a;
-  always @(posedge clk) cnt_a <= cnt_a + 8'd1;
-endmodule
-
-module mb (input clk, output [7:0] q);
-  reg [7:0] cnt_b;
-  assign q = cnt_b;
-  always @(posedge clk) cnt_b <= cnt_b + 8'd3;
-endmodule
-
-module top (input clk, output [7:0] y);
-  wire [7:0] a;
-  wire [7:0] b;
-  ma ua (.clk(clk), .q(a));
-  mb ub (.clk(clk), .q(b));
-  assign y = a + b;
-endmodule
-"""
+# TWO_COUNTERS with both counter registers renamed.
 BOTH_RENAMED = TWO_COUNTERS.replace("cnt_a", "cnt_a2").replace(
     "cnt_b", "cnt_b2"
 )
@@ -310,13 +288,40 @@ class TestApplyChange:
         assert sorted(history) == ["ma", "mb"]
         assert history["ma"] == rename_a
 
-    def test_checkpoints_retargeted_to_new_version(self):
+    def test_a_checkpoint_keeps_the_version_it_was_taken_in(self):
         session, tb = make_session(interval=10)
         session.run(tb, "p0", 25)
+        before = session.checkpoints("p0")
+        snapshots = [cp.snapshot for cp in before]
         session.apply_change(BUGGY)
-        assert all(
-            cp.version == session.version for cp in session.checkpoints("p0")
+        assert session.version == "1.1"
+        after = session.checkpoints("p0")
+        assert [cp.cycle for cp in after] == [10, 20]
+        for checkpoint, kept, snapshot in zip(after, before, snapshots):
+            assert checkpoint is kept and checkpoint.snapshot is snapshot
+            assert checkpoint.version == "1.0"
+            # No register changed: it already reads in 1.1's names.
+            assert session.in_current_version(checkpoint) is checkpoint
+
+    def test_a_refused_edit_numbers_no_version(self):
+        from repro.analyze import GateBlockedError
+        from repro.hdl.errors import HDLError
+
+        session, tb = make_session()
+        session.run(tb, "p0", 5)
+        looped = COUNTER_SRC.replace(
+            "assign sum = a + b;",
+            "wire [W-1:0] fb;\n  assign fb = fb & a;\n  assign sum = a + b;",
         )
+        with pytest.raises(GateBlockedError):
+            session.apply_change(looped)
+        with pytest.raises(HDLError):
+            session.apply_change(
+                COUNTER_SRC.replace("adder #(.W", "adder2 #(.W")
+            )
+        assert session.version == "1.0"
+        assert session.history.versions() == ["1.0"]
+        assert session.apply_change(BUGGY).version == session.version == "1.1"
 
     def test_syntax_error_leaves_session_usable(self):
         session, tb = make_session()

@@ -16,7 +16,7 @@ from repro.server.shard import (
     SessionWorker,
     WorkerConfig,
 )
-from tests.conftest import COUNTER_SRC
+from tests.conftest import COUNTER_SRC, TWO_COUNTERS
 
 KEYS = [f"session-{i}" for i in range(2000)]
 
@@ -423,3 +423,53 @@ class TestReloadAfterRehydrate:
             with pytest.raises(SimulationError, match=ckpt.name) as caught:
                 _worker(str(tmp_path))._cmd_rehydrate(0, {"session": "s"})
             assert error_payload(caught.value)["type"] == "simulation"
+
+
+class TestARefusedEditNumbersNoVersion:
+    # The journal holds only the edits that landed, so a rehydrated
+    # session numbers its versions by them.  A refused edit used to
+    # take a version id anyway: a checkpoint saved under "1.2" (after
+    # the first rename) was then read as the rehydrated "1.2" (after
+    # the second) and the second rename was never applied to it.
+
+    BROKEN = TWO_COUNTERS.replace("mb ub", "mc ub")  # no module mc
+    RENAMED_A = TWO_COUNTERS.replace("cnt_a", "cnt_a2")
+    RENAMED_BOTH = RENAMED_A.replace("cnt_b", "cnt_b2")
+
+    def test_rehydrate_reads_the_checkpoint_in_its_own_version(
+        self, tmp_path
+    ):
+        from repro.hdl.errors import HDLError
+        from repro.sim.testbench import hold_inputs
+
+        state = str(tmp_path / "state")
+        worker = _worker(state)
+        handles = worker._cmd_open(
+            0, {"session": "s", "source": TWO_COUNTERS, "reset_cycles": -1}
+        )["handles"]
+        session = worker.manager.get("s").session
+        tb = session.load_testbench(hold_inputs())
+        _run_line(worker, f"instPipe p0, {handles['top']}")
+        _run_line(worker, f"run {tb}, p0, 50")
+
+        versions = session.history.versions()
+        with pytest.raises(HDLError):
+            worker._cmd_reload(0, {"session": "s", "source": self.BROKEN})
+        assert session.version == "1.0"
+        assert session.history.versions() == versions
+
+        reload = {"session": "s", "source": self.RENAMED_A}
+        assert worker._cmd_reload(0, reload)["version"] == "1.1"
+        _run_line(worker, f"chkp p0, {tmp_path / 'user.ckpt'}")
+        reload = {"session": "s", "source": self.RENAMED_BOTH}
+        assert worker._cmd_reload(0, reload)["version"] == "1.2"
+        assert session.peek("p0") == {"y": 200}
+
+        other = _worker(state)
+        assert other._cmd_rehydrate(0, {"session": "s"})["pipes"] == {
+            "p0": 50
+        }
+        moved = other.manager.get("s").session
+        assert moved.version == "1.2"
+        assert moved.peek("p0") == {"y": 200}
+        assert moved.pipe("p0").find("ub").peek_reg("cnt_b2") == 150

@@ -65,9 +65,7 @@ class TestSkipInitialization:
             [TransformOp("rename", "count_q", new_name="tally_q")]
         )
         checkpoint.snapshot.state = translate_snapshot(
-            checkpoint.snapshot.state,
-            {"counter#(W=8)": "counter"},
-            {"counter": transform},
+            checkpoint.snapshot.state, {"counter": transform}
         )
         session.pipe("p0").restore_transformed(checkpoint.snapshot)
         session.pipe("p0").cycle = checkpoint.cycle

@@ -349,10 +349,14 @@ class LiveLoopMachine(RuleBasedStateMachine):
             assert checkpoint.cycle <= now
 
     @invariant()
-    def store_speaks_the_current_version(self) -> None:
+    def store_reads_in_the_current_version(self) -> None:
+        # A checkpoint keeps the version it was taken in; what a restore
+        # gets is the translated view.
+        history = self.session.history
         for checkpoint in self.session.checkpoints("p0"):
-            assert checkpoint.version == self.session.version
-            regs = checkpoint.snapshot.state.child("u0").regs
+            history.path(checkpoint.version, self.session.version)
+            view = self.session.in_current_version(checkpoint)
+            regs = view.snapshot.state.child("u0").regs
             assert set(regs) - {"shadow_q"} == {self.reg}
 
     @precondition(lambda self: self.repaired)

@@ -86,9 +86,10 @@ def thirty_cycles(source, interval):
     return session
 
 
-class TestStoreSpeaksTheCurrentVersion:
-    # What ldch adopted from a file kept its ancestor version's names;
-    # the next edit then stamped it current without translating it.
+class TestAnAdoptedFileReadsInTheCurrentVersion:
+    # What ldch adopts from a file keeps the version it was saved in;
+    # every restore, the next edit's included, reads it in the current
+    # version's names.
 
     RENAMED = ACC.replace("total", "accum")
     RENAME = {"acc": RegisterTransform(
@@ -106,8 +107,10 @@ class TestStoreSpeaksTheCurrentVersion:
         assert session.peek("p0")["sum"] == 84
         assert session.store("p0").cycles() == [10, 20, 30]
         for checkpoint in session.checkpoints("p0"):
-            assert checkpoint.version == session.version == "1.1"
-            assert set(checkpoint.snapshot.state.regs) == {"accum"}
+            assert checkpoint.version == "1.0"
+            view = session.in_current_version(checkpoint)
+            assert view.version == session.version == "1.1"
+            assert set(view.snapshot.state.regs) == {"accum"}
         report = session.verify_consistency("p0")
         assert report.verdict == "consistent" and len(report.segments) == 3
 

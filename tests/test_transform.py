@@ -170,6 +170,20 @@ class TestHistory:
         history = RegisterTransformHistory("1.0")
         assert history.path("1.0", "1.0") == []
 
+    def test_path_walks_only_the_edits_between(self, monkeypatch):
+        history = RegisterTransformHistory("1.0")
+        for i in range(1, 500):
+            history.add_version(f"1.{i}", f"1.{i - 1}")
+        looked_up = []
+        node = history._node
+        monkeypatch.setattr(
+            history, "_node", lambda v: looked_up.append(v) or node(v)
+        )
+        assert history.path("1.496", "1.499") == ["1.497", "1.498", "1.499"]
+        assert len(looked_up) <= 5
+        with pytest.raises(SimulationError, match="unknown design version"):
+            history.path("2.0", "1.499")
+
     def test_duplicate_version_rejected(self):
         history = RegisterTransformHistory("1.0")
         history.add_version("1.1", "1.0")

@@ -13,8 +13,10 @@ value changes streamed for the watched signal match a post-hoc
 ``trace`` read and a bit-identical ``replay`` window.  The first two
 legs run the default hosting (the worker on a thread of the server
 process); a third boots the same server with ``--workers 2`` worker
-processes, SIGKILLs one worker mid-session, checks the session
-rehydrates on the restarted worker from its journal + checkpoint, then
+processes, SIGKILLs one worker mid-session (after a reload the gate
+refused, two reloads that rename the counter register and a ``chkp``
+between them), checks the session rehydrates on the restarted worker
+from its journal + checkpoint in the state it was killed in, then
 resizes the pool 2->4->2 and checks a migrated session keeps its simulated state
 through both moves.  Each moved session then takes a behavioural
 ``reload`` and a ``run``: it replays what it ran since the move from
@@ -106,6 +108,11 @@ LOOP_DESIGN = DESIGN.replace(
     "  wire [7:0] fb;\n"
     "  assign fb = fb & c0;",
 )
+
+# DESIGN with the counter register renamed, twice over: reloads whose
+# register transform the guess pairs (count_q -> count_r -> count_s).
+RENAMED_R = DESIGN.replace("count_q", "count_r")
+RENAMED_S = DESIGN.replace("count_q", "count_s")
 
 # Sanitizer leg: a read-only lookup memory addressed through a masked
 # part-select.  The edit drops the mask, so the 3-bit counter indexes
@@ -367,7 +374,10 @@ def sharded_session(host, port):
     """Sharded leg: two sessions on different workers, one worker
     SIGKILLed mid-session; its session must come back on the restarted
     worker with journal+checkpoint state intact, while the other
-    worker's session is untouched."""
+    worker's session is untouched.  Before the kill the session takes
+    a reload the gate refuses (the journal does not hold it, so it must
+    number no version) and two renaming reloads with a ``chkp`` between
+    them: the saved checkpoint is read back through the second rename."""
     from repro.server.shard import HashRing
 
     # Pick names the frontend's consistent-hash ring places on worker
@@ -392,6 +402,20 @@ def sharded_session(host, port):
     check(result["c0"] == 198, f"sharded run: c0={result['c0']} (want 198)")
     cp = client.command(victim, "chkp p0")
     check(cp["cycle"] == 200, "sharded chkp at cycle 200")
+    try:
+        client.reload(victim, LOOP_DESIGN)
+        check(False, "sharded: comb-loop reload was refused")
+    except ServerError as exc:
+        check(exc.kind == "gate",
+              f"sharded: gate refused a reload ([{exc.kind}])")
+    versions = [client.reload(victim, RENAMED_R)["version"]]
+    client.command(victim, "chkp p0")
+    versions.append(client.reload(victim, RENAMED_S)["version"])
+    check(versions == ["1.1", "1.2"],
+          f"sharded: renaming reloads are versions {versions}")
+    before_kill = client.command(victim, "peek p0")
+    check(before_kill["c0"] == 198,
+          f"sharded: renames carried the counter (c0={before_kill['c0']})")
     client.command(survivor, "run tb0, p0, 50")
 
     stats = client.stats()
@@ -403,8 +427,8 @@ def sharded_session(host, port):
     # The next command to the dead worker waits for restart +
     # rehydration (journal replay + checkpoint restore), then runs.
     outputs = client.command(victim, "peek p0")
-    check(outputs["c0"] == 198,
-          f"rehydrate: checkpointed state intact (c0={outputs['c0']})")
+    check(outputs == before_kill,
+          f"rehydrate: checkpointed state intact ({outputs})")
     result = client.command(victim, "run tb0, p0, 10")
     check(result["c0"] == 208,
           f"rehydrate: simulation continues (c0={result['c0']})")
