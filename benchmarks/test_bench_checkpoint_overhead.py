@@ -29,11 +29,12 @@ def test_checkpoint_overhead_report(benchmark, sizes):
             result.checkpoints_taken,
             result.checkpoint_bytes,
             result.resident_bytes,
+            result.heap_bytes,
         ])
     emit(format_table(
         "§V-B — checkpointing overhead (paper: 10-20 %)",
         ["cores", "Hz (off)", "Hz (on)", "overhead %", "taken",
-         "bytes/checkpoint", "resident B/checkpoint"],
+         "bytes/checkpoint", "resident B/checkpoint", "heap B/checkpoint"],
         rows,
         row_labels=[f"{n}x{n}" for n in sizes[:2]],
     ))
@@ -41,6 +42,8 @@ def test_checkpoint_overhead_report(benchmark, sizes):
         assert row[3] < 100  # bounded overhead
         # Pages an interval did not write are shared, never copied.
         assert 0 < row[6] < row[5]
+        # What a take keeps is objects as well as words.
+        assert row[7] > 0
 
 
 def test_checkpoint_size_scales_with_cores(benchmark, sizes):

@@ -4,6 +4,7 @@ measurement."""
 from __future__ import annotations
 
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -165,6 +166,9 @@ class CheckpointOverheadResult:
     checkpoints_taken: int
     checkpoint_bytes: int  # logical payload per checkpoint
     resident_bytes: int  # what a checkpoint keeps resident, on average
+    # Python heap one take adds and keeps (tracemalloc), on average:
+    # objects and tuples too, which the 8 B/word columns do not count.
+    heap_bytes: int
 
     @property
     def overhead_percent(self) -> float:
@@ -174,10 +178,13 @@ class CheckpointOverheadResult:
 
 
 def checkpoint_overhead(
-    n: int = 1, cycles: int = 400, interval: int = 25
+    n: int = 1, cycles: int = 400, interval: int = 25, heap_takes: int = 8
 ) -> CheckpointOverheadResult:
     """Measure simulation speed with and without checkpointing
-    (paper §V-B: 'varied from 10 to 20%')."""
+    (paper §V-B: 'varied from 10 to 20%'), then the Python heap each
+    of ``heap_takes`` more takes, one interval apart, keeps: traced by
+    ``tracemalloc`` around the take alone, so the cycles between are
+    not counted and the timed runs are not slowed."""
     bench = PGASWorkbench(n, checkpoint_interval=interval)
     session = bench.build_session()
     tb = bench.tb_handle
@@ -197,15 +204,29 @@ def checkpoint_overhead(
     session.run(tb, "uut", cycles)
     hz_with = cycles / (time.perf_counter() - started)
 
-    count = max(len(store), 1)
+    taken = len(store)
+    checkpoint_bytes = store.total_bytes() // max(taken, 1)
+    resident_bytes = store.resident_bytes() // max(taken, 1)
+
+    store.enabled = False
+    kept = 0
+    for _ in range(heap_takes):
+        session.run(tb, "uut", interval)
+        tracemalloc.start()
+        try:
+            session.chkp("uut")
+            kept += tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
     return CheckpointOverheadResult(
         n=n,
         hz_without=hz_without,
         hz_with=hz_with,
         interval=interval,
-        checkpoints_taken=len(store),
-        checkpoint_bytes=store.total_bytes() // count,
-        resident_bytes=store.resident_bytes() // count,
+        checkpoints_taken=taken,
+        checkpoint_bytes=checkpoint_bytes,
+        resident_bytes=resident_bytes,
+        heap_bytes=kept // max(heap_takes, 1),
     )
 
 

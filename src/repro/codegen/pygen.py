@@ -101,6 +101,7 @@ import hashlib
 import linecache
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
@@ -194,10 +195,27 @@ class CompiledModule:
         """The SanitizerRuntime this code reports to (clean build: None)."""
         return self.cycle_fn.__globals__.get("_san")
 
+    @cached_property
+    def reg_names(self) -> Tuple[str, ...]:
+        """Register names in slot order (``reg_names[i]`` lives in slot
+        ``i``): one tuple per compiled module, which every snapshot
+        record captured from it shares."""
+        return tuple(sorted(self.reg_slots, key=self.reg_slots.__getitem__))
+
+    @cached_property
+    def mem_order(self) -> Tuple[MemSpec, ...]:
+        """The memory specs in slot order."""
+        return tuple(sorted(self.mem_specs.values(), key=lambda m: m.slot))
+
+    @cached_property
+    def mem_names(self) -> Tuple[str, ...]:
+        """The memory names in slot order, shared like :attr:`reg_names`."""
+        return tuple(spec.name for spec in self.mem_order)
+
     def make_state(self) -> list:
         state: list = [0] * (2 * self.num_regs)
         state.extend([None] * CACHE_SLOTS)  # eval_out memo: cold
-        ordered = sorted(self.mem_specs.values(), key=lambda m: m.slot)
+        ordered = self.mem_order
         for spec in ordered:
             state.append([0] * spec.depth)
         for spec in ordered:

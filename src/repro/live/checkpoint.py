@@ -10,12 +10,14 @@ The paper forks the process so checkpoint capture stays off the
 simulation's critical path, and copy-on-write makes a checkpoint cost
 the pages written since the one before.  Here capture is an in-process
 snapshot (deterministic and picklable — which the parallel verifier
-requires) taken against the store's newest checkpoint: registers are
-copied, and each memory is a :class:`~repro.sim.stage.MemImage` that
-shares every page the interval did not write, so a checkpoint holds
-what its interval wrote (:meth:`CheckpointStore.resident_bytes`), and
-a saved store writes a shared page once.  Capture cost is measured and
-reported by the overhead bench exactly as §V-B does.
+requires) taken against the store's newest checkpoint: one immutable
+record per instance (:class:`~repro.sim.stage.StateSnapshot`) that
+shares with that checkpoint every register tuple, memory page
+(:class:`~repro.sim.stage.MemImage`), image and whole record the
+interval did not change, so a checkpoint holds what its interval
+changed (:meth:`CheckpointStore.resident_bytes`), and a saved store
+writes a shared object once.  Capture cost is measured and reported by
+the overhead bench exactly as §V-B does.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ class CheckpointStore:
     def take(self, pipe: Pipe, version: str, op_index: int) -> Checkpoint:
         """Capture the pipe state now (the Fig. 2a 'fork & save').
 
-        The newest checkpoint is the base: every memory page the pipe
-        has not written since is shared with it, not copied.
+        The newest checkpoint is the base: every register tuple,
+        memory page and instance record the pipe has not changed since
+        is shared with it, not copied (:meth:`~repro.sim.stage.StageInst.snapshot`).
         """
         with self._lock:
             checkpoints = self._checkpoints
@@ -193,8 +196,15 @@ class CheckpointStore:
         return self.take(pipe, version, op_index)
 
     def _insert(self, checkpoint: Checkpoint) -> None:
-        # Keep sorted by cycle; same-cycle recapture replaces.
+        # Keep sorted by cycle; same-cycle recapture replaces.  A take
+        # after the newest checkpoint (every take but a recapture)
+        # appends: a reader outside the lock sees the list before or
+        # after, never torn.
         with self._lock:
+            checkpoints = self._checkpoints
+            if not checkpoints or checkpoints[-1].cycle < checkpoint.cycle:
+                checkpoints.append(checkpoint)
+                return
             replaced = [
                 c for c in self._checkpoints if c.cycle != checkpoint.cycle
             ]
@@ -350,7 +360,8 @@ class CheckpointStore:
 
     def resident_bytes(self) -> int:
         """What the store holds: :meth:`total_bytes` with each memory
-        page counted once however many checkpoints share it."""
+        page, register tuple and record counted once however many
+        checkpoints share it."""
         seen: Set[int] = set()
         with self._lock:
             return sum(

@@ -236,14 +236,17 @@ def _describe_divergence(actual, expected, path: str = "top") -> str:
     # `expected` means the replayed design dropped state (and vice
     # versa), which is exactly the divergence worth naming.  A memory
     # image is read as a sequence of words (`==` compares it by page).
-    for name in _ordered_union(actual.regs, expected.regs):
-        a = actual.regs.get(name)
-        b = expected.regs.get(name)
+    # A record is read by name through dicts built once here.
+    regs_a, regs_b = actual.regs, expected.regs
+    for name in _ordered_union(regs_a, regs_b):
+        a = regs_a.get(name)
+        b = regs_b.get(name)
         if a != b:
             return f"{path}.{name}: replayed={a} stored={b}"
-    for name in _ordered_union(actual.mems, expected.mems):
-        a = actual.mems.get(name)
-        b = expected.mems.get(name)
+    mems_a, mems_b = actual.mems, expected.mems
+    for name in _ordered_union(mems_a, mems_b):
+        a = mems_a.get(name)
+        b = mems_b.get(name)
         if a == b:
             continue
         if a is None or b is None:

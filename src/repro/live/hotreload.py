@@ -152,8 +152,8 @@ class HotReloader:
         inst.code = new_code
         inst.state = new_code.make_state()
         inst.load(carried)
-        report.registers_migrated += len(carried.regs.keys() & new_code.reg_slots)
-        report.memories_migrated += len(carried.mems.keys() & new_code.mem_specs)
+        report.registers_migrated += len(new_code.reg_slots.keys() & carried.reg_names)
+        report.memories_migrated += len(new_code.mem_specs.keys() & carried.mem_names)
         report.modules_changed.add(new_code.name)
         report.swapped_instances += 1
 

@@ -34,7 +34,8 @@ exploration is not limited to a linear sequence of changes.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import is_
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..hdl.errors import SimulationError
@@ -78,7 +79,7 @@ class RegisterTransform:
     def apply(self, values: Mapping[str, int]) -> Dict[str, int]:
         """Translate a name->value map from the old version's namespace
         into the new version's namespace."""
-        return translate(self, StateSnapshot("", "", dict(values), {})).regs
+        return translate(self, StateSnapshot.of("", "", values, {})).regs
 
     def compose(self, later: "RegisterTransform") -> "RegisterTransform":
         return RegisterTransform(ops=self.ops + later.ops)
@@ -125,17 +126,20 @@ def guess_transforms(
 def translate(
     transform: RegisterTransform, snap: StateSnapshot
 ) -> StateSnapshot:
-    """One module's name-keyed state in the new version's namespace
-    (``snap.children`` ride along untranslated).
+    """One module's state in the new version's namespace, as a new
+    record (``snap.children`` ride along untranslated; an identity
+    transform returns ``snap`` itself).
 
     Applies the Table V rules at the top of this module, op by op, to
     the register values, the memories, and the sanitizer's poisoned
-    register names and per-memory word-poison bitmaps alike.  A memory
-    image moves by name as it is: its pages stay shared with the
-    checkpoints they were captured against.
+    register names and per-memory word-poison bitmaps alike, reading
+    the record by name.  A memory image moves by name as it is: its
+    pages stay shared with the checkpoints they were captured against.
     """
-    regs, mems = dict(snap.regs), dict(snap.mems)
-    poisoned, mem_poison = dict.fromkeys(snap.reg_poison), dict(snap.mem_poison)
+    if transform.is_identity():
+        return snap
+    regs, mems = snap.regs, snap.mems
+    poisoned, mem_poison = dict.fromkeys(snap.reg_poison), snap.mem_poison
     for op in transform.ops:
         if op.kind == CREATE:
             regs[op.name] = op.init_value
@@ -146,12 +150,9 @@ def translate(
                 entry = table.pop(op.name)
                 if op.kind == RENAME:
                     table[op.new_name] = entry
-    return replace(
-        snap,
-        regs=regs,
-        mems=mems,
-        reg_poison=tuple(sorted(poisoned)),
-        mem_poison=mem_poison,
+    return StateSnapshot.of(
+        snap.key, snap.name, regs, mems, snap.children,
+        reg_poison=tuple(sorted(poisoned)), mem_poison=mem_poison,
     )
 
 
@@ -163,17 +164,17 @@ def translate_snapshot(
 
     ``transforms`` maps module name -> transform (missing entries mean
     identity); each snapshot names its module by its own spec key, so
-    the design the snapshot was taken under need not be at hand.
+    the design the snapshot was taken under need not be at hand.  A
+    subtree no transform touches is returned as it is.
     """
     transform = transforms.get(module_of(snap.key))
-    if transform is not None:
-        snap = translate(transform, snap)
-    return replace(
-        snap,
-        children=[
-            translate_snapshot(child, transforms) for child in snap.children
-        ],
-    )
+    translated = snap if transform is None else translate(transform, snap)
+    children = tuple([
+        translate_snapshot(child, transforms) for child in snap.children
+    ])
+    if translated is snap and all(map(is_, children, snap.children)):
+        return snap
+    return translated.replace(children=children)
 
 
 @dataclass

@@ -25,6 +25,7 @@ The socket front door is :mod:`repro.server.frontend`.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from typing import Any, Dict, List, Optional
@@ -34,7 +35,6 @@ from ..analyze import AnalysisReport, GateBlockedError
 from ..hdl.errors import HDLError, SimulationError
 from ..live.checkpoint import Checkpoint
 from ..live.commands import CommandError, CommandInterpreter
-from ..live.consistency import ConsistencyReport
 from ..live.session import ERDReport, LiveSession
 from ..sanitize import SanitizerError
 from ..sim.pipeline import Pipe
@@ -79,7 +79,12 @@ def summarize(value: Any) -> Any:
             "version": value.version,
             "bytes": value.total_bytes(),
         }
-    if isinstance(value, ConsistencyReport):
+    # Looked up, not imported: a worker that never verifies never loads
+    # verification, and then nothing it returns is a ConsistencyReport.
+    consistency = sys.modules.get("repro.live.consistency")
+    if consistency is not None and isinstance(
+        value, consistency.ConsistencyReport
+    ):
         return {
             "_type": "ConsistencyReport",
             "all_consistent": value.all_consistent,

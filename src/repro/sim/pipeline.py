@@ -211,13 +211,14 @@ class Pipe:
     # -- state ------------------------------------------------------------------
 
     def snapshot(self, base: Optional["PipeSnapshot"] = None) -> "PipeSnapshot":
-        """The pipe's state now; memory pages equal to ``base``'s are
-        shared with it (:meth:`StageInst.snapshot`)."""
-        return PipeSnapshot(
-            cycle=self.cycle,
-            inputs=dict(self._inputs),
-            state=self.top.snapshot(base.state if base is not None else None),
-        )
+        """The pipe's state now; what equals ``base``'s is shared with
+        it (:meth:`StageInst.snapshot`), the inputs included."""
+        if base is None:
+            return PipeSnapshot(self.cycle, dict(self._inputs), self.top.snapshot())
+        inputs = base.inputs
+        if inputs != self._inputs:
+            inputs = dict(self._inputs)
+        return PipeSnapshot(self.cycle, inputs, self.top.snapshot(base.state))
 
     def restore(self, snap: "PipeSnapshot") -> None:
         self.top.restore(snap.state)
@@ -278,6 +279,6 @@ class PipeSnapshot:
         return self.state.total_bytes() + 8 * (len(self.inputs) + 1)
 
     def resident_bytes(self, seen: Set[int]) -> int:
-        """:meth:`total_bytes` less the memory pages already in ``seen``
-        (:meth:`StateSnapshot.resident_bytes`)."""
+        """:meth:`total_bytes` less the records, register tuples and
+        memory pages already in ``seen`` (:meth:`StateSnapshot.resident_bytes`)."""
         return self.state.resident_bytes(seen) + 8 * (len(self.inputs) + 1)

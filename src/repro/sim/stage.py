@@ -11,9 +11,11 @@ rules that carry it across a design version live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import is_
+from typing import (
+    Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from ..codegen.pygen import CompiledModule
 from ..hdl.errors import SimulationError
@@ -45,18 +47,23 @@ class MemImage:
     @classmethod
     def capture(cls, words: List[int], base=None) -> "MemImage":
         """An image of ``words``.  ``base`` (any earlier image of the
-        same memory, or None) only decides which page objects are
-        reused; a page is reused only when its contents are equal."""
+        same memory, or None) only decides which objects are reused: a
+        page only when its contents are equal, the image itself when
+        every page is."""
         starts = range(0, len(words), PAGE_WORDS)
         if isinstance(base, MemImage) and base._length == len(words):
-            pages = [
+            pages = tuple([
                 old if old == (page := words[start : start + PAGE_WORDS])
                 else page
                 for start, old in zip(starts, base.pages)
-            ]
-        else:
-            pages = [words[start : start + PAGE_WORDS] for start in starts]
-        return cls(tuple(pages), len(words))
+            ])
+            if _same_items(pages, base.pages):
+                return base
+            return cls(pages, len(words))
+        return cls(
+            tuple([words[start : start + PAGE_WORDS] for start in starts]),
+            len(words),
+        )
 
     def tolist(self) -> List[int]:
         """The words as one new list (page by page, at C speed)."""
@@ -100,28 +107,145 @@ def _pages(words: Sequence[int]) -> Sequence[Sequence[int]]:
     return words.pages if isinstance(words, MemImage) else (words,)
 
 
-@dataclass
-class StateSnapshot:
-    """A picklable capture of one instance subtree's state.
+def _same_items(new: tuple, old: tuple) -> bool:
+    """Whether ``new`` holds ``old``'s objects, position by position."""
+    return len(new) == len(old) and all(map(is_, new, old))
 
-    Registers and memories are keyed by *name* so a snapshot taken
-    under one design version can be translated into another version's
-    namespace (paper §III-E, :mod:`repro.live.transform`).  Register
-    values are copied; each memory is a :class:`MemImage`, whose pages
-    may be shared with the snapshot it was captured against.  A memory
-    read from a file written before images were paged is a plain list,
-    and every reader takes either.
+
+def _paired(insts: Sequence["StageInst"], snaps: Sequence["StateSnapshot"]):
+    """``snaps`` in the order of ``insts``, matched by instance name
+    (None for an instance no record names).  Records captured from one
+    compiled module are in its instance order already, so they pair by
+    position without a lookup."""
+    if len(snaps) == len(insts) and all(
+        snap.name == inst.name for snap, inst in zip(snaps, insts)
+    ):
+        return snaps
+    by_name = {snap.name: snap for snap in snaps}
+    return [by_name.get(inst.name) for inst in insts]
+
+
+class StateSnapshot:
+    """One instance subtree's state at capture: an immutable record.
+
+    ``values`` holds the register values in slot order and
+    ``reg_names`` their names, one tuple per compiled module
+    (:attr:`CompiledModule.reg_names`) that every record captured from
+    it shares and a store file writes once.  ``images`` holds one
+    :class:`MemImage` per memory of ``mem_names`` alike, ``children``
+    the children's records in the module's instance order.  Sanitizer
+    shadow state (empty for clean builds): ``reg_poison`` names the
+    poisoned registers, ``poison_words`` holds every memory's
+    word-poison bitmap, empty when no word is poisoned.  Every field
+    is a tuple or a string; an empty one is the shared ``()``.
+
+    A record captured against a base (:meth:`StageInst.snapshot`)
+    reuses every tuple, image and record of the base whose contents
+    did not change, so nothing may mutate a record after capture:
+    build a new one (:meth:`of`, :meth:`replace`).
+
+    State crosses a design version by *name* (paper §III-E,
+    :mod:`repro.live.transform`): :attr:`regs`, :attr:`mems` and
+    :attr:`mem_poison` are name-keyed dicts built on demand.  A memory
+    read from a file written before images were paged is a plain
+    list, and every reader takes either.
     """
 
-    key: str
-    name: str
-    regs: Dict[str, int]
-    mems: Dict[str, Sequence[int]]
-    children: List["StateSnapshot"] = field(default_factory=list)
-    # Sanitizer shadow state (empty for clean builds): names of
-    # poisoned regs and per-memory word-poison bitmaps.
-    reg_poison: Tuple[str, ...] = ()
-    mem_poison: Dict[str, int] = field(default_factory=dict)
+    __slots__ = (
+        "key", "name", "reg_names", "values", "mem_names", "images",
+        "children", "reg_poison", "poison_words",
+    )
+
+    def __init__(
+        self,
+        key: str,
+        name: str,
+        reg_names: Tuple[str, ...],
+        values: Tuple[int, ...],
+        mem_names: Tuple[str, ...],
+        images: Tuple[Sequence[int], ...],
+        children: Tuple["StateSnapshot", ...],
+        reg_poison: Tuple[str, ...],
+        poison_words: Tuple[int, ...],
+    ):
+        self.key = key
+        self.name = name
+        self.reg_names = reg_names
+        self.values = values
+        self.mem_names = mem_names
+        self.images = images
+        self.children = children
+        self.reg_poison = reg_poison
+        self.poison_words = poison_words
+
+    @classmethod
+    def of(
+        cls,
+        key: str,
+        name: str,
+        regs: Mapping[str, int],
+        mems: Mapping[str, Sequence[int]],
+        children: Sequence["StateSnapshot"] = (),
+        reg_poison: Sequence[str] = (),
+        mem_poison: Optional[Mapping[str, int]] = None,
+    ) -> "StateSnapshot":
+        """A record of name-keyed state (a translation's result)."""
+        mem_names = tuple(mems)
+        poison_words = ()
+        if mem_poison and any(mem_poison.get(n, 0) for n in mem_names):
+            poison_words = tuple(mem_poison.get(n, 0) for n in mem_names)
+        return cls(
+            key, name, tuple(regs), tuple(regs.values()), mem_names,
+            tuple(mems.values()), tuple(children), tuple(reg_poison),
+            poison_words,
+        )
+
+    def replace(self, **changes) -> "StateSnapshot":
+        """A new record: this one with the name-keyed fields in
+        ``changes`` (``regs``, ``mems``, ``children``, ``reg_poison``,
+        ``mem_poison``) replaced."""
+        children = tuple(changes.pop("children", self.children))
+        if not changes:
+            return StateSnapshot(
+                self.key, self.name, self.reg_names, self.values,
+                self.mem_names, self.images, children, self.reg_poison,
+                self.poison_words,
+            )
+        fields = {
+            "regs": self.regs, "mems": self.mems,
+            "reg_poison": self.reg_poison, "mem_poison": self.mem_poison,
+        }
+        fields.update(changes)
+        return StateSnapshot.of(self.key, self.name, children=children, **fields)
+
+    # -- name-keyed views -----------------------------------------------------
+
+    @property
+    def regs(self) -> Dict[str, int]:
+        """Register name -> value (a new dict)."""
+        return dict(zip(self.reg_names, self.values))
+
+    @property
+    def mems(self) -> Dict[str, Sequence[int]]:
+        """Memory name -> image (a new dict)."""
+        return dict(zip(self.mem_names, self.images))
+
+    @property
+    def mem_poison(self) -> Dict[str, int]:
+        """Memory name -> word-poison bitmap, for the poisoned ones."""
+        return {
+            name: bits
+            for name, bits in zip(self.mem_names, self.poison_words)
+            if bits
+        }
+
+    def child(self, name: str) -> Optional["StateSnapshot"]:
+        for snap in self.children:
+            if snap.name == name:
+                return snap
+        return None
+
+    # -- sizes ----------------------------------------------------------------
 
     def total_bytes(self) -> int:
         """Logical payload size (8 bytes per register/memory word).
@@ -129,18 +253,25 @@ class StateSnapshot:
         Used by the checkpoint-overhead bench; the paper notes the
         256-core PGAS checkpoint is < 3 MB.
         """
-        size = 8 * len(self.regs)
-        for words in self.mems.values():
+        size = 8 * len(self.values)
+        for words in self.images:
             size += 8 * len(words)
         for child in self.children:
             size += child.total_bytes()
         return size
 
     def resident_bytes(self, seen: Set[int]) -> int:
-        """:meth:`total_bytes`, counting only the memory pages whose
-        ``id`` is not yet in ``seen`` (and adding them to it)."""
-        size = 8 * len(self.regs)
-        for words in self.mems.values():
+        """:meth:`total_bytes`, counting only the records, register
+        tuples and memory pages whose ``id`` is not yet in ``seen``
+        (and adding them to it)."""
+        if id(self) in seen:
+            return 0  # a shared record: counted with its first holder
+        seen.add(id(self))
+        size = 0
+        if id(self.values) not in seen:
+            seen.add(id(self.values))
+            size += 8 * len(self.values)
+        for words in self.images:
             for page in _pages(words):
                 if id(page) not in seen:
                     seen.add(id(page))
@@ -149,22 +280,65 @@ class StateSnapshot:
             size += child.resident_bytes(seen)
         return size
 
-    def child(self, name: str) -> Optional["StateSnapshot"]:
-        for snap in self.children:
-            if snap.name == name:
-                return snap
-        return None
+    # -- comparison -----------------------------------------------------------
 
     def equal_state(self, other: "StateSnapshot") -> bool:
-        return (
-            self.regs == other.regs
-            and self.mems == other.mems
-            and len(self.children) == len(other.children)
-            and all(
-                a.name == b.name and a.equal_state(b)
-                for a, b in zip(self.children, other.children)
-            )
+        """Same register values and memory words by name, over the
+        subtree (the consistency compare; poison is not state)."""
+        if self is other:
+            return True
+        if self.reg_names == other.reg_names:
+            if self.values != other.values:
+                return False
+        elif self.regs != other.regs:
+            return False
+        if self.mem_names == other.mem_names:
+            if self.images != other.images:
+                return False
+        elif self.mems != other.mems:
+            return False
+        return len(self.children) == len(other.children) and all(
+            a.name == b.name and a.equal_state(b)
+            for a, b in zip(self.children, other.children)
         )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StateSnapshot):
+            return NotImplemented
+        return self is other or (
+            self.key == other.key
+            and self.name == other.name
+            and self.regs == other.regs
+            and self.mems == other.mems
+            and self.reg_poison == other.reg_poison
+            and self.mem_poison == other.mem_poison
+            and self.children == other.children
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"<StateSnapshot {self.name} key={self.key} "
+            f"regs={len(self.values)} mems={len(self.images)} "
+            f"children={len(self.children)}>"
+        )
+
+    # -- pickling -------------------------------------------------------------
+
+    def __reduce__(self):
+        return StateSnapshot, (
+            self.key, self.name, self.reg_names, self.values,
+            self.mem_names, self.images, self.children, self.reg_poison,
+            self.poison_words,
+        )
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        """Read a record from a store file written when a snapshot was
+        a dataclass: ``state`` is its dict of name-keyed fields."""
+        record = StateSnapshot.of(**state)
+        for slot in StateSnapshot.__slots__:
+            setattr(self, slot, getattr(record, slot))
 
 
 class StageInst:
@@ -264,42 +438,83 @@ class StageInst:
     # -- snapshot / restore -------------------------------------------------------
 
     def snapshot(self, base: Optional[StateSnapshot] = None) -> StateSnapshot:
-        """This subtree's state now.  With ``base`` (an earlier
-        snapshot of this subtree), every memory page whose contents
-        equal the same page of ``base``'s image of that memory is
-        shared with it; children are matched to ``base``'s by name."""
+        """This subtree's state now, one record per instance.
+
+        With ``base`` (an earlier record of this subtree, of any
+        version) the capture reuses what did not change: register
+        values equal to the base's are its tuple, a memory whose pages
+        all equal the base's image of that memory (by name) is that
+        image, and a record equal to the base's in every field *is*
+        the base's record, so an idle subtree costs nothing.  Children
+        pair with the base's by instance name, by position whenever
+        the two lists agree (always, against a base of this module).
+        """
+        code = self.code
         state = self.state
-        reg_poison: Tuple[str, ...] = ()
-        mem_poison: Dict[str, int] = {}
-        if self.code.build.sanitize:
-            pbits = state[self.code.layout.reg_poison_slot]
-            reg_poison = tuple(
-                name
-                for name, slot in self.code.reg_slots.items()
-                if (pbits >> slot) & 1
+        reg_names = code.reg_names
+        mem_names = code.mem_names
+        values = tuple(state[: code.num_regs])
+        reg_poison = poison_words = ()
+        if code.build.sanitize:
+            pbits = state[code.layout.reg_poison_slot]
+            if pbits:
+                reg_poison = tuple([
+                    name for slot, name in enumerate(reg_names)
+                    if pbits >> slot & 1
+                ])
+            words = tuple([state[spec.poison_slot] for spec in code.mem_order])
+            if any(words):
+                poison_words = words
+        if base is None:
+            return StateSnapshot(
+                code.key, self.name, reg_names, values, mem_names,
+                tuple([
+                    MemImage.capture(state[spec.slot])
+                    for spec in code.mem_order
+                ]),
+                tuple([child.snapshot() for child in self.children]),
+                reg_poison, poison_words,
             )
-            mem_poison = {
-                name: state[spec.poison_slot]
-                for name, spec in self.code.mem_specs.items()
-                if state[spec.poison_slot]
-            }
-        base_mems = base.mems if base is not None else {}
+        if values == base.values:
+            values = base.values
+        images = ()
+        if mem_names:
+            if base.mem_names == mem_names:
+                olds = base.images
+            else:
+                by_name = base.mems
+                olds = [by_name.get(name) for name in mem_names]
+            images = tuple([
+                MemImage.capture(state[spec.slot], old)
+                for spec, old in zip(code.mem_order, olds)
+            ])
+            if _same_items(images, base.images):
+                images = base.images
+        children = ()
+        if self.children:
+            children = tuple([
+                child.snapshot(old)
+                for child, old in zip(
+                    self.children, _paired(self.children, base.children)
+                )
+            ])
+            if _same_items(children, base.children):
+                children = base.children
+        if (
+            values is base.values
+            and images is base.images
+            and children is base.children
+            and base.key == code.key
+            and base.name == self.name
+            and base.reg_names == reg_names
+            and base.mem_names == mem_names
+            and base.reg_poison == reg_poison
+            and base.poison_words == poison_words
+        ):
+            return base
         return StateSnapshot(
-            key=self.code.key,
-            name=self.name,
-            regs={
-                name: state[slot] for name, slot in self.code.reg_slots.items()
-            },
-            mems={
-                name: MemImage.capture(state[spec.slot], base_mems.get(name))
-                for name, spec in self.code.mem_specs.items()
-            },
-            children=[
-                child.snapshot(base and base.child(child.name))
-                for child in self.children
-            ],
-            reg_poison=reg_poison,
-            mem_poison=mem_poison,
+            code.key, self.name, reg_names, values, mem_names, images,
+            children, reg_poison, poison_words,
         )
 
     def restore(self, snap: StateSnapshot) -> None:
@@ -318,12 +533,13 @@ class StageInst:
             raise SimulationError(
                 f"snapshot is for {snap.key!r} but instance runs {self.code.key!r}"
             )
-        if set(snap.regs) != set(self.code.reg_slots):
+        if set(snap.reg_names) != set(self.code.reg_slots):
             raise SimulationError(
                 f"snapshot register set differs for {self.code.key!r}"
             )
+        mems = snap.mems
         for name, spec in self.code.mem_specs.items():
-            words = snap.mems.get(name)
+            words = mems.get(name)
             if words is None or len(words) != spec.depth:
                 raise SimulationError(f"snapshot memory {name!r} mismatch")
         if len(snap.children) != len(self.children):
@@ -332,7 +548,57 @@ class StageInst:
             child._require_identical(child_snap)
 
     def load(self, snap: StateSnapshot) -> None:
-        """Fit name-keyed state into this subtree's current layout.
+        """Put a record's state into this subtree.
+
+        A record captured from this instance's compiled module (its
+        name tuples are the module's own, so every width and depth is
+        the same) is copied as it is: the values tuple into both
+        register halves and each image page by page into the live
+        memory, by slice assignment.  Any other record is fitted
+        (:meth:`_fit`).  Children are matched by instance name; one
+        the record lacks restarts at power-on.
+        """
+        code = self.code
+        if snap.reg_names is code.reg_names and snap.mem_names is code.mem_names:
+            self._copy_in(snap)
+        else:
+            self._fit(snap)
+        self._drop_cached_evals()
+        children = self.children
+        for child, child_snap in zip(children, _paired(children, snap.children)):
+            if child_snap is not None:
+                child.load(child_snap)
+            else:
+                child.reset_state()
+
+    def _copy_in(self, snap: StateSnapshot) -> None:
+        """:meth:`load`'s own state for a record of this module."""
+        code = self.code
+        state = self.state
+        num_regs = code.num_regs
+        values = snap.values
+        state[:num_regs] = values
+        state[num_regs : 2 * num_regs] = values
+        for spec, image in zip(code.mem_order, snap.images):
+            live = state[spec.slot]
+            start = 0
+            for page in _pages(image):
+                end = start + PAGE_WORDS
+                live[start:end] = page
+                start = end
+            del state[spec.pending_slot][:]
+        if code.build.sanitize:
+            pbits = 0
+            for name in snap.reg_poison:
+                pbits |= 1 << code.reg_slots[name]
+            state[code.layout.reg_poison_slot] = pbits
+            words = snap.poison_words or (0,) * len(code.mem_order)
+            for spec, bits in zip(code.mem_order, words):
+                state[spec.poison_slot] = bits
+            state[code.layout.nw_slot].clear()
+
+    def _fit(self, snap: StateSnapshot) -> None:
+        """Fit name-keyed state into this instance's current layout.
 
         The snapshot speaks this version's names (the Table V rules in
         :mod:`repro.live.transform` put it there); what is left is
@@ -341,24 +607,25 @@ class StageInst:
         or memory word the snapshot does not carry is zero and, to the
         sanitizer, poisoned like the state the snapshot itself marks
         poisoned: Table V's rule for created state, whatever a
-        from-reset run would hold there.  Children are matched by
-        instance name; one the snapshot lacks restarts at power-on.
+        from-reset run would hold there.
         """
         code = self.code
         state = self.state
         num_regs = code.num_regs
+        regs, mems = snap.regs, snap.mems
         poisoned = list(snap.reg_poison)
         for name, slot in code.reg_slots.items():
-            value = snap.regs.get(name)
+            value = regs.get(name)
             if value is None:
                 value = 0
                 poisoned.append(name)
             value &= (1 << code.reg_widths[name]) - 1
             state[slot] = value
             state[slot + num_regs] = value
+        mem_poison = snap.mem_poison
         for name, spec in code.mem_specs.items():
             # A slice is a new flat list of an image or a list alike.
-            words = snap.mems.get(name, [])[: spec.depth]
+            words = mems.get(name, [])[: spec.depth]
             count = len(words)
             mask = (1 << spec.width) - 1
             # Same-width words (the common case) are copied, not
@@ -372,7 +639,7 @@ class StageInst:
                 carried = (1 << count) - 1
                 state[spec.poison_slot] = (
                     ((1 << spec.depth) - 1) & ~carried
-                ) | (snap.mem_poison.get(name, 0) & carried)
+                ) | (mem_poison.get(name, 0) & carried)
         if code.build.sanitize:
             pbits = 0
             for name in poisoned:
@@ -381,13 +648,6 @@ class StageInst:
                     pbits |= 1 << slot
             state[code.layout.reg_poison_slot] = pbits
             state[code.layout.nw_slot].clear()
-        self._drop_cached_evals()
-        for child in self.children:
-            child_snap = snap.child(child.name)
-            if child_snap is not None:
-                child.load(child_snap)
-            else:
-                child.reset_state()
 
     def reset_state(self) -> None:
         """Zero all registers and memories (power-on state)."""

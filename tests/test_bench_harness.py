@@ -219,6 +219,7 @@ class TestCheckpointOverheadBench:
         assert result.checkpoints_taken > 0
         assert result.hz_with > 0
         assert 0 < result.resident_bytes < result.checkpoint_bytes
+        assert result.heap_bytes > 0
         # Overhead is positive-ish but bounded (paper: 10-20%; ours
         # varies more in Python — assert it is not catastrophic).
         assert result.overhead_percent < 100

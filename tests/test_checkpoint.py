@@ -2,7 +2,6 @@
 page-shared memory images and persistence."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,8 +82,7 @@ def shadow(state):
 def flattened(state):
     """``state`` with plain-list memory images, as a store file written
     before images were paged holds them."""
-    return replace(
-        state,
+    return state.replace(
         mems={name: list(words) for name, words in state.mems.items()},
         children=[flattened(child) for child in state.children],
     )
@@ -142,6 +140,36 @@ class TestCapture:
         store.take(pipe, "1.1", 1)
         assert len(store) == before
         assert store.all()[0].version == "1.1"
+
+    def test_order_and_recapture_whether_a_take_appends_or_not(self):
+        # A take after the newest checkpoint appends; a recapture (of
+        # the newest or of an older cycle, after a rewind) replaces in
+        # place, and an adopted older checkpoint lands in cycle order.
+        pipe = make_pipe()
+        store = CheckpointStore(interval=1)
+        snapshots = {}
+        for cycle in (10, 20, 30):
+            pipe.step(cycle - pipe.cycle)
+            store.take(pipe, "1.0", 0)
+            snapshots[cycle] = pipe.snapshot()
+        assert store.cycles() == [10, 20, 30]
+        store.take(pipe, "1.1", 1)
+        pipe.restore(snapshots[20])
+        store.take(pipe, "1.2", 2)
+        adopted = Checkpoint(
+            id=-1, cycle=15, snapshot=snapshots[10], version="1.3",
+            op_index=3,
+        )
+        assert store.adopt([adopted]) == 1
+        pipe.restore(snapshots[30])
+        pipe.step(10)
+        store.take(pipe, "1.4", 4)
+        assert store.cycles() == [10, 15, 20, 30, 40]
+        assert [c.version for c in store.all()] == [
+            "1.0", "1.3", "1.2", "1.1", "1.4",
+        ]
+        ids = [c.id for c in store.all()]
+        assert len(set(ids)) == 5 and max(ids) == ids[-1]
 
     def test_capture_stats_accumulate(self):
         pipe = make_pipe()
@@ -559,8 +587,13 @@ class TestPersistence:
         store.save(str(many))
         assert len(store) == 20
         assert many.stat().st_size < 2 * one.stat().st_size
-        image_bytes = 8 * 4 * PAGE_WORDS
-        assert store.resident_bytes() == store.total_bytes() - 19 * image_bytes
+        # The pipe is idle, so each later checkpoint's record tree is
+        # the first one's: only its cycle and inputs are its own.
+        first = store.all()[0].snapshot.state
+        assert all(c.snapshot.state is first for c in store.all())
+        tree_bytes = first.total_bytes()
+        assert tree_bytes > 8 * 4 * PAGE_WORDS
+        assert store.resident_bytes() == store.total_bytes() - 19 * tree_bytes
         loaded = CheckpointStore(interval=1)
         loaded.load(str(many))
         assert loaded.resident_bytes() == store.resident_bytes()

@@ -11,7 +11,7 @@ from repro.sim.stage import StateSnapshot
 
 
 def snap(name="top", regs=None, mems=None, children=None):
-    return StateSnapshot(
+    return StateSnapshot.of(
         key=name,
         name=name,
         regs=dict(regs or {}),

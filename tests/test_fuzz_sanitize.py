@@ -389,8 +389,7 @@ def _poisoned(snap, pick_regs, pick_words):
     """``snap`` with the registers ``pick_regs(names)`` chooses and the
     memory words ``pick_words(name, depth)`` chooses marked poisoned,
     over the whole subtree."""
-    return dataclasses.replace(
-        snap,
+    return snap.replace(
         reg_poison=tuple(pick_regs(sorted(snap.regs))),
         mem_poison={name: pick_words(name, len(words))
                     for name, words in snap.mems.items()},

@@ -139,6 +139,59 @@ def test_the_live_loop_imports_only_what_it_runs():
     assert out["verdict"] == "consistent"
 
 
+WORKER_SCRIPT = """
+import json
+import sys
+import tempfile
+
+from repro.server.service import summarize
+from repro.server.shard import SessionWorker, WorkerConfig
+
+
+
+class Frontend:
+    \"\"\"The worker's end of the pipe: events are kept, not sent.\"\"\"
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+
+source = sys.argv[1]
+with tempfile.TemporaryDirectory() as state:
+    worker = SessionWorker(Frontend(), WorkerConfig(
+        worker_id=0, state_root=state, checkpoint_interval=10,
+    ))
+    opened = worker._dispatch(1, "open", {"session": "s", "source": source})
+    stage = opened["handles"]["top"]
+    for line in (f"instPipe p0, {stage}", "run tb0, p0, 35", "peek p0",
+                 "chkp p0"):
+        worker._dispatch(2, "cmd", {"session": "s", "line": line})
+    worker._dispatch(3, "reload", {
+        "session": "s", "source": source.replace("a + b", "a + b + 1"),
+    })
+    loaded = "repro.live.consistency" in sys.modules
+    session = worker.manager.get("s").session
+    report = summarize(session.verify_consistency("p0"))
+    worker.manager.close_all()
+print(json.dumps({"loaded": loaded, "report": report}))
+"""
+
+
+def test_a_worker_that_never_verifies_never_imports_verification():
+    """A shard worker opens, runs, checkpoints and edits a session
+    without loading ``repro.live.consistency``; a verify loads it, and
+    its report still goes on the wire as a ConsistencyReport."""
+    out = json.loads(run_fresh(WORKER_SCRIPT, COUNTER_SRC))
+    assert out["loaded"] is False
+    assert out["report"]["_type"] == "ConsistencyReport"
+    # The edit changed what the adder computes: the checkpoints the old
+    # design took diverge from a replay under the new one.
+    assert out["report"]["verdict"] == "divergent"
+
+
 def test_compile_design_with_params():
     source = """
 module m #(parameter W = 8) (input clk, output [W-1:0] y);

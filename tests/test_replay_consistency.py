@@ -143,7 +143,12 @@ class TestConsistencyChecker:
         # Corrupt the checkpoint at cycle 20: its state claims a value
         # the (unchanged) design can never reach from cycle 10.
         victim = [c for c in store.all() if c.cycle == 20][0]
-        victim.snapshot.state.child("u0").regs["count_q"] = 199
+        state = victim.snapshot.state
+        victim.snapshot.state = state.replace(children=[
+            child.replace(regs={**child.regs, "count_q": 199})
+            if child.name == "u0" else child
+            for child in state.children
+        ])
         report = self._verify(store.all(), ops, build_pipe)
         assert not report.all_consistent
         bad = report.first_divergent
