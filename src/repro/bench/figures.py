@@ -177,14 +177,18 @@ class CheckpointOverheadResult:
         return 100.0 * (self.hz_without / self.hz_with - 1.0)
 
 
+# Takes whose kept Python heap ``checkpoint_overhead`` averages.
+_HEAP_TAKES = 8
+
+
 def checkpoint_overhead(
-    n: int = 1, cycles: int = 400, interval: int = 25, heap_takes: int = 8
+    n: int = 1, cycles: int = 400, interval: int = 25
 ) -> CheckpointOverheadResult:
     """Measure simulation speed with and without checkpointing
     (paper §V-B: 'varied from 10 to 20%'), then the Python heap each
-    of ``heap_takes`` more takes, one interval apart, keeps: traced by
-    ``tracemalloc`` around the take alone, so the cycles between are
-    not counted and the timed runs are not slowed."""
+    of :data:`_HEAP_TAKES` more takes, one interval apart, keeps:
+    traced by ``tracemalloc`` around the take alone, so the cycles
+    between are not counted and the timed runs are not slowed."""
     bench = PGASWorkbench(n, checkpoint_interval=interval)
     session = bench.build_session()
     tb = bench.tb_handle
@@ -210,7 +214,7 @@ def checkpoint_overhead(
 
     store.enabled = False
     kept = 0
-    for _ in range(heap_takes):
+    for _ in range(_HEAP_TAKES):
         session.run(tb, "uut", interval)
         tracemalloc.start()
         try:
@@ -226,7 +230,7 @@ def checkpoint_overhead(
         checkpoints_taken=taken,
         checkpoint_bytes=checkpoint_bytes,
         resident_bytes=resident_bytes,
-        heap_bytes=kept // max(heap_takes, 1),
+        heap_bytes=kept // _HEAP_TAKES,
     )
 
 

@@ -80,7 +80,10 @@ class MemImage:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return self.tolist()[index]
+            words = self.tolist()
+            if index.indices(self._length) == (0, self._length, 1):
+                return words  # the whole image: no second copy
+            return words[index]
         if index < 0:
             index += self._length
         if not 0 <= index < self._length:
@@ -239,12 +242,6 @@ class StateSnapshot:
             if bits
         }
 
-    def child(self, name: str) -> Optional["StateSnapshot"]:
-        for snap in self.children:
-            if snap.name == name:
-                return snap
-        return None
-
     # -- sizes ----------------------------------------------------------------
 
     def total_bytes(self) -> int:
@@ -316,13 +313,6 @@ class StateSnapshot:
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<StateSnapshot {self.name} key={self.key} "
-            f"regs={len(self.values)} mems={len(self.images)} "
-            f"children={len(self.children)}>"
-        )
 
     # -- pickling -------------------------------------------------------------
 
@@ -548,57 +538,7 @@ class StageInst:
             child._require_identical(child_snap)
 
     def load(self, snap: StateSnapshot) -> None:
-        """Put a record's state into this subtree.
-
-        A record captured from this instance's compiled module (its
-        name tuples are the module's own, so every width and depth is
-        the same) is copied as it is: the values tuple into both
-        register halves and each image page by page into the live
-        memory, by slice assignment.  Any other record is fitted
-        (:meth:`_fit`).  Children are matched by instance name; one
-        the record lacks restarts at power-on.
-        """
-        code = self.code
-        if snap.reg_names is code.reg_names and snap.mem_names is code.mem_names:
-            self._copy_in(snap)
-        else:
-            self._fit(snap)
-        self._drop_cached_evals()
-        children = self.children
-        for child, child_snap in zip(children, _paired(children, snap.children)):
-            if child_snap is not None:
-                child.load(child_snap)
-            else:
-                child.reset_state()
-
-    def _copy_in(self, snap: StateSnapshot) -> None:
-        """:meth:`load`'s own state for a record of this module."""
-        code = self.code
-        state = self.state
-        num_regs = code.num_regs
-        values = snap.values
-        state[:num_regs] = values
-        state[num_regs : 2 * num_regs] = values
-        for spec, image in zip(code.mem_order, snap.images):
-            live = state[spec.slot]
-            start = 0
-            for page in _pages(image):
-                end = start + PAGE_WORDS
-                live[start:end] = page
-                start = end
-            del state[spec.pending_slot][:]
-        if code.build.sanitize:
-            pbits = 0
-            for name in snap.reg_poison:
-                pbits |= 1 << code.reg_slots[name]
-            state[code.layout.reg_poison_slot] = pbits
-            words = snap.poison_words or (0,) * len(code.mem_order)
-            for spec, bits in zip(code.mem_order, words):
-                state[spec.poison_slot] = bits
-            state[code.layout.nw_slot].clear()
-
-    def _fit(self, snap: StateSnapshot) -> None:
-        """Fit name-keyed state into this instance's current layout.
+        """Fit name-keyed state into this subtree's current layout.
 
         The snapshot speaks this version's names (the Table V rules in
         :mod:`repro.live.transform` put it there); what is left is
@@ -607,13 +547,17 @@ class StageInst:
         or memory word the snapshot does not carry is zero and, to the
         sanitizer, poisoned like the state the snapshot itself marks
         poisoned: Table V's rule for created state, whatever a
-        from-reset run would hold there.
+        from-reset run would hold there.  Children are matched by
+        instance name (by position when the lists agree); one the
+        snapshot lacks restarts at power-on.
         """
         code = self.code
         state = self.state
         num_regs = code.num_regs
-        regs, mems = snap.regs, snap.mems
         poisoned = list(snap.reg_poison)
+        # The name-keyed views are built only for an instance that has
+        # registers or memories to fill.
+        regs = snap.regs if num_regs else {}
         for name, slot in code.reg_slots.items():
             value = regs.get(name)
             if value is None:
@@ -622,7 +566,9 @@ class StageInst:
             value &= (1 << code.reg_widths[name]) - 1
             state[slot] = value
             state[slot + num_regs] = value
-        mem_poison = snap.mem_poison
+        mems = mem_poison = {}
+        if code.mem_specs:
+            mems, mem_poison = snap.mems, snap.mem_poison
         for name, spec in code.mem_specs.items():
             # A slice is a new flat list of an image or a list alike.
             words = mems.get(name, [])[: spec.depth]
@@ -648,6 +594,15 @@ class StageInst:
                     pbits |= 1 << slot
             state[code.layout.reg_poison_slot] = pbits
             state[code.layout.nw_slot].clear()
+        self._drop_cached_evals()
+        children = self.children
+        if not children:
+            return
+        for child, child_snap in zip(children, _paired(children, snap.children)):
+            if child_snap is not None:
+                child.load(child_snap)
+            else:
+                child.reset_state()
 
     def reset_state(self) -> None:
         """Zero all registers and memories (power-on state)."""

@@ -207,6 +207,11 @@ def assert_between_edges(pipe: Pipe) -> None:
             assert inst.state[spec.pending_slot] == [], (path, spec.name)
 
 
+def child_record(record, name: str):
+    """The child record of ``record`` for instance ``name``."""
+    return next(child for child in record.children if child.name == name)
+
+
 def run_cycles(pipe: Pipe, cycles: int, **inputs: int) -> dict:
     """Drive constant inputs for N cycles; return final outputs."""
     if inputs:

@@ -15,7 +15,7 @@ from repro.sim import Pipe
 from repro.sim.pipeline import PipeSnapshot
 from repro.sim.stage import PAGE_WORDS
 from repro.sim.testbench import hold_inputs
-from tests.conftest import COUNTER_SRC
+from tests.conftest import COUNTER_SRC, child_record
 
 
 def make_pipe():
@@ -95,7 +95,7 @@ class TestCapture:
         pipe.step(7)
         cp = store.take(pipe, version="1.0", op_index=0)
         assert cp.cycle == 8  # 1 reset cycle + 7
-        assert cp.snapshot.state.child("u0").regs["count_q"] == 7
+        assert child_record(cp.snapshot.state, "u0").regs["count_q"] == 7
 
     def test_maybe_take_honours_interval(self):
         pipe = make_pipe()
@@ -184,9 +184,9 @@ class TestCapture:
         pipe = make_pipe()
         store = CheckpointStore(interval=10)
         cp = store.take(pipe, "1.0", 0)
-        before = dict(cp.snapshot.state.child("u0").regs)
+        before = dict(child_record(cp.snapshot.state, "u0").regs)
         pipe.step(10)
-        assert cp.snapshot.state.child("u0").regs == before
+        assert child_record(cp.snapshot.state, "u0").regs == before
 
         # A memory image, and the pages the next checkpoint shares
         # with it, survive every way the live memory is written.
@@ -445,7 +445,7 @@ class TestPersistence:
         loaded.load(path)
         assert loaded.interval == 10
         assert loaded.cycles() == store.cycles()
-        regs = loaded.all()[0].snapshot.state.child("u0").regs
+        regs = child_record(loaded.all()[0].snapshot.state, "u0").regs
         assert regs["count_q"] == 3
 
     def test_total_bytes_counts_payload(self):

@@ -16,7 +16,7 @@ from repro.live.regression import RegressionSuite
 from repro.live.session import LiveSession
 from repro.live.transform import RegisterTransform, TransformOp
 from repro.sim.testbench import hold_inputs
-from tests.conftest import TWO_COUNTERS
+from tests.conftest import TWO_COUNTERS, child_record
 
 # ``cnt`` counts by the input, ``acc`` sums it: a restore that loses
 # ``cnt`` shows in every later ``y``.
@@ -91,7 +91,7 @@ class TestFiveVersionsLater:
         ]
         for checkpoint in session.checkpoints("p0"):
             view = session.in_current_version(checkpoint)
-            regs = view.snapshot.state.child("u").regs
+            regs = child_record(view.snapshot.state, "u").regs
             assert set(regs) == {"wide2", "acc", "hold"}
             assert regs["wide2"] == 3 * checkpoint.cycle
 

@@ -12,7 +12,7 @@ from repro.live.transform import (
     translate_snapshot,
 )
 from repro.sim import Pipe
-from tests.conftest import COUNTER_SRC
+from tests.conftest import COUNTER_SRC, child_record
 
 
 def compiled(source):
@@ -412,7 +412,7 @@ def test_swap_is_snapshot_translate_load(case, sanitize):
             )
         u0.state[u0.code.mem_specs["m"].poison_slot] = POISONED_WORDS
     before = live.snapshot()
-    assert before.state.child("u0").regs["a_q"] == (13 * 37) & 0xFF
+    assert child_record(before.state, "u0").regs["a_q"] == (13 * 37) & 0xFF
 
     new_library = _lanes_library(source, sanitize)
     report = HotReloader(transforms).swap_pipe(live, new_library)
@@ -423,7 +423,7 @@ def test_swap_is_snapshot_translate_load(case, sanitize):
     loaded.restore_transformed(before)
 
     if sanitize:
-        u0 = loaded.top.snapshot().child("u0")
+        u0 = child_record(loaded.top.snapshot(), "u0")
         assert (set(u0.reg_poison), u0.mem_poison) == (reg_poison, mem_poison)
     for _ in range(2):  # right after the crossing, and a few cycles on
         swapped, reference = live.top.snapshot(), loaded.top.snapshot()

@@ -2,10 +2,10 @@
 previous checkpoint wherever the interval left it unchanged.
 
 (a) sharing is by identity, (b) no record aliases live state, (c) a
-restore that copies a record of the instance's own compiled module by
-slices leaves the tree exactly as the fitting path does, and (d) a store
-file written when a snapshot was a dataclass of name-keyed dicts still
-loads, restores and verifies.
+restore of a record as captured, name tuples shared with the compiled
+module, leaves the tree exactly as a restore of its copy read back from
+a file does, and (d) a store file written when a snapshot was a
+dataclass of name-keyed dicts still loads, restores and verifies.
 """
 
 import copy
@@ -26,7 +26,7 @@ from repro.riscv.pgas import mesh_top_name
 from repro.riscv.programs import load_same_program
 from repro.sanitize import SanitizerRuntime
 from repro.sim import Pipe
-from repro.sim.stage import StageInst, StateSnapshot
+from repro.sim.stage import StateSnapshot
 from repro.sim.testbench import hold_inputs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -205,32 +205,20 @@ def _driven(new_pipe, top, sanitize):
 @pytest.mark.parametrize(
     "source,top", [(s, t) for _, s, t in DESIGNS], ids=[n for n, _, _ in DESIGNS]
 )
-def test_a_restore_by_slices_equals_the_fitting_load(
-    source, top, sanitize, monkeypatch
+def test_a_restore_of_a_record_equals_a_restore_of_its_file_copy(
+    source, top, sanitize
 ):
     new_pipe = _pipe(source, top, sanitize)
     pipe, snap = _driven(new_pipe, top, sanitize)
     twin, _ = _driven(new_pipe, top, sanitize)
     assert _tree(pipe) == _tree(twin)
     # The same record under name tuples that are not the compiled
-    # module's own: load fits it instead of copying it in.
+    # module's own, as a store file or a pool worker holds it.
     foreign = pickle.loads(pickle.dumps(snap))
     assert foreign.state == snap.state
 
-    fitted = []
-    fit = StageInst._fit
-    monkeypatch.setattr(
-        StageInst, "_fit", lambda inst, s: fitted.append(inst) or fit(inst, s)
-    )
     pipe.restore_transformed(snap)
-    assert fitted == []  # every record was copied in by slices
     twin.restore_transformed(foreign)
-    # (An instance with neither registers nor memories has nothing to
-    # fit: its empty name tuples are the module's own either way.)
-    assert fitted == [
-        inst for _, inst in twin.top.walk()
-        if inst.code.reg_names or inst.code.mem_names
-    ]
     assert _tree(pipe) == _tree(twin)
     assert pipe.snapshot().state == twin.snapshot().state == snap.state
 

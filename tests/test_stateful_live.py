@@ -60,7 +60,7 @@ from repro.live.session import LiveSession
 from repro.live.transform import RegisterTransform, TransformOp
 from repro.sim.stage import StageInst
 from repro.sim.testbench import hold_inputs, reset_sequence
-from tests.conftest import COUNTER_SRC, assert_between_edges
+from tests.conftest import COUNTER_SRC, assert_between_edges, child_record
 
 DELTAS = [0, 1, 2, 5]
 REG_NAMES = ["count_q", "tally_q"]
@@ -356,7 +356,7 @@ class LiveLoopMachine(RuleBasedStateMachine):
         for checkpoint in self.session.checkpoints("p0"):
             history.path(checkpoint.version, self.session.version)
             view = self.session.in_current_version(checkpoint)
-            regs = view.snapshot.state.child("u0").regs
+            regs = child_record(view.snapshot.state, "u0").regs
             assert set(regs) - {"shadow_q"} == {self.reg}
 
     @precondition(lambda self: self.repaired)
