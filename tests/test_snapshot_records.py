@@ -28,6 +28,7 @@ from repro.sanitize import SanitizerRuntime
 from repro.sim import Pipe
 from repro.sim.stage import StateSnapshot
 from repro.sim.testbench import hold_inputs
+from tests.conftest import assert_between_edges
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -219,6 +220,7 @@ def test_a_restore_of_a_record_equals_a_restore_of_its_file_copy(
 
     pipe.restore_transformed(snap)
     twin.restore_transformed(foreign)
+    assert_between_edges(pipe)
     assert _tree(pipe) == _tree(twin)
     assert pipe.snapshot().state == twin.snapshot().state == snap.state
 
