@@ -46,6 +46,7 @@ from ..hdl import ast_nodes as ast
 from ..hdl.consteval import expr_reads
 from ..ir.netlist import ModuleIR, Netlist
 from .diagnostics import (
+    QUOTE,
     SEVERITY_ERROR,
     SEVERITY_INFO,
     SEVERITY_WARNING,
@@ -111,16 +112,15 @@ class Check:
         severity: Optional[str] = None,
         path: Tuple[str, ...] = (),
         notes: Tuple[str, ...] = (),
+        quoted: Tuple[int, ...] = (),
     ) -> Diagnostic:
-        return Diagnostic(
-            kind=kind,
-            module=ir.name,
-            message=message,
-            line=line,
+        """``message`` and ``notes`` quote the lines ``quoted`` where
+        they hold :data:`QUOTE` (:meth:`Diagnostic.quoting`)."""
+        return Diagnostic.quoting(
+            kind, ir.name, message, line, quoted, notes,
             severity=severity or self.severity,
             check=self.name,
             path=path,
-            notes=notes,
         )
 
 
@@ -491,22 +491,17 @@ class MultiDriverCheck(Check):
                     sig_writers.setdefault(name, []).append(line)
 
         out: List[Diagnostic] = []
-        for name, lines in sorted(sig_writers.items()):
-            if len(lines) > 1:
-                out.append(self.diag(
-                    MULTI_DRIVER, ir,
-                    f"signal {name!r} is written by {len(lines)} always "
-                    f"blocks (lines {sorted(lines)})",
-                    min(lines),
-                ))
-        for name, lines in sorted(mem_writers.items()):
-            if len(lines) > 1:
-                out.append(self.diag(
-                    MULTI_DRIVER, ir,
-                    f"memory {name!r} is written by {len(lines)} always "
-                    f"blocks (lines {sorted(lines)})",
-                    min(lines),
-                ))
+        for what, writers in (("signal", sig_writers), ("memory", mem_writers)):
+            for name, lines in sorted(writers.items()):
+                if len(lines) > 1:
+                    quotes = ", ".join(QUOTE * len(lines))
+                    out.append(self.diag(
+                        MULTI_DRIVER, ir,
+                        f"{what} {name!r} is written by {len(lines)} always "
+                        f"blocks (lines [{quotes}])",
+                        min(lines),
+                        quoted=tuple(sorted(lines)),
+                    ))
         return out
 
 
@@ -810,7 +805,7 @@ class ValueRangeCheck(Check):
                 f"{site.fact.describe()} >= bound {site.bound}",
                 line,
                 severity=SEVERITY_ERROR,
-                notes=self._derivation(facts, site.reads),
+                **self._derivation(facts, site.reads),
             ))
         for (name, line), site in sorted(facts.tr_sites.items()):
             if not site.provably_lossy:
@@ -821,7 +816,7 @@ class ValueRangeCheck(Check):
                 f"{site.fact.describe()} cannot fit {site.declared} "
                 "bit(s)",
                 line,
-                notes=self._derivation(facts, site.reads),
+                **self._derivation(facts, site.reads),
             ))
         for (line, kind), site in sorted(facts.cond_sites.items()):
             if site.truth is None:
@@ -834,7 +829,7 @@ class ValueRangeCheck(Check):
                 f"{what} is provably always {truth}"
                 + (detail[0] if detail else ""),
                 line,
-                notes=self._derivation(facts, site.reads),
+                **self._derivation(facts, site.reads),
             ))
         for (line, arm), site in sorted(facts.case_sites.items()):
             if not site.dead:
@@ -845,17 +840,19 @@ class ValueRangeCheck(Check):
                 + (f" ({site.detail})" if site.detail else ""),
                 line,
                 severity=SEVERITY_INFO,
-                notes=self._derivation(facts, site.reads),
+                **self._derivation(facts, site.reads),
             ))
         return out
 
     @staticmethod
-    def _derivation(facts, reads: Tuple[str, ...]) -> Tuple[str, ...]:
-        """The fact derivation chain for the signals a site reads."""
-        notes: List[str] = []
-        for name in reads:
-            notes.extend(facts.explain(name))
-        return tuple(notes)
+    def _derivation(facts, reads: Tuple[str, ...]) -> Dict[str, tuple]:
+        """The fact derivation chain for the signals a site reads: the
+        ``notes`` and the lines they quote (``quoted``)."""
+        chain = [note for name in reads for note in facts.explain(name)]
+        return {
+            "notes": tuple(text for text, _ in chain),
+            "quoted": tuple(line for _, line in chain if line),
+        }
 
 
 # ---------------------------------------------------------------------------

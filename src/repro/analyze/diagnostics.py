@@ -13,8 +13,8 @@ The positional field order (kind, module, message, line) and the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
 # Severity classes, strongest first.  ``error`` findings are the ones
 # the gate refuses a hot reload over (a new combinational loop,
@@ -28,6 +28,18 @@ SEVERITY_INFO = "info"
 SEVERITIES = (SEVERITY_ERROR, SEVERITY_WARNING, SEVERITY_INFO)
 
 _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
+
+# Where a quoted line goes in a message or note template.
+QUOTE = "\0"
+
+
+def _render(templates: Sequence[str], quoted: Sequence[int]) -> List[str]:
+    """``templates`` with the ``quoted`` lines in place, in order."""
+    lines = iter(quoted)
+    return ["".join(
+        part if i == 0 else f"{next(lines)}{part}"
+        for i, part in enumerate(template.split(QUOTE))
+    ) for template in templates]
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,37 @@ class Diagnostic:
     # derivation chain: one line per contributing fact, indented by
     # derivation depth.  Rendered only under ``--explain``.
     notes: Tuple[str, ...] = ()
+    # Lines the message and notes quote, as data: ``templates`` is the
+    # message and then each note with QUOTE where they go, so a moved
+    # finding renumbers them and :meth:`identity` leaves them out.
+    quoted: Tuple[int, ...] = ()
+    templates: Tuple[str, ...] = ()
+
+    @classmethod
+    def quoting(cls, kind: str, module: str, message: str, line: int,
+                quoted: Tuple[int, ...] = (), notes: Tuple[str, ...] = (),
+                **fields) -> "Diagnostic":
+        """A finding whose ``message`` and ``notes`` are templates that
+        quote the lines ``quoted``."""
+        if not quoted:
+            return cls(kind, module, message, line, notes=notes, **fields)
+        templates = (message, *notes)
+        message, *rendered = _render(templates, quoted)
+        return cls(kind, module, message, line, notes=tuple(rendered),
+                   quoted=quoted, templates=templates, **fields)
+
+    def moved(self, lines: int) -> "Diagnostic":
+        """The finding ``lines`` further down the file, quoted lines
+        included."""
+        if not lines:
+            return self
+        line = self.line + lines if self.line else 0
+        if not self.quoted:
+            return replace(self, line=line)
+        quoted = tuple(q + lines for q in self.quoted)
+        message, *notes = _render(self.templates, quoted)
+        return replace(self, line=line, message=message, notes=tuple(notes),
+                       quoted=quoted)
 
     def __str__(self) -> str:
         where = f"{self.module}:{self.line}" if self.line else self.module
@@ -66,10 +109,12 @@ class Diagnostic:
     def identity(self) -> Tuple[str, str, str]:
         """Stable identity for gating and baseline diffs.
 
-        Deliberately excludes the line number: an edit that shifts a
-        module down the file must not make every old finding look new.
+        Deliberately excludes the line number and the lines the message
+        quotes: an edit that shifts a module down the file must not
+        make every old finding look new.
         """
-        return (self.kind, self.module, self.message)
+        message = self.templates[0] if self.templates else self.message
+        return (self.kind, self.module, message)
 
     def to_json(self) -> Dict:
         """JSON-safe dict in the ``repro.analyze/v1`` finding shape."""

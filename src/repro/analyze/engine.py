@@ -21,7 +21,7 @@ than the child's body.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
@@ -148,4 +148,4 @@ def _moved(diags: Tuple[Diagnostic, ...], lines: int):
     """``diags`` with every line ``lines`` further down the file."""
     if not lines:
         return diags
-    return [replace(d, line=d.line + lines) if d.line else d for d in diags]
+    return [d.moved(lines) for d in diags]

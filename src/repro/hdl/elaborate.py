@@ -15,7 +15,10 @@ module's text and of its children.  A body-only edit rebuilds one
 ``ModuleIR``; the rest are the same objects as before, so a
 ``ModuleIR`` is immutable once elaboration returns and its ``line``
 fields are those of the parse that produced it (``ModuleIR.line`` is
-where that parse found the ``module`` header).
+where that parse found the ``module`` header).  An error raised while
+specialising a module is placed in it (``HDLError.place``), with the
+header line of the AST it read, so LiveCompiler can move it into the
+file.
 
 Every schedule item (continuous assign, comb block, sequential block)
 carries a ``shape``: :func:`item_shape`, the key under which its value
@@ -47,7 +50,7 @@ from .consteval import (
     fold_stmts,
     stmt_reads_writes,
 )
-from .errors import ElaborationError, WidthError
+from .errors import ElaborationError, HDLError, WidthError
 
 
 class Elaborator:
@@ -82,6 +85,16 @@ class Elaborator:
         module = self._design.modules.get(name)
         if module is None:
             raise ElaborationError(f"module {name!r} not found")
+        try:
+            return self._specialize_module(module, overrides)
+        except HDLError as err:
+            err.place(name, module.line)
+            raise
+
+    def _specialize_module(
+        self, module: ast.Module, overrides: Dict[str, int]
+    ) -> ModuleIR:
+        name = module.name
         env = self._resolve_params(module, overrides)
         public = {
             p.name: env[p.name] for p in module.params if not p.is_local

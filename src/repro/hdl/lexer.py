@@ -4,10 +4,13 @@ One compiled master pattern, driven by ``match(text, pos)``: each match
 skips whitespace and comments and takes one token.  A token's line and
 column come from counting the newlines the match skipped (no token
 spans a line), starting at ``start_line``, so a module region lexed on
-its own is born in file coordinates.  :func:`tokenize` is the only
-scanner; :func:`token_fingerprint` hashes a list it produced, which is
-how LiveParser fingerprints a changed region and LiveCompiler parses it
-from one lex.
+its own is born at its line in the file.  :func:`tokenize` is the only
+scanner; :func:`parts_fingerprint` hashes what :func:`fingerprint_parts`
+takes from a list it produced, which is how LiveParser fingerprints a
+changed region and LiveCompiler parses it from one lex.  Block comments
+aside, no token and nothing the scanner carries from one token to the
+next crosses a line end, so text without ``/*`` lexes line by line as
+it does whole (LiveParser lexes only the lines an edit changed).
 
 The lexer works on preprocessed text (see ``repro.hdl.preprocessor``)
 and on raw text, where a `` `NAME`` reference becomes a ``MACRO`` token
@@ -151,14 +154,21 @@ def _error(text: str, pos: int, line: int) -> LexError:
     return LexError(f"unexpected character {ch!r}", line, col)
 
 
-def token_fingerprint(tokens: Iterable[Token]) -> str:
-    """Hash of a token stream: kinds, names and literal (value, width)
-    pairs, not positions or how a literal was spelled."""
-    return hashlib.sha256("".join(
+def fingerprint_parts(tokens: Iterable[Token]) -> List[str]:
+    """What a token stream's fingerprint hashes, one string per token:
+    kinds, names and literal (value, width) pairs, not positions or how
+    a literal was spelled.  Joined in order, the parts of the pieces of
+    a stream are the stream's (LiveParser reuses an item's)."""
+    return [
         f"{kind}\0{value}\1" if num is None else f"{kind}\0{num}/{width}\1"
         for kind, value, _, _, num, width in tokens
         if kind != EOF
-    ).encode()).hexdigest()
+    ]
+
+
+def parts_fingerprint(parts: Iterable[str]) -> str:
+    """The fingerprint of the stream ``parts`` describe, in order."""
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
 def behavioral_fingerprint(text: str) -> str:
@@ -169,4 +179,4 @@ def behavioral_fingerprint(text: str) -> str:
     (paper §III-C: "confirm that actual behavior was changed, not just
     comments or spacing").
     """
-    return token_fingerprint(tokenize(text))
+    return parts_fingerprint(fingerprint_parts(tokenize(text)))

@@ -14,17 +14,24 @@ Supported grammar (ANSI-style ports, Verilog-2001 flavour)::
 Expressions: the usual Verilog operator set with standard precedence,
 concatenation ``{a, b}``, replication ``{N{a}}``, bit/part/indexed-part
 selects, ``$signed`` / ``$unsigned`` / ``$clog2``.
+
+A parse can reuse what an earlier parse of the same text read: a token
+of kind ``ITEM`` stands for one :class:`ModuleItem` (a module item or
+header, with its nodes), and the parser appends those nodes where it
+meets the token, in place of reading the item again.  Anywhere else the
+token matches nothing, so the parse fails (LiveParser then reads the
+region whole).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import ast_nodes as ast
 from .errors import ParseError
 from .lexer import tokenize
 from .preprocessor import preprocess
-from .tokens import EOF, IDENT, NUMBER, OP, SIZED_NUMBER, SYSCALL, Token
+from .tokens import EOF, IDENT, ITEM, NUMBER, OP, SIZED_NUMBER, SYSCALL, Token
 
 # Binary operator precedence: higher binds tighter.
 _BINARY_PRECEDENCE: Dict[str, int] = {
@@ -44,12 +51,32 @@ _UNARY_OPS = frozenset({"!", "~", "-", "+", "&", "|", "^"})
 _SYSCALLS = frozenset({"$signed", "$unsigned", "$clog2"})
 
 
+# ``ModuleItem.attr`` of a module header.
+HEADER = "header"
+
+
+class ModuleItem(NamedTuple):
+    """A module item, or a module header, as one parse read it: what a
+    later parse of the same lines appends instead of reading them."""
+
+    first: int  # line of its first token
+    last: int  # line of its last token
+    look: int  # line of the token after it (the parser looked at it)
+    piece: str  # its tokens' fingerprint text (``lexer.fingerprint_parts``)
+    attr: str  # the ``ast.Module`` list it extends, or HEADER
+    nodes: tuple  # what it appends; (name, params, ports) for a header
+
+
 class Parser:
     """One-token-lookahead parser over a token list."""
 
-    def __init__(self, tokens: List[Token]):
+    def __init__(self, tokens: List[Token], items: Optional[list] = None):
+        """``items``, when a list, gets one ``(start, end, attr, nodes)``
+        per module header and item the parse reads or reuses, in text
+        order: ``tokens[start:end]`` are its tokens."""
         self._tokens = tokens
         self._pos = 0
+        self._items = items
 
     # -- token plumbing ----------------------------------------------------
 
@@ -123,6 +150,42 @@ class Parser:
         return design
 
     def parse_module(self) -> ast.Module:
+        """A header, then items up to ``endmodule``.  The header and each
+        item are either read or, where an ``ITEM`` token stands for
+        them, appended as an earlier parse read them; both go to
+        ``items`` (see :class:`Parser`)."""
+        items, start = self._items, self._pos
+        head = self._peek()
+        if head.kind == ITEM and head.value.attr == HEADER:
+            self._pos += 1
+            header = head.value.nodes
+            module = ast.Module(name=header[0], line=head.line)
+            module.params.extend(header[1])
+            module.ports.extend(header[2])
+        else:
+            module = self._parse_header()
+            header = (module.name, tuple(module.params), tuple(module.ports))
+        if items is not None:
+            items.append((start, self._pos, HEADER, header))
+        while not self._peek().is_keyword("endmodule"):
+            tok = self._peek()
+            if tok.kind == EOF:
+                raise self._error(f"unterminated module {module.name!r}")
+            start = self._pos
+            if tok.kind == ITEM and tok.value.attr != HEADER:
+                self._pos += 1
+                attr, nodes = tok.value.attr, tok.value.nodes
+            else:
+                attr, nodes = self._parse_module_item()
+            getattr(module, attr).extend(nodes)
+            if items is not None:
+                items.append((start, self._pos, attr, nodes))
+        end = self._next()  # endmodule
+        module.end_line = end.line
+        return module
+
+    def _parse_header(self) -> ast.Module:
+        """``module NAME #(...) (...);``"""
         start = self._expect_keyword("module")
         name = self._expect_ident()
         module = ast.Module(name=name.value, line=start.line)
@@ -135,12 +198,6 @@ class Parser:
             module.ports.extend(self._parse_port_list())
         self._expect_punct(")")
         self._expect_punct(";")
-        while not self._peek().is_keyword("endmodule"):
-            if self._peek().kind == EOF:
-                raise self._error(f"unterminated module {module.name!r}")
-            self._parse_module_item(module)
-        end = self._next()  # endmodule
-        module.end_line = end.line
         return module
 
     def _parse_header_params(self) -> List[ast.Param]:
@@ -187,42 +244,44 @@ class Parser:
 
     # -- module items ------------------------------------------------------
 
-    def _parse_module_item(self, module: ast.Module) -> None:
+    def _parse_module_item(self) -> Tuple[str, list]:
+        """One item: the ``ast.Module`` list it extends, and its nodes."""
         tok = self._peek()
         if tok.is_keyword("parameter") or tok.is_keyword("localparam"):
-            self._parse_param_item(module)
-        elif tok.is_keyword("wire") or tok.is_keyword("reg"):
-            self._parse_net_decl(module)
-        elif tok.is_keyword("assign"):
-            self._parse_cont_assign(module)
-        elif tok.is_keyword("always"):
-            module.always_blocks.append(self._parse_always())
-        elif tok.kind == IDENT:
-            module.instances.append(self._parse_instance())
-        else:
-            raise self._error("expected module item")
+            return "params", self._parse_param_item()
+        if tok.is_keyword("wire") or tok.is_keyword("reg"):
+            return "nets", self._parse_net_decl()
+        if tok.is_keyword("assign"):
+            return "assigns", self._parse_cont_assign()
+        if tok.is_keyword("always"):
+            return "always_blocks", [self._parse_always()]
+        if tok.kind == IDENT:
+            return "instances", [self._parse_instance()]
+        raise self._error("expected module item")
 
-    def _parse_param_item(self, module: ast.Module) -> None:
+    def _parse_param_item(self) -> List[ast.Param]:
         kw = self._next()
         is_local = kw.value == "localparam"
+        params: List[ast.Param] = []
         while True:
             name = self._expect_ident()
             self._expect_punct("=")
             default = self.parse_expr()
-            module.params.append(
+            params.append(
                 ast.Param(name.value, default, is_local=is_local, line=name.line)
             )
             if self._accept_punct(";"):
-                return
+                return params
             self._expect_punct(",")
 
-    def _parse_net_decl(self, module: ast.Module) -> None:
+    def _parse_net_decl(self) -> List[ast.Net]:
         kw = self._next()
         msb, lsb = self._parse_range()
+        nets: List[ast.Net] = []
         while True:
             name = self._expect_ident()
             depth_msb, depth_lsb = self._parse_range()
-            module.nets.append(
+            nets.append(
                 ast.Net(
                     kind=kw.value,
                     name=name.value,
@@ -234,18 +293,19 @@ class Parser:
                 )
             )
             if self._accept_punct(";"):
-                return
+                return nets
             self._expect_punct(",")
 
-    def _parse_cont_assign(self, module: ast.Module) -> None:
+    def _parse_cont_assign(self) -> List[ast.ContAssign]:
         kw = self._next()
+        assigns: List[ast.ContAssign] = []
         while True:
             target = self._parse_lvalue()
             self._expect_punct("=")
             value = self.parse_expr()
-            module.assigns.append(ast.ContAssign(target, value, line=kw.line))
+            assigns.append(ast.ContAssign(target, value, line=kw.line))
             if self._accept_punct(";"):
-                return
+                return assigns
             self._expect_punct(",")
 
     def _parse_always(self) -> ast.Always:
@@ -511,17 +571,20 @@ def parse(
     source: str,
     predefines: Optional[Dict[str, str]] = None,
     tokens: Optional[List[Token]] = None,
+    items: Optional[list] = None,
 ) -> ast.Design:
     """Preprocess + tokenize + parse ``source`` into a :class:`Design`.
 
     ``tokens`` is ``source`` already lexed, for macro-free text that
     preprocessing would leave as it is (a module region LiveParser
-    fingerprinted, lexed at its file line): parsed without a second
-    scan, every node and error in the coordinates the tokens carry.
+    fingerprinted, lexed at its line): parsed without a second scan,
+    every node and error in the coordinates the tokens carry.  They may
+    hold ``ITEM`` tokens (the module docstring); ``items`` is the
+    :class:`Parser`'s.
     """
     if tokens is None:
         tokens = tokenize(preprocess(source, predefines).text)
-    return Parser(tokens).parse_design()
+    return Parser(tokens, items).parse_design()
 
 
 def parse_expr(source: str) -> ast.Expr:

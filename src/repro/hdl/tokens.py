@@ -20,6 +20,9 @@ PUNCT = "PUNCT"
 SYSCALL = "SYSCALL"  # $signed, $unsigned, ...
 MACRO = "MACRO"  # `NAME (only in raw, un-preprocessed text)
 EOF = "EOF"
+# A module item an earlier parse read, standing in for its tokens (no
+# lexer makes one; see ``repro.hdl.parser.ModuleItem``).
+ITEM = "ITEM"
 
 KEYWORDS = frozenset(
     {

@@ -22,10 +22,11 @@ recompiles the module plus its ancestor chain — matching the paper's
 description of how far a change propagates.
 
 The front end is incremental the same way.  A changed module region is
-parsed from the tokens LiveParser already lexed to fingerprint it (one
-scan per changed region, in file coordinates; none for a region text
-seen recently at the same line), all changed regions are parsed before
-any is installed (a rejected edit leaves the design as it was), and
+parsed from the tokens LiveParser already lexed to fingerprint it, with
+every item whose lines did not change reused from the module's
+committed parse (no scan for a region text seen recently at the same
+line), all changed regions are parsed before any is installed (a
+rejected edit leaves the design as it was), and
 elaboration reuses one ``ModuleIR`` per specialization from the same
 cache under ``(spec key, module fingerprint, child key + comb signature
 per instance)``.  The initial design is parsed from the regions' tokens
@@ -33,12 +34,15 @@ too, unless it needs the preprocessor.
 
 No cache key holds a position, so a module an edit only moved keeps its
 AST, IR, facts, findings and compiled code, all in the coordinates of
-the parse that made them.  Findings are placed in the file when they
-are reported: the analyzer moves a static one by where its module's
-header is now against where it was (``ModuleIR.line``), and
+the parse that made them; an edited module that moved keeps its base's
+(:class:`~repro.live.parser_live.RegionParse`).  Findings and errors are
+placed in the file when they are reported: the analyzer moves a static
+finding by where its module's header is now against where it was
+(``ModuleIR.line``), quoted lines included;
 :meth:`LiveCompiler.update_source` / :meth:`LiveCompiler.compile_top`
 move the site table of every sanitized module the cache holds the same
-way (:func:`repro.sanitize.place_sites`).
+way (:func:`repro.sanitize.place_sites`), and ``compile_top`` so moves
+an error raised in a module (``HDLError.place`` / ``HDLError.move``).
 """
 
 from __future__ import annotations
@@ -242,6 +246,18 @@ class LiveCompiler:
     ) -> CompileResult:
         """Elaborate + compile ``top`` through the pass pipeline,
         reusing cached modules (and cached per-pass results)."""
+        try:
+            return self._compile_top(top, params)
+        except HDLError as err:
+            # Raised in a module's coordinates: put it where it is now.
+            header = self.parser.header_line(err.module)
+            if header is not None:
+                err.move(header - err.header)
+            raise
+
+    def _compile_top(
+        self, top: str, params: Optional[Dict[str, int]]
+    ) -> CompileResult:
         report = CompileReport(top=top)
         with obs.span("elaborate", top=top):
             netlist = elaborate(

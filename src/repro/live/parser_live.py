@@ -15,53 +15,185 @@ The decision procedure:
    starts below the earliest affected directive line ("much more will
    have to be recompiled").
 
-A region whose text changed is lexed once, at its line in the file
-(:class:`RegionParse`): the fingerprint is taken from that token list
-and LiveCompiler parses the region from the same tokens instead of
-scanning it again.  Regions whose text did not change are not lexed at
-all, and neither is a region whose text and start line were seen
-recently: the last :data:`~repro.codegen.build.CACHE_GENERATIONS`
-``RegionParse`` of every module live in the session's derived cache
-(kind ``parse``), so a revert lexes and parses nothing.  Sharing a
-parsed module between versions is safe because nothing mutates an AST
-after the parse (pinned by ``tests/test_live_compiler.py``).
+A region whose text changed is read against the committed parse of its
+module (:class:`RegionParse`): every module item whose lines did not
+change is reused (its fingerprint piece and its AST nodes), and only the
+lines of the other items are lexed, once, and parsed from those tokens.
+Regions whose text did not change are not lexed at all, and neither is a
+region whose text and start line were seen recently: the last
+:data:`~repro.codegen.build.CACHE_GENERATIONS` ``RegionParse`` of every
+module live in the session's derived cache (kind ``parse``), so a revert
+lexes and parses nothing.  Sharing a parsed module or item between
+versions is safe because nothing mutates an AST after the parse (pinned
+by ``tests/test_live_compiler.py``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Set
 
 from ..codegen.build import DerivedCache
 from ..hdl import ast_nodes as ast
-from ..hdl.lexer import behavioral_fingerprint, token_fingerprint, tokenize
-from ..hdl.parser import parse
+from ..hdl.errors import HDLError, LexError, ParseError
+from ..hdl.lexer import (
+    behavioral_fingerprint,
+    fingerprint_parts,
+    parts_fingerprint,
+    tokenize,
+)
+from ..hdl.parser import ModuleItem, parse
 from ..hdl.source_regions import (
     DIRECTIVE_REGION,
     MODULE_REGION,
     SourceRegion,
     split_regions,
 )
+from ..hdl.tokens import EOF, ITEM, Token
+
+# Token(*fields) without the NamedTuple ``__new__`` (as the lexer does).
+_item_token = partial(tuple.__new__, Token)
 
 
 class RegionParse:
-    """One module region's text at one start line: lexed once, in file
-    coordinates, for its fingerprint; parsed at most once, from the
-    same tokens, which go once they have."""
+    """One module region's text at one start line: lexed once, for its
+    fingerprint; parsed at most once, from the same tokens, which go
+    once they have.
 
-    def __init__(self, region: SourceRegion):
-        self._text = region.text
-        self._tokens = tokenize(region.text, region.start_line)
-        self.fingerprint = token_fingerprint(self._tokens)
+    Its AST counts lines from :attr:`line`: the region's start line, or
+    for a region with a *base* (the committed ``RegionParse`` of the
+    same module), the base's, so a region an edit moved keeps its
+    base's coordinates, as an unchanged module that moved keeps its AST.
+    Lex and parse errors come out in file coordinates.
+
+    The parse keeps one :class:`~repro.hdl.parser.ModuleItem` per module
+    header and item that owns its lines (no other item's token on its
+    first or last line) and has a token after it: its lines, the line
+    of that token, its fingerprint piece and its nodes.  A base's item
+    whose lines, through the one of the token after it, are unchanged
+    is reused as it is: its piece joins the fingerprint, its nodes the
+    AST, and only the lines between reused items are lexed and parsed.
+    A region containing ``/*`` keeps no items and reuses none (a
+    comment can span lines), and a region without a base is lexed whole.
+    Whatever the base, the fingerprint, the AST and every error are
+    those of a parse without one at the same :attr:`line`: a parse that
+    fails with reused items reads the region whole and fails as it does.
+    """
+
+    def __init__(self, region: SourceRegion,
+                 base: Optional["RegionParse"] = None):
+        self._text = text = region.text
+        self.line = region.start_line if base is None else base.line
+        # From this parse's coordinates to the file's.
+        self._moved = region.start_line - self.line
+        self.items: Optional[List[ModuleItem]] = None
         self._design: Optional[ast.Design] = None
+        self._reused = False  # does the token list hold ITEM tokens?
+        tokens = None
+        if base is not None and base.items and "/*" not in text:
+            try:
+                tokens, parts = self._relex(base)
+            except LexError:
+                self._reused = False  # lexed whole below, as it fails
+        if tokens is None:
+            try:
+                tokens, parts = self._lex()
+            except HDLError as err:
+                err.move(self._moved)
+                raise
+        self._tokens, self._parts = tokens, parts
+        self.fingerprint = parts_fingerprint(parts)
+
+    def _lex(self):
+        tokens = tokenize(self._text, self.line)
+        return tokens, fingerprint_parts(tokens)
+
+    def _relex(self, base: "RegionParse"):
+        """The tokens and fingerprint parts of the text, each of
+        ``base``'s items whose lines are unchanged standing in as one
+        ``ITEM`` token for its tokens, and its piece for their parts."""
+        lines = self._text.split("\n")
+        old = base._text.split("\n")
+        # Changed line indices; from the shorter text's end on, all are.
+        end = min(len(lines), len(old))
+        changed = [i for i, (a, b) in enumerate(zip(lines, old)) if a != b]
+        changed.append(end)
+        tokens: List[Token] = []
+        parts: List[str] = []
+        origin, done, at = self.line, 0, 0
+        for item in base.items:
+            first, look = item.first - origin, item.look - origin
+            if look >= end:
+                break
+            while changed[at] < first:
+                at += 1
+            if changed[at] <= look:
+                continue
+            if first > done:
+                span = tokenize("\n".join(lines[done:first]), origin + done)
+                tokens += span[:-1]
+                parts += fingerprint_parts(span)
+            tokens.append(_item_token((ITEM, item, item.first, 1, None, None)))
+            parts.append(item.piece)
+            done = item.last - origin + 1
+            self._reused = True
+        span = tokenize("\n".join(lines[done:]), origin + done)
+        tokens += span
+        parts += fingerprint_parts(span)
+        return tokens, parts
 
     def design(self) -> ast.Design:
         """What the region parses to (raises the parse's HDLError)."""
         if self._design is None:
-            self._design = parse(self._text, tokens=self._tokens)
-            self._tokens = None
+            try:
+                self._design = self._parse()
+            except HDLError as err:
+                err.move(self._moved)
+                raise
+            self._tokens = self._parts = None
         return self._design
+
+    def _parse(self) -> ast.Design:
+        tokens = self._tokens
+        found: Optional[list] = None if "/*" in self._text else []
+        try:
+            design = parse(self._text, tokens=tokens, items=found)
+        except ParseError:
+            if not self._reused:
+                raise
+            # An edit that breaks the module around a reused item: read
+            # the region whole, and fail (or not) as that read does.
+            self._tokens, self._parts = self._lex()
+            self._reused = False
+            return self._parse()
+        if found is not None:
+            self.items = self._records(found)
+        return design
+
+    def _records(self, found: list) -> List[ModuleItem]:
+        """The :class:`ModuleItem` of every item of ``found`` that owns
+        its lines and has a token after it; a reused one as it was."""
+        tokens, parts = self._tokens, self._parts
+        items: List[ModuleItem] = []
+        for start, end, attr, nodes in found:
+            head = tokens[start]
+            if head.kind == ITEM:
+                items.append(head.value)
+                continue
+            before = tokens[start - 1] if start else None
+            last, after = tokens[end - 1], tokens[end]
+            if after.kind == EOF or last.line == after.line or (
+                    before is not None and head.line == (
+                        before.value.last if before.kind == ITEM
+                        else before.line)):
+                continue
+            items.append(ModuleItem(
+                head.line, last.line, after.line,
+                "".join(parts[start:end]), attr, tuple(nodes),
+            ))
+        return items
 
 
 @dataclass
@@ -97,6 +229,7 @@ class LiveParser:
         (normally the session's :class:`DerivedCache`; private when
         omitted)."""
         self._cache = cache if cache is not None else DerivedCache()
+        self._parses: Dict[str, RegionParse] = {}
         regions = split_regions(source)
         self._commit(source, regions, {
             region.name: self._region_parse(region)
@@ -113,9 +246,11 @@ class LiveParser:
         }
 
     def _region_parse(self, region: SourceRegion) -> RegionParse:
+        """The region's parse: a recent one of its text at its line, or
+        a new one on the committed parse of its module."""
         return self._cache.lookup(
             "parse", region.name, (region.text, region.start_line),
-            lambda: RegionParse(region),
+            lambda: RegionParse(region, self._parses.get(region.name)),
         )
 
     @property

@@ -14,8 +14,7 @@ pipe to it, :func:`replay_ops` forward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
@@ -23,9 +22,9 @@ from ..sim.testbench import Testbench
 from .checkpoint import Checkpoint
 
 
-@dataclass(frozen=True)
-class SessionOp:
-    """One recorded ``run`` command: a testbench applied for a span."""
+class SessionOp(NamedTuple):
+    """One recorded ``run`` command: a testbench applied for a span (a
+    named tuple: a session records one per ``run``)."""
 
     tb_handle: str
     start_cycle: int
@@ -146,6 +145,6 @@ def ops_until(ops: Sequence[SessionOp], cycle: int) -> List[SessionOp]:
     """The history up to ``cycle``: the ops that end by then, and the
     one that spans it cut there (its earlier cycles really happened)."""
     return [
-        op if op.end_cycle <= cycle else replace(op, end_cycle=cycle)
+        op if op.end_cycle <= cycle else op._replace(end_cycle=cycle)
         for op in ops if op.start_cycle < cycle
     ]

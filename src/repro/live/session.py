@@ -472,13 +472,11 @@ class LiveSession:
             if ran == 0:
                 break  # testbench stopped itself
         if pipe.cycle > start_cycle:
-            session.ops.append(
-                SessionOp(
-                    tb_handle=tb_handle,
-                    start_cycle=start_cycle,
-                    end_cycle=pipe.cycle,
-                )
-            )
+            # The registered handle, not the caller's copy of its text:
+            # every op of a testbench shares one string.
+            session.ops.append(SessionOp(
+                self.objects.get(tb_handle).handle, start_cycle, pipe.cycle
+            ))
         return pipe.outputs()
 
     def chkp(self, pipe_name: str, path: Optional[str] = None):

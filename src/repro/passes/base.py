@@ -27,6 +27,7 @@ from .. import obs
 from ..codegen.build import BuildConfig, DerivedCache
 from ..codegen.optplan import OptPlan
 from ..codegen.pygen import CompiledModule
+from ..hdl.errors import HDLError
 from ..ir.netlist import Netlist
 
 
@@ -58,11 +59,17 @@ class PassData:
     def cached(self, pass_name: str, spec: str, extras: tuple,
                compute: Callable[[], Any]) -> Any:
         """``pass_name``'s result for ``spec``: cached under the module
-        identity plus the pass's own ``extras``, else ``compute()``."""
-        return self.cache.lookup(
-            f"passes.{pass_name}", spec, self.identity(spec) + extras,
-            compute, report=self.report,
-        )
+        identity plus the pass's own ``extras``, else ``compute()``
+        (an :class:`HDLError` it raises is placed in the module)."""
+        try:
+            return self.cache.lookup(
+                f"passes.{pass_name}", spec, self.identity(spec) + extras,
+                compute, report=self.report,
+            )
+        except HDLError as err:
+            ir = self.netlist.modules[spec]
+            err.place(ir.name, ir.line)
+            raise
 
 
 class Pass:

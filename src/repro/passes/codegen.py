@@ -25,6 +25,7 @@ from .. import obs
 from ..codegen.build import ModuleKey
 from ..codegen.optplan import NO_OPT
 from ..codegen.pygen import CompiledModule, compile_module, site_count
+from ..hdl.errors import HDLError
 from .base import Pass, PassData
 
 
@@ -112,9 +113,13 @@ class CodegenPass(Pass):
                         store.save(cache_key, compiled)
                 return compiled
 
-            library[key] = cache.lookup(
-                "compile", key, cache_key, obtain, build
-            )
+            try:
+                library[key] = cache.lookup(
+                    "compile", key, cache_key, obtain, build
+                )
+            except HDLError as err:
+                err.place(ir.name, ir.line)
+                raise
             return library[key]
 
         visit(netlist.top)

@@ -67,6 +67,7 @@ from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
+from ..analyze.diagnostics import QUOTE
 from ..codegen.build import DerivedCache
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import (
@@ -736,9 +737,12 @@ class ModuleValueFacts:
     # connection).
     child_inputs: Tuple[dict, ...] = ()
 
-    def explain(self, name: str, depth: int = EXPLAIN_DEPTH) -> List[str]:
-        """Derivation chain for a signal's fact (``--explain``)."""
-        lines: List[str] = []
+    def explain(self, name: str,
+                depth: int = EXPLAIN_DEPTH) -> List[Tuple[str, int]]:
+        """Derivation chain for a signal's fact (``--explain``): one
+        ``(note, line)`` per fact, the note holding ``QUOTE`` where it
+        quotes the line its fact comes from (0: no line)."""
+        lines: List[Tuple[str, int]] = []
         seen: Set[str] = set()
 
         def walk(sig: str, level: int) -> None:
@@ -749,9 +753,10 @@ class ModuleValueFacts:
             if fact is None:
                 return
             origin_line, kind = self.origins.get(sig, (0, "unconstrained"))
-            where = f" (line {origin_line}, {kind})" if origin_line \
+            where = f" (line {QUOTE}, {kind})" if origin_line \
                 else f" ({kind})"
-            lines.append("  " * level + f"{sig} {fact.describe()}{where}")
+            lines.append(("  " * level + f"{sig} {fact.describe()}{where}",
+                          origin_line))
             if fact.is_top:
                 return
             for dep in self.deps.get(sig, ()):

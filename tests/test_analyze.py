@@ -753,3 +753,56 @@ class TestSurfaces:
                 )
         assert len(findings) == 6
         assert all(f == findings["none", "off"] for f in findings.values())
+
+
+MULTI_DRIVER_SRC = """module child (input clk, input [7:0] a, output [7:0] y);
+  reg [7:0] q;
+  always @(posedge clk) q <= a;
+  always @(posedge clk) q <= a + 8'd1;
+  assign y = q;
+endmodule
+
+module top (input clk, input [7:0] a, output [7:0] y);
+  child u (.clk(clk), .a(a), .y(y));
+endmodule
+"""
+
+
+class TestQuotedLines:
+    """A line a message or note quotes is data: it moves with its
+    module, and the gate's identity leaves it out."""
+
+    def test_an_edit_next_to_an_accepted_finding_lands(self):
+        session = LiveSession(MULTI_DRIVER_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        edited = MULTI_DRIVER_SRC.replace(
+            "  always @(posedge clk) q <= a;",
+            "  wire [7:0] c;\n  assign c = q;\n  always @(posedge clk) q <= a;")
+        report = session.apply_change(edited)
+        assert not report.gate_overridden
+        assert not [d for d in report.new_findings if d.is_error]
+        (finding,) = [d for d in session.lint().diagnostics
+                      if d.kind == MULTI_DRIVER]
+        assert finding.line == 5 and "(lines [5, 6])" in finding.message
+        assert finding.quoted == (5, 6)
+
+    @pytest.mark.parametrize("name", ["pitfalls.v", "ranges.v"])
+    def test_a_moved_design_lints_as_a_fresh_session(self, name):
+        path = os.path.join(os.path.dirname(__file__), "..", "examples",
+                            "designs", name)
+        with open(path) as handle:
+            source = handle.read()
+        top = name[:-2]
+        session = LiveSession(source)
+        session.inst_pipe("p0", session.stage_handle_for(top))
+        session.lint()
+        moved = "// one\n// two\n// three\n" + source
+        session.apply_change(moved)
+        fresh = LiveSession(moved)
+        fresh.inst_pipe("p0", fresh.stage_handle_for(top))
+
+        def seen(s):
+            return [(d.line, d.message, d.notes) for d in s.lint().diagnostics]
+
+        assert seen(session) == seen(fresh)
+        assert any(d.quoted for d in session.lint().diagnostics)

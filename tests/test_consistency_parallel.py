@@ -220,3 +220,23 @@ class TestWorkerDesignUnderThreads:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert verdicts == [True] * (8 * 12)
+
+
+def test_recorded_ops_share_the_handle_and_reach_the_pool():
+    """A ``run`` line records the registered handle string (the
+    interpreter makes a new one per line) in a named tuple op, which
+    pickles to the pool as it is."""
+    from repro.live.commands import CommandInterpreter
+
+    session, tb = make_session()
+    try:
+        commands = CommandInterpreter(session)
+        for _ in range(3):
+            commands.execute(f"run {tb}, uut, 10")
+        ops = session.ops("uut")
+        assert len(ops) == 4
+        assert all(op.tb_handle is tb for op in ops)
+        assert pickle.loads(pickle.dumps(ops)) == ops
+        assert session.verify_consistency("uut", workers=2).all_consistent
+    finally:
+        session.close()

@@ -875,8 +875,9 @@ class TestParsedModulesAreShared:
         entries = session.compiler.cache.entries("parse")
         assert len(entries) > 3
         for (text, line), entry in entries.items():
+            # A region the edit moved keeps its base's coordinates.
             assert repr(entry.design()) == repr(
-                parse(text, tokens=tokenize(text, line)))
+                parse(text, tokens=tokenize(text, entry.line)))
 
 
 class TestInitialParse:
@@ -948,3 +949,53 @@ class TestInitialParse:
         assert type(live.value).__name__ == type(whole.value).__name__ \
             == error
         assert str(live.value) == str(whole.value)
+
+
+DIV_SRC = """module top (input clk, input [7:0] a, output [7:0] y);
+  child #(.W(8)) u (.clk(clk), .a(a), .y(y));
+endmodule
+
+module child #(parameter W = 8) (input clk, input [7:0] a, output [7:0] y);
+  localparam X = 8 / (W - 16);
+  assign y = a;
+endmodule
+"""
+
+
+class TestErrorsAfterTheParse:
+    """An elaboration error comes out in file coordinates, wherever the
+    AST of the module that raised it counts its lines from."""
+
+    @staticmethod
+    def _error(session, text):
+        with pytest.raises(HDLError) as raised:
+            session.apply_change(text)
+        return str(raised.value)
+
+    @staticmethod
+    def _fresh(text):
+        with pytest.raises(HDLError) as raised:
+            LiveCompiler(text).compile_top("top")
+        return str(raised.value)
+
+    def test_from_a_module_an_edit_moved(self):
+        session = LiveSession(DIV_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        moved = DIV_SRC.replace(
+            "endmodule\n\nmodule child",
+            "  wire n1;\n  wire n2;\nendmodule\n\nmodule child")
+        session.apply_change(moved)
+        bad = moved.replace(".W(8)", ".W(16)")
+        assert self._error(session, bad) == self._fresh(bad) == \
+            "line 8:0: division by zero in constant expression"
+
+    def test_from_an_edited_module_in_its_base_coordinates(self):
+        session = LiveSession(DIV_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        moved = "// one\n// two\n" + DIV_SRC
+        session.apply_change(moved)
+        # The edited child keeps the coordinates of its parse at line 5.
+        bad = moved.replace("8 / (W - 16)", "8 / (W - 8)")
+        assert session.compiler.parser.analyze(bad).parses["child"].line == 5
+        assert self._error(session, bad) == self._fresh(bad) == \
+            "line 8:0: division by zero in constant expression"
