@@ -22,13 +22,26 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .. import obs
-from ..codegen.build import DerivedCache
+from ..codegen.build import DerivedCache, Trail
 from ..ir.netlist import ModuleIR, Netlist
 from .checks import Check, CheckContext, default_checks
 from .diagnostics import Diagnostic, count_by_severity, sort_diagnostics
+
+# The derived-cache kind of whole analysis runs over one netlist.
+RUNS = "analyze.design"
+
+
+class _Run(NamedTuple):
+    """One analysis of ``netlist``: what each module found, and the trail
+    of the cache lookups it took."""
+
+    netlist: Netlist
+    found: List[tuple]
+    trail: Trail
+
 
 @dataclass
 class AnalysisReport:
@@ -67,7 +80,7 @@ class Analyzer:
         self.cache = cache if cache is not None else DerivedCache()
 
     def cache_size(self) -> int:
-        return len(self.cache.entries("analyze"))
+        return self.cache.size("analyze")
 
     def analyze_netlist(
         self,
@@ -101,6 +114,39 @@ class Analyzer:
             ir.name: parser.fingerprint(ir.name) if parser else ""
             for ir in netlist.modules.values()
         }
+        # The netlist by identity (the run holds it, so no other object
+        # takes its id) and what it was read against.
+        run = (id(netlist), tuple(fps.values()))
+        held = cache.recall(RUNS, netlist.top, run) if (
+            parser is not None and value_facts is None) else None
+        if held is not None and cache.replay(held.trail, report):
+            # The same netlist and text: every lookup below would hit.
+            found = held.found
+        else:
+            with cache.recording() as trail:
+                found = self._analyze(netlist, fps, cache, value_facts,
+                                      report)
+            if parser is not None and value_facts is None:
+                cache.hold(RUNS, netlist.top, run,
+                           _Run(netlist, found, trail))
+        for name, born, diags in found:
+            header = parser.header_line(name) if parser else None
+            report.diagnostics.extend(
+                _moved(diags, header - born) if header is not None
+                else diags)
+        report.diagnostics = sort_diagnostics(report.diagnostics)
+        report.seconds = time.perf_counter() - started
+        obs.incr("analyze.runs")
+        obs.gauge("analyze.cache_size", self.cache_size())
+        obs.gauge("analyze.findings", len(report.diagnostics))
+        return report
+
+    def _analyze(self, netlist: Netlist, fps: Dict[str, str],
+                 cache: DerivedCache, value_facts,
+                 report: AnalysisReport) -> List[tuple]:
+        """``(module name, header line, findings)`` of every
+        specialization, in key order, in the coordinates of its IR."""
+        found = []
         with obs.span("analyze", top=netlist.top):
             if value_facts is None:
                 # Function-level import: repro.passes reaches this
@@ -122,16 +168,8 @@ class Analyzer:
                     lambda: (ir.line, self._run_checks(ir, ctx)),
                     report=report,
                 )
-                header = parser.header_line(ir.name) if parser else None
-                report.diagnostics.extend(
-                    _moved(diags, header - born) if header is not None
-                    else diags)
-        report.diagnostics = sort_diagnostics(report.diagnostics)
-        report.seconds = time.perf_counter() - started
-        obs.incr("analyze.runs")
-        obs.gauge("analyze.cache_size", self.cache_size())
-        obs.gauge("analyze.findings", len(report.diagnostics))
-        return report
+                found.append((ir.name, born, diags))
+        return found
 
     def _run_checks(
         self, ir: ModuleIR, ctx: CheckContext

@@ -20,7 +20,7 @@ simulator has no X state).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import const_int, is_signed, mask_of, num_value, width_of
@@ -61,8 +61,34 @@ class Resolver:
         self.hooks = hooks
 
 
+# Python's binding strengths, loosest first.  Every generated piece of
+# code carries the strength of its outermost operator (:data:`Code`),
+# and :func:`paren` parenthesizes an operand only when it binds more
+# loosely than its place needs.  ``:=`` is always parenthesized, and a
+# comparison operand binds tighter than any comparison, so neither
+# chains nor walruses change meaning.
+(COND, OR, AND, NOT, CMP, BOR, BXOR, BAND, SHIFT, ARITH, TERM, UNARY,
+ ATOM) = range(13)
+Code = Tuple[str, int]
+
+
+def paren(code: Code, need: int) -> str:
+    """``code``'s text, parenthesized when it binds more loosely than
+    ``need`` (the strength its place requires)."""
+    text, strength = code
+    return text if strength >= need else f"({text})"
+
+
 class ExprGen:
-    """Generates masked Python expressions from LHDL expression trees."""
+    """Generates masked Python expressions from LHDL expression trees.
+
+    Text is written with the parentheses Python's precedence needs and
+    no others: every method below builds a :data:`Code` and places its
+    operands with :func:`paren`, so the generated module parses to the
+    same Python AST (and bytecode) as a fully parenthesized spelling,
+    with less for ``compile()`` to read.  Hook replacements (a sanitized
+    build's) count as a conditional expression, the loosest strength.
+    """
 
     def __init__(self, resolver: Resolver, emitter: FunctionEmitter,
                  mux_style: str = "branch"):
@@ -92,9 +118,15 @@ class ExprGen:
     # -- generation -----------------------------------------------------------
 
     def gen(self, expr: ast.Expr) -> str:
-        """Return a Python expression string for ``expr`` (masked)."""
+        """A Python expression for ``expr`` (masked), fit for any place
+        that takes a whole expression: an assignment's right-hand side,
+        an argument, a subscript, an ``if`` test."""
+        return self.code(expr)[0]
+
+    def code(self, expr: ast.Expr) -> Code:
+        """:meth:`gen`'s text with its strength, for an operand place."""
         if isinstance(expr, ast.Num):
-            return str(num_value(expr))
+            return str(num_value(expr)), ATOM
         if isinstance(expr, ast.Id):
             mem_ref = self._resolver.memory_ref(expr.name)
             if mem_ref is not None:
@@ -120,12 +152,12 @@ class ExprGen:
             return self._gen_indexed_part(expr)
         if isinstance(expr, ast.SysCall):
             if expr.func in ("$signed", "$unsigned"):
-                return self.gen(expr.args[0])
+                return self.code(expr.args[0])
             raise CodegenError(f"non-constant {expr.func} call", expr.line)
         raise CodegenError(f"cannot generate {type(expr).__name__}",
                            getattr(expr, "line", 0))
 
-    def _signal_read(self, name: str, line: int) -> str:
+    def _signal_read(self, name: str, line: int) -> Code:
         """Resolve a signal read, routed through the register-read hook
         when hooks are installed."""
         ref = self._resolver.signal_ref(name)
@@ -133,31 +165,32 @@ class ExprGen:
         if hooks is not None:
             wrapped = hooks.reg_read(name, ref, line)
             if wrapped is not None:
-                return f"({wrapped})"
-        return ref
+                return wrapped, COND
+        return ref, ATOM
 
-    def sext(self, code: str, width: int) -> str:
+    @staticmethod
+    def _sext(code: Code, width: int) -> Code:
         """Sign-extend a masked ``width``-bit value to a Python int."""
         if width <= 0:
             return code
         sign = 1 << (width - 1)
-        return f"((({code}) ^ {sign}) - {sign})"
+        return f"({paren(code, BXOR)} ^ {sign}) - {sign}", ARITH
 
-    def _gen_unary(self, expr: ast.Unary) -> str:
-        operand = self.gen(expr.operand)
+    def _gen_unary(self, expr: ast.Unary) -> Code:
+        operand = self.code(expr.operand)
         op_width = self.width_of(expr.operand)
-        if expr.op == "~":
-            return f"((~({operand})) & {mask_of(op_width)})"
-        if expr.op == "-":
-            return f"((-({operand})) & {mask_of(op_width)})"
+        if expr.op in ("~", "-"):
+            return (f"{expr.op}{paren(operand, UNARY)} & {mask_of(op_width)}",
+                    BAND)
         if expr.op == "!":
-            return f"(0 if ({operand}) else 1)"
+            return f"0 if {paren(operand, OR)} else 1", COND
         if expr.op == "&":
-            return f"(1 if ({operand}) == {mask_of(op_width)} else 0)"
+            return (f"1 if {paren(operand, BOR)} == {mask_of(op_width)} "
+                    "else 0", COND)
         if expr.op == "|":
-            return f"(1 if ({operand}) else 0)"
+            return f"1 if {paren(operand, OR)} else 0", COND
         if expr.op == "^":
-            return f"(bin({operand}).count('1') & 1)"
+            return f"bin({operand[0]}).count('1') & 1", BAND
         raise CodegenError(f"unknown unary {expr.op!r}", expr.line)
 
     # Associative ops whose chains flatten into one expression.  This
@@ -169,7 +202,9 @@ class ExprGen:
     # mask drops carry bits the wider sum must not see, e.g. the inner
     # add of ``c + (a + a)`` with 8-bit ``a`` and 16-bit ``c``).
     # Bitwise chains can't carry past their operands' widths, so they
-    # flatten unconditionally.
+    # flatten unconditionally.  The strength each operator binds at:
+    _STRENGTH = {"+": ARITH, "-": ARITH, "*": TERM, "&": BAND, "|": BOR,
+                 "^": BXOR}
     _FLATTENABLE = frozenset({"+", "*", "&", "|", "^"})
 
     def _collect_chain(
@@ -189,7 +224,20 @@ class ExprGen:
         else:
             out.append(expr)
 
-    def _gen_binary(self, expr: ast.Binary) -> str:
+    def _chain(self, op: str, operands: List[Code]) -> Code:
+        """``op`` over ``operands``, left-associated: the first operand
+        may bind as loosely as ``op``, the rest must bind tighter."""
+        strength = self._STRENGTH[op]
+        first, *rest = operands
+        text = paren(first, strength)
+        for operand in rest:
+            text += f" {op} {paren(operand, strength + 1)}"
+        return text, strength
+
+    def _masked(self, code: Code, mask: int) -> Code:
+        return f"{paren(code, BAND)} & {mask}", BAND
+
+    def _gen_binary(self, expr: ast.Binary) -> Code:
         op = expr.op
         if op in self._FLATTENABLE:
             operands: List[ast.Expr] = []
@@ -197,141 +245,134 @@ class ExprGen:
             self._collect_chain(expr, op, operands, chain_width)
             if len(operands) > 2:
                 width = max(self.width_of(o) for o in operands)
-                joined = f" {op} ".join(f"({self.gen(o)})" for o in operands)
+                joined = self._chain(op, [self.code(o) for o in operands])
                 if op in ("+", "*"):
-                    return f"(({joined}) & {mask_of(width)})"
-                return f"({joined})"
-        left = self.gen(expr.left)
-        right = self.gen(expr.right)
+                    return self._masked(joined, mask_of(width))
+                return joined
+        left = self.code(expr.left)
+        right = self.code(expr.right)
         wl = self.width_of(expr.left)
         wr = self.width_of(expr.right)
         result_mask = mask_of(max(wl, wr))
-        if op == "+":
-            return f"((({left}) + ({right})) & {result_mask})"
-        if op == "-":
-            return f"((({left}) - ({right})) & {result_mask})"
-        if op == "*":
-            return f"((({left}) * ({right})) & {result_mask})"
+        if op in ("+", "-", "*"):
+            return self._masked(self._chain(op, [left, right]), result_mask)
         if op == "/":
             tmp = self._emitter.fresh("div")
-            return f"((({left}) // {tmp}) if ({tmp} := ({right})) else {result_mask})"
+            return (f"{paren(left, TERM)} // {tmp} if ({tmp} := {right[0]}) "
+                    f"else {result_mask}", COND)
         if op == "%":
             tmp = self._emitter.fresh("mod")
-            return f"((({left}) % {tmp}) if ({tmp} := ({right})) else ({left}))"
+            return (f"{paren(left, TERM)} % {tmp} if ({tmp} := {right[0]}) "
+                    f"else {left[0]}", COND)
         if op in ("<<", "<<<"):
             shift_cap = wl + 1
             tmp = self._emitter.fresh("sh")
             return (
-                f"(((({left}) << {tmp}) & {mask_of(wl)})"
-                f" if ({tmp} := ({right})) < {shift_cap} else 0)"
+                f"{paren(left, SHIFT)} << {tmp} & {mask_of(wl)}"
+                f" if ({tmp} := {right[0]}) < {shift_cap} else 0", COND
             )
-        if op == ">>":
-            return f"(({left}) >> ({right}))"
+        if op == ">>" or (op == ">>>" and not is_signed(expr.left)):
+            return f"{paren(left, SHIFT)} >> {paren(right, ARITH)}", SHIFT
         if op == ">>>":
-            if is_signed(expr.left):
-                return f"(({self.sext(left, wl)} >> ({right})) & {mask_of(wl)})"
-            return f"(({left}) >> ({right}))"
-        if op in ("==", "==="):
-            return f"(1 if ({left}) == ({right}) else 0)"
-        if op in ("!=", "!=="):
-            return f"(1 if ({left}) != ({right}) else 0)"
-        if op in ("<", "<=", ">", ">="):
-            signed = is_signed(expr.left) and is_signed(expr.right)
-            if signed:
-                left = self.sext(left, wl)
-                right = self.sext(right, wr)
-            return f"(1 if ({left}) {op} ({right}) else 0)"
-        if op == "&&":
-            return f"(1 if ({left}) and ({right}) else 0)"
-        if op == "||":
-            return f"(1 if ({left}) or ({right}) else 0)"
-        if op == "&":
-            return f"(({left}) & ({right}))"
-        if op == "|":
-            return f"(({left}) | ({right}))"
-        if op == "^":
-            return f"(({left}) ^ ({right}))"
+            return self._masked(
+                (f"{paren(self._sext(left, wl), SHIFT)} >> "
+                 f"{paren(right, ARITH)}", SHIFT), mask_of(wl))
+        if op in ("==", "===", "!=", "!==", "<", "<=", ">", ">="):
+            if op in ("<", "<=", ">", ">=") and (
+                    is_signed(expr.left) and is_signed(expr.right)):
+                left = self._sext(left, wl)
+                right = self._sext(right, wr)
+            compare = op[:2] if op[0] in "=!" else op
+            return (f"1 if {paren(left, BOR)} {compare} {paren(right, BOR)} "
+                    "else 0", COND)
+        if op in ("&&", "||"):
+            word = "and" if op == "&&" else "or"
+            return (f"1 if {paren(left, NOT)} {word} {paren(right, NOT)} "
+                    "else 0", COND)
+        if op in ("&", "|", "^"):
+            return self._chain(op, [left, right])
         raise CodegenError(f"unknown binary {op!r}", expr.line)
 
-    def _gen_ternary(self, expr: ast.Ternary) -> str:
-        cond = self.gen(expr.cond)
-        if_true = self.gen(expr.if_true)
-        if_false = self.gen(expr.if_false)
+    def _gen_ternary(self, expr: ast.Ternary) -> Code:
+        cond = self.code(expr.cond)
+        if_true = self.code(expr.if_true)
+        if_false = self.code(expr.if_false)
         if self._mux_style == "branch":
-            return f"(({if_true}) if ({cond}) else ({if_false}))"
+            return (f"{paren(if_true, OR)} if {paren(cond, OR)} "
+                    f"else {if_false[0]}", COND)
         # Arithmetic select: evaluate both arms, pick by multiplication
         # (the Verilator-like no-branch lowering).
         width = max(self.width_of(expr.if_true), self.width_of(expr.if_false))
         sel = self._emitter.fresh("sel")
-        return (
-            f"(((({if_true}) * ({sel} := (1 if ({cond}) else 0)))"
-            f" + (({if_false}) * (1 - {sel}))) & {mask_of(width)})"
-        )
+        return self._masked((
+            f"{paren(if_true, TERM)} * ({sel} := 1 if {paren(cond, OR)} "
+            f"else 0) + {paren(if_false, TERM)} * (1 - {sel})", ARITH,
+        ), mask_of(width))
 
-    def _gen_concat(self, expr: ast.Concat) -> str:
-        parts: List[str] = []
+    def _gen_concat(self, expr: ast.Concat) -> Code:
+        parts: List[Code] = []
         widths = [self.width_of(p) for p in expr.parts]
         total = sum(widths)
         offset = total
         for part, width in zip(expr.parts, widths):
             offset -= width
-            code = self.gen(part)
+            code = self.code(part)
             if offset:
-                parts.append(f"(({code}) << {offset})")
-            else:
-                parts.append(f"({code})")
-        return "(" + " | ".join(parts) + ")"
+                code = f"{paren(code, SHIFT)} << {offset}", SHIFT
+            parts.append(code)
+        return self._chain("|", parts) if len(parts) > 1 else parts[0]
 
-    def _gen_repl(self, expr: ast.Repl) -> str:
+    def _gen_repl(self, expr: ast.Repl) -> Code:
         count = const_int(expr.count, "replication count")
         value_width = self.width_of(expr.value)
         factor = sum(1 << (i * value_width) for i in range(count))
-        return f"((({self.gen(expr.value)}) * {factor}))"
+        return f"{paren(self.code(expr.value), TERM)} * {factor}", TERM
 
-    def _mem_index_code(self, name: str, index_code: str, line: int) -> str:
+    def _mem_index_code(self, name: str, index: Code) -> str:
         depth = self._resolver.memory_depth(name)
         if depth & (depth - 1) == 0:
-            return f"(({index_code}) & {depth - 1})"
-        return f"(({index_code}) % {depth})"
+            return f"{paren(index, BAND)} & {depth - 1}"
+        return f"{paren(index, TERM)} % {depth}"
 
-    def _bound_checked(self, name: str, index_code: str, bound: int,
-                       index_expr: ast.Expr, line: int) -> str:
+    def _bound_checked(self, name: str, index: Code, bound: int,
+                       index_expr: ast.Expr, line: int) -> Code:
         """Wrap a dynamic select index with the oob hook (constant
         indices are the static analyzer's domain and stay clean)."""
         hooks = self._resolver.hooks
         if hooks is None or isinstance(index_expr, ast.Num) or bound < 1:
-            return index_code
-        return hooks.index_bound(name, index_code,
-                                 self.width_of(index_expr), bound, line)
+            return index
+        checked = hooks.index_bound(name, index[0],
+                                    self.width_of(index_expr), bound, line)
+        return index if checked == index[0] else (checked, COND)
 
-    def _gen_index(self, expr: ast.Index) -> str:
+    def _gen_index(self, expr: ast.Index) -> Code:
         mem_ref = self._resolver.memory_ref(expr.base)
-        index_code = self.gen(expr.index)
+        index = self.code(expr.index)
         if mem_ref is not None:
             hooks = self._resolver.hooks
             if hooks is not None:
-                return hooks.mem_read(expr.base, index_code, expr.line)
-            return f"{mem_ref}[{self._mem_index_code(expr.base, index_code, expr.line)}]"
+                return hooks.mem_read(expr.base, index[0], expr.line), COND
+            return f"{mem_ref}[{self._mem_index_code(expr.base, index)}]", ATOM
         base = self._signal_read(expr.base, expr.line)
         width = self._resolver.signal_width(expr.base)
         if width is not None:
-            index_code = self._bound_checked(
-                expr.base, index_code, width, expr.index, expr.line
+            index = self._bound_checked(
+                expr.base, index, width, expr.index, expr.line
             )
-        return f"((({base}) >> ({index_code})) & 1)"
+        return f"{paren(base, SHIFT)} >> {paren(index, ARITH)} & 1", BAND
 
-    def _gen_slice(self, expr: ast.Slice) -> str:
+    def _gen_slice(self, expr: ast.Slice) -> Code:
         width = self.width_of(expr)  # constant bounds, not reversed
         lsb = expr.lsb.value
         base = self._signal_read(expr.base, expr.line)
-        if lsb == 0:
-            return f"(({base}) & {mask_of(width)})"
-        return f"((({base}) >> {lsb}) & {mask_of(width)})"
+        if lsb:
+            base = f"{paren(base, SHIFT)} >> {lsb}", SHIFT
+        return self._masked(base, mask_of(width))
 
-    def _gen_indexed_part(self, expr: ast.IndexedPart) -> str:
+    def _gen_indexed_part(self, expr: ast.IndexedPart) -> Code:
         width = self.width_of(expr)
         base = self._signal_read(expr.base, expr.line)
-        start = self.gen(expr.start)
+        start = self.code(expr.start)
         base_width = self._resolver.signal_width(expr.base)
         if base_width is not None:
             # Ascending reads [start, start+width-1]; descending reads
@@ -341,9 +382,11 @@ class ExprGen:
             start = self._bound_checked(
                 expr.base, start, bound, expr.start, expr.line
             )
-        if expr.ascending:
-            return f"((({base}) >> ({start})) & {mask_of(width)})"
-        return f"((({base}) >> (({start}) - {width - 1})) & {mask_of(width)})"
+        if not expr.ascending:
+            start = f"{paren(start, ARITH)} - {width - 1}", ARITH
+        return self._masked(
+            (f"{paren(base, SHIFT)} >> {paren(start, ARITH)}", SHIFT),
+            mask_of(width))
 
 
 class StmtGen:
@@ -366,7 +409,8 @@ class StmtGen:
         * ``write_target(lvalue, value_code)`` — full or partial signal
           assignment.
         * ``read_target_current(name)`` — current value of a target
-          (for read-modify-write partial updates).
+          (for read-modify-write partial updates): a name or a
+          subscript, an operand anywhere.
         * ``mem_write(name, addr_code, value_code, line)`` — memory
           word write.
         * ``target_width(name)`` — declared width of a target signal.
@@ -416,7 +460,8 @@ class StmtGen:
 
     def _gen_assign(self, stmt: "ast.NonBlocking | ast.Blocking") -> None:
         target = stmt.target
-        value_code = self._exprgen.gen(stmt.value)
+        value = self._exprgen.code(stmt.value)
+        value_code = value[0]
         value_width = self._exprgen.width_of(stmt.value)
         if self._is_memory(target.name):
             if target.index is None:
@@ -440,11 +485,11 @@ class StmtGen:
             idx = self._emitter.fresh("bi")
             val = self._emitter.fresh("bv")
             self._emitter.line(f"{idx} = {self._exprgen.gen(target.index)}")
-            self._emitter.line(f"{val} = ({value_code}) & 1")
+            self._emitter.line(f"{val} = {paren(value, BAND)} & 1")
             current = self._read_target_current(target.name)
             merged = (
-                f"((({current}) & ~(1 << {idx}))"
-                f" | ({val} << {idx})) & {mask_of(declared)}"
+                f"({current} & ~(1 << {idx}) | {val} << {idx})"
+                f" & {mask_of(declared)}"
             )
             self._note_write(
                 target.name,
@@ -462,8 +507,8 @@ class StmtGen:
             hole = ~(mask_of(width) << lsb) & mask_of(declared)
             current = self._read_target_current(target.name)
             merged = (
-                f"(({current}) & {hole})"
-                f" | ((({value_code}) & {mask_of(width)}) << {lsb})"
+                f"{current} & {hole}"
+                f" | ({paren(value, BAND)} & {mask_of(width)}) << {lsb}"
             )
             self._note_write(
                 target.name, (mask_of(width) << lsb) & mask_of(declared),
@@ -477,7 +522,7 @@ class StmtGen:
                     value_code, declared, stmt.line, target.name
                 )
             else:
-                value_code = f"(({value_code}) & {mask_of(declared)})"
+                value_code = f"{paren(value, BAND)} & {mask_of(declared)}"
         self._note_write(target.name, None, stmt.line)
         self._write_target(target, value_code)
 
@@ -506,8 +551,10 @@ class StmtGen:
             if not labels:
                 default_body = body
                 continue
-            label_codes = [self._exprgen.gen(lbl) for lbl in labels]
-            condition = " or ".join(f"{subject} == ({c})" for c in label_codes)
+            condition = " or ".join(
+                f"{subject} == {paren(self._exprgen.code(lbl), BOR)}"
+                for lbl in labels
+            )
             keyword = "if" if first else "elif"
             with block(self._emitter, f"{keyword} {condition}:"):
                 if body:

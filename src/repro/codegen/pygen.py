@@ -111,7 +111,7 @@ from ..ir.netlist import ModuleIR, Netlist
 from ..sanitize.instrument import Instrumenter
 from .build import BuildConfig, ModuleKey
 from .emitter import FunctionEmitter, block
-from .exprgen import ExprGen, Resolver, StmtGen, mask_of
+from .exprgen import ATOM, BAND, ExprGen, Resolver, StmtGen, mask_of, paren
 from .optplan import NO_OPT, OptPlan
 
 CACHE_SLOTS = 3  # eval_out memo key, memo value, settled locals for cycle
@@ -376,14 +376,14 @@ class _ModuleCompiler:
         args = ""
         for port in ports:
             expr = self._plan.expr(inst.input_conns[port])
-            code = exprgen.gen(expr)
+            code = exprgen.code(expr)
             if exprgen.width_of(expr) > signals[port].width:
                 mask = mask_of(signals[port].width)
                 if isinstance(expr, ast.Num):
-                    code = str(expr.value & mask)
+                    code = str(expr.value & mask), ATOM
                 else:
-                    code = f"(({code}) & {mask})"
-            args += ", " + code
+                    code = f"{paren(code, BAND)} & {mask}", BAND
+            args += ", " + code[0]
         return args
 
     def _bind_memories(self, reads: Set[str]) -> None:
@@ -480,7 +480,8 @@ class _ModuleCompiler:
 
     def _gen_comb_assign(self, exprgen: ExprGen, index: int) -> None:
         assign = self._ir.comb_assigns[index]
-        code = exprgen.gen(self._plan.expr(assign.value))
+        value = exprgen.code(self._plan.expr(assign.value))
+        code = value[0]
         width = self._ir.signals[assign.target.name].width
         if exprgen.width_of(assign.value) > width:
             if self.hooks is not None:
@@ -490,7 +491,7 @@ class _ModuleCompiler:
                     assign.target.name,
                 )
             else:
-                code = f"(({code}) & {mask_of(width)})"
+                code = f"{paren(value, BAND)} & {mask_of(width)}"
         self._emit.line(f"v_{assign.target.name} = {code}")
 
     def _gen_comb_block(self, exprgen: ExprGen, index: int) -> None:

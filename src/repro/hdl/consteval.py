@@ -293,10 +293,13 @@ def _nums(*nodes: ast.Expr) -> bool:
 
 
 def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
-    """Rebuild ``expr`` with every name ``literal_of(name, line)`` knows
-    replaced by that literal and the constant subtrees this creates
-    collapsed.  Returns a new tree (or ``expr`` itself when nothing
-    applies); never mutates."""
+    """``expr`` with every name ``literal_of(name, line)`` knows replaced
+    by that literal and the constant subtrees this creates collapsed.
+
+    A node none of whose children changed and which does not collapse
+    is returned as it is, so a tree that mentions nothing ``literal_of``
+    knows comes back as the same object, and a changed tree shares every
+    unchanged subtree with ``expr``.  Never mutates."""
     if isinstance(expr, ast.Num):
         return expr
     if isinstance(expr, ast.Id):
@@ -307,6 +310,8 @@ def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
             folded = fold_unary(expr.op, operand, expr.line)
             if folded is not None:
                 return folded
+        if operand is expr.operand:
+            return expr
         return ast.Unary(op=expr.op, operand=operand, line=expr.line)
     if isinstance(expr, ast.Binary):
         left = substitute(expr.left, literal_of)
@@ -315,6 +320,8 @@ def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
             folded = fold_binary(expr.op, left, right, expr.line)
             if folded is not None:
                 return folded
+        if left is expr.left and right is expr.right:
+            return expr
         return ast.Binary(op=expr.op, left=left, right=right, line=expr.line)
     if isinstance(expr, ast.Ternary):
         cond = substitute(expr.cond, literal_of)
@@ -326,6 +333,9 @@ def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
             chosen = if_true if num_value(cond) else if_false
             return ast.Num(value=num_value(chosen), width=width,
                            line=expr.line)
+        if (cond is expr.cond and if_true is expr.if_true
+                and if_false is expr.if_false):
+            return expr
         return ast.Ternary(cond=cond, if_true=if_true, if_false=if_false,
                            line=expr.line)
     if isinstance(expr, ast.Concat):
@@ -336,6 +346,8 @@ def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
                 value = (value << num_width(part)) | num_value(part)
                 total += num_width(part)
             return ast.Num(value=value, width=total, line=expr.line)
+        if _same(parts, expr.parts):
+            return expr
         return ast.Concat(parts=parts, line=expr.line)
     if isinstance(expr, ast.Repl):
         count = substitute(expr.count, literal_of)
@@ -345,6 +357,8 @@ def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
             factor = sum(1 << (i * vw) for i in range(count.value))
             return ast.Num(value=num_value(value) * factor,
                            width=count.value * vw, line=expr.line)
+        if count is expr.count and value is expr.value:
+            return expr
         return ast.Repl(count=count, value=value, line=expr.line)
     if isinstance(expr, ast.Index):
         index = substitute(expr.index, literal_of)
@@ -352,6 +366,8 @@ def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
         if base and isinstance(index, ast.Num):
             return ast.Num(value=(num_value(base) >> num_value(index)) & 1,
                            width=1, line=expr.line)
+        if index is expr.index:
+            return expr
         return ast.Index(base=expr.base, index=index, line=expr.line)
     if isinstance(expr, ast.Slice):
         msb = substitute(expr.msb, literal_of)
@@ -363,6 +379,8 @@ def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
                 value=(num_value(base) >> lsb.value) & mask_of(width),
                 width=width, line=expr.line,
             )
+        if msb is expr.msb and lsb is expr.lsb:
+            return expr
         return ast.Slice(base=expr.base, msb=msb, lsb=lsb, line=expr.line)
     if isinstance(expr, ast.IndexedPart):
         start = substitute(expr.start, literal_of)
@@ -379,6 +397,8 @@ def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
                     value=(num_value(base) >> shift) & mask_of(width),
                     width=width, line=expr.line,
                 )
+        if start is expr.start and width_e is expr.width:
+            return expr
         return ast.IndexedPart(base=expr.base, start=start, width=width_e,
                                ascending=expr.ascending, line=expr.line)
     if isinstance(expr, ast.SysCall):
@@ -387,8 +407,18 @@ def substitute(expr: ast.Expr, literal_of: LiteralOf) -> ast.Expr:
             # Parameter arithmetic (eval_const's rule), a bare literal.
             return ast.Num(value=max(args[0].value - 1, 0).bit_length(),
                            line=expr.line)
+        if _same(args, expr.args):
+            return expr
         return ast.SysCall(func=expr.func, args=args, line=expr.line)
     return expr
+
+
+def _same(new: list, old: list) -> bool:
+    """Whether ``new`` holds the very objects of ``old``, in order."""
+    for a, b in zip(new, old):
+        if a is not b:
+            return False
+    return len(new) == len(old)
 
 
 def rewrite_stmts(stmts: List[ast.Stmt], literal_of: LiteralOf,
@@ -396,34 +426,35 @@ def rewrite_stmts(stmts: List[ast.Stmt], literal_of: LiteralOf,
     """:func:`substitute` through a statement list.  ``prune`` also
     drops the branches a literal condition (or an all-literal ``case``)
     makes unreachable; without it every ``if`` and arm stays, condition
-    folded, for the analyzer to report on."""
+    folded, for the analyzer to report on.
+
+    As :func:`substitute` does, returns every statement, target and
+    list that nothing changed as it is: ``stmts`` itself when nothing
+    applies anywhere in it."""
     out: List[ast.Stmt] = []
     for stmt in stmts:
         if isinstance(stmt, (ast.NonBlocking, ast.Blocking)):
-            target = stmt.target
-            out.append(type(stmt)(
-                target=ast.LValue(
-                    name=target.name,
-                    index=_substitute_opt(target.index, literal_of),
-                    msb=_substitute_opt(target.msb, literal_of),
-                    lsb=_substitute_opt(target.lsb, literal_of),
-                    line=target.line,
-                ),
-                value=substitute(stmt.value, literal_of),
-                line=stmt.line,
-            ))
+            target = _rewrite_target(stmt.target, literal_of)
+            value = substitute(stmt.value, literal_of)
+            if target is stmt.target and value is stmt.value:
+                out.append(stmt)
+            else:
+                out.append(type(stmt)(target=target, value=value,
+                                      line=stmt.line))
         elif isinstance(stmt, ast.If):
             cond = substitute(stmt.cond, literal_of)
             if prune and isinstance(cond, ast.Num):
                 live = stmt.then_body if num_value(cond) else stmt.else_body
                 out.extend(rewrite_stmts(live, literal_of, prune))
+                continue
+            then_body = rewrite_stmts(stmt.then_body, literal_of, prune)
+            else_body = rewrite_stmts(stmt.else_body, literal_of, prune)
+            if (cond is stmt.cond and then_body is stmt.then_body
+                    and else_body is stmt.else_body):
+                out.append(stmt)
             else:
-                out.append(ast.If(
-                    cond=cond,
-                    then_body=rewrite_stmts(stmt.then_body, literal_of, prune),
-                    else_body=rewrite_stmts(stmt.else_body, literal_of, prune),
-                    line=stmt.line,
-                ))
+                out.append(ast.If(cond=cond, then_body=then_body,
+                                  else_body=else_body, line=stmt.line))
         elif isinstance(stmt, ast.Case):
             subject = substitute(stmt.subject, literal_of)
             arms = [
@@ -435,18 +466,34 @@ def rewrite_stmts(stmts: List[ast.Stmt], literal_of: LiteralOf,
                 out.extend(rewrite_stmts(
                     _taken_arm(num_value(subject), arms), literal_of, prune
                 ))
+                continue
+            new_arms = []
+            for (labels, body), (old_labels, _) in zip(arms, stmt.arms):
+                body_out = rewrite_stmts(body, literal_of, prune)
+                if _same(labels, old_labels):
+                    labels = old_labels
+                new_arms.append((labels, body_out))
+            if subject is stmt.subject and all(
+                    new[0] is old[0] and new[1] is old[1]
+                    for new, old in zip(new_arms, stmt.arms)):
+                out.append(stmt)
             else:
-                out.append(ast.Case(
-                    subject=subject,
-                    arms=[
-                        (labels, rewrite_stmts(body, literal_of, prune))
-                        for labels, body in arms
-                    ],
-                    line=stmt.line,
-                ))
+                out.append(ast.Case(subject=subject, arms=new_arms,
+                                    line=stmt.line))
         else:
             out.append(stmt)
-    return out
+    return stmts if _same(out, stmts) else out
+
+
+def _rewrite_target(target: ast.LValue, literal_of: LiteralOf) -> ast.LValue:
+    """``target`` with its selects substituted (itself when none change)."""
+    index = _substitute_opt(target.index, literal_of)
+    msb = _substitute_opt(target.msb, literal_of)
+    lsb = _substitute_opt(target.lsb, literal_of)
+    if index is target.index and msb is target.msb and lsb is target.lsb:
+        return target
+    return ast.LValue(name=target.name, index=index, msb=msb, lsb=lsb,
+                      line=target.line)
 
 
 def _substitute_opt(expr: Optional[ast.Expr],
@@ -474,8 +521,8 @@ def _param_literals(env: Dict[str, int]) -> LiteralOf:
 
 
 def fold_params(expr: ast.Expr, env: Dict[str, int]) -> ast.Expr:
-    """Return a copy of ``expr`` with parameter references replaced by
-    literals and constant subtrees collapsed."""
+    """``expr`` with parameter references replaced by literals and
+    constant subtrees collapsed (``expr`` itself when nothing folds)."""
     return substitute(expr, _param_literals(env))
 
 

@@ -27,7 +27,7 @@ facts outlive the ``ModuleIR`` (:mod:`repro.passes.dataflow`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..ir.dataflow import compute_output_deps, compute_signal_deps
 from ..ir.netlist import (
@@ -160,12 +160,26 @@ class Elaborator:
         self, module: ast.Module, env: Dict[str, int], key: str,
         children: List[ModuleIR],
     ) -> ModuleIR:
+        """Lower ``module`` under ``env`` to a new ``ModuleIR``.
+
+        A lowered item (an assign's or a block's folded tree with its
+        reads, writes or defines and its shape) is taken as it is from
+        the specialization's most recent ``ModuleIR`` in the cache when
+        its parsed item is the very object that IR was lowered from,
+        under an equal parameter environment, and every name the item
+        mentions is declared alike in both (:func:`_declared`): all
+        that lowering the item reads.  Everything else (signals,
+        register slots, the driver checks, the schedule, the deps) is
+        computed here, every time.  Lowered items are never mutated, so
+        two ``ModuleIR`` may share them.
+        """
         ir = ModuleIR(name=module.name, key=key, params=dict(env),
-                      line=module.line)
+                      line=module.line, source=module)
         self._declare_signals(module, env, ir)
         self._lower_instances(module, env, ir, children)
-        self._lower_assigns(module, env, ir)
-        self._lower_always(module, env, ir)
+        lowered = self._lowered(key, env, ir)
+        self._lower_assigns(module, env, ir, lowered)
+        self._lower_always(module, env, ir, lowered)
         self._assign_reg_slots(module, ir)
         self._check_drivers(module, ir)
         schedule_module(ir)
@@ -321,10 +335,39 @@ class Elaborator:
             )
             ir.instances.append(inst_ir)
 
+    def _lowered(self, key: str, env: Dict[str, int],
+                 ir: ModuleIR) -> Callable[[object], Optional[object]]:
+        """parsed item -> its lowered item in the specialization's most
+        recent ``ModuleIR``, when ``ir`` may reuse it (None otherwise)."""
+        previous = self._cache.recent("elaborate", key) if self._cache else ()
+        if not previous or previous[0].params != env:
+            return _NOTHING
+        prev = previous[0]
+        items = dict(zip(map(id, prev.source.assigns), prev.comb_assigns))
+        kinds = {"comb": iter(prev.comb_blocks), "seq": iter(prev.seq_blocks)}
+        for block in prev.source.always_blocks:
+            items[id(block)] = next(kinds[block.kind])
+
+        def lowered(node) -> Optional[object]:
+            item = items.get(id(node))
+            if item is None or any(
+                _declared(ir, name) != _declared(prev, name)
+                for name in _mentions(item)
+            ):
+                return None
+            return item
+
+        return lowered
+
     def _lower_assigns(
-        self, module: ast.Module, env: Dict[str, int], ir: ModuleIR
+        self, module: ast.Module, env: Dict[str, int], ir: ModuleIR,
+        lowered: Callable[[object], Optional[object]],
     ) -> None:
         for assign in module.assigns:
+            reused = lowered(assign)
+            if reused is not None:
+                ir.comb_assigns.append(reused)
+                continue
             target = assign.target
             if target.index is not None or target.msb is not None:
                 raise ElaborationError(
@@ -349,9 +392,15 @@ class Elaborator:
             )
 
     def _lower_always(
-        self, module: ast.Module, env: Dict[str, int], ir: ModuleIR
+        self, module: ast.Module, env: Dict[str, int], ir: ModuleIR,
+        lowered: Callable[[object], Optional[object]],
     ) -> None:
         for block in module.always_blocks:
+            reused = lowered(block)
+            if reused is not None:
+                (ir.seq_blocks if block.kind == "seq"
+                 else ir.comb_blocks).append(reused)
+                continue
             body = fold_stmts(block.body, env)
             reads, writes = stmt_reads_writes(body)
             if block.kind == "seq":
@@ -426,6 +475,10 @@ class Elaborator:
                 add(name, sig.line)
         for name, lines in drivers.items():
             sig = ir.signals.get(name)
+            if sig is None and name not in ir.memories:
+                raise ElaborationError(
+                    f"assignment to undeclared signal {name!r}", lines[0]
+                )
             if sig is not None and sig.kind == "input":
                 raise ElaborationError(
                     f"input port {name!r} is driven inside the module", lines[0]
@@ -469,6 +522,31 @@ class Elaborator:
                     "but never driven",
                     sig.line,
                 )
+
+
+def _NOTHING(node) -> None:
+    """No lowered item to reuse."""
+    return None
+
+
+def _mentions(item) -> Tuple[str, ...]:
+    """Every name a lowered item's tree mentions (what its shape lists),
+    and a sequential block's clock."""
+    if type(item) is CombAssignIR:
+        return item.reads + (item.defines,)
+    if type(item) is CombBlockIR:
+        return item.reads + item.defines
+    return item.reads + item.writes + (item.clock,)
+
+
+def _declared(ir: ModuleIR, name: str):
+    """How ``name`` is declared in ``ir``: kind and width of a signal,
+    width and depth of a memory, None when it is not."""
+    sig = ir.signals.get(name)
+    if sig is not None:
+        return sig.kind, sig.width
+    mem = ir.memories.get(name)
+    return None if mem is None else (mem.width, mem.depth)
 
 
 def item_shape(kind: str, line: int, ir: ModuleIR, *roots) -> str:

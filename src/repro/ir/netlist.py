@@ -165,6 +165,16 @@ class ModuleIR:
     # signal, and the outputs' rows of the same map.
     signal_deps: Dict[str, "set"] = field(default_factory=dict)
     output_deps: Dict[str, "set"] = field(default_factory=dict)
+    # The parsed module the items were lowered from: its ``assigns`` line
+    # up with ``comb_assigns`` and its ``always_blocks`` with the comb
+    # and seq blocks, which is what lets the next elaboration of this
+    # specialization reuse a lowered item (repro.hdl.elaborate).  Not
+    # part of the IR's value, and not pickled.
+    source: Optional[ast.Module] = field(default=None, compare=False,
+                                         repr=False)
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "source": None}
 
     @property
     def comb_inputs(self) -> "set":

@@ -49,10 +49,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .. import obs
-from ..codegen.build import BuildConfig, DerivedCache
+from ..codegen.build import BuildConfig, DerivedCache, Trail
 from ..codegen.pygen import CompiledModule
 from ..hdl import ast_nodes as ast
 from ..hdl.elaborate import elaborate
@@ -84,6 +84,19 @@ class CompileReport:
         """A ``passes.<name>`` cache lookup reused / computed ``spec``."""
         keys = self.pass_reused if hit else self.pass_computed
         keys.setdefault(kind.split(".")[1], []).append(spec)
+
+
+# The derived-cache kind of whole compiles (:meth:`LiveCompiler.compile_top`).
+DESIGN = "compile.design"
+
+
+class _Held(NamedTuple):
+    """One compile of a design: its netlist and library, and the trail of
+    the cache lookups that made them."""
+
+    netlist: Netlist
+    library: Dict[str, CompiledModule]
+    trail: Trail
 
 
 @dataclass
@@ -167,7 +180,7 @@ class LiveCompiler:
 
     def cache_size(self) -> int:
         """Compiled modules held in memory."""
-        return len(self.cache.entries("compile"))
+        return self.cache.size("compile")
 
     # -- source evolution -------------------------------------------------------
 
@@ -259,6 +272,32 @@ class LiveCompiler:
         self, top: str, params: Optional[Dict[str, int]]
     ) -> CompileResult:
         report = CompileReport(top=top)
+        fingerprint = self.parser.fingerprint
+        design = (top, tuple(sorted((params or {}).items())), tuple(sorted(
+            (name, fingerprint(name)) for name in self._design.modules)))
+        held = self.cache.recall(DESIGN, top, design, self.build)
+        if held is not None and self.cache.replay(held.trail, report):
+            # A revert: every lookup the compile would make hits, so
+            # its result is the held one.
+            report.reused_keys.extend(held.library)
+            library = held.library
+            netlist = held.netlist
+        else:
+            with self.cache.recording() as trail:
+                netlist, library = self._build(top, params, report)
+            self.cache.hold(DESIGN, top, design,
+                            _Held(netlist, library, trail), self.build)
+        self._place_sites(library.values())
+        obs.gauge("compile.cache_size", self.cache_size())
+        obs.gauge("facts.cache_size", sum(
+            self.cache.size(kind)
+            for kind in ("passes.dataflow", "passes.dataflow.summary", ITEMS)
+        ))
+        return CompileResult(netlist=netlist, library=library, report=report)
+
+    def _build(self, top: str, params: Optional[Dict[str, int]],
+               report: CompileReport):
+        """Elaborate ``top`` and run the pass pipeline over it."""
         with obs.span("elaborate", top=top):
             netlist = elaborate(
                 self._design, top, params,
@@ -279,11 +318,4 @@ class LiveCompiler:
         )
         with obs.span("codegen", top=top, opt=self.build.opt):
             self._pipeline.run(data)
-        library: Dict[str, CompiledModule] = data.library
-        self._place_sites(library.values())
-        obs.gauge("compile.cache_size", self.cache_size())
-        obs.gauge("facts.cache_size", sum(
-            len(self.cache.entries(kind))
-            for kind in ("passes.dataflow", "passes.dataflow.summary", ITEMS)
-        ))
-        return CompileResult(netlist=netlist, library=library, report=report)
+        return netlist, data.library

@@ -244,6 +244,7 @@ class LiveParser:
         self._module_regions = {
             r.name: r for r in regions if r.kind == MODULE_REGION
         }
+        self._fingerprints: Dict[str, str] = {}
 
     def _region_parse(self, region: SourceRegion) -> RegionParse:
         """The region's parse: a recent one of its text at its line, or
@@ -289,7 +290,15 @@ class LiveParser:
         own text (which references the macro by name) is unchanged —
         this is what keeps the compile cache honest across directive
         edits (the paper's "much more will have to be recompiled").
+        Worked out once per committed text.
         """
+        fp = self._fingerprints.get(module_name)
+        if fp is None:
+            fp = self._fingerprints[module_name] = self._fingerprint(
+                module_name)
+        return fp
+
+    def _fingerprint(self, module_name: str) -> str:
         import hashlib
 
         entry = self._parses.get(module_name)

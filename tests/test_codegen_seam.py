@@ -240,14 +240,19 @@ class TestOptimizerAsksTheGenerator:
         assert sanitized["m"].source.count(".code.cycle_fn(") == 1
 
 
+def _digests_tool():
+    import importlib.util
+
+    tool = DESIGNS.parent.parent / "tools" / "source_digests.py"
+    spec = importlib.util.spec_from_file_location("source_digests", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestSourceDigestsTool:
     def test_rows_are_well_formed_and_repeatable(self):
-        import importlib.util
-
-        tool = DESIGNS.parent.parent / "tools" / "source_digests.py"
-        spec = importlib.util.spec_from_file_location("source_digests", tool)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        module = _digests_tool()
         rows = module.rows(["counter.v"])
         # Three modules as tops, nine flavours each.
         assert len(rows) == 27
@@ -265,3 +270,21 @@ class TestSourceDigestsTool:
         assert module.differences(rows[:1], rows[1:2]) == [
             "- " + rows[0], "+ " + rows[1]
         ]
+
+    def test_ast_rows_digest_the_python_syntax(self, capsys):
+        module = _digests_tool()
+        text = module.rows(["counter.v"])
+        syntax = module.rows(["counter.v"], syntax=True)
+        assert len(syntax) == len(text) == 27
+        for by_text, by_syntax in zip(text, syntax):
+            a, b = by_text.split(), by_syntax.split()
+            # Another digest, the same design, flavour, counts and lines.
+            assert a[4] != b[4] and a[:4] + a[5:] == b[:4] + b[5:]
+        assert module.rows(["counter.v"], syntax=True) == syntax
+        # Spelling is not syntax: redundant parentheses digest alike.
+        assert module._syntax("y = ((a) & 255)\n") == module._syntax(
+            "y = a & 255\n")
+        assert module._syntax("y = (a < b) < c\n") != module._syntax(
+            "y = a < b < c\n")
+        assert module.main(["--design", "counter.v", "--ast"]) == 0
+        assert capsys.readouterr().out.splitlines() == syntax

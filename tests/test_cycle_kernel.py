@@ -412,7 +412,7 @@ def test_the_caller_masks_exactly_the_narrowing_connections():
                 elif port == "en":  # the literal: folded, not masked
                     assert arg == "1"
                 elif arg != "0":  # (an unsettled read in eval_out)
-                    assert arg.endswith(f" & {mask})"), (key, inst, port, arg)
+                    assert arg.endswith(f" & {mask}"), (key, inst, port, arg)
         assert set(NARROWED) <= seen
 
 

@@ -21,11 +21,17 @@ it at two commits and compare::
 
 ``--against FILE`` generates the rows here, prints the ones that differ
 from the saved output (``-`` saved, ``+`` here) and exits 1 if any do.
+
+``--ast`` hashes each module's ``ast.dump(ast.parse(source))`` instead
+of its text, so a change meant to alter only how the source is spelled
+(parentheses, spacing) and not its bytecode can be checked the same
+way: run both sides with ``--ast``.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import sys
 from pathlib import Path
@@ -58,12 +64,24 @@ def designs(only: Optional[Sequence[str]]) -> Iterator[Tuple[str, str, str]]:
             yield f"{path.name}:{top}", source, top
 
 
-def rows(only: Optional[Sequence[str]] = None) -> List[str]:
+def _text(source: str) -> str:
+    return source
+
+
+def _syntax(source: str) -> str:
+    return ast.dump(ast.parse(source))
+
+
+def rows(only: Optional[Sequence[str]] = None,
+         syntax: bool = False) -> List[str]:
+    """One row per design and flavour; ``syntax`` digests each module's
+    Python AST instead of its text."""
     from repro.codegen.build import BuildConfig
     from repro.hdl import elaborate, parse
     from repro.passes import compile_netlist
     from repro.sanitize import SanitizerRuntime
 
+    spelled = _syntax if syntax else _text
     out = []
     for name, source, top in designs(only):
         netlist = elaborate(parse(source), top)
@@ -75,7 +93,7 @@ def rows(only: Optional[Sequence[str]] = None) -> List[str]:
                 library = compile_netlist(netlist, build, runtime)
                 digest = hashlib.sha256()
                 for key in sorted(library):
-                    digest.update(library[key].source.encode())
+                    digest.update(spelled(library[key].source).encode())
                 modules = library.values()
                 out.append(" ".join((
                     name,
@@ -107,8 +125,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--design", action="append", metavar="FILE.v",
         help="only this file of examples/designs (repeatable)",
     )
+    parser.add_argument(
+        "--ast", action="store_true",
+        help="digest each module's Python AST, not its text",
+    )
     args = parser.parse_args(argv)
-    new = rows(args.design)
+    new = rows(args.design, syntax=args.ast)
     if args.against is None:
         print("\n".join(new))
         return 0
