@@ -11,6 +11,12 @@ hot reload; an untouched design re-analyzes nothing and an
 :class:`AnalysisReport` says so explicitly (``analyzed_keys`` /
 ``reused_keys`` — the acceptance counters).
 
+A whole run over one netlist is held as well (kind ``analyze.design``,
+under the netlist and the fingerprints it was read against), so a
+revert, which compiles to the netlist it had, gets its findings back
+after :meth:`~repro.codegen.build.DerivedCache.replay`, moved to where
+the modules' headers are now.
+
 The child component of the key is the child's *comb signature*
 (:attr:`~repro.ir.netlist.ModuleIR.comb_signature`: interface
 fingerprint + per-output input dependencies), because the parent-side

@@ -15,7 +15,9 @@ module's text and of its children.  A body-only edit rebuilds one
 ``ModuleIR``; the rest are the same objects as before, so a
 ``ModuleIR`` is immutable once elaboration returns and its ``line``
 fields are those of the parse that produced it (``ModuleIR.line`` is
-where that parse found the ``module`` header).  An error raised while
+where that parse found the ``module`` header).  A rebuilt ``ModuleIR``
+takes every lowered item the edit left alone from the previous one
+(``Elaborator._build_module_ir``).  An error raised while
 specialising a module is placed in it (``HDLError.place``), with the
 header line of the AST it read, so LiveCompiler can move it into the
 file.
@@ -347,13 +349,16 @@ class Elaborator:
         kinds = {"comb": iter(prev.comb_blocks), "seq": iter(prev.seq_blocks)}
         for block in prev.source.always_blocks:
             items[id(block)] = next(kinds[block.kind])
+        redeclared = {
+            name
+            for name in {*ir.signals, *ir.memories, *prev.signals,
+                         *prev.memories}
+            if _declared(ir, name) != _declared(prev, name)
+        }
 
         def lowered(node) -> Optional[object]:
             item = items.get(id(node))
-            if item is None or any(
-                _declared(ir, name) != _declared(prev, name)
-                for name in _mentions(item)
-            ):
+            if item is None or not redeclared.isdisjoint(_mentions(item)):
                 return None
             return item
 

@@ -21,6 +21,14 @@ So a body-only edit recompiles exactly one module; an interface edit
 recompiles the module plus its ancestor chain — matching the paper's
 description of how far a change propagates.
 
+A whole compile is held too (kind ``compile.design``), under its top,
+parameters, flavour and the fingerprint of every module of the design.
+Compiling a text held that way again (a revert) returns the held
+netlist and library once :meth:`DerivedCache.replay` has made the
+lookups that built them again as hits; when one of those entries is
+gone or holds another value, the compile is made.  Either way the
+report lists what the lookups would list.
+
 The front end is incremental the same way.  A changed module region is
 parsed from the tokens LiveParser already lexed to fingerprint it, with
 every item whose lines did not change reused from the module's
