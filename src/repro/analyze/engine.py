@@ -37,7 +37,7 @@ from .checks import Check, CheckContext, default_checks
 from .diagnostics import Diagnostic, count_by_severity, sort_diagnostics
 
 # The derived-cache kind of whole analysis runs over one netlist.
-RUNS = "analyze.design"
+DESIGN = "analyze.design"
 
 
 class _Run(NamedTuple):
@@ -120,11 +120,11 @@ class Analyzer:
             ir.name: parser.fingerprint(ir.name) if parser else ""
             for ir in netlist.modules.values()
         }
-        # The netlist by identity (the run holds it, so no other object
-        # takes its id) and what it was read against.
+        # Held under the netlist by identity (the run holds it, so no
+        # other object takes its id) and the text it was read against.
+        held_runs = parser is not None and value_facts is None
         run = (id(netlist), tuple(fps.values()))
-        held = cache.recall(RUNS, netlist.top, run) if (
-            parser is not None and value_facts is None) else None
+        held = cache.recall(DESIGN, netlist.top, run) if held_runs else None
         if held is not None and cache.replay(held.trail, report):
             # The same netlist and text: every lookup below would hit.
             found = held.found
@@ -132,8 +132,8 @@ class Analyzer:
             with cache.recording() as trail:
                 found = self._analyze(netlist, fps, cache, value_facts,
                                       report)
-            if parser is not None and value_facts is None:
-                cache.hold(RUNS, netlist.top, run,
+            if held_runs:
+                cache.hold(DESIGN, netlist.top, run,
                            _Run(netlist, found, trail))
         for name, born, diags in found:
             header = parser.header_line(name) if parser else None

@@ -161,9 +161,12 @@ class DerivedCache:
 
     def _store(self, kind: str, bucket: Dict[Hashable, Any],
                key: Hashable, value: Any) -> None:
-        """Hold ``value`` as the most recently used entry of ``bucket``,
-        evicting the least recently used past the bound."""
-        if key not in bucket:
+        """Hold ``value`` as the most recently used entry of ``bucket``
+        (in place of any under ``key``), evicting the least recently
+        used past the bound."""
+        if key in bucket:
+            del bucket[key]
+        else:
             self._sizes[kind] = self._sizes.get(kind, 0) + 1
         bucket[key] = value
         if len(bucket) > CACHE_GENERATIONS:
@@ -188,9 +191,8 @@ class DerivedCache:
              build: Optional[BuildConfig] = None) -> None:
         """Hold ``value`` under ``key``, in place of any value there,
         bounded as :meth:`lookup`'s results are."""
-        bucket = self._buckets.setdefault((kind, spec, build), {})
-        bucket.pop(key, None)
-        self._store(kind, bucket, key, value)
+        self._store(kind, self._buckets.setdefault((kind, spec, build), {}),
+                    key, value)
 
     @contextmanager
     def recording(self) -> Iterator["Trail"]:

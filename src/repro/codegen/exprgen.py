@@ -234,7 +234,8 @@ class ExprGen:
             text += f" {op} {paren(operand, strength + 1)}"
         return text, strength
 
-    def _masked(self, code: Code, mask: int) -> Code:
+    @staticmethod
+    def _masked(code: Code, mask: int) -> Code:
         return f"{paren(code, BAND)} & {mask}", BAND
 
     def _gen_binary(self, expr: ast.Binary) -> Code:

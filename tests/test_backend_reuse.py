@@ -468,6 +468,12 @@ def test_a_replay_of_a_lookup_that_would_not_return_the_same_is_refused():
     assert cache.recent("k", "b") == order
     assert cache.size("k") == sum(len(cache.recent("k", spec))
                                   for spec in "abc")
+    # Holding a value in place of another keeps the count.
+    cache.hold("k", "a", 1, ["held"])
+    cache.hold("k", "d", 1, ["held"])
+    assert cache.recall("k", "a", 1) == ["held"]
+    assert cache.size("k") == sum(len(cache.recent("k", spec))
+                                  for spec in "abcd")
 
 
 # ---------------------------------------------------------------------------
