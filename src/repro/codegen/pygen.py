@@ -50,7 +50,13 @@ and *the caller guarantees it*; the callee masks nothing.  By
 when the connected expression is statically wider, which is where the
 generated caller masks (``_child_args``); top-level inputs are masked by
 :class:`~repro.sim.pipeline.Pipe`, the only caller of the raw entry
-points under ``src/``.
+points under ``src/``.  An entry point with more ports than
+:func:`packs` allows (28) takes them as one tuple, ``_in``, and unpacks
+it on entry; its callers build that tuple.  With it, no generated call
+passes more than :data:`STACK_ITEMS` arguments and no tuple display on
+the right of an assignment holds more than that many items, so the
+kernel stays off CPython's slow paths for both (``CALL_FUNCTION_EX``;
+``BUILD_LIST`` + ``LIST_APPEND`` + ``LIST_TO_TUPLE``).
 
 Modules with a genuine combinational loop (``needs_fixpoint``) take
 every input in ``eval_out``, carry their comb locals between passes in
@@ -102,7 +108,7 @@ import linecache
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..hdl import ast_nodes as ast
@@ -115,6 +121,67 @@ from .exprgen import ATOM, BAND, ExprGen, Resolver, StmtGen, mask_of, paren
 from .optplan import NO_OPT, OptPlan
 
 CACHE_SLOTS = 3  # eval_out memo key, memo value, settled locals for cycle
+
+# The most items CPython (3.10-3.12) puts on its stack for one call or
+# one tuple display: a call with more arguments compiles to
+# CALL_FUNCTION_EX, a longer display to a list built item by item.
+STACK_ITEMS = 30
+
+
+def packs(ports: Sequence[str]) -> bool:
+    """The calling convention: whether an entry point taking ``ports``
+    takes them as one tuple (``s``, ``ch`` and one argument per port
+    would pass :data:`STACK_ITEMS`)."""
+    return len(ports) + 2 > STACK_ITEMS
+
+
+def _pieces(items: Sequence[str]) -> List[str]:
+    return [
+        "(" + "".join(f"{item}, " for item in items[at:at + STACK_ITEMS]) + ")"
+        for at in range(0, max(len(items), 1), STACK_ITEMS)
+    ]
+
+
+def _flat(items: Sequence[str]) -> str:
+    """A tuple display of ``items``, concatenated from pieces CPython
+    builds on its stack."""
+    return " + ".join(_pieces(items))
+
+
+def _slots(items: Sequence[str]) -> str:
+    """A tuple of ``items`` nested in pieces when it is longer than one:
+    the same text stores and unpacks it, cheaper than :func:`_flat` for
+    a tuple only its own module reads (the stash, the fixpoint carry)."""
+    pieces = _pieces(items)
+    if len(pieces) == 1:
+        return pieces[0]
+    return "(" + "".join(f"{piece}, " for piece in pieces) + ")"
+
+
+def _params(ports: Sequence[str]) -> str:
+    """The parameters after ``s, ch`` of an entry point taking ``ports``."""
+    if packs(ports):
+        return ", _in"
+    return "".join(f", i_{name}" for name in ports)
+
+
+def _pass(ports: Sequence[str], args: Sequence[str]) -> str:
+    """The arguments after ``s, ch`` of a call to an entry point taking
+    ``ports``."""
+    if packs(ports):
+        return ", " + _flat(args)
+    return "".join(f", {arg}" for arg in args)
+
+
+def _unpack_inputs(fn: FunctionEmitter, ports: Sequence[str]) -> None:
+    """A packed entry point's first use of its tuple (one flat unpack:
+    an assignment target has no stack limit)."""
+    if packs(ports):
+        fn.line("(" + "".join(f"i_{name}, " for name in ports) + ") = _in")
+
+
+def _locals(names: Sequence[str]) -> List[str]:
+    return [f"v_{name}" for name in names]
 
 
 class StateLayout(NamedTuple):
@@ -189,6 +256,10 @@ class CompiledModule:
     # too narrow to reach its bound let it write as clean code.
     san_sites: int = 0
     san_elided: int = 0
+    # Whether eval_out / cycle take their ports as one tuple (packs());
+    # code from another generator (flatgen) takes them positionally.
+    eval_out_packed: bool = False
+    cycle_packed: bool = False
 
     @property
     def sanitizer(self):
@@ -361,19 +432,12 @@ class _ModuleCompiler:
             self._gen_comb_block(exprgen, index)
         return self._emit.source()
 
-    def _arg_list(self, ports: List[str]) -> str:
-        return "".join(f", i_{name}" for name in ports)
-
-    @staticmethod
-    def _tuple(prefix: str, names: List[str]) -> str:
-        return "(" + "".join(f"{prefix}{name}, " for name in names) + ")"
-
-    def _child_args(self, exprgen: ExprGen, inst, ports: List[str]) -> str:
+    def _child_args(self, exprgen: ExprGen, inst, ports: List[str]) -> List[str]:
         """Arguments for ``ports`` of one child, in range for the port
         (the calling convention): an expression statically wider than
         its port is masked here, a literal folded; the rest already fit."""
         signals = self._netlist.modules[inst.child_key].signals
-        args = ""
+        args = []
         for port in ports:
             expr = self._plan.expr(inst.input_conns[port])
             code = exprgen.code(expr)
@@ -383,7 +447,7 @@ class _ModuleCompiler:
                     code = str(expr.value & mask), ATOM
                 else:
                     code = f"{paren(code, BAND)} & {mask}", BAND
-            args += ", " + code[0]
+            args.append(code[0])
         return args
 
     def _bind_memories(self, reads: Set[str]) -> None:
@@ -415,7 +479,7 @@ class _ModuleCompiler:
             by_instance.setdefault(index, {})[port] = target
         for index, binds in by_instance.items():
             ports = self._child_comb_ports(self._ir.instances[index])
-            self._call_eval_out(index, binds, ", 0" * len(ports))
+            self._call_eval_out(index, binds, _pass(ports, ["0"] * len(ports)))
 
     def _comb_signal_names(self) -> List[str]:
         """Every comb-driven signal local, in deterministic order."""
@@ -438,13 +502,13 @@ class _ModuleCompiler:
             for name in names:
                 self._emit.line(f"v_{name} = 0")
         with block(self._emit, "else:"):
-            self._emit.line(f"{self._tuple('v_', names)} = s[{slot}]")
+            self._emit.line(f"{_slots(_locals(names))} = s[{slot}]")
 
     def _gen_fixpoint_save(self) -> None:
         names = self._comb_signal_names()
         if names:
             self._emit.line(
-                f"s[{self.layout.cache_key_slot}] = {self._tuple('v_', names)}"
+                f"s[{self.layout.cache_key_slot}] = {_slots(_locals(names))}"
             )
 
     def _runs_here(self, defines, in_cycle: bool) -> bool:
@@ -546,13 +610,15 @@ class _ModuleCompiler:
             binds = {p: t for p, t in binds.items() if t not in elsewhere}
             if not binds:
                 return  # its own cycle evaluates it, with every input
-        args = self._child_args(exprgen, inst, self._child_comb_ports(inst))
-        self._call_eval_out(index, binds, args)
+        ports = self._child_comb_ports(inst)
+        args = self._child_args(exprgen, inst, ports)
+        self._call_eval_out(index, binds, _pass(ports, args))
 
     def _call_eval_out(self, index: int, binds: Dict[str, str], args: str) -> None:
-        """Call child ``index``'s eval_out, its result bound by one unpack:
-        ``binds`` maps child output -> local, the rest land in ``_``; a call
-        that only refreshes the child's memo (nothing bound) assigns nothing."""
+        """Call child ``index``'s eval_out with ``args`` (:meth:`_pass`),
+        its result bound by one unpack: ``binds`` maps child output ->
+        local, the rest land in ``_``; a call that only refreshes the
+        child's memo (nothing bound) assigns nothing."""
         child = self._netlist.modules[self._ir.instances[index].child_key]
         names = [f"v_{binds[p]}" if p in binds else "_" for p in child.outputs]
         lhs = f"({', '.join(names)}, ) = " if binds else ""
@@ -580,23 +646,25 @@ class _ModuleCompiler:
         self._gen_comb_body(exprgen, in_cycle=False)
         if not use_cache:
             self._gen_fixpoint_save()
-        returns = "".join(f"{self._output_ref(name)}, " for name in ir.outputs)
-        body.line(f"_ret = ({returns})")
+        returns = [self._output_ref(name) for name in ir.outputs]
+        body.line(f"_ret = {_flat(returns)}")
         if use_cache:
             body.line(f"s[{key_slot}] = _ck")
             body.line(f"s[{key_slot + 1}] = _ret")
             if self._stash:
-                body.line(
-                    f"s[{key_slot + 2}] = {self._tuple('v_', self._stash)}"
-                )
+                body.line(f"s[{key_slot + 2}] = {_slots(_locals(self._stash))}")
         body.line("return _ret")
 
+        comb = self._comb_ports
         self._emit = fn = FunctionEmitter()
-        with block(fn, f"def eval_out(s, ch{self._arg_list(self._comb_ports)}):"):
+        with block(fn, f"def eval_out(s, ch{_params(comb)}):"):
             if use_cache:
-                fn.line(f"_ck = {self._tuple('i_', self._comb_ports)}")
+                # A packed eval_out's tuple is its memo key as it stands.
+                key = "_in" if packs(comb) else _flat([f"i_{n}" for n in comb])
+                fn.line(f"_ck = {key}")
                 with block(fn, f"if s[{key_slot}] == _ck:"):
                     fn.line(f"return s[{key_slot + 1}]")
+            _unpack_inputs(fn, comb)
             if self.hooks is not None:
                 self.hooks.bind_poison(fn)
             self._bind_memories(reads)
@@ -632,7 +700,7 @@ class _ModuleCompiler:
             child = self._netlist.modules[inst.child_key]
             ref = body.fresh("c")
             body.line(f"{ref} = ch[{index}]")
-            args = self._child_args(exprgen, inst, child.inputs)
+            args = _pass(child.inputs, self._child_args(exprgen, inst, child.inputs))
             body.line(f"{ref}.code.cycle_fn({ref}.state, {ref}.children{args})")
         # The commit, after every child's: nothing above reads this
         # module's state again.  Pending == current held on entry (the
@@ -660,20 +728,22 @@ class _ModuleCompiler:
                 and name not in self._unsettled
             ]
         self._emit = fn = FunctionEmitter()
-        with block(fn, f"def cycle(s, ch{self._arg_list(ir.inputs)}):"):
+        with block(fn, f"def cycle(s, ch{_params(ir.inputs)}):"):
+            _unpack_inputs(fn, ir.inputs)
             if not fixpoint:
                 comb = self._comb_ports
+                key = _flat([f"i_{name}" for name in comb])
+                args = _pass(comb, [f"i_{name}" for name in comb])
+                if packs(comb):  # the key is the argument: build it once
+                    fn.line(f"_ck = {key}")
+                    key, args = "_ck", ", _ck"
                 # The one compare that makes a stale tuple impossible:
                 # a poke, restore, swap, input change or a parent that
                 # did not call in phase 1 all land here.
-                with block(
-                    fn, f"if s[{key_slot}] != {self._tuple('i_', comb)}:"
-                ):
-                    fn.line(f"eval_out(s, ch{self._arg_list(comb)})")
+                with block(fn, f"if s[{key_slot}] != {key}:"):
+                    fn.line(f"eval_out(s, ch{args})")
                 if self._stash:
-                    fn.line(
-                        f"{self._tuple('v_', self._stash)} = s[{key_slot + 2}]"
-                    )
+                    fn.line(f"{_slots(_locals(self._stash))} = s[{key_slot + 2}]")
             if hooks is not None:
                 hooks.bind_poison(fn)
             self._bind_memories(reads)
@@ -782,6 +852,8 @@ def compile_module(
         build=build,
         san_sites=hooks.sites if hooks is not None else 0,
         san_elided=hooks.elided if hooks is not None else 0,
+        eval_out_packed=packs(compiler.comb_ports),
+        cycle_packed=packs(ir.inputs),
         **fns,
     )
 

@@ -27,6 +27,7 @@ import pickle
 import tempfile
 import threading
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import IO, Callable, List, Optional, Set
 
@@ -110,12 +111,19 @@ class GCPolicy:
         span = max(last - first, 1)
         budget = min(self.older_budget, len(older))
         remaining = list(older)
+        cycles = [c.cycle for c in remaining]
         keep_ids = set()
         for i in range(budget):
             target = first + span * i / max(budget - 1, 1)
-            best = min(remaining, key=lambda c: abs(c.cycle - target))
-            keep_ids.add(best.id)
-            remaining.remove(best)
+            # The nearest unclaimed checkpoint, by bisection: the last
+            # cycle below the target or the first at or above it, a tie
+            # to the earlier checkpoint (as a scan from the front).
+            at = bisect_left(cycles, target)
+            if at and (at == len(cycles)
+                       or abs(cycles[at - 1] - target) <= abs(cycles[at] - target)):
+                at = bisect_left(cycles, cycles[at - 1])
+            keep_ids.add(remaining[at].id)
+            del remaining[at], cycles[at]
         return [c for c in older if c.id not in keep_ids]
 
 

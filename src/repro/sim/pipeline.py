@@ -10,7 +10,8 @@ entry points of :mod:`repro.codegen.pygen`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..codegen.pygen import CompiledModule
 from ..hdl.errors import ConvergenceError, SimulationError
@@ -41,9 +42,10 @@ class Pipe:
         self._inputs: Dict[str, int] = {
             port: 0 for port in self.top.code.inputs
         }
-        # The (eval_out, cycle) argument lists: rebuilt when an input
-        # changes or the library is swapped, not every cycle.
-        self._args: Optional[Tuple[List[int], List[int]]] = None
+        # The top's (eval_out, cycle) with their arguments bound: rebound
+        # when an input changes or the state lists or library are
+        # replaced, not every cycle.
+        self._entries: Optional[Tuple[Callable[[], tuple], Callable[[], None]]] = None
         self._last_outputs: Optional[Dict[str, int]] = None
         self._trace = None  # Optional[repro.trace.TraceBuffer]
 
@@ -62,7 +64,7 @@ class Pipe:
             raise SimulationError(f"pipe has no input {name!r}")
         if self._inputs[name] != value:
             self._inputs[name] = value
-            self._args = self._last_outputs = None
+            self._entries = self._last_outputs = None
 
     def set_inputs(self, **values: int) -> None:
         for name, value in values.items():
@@ -79,39 +81,46 @@ class Pipe:
         Must be called after the library is replaced in flight (the hot
         reloader does this).
         """
-        self._args = self._last_outputs = None
+        self._entries = self._last_outputs = None
 
     def _drop_cached_evals(self) -> None:
         """The root end of :meth:`StageInst._drop_cached_evals`: state
         changed somewhere below, so the cached outputs are stale."""
         self._last_outputs = None
 
-    def _arg_lists(self) -> Tuple[List[int], List[int]]:
-        """What the generated code is called with: its calling convention
-        has the caller mask, so each input is cut to its port width here,
-        once per change (``get_input`` and snapshots keep what was set)."""
-        args = self._args
-        if args is None:
-            code, inputs = self.top.code, self._inputs
-            signals = code.ir.signals  # flat and shared code alike
-            args = self._args = tuple(  # type: ignore[assignment]
-                [inputs[n] & ((1 << signals[n].width) - 1) for n in ports]
-                for ports in (code.comb_input_ports, code.inputs)
-            )
-        return args
+    def _bind_entries(self) -> Tuple[Callable[[], tuple], Callable[[], None]]:
+        """The top's entry points with what the generated code is called
+        with bound: its calling convention has the caller mask, so each
+        input is cut to its port width here, once per change (``get_input``
+        and snapshots keep what was set), and packed into one tuple where
+        the module says so (:func:`repro.codegen.pygen.packs`)."""
+        top, inputs = self.top, self._inputs
+        code = top.code
+        signals = code.ir.signals  # flat and shared code alike
+
+        def bind(fn: Callable, ports: Tuple[str, ...], packed: bool) -> Callable:
+            args = [inputs[n] & ((1 << signals[n].width) - 1) for n in ports]
+            if packed:
+                return partial(fn, top.state, top.children, tuple(args))
+            return partial(fn, top.state, top.children, *args)
+
+        entries = self._entries = (
+            bind(code.eval_out_fn, code.comb_input_ports, code.eval_out_packed),
+            bind(code.cycle_fn, code.inputs, code.cycle_packed),
+        )
+        return entries
 
     def eval(self) -> Dict[str, int]:
         """Settle combinational logic (phase 1); returns the outputs."""
-        top = self.top
-        code = top.code
-        args = self._arg_lists()[0]
-        result = code.eval_out_fn(top.state, top.children, *args)
+        code = self.top.code
+        eval_out = (self._entries or self._bind_entries())[0]
+        result = eval_out()
         if code.ir.needs_fixpoint:
             # A genuine comb loop at the top (a memoized top would just
             # return its memo again): iterate until the outputs hold.
             previous = result
             for _ in range(MAX_PASSES):
-                result = code.eval_out_fn(top.state, top.children, *args)
+                result = eval_out()
                 if result == previous:
                     break
                 previous = result
@@ -154,7 +163,7 @@ class Pipe:
         if sanitizer is not None:
             sanitizer.begin_edge()
         try:
-            top.code.cycle_fn(top.state, top.children, *self._arg_lists()[1])
+            (self._entries or self._bind_entries())[1]()
         except BaseException:
             top.abandon_edge()
             raise
@@ -224,7 +233,7 @@ class Pipe:
         self.top.restore(snap.state)
         self.cycle = snap.cycle
         self._inputs = dict(snap.inputs)
-        self._args = self._last_outputs = None
+        self._entries = self._last_outputs = None
 
     def restore_transformed(self, snap: "PipeSnapshot") -> None:
         """Load a snapshot that need not match this design version.
@@ -237,7 +246,7 @@ class Pipe:
         self._inputs = {
             name: snap.inputs.get(name, 0) for name in self.top.code.inputs
         }
-        self._args = self._last_outputs = None
+        self._entries = self._last_outputs = None
 
     def reset_state(self) -> None:
         """Return every register/memory to power-on zero; cycle to 0.
@@ -247,9 +256,9 @@ class Pipe:
         nothing has been driven yet, is
         :func:`repro.live.replay.rewind` with no base.
         """
-        self.top.reset_state()
+        self.top.reset_state()  # new state lists
         self.cycle = 0
-        self._last_outputs = None
+        self._entries = self._last_outputs = None
 
     def copy(self, name: Optional[str] = None) -> "Pipe":
         """Duplicate this pipe, including its state (``copyPipe``)."""

@@ -1,0 +1,266 @@
+"""The generated calling convention keeps the kernel off CPython's slow
+paths: an entry point with more ports than ``packs`` allows takes them
+as one tuple, and no call or right-hand tuple display the generator
+writes holds more than ``STACK_ITEMS`` items.
+
+A bytecode census over every design the repo ships, and a synthetic
+design past every line the meshes do not reach (a 40-input child, a
+35-input top, a 98-name stash, a 31-input comb loop carrying 35 locals),
+checked against the inlining baseline through a hot reload across the
+line, snapshot / restore and ``copyPipe``.
+"""
+
+from __future__ import annotations
+
+import dis
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.baseline import BaselineCompiler
+from repro.codegen.build import BuildConfig
+from repro.codegen.pygen import STACK_ITEMS, packs
+from repro.hdl import elaborate, parse
+from repro.live.session import LiveSession
+from repro.passes import compile_netlist
+from repro.riscv.pgas import build_pgas_source, mesh_top_name
+from repro.sanitize.runtime import SanitizerRuntime
+from repro.sim import Pipe
+from repro.sim.testbench import CallbackTestbench
+from tests.test_cycle_kernel import _registers_by_path
+
+DESIGNS = Path(__file__).resolve().parent.parent / "examples" / "designs"
+# CALL_FUNCTION_EX: a call with more than 30 arguments (or *args);
+# LIST_APPEND + LIST_TO_TUPLE: a tuple display of more than 30 items.
+SLOW_PATHS = {"CALL_FUNCTION_EX", "LIST_APPEND", "LIST_TO_TUPLE"}
+
+
+def _designs():
+    for n in (2, 4):
+        yield f"mesh{n}x{n}", build_pgas_source(n), mesh_top_name(n)
+    for path in sorted(DESIGNS.glob("*.v")):
+        source = path.read_text()
+        for top in parse(source).modules:
+            yield f"{path.name}:{top}", source, top
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            yield from _code_objects(const)
+
+
+def _slow_paths(library):
+    """``{(module key, function): {opcode: count}}`` of every slow-path
+    opcode in the compiled sources of ``library``."""
+    found = {}
+    for key, module in library.items():
+        for code in _code_objects(compile(module.source, key, "exec")):
+            ops = [ins.opname for ins in dis.get_instructions(code)
+                   if ins.opname in SLOW_PATHS]
+            if ops:
+                found[key, code.co_name] = {op: ops.count(op) for op in set(ops)}
+    return found
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["clean", "sanitized"])
+def test_no_generated_code_takes_a_slow_path(sanitize):
+    designs = 0
+    for name, source, top in _designs():
+        netlist = elaborate(parse(source), top)
+        for opt in ("none", "basic", "full"):
+            runtime = SanitizerRuntime("report") if sanitize else None
+            library = compile_netlist(
+                netlist, BuildConfig(sanitize=sanitize, opt=opt), runtime
+            )
+            assert _slow_paths(library) == {}, (name, opt)
+        designs += 1
+    assert designs >= 8
+
+
+# -- a design past every line ------------------------------------------------
+
+def wide_source(child_ports: int = 38, top_ports: int = 32,
+                wires: int = 64, loop_ports: int = 30, locals_: int = 32) -> str:
+    """``top`` (``top_ports`` data inputs, ``clk``, ``rst``, ``late``;
+    a register of its own) drives ``mid``, whose sequential block reads ``wires`` settled wires
+    and the outputs of ``wide`` (``child_ports`` data inputs, all but the
+    last four comb, plus ``clk`` and ``late``; ``child_ports - 5`` comb
+    outputs): they all cross into ``cycle`` in the stash.  ``loopy`` is a comb loop (one
+    pass settles it) with ``loop_ports`` inputs and ``locals_`` more
+    comb locals, carried between passes."""
+    xs = [f"x{i}" for i in range(top_ports)]
+    ins = ", ".join(f"input [7:0] {x}" for x in xs)
+    outs = max(child_ports - 5, 1)
+    a = [f"a{i}" for i in range(child_ports)]
+    y = [f"y{i}" for i in range(outs)]
+    b = [f"b{i}" for i in range(loop_ports)]
+    c = [f"c{i}" for i in range(locals_)]
+    w = [f"w{i}" for i in range(wires)]
+    lines = [
+        "module loopy (input clk, "
+        + ", ".join(f"input [7:0] {n}" for n in b) + ", output [7:0] out);",
+        "  wire [7:0] u;", "  wire [7:0] v;", "  reg [7:0] seen;",
+        *(f"  wire [7:0] {n};" for n in c),
+        "  assign u = (v & 8'd0) | b0;", "  assign v = u;",
+        *(f"  assign {n} = v + {b[i % loop_ports]};" for i, n in enumerate(c)),
+        f"  assign out = {' ^ '.join(c)} ^ seen;",
+        "  always @(posedge clk) seen <= v;",
+        "endmodule",
+        "module wide (input clk, input [7:0] late, "
+        + ", ".join(f"input [7:0] {n}" for n in a) + ", "
+        + ", ".join(f"output [7:0] {n}" for n in y) + ", output [7:0] acc);",
+        "  reg [7:0] acc;",
+        *(f"  assign {n} = {a[i]} ^ {a[(i + 1) % child_ports]} ^ acc;"
+          for i, n in enumerate(y)),
+        f"  always @(posedge clk) acc <= acc + {' + '.join(a)} + late;",
+        "endmodule",
+        "module mid (input clk, input rst, input [7:0] late, "
+        + ins + ", output [7:0] sum, output [7:0] r, output [7:0] o);",
+        "  reg [7:0] r;",
+        *(f"  wire [7:0] {n};" for n in w + y),
+        "  wire [7:0] acc;",
+        *(f"  assign {n} = {xs[i % top_ports]} + 8'd{i};" for i, n in enumerate(w)),
+        "  wide u (.clk(clk), .late(late), "
+        + ", ".join(f".{n}({w[i % wires]} ^ {xs[(i + 3) % top_ports]})"
+                    for i, n in enumerate(a))
+        + ", " + ", ".join(f".{n}({n})" for n in y) + ", .acc(acc));",
+        "  loopy l (.clk(clk), "
+        + ", ".join(f".{n}({xs[i % top_ports]} + late)" for i, n in enumerate(b))
+        + ", .out(o));",
+        f"  assign sum = {' ^ '.join(w)} ^ y0;",
+        "  always @(posedge clk) r <= rst ? 8'd0 : "
+        f"r + ({' ^ '.join(w + y)}) + acc + late;",
+        "endmodule",
+        "module top (input clk, input rst, input [7:0] late, " + ins
+        + ", output [7:0] sum, output [7:0] r, output [7:0] o, output [7:0] q);",
+        "  reg [7:0] q;",
+        "  mid m (.clk(clk), .rst(rst), .late(late), "
+        + ", ".join(f".{x}({x})" for x in xs)
+        + ", .sum(sum), .r(r), .o(o));",
+        "  always @(posedge clk) q <= q + (sum ^ o);",
+        "endmodule",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+WIDE = wide_source()
+
+
+def _stimulus(seed: int, cycles: int):
+    rnd = random.Random(seed)
+    return [
+        {"rst": int(rnd.random() < 0.1), "late": rnd.randrange(256),
+         **{f"x{i}": rnd.randrange(256) for i in range(32)}}
+        for _ in range(cycles)
+    ]
+
+
+def _inline(source: str) -> Pipe:
+    netlist = elaborate(parse(source), "top")
+    return BaselineCompiler(mode="inline").compile(netlist).make_pipe()
+
+
+def _run_together(pipes, stimulus):
+    for inputs in stimulus:
+        outputs = []
+        for pipe in pipes:
+            pipe.set_inputs(**inputs)
+            outputs.append(pipe.eval())
+            pipe.tick()
+        assert all(out == outputs[0] for out in outputs), pipes[0].cycle
+
+
+def test_the_design_crosses_every_line():
+    netlist = elaborate(parse(WIDE), "top")
+    library = compile_netlist(netlist)
+    entries = {key: (code.eval_out_packed, code.cycle_packed)
+               for key, code in library.items()}
+    # wide: 34 comb ports, 40 inputs; top and mid: 33 comb ports, 35
+    # inputs; loopy (a comb loop takes every input in eval_out): 31.
+    assert entries == {key: (True, True) for key in library}
+    assert len(library["wide"].comb_input_ports) > STACK_ITEMS  # pieces
+    assert len(library["wide"].outputs) > STACK_ITEMS  # _ret in pieces
+    assert netlist.modules["loopy"].needs_fixpoint
+    stash = re.search(r"^    s\[\d+\] = (\(\(.*)$", library["mid"].source, re.M)
+    assert len(re.findall(r"\bv_\w+", stash[1])) > 2 * STACK_ITEMS
+    carry = re.search(r"^\s+(\(\(.*\)) = s\[\d+\]$", library["loopy"].source, re.M)
+    assert len(re.findall(r"\bv_\w+", carry[1])) > STACK_ITEMS
+    assert _slow_paths(library) == {}
+    assert packs(["p"] * (STACK_ITEMS - 1)) and not packs(["p"] * (STACK_ITEMS - 2))
+
+
+@pytest.mark.parametrize("build", [
+    BuildConfig(), BuildConfig(opt="full"), BuildConfig(sanitize=True),
+], ids=["default", "opt=full", "sanitize=report"])
+def test_agrees_with_the_inline_baseline(build):
+    runtime = SanitizerRuntime("report") if build.sanitize else None
+    netlist = elaborate(parse(WIDE), "top")
+    shared = Pipe(netlist.top, compile_netlist(netlist, build, runtime))
+    inline = _inline(WIDE)
+    for seed in range(3):
+        _run_together([shared, inline], _stimulus(seed, 30))
+    assert _registers_by_path(shared) == inline.top.registers()
+    assert runtime is None or runtime.findings == []
+
+
+def test_snapshot_restore_and_copy_of_a_packed_top():
+    netlist = elaborate(parse(WIDE), "top")
+    pipe = Pipe(netlist.top, compile_netlist(netlist))
+    _run_together([pipe], _stimulus(5, 20))
+    snap = pipe.snapshot()
+    clone = pipe.copy()
+    later = _stimulus(6, 20)
+    reference = _inline(WIDE)
+    _run_together([reference], _stimulus(5, 20))
+    _run_together([pipe, clone, reference], later)
+    pipe.restore(snap)
+    assert pipe.cycle == 20
+    fresh = _inline(WIDE)
+    _run_together([fresh], _stimulus(5, 20))
+    _run_together([pipe, fresh], later)
+    assert _registers_by_path(pipe) == fresh.top.registers()
+    # Power-on state under the inputs last driven: new state lists, the
+    # same arguments.
+    pipe.reset_state()
+    fresh = _inline(WIDE)
+    _run_together([pipe, fresh], later[-1:] + _stimulus(7, 10))
+    assert _registers_by_path(pipe) == fresh.top.registers()
+
+
+def test_hot_reload_moves_a_child_across_the_line():
+    """An edit that adds ports to ``wide`` takes it from positional
+    (22 comb ports, 28 inputs) to packed (30, 36); the revert takes it
+    back.  Each time the session replays from power-on, so its pipe
+    must read what the inline baseline of that text reads."""
+    narrow = wide_source(child_ports=26)
+    wider = wide_source(child_ports=34)
+    stimulus = _stimulus(9, 40)
+
+    def drive(pipe):
+        pipe.set_inputs(**stimulus[pipe.cycle % len(stimulus)])
+
+    with LiveSession(narrow, checkpoint_interval=1000) as session:
+        tb = session.load_testbench(CallbackTestbench("wide", drive=drive))
+        pipe = session.inst_pipe("p0", session.stage_handle_for("top"))
+        assert not pipe.library["wide"].cycle_packed
+        session.run(tb, "p0", 40)
+        for source, packed in ((wider, True), (narrow, False)):
+            session.apply_change(source)  # the revert: a held compile
+            pipe = session.pipe("p0")
+            assert pipe.library["wide"].cycle_packed is packed
+            assert pipe.library["wide"].eval_out_packed is packed
+            reference = _inline(source)
+            _run_together([reference], stimulus)
+            assert pipe.cycle == 40
+            assert pipe.outputs() == reference.outputs()
+            assert _registers_by_path(pipe) == reference.top.registers()
+            name = f"copy{int(packed)}"
+            copy = session.copy_pipe(name, "p0")
+            session.run(tb, name, 10)  # cycles 40..49 read stimulus[:10]
+            _run_together([reference], stimulus[:10])
+            assert copy.outputs() == reference.outputs()
+            assert _registers_by_path(copy) == reference.top.registers()

@@ -418,6 +418,58 @@ class TestGCPolicy:
         victims = policy.select_victims(cps)
         assert len(cps[:-1]) - len(victims) == 3
 
+    @staticmethod
+    def _scan_victims(policy, checkpoints):
+        """The policy as a linear scan per target: each target claims the
+        first remaining checkpoint of least distance.  The oracle for the
+        bisecting :meth:`GCPolicy.select_victims`."""
+        if len(checkpoints) <= policy.keep_latest:
+            return []
+        older = checkpoints[: -policy.keep_latest]
+        if len(older) <= policy.older_budget:
+            return []
+        first, last = older[0].cycle, older[-1].cycle
+        span = max(last - first, 1)
+        budget = min(policy.older_budget, len(older))
+        remaining = list(older)
+        keep_ids = set()
+        for i in range(budget):
+            target = first + span * i / max(budget - 1, 1)
+            best = min(remaining, key=lambda c: abs(c.cycle - target))
+            keep_ids.add(best.id)
+            remaining.remove(best)
+        return [c for c in older if c.id not in keep_ids]
+
+    @staticmethod
+    def _cycle_lists(rnd):
+        """Sorted cycle lists: random, clustered, tied (duplicates, and
+        targets halfway between two checkpoints)."""
+        for _ in range(40):
+            n = rnd.randrange(1, 400)
+            yield sorted(rnd.sample(range(100_000), n))
+            yield sorted(rnd.randrange(60) for _ in range(n))  # duplicates
+            clusters = [rnd.randrange(100_000) for _ in range(rnd.randrange(1, 6))]
+            yield sorted(c + rnd.randrange(8) for c in rnd.choices(clusters, k=n))
+        for step in (1, 2, 3, 10):
+            for n in (7, 9, 33, 201, 400):
+                yield [step * i for i in range(n)]
+                yield [step * (i // 2) for i in range(n)]  # each cycle twice
+        yield [7] * 50 + [900]
+        yield [0, 1, 2, 3, 1000, 2000, 2001]
+
+    def test_bisection_keeps_what_the_scan_keeps(self):
+        rnd = random.Random(41)
+        policies = [GCPolicy(keep_latest=k, older_budget=b)
+                    for k, b in ((1, 3), (2, 4), (5, 5), (10, 100), (100, 100), (20, 15))]
+        compared = 0
+        for cycles in self._cycle_lists(rnd):
+            cps = self._fake_checkpoints(cycles)
+            for policy in policies:
+                expected = self._scan_victims(policy, cps)
+                assert policy.select_victims(cps) == expected, (policy, cycles)
+                compared += bool(expected)
+        assert compared > 300  # most cases thin something
+
     def test_store_gc_applies_policy(self):
         pipe = make_pipe()
         store = CheckpointStore(
