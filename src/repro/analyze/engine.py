@@ -11,12 +11,6 @@ hot reload; an untouched design re-analyzes nothing and an
 :class:`AnalysisReport` says so explicitly (``analyzed_keys`` /
 ``reused_keys`` — the acceptance counters).
 
-A whole run over one netlist is held as well (kind ``analyze.design``,
-under the netlist and the fingerprints it was read against), so a
-revert, which compiles to the netlist it had, gets its findings back
-after :meth:`~repro.codegen.build.DerivedCache.replay`, moved to where
-the modules' headers are now.
-
 The child component of the key is the child's *comb signature*
 (:attr:`~repro.ir.netlist.ModuleIR.comb_signature`: interface
 fingerprint + per-output input dependencies), because the parent-side
@@ -28,25 +22,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs
-from ..codegen.build import DerivedCache, Trail
+from ..codegen.build import DerivedCache
 from ..ir.netlist import ModuleIR, Netlist
 from .checks import Check, CheckContext, default_checks
 from .diagnostics import Diagnostic, count_by_severity, sort_diagnostics
-
-# The derived-cache kind of whole analysis runs over one netlist.
-DESIGN = "analyze.design"
-
-
-class _Run(NamedTuple):
-    """One analysis of ``netlist``: what each module found, and the trail
-    of the cache lookups it took."""
-
-    netlist: Netlist
-    found: List[tuple]
-    trail: Trail
 
 
 @dataclass
@@ -120,39 +102,6 @@ class Analyzer:
             ir.name: parser.fingerprint(ir.name) if parser else ""
             for ir in netlist.modules.values()
         }
-        # Held under the netlist by identity (the run holds it, so no
-        # other object takes its id) and the text it was read against.
-        held_runs = parser is not None and value_facts is None
-        run = (id(netlist), tuple(fps.values()))
-        held = cache.recall(DESIGN, netlist.top, run) if held_runs else None
-        if held is not None and cache.replay(held.trail, report):
-            # The same netlist and text: every lookup below would hit.
-            found = held.found
-        else:
-            with cache.recording() as trail:
-                found = self._analyze(netlist, fps, cache, value_facts,
-                                      report)
-            if held_runs:
-                cache.hold(DESIGN, netlist.top, run,
-                           _Run(netlist, found, trail))
-        for name, born, diags in found:
-            header = parser.header_line(name) if parser else None
-            report.diagnostics.extend(
-                _moved(diags, header - born) if header is not None
-                else diags)
-        report.diagnostics = sort_diagnostics(report.diagnostics)
-        report.seconds = time.perf_counter() - started
-        obs.incr("analyze.runs")
-        obs.gauge("analyze.cache_size", self.cache_size())
-        obs.gauge("analyze.findings", len(report.diagnostics))
-        return report
-
-    def _analyze(self, netlist: Netlist, fps: Dict[str, str],
-                 cache: DerivedCache, value_facts,
-                 report: AnalysisReport) -> List[tuple]:
-        """``(module name, header line, findings)`` of every
-        specialization, in key order, in the coordinates of its IR."""
-        found = []
         with obs.span("analyze", top=netlist.top):
             if value_facts is None:
                 # Function-level import: repro.passes reaches this
@@ -174,8 +123,16 @@ class Analyzer:
                     lambda: (ir.line, self._run_checks(ir, ctx)),
                     report=report,
                 )
-                found.append((ir.name, born, diags))
-        return found
+                header = parser.header_line(ir.name) if parser else None
+                report.diagnostics.extend(
+                    _moved(diags, header - born) if header is not None
+                    else diags)
+        report.diagnostics = sort_diagnostics(report.diagnostics)
+        report.seconds = time.perf_counter() - started
+        obs.incr("analyze.runs")
+        obs.gauge("analyze.cache_size", self.cache_size())
+        obs.gauge("analyze.findings", len(report.diagnostics))
+        return report
 
     def _run_checks(
         self, ir: ModuleIR, ctx: CheckContext

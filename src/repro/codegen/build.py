@@ -14,12 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import linecache
-from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from functools import cached_property
-from typing import (
-    Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple,
-)
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .. import obs
 
@@ -29,7 +26,7 @@ MUX_STYLES = ("branch", "select")
 # Folded into every digest, so bumping it (whenever the pickled payload
 # or the CompiledModule field set changes) turns an old store directory
 # into a cold cache: its artifacts are never addressed again.
-STORE_FORMAT = "repro.store/v12"
+STORE_FORMAT = "repro.store/v13"
 
 
 @dataclass(frozen=True)
@@ -108,22 +105,12 @@ class DerivedCache:
     (``<kind>.cache_hits`` / ``cache_misses`` / ``cache_evicted``) and,
     with the spec and — for results that differ per flavour — the
     :class:`BuildConfig`, the bucket the bound applies to.
-
-    Inside :meth:`recording` the cache lists every outermost lookup (one
-    not made by another lookup's ``compute``) with the value it
-    returned: a *trail*.  :meth:`replay` repeats a trail as the hits it
-    would be now, so a result built from those values can be handed out
-    again without making the lookups, with the buckets, counters and
-    reports as if it had made them (LiveCompiler's and the analyzer's
-    design reuse).
     """
 
     def __init__(self) -> None:
         # (kind, spec, build) -> {key: value}, least recently used first.
         self._buckets: Dict[tuple, Dict[Hashable, Any]] = {}
         self._sizes: Dict[str, int] = {}  # kind -> entries held
-        self._computing = 0  # lookups whose compute is running
-        self._trail: Optional[Trail] = None
 
     def lookup(
         self,
@@ -143,32 +130,10 @@ class DerivedCache:
         hit = key in bucket
         if hit:
             value = bucket.pop(key)
-            bucket[key] = value  # most recently used last
         else:
-            self._computing += 1
-            try:
-                value = compute()
-            finally:
-                self._computing -= 1
-            self._store(kind, bucket, key, value)
-        obs.incr(f"{kind}.cache_hits" if hit else f"{kind}.cache_misses")
-        if report is not None:
-            report.note(kind, spec, hit)
-        if self._trail is not None and not self._computing:
-            self._trail.add(bucket, kind, spec, key, value,
-                            report is not None)
-        return value
-
-    def _store(self, kind: str, bucket: Dict[Hashable, Any],
-               key: Hashable, value: Any) -> None:
-        """Hold ``value`` as the most recently used entry of ``bucket``
-        (in place of any under ``key``), evicting the least recently
-        used past the bound."""
-        if key in bucket:
-            del bucket[key]
-        else:
+            value = compute()
             self._sizes[kind] = self._sizes.get(kind, 0) + 1
-        bucket[key] = value
+        bucket[key] = value  # most recently used last
         if len(bucket) > CACHE_GENERATIONS:
             stale = next(iter(bucket))
             del bucket[stale]
@@ -176,58 +141,10 @@ class DerivedCache:
             if isinstance(stale, ModuleKey):
                 linecache.cache.pop(stale.filename, None)
             obs.incr(f"{kind}.cache_evicted")
-
-    def recall(self, kind: str, spec: str, key: Hashable,
-               build: Optional[BuildConfig] = None) -> Any:
-        """The value held under ``key`` (refreshed as the most recently
-        used), or None; a miss computes nothing and counts nothing."""
-        bucket = self._buckets.get((kind, spec, build))
-        if bucket is None or key not in bucket:
-            return None
-        value = bucket[key] = bucket.pop(key)
-        return value
-
-    def hold(self, kind: str, spec: str, key: Hashable, value: Any,
-             build: Optional[BuildConfig] = None) -> None:
-        """Hold ``value`` under ``key``, in place of any value there,
-        bounded as :meth:`lookup`'s results are."""
-        self._store(kind, self._buckets.setdefault((kind, spec, build), {}),
-                    key, value)
-
-    @contextmanager
-    def recording(self) -> Iterator["Trail"]:
-        """The trail of the lookups made inside the block (it also joins
-        any recording around this one)."""
-        outer, self._trail = self._trail, Trail()
-        try:
-            yield self._trail
-        finally:
-            trail, self._trail = self._trail, outer
-            if outer is not None:
-                outer.join(trail)
-
-    def replay(self, trail: "Trail", report: Any = None) -> bool:
-        """Make the lookups of ``trail`` again as hits: each entry
-        refreshed, counted and noted to ``report`` as :meth:`lookup`
-        would, and True.  When an entry is gone or holds another value
-        than the trail's (so the lookups would not all hit, or not
-        return what the trail's result was built from), nothing happens
-        and the answer is False."""
-        entries = trail.entries
-        for bucket, key, value in entries:
-            if bucket.get(key, _GONE) is not value:
-                return False
-        for bucket, key, value in entries:
-            del bucket[key]
-            bucket[key] = value
-        for kind, count in trail.hits.items():
-            obs.incr(f"{kind}.cache_hits", count)
+        obs.incr(f"{kind}.cache_hits" if hit else f"{kind}.cache_misses")
         if report is not None:
-            for kind, spec in trail.notes:
-                report.note(kind, spec, True)
-        if self._trail is not None:
-            self._trail.join(trail)
-        return True
+            report.note(kind, spec, hit)
+        return value
 
     def latest(self, kind: str, spec: str,
                build: Optional[BuildConfig] = None) -> Optional[Hashable]:
@@ -253,32 +170,3 @@ class DerivedCache:
             if bucket_kind == kind
             for key, value in bucket.items()
         }
-
-
-_GONE = object()  # what no cached value is
-
-
-class Trail:
-    """The outermost lookups of one :meth:`DerivedCache.recording`:
-    ``(bucket, key, value)`` each, the count per kind and the
-    ``(kind, spec)`` of those made with a report, in order."""
-
-    __slots__ = ("entries", "hits", "notes")
-
-    def __init__(self) -> None:
-        self.entries: List[Tuple[Dict[Hashable, Any], Hashable, Any]] = []
-        self.hits: Dict[str, int] = {}
-        self.notes: List[Tuple[str, str]] = []
-
-    def add(self, bucket: Dict[Hashable, Any], kind: str, spec: str,
-            key: Hashable, value: Any, noted: bool) -> None:
-        self.entries.append((bucket, key, value))
-        self.hits[kind] = self.hits.get(kind, 0) + 1
-        if noted:
-            self.notes.append((kind, spec))
-
-    def join(self, other: "Trail") -> None:
-        self.entries += other.entries
-        for kind, count in other.hits.items():
-            self.hits[kind] = self.hits.get(kind, 0) + count
-        self.notes += other.notes

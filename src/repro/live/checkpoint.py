@@ -40,7 +40,7 @@ from ..sim.pipeline import Pipe, PipeSnapshot
 # one that has the wrong shape, raises (the pickle docs list these
 # "but not necessarily limited to"; the rest showed up under byte
 # flips and truncation).
-_UNREADABLE = (
+UNREADABLE = (
     pickle.UnpicklingError, EOFError, AttributeError, ImportError,
     LookupError, ValueError, TypeError, ArithmeticError, MemoryError,
 )
@@ -346,7 +346,7 @@ class CheckpointStore:
                 stats["total_capture_seconds"],
                 stats["total_collected"],
             )
-        except _UNREADABLE as exc:
+        except UNREADABLE as exc:
             raise SimulationError(
                 f"{path!r} is not a checkpoint store file: {exc!r}"
             ) from None

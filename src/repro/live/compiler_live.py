@@ -21,20 +21,11 @@ So a body-only edit recompiles exactly one module; an interface edit
 recompiles the module plus its ancestor chain — matching the paper's
 description of how far a change propagates.
 
-A whole compile is held too (kind ``compile.design``), under its top,
-parameters, flavour and the fingerprint of every module of the design.
-Compiling a text held that way again (a revert) returns the held
-netlist and library once :meth:`DerivedCache.replay` has made the
-lookups that built them again as hits; when one of those entries is
-gone or holds another value, the compile is made.  Either way the
-report lists what the lookups would list.
-
 The front end is incremental the same way.  A changed module region is
 parsed from the tokens LiveParser already lexed to fingerprint it, with
 every item whose lines did not change reused from the module's
-committed parse (no scan for a region text seen recently at the same
-line), all changed regions are parsed before any is installed (a
-rejected edit leaves the design as it was), and
+committed parse, all changed regions are parsed before any is
+installed (a rejected edit leaves the design as it was), and
 elaboration reuses one ``ModuleIR`` per specialization from the same
 cache under ``(spec key, module fingerprint, child key + comb signature
 per instance)``.  The initial design is parsed from the regions' tokens
@@ -57,10 +48,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, Optional
 
 from .. import obs
-from ..codegen.build import BuildConfig, DerivedCache, Trail
+from ..codegen.build import BuildConfig, DerivedCache
 from ..codegen.pygen import CompiledModule
 from ..hdl import ast_nodes as ast
 from ..hdl.elaborate import elaborate
@@ -94,19 +85,6 @@ class CompileReport:
         keys.setdefault(kind.split(".")[1], []).append(spec)
 
 
-# The derived-cache kind of whole compiles (:meth:`LiveCompiler.compile_top`).
-DESIGN = "compile.design"
-
-
-class _Held(NamedTuple):
-    """One compile of a design: its netlist and library, and the trail of
-    the cache lookups that made them."""
-
-    netlist: Netlist
-    library: Dict[str, CompiledModule]
-    trail: Trail
-
-
 @dataclass
 class CompileResult:
     netlist: Netlist
@@ -138,7 +116,7 @@ class LiveCompiler:
         # What makes hot reload incremental; the session's analyzer
         # shares it, so facts the pipeline computed are not recomputed.
         self.cache = DerivedCache()
-        self.parser = LiveParser(source, self.cache)
+        self.parser = LiveParser(source)
         self._design = self._parse_initial(source)
         self.build = build
         self._store = store
@@ -149,9 +127,7 @@ class LiveCompiler:
         """``parse(source)``, from the tokens LiveParser lexed when the
         module regions alone make up the design: no directive, no macro
         (the incremental rule of :meth:`update_source`), nothing but
-        comments between modules and no module defined twice.  Every
-        region's parse stays in the cache, so a revert to this text
-        parses nothing."""
+        comments between modules and no module defined twice."""
         design = ast.Design()
         try:
             for region in self.parser.regions:
@@ -280,32 +256,6 @@ class LiveCompiler:
         self, top: str, params: Optional[Dict[str, int]]
     ) -> CompileResult:
         report = CompileReport(top=top)
-        fingerprint = self.parser.fingerprint
-        design = (top, tuple(sorted((params or {}).items())), tuple(sorted(
-            (name, fingerprint(name)) for name in self._design.modules)))
-        held = self.cache.recall(DESIGN, top, design, self.build)
-        if held is not None and self.cache.replay(held.trail, report):
-            # A revert: every lookup the compile would make hits, so
-            # its result is the held one.
-            report.reused_keys.extend(held.library)
-            library = held.library
-            netlist = held.netlist
-        else:
-            with self.cache.recording() as trail:
-                netlist, library = self._build(top, params, report)
-            self.cache.hold(DESIGN, top, design,
-                            _Held(netlist, library, trail), self.build)
-        self._place_sites(library.values())
-        obs.gauge("compile.cache_size", self.cache_size())
-        obs.gauge("facts.cache_size", sum(
-            self.cache.size(kind)
-            for kind in ("passes.dataflow", "passes.dataflow.summary", ITEMS)
-        ))
-        return CompileResult(netlist=netlist, library=library, report=report)
-
-    def _build(self, top: str, params: Optional[Dict[str, int]],
-               report: CompileReport):
-        """Elaborate ``top`` and run the pass pipeline over it."""
         with obs.span("elaborate", top=top):
             netlist = elaborate(
                 self._design, top, params,
@@ -326,4 +276,11 @@ class LiveCompiler:
         )
         with obs.span("codegen", top=top, opt=self.build.opt):
             self._pipeline.run(data)
-        return netlist, data.library
+        library: Dict[str, CompiledModule] = data.library
+        self._place_sites(library.values())
+        obs.gauge("compile.cache_size", self.cache_size())
+        obs.gauge("facts.cache_size", sum(
+            self.cache.size(kind)
+            for kind in ("passes.dataflow", "passes.dataflow.summary", ITEMS)
+        ))
+        return CompileResult(netlist=netlist, library=library, report=report)

@@ -19,12 +19,10 @@ A region whose text changed is read against the committed parse of its
 module (:class:`RegionParse`): every module item whose lines did not
 change is reused (its fingerprint piece and its AST nodes), and only the
 lines of the other items are lexed, once, and parsed from those tokens.
-Regions whose text did not change are not lexed at all, and neither is a
-region whose text and start line were seen recently: the last
-:data:`~repro.codegen.build.CACHE_GENERATIONS` ``RegionParse`` of every
-module live in the session's derived cache (kind ``parse``), so a revert
-lexes and parses nothing.  Sharing a parsed module or item between
-versions is safe because nothing mutates an AST after the parse (pinned
+Regions whose text did not change are not lexed at all, and a revert is
+read as any other edit: against the committed parse, lexing the lines
+it changed back.  Sharing a parsed module or item between versions is
+safe because nothing mutates an AST after the parse (pinned
 by ``tests/test_live_compiler.py``).
 """
 
@@ -35,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Set
 
-from ..codegen.build import DerivedCache
 from ..hdl import ast_nodes as ast
 from ..hdl.errors import HDLError, LexError, ParseError
 from ..hdl.lexer import (
@@ -224,15 +221,10 @@ class LiveParseResult:
 class LiveParser:
     """Stateful incremental parser over one evolving source text."""
 
-    def __init__(self, source: str, cache: Optional[DerivedCache] = None):
-        """``cache`` holds the recent :class:`RegionParse` of every module
-        (normally the session's :class:`DerivedCache`; private when
-        omitted)."""
-        self._cache = cache if cache is not None else DerivedCache()
-        self._parses: Dict[str, RegionParse] = {}
+    def __init__(self, source: str):
         regions = split_regions(source)
         self._commit(source, regions, {
-            region.name: self._region_parse(region)
+            region.name: RegionParse(region)
             for region in regions if region.kind == MODULE_REGION
         })
 
@@ -245,14 +237,6 @@ class LiveParser:
             r.name: r for r in regions if r.kind == MODULE_REGION
         }
         self._fingerprints: Dict[str, str] = {}
-
-    def _region_parse(self, region: SourceRegion) -> RegionParse:
-        """The region's parse: a recent one of its text at its line, or
-        a new one on the committed parse of its module."""
-        return self._cache.lookup(
-            "parse", region.name, (region.text, region.start_line),
-            lambda: RegionParse(region, self._parses.get(region.name)),
-        )
 
     @property
     def source(self) -> str:
@@ -331,8 +315,7 @@ class LiveParser:
         started = time.perf_counter()
         new_regions = split_regions(new_source)
         # Fast path: textually identical regions keep their RegionParse
-        # (lexing is only paid for regions that actually changed, and
-        # not even then for a text seen recently at the same line).
+        # (lexing is only paid for regions that actually changed).
         parses: Dict[str, RegionParse] = {}
         for region in new_regions:
             if region.kind != MODULE_REGION:
@@ -341,7 +324,7 @@ class LiveParser:
             parses[region.name] = (
                 self._parses[region.name]
                 if old is not None and old.text == region.text
-                else self._region_parse(region)
+                else RegionParse(region, self._parses.get(region.name))
             )
         old_fps = {name: p.fingerprint for name, p in self._parses.items()}
         new_fps = {name: p.fingerprint for name, p in parses.items()}

@@ -16,8 +16,10 @@ what the store skips).
 
 Writes are atomic (:func:`repro.live.checkpoint.atomic_write`) so
 concurrent sessions — or a crash mid-write — can never publish a torn
-artifact.  The store is a cache: every failure path (corrupt file,
-version skew, full disk) degrades to a miss and the compiler recompiles.
+artifact, and every file ends with the sha256 of the pickle before it,
+so one damaged after it was written is never served.  The store is a
+cache: every failure path (damaged file, version skew, full disk)
+degrades to a miss and the compiler recompiles.
 The digest folds in :data:`STORE_FORMAT`, so a directory written under
 another format is never addressed: a cold cache, not an error.
 
@@ -28,6 +30,7 @@ Counters: ``compile.store_hits`` / ``compile.store_misses`` /
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import pickle
 from typing import Optional, Tuple
@@ -35,7 +38,7 @@ from typing import Optional, Tuple
 from .. import obs
 from ..codegen.build import STORE_FORMAT, ModuleKey
 from ..codegen.pygen import CompiledModule, exec_source
-from ..live.checkpoint import atomic_write
+from ..live.checkpoint import UNREADABLE, atomic_write
 
 # CompiledModule fields persisted to disk — everything except the
 # three function objects, which are rebuilt from ``source`` on load.
@@ -43,6 +46,9 @@ _PICKLED_FIELDS = tuple(
     f.name for f in dataclasses.fields(CompiledModule)
     if not f.name.endswith("_fn")
 )
+
+# The bytes of the seal every artifact file ends with.
+_SEAL = hashlib.sha256().digest_size
 
 
 class ArtifactStore:
@@ -71,17 +77,16 @@ class ArtifactStore:
         path = self.path_for(cache_key)
         try:
             with open(path, "rb") as fh:
-                payload = pickle.load(fh)
+                data = fh.read()
+            module = self._rehydrate(cache_key, data, sanitize_runtime)
         except FileNotFoundError:
             obs.incr("compile.store_misses")
             return None
-        except (OSError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError) as exc:
+        except (OSError, *UNREADABLE) as exc:
             obs.incr("compile.store_errors")
             obs.incr("compile.store_misses")
             _note_error(f"load {path}: {exc}")
             return None
-        module = self._rehydrate(cache_key, payload, sanitize_runtime)
         if module is None:
             obs.incr("compile.store_misses")
             return None
@@ -89,13 +94,17 @@ class ArtifactStore:
         return module
 
     def _rehydrate(
-        self, cache_key: ModuleKey, payload, sanitize_runtime=None
+        self, cache_key: ModuleKey, data: bytes, sanitize_runtime=None
     ) -> Optional[CompiledModule]:
+        payload = pickle.loads(data)  # stops before the seal
         if not isinstance(payload, dict):
             obs.incr("compile.store_errors")
             return None
         if payload.get("format") != STORE_FORMAT:
             return None  # version skew, not corruption: silent miss
+        if hashlib.sha256(data[:-_SEAL]).digest() != data[-_SEAL:]:
+            obs.incr("compile.store_errors")
+            return None
         if payload.get("cache_key") != cache_key:
             # Digest collision or a tampered file; never serve it.
             obs.incr("compile.store_errors")
@@ -140,10 +149,10 @@ class ArtifactStore:
             },
         }
         try:
+            body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            atomic_write(path, lambda fh: pickle.dump(
-                payload, fh, protocol=pickle.HIGHEST_PROTOCOL
-            ))
+            atomic_write(path, lambda fh: fh.write(
+                body + hashlib.sha256(body).digest()))
         except (OSError, pickle.PicklingError, TypeError) as exc:
             obs.incr("compile.store_errors")
             _note_error(f"save {path}: {exc}")

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro import obs
-from repro.codegen.build import BuildConfig, ModuleKey
+from repro.codegen.build import STORE_FORMAT, BuildConfig, ModuleKey
 from repro.live.compiler_live import LiveCompiler
 from repro.server.store import ArtifactStore
 from tests.conftest import COUNTER_SRC
@@ -190,6 +190,42 @@ class TestCorruptionTolerance:
         errors = metrics.counter("compile.store_errors")
         assert store.load(cache_key) is None
         assert metrics.counter("compile.store_errors") == errors + 1
+
+    def test_no_damaged_file_is_served(self, tmp_path):
+        """Bit 0 and bit 7 of every byte of an artifact flipped, and 200
+        truncations: each load is a miss, counted as a store error
+        unless what is left reads as a payload of another format (a
+        silent miss by design), and a compiler over the damaged store
+        compiles the module again."""
+        store = ArtifactStore(str(tmp_path))
+        compiler, _ = _compile_one(store)
+        cache_key = _one_cache_key(compiler)
+        path = store.path_for(cache_key)
+        with open(path, "rb") as fh:
+            good = fh.read()
+        damaged = [good[:len(good) * n // 200] for n in range(200)]
+        for at in range(len(good)):
+            for bit in (0, 7):
+                flipped = bytearray(good)
+                flipped[at] ^= 1 << bit
+                damaged.append(bytes(flipped))
+        metrics = obs.get_metrics()
+        skewed = 0
+        for data in damaged:
+            with open(path, "wb") as fh:
+                fh.write(data)
+            errors = metrics.counter("compile.store_errors")
+            assert store.load(cache_key) is None
+            if metrics.counter("compile.store_errors") == errors:
+                assert pickle.loads(data).get("format") != STORE_FORMAT
+                skewed += 1
+            else:
+                assert metrics.counter("compile.store_errors") == errors + 1
+        assert skewed < len(damaged) // 100
+        _, result = _compile_one(ArtifactStore(str(tmp_path)))
+        assert result.report.recompiled_keys == [cache_key.spec]
+        assert result.library[cache_key.spec].source == \
+            compiler.cache.entries("compile")[cache_key].source
 
     def test_key_mismatch_never_served(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
