@@ -20,7 +20,6 @@ than the child's body.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -93,7 +92,6 @@ class Analyzer:
         through the same cache (a hit when the compile pipeline already
         did).
         """
-        started = time.perf_counter()
         report = AnalysisReport(top=netlist.top)
         # Without fingerprints nothing identifies a module across
         # calls, so this call's results go to a cache of its own.
@@ -102,7 +100,7 @@ class Analyzer:
             ir.name: parser.fingerprint(ir.name) if parser else ""
             for ir in netlist.modules.values()
         }
-        with obs.span("analyze", top=netlist.top):
+        with obs.timed("analyze.run", top=netlist.top) as analyzing:
             if value_facts is None:
                 # Function-level import: repro.passes reaches this
                 # package through repro.hdl (Diagnostic), so it must
@@ -128,7 +126,7 @@ class Analyzer:
                     _moved(diags, header - born) if header is not None
                     else diags)
         report.diagnostics = sort_diagnostics(report.diagnostics)
-        report.seconds = time.perf_counter() - started
+        report.seconds = analyzing.seconds
         obs.incr("analyze.runs")
         obs.gauge("analyze.cache_size", self.cache_size())
         obs.gauge("analyze.findings", len(report.diagnostics))

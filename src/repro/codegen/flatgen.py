@@ -478,7 +478,6 @@ def compile_flat(
     Verilator timeout on the 16x16 PGAS.
     """
     build = BuildConfig(mux_style=mux_style)  # rejects an unknown style
-    started = time.perf_counter()
     top = netlist.top_module
     compiler = _FlatCompiler(netlist, mux_style, budget_seconds)
     source = compiler.generate()
@@ -492,7 +491,6 @@ def compile_flat(
     linecache.cache[filename] = (
         len(source), None, source.splitlines(keepends=True), filename
     )
-    elapsed = time.perf_counter() - started
 
     flat_ir = ModuleIR(
         name=top.name,
@@ -522,6 +520,5 @@ def compile_flat(
         mem_specs=dict(compiler._mem_specs),
         child_insts=(),
         source_hash=hashlib.sha256(source.encode()).hexdigest(),
-        compile_seconds=elapsed,
         build=build,
     )

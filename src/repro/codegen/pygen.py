@@ -105,7 +105,6 @@ from __future__ import annotations
 
 import hashlib
 import linecache
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
@@ -248,7 +247,6 @@ class CompiledModule:
     mem_specs: Dict[str, MemSpec]
     child_insts: Tuple[Tuple[str, str], ...]  # (instance name, child key)
     source_hash: str
-    compile_seconds: float
     build: BuildConfig
     # Sanitizer accounting (repro.sanitize.instrument): the hooks the
     # generator came to while emitting this build (an expression emitted
@@ -819,13 +817,11 @@ def compile_module(
     """
     if key is None:
         key = ModuleKey(ir.key, build=build)
-    started = time.perf_counter()
-    with obs.span("codegen.module", key=ir.key, sanitize=build.sanitize,
-                  opt=build.opt):
+    with obs.span("codegen.compile_module", key=ir.key,
+                  sanitize=build.sanitize, opt=build.opt):
         compiler = _ModuleCompiler(ir, netlist, build, opt_plan)
         source = compiler.generate()
         fns = exec_source(source, key.filename, build, runtime)
-    elapsed = time.perf_counter() - started
     obs.incr("codegen.modules_compiled")
     hooks = compiler.hooks
     reg_slots = {
@@ -848,7 +844,6 @@ def compile_module(
         mem_specs=dict(compiler._mem_slot),
         child_insts=tuple((i.name, i.child_key) for i in ir.instances),
         source_hash=hashlib.sha256(source.encode()).hexdigest(),
-        compile_seconds=elapsed,
         build=build,
         san_sites=hooks.sites if hooks is not None else 0,
         san_elided=hooks.elided if hooks is not None else 0,

@@ -26,7 +26,6 @@ import os
 import pickle
 import tempfile
 import threading
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import IO, Callable, List, Optional, Set
@@ -165,10 +164,8 @@ class CheckpointStore:
         with self._lock:
             checkpoints = self._checkpoints
             base = checkpoints[-1].snapshot if checkpoints else None
-        started = time.perf_counter()
-        with obs.span("checkpoint", cycle=pipe.cycle):
+        with obs.timed("live.ckpt_take", cycle=pipe.cycle) as capture:
             snapshot = pipe.snapshot(base)
-        elapsed = time.perf_counter() - started
         obs.incr("checkpoint.taken")
         with self._lock:
             checkpoint = Checkpoint(
@@ -177,11 +174,11 @@ class CheckpointStore:
                 snapshot=snapshot,
                 version=version,
                 op_index=op_index,
-                capture_seconds=elapsed,
+                capture_seconds=capture.seconds,
             )
             self._next_id += 1
             self._insert(checkpoint)
-            self.total_capture_seconds += elapsed
+            self.total_capture_seconds += capture.seconds
             self.total_captured += 1
             self.gc()
         return checkpoint

@@ -46,7 +46,6 @@ an error raised in a module (``HDLError.place`` / ``HDLError.move``).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -69,7 +68,7 @@ from .parser_live import LiveParseResult, LiveParser
 @dataclass
 class CompileReport:
     """What one compile recompiled and what it reused (times are the
-    ``elaborate`` / ``codegen`` / ``passes.<name>`` obs spans)."""
+    ``hdl.elaborate`` / ``passes.run`` / ``passes.<name>`` obs spans)."""
 
     top: str
     recompiled_keys: List[str] = field(default_factory=list)
@@ -177,18 +176,10 @@ class LiveCompiler:
         Raises :class:`HDLError` on syntax errors, leaving the previous
         good source in place.
         """
-        started = time.perf_counter()
-        with obs.span("parse"):
-            return self._update_source(new_source, started)
-
-    def _update_source(
-        self, new_source: str, started: float
-    ) -> LiveParseResult:
         result = self.parser.analyze(new_source)
         if not result.behavioral:
             # Comments/whitespace only: commit the text, keep everything.
             self._commit(result)
-            result.parse_seconds = time.perf_counter() - started
             return result
 
         regions = {
@@ -218,7 +209,6 @@ class LiveCompiler:
             # Removed modules go with the old design.
             self._design = parse(new_source)
         self._commit(result)
-        result.parse_seconds = time.perf_counter() - started
         return result
 
     def _commit(self, result: LiveParseResult) -> None:
@@ -256,7 +246,7 @@ class LiveCompiler:
         self, top: str, params: Optional[Dict[str, int]]
     ) -> CompileResult:
         report = CompileReport(top=top)
-        with obs.span("elaborate", top=top):
+        with obs.span("hdl.elaborate", top=top):
             netlist = elaborate(
                 self._design, top, params,
                 cache=self.cache, fingerprint_of=self.parser.fingerprint,
@@ -274,7 +264,7 @@ class LiveCompiler:
             store=self._store,
             report=report,
         )
-        with obs.span("codegen", top=top, opt=self.build.opt):
+        with obs.span("passes.run", top=top, opt=self.build.opt):
             self._pipeline.run(data)
         library: Dict[str, CompiledModule] = data.library
         self._place_sites(library.values())

@@ -18,10 +18,10 @@ code object, patching a module used 256 times costs one compile plus
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Set
 
+from .. import obs
 from ..codegen.pygen import CompiledModule
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
@@ -66,17 +66,17 @@ class HotReloader:
         The pipe's top specialization key must still exist in the new
         library (renaming the top module is a rebuild, not a reload).
         """
-        started = time.perf_counter()
         report = SwapReport()
         top_key = pipe.top.code.key
         if top_key not in new_library:
             raise SimulationError(
                 f"new library has no module for top key {top_key!r}"
             )
-        self._swap_inst(pipe.top, top_key, new_library, report)
-        pipe.library = dict(new_library)
-        pipe.refresh_library_traits()
-        report.seconds = time.perf_counter() - started
+        with obs.timed("live.swap") as swapping:
+            self._swap_inst(pipe.top, top_key, new_library, report)
+            pipe.library = dict(new_library)
+            pipe.refresh_library_traits()
+        report.seconds = swapping.seconds
         return report
 
     def swap_stage(
@@ -91,7 +91,6 @@ class HotReloader:
         per-output dependencies: what the parent's compiled code was
         generated against), because that code is not being replaced.
         """
-        started = time.perf_counter()
         inst = pipe.find(stage_path)
         new_code = new_library.get(inst.code.key)
         if new_code is None:
@@ -104,10 +103,11 @@ class HotReloader:
                 "recompiled — use swap_pipe instead"
             )
         report = SwapReport()
-        self._swap_inst(inst, inst.code.key, new_library, report)
-        pipe.library.update(new_library)
-        pipe.refresh_library_traits()
-        report.seconds = time.perf_counter() - started
+        with obs.timed("live.swap") as swapping:
+            self._swap_inst(inst, inst.code.key, new_library, report)
+            pipe.library.update(new_library)
+            pipe.refresh_library_traits()
+        report.seconds = swapping.seconds
         return report
 
     # -- recursive swap -----------------------------------------------------------

@@ -28,7 +28,6 @@ by ``tests/test_live_compiler.py``).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Set
@@ -204,7 +203,6 @@ class LiveParseResult:
     directive_changed: bool = False
     directive_line: Optional[int] = None  # earliest affected directive
     poisoned_modules: Set[str] = field(default_factory=set)  # below directive
-    parse_seconds: float = 0.0
     # What the analysis worked out about the new text;
     # :meth:`LiveParser.commit` adopts it as the baseline instead of
     # splitting and lexing again.
@@ -312,7 +310,6 @@ class LiveParser:
         the downstream compile succeeded, so a failed edit can be
         retried without corrupting the baseline.
         """
-        started = time.perf_counter()
         new_regions = split_regions(new_source)
         # Fast path: textually identical regions keep their RegionParse
         # (lexing is only paid for regions that actually changed).
@@ -367,7 +364,6 @@ class LiveParser:
             or result.removed_modules
             or result.directive_changed
         )
-        result.parse_seconds = time.perf_counter() - started
         return result
 
     def _earliest_directive_divergence(

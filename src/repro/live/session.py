@@ -28,7 +28,6 @@ the Pipeline Table, and every compile reaches a pipe through
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -584,7 +583,7 @@ class LiveSession:
         module), the session's source and every pipe are left exactly
         as they were.
         """
-        with obs.span("apply_change", version=self.version):
+        with obs.span("live.apply_change", version=self.version):
             return self._apply_change(new_source, transforms, override_gate)
 
     def _apply_change(
@@ -594,14 +593,15 @@ class LiveSession:
         override_gate: bool,
     ) -> ERDReport:
         old_source = self.compiler.source
-        parse_result = self.compiler.update_source(new_source)
+        with obs.timed("live.update_source") as parsed:
+            parse_result = self.compiler.update_source(new_source)
         report = ERDReport(
             behavioral=parse_result.behavioral,
             version=self.version,
             sanitize=self.compiler.build.sanitize,
             opt=self.compiler.build.opt,
+            parse_seconds=parsed.seconds,
         )
-        report.parse_seconds = parse_result.parse_seconds
         obs.incr("live.apply_changes")
         if not parse_result.behavioral:
             obs.incr("live.non_behavioral_edits")
@@ -616,27 +616,24 @@ class LiveSession:
         bases: Dict[str, Optional[Checkpoint]] = {}
         try:
             for row in self.pipelines:
-                started = time.perf_counter()
-                with obs.span("compile", pipe=row.name):
+                with obs.timed("live.compile_top", pipe=row.name) as compiled:
                     compile_results[row.name] = self.compiler.compile_top(
                         row.module, row.params
                     )
-                report.compile_seconds += time.perf_counter() - started
+                report.compile_seconds += compiled.seconds
             # Static analysis + gate: still before any state is touched,
             # so a refused swap rolls back like a failed compile.
-            started = time.perf_counter()
             self._analyze_and_gate(
                 compile_results, analysis_results, report, override_gate
             )
-            report.analyze_seconds = time.perf_counter() - started
             # A pipe whose history cannot be replayed to where it
             # stands refuses the edit here, not after the swap.
-            started = time.perf_counter()
-            for row in self.pipelines:
-                bases[row.name] = row.base(
-                    row.pipe.cycle, self.reload_distance
-                )
-            report.reload_seconds = time.perf_counter() - started
+            with obs.timed("live.reload") as located:
+                for row in self.pipelines:
+                    bases[row.name] = row.base(
+                        row.pipe.cycle, self.reload_distance
+                    )
+            report.reload_seconds += located.seconds
         except (HDLError, SimulationError):
             obs.incr("live.rolled_back_edits")
             self.compiler.update_source(old_source)
@@ -679,18 +676,15 @@ class LiveSession:
                 ).extend(keys)
 
             stop_cycle = row.pipe.cycle
-            started = time.perf_counter()
-            with obs.span("swap", pipe=row.name):
-                swap = row.land(result, reloader.swap_pipe)
-            report.swap_seconds += time.perf_counter() - started
+            swap = row.land(result, reloader.swap_pipe)
+            report.swap_seconds += swap.seconds
             report.swapped_instances += swap.swapped_instances
             obs.incr("live.swapped_instances", swap.swapped_instances)
 
             # The replay below re-captures the rewound window under
             # the new design (trace subscribers see a rewind marker,
             # then the fresh values).
-            started = time.perf_counter()
-            with obs.span("reload", pipe=row.name):
+            with obs.timed("live.reload", pipe=row.name) as reloaded:
                 base = self.in_current_version(bases[row.name])
                 rewind(row.pipe, base)
                 if base is not None:
@@ -698,14 +692,15 @@ class LiveSession:
                     obs.incr("live.checkpoint_reloads")
                 else:
                     obs.incr("live.reset_reloads")
-            report.reload_seconds += time.perf_counter() - started
+            report.reload_seconds += reloaded.seconds
 
-            started = time.perf_counter()
-            with obs.span("replay", pipe=row.name, stop_cycle=stop_cycle):
+            with obs.timed(
+                "live.replay", pipe=row.name, stop_cycle=stop_cycle
+            ) as replaying:
                 replayed = replay_ops(
                     row.pipe, row.ops, stop_cycle, self.testbench
                 )
-            report.replay_seconds += time.perf_counter() - started
+            report.replay_seconds += replaying.seconds
             report.cycles_replayed += replayed
             obs.incr("live.cycles_replayed", replayed)
             report.pipes_updated.append(row.name)
@@ -764,6 +759,7 @@ class LiveSession:
                 self.compiler.parser,
             )
             analysis_results[row.name] = analysis
+            report.analyze_seconds += analysis.seconds
             report.analyzed_keys.extend(analysis.analyzed_keys)
             report.analysis_reused_keys.extend(analysis.reused_keys)
             _merge_diagnostics(report.diagnostics, analysis.diagnostics)
@@ -791,7 +787,6 @@ class LiveSession:
             [pipe_name] if pipe_name is not None
             else self.pipelines.names()
         )
-        started = time.perf_counter()
         merged = AnalysisReport()
         for name in names:
             analysis = self.analyzer.analyze_netlist(
@@ -799,6 +794,7 @@ class LiveSession:
                 self.compiler.parser,
             )
             merged.top = merged.top or analysis.top
+            merged.seconds += analysis.seconds
             merged.analyzed_keys.extend(analysis.analyzed_keys)
             merged.reused_keys.extend(analysis.reused_keys)
             _merge_diagnostics(merged.diagnostics, analysis.diagnostics)
@@ -806,7 +802,6 @@ class LiveSession:
         # static checks — one diagnostics stream for the user.
         _merge_diagnostics(merged.diagnostics, self.sanitize_runtime.findings)
         merged.diagnostics = sort_diagnostics(merged.diagnostics)
-        merged.seconds = time.perf_counter() - started
         return merged
 
     # ------------------------------------------------------------------

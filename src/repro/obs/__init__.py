@@ -4,14 +4,17 @@ Module-level facade used by the instrumented hot paths::
 
     from .. import obs
 
-    with obs.span("compile", pipe=name):
+    with obs.timed("live.compile_top", pipe=name) as compiled:
         ...
+    report.compile_seconds += compiled.seconds
     obs.incr("compile.cache_misses")
 
 Tracing is **off by default**: ``obs.span`` routes to a
 :class:`~repro.obs.span.NullTracer` whose ``span()`` returns one shared
 no-op context manager — no span objects are allocated and the cost per
-site is a couple of attribute lookups.  ``obs.enable()`` swaps in a
+site is a couple of attribute lookups.  A region whose duration a
+report carries opens ``obs.timed`` instead: its span always measures
+and joins the trace only while tracing is on.  ``obs.enable()`` swaps in a
 recording :class:`~repro.obs.span.Tracer`; ``obs.report()`` snapshots
 the span forest plus the (always-on, dict-backed) metrics registry
 into the stable ``repro.obs/v1`` JSON schema.
@@ -50,6 +53,7 @@ __all__ = [
     "set_tracer",
     "span",
     "span_names",
+    "timed",
     "validate_report",
     "write_report",
 ]
@@ -111,6 +115,12 @@ def reset() -> None:
 def span(name: str, **attrs):
     """Open a named timing region under the current tracer."""
     return _tracer.span(name, **attrs)
+
+
+def timed(name: str, **attrs) -> Span:
+    """Open a named region that always measures (``.seconds``); it joins
+    the trace only while tracing is on."""
+    return Span(name, attrs or None, _tracer if _tracer.enabled else None)
 
 
 def record(name: str, duration_ns: int, **attrs) -> Optional[Span]:

@@ -11,6 +11,7 @@ JSON report next to the span tree.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Union
 
 Number = Union[int, float]
@@ -53,7 +54,7 @@ class Histogram:
         if not self.window:
             return 0
         ordered = sorted(self.window)
-        rank = max(0, min(len(ordered) - 1, round(q / 100.0 * len(ordered)) - 1))
+        rank = max(0, min(len(ordered) - 1, math.ceil(q * len(ordered) / 100.0) - 1))
         return ordered[rank]
 
     def as_dict(self) -> Dict[str, Number]:

@@ -9,14 +9,16 @@ Two tracer implementations share one duck-typed interface:
   allocates **no** span objects and pays only a method call per
   instrumentation site (verified by ``tests/test_obs.py``).
 
-Spans nest via a tracer-held stack: entering a span while another is
-open attaches it as a child, so instrumented callees (the compiler
-inside ``apply_change``, checkpoint capture inside ``run``) land under
-their caller's span without any explicit plumbing.
+Spans nest via a per-thread stack: entering a span while another is
+open on the same thread attaches it as a child, so instrumented callees
+(the compiler inside ``live.apply_change``, checkpoint capture inside
+``run``) land under their caller's span without any explicit plumbing,
+and a span from another thread (a background verify) is a root.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, List, Optional
 
@@ -55,6 +57,10 @@ class Span:
     def duration_ns(self) -> int:
         return max(self.end_ns - self.start_ns, 0)
 
+    @property
+    def seconds(self) -> float:
+        return self.duration_ns / 1e9
+
     def find(self, name: str) -> "List[Span]":
         """All descendant spans (including self) with ``name``."""
         found = [self] if self.name == name else []
@@ -77,6 +83,11 @@ class Span:
                 f"{len(self.children)} children)")
 
 
+class _Stacks(threading.local):
+    def __init__(self):
+        self.stack: List[Span] = []
+
+
 class Tracer:
     """Records spans into a forest (one root per top-level region)."""
 
@@ -84,7 +95,7 @@ class Tracer:
 
     def __init__(self):
         self.roots: List[Span] = []
-        self._stack: List[Span] = []
+        self._stacks = _Stacks()
 
     def span(self, name: str, **attrs) -> Span:
         """Open a named region: ``with tracer.span("compile"): ...``"""
@@ -100,6 +111,11 @@ class Tracer:
         return span
 
     # -- stack management ----------------------------------------------------
+
+    @property
+    def _stack(self) -> List[Span]:
+        """This thread's open spans, innermost last."""
+        return self._stacks.stack
 
     def _push(self, span: Span) -> None:
         self._attach(span)
@@ -130,7 +146,7 @@ class Tracer:
 
     def reset(self) -> None:
         self.roots = []
-        self._stack = []
+        self._stacks = _Stacks()
 
 
 class _NullSpan:

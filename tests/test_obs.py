@@ -2,11 +2,16 @@
 
 import gc
 import io
+import json
+import threading
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.__main__ import Shell, main
+from repro.codegen.build import BuildConfig
+from repro.live.session import LiveSession
 from repro.obs import (
     MetricsRegistry,
     NullTracer,
@@ -19,11 +24,25 @@ from repro.obs import (
     write_report,
 )
 from repro.obs.span import NULL_SPAN, NULL_TRACER
+from repro.sim.testbench import hold_inputs
 from tests.conftest import COUNTER_SRC
 
 EDITED = COUNTER_SRC.replace("assign sum = a + b;", "assign sum = a + b + 8'd1;")
 
-LIVE_PHASES = ("parse", "compile", "swap", "reload", "replay")
+LIVE_PHASES = (
+    "live.update_source", "live.compile_top", "live.swap", "live.reload",
+    "live.replay",
+)
+
+# ERDReport field -> the span every one of its seconds comes from.
+ERD_PHASE_SPANS = {
+    "parse_seconds": "live.update_source",
+    "compile_seconds": "live.compile_top",
+    "analyze_seconds": "analyze.run",
+    "swap_seconds": "live.swap",
+    "reload_seconds": "live.reload",
+    "replay_seconds": "live.replay",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -81,6 +100,19 @@ class TestTracer:
         assert recorded.attrs == {"index": 3}
         verify = tracer.roots[0]
         assert [c.name for c in verify.children] == ["segment"]
+
+    def test_span_recorded_on_another_thread_is_a_root(self):
+        obs.enable()
+        with obs.span("main"):
+            worker = threading.Thread(
+                target=obs.record, args=("consistency.segment", 500_000_000)
+            )
+            worker.start()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        main_span, recorded = obs.get_tracer().roots
+        assert main_span.name == "main" and main_span.children == []
+        assert recorded.name == "consistency.segment"
 
     def test_exception_unwinds_the_stack(self):
         tracer = Tracer()
@@ -174,6 +206,15 @@ class TestMetrics:
         assert stats["p99"] == 99
         # Unknown histograms read as empty, not KeyError.
         assert metrics.histogram_stats("nope")["count"] == 0
+
+    def test_histogram_percentile_is_nearest_rank(self):
+        metrics = MetricsRegistry()
+        for value in range(1, 6):
+            metrics.histogram("five", value)
+        for value in range(1, 151):
+            metrics.histogram("wide", value)
+        assert metrics.histogram_stats("five")["p50"] == 3
+        assert metrics.histogram_stats("wide")["p99"] == 149
 
     def test_histogram_single_observation(self):
         metrics = MetricsRegistry()
@@ -303,7 +344,7 @@ class TestLiveLoopIntegration:
     def test_apply_change_emits_the_phase_spans(self):
         report = self._edit_session()
         apply_spans = [s for s in report["spans"]
-                       if s["name"] == "apply_change"]
+                       if s["name"] == "live.apply_change"]
         assert len(apply_spans) == 1
         child_names = {c["name"] for c in apply_spans[0]["children"]}
         assert set(LIVE_PHASES) <= child_names
@@ -311,7 +352,7 @@ class TestLiveLoopIntegration:
     def test_phase_durations_sum_within_total(self):
         report = self._edit_session()
         apply_span = next(s for s in report["spans"]
-                          if s["name"] == "apply_change")
+                          if s["name"] == "live.apply_change")
         child_total = sum(c["duration_ns"]
                           for c in apply_span["children"])
         assert 0 < child_total <= apply_span["duration_ns"]
@@ -351,7 +392,7 @@ class TestTraceJsonCLI:
         assert report["meta"]["top"] == "top"
 
         phases = aggregate_phases(report)
-        for name in LIVE_PHASES + ("apply_change", "checkpoint"):
+        for name in LIVE_PHASES + ("live.apply_change", "live.ckpt_take"):
             assert name in phases, f"missing span {name!r}"
 
         # Phase durations nest inside — so sum within — the edit total.
@@ -364,7 +405,7 @@ class TestTraceJsonCLI:
                     return found
             return None
 
-        apply_span = find_span(report["spans"], "apply_change")
+        apply_span = find_span(report["spans"], "live.apply_change")
         phase_total = sum(c["duration_ns"] for c in apply_span["children"]
                           if c["name"] in LIVE_PHASES)
         assert 0 < phase_total <= apply_span["duration_ns"]
@@ -374,3 +415,74 @@ class TestTraceJsonCLI:
         assert counters["compile.cache_misses"] >= 1
         assert counters["compile.cache_hits"] >= 1
         assert counters["checkpoint.taken"] >= 1
+
+
+def _two_pipe_session():
+    session = LiveSession(COUNTER_SRC, checkpoint_interval=10)
+    handle = session.stage_handle_for("top")
+    session.inst_pipe("p0", handle)
+    session.inst_pipe("p1", handle)
+    tb = session.load_testbench(hold_inputs(rst=0))
+    session.run(tb, "p0", 30)
+    session.run(tb, "p1", 25)
+    return session
+
+
+class TestOneClock:
+    """Every duration a report carries is the ``.seconds`` of its span."""
+
+    def test_erd_phases_are_their_spans(self):
+        obs.enable()
+        session = _two_pipe_session()
+        obs.reset()
+        erd = session.apply_change(EDITED)
+        [edit] = obs.get_tracer().find("live.apply_change")
+        assert erd.pipes_updated == ["p0", "p1"]
+        for field, name in ERD_PHASE_SPANS.items():
+            spans = edit.find(name)
+            assert spans, name
+            assert getattr(erd, field) == sum(s.seconds for s in spans), field
+
+    def test_swap_and_capture_read_their_spans(self):
+        obs.enable()
+        session = _two_pipe_session()
+        obs.reset()
+        swap = session.swap_stage("p0", "u0.u_add")
+        [span] = obs.get_tracer().find("live.swap")
+        assert swap.seconds == span.seconds > 0
+        obs.reset()
+        row = session.timeline("p1")
+        checkpoint = row.store.take(row.pipe, session.version, len(row.ops))
+        [span] = obs.get_tracer().find("live.ckpt_take")
+        assert checkpoint.capture_seconds == span.seconds > 0
+
+    def test_phases_are_timed_with_tracing_off(self):
+        erd = _two_pipe_session().apply_change(EDITED)
+        assert obs.get_tracer().roots == []
+        for field in ERD_PHASE_SPANS:
+            assert getattr(erd, field) > 0, field
+
+    def test_span_names_are_the_benchmark_layers(self):
+        """Open, run, edit, lint, swapStage and set_build emit only the
+        names of BENCHMARK.json's per-layer timing rows, plus the few
+        spans that only group them."""
+        benchmark = json.loads(
+            (Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+            .read_text()
+        )
+        allowed = {
+            row["name"][: -len(".s")]
+            for row in benchmark["per_layer"]
+            if row["name"].endswith(".s")
+        } | {"live.apply_change", "analyze.module", "build.toggle",
+             "trace.replay"}
+        obs.enable()
+        session = _two_pipe_session()
+        session.apply_change(EDITED)
+        session.lint()
+        session.swap_stage("p0", "u0.u_add")
+        session.set_build(BuildConfig(sanitize=True, opt="full"))
+        names = set(obs.span_names(obs.report()))
+        assert {"live.apply_change", "live.ckpt_take", "analyze.module",
+                "build.toggle", "codegen.compile_module"} <= names
+        assert names <= allowed, sorted(names - allowed)

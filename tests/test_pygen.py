@@ -113,10 +113,6 @@ class TestCompiledMetadata:
         # pc is registered; nothing affects the outputs combinationally.
         assert code.comb_input_ports == ()
 
-    def test_compile_seconds_recorded(self, counter_design):
-        _, library = counter_design
-        assert all(c.compile_seconds > 0 for c in library.values())
-
 
 class TestBuildErrors:
     def test_missing_library_entry(self, counter_design):
