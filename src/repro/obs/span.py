@@ -19,7 +19,7 @@ and a span from another thread (a background verify) is a root.
 from __future__ import annotations
 
 import threading
-import time
+from time import perf_counter_ns
 from typing import Dict, List, Optional
 
 
@@ -42,11 +42,11 @@ class Span:
     def __enter__(self) -> "Span":
         if self._tracer is not None:
             self._tracer._push(self)
-        self.start_ns = time.perf_counter_ns()
+        self.start_ns = perf_counter_ns()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.end_ns = time.perf_counter_ns()
+        self.end_ns = perf_counter_ns()
         if self._tracer is not None:
             self._tracer._pop(self)
         return False
@@ -59,7 +59,8 @@ class Span:
 
     @property
     def seconds(self) -> float:
-        return self.duration_ns / 1e9
+        """Duration in seconds, read once the span has closed."""
+        return (self.end_ns - self.start_ns) / 1e9
 
     def find(self, name: str) -> "List[Span]":
         """All descendant spans (including self) with ``name``."""
@@ -105,7 +106,7 @@ class Tracer:
         """Attach an already-measured region (e.g. timed in a worker
         process) as a completed span under the current parent."""
         span = Span(name, attrs or None, tracer=None)
-        span.start_ns = time.perf_counter_ns() - duration_ns
+        span.start_ns = perf_counter_ns() - duration_ns
         span.end_ns = span.start_ns + duration_ns
         self._attach(span)
         return span
