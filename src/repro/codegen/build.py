@@ -25,8 +25,11 @@ MUX_STYLES = ("branch", "select")
 
 # Folded into every digest, so bumping it (whenever the pickled payload
 # or the CompiledModule field set changes) turns an old store directory
-# into a cold cache: its artifacts are never addressed again.
-STORE_FORMAT = "repro.store/v14"
+# into a cold cache: its artifacts are never addressed again.  Every
+# file the program persists names it in its header
+# (:func:`repro.live.checkpoint.write_sealed`), so a file of another
+# format is refused before it is decoded.
+STORE_FORMAT = "repro.store/v15"
 
 
 @dataclass(frozen=True)

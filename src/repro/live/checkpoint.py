@@ -22,35 +22,35 @@ the overhead bench exactly as §V-B does.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import tempfile
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import IO, Callable, List, Optional, Set
+from typing import List, Optional, Set
 
 from .. import obs
+from ..codegen.build import STORE_FORMAT
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe, PipeSnapshot
 
-
-# What unpickling a file that is not ours, or reading the payload of
-# one that has the wrong shape, raises (the pickle docs list these
-# "but not necessarily limited to"; the rest showed up under byte
-# flips and truncation).
-UNREADABLE = (
-    pickle.UnpicklingError, EOFError, AttributeError, ImportError,
-    LookupError, ValueError, TypeError, ArithmeticError, MemoryError,
-)
+# A header line is shorter than this; a file whose first this many
+# bytes hold no newline has no header.
+_HEADER_BYTES = 256
 
 
-def atomic_write(
-    path: str, write: Callable[[IO], None], mode: str = "wb"
-) -> None:
-    """Replace ``path`` with what ``write(fh)`` produces, or leave it
-    exactly as it was: the bytes go to a temporary file beside it that
-    is renamed over ``path`` only once ``write`` returned.
+def _header(kind: str, body: bytes) -> bytes:
+    digest = hashlib.sha256(body).hexdigest()
+    return f"{STORE_FORMAT} {kind} {len(body)} {digest}\n".encode("ascii")
+
+
+def write_sealed(path: str, kind: str, body: bytes) -> None:
+    """Replace ``path`` with ``body`` under a header line naming the
+    schema (:data:`STORE_FORMAT`), ``kind``, the body's length and its
+    sha256, or leave it exactly as it was: the bytes go to a temporary
+    file beside it that is renamed over ``path`` only once written.
 
     The session journal, the artifact store and the checkpoint-store
     file (a crashed worker's recovery point) are all written this way,
@@ -60,8 +60,9 @@ def atomic_write(
         dir=os.path.dirname(path) or ".", prefix=".tmp-"
     )
     try:
-        with os.fdopen(fd, mode) as fh:
-            write(fh)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_header(kind, body))
+            fh.write(body)
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -69,6 +70,30 @@ def atomic_write(
         except OSError:
             pass
         raise
+
+
+def read_sealed(path: str, kind: str) -> bytes:
+    """The body :func:`write_sealed` wrote to ``path`` as ``kind``
+    under this :data:`STORE_FORMAT`, checked against its header before
+    anything decodes it.  Any other file (no header, another schema or
+    kind, a body that is not the one the header describes) is a
+    :class:`SimulationError` naming the path, what was expected and
+    what was found."""
+    with open(path, "rb") as fh:
+        header = fh.readline(_HEADER_BYTES)
+        body = fh.read()
+    if header == _header(kind, body):
+        return body
+    fields = header.split()
+    if len(fields) != 4 or not header.startswith(b"repro.store/"):
+        found = "no header"
+    elif fields[:2] != [STORE_FORMAT.encode(), kind.encode()]:
+        found = b" ".join(fields[:2]).decode("ascii", "replace")
+    else:
+        found = "a body that is not the one its header describes"
+    raise SimulationError(
+        f"{path!r} is not a {STORE_FORMAT} {kind} file: found {found}"
+    )
 
 
 @dataclass
@@ -321,32 +346,26 @@ class CheckpointStore:
                     "total_collected": self.total_collected,
                 },
             }
-        atomic_write(path, lambda fh: pickle.dump(payload, fh))
+        write_sealed(path, "checkpoint", pickle.dumps(payload))
 
     def load(self, path: str) -> None:
         """Restore a saved store, including its overhead statistics.
 
         The current GC policy is re-applied immediately: a file saved
         under a looser policy must not leave the store over budget.
-        A file that is not a store file -- truncated, empty, garbled,
-        the wrong shape -- is a :class:`SimulationError` naming it.
+        A file :func:`read_sealed` refuses is a
+        :class:`SimulationError` naming it, and the store is unchanged.
         """
-        try:
-            with open(path, "rb") as fh:
-                data = pickle.load(fh)  # noqa: S301 - local trusted file
-            stats = data["stats"]
-            loaded = (
-                data["interval"],
-                list(data["checkpoints"]),
-                data["next_id"],
-                stats["total_captured"],
-                stats["total_capture_seconds"],
-                stats["total_collected"],
-            )
-        except UNREADABLE as exc:
-            raise SimulationError(
-                f"{path!r} is not a checkpoint store file: {exc!r}"
-            ) from None
+        data = pickle.loads(read_sealed(path, "checkpoint"))
+        stats = data["stats"]
+        loaded = (
+            data["interval"],
+            list(data["checkpoints"]),
+            data["next_id"],
+            stats["total_captured"],
+            stats["total_capture_seconds"],
+            stats["total_collected"],
+        )
         with self._lock:
             (
                 self.interval,

@@ -654,6 +654,8 @@ def _pool_verify_segment(
     the work to the process that actually ran it (dynamic scheduling
     means submission order says nothing about worker identity).
     """
+    # Bytes the parent process pickled a moment ago and handed over the
+    # pool's pipe, never a file: the one unpickling that is not sealed.
     context: WorkerContext = pickle.loads(context_payload)  # noqa: S301
     ops: List[SessionOp] = pickle.loads(ops_payload)  # noqa: S301
     segment: _Segment = pickle.loads(segment_payload)  # noqa: S301

@@ -32,6 +32,7 @@ Run a server::
         --store /var/cache/livesim --state-dir /var/cache/livesim.state
 """
 
+from ..codegen.build import STORE_FORMAT
 from .protocol import (
     PROTOCOL_VERSION,
     Event,
@@ -47,7 +48,7 @@ from .service import (
     UnknownSessionError,
 )
 from .shard import HashRing, SessionJournal, WorkerConfig
-from .store import STORE_FORMAT, ArtifactStore
+from .store import ArtifactStore
 
 
 def __getattr__(name):

@@ -42,7 +42,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..analyze import count_by_severity
-from ..live.checkpoint import Checkpoint, atomic_write
+from ..hdl.errors import SimulationError
+from ..live.checkpoint import Checkpoint, read_sealed, write_sealed
 from ..live.commands import CommandInterpreter
 from ..trace.buffer import DEFAULT_SUB_QUEUE as TRACE_SUB_QUEUE
 from .service import (
@@ -54,8 +55,6 @@ from .service import (
     watch_verify_loop,
 )
 from .store import ArtifactStore
-
-JOURNAL_FORMAT = "repro.journal/v1"
 
 # Command verbs whose effect on session *structure* must survive a
 # worker crash.  They are replayed verbatim through the interpreter on
@@ -127,9 +126,10 @@ def _session_digest(name: str) -> str:
 class SessionJournal:
     """Durable structural history of one session, for crash recovery.
 
-    The journal is a small JSON file (atomic tmp+rename rewrite on
-    every append — structural ops are rare) holding the ordered op
-    list, plus one pickled checkpoint-store file per pipe.  Recovery
+    The journal is a small sealed JSON file (an atomic tmp+rename
+    rewrite on every append — structural ops are rare; its header is
+    checked before it is decoded) holding the ordered op list, plus one
+    pickled checkpoint-store file per pipe.  Recovery
     semantics: replaying the ops rebuilds the design (at its *current*
     version, including every reload and its register-transform
     history), then each pipe is restored from the newest checkpoint in
@@ -151,24 +151,19 @@ class SessionJournal:
 
     def _load_payload(self) -> Dict[str, Any]:
         if self._payload is None:
-            with open(self.path) as fh:
-                payload = json.load(fh)
-            if (
-                not isinstance(payload, dict)
-                or payload.get("format") != JOURNAL_FORMAT
-                or payload.get("session") != self.name
-            ):
+            payload = json.loads(read_sealed(self.path, "journal"))
+            if payload["session"] != self.name:
                 raise ValueError(
-                    f"journal {self.path} is not a {JOURNAL_FORMAT} "
-                    f"journal for session {self.name!r}"
+                    f"journal {self.path} is session "
+                    f"{payload['session']!r}'s, not {self.name!r}'s"
                 )
             self._payload = payload
         return self._payload
 
     def _flush(self) -> None:
         os.makedirs(self.root, exist_ok=True)
-        atomic_write(
-            self.path, lambda fh: json.dump(self._payload, fh), mode="w"
+        write_sealed(
+            self.path, "journal", json.dumps(self._payload).encode()
         )
 
     # -- writing -------------------------------------------------------------
@@ -176,7 +171,6 @@ class SessionJournal:
     def begin(self, source: str, reset_cycles: int) -> None:
         """Start a fresh journal for a newly-opened session."""
         self._payload = {
-            "format": JOURNAL_FORMAT,
             "session": self.name,
             "ops": [
                 {"op": "open", "source": source,
@@ -221,7 +215,7 @@ class SessionJournal:
         payload = None
         try:
             payload = self._load_payload()
-        except (OSError, ValueError):
+        except (OSError, ValueError, SimulationError):
             pass
         if payload is not None:
             for filename in payload["checkpoints"].values():
@@ -650,22 +644,19 @@ class SessionWorker:
             pass
         self._saved_newest.pop(name, None)
         started = time.perf_counter()
-        ops = journal.ops()
-        if not ops or ops[0]["op"] != "open":
-            raise ValueError(f"journal for {name!r} has no open record")
+        ops = journal.ops()  # ``begin`` wrote the open record first
         info = self.manager.open(
-            name, ops[0]["source"],
-            reset_cycles=ops[0].get("reset_cycles", 2),
+            name, ops[0]["source"], reset_cycles=ops[0]["reset_cycles"],
         )
         managed = self.manager.get(name)
         with managed.lock:
             for op in ops[1:]:
-                kind = op.get("op")
+                kind = op["op"]
                 if kind == "lib":
-                    managed.session.ld_lib(op["name"], op.get("source"))
+                    managed.session.ld_lib(op["name"], op["source"])
                 elif kind == "reload":
                     managed.session.apply_change(
-                        op["source"], override_gate=bool(op.get("override"))
+                        op["source"], override_gate=op["override"]
                     )
                 elif kind == "line":
                     managed.interp.execute(op["line"])

@@ -14,13 +14,15 @@ unpickles them and re-``exec``'s the stored source — the cheap half of
 compilation (the expensive half, IR scheduling + code generation, is
 what the store skips).
 
-Writes are atomic (:func:`repro.live.checkpoint.atomic_write`) so
-concurrent sessions — or a crash mid-write — can never publish a torn
-artifact, and every file ends with the sha256 of the pickle before it,
-so one damaged after it was written is never served.  The store is a
-cache: every failure path (damaged file, version skew, full disk)
-degrades to a miss and the compiler recompiles.
-The digest folds in :data:`STORE_FORMAT`, so a directory written under
+Files are sealed (:func:`repro.live.checkpoint.write_sealed`): written
+atomically, so concurrent sessions — or a crash mid-write — can never
+publish a torn artifact, under a header line whose schema, kind,
+length and sha256 :func:`~repro.live.checkpoint.read_sealed` checks
+before a byte is unpickled, so a damaged file is never served.  The
+store is a cache: every failure path (a file the header check refuses,
+full disk) degrades to a miss, counted as a store error, and the
+compiler recompiles.  The digest folds in
+:data:`~repro.codegen.build.STORE_FORMAT`, so a directory written under
 another format is never addressed: a cold cache, not an error.
 
 Counters: ``compile.store_hits`` / ``compile.store_misses`` /
@@ -30,15 +32,15 @@ Counters: ``compile.store_hits`` / ``compile.store_misses`` /
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import pickle
 from typing import Optional, Tuple
 
 from .. import obs
-from ..codegen.build import STORE_FORMAT, ModuleKey
+from ..codegen.build import ModuleKey
 from ..codegen.pygen import CompiledModule, exec_source
-from ..live.checkpoint import UNREADABLE, atomic_write
+from ..hdl.errors import SimulationError
+from ..live.checkpoint import read_sealed, write_sealed
 
 # CompiledModule fields persisted to disk — everything except the
 # three function objects, which are rebuilt from ``source`` on load.
@@ -46,9 +48,6 @@ _PICKLED_FIELDS = tuple(
     f.name for f in dataclasses.fields(CompiledModule)
     if not f.name.endswith("_fn")
 )
-
-# The bytes of the seal every artifact file ends with.
-_SEAL = hashlib.sha256().digest_size
 
 
 class ArtifactStore:
@@ -76,17 +75,18 @@ class ArtifactStore:
         """
         path = self.path_for(cache_key)
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-            module = self._rehydrate(cache_key, data, sanitize_runtime)
+            body = read_sealed(path, "artifact")
         except FileNotFoundError:
             obs.incr("compile.store_misses")
             return None
-        except (OSError, *UNREADABLE) as exc:
+        except (OSError, SimulationError) as exc:
             obs.incr("compile.store_errors")
             obs.incr("compile.store_misses")
             _note_error(f"load {path}: {exc}")
             return None
+        module = self._rehydrate(
+            cache_key, pickle.loads(body), sanitize_runtime  # noqa: S301
+        )
         if module is None:
             obs.incr("compile.store_misses")
             return None
@@ -94,25 +94,14 @@ class ArtifactStore:
         return module
 
     def _rehydrate(
-        self, cache_key: ModuleKey, data: bytes, sanitize_runtime=None
+        self, cache_key: ModuleKey, payload: dict, sanitize_runtime=None
     ) -> Optional[CompiledModule]:
-        payload = pickle.loads(data)  # stops before the seal
-        if not isinstance(payload, dict):
+        if payload["cache_key"] != cache_key:
+            # Digest collision or a file copied to another address;
+            # never serve it.
             obs.incr("compile.store_errors")
             return None
-        if payload.get("format") != STORE_FORMAT:
-            return None  # version skew, not corruption: silent miss
-        if hashlib.sha256(data[:-_SEAL]).digest() != data[-_SEAL:]:
-            obs.incr("compile.store_errors")
-            return None
-        if payload.get("cache_key") != cache_key:
-            # Digest collision or a tampered file; never serve it.
-            obs.incr("compile.store_errors")
-            return None
-        fields = payload.get("fields")
-        if not isinstance(fields, dict) or set(fields) != set(_PICKLED_FIELDS):
-            obs.incr("compile.store_errors")
-            return None
+        fields = payload["fields"]
         if cache_key.build.sanitize and sanitize_runtime is None:
             # An instrumented artifact without a runtime to bind would
             # crash at eval time; treat as a miss and recompile.
@@ -122,18 +111,14 @@ class ArtifactStore:
                 "loaded without a sanitize_runtime"
             )
             return None
-        try:
-            return CompiledModule(
-                **exec_source(
-                    fields["source"], cache_key.filename, cache_key.build,
-                    sanitize_runtime,
-                ),
-                **fields,
-            )
-        except Exception as exc:  # corrupt source: degrade to a miss
-            obs.incr("compile.store_errors")
-            _note_error(f"rehydrate {fields.get('key')}: {exc}")
-            return None
+        # The source is the text that compiled when it was saved.
+        return CompiledModule(
+            **exec_source(
+                fields["source"], cache_key.filename, cache_key.build,
+                sanitize_runtime,
+            ),
+            **fields,
+        )
 
     # -- write-behind --------------------------------------------------------
 
@@ -142,7 +127,6 @@ class ArtifactStore:
         when the write fails — the store never breaks a compile."""
         path = self.path_for(cache_key)
         payload = {
-            "format": STORE_FORMAT,
             "cache_key": cache_key,
             "fields": {
                 name: getattr(module, name) for name in _PICKLED_FIELDS
@@ -151,8 +135,7 @@ class ArtifactStore:
         try:
             body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            atomic_write(path, lambda fh: fh.write(
-                body + hashlib.sha256(body).digest()))
+            write_sealed(path, "artifact", body)
         except (OSError, pickle.PicklingError, TypeError) as exc:
             obs.incr("compile.store_errors")
             _note_error(f"save {path}: {exc}")

@@ -51,7 +51,7 @@ class MemImage:
         page only when its contents are equal, the image itself when
         every page is."""
         starts = range(0, len(words), PAGE_WORDS)
-        if isinstance(base, MemImage) and base._length == len(words):
+        if base is not None and base._length == len(words):
             pages = tuple([
                 old if old == (page := words[start : start + PAGE_WORDS])
                 else page
@@ -91,23 +91,16 @@ class MemImage:
         return self.pages[index // PAGE_WORDS][index % PAGE_WORDS]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, MemImage):
-            return self._length == other._length and all(
-                a is b or a == b for a, b in zip(self.pages, other.pages)
-            )
-        if isinstance(other, list):
-            return self.tolist() == other
-        return NotImplemented
+        if not isinstance(other, MemImage):
+            return NotImplemented
+        return self._length == other._length and all(
+            a is b or a == b for a, b in zip(self.pages, other.pages)
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
     def __reduce__(self):
         return MemImage, (self.pages, self._length)
-
-
-def _pages(words: Sequence[int]) -> Sequence[Sequence[int]]:
-    """The page objects holding an image (a flat list is one page)."""
-    return words.pages if isinstance(words, MemImage) else (words,)
 
 
 def _same_items(new: tuple, old: tuple) -> bool:
@@ -149,9 +142,7 @@ class StateSnapshot:
 
     State crosses a design version by *name* (paper §III-E,
     :mod:`repro.live.transform`): :attr:`regs`, :attr:`mems` and
-    :attr:`mem_poison` are name-keyed dicts built on demand.  A memory
-    read from a file written before images were paged is a plain
-    list, and every reader takes either.
+    :attr:`mem_poison` are name-keyed dicts built on demand.
     """
 
     __slots__ = (
@@ -269,7 +260,7 @@ class StateSnapshot:
             seen.add(id(self.values))
             size += 8 * len(self.values)
         for words in self.images:
-            for page in _pages(words):
+            for page in words.pages:
                 if id(page) not in seen:
                     seen.add(id(page))
                     size += 8 * len(page)
@@ -322,13 +313,6 @@ class StateSnapshot:
             self.mem_names, self.images, self.children, self.reg_poison,
             self.poison_words,
         )
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        """Read a record from a store file written when a snapshot was
-        a dataclass: ``state`` is its dict of name-keyed fields."""
-        record = StateSnapshot.of(**state)
-        for slot in StateSnapshot.__slots__:
-            setattr(self, slot, getattr(record, slot))
 
 
 class StageInst:

@@ -218,3 +218,16 @@ def run_cycles(pipe: Pipe, cycles: int, **inputs: int) -> dict:
         pipe.set_inputs(**inputs)
     pipe.step(cycles)
     return pipe.outputs()
+
+
+def damaged_copies(good: bytes):
+    """``good`` cut at 200 points, then with bit 0 and bit 7 of each
+    byte flipped in turn: the damage a sealed file must be refused
+    under."""
+    for n in range(200):
+        yield good[: len(good) * n // 200]
+    for at in range(len(good)):
+        for bit in (0, 7):
+            flipped = bytearray(good)
+            flipped[at] ^= 1 << bit
+            yield bytes(flipped)

@@ -8,10 +8,13 @@ from dataclasses import replace
 import pytest
 
 from repro import obs
-from repro.codegen.build import STORE_FORMAT, BuildConfig, ModuleKey
+from repro.codegen import build
+from repro.codegen.build import BuildConfig, ModuleKey
+from repro.live import checkpoint
+from repro.live.checkpoint import read_sealed
 from repro.live.compiler_live import LiveCompiler
 from repro.server.store import ArtifactStore
-from tests.conftest import COUNTER_SRC
+from tests.conftest import COUNTER_SRC, damaged_copies
 
 
 def _compile_one(store=None):
@@ -63,36 +66,20 @@ class TestModuleKey:
         with pytest.raises(ValueError, match="unknown mux_style"):
             replace(self.BUILD, mux_style="table")
 
-    @pytest.mark.parametrize("where", ["own_path", "own_store"])
-    def test_other_store_format_is_a_silent_miss(
-        self, tmp_path, monkeypatch, where
-    ):
-        """A payload of another STORE_FORMAT — rewritten in place at
-        the address this format digests to, or left in a store
-        directory that format wrote — is a cold cache, never an error."""
+    def test_other_store_format_is_a_silent_miss(self, tmp_path, monkeypatch):
+        """A store directory another format wrote is a cold cache, never
+        an error: that format's digests address other files."""
         store = ArtifactStore(str(tmp_path))
         compiler, _ = _compile_one()
         cache_key = _one_cache_key(compiler)
         module = compiler.cache.entries("compile")[cache_key]
-        if where == "own_path":
-            store.save(cache_key, module)
-            path = store.path_for(cache_key)
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            payload["format"] = "repro.store/v4"
-            with open(path, "wb") as fh:
-                pickle.dump(payload, fh)
-        else:
-            from repro.codegen import build
-            from repro.server import store as store_module
-
-            with monkeypatch.context() as patched:
-                for mod in (build, store_module):
-                    patched.setattr(mod, "STORE_FORMAT", "repro.store/v4")
-                old_key = replace(cache_key)  # fresh digest cache
-                assert store.save(old_key, module)
-                assert store.load(old_key) is not None
-                assert store.path_for(old_key) != store.path_for(cache_key)
+        with monkeypatch.context() as patched:
+            for mod in (build, checkpoint):
+                patched.setattr(mod, "STORE_FORMAT", "repro.store/v4")
+            old_key = replace(cache_key)  # fresh digest cache
+            assert store.save(old_key, module)
+            assert store.load(old_key) is not None
+            assert store.path_for(old_key) != store.path_for(cache_key)
         metrics = obs.get_metrics()
         misses = metrics.counter("compile.store_misses")
         errors = metrics.counter("compile.store_errors")
@@ -100,28 +87,25 @@ class TestModuleKey:
         assert metrics.counter("compile.store_misses") == misses + 1
         assert metrics.counter("compile.store_errors") == errors
 
-
     def test_a_v6_store_is_a_cold_cache_at_v7(self, tmp_path, monkeypatch):
         """v6 artifacts follow the other calling convention (the callee
         masks its arguments, so a v6 parent passes them unmasked: it
         must never meet a v7 child) and carry an ``interface_fp`` field.
         Whether they sit where v6 addressed them or were copied to
-        where v7 looks, a compile over that store recompiles everything
-        and execs none of them."""
-        from repro.codegen import build
-        from repro.server import store as store_module
-
+        where this format looks, a compile over that store recompiles
+        everything and execs none of them: the copies have no header,
+        so each is a counted store error."""
         store = ArtifactStore(str(tmp_path))
         compiler, _ = _compile_one()
         for cache_key, module in compiler.cache.entries("compile").items():
             with monkeypatch.context() as patched:
-                for mod in (build, store_module):
+                for mod in (build, checkpoint):
                     patched.setattr(mod, "STORE_FORMAT", "repro.store/v6")
                 old_key = replace(cache_key)  # fresh digest cache
                 assert store.save(old_key, module)
                 old_path = store.path_for(old_key)
-            with open(old_path, "rb") as fh:
-                payload = pickle.load(fh)
+                payload = pickle.loads(read_sealed(old_path, "artifact"))
+            payload["format"] = "repro.store/v6"
             payload["fields"]["source"] = (
                 "def eval_out(s, ch, *args):\n    raise AssertionError('v6')\n"
                 "def cycle(s, ch, *args):\n    raise AssertionError('v6')\n"
@@ -129,13 +113,13 @@ class TestModuleKey:
             payload["fields"]["interface_fp"] = "0" * 64
             for path in (old_path, store.path_for(cache_key)):
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                with open(path, "wb") as fh:
+                with open(path, "wb") as fh:  # as v6 wrote it
                     pickle.dump(payload, fh)
         metrics = obs.get_metrics()
         errors = metrics.counter("compile.store_errors")
         _, result = _compile_one(store)
         assert len(result.report.recompiled_keys) == 3
-        assert metrics.counter("compile.store_errors") == errors
+        assert metrics.counter("compile.store_errors") == errors + 3
         for module in result.library.values():
             assert "AssertionError" not in module.source
             assert module.cycle_fn.__name__ == "cycle"
@@ -193,35 +177,24 @@ class TestCorruptionTolerance:
 
     def test_no_damaged_file_is_served(self, tmp_path):
         """Bit 0 and bit 7 of every byte of an artifact flipped, and 200
-        truncations: each load is a miss, counted as a store error
-        unless what is left reads as a payload of another format (a
-        silent miss by design), and a compiler over the damaged store
-        compiles the module again."""
+        truncations: each load is a miss counted as a store error (the
+        header is checked before a byte is unpickled), and a compiler
+        over the damaged store compiles the module again."""
         store = ArtifactStore(str(tmp_path))
         compiler, _ = _compile_one(store)
         cache_key = _one_cache_key(compiler)
         path = store.path_for(cache_key)
         with open(path, "rb") as fh:
             good = fh.read()
-        damaged = [good[:len(good) * n // 200] for n in range(200)]
-        for at in range(len(good)):
-            for bit in (0, 7):
-                flipped = bytearray(good)
-                flipped[at] ^= 1 << bit
-                damaged.append(bytes(flipped))
         metrics = obs.get_metrics()
-        skewed = 0
-        for data in damaged:
+        for data in damaged_copies(good):
             with open(path, "wb") as fh:
                 fh.write(data)
             errors = metrics.counter("compile.store_errors")
+            misses = metrics.counter("compile.store_misses")
             assert store.load(cache_key) is None
-            if metrics.counter("compile.store_errors") == errors:
-                assert pickle.loads(data).get("format") != STORE_FORMAT
-                skewed += 1
-            else:
-                assert metrics.counter("compile.store_errors") == errors + 1
-        assert skewed < len(damaged) // 100
+            assert metrics.counter("compile.store_errors") == errors + 1
+            assert metrics.counter("compile.store_misses") == misses + 1
         _, result = _compile_one(ArtifactStore(str(tmp_path)))
         assert result.report.recompiled_keys == [cache_key.spec]
         assert result.library[cache_key.spec].source == \

@@ -2,6 +2,7 @@
 page-shared memory images and persistence."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -599,7 +600,7 @@ class TestPersistence:
     def test_a_save_that_dies_midway_leaves_the_previous_file(
         self, tmp_path, monkeypatch
     ):
-        import pickle
+        import os
 
         pipe = make_pipe()
         store = CheckpointStore(interval=10)
@@ -611,13 +612,33 @@ class TestPersistence:
         pipe.step(5)
         store.take(pipe, "1.0", 1)
 
-        def dies_midway(payload, fh, *args, **kwargs):
-            fh.write(b"half a pick")
-            raise OSError(28, "No space left on device")
+        class DiesMidway:
+            """The sealed file's handle: the header goes through, the
+            body's write stops halfway with a full disk."""
 
-        monkeypatch.setattr(pickle, "dump", dies_midway)
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 1:
+                    return self.fh.write(data)
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        fdopen = os.fdopen
+        monkeypatch.setattr(
+            os, "fdopen", lambda fd, mode: DiesMidway(fdopen(fd, mode))
+        )
         with pytest.raises(OSError, match="No space"):
             store.save(str(path))
+        monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["recovery.ckpt"]
 
@@ -650,47 +671,47 @@ class TestPersistence:
         loaded.load(str(many))
         assert loaded.resident_bytes() == store.resident_bytes()
 
-    def test_a_store_file_with_flat_images_still_loads(self, tmp_path):
+    def test_a_store_file_with_flat_images_is_refused(self, tmp_path):
+        """A store file from before images were paged (plain-list
+        memories, no header) is refused by ``ldch`` before a byte of it
+        is unpickled, and the session is unchanged."""
+        import pickle
+
+        from repro.codegen.build import STORE_FORMAT
+        from repro.live.commands import CommandError, CommandInterpreter
+
         session = LiveSession(mem_design(), checkpoint_interval=50)
         session.inst_pipe("p0", session.stage_handle_for("top"))
         tb = session.load_testbench(hold_inputs(rst=0))
         session.run(tb, "p0", 200)
-        paged, flat = tmp_path / "paged.ckpt", tmp_path / "flat.ckpt"
-        session.store("p0").save(str(paged))
-        store = CheckpointStore(interval=50)
-        store.load(str(paged))
-        for checkpoint in store.all():
-            snapshot = checkpoint.snapshot
-            checkpoint.snapshot = PipeSnapshot(
-                snapshot.cycle, snapshot.inputs, flattened(snapshot.state)
-            )
-        store.save(str(flat))
-        assert b"MemImage" not in flat.read_bytes()
-        assert b"MemImage" in paged.read_bytes()
+        store = session.store("p0")
+        flat = tmp_path / "flat.ckpt"
+        with open(flat, "wb") as fh:  # as such a file was written
+            pickle.dump({
+                "interval": store.interval,
+                "checkpoints": [
+                    replace(c, snapshot=PipeSnapshot(
+                        c.snapshot.cycle, c.snapshot.inputs,
+                        flattened(c.snapshot.state),
+                    ))
+                    for c in store.all()
+                ],
+                "next_id": len(store) + 1,
+                "stats": {"total_captured": len(store),
+                          "total_capture_seconds": 0.0,
+                          "total_collected": 0},
+            }, fh)
+        pipe, held = session.pipe("p0"), store.all()
+        state, ops = pipe.snapshot().state, session.ops("p0")
 
-        from_flat, from_paged = CheckpointStore(), CheckpointStore()
-        from_flat.load(str(flat))
-        from_paged.load(str(paged))
-        for a, b in zip(from_flat.all(), from_paged.all(), strict=True):
-            assert type(a.snapshot.state.mems["m"]) is list
-            assert a.snapshot.state.equal_state(b.snapshot.state)
-            assert b.snapshot.state.equal_state(a.snapshot.state)
-
-        pipe = session.pipe("p0")
-        session.ldch("p0", str(paged))
-        restored = pipe.snapshot()
-        session.ldch("p0", str(flat))
-        assert pipe.cycle == restored.cycle == 200
-        assert pipe.snapshot().state.equal_state(restored.state)
-
-        # A store of flat images only verifies, and the checkpoint taken
-        # against one (nothing to share) verifies with it.
-        session.store("p0").invalidate_after(-1)
-        session.ldch("p0", str(flat))
-        assert all(
-            type(c.snapshot.state.mems["m"]) is list
-            for c in session.checkpoints("p0")
-        )
-        assert session.verify_consistency("p0").verdict == "consistent"
-        session.run(tb, "p0", 50)
+        interp = CommandInterpreter(session, read_file={}.__getitem__)
+        with pytest.raises(CommandError) as refused:
+            interp.execute(f"ldch p0, {flat}")
+        assert str(flat) in str(refused.value)
+        assert f"not a {STORE_FORMAT} checkpoint file" in str(refused.value)
+        assert "found no header" in str(refused.value)
+        assert pipe.cycle == 200
+        assert list(map(id, store.all())) == list(map(id, held))
+        assert pipe.snapshot().state == state
+        assert session.ops("p0") == ops
         assert session.verify_consistency("p0").verdict == "consistent"

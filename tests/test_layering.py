@@ -5,7 +5,8 @@ expression means (:mod:`repro.hdl.consteval`) and may not reach up into
 the layers that consume it.  ``repro.sanitize`` says where a hook goes
 and what it looks like, for a generator it does not import.  Nothing
 takes another package's private names: a name two packages need is
-public where it lives.
+public where it lives.  Nothing unpickles bytes that no header check
+passed.
 """
 
 import ast
@@ -20,6 +21,9 @@ FORBIDDEN = {
 # The runtime's name and the site table in generated text.  (The
 # ``"_san"`` global ``exec_source`` binds is the one mention outside.)
 HOOK_SPELLINGS = ("_san.", "_SAN_I")
+# What may unpickle bytes that no ``read_sealed`` returned, and how
+# often: the pool worker's reads of what the parent process pickled.
+UNSEALED_READS = {("repro/live/consistency.py", "_pool_verify_segment"): 3}
 
 
 def package_of(module: str) -> str:
@@ -89,3 +93,71 @@ def test_only_the_sanitizer_spells_a_hook():
         if any(spelling in line for spelling in HOOK_SPELLINGS)
     ]
     assert not spelled, "\n".join(spelled)
+
+
+def _is_call_to(node, name):
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def unpicklings():
+    """``(file, line, enclosing function, whether the bytes came from
+    read_sealed)`` for every ``pickle.load``/``pickle.loads`` call.
+    Sealed means the argument is a ``read_sealed(...)`` call or a name
+    the same function assigned from one."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {
+            child: node
+            for node in ast.walk(tree)
+            for child in ast.iter_child_nodes(node)
+        }
+        for call in ast.walk(tree):
+            if not (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("load", "loads")
+                and getattr(call.func.value, "id", None) == "pickle"
+            ):
+                continue
+            func = parents[call]
+            while not isinstance(
+                func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)
+            ):
+                func = parents[func]
+            sealed_names = {
+                target.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign)
+                and _is_call_to(node.value, "read_sealed")
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            arg = call.args[0] if call.args else None
+            sealed = _is_call_to(arg, "read_sealed") or (
+                isinstance(arg, ast.Name) and arg.id in sealed_names
+            )
+            yield (path.relative_to(SRC).as_posix(), call.lineno,
+                   getattr(func, "name", None), sealed)
+
+
+def test_every_unpickling_reads_what_read_sealed_checked():
+    calls = list(unpicklings())
+    assert any(sealed for *_, sealed in calls)
+    unsealed = {}
+    for where, line, func, sealed in calls:
+        if not sealed:
+            unsealed.setdefault((where, func), []).append(line)
+    strays = [
+        f"{where}:{lines[0]}: {func} unpickles unchecked bytes"
+        for (where, func), lines in unsealed.items()
+        if len(lines) != UNSEALED_READS.get((where, func))
+    ]
+    assert not strays, "\n".join(strays)
+    imported = [
+        f"{path.relative_to(SRC)}:{line}: {names} from pickle"
+        for path, line, here, target, names in imports()
+        if target == "pickle" and names
+    ]
+    assert not imported, "\n".join(imported)

@@ -9,7 +9,6 @@ import pytest
 
 from repro.server import shard
 from repro.server.shard import (
-    JOURNAL_FORMAT,
     STRUCTURAL_VERBS,
     HashRing,
     SessionJournal,
@@ -157,7 +156,7 @@ class TestSessionJournal:
         SessionJournal(str(tmp_path), "alice").begin("src", reset_cycles=2)
         mallory = SessionJournal(str(tmp_path), "alice")
         mallory.name = "mallory"  # simulate a digest collision
-        with pytest.raises(ValueError, match=JOURNAL_FORMAT):
+        with pytest.raises(ValueError, match="'mallory'"):
             mallory.ops()
 
     def test_delete_removes_journal_and_checkpoints(self, tmp_path):
