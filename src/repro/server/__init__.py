@@ -12,14 +12,16 @@ modules so compile work survives restarts and is shared across users.
 * :mod:`repro.server.store` — the on-disk artifact store
   :class:`~repro.server.store.ArtifactStore` that
   :class:`~repro.live.compiler_live.LiveCompiler` reads through.
-* :mod:`repro.server.service` — :class:`SessionManager` (one
-  :class:`~repro.live.session.LiveSession` per named session behind a
-  per-session lock), result summaries and event pumps: what a worker
-  hosts.
+* :mod:`repro.server.service` — command results and errors as
+  wire-level JSON, shared by the worker and the front door.
 * :mod:`repro.server.client` — blocking :class:`LiveSimClient` and the
   ``python -m repro.server.client`` REPL.
 * :mod:`repro.server.shard` — consistent-hash ring, per-session crash
-  journal, and the session worker.
+  journal, and the session worker, which keeps one
+  :class:`ManagedSession` record per named session (a
+  :class:`~repro.live.session.LiveSession` behind a per-session lock,
+  with its journal) and admits it one way, on ``open`` and on
+  rehydration alike.
 * :mod:`repro.server.frontend` — the server: an asyncio front door
   that routes sessions to worker processes (``--workers N``),
   restarting and rehydrating them on crashes, or to one worker on a
@@ -43,11 +45,9 @@ from .protocol import (
 from .service import (
     DEFAULT_PORT,
     DuplicateSessionError,
-    ManagedSession,
-    SessionManager,
     UnknownSessionError,
 )
-from .shard import HashRing, SessionJournal, WorkerConfig
+from .shard import HashRing, ManagedSession, SessionJournal, WorkerConfig
 from .store import ArtifactStore
 
 
@@ -82,7 +82,6 @@ __all__ = [
     "STORE_FORMAT",
     "ServerError",
     "SessionJournal",
-    "SessionManager",
     "ShardedFrontend",
     "UnknownSessionError",
     "WorkerCommandError",

@@ -175,6 +175,28 @@ def _watch_of(params: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
     return verb, watch
 
 
+class _Session:
+    """The frontend's one record of a session it routes."""
+
+    def __init__(self, worker: int):
+        self.worker = worker  # the id of the worker that owns it
+        # When its last command finished (monotonic seconds), for idle
+        # eviction.
+        self.last_used = time.monotonic()
+        # Forwarded requests not yet answered: a migration waits for
+        # them to drain so their effects reach the journal.
+        self.inflight = 0
+        # Set while the session moves: commands queue on the event
+        # until the route flips.
+        self.moving: Optional[asyncio.Event] = None
+        # Armed live watches, {(client, pipe, signal): watch} (see
+        # _watch_of), so a crash-rehydration or migration can re-arm
+        # them with ``subscribe`` on whichever worker owns the session
+        # *now* and the value_change stream keeps flowing to the same
+        # connection.
+        self.watches: Dict[Tuple, Dict[str, Any]] = {}
+
+
 class _WorkerThread(threading.Thread):
     """The ``workers=0`` host: a worker on a thread, where the pool
     expects a process.  A thread cannot be killed; it leaves its loop
@@ -233,22 +255,7 @@ class ShardedFrontend:
         self._workers: Dict[int, _WorkerHandle] = {
             wid: _WorkerHandle(wid) for wid in range(self.num_workers)
         }
-        self._sessions: Dict[str, int] = {}
-        # When each session's last command finished (monotonic seconds),
-        # for idle eviction.
-        self._last_used: Dict[str, float] = {}
-        # Armed live watches: session -> {(client, pipe, signal): watch}
-        # (see _watch_of), so a crash-rehydration or migration can
-        # re-arm them with ``subscribe`` on whichever worker owns the
-        # session *now* and the value_change stream keeps flowing to
-        # the same connection.
-        self._watches: Dict[str, Dict[Tuple, Dict[str, Any]]] = {}
-        # Live-migration state: sessions currently moving (commands
-        # queue on the event until the route table flips) and a count
-        # of in-flight forwarded requests per session (a migration
-        # waits for them to drain so their effects reach the journal).
-        self._migrating: Dict[str, asyncio.Event] = {}
-        self._inflight: Dict[str, int] = {}
+        self._sessions: Dict[str, _Session] = {}
         self._resize_lock: Optional[asyncio.Lock] = None
         self._rids = itertools.count(1)
         self._pending: Dict[int, Tuple[asyncio.Future, int]] = {}
@@ -490,10 +497,10 @@ class ShardedFrontend:
             worker.restarts += 1
             obs.incr("server.worker_restarts")
             owned = [
-                name for name, mapped in self._sessions.items()
-                if mapped == wid
+                (name, record) for name, record in self._sessions.items()
+                if record.worker == wid
             ]
-            for name in owned:
+            for name, record in owned:
                 try:
                     await self._forward_to(
                         worker, None, "rehydrate", {"session": name}
@@ -504,7 +511,7 @@ class ShardedFrontend:
                     self._forget_session(name)
                     obs.incr("server.sessions_dropped")
                     continue
-                await self._rearm_watches(name, worker)
+                await self._rearm_watches(record, worker)
 
     async def _ensure_worker(self, wid: int) -> _WorkerHandle:
         worker = self._workers.get(wid)
@@ -698,45 +705,40 @@ class ShardedFrontend:
         """Forward one session command to the worker that owns it."""
         name = params["session"]
         # Commands aimed at a session mid-migration queue until the
-        # route table flips, then run on the new owner — callers
-        # see latency, never a spurious unknown-session error.
-        while name in self._migrating:
-            await self._migrating[name].wait()
-        wid = self._sessions.get(name)
-        if wid is None:
+        # route flips, then run on the new owner — callers see
+        # latency, never a spurious unknown-session error.
+        record = self._sessions.get(name)
+        while record is not None and record.moving is not None:
+            await record.moving.wait()
+            record = self._sessions.get(name)
+        if record is None:
             raise WorkerCommandError({
                 "type": "unknown-session",
                 "message": f"unknown session {name!r}",
             })
-        self._inflight[name] = self._inflight.get(name, 0) + 1
+        record.inflight += 1
         try:
-            value = await self._forward(client, wid, cmd, params)
+            value = await self._forward(client, record.worker, cmd, params)
         finally:
-            left = self._inflight.pop(name) - 1
-            if left:
-                self._inflight[name] = left
-            if name in self._sessions:
-                self._last_used[name] = time.monotonic()
+            record.inflight -= 1
+            record.last_used = time.monotonic()
         if cmd == "close":
             self._forget_session(name)
         elif cmd == "cmd":
             verb, watch = _watch_of(params)
             signal = (watch.get("pipe"), watch.get("signal"))
             if verb == "watch":
-                self._watches.setdefault(name, {})[(client, *signal)] = watch
+                record.watches[(client, *signal)] = watch
             elif verb == "unwatch":
                 # It closes every subscription on that signal in the
                 # worker's buffer, whichever client armed it.
-                records = self._watches.get(name, {})
-                for key in [k for k in records if k[1:] == signal]:
-                    del records[key]
+                for key in [k for k in record.watches if k[1:] == signal]:
+                    del record.watches[key]
         return value
 
     def _forget_session(self, name: str) -> None:
         """Stop routing to a session that closed or was lost."""
         self._sessions.pop(name, None)
-        self._watches.pop(name, None)
-        self._last_used.pop(name, None)
         obs.gauge("server.sessions", len(self._sessions))
 
     async def _reap_idle(self) -> None:
@@ -745,12 +747,13 @@ class ShardedFrontend:
         is not idle, whatever its timestamp says."""
         while True:
             await asyncio.sleep(min(self._idle_timeout / 2.0, 1.0))
-            for name in list(self._last_used):
+            for name in list(self._sessions):
                 # Re-read: the awaits below let other tasks run.
-                used = self._last_used.get(name)
-                if (used is None or name in self._inflight
-                        or name in self._migrating
-                        or time.monotonic() - used <= self._idle_timeout):
+                record = self._sessions.get(name)
+                if (record is None or record.inflight
+                        or record.moving is not None
+                        or time.monotonic() - record.last_used
+                        <= self._idle_timeout):
                     continue
                 try:
                     await self._route(None, "close", {"session": name})
@@ -761,14 +764,14 @@ class ShardedFrontend:
     # -- live-watch bookkeeping ----------------------------------------------
 
     def _drop_client_watches(self, client: _Client) -> None:
-        for records in self._watches.values():
-            for key in [k for k in records if k[0] is client]:
-                del records[key]
+        for record in self._sessions.values():
+            for key in [k for k in record.watches if k[0] is client]:
+                del record.watches[key]
 
     async def _rearm_watches(
-        self, name: str, worker: _WorkerHandle
+        self, record: _Session, worker: _WorkerHandle
     ) -> None:
-        """Re-arm every recorded watch for ``name`` on the worker that
+        """Re-arm every recorded watch of a session on the worker that
         owns it now with ``subscribe``: rehydration replayed the
         journalled ``watch`` lines (so the probes exist), but the
         value_change pumps and their rid routes died with the old
@@ -776,17 +779,17 @@ class ShardedFrontend:
         it again on every move.  Takes the handle, not the id — callers
         hold ``worker.lock`` or have just ensured the worker, and
         ``_ensure_worker`` would deadlock on that same lock."""
-        records = self._watches.get(name, {})
-        for key, watch in list(records.items()):
+        watches = record.watches
+        for key, watch in list(watches.items()):
             client = key[0]
             if client.closed:
-                records.pop(key, None)
+                watches.pop(key, None)
                 continue
             try:
                 await self._forward_to(worker, client, "subscribe", watch)
             except WorkerCommandError:
                 obs.incr("server.watch_rearm_failures")
-                records.pop(key, None)
+                watches.pop(key, None)
 
     # -- verbs the frontend answers itself: _cmd_<verb>(client, params) -------
 
@@ -812,8 +815,7 @@ class ShardedFrontend:
             })
         wid = self.ring.lookup(name)
         value = await self._forward(client, wid, "open", params)
-        self._sessions[name] = wid
-        self._last_used[name] = time.monotonic()
+        self._sessions[name] = _Session(wid)
         obs.gauge("server.sessions", len(self._sessions))
         return value
 
@@ -845,8 +847,8 @@ class ShardedFrontend:
                 "alive": worker.alive,
                 "restarts": worker.restarts,
                 "sessions": sum(
-                    1 for mapped in self._sessions.values()
-                    if mapped == wid
+                    1 for record in self._sessions.values()
+                    if record.worker == wid
                 ),
             })
         metrics = obs.get_metrics().as_dict()
@@ -952,8 +954,8 @@ class ShardedFrontend:
                 ]
                 moves = {
                     name: new_ring.lookup(name)
-                    for name, wid in self._sessions.items()
-                    if new_ring.lookup(name) != wid
+                    for name, record in self._sessions.items()
+                    if new_ring.lookup(name) != record.worker
                 }
                 if moves:
                     self._require_state_dir("resize")
@@ -978,8 +980,8 @@ class ShardedFrontend:
                 ]
                 moves = {
                     name: new_ring.lookup(name)
-                    for name, wid in self._sessions.items()
-                    if wid in retired
+                    for name, record in self._sessions.items()
+                    if record.worker in retired
                 }
                 if moves:
                     self._require_state_dir("resize")
@@ -1014,12 +1016,13 @@ class ShardedFrontend:
                     "message": f"no worker {target}; pool is "
                                f"{sorted(self._workers)}",
                 })
-            src = self._sessions.get(name)
-            if src is None:
+            record = self._sessions.get(name)
+            if record is None:
                 raise WorkerCommandError({
                     "type": "unknown-session",
                     "message": f"unknown session {name!r}",
                 })
+            src = record.worker
             if src == target:
                 return {"session": name, "from": src, "worker": target,
                         "migrated": False}
@@ -1051,17 +1054,16 @@ class ShardedFrontend:
         its recovery state on the old worker, rehydrate on the new,
         flip the route table, then close the old copy (keeping the
         journal files, which the new worker has adopted)."""
-        src = self._sessions.get(name)
-        if src is None or src == dest:
+        record = self._sessions.get(name)
+        if record is None or record.worker == dest:
             return
-        gate = asyncio.Event()
-        self._migrating[name] = gate
+        gate = record.moving = asyncio.Event()
         try:
             # In-flight commands must finish on the old worker so
             # their structural effects are in the journal we snapshot.
-            while self._inflight.get(name):
+            while record.inflight:
                 await asyncio.sleep(0.005)
-            src_worker = await self._ensure_worker(src)
+            src_worker = await self._ensure_worker(record.worker)
             await self._forward_to(
                 src_worker, None, "persist", {"session": name}
             )
@@ -1069,8 +1071,8 @@ class ShardedFrontend:
             await self._forward_to(
                 dest_worker, None, "rehydrate", {"session": name}
             )
-            self._sessions[name] = dest  # atomic route-table flip
-            await self._rearm_watches(name, dest_worker)
+            record.worker = dest  # atomic route flip
+            await self._rearm_watches(record, dest_worker)
             try:
                 await self._forward_to(
                     src_worker, None, "close",
@@ -1083,7 +1085,7 @@ class ShardedFrontend:
                 pass
             obs.incr("server.sessions_migrated")
         finally:
-            self._migrating.pop(name, None)
+            record.moving = None
             gate.set()
 
     async def _retire_workers(self, wids: List[int]) -> None:

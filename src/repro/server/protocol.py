@@ -132,7 +132,8 @@ VERBS: Dict[str, Verb] = {
                    {"override": BOOL}, routed=True),
     "close": Verb(_SESSION, routed=True),
     "sessions": Verb(),
-    "stats": Verb(),
+    # deep: add each worker's own stats (``worker_stats``).
+    "stats": Verb({}, {"deep": BOOL}),
     "shutdown": Verb(),
     "resize": Verb({"workers": WORKERS}),
     "migrate": Verb({**_SESSION, "worker": INT}),

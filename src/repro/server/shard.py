@@ -14,15 +14,25 @@ one *process* each:
   is recovered by replaying the journal on a fresh worker (compiles hit
   the shared :class:`~repro.server.store.ArtifactStore`, so this is
   cheap) and restoring each pipe from its last saved checkpoint.
-* :class:`SessionWorker` / :func:`worker_main` — the worker: a
-  :class:`~repro.server.service.SessionManager` slice driven by framed
-  messages over a :class:`multiprocessing.connection.Connection`, with
-  command execution on a small thread pool (per-session locks keep one
-  session serialized) and ``verify_status`` / ``lint_findings`` /
+* :class:`ManagedSession` — a worker's one record of one session: the
+  :class:`~repro.live.session.LiveSession`, its interpreter and lock,
+  use counters, its journal and what each pipe last saved.
+* :class:`SessionWorker` / :func:`worker_main` — the worker: one
+  registry of those records driven by framed messages over a
+  :class:`multiprocessing.connection.Connection`, with command
+  execution on a small thread pool (per-session locks keep one session
+  serialized) and ``verify_status`` / ``lint_findings`` /
   ``value_change`` events streamed back tagged with the originating
-  request id.  The frontend runs it as a process, or for
+  request id.  ``open`` and ``rehydrate`` are one admission: a record
+  is built from a history of ops and enters the registry complete, or
+  not at all.  The frontend runs the worker as a process, or for
   ``--workers 0`` on a thread of its own process; the worker cannot
   tell which.
+
+All sessions share one on-disk :class:`~repro.server.store.ArtifactStore`
+(when configured), so the second session compiling a design the first
+one already compiled, a rehydration or a warm restart of the whole
+server loads artifacts from disk instead of running codegen.
 
 The asyncio front door that owns the workers lives in
 :mod:`repro.server.frontend`.
@@ -45,14 +55,16 @@ from ..analyze import count_by_severity
 from ..hdl.errors import SimulationError
 from ..live.checkpoint import Checkpoint, read_sealed, write_sealed
 from ..live.commands import CommandInterpreter
+from ..live.session import LiveSession
+from ..live.tables import STAGE, TESTBENCH
+from ..sim.testbench import reset_sequence
 from ..trace.buffer import DEFAULT_SUB_QUEUE as TRACE_SUB_QUEUE
+from .protocol import to_jsonable
 from .service import (
-    ManagedSession,
-    SessionManager,
+    DuplicateSessionError,
+    UnknownSessionError,
     error_payload,
     summarize,
-    watch_trace_loop,
-    watch_verify_loop,
 )
 from .store import ArtifactStore
 
@@ -244,8 +256,87 @@ class WorkerConfig:
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
+class ManagedSession:
+    """A worker's one record of one named session.
+
+    The LiveSession with its interpreter and serialization lock, the
+    use counters ``describe`` reports, the session's
+    :class:`SessionJournal` (``None`` without a state dir) and
+    ``saved``: per pipe, the newest checkpoint of the pipe's store when
+    the journal's file last saved it.
+    """
+
+    def __init__(self, name: str, session: LiveSession,
+                 journal: Optional[SessionJournal]):
+        self.name = name
+        self.session = session
+        self.interp = CommandInterpreter(session)
+        self.journal = journal
+        self.saved: Dict[str, Checkpoint] = {}
+        self.lock = threading.RLock()
+        self.last_used = time.monotonic()
+        self.commands = 0
+
+    def touch(self) -> None:
+        self.last_used = time.monotonic()
+        self.commands += 1
+
+    def close(self) -> None:
+        with self.lock:
+            self.session.close()
+
+    # -- journaling (callers hold ``lock`` and have a journal) ---------------
+
+    def journal_line(self, line: str) -> None:
+        """Record what a command line the interpreter just ran does to
+        the session's recovery state."""
+        verb, operands = CommandInterpreter.parse(line)
+        verb = verb.lower()
+        if verb == "ldlib":
+            # Journal the *text the session actually merged* (recorded
+            # by the interpreter), never a re-read of the path: the
+            # file can change or vanish between the load and this
+            # write, and a divergent or missing lib op rebuilds a
+            # different design — or drops the session — on rehydrate.
+            recorded = self.interp.last_ld_lib
+            if recorded is None or recorded[0] != operands[0]:
+                raise OSError(
+                    f"ldLib source for {operands[0]!r} was not captured"
+                )
+            self.journal.append(
+                {"op": "lib", "name": recorded[0], "source": recorded[1]}
+            )
+        elif verb in ("chkp", "ldch"):
+            # ``ldch`` rewrites the store (the abandoned future goes, the
+            # loaded checkpoints come in), and recovery restores the
+            # store the file holds.
+            self.save_checkpoints(operands[0], force=True)
+        elif verb == "run":
+            # Piggyback on implicit interval checkpoints: if the run
+            # crossed a boundary the store grew, and persisting it
+            # advances the recovery point for free.
+            self.save_checkpoints(operands[1], force=False)
+        elif verb in STRUCTURAL_VERBS:
+            self.journal.append({"op": "line", "line": line})
+
+    def save_checkpoints(self, pipe: str, force: bool) -> None:
+        """Save one pipe's checkpoint store to the journal's file when
+        the newest checkpoint moved (or unconditionally on ``force``).
+        Moved means another checkpoint, not another cycle: after a
+        rewind the same cycle can hold another state."""
+        store = self.session.store(pipe)
+        checkpoints = store.all()
+        if not checkpoints:
+            return
+        if not force and self.saved.get(pipe) is checkpoints[-1]:
+            return
+        store.save(self.journal.checkpoint_path(pipe))
+        self.saved[pipe] = checkpoints[-1]
+        obs.incr("server.journal_checkpoints")
+
+
 class SessionWorker:
-    """One worker: a SessionManager slice behind a pipe.
+    """One worker: the sessions it hosts, behind a pipe.
 
     Requests arrive as ``{"kind": "request", "rid": ..., "cmd": ...,
     "params": {...}}`` dicts; each executes on a thread-pool thread
@@ -259,17 +350,11 @@ class SessionWorker:
     def __init__(self, conn, config: WorkerConfig):
         self.conn = conn
         self.config = config
-        store = (
+        self.artifact_store = (
             ArtifactStore(config.store_root) if config.store_root else None
         )
-        self.manager = SessionManager(
-            artifact_store=store,
-            checkpoint_interval=config.checkpoint_interval,
-        )
-        self._journals: Dict[str, SessionJournal] = {}
-        # session -> pipe -> the newest checkpoint of the pipe's store
-        # when the journal's file last saved it.
-        self._saved_newest: Dict[str, Dict[str, Checkpoint]] = {}
+        self._lock = threading.Lock()
+        self._sessions: Dict[str, ManagedSession] = {}
         self._send_lock = threading.Lock()
         self._stop = threading.Event()
         self._pool = ThreadPoolExecutor(
@@ -323,7 +408,11 @@ class SessionWorker:
         finally:
             self._stop.set()
             self._pool.shutdown(wait=False, cancel_futures=True)
-            self.manager.close_all()
+            with self._lock:
+                sessions = list(self._sessions.values())
+                self._sessions.clear()
+            for managed in sessions:
+                managed.close()
             try:
                 self.conn.close()
             except OSError:
@@ -361,74 +450,84 @@ class SessionWorker:
             raise ValueError(f"unknown worker command {cmd!r}")
         return handler(rid, params)
 
-    # -- journal helpers -----------------------------------------------------
+    # -- the registry --------------------------------------------------------
 
-    def _journal(self, name: str) -> Optional[SessionJournal]:
-        if self.config.state_root is None:
-            return None
-        journal = self._journals.get(name)
-        if journal is None:
-            journal = SessionJournal(self.config.state_root, name)
-            self._journals[name] = journal
-        return journal
+    def _get(self, name: str) -> ManagedSession:
+        with self._lock:
+            managed = self._sessions.get(name)
+        if managed is None:
+            raise UnknownSessionError(f"unknown session {name!r}")
+        return managed
 
-    def _journal_command(
-        self, managed: ManagedSession, journal: SessionJournal,
-        verb: str, operands: List[str], line: str,
-    ) -> None:
-        verb = verb.lower()
-        if verb == "ldlib":
-            # Journal the *text the session actually merged* (recorded
-            # by the interpreter), never a re-read of the path: the
-            # file can change or vanish between the load and this
-            # write, and a divergent or missing lib op rebuilds a
-            # different design — or drops the session — on rehydrate.
-            recorded = managed.interp.last_ld_lib
-            if recorded is None or recorded[0] != operands[0]:
-                raise OSError(
-                    f"ldLib source for {operands[0]!r} was not captured"
+    def _admit(
+        self,
+        name: str,
+        ops: List[Dict[str, Any]],
+        journal: Optional[SessionJournal],
+        restore: bool,
+    ) -> ManagedSession:
+        """The one way a session enters this worker.
+
+        Builds a complete record off the registry from a history of ops
+        (``ops[0]`` is the ``open`` op; a ``reset_sequence`` testbench
+        with a factory spec, so background verification can rebuild it
+        in worker processes, unless its ``reset_cycles`` is negative).
+        A ``restore`` (rehydration) then loads each pipe's checkpoint
+        file.  Only a complete record enters the registry: an ``open``
+        refuses a taken name and begins its journal, a ``restore``
+        replaces the remnant it finds.  Any failure closes what was
+        built and leaves the registry as it was.
+        """
+        opened = ops[0]
+        session = LiveSession(
+            opened["source"],
+            checkpoint_interval=self.config.checkpoint_interval,
+            artifact_store=self.artifact_store,
+        )
+        managed = ManagedSession(name, session, journal)
+        try:
+            reset_cycles = opened["reset_cycles"]
+            if reset_cycles >= 0:
+                session.load_testbench(
+                    reset_sequence("rst", cycles=reset_cycles),
+                    factory=(
+                        "repro.sim.testbench:reset_sequence",
+                        {"reset_name": "rst", "cycles": reset_cycles},
+                    ),
                 )
-            journal.append(
-                {"op": "lib", "name": recorded[0], "source": recorded[1]}
-            )
-            return
-        if verb in ("chkp", "ldch"):
-            # ``ldch`` rewrites the store (the abandoned future goes, the
-            # loaded checkpoints come in), and recovery restores the
-            # store the file holds.
-            self._persist_checkpoints(
-                managed, journal, operands[0], force=True
-            )
-            return
-        if verb == "run":
-            # Piggyback on implicit interval checkpoints: if the run
-            # crossed a boundary the store grew, and persisting it
-            # advances the recovery point for free.
-            self._persist_checkpoints(
-                managed, journal, operands[1], force=False
-            )
-            return
-        if verb in STRUCTURAL_VERBS:
-            journal.append({"op": "line", "line": line})
-
-    def _persist_checkpoints(
-        self, managed: ManagedSession, journal: SessionJournal,
-        pipe: str, force: bool,
-    ) -> None:
-        """Save one pipe's checkpoint store to the journal's file when
-        the newest checkpoint moved (or unconditionally on ``force``).
-        Moved means another checkpoint, not another cycle: after a
-        rewind the same cycle can hold another state."""
-        store = managed.session.store(pipe)
-        checkpoints = store.all()
-        if not checkpoints:
-            return
-        saved = self._saved_newest.setdefault(managed.name, {})
-        if not force and saved.get(pipe) is checkpoints[-1]:
-            return
-        store.save(journal.checkpoint_path(pipe))
-        saved[pipe] = checkpoints[-1]
-        obs.incr("server.journal_checkpoints")
+            for op in ops[1:]:
+                kind = op["op"]
+                if kind == "lib":
+                    session.ld_lib(op["name"], op["source"])
+                elif kind == "reload":
+                    session.apply_change(
+                        op["source"], override_gate=op["override"]
+                    )
+                elif kind == "line":
+                    managed.interp.execute(op["line"])
+            if restore:
+                for pipe, path in journal.checkpoints().items():
+                    session.ldch(pipe, path)
+            with self._lock:
+                remnant = self._sessions.get(name)
+                if not restore:
+                    if remnant is not None:
+                        raise DuplicateSessionError(
+                            f"session {name!r} already exists"
+                        )
+                    if journal is not None:
+                        # Under the lock: an open that lost the race
+                        # for the name must not rewrite the winner's.
+                        journal.begin(opened["source"], reset_cycles)
+                self._sessions[name] = managed
+        except BaseException:
+            managed.close()
+            raise
+        obs.incr("worker.sessions_opened")
+        if remnant is not None:
+            remnant.close()
+            obs.incr("worker.sessions_closed")
+        return managed
 
     # -- commands ------------------------------------------------------------
 
@@ -439,23 +538,28 @@ class SessionWorker:
         reset_cycles = params.get("reset_cycles")
         if reset_cycles is None:
             reset_cycles = 2
-        info = self.manager.open(name, source, reset_cycles=reset_cycles)
-        journal = self._journal(name)
-        if journal is not None:
-            try:
-                journal.begin(source, reset_cycles)
-            except OSError:
-                # Roll the open back.  Keeping the session while the
-                # client sees an error would leave it unmapped on the
-                # frontend but resident here, so every retry would die
-                # with duplicate-session.
-                self._journals.pop(name, None)
-                try:
-                    self.manager.close(name)
-                except KeyError:
-                    pass
-                raise
-        return info
+        if not name:
+            raise DuplicateSessionError("session name must be non-empty")
+        state_root = self.config.state_root
+        journal = (
+            SessionJournal(state_root, name) if state_root is not None
+            else None
+        )
+        op = {"op": "open", "source": source, "reset_cycles": reset_cycles}
+        session = self._admit(name, [op], journal, restore=False).session
+        return {
+            "session": name,
+            "modules": sorted(session.compiler.design.modules),
+            "handles": {
+                str(entry.payload): entry.handle
+                for entry in session.objects.by_type(STAGE)
+            },
+            "tb": next(
+                (entry.handle for entry in session.objects.by_type(TESTBENCH)),
+                None,
+            ),
+            "reset_cycles": reset_cycles,
+        }
 
     def _cmd_cmd(self, rid: int, params: Dict[str, Any]) -> Any:
         name, line = params["session"], params["line"]
@@ -464,18 +568,14 @@ class SessionWorker:
             # Chaos hook for failover tests: die exactly like a
             # SIGKILL would, mid-request, every time this line runs.
             os._exit(17)
-        managed = self.manager.get(name)
+        managed = self._get(name)
         journal_error: Optional[str] = None
         with managed.lock:
             result = managed.interp.execute(line)
             managed.touch()
-            journal = self._journal(name)
-            if journal is not None:
-                verb, operands = CommandInterpreter.parse(line)
+            if managed.journal is not None:
                 try:
-                    self._journal_command(
-                        managed, journal, verb, operands, line
-                    )
+                    managed.journal_line(line)
                 except OSError as exc:
                     obs.incr("server.journal_errors")
                     journal_error = str(exc)
@@ -484,7 +584,7 @@ class SessionWorker:
         verb = result.command.lower()
         if verb == "verify":
             pipe = CommandInterpreter.parse(line)[1][0]
-            self._watch_verify(rid, managed, pipe)
+            self._start_pump("verify", self._verify_pump, rid, managed, pipe)
         elif verb == "watch":
             operands = CommandInterpreter.parse(line)[1]
             self._watch_trace(
@@ -511,17 +611,16 @@ class SessionWorker:
     def _cmd_reload(self, rid: int, params: Dict[str, Any]) -> Any:
         name, source = params["session"], params["source"]
         override = bool(params.get("override"))
-        managed = self.manager.get(name)
+        managed = self._get(name)
+        journal_error: Optional[str] = None
         with managed.lock:
             report = managed.session.apply_change(
                 source, override_gate=override
             )
             managed.touch()
-            journal = self._journal(name)
-            journal_error: Optional[str] = None
-            if journal is not None:
+            if managed.journal is not None:
                 try:
-                    journal.append({
+                    managed.journal.append({
                         "op": "reload", "source": source,
                         "override": override,
                     })
@@ -544,33 +643,58 @@ class SessionWorker:
         self, rid: int, params: Dict[str, Any]
     ) -> Dict[str, Any]:
         name = params["session"]
-        self.manager.close(name)
-        self._saved_newest.pop(name, None)
-        journal = self._journals.pop(name, None)
-        if journal is not None and not params.get("keep_state"):
+        with self._lock:
+            managed = self._sessions.pop(name, None)
+        if managed is None:
+            raise UnknownSessionError(f"unknown session {name!r}")
+        managed.close()
+        obs.incr("worker.sessions_closed")
+        if managed.journal is not None and not params.get("keep_state"):
             # keep_state: the session is migrating to another
             # worker, which adopts the journal + checkpoint files.
-            journal.delete()
+            managed.journal.delete()
         return {"closed": name}
 
     def _cmd_describe(self, rid: int, params: Dict[str, Any]) -> List[Dict]:
-        entries = self.manager.describe()
-        for entry in entries:
-            entry["worker"] = self.config.worker_id
-        return entries
+        with self._lock:
+            sessions = list(self._sessions.values())
+        return [
+            {
+                "session": managed.name,
+                "modules": len(managed.session.compiler.design.modules),
+                "pipes": sorted(managed.session.pipelines.names()),
+                "commands": managed.commands,
+                "idle_seconds": time.monotonic() - managed.last_used,
+                "version": managed.session.version,
+                "worker": self.config.worker_id,
+            }
+            for managed in sessions
+        ]
 
     def _cmd_stats(
         self, rid: int, params: Dict[str, Any]
     ) -> Dict[str, Any]:
+        with self._lock:
+            sessions = dict(self._sessions)
+        # The checkpoints every pipe of every session holds: how many,
+        # their logical payload (``bytes``, 8 B per word) and what stays
+        # resident (``resident_bytes``: a memory page shared by several
+        # checkpoints of a store counted once).
+        checkpoints = {"count": 0, "bytes": 0, "resident_bytes": 0}
+        for managed in sessions.values():
+            for row in list(managed.session.pipelines):
+                checkpoints["count"] += len(row.store)
+                checkpoints["bytes"] += row.store.total_bytes()
+                checkpoints["resident_bytes"] += row.store.resident_bytes()
         stats: Dict[str, Any] = {
             "worker": self.config.worker_id,
             "pid": os.getpid(),
-            "sessions": self.manager.count,
-            "session_names": self.manager.names(),
+            "sessions": len(sessions),
+            "session_names": sorted(sessions),
             "metrics": obs.get_metrics().as_dict(),
-            "checkpoints": self.manager.checkpoint_totals(),
+            "checkpoints": checkpoints,
         }
-        store = self.manager.artifact_store
+        store = self.artifact_store
         if store is not None:
             stats["store"] = {
                 "root": store.root,
@@ -593,13 +717,12 @@ class SessionWorker:
         a crash, whose recovery point is the last saved checkpoint).
         """
         name = params["session"]
-        managed = self.manager.get(name)
-        journal = self._journal(name)
-        if journal is None:
+        managed = self._get(name)
+        if managed.journal is None:
             raise ValueError(
                 "worker has no state dir; cannot persist sessions"
             )
-        if not journal.exists():
+        if not managed.journal.exists():
             raise LookupError(
                 f"no journal for session {name!r}; it cannot be migrated"
             )
@@ -607,8 +730,7 @@ class SessionWorker:
         with managed.lock:
             for pipe in managed.session.pipelines.names():
                 managed.session.chkp(pipe)
-                self._persist_checkpoints(managed, journal, pipe,
-                                          force=True)
+                managed.save_checkpoints(pipe, force=True)
                 saved[pipe] = managed.session.pipe(pipe).cycle
         obs.incr("server.sessions_persisted")
         return {"session": name, "pipes": saved}
@@ -638,44 +760,24 @@ class SessionWorker:
             raise LookupError(
                 f"no journal for session {name!r}; it cannot be recovered"
             )
-        try:
-            self.manager.close(name)  # drop any half-alive remnant
-        except KeyError:
-            pass
-        self._saved_newest.pop(name, None)
         started = time.perf_counter()
-        ops = journal.ops()  # ``begin`` wrote the open record first
-        info = self.manager.open(
-            name, ops[0]["source"], reset_cycles=ops[0]["reset_cycles"],
-        )
-        managed = self.manager.get(name)
-        with managed.lock:
-            for op in ops[1:]:
-                kind = op["op"]
-                if kind == "lib":
-                    managed.session.ld_lib(op["name"], op["source"])
-                elif kind == "reload":
-                    managed.session.apply_change(
-                        op["source"], override_gate=op["override"]
-                    )
-                elif kind == "line":
-                    managed.interp.execute(op["line"])
-            restored = {}
-            for pipe, path in journal.checkpoints().items():
-                managed.session.ldch(pipe, path)
-                restored[pipe] = managed.session.pipe(pipe).cycle
-            managed.touch()
-        self._journals[name] = journal
+        managed = self._admit(name, journal.ops(), journal, restore=True)
         seconds = time.perf_counter() - started
         obs.incr("server.sessions_rehydrated")
         obs.histogram("server.rehydrate_seconds", seconds)
+        session = managed.session
+        with managed.lock:
+            restored = {
+                pipe: session.pipe(pipe).cycle
+                for pipe in journal.checkpoints()
+            }
         return {
             "session": name,
             "rehydrated": True,
             "worker": self.config.worker_id,
             "seconds": seconds,
             "pipes": restored,
-            "modules": info["modules"],
+            "modules": sorted(session.compiler.design.modules),
         }
 
     def _cmd_subscribe(self, rid: int, params: Dict[str, Any]) -> Any:
@@ -687,7 +789,7 @@ class SessionWorker:
         and journals nothing.  ``session.watch`` is idempotent (and
         re-creates a probe whose journal write had failed); the
         ``value_change`` pump is what died with the old worker."""
-        managed = self.manager.get(params["session"])
+        managed = self._get(params["session"])
         pipe, signal = params["pipe"], params["signal"]
         with managed.lock:
             info = managed.session.watch(pipe, signal)
@@ -697,27 +799,47 @@ class SessionWorker:
             )
         return summarize(info)
 
-    # -- events --------------------------------------------------------------
+    # -- event pumps ---------------------------------------------------------
 
-    def _watch_verify(
-        self, rid: int, managed: ManagedSession, pipe: str
+    def _start_pump(
+        self, kind: str, body, rid: int, managed: ManagedSession, *args
     ) -> None:
-        def loop() -> None:
-            watch_verify_loop(
-                managed,
-                pipe,
-                lambda data: self._send_event(
-                    rid, "verify_status", managed.name, data
-                ),
-                self._stop.is_set,
-                POLL_SECONDS,
-            )
-
+        """Run one event pump on a daemon thread of its own."""
         threading.Thread(
-            target=loop,
-            name=f"livesim-w{self.config.worker_id}-verify-{managed.name}",
+            target=body,
+            args=(rid, managed, *args),
+            name=f"livesim-w{self.config.worker_id}-{kind}-{managed.name}",
             daemon=True,
         ).start()
+
+    def _verify_pump(
+        self, rid: int, managed: ManagedSession, pipe: str
+    ) -> None:
+        """Poll one pipe's background verification, emitting
+        ``verify_status`` events until the job leaves the running
+        state, the frontend goes away or the pipe vanishes."""
+        last = None
+        while not self._stop.is_set():
+            try:
+                status = managed.session.verify_status(pipe)
+            except SimulationError:
+                return  # pipe vanished (session closed / renamed)
+            snapshot = (
+                status.state,
+                status.completed_segments,
+                status.cancelled_segments,
+            )
+            if snapshot != last:
+                data = to_jsonable(status)
+                data["pipe"] = pipe
+                if not self._send_event(
+                    rid, "verify_status", managed.name, data
+                ):
+                    return
+                last = snapshot
+            if status.state != "running":
+                return
+            time.sleep(POLL_SECONDS)
 
     def _watch_trace(
         self,
@@ -732,31 +854,47 @@ class SessionWorker:
         can fan them out to the right client connection.  At most
         ``max_events`` (default :data:`TRACE_SUB_QUEUE`) wait in the
         subscription queue before the oldest drop."""
-        session = managed.session
         with managed.lock:
-            buffer = session.trace_buffer(pipe, create=True)
+            buffer = managed.session.trace_buffer(pipe, create=True)
             sub = buffer.subscribe(
                 [signal], max_events=max_events or TRACE_SUB_QUEUE
             )
+        self._start_pump(
+            "trace", self._trace_pump, rid, managed, pipe, signal, sub
+        )
 
-        def loop() -> None:
-            watch_trace_loop(
-                managed,
-                pipe,
-                signal,
-                sub,
-                lambda data: self._send_event(
-                    rid, "value_change", managed.name, data
-                ),
-                self._stop.is_set,
-                POLL_SECONDS,
-            )
-
-        threading.Thread(
-            target=loop,
-            name=f"livesim-w{self.config.worker_id}-trace-{managed.name}",
-            daemon=True,
-        ).start()
+    def _trace_pump(
+        self, rid: int, managed: ManagedSession, pipe: str, signal: str,
+        sub,
+    ) -> None:
+        """Drain one trace subscription (a
+        :class:`repro.trace.TraceSubscription`) until it closes
+        (``unwatch``), the frontend goes away or the pipe vanishes.  The
+        simulation side never blocks on this loop: the subscription
+        queue drops oldest under backpressure and counts the drops."""
+        try:
+            while not self._stop.is_set():
+                if sub.closed:
+                    return
+                events, dropped = sub.drain()
+                if events:
+                    data = {
+                        "pipe": pipe,
+                        "signal": signal,
+                        "events": events,
+                        "events_dropped": dropped,
+                    }
+                    if not self._send_event(
+                        rid, "value_change", managed.name, data
+                    ):
+                        return
+                try:
+                    managed.session.pipe(pipe)
+                except SimulationError:
+                    return  # pipe vanished (session closed / renamed)
+                time.sleep(POLL_SECONDS)
+        finally:
+            sub.close()
 
 
 def worker_main(conn, config: WorkerConfig) -> None:

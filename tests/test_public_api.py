@@ -173,9 +173,9 @@ with tempfile.TemporaryDirectory() as state:
         "session": "s", "source": source.replace("a + b", "a + b + 1"),
     })
     loaded = "repro.live.consistency" in sys.modules
-    session = worker.manager.get("s").session
+    session = worker._get("s").session
     report = summarize(session.verify_consistency("p0"))
-    worker.manager.close_all()
+    worker._dispatch(4, "close", {"session": "s"})
 print(json.dumps({"loaded": loaded, "report": report}))
 """
 

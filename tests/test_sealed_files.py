@@ -147,7 +147,7 @@ def test_rehydrate_refuses_every_damaged_journal(saved):
             assert f"not a {STORE_FORMAT} journal file" in message, what
             if shown is not None:
                 assert message.endswith(f"found {shown}"), what
-            assert worker.manager.count == 0, what
+            assert not worker._sessions, what
     finally:
         journal.write_bytes(good)
     # The good journal rehydrates, to the newest checkpoint its run saved.
@@ -156,7 +156,7 @@ def test_rehydrate_refuses_every_damaged_journal(saved):
 
 def test_the_artifact_store_counts_every_header_it_refuses(saved):
     # Truncations and bit flips: test_artifact_store's damaged-file test.
-    store = _worker(saved["root"]).manager.artifact_store
+    store = _worker(saved["root"]).artifact_store
     path = saved["artifact"]
     good = path.read_bytes()
     compiler = LiveCompiler(COUNTER_SRC)

@@ -1,4 +1,4 @@
-"""LiveSim server tests: session registry, socket end-to-end on both
+"""LiveSim server tests: a worker's session registry, socket end-to-end on both
 hostings (worker on a thread / worker processes), idle eviction, the
 acceptance-criteria concurrency and warm-restart scenarios."""
 
@@ -12,10 +12,10 @@ from repro.server import protocol
 from repro.server.client import ServerError
 from repro.server.service import (
     DuplicateSessionError,
-    SessionManager,
     UnknownSessionError,
     summarize,
 )
+from repro.server.shard import SessionWorker, WorkerConfig
 from tests.conftest import COUNTER_SRC, connect, running_server
 
 EDITED_SRC = COUNTER_SRC.replace("assign sum = a + b;",
@@ -55,89 +55,91 @@ def _wait_until(condition, timeout=10.0):
     return condition()
 
 
-class TestSessionManager:
-    def test_open_returns_handles_and_tb(self):
-        manager = SessionManager()
-        try:
-            info = manager.open("alice", COUNTER_SRC)
-            assert info["session"] == "alice"
-            assert info["modules"] == ["adder", "counter", "top"]
-            assert info["handles"] == {
-                "adder": "stage0", "counter": "stage1", "top": "stage2",
-            }
-            assert info["tb"] == "tb0"
-            assert manager.names() == ["alice"]
-        finally:
-            manager.close_all()
+class _Pipe:
+    """The worker's end of the pipe: what it sends is kept."""
 
-    def test_duplicate_name_rejected(self):
-        manager = SessionManager()
-        try:
-            manager.open("alice", COUNTER_SRC)
-            with pytest.raises(DuplicateSessionError, match="alice"):
-                manager.open("alice", COUNTER_SRC)
-            with pytest.raises(DuplicateSessionError, match="non-empty"):
-                manager.open("", COUNTER_SRC)
-        finally:
-            manager.close_all()
+    def __init__(self):
+        self.sent = []
 
-    def test_unknown_session(self):
-        manager = SessionManager()
+    def send(self, message):
+        self.sent.append(message)
+
+
+@pytest.fixture
+def worker():
+    worker = SessionWorker(_Pipe(), WorkerConfig(worker_id=0))
+    yield worker
+    for entry in worker._cmd_describe(0, {}):
+        worker._cmd_close(0, {"session": entry["session"]})
+
+
+def _open(worker, name, **params):
+    return worker._cmd_open(
+        0, {"session": name, "source": COUNTER_SRC, **params}
+    )
+
+
+def _cmd(worker, name, line):
+    return worker._cmd_cmd(0, {"session": name, "line": line})
+
+
+class TestSessionRegistry:
+    def test_open_returns_handles_and_tb(self, worker):
+        info = _open(worker, "alice")
+        assert info["session"] == "alice"
+        assert info["modules"] == ["adder", "counter", "top"]
+        assert info["handles"] == {
+            "adder": "stage0", "counter": "stage1", "top": "stage2",
+        }
+        assert info["tb"] == "tb0"
+        assert worker._cmd_stats(0, {})["session_names"] == ["alice"]
+
+    def test_duplicate_name_rejected(self, worker):
+        _open(worker, "alice")
+        with pytest.raises(DuplicateSessionError, match="alice"):
+            _open(worker, "alice")
+        with pytest.raises(DuplicateSessionError, match="non-empty"):
+            _open(worker, "")
+        assert worker._cmd_stats(0, {})["session_names"] == ["alice"]
+
+    def test_unknown_session(self, worker):
         with pytest.raises(UnknownSessionError, match="ghost"):
-            manager.get("ghost")
+            _cmd(worker, "ghost", "peek p0")
         with pytest.raises(UnknownSessionError, match="ghost"):
-            manager.close("ghost")
+            worker._cmd_close(0, {"session": "ghost"})
 
-    def test_negative_reset_cycles_skips_testbench(self):
-        manager = SessionManager()
-        try:
-            info = manager.open("bare", COUNTER_SRC, reset_cycles=-1)
-            assert info["tb"] is None
-        finally:
-            manager.close_all()
+    def test_negative_reset_cycles_skips_testbench(self, worker):
+        assert _open(worker, "bare", reset_cycles=-1)["tb"] is None
 
-    def test_close_frees_the_name(self):
-        manager = SessionManager()
-        try:
-            manager.open("alice", COUNTER_SRC)
-            assert manager.close("alice")
-            assert manager.count == 0
-            manager.open("alice", COUNTER_SRC)  # name reusable
-        finally:
-            manager.close_all()
+    def test_close_frees_the_name(self, worker):
+        _open(worker, "alice")
+        assert worker._cmd_close(0, {"session": "alice"}) == {
+            "closed": "alice"
+        }
+        assert worker._cmd_stats(0, {})["sessions"] == 0
+        _open(worker, "alice")  # name reusable
 
-    def test_describe(self):
-        manager = SessionManager()
-        try:
-            manager.open("alice", COUNTER_SRC)
-            managed = manager.get("alice")
-            with managed.lock:
-                managed.interp.execute("instPipe p0, stage2")
-                managed.touch()
-            (entry,) = manager.describe()
-            assert entry["session"] == "alice"
-            assert entry["pipes"] == ["p0"]
-            assert entry["commands"] == 1
-            assert entry["modules"] == 3
-        finally:
-            manager.close_all()
+    def test_describe(self, worker):
+        _open(worker, "alice")
+        _cmd(worker, "alice", "instPipe p0, stage2")
+        (entry,) = worker._cmd_describe(0, {})
+        assert entry["session"] == "alice"
+        assert entry["pipes"] == ["p0"]
+        assert entry["commands"] == 1
+        assert entry["modules"] == 3
+        assert entry["worker"] == 0
 
 
 class TestSummarize:
-    def test_pipe_summary(self):
-        manager = SessionManager()
-        try:
-            manager.open("alice", COUNTER_SRC)
-            managed = manager.get("alice")
-            managed.interp.execute("instPipe p0, stage2")
-            result = managed.interp.execute("run tb0, p0, 10")
-            out = summarize(managed.session.pipe("p0"))
-            assert out["_type"] == "Pipe"
-            assert out["cycle"] == 10
-            assert out["outputs"]["c0"] == 8  # 10 cycles - 2 reset
-            assert result.value["c0"] == 8
-        finally:
-            manager.close_all()
+    def test_pipe_summary(self, worker):
+        _open(worker, "alice")
+        _cmd(worker, "alice", "instPipe p0, stage2")
+        result = _cmd(worker, "alice", "run tb0, p0, 10")
+        out = summarize(worker._get("alice").session.pipe("p0"))
+        assert out["_type"] == "Pipe"
+        assert out["cycle"] == 10
+        assert out["outputs"]["c0"] == 8  # 10 cycles - 2 reset
+        assert result["c0"] == 8
 
     def test_plain_values_pass_through(self):
         assert summarize({"c0": 5}) == {"c0": 5}
@@ -302,7 +304,9 @@ class TestSocketEndToEnd:
 
             runner = threading.Thread(target=long_run, daemon=True)
             runner.start()
-            assert _wait_until(lambda: "alice" in server._inflight), (
+            assert _wait_until(
+                lambda: server._sessions["alice"].inflight
+            ), (
                 "alice's run never started"
             )
             # With alice mid-run, bob hot-reloads — and completes.
@@ -405,7 +409,7 @@ class TestIdleEviction:
                     daemon=True,
                 )
                 runner.start()
-                assert _wait_until(lambda: "alice" in srv._inflight)
+                assert _wait_until(lambda: srv._sessions["alice"].inflight)
                 # Idle by the clock for several timeouts, but a command
                 # is in flight: not evicted.
                 time.sleep(0.6)

@@ -4,10 +4,13 @@ journal/rollback paths."""
 
 import os
 import shutil
+import sys
+import threading
 
 import pytest
 
 from repro.server import shard
+from repro.server.service import DuplicateSessionError
 from repro.server.shard import (
     STRUCTURAL_VERBS,
     HashRing,
@@ -198,7 +201,7 @@ def _worker(state_root=None, **config):
 class TestSessionWorkerJournaling:
     def test_open_rolls_back_when_journal_begin_fails(self, tmp_path):
         # A file where the state dir should be makes journal.begin
-        # fail with OSError after manager.open already succeeded.
+        # fail with OSError after the session was built.
         state = tmp_path / "state"
         state.write_text("not a directory")
         worker = _worker(state_root=str(state))
@@ -207,12 +210,48 @@ class TestSessionWorkerJournaling:
         # The failed open must not leave the session resident: a retry
         # (after the operator fixes the dir) would otherwise die with
         # duplicate-session forever.
-        assert "alice" not in worker.manager.names()
+        assert "alice" not in worker._sessions
         state.unlink()
         info = worker._cmd_open(
             0, {"session": "alice", "source": COUNTER_SRC}
         )
         assert "top" in info["handles"]
+
+    def test_concurrent_opens_of_one_name_admit_one(self, tmp_path):
+        # Each open builds its session off the registry; only one may
+        # enter it, and the losers must not rewrite the winner's journal.
+        worker = _worker(state_root=str(tmp_path))
+        barrier = threading.Barrier(8)
+        outcomes = []
+
+        def open_one():
+            barrier.wait(10)
+            try:
+                worker._cmd_open(
+                    0, {"session": "alice", "source": COUNTER_SRC}
+                )
+                outcomes.append("opened")
+            except DuplicateSessionError:
+                outcomes.append("duplicate")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=open_one) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outcomes) == ["duplicate"] * 7 + ["opened"]
+        assert worker._cmd_stats(0, {})["session_names"] == ["alice"]
+        worker._cmd_cmd(
+            0, {"session": "alice", "line": "instPipe p0, stage2"}
+        )
+        ops = SessionJournal(str(tmp_path), "alice").ops()
+        assert [op["op"] for op in ops] == ["open", "line"]
 
     def test_ldlib_journals_the_merged_source_not_the_path(
         self, tmp_path
@@ -237,7 +276,7 @@ class TestSessionWorkerJournaling:
         other = _worker(state_root=state)
         info = other._cmd_rehydrate(0, {"session": "alice"})
         assert info["rehydrated"] is True
-        session = other.manager.get("alice").session
+        session = other._get("alice").session
         assert session.stage_handle_for("blinker")
 
     def test_a_redefining_lib_survives_persist_and_rehydrate(
@@ -262,12 +301,12 @@ class TestSessionWorkerJournaling:
         )
         worker._cmd_cmd(3, {"session": "alice", "line": "run tb0, p0, 12"})
         worker._cmd_persist(0, {"session": "alice"})
-        source = worker.manager.get("alice").session.compiler.source
+        source = worker._get("alice").session.compiler.source
         other = _worker(state_root=state)
         assert other._cmd_rehydrate(0, {"session": "alice"})["pipes"] == {
             "p0": 12
         }
-        moved = other.manager.get("alice").session
+        moved = other._get("alice").session
         assert moved.compiler.source == source
         assert source.count("module adder") == 1
         assert sorted(parse(source).modules) == ["adder", "counter", "top"]
@@ -353,7 +392,7 @@ class TestRewindIsARecoveryPoint:
         state = str(tmp_path / "state")
         worker = self._worker(state)
         _run_line(worker, "run tb0, p0, 40")  # saved: c0 == 38 at 40
-        session = worker.manager.get("s").session
+        session = worker._get("s").session
         # Back to cycle 10 without a journaled line, then to cycle 40
         # again under a testbench that holds the counters in reset.
         session.ldch("p0", session.store("p0").nearest_before(10))
@@ -386,7 +425,7 @@ class TestReloadAfterRehydrate:
 
     def test_reload_right_after_the_move(self, tmp_path):
         worker = self._moved(str(tmp_path))
-        session = worker.manager.get("s").session
+        session = worker._get("s").session
         assert session.store("p0").cycles() == [10, 20, 25]
         assert session.ops("p0") == []
         report = worker._cmd_reload(0, {"session": "s", "source": self.EDIT})
@@ -424,6 +463,47 @@ class TestReloadAfterRehydrate:
             assert error_payload(caught.value)["type"] == "simulation"
 
 
+class TestAFailedRehydrateChangesNothing:
+    """A rehydrate that fails leaves no session of that name on the
+    worker and every journal and checkpoint file as it was; once the
+    good file is back, the next rehydrate restores the pipe."""
+
+    def _persisted(self, state_root):
+        worker = _worker(state_root, checkpoint_interval=10)
+        worker._cmd_open(0, {"session": "s", "source": COUNTER_SRC})
+        _run_line(worker, "instPipe p0, stage2")
+        _run_line(worker, "run tb0, p0, 25")
+        worker._cmd_persist(0, {"session": "s"})
+
+    def _refused(self, tmp_path, path, good, match):
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        worker = _worker(str(tmp_path), checkpoint_interval=10)
+        with pytest.raises(Exception, match=match):
+            worker._cmd_rehydrate(0, {"session": "s"})
+        assert worker._cmd_stats(0, {})["session_names"] == []
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+        path.write_bytes(good)
+        assert worker._cmd_rehydrate(0, {"session": "s"})["pipes"] == {
+            "p0": 25
+        }
+        assert _run_line(worker, "peek p0")["c0"] == 23
+
+    def test_a_journal_line_naming_a_missing_handle(self, tmp_path):
+        self._persisted(str(tmp_path))
+        journal = SessionJournal(str(tmp_path), "s")
+        path = tmp_path / os.path.basename(journal.path)
+        good = path.read_bytes()
+        journal.append({"op": "line", "line": "instPipe b0, stage99"})
+        self._refused(tmp_path, path, good, "stage99")
+
+    def test_a_checkpoint_file_cut_to_100_bytes(self, tmp_path):
+        self._persisted(str(tmp_path))
+        (ckpt,) = [p for p in tmp_path.iterdir() if p.suffix == ".ckpt"]
+        good = ckpt.read_bytes()
+        ckpt.write_bytes(good[:100])
+        self._refused(tmp_path, ckpt, good, ckpt.name)
+
+
 class TestARefusedEditNumbersNoVersion:
     # The journal holds only the edits that landed, so a rehydrated
     # session numbers its versions by them.  A refused edit used to
@@ -446,7 +526,7 @@ class TestARefusedEditNumbersNoVersion:
         handles = worker._cmd_open(
             0, {"session": "s", "source": TWO_COUNTERS, "reset_cycles": -1}
         )["handles"]
-        session = worker.manager.get("s").session
+        session = worker._get("s").session
         tb = session.load_testbench(hold_inputs())
         _run_line(worker, f"instPipe p0, {handles['top']}")
         _run_line(worker, f"run {tb}, p0, 50")
@@ -468,7 +548,7 @@ class TestARefusedEditNumbersNoVersion:
         assert other._cmd_rehydrate(0, {"session": "s"})["pipes"] == {
             "p0": 50
         }
-        moved = other.manager.get("s").session
+        moved = other._get("s").session
         assert moved.version == "1.2"
         assert moved.peek("p0") == {"y": 200}
         assert moved.pipe("p0").find("ub").peek_reg("cnt_b2") == 150

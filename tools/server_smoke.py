@@ -17,11 +17,13 @@ processes, SIGKILLs one worker mid-session (after a reload the gate
 refused, two reloads that rename the counter register and a ``chkp``
 between them), checks the session rehydrates on the restarted worker
 from its journal + checkpoint in the state it was killed in, then
-resizes the pool 2->4->2 and checks a migrated session keeps its simulated state
-through both moves.  Each moved session then takes a behavioural
-``reload`` and a ``run``: it replays what it ran since the move from
-the checkpoint it was handed over at, exactly as an in-process session
-given the same commands does.
+resizes the pool 2->4->2 and checks a migrated session keeps its
+simulated state through both moves.  After the rehydration and after
+the resize, every session is resident on exactly one worker.  Each
+moved session then takes a behavioural ``reload`` and a ``run``: it
+replays what it ran since the move from the checkpoint it was handed
+over at, exactly as an in-process session given the same commands
+does.
 
 Exit code 0 means every step passed.  Used by the ``server-smoke`` CI
 job; also runnable by hand::
@@ -370,6 +372,22 @@ def reload_after_move(client, name, steps):
           f"(c0={result['c0']})")
 
 
+def check_one_owner(client, when):
+    """Every session lives on exactly one worker: the workers'
+    ``session_names`` are disjoint, and together they are the names
+    ``sessions`` lists, each listed once."""
+    owned = [
+        name
+        for entry in client.request("stats", deep=True)["worker_stats"]
+        for name in entry["session_names"]
+    ]
+    listed = [entry["session"] for entry in client.sessions()]
+    check(len(owned) == len(set(owned))
+          and len(listed) == len(set(listed))
+          and sorted(owned) == sorted(listed),
+          f"{when}: each session on exactly one worker ({sorted(owned)})")
+
+
 def sharded_session(host, port):
     """Sharded leg: two sessions on different workers, one worker
     SIGKILLed mid-session; its session must come back on the restarted
@@ -435,6 +453,7 @@ def sharded_session(host, port):
     outputs = client.command(survivor, "peek p0")
     check(outputs["c0"] == 48,
           "rehydrate: other worker's session untouched")
+    check_one_owner(client, "rehydrate")
 
     # Event streams still reach this client after the session moved to
     # the restarted worker process.  The verdict covers the ten cycles
@@ -500,6 +519,7 @@ def resize_step(client):
     result = client.command(name, "run tb0, p0, 10")
     check(result["c0"] == 128,
           "resize: session simulates after moving back")
+    check_one_owner(client, "resize")
     # Each migration checkpointed the pipe where it stood (cycle 120).
     reload_after_move(client, name, [120, "chkp", 10])
     stats = client.stats()
