@@ -71,7 +71,7 @@ def lazy_exports(
     return __getattr__
 
 
-__getattr__ = lazy_exports(__name__, {
+_EXPORTS = {
     ".baseline": ("BaselineCompiler", "BaselineResult"),
     ".codegen": ("BuildConfig", "CompiledModule", "design_cost"),
     ".hdl": (
@@ -86,43 +86,14 @@ __getattr__ = lazy_exports(__name__, {
     ),
     ".passes": ("compile_netlist",),
     ".sim": ("Pipe", "StageInst", "Testbench"),
-})
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "LiveSession",
-    "LiveParser",
-    "LiveCompiler",
-    "HotReloader",
-    "Checkpoint",
-    "CheckpointStore",
-    "GCPolicy",
-    "RegisterTransform",
-    "RegisterTransformHistory",
-    "TransformOp",
-    "ERDReport",
-    "CompileReport",
-    "ConsistencyReport",
-    "Pipe",
-    "StageInst",
-    "Testbench",
-    "BaselineCompiler",
-    "BaselineResult",
-    "BuildConfig",
-    "CompiledModule",
-    "compile_netlist",
-    "design_cost",
-    "compile_design",
-    "parse",
-    "elaborate",
-    "HDLError",
-    "ParseError",
-    "ElaborationError",
-    "SimulationError",
-    "CompileBudgetExceeded",
-    "__version__",
-]
+    name for names in _EXPORTS.values() for name in names
+] + ["compile_design", "__version__"]
 
 
 def compile_design(

@@ -254,7 +254,10 @@ class Shell:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.checkpoint_interval <= 0:
+        parser.error("--checkpoint-interval must be positive")
     if args.trace_json:
         obs.enable()
         obs.reset()

@@ -24,6 +24,7 @@ deprecated shim) is gone; those checks live in
 :mod:`repro.analyze.checks` with everything else.
 """
 
+from .. import lazy_exports
 from .checks import (
     COMB_LOOP,
     CONSTANT_CONDITION,
@@ -62,16 +63,12 @@ from .diagnostics import (
 )
 from .engine import AnalysisReport, Analyzer
 from .gate import GateBlockedError, GateDecision, evaluate_gate
-from .report import (
-    SCHEMA_ID,
-    build_report,
-    design_entry,
-    diff_reports,
-    finding_identities,
-    load_report,
-    validate_report,
-    write_report,
-)
+
+# The repro.analyze/v1 report loads with its first use (the CLI's).
+__getattr__ = lazy_exports(__name__, {".report": (
+    "SCHEMA_ID", "build_report", "design_entry", "diff_reports",
+    "finding_identities", "load_report", "validate_report", "write_report",
+)})
 
 __all__ = [
     "COMB_LOOP",

@@ -17,8 +17,7 @@ on the offending call lets the swap through and re-baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 from ..hdl.errors import HDLError
 from .diagnostics import SEVERITY_ERROR, Diagnostic
@@ -41,14 +40,13 @@ class GateBlockedError(HDLError):
         )
 
 
-@dataclass
-class GateDecision:
+class GateDecision(NamedTuple):
     """Outcome of one gate evaluation."""
 
-    allowed: bool = True
-    blocking: List[Diagnostic] = field(default_factory=list)
-    new_findings: List[Diagnostic] = field(default_factory=list)
-    overridden: bool = False
+    allowed: bool
+    blocking: List[Diagnostic]
+    new_findings: List[Diagnostic]
+    overridden: bool
 
     def raise_if_blocked(self) -> None:
         if not self.allowed:
@@ -66,8 +64,8 @@ def evaluate_gate(
     ``override`` records the decision but never blocks."""
     baseline = {d.identity() for d in before}
     new = [d for d in after if d.identity() not in baseline]
-    decision = GateDecision(new_findings=new, overridden=override)
-    decision.blocking = [d for d in new if d.severity == SEVERITY_ERROR]
-    if decision.blocking and not override:
-        decision.allowed = False
-    return decision
+    blocking = [d for d in new if d.severity == SEVERITY_ERROR]
+    return GateDecision(
+        allowed=override or not blocking, blocking=blocking,
+        new_findings=new, overridden=override,
+    )

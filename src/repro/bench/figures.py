@@ -115,6 +115,7 @@ def fig7_crossover_kilocycles(
 
 @dataclass
 class Fig8Bar:
+    """One Fig. 8 bar: a mesh size's edit-run-debug phases, in seconds."""
     n: int
     cores: int
     parse_s: float
@@ -159,6 +160,7 @@ def fig8_bars(results: Sequence[SizeResult]) -> List[Fig8Bar]:
 
 @dataclass
 class CheckpointOverheadResult:
+    """Simulation speed with and without checkpoints, and what they cost."""
     n: int
     hz_without: float
     hz_with: float

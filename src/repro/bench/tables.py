@@ -20,6 +20,7 @@ TABLE7_METRICS = ("KHz", "IPC", "I$ MPKI", "D$ MPKI", "BR MPKI")
 
 @dataclass
 class Table7Row:
+    """One Table VII row: host counters for LiveSim and the baseline."""
     n: int
     livesim: PerfResult
     verilator: Optional[PerfResult]  # None => NA (didn't compile)
@@ -80,6 +81,7 @@ def table7_formatted_rows(rows: List[Table7Row]) -> Tuple[List[str], List[list]]
 
 @dataclass
 class Table8Row:
+    """One Table VIII row: hot reload against a full rebuild."""
     n: int
     hot_reload_s: Optional[float]
     livesim_full_s: float

@@ -17,19 +17,11 @@ costs from the IR for the host performance model (Table VII).
 
 from .. import lazy_exports
 
-__getattr__ = lazy_exports(__name__, {
+_EXPORTS = {
     ".build": ("BuildConfig", "ModuleKey"),
     ".cost": ("DesignCost", "ModuleCost", "design_cost", "module_cost"),
     ".pygen": ("CompiledModule", "compile_module"),
-})
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "BuildConfig",
-    "ModuleKey",
-    "CompiledModule",
-    "compile_module",
-    "ModuleCost",
-    "module_cost",
-    "DesignCost",
-    "design_cost",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]

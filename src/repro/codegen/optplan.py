@@ -15,15 +15,13 @@ nothing to apply compiles under :data:`NO_OPT`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import LiteralOf, rewrite_stmts, substitute
 
 
-@dataclass(frozen=True)
-class OptPlan:
+class OptPlan(NamedTuple):
     """Everything codegen needs to emit the optimized variant.
 
     * ``consts`` — comb wires proven constant; reads are replaced with
@@ -34,8 +32,8 @@ class OptPlan:
       (stateless): their ``cycle`` calls are elided.
     """
 
-    consts: Dict[str, int] = field(default_factory=dict)
-    const_widths: Dict[str, int] = field(default_factory=dict)
+    consts: Dict[str, int] = {}  # shared defaults: a plan is never written
+    const_widths: Dict[str, int] = {}
     dead_assigns: Tuple[int, ...] = ()
     dead_blocks: Tuple[int, ...] = ()
     skip_children: Tuple[int, ...] = ()

@@ -113,7 +113,6 @@ from .. import obs
 from ..hdl import ast_nodes as ast
 from ..hdl.errors import CodegenError
 from ..ir.netlist import ModuleIR, Netlist
-from ..sanitize.instrument import Instrumenter
 from .build import BuildConfig, ModuleKey
 from .emitter import FunctionEmitter, block
 from .exprgen import ATOM, BAND, ExprGen, Resolver, StmtGen, mask_of, paren
@@ -214,6 +213,7 @@ def state_layout(num_regs: int, num_mems: int, sanitize: bool) -> StateLayout:
 
 @dataclass
 class MemSpec:
+    """Where one memory's contents and pending writes live in the state."""
     name: str
     width: int
     depth: int
@@ -350,9 +350,13 @@ class _ModuleCompiler:
             for name in blk.writes:
                 self._seq_writers.setdefault(name, set()).add(bid)
         # The sanitizer flavour: every hook this compile writes.
-        self.hooks = Instrumenter(
-            ir, layout, self._mem_slot, self._seq_writers, build.san_elide
-        ) if sanitize else None
+        self.hooks = None
+        if sanitize:
+            from ..sanitize.instrument import Instrumenter
+
+            self.hooks = Instrumenter(
+                ir, layout, self._mem_slot, self._seq_writers, build.san_elide
+            )
 
     @property
     def comb_ports(self) -> List[str]:

@@ -1,5 +1,6 @@
 """LHDL frontend: lexer, preprocessor, parser, elaborator, regions."""
 
+from .. import lazy_exports
 from ..analyze.diagnostics import Diagnostic
 from . import ast_nodes
 from .elaborate import Elaborator, elaborate
@@ -17,8 +18,9 @@ from .errors import (
 )
 from .lexer import behavioral_fingerprint, tokenize
 from .parser import parse, parse_expr
-from .preprocessor import preprocess
 from .source_regions import SourceRegion, module_regions, split_regions
+
+__getattr__ = lazy_exports(__name__, {".preprocessor": ("preprocess",)})
 
 __all__ = [
     "ast_nodes",

@@ -18,30 +18,33 @@ from typing import Dict, List, Optional, Tuple
 
 @dataclass
 class Expr:
+    """An expression; every kind records the line it starts on."""
     line: int = 0
 
 
 @dataclass
 class Num(Expr):
     """Integer literal; ``width`` is None for plain decimals."""
-
     value: int = 0
     width: Optional[int] = None
 
 
 @dataclass
 class Id(Expr):
+    """A read of a signal, parameter or memory by name."""
     name: str = ""
 
 
 @dataclass
 class Unary(Expr):
+    """``op operand``: a logical, bitwise, arithmetic or reduction op."""
     op: str = ""  # ! ~ - + & | ^ (last three are reductions)
     operand: Expr = None  # type: ignore[assignment]
 
 
 @dataclass
 class Binary(Expr):
+    """``left op right``."""
     op: str = ""
     left: Expr = None  # type: ignore[assignment]
     right: Expr = None  # type: ignore[assignment]
@@ -49,6 +52,7 @@ class Binary(Expr):
 
 @dataclass
 class Ternary(Expr):
+    """``cond ? if_true : if_false``."""
     cond: Expr = None  # type: ignore[assignment]
     if_true: Expr = None  # type: ignore[assignment]
     if_false: Expr = None  # type: ignore[assignment]
@@ -56,11 +60,13 @@ class Ternary(Expr):
 
 @dataclass
 class Concat(Expr):
+    """``{a, b, ...}``, most significant part first."""
     parts: List[Expr] = field(default_factory=list)
 
 
 @dataclass
 class Repl(Expr):
+    """``{count{value}}``."""
     count: Expr = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
 
@@ -68,7 +74,6 @@ class Repl(Expr):
 @dataclass
 class Index(Expr):
     """Single-bit select ``sig[i]`` or memory word select ``mem[addr]``."""
-
     base: str = ""
     index: Expr = None  # type: ignore[assignment]
 
@@ -76,7 +81,6 @@ class Index(Expr):
 @dataclass
 class Slice(Expr):
     """Constant part select ``sig[msb:lsb]``."""
-
     base: str = ""
     msb: Expr = None  # type: ignore[assignment]
     lsb: Expr = None  # type: ignore[assignment]
@@ -85,7 +89,6 @@ class Slice(Expr):
 @dataclass
 class IndexedPart(Expr):
     """Indexed part select ``sig[start +: width]`` (or ``-:``)."""
-
     base: str = ""
     start: Expr = None  # type: ignore[assignment]
     width: Expr = None  # type: ignore[assignment]
@@ -95,7 +98,6 @@ class IndexedPart(Expr):
 @dataclass
 class SysCall(Expr):
     """``$signed(x)`` / ``$unsigned(x)`` / ``$clog2(x)``."""
-
     func: str = ""
     args: List[Expr] = field(default_factory=list)
 
@@ -107,13 +109,13 @@ class SysCall(Expr):
 
 @dataclass
 class Stmt:
+    """A procedural statement; every kind records its line."""
     line: int = 0
 
 
 @dataclass
 class LValue:
     """Assignment target: whole signal, bit/word index, or part select."""
-
     name: str = ""
     index: Optional[Expr] = None  # bit select or memory address
     msb: Optional[Expr] = None  # part select bounds (with lsb)
@@ -123,18 +125,21 @@ class LValue:
 
 @dataclass
 class NonBlocking(Stmt):
+    """``target <= value``."""
     target: LValue = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
 
 
 @dataclass
 class Blocking(Stmt):
+    """``target = value``."""
     target: LValue = None  # type: ignore[assignment]
     value: Expr = None  # type: ignore[assignment]
 
 
 @dataclass
 class If(Stmt):
+    """``if (cond) ... else ...``; an absent else is an empty body."""
     cond: Expr = None  # type: ignore[assignment]
     then_body: List[Stmt] = field(default_factory=list)
     else_body: List[Stmt] = field(default_factory=list)
@@ -142,6 +147,7 @@ class If(Stmt):
 
 @dataclass
 class Case(Stmt):
+    """``case (subject)`` and its arms, in source order."""
     subject: Expr = None  # type: ignore[assignment]
     # Each arm is ([labels], body); the default arm has labels == [].
     arms: List[Tuple[List[Expr], List[Stmt]]] = field(default_factory=list)
@@ -154,6 +160,7 @@ class Case(Stmt):
 
 @dataclass
 class Param:
+    """``parameter`` / ``localparam`` with its default value."""
     name: str
     default: Expr
     is_local: bool = False
@@ -162,6 +169,7 @@ class Param:
 
 @dataclass
 class Port:
+    """One port of the module header."""
     direction: str  # "input" | "output"
     name: str
     msb: Optional[Expr] = None  # None means 1-bit scalar
@@ -173,7 +181,6 @@ class Port:
 @dataclass
 class Net:
     """wire/reg declaration; ``depth`` is set for memories."""
-
     kind: str  # "wire" | "reg"
     name: str
     msb: Optional[Expr] = None
@@ -189,6 +196,7 @@ class Net:
 
 @dataclass
 class ContAssign:
+    """``assign target = value;``."""
     target: LValue
     value: Expr
     line: int = 0
@@ -197,7 +205,6 @@ class ContAssign:
 @dataclass
 class Always:
     """``always @(posedge clk)`` or ``always @(*)`` block."""
-
     kind: str  # "seq" | "comb"
     clock: Optional[str] = None
     body: List[Stmt] = field(default_factory=list)
@@ -206,6 +213,7 @@ class Always:
 
 @dataclass
 class Instance:
+    """``module #(overrides) name (connections);``."""
     module: str
     name: str
     param_overrides: Dict[str, Expr] = field(default_factory=dict)
@@ -217,6 +225,7 @@ class Instance:
 
 @dataclass
 class Module:
+    """One ``module ... endmodule``."""
     name: str
     params: List[Param] = field(default_factory=list)
     ports: List[Port] = field(default_factory=list)
@@ -237,5 +246,4 @@ class Module:
 @dataclass
 class Design:
     """A parsed compilation unit: every module in one source text."""
-
     modules: Dict[str, Module] = field(default_factory=dict)

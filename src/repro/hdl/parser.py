@@ -30,7 +30,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from . import ast_nodes as ast
 from .errors import ParseError
 from .lexer import tokenize
-from .preprocessor import preprocess
 from .tokens import EOF, IDENT, ITEM, NUMBER, OP, SIZED_NUMBER, SYSCALL, Token
 
 # Binary operator precedence: higher binds tighter.
@@ -97,12 +96,6 @@ class Parser:
     def _expect_punct(self, text: str) -> Token:
         tok = self._next()
         if not tok.is_punct(text):
-            raise self._error(f"expected {text!r}", tok)
-        return tok
-
-    def _expect_op(self, text: str) -> Token:
-        tok = self._next()
-        if not tok.is_op(text):
             raise self._error(f"expected {text!r}", tok)
         return tok
 
@@ -583,6 +576,8 @@ def parse(
     :class:`Parser`'s.
     """
     if tokens is None:
+        from .preprocessor import preprocess  # loaded by the first such text
+
         tokens = tokenize(preprocess(source, predefines).text)
     return Parser(tokens, items).parse_design()
 

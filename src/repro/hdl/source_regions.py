@@ -10,8 +10,7 @@ change poisons everything below it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 MODULE_REGION = "module"
 DIRECTIVE_REGION = "directive"
@@ -22,8 +21,7 @@ _ENDMODULE_RE = re.compile(r"\bendmodule\b")
 _DIRECTIVE_RE = re.compile(r"^\s*`(define|undef|ifdef|ifndef|else|endif)\b")
 
 
-@dataclass(frozen=True)
-class SourceRegion:
+class SourceRegion(NamedTuple):
     """A contiguous span of source lines with a single owner."""
 
     kind: str

@@ -13,6 +13,7 @@ from typing import Dict
 
 @dataclass
 class BranchStats:
+    """Branch and misprediction counts of one predictor."""
     branches: int = 0
     mispredicts: int = 0
 

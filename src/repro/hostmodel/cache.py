@@ -15,6 +15,7 @@ from typing import List
 
 @dataclass(frozen=True)
 class CacheConfig:
+    """Geometry of one modelled cache."""
     size_bytes: int = 32 * 1024
     ways: int = 8
     line_bytes: int = 64
@@ -29,6 +30,7 @@ class CacheConfig:
 
 @dataclass
 class CacheStats:
+    """Access and miss counts of one modelled cache."""
     accesses: int = 0
     misses: int = 0
 

@@ -41,6 +41,7 @@ def _mix(value: int) -> int:
 
 @dataclass
 class _InstanceRecord:
+    """Where one instance's code and state sit in the modelled address space."""
     module_key: str
     code_base: int
     code_bytes: int

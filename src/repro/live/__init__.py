@@ -19,7 +19,7 @@
 
 from .. import lazy_exports
 
-__getattr__ = lazy_exports(__name__, {
+_EXPORTS = {
     ".checkpoint": ("Checkpoint", "CheckpointStore", "GCPolicy"),
     ".commands": ("CommandError", "CommandInterpreter", "CommandResult"),
     ".compiler_live": ("CompileReport", "LiveCompiler"),
@@ -39,37 +39,7 @@ __getattr__ = lazy_exports(__name__, {
         "RegisterTransform", "RegisterTransformHistory", "TransformOp",
         "guess_transforms",
     ),
-})
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "ObjectLibraryTable",
-    "PipelineTable",
-    "StageTable",
-    "ObjectEntry",
-    "LiveParser",
-    "LiveParseResult",
-    "LiveCompiler",
-    "CompileReport",
-    "RegisterTransform",
-    "RegisterTransformHistory",
-    "TransformOp",
-    "guess_transforms",
-    "HotReloader",
-    "SwapReport",
-    "Checkpoint",
-    "CheckpointStore",
-    "GCPolicy",
-    "ConsistencyReport",
-    "VerifierPool",
-    "VerifyJob",
-    "VerifyStatus",
-    "ERDReport",
-    "LiveSession",
-    "CommandInterpreter",
-    "CommandResult",
-    "CommandError",
-    "RegressionSuite",
-    "RegressionCase",
-    "RegressionReport",
-    "CaseResult",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]

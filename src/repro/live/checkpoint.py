@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import tempfile
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import List, Optional, Set
+from typing import List, NamedTuple, Optional, Set
 
 from .. import obs
 from ..codegen.build import STORE_FORMAT
@@ -111,8 +110,7 @@ class Checkpoint:
         return self.snapshot.total_bytes()
 
 
-@dataclass
-class GCPolicy:
+class GCPolicy(NamedTuple):
     """Fig. 2c: keep the newest N; thin older ones to equal spacing."""
 
     keep_latest: int = 100
@@ -335,6 +333,8 @@ class CheckpointStore:
     # -- persistence -----------------------------------------------------------------
 
     def save(self, path: str) -> None:
+        import pickle  # loaded by the first save or load
+
         with self._lock:
             payload = {
                 "interval": self.interval,
@@ -356,6 +356,8 @@ class CheckpointStore:
         A file :func:`read_sealed` refuses is a
         :class:`SimulationError` naming it, and the store is unchanged.
         """
+        import pickle
+
         data = pickle.loads(read_sealed(path, "checkpoint"))
         stats = data["stats"]
         loaded = (

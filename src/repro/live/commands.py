@@ -54,6 +54,10 @@ class CommandError(ValueError):
 
 @dataclass
 class CommandResult:
+    """One executed command line: its verb and what it returned (a
+    dataclass: one is built per command, and a dataclass builds faster
+    than a NamedTuple)."""
+
     command: str
     value: Any = None
 

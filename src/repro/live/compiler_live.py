@@ -47,7 +47,7 @@ an error raised in a module (``HDLError.place`` / ``HDLError.move``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .. import obs
 from ..codegen.build import BuildConfig, DerivedCache
@@ -61,7 +61,6 @@ from ..hdl.source_regions import MODULE_REGION, TOPLEVEL_REGION
 from ..ir.netlist import Netlist
 from ..passes import PassData, build_compile_pipeline
 from ..passes.dataflow import ITEMS
-from ..sanitize import place_sites
 from .parser_live import LiveParseResult, LiveParser
 
 
@@ -84,8 +83,8 @@ class CompileReport:
         keys.setdefault(kind.split(".")[1], []).append(spec)
 
 
-@dataclass
-class CompileResult:
+class CompileResult(NamedTuple):
+    """One ``compile_top``: the netlist, its library and the report."""
     netlist: Netlist
     library: Dict[str, CompiledModule]
     report: CompileReport
@@ -215,12 +214,15 @@ class LiveCompiler:
         """Adopt the analyzed text; every compiled module the cache holds
         moves its sites to where its module is in it now."""
         self.parser.commit(result)
-        # Sanitized code runs only while the build is sanitized: turning
-        # the flavour back on lands its modules through compile_top.
-        if self.build.sanitize:
-            self._place_sites(self.cache.entries("compile").values())
+        self._place_sites(self.cache.entries("compile").values())
 
     def _place_sites(self, modules) -> None:
+        # Sanitized code runs only while the build is sanitized: turning
+        # the flavour back on lands its modules through compile_top.
+        if not self.build.sanitize:
+            return
+        from ..sanitize.instrument import place_sites
+
         for module in modules:
             header = self.parser.header_line(module.name)
             if module.build.sanitize and header is not None:

@@ -54,16 +54,20 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     as_completed,
 )
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..codegen.build import BuildConfig
+from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
 from ..sim.testbench import Testbench
 from .checkpoint import Checkpoint
 from .compiler_live import CompileResult, LiveCompiler
 from .replay import SessionOp, recorded_from, replay_ops, rewind
+
+if TYPE_CHECKING:
+    from .session import LiveSession, _PipeSession
 
 
 @dataclass
@@ -168,6 +172,7 @@ class VerifyStatus:
 
 @dataclass
 class _Segment:
+    """One checkpoint delta to verify: replay from ``base`` to ``end``."""
     index: int
     base: Optional[Checkpoint]  # None => power-on
     end: Checkpoint
@@ -580,6 +585,154 @@ class VerifyJob:
         finally:
             self._done.set()
         return report
+
+
+# -- a session's verifications ----------------------------------------------
+#
+# LiveSession's verify methods delegate here: verify_consistency starts
+# one job, waits, and acts on the verdict when asked to repair;
+# verify_background starts one on the pool and acts on the verdict when
+# it lands.
+
+
+def verify_consistency(session: LiveSession, pipe_name: str, workers: int = 1,
+                       repair: bool = False) -> ConsistencyReport:
+    """Verify checkpoint deltas under the current design.
+
+    Segments run in this process, or on the persistent worker pool
+    when ``workers > 1`` and every testbench in the history has a
+    factory spec (``report.workers`` says which it was).  A segment
+    that dies (a worker crashed, a testbench raised) does not
+    raise: it makes ``report.verdict`` ``failed`` and its message
+    is in ``report.errors``.
+
+    A delta the recorded ops do not span (a rehydrated session's
+    checkpoints from before the move) cannot be replayed: it is
+    counted in ``unverifiable_segments``, and ``report.verdict`` is
+    ``unverifiable`` when that is all there is.
+    With ``repair=True`` and a divergence found, checkpoints after
+    the divergence point are invalidated and regenerated by
+    replaying from the last consistent checkpoint, and the pipe's
+    visible state is re-established (the paper's "update the final
+    results as necessary").
+    """
+    row = session.timeline(pipe_name)
+    context = worker_context(session, row) if workers > 1 else None
+    report = _start_verify(session, row, workers, context).collect()
+    if repair and _invalidate_stale(row, report):
+        stop_cycle = row.pipe.cycle
+        rewind(row.pipe, session.in_current_version(row.base(stop_cycle)))
+        replay_ops(row.pipe, row.ops, stop_cycle, session.testbench,
+                   on_cycle=lambda pipe: row.store.maybe_take(
+                       pipe, session.version, len(row.ops)))
+    return report
+
+
+def verify_background(
+    session: LiveSession, pipe_name: str, workers: int = 2
+) -> VerifyJob:
+    """Verify checkpoint deltas without blocking the session.
+
+    Segments run on the persistent worker pool; session commands
+    keep executing while results stream in.  When the job finishes,
+    a divergence invalidates checkpoints past ``divergence_cycle``
+    exactly like the blocking path — the pipe's *visible* state is
+    left alone (the user may be mid-run); re-establish it with
+    ``verify_consistency(..., repair=True)`` if needed.
+
+    A background verify for a pipe supersedes that pipe's previous
+    in-flight job, and any behavioural edit supersedes all jobs.
+    """
+    row = session.timeline(pipe_name)
+    context = worker_context(session, row)
+    if context is None:
+        raise SimulationError(
+            "background verification needs testbench factory specs; "
+            "pass factory= to load_testbench"
+        )
+    session.cancel_verify(pipe_name)
+    verify_version = session.version
+
+    def _done(job: VerifyJob, report: ConsistencyReport) -> None:
+        # A superseded verdict describes a design that is no longer
+        # live; it is never acted on.
+        if (
+            not job.superseded
+            and session.version == verify_version
+            and _invalidate_stale(row, report)
+        ):
+            obs.incr("consistency.background_invalidations")
+
+    obs.incr("consistency.background_jobs")
+    job = row.verify_job = _start_verify(session, row, workers, context, _done)
+    threading.Thread(target=job.collect, name=f"livesim-verify-{pipe_name}",
+                     daemon=True).start()
+    return job
+
+
+def verify_status(session: LiveSession, pipe_name: str) -> VerifyStatus:
+    """Verdict / progress of the pipe's latest background verify."""
+    job = session.timeline(pipe_name).verify_job
+    return job.status() if job is not None else VerifyStatus(state="idle")
+
+
+def _start_verify(
+    session: LiveSession,
+    row: _PipeSession,
+    workers: int,
+    context: Optional[WorkerContext],
+    on_complete=None,
+) -> VerifyJob:
+    """Submit the pipe's checkpoint deltas: to the pool when
+    ``context`` tells a worker how to rebuild the simulator, else
+    to this process (they have run when this returns)."""
+    if context is not None:
+        place = session._verifier_pool
+        if place is None or workers > place.workers:
+            # Grow to the widest request; never shrink implicitly — a
+            # new pool means cold workers, their warm compilers gone.
+            session.reset_verifier_pool()
+            place = session._verifier_pool = VerifierPool(workers)
+    else:
+        result = row.compile_result
+        place = InProcess(
+            lambda: Pipe(result.netlist.top, result.library),
+            session.testbench,
+        )
+    # A pool worker has no history: every checkpoint goes out in
+    # the current version's names.
+    checkpoints = [session.in_current_version(c) for c in row.store.all()]
+    return VerifyJob(checkpoints, row.ops, place, context, on_complete)
+
+
+def _invalidate_stale(row: _PipeSession, report: ConsistencyReport) -> bool:
+    """Act on a verdict: drop the checkpoints it showed stale.
+    False when it showed none."""
+    bad = report.first_divergent
+    if bad is None:
+        return False
+    # The bad delta's end is the first checkpoint shown stale; the
+    # one it started from is the last state shown good.
+    row.store.invalidate_after(bad.end_cycle - 1)
+    return True
+
+
+def worker_context(
+    session: LiveSession, row: _PipeSession
+) -> Optional[WorkerContext]:
+    """Rebuild recipe for pool workers; None when a testbench in
+    the pipe's history has no factory spec."""
+    if any(op.tb_handle not in session._tb_specs for op in row.ops):
+        return None
+    return WorkerContext(
+        source=session.compiler.source,
+        top=row.module,
+        params=row.params,
+        # The plain flavour: a worker shares no sanitizer runtime
+        # with the session, and checkpoints hold no optimiser state.
+        build=replace(session.compiler.build, sanitize=False, opt="none"),
+        tb_specs=dict(session._tb_specs),
+    )
 
 
 # -- worker side -------------------------------------------------------------

@@ -45,6 +45,7 @@ class RegressionCase:
 
 @dataclass
 class CaseResult:
+    """Outcome of one regression case."""
     name: str
     passed: bool
     start_cycle: int
@@ -55,6 +56,7 @@ class CaseResult:
 
 @dataclass
 class RegressionReport:
+    """Every case of one regression run, and its wall time."""
     results: List[CaseResult] = field(default_factory=list)
     wall_seconds: float = 0.0
     design_version: str = ""

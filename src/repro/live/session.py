@@ -27,7 +27,6 @@ the Pipeline Table, and every compile reaches a pipe through
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -45,8 +44,6 @@ from ..hdl.source_regions import splice_modules
 from ..sanitize import SANITIZE_MODES, SanitizerRuntime
 from ..sim.pipeline import Pipe, PipeSnapshot
 from ..sim.testbench import Testbench
-from ..trace import TraceBuffer
-from ..trace.buffer import DEFAULT_CAPACITY
 from .checkpoint import Checkpoint, CheckpointStore
 from .compiler_live import CompileResult, LiveCompiler
 from .hotreload import HotReloader, SwapReport
@@ -67,12 +64,12 @@ from .transform import (
 )
 
 if TYPE_CHECKING:
+    from ..trace import TraceBuffer
     from .consistency import (
         ConsistencyReport,
         VerifierPool,
         VerifyJob,
         VerifyStatus,
-        WorkerContext,
     )
 
 
@@ -85,10 +82,11 @@ def _build(base: BuildConfig, **changes) -> BuildConfig:
         raise SimulationError(str(exc)) from None
 
 
-_NO_FACTORY = (
-    "background verification needs testbench factory specs; "
-    "pass factory= to load_testbench"
-)
+def _consistency():
+    """:mod:`repro.live.consistency`, imported by the first verify."""
+    from . import consistency
+
+    return consistency
 
 
 @dataclass
@@ -250,6 +248,12 @@ class LiveSession:
                 f"unknown sanitize mode {sanitize!r}; expected one of "
                 f"{SANITIZE_MODES}"
             )
+        # Refused before anything compiles: the first instPipe or edit
+        # would otherwise fail (or replay nothing) long after set-up.
+        if checkpoint_interval <= 0:
+            raise SimulationError("checkpoint interval must be positive")
+        if reload_distance < 0:
+            raise SimulationError("reload distance must not be negative")
         # One runtime per session, forever: instrumented code exec'd at
         # any point binds this exact object, so mode flips are live in
         # already-compiled modules.
@@ -901,6 +905,8 @@ class LiveSession:
         ``create=True``); None when the pipe has never been watched."""
         session = self.timeline(pipe_name)
         if session.trace is None and create:
+            from ..trace import TraceBuffer  # loaded by the first buffer
+
             session.trace = TraceBuffer()
             session.pipe.attach_trace(session.trace)
         return session.trace
@@ -936,12 +942,10 @@ class LiveSession:
     def trace_status(self, pipe_name: str) -> Dict[str, object]:
         """Probe inventory + drop counters for one pipe."""
         buffer = self.trace_buffer(pipe_name)
-        if buffer is None:
-            return {
-                "pipe": pipe_name, "capacity": DEFAULT_CAPACITY,
-                "cycles_dropped": 0, "events_dropped": 0,
-                "subscriptions": 0, "probes": [],
-            }
+        if buffer is None:  # an unwatched pipe: an empty buffer's status
+            from ..trace import TraceBuffer
+
+            buffer = TraceBuffer()
         status = buffer.status()
         status["pipe"] = pipe_name
         return status
@@ -1006,6 +1010,8 @@ class LiveSession:
             raise SimulationError(
                 "nothing to replay: no watched signals and none given"
             )
+        from ..trace import TraceBuffer
+
         with obs.span("trace.replay", pipe=pipe_name, start=start,
                       end=end):
             scratch = Pipe(
@@ -1045,149 +1051,27 @@ class LiveSession:
         }
 
     # ------------------------------------------------------------------
-    # Consistency verification (§III-F): every verify is one VerifyJob.
-    # verify_consistency starts one, waits, and acts on the verdict when
-    # asked to repair; verify_background starts one on the pool and acts
-    # on the verdict when it lands.  repro.live.consistency (and the
-    # multiprocessing machinery behind the pool) is imported by the first
-    # verify, so opening, running and editing a session never load it.
+    # Consistency verification (§III-F): every verify is one VerifyJob,
+    # and these methods are repro.live.consistency's, which the first
+    # verify imports: opening, running and editing a session never load
+    # it (nor the multiprocessing machinery behind the pool).
     # ------------------------------------------------------------------
 
     def verify_consistency(
-        self,
-        pipe_name: str,
-        workers: int = 1,
-        repair: bool = False,
+        self, pipe_name: str, workers: int = 1, repair: bool = False
     ) -> ConsistencyReport:
-        """Verify checkpoint deltas under the current design.
+        """Verify checkpoint deltas under the current design
+        (:func:`repro.live.consistency.verify_consistency`)."""
+        return _consistency().verify_consistency(self, pipe_name, workers, repair)
 
-        Segments run in this process, or on the persistent worker pool
-        when ``workers > 1`` and every testbench in the history has a
-        factory spec (``report.workers`` says which it was).  A segment
-        that dies (a worker crashed, a testbench raised) does not
-        raise: it makes ``report.verdict`` ``failed`` and its message
-        is in ``report.errors``.
-
-        A delta the recorded ops do not span (a rehydrated session's
-        checkpoints from before the move) cannot be replayed: it is
-        counted in ``unverifiable_segments``, and ``report.verdict`` is
-        ``unverifiable`` when that is all there is.
-        With ``repair=True`` and a divergence found, checkpoints after
-        the divergence point are invalidated and regenerated by
-        replaying from the last consistent checkpoint, and the pipe's
-        visible state is re-established (the paper's "update the final
-        results as necessary").
-        """
-        session = self.timeline(pipe_name)
-        context = self._worker_context(session) if workers > 1 else None
-        report = self._start_verify(session, workers, context).collect()
-        if repair and self._invalidate_stale(session, report):
-            stop_cycle = session.pipe.cycle
-            rewind(
-                session.pipe,
-                self.in_current_version(session.base(stop_cycle)),
-            )
-            replay_ops(
-                session.pipe,
-                session.ops,
-                stop_cycle,
-                self.testbench,
-                on_cycle=lambda pipe: session.store.maybe_take(
-                    pipe, self.version, len(session.ops)
-                ),
-            )
-        return report
-
-    def verify_background(
-        self,
-        pipe_name: str,
-        workers: int = 2,
-    ) -> VerifyJob:
-        """Verify checkpoint deltas without blocking the session.
-
-        Segments run on the persistent worker pool; session commands
-        keep executing while results stream in.  When the job finishes,
-        a divergence invalidates checkpoints past ``divergence_cycle``
-        exactly like the blocking path — the pipe's *visible* state is
-        left alone (the user may be mid-run); re-establish it with
-        ``verify_consistency(..., repair=True)`` if needed.
-
-        A background verify for a pipe supersedes that pipe's previous
-        in-flight job, and any behavioural edit supersedes all jobs.
-        """
-        session = self.timeline(pipe_name)
-        context = self._worker_context(session)
-        if context is None:
-            raise SimulationError(_NO_FACTORY)
-        self.cancel_verify(pipe_name)
-        verify_version = self.version
-
-        def _done(job: VerifyJob, report: ConsistencyReport) -> None:
-            # A superseded verdict describes a design that is no longer
-            # live; it is never acted on.
-            if (
-                not job.superseded
-                and self.version == verify_version
-                and self._invalidate_stale(session, report)
-            ):
-                obs.incr("consistency.background_invalidations")
-
-        obs.incr("consistency.background_jobs")
-        job = session.verify_job = self._start_verify(
-            session, workers, context, _done
-        )
-        threading.Thread(
-            target=job.collect,
-            name=f"livesim-verify-{pipe_name}",
-            daemon=True,
-        ).start()
-        return job
-
-    def _start_verify(
-        self,
-        session: _PipeSession,
-        workers: int,
-        context: Optional[WorkerContext],
-        on_complete=None,
-    ) -> VerifyJob:
-        """Submit the pipe's checkpoint deltas: to the pool when
-        ``context`` tells a worker how to rebuild the simulator, else
-        to this process (they have run when this returns)."""
-        from .consistency import InProcess, VerifyJob
-
-        if context is not None:
-            place = self._ensure_verifier_pool(workers)
-        else:
-            result = session.compile_result
-            place = InProcess(
-                lambda: Pipe(result.netlist.top, result.library),
-                self.testbench,
-            )
-        # A pool worker has no history: every checkpoint goes out in
-        # the current version's names.
-        checkpoints = [self.in_current_version(c) for c in session.store.all()]
-        return VerifyJob(checkpoints, session.ops, place, context, on_complete)
-
-    @staticmethod
-    def _invalidate_stale(
-        session: _PipeSession, report: ConsistencyReport
-    ) -> bool:
-        """Act on a verdict: drop the checkpoints it showed stale.
-        False when it showed none."""
-        bad = report.first_divergent
-        if bad is None:
-            return False
-        # The bad delta's end is the first checkpoint shown stale; the
-        # one it started from is the last state shown good.
-        session.store.invalidate_after(bad.end_cycle - 1)
-        return True
+    def verify_background(self, pipe_name: str, workers: int = 2) -> VerifyJob:
+        """Verify checkpoint deltas without blocking the session
+        (:func:`repro.live.consistency.verify_background`)."""
+        return _consistency().verify_background(self, pipe_name, workers)
 
     def verify_status(self, pipe_name: str) -> VerifyStatus:
         """Verdict / progress of the pipe's latest background verify."""
-        from .consistency import VerifyStatus
-
-        job = self.timeline(pipe_name).verify_job
-        return job.status() if job is not None else VerifyStatus(state="idle")
+        return _consistency().verify_status(self, pipe_name)
 
     def wait_for_verify(
         self, pipe_name: str, timeout: Optional[float] = None
@@ -1210,34 +1094,6 @@ class LiveSession:
         if self._verifier_pool is not None:
             self._verifier_pool.shutdown()
             self._verifier_pool = None
-
-    def _ensure_verifier_pool(self, workers: int) -> VerifierPool:
-        from .consistency import VerifierPool
-
-        pool = self._verifier_pool
-        if pool is None or workers > pool.workers:
-            # Grow to the widest request; never shrink implicitly — a
-            # new pool means cold workers, their warm compilers gone.
-            self.reset_verifier_pool()
-            pool = self._verifier_pool = VerifierPool(workers)
-        return pool
-
-    def _worker_context(self, session: _PipeSession) -> Optional[WorkerContext]:
-        """Rebuild recipe for pool workers; None when a testbench in
-        the session history has no factory spec."""
-        from .consistency import WorkerContext
-
-        if any(op.tb_handle not in self._tb_specs for op in session.ops):
-            return None
-        return WorkerContext(
-            source=self.compiler.source,
-            top=session.module,
-            params=session.params,
-            # The plain flavour: a worker shares no sanitizer runtime
-            # with the session, and checkpoints hold no optimiser state.
-            build=replace(self.compiler.build, sanitize=False, opt="none"),
-            tb_specs=dict(self._tb_specs),
-        )
 
     # ------------------------------------------------------------------
     # Helpers

@@ -8,8 +8,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..hdl.errors import SimulationError
 from ..sim.stage import StageInst
@@ -19,8 +18,7 @@ PIPE = "Pipe"
 TESTBENCH = "Testbench"
 
 
-@dataclass
-class ObjectEntry:
+class ObjectEntry(NamedTuple):
     """One row of the Object Library Table (paper Table II)."""
 
     handle: str

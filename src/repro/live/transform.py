@@ -33,10 +33,9 @@ exploration is not limited to a linear sequence of changes.
 
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..hdl.errors import SimulationError
 from ..ir.netlist import module_of
@@ -105,6 +104,8 @@ def guess_transforms(
     ops: List[TransformOp] = []
     matched_new: set = set()
     for old_name in old_only:
+        import difflib  # loaded by the first edit that drops a register
+
         candidates = [
             n
             for n in new_only
@@ -177,8 +178,8 @@ def translate_snapshot(
     return translated.replace(children=children)
 
 
-@dataclass
-class _VersionNode:
+class _VersionNode(NamedTuple):
+    """One version of the history and how state reaches it."""
     version: str
     parent: Optional[str]
     transforms: Dict[str, RegisterTransform]  # module name -> transform

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from .. import lazy_exports
 from ..codegen.build import OPT_LEVELS, BuildConfig
 from ..codegen.pygen import CompiledModule
 from ..ir.netlist import Netlist
@@ -32,7 +33,10 @@ from .dataflow import (
     compute_netlist_facts,
 )
 from .facts import ElaborateFactsPass
-from .optimize import ConstPropPass, DeadLogicPass, SensitivityPrunePass
+
+__getattr__ = lazy_exports(__name__, {
+    ".optimize": ("ConstPropPass", "DeadLogicPass", "SensitivityPrunePass"),
+})
 
 __all__ = [
     "OPT_LEVELS",
@@ -54,15 +58,31 @@ __all__ = [
 ]
 
 
+class _Optimizing(Pass):
+    """A pass of :mod:`repro.passes.optimize`, which the first build
+    above ``opt=none`` loads; at ``none`` each leaves the plans empty."""
+
+    def __init__(self, name: str, pass_class: str):
+        self.name, self._pass_class = name, pass_class
+
+    def run(self, data: PassData) -> None:
+        if data.build.opt == "none":
+            data.plans = {}
+            return
+        from . import optimize
+
+        getattr(optimize, self._pass_class)().run(data)
+
+
 def build_compile_pipeline() -> PassPipeline:
     """The compile pipeline: the seven passes, in the order they run."""
     return PassPipeline([
         ElaborateFactsPass(),
         ValueFactsPass(),
-        ConstPropPass(),
+        _Optimizing("constprop", "ConstPropPass"),
         SanitizePlanPass(),
-        DeadLogicPass(),
-        SensitivityPrunePass(),
+        _Optimizing("deadlogic", "DeadLogicPass"),
+        _Optimizing("sensitivity", "SensitivityPrunePass"),
         CodegenPass(),
     ])
 

@@ -601,8 +601,7 @@ def _reads_of(expr) -> Tuple[str, ...]:
     return tuple(sorted(expr_reads(expr)))
 
 
-@dataclass
-class ObSite:
+class ObSite(NamedTuple):
     """An index-bound (``ob``) check site.  ``fact is None`` means the
     site's index could not be pinned (never flagged)."""
 
@@ -615,8 +614,7 @@ class ObSite:
         return self.fact is not None and self.fact.lo >= self.bound
 
 
-@dataclass
-class TrSite:
+class TrSite(NamedTuple):
     """A truncation (``tr``) check site on a too-wide assignment."""
 
     fact: Optional[ValueFact]
@@ -632,8 +630,7 @@ class TrSite:
         return self.fact.lo > kept or bool(self.fact.known_bits & ~kept)
 
 
-@dataclass
-class CondSite:
+class CondSite(NamedTuple):
     """A branch condition; ``truth`` is set only when every evaluation
     of the site decided the same way."""
 
@@ -642,8 +639,7 @@ class CondSite:
     detail: str
 
 
-@dataclass
-class CaseSite:
+class CaseSite(NamedTuple):
     """A case arm; ``dead`` survives only if every evaluation proved
     the arm unmatchable."""
 

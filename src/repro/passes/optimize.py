@@ -28,7 +28,6 @@ or module): nothing here decides where a hook would go.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Set, Tuple
 
 from ..codegen.optplan import NO_OPT, OptPlan, optimize_stmts, substitute_expr
@@ -142,8 +141,8 @@ class DeadLogicPass(Pass):
                 lambda: self._find_dead(ir, plan.consts, plan.const_widths,
                                         sanitized_in),
             )
-            data.plans[key] = replace(plan, dead_assigns=assigns,
-                                      dead_blocks=blocks)
+            data.plans[key] = plan._replace(dead_assigns=assigns,
+                                            dead_blocks=blocks)
 
     @staticmethod
     def _find_dead(ir: ModuleIR, consts: dict, widths: dict,
@@ -212,7 +211,7 @@ class SensitivityPrunePass(Pass):
         # A dict walk over facts already computed: cheaper than the
         # cache probe per module the other passes are worth.
         for key, plan in list(data.plans.items()):
-            data.plans[key] = replace(plan, skip_children=tuple(
+            data.plans[key] = plan._replace(skip_children=tuple(
                 index
                 for index, inst in enumerate(data.netlist.modules[key].instances)
                 if inst.child_key in skippable

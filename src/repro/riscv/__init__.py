@@ -10,7 +10,7 @@ Fig. 8 hot-reload bench.
 
 from .. import lazy_exports
 
-__getattr__ = lazy_exports(__name__, {
+_EXPORTS = {
     ".assembler": ("AsmError", "assemble"),
     ".cosim": ("Cosim", "CosimResult", "Divergence", "cosim_program"),
     ".golden": ("GoldenCore",),
@@ -20,21 +20,7 @@ __getattr__ = lazy_exports(__name__, {
         "mesh_top_name",
     ),
     ".rtl": ("CORE_MODULES_SOURCE", "core_source"),
-})
+}
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "Reg",
-    "assemble",
-    "AsmError",
-    "GoldenCore",
-    "Cosim",
-    "CosimResult",
-    "Divergence",
-    "cosim_program",
-    "CORE_MODULES_SOURCE",
-    "core_source",
-    "build_pgas_source",
-    "global_address",
-    "mesh_top_name",
-    "LOCAL_MEM_BYTES",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]

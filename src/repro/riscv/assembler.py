@@ -21,8 +21,7 @@ Example::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import encode, isa
 from .isa import (
@@ -96,8 +95,7 @@ _BRANCHES = {
 }
 
 
-@dataclass
-class _Item:
+class _Item(NamedTuple):
     """One pass-1 item: either resolved words or a pending encoder."""
 
     address: int
@@ -107,8 +105,7 @@ class _Item:
     encoder: Optional[Callable[["Assembler"], List[int]]] = None
 
 
-@dataclass
-class Program:
+class Program(NamedTuple):
     """Assembled machine code."""
 
     words: List[int]  # 32-bit words, index = address/4

@@ -49,6 +49,7 @@ class Divergence:
 
 @dataclass
 class CosimResult:
+    """How far a co-simulation ran, and its first divergence if any."""
     retired: int
     cycles: int
     halted: bool

@@ -14,12 +14,10 @@ live session and measure the edit-run-debug latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 
-@dataclass(frozen=True)
-class Patch:
+class Patch(NamedTuple):
     """One injectable/fixable bug."""
 
     name: str

@@ -46,7 +46,7 @@ requires a (cached) recompile plus a hot swap, which
 :meth:`repro.live.session.LiveSession.set_sanitize` performs.
 """
 
-from .instrument import Instrumenter, place_sites
+from .. import lazy_exports
 from .runtime import (
     CHECK_KINDS,
     SAN_NB_CONFLICT,
@@ -58,6 +58,11 @@ from .runtime import (
     SanitizerError,
     SanitizerRuntime,
 )
+
+# The generator's half loads with the first sanitized compile.
+__getattr__ = lazy_exports(__name__, {
+    ".instrument": ("Instrumenter", "place_sites"),
+})
 
 __all__ = [
     "CHECK_KINDS",

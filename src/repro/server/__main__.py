@@ -69,7 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.checkpoint_interval <= 0:
+        parser.error("--checkpoint-interval must be positive")
     state_dir = args.state_dir
     if state_dir is None and args.workers > 0:
         state_dir = default_state_root(args.store)

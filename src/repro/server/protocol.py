@@ -56,6 +56,7 @@ class ProtocolError(ValueError):
 
 @dataclass
 class Request:
+    """A client's command: ``id``, verb and parameters."""
     id: int
     cmd: str
     params: Dict[str, Any] = field(default_factory=dict)
@@ -63,6 +64,7 @@ class Request:
 
 @dataclass
 class Response:
+    """The reply to one request: a value, or an error."""
     id: int
     ok: bool
     value: Any = None
@@ -71,6 +73,7 @@ class Response:
 
 @dataclass
 class Event:
+    """A message the server pushes to a session's client."""
     name: str
     session: str
     data: Dict[str, Any] = field(default_factory=dict)

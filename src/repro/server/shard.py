@@ -58,7 +58,6 @@ from ..live.commands import CommandInterpreter
 from ..live.session import LiveSession
 from ..live.tables import STAGE, TESTBENCH
 from ..sim.testbench import reset_sequence
-from ..trace.buffer import DEFAULT_SUB_QUEUE as TRACE_SUB_QUEUE
 from .protocol import to_jsonable
 from .service import (
     DuplicateSessionError,
@@ -852,12 +851,14 @@ class SessionWorker:
         """Stream batched ``value_change`` events for one watched
         signal, tagged with the arming request's rid so the frontend
         can fan them out to the right client connection.  At most
-        ``max_events`` (default :data:`TRACE_SUB_QUEUE`) wait in the
+        ``max_events`` (default :data:`DEFAULT_SUB_QUEUE`) wait in the
         subscription queue before the oldest drop."""
+        from ..trace.buffer import DEFAULT_SUB_QUEUE  # loaded by a watch
+
         with managed.lock:
             buffer = managed.session.trace_buffer(pipe, create=True)
             sub = buffer.subscribe(
-                [signal], max_events=max_events or TRACE_SUB_QUEUE
+                [signal], max_events=max_events or DEFAULT_SUB_QUEUE
             )
         self._start_pump(
             "trace", self._trace_pump, rid, managed, pipe, signal, sub

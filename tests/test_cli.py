@@ -129,6 +129,26 @@ outputs p0
         captured = capsys.readouterr().out
         assert "cycle 12" in captured
 
+    @pytest.mark.parametrize("interval", ["0", "-5"])
+    def test_main_refuses_a_non_positive_checkpoint_interval(
+            self, design_file, interval, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([str(design_file), "--checkpoint-interval", interval])
+        assert exited.value.code == 2
+        assert "--checkpoint-interval must be positive" in (
+            capsys.readouterr().err
+        )
+
+    def test_server_refuses_a_non_positive_checkpoint_interval(self, capsys):
+        from repro.server.__main__ import main as server_main
+
+        with pytest.raises(SystemExit) as exited:
+            server_main(["--port", "0", "--checkpoint-interval", "0"])
+        assert exited.value.code == 2
+        assert "--checkpoint-interval must be positive" in (
+            capsys.readouterr().err
+        )
+
     def test_main_missing_file(self, capsys):
         rc = main(["/nope/missing.v", "--script", "/dev/null"])
         assert rc == 1

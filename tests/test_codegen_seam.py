@@ -15,7 +15,7 @@ from repro.codegen.pygen import compile_module, site_count
 from repro.hdl import elaborate, parse
 from repro.passes import compile_netlist
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
-from repro.sanitize import SanitizerRuntime
+from repro.sanitize import SanitizerRuntime, instrument
 
 DESIGNS = Path(__file__).resolve().parent.parent / "examples" / "designs"
 SANITIZED = BuildConfig(sanitize=True)
@@ -107,7 +107,8 @@ def all_netlists():
 
 class TestHooksObject:
     def test_fake_sees_each_site_once_per_emission(self, monkeypatch):
-        monkeypatch.setattr(pygen, "Instrumenter", RecordingHooks)
+        # A sanitized compile takes the hooks class from its module.
+        monkeypatch.setattr(instrument, "Instrumenter", RecordingHooks)
         netlist = elaborate(parse(ONE_OF_EACH), "m")
         compiler = pygen._ModuleCompiler(
             netlist.modules["m"], netlist, SANITIZED

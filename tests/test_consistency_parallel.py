@@ -188,7 +188,7 @@ class TestWorkerDesignUnderThreads:
             timeline = session.timeline("p0")
             segments, _ = make_segments(timeline.store.all(), timeline.ops)
             payloads.append((
-                pickle.dumps(session._worker_context(timeline)),
+                pickle.dumps(consistency.worker_context(session, timeline)),
                 pickle.dumps(timeline.ops),
                 [pickle.dumps(segment) for segment in segments],
             ))

@@ -27,19 +27,28 @@ PACKAGES = [
     "repro.riscv",
     "repro.bench",
     "repro.obs",
+    "repro.passes",
+    "repro.sanitize",
+    "repro.analyze",
 ]
 
 # What opening a session, running it and editing it never import: the
 # verifier pool (multiprocessing and what it pulls in), regression, the
 # baseline compiler and its flat generator, the cost model, the
-# cosimulator and its golden model, and trace reports.
+# cosimulator and its golden model, trace reports, live trace capture,
+# the sanitizer's instrumenter, the optimizer, the preprocessor (the
+# mesh has no directive), the analyzer's JSON report, checkpoint files
+# (pickle) and rename guesses (difflib: no edit drops a register).
 OFF_THE_LIVE_LOOP = [
     "multiprocessing", "concurrent.futures", "socket", "selectors",
-    "subprocess", "logging",
+    "subprocess", "logging", "pickle", "difflib",
     "repro.live.consistency", "repro.live.regression",
     "repro.baseline", "repro.codegen.flatgen", "repro.codegen.cost",
     "repro.riscv.cosim", "repro.riscv.golden",
     "repro.obs.report",
+    "repro.trace", "repro.trace.buffer", "repro.trace.probes",
+    "repro.trace.vcd", "repro.sanitize.instrument", "repro.passes.optimize",
+    "repro.hdl.preprocessor", "repro.analyze.report",
 ]
 
 LIVE_LOOP_SCRIPT = """
@@ -137,6 +146,140 @@ def test_the_live_loop_imports_only_what_it_runs():
     assert out["recompiled"] == ["rv_ex"]
     assert out["loaded"] == []
     assert out["verdict"] == "consistent"
+
+
+# What the live loop up to its report (set-up, run, peek and one edit)
+# loads: ``repro`` modules, their source lines and the ``@dataclass``
+# classes they define.  A change that raises a count says so in
+# CHANGES.md; one that lowers a count lowers it here.
+SETUP_BUDGET = {"modules": 57, "lines": 16_065, "dataclasses": 52}
+
+SETUP_BUDGET_REPORT = """
+import dataclasses
+import inspect
+import pathlib
+
+modules = [m for name, m in sys.modules.items() if name.startswith("repro")]
+print(json.dumps({
+    "modules": len(modules),
+    "lines": sum(
+        len(pathlib.Path(m.__file__).read_text().splitlines())
+        for m in modules
+    ),
+    "dataclasses": sum(
+        inspect.isclass(v) and dataclasses.is_dataclass(v)
+        and v.__module__ == m.__name__
+        for m in modules for v in vars(m).values()
+    ),
+}))
+"""
+
+
+def test_the_live_loop_stays_within_its_setup_budget():
+    loop, marker, _ = LIVE_LOOP_SCRIPT.partition("loaded = ")
+    assert marker, "the live loop script no longer reports what it loaded"
+    out = json.loads(run_fresh(loop + SETUP_BUDGET_REPORT))
+    moved = {name: (SETUP_BUDGET[name], count)
+             for name, count in out.items() if count != SETUP_BUDGET[name]}
+    assert not moved, f"set-up budget moved (pinned, now): {moved}"
+
+
+# Each subsystem a clean session never runs, and what first runs it: the
+# lines before that leave it unloaded, the lines after load it and work.
+# A line is a shell command, or "open", "edit" (the edited source applied),
+# "vcd" (the pipe's trace written as VCD) or "verify".
+FIRST_USE_SCRIPT = """
+import json
+import pathlib
+import sys
+import tempfile
+
+from repro.live.commands import CommandInterpreter
+from repro.live.session import LiveSession
+from repro.sim.testbench import reset_sequence
+
+module, source, edited, before, after = json.loads(sys.argv[1])
+scratch = tempfile.mkdtemp()
+session = commands = None
+
+
+def execute(line):
+    global session, commands
+    if line == "open":
+        session = LiveSession(source, checkpoint_interval=10)
+        session.load_testbench(reset_sequence("rst", 2))
+        commands = CommandInterpreter(session)
+        return None
+    if line == "edit":
+        return session.apply_change(edited).recompiled_keys
+    if line == "vcd":
+        path = pathlib.Path(scratch, "p0.vcd")
+        session.trace_buffer("p0").to_vcd(str(path))
+        return "$enddefinitions" in path.read_text()
+    if line == "verify":
+        return session.verify_consistency("p0").verdict
+    stage = session.stage_handle_for("top")
+    return commands.execute(line.format(stage=stage, scratch=scratch)).value
+
+
+for line in before:
+    execute(line)
+loaded_before = module in sys.modules
+values = [execute(line) for line in after]
+print(json.dumps({
+    "before": loaded_before, "after": module in sys.modules, "values": values,
+}, default=repr))
+"""
+
+RUNNING = ["open", "instPipe p0, {stage}", "run tb0, p0, 30"]
+AFTER_RUNNING = {"c0": 28, "c1": 84}  # 2 reset cycles, then 28 counted
+WITH_A_DEFINE = "`define STEP0 8'd1\n" + COUNTER_SRC.replace(
+    ".step(8'd1)", ".step(`STEP0)"
+)
+EDITED = COUNTER_SRC.replace("assign sum = a + b;", "assign sum = a + b + 1;")
+# difflib's guess pairs the vanished register with its new name.
+RENAMED = COUNTER_SRC.replace("count_q", "count_r")
+
+# subsystem -> (module, source, edited source, lines before, lines
+# after, what the values of the lines after must satisfy)
+FIRST_USES = {
+    "trace": ("repro.trace", COUNTER_SRC, EDITED, RUNNING, [
+        "watch p0, c0", "run tb0, p0, 10", "replay p0, 32, 36", "vcd",
+    ], lambda values: values[2]["signals"]["c0"] == [
+        [cycle, cycle - 2] for cycle in range(32, 36)
+    ] and values[3] is True),
+    "instrumenter": ("repro.sanitize.instrument", COUNTER_SRC, EDITED, RUNNING, [
+        "san report", "run tb0, p0, 10", "san",
+    ], lambda values: values[2]["mode"] == "report"
+        and values[2]["instrumented"]),
+    "optimizer": ("repro.passes.optimize", COUNTER_SRC, EDITED, RUNNING, [
+        "opt full", "edit", "peek p0",
+    ], lambda values: values[0]["level"] == "full"
+        and values[1] == ["adder#(W=8)"]),
+    "pickle": ("pickle", COUNTER_SRC, EDITED, RUNNING, [
+        "peek p0", "chkp p0, {scratch}/p0.ckpt", "run tb0, p0, 5",
+        "ldch p0, {scratch}/p0.ckpt", "peek p0",
+    ], lambda values: values[0] == values[-1] == AFTER_RUNNING),
+    "difflib": ("difflib", COUNTER_SRC, RENAMED, RUNNING, ["edit", "peek p0"],
+                lambda values: values == [["counter#(W=8)"], AFTER_RUNNING]),
+    "preprocessor": ("repro.hdl.preprocessor", WITH_A_DEFINE, EDITED, [],
+                     RUNNING, lambda values: values[-1] == AFTER_RUNNING),
+    "consistency": ("repro.live.consistency", COUNTER_SRC, EDITED, RUNNING,
+                    ["verify"], lambda values: values == ["consistent"]),
+}
+
+
+@pytest.mark.parametrize("subsystem", sorted(FIRST_USES))
+def test_a_subsystem_loads_at_its_first_use(subsystem):
+    """A fresh interpreter without a bytecode cache: the subsystem is
+    not loaded before its first use, and that use loads it and works."""
+    module, source, edited, before, after, works = FIRST_USES[subsystem]
+    out = json.loads(run_fresh(
+        FIRST_USE_SCRIPT,
+        json.dumps([module, source, edited, before, after]),
+    ))
+    assert (out["before"], out["after"]) == (False, True)
+    assert works(out["values"]), out["values"]
 
 
 WORKER_SCRIPT = """

@@ -9,7 +9,6 @@ or parse error (message, line and column, in file coordinates).
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -38,7 +37,7 @@ def check_region(region: SourceRegion, base):
         assert (kind, new) == _outcome(lambda: RegionParse(region))
         return None, 0
     assert new.line == (region.start_line if base is None else base.line)
-    whole = RegionParse(replace(region, start_line=new.line))
+    whole = RegionParse(region._replace(start_line=new.line))
     assert new.fingerprint == whole.fingerprint
     spans = [
         (token.value.first, token.value.last)

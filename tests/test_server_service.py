@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.hdl.errors import SimulationError
 from repro.server import protocol
 from repro.server.client import ServerError
 from repro.server.service import (
@@ -110,6 +111,14 @@ class TestSessionRegistry:
 
     def test_negative_reset_cycles_skips_testbench(self, worker):
         assert _open(worker, "bare", reset_cycles=-1)["tb"] is None
+
+    def test_a_non_positive_checkpoint_interval_fails_the_open(self):
+        worker = SessionWorker(
+            _Pipe(), WorkerConfig(worker_id=0, checkpoint_interval=0)
+        )
+        with pytest.raises(SimulationError, match="checkpoint interval"):
+            _open(worker, "alice")
+        assert worker._cmd_stats(0, {})["session_names"] == []
 
     def test_close_frees_the_name(self, worker):
         _open(worker, "alice")

@@ -152,6 +152,33 @@ endmodule
         assert types == {"Stage", "Testbench"}
 
 
+class TestSessionSettings:
+    @pytest.mark.parametrize("settings, message", [
+        ({"checkpoint_interval": 0}, "checkpoint interval must be positive"),
+        ({"checkpoint_interval": -3}, "checkpoint interval must be positive"),
+        ({"reload_distance": -5}, "reload distance must not be negative"),
+    ])
+    def test_refused_before_anything_compiles(self, monkeypatch, settings,
+                                              message):
+        import repro.live.session as session_module
+
+        def compile_nothing(*args, **kwargs):
+            pytest.fail("the design was compiled")
+
+        monkeypatch.setattr(session_module, "LiveCompiler", compile_nothing)
+        with pytest.raises(SimulationError, match=message):
+            LiveSession(COUNTER_SRC, **settings)
+
+    def test_a_zero_reload_distance_replays_from_the_stop(self):
+        session = LiveSession(COUNTER_SRC, checkpoint_interval=10,
+                              reload_distance=0)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        session.run(session.load_testbench(hold_inputs(rst=0)), "p0", 25)
+        report = session.apply_change(BUGGY)
+        assert report.checkpoint_cycle == 20
+        assert report.cycles_replayed == 5
+
+
 class TestPipeNames:
     """A name is one row of the Pipeline Table: a taken one is refused
     before anything is compiled, copied or overwritten."""
