@@ -265,6 +265,12 @@ class CompiledModule:
         return self.cycle_fn.__globals__.get("_san")
 
     @cached_property
+    def cycle_settles(self) -> bool:
+        """Whether ``cycle`` runs ``eval_out`` itself on a memo miss: not
+        a comb loop's (it re-runs from ``Pipe.eval``'s carry) nor flatgen's."""
+        return "eval_out" in self.cycle_fn.__code__.co_names
+
+    @cached_property
     def reg_names(self) -> Tuple[str, ...]:
         """Register names in slot order (``reg_names[i]`` lives in slot
         ``i``): one tuple per compiled module, which every snapshot

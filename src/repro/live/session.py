@@ -480,7 +480,7 @@ class LiveSession:
             session.ops.append(SessionOp(
                 self.objects.get(tb_handle).handle, start_cycle, pipe.cycle
             ))
-        return pipe.outputs()
+        return dict(pipe.outputs())  # a copy: the pipe's is its cache
 
     def chkp(self, pipe_name: str, path: Optional[str] = None):
         """``chkp`` — take a checkpoint now (optionally persist all)."""
@@ -1103,8 +1103,9 @@ class LiveSession:
         return self.timeline(name).pipe
 
     def peek(self, pipe_name: str) -> Dict[str, int]:
-        """Current output values without advancing the simulation."""
-        return self.timeline(pipe_name).pipe.outputs()
+        """Current output values without advancing the simulation (a
+        copy the caller may keep or change)."""
+        return dict(self.timeline(pipe_name).pipe.outputs())
 
     def checkpoints(self, pipe_name: str):
         return self.timeline(pipe_name).store.all()

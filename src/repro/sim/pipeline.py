@@ -4,8 +4,9 @@ A :class:`Pipe` owns the top :class:`StageInst` tree, the current input
 values, and the cycle counter.  One simulated cycle is ``eval`` (settle
 the combinational logic the outputs need) followed by ``tick`` (finish
 the rest with every input known, compute and commit the next state —
-the clock edge): one walk of the instance tree each, through the two
-entry points of :mod:`repro.codegen.pygen`.
+the clock edge), through the two entry points of
+:mod:`repro.codegen.pygen`.  ``eval`` runs before an edge only when
+something reads the outputs or the top needs it (:meth:`Pipe.step`).
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ class Pipe:
         self._inputs: Dict[str, int] = {
             port: 0 for port in self.top.code.inputs
         }
-        # The top's (eval_out, cycle) with their arguments bound: rebound
-        # when an input changes or the state lists or library are
-        # replaced, not every cycle.
-        self._entries: Optional[Tuple[Callable[[], tuple], Callable[[], None]]] = None
+        # What _bind_entries returns: rebound when an input changes or
+        # the state lists or library are replaced, not every cycle.
+        self._entries: Optional[tuple] = None
         self._last_outputs: Optional[Dict[str, int]] = None
         self._trace = None  # Optional[repro.trace.TraceBuffer]
 
@@ -68,7 +68,8 @@ class Pipe:
 
     def set_inputs(self, **values: int) -> None:
         for name, value in values.items():
-            self.set_input(name, value)
+            if self._inputs.get(name) != value:  # set_input refuses a bad name
+                self.set_input(name, value)
 
     def get_input(self, name: str) -> int:
         return self._inputs[name]
@@ -88,12 +89,14 @@ class Pipe:
         changed somewhere below, so the cached outputs are stale."""
         self._last_outputs = None
 
-    def _bind_entries(self) -> Tuple[Callable[[], tuple], Callable[[], None]]:
-        """The top's entry points with what the generated code is called
-        with bound: its calling convention has the caller mask, so each
-        input is cut to its port width here, once per change (``get_input``
-        and snapshots keep what was set), and packed into one tuple where
-        the module says so (:func:`repro.codegen.pygen.packs`)."""
+    def _bind_entries(self) -> tuple:
+        """The top's (eval_out, cycle) with what the generated code is
+        called with bound — its calling convention has the caller mask, so
+        each input is cut to its port width here, once per change, and
+        packed where :func:`repro.codegen.pygen.packs` says so — then its
+        sanitizer and whether an edge needs ``eval`` first: in a sanitized
+        build (a trap while settling must leave ``cycle`` as it was) and
+        where ``cycle`` does not settle itself (``CompiledModule.cycle_settles``)."""
         top, inputs = self.top, self._inputs
         code = top.code
         signals = code.ir.signals  # flat and shared code alike
@@ -104,9 +107,12 @@ class Pipe:
                 return partial(fn, top.state, top.children, tuple(args))
             return partial(fn, top.state, top.children, *args)
 
+        sanitizer = code.sanitizer
         entries = self._entries = (
             bind(code.eval_out_fn, code.comb_input_ports, code.eval_out_packed),
             bind(code.cycle_fn, code.inputs, code.cycle_packed),
+            sanitizer,
+            sanitizer is not None or not code.cycle_settles,
         )
         return entries
 
@@ -134,6 +140,7 @@ class Pipe:
         return outputs
 
     def outputs(self) -> Dict[str, int]:
+        """The settled outputs: the pipe's own cache, not a copy."""
         if self._last_outputs is None:
             return self.eval()
         return self._last_outputs
@@ -152,20 +159,19 @@ class Pipe:
         every instance takes: a sanitizer trap inside it is raised from
         here once the edge is complete (state and ``cycle`` are what
         ``report`` mode holds), any other exception repairs the state
-        layout's invariant first."""
-        top = self.top
-        if self._last_outputs is None:
+        layout's invariant first.  The top may need ``eval`` before it."""
+        _, cycle, sanitizer, settle = self._entries or self._bind_entries()
+        if settle and self._last_outputs is None:
             self.eval()
         trace = self._trace
         if trace is not None:
             trace.capture(self)
-        sanitizer = top.code.sanitizer
         if sanitizer is not None:
             sanitizer.begin_edge()
         try:
-            (self._entries or self._bind_entries())[1]()
+            cycle()
         except BaseException:
-            top.abandon_edge()
+            self.top.abandon_edge()
             raise
         finally:
             self._last_outputs = None
@@ -188,24 +194,26 @@ class Pipe:
         driver: Optional[Driver] = None,
         watcher: Optional[Watcher] = None,
     ) -> int:
-        """Run full eval+tick cycles.
+        """Run ``cycles`` ticks, each settled first by ``eval`` for a
+        watcher, a trace or a top that needs it (:meth:`_bind_entries`).
 
-        ``driver`` (if given) is called before each eval to update the
-        inputs.  ``watcher`` is called with the settled outputs after
-        each eval; returning True stops *before* the tick (the watched
+        ``driver`` (if given) is called before each cycle to update the
+        inputs.  ``watcher`` is called with the settled outputs before
+        each tick; returning True stops *before* the tick (the watched
         condition holds at the current cycle).  Returns the number of
         cycles actually executed.
         """
-        executed = 0
-        for _ in range(cycles):
+        settle = (watcher is not None or self._trace is not None
+                  or (self._entries or self._bind_entries())[3])
+        for executed in range(cycles):
             if driver is not None:
                 driver(self)
-            outputs = self.eval()
-            if watcher is not None and watcher(self, outputs):
-                return executed
+            if settle:
+                outputs = self.eval()
+                if watcher is not None and watcher(self, outputs):
+                    return executed
             self.tick()
-            executed += 1
-        return executed
+        return max(cycles, 0)
 
     def run_until(
         self,

@@ -40,12 +40,14 @@ class Testbench:
         """
 
     def run(self, pipe: Pipe, cycles: int) -> int:
-        """Run ``cycles`` cycles; returns cycles actually executed."""
-        return pipe.step(cycles, driver=self.drive, watcher=self.check)
+        """Run ``cycles`` cycles; returns cycles actually executed (the
+        default ``check`` is no watcher: nothing settles unread outputs)."""
+        check = None if type(self).check is Testbench.check else self.check
+        return pipe.step(cycles, driver=self.drive, watcher=check)
 
 
 class CallbackTestbench(Testbench):
-    """Adapts plain functions into a testbench."""
+    """Adapts plain functions into a testbench; ``run`` hands them to ``Pipe.step``."""
 
     def __init__(
         self,
@@ -65,6 +67,9 @@ class CallbackTestbench(Testbench):
         if self._check is not None:
             return self._check(pipe, outputs)
         return False
+
+    def run(self, pipe: Pipe, cycles: int) -> int:
+        return pipe.step(cycles, driver=self._drive, watcher=self._check)
 
 
 @dataclass

@@ -148,42 +148,6 @@ def test_the_live_loop_imports_only_what_it_runs():
     assert out["verdict"] == "consistent"
 
 
-# What the live loop up to its report (set-up, run, peek and one edit)
-# loads: ``repro`` modules, their source lines and the ``@dataclass``
-# classes they define.  A change that raises a count says so in
-# CHANGES.md; one that lowers a count lowers it here.
-SETUP_BUDGET = {"modules": 57, "lines": 16_065, "dataclasses": 52}
-
-SETUP_BUDGET_REPORT = """
-import dataclasses
-import inspect
-import pathlib
-
-modules = [m for name, m in sys.modules.items() if name.startswith("repro")]
-print(json.dumps({
-    "modules": len(modules),
-    "lines": sum(
-        len(pathlib.Path(m.__file__).read_text().splitlines())
-        for m in modules
-    ),
-    "dataclasses": sum(
-        inspect.isclass(v) and dataclasses.is_dataclass(v)
-        and v.__module__ == m.__name__
-        for m in modules for v in vars(m).values()
-    ),
-}))
-"""
-
-
-def test_the_live_loop_stays_within_its_setup_budget():
-    loop, marker, _ = LIVE_LOOP_SCRIPT.partition("loaded = ")
-    assert marker, "the live loop script no longer reports what it loaded"
-    out = json.loads(run_fresh(loop + SETUP_BUDGET_REPORT))
-    moved = {name: (SETUP_BUDGET[name], count)
-             for name, count in out.items() if count != SETUP_BUDGET[name]}
-    assert not moved, f"set-up budget moved (pinned, now): {moved}"
-
-
 # Each subsystem a clean session never runs, and what first runs it: the
 # lines before that leave it unloaded, the lines after load it and work.
 # A line is a shell command, or "open", "edit" (the edited source applied),

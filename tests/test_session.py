@@ -98,6 +98,22 @@ endmodule
         assert len(ops) == 1
         assert (ops[0].start_cycle, ops[0].end_cycle) == (0, 25)
 
+    def test_run_and_peek_hand_out_copies(self):
+        from repro.live.commands import CommandInterpreter
+
+        session, tb = make_session()
+        session.watch("p0", "c0")
+        out = session.run(tb, "p0", 5)
+        assert out == {"c0": 5, "c1": 15}
+        out["c0"] = 999
+        session.peek("p0")["c1"] = 999
+        assert session.peek("p0") == {"c0": 5, "c1": 15}
+        assert CommandInterpreter(session).execute("peek p0").value == {
+            "c0": 5, "c1": 15
+        }
+        session.run(tb, "p0", 1)
+        assert session.trace_read("p0", "c0", start=5)["samples"] == [[5, 5]]
+
     def test_run_takes_checkpoints(self):
         session, tb = make_session(interval=10)
         session.run(tb, "p0", 35)

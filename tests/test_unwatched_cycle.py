@@ -1,0 +1,370 @@
+"""Differential: a run nobody watches equals the same run watched.
+
+``Pipe.step`` settles the top-level outputs (``Pipe.eval``) before an
+edge only for a watcher, an attached trace or a top whose edge needs it
+(the flat baseline, a top-level comb loop, a sanitized build); otherwise
+the top's ``cycle`` settles on its own memo miss.  Each case here runs
+twice, once with no watcher and once with a watcher that never fires,
+and asserts that state, ``cycle``, outputs, sanitizer findings and trace
+samples come out the same — including where the run traps or fails to
+converge, and where a trace, a hot swap or a sanitized build arrives in
+the middle of a run.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from benchmarks.livebench.workloads import boot_testbench, node_images, node_programs
+from repro import compile_design
+from repro.baseline.compiler import BaselineCompiler
+from repro.codegen.build import BuildConfig
+from repro.hdl import elaborate, parse
+from repro.hdl.errors import ConvergenceError
+from repro.live.hotreload import HotReloader
+from repro.live.session import LiveSession
+from repro.passes import compile_netlist
+from repro.sanitize import SAN_UNINIT, SanitizerError, SanitizerRuntime
+from repro.sim import Pipe, VectorTestbench
+from repro.sim.testbench import CallbackTestbench
+from repro.trace import TraceBuffer
+from tests.conftest import COUNTER_SRC
+
+DOUBLED = COUNTER_SRC.replace("assign sum = a + b;", "assign sum = a + b + b;")
+
+# A child register the top's outputs read combinationally, and a memory.
+SAN_SRC = """
+module acc (input clk, input rst, input [7:0] d, output [7:0] q);
+  reg [7:0] r;
+  assign q = r;
+  always @(posedge clk) r <= rst ? 8'd0 : r + d;
+endmodule
+
+module top (
+  input clk,
+  input rst,
+  input [7:0] d,
+  output [7:0] y,
+  output [7:0] z
+);
+  reg [7:0] m [0:3];
+  reg [1:0] i;
+  wire [7:0] q;
+  acc u_acc (.clk(clk), .rst(rst), .d(d), .q(q));
+  assign y = q + m[i];
+  assign z = q;
+  always @(posedge clk) begin
+    i <= rst ? 2'd0 : i + 2'd1;
+    m[i] <= q;
+  end
+endmodule
+"""
+
+# A top-level comb loop (p <-> q) that takes several passes to settle
+# (each one carries a bit of r one place up), feeding a register.
+LOOP_SRC = """
+module m (input clk, input rst, input [7:0] a, output [7:0] y);
+  wire [7:0] p;
+  wire [7:0] q;
+  reg [7:0] r;
+  assign p = {q[6:0], 1'b0} & a;
+  assign q = p | r;
+  assign y = q;
+  always @(posedge clk) r <= rst ? 8'd1 : r + {4'd0, q[7:4]} + 8'd1;
+endmodule
+"""
+
+# ... and one that oscillates once ``a`` goes high.
+OSCILLATING_SRC = """
+module m (input clk, input a, output y);
+  wire p;
+  reg [3:0] n;
+  assign p = a ? !p : 1'b0;
+  assign y = p;
+  always @(posedge clk) n <= n + 4'd1;
+endmodule
+"""
+
+
+def never(pipe, outputs):
+    return False
+
+
+def counter_driver(pipe):
+    pipe.set_inputs(rst=int(pipe.cycle < 2))
+
+
+def state_of(pipe):
+    """Every instance's registers, memories and poison bitmaps."""
+    rows = []
+    for path, inst in pipe.top.walk():
+        code, state = inst.code, inst.state
+        layout = code.layout
+        poison = state[layout.sanitize_base:layout.nw_slot] if code.build.sanitize else []
+        rows.append((
+            path, code.key, state[:code.num_regs],
+            [state[spec.slot] for spec in code.mem_order], poison,
+        ))
+    return rows
+
+
+def observe(pipe, runtime=None, trace=None, **extra):
+    out = {"cycle": pipe.cycle, "state": state_of(pipe), **extra}
+    if runtime is not None:
+        out["findings"] = list(runtime.findings)
+        out["hits"] = dict(runtime.hits)
+    out["outputs"] = dict(pipe.outputs())
+    if trace is not None:
+        out["trace"] = {name: trace.window(name) for name in trace.names()}
+    return out
+
+
+def unwatched_equals_watched(run):
+    """``run(watcher)`` with no watcher and with ``never``; returns the
+    (equal) observations."""
+    unwatched, watched = run(None), run(never)
+    assert unwatched == watched
+    return unwatched
+
+
+def counter_pipe():
+    netlist, library = compile_design(COUNTER_SRC, "top")
+    return Pipe(netlist.top, library)
+
+
+def sanitized(source, top, runtime):
+    netlist = elaborate(parse(source), top)
+    return netlist, compile_netlist(
+        netlist, BuildConfig(sanitize=True, san_elide=False),
+        sanitize_runtime=runtime,
+    )
+
+
+def poison(inst, reg):
+    inst.state[inst.code.layout.reg_poison_slot] |= 1 << inst.code.reg_slots[reg]
+
+
+def test_the_clean_mesh(pgas2_netlist_library):
+    _, netlist, library = pgas2_netlist_library
+    images = node_images(node_programs(1, 4))
+
+    def run(watcher):
+        pipe = Pipe(netlist.top, library)
+        pipe.step(120, driver=boot_testbench(images).drive, watcher=watcher)
+        return observe(pipe)
+
+    assert unwatched_equals_watched(run)["cycle"] == 120
+
+
+@pytest.mark.parametrize("mode", ["report", "trap"])
+def test_a_sanitized_build(mode):
+    def run(watcher):
+        runtime = SanitizerRuntime(mode=mode)
+        netlist, library = sanitized(SAN_SRC, "top", runtime)
+        pipe = Pipe(netlist.top, library)
+
+        def driver(p):
+            p.set_inputs(rst=int(p.cycle < 2), d=3)
+            if p.cycle == 6:
+                poison(p.find("u_acc"), "r")
+                p.invalidate()
+
+        trapped = None
+        try:
+            pipe.step(12, driver=driver, watcher=watcher)
+        except SanitizerError as exc:
+            trapped = (exc.kind, exc.signal, pipe.cycle)
+            runtime.mode = "report"  # so that reading the outputs goes on
+        return observe(pipe, runtime, trapped=trapped)
+
+    seen = unwatched_equals_watched(run)
+    assert seen["findings"]
+    if mode == "trap":
+        # Raised while settling: the cycle it fired in never ticked.
+        assert seen["trapped"] == (SAN_UNINIT, "r", 6)
+    else:
+        assert seen["trapped"] is None and seen["cycle"] == 12
+
+
+@pytest.mark.parametrize("mode", ["inline", "replicate"])
+def test_the_flat_baseline(mode):
+    netlist = elaborate(parse(COUNTER_SRC), "top")
+    compiled = BaselineCompiler(mode=mode).compile(netlist)
+
+    def run(watcher):
+        pipe = compiled.make_pipe()
+        pipe.step(20, driver=counter_driver, watcher=watcher)
+        return observe(pipe)
+
+    assert unwatched_equals_watched(run)["outputs"] == {"c0": 18, "c1": 54}
+
+
+def test_a_top_level_comb_loop():
+    netlist, library = compile_design(LOOP_SRC, "m")
+    assert netlist.top_module.needs_fixpoint
+
+    def run(watcher):
+        pipe = Pipe(netlist.top, library)
+
+        def driver(p):
+            p.set_inputs(rst=int(p.cycle < 2), a=0xF0 if p.cycle > 8 else 0xFF)
+
+        pipe.step(16, driver=driver, watcher=watcher)
+        return observe(pipe)
+
+    unwatched_equals_watched(run)
+
+
+def test_a_top_level_comb_loop_that_does_not_converge():
+    netlist, library = compile_design(OSCILLATING_SRC, "m")
+
+    def run(watcher):
+        pipe = Pipe(netlist.top, library)
+        with pytest.raises(ConvergenceError):
+            pipe.step(12, driver=lambda p: p.set_inputs(a=int(p.cycle >= 5)),
+                      watcher=watcher)
+        return {"cycle": pipe.cycle, "state": state_of(pipe)}
+
+    assert unwatched_equals_watched(run)["cycle"] == 5
+
+
+def test_a_vector_testbench():
+    vectors = [{"rst": 1}, {"rst": 1}] + [{"rst": 0}] * 5 + [{"rst": 1}, {"rst": 0}]
+
+    def run(watcher):
+        pipe = counter_pipe()
+        tb = VectorTestbench(vectors=vectors)
+        # Its own check records and never stops: the watched run.
+        pipe.step(14, driver=tb.drive, watcher=watcher and tb.check)
+        return observe(pipe)
+
+    unwatched_equals_watched(run)
+
+
+def test_run_until():
+    watched = counter_pipe()
+    assert watched.run_until(lambda p, o: o["c1"] == 21, max_cycles=50,
+                             driver=counter_driver)
+    unwatched = counter_pipe()
+    assert unwatched.step(watched.cycle, driver=counter_driver) == watched.cycle
+    assert observe(unwatched) == observe(watched)
+
+    bound = counter_pipe()
+    assert not bound.run_until(never, max_cycles=30, driver=counter_driver)
+    unwatched = counter_pipe()
+    unwatched.step(30, driver=counter_driver)
+    assert observe(unwatched) == observe(bound)
+
+
+def test_a_trace_attached_mid_run():
+    def run(watcher):
+        pipe = counter_pipe()
+        trace = TraceBuffer()
+
+        def driver(p):
+            counter_driver(p)
+            if p.cycle == 5:
+                for signal in ("c0", "u1.count_q"):
+                    trace.watch(p, signal)
+                p.attach_trace(trace)
+
+        pipe.step(20, driver=driver, watcher=watcher)
+        return observe(pipe, trace=trace)
+
+    seen = unwatched_equals_watched(run)
+    assert seen["trace"]["c0"][:2] == [[5, 3], [6, 4]]
+
+
+def test_a_hot_swap_mid_run():
+    _, doubled = compile_design(DOUBLED, "top")
+
+    def run(watcher):
+        pipe = counter_pipe()
+
+        def driver(p):
+            counter_driver(p)
+            if p.cycle == 6:
+                HotReloader().swap_pipe(p, doubled)
+
+        pipe.step(15, driver=driver, watcher=watcher)
+        return observe(pipe)
+
+    unwatched_equals_watched(run)
+
+
+def test_a_swap_to_a_sanitized_build_mid_run_traps_before_its_edge():
+    """A run that began clean and unwatched settles before each edge
+    once the sanitized build is in: the trap leaves ``cycle`` be."""
+
+    def run(watcher):
+        runtime = SanitizerRuntime(mode="trap")
+        _, library = sanitized(SAN_SRC, "top", runtime)
+        netlist, clean = compile_design(SAN_SRC, "top")
+        pipe = Pipe(netlist.top, clean)
+
+        def driver(p):
+            p.set_inputs(rst=int(p.cycle < 2), d=5)
+            if p.cycle == 4:
+                HotReloader().swap_pipe(p, library)
+            if p.cycle == 7:
+                poison(p.find("u_acc"), "r")
+                p.invalidate()
+
+        with pytest.raises(SanitizerError):
+            pipe.step(12, driver=driver, watcher=watcher)
+        runtime.mode = "report"
+        return observe(pipe, runtime)
+
+    assert unwatched_equals_watched(run)["cycle"] == 7
+
+
+def test_set_sanitize_and_an_edit_mid_session():
+    def run(watcher):
+        session = LiveSession(COUNTER_SRC, checkpoint_interval=5)
+        tb = session.load_testbench(
+            CallbackTestbench("tb", drive=counter_driver, check=watcher)
+        )
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        session.run(tb, "p0", 12)
+        session.set_sanitize("report")
+        session.run(tb, "p0", 9)
+        report = session.apply_change(DOUBLED)
+        session.run(tb, "p0", 7)
+        session.set_sanitize("trap")
+        session.run(tb, "p0", 4)
+        return observe(session.pipe("p0"), session.sanitize_runtime,
+                       replayed=report.cycles_replayed)
+
+    seen = unwatched_equals_watched(run)
+    assert seen["cycle"] == 32 and seen["replayed"] > 0
+
+
+def test_only_a_reader_or_the_top_settles_before_the_edge(
+    pgas2_netlist_library, monkeypatch
+):
+    """What the cases above compare: the clean unwatched run never calls
+    ``Pipe.eval``; a watcher, a trace, the flat baseline, a comb loop
+    and a sanitized build settle once per cycle."""
+    calls = []
+    settle = Pipe.eval
+    monkeypatch.setattr(Pipe, "eval", lambda self: calls.append(1) or settle(self))
+
+    def evals(pipe, **kwargs):
+        calls.clear()
+        pipe.step(5, **kwargs)
+        return len(calls)
+
+    _, netlist, library = pgas2_netlist_library
+    assert evals(Pipe(netlist.top, library)) == 0
+    assert evals(Pipe(netlist.top, library), watcher=never) == 5
+    traced = counter_pipe()
+    traced.attach_trace(TraceBuffer())
+    assert evals(traced) == 5
+    flat = BaselineCompiler(mode="inline").compile(
+        elaborate(parse(COUNTER_SRC), "top")
+    )
+    assert evals(flat.make_pipe()) == 5
+    loop_netlist, loop_library = compile_design(LOOP_SRC, "m")
+    assert evals(Pipe(loop_netlist.top, loop_library)) == 5
+    san_netlist, san_library = sanitized(SAN_SRC, "top", SanitizerRuntime())
+    assert evals(Pipe(san_netlist.top, san_library)) == 5

@@ -1,0 +1,115 @@
+"""Work budgets: exact counts of the work the simulator does, pinned as
+data in one table.
+
+A wall-clock bound cannot see a few per cent; a count can.  Each row of
+``BUDGET`` is one count, measured the same way on every host:
+
+- ``cycle.2x2.*``: the Python-level ``call`` and ``c_call`` events
+  (``sys.setprofile``) a clean 2x2 mesh cycle makes outside generated
+  (``<lhdl:...>``) code, driven by livebench's boot testbench once past
+  reset — with no check (``unwatched``) and with a check that never
+  stops the run (``watched``).  A call into generated code counts; the
+  calls generated code makes do not.
+- ``setup.*``: the ``repro`` modules, their source lines and the
+  ``@dataclass`` classes they define that the live loop (set-up, run,
+  peek and one edit; ``test_public_api.LIVE_LOOP_SCRIPT``) loads up to
+  its report, in a fresh interpreter.
+
+A change that lowers a count lowers its row in the same change; one that
+raises a count says so in CHANGES.md with the reason.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from collections import Counter
+
+from benchmarks.livebench.workloads import boot_testbench, node_images, node_programs
+from repro.sim import Pipe
+from repro.sim.testbench import CallbackTestbench
+from tests.test_public_api import LIVE_LOOP_SCRIPT, run_fresh
+
+BUDGET = {
+    "cycle.2x2.unwatched": 6,
+    "cycle.2x2.watched": 9,
+    "setup.modules": 57,
+    "setup.lines": 16_085,
+    "setup.dataclasses": 52,
+}
+
+
+def moved(measured):
+    """The rows whose count is not the pinned one: name -> (pinned, now)."""
+    return {
+        name: (BUDGET[name], count)
+        for name, count in measured.items() if count != BUDGET[name]
+    }
+
+
+def events(tb, pipe, cycles):
+    """``call`` / ``c_call`` events outside generated code while
+    ``tb`` runs ``cycles`` cycles, by kind and callee."""
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            callee = frame.f_code
+            if not callee.co_filename.startswith("<lhdl:"):
+                seen["call", callee.co_name] += 1
+        elif event == "c_call" and not frame.f_code.co_filename.startswith("<lhdl:"):
+            seen["c_call", getattr(arg, "__qualname__", repr(arg))] += 1
+
+    sys.setprofile(profile)
+    try:
+        tb.run(pipe, cycles)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_a_clean_2x2_cycle_stays_within_its_call_budget(pgas2_netlist_library):
+    _, netlist, library = pgas2_netlist_library
+    images = node_images(node_programs(1, 4))
+    measured, detail = {}, {}
+    for row in ("unwatched", "watched"):
+        pipe = Pipe(netlist.top, library)
+        tb = boot_testbench(images)
+        if row == "watched":
+            tb = CallbackTestbench(tb.name, drive=tb.drive, check=lambda p, o: False)
+        tb.run(pipe, 20)  # past reset: the inputs hold from here on
+        # A run's own events cancel out of the difference of two runs.
+        per_cycle = events(tb, pipe, 20) - events(tb, pipe, 10)
+        total = sum(per_cycle.values())
+        assert total % 10 == 0, per_cycle
+        measured[f"cycle.2x2.{row}"] = total // 10
+        detail[row] = {f"{kind} {name}": n // 10 for (kind, name), n in per_cycle.items()}
+    assert not moved(measured), f"per-cycle calls moved (pinned, now): {moved(measured)}; {detail}"
+
+
+SETUP_REPORT = """
+import dataclasses
+import inspect
+import pathlib
+
+modules = [m for name, m in sys.modules.items() if name.startswith("repro")]
+print(json.dumps({
+    "setup.modules": len(modules),
+    "setup.lines": sum(
+        len(pathlib.Path(m.__file__).read_text().splitlines())
+        for m in modules
+    ),
+    "setup.dataclasses": sum(
+        inspect.isclass(v) and dataclasses.is_dataclass(v)
+        and v.__module__ == m.__name__
+        for m in modules for v in vars(m).values()
+    ),
+}))
+"""
+
+
+def test_the_live_loop_stays_within_its_setup_budget():
+    loop, marker, _ = LIVE_LOOP_SCRIPT.partition("loaded = ")
+    assert marker, "the live loop script no longer reports what it loaded"
+    measured = json.loads(run_fresh(loop + SETUP_REPORT))
+    assert not moved(measured), f"set-up budget moved (pinned, now): {moved(measured)}"
