@@ -12,8 +12,9 @@ Scheduling is at the granularity of individual flattened units
 (continuous assigns, port bindings, comb blocks), globally topo-sorted
 by def-before-use — what a real flattening compiler does.  Registers
 and memories are state and never constrain ordering, so any design
-whose loops pass through a flop schedules in one pass; only genuine
-combinational loops fall back to fixpoint iteration.
+whose loops pass through a flop schedules in one pass; only a genuine
+combinational loop leaves a tail that ``eval`` runs to a fixed point in
+the generated loop the shared compiler uses (:func:`pygen.settle_loop`).
 
 The result is packaged as a :class:`CompiledModule` with no children,
 so the same :class:`~repro.sim.pipeline.Pipe` runtime drives it.
@@ -31,12 +32,12 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import expr_reads
-from ..hdl.errors import CodegenError, CompileBudgetExceeded
+from ..hdl.errors import CodegenError, CompileBudgetExceeded, ConvergenceError
 from ..ir.netlist import ModuleIR, Netlist
 from .build import BuildConfig
 from .emitter import FunctionEmitter, block
 from .exprgen import ExprGen, Resolver, StmtGen, mask_of
-from .pygen import CACHE_SLOTS, CompiledModule, MemSpec, state_layout
+from .pygen import CACHE_SLOTS, CompiledModule, MemSpec, settle_loop, state_layout
 
 
 @dataclass
@@ -121,9 +122,7 @@ class _FlatCompiler:
         self._reg_widths: Dict[str, int] = {}
         self._mem_specs: Dict[str, MemSpec] = {}
         self._mem_count = 0
-        self._needs_fixpoint = False
         self._written_mems: Set[str] = set()
-        self._stuck_defines: List[str] = []
 
     def _check_budget(self) -> None:
         if self._budget is None:
@@ -346,9 +345,11 @@ class _FlatCompiler:
 
     # -- global scheduling --------------------------------------------------------------
 
-    def _sorted_units(self) -> List[_Unit]:
+    def _sorted_units(self) -> Tuple[List[_Unit], List[_Unit]]:
         """Kahn's algorithm over all flattened comb units, declaration
-        order as the tie-breaker (deterministic output)."""
+        order as the tie-breaker (deterministic output): the sorted
+        units, then in declaration order the ones a genuine comb loop
+        leaves stuck (the loop and everything it feeds)."""
         import heapq
 
         producer: Dict[str, _Unit] = {}
@@ -359,10 +360,12 @@ class _FlatCompiler:
         dependents: Dict[int, List[_Unit]] = {id(u): [] for u in self._units}
         in_degree: Dict[int, int] = {}
         for unit in self._units:
+            # A unit that reads its own define is a loop of one: it
+            # never becomes ready (as in repro.ir.schedule).
             deps = set()
             for name in unit.reads:
                 dep = producer.get(name)
-                if dep is not None and dep is not unit:
+                if dep is not None:
                     deps.add(id(dep))
             in_degree[id(unit)] = len(deps)
             for dep_id in deps:
@@ -381,17 +384,8 @@ class _FlatCompiler:
                 in_degree[fid] -= 1
                 if in_degree[fid] == 0:
                     heapq.heappush(heap, (follower.order, fid))
-        if len(order) != len(self._units):
-            # Genuine combinational loop across the flat design: keep
-            # declaration order for the cyclic tail and pre-zero its
-            # locals so the runtime's fixpoint iteration can run.
-            self._needs_fixpoint = True
-            placed = {id(u) for u in order}
-            stuck = [u for u in self._units if id(u) not in placed]
-            for unit in stuck:
-                self._stuck_defines.extend(unit.defines)
-            order.extend(sorted(stuck, key=lambda u: u.order))
-        return order
+        placed = {id(u) for u in order}
+        return order, [u for u in self._units if id(u) not in placed]
 
     # -- top-level generation --------------------------------------------------------------
 
@@ -404,7 +398,7 @@ class _FlatCompiler:
         }
         self._collect(self._netlist.top, "", top_inputs)
         self._check_budget()
-        ordered = self._sorted_units()
+        ordered, stuck = self._sorted_units()
 
         emit = self._emit
         args = ", ".join(f"i_{name}" for name in top.inputs)
@@ -413,13 +407,15 @@ class _FlatCompiler:
             for spec in self._mem_specs.values():
                 if spec.name in self._written_mems:
                     emit.line(f"del s[{spec.pending_slot}][:]")
-            if self._needs_fixpoint:
-                emit.line("# genuine comb loop: cyclic tail pre-zeroed")
-                for name in self._stuck_defines:
-                    emit.line(f"v_{name.replace('.', '_')} = 0")
             for unit in ordered:
                 unit.emit()
                 self._check_budget()
+            if stuck:
+                names = dict.fromkeys(f"v_{name.replace('.', '_')}"
+                                      for unit in stuck for name in unit.defines)
+                with settle_loop(emit, list(names), f"flat:{top.key}"):
+                    for unit in stuck:
+                        unit.emit()
             if self._num_regs:
                 emit.line(
                     f"s[{self._num_regs}:{2 * self._num_regs}] = "
@@ -485,7 +481,7 @@ def compile_flat(
     filename = f"<flat:{top.key}>"
     code = compile(source, filename, "exec")
     compiler._check_budget()
-    namespace: Dict[str, object] = {}
+    namespace: Dict[str, object] = {"ConvergenceError": ConvergenceError}
     exec(code, namespace)  # noqa: S102 - generated, trusted code
     compiler._check_budget()
     linecache.cache[filename] = (
@@ -501,7 +497,6 @@ def compile_flat(
         num_regs=compiler._num_regs,
     )
     flat_ir.signals = dict(top.signals)
-    flat_ir.needs_fixpoint = compiler._needs_fixpoint
 
     return CompiledModule(
         key=flat_ir.key,

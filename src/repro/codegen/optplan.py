@@ -64,7 +64,7 @@ class OptPlan(NamedTuple):
 
 
 # Nothing to apply: what a clean build, ``opt=none`` and a fixpoint
-# module (its comb locals round-trip the memo slot) compile under.
+# module (no def-before-use order to optimize along) compile under.
 NO_OPT = OptPlan()
 
 

@@ -58,10 +58,10 @@ the right of an assignment holds more than that many items, so the
 kernel stays off CPython's slow paths for both (``CALL_FUNCTION_EX``;
 ``BUILD_LIST`` + ``LIST_APPEND`` + ``LIST_TO_TUPLE``).
 
-Modules with a genuine combinational loop (``needs_fixpoint``) take
-every input in ``eval_out``, carry their comb locals between passes in
-the memo-key slot instead of memoizing, and re-run the whole
-combinational body in ``cycle`` from the carried values.
+A module with a genuine combinational loop (``needs_fixpoint``) takes
+every input in ``eval_out``, which settles the loop itself
+(:func:`settle_loop`): a pure function of state and inputs like any
+other, memoized and stashed the same way, at any depth of the tree.
 
 State array layout per instance (a plain Python list)::
 
@@ -105,13 +105,14 @@ from __future__ import annotations
 
 import hashlib
 import linecache
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..hdl import ast_nodes as ast
-from ..hdl.errors import CodegenError
+from ..hdl.errors import CodegenError, ConvergenceError
 from ..ir.netlist import ModuleIR, Netlist
 from .build import BuildConfig, ModuleKey
 from .emitter import FunctionEmitter, block
@@ -119,6 +120,9 @@ from .exprgen import ATOM, BAND, ExprGen, Resolver, StmtGen, mask_of, paren
 from .optplan import NO_OPT, OptPlan
 
 CACHE_SLOTS = 3  # eval_out memo key, memo value, settled locals for cycle
+
+# Passes a comb loop's generated settle loop runs before ConvergenceError.
+MAX_PASSES = 16
 
 # The most items CPython (3.10-3.12) puts on its stack for one call or
 # one tuple display: a call with more arguments compiles to
@@ -149,11 +153,31 @@ def _flat(items: Sequence[str]) -> str:
 def _slots(items: Sequence[str]) -> str:
     """A tuple of ``items`` nested in pieces when it is longer than one:
     the same text stores and unpacks it, cheaper than :func:`_flat` for
-    a tuple only its own module reads (the stash, the fixpoint carry)."""
+    a tuple only its own module reads (the stash, a comb loop's locals)."""
     pieces = _pieces(items)
     if len(pieces) == 1:
         return pieces[0]
     return "(" + "".join(f"{piece}, " for piece in pieces) + ")"
+
+
+@contextmanager
+def settle_loop(emit: FunctionEmitter, names: Sequence[str],
+                key: str) -> Iterator[None]:
+    """Run the comb body emitted inside to a fixed point: the locals
+    ``names`` start at zero and the body repeats until a pass leaves
+    them all unchanged; after :data:`MAX_PASSES` the generated code
+    raises ``ConvergenceError`` naming module ``key``."""
+    for name in names:
+        emit.line(f"{name} = 0")
+    settled = _slots(names)
+    with block(emit, f"for _pass in range({MAX_PASSES}):"):
+        emit.line(f"_was = {settled}")
+        yield
+        with block(emit, f"if {settled} == _was:"):
+            emit.line("break")
+    with block(emit, "else:"):
+        message = f"{key}: comb loop did not settle in {MAX_PASSES} passes"
+        emit.line(f"raise ConvergenceError({message!r})")
 
 
 def _params(ports: Sequence[str]) -> str:
@@ -266,8 +290,8 @@ class CompiledModule:
 
     @cached_property
     def cycle_settles(self) -> bool:
-        """Whether ``cycle`` runs ``eval_out`` itself on a memo miss: not
-        a comb loop's (it re-runs from ``Pipe.eval``'s carry) nor flatgen's."""
+        """Whether ``cycle`` runs ``eval_out`` itself on a memo miss:
+        every pygen module's does, flatgen's commit-only one does not."""
         return "eval_out" in self.cycle_fn.__code__.co_names
 
     @cached_property
@@ -317,11 +341,13 @@ class _ModuleCompiler:
         self._emit = FunctionEmitter()
         self._comb_ports = list(ir.comb_input_ports)
         if ir.needs_fixpoint:
-            # A genuine comb loop: memoizing would freeze the iteration
-            # the runtime uses to settle it, and seq-only inputs cannot
-            # be deferred reliably — fall back to the conservative ABI.
+            # A genuine comb loop: its per-signal input dependencies come
+            # from an order that has a cycle in it, so seq-only inputs
+            # cannot be deferred reliably — take every input.  Its
+            # schedule is declaration order, not def-before-use, so the
+            # optimizer has nothing to reason along (repro.passes.optimize).
             self._comb_ports = list(ir.inputs)
-            plan = NO_OPT  # comb locals round-trip the memo slot
+            plan = NO_OPT
         # The partition: signals that need an input eval_out does not
         # get.  Their units run in cycle; everything else in eval_out.
         comb = set(self._comb_ports)
@@ -498,57 +524,37 @@ class _ModuleCompiler:
             names.extend(inst.comb_defines)
         return list(dict.fromkeys(names))
 
-    def _gen_fixpoint_prelude(self) -> None:
-        """For genuine comb loops: seed every comb local from the value
-        slot (carried across fixpoint passes), or zero on the first
-        pass of a cycle.  The commit clears the slot."""
-        names = self._comb_signal_names()
-        if not names:
-            return
-        slot = self.layout.cache_key_slot  # doubles as the carry slot
-        with block(self._emit, f"if s[{slot}] is None:"):
-            for name in names:
-                self._emit.line(f"v_{name} = 0")
-        with block(self._emit, "else:"):
-            self._emit.line(f"{_slots(_locals(names))} = s[{slot}]")
-
-    def _gen_fixpoint_save(self) -> None:
-        names = self._comb_signal_names()
-        if names:
-            self._emit.line(
-                f"s[{self.layout.cache_key_slot}] = {_slots(_locals(names))}"
-            )
-
     def _runs_here(self, defines, in_cycle: bool) -> bool:
         """Whether the assign or block defining ``defines`` belongs to
         this function.  (All defines of one block share one dependency
-        set, so a block is never split; a fixpoint module re-runs its
-        whole body in both.)"""
-        if self._ir.needs_fixpoint:
-            return True
+        set, so a block is never split.)"""
         return in_cycle != self._unsettled.isdisjoint(defines)
 
     def _gen_comb_body(self, exprgen: ExprGen, in_cycle: bool) -> None:
         ir = self._ir
         dead_assigns = set(self._plan.dead_assigns)
         dead_blocks = set(self._plan.dead_blocks)
-        if ir.needs_fixpoint:
-            self._gen_fixpoint_prelude()
-        if ir.needs_fixpoint or not in_cycle:
+        settle = nullcontext()
+        if not in_cycle:
             self._gen_early_binds()
-        for unit_kind, index in ir.schedule:
-            if unit_kind == "assign":
-                if index not in dead_assigns and self._runs_here(
-                    (ir.comb_assigns[index].defines,), in_cycle
-                ):
-                    self._gen_comb_assign(exprgen, index)
-            elif unit_kind == "block":
-                if index not in dead_blocks and self._runs_here(
-                    ir.comb_blocks[index].defines, in_cycle
-                ):
-                    self._gen_comb_block(exprgen, index)
-            else:
-                self._gen_instance_out(exprgen, index, in_cycle)
+            if ir.needs_fixpoint:  # every signal is settled: all of it here
+                early = {target for _, _, target in ir.early_bind}
+                names = [n for n in self._comb_signal_names() if n not in early]
+                settle = settle_loop(self._emit, _locals(names), ir.key)
+        with settle:
+            for unit_kind, index in ir.schedule:
+                if unit_kind == "assign":
+                    if index not in dead_assigns and self._runs_here(
+                        (ir.comb_assigns[index].defines,), in_cycle
+                    ):
+                        self._gen_comb_assign(exprgen, index)
+                elif unit_kind == "block":
+                    if index not in dead_blocks and self._runs_here(
+                        ir.comb_blocks[index].defines, in_cycle
+                    ):
+                        self._gen_comb_block(exprgen, index)
+                else:
+                    self._gen_instance_out(exprgen, index, in_cycle)
 
     def _gen_comb_assign(self, exprgen: ExprGen, index: int) -> None:
         assign = self._ir.comb_assigns[index]
@@ -605,9 +611,7 @@ class _ModuleCompiler:
         child = self._netlist.modules[inst.child_key]
         binds = {p: t for p, t in inst.output_conns.items()
                  if p not in inst.registered_ports}
-        if ir.needs_fixpoint:
-            pass  # the whole body, every pass
-        elif in_cycle:
+        if in_cycle:
             arg_reads = inst.reads if child.needs_fixpoint else inst.comb_reads
             if self._unsettled.isdisjoint(arg_reads):
                 return
@@ -647,31 +651,26 @@ class _ModuleCompiler:
 
     def _gen_eval_out(self) -> FunctionEmitter:
         ir = self._ir
-        use_cache = not ir.needs_fixpoint
         key_slot = self.layout.cache_key_slot
         exprgen, reads = self._open_body(zeroed=self._unsettled)
         body = self._emit
         self._gen_comb_body(exprgen, in_cycle=False)
-        if not use_cache:
-            self._gen_fixpoint_save()
         returns = [self._output_ref(name) for name in ir.outputs]
         body.line(f"_ret = {_flat(returns)}")
-        if use_cache:
-            body.line(f"s[{key_slot}] = _ck")
-            body.line(f"s[{key_slot + 1}] = _ret")
-            if self._stash:
-                body.line(f"s[{key_slot + 2}] = {_slots(_locals(self._stash))}")
+        body.line(f"s[{key_slot}] = _ck")
+        body.line(f"s[{key_slot + 1}] = _ret")
+        if self._stash:
+            body.line(f"s[{key_slot + 2}] = {_slots(_locals(self._stash))}")
         body.line("return _ret")
 
         comb = self._comb_ports
         self._emit = fn = FunctionEmitter()
         with block(fn, f"def eval_out(s, ch{_params(comb)}):"):
-            if use_cache:
-                # A packed eval_out's tuple is its memo key as it stands.
-                key = "_in" if packs(comb) else _flat([f"i_{n}" for n in comb])
-                fn.line(f"_ck = {key}")
-                with block(fn, f"if s[{key_slot}] == _ck:"):
-                    fn.line(f"return s[{key_slot + 1}]")
+            # A packed eval_out's tuple is its memo key as it stands.
+            key = "_in" if packs(comb) else _flat([f"i_{n}" for n in comb])
+            fn.line(f"_ck = {key}")
+            with block(fn, f"if s[{key_slot}] == _ck:"):
+                fn.line(f"return s[{key_slot + 1}]")
             _unpack_inputs(fn, comb)
             if self.hooks is not None:
                 self.hooks.bind_poison(fn)
@@ -728,35 +727,30 @@ class _ModuleCompiler:
                         hooks.commit_mem_word(body, name)
                 body.line(f"del _pw_{name}[:]")
 
-        fixpoint = ir.needs_fixpoint  # its body re-ran from the carry slot
-        if not fixpoint:
-            self._stash = [
-                name for name, sig in ir.signals.items()
-                if name in reads and sig.kind != "input"
-                and name not in self._unsettled
-            ]
+        self._stash = [
+            name for name, sig in ir.signals.items()
+            if name in reads and sig.kind != "input"
+            and name not in self._unsettled
+        ]
         self._emit = fn = FunctionEmitter()
         with block(fn, f"def cycle(s, ch{_params(ir.inputs)}):"):
             _unpack_inputs(fn, ir.inputs)
-            if not fixpoint:
-                comb = self._comb_ports
-                key = _flat([f"i_{name}" for name in comb])
-                args = _pass(comb, [f"i_{name}" for name in comb])
-                if packs(comb):  # the key is the argument: build it once
-                    fn.line(f"_ck = {key}")
-                    key, args = "_ck", ", _ck"
-                # The one compare that makes a stale tuple impossible:
-                # a poke, restore, swap, input change or a parent that
-                # did not call in phase 1 all land here.
-                with block(fn, f"if s[{key_slot}] != {key}:"):
-                    fn.line(f"eval_out(s, ch{args})")
-                if self._stash:
-                    fn.line(f"{_slots(_locals(self._stash))} = s[{key_slot + 2}]")
+            comb = self._comb_ports
+            key = _flat([f"i_{name}" for name in comb])
+            args = _pass(comb, [f"i_{name}" for name in comb])
+            if packs(comb):  # the key is the argument: build it once
+                fn.line(f"_ck = {key}")
+                key, args = "_ck", ", _ck"
+            # The one compare that makes a stale tuple impossible:
+            # a poke, restore, swap, input change or a parent that
+            # did not call in phase 1 all land here.
+            with block(fn, f"if s[{key_slot}] != {key}:"):
+                fn.line(f"eval_out(s, ch{args})")
+            if self._stash:
+                fn.line(f"{_slots(_locals(self._stash))} = s[{key_slot + 2}]")
             if hooks is not None:
                 hooks.bind_poison(fn)
-            self._bind_memories(reads)
-            # Elsewhere registered child outputs come in the tuple.
-            self._bind_registered_child_outputs(reads if fixpoint else set())
+            self._bind_memories(reads)  # registered child outputs: the tuple
             fn.splice(body)
         return fn
 
@@ -887,11 +881,12 @@ def exec_source(
 ) -> Dict[str, Callable]:
     """Exec generated ``source`` and return the two entry points as
     :class:`CompiledModule` keyword arguments (also how the artifact
-    store rehydrates a module).  Instrumented source binds ``runtime``
+    store rehydrates a module).  A comb loop raises the
+    ``ConvergenceError`` global; instrumented source binds ``runtime``
     as its ``_san`` global."""
-    namespace: Dict[str, object] = (
-        {"_san": runtime} if build.sanitize else {}
-    )
+    namespace: Dict[str, object] = {"ConvergenceError": ConvergenceError}
+    if build.sanitize:
+        namespace["_san"] = runtime
     exec(compile(source, filename, "exec"), namespace)  # noqa: S102
     linecache.cache[filename] = (
         len(source), None, source.splitlines(keepends=True), filename

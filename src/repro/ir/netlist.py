@@ -150,7 +150,8 @@ class ModuleIR:
     instances: List[InstanceIR] = field(default_factory=list)
     # Evaluation order over ("assign", i) / ("block", i) / ("inst", i)
     # units; set by the scheduler.  ``needs_fixpoint`` is True when the
-    # unit graph has cycles and a single pass may not settle.
+    # unit graph has cycles and a single pass may not settle: the
+    # module's eval_out then repeats its body until no comb local moves.
     schedule: List[Tuple[str, int]] = field(default_factory=list)
     # Instances whose dep-free outputs must be bound by a zero-args
     # prepass before the scheduled body: list of (instance index,

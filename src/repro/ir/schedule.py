@@ -16,7 +16,8 @@ Three mechanisms keep real designs acyclic at this granularity:
   zero-argument prepass call, and the affected edges dissolve.
 
 Only if cycles survive all three (a genuine combinational loop) is the
-module marked ``needs_fixpoint`` and the runtime iterates evaluation.
+module marked ``needs_fixpoint``; its generated ``eval_out`` then runs
+the body to a fixed point (:func:`repro.codegen.pygen.settle_loop`).
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def schedule_module(ir: ModuleIR) -> None:
         ir.schedule = order
         ir.needs_fixpoint = False
     else:
-        # Genuine combinational loop: keep declaration order, let the
-        # runtime iterate to a fixed point.
+        # Genuine combinational loop: keep declaration order; the
+        # generated eval_out repeats it until it settles.
         ir.schedule = list(units)
         ir.needs_fixpoint = True

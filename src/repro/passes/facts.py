@@ -1,8 +1,8 @@
 """Elaboration facts: the cheap whole-netlist summary later passes key on.
 
 Writes ``PassData.pure``: the specializations whose whole *subtree* is
-stateless (no registers, memories, sequential blocks, or fixpoint
-iteration anywhere below), derived bottom-up from the elaborated IR —
+stateless (no registers, memories or sequential blocks anywhere
+below), derived bottom-up from the elaborated IR —
 a pure child's ``cycle`` call is a no-op a parent may elide.  Reads
 only the netlist.
 
@@ -20,18 +20,13 @@ from .base import Pass, PassData
 
 
 def module_is_pure(ir: ModuleIR, pure_children: bool) -> bool:
-    """Stateless module body: nothing survives a clock edge.
-
-    Fixpoint modules are excluded even when register-free — they carry
-    comb-local iteration state in the memo slot across passes, and
-    their cycle clears it.
-    """
+    """Stateless module body: nothing survives a clock edge (a comb
+    loop settles inside ``eval_out``, so it carries nothing either)."""
     return (
         pure_children
         and ir.num_regs == 0
         and not ir.memories
         and not ir.seq_blocks
-        and not ir.needs_fixpoint
     )
 
 

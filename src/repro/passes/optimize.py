@@ -13,10 +13,10 @@ derived cache under the module identity (spec, fingerprint) plus each
 pass's own extras — so a hot
 reload re-runs each pass only for the modules whose identity moved.
 
-Fixpoint modules are exempt from every optimization: their comb locals
-round-trip through the memo slot between iteration passes, so neither
+Fixpoint modules are exempt from every optimization: their schedule is
+declaration order around a cycle, not def-before-use, so neither
 branch pruning nor dead elimination can reason about a single linear
-evaluation.
+evaluation (and the value-facts engine gives their signals no fact).
 
 Under sanitize the dynamic passes no longer stand down wholesale (the
 PR 9 posture): dead elimination drops only units with no sanitizer

@@ -15,11 +15,8 @@ from functools import partial
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..codegen.pygen import CompiledModule
-from ..hdl.errors import ConvergenceError, SimulationError
+from ..hdl.errors import SimulationError
 from .stage import StageInst, StateSnapshot
-
-# Settling passes a top-level comb loop gets before ConvergenceError.
-MAX_PASSES = 16
 
 Driver = Callable[["Pipe"], None]
 Watcher = Callable[["Pipe", Dict[str, int]], bool]
@@ -96,7 +93,8 @@ class Pipe:
         packed where :func:`repro.codegen.pygen.packs` says so — then its
         sanitizer and whether an edge needs ``eval`` first: in a sanitized
         build (a trap while settling must leave ``cycle`` as it was) and
-        where ``cycle`` does not settle itself (``CompiledModule.cycle_settles``)."""
+        in the flat baseline, whose ``cycle`` is the commit alone
+        (``CompiledModule.cycle_settles``)."""
         top, inputs = self.top, self._inputs
         code = top.code
         signals = code.ir.signals  # flat and shared code alike
@@ -117,26 +115,10 @@ class Pipe:
         return entries
 
     def eval(self) -> Dict[str, int]:
-        """Settle combinational logic (phase 1); returns the outputs."""
-        code = self.top.code
+        """Settle combinational logic (phase 1); returns the outputs.
+        A comb loop settles inside its own module's ``eval_out``."""
         eval_out = (self._entries or self._bind_entries())[0]
-        result = eval_out()
-        if code.ir.needs_fixpoint:
-            # A genuine comb loop at the top (a memoized top would just
-            # return its memo again): iterate until the outputs hold.
-            previous = result
-            for _ in range(MAX_PASSES):
-                result = eval_out()
-                if result == previous:
-                    break
-                previous = result
-            else:
-                raise ConvergenceError(
-                    "combinational logic did not settle in "
-                    f"{MAX_PASSES} passes (comb loop?)"
-                )
-        outputs = dict(zip(code.outputs, result))
-        self._last_outputs = outputs
+        outputs = self._last_outputs = dict(zip(self.top.code.outputs, eval_out()))
         return outputs
 
     def outputs(self) -> Dict[str, int]:

@@ -282,18 +282,27 @@ def test_the_shapes_are_what_they_say():
 # third level: a 64-bit sum and a 16-bit concatenation into 8-bit comb
 # ports, an unsized (32-bit) literal into a 1-bit port, an 8-bit input
 # into a 4-bit *sequential-only* port, and an 8-bit sum into the 4-bit
-# port of a ``needs_fixpoint`` child (a signal-level loop whose value
-# never depends on itself, so one pass settles it in either compiler).
-# Every other connection is a bare name of the port's own width.
+# port of a ``needs_fixpoint`` child (a comb loop that takes up to five
+# passes to settle: each carries a bit of ``seen`` one place up).  A
+# register-free loop child reading its output is pure, so opt=full
+# skips its ``cycle``.  Every other connection is a bare name of the
+# port's own width.
 NARROWING = """
 module loopy (input clk, input [3:0] a, output [3:0] out);
   wire [3:0] u;
   wire [3:0] v;
   reg [3:0] seen;
-  assign u = (v & 4'd0) | a;
-  assign v = u;
+  assign u = {v[2:0], 1'b0} & a;
+  assign v = u | seen;
   assign out = v ^ seen;
-  always @(posedge clk) seen <= v;
+  always @(posedge clk) seen <= v + 4'd1;
+endmodule
+module ploop (input [3:0] a, output [3:0] out);
+  wire [3:0] u;
+  wire [3:0] v;
+  assign u = {v[2:0], 1'b0} & a;
+  assign v = u | {3'd0, a[3]};
+  assign out = v;
 endmodule
 module leaf (input clk, input en, input [7:0] a, input [7:0] b, input [3:0] k,
              output [7:0] y, output [7:0] acc);
@@ -303,20 +312,21 @@ module leaf (input clk, input en, input [7:0] a, input [7:0] b, input [3:0] k,
 endmodule
 module mid (input clk, input rst, input [63:0] w, input [7:0] x,
             input [7:0] late, output [7:0] y, output [7:0] acc,
-            output [3:0] out);
+            output [3:0] out, output [3:0] pout);
   wire [7:0] ly;
   reg [7:0] hold;
   leaf u (.clk(clk), .en(1), .a(w + {56'd0, x}), .b({x, hold}), .k(late),
           .y(ly), .acc(acc));
   loopy l (.clk(clk), .a(x + late), .out(out));
+  ploop p (.a(out), .out(pout));
   assign y = ly;
-  always @(posedge clk) hold <= rst ? 8'd0 : hold + ly;
+  always @(posedge clk) hold <= rst ? 8'd0 : hold + ly + {4'd0, pout};
 endmodule
 module top (input clk, input rst, input [63:0] w, input [7:0] x,
             input [7:0] late, output [7:0] y, output [7:0] acc,
-            output [3:0] out);
+            output [3:0] out, output [3:0] pout);
   mid m (.clk(clk), .rst(rst), .w(w), .x(x), .late(late), .y(y), .acc(acc),
-         .out(out));
+         .out(out), .pout(pout));
 endmodule
 """
 NARROWED = {  # (parent, instance, port) -> the port's mask
@@ -379,8 +389,12 @@ def test_narrowing_connections_agree_with_the_flat_compiler(build):
     runtime = SanitizerRuntime("report") if build.sanitize else None
     netlist = elaborate(parse(NARROWING), "top")
     assert netlist.modules["loopy"].needs_fixpoint
+    assert netlist.modules["ploop"].needs_fixpoint
     assert netlist.modules["leaf"].comb_input_ports == ["a", "b"]  # not k
     library = compile_netlist(netlist, build, sanitize_runtime=runtime)
+    # mid's cycle calls the pure loop child (ch[2]) unless opt=full skips it.
+    mid_cycle = library["mid"].source.split("def cycle")[1]
+    assert ("ch[2]" in mid_cycle) == (build.opt != "full")
     shared = Pipe(netlist.top, library)
     flat_code = compile_flat(elaborate(parse(NARROWING), "top"))
     flat = Pipe(flat_code.key, {flat_code.key: flat_code})
@@ -470,21 +484,26 @@ def test_the_kernel_carries_no_glue(pgas2_netlist_library):
 
 
 def test_comb_loop_matches_a_reference_model():
-    """``needs_fixpoint``: the comb body re-runs from the carried slot
-    in ``cycle`` and commits in the same call.  (The flat compiler
-    pre-zeroes its cyclic tail on every pass, so the reference here is
-    the loop's least fixed point, computed the way the design reads.)"""
+    """``needs_fixpoint``: ``eval_out`` settles the loop and ``cycle``
+    reads it from the stash.  Two oracles: the loop's least fixed point,
+    computed the way the design reads, and the flat compiler, whose
+    ``eval`` settles its cyclic tail the same way."""
     with open(RING_V) as fh:
-        netlist, library = compile_design(fh.read(), "ring")
+        source = fh.read()
+    netlist, library = compile_design(source, "ring")
     assert netlist.top_module.needs_fixpoint
     pipe = Pipe(netlist.top, library)
+    flat_code = compile_flat(elaborate(parse(source), "ring"))
+    flat = Pipe(flat_code.key, {flat_code.key: flat_code})
     out_q = 0
     rnd = random.Random(7)
     for _ in range(60):
         a = rnd.randrange(16)
         pipe.set_inputs(a=a)
-        assert pipe.eval()["out"] == out_q
+        flat.set_inputs(a=a)
+        assert pipe.eval()["out"] == flat.eval()["out"] == out_q
         pipe.tick()
+        flat.tick()
         req = grant = ack = 0
         while (req, grant, ack) != (
             ack & a, (ack & a) | 1, ((ack & a) | 1) & 7

@@ -2,8 +2,8 @@
 
 ``Pipe.step`` settles the top-level outputs (``Pipe.eval``) before an
 edge only for a watcher, an attached trace or a top whose edge needs it
-(the flat baseline, a top-level comb loop, a sanitized build); otherwise
-the top's ``cycle`` settles on its own memo miss.  Each case here runs
+(the flat baseline, a sanitized build); otherwise the top's ``cycle``
+settles on its own memo miss, a comb loop's included.  Each case here runs
 twice, once with no watcher and once with a watcher that never fires,
 and asserts that state, ``cycle``, outputs, sanitizer findings and trace
 samples come out the same — including where the run traps or fails to
@@ -13,12 +13,15 @@ the middle of a run.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from benchmarks.livebench.workloads import boot_testbench, node_images, node_programs
 from repro import compile_design
 from repro.baseline.compiler import BaselineCompiler
 from repro.codegen.build import BuildConfig
+from repro.codegen.pygen import MAX_PASSES
 from repro.hdl import elaborate, parse
 from repro.hdl.errors import ConvergenceError
 from repro.live.hotreload import HotReloader
@@ -60,8 +63,8 @@ module top (
 endmodule
 """
 
-# A top-level comb loop (p <-> q) that takes several passes to settle
-# (each one carries a bit of r one place up), feeding a register.
+# A comb loop (p <-> q) that takes several passes to settle (each one
+# carries a bit of r one place up), feeding a register.
 LOOP_SRC = """
 module m (input clk, input rst, input [7:0] a, output [7:0] y);
   wire [7:0] p;
@@ -88,6 +91,29 @@ endmodule
 
 def never(pipe, outputs):
     return False
+
+
+def wrapped(source, levels):
+    """``source``'s module ``m`` under ``levels`` one-instance wrappers,
+    the outermost named ``top``: (source, top)."""
+    header = re.search(r"module m \((.*?)\);", source)[1]
+    conns = ", ".join(f".{n}({n})" for n in re.findall(r"(\w+)(?:,|$)", header))
+    inner = "m"
+    for level in range(levels):
+        outer = "top" if level == levels - 1 else f"w{level}"
+        source += f"module {outer} ({header});\n  {inner} u ({conns});\nendmodule\n"
+        inner = outer
+    return source, inner
+
+
+def loop_pipe(source, levels, backend):
+    """``m`` of ``source`` at depth ``levels``, built by the shared
+    compiler or by the baseline in ``backend`` mode."""
+    source, top = wrapped(source, levels)
+    if backend == "shared":
+        netlist, library = compile_design(source, top)
+        return Pipe(netlist.top, library)
+    return BaselineCompiler(mode=backend).compile(elaborate(parse(source), top)).make_pipe()
 
 
 def counter_driver(pipe):
@@ -199,33 +225,76 @@ def test_the_flat_baseline(mode):
     assert unwatched_equals_watched(run)["outputs"] == {"c0": 18, "c1": 54}
 
 
-def test_a_top_level_comb_loop():
-    netlist, library = compile_design(LOOP_SRC, "m")
-    assert netlist.top_module.needs_fixpoint
+DEPTHS = pytest.mark.parametrize("levels", [0, 1, 2], ids=["top", "child", "grandchild"])
+BACKENDS = pytest.mark.parametrize("backend", ["shared", "replicate", "inline"])
+
+
+def loop_inputs(cycle):
+    return {"rst": int(cycle < 2), "a": 0xF0 if cycle > 8 else 0xFF}
+
+
+def loop_reference(cycles):
+    """``LOOP_SRC``'s ``y`` per cycle under :func:`loop_inputs`: the
+    least fixed point of p <-> q, computed the way the design reads."""
+    r, ys = 0, []
+    for cycle in range(cycles):
+        a, rst = loop_inputs(cycle)["a"], loop_inputs(cycle)["rst"]
+        q = 0
+        while q != ((q << 1) & a & 0xFF) | r:
+            q = ((q << 1) & a & 0xFF) | r
+        ys.append(q)
+        r = 1 if rst else (r + (q >> 4) + 1) & 0xFF
+    return ys
+
+
+@BACKENDS
+@DEPTHS
+def test_a_comb_loop_settles_at_any_depth(levels, backend):
+    """Each module settles its own loop, so ``y`` reads what bare ``m``
+    reads, wherever ``m`` sits and whichever compiler built it."""
+    ys = []
 
     def run(watcher):
-        pipe = Pipe(netlist.top, library)
-
-        def driver(p):
-            p.set_inputs(rst=int(p.cycle < 2), a=0xF0 if p.cycle > 8 else 0xFF)
-
-        pipe.step(16, driver=driver, watcher=watcher)
+        pipe = loop_pipe(LOOP_SRC, levels, backend)
+        pipe.step(16, driver=lambda p: p.set_inputs(**loop_inputs(p.cycle)),
+                  watcher=watcher and (lambda p, out: ys.append(out["y"]) or False))
         return observe(pipe)
 
     unwatched_equals_watched(run)
+    assert ys == loop_reference(16)
+    assert ys[:3] == [0, 255, 255]
 
 
-def test_a_top_level_comb_loop_that_does_not_converge():
-    netlist, library = compile_design(OSCILLATING_SRC, "m")
+@DEPTHS
+def test_a_comb_loop_that_does_not_converge(levels):
+    """The loop runs before any sequential block, so the cycle that
+    fails leaves state as it was; the error names the module."""
+    netlist, library = compile_design(*wrapped(OSCILLATING_SRC, levels))
+    assert netlist.modules["m"].needs_fixpoint
 
     def run(watcher):
         pipe = Pipe(netlist.top, library)
-        with pytest.raises(ConvergenceError):
-            pipe.step(12, driver=lambda p: p.set_inputs(a=int(p.cycle >= 5)),
-                      watcher=watcher)
+        before = []
+
+        def driver(p):
+            p.set_inputs(a=int(p.cycle >= 5))
+            if p.cycle == 5:
+                before.append(state_of(p))
+
+        with pytest.raises(ConvergenceError) as failed:
+            pipe.step(12, driver=driver, watcher=watcher)
+        assert str(failed.value) == f"m: comb loop did not settle in {MAX_PASSES} passes"
+        assert state_of(pipe) == before[0]
         return {"cycle": pipe.cycle, "state": state_of(pipe)}
 
     assert unwatched_equals_watched(run)["cycle"] == 5
+
+
+def test_the_flat_baseline_names_its_loop():
+    pipe = loop_pipe(OSCILLATING_SRC, 1, "inline")
+    pipe.set_inputs(a=1)
+    with pytest.raises(ConvergenceError, match=r"^flat:top: comb loop did not settle"):
+        pipe.step(1)
 
 
 def test_a_vector_testbench():
@@ -343,8 +412,9 @@ def test_only_a_reader_or_the_top_settles_before_the_edge(
     pgas2_netlist_library, monkeypatch
 ):
     """What the cases above compare: the clean unwatched run never calls
-    ``Pipe.eval``; a watcher, a trace, the flat baseline, a comb loop
-    and a sanitized build settle once per cycle."""
+    ``Pipe.eval``, nor does a comb loop's (its top's ``cycle`` settles
+    it); a watcher, a trace, the flat baseline and a sanitized build
+    settle once per cycle."""
     calls = []
     settle = Pipe.eval
     monkeypatch.setattr(Pipe, "eval", lambda self: calls.append(1) or settle(self))
@@ -365,6 +435,6 @@ def test_only_a_reader_or_the_top_settles_before_the_edge(
     )
     assert evals(flat.make_pipe()) == 5
     loop_netlist, loop_library = compile_design(LOOP_SRC, "m")
-    assert evals(Pipe(loop_netlist.top, loop_library)) == 5
+    assert evals(Pipe(loop_netlist.top, loop_library)) == 0
     san_netlist, san_library = sanitized(SAN_SRC, "top", SanitizerRuntime())
     assert evals(Pipe(san_netlist.top, san_library)) == 5

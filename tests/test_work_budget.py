@@ -14,6 +14,10 @@ A wall-clock bound cannot see a few per cent; a count can.  Each row of
   ``@dataclass`` classes they define that the live loop (set-up, run,
   peek and one edit; ``test_public_api.LIVE_LOOP_SCRIPT``) loads up to
   its report, in a fresh interpreter.
+- ``codegen.lines.*``: the lines of generated source of a clean
+  ``opt=none`` build, summed over the library, for the 2x2 and 4x4
+  mesh and every module of ``examples/designs/*.v`` as a top, named
+  and counted as ``tools/source_digests.py`` names and counts them.
 
 A change that lowers a count lowers its row in the same change; one that
 raises a count says so in CHANGES.md with the reason.
@@ -26,16 +30,29 @@ import sys
 from collections import Counter
 
 from benchmarks.livebench.workloads import boot_testbench, node_images, node_programs
+from repro.codegen.build import BuildConfig
+from repro.hdl import elaborate, parse
+from repro.passes import compile_netlist
 from repro.sim import Pipe
 from repro.sim.testbench import CallbackTestbench
+from tests.test_codegen_seam import _digests_tool
 from tests.test_public_api import LIVE_LOOP_SCRIPT, run_fresh
 
 BUDGET = {
     "cycle.2x2.unwatched": 6,
     "cycle.2x2.watched": 9,
     "setup.modules": 57,
-    "setup.lines": 16_085,
+    "setup.lines": 16_059,
     "setup.dataclasses": 52,
+    "codegen.lines.mesh2x2": 626,
+    "codegen.lines.mesh4x4": 746,
+    "codegen.lines.counter.v:adder": 14,
+    "codegen.lines.counter.v:counter": 37,
+    "codegen.lines.counter.v:top": 58,
+    "codegen.lines.pitfalls.v:pitfalls": 26,
+    "codegen.lines.ranges.v:narrows": 14,
+    "codegen.lines.ranges.v:ranges": 56,
+    "codegen.lines.ring.v:ring": 31,
 }
 
 
@@ -113,3 +130,16 @@ def test_the_live_loop_stays_within_its_setup_budget():
     assert marker, "the live loop script no longer reports what it loaded"
     measured = json.loads(run_fresh(loop + SETUP_REPORT))
     assert not moved(measured), f"set-up budget moved (pinned, now): {moved(measured)}"
+
+
+def test_generated_source_stays_within_its_line_budget():
+    measured = {}
+    for name, source, top in _digests_tool().designs(None):
+        if f"codegen.lines.{name}" not in BUDGET:
+            continue  # a patched mesh
+        library = compile_netlist(elaborate(parse(source), top), BuildConfig(opt="none"))
+        measured[f"codegen.lines.{name}"] = sum(
+            code.source.count("\n") for code in library.values()
+        )
+    assert measured.keys() == {name for name in BUDGET if name.startswith("codegen.")}
+    assert not moved(measured), f"generated lines moved (pinned, now): {moved(measured)}"
