@@ -12,7 +12,7 @@ Semantic checks (beyond the migrated width/quality lints):
 ``comb-loop``
     A genuine combinational cycle through the module's signals, with
     the full path reported.  The simulator *tolerates* these (it
-    iterates evaluation to a fixed point), which is exactly why the
+    repeats each loop until it settles), which is exactly why the
     analyzer must not: a loop that settles in simulation is still
     unsynthesizable and usually a missing register.
 ``multi-driver``
@@ -351,13 +351,15 @@ class ConstantConditionCheck(Check):
 class CombLoopCheck(Check):
     """Find combinational cycles and report the signal path.
 
-    Builds the signal-level dependency graph the scheduler works with:
+    Builds the signal-level view of the graph the scheduler condenses:
     an edge ``a -> b`` when some combinational unit reads ``a`` to
     produce ``b``.  Registered signals, memories, and early-bound
     instance outputs (state-sourced by construction) break paths, like
     they do for scheduling.  Instance edges use the child's per-output
     ``output_deps`` so a registered or input-independent child output
-    never manufactures a false loop.
+    never manufactures a false loop: every cycle found lies on one of
+    the scheduler's loops (``ModuleIR.loops``), whose units an
+    instance may join through an output off the cycle.
     """
 
     name = "comb-loop"

@@ -472,7 +472,7 @@ def compare_to_baseline(
     count, which the single-thread calibration probe cannot see.  The
     p99 gate uses the same host-speed scaling as the fig7 gate.
     """
-    from .run import MAX_CALIBRATION_SCALE
+    from .run import host_speed_scale
 
     failures: List[str] = []
     base_latency = baseline.get("latency_s") or {}
@@ -480,12 +480,7 @@ def compare_to_baseline(
     if not base_latency:
         return ["baseline JSON has no latency_s data"]
 
-    scale = 1.0
-    base_cal = baseline.get("calibration_s")
-    cur_cal = current.get("calibration_s")
-    if base_cal and cur_cal:
-        scale = max(1.0, min(cur_cal / base_cal, MAX_CALIBRATION_SCALE))
-
+    scale = host_speed_scale(current, baseline)
     for cls in sorted(base_latency):
         base_p99 = base_latency[cls].get("p99")
         if not base_p99:

@@ -156,6 +156,16 @@ def run_bench(
 # -- regression gate ---------------------------------------------------------
 
 
+def host_speed_scale(current: Dict, baseline: Dict) -> float:
+    """How much slower this host is than the baseline's (``calibration_s``),
+    clamped to [1, :data:`MAX_CALIBRATION_SCALE`]; 1 without both."""
+    base_cal = baseline.get("calibration_s")
+    cur_cal = current.get("calibration_s")
+    if not (base_cal and cur_cal):
+        return 1.0
+    return max(1.0, min(cur_cal / base_cal, MAX_CALIBRATION_SCALE))
+
+
 def compare_to_baseline(
     current: Dict, baseline: Dict, max_regression: float
 ) -> List[str]:
@@ -174,12 +184,7 @@ def compare_to_baseline(
     if not base_fig7:
         return failures + ["baseline JSON has no fig7.per_edit_latency_s data"]
 
-    scale = 1.0
-    base_cal = baseline.get("calibration_s")
-    cur_cal = current.get("calibration_s")
-    if base_cal and cur_cal:
-        scale = max(1.0, min(cur_cal / base_cal, MAX_CALIBRATION_SCALE))
-
+    scale = host_speed_scale(current, baseline)
     for size, base_latency in sorted(base_fig7.items()):
         latency = cur_fig7.get(size)
         if latency is None:

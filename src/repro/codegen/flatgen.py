@@ -10,11 +10,13 @@ paper measures in Tables VII/VIII.
 
 Scheduling is at the granularity of individual flattened units
 (continuous assigns, port bindings, comb blocks), globally topo-sorted
-by def-before-use — what a real flattening compiler does.  Registers
-and memories are state and never constrain ordering, so any design
-whose loops pass through a flop schedules in one pass; only a genuine
-combinational loop leaves a tail that ``eval`` runs to a fixed point in
-the generated loop the shared compiler uses (:func:`pygen.settle_loop`).
+by def-before-use with the scheduler the shared compiler uses
+(:func:`repro.ir.schedule.toposort`) — what a real flattening compiler
+does.  Registers and memories are state and never constrain ordering,
+so any design whose loops pass through a flop schedules in one pass;
+each genuine combinational loop is one group of the order, which
+``eval`` repeats alone until it settles, in the generated loop the
+shared compiler uses (:func:`pygen.settle_loop`).
 
 The result is packaged as a :class:`CompiledModule` with no children,
 so the same :class:`~repro.sim.pipeline.Pipe` runtime drives it.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import linecache
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -34,6 +37,7 @@ from ..hdl import ast_nodes as ast
 from ..hdl.consteval import expr_reads
 from ..hdl.errors import CodegenError, CompileBudgetExceeded, ConvergenceError
 from ..ir.netlist import ModuleIR, Netlist
+from ..ir.schedule import toposort
 from .build import BuildConfig
 from .emitter import FunctionEmitter, block
 from .exprgen import ExprGen, Resolver, StmtGen, mask_of
@@ -47,7 +51,6 @@ class _Unit:
     defines: Tuple[str, ...]  # global comb-local ids this unit assigns
     reads: Tuple[str, ...]  # global comb-local ids it needs first
     emit: Callable[[], None]
-    order: int  # declaration order (tie-breaker)
 
 
 class _FlatScope:
@@ -195,7 +198,6 @@ class _FlatCompiler:
                     defines=(scope.global_id(port),),
                     reads=tuple(reads),
                     emit=emit_bind,
-                    order=len(self._units),
                 )
             )
 
@@ -214,7 +216,6 @@ class _FlatCompiler:
                     defines=(scope.global_id(assign.target.name),),
                     reads=tuple(scope.comb_read_ids(assign.reads)),
                     emit=emit_assign,
-                    order=len(self._units),
                 )
             )
 
@@ -229,7 +230,6 @@ class _FlatCompiler:
                     ),
                     reads=tuple(scope.comb_read_ids(comb.reads)),
                     emit=emit_block,
-                    order=len(self._units),
                 )
             )
 
@@ -277,7 +277,6 @@ class _FlatCompiler:
                         defines=(scope.global_id(target),),
                         reads=reads,
                         emit=emit_out,
-                        order=len(self._units),
                     )
                 )
 
@@ -343,50 +342,6 @@ class _FlatCompiler:
         )
         stmtgen.gen_stmts(seq.body)
 
-    # -- global scheduling --------------------------------------------------------------
-
-    def _sorted_units(self) -> Tuple[List[_Unit], List[_Unit]]:
-        """Kahn's algorithm over all flattened comb units, declaration
-        order as the tie-breaker (deterministic output): the sorted
-        units, then in declaration order the ones a genuine comb loop
-        leaves stuck (the loop and everything it feeds)."""
-        import heapq
-
-        producer: Dict[str, _Unit] = {}
-        for unit in self._units:
-            for name in unit.defines:
-                producer[name] = unit
-        by_id = {id(u): u for u in self._units}
-        dependents: Dict[int, List[_Unit]] = {id(u): [] for u in self._units}
-        in_degree: Dict[int, int] = {}
-        for unit in self._units:
-            # A unit that reads its own define is a loop of one: it
-            # never becomes ready (as in repro.ir.schedule).
-            deps = set()
-            for name in unit.reads:
-                dep = producer.get(name)
-                if dep is not None:
-                    deps.add(id(dep))
-            in_degree[id(unit)] = len(deps)
-            for dep_id in deps:
-                dependents[dep_id].append(unit)
-        heap = [
-            (u.order, id(u)) for u in self._units if in_degree[id(u)] == 0
-        ]
-        heapq.heapify(heap)
-        order: List[_Unit] = []
-        while heap:
-            _, uid = heapq.heappop(heap)
-            unit = by_id[uid]
-            order.append(unit)
-            for follower in dependents[uid]:
-                fid = id(follower)
-                in_degree[fid] -= 1
-                if in_degree[fid] == 0:
-                    heapq.heappush(heap, (follower.order, fid))
-        placed = {id(u) for u in order}
-        return order, [u for u in self._units if id(u) not in placed]
-
     # -- top-level generation --------------------------------------------------------------
 
     def generate(self) -> str:
@@ -398,7 +353,9 @@ class _FlatCompiler:
         }
         self._collect(self._netlist.top, "", top_inputs)
         self._check_budget()
-        ordered, stuck = self._sorted_units()
+        ids = range(len(self._units))
+        producer = {name: i for i in ids for name in self._units[i].defines}
+        steps = toposort(ids, {i: self._units[i].reads for i in ids}, producer)
 
         emit = self._emit
         args = ", ".join(f"i_{name}" for name in top.inputs)
@@ -407,15 +364,17 @@ class _FlatCompiler:
             for spec in self._mem_specs.values():
                 if spec.name in self._written_mems:
                     emit.line(f"del s[{spec.pending_slot}][:]")
-            for unit in ordered:
-                unit.emit()
-                self._check_budget()
-            if stuck:
-                names = dict.fromkeys(f"v_{name.replace('.', '_')}"
-                                      for unit in stuck for name in unit.defines)
-                with settle_loop(emit, list(names), f"flat:{top.key}"):
-                    for unit in stuck:
+            for step, is_loop in steps:
+                units = [self._units[i] for i in step]
+                settle = nullcontext()
+                if is_loop:
+                    names = dict.fromkeys(f"v_{name.replace('.', '_')}"
+                                          for unit in units for name in unit.defines)
+                    settle = settle_loop(emit, list(names), f"flat:{top.key}")
+                with settle:
+                    for unit in units:
                         unit.emit()
+                self._check_budget()
             if self._num_regs:
                 emit.line(
                     f"s[{self._num_regs}:{2 * self._num_regs}] = "

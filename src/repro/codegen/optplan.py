@@ -63,8 +63,7 @@ class OptPlan(NamedTuple):
         return optimize_stmts(stmts, self.consts, self.const_widths)
 
 
-# Nothing to apply: what a clean build, ``opt=none`` and a fixpoint
-# module (no def-before-use order to optimize along) compile under.
+# Nothing to apply: what a clean build and ``opt=none`` compile under.
 NO_OPT = OptPlan()
 
 

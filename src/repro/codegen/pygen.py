@@ -58,10 +58,15 @@ the right of an assignment holds more than that many items, so the
 kernel stays off CPython's slow paths for both (``CALL_FUNCTION_EX``;
 ``BUILD_LIST`` + ``LIST_APPEND`` + ``LIST_TO_TUPLE``).
 
-A module with a genuine combinational loop (``needs_fixpoint``) takes
-every input in ``eval_out``, which settles the loop itself
-(:func:`settle_loop`): a pure function of state and inputs like any
-other, memoized and stashed the same way, at any depth of the tree.
+A genuine combinational loop is one step of the schedule
+(``ModuleIR.loops``).  ``eval_out`` and ``cycle`` each repeat the part
+of that step the partition gives them until the locals it binds stop
+moving (:func:`settle_loop`).  Every signal on a cycle has the same
+input dependencies, so a loop an output reads settles in ``eval_out``
+and one only a register reads in ``cycle``; only a child instance on a
+loop can bind outputs on both sides.  A module with a loop takes
+``comb_input_ports`` like any other and is memoized, stashed and
+optimized the same way, at any depth of the tree.
 
 State array layout per instance (a plain Python list)::
 
@@ -340,14 +345,6 @@ class _ModuleCompiler:
         self._mux_style = build.mux_style
         self._emit = FunctionEmitter()
         self._comb_ports = list(ir.comb_input_ports)
-        if ir.needs_fixpoint:
-            # A genuine comb loop: its per-signal input dependencies come
-            # from an order that has a cycle in it, so seq-only inputs
-            # cannot be deferred reliably — take every input.  Its
-            # schedule is declaration order, not def-before-use, so the
-            # optimizer has nothing to reason along (repro.passes.optimize).
-            self._comb_ports = list(ir.inputs)
-            plan = NO_OPT
         # The partition: signals that need an input eval_out does not
         # get.  Their units run in cycle; everything else in eval_out.
         comb = set(self._comb_ports)
@@ -512,17 +509,8 @@ class _ModuleCompiler:
         for index, port, target in self._ir.early_bind:
             by_instance.setdefault(index, {})[port] = target
         for index, binds in by_instance.items():
-            ports = self._child_comb_ports(self._ir.instances[index])
+            ports = self._child(index).comb_input_ports
             self._call_eval_out(index, binds, _pass(ports, ["0"] * len(ports)))
-
-    def _comb_signal_names(self) -> List[str]:
-        """Every comb-driven signal local, in deterministic order."""
-        names = [assign.defines for assign in self._ir.comb_assigns]
-        for comb in self._ir.comb_blocks:
-            names.extend(comb.defines)
-        for inst in self._ir.instances:
-            names.extend(inst.comb_defines)
-        return list(dict.fromkeys(names))
 
     def _runs_here(self, defines, in_cycle: bool) -> bool:
         """Whether the assign or block defining ``defines`` belongs to
@@ -532,29 +520,28 @@ class _ModuleCompiler:
 
     def _gen_comb_body(self, exprgen: ExprGen, in_cycle: bool) -> None:
         ir = self._ir
-        dead_assigns = set(self._plan.dead_assigns)
-        dead_blocks = set(self._plan.dead_blocks)
-        settle = nullcontext()
+        dead = {("assign", i) for i in self._plan.dead_assigns}
+        dead |= {("block", i) for i in self._plan.dead_blocks}
+        early = {target for _, _, target in ir.early_bind}
         if not in_cycle:
             self._gen_early_binds()
-            if ir.needs_fixpoint:  # every signal is settled: all of it here
-                early = {target for _, _, target in ir.early_bind}
-                names = [n for n in self._comb_signal_names() if n not in early]
-                settle = settle_loop(self._emit, _locals(names), ir.key)
-        with settle:
-            for unit_kind, index in ir.schedule:
-                if unit_kind == "assign":
-                    if index not in dead_assigns and self._runs_here(
-                        (ir.comb_assigns[index].defines,), in_cycle
-                    ):
-                        self._gen_comb_assign(exprgen, index)
-                elif unit_kind == "block":
-                    if index not in dead_blocks and self._runs_here(
-                        ir.comb_blocks[index].defines, in_cycle
-                    ):
-                        self._gen_comb_block(exprgen, index)
-                else:
-                    self._gen_instance_out(exprgen, index, in_cycle)
+        for units, is_loop in ir.steps:
+            units = [u for u in units if u not in dead]
+            settle = nullcontext()
+            if is_loop:  # repeat the locals this function binds for it
+                names = [n for u in units for n in ir.unit_defines(u)
+                         if n not in early and self._runs_here((n,), in_cycle)]
+                if names:
+                    settle = settle_loop(self._emit, _locals(names), ir.key)
+            with settle:
+                for unit in units:
+                    kind, index = unit
+                    if kind == "inst":
+                        self._gen_instance_out(exprgen, index, in_cycle)
+                    elif self._runs_here(ir.unit_defines(unit), in_cycle):
+                        gen = (self._gen_comb_assign if kind == "assign"
+                               else self._gen_comb_block)
+                        gen(exprgen, index)
 
     def _gen_comb_assign(self, exprgen: ExprGen, index: int) -> None:
         assign = self._ir.comb_assigns[index]
@@ -596,9 +583,8 @@ class _ModuleCompiler:
             f"memory {name!r} may only be written in always @(posedge)", line
         )
 
-    def _child_comb_ports(self, inst) -> List[str]:
-        child = self._netlist.modules[inst.child_key]
-        return child.inputs if child.needs_fixpoint else child.comb_input_ports
+    def _child(self, index: int) -> ModuleIR:
+        return self._netlist.modules[self._ir.instances[index].child_key]
 
     def _gen_instance_out(self, exprgen: ExprGen, index: int,
                           in_cycle: bool) -> None:
@@ -608,12 +594,10 @@ class _ModuleCompiler:
         iff eval_out could not have passed the real arguments)."""
         ir = self._ir
         inst = ir.instances[index]
-        child = self._netlist.modules[inst.child_key]
         binds = {p: t for p, t in inst.output_conns.items()
                  if p not in inst.registered_ports}
         if in_cycle:
-            arg_reads = inst.reads if child.needs_fixpoint else inst.comb_reads
-            if self._unsettled.isdisjoint(arg_reads):
+            if self._unsettled.isdisjoint(inst.comb_reads):
                 return
             binds = {p: t for p, t in binds.items() if t in self._unsettled}
         else:
@@ -622,7 +606,7 @@ class _ModuleCompiler:
             binds = {p: t for p, t in binds.items() if t not in elsewhere}
             if not binds:
                 return  # its own cycle evaluates it, with every input
-        ports = self._child_comb_ports(inst)
+        ports = self._child(index).comb_input_ports
         args = self._child_args(exprgen, inst, ports)
         self._call_eval_out(index, binds, _pass(ports, args))
 
@@ -631,8 +615,8 @@ class _ModuleCompiler:
         its result bound by one unpack: ``binds`` maps child output ->
         local, the rest land in ``_``; a call that only refreshes the
         child's memo (nothing bound) assigns nothing."""
-        child = self._netlist.modules[self._ir.instances[index].child_key]
-        names = [f"v_{binds[p]}" if p in binds else "_" for p in child.outputs]
+        names = [f"v_{binds[p]}" if p in binds else "_"
+                 for p in self._child(index).outputs]
         lhs = f"({', '.join(names)}, ) = " if binds else ""
         ref = self._emit.fresh("c")
         self._emit.line(f"{ref} = ch[{index}]")

@@ -25,7 +25,7 @@ router).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Set
+from typing import Callable, Dict, Iterable, Set, Tuple
 
 from ..hdl.consteval import expr_reads
 from .netlist import ModuleIR
@@ -37,8 +37,9 @@ def compute_signal_deps(
     """Per-signal input dependencies for ``ir``.
 
     Children must already carry their own ``output_deps`` (elaboration
-    is bottom-up).  Iterates to a fixed point so intra-module comb
-    cycles (if any) resolve conservatively.
+    is bottom-up).  One walk of the schedule: a unit's reads are final
+    when it comes, except on a comb loop, whose step repeats until its
+    units' dependencies stop growing.
     """
     deps: Dict[str, Set[str]] = {}
     for name in ir.inputs:
@@ -55,46 +56,36 @@ def compute_signal_deps(
             result |= deps.get(read, set())
         return result
 
-    max_rounds = len(ir.schedule) + 2
-    for _ in range(max_rounds):
-        changed = False
-        for unit_kind, index in ir.schedule:
-            if unit_kind == "assign":
-                assign = ir.comb_assigns[index]
-                merged = deps_of_reads(assign.reads) | deps.get(
-                    assign.defines, set()
-                )
-                if merged != deps.get(assign.defines, set()):
-                    deps[assign.defines] = merged
-                    changed = True
-            elif unit_kind == "block":
-                block = ir.comb_blocks[index]
-                new = deps_of_reads(block.reads)
-                for name in block.defines:
-                    merged = new | deps.get(name, set())
-                    if merged != deps.get(name, set()):
-                        deps[name] = merged
-                        changed = True
-            else:
-                inst = ir.instances[index]
-                child = child_lookup(inst.child_key)
-                registered = set(inst.registered_ports)
-                for port, target in inst.output_conns.items():
-                    if port in registered:
-                        deps.setdefault(target, set())
-                        continue
-                    relevant: Set[str] = set()
-                    for child_input in child.output_deps.get(port, set()):
-                        expr = inst.input_conns.get(child_input)
-                        if expr is not None:
-                            relevant |= deps_of_reads(expr_reads(expr))
-                    merged = relevant | deps.get(target, set())
-                    if merged != deps.get(target, set()):
-                        deps[target] = merged
-                        changed = True
-        if not changed:
-            break
+    def unit_deps(kind: str, index: int) -> Iterable[Tuple[str, Set[str]]]:
+        """(signal, the input dependencies this unit gives it)."""
+        if kind == "assign":
+            assign = ir.comb_assigns[index]
+            return [(assign.defines, deps_of_reads(assign.reads))]
+        if kind == "block":
+            block = ir.comb_blocks[index]
+            new = deps_of_reads(block.reads)
+            return [(name, new) for name in block.defines]
+        inst = ir.instances[index]
+        child = child_lookup(inst.child_key)
+        return [
+            (target, deps_of_reads(
+                name
+                for child_input in child.output_deps.get(port, set())
+                if child_input in inst.input_conns
+                for name in expr_reads(inst.input_conns[child_input])
+            ))
+            for port, target in inst.output_conns.items()
+        ]
 
+    for units, is_loop in ir.steps:
+        moved = True
+        while moved:
+            moved = False
+            for unit in units:
+                for name, new in unit_deps(*unit):
+                    known = deps.setdefault(name, set())
+                    moved |= is_loop and not new <= known
+                    known |= new
     return deps
 
 

@@ -16,6 +16,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..hdl import ast_nodes as ast
 
+UnitId = Tuple[str, int]  # ("assign" | "block" | "inst", index)
+
 
 def spec_key(module_name: str, params: Dict[str, int]) -> str:
     """Stable identity of a module specialization."""
@@ -148,17 +150,17 @@ class ModuleIR:
     comb_blocks: List[CombBlockIR] = field(default_factory=list)
     seq_blocks: List[SeqBlockIR] = field(default_factory=list)
     instances: List[InstanceIR] = field(default_factory=list)
-    # Evaluation order over ("assign", i) / ("block", i) / ("inst", i)
-    # units; set by the scheduler.  ``needs_fixpoint`` is True when the
-    # unit graph has cycles and a single pass may not settle: the
-    # module's eval_out then repeats its body until no comb local moves.
-    schedule: List[Tuple[str, int]] = field(default_factory=list)
+    # The evaluation order over ("assign", i) / ("block", i) / ("inst", i)
+    # units, set by the scheduler (repro.ir.schedule), as steps
+    # ``(units, is_loop)``: each genuine combinational loop's units
+    # together, which the generated code repeats until no local the loop
+    # defines moves, and every other unit alone.
+    steps: List[Tuple[Tuple[UnitId, ...], bool]] = field(default_factory=list)
     # Instances whose dep-free outputs must be bound by a zero-args
     # prepass before the scheduled body: list of (instance index,
     # output port, target signal).  Filled by the scheduler when it
     # needs them to break wiring cycles.
     early_bind: List[Tuple[int, str, str]] = field(default_factory=list)
-    needs_fixpoint: bool = False
     num_regs: int = 0
     clock_names: Tuple[str, ...] = ()
     # Combinational input dependencies (repro.ir.dataflow): signal ->
@@ -176,6 +178,25 @@ class ModuleIR:
 
     def __getstate__(self) -> Dict[str, object]:
         return {**self.__dict__, "source": None}
+
+    @property
+    def schedule(self) -> List[UnitId]:
+        """Every unit, in evaluation order."""
+        return [unit for units, _ in self.steps for unit in units]
+
+    @property
+    def loops(self) -> List[Tuple[UnitId, ...]]:
+        """The units of each comb loop, in evaluation order."""
+        return [units for units, is_loop in self.steps if is_loop]
+
+    def unit_defines(self, unit: UnitId) -> Tuple[str, ...]:
+        """The comb signals schedule ``unit`` defines."""
+        kind, index = unit
+        if kind == "assign":
+            return (self.comb_assigns[index].defines,)
+        if kind == "block":
+            return self.comb_blocks[index].defines
+        return self.instances[index].comb_defines
 
     @property
     def comb_inputs(self) -> "set":

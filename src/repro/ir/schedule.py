@@ -1,6 +1,6 @@
-"""Combinational scheduling of a ModuleIR.
+"""Combinational scheduling: the one topological sort of the package.
 
-Orders the module's evaluation units — continuous assigns, comb always
+Orders a module's evaluation units — continuous assigns, comb always
 blocks, and child instances — so that a single evaluation pass computes
 every combinational value exactly once.
 
@@ -15,59 +15,99 @@ Three mechanisms keep real designs acyclic at this granularity:
   the cycles get their *dependency-free* outputs early-bound via a
   zero-argument prepass call, and the affected edges dissolve.
 
-Only if cycles survive all three (a genuine combinational loop) is the
-module marked ``needs_fixpoint``; its generated ``eval_out`` then runs
-the body to a fixed point (:func:`repro.codegen.pygen.settle_loop`).
+What cycles survive all three are genuine combinational loops.
+:func:`toposort` orders the condensation of the unit graph, so each
+loop (a strongly connected component, or a unit that reads its own
+define) is one step of the order (``ModuleIR.steps``), which the
+generated code repeats alone until it settles
+(:func:`repro.codegen.pygen.settle_loop`).  The flattening compiler
+(:mod:`repro.codegen.flatgen`) sorts its flattened units with the same
+function.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from collections import deque
+from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple, TypeVar
 
-from .netlist import ModuleIR
+from .netlist import ModuleIR, UnitId
 
-UnitId = Tuple[str, int]  # ("assign" | "block" | "inst", index)
+U = TypeVar("U", bound=Hashable)
 
 
-def _try_toposort(
-    units: List[UnitId],
-    reads: Dict[UnitId, Set[str]],
-    producer: Dict[str, UnitId],
-) -> Tuple[List[UnitId], Set[UnitId]]:
-    """Kahn's algorithm; returns (ordered prefix, units stuck in cycles)."""
-    dependencies: Dict[UnitId, Set[UnitId]] = {u: set() for u in units}
-    dependents: Dict[UnitId, Set[UnitId]] = {u: set() for u in units}
+def _components(units: Sequence[U], deps: Mapping[U, Set[U]]) -> Dict[U, U]:
+    """Tarjan's strongly connected components, iteratively: unit -> the
+    unit its component was found from."""
+    index: Dict[U, int] = {}
+    low: Dict[U, int] = {}
+    component: Dict[U, U] = {}
+    stack: List[U] = []
+    for root in units:
+        work = [] if root in index else [(root, None)]
+        while work:
+            unit, pending = work.pop()
+            if pending is None:  # first visit
+                index[unit] = low[unit] = len(index)
+                stack.append(unit)
+                pending = iter(deps[unit])
+            for dep in pending:
+                if dep not in index:
+                    work += [(unit, pending), (dep, None)]
+                    break
+                if dep not in component:  # on the stack
+                    low[unit] = min(low[unit], low[dep])
+            else:
+                if low[unit] == index[unit]:
+                    while unit not in component:
+                        component[stack.pop()] = unit
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[unit])
+    return component
+
+
+def toposort(
+    units: Sequence[U],
+    reads: Mapping[U, Iterable[str]],
+    producer: Mapping[str, U],
+) -> List[Tuple[Tuple[U, ...], bool]]:
+    """Kahn's algorithm, FIFO, over the condensation of the graph in
+    which a unit depends on the producer of every name it reads.
+
+    Returns the order as steps ``(units, is_loop)``: each loop's units
+    in ``units`` order, every other unit alone.  Ties go to the earlier
+    unit of ``units`` (a loop stands at its first unit), so on a graph
+    without a loop this is plain Kahn's algorithm."""
+    deps: Dict[U, Set[U]] = {
+        u: {producer[n] for n in reads[u] if n in producer} for u in units
+    }
+    component = _components(units, deps)
+    groups: Dict[U, List[U]] = {}
     for unit in units:
-        for name in reads[unit]:
-            dep = producer.get(name)
-            if dep is not None and dep != unit:
-                dependencies[unit].add(dep)
-                dependents[dep].add(unit)
-        # A self-read of an own define is a cycle of length one.
-        for name in reads[unit]:
-            if producer.get(name) == unit:
-                dependencies[unit].add(unit)
-
-    in_degree = {u: len(dependencies[u]) for u in units}
-    ready = [u for u in units if in_degree[u] == 0]
-    order: List[UnitId] = []
-    position = {u: i for i, u in enumerate(units)}
+        groups.setdefault(component[unit], []).append(unit)
+    position = {c: i for i, c in enumerate(groups)}  # first-unit order
+    dependents: Dict[U, Set[U]] = {c: set() for c in groups}
+    in_degree = dict.fromkeys(groups, 0)
+    for c, members in groups.items():
+        for d in {component[dep] for u in members for dep in deps[u]} - {c}:
+            dependents[d].add(c)
+            in_degree[c] += 1
+    ready = deque(c for c in groups if in_degree[c] == 0)
+    steps: List[Tuple[Tuple[U, ...], bool]] = []
     while ready:
-        unit = ready.pop(0)
-        order.append(unit)
-        for follower in sorted(dependents[unit], key=position.__getitem__):
-            if follower == unit:
-                continue
+        c = ready.popleft()
+        members = groups[c]
+        steps.append((tuple(members),
+                      len(members) > 1 or members[0] in deps[members[0]]))
+        for follower in sorted(dependents[c], key=position.__getitem__):
             in_degree[follower] -= 1
             if in_degree[follower] == 0:
                 ready.append(follower)
-    stuck = {u for u in units if u not in set(order)}
-    return order, stuck
+    return steps
 
 
 def schedule_module(ir: ModuleIR) -> None:
-    """Compute ``ir.schedule``, ``ir.early_bind`` and
-    ``ir.needs_fixpoint`` in place."""
+    """Compute ``ir.steps`` and ``ir.early_bind`` in place."""
     units: List[UnitId] = []
     reads: Dict[UnitId, Set[str]] = {}
     producer: Dict[str, UnitId] = {}
@@ -102,32 +142,23 @@ def schedule_module(ir: ModuleIR) -> None:
         for name in inst.comb_defines:
             producer[name] = unit
 
-    order, stuck = _try_toposort(units, reads, producer)
+    steps = toposort(units, reads, producer)
     ir.early_bind = []
-    if stuck:
-        # Break cycles by early-binding dependency-free outputs of the
-        # instances involved, then retry.
-        for unit in sorted(stuck, key=units.index):
-            kind, index = unit
-            if kind != "inst":
-                continue
+    # Break cycles by early-binding dependency-free outputs of the
+    # instances on a loop, then sort again.
+    looped = {unit for step, is_loop in steps if is_loop for unit in step}
+    for unit in units:
+        kind, index = unit
+        if kind == "inst" and unit in looped:
             inst = ir.instances[index]
             for port in inst.dep_free_ports:
                 target = inst.output_conns[port]
                 if producer.get(target) == unit:
                     del producer[target]
                     ir.early_bind.append((index, port, target))
-        if ir.early_bind:
-            early_targets = {t for _, _, t in ir.early_bind}
-            for unit in units:
-                reads[unit] = reads[unit] - early_targets
-            order, stuck = _try_toposort(units, reads, producer)
-
-    if not stuck:
-        ir.schedule = order
-        ir.needs_fixpoint = False
-    else:
-        # Genuine combinational loop: keep declaration order; the
-        # generated eval_out repeats it until it settles.
-        ir.schedule = list(units)
-        ir.needs_fixpoint = True
+    if ir.early_bind:
+        early_targets = {t for _, _, t in ir.early_bind}
+        for unit in units:
+            reads[unit] = reads[unit] - early_targets
+        steps = toposort(units, reads, producer)
+    ir.steps = steps

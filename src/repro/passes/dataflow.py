@@ -781,22 +781,13 @@ class _ModuleAnalysis:
         self.journal: list = []  # undo log: (dict, name, previous fact)
         self.origins: Dict[str, Tuple[int, str]] = {}
         self.deps: Dict[str, Tuple[str, ...]] = {}
+        self.looped = {unit for loop in ir.loops for unit in loop}
         # Per sequential block: the names it reads or writes.
         self.seq_names = [tuple(sorted({*seq.reads, *seq.writes}))
                           for seq in ir.seq_blocks]
 
     def run(self, key: str) -> ModuleValueFacts:
         ir = self.ir
-        if ir.needs_fixpoint:
-            env = {name: vf_top(sig.width)
-                   for name, sig in ir.signals.items()}
-            return ModuleValueFacts(
-                key=key, env=env,
-                input_facts=dict(self.input_facts),
-                always_written=frozenset(),
-                run_key=self.run_key,
-                **self._boundary(env),
-            )
         regs = {name: vf_const(0, sig.width)
                 for name, sig in ir.signals.items()
                 if sig.state_index is not None}
@@ -911,8 +902,11 @@ class _ModuleAnalysis:
         env.update(regs)
         for inst_index, port, target in ir.early_bind:
             self._bind_child_output(env, inst_index, port, target, rec)
-        for kind, index in ir.schedule:
-            if kind == "assign":
+        for unit in ir.schedule:
+            kind, index = unit
+            if unit in self.looped:
+                self._top_loop_unit(env, unit, rec)
+            elif kind == "assign":
                 assign = ir.comb_assigns[index]
                 target = assign.target
                 names = assign.reads  # the value's reads only
@@ -944,6 +938,16 @@ class _ModuleAnalysis:
                 for port, target in inst.output_conns.items():
                     self._bind_child_output(env, index, port, target, rec)
         return env
+
+    def _top_loop_unit(self, env, unit, rec):
+        """A comb loop's defines are top: the walk does not iterate a
+        loop.  A looped instance's other outputs are its child's facts."""
+        ir = self.ir
+        if unit[0] == "inst":
+            for port, target in ir.instances[unit[1]].output_conns.items():
+                self._bind_child_output(env, unit[1], port, target, rec)
+        for name in ir.unit_defines(unit):
+            env[name] = vf_top(ir.signals[name].width)
 
     def _bind_child_output(self, env, inst_index, port, target, rec):
         ir = self.ir

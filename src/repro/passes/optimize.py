@@ -13,10 +13,10 @@ derived cache under the module identity (spec, fingerprint) plus each
 pass's own extras — so a hot
 reload re-runs each pass only for the modules whose identity moved.
 
-Fixpoint modules are exempt from every optimization: their schedule is
-declaration order around a cycle, not def-before-use, so neither
-branch pruning nor dead elimination can reason about a single linear
-evaluation (and the value-facts engine gives their signals no fact).
+A combinational loop (``ModuleIR.loops``) is one unit to both: its
+defines never fold (their value is whatever the loop settles to), and
+it is live or dead as a whole.  Everything around it is optimized as in
+any other module.
 
 Under sanitize the dynamic passes no longer stand down wholesale (the
 PR 9 posture): dead elimination drops only units with no sanitizer
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from ..codegen.optplan import NO_OPT, OptPlan, optimize_stmts, substitute_expr
+from ..codegen.optplan import OptPlan, optimize_stmts, substitute_expr
 from ..codegen.pygen import site_count
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import expr_reads, mask_of, num_value, stmt_reads_writes
@@ -77,9 +77,10 @@ class ConstPropPass(Pass):
 
     @staticmethod
     def _find_consts(ir: ModuleIR) -> OptPlan:
-        if ir.needs_fixpoint:
-            return NO_OPT
-        blocked: Set[str] = set()
+        blocked: Set[str] = {
+            name for loop in ir.loops for unit in loop
+            for name in ir.unit_defines(unit)
+        }
         seen_assign: Set[str] = set()
         for assign in ir.comb_assigns:
             name = assign.target.name
@@ -150,8 +151,6 @@ class DeadLogicPass(Pass):
                    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """Dead assign and block indices, ascending.  ``sanitized_in``:
         the netlist, when the build is sanitized."""
-        if ir.needs_fixpoint:
-            return (), ()
         needed: Set[str] = set(ir.outputs)
         for seq in ir.seq_blocks:
             needed |= _stmts_residual_reads(seq.body, consts, widths)
@@ -163,28 +162,26 @@ class DeadLogicPass(Pass):
             for conn in inst.input_conns.values():
                 needed |= _expr_residual_reads(conn, consts, widths)
         dead: Dict[str, Set[int]] = {"assign": set(), "block": set()}
-        for kind, index in reversed(ir.schedule):
-            if kind == "inst":
-                continue
-            if kind == "block":
-                defines = ir.comb_blocks[index].defines
-            else:
-                defines = (ir.comb_assigns[index].target.name,)
+        for units, _ in reversed(list(ir.steps)):
+            units = [u for u in units if u[0] != "inst"]
             # Dropping a unit with a site would silence its findings.
-            live = any(name in needed for name in defines) or (
+            live = any(name in needed for unit in units
+                       for name in ir.unit_defines(unit)) or (
                 sanitized_in is not None
-                and site_count(ir, sanitized_in, (kind, index)) > 0
+                and any(site_count(ir, sanitized_in, unit) > 0
+                        for unit in units)
             )
-            if not live:
-                dead[kind].add(index)
-            elif kind == "block":
-                needed |= _stmts_residual_reads(
-                    ir.comb_blocks[index].body, consts, widths
-                )
-            else:
-                needed |= _expr_residual_reads(
-                    ir.comb_assigns[index].value, consts, widths
-                )
+            for kind, index in units:
+                if not live:
+                    dead[kind].add(index)
+                elif kind == "block":
+                    needed |= _stmts_residual_reads(
+                        ir.comb_blocks[index].body, consts, widths
+                    )
+                else:
+                    needed |= _expr_residual_reads(
+                        ir.comb_assigns[index].value, consts, widths
+                    )
         return tuple(sorted(dead["assign"])), tuple(sorted(dead["block"]))
 
 

@@ -116,7 +116,7 @@ class Pipe:
 
     def eval(self) -> Dict[str, int]:
         """Settle combinational logic (phase 1); returns the outputs.
-        A comb loop settles inside its own module's ``eval_out``."""
+        A comb loop settles inside its own module's generated code."""
         eval_out = (self._entries or self._bind_entries())[0]
         outputs = self._last_outputs = dict(zip(self.top.code.outputs, eval_out()))
         return outputs

@@ -90,8 +90,9 @@ def wide_source(child_ports: int = 38, top_ports: int = 32,
     and the outputs of ``wide`` (``child_ports`` data inputs, all but the
     last four comb, plus ``clk`` and ``late``; ``child_ports - 5`` comb
     outputs): they all cross into ``cycle`` in the stash.  ``loopy`` is a comb loop (one
-    pass settles it) with ``loop_ports`` inputs and ``locals_`` more
-    comb locals, which its settle loop compares between passes."""
+    pass settles it) with ``loop_ports`` inputs through ``locals_`` more
+    comb locals, all on the loop, which its settle loop compares
+    between passes."""
     xs = [f"x{i}" for i in range(top_ports)]
     ins = ", ".join(f"input [7:0] {x}" for x in xs)
     outs = max(child_ports - 5, 1)
@@ -105,7 +106,7 @@ def wide_source(child_ports: int = 38, top_ports: int = 32,
         + ", ".join(f"input [7:0] {n}" for n in b) + ", output [7:0] out);",
         "  wire [7:0] u;", "  wire [7:0] v;", "  reg [7:0] seen;",
         *(f"  wire [7:0] {n};" for n in c),
-        "  assign u = (v & 8'd0) | b0;", "  assign v = u;",
+        f"  assign u = (({' ^ '.join(c)}) & 8'd0) | b0;", "  assign v = u;",
         *(f"  assign {n} = v + {b[i % loop_ports]};" for i, n in enumerate(c)),
         f"  assign out = {' ^ '.join(c)} ^ seen;",
         "  always @(posedge clk) seen <= v;",
@@ -180,15 +181,17 @@ def test_the_design_crosses_every_line():
     entries = {key: (code.eval_out_packed, code.cycle_packed)
                for key, code in library.items()}
     # wide: 34 comb ports, 40 inputs; top and mid: 33 comb ports, 35
-    # inputs; loopy (a comb loop takes every input in eval_out): 31.
+    # inputs; loopy: 30 comb ports (not clk), 31 inputs.
     assert entries == {key: (True, True) for key in library}
     assert len(library["wide"].comb_input_ports) > STACK_ITEMS  # pieces
     assert len(library["wide"].outputs) > STACK_ITEMS  # _ret in pieces
-    assert netlist.modules["loopy"].needs_fixpoint
+    assert len(library["loopy"].comb_input_ports) == 30
+    [loop] = netlist.modules["loopy"].loops
+    assert len(loop) == 34
     stash = re.search(r"^    s\[\d+\] = (\(\(.*)$", library["mid"].source, re.M)
     assert len(re.findall(r"\bv_\w+", stash[1])) > 2 * STACK_ITEMS
-    # loopy's settle loop compares every comb local, in pieces; its
-    # sequential block reads v alone, which is all its stash holds.
+    # loopy's settle loop compares every local on the loop, in pieces;
+    # its sequential block reads v alone, which is all its stash holds.
     compare = re.search(r"^\s+_was = (\(\(.*\))$", library["loopy"].source, re.M)
     assert len(re.findall(r"\bv_\w+", compare[1])) > STACK_ITEMS
     assert re.search(r"^    s\[\d+\] = \(v_v, \)$", library["loopy"].source, re.M)

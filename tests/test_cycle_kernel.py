@@ -64,7 +64,7 @@ class TestOncePerCycle:
         for flavour, library in _libraries(netlist):
             lines = 0
             for key, code in library.items():
-                assert not code.ir.needs_fixpoint
+                assert code.ir.loops == []
                 eval_out, cycle = code.source.split("def cycle")
                 lines += code.source.count("\n")
                 for name in _comb_defines(code.ir):
@@ -210,6 +210,28 @@ module top (input clk, input rst, input [7:0] x, input [7:0] late,
 endmodule
 """
 
+# A comb loop through a child (w -> d -> y -> w) that the partition
+# splits: the child's z reads only x and settles in eval_out, the rest
+# of the loop reads ``late`` and settles in cycle.
+SPLIT_LOOP = """
+module shift (input [7:0] d, input [7:0] k, output [7:0] y, output [7:0] z);
+  assign y = {d[6:0], 1'b0} & k;
+  assign z = k + 8'd1;
+endmodule
+module top (input clk, input rst, input [7:0] x, input [7:0] late,
+            output [7:0] o, output [7:0] q);
+  wire [7:0] w;
+  wire [7:0] y;
+  wire [7:0] z;
+  reg [7:0] r;
+  assign w = y | r | late;
+  shift u (.d(w), .k(x), .y(y), .z(z));
+  assign o = z;
+  assign q = r;
+  always @(posedge clk) r <= rst ? 8'd1 : w + 8'd1;
+endmodule
+"""
+
 # The early-bind ring of test_schedule_dataflow, with a data input so
 # the stimulus reaches it.
 EARLY_BIND_RING = test_schedule_dataflow.TestEarlyBinding.RING.replace(
@@ -236,8 +258,8 @@ def _stimulus(seed: int, cycles: int = 40):
 
 
 @pytest.mark.parametrize("source", [
-    THREE_LEVEL, MIXED_OUTPUTS, SIBLINGS, EARLY_BIND_RING,
-], ids=["three-level", "mixed-outputs", "siblings", "early-bind-ring"])
+    THREE_LEVEL, MIXED_OUTPUTS, SIBLINGS, EARLY_BIND_RING, SPLIT_LOOP,
+], ids=["three-level", "mixed-outputs", "siblings", "early-bind-ring", "split-loop"])
 @pytest.mark.parametrize("opt", ["none", "full"])
 def test_agrees_with_the_flat_compiler_cycle_by_cycle(source, opt):
     netlist, library = compile_design(source, "top", opt=opt)
@@ -256,7 +278,7 @@ def test_agrees_with_the_flat_compiler_cycle_by_cycle(source, opt):
 
 def test_the_shapes_are_what_they_say():
     top = elaborate(parse(EARLY_BIND_RING), "top").top_module
-    assert top.early_bind and not top.needs_fixpoint
+    assert top.early_bind and top.loops == []
 
     netlist, library = compile_design(THREE_LEVEL, "top")
     assert netlist.modules["mid"].comb_input_ports == ["x"]
@@ -275,6 +297,12 @@ def test_the_shapes_are_what_they_say():
     # qa is bound from a's state before a's cycle runs.
     assert "v_qa = ch[0].state" in eval_out and "v_qa, " in cycle
 
+    netlist, library = compile_design(SPLIT_LOOP, "top")
+    assert netlist.top_module.loops == [(("assign", 0), ("inst", 0))]
+    eval_out, cycle = library["top"].source.split("def cycle")
+    assert _binds("z", eval_out) and _binds("w", cycle) and _binds("y", cycle)
+    assert "_pass" in cycle
+
 
 # -- the calling convention: the caller masks, and only where it must ---------
 
@@ -282,19 +310,24 @@ def test_the_shapes_are_what_they_say():
 # third level: a 64-bit sum and a 16-bit concatenation into 8-bit comb
 # ports, an unsized (32-bit) literal into a 1-bit port, an 8-bit input
 # into a 4-bit *sequential-only* port, and an 8-bit sum into the 4-bit
-# port of a ``needs_fixpoint`` child (a comb loop that takes up to five
-# passes to settle: each carries a bit of ``seen`` one place up).  A
-# register-free loop child reading its output is pure, so opt=full
-# skips its ``cycle``.  Every other connection is a bare name of the
-# port's own width.
+# port of a comb-loop child (a loop that takes up to five passes to
+# settle: each carries a bit of ``seen`` one place up; outside it, a
+# constant wire and a dead assign for the optimizer).  A register-free
+# loop child reading its output is pure, so opt=full skips its
+# ``cycle``.  Every other connection is a bare name of the port's own
+# width.
 NARROWING = """
 module loopy (input clk, input [3:0] a, output [3:0] out);
   wire [3:0] u;
   wire [3:0] v;
+  wire [3:0] k;
+  wire [3:0] unused;
   reg [3:0] seen;
+  assign k = 4'd6;
   assign u = {v[2:0], 1'b0} & a;
   assign v = u | seen;
-  assign out = v ^ seen;
+  assign unused = v + a;
+  assign out = v ^ seen ^ k;
   always @(posedge clk) seen <= v + 4'd1;
 endmodule
 module ploop (input [3:0] a, output [3:0] out);
@@ -368,7 +401,7 @@ def _child_call_args(code, netlist):
         inst = refs[call[1]]
         child = netlist.modules[inst.child_key]
         ports = child.inputs
-        if call[2] == "eval_out_fn" and not child.needs_fixpoint:
+        if call[2] == "eval_out_fn":
             ports = child.comb_input_ports
         args, depth, start = [], 0, 0
         text = call[3] + ","
@@ -388,10 +421,15 @@ def _child_call_args(code, netlist):
 def test_narrowing_connections_agree_with_the_flat_compiler(build):
     runtime = SanitizerRuntime("report") if build.sanitize else None
     netlist = elaborate(parse(NARROWING), "top")
-    assert netlist.modules["loopy"].needs_fixpoint
-    assert netlist.modules["ploop"].needs_fixpoint
+    assert netlist.modules["loopy"].loops == [(("assign", 1), ("assign", 2))]
+    assert netlist.modules["ploop"].loops == [(("assign", 0), ("assign", 1))]
+    assert netlist.modules["loopy"].comb_input_ports == ["a"]  # not clk
     assert netlist.modules["leaf"].comb_input_ports == ["a", "b"]  # not k
     library = compile_netlist(netlist, build, sanitize_runtime=runtime)
+    # The optimizer works around the loop: k folds, unused is dropped.
+    loopy = library["loopy"].source
+    assert ("v_k" in loopy) == ("v_unused" in loopy) == (build.opt == "none")
+    assert "v_u = " in loopy and "v_v = " in loopy
     # mid's cycle calls the pure loop child (ch[2]) unless opt=full skips it.
     mid_cycle = library["mid"].source.split("def cycle")[1]
     assert ("ch[2]" in mid_cycle) == (build.opt != "full")
@@ -484,14 +522,18 @@ def test_the_kernel_carries_no_glue(pgas2_netlist_library):
 
 
 def test_comb_loop_matches_a_reference_model():
-    """``needs_fixpoint``: ``eval_out`` settles the loop and ``cycle``
-    reads it from the stash.  Two oracles: the loop's least fixed point,
-    computed the way the design reads, and the flat compiler, whose
-    ``eval`` settles its cyclic tail the same way."""
+    """Only a register reads the loop, so ``cycle`` settles it and
+    ``eval_out`` never sees it.  Two oracles: the loop's least fixed
+    point, computed the way the design reads, and the flat compiler,
+    whose ``eval`` settles the same loop the same way."""
     with open(RING_V) as fh:
         source = fh.read()
     netlist, library = compile_design(source, "ring")
-    assert netlist.top_module.needs_fixpoint
+    assert netlist.top_module.loops == [
+        (("assign", 0), ("assign", 1), ("assign", 2))
+    ]
+    eval_out, cycle = library["ring"].source.split("def cycle")
+    assert "_pass" in cycle and "_pass" not in eval_out
     pipe = Pipe(netlist.top, library)
     flat_code = compile_flat(elaborate(parse(source), "ring"))
     flat = Pipe(flat_code.key, {flat_code.key: flat_code})

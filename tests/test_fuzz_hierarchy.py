@@ -178,7 +178,7 @@ class TestHierarchyFuzz:
         """Every generated topology (feedback included) must schedule
         in one pass — loops go through registers."""
         netlist, _ = compile_design(source, "top")
-        assert not any(m.needs_fixpoint for m in netlist.modules.values())
+        assert not any(m.loops for m in netlist.modules.values())
 
     @given(source=random_design(), stim=stimulus())
     @settings(max_examples=20, deadline=None)

@@ -1,11 +1,13 @@
 """Scheduler and dataflow analysis tests: ordering, per-output deps,
-early binding, fixpoint detection."""
+early binding, comb loop detection."""
 
 import pytest
 
 from repro import compile_design
 from repro.hdl import elaborate, parse
+from repro.hdl.consteval import expr_reads
 from repro.hdl.errors import ConvergenceError
+from repro.ir.schedule import toposort
 from repro.sim import Pipe
 
 
@@ -27,19 +29,37 @@ endmodule
         order = [ir.comb_assigns[i].defines for kind, i in ir.schedule
                  if kind == "assign"]
         assert order.index("t1") < order.index("t2") < order.index("y")
-        assert not ir.needs_fixpoint
+        assert ir.loops == []
 
-    def test_true_comb_loop_marks_fixpoint(self):
+    def test_true_comb_loop_is_one_group_of_the_schedule(self):
         ir = elab("""
 module m (input [7:0] a, output [7:0] y);
   wire [7:0] p;
   wire [7:0] q;
-  assign p = q & a;
-  assign q = p | 8'd1;
+  wire [7:0] t;
   assign y = q;
+  assign p = q & t;
+  assign q = p | 8'd1;
+  assign t = a + 8'd1;
 endmodule
 """).top_module
-        assert ir.needs_fixpoint
+        # The loop waits for t, runs as one step, and feeds y.
+        loop = (("assign", 1), ("assign", 2))
+        assert ir.loops == [loop]
+        assert ir.schedule == [("assign", 3), *loop, ("assign", 0)]
+        assert ir.steps == [
+            ((("assign", 3),), False), (loop, True), ((("assign", 0),), False)
+        ]
+
+    def test_a_unit_that_reads_its_own_define_is_a_loop(self):
+        ir = elab("""
+module m (input a, output y);
+  wire p;
+  assign p = !p | a;
+  assign y = p;
+endmodule
+""").top_module
+        assert ir.loops == [(("assign", 0),)]
 
     def test_registers_break_ordering_constraints(self):
         ir = elab("""
@@ -51,7 +71,69 @@ module m (input clk, output [7:0] y);
   always @(posedge clk) q <= nxt;
 endmodule
 """).top_module
-        assert not ir.needs_fixpoint
+        assert ir.loops == []
+
+
+def test_toposort_makes_each_loop_one_step():
+    """Kahn's FIFO order over the condensation: a -> (b <-> c) ->
+    (d <-> e), f reads itself, g stands alone."""
+    reads = {"a": [], "b": ["a", "c"], "c": ["b"], "d": ["c", "e"],
+             "e": ["d"], "f": ["f"], "g": []}
+    assert toposort(list(reads), reads, {u: u for u in reads}) == [
+        (("a",), False), (("f",), True), (("g",), False),
+        (("b", "c"), True), (("d", "e"), True),
+    ]
+
+
+def _deps_to_a_fixed_point(ir, netlist):
+    """Reference for ``signal_deps``: every unit of the schedule, in any
+    order, joined round after round until nothing grows."""
+    deps = {name: {name} for name in ir.inputs}
+
+    def of(names):
+        return set().union(*(deps.get(n, set()) for n in names))
+
+    moved = True
+    while moved:
+        moved = False
+        for kind, index in ir.schedule:
+            if kind == "inst":
+                inst = ir.instances[index]
+                child = netlist.modules[inst.child_key]
+                gives = [(target, of(n for port in child.output_deps[out]
+                                     if port in inst.input_conns
+                                     for n in expr_reads(inst.input_conns[port])))
+                         for out, target in inst.output_conns.items()]
+            else:
+                item = (ir.comb_assigns if kind == "assign" else ir.comb_blocks)[index]
+                gives = [(name, of(item.reads)) for name in ir.unit_defines((kind, index))]
+            for name, new in gives:
+                if not new <= deps.setdefault(name, set()):
+                    deps[name] |= new
+                    moved = True
+    return deps
+
+
+@pytest.mark.parametrize("design", ["mesh", "narrowing", "wide", "loop"])
+def test_signal_deps_walk_the_schedule_once(design, pgas2_netlist_library):
+    """One walk of the steps (a loop's step repeated) gives what joining
+    the whole schedule to a fixed point gives."""
+    from tests import test_calling_convention, test_cycle_kernel, test_unwatched_cycle
+
+    if design == "mesh":
+        netlist = pgas2_netlist_library[1]
+    else:
+        source, top = {
+            "narrowing": (test_cycle_kernel.NARROWING, "top"),
+            "wide": (test_calling_convention.WIDE, "top"),
+            "loop": test_unwatched_cycle.wrapped(test_unwatched_cycle.LOOP_SRC, 2),
+        }[design]
+        netlist = elab(source, top)
+    for ir in netlist.modules.values():
+        reference = _deps_to_a_fixed_point(ir, netlist)
+        assert {n: d for n, d in ir.signal_deps.items() if d} == {
+            n: d for n, d in reference.items() if d
+        }, ir.key
 
 
 class TestOutputDeps:
@@ -151,7 +233,7 @@ endmodule
 
     def test_ring_resolves_without_fixpoint(self):
         ir = elab(self.RING).top_module
-        assert not ir.needs_fixpoint
+        assert ir.loops == []
         assert ir.early_bind  # the cycle was broken by early binding
 
     def test_ring_simulates_correctly(self):
@@ -179,7 +261,7 @@ endmodule
 """
         netlist, library = compile_design(source, "m")
         ir = netlist.top_module
-        assert not ir.needs_fixpoint
+        assert ir.loops == []
         pipe = Pipe(netlist.top, library)
         pipe.set_inputs(rst=1)
         pipe.step(1)
@@ -221,7 +303,7 @@ endmodule
 class TestPGASScheduling:
     def test_pgas_core_is_schedulable(self, pgas1_netlist_library):
         _, netlist, _ = pgas1_netlist_library
-        assert not any(m.needs_fixpoint for m in netlist.modules.values())
+        assert not any(m.loops for m in netlist.modules.values())
 
     def test_core_outputs_have_no_comb_inputs(self, pgas1_netlist_library):
         _, netlist, _ = pgas1_netlist_library
@@ -233,4 +315,4 @@ class TestPGASScheduling:
         _, netlist, _ = pgas2_netlist_library
         top = netlist.top_module
         assert top.early_bind
-        assert not top.needs_fixpoint
+        assert top.loops == []

@@ -77,6 +77,10 @@ module m (input clk, input rst, input [7:0] a, output [7:0] y);
 endmodule
 """
 
+# ring.v's shape: the same loop, read only by a register, so it settles
+# in ``cycle`` rather than in ``eval_out``.
+RING_SRC = LOOP_SRC.replace("assign y = q;", "assign y = r;")
+
 # ... and one that oscillates once ``a`` goes high.
 OSCILLATING_SRC = """
 module m (input clk, input a, output y);
@@ -87,6 +91,8 @@ module m (input clk, input a, output y);
   always @(posedge clk) n <= n + 4'd1;
 endmodule
 """
+OSCILLATING_RING = OSCILLATING_SRC.replace("assign y = p;", "assign y = n[0];").replace(
+    "n <= n + 4'd1;", "n <= n + {3'd0, p};")
 
 
 def never(pipe, outputs):
@@ -233,44 +239,60 @@ def loop_inputs(cycle):
     return {"rst": int(cycle < 2), "a": 0xF0 if cycle > 8 else 0xFF}
 
 
-def loop_reference(cycles):
-    """``LOOP_SRC``'s ``y`` per cycle under :func:`loop_inputs`: the
-    least fixed point of p <-> q, computed the way the design reads."""
+def loop_reference(cycles, ring=False):
+    """``LOOP_SRC``'s ``y`` (``RING_SRC``'s, ``ring``) per cycle under
+    :func:`loop_inputs`: the least fixed point of p <-> q, computed the
+    way the design reads."""
     r, ys = 0, []
     for cycle in range(cycles):
         a, rst = loop_inputs(cycle)["a"], loop_inputs(cycle)["rst"]
         q = 0
         while q != ((q << 1) & a & 0xFF) | r:
             q = ((q << 1) & a & 0xFF) | r
-        ys.append(q)
+        ys.append(r if ring else q)
         r = 1 if rst else (r + (q >> 4) + 1) & 0xFF
     return ys
 
 
 @BACKENDS
 @DEPTHS
-def test_a_comb_loop_settles_at_any_depth(levels, backend):
-    """Each module settles its own loop, so ``y`` reads what bare ``m``
-    reads, wherever ``m`` sits and whichever compiler built it."""
+@pytest.mark.parametrize("ring", [False, True], ids=["output", "register"])
+def test_a_comb_loop_settles_at_any_depth(ring, levels, backend):
+    """Each module settles its own loop, in ``eval_out`` when an output
+    reads it and in ``cycle`` when only a register does, so ``y`` reads
+    what bare ``m`` reads, wherever ``m`` sits and whichever compiler
+    built it."""
     ys = []
 
     def run(watcher):
-        pipe = loop_pipe(LOOP_SRC, levels, backend)
+        pipe = loop_pipe(RING_SRC if ring else LOOP_SRC, levels, backend)
         pipe.step(16, driver=lambda p: p.set_inputs(**loop_inputs(p.cycle)),
                   watcher=watcher and (lambda p, out: ys.append(out["y"]) or False))
         return observe(pipe)
 
     unwatched_equals_watched(run)
-    assert ys == loop_reference(16)
-    assert ys[:3] == [0, 255, 255]
+    assert ys == loop_reference(16, ring)
+    # r steps by 1 + q[7:4]: 17 is a settled q of 255.
+    assert ys[:4] == ([0, 1, 1, 17] if ring else [0, 255, 255, 255])
+
+
+def test_the_loop_settles_where_the_partition_puts_it():
+    for source, settles_in in ((LOOP_SRC, "eval_out"), (RING_SRC, "cycle")):
+        _, library = compile_design(source, "m")
+        eval_out, cycle = library["m"].source.split("def cycle")
+        assert ("_pass" in cycle) == (settles_in == "cycle")
+        assert ("_pass" in eval_out) == (settles_in == "eval_out")
 
 
 @DEPTHS
-def test_a_comb_loop_that_does_not_converge(levels):
+@pytest.mark.parametrize("ring", [False, True], ids=["output", "register"])
+def test_a_comb_loop_that_does_not_converge(ring, levels):
     """The loop runs before any sequential block, so the cycle that
-    fails leaves state as it was; the error names the module."""
-    netlist, library = compile_design(*wrapped(OSCILLATING_SRC, levels))
-    assert netlist.modules["m"].needs_fixpoint
+    fails leaves state as it was, in ``eval_out`` or in ``cycle``; the
+    error names the module."""
+    source = OSCILLATING_RING if ring else OSCILLATING_SRC
+    netlist, library = compile_design(*wrapped(source, levels))
+    assert netlist.modules["m"].loops == [(("assign", 0),)]
 
     def run(watcher):
         pipe = Pipe(netlist.top, library)

@@ -18,6 +18,9 @@ A wall-clock bound cannot see a few per cent; a count can.  Each row of
   ``opt=none`` build, summed over the library, for the 2x2 and 4x4
   mesh and every module of ``examples/designs/*.v`` as a top, named
   and counted as ``tools/source_digests.py`` names and counts them.
+- ``settle.*``: the runs of a comb loop's settle loop per cycle (its
+  module's ``eval_out`` memo misses) in an unwatched run, with a
+  sequential-only input (the reset) held at 1.
 
 A change that lowers a count lowers its row in the same change; one that
 raises a count says so in CHANGES.md with the reason.
@@ -30,6 +33,7 @@ import sys
 from collections import Counter
 
 from benchmarks.livebench.workloads import boot_testbench, node_images, node_programs
+from repro import compile_design
 from repro.codegen.build import BuildConfig
 from repro.hdl import elaborate, parse
 from repro.passes import compile_netlist
@@ -37,12 +41,13 @@ from repro.sim import Pipe
 from repro.sim.testbench import CallbackTestbench
 from tests.test_codegen_seam import _digests_tool
 from tests.test_public_api import LIVE_LOOP_SCRIPT, run_fresh
+from tests.test_unwatched_cycle import LOOP_SRC, loop_inputs, wrapped
 
 BUDGET = {
     "cycle.2x2.unwatched": 6,
     "cycle.2x2.watched": 9,
     "setup.modules": 57,
-    "setup.lines": 16_059,
+    "setup.lines": 16_091,
     "setup.dataclasses": 52,
     "codegen.lines.mesh2x2": 626,
     "codegen.lines.mesh4x4": 746,
@@ -52,7 +57,8 @@ BUDGET = {
     "codegen.lines.pitfalls.v:pitfalls": 26,
     "codegen.lines.ranges.v:narrows": 14,
     "codegen.lines.ranges.v:ranges": 56,
-    "codegen.lines.ring.v:ring": 31,
+    "codegen.lines.ring.v:ring": 28,
+    "settle.loop_child.unwatched": 1,
 }
 
 
@@ -143,3 +149,32 @@ def test_generated_source_stays_within_its_line_budget():
         )
     assert measured.keys() == {name for name in BUDGET if name.startswith("codegen.")}
     assert not moved(measured), f"generated lines moved (pinned, now): {moved(measured)}"
+
+
+def test_a_comb_loop_child_settles_once_per_cycle():
+    """``LOOP_SRC``'s ``m`` under a one-instance top: its ``eval_out``
+    takes only the inputs its output reads, so the reset the parent
+    cannot pass from its own ``eval_out`` is not in the memo key, and
+    the child's memo misses (and its loop settles) once a cycle."""
+    netlist, library = compile_design(*wrapped(LOOP_SRC, 1))
+    code = library["m"]
+    slot = code.layout.cache_key_slot
+    misses = []
+
+    def counted(s, ch, *args, _inner=code.eval_out_fn):
+        misses.append(s[slot] != (args[0] if code.eval_out_packed else args))
+        return _inner(s, ch, *args)
+
+    code.eval_out_fn = counted  # calls from the parent
+    code.cycle_fn.__globals__["eval_out"] = counted  # from its own cycle
+    pipe = Pipe(netlist.top, library)
+
+    def drive(p):
+        p.set_inputs(**loop_inputs(p.cycle))
+        p.set_inputs(rst=1)
+
+    pipe.step(5, driver=drive)
+    misses.clear()
+    pipe.step(10, driver=drive)
+    measured = {"settle.loop_child.unwatched": sum(misses) / 10}
+    assert not moved(measured), f"settle runs moved (pinned, now): {moved(measured)}"

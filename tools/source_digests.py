@@ -10,8 +10,12 @@ per design and build flavour::
 Designs: the 2x2 and 4x4 PGAS mesh, every ``repro.riscv.patches``
 variant of the 2x2, and every module of ``examples/designs/*.v`` as a
 top.  Flavours: clean, sanitized with and without ``san_elide``, each
-at ``opt=none|basic|full``.  ``digest`` hashes the ``source`` of every
-compiled module in key order; the three counts are sums over them.
+at ``opt=none|basic|full``, and the flat baseline
+(:func:`repro.codegen.flatgen.compile_flat`, the ``inline`` mode of
+``repro.baseline``: a ``clean inline none`` row), so a change to the
+scheduler both generators share is checked in both.  ``digest`` hashes
+the ``source`` of every compiled module in key order; the three counts
+are sums over them.
 
 No digest is pinned in the repo (every codegen PR would re-pin): run
 it at two commits and compare::
@@ -77,12 +81,25 @@ def rows(only: Optional[Sequence[str]] = None,
     """One row per design and flavour; ``syntax`` digests each module's
     Python AST instead of its text."""
     from repro.codegen.build import BuildConfig
+    from repro.codegen.flatgen import compile_flat
     from repro.hdl import elaborate, parse
     from repro.passes import compile_netlist
     from repro.sanitize import SanitizerRuntime
 
     spelled = _syntax if syntax else _text
     out = []
+
+    def row(name, flavour, opt, modules) -> None:
+        digest = hashlib.sha256()
+        for module in modules:
+            digest.update(spelled(module.source).encode())
+        out.append(" ".join((
+            name, flavour, opt, digest.hexdigest()[:16],
+            str(sum(m.san_sites for m in modules)),
+            str(sum(m.san_elided for m in modules)),
+            str(sum(m.source.count("\n") for m in modules)),
+        )))
+
     for name, source, top in designs(only):
         netlist = elaborate(parse(source), top)
         for sanitize, elide in FLAVOURS:
@@ -91,20 +108,10 @@ def rows(only: Optional[Sequence[str]] = None,
                                     san_elide=elide)
                 runtime = SanitizerRuntime(mode="report") if sanitize else None
                 library = compile_netlist(netlist, build, runtime)
-                digest = hashlib.sha256()
-                for key in sorted(library):
-                    digest.update(spelled(library[key].source).encode())
-                modules = library.values()
-                out.append(" ".join((
-                    name,
-                    "san" if sanitize else "clean",
-                    "elide" if elide else "noelide",
-                    opt,
-                    digest.hexdigest()[:16],
-                    str(sum(m.san_sites for m in modules)),
-                    str(sum(m.san_elided for m in modules)),
-                    str(sum(m.source.count("\n") for m in modules)),
-                )))
+                flavour = ("san " if sanitize else "clean ") + (
+                    "elide" if elide else "noelide")
+                row(name, flavour, opt, [library[k] for k in sorted(library)])
+        row(name, "clean inline", "none", [compile_flat(netlist)])
     return out
 
 
