@@ -20,7 +20,7 @@ simulator has no X state).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import const_int, is_signed, mask_of, num_value, width_of
@@ -42,6 +42,10 @@ class Resolver:
     * ``index_bound(name, index_code, width, bound, line)`` — wrap a
       dynamic bit/part-select index, ``width`` bits wide, with a bound
       check.
+
+    ``inlined`` maps a comb local the scope writes at its reads (see
+    :mod:`repro.codegen.sinking`) to the code it would have assigned;
+    a read of it is that code.  The generator fills it as it goes.
     """
 
     def __init__(
@@ -52,6 +56,7 @@ class Resolver:
         memory_width: Callable[[str], int],
         memory_depth: Callable[[str], int],
         hooks: Optional[object] = None,
+        inlined: Optional[Dict[str, "Code"]] = None,
     ):
         self.signal_ref = signal_ref
         self.signal_width = signal_width
@@ -59,6 +64,7 @@ class Resolver:
         self.memory_width = memory_width
         self.memory_depth = memory_depth
         self.hooks = hooks
+        self.inlined = {} if inlined is None else inlined
 
 
 # Python's binding strengths, loosest first.  Every generated piece of
@@ -159,7 +165,10 @@ class ExprGen:
 
     def _signal_read(self, name: str, line: int) -> Code:
         """Resolve a signal read, routed through the register-read hook
-        when hooks are installed."""
+        when hooks are installed; an inlined local is its code."""
+        inlined = self._resolver.inlined.get(name)
+        if inlined is not None:
+            return inlined
         ref = self._resolver.signal_ref(name)
         hooks = self._resolver.hooks
         if hooks is not None:

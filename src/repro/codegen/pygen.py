@@ -22,9 +22,20 @@ A cycle is two walks of the instance tree, through two entry points:
   ``cycle``, then commits its own pending state and drops the memo
   (the clock edge, on the way back up).
 
-Each combinational unit is evaluated once per cycle.  A signal is
-*settled in phase 1* when it depends on no input outside the
-``eval_out`` arguments (``ModuleIR.signal_deps``); ``eval_out`` emits
+Each combinational unit is evaluated at most once per cycle, and only
+on a path that reads it.  A continuous assign every read of which sits
+in a guarded position of its function (an ``if`` / ``case`` arm, a
+``?:`` arm, the right operand of ``&&`` / ``||``), no two on one path,
+is written at each read instead of at its schedule position, as the
+code it would have assigned (:mod:`repro.codegen.sinking`, "mux
+shadowing"): a decoder's immediates are built in the arms that use
+them.  Ports, the stash, child arguments, comb loops and code that
+carries a sanitizer hook stay where the schedule puts them, so the
+calling convention, the state layout and every hook's firing are what
+they were.
+
+A signal is *settled in phase 1* when it depends on no input outside
+the ``eval_out`` arguments (``ModuleIR.signal_deps``); ``eval_out`` emits
 the scheduled units that define a settled signal and stores, next to
 the memo, one tuple of the settled locals ``cycle`` reads.  ``cycle``
 unpacks that tuple and emits only the units that define an unsettled
@@ -117,12 +128,14 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .. import obs
 from ..hdl import ast_nodes as ast
+from ..hdl.consteval import width_of
 from ..hdl.errors import CodegenError, ConvergenceError
 from ..ir.netlist import ModuleIR, Netlist
 from .build import BuildConfig, ModuleKey
 from .emitter import FunctionEmitter, block
-from .exprgen import ATOM, BAND, ExprGen, Resolver, StmtGen, mask_of, paren
+from .exprgen import ATOM, BAND, COND, Code, ExprGen, Resolver, StmtGen, mask_of, paren
 from .optplan import NO_OPT, OptPlan
+from .sinking import MAX_COPIES, MAX_DEPTH, Path, PathReads, all_exclusive, carries_hook
 
 CACHE_SLOTS = 3  # eval_out memo key, memo value, settled locals for cycle
 
@@ -355,6 +368,11 @@ class _ModuleCompiler:
         # what eval_out leaves in the tuple slot (set by _gen_cycle).
         self._stash: List[str] = []
         self._plan = plan
+        self._plans: Dict[int, object] = {}  # id(IR node) -> its plan
+        # The assigns the function being generated writes at their reads
+        # (by index), and the code of each one written so far.
+        self._sunk: Set[int] = set()
+        self._inlined: Dict[str, Code] = {}
         sanitize = build.sanitize
         nm = len(ir.memories)
         self.layout = layout = state_layout(ir.num_regs, nm, sanitize)
@@ -431,6 +449,7 @@ class _ModuleCompiler:
             reads.add(name)
             return f"_m_{name}"
 
+        self._inlined = {}
         resolver = Resolver(
             signal_ref=signal_ref,
             signal_width=ir.signal_width,
@@ -438,6 +457,7 @@ class _ModuleCompiler:
             memory_width=lambda n: self._mem_slot[n].width,
             memory_depth=lambda n: self._mem_slot[n].depth,
             hooks=self.hooks,
+            inlined=self._inlined,
         )
         self._emit = FunctionEmitter()
         return ExprGen(resolver, self._emit, self._mux_style), reads
@@ -470,7 +490,7 @@ class _ModuleCompiler:
         signals = self._netlist.modules[inst.child_key].signals
         args = []
         for port in ports:
-            expr = self._plan.expr(inst.input_conns[port])
+            expr = self._planned(inst.input_conns[port], self._plan.expr)
             code = exprgen.code(expr)
             if exprgen.width_of(expr) > signals[port].width:
                 mask = mask_of(signals[port].width)
@@ -480,6 +500,16 @@ class _ModuleCompiler:
                     code = f"{paren(code, BAND)} & {mask}", BAND
             args.append(code[0])
         return args
+
+    def _planned(self, node, rewrite):
+        """``rewrite(node)``: the plan's expression or body for an IR
+        expression or block body, made once per compile (the sink
+        analysis walks what the emitter writes)."""
+        if self._plan.is_noop:
+            return node
+        if id(node) not in self._plans:
+            self._plans[id(node)] = rewrite(node)
+        return self._plans[id(node)]
 
     def _bind_memories(self, reads: Set[str]) -> None:
         for name, spec in self._mem_slot.items():
@@ -518,20 +548,29 @@ class _ModuleCompiler:
         set, so a block is never split.)"""
         return in_cycle != self._unsettled.isdisjoint(defines)
 
-    def _gen_comb_body(self, exprgen: ExprGen, in_cycle: bool) -> None:
-        ir = self._ir
+    def _live_steps(self) -> Iterator[Tuple[List[Tuple[str, int]], bool]]:
+        """The schedule's steps without the units the plan drops."""
         dead = {("assign", i) for i in self._plan.dead_assigns}
         dead |= {("block", i) for i in self._plan.dead_blocks}
+        for units, is_loop in self._ir.steps:
+            yield [u for u in units if u not in dead], is_loop
+
+    def _gen_comb_body(self, exprgen: ExprGen, in_cycle: bool) -> None:
+        ir = self._ir
         early = {target for _, _, target in ir.early_bind}
         if not in_cycle:
             self._gen_early_binds()
-        for units, is_loop in ir.steps:
-            units = [u for u in units if u not in dead]
+        for units, is_loop in self._live_steps():
             settle = nullcontext()
             if is_loop:  # repeat the locals this function binds for it
                 names = [n for u in units for n in ir.unit_defines(u)
                          if n not in early and self._runs_here((n,), in_cycle)]
-                if names:
+                # ... while a unit of the part reads one (else one pass
+                # settles them all).
+                part = [u for u in units if u[0] == "inst"
+                        or self._runs_here(ir.unit_defines(u), in_cycle)]
+                if not set(names).isdisjoint(
+                        n for u in part for n in ir.unit_reads(u)):
                     settle = settle_loop(self._emit, _locals(names), ir.key)
             with settle:
                 for unit in units:
@@ -543,21 +582,126 @@ class _ModuleCompiler:
                                else self._gen_comb_block)
                         gen(exprgen, index)
 
+    # -- mux shadowing: a value computed only where it is read ----------------
+
+    def _hooked(self, assign) -> bool:
+        """Whether a sanitized build's code for ``assign`` carries a hook
+        (what :meth:`_gen_comb_assign` would count in ``san_sites``)."""
+        if self.hooks is None:
+            return False
+        ir = self._ir
+        mems = self._mem_slot
+        width = width_of(assign.value, ir.signal_width,
+                         lambda n: mems[n].width if n in mems else None)
+        if width > ir.signals[assign.target.name].width:
+            return True  # the truncation check
+
+        def hooked(name: str) -> bool:  # a register or a memory
+            sig = ir.signals.get(name)
+            return name in mems or getattr(sig, "state_index", None) is not None
+
+        return carries_hook(
+            self._planned(assign.value, self._plan.expr), hooked)
+
+    def _sink(self, in_cycle: bool) -> Set[int]:
+        """The continuous assigns this function writes at their reads
+        instead of at their schedule position (:mod:`.sinking`), by index.
+
+        A candidate runs here and is not a port, not stashed for
+        ``cycle`` and not on a comb loop.  One walk back over what the
+        function emits gathers each candidate's reads with their paths
+        and reaches it after all its readers: it moves when its code
+        carries no sanitizer hook and its reads (one at least, at most
+        ``MAX_COPIES``) are all guarded and pairwise exclusive, so none
+        is a child argument or in a loop.  A moved assign's own reads
+        then sit at each of its places: a chain moves as far as its
+        last reader goes.
+        """
+        ir = self._ir
+        steps = list(self._live_steps())
+        candidates = {
+            name for units, is_loop in steps if not is_loop
+            for unit in units if unit[0] == "assign"
+            for name in ir.unit_defines(unit)
+            if self._runs_here((name,), in_cycle)
+        }.difference(ir.outputs, () if in_cycle else self._stash)
+        reads: Dict[str, List[Path]] = {name: [] for name in candidates}
+        walk = PathReads(branch=self._mux_style == "branch")
+
+        def note(found, sites: Sequence[Path] = ((),)) -> None:
+            for name, path in found:
+                paths = reads.get(name)
+                if paths is None:
+                    continue
+                paths.extend(site + path for site in sites)
+                if not paths[-1] or len(paths) > MAX_COPIES:
+                    del reads[name]  # read unguarded, or too often
+
+        def stays(names) -> None:
+            for name in names:
+                reads.pop(name, None)
+
+        def note_body(stmts: List[ast.Stmt], names: Sequence[str]) -> None:
+            if not reads.keys().isdisjoint(names):  # else nothing to note
+                note(walk.stmts(self._planned(stmts, self._plan.body)))
+
+        if in_cycle:  # after the comb body: the registers and children
+            for seq in ir.seq_blocks:
+                note_body(seq.body, seq.reads)
+            for inst in ir.instances:
+                stays(inst.reads)
+        sunk: Dict[int, List[str]] = {}  # index -> the names it reads
+        for units, is_loop in reversed(steps):
+            for unit in reversed(units):
+                kind, index = unit
+                if kind == "inst" or is_loop:  # a loop repeats its reads
+                    stays(ir.unit_reads(unit))
+                elif not self._runs_here(ir.unit_defines(unit), in_cycle):
+                    continue
+                elif kind == "block":
+                    comb = ir.comb_blocks[index]
+                    note_body(comb.body, comb.reads)
+                else:
+                    assign = ir.comb_assigns[index]
+                    paths = reads.pop(assign.defines, None)
+                    moves = (paths and all_exclusive(paths)
+                             and not self._hooked(assign))
+                    if moves or not reads.keys().isdisjoint(assign.reads):
+                        found = walk.expr(
+                            self._planned(assign.value, self._plan.expr))
+                        if moves:
+                            sunk[index] = [name for name, _ in found]
+                        note(found, paths if moves else ((),))
+        # Nested no deeper than MAX_DEPTH: forward, a value too deep
+        # stays where it is (and is as deep as nothing).
+        depth: Dict[str, int] = {}
+        for units, _ in steps:
+            for kind, index in units:
+                if kind == "assign" and index in sunk:
+                    own = 1 + max((depth.get(n, 0) for n in sunk[index]),
+                                  default=0)
+                    if own > MAX_DEPTH:
+                        del sunk[index]
+                    else:
+                        depth[ir.comb_assigns[index].defines] = own
+        return set(sunk)
+
     def _gen_comb_assign(self, exprgen: ExprGen, index: int) -> None:
         assign = self._ir.comb_assigns[index]
-        value = exprgen.code(self._plan.expr(assign.value))
-        code = value[0]
-        width = self._ir.signals[assign.target.name].width
+        name = assign.target.name
+        code = exprgen.code(self._planned(assign.value, self._plan.expr))
+        width = self._ir.signals[name].width
         if exprgen.width_of(assign.value) > width:
             if self.hooks is not None:
                 code = self.hooks.trunc(
-                    code, width,
-                    getattr(assign.target, "line", 0),
-                    assign.target.name,
-                )
+                    code[0], width, getattr(assign.target, "line", 0), name,
+                ), COND
             else:
-                code = f"{paren(value, BAND)} & {mask_of(width)}"
-        self._emit.line(f"v_{assign.target.name} = {code}")
+                code = f"{paren(code, BAND)} & {mask_of(width)}", BAND
+        if index in self._sunk:
+            self._inlined[name] = code  # written where it is read
+        else:
+            self._emit.line(f"v_{name} = {code[0]}")
 
     def _gen_comb_block(self, exprgen: ExprGen, index: int) -> None:
         comb = self._ir.comb_blocks[index]
@@ -575,7 +719,7 @@ class _ModuleCompiler:
         )
         for name in comb.defines:
             self._emit.line(f"v_{name} = 0")
-        stmtgen.gen_stmts(self._plan.body(comb.body))
+        stmtgen.gen_stmts(self._planned(comb.body, self._plan.body))
 
     @staticmethod
     def _forbid_comb_mem_write(name: str, addr: str, value: str, line: int) -> None:
@@ -638,6 +782,7 @@ class _ModuleCompiler:
         key_slot = self.layout.cache_key_slot
         exprgen, reads = self._open_body(zeroed=self._unsettled)
         body = self._emit
+        self._sunk = self._sink(in_cycle=False)
         self._gen_comb_body(exprgen, in_cycle=False)
         returns = [self._output_ref(name) for name in ir.outputs]
         body.line(f"_ret = {_flat(returns)}")
@@ -679,6 +824,7 @@ class _ModuleCompiler:
         hooks = self.hooks
         if hooks is not None:
             hooks.open_cycle(body)
+        self._sunk = self._sink(in_cycle=True)
         self._gen_comb_body(exprgen, in_cycle=True)
         for block_id, seq in enumerate(ir.seq_blocks):
             self._gen_seq_block(exprgen, seq, block_id)
@@ -776,7 +922,7 @@ class _ModuleCompiler:
             hooks=self.hooks,
             block_id=block_id,
         )
-        stmtgen.gen_stmts(self._plan.body(seq.body))
+        stmtgen.gen_stmts(self._planned(seq.body, self._plan.body))
 
 
 def compile_module(

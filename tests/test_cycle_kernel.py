@@ -18,6 +18,7 @@ import pytest
 from repro import compile_design
 from repro.codegen.build import BuildConfig
 from repro.codegen.flatgen import compile_flat
+from repro.codegen.sinking import MAX_COPIES, MAX_DEPTH, exclusive
 from repro.hdl import elaborate, parse
 from repro.passes import compile_netlist
 from repro.passes.dataflow import FactEval
@@ -69,10 +70,12 @@ class TestOncePerCycle:
                 lines += code.source.count("\n")
                 for name in _comb_defines(code.ir):
                     where = [_binds(name, part) for part in (eval_out, cycle)]
-                    # Neither: dead logic the optimizer dropped.
+                    # Neither: dead logic the optimizer dropped, or a
+                    # value written at its reads, which has no local.
                     assert where != [True, True], (flavour, key, name)
-                    if flavour == "default":
-                        assert any(where), (key, name)
+                    if flavour == "default" and not any(where):
+                        assert not re.search(rf"\bv_{name}\b", code.source), (
+                            key, name)
                 if key == "rv_ex":  # the ALU: in eval_out, nowhere else
                     assert _binds("alu_full", eval_out)
                     assert not _binds("alu_full", cycle)
@@ -301,7 +304,9 @@ def test_the_shapes_are_what_they_say():
     assert netlist.top_module.loops == [(("assign", 0), ("inst", 0))]
     eval_out, cycle = library["top"].source.split("def cycle")
     assert _binds("z", eval_out) and _binds("w", cycle) and _binds("y", cycle)
-    assert "_pass" in cycle
+    # Only cycle's part reads a local it binds (y, w): eval_out's child
+    # call binds z, which nothing in that part reads, so it runs once.
+    assert "for _pass" in cycle and "for _pass" not in eval_out
 
 
 # -- the calling convention: the caller masks, and only where it must ---------
@@ -554,3 +559,103 @@ def test_comb_loop_matches_a_reference_model():
             grant = req | 1
             ack = grant & 7
         out_q = req
+
+
+# -- mux shadowing: a value computed only on the paths that read it -----------
+
+
+def test_exclusive_paths_part_at_one_guard():
+    assert exclusive(((0, 0),), ((0, 1),))
+    assert exclusive(((0, 0), (1, 0)), ((0, 1), (2, 1)))
+    assert not exclusive(((0, 0),), ((0, 0),))  # one path: read twice
+    assert not exclusive(((0, 0),), ((1, 0),))  # two guards in a row
+    assert not exclusive(((0, 0),), ((0, 0), (1, 1)))  # nested in it
+    assert not exclusive((), ((0, 1),))  # unguarded
+
+
+def test_the_mesh_computes_its_shadowed_values_where_they_are_read(
+        pgas2_netlist_library):
+    """The decoder's immediates go into the decode arms, the load
+    extension chain under its selects, the branch compares into their
+    ``case`` arms; ports, stashed values and child arguments stay.
+    Sanitized, a value whose code reads a register keeps its hook where
+    it was, and a pure one still moves."""
+    _, netlist, _ = pgas2_netlist_library
+    (_, clean), (_, sanitized) = _libraries(netlist)
+    moved = {
+        "rv_id": ["imm_i", "imm_s", "imm_b", "imm_u", "imm_j", "rf_rs1"],
+        "rv_mem": ["load_value", "load_b", "load_h", "load_w", "sb"],
+        "rv_ex": ["cmp_eq", "cmp_lt", "cmp_ltu", "a32", "sh64", "sh32"],
+    }
+    kept = {
+        "rv_id": ["rs1", "rs1_val", "imm"],  # ports
+        "rv_mem": ["raw", "w_value"],  # read twice on a path; a port
+        "rv_ex": ["op_a", "result"],  # stashed for cycle
+        "rv_core": ["load_use"],  # a child argument
+    }
+    for key, names in moved.items():
+        for name in names:
+            assert not re.search(rf"\bv_{name}\b", clean[key].source), (
+                key, name)
+    for key, names in kept.items():
+        for name in names:
+            assert f"v_{name} = " in clean[key].source, (key, name)
+    assert "v_imm_i = " in sanitized["rv_id"].source  # reads a register
+    assert "v_load_value = " not in sanitized["rv_mem"].source  # pure
+
+
+def _chain(length: int, readers: int) -> str:
+    """``c0 .. c<length>``, each read only in a ``?:`` arm of the next;
+    and ``f``, read in ``readers`` exclusive ``case`` arms."""
+    wires = "\n".join(f"  wire [7:0] c{i};" for i in range(length + 1))
+    links = "\n".join(
+        f"  assign c{i} = s[{i % 8}] ? c{i - 1} + 8'd{i} : a;"
+        for i in range(1, length + 1)
+    )
+    arms = "\n".join(f"      8'd{i}: r = f ^ 8'd{i};" for i in range(readers))
+    return f"""
+module top (input clk, input [7:0] a, input [7:0] s, output [7:0] y,
+            output [7:0] z);
+{wires}
+  wire [7:0] f;
+  reg [7:0] r;
+  assign c0 = a ^ 8'd5;
+{links}
+  assign f = a + s;
+  always @(*) begin
+    case (s)
+{arms}
+      default: r = 8'd0;
+    endcase
+  end
+  assign y = c{length};
+  assign z = r;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("length,readers", [
+    (MAX_DEPTH, MAX_COPIES), (3 * MAX_DEPTH, MAX_COPIES + 1),
+])
+def test_a_move_stays_within_its_depth_and_copies(length, readers):
+    """A chain moves to at most ``MAX_DEPTH`` values written one inside
+    another (every ``MAX_DEPTH + 1``-th link stays, and the output), and
+    a value is written at most ``MAX_COPIES`` times; past either bound
+    it stays at its schedule position.  Either way the shared compiler
+    agrees with the flat one."""
+    source = _chain(length, readers)
+    netlist, library = compile_design(source, "top")
+    code = library["top"].source
+    assert set(re.findall(r"^\s*v_(c\d+) = ", code, re.M)) == {
+        f"c{i}" for i in [*range(MAX_DEPTH, length, MAX_DEPTH + 1), length]
+    }
+    assert ("v_f = " in code) == (readers > MAX_COPIES)
+    shared = Pipe(netlist.top, library)
+    flat_code = compile_flat(elaborate(parse(source), "top"))
+    flat = Pipe(flat_code.key, {flat_code.key: flat_code})
+    rnd = random.Random(length)
+    for _ in range(40):
+        inputs = {"a": rnd.randrange(256), "s": rnd.randrange(256)}
+        shared.set_inputs(**inputs)
+        flat.set_inputs(**inputs)
+        assert shared.eval() == flat.eval(), inputs

@@ -21,10 +21,13 @@ import re
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_design
+from repro.codegen.build import BuildConfig
 from repro.codegen.flatgen import compile_flat
 from repro.hdl import ast_nodes as ast
 from repro.hdl import elaborate, parse
 from repro.hdl.parser import parse_expr
+from repro.passes import compile_netlist
+from repro.sanitize.runtime import SanitizerRuntime
 from repro.sim import Pipe
 
 INPUTS = {"a": 8, "b": 8, "c": 16, "d": 1}
@@ -314,6 +317,65 @@ endmodule
 """
 
 
+# A wire ``t`` read by ``y`` in each shape the generator may compute a
+# value only on the paths that read it (repro.codegen.sinking): name ->
+# (the module text after ``t`` and ``u``, y from t, u and the inputs).
+# ``twice`` and ``child`` keep ``t`` in place.
+MASK = (1 << OUT_WIDTH) - 1
+GUARDED_SHAPES = {
+    "tern": ("assign y = d ? t : u;", lambda t, u, env: t if env["d"] else u),
+    "if": ("""reg [15:0] r;
+  always @(*) begin
+    if (d)
+      r = t;
+    else
+      r = u;
+  end
+  assign y = r;""", lambda t, u, env: t if env["d"] else u),
+    "case": ("""reg [15:0] r;
+  always @(*) begin
+    case (a[1:0])
+      2'd0: r = t;
+      2'd1: r = u;
+      2'd2: r = t ^ u;
+      default: r = 16'd0;
+    endcase
+  end
+  assign y = r;""", lambda t, u, env: [t, u, t ^ u, 0][env["a"] & 3]),
+    "andand": ("assign y = {15'd0, d && (t > u)};",
+               lambda t, u, env: int(bool(env["d"]) and t > u)),
+    "oror": ("assign y = {15'd0, d || (t == u)};",
+             lambda t, u, env: int(bool(env["d"]) or t == u)),
+    "exclusive": ("assign y = d ? t + u : t ^ u;",
+                  lambda t, u, env: (t + u) & MASK if env["d"] else t ^ u),
+    "twice": ("assign y = d ? t * t : u;",
+              lambda t, u, env: t * t & MASK if env["d"] else u),
+    "child": ("""wire [15:0] z;
+  inc i0 (.p(t), .q(z));
+  assign y = d ? t : z;""", lambda t, u, env: t if env["d"] else (t + 1) & MASK),
+}
+
+
+def shaped_module(shape: str, t: str, u: str) -> str:
+    ports = ", ".join(
+        f"input [{w - 1}:0] {n}" if w > 1 else f"input {n}"
+        for n, w in INPUTS.items()
+    )
+    params = ", ".join(f"parameter {n} = {v}" for n, v in PARAMS.items())
+    return f"""
+module inc (input [15:0] p, output [15:0] q);
+  assign q = p + 16'd1;
+endmodule
+module m #({params}) (input clk, {ports}, output [{OUT_WIDTH - 1}:0] y);
+  wire [15:0] t;
+  wire [15:0] u;
+  assign t = {t};
+  assign u = {u};
+  {GUARDED_SHAPES[shape][0]}
+endmodule
+"""
+
+
 STIMULI = [
     {"a": 0, "b": 0, "c": 0, "d": 0},
     {"a": 255, "b": 255, "c": 65535, "d": 1},
@@ -391,3 +453,30 @@ class TestExpressionFuzz:
                 pipe.set_inputs(**env)
                 values.add(pipe.eval()["y"])
             assert len(values) == 1, (expr, env, values)
+
+    @given(shape=st.sampled_from(sorted(GUARDED_SHAPES)),
+           t=expr_text(), u=expr_text())
+    @settings(max_examples=80, deadline=None)
+    def test_guarded_reads_match_reference(self, shape, t, u):
+        """A wire read only on some paths, in every shape, through the
+        shared compiler clean, at ``opt=full``, sanitized and with the
+        ``select`` mux style, and the flat one: each against the
+        reference."""
+        source = shaped_module(shape, t, u)
+        netlist = elaborate(parse(source), "m")
+        pipes = [Pipe(netlist.top, compile_netlist(netlist, build, runtime))
+                 for build, runtime in (
+                     (BuildConfig(), None),
+                     (BuildConfig(opt="full"), None),
+                     (BuildConfig(sanitize=True), SanitizerRuntime("report")),
+                     (BuildConfig(mux_style="select"), None),
+                 )]
+        flat = compile_flat(netlist)
+        pipes.append(Pipe(flat.key, {flat.key: flat}))
+        t_tree, u_tree = parse_expr(t), parse_expr(u)
+        for env in STIMULI:
+            expected = GUARDED_SHAPES[shape][1](
+                ref_eval(t_tree, env) & MASK, ref_eval(u_tree, env) & MASK, env)
+            for pipe in pipes:
+                pipe.set_inputs(**env)
+                assert pipe.eval()["y"] == expected, (shape, t, u, env)

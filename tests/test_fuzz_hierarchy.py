@@ -10,14 +10,50 @@ agree cycle-for-cycle under random stimulus.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_design
+from repro.codegen.build import BuildConfig
 from repro.codegen.flatgen import compile_flat
 from repro.hdl import elaborate, parse
+from repro.passes import compile_netlist
+from repro.sanitize.runtime import SanitizerRuntime
 from repro.sim import Pipe
 
 OPS = ["+", "-", "^", "&", "|"]
+
+# How a stage's ``out`` reads its wire ``g`` (repro.codegen.sinking):
+# only in ``if`` / ``case`` arms, only in a ``?:`` arm, as the right
+# operand of ``&&`` / ``||``, in two exclusive arms, twice on one path
+# (which keeps it in place), or plainly.  ``out`` still reads ``in1``
+# and ``q`` only, so the partition and the wiring stay what they were.
+G_READS = {
+    "plain": "assign out = mixed ^ g;",
+    "tern": "assign out = q[0] ? g : mixed;",
+    "if": """reg [7:0] o;
+  always @(*) begin
+    if (in1[0])
+      o = g;
+    else
+      o = mixed;
+  end
+  assign out = o;""",
+    "case": """reg [7:0] o;
+  always @(*) begin
+    case (in1[1:0])
+      2'd0: o = mixed;
+      2'd1: o = g;
+      2'd2: o = g ^ q;
+      default: o = mixed + 8'd1;
+    endcase
+  end
+  assign out = o;""",
+    "andand": "assign out = mixed ^ {7'd0, q[1] && g[2]};",
+    "oror": "assign out = mixed ^ {7'd0, q[1] || (g > in1)};",
+    "exclusive": "assign out = in1[1] ? g + 8'd1 : g ^ mixed;",
+    "twice": "assign out = q[0] ? g + g : mixed;",
+}
 
 
 @st.composite
@@ -39,6 +75,11 @@ def random_design(draw):
     thin top — the rv_core / rv_mem / d_rdata shape.  With ``narrow``,
     one stage port is four bits wide under its eight-bit drivers: the
     callee masks nothing, so the generated caller has to.
+
+    ``g_read`` (:data:`G_READS`) is how ``out`` reads the stage's wire
+    ``g``; the wire ``n`` is read only in an ``if`` arm of the register
+    update.  The chain's wire ``k`` feeds a child argument and, in a
+    ``?:`` arm, ``y``.
     """
     n_stages = draw(st.integers(min_value=2, max_value=4))
     seq_op = draw(st.sampled_from(OPS))
@@ -53,6 +94,8 @@ def random_design(draw):
     ))
     three_level = draw(st.booleans())
     narrow = draw(st.sampled_from([None, "in1", "in2", "in3"]))
+    g_read = draw(st.sampled_from(sorted(G_READS)))
+    g_op = draw(st.sampled_from(OPS))
     msb = {port: 3 if port == narrow else 7 for port in ("in1", "in2", "in3")}
 
     stage = f"""
@@ -67,12 +110,18 @@ module stage (
 );
   reg [7:0] q;
   wire [7:0] mixed;
+  wire [7:0] g;
+  wire [7:0] n;
   assign mixed = in1 {comb_op} q;
-  assign out = mixed;
+  assign g = in1 {g_op} (q + 8'd1);
+  assign n = in2 {g_op} in1;
+  {G_READS[g_read]}
   assign aux = in3 {aux_op} q;
   always @(posedge clk) begin
     if (rst)
       q <= 0;
+    else if (q[7])
+      q <= n;
     else
       q <= in1 {seq_op} in2;
   end
@@ -90,7 +139,7 @@ endmodule
             in2 = f"w{(i + 1) % n_stages}"  # forward reference: seq-only
         else:
             in2 = "x"
-        in3 = "late" if i == late_stage else "x"  # seq-only above
+        in3 = "late" if i == late_stage else "k" if i == 1 else "x"
         insts.append(
             f"  stage s{i} (.clk(clk), .rst(rst), .in1({in1}), "
             f".in2({in2}), .in3({in3}), .out(w{i}), .aux(a{i}));"
@@ -105,7 +154,9 @@ endmodule
     chain = f"""
 module {"mid" if three_level else "top"} {ports}
 {wires}
+  wire [7:0] k;
   reg [7:0] acc;
+  assign k = x + acc;
 {chr(10).join(insts)}
   always @(posedge clk) begin
     if (rst)
@@ -113,7 +164,7 @@ module {"mid" if three_level else "top"} {ports}
     else
       acc <= acc {acc_op} a{late_stage or 0};
   end
-  assign y = (w{n_stages - 1} {out_op} w0) ^ acc;
+  assign y = (w{n_stages - 1} {out_op} w0) ^ (w0[0] ? k : acc);
 endmodule
 """
     top = f"""
@@ -136,12 +187,25 @@ def stimulus(draw):
     ))
 
 
+BUILDS = {
+    "clean": BuildConfig(),
+    "opt=full": BuildConfig(opt="full"),
+    "sanitize=report": BuildConfig(sanitize=True),
+}
+
+
+def shared_pipe(source: str, build: BuildConfig) -> Pipe:
+    netlist = elaborate(parse(source), "top")
+    runtime = SanitizerRuntime("report") if build.sanitize else None
+    return Pipe(netlist.top, compile_netlist(netlist, build, runtime))
+
+
 class TestHierarchyFuzz:
+    @pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
     @given(source=random_design(), stim=stimulus())
     @settings(max_examples=40, deadline=None)
-    def test_pygen_and_flatgen_agree_cycle_by_cycle(self, source, stim):
-        netlist, library = compile_design(source, "top")
-        shared = Pipe(netlist.top, library)
+    def test_pygen_and_flatgen_agree_cycle_by_cycle(self, build, source, stim):
+        shared = shared_pipe(source, build)
         flat_code = compile_flat(elaborate(parse(source), "top"))
         flat = Pipe(flat_code.key, {flat_code.key: flat_code})
         for inputs in stim:

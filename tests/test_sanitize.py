@@ -380,6 +380,66 @@ class TestAtomicEdge:
 
 
 # ---------------------------------------------------------------------------
+# A value computed only where it is read keeps its hooks where they were
+# ---------------------------------------------------------------------------
+
+# Only ``?:`` arms read ``w``, ``v`` and ``n``.  ``w`` reads register
+# ``p`` and ``n`` truncates a sum of it, so their code carries hooks and
+# stays at its schedule position; ``v`` is pure and is computed in its
+# arm only.  ``p`` is written only when ``x[7]`` is set (cycle 9).
+GUARDED_POISON = """
+module top (input clk, input sel, input [7:0] x, output [7:0] y,
+            output [3:0] z);
+  reg [7:0] p;
+  wire [7:0] w;
+  wire [7:0] v;
+  wire [3:0] n;
+  assign w = p + 8'd1;
+  assign v = x ^ 8'd3;
+  assign n = x + p;
+  assign y = sel ? w : v;
+  assign z = sel ? 4'd0 : n;
+  always @(posedge clk) if (x[7]) p <= p + x;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("elide", [True, False], ids=["elide", "noelide"])
+def test_a_poisoned_register_with_guarded_readers_reports_as_before(elide):
+    """Findings and hit counters of a poisoned register read only on
+    some paths: the figures the generator gave before it moved any value
+    to its reads (pinned)."""
+    clean = compile_netlist(elaborate(parse(GUARDED_POISON), "top"))
+    assert "v_w = " not in clean["top"].source  # moved into y's arm
+    runtime = SanitizerRuntime(mode="report")
+    netlist = elaborate(parse(GUARDED_POISON), "top")
+    library = compile_netlist(
+        netlist, BuildConfig(sanitize=True, san_elide=elide),
+        sanitize_runtime=runtime,
+    )
+    code = library["top"]
+    assert "v_w = " in code.source and "v_n = " in code.source
+    assert "v_v = " not in code.source
+    assert (code.san_sites, code.san_elided) == (5, 0)
+    pipe = Pipe(netlist.top, library)
+    _poison(pipe.top, "p")
+    outputs = []
+    for cycle in range(12):
+        pipe.set_inputs(sel=int(cycle % 3 == 0),
+                        x=cycle * 37 & 0x7F | (0x80 if cycle == 9 else 0))
+        outputs.append(tuple(pipe.eval().values()))
+        pipe.tick()
+    assert outputs == [(1, 0), (38, 5), (73, 10), (1, 0), (23, 4), (58, 9),
+                       (1, 0), (0, 3), (43, 8), (1, 0), (113, 15), (20, 4)]
+    assert runtime.counters() == {
+        SAN_UNINIT: 21, SAN_OOB: 0, SAN_TRUNC: 10, SAN_NB_CONFLICT: 0,
+    }
+    assert [(d.kind, d.line) for d in runtime.findings] == [
+        (SAN_UNINIT, 8), (SAN_UNINIT, 10), (SAN_TRUNC, 10), (SAN_UNINIT, 13),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # The acceptance scenario through the live session
 # ---------------------------------------------------------------------------
 

@@ -10,6 +10,10 @@ A wall-clock bound cannot see a few per cent; a count can.  Each row of
   reset — with no check (``unwatched``) and with a check that never
   stops the run (``watched``).  A call into generated code counts; the
   calls generated code makes do not.
+- ``cycle.<n>x<n>.lines``: the line events (``sys.settrace``) in
+  generated code per clean cycle of the 2x2 and 4x4 mesh, over 20
+  cycles after cycle 200 of livebench's boot testbench: how many
+  statements the kernel runs, not how long they take.
 - ``setup.*``: the ``repro`` modules, their source lines and the
   ``@dataclass`` classes they define that the live loop (set-up, run,
   peek and one edit; ``test_public_api.LIVE_LOOP_SCRIPT``) loads up to
@@ -37,6 +41,7 @@ from repro import compile_design
 from repro.codegen.build import BuildConfig
 from repro.hdl import elaborate, parse
 from repro.passes import compile_netlist
+from repro.riscv.pgas import build_pgas_source, mesh_top_name
 from repro.sim import Pipe
 from repro.sim.testbench import CallbackTestbench
 from tests.test_codegen_seam import _digests_tool
@@ -46,11 +51,13 @@ from tests.test_unwatched_cycle import LOOP_SRC, loop_inputs, wrapped
 BUDGET = {
     "cycle.2x2.unwatched": 6,
     "cycle.2x2.watched": 9,
-    "setup.modules": 57,
-    "setup.lines": 16_091,
+    "cycle.2x2.lines": 1428.7,
+    "cycle.4x4.lines": 5711.5,
+    "setup.modules": 58,
+    "setup.lines": 16_440,
     "setup.dataclasses": 52,
-    "codegen.lines.mesh2x2": 626,
-    "codegen.lines.mesh4x4": 746,
+    "codegen.lines.mesh2x2": 592,
+    "codegen.lines.mesh4x4": 712,
     "codegen.lines.counter.v:adder": 14,
     "codegen.lines.counter.v:counter": 37,
     "codegen.lines.counter.v:top": 58,
@@ -108,6 +115,39 @@ def test_a_clean_2x2_cycle_stays_within_its_call_budget(pgas2_netlist_library):
         measured[f"cycle.2x2.{row}"] = total // 10
         detail[row] = {f"{kind} {name}": n // 10 for (kind, name), n in per_cycle.items()}
     assert not moved(measured), f"per-cycle calls moved (pinned, now): {moved(measured)}; {detail}"
+
+
+def generated_lines(tb, pipe, cycles):
+    """Line events in generated (``<lhdl:...>``) frames while ``tb``
+    runs ``cycles`` cycles."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith("<lhdl:") else None
+
+    sys.settrace(trace)
+    try:
+        tb.run(pipe, cycles)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_a_clean_mesh_cycle_stays_within_its_line_budget():
+    measured = {}
+    for n in (2, 4):
+        netlist = elaborate(parse(build_pgas_source(n)), mesh_top_name(n))
+        pipe = Pipe(netlist.top, compile_netlist(netlist))
+        tb = boot_testbench(node_images(node_programs(1, n * n)))
+        tb.run(pipe, 200)
+        measured[f"cycle.{n}x{n}.lines"] = generated_lines(tb, pipe, 20) / 20
+    assert not moved(measured), f"per-cycle lines moved (pinned, now): {moved(measured)}"
 
 
 SETUP_REPORT = """
