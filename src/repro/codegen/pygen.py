@@ -368,7 +368,13 @@ class _ModuleCompiler:
         # what eval_out leaves in the tuple slot (set by _gen_cycle).
         self._stash: List[str] = []
         self._plan = plan
-        self._plans: Dict[int, object] = {}  # id(IR node) -> its plan
+        self._plans: Optional[Dict[int, object]] = (
+            None if plan.is_noop else {})  # id(IR node) -> its plan
+        # The schedule's steps without the units the plan drops.
+        dead = {("assign", i) for i in plan.dead_assigns}
+        dead |= {("block", i) for i in plan.dead_blocks}
+        self._steps = [([u for u in units if u not in dead], is_loop)
+                       for units, is_loop in ir.steps]
         # The assigns the function being generated writes at their reads
         # (by index), and the code of each one written so far.
         self._sunk: Set[int] = set()
@@ -505,11 +511,12 @@ class _ModuleCompiler:
         """``rewrite(node)``: the plan's expression or body for an IR
         expression or block body, made once per compile (the sink
         analysis walks what the emitter writes)."""
-        if self._plan.is_noop:
+        plans = self._plans
+        if plans is None:
             return node
-        if id(node) not in self._plans:
-            self._plans[id(node)] = rewrite(node)
-        return self._plans[id(node)]
+        if id(node) not in plans:
+            plans[id(node)] = rewrite(node)
+        return plans[id(node)]
 
     def _bind_memories(self, reads: Set[str]) -> None:
         for name, spec in self._mem_slot.items():
@@ -548,19 +555,12 @@ class _ModuleCompiler:
         set, so a block is never split.)"""
         return in_cycle != self._unsettled.isdisjoint(defines)
 
-    def _live_steps(self) -> Iterator[Tuple[List[Tuple[str, int]], bool]]:
-        """The schedule's steps without the units the plan drops."""
-        dead = {("assign", i) for i in self._plan.dead_assigns}
-        dead |= {("block", i) for i in self._plan.dead_blocks}
-        for units, is_loop in self._ir.steps:
-            yield [u for u in units if u not in dead], is_loop
-
     def _gen_comb_body(self, exprgen: ExprGen, in_cycle: bool) -> None:
         ir = self._ir
         early = {target for _, _, target in ir.early_bind}
         if not in_cycle:
             self._gen_early_binds()
-        for units, is_loop in self._live_steps():
+        for units, is_loop in self._steps:
             settle = nullcontext()
             if is_loop:  # repeat the locals this function binds for it
                 names = [n for u in units for n in ir.unit_defines(u)
@@ -618,13 +618,16 @@ class _ModuleCompiler:
         last reader goes.
         """
         ir = self._ir
-        steps = list(self._live_steps())
+        units = [(unit, is_loop) for step, is_loop in self._steps
+                 for unit in step if unit[0] != "inst"
+                 and self._runs_here(ir.unit_defines(unit), in_cycle)]
         candidates = {
-            name for units, is_loop in steps if not is_loop
-            for unit in units if unit[0] == "assign"
-            for name in ir.unit_defines(unit)
-            if self._runs_here((name,), in_cycle)
+            ir.comb_assigns[index].defines
+            for (kind, index), is_loop in units
+            if kind == "assign" and not is_loop
         }.difference(ir.outputs, () if in_cycle else self._stash)
+        if not candidates:
+            return set()
         reads: Dict[str, List[Path]] = {name: [] for name in candidates}
         walk = PathReads(branch=self._mux_style == "branch")
 
@@ -637,53 +640,53 @@ class _ModuleCompiler:
                 if not paths[-1] or len(paths) > MAX_COPIES:
                     del reads[name]  # read unguarded, or too often
 
-        def stays(names) -> None:
-            for name in names:
-                reads.pop(name, None)
+        def stays(names: Sequence[str]) -> None:
+            for name in reads.keys() & names:
+                del reads[name]
 
         def note_body(stmts: List[ast.Stmt], names: Sequence[str]) -> None:
             if not reads.keys().isdisjoint(names):  # else nothing to note
                 note(walk.stmts(self._planned(stmts, self._plan.body)))
 
-        if in_cycle:  # after the comb body: the registers and children
+        for inst in ir.instances:  # child arguments, in either function
+            stays(inst.reads)
+        for unit, is_loop in units:  # a loop repeats its reads
+            if is_loop:
+                stays(ir.unit_reads(unit))
+        if in_cycle:  # after the comb body
             for seq in ir.seq_blocks:
                 note_body(seq.body, seq.reads)
-            for inst in ir.instances:
-                stays(inst.reads)
         sunk: Dict[int, List[str]] = {}  # index -> the names it reads
-        for units, is_loop in reversed(steps):
-            for unit in reversed(units):
-                kind, index = unit
-                if kind == "inst" or is_loop:  # a loop repeats its reads
-                    stays(ir.unit_reads(unit))
-                elif not self._runs_here(ir.unit_defines(unit), in_cycle):
-                    continue
-                elif kind == "block":
-                    comb = ir.comb_blocks[index]
-                    note_body(comb.body, comb.reads)
-                else:
-                    assign = ir.comb_assigns[index]
-                    paths = reads.pop(assign.defines, None)
-                    moves = (paths and all_exclusive(paths)
-                             and not self._hooked(assign))
-                    if moves or not reads.keys().isdisjoint(assign.reads):
-                        found = walk.expr(
-                            self._planned(assign.value, self._plan.expr))
-                        if moves:
-                            sunk[index] = [name for name, _ in found]
-                        note(found, paths if moves else ((),))
+        for (kind, index), is_loop in reversed(units):
+            if not reads:
+                break  # no candidate left undecided
+            if is_loop:
+                continue
+            if kind == "block":
+                comb = ir.comb_blocks[index]
+                note_body(comb.body, comb.reads)
+                continue
+            assign = ir.comb_assigns[index]
+            paths = reads.pop(assign.defines, None)
+            moves = (paths and all_exclusive(paths)
+                     and not self._hooked(assign))
+            if moves or not reads.keys().isdisjoint(assign.reads):
+                found = walk.expr(
+                    self._planned(assign.value, self._plan.expr))
+                if moves:
+                    sunk[index] = [name for name, _ in found]
+                note(found, paths if moves else ((),))
         # Nested no deeper than MAX_DEPTH: forward, a value too deep
         # stays where it is (and is as deep as nothing).
         depth: Dict[str, int] = {}
-        for units, _ in steps:
-            for kind, index in units:
-                if kind == "assign" and index in sunk:
-                    own = 1 + max((depth.get(n, 0) for n in sunk[index]),
-                                  default=0)
-                    if own > MAX_DEPTH:
-                        del sunk[index]
-                    else:
-                        depth[ir.comb_assigns[index].defines] = own
+        for (kind, index), _ in units:
+            if kind == "assign" and index in sunk:
+                own = 1 + max((depth.get(n, 0) for n in sunk[index]),
+                              default=0)
+                if own > MAX_DEPTH:
+                    del sunk[index]
+                else:
+                    depth[ir.comb_assigns[index].defines] = own
         return set(sunk)
 
     def _gen_comb_assign(self, exprgen: ExprGen, index: int) -> None:

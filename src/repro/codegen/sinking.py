@@ -66,8 +66,8 @@ class PathReads:
 
     ``branch`` is the build's mux style (``"branch"``: a ``?:`` arm is
     guarded).  Guard numbers are unique across every call on one
-    instance, so the paths of two units, or of two places a moved value
-    is written, never share a guard they do not share in the code.
+    instance, so two units never share a guard; the copies of a moved
+    value share its own guards, each behind the path of its place.
     """
 
     def __init__(self, branch: bool):

@@ -586,6 +586,7 @@ def test_the_mesh_computes_its_shadowed_values_where_they_are_read(
         "rv_id": ["imm_i", "imm_s", "imm_b", "imm_u", "imm_j", "rf_rs1"],
         "rv_mem": ["load_value", "load_b", "load_h", "load_w", "sb"],
         "rv_ex": ["cmp_eq", "cmp_lt", "cmp_ltu", "a32", "sh64", "sh32"],
+        "rv_memory#(WORDS=4096)": ["fetch_dword"],  # both arms of a ?:
     }
     kept = {
         "rv_id": ["rs1", "rs1_val", "imm"],  # ports

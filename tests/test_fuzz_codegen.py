@@ -471,6 +471,10 @@ class TestExpressionFuzz:
                      (BuildConfig(sanitize=True), SanitizerRuntime("report")),
                      (BuildConfig(mux_style="select"), None),
                  )]
+        # Clean, t is computed where it is read unless a shape reads it
+        # twice on one path or passes it to a child.
+        kept = "v_t = " in pipes[0].top.code.source
+        assert kept == (shape in ("twice", "child")), (shape, t)
         flat = compile_flat(netlist)
         pipes.append(Pipe(flat.key, {flat.key: flat}))
         t_tree, u_tree = parse_expr(t), parse_expr(u)

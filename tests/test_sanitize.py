@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import io
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import Shell
 from repro.codegen.build import BuildConfig
+from repro.codegen.pygen import _ModuleCompiler, site_count
 from repro.hdl import elaborate, parse
 from repro.hdl.errors import SimulationError
 from repro.live.commands import CommandError, CommandInterpreter
@@ -38,6 +40,8 @@ from repro.server.store import ArtifactStore
 from repro.sim import Pipe
 from repro.sim.testbench import reset_sequence
 from tests.conftest import assert_between_edges
+
+DESIGNS = Path(__file__).resolve().parent.parent / "examples" / "designs"
 
 # The acceptance scenario: the edit adds a register that is READ (the
 # xor in the comb assign) in the same cycle the swap lands, before the
@@ -437,6 +441,43 @@ def test_a_poisoned_register_with_guarded_readers_reports_as_before(elide):
     assert [(d.kind, d.line) for d in runtime.findings] == [
         (SAN_UNINIT, 8), (SAN_UNINIT, 10), (SAN_TRUNC, 10), (SAN_UNINIT, 13),
     ]
+
+
+# Selects of wires: a dynamic index is an ``ob`` site whether or not its
+# width lets the build elide it; a constant one is none.
+DYNAMIC_SELECTS = """
+module dyn (input [7:0] w, input [2:0] i, input [3:0] j, output y,
+            output [3:0] z, output [1:0] p, output q);
+  assign y = w[i];
+  assign z = w[j +: 4];
+  assign p = w[3:2];
+  assign q = w[5];
+endmodule
+"""
+
+
+def test_the_sink_rule_knows_which_assigns_carry_a_hook(pgas2_netlist_library):
+    """The rule that keeps a hooked value in place reads the hooks off
+    the expression; it agrees with the generator's own count of the
+    sites it writes for each continuous assign alone (``site_count``),
+    on the mesh, ``GUARDED_POISON`` and every example design."""
+    _, mesh, _ = pgas2_netlist_library
+    netlists = [mesh, elaborate(parse(GUARDED_POISON), "top"),
+                elaborate(parse(DYNAMIC_SELECTS), "dyn")]
+    for path in sorted(DESIGNS.glob("*.v")):
+        source = path.read_text()
+        netlists.extend(elaborate(parse(source), top)
+                        for top in parse(source).modules)
+    hooked = 0
+    for netlist in netlists:
+        for ir in netlist.modules.values():
+            compiler = _ModuleCompiler(ir, netlist, BuildConfig(sanitize=True))
+            for index, assign in enumerate(ir.comb_assigns):
+                sites = site_count(ir, netlist, ("assign", index))
+                assert compiler._hooked(assign) == (sites > 0), (
+                    ir.key, assign.defines)
+                hooked += sites > 0
+    assert hooked > 20
 
 
 # ---------------------------------------------------------------------------
