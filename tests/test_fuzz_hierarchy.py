@@ -187,33 +187,34 @@ def stimulus(draw):
     ))
 
 
-BUILDS = {
-    "clean": BuildConfig(),
-    "opt=full": BuildConfig(opt="full"),
-    "sanitize=report": BuildConfig(sanitize=True),
-}
-
-
-def shared_pipe(source: str, build: BuildConfig) -> Pipe:
+def agree_with_flatgen(source, stim, build: BuildConfig = BuildConfig()):
     netlist = elaborate(parse(source), "top")
     runtime = SanitizerRuntime("report") if build.sanitize else None
-    return Pipe(netlist.top, compile_netlist(netlist, build, runtime))
+    shared = Pipe(netlist.top, compile_netlist(netlist, build, runtime))
+    flat_code = compile_flat(elaborate(parse(source), "top"))
+    flat = Pipe(flat_code.key, {flat_code.key: flat_code})
+    for inputs in stim:
+        for pipe in (shared, flat):
+            pipe.set_inputs(**inputs)
+        assert shared.eval() == flat.eval(), source
+        shared.tick()
+        flat.tick()
 
 
 class TestHierarchyFuzz:
-    @pytest.mark.parametrize("build", list(BUILDS.values()), ids=list(BUILDS))
     @given(source=random_design(), stim=stimulus())
     @settings(max_examples=40, deadline=None)
-    def test_pygen_and_flatgen_agree_cycle_by_cycle(self, build, source, stim):
-        shared = shared_pipe(source, build)
-        flat_code = compile_flat(elaborate(parse(source), "top"))
-        flat = Pipe(flat_code.key, {flat_code.key: flat_code})
-        for inputs in stim:
-            for pipe in (shared, flat):
-                pipe.set_inputs(**inputs)
-            assert shared.eval() == flat.eval(), source
-            shared.tick()
-            flat.tick()
+    def test_pygen_and_flatgen_agree_cycle_by_cycle(self, source, stim):
+        agree_with_flatgen(source, stim)
+
+    @pytest.mark.parametrize("build", [
+        BuildConfig(opt="full"), BuildConfig(sanitize=True),
+    ], ids=["opt=full", "sanitize=report"])
+    @given(source=random_design(), stim=stimulus())
+    @settings(max_examples=40, deadline=None)
+    def test_optimized_and_sanitized_builds_agree_with_flatgen(
+            self, build, source, stim):
+        agree_with_flatgen(source, stim, build)
 
     @given(source=random_design(), stim=stimulus())
     @settings(max_examples=40, deadline=None)
