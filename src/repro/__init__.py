@@ -107,10 +107,9 @@ def compile_design(
 
     Returns ``(netlist, library)``; build a runnable UUT with
     ``Pipe(netlist.top, library)``.  Compilation is the
-    :mod:`repro.passes` pipeline; ``opt`` above ``"none"`` turns on
-    constant propagation and dead-logic elimination (``"full"`` adds
-    pure-subtree skips) — bit-identical to the plain build by
-    construction.
+    :mod:`repro.passes` pipeline; ``opt="full"`` turns on constant
+    propagation, dead-logic elimination and pure-subtree skips —
+    bit-identical to the plain build by construction.
     """
     from .codegen import BuildConfig
     from .hdl import elaborate, parse

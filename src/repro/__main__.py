@@ -46,6 +46,7 @@ import sys
 from typing import List, Optional
 
 from . import obs
+from .codegen.build import OPT_LEVELS
 from .hdl.errors import HDLError
 from .live.commands import CommandError, CommandInterpreter
 from .live.session import LiveSession
@@ -75,12 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
                              "modules are persisted here and reused "
                              "across runs (and by the repro.server "
                              "service) instead of recompiling")
-    parser.add_argument("--opt", choices=("none", "basic", "full"),
+    parser.add_argument("--opt", choices=OPT_LEVELS,
                         default="none",
                         help="optimization level for generated code "
-                             "(constant propagation, dead-logic "
-                             "elimination; full adds pure-subtree "
-                             "skips). Toggle live with the `opt` verb")
+                             "(full: constant propagation, dead-logic "
+                             "elimination, pure-subtree skips). Toggle "
+                             "live with the `opt` verb")
     return parser
 
 

@@ -43,8 +43,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..hdl import ast_nodes as ast
-from ..hdl.consteval import expr_reads
+from ..ir.dataflow import signal_reads
 from ..ir.netlist import ModuleIR, Netlist
+from ..ir.schedule import components
 from .diagnostics import (
     QUOTE,
     SEVERITY_ERROR,
@@ -349,115 +350,73 @@ class ConstantConditionCheck(Check):
 
 
 class CombLoopCheck(Check):
-    """Find combinational cycles and report the signal path.
+    """Report each combinational cycle with its signal path.
 
-    Builds the signal-level view of the graph the scheduler condenses:
-    an edge ``a -> b`` when some combinational unit reads ``a`` to
-    produce ``b``.  Registered signals, memories, and early-bound
-    instance outputs (state-sourced by construction) break paths, like
-    they do for scheduling.  Instance edges use the child's per-output
-    ``output_deps`` so a registered or input-independent child output
-    never manufactures a false loop: every cycle found lies on one of
-    the scheduler's loops (``ModuleIR.loops``), whose units an
-    instance may join through an output off the cycle.
+    Searches only inside the scheduler's loops (``ModuleIR.loops``).
+    Within one, an edge ``a -> b`` means the unit driving ``a`` reads
+    ``b``, by :func:`repro.ir.dataflow.signal_reads`: a child output
+    reads only what its ``output_deps`` inputs' connections read, so a
+    registered or early-bound output reads nothing.  Each strongly
+    connected component of those edges that has a cycle is one finding.
+    A loop need not hold one: an instance joins it through any input
+    that reaches some output, and a loop whose cycle runs through an
+    output that does not read that input has no finding.
+
+    The path is the shortest cycle through the component's smallest
+    signal, ties to the smaller successor, so it depends on the loop
+    alone (it is part of the finding's gate identity).
     """
 
     name = "comb-loop"
     severity = SEVERITY_ERROR
 
     def run(self, ir: ModuleIR, ctx: CheckContext) -> List[Diagnostic]:
-        broken = {
-            name
-            for name, sig in ir.signals.items()
-            if sig.state_index is not None or sig.kind == "input"
-        }
-        broken |= set(ir.memories)
-        broken |= {target for _, _, target in ir.early_bind}
-
-        # signal -> (defining line, set of comb source signals)
-        edges: Dict[str, Tuple[int, Set[str]]] = {}
-
-        def add(target: str, line: int, reads: Set[str]) -> None:
-            if target in broken:
-                return
-            sources = {r for r in reads if r not in broken}
-            old_line, old_sources = edges.get(target, (line, set()))
-            edges[target] = (old_line or line, old_sources | sources)
-
-        for assign in ir.comb_assigns:
-            add(assign.defines, assign.line, set(assign.reads))
-        for block in ir.comb_blocks:
-            for name in block.defines:
-                add(name, block.line, set(block.reads))
-        for index, inst in enumerate(ir.instances):
-            child = ctx.child(inst.child_key)
-            registered = set(inst.registered_ports)
-            early = {
-                port for i, port, _ in ir.early_bind if i == index
-            }
-            for port, target in inst.output_conns.items():
-                if port in registered or port in early:
-                    continue
-                reads: Set[str] = set()
-                for child_input in child.output_deps.get(port, set()):
-                    expr = inst.input_conns.get(child_input)
-                    if expr is not None:
-                        reads |= expr_reads(expr)
-                add(target, inst.line, reads)
-
-        return self._find_cycles(ir, edges)
-
-    def _find_cycles(
-        self, ir: ModuleIR, edges: Dict[str, Tuple[int, Set[str]]]
-    ) -> List[Diagnostic]:
-        # Iterative DFS with an explicit stack; one diagnostic per
-        # distinct cycle entry signal (the first signal of the cycle in
-        # DFS order), so a single loop is reported once.
         out: List[Diagnostic] = []
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: Dict[str, int] = {}
-        reported: Set[frozenset] = set()
-
-        for root in sorted(edges):
-            if color.get(root, WHITE) != WHITE:
-                continue
-            stack: List[Tuple[str, List[str]]] = [
-                (root, sorted(edges.get(root, (0, set()))[1]))
-            ]
-            trail: List[str] = [root]
-            color[root] = GREY
-            while stack:
-                node, pending = stack[-1]
-                if not pending:
-                    color[node] = BLACK
-                    stack.pop()
-                    trail.pop()
-                    continue
-                succ = pending.pop(0)
-                state = color.get(succ, WHITE)
-                if state == GREY:
-                    cycle = trail[trail.index(succ):] + [succ]
-                    cycle_set = frozenset(cycle)
-                    if cycle_set not in reported:
-                        reported.add(cycle_set)
-                        line = min(
-                            (edges[s][0] for s in cycle_set if s in edges),
-                            default=0,
-                        )
-                        out.append(self.diag(
-                            COMB_LOOP, ir,
-                            "combinational loop through "
-                            + " -> ".join(cycle),
-                            line,
-                            path=tuple(cycle),
-                        ))
-                elif state == WHITE and succ in edges:
-                    color[succ] = GREY
-                    trail.append(succ)
-                    stack.append(
-                        (succ, sorted(edges.get(succ, (0, set()))[1]))
-                    )
+        items = {"assign": ir.comb_assigns, "block": ir.comb_blocks,
+                 "inst": ir.instances}
+        for units in ir.loops:
+            reads: Dict[str, Set[str]] = {}
+            lines: Dict[str, int] = {}
+            for unit in units:
+                line = items[unit[0]][unit[1]].line
+                for name, names in signal_reads(ir, unit, ctx.child):
+                    reads.setdefault(name, set()).update(names)
+                    lines[name] = lines.get(name) or line
+            succs = {name: sorted(reads.keys() & names)
+                     for name, names in reads.items()}
+            component = components(sorted(succs), succs)
+            groups: Dict[str, List[str]] = {}
+            for name in sorted(succs):
+                groups.setdefault(component[name], []).append(name)
+            for start, *rest in groups.values():
+                if rest or start in succs[start]:
+                    cycle = _shortest_cycle(start, succs)
+                    out.append(self.diag(
+                        COMB_LOOP, ir,
+                        "combinational loop through " + " -> ".join(cycle),
+                        min(lines[name] for name in cycle),
+                        path=cycle,
+                    ))
         return out
+
+
+def _shortest_cycle(
+    start: str, succs: Dict[str, List[str]]
+) -> Tuple[str, ...]:
+    """The shortest cycle through ``start`` (which lies on one),
+    breadth first over sorted successors."""
+    parent = {start: start}
+    queue = [start]
+    for node in queue:
+        for succ in succs[node]:
+            if succ == start:
+                path = [node]
+                while path[-1] != start:
+                    path.append(parent[path[-1]])
+                return (*reversed(path), start)
+            if succ not in parent:
+                parent[succ] = node
+                queue.append(succ)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from .. import obs
 
-OPT_LEVELS = ("none", "basic", "full")
+OPT_LEVELS = ("none", "full")
 MUX_STYLES = ("branch", "select")
 
 # Folded into every digest, so bumping it (whenever the pickled payload

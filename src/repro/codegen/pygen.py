@@ -22,12 +22,16 @@ A cycle is two walks of the instance tree, through two entry points:
   ``cycle``, then commits its own pending state and drops the memo
   (the clock edge, on the way back up).
 
-Each combinational unit is evaluated at most once per cycle, and only
-on a path that reads it.  A continuous assign every read of which sits
-in a guarded position of its function (an ``if`` / ``case`` arm, a
-``?:`` arm, the right operand of ``&&`` / ``||``), no two on one path,
-is written at each read instead of at its schedule position, as the
-code it would have assigned (:mod:`repro.codegen.sinking`, "mux
+Each combinational unit is emitted once, in one of the two functions,
+and runs only on a path that reads it.  That is not once per cycle: a
+comb loop's step repeats until it settles, and a child's ``eval_out``
+body runs again on each memo miss (an early-bind prepass, then the
+call with the real arguments, then ``cycle``'s refresh), so a child
+can run its body several times a cycle.  A continuous assign every
+read of which sits in a guarded position of its function (an ``if`` /
+``case`` arm, a ``?:`` arm, the right operand of ``&&`` / ``||``), no
+two on one path, is written at each read instead of at its schedule
+position, as the code it would have assigned (:mod:`repro.codegen.sinking`, "mux
 shadowing"): a decoder's immediates are built in the arms that use
 them.  Ports, the stash, child arguments, comb loops and code that
 carries a sanitizer hook stay where the schedule puts them, so the

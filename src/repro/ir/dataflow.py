@@ -25,10 +25,37 @@ router).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from ..hdl.consteval import expr_reads
-from .netlist import ModuleIR
+from .netlist import ModuleIR, UnitId
+
+
+def signal_reads(
+    ir: ModuleIR, unit: UnitId, child_lookup: Callable[[str], ModuleIR]
+) -> List[Tuple[str, Iterable[str]]]:
+    """(signal, the names it reads) for each signal schedule ``unit``
+    drives.  A child output reads what the connections of its
+    ``output_deps`` inputs read, so a registered or dependency-free
+    output reads nothing."""
+    kind, index = unit
+    if kind == "assign":
+        assign = ir.comb_assigns[index]
+        return [(assign.defines, assign.reads)]
+    if kind == "block":
+        block = ir.comb_blocks[index]
+        return [(name, block.reads) for name in block.defines]
+    inst = ir.instances[index]
+    child = child_lookup(inst.child_key)
+    return [
+        (target, {
+            name
+            for child_input in child.output_deps.get(port, set())
+            if child_input in inst.input_conns
+            for name in expr_reads(inst.input_conns[child_input])
+        })
+        for port, target in inst.output_conns.items()
+    ]
 
 
 def compute_signal_deps(
@@ -50,39 +77,15 @@ def compute_signal_deps(
     for name in ir.memories:
         deps[name] = set()
 
-    def deps_of_reads(reads) -> Set[str]:
-        result: Set[str] = set()
-        for read in reads:
-            result |= deps.get(read, set())
-        return result
-
-    def unit_deps(kind: str, index: int) -> Iterable[Tuple[str, Set[str]]]:
-        """(signal, the input dependencies this unit gives it)."""
-        if kind == "assign":
-            assign = ir.comb_assigns[index]
-            return [(assign.defines, deps_of_reads(assign.reads))]
-        if kind == "block":
-            block = ir.comb_blocks[index]
-            new = deps_of_reads(block.reads)
-            return [(name, new) for name in block.defines]
-        inst = ir.instances[index]
-        child = child_lookup(inst.child_key)
-        return [
-            (target, deps_of_reads(
-                name
-                for child_input in child.output_deps.get(port, set())
-                if child_input in inst.input_conns
-                for name in expr_reads(inst.input_conns[child_input])
-            ))
-            for port, target in inst.output_conns.items()
-        ]
-
     for units, is_loop in ir.steps:
         moved = True
         while moved:
             moved = False
             for unit in units:
-                for name, new in unit_deps(*unit):
+                for name, reads in signal_reads(ir, unit, child_lookup):
+                    new: Set[str] = set()
+                    for read in reads:
+                        new |= deps.get(read, set())
                     known = deps.setdefault(name, set())
                     moved |= is_loop and not new <= known
                     known |= new

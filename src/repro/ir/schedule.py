@@ -2,7 +2,8 @@
 
 Orders a module's evaluation units — continuous assigns, comb always
 blocks, and child instances — so that a single evaluation pass computes
-every combinational value exactly once.
+every combinational value once, apart from the loops below, which
+repeat until they settle.
 
 Three mechanisms keep real designs acyclic at this granularity:
 
@@ -15,7 +16,12 @@ Three mechanisms keep real designs acyclic at this granularity:
   the cycles get their *dependency-free* outputs early-bound via a
   zero-argument prepass call, and the affected edges dissolve.
 
-What cycles survive all three are genuine combinational loops.
+What cycles survive all three are the scheduler's loops.  Every
+genuine combinational loop lies in one, but a loop need not hold one:
+an instance joins it through any input that reaches some output, even
+when the output that closes the cycle reads another input
+(:class:`repro.analyze.checks.CombLoopCheck` searches each loop's
+signals, with :func:`components`, for the real cycles).
 :func:`toposort` orders the condensation of the unit graph, so each
 loop (a strongly connected component, or a unit that reads its own
 define) is one step of the order (``ModuleIR.steps``), which the
@@ -35,7 +41,9 @@ from .netlist import ModuleIR, UnitId
 U = TypeVar("U", bound=Hashable)
 
 
-def _components(units: Sequence[U], deps: Mapping[U, Set[U]]) -> Dict[U, U]:
+def components(
+    units: Sequence[U], deps: Mapping[U, Iterable[U]]
+) -> Dict[U, U]:
     """Tarjan's strongly connected components, iteratively: unit -> the
     unit its component was found from."""
     index: Dict[U, int] = {}
@@ -81,7 +89,7 @@ def toposort(
     deps: Dict[U, Set[U]] = {
         u: {producer[n] for n in reads[u] if n in producer} for u in units
     }
-    component = _components(units, deps)
+    component = components(units, deps)
     groups: Dict[U, List[U]] = {}
     for unit in units:
         groups.setdefault(component[unit], []).append(unit)

@@ -19,7 +19,7 @@ plus session conveniences beyond Table I::
     lint [pipe-name]            static analysis findings (repro.analyze)
     san [off|report|trap]       toggle the runtime sanitizer / show
                                 mode + per-check hit counters
-    opt [none|basic|full]       switch the optimization level (a hot
+    opt [none|full]             switch the optimization level (a hot
                                 recompile + swap, state preserved) /
                                 show level + pass order
     verify pipe-name [, workers]   start a background verification
@@ -231,7 +231,7 @@ class CommandInterpreter:
         return self._session.set_sanitize(operands[0].lower())
 
     def _opt(self, operands: List[str]):
-        self._need(operands, 0, 1, "opt [none|basic|full]")
+        self._need(operands, 0, 1, "opt [none|full]")
         if not operands:
             return self._session.opt_status()
         return self._session.set_opt(operands[0].lower())

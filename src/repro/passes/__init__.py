@@ -59,8 +59,8 @@ __all__ = [
 
 
 class _Optimizing(Pass):
-    """A pass of :mod:`repro.passes.optimize`, which the first build
-    above ``opt=none`` loads; at ``none`` each leaves the plans empty."""
+    """A pass of :mod:`repro.passes.optimize`, which the first build at
+    ``opt=full`` loads; at ``none`` each leaves the plans empty."""
 
     def __init__(self, name: str, pass_class: str):
         self.name, self._pass_class = name, pass_class

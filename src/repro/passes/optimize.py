@@ -5,8 +5,8 @@ All three are *facts-only*: they never mutate the shared ModuleIR.
 Their conclusions are one :class:`~repro.codegen.optplan.OptPlan` per
 module in ``PassData.plans``, which codegen compiles under: constprop
 starts it from the module's own assigns (no plan at ``opt=none``),
-deadlogic fills in the dead units, and sensitivity (``opt=full``) the
-skippable children from ``pure`` or, in a sanitized build, ``san_free``.
+deadlogic fills in the dead units, and sensitivity the skippable
+children from ``pure`` or, in a sanitized build, ``san_free``.
 
 Per-module results go through :meth:`PassData.cached` — the session's
 derived cache under the module identity (spec, fingerprint) plus each
@@ -58,22 +58,20 @@ class ConstPropPass(Pass):
 
     Starts ``PassData.plans``: key -> an :class:`OptPlan` whose
     ``consts`` maps signal name to its value already masked to the
-    declared width.  Active at every opt level above ``none`` (including
-    under sanitize: substitution only replaces *wire* reads, which carry
-    no poison, and the driving assign keeps its trunc instrumentation).
+    declared width.  Active at ``opt=full`` (including under sanitize:
+    substitution only replaces *wire* reads, which carry no poison, and
+    the driving assign keeps its trunc instrumentation).
     Folding is syntactic: it reads no value facts.
     """
 
     name = "constprop"
 
     def run(self, data: PassData) -> None:
-        plans: Dict[str, OptPlan] = {}
-        if data.build.opt != "none":
-            for key, ir in data.netlist.modules.items():
-                plans[key] = data.cached(
-                    self.name, key, (), lambda: self._find_consts(ir),
-                )
-        data.plans = plans
+        data.plans = {
+            key: data.cached(self.name, key, (),
+                             lambda: self._find_consts(ir))
+            for key, ir in data.netlist.modules.items()
+        }
 
     @staticmethod
     def _find_consts(ir: ModuleIR) -> OptPlan:
@@ -189,21 +187,20 @@ class DeadLogicPass(Pass):
 
 
 class SensitivityPrunePass(Pass):
-    """opt=full only: mark pure child subtrees, whose ``cycle`` call a
-    parent can elide entirely (the plan's ``skip_children``).  Under
-    sanitize the skip additionally requires the child subtree to be
-    instrumentation-free: ``san_free``, a subset of ``pure``.
+    """Mark pure child subtrees, whose ``cycle`` call a parent can elide
+    entirely (the plan's ``skip_children``).  Under sanitize the skip
+    additionally requires the child subtree to be instrumentation-free:
+    ``san_free``, a subset of ``pure``.
 
     (The pass used to emit per-block input-change guards as well, to
     skip re-evaluating a comb block in the sequential half; since every
-    comb unit is evaluated once per cycle there is nothing to skip.)
+    comb unit is emitted in only one of ``eval_out`` and ``cycle`` there
+    is nothing to skip.)
     """
 
     name = "sensitivity"
 
     def run(self, data: PassData) -> None:
-        if data.build.opt != "full":
-            return
         skippable = data.san_free if data.build.sanitize else data.pure
         # A dict walk over facts already computed: cheaper than the
         # cache probe per module the other passes are worth.

@@ -44,7 +44,6 @@ class TestModuleKey:
         replace(KEY, child_fps=()),
         replace(KEY, build=replace(BUILD, mux_style="select")),
         replace(KEY, build=replace(BUILD, sanitize=False)),
-        replace(KEY, build=replace(BUILD, opt="basic")),
         replace(KEY, build=replace(BUILD, opt="full")),
         replace(KEY, build=replace(BUILD, san_elide=False)),
     ])

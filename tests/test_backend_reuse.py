@@ -229,7 +229,7 @@ def test_lowered_items_are_never_mutated():
             for item in _items(ir):
                 snapshots.append((item, deepcopy(item)))
         for build in (BuildConfig(sanitize=True, opt="full"),
-                      BuildConfig(opt="basic")):
+                      BuildConfig(opt="full")):
             compile_netlist(netlist, build, SanitizerRuntime(mode="report"))
     assert all(item == copy for item, copy in snapshots)
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.baseline import BaselineCompiler
-from repro.codegen.build import BuildConfig
+from repro.codegen.build import OPT_LEVELS, BuildConfig
 from repro.codegen.pygen import STACK_ITEMS, packs
 from repro.hdl import elaborate, parse
 from repro.live.session import LiveSession
@@ -71,7 +71,7 @@ def test_no_generated_code_takes_a_slow_path(sanitize):
     designs = 0
     for name, source, top in _designs():
         netlist = elaborate(parse(source), top)
-        for opt in ("none", "basic", "full"):
+        for opt in OPT_LEVELS:
             runtime = SanitizerRuntime("report") if sanitize else None
             library = compile_netlist(
                 netlist, BuildConfig(sanitize=sanitize, opt=opt), runtime

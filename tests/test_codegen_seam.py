@@ -255,13 +255,13 @@ class TestSourceDigestsTool:
     def test_rows_are_well_formed_and_repeatable(self):
         module = _digests_tool()
         rows = module.rows(["counter.v"])
-        # Three modules as tops, nine flavours and the flat baseline each.
-        assert len(rows) == 30
+        # Three modules as tops, six flavours and the flat baseline each.
+        assert len(rows) == 21
         for row in rows:
             design, san, elide, opt, digest, sites, elided, lines = row.split()
             assert design.startswith("counter.v:")
             assert san in ("clean", "san") and elide in ("elide", "noelide", "inline")
-            assert opt in ("none", "basic", "full")
+            assert opt in ("none", "full")
             assert elide != "inline" or (san, opt) == ("clean", "none")
             assert len(digest) == 16 and int(digest, 16) >= 0
             assert san == "san" or sites == "0"
@@ -277,7 +277,7 @@ class TestSourceDigestsTool:
         module = _digests_tool()
         text = module.rows(["counter.v"])
         syntax = module.rows(["counter.v"], syntax=True)
-        assert len(syntax) == len(text) == 30
+        assert len(syntax) == len(text) == 21
         for by_text, by_syntax in zip(text, syntax):
             a, b = by_text.split(), by_syntax.split()
             # Another digest, the same design, flavour, counts and lines.

@@ -14,7 +14,10 @@ EXAMPLES = [
     "debug_riscv_bug.py",
     "regression_and_waves.py",
     "multicore_pgas.py",
+    "paper_artifacts.py",
 ]
+# The paper's evaluation runs on the two smallest meshes only.
+ARGS = {"paper_artifacts.py": ["1,2"]}
 
 
 @pytest.mark.parametrize("script", EXAMPLES)
@@ -24,7 +27,7 @@ def test_example_runs(script):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, str(ROOT / "examples" / script)],
+        [sys.executable, str(ROOT / "examples" / script), *ARGS.get(script, [])],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -339,7 +339,7 @@ class TestRejectedEdit:
         assert session.compiler.design.modules == parse(PAIR_SRC).modules
         # Rebuilds of the unchanged source must not pick up the half of
         # the edit that parsed.
-        session.set_opt("basic")
+        session.set_opt("full")
         assert pipe.eval()["y"] == 11
         session.set_sanitize("report")
         assert pipe.eval()["y"] == 11
@@ -723,7 +723,7 @@ class TestCacheManagement:
         # Sanitized, where the value facts are computed: none of them
         # is a key component.
         source = MODE_SRC
-        compiler = LiveCompiler(source, build=BuildConfig(opt="basic",
+        compiler = LiveCompiler(source, build=BuildConfig(opt="full",
                                                           sanitize=True))
         elaborated = metrics.counter("elaborate.cache_misses")
         assert missed(source) == (["leaf", "top"], [2, 0, 0])
@@ -770,17 +770,17 @@ class TestCacheManagement:
         assert leaf() == (3, ["mux select is provably always false (= 0x0)"])
 
     def test_bound_keeps_every_flavour_of_the_live_generation(self):
-        """The six sanitize x opt flavours of an un-edited design are
-        one generation each, not six generations of one spec."""
+        """The four sanitize x opt flavours of an un-edited design are
+        one generation each, not four generations of one spec."""
         session = LiveSession(TWO_MODULE_SRC)
         session.inst_pipe("p0", session.stage_handle_for("top"))
         for mode in ("report", "off"):
-            for level in ("basic", "full", "none"):
+            for level in ("full", "none"):
                 session.set_sanitize(mode)
                 session.set_opt(level)
-        assert session.compiler.cache_size() == 2 * 6
+        assert session.compiler.cache_size() == 2 * 4
         for mode in ("report", "off"):
-            for level in ("basic", "full", "none"):
+            for level in ("full", "none"):
                 assert session.set_sanitize(mode)["recompiled_keys"] == []
                 assert session.set_opt(level)["recompiled_keys"] == []
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro import BuildConfig, Pipe, compile_design
-from repro.codegen.build import ModuleKey
+from repro.codegen.build import OPT_LEVELS, ModuleKey
 from repro.hdl import elaborate, parse
 from repro.hdl.errors import SimulationError
 from repro.live.commands import CommandInterpreter
@@ -99,7 +99,7 @@ def run_with_unwritten_fields(passes, netlist, build):
 
 BUILDS = [
     BuildConfig(opt=opt, sanitize=sanitize)
-    for opt in ("none", "basic", "full")
+    for opt in OPT_LEVELS
     for sanitize in (False, True)
 ]
 
@@ -190,7 +190,7 @@ endmodule
 class TestOptimizationPasses:
     def test_constprop_and_dead_logic_shrink_generated_code(self):
         _, plain = compile_design(CONST_SRC, "m")
-        _, opt = compile_design(CONST_SRC, "m", opt="basic")
+        _, opt = compile_design(CONST_SRC, "m", opt="full")
         (plain_mod,) = plain.values()
         (opt_mod,) = opt.values()
         # The constant wire folds into its use and both the constant
@@ -198,11 +198,11 @@ class TestOptimizationPasses:
         assert "v_unused" not in opt_mod.source
         assert "v_unused" in plain_mod.source
         assert len(opt_mod.source) < len(plain_mod.source)
-        assert opt_mod.build.opt == "basic"
+        assert opt_mod.build.opt == "full"
 
-    def test_basic_opt_bit_exact_on_const_design(self):
+    def test_full_opt_bit_exact_on_const_design(self):
         plain_netlist, plain_lib = compile_design(CONST_SRC, "m")
-        opt_netlist, opt_lib = compile_design(CONST_SRC, "m", opt="basic")
+        opt_netlist, opt_lib = compile_design(CONST_SRC, "m", opt="full")
         plain = Pipe(plain_netlist.top, plain_lib)
         opt = Pipe(opt_netlist.top, opt_lib)
         for a in (0, 1, 5, 0x80, 0xFF):
@@ -211,8 +211,9 @@ class TestOptimizationPasses:
             assert plain.eval() == opt.eval()
 
     def test_opt_levels_share_one_state_layout(self):
-        """Every comb unit runs once per cycle, so there is nothing for
-        an input-change guard to skip: opt=full adds no state slots."""
+        """Every comb unit is emitted in one of ``eval_out`` and
+        ``cycle``, so there is nothing for an input-change guard to
+        skip: opt=full adds no state slots."""
         _, plain = compile_design(GUARD_SRC, "m")
         _, full = compile_design(GUARD_SRC, "m", opt="full")
         (plain_mod,), (full_mod,) = plain.values(), full.values()
@@ -325,16 +326,15 @@ module top (input clk, input [7:0] a, output [7:0] y);
 endmodule
 """
 
-    @pytest.mark.parametrize("opt", ["basic", "full"])
     @pytest.mark.parametrize("before,after", [
         ("4'd0", "a[3:0]"), ("a[3:0]", "4'd0"), ("4'd0", "4'd2"),
     ])
     def test_parent_only_edit_recompiles_only_the_parent(
-        self, opt, before, after
+        self, before, after
     ):
         source = self.MODE_SRC.replace(".mode(4'd0)", f".mode({before})")
         edited = self.MODE_SRC.replace(".mode(4'd0)", f".mode({after})")
-        session = LiveSession(source, checkpoint_interval=2, opt=opt)
+        session = LiveSession(source, checkpoint_interval=2, opt="full")
         session.inst_pipe("p0", session.stage_handle_for("top"))
         tb = session.load_testbench(hold_inputs(a=1))
         session.run(tb, "p0", 3)
@@ -342,7 +342,7 @@ endmodule
         assert session.version == report.version != "1.0"
         session.run(tb, "p0", 3)
 
-        netlist, library = compile_design(edited, "top", opt=opt)
+        netlist, library = compile_design(edited, "top", opt="full")
         fresh = Pipe(netlist.top, library)
         fresh.step(6, driver=lambda pipe: pipe.set_inputs(a=1))
         assert session.pipe("p0").outputs() == fresh.eval()
@@ -358,7 +358,7 @@ class TestDataflowCacheMatrix:
 
     MATRIX = [
         (opt, sanitize)
-        for opt in ("none", "basic", "full")
+        for opt in OPT_LEVELS
         for sanitize in ("off", "report")
     ]
 
@@ -421,7 +421,7 @@ class TestDataflowCacheMatrix:
 
     @pytest.mark.parametrize("sanitize", ["off", "report"])
     def test_facts_ride_cache_when_only_opt_level_toggles(self, sanitize):
-        session, tb = self._session("basic", sanitize)
+        session, tb = self._session("none", sanitize)
         session.run(tb, "p0", 4)
         result = session.set_opt("full")
         assert result["level"] == "full"
@@ -467,8 +467,8 @@ class TestLiveOptToggle:
         assert session.pipe("p0").outputs()["c0"] == 8
 
     def test_noop_toggle_recompiles_nothing(self):
-        session, _ = self._session(opt="basic")
-        result = session.set_opt("basic")
+        session, _ = self._session(opt="full")
+        result = session.set_opt("full")
         assert result["recompiled_keys"] == []
 
     def test_set_build_crosses_both_axes_in_one_compile_and_swap(
@@ -528,4 +528,4 @@ class TestLiveOptToggle:
     def test_opt_status_lists_levels(self):
         session, _ = self._session()
         status = session.opt_status()
-        assert tuple(status["levels"]) == ("none", "basic", "full")
+        assert tuple(status["levels"]) == ("none", "full")

@@ -496,6 +496,18 @@ class TestAFailedRehydrateChangesNothing:
         journal.append({"op": "line", "line": "instPipe b0, stage99"})
         self._refused(tmp_path, path, good, "stage99")
 
+    @pytest.mark.parametrize("level", ["basic", "turbo"])
+    def test_a_journal_line_naming_an_unknown_opt_level(self, tmp_path,
+                                                        level):
+        # ``basic`` was a level once; a journal written then is refused
+        # like any other unknown level.
+        self._persisted(str(tmp_path))
+        journal = SessionJournal(str(tmp_path), "s")
+        path = tmp_path / os.path.basename(journal.path)
+        good = path.read_bytes()
+        journal.append({"op": "line", "line": f"opt {level}"})
+        self._refused(tmp_path, path, good, f"unknown opt level '{level}'")
+
     def test_a_checkpoint_file_cut_to_100_bytes(self, tmp_path):
         self._persisted(str(tmp_path))
         (ckpt,) = [p for p in tmp_path.iterdir() if p.suffix == ".ckpt"]

@@ -865,7 +865,7 @@ class TestAncestorsReadOutputs:
         cache answers equals a cold run over the same netlist.  (A
         sanitized build: the only one whose compile runs dataflow.)"""
         top = mesh_top_name(2)
-        compiler = LiveCompiler(MESH, build=BuildConfig(opt="basic",
+        compiler = LiveCompiler(MESH, build=BuildConfig(opt="full",
                                                         sanitize=True))
         analyzer = Analyzer(compiler.cache)
         analyzer.analyze_netlist(compiler.compile_top(top).netlist,

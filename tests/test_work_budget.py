@@ -54,7 +54,7 @@ BUDGET = {
     "cycle.2x2.lines": 1428.7,
     "cycle.4x4.lines": 5711.5,
     "setup.modules": 58,
-    "setup.lines": 16_443,
+    "setup.lines": 16_416,
     "setup.dataclasses": 52,
     "codegen.lines.mesh2x2": 592,
     "codegen.lines.mesh4x4": 712,

@@ -10,7 +10,7 @@ per design and build flavour::
 Designs: the 2x2 and 4x4 PGAS mesh, every ``repro.riscv.patches``
 variant of the 2x2, and every module of ``examples/designs/*.v`` as a
 top.  Flavours: clean, sanitized with and without ``san_elide``, each
-at ``opt=none|basic|full``, and the flat baseline
+at ``opt=none|full``, and the flat baseline
 (:func:`repro.codegen.flatgen.compile_flat`, the ``inline`` mode of
 ``repro.baseline``: a ``clean inline none`` row), so a change to the
 scheduler both generators share is checked in both.  ``digest`` hashes
@@ -43,7 +43,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 FLAVOURS = [(False, True)] + [(True, elide) for elide in (True, False)]
-OPTS = ("none", "basic", "full")
+OPTS = ("none", "full")
 
 
 def designs(only: Optional[Sequence[str]]) -> Iterator[Tuple[str, str, str]]:
