@@ -139,6 +139,16 @@ outputs p0
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("opt", ["basic", "turbo"])
+    def test_main_refuses_an_unknown_opt_level(self, design_file, opt,
+                                               capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([str(design_file), "--opt", opt])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{opt}'" in err
+        assert "'none', 'full'" in err
+
     def test_server_refuses_a_non_positive_checkpoint_interval(self, capsys):
         from repro.server.__main__ import main as server_main
 
