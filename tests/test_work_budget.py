@@ -14,6 +14,10 @@ A wall-clock bound cannot see a few per cent; a count can.  Each row of
   generated code per clean cycle of the 2x2 and 4x4 mesh, over 20
   cycles after cycle 200 of livebench's boot testbench: how many
   statements the kernel runs, not how long they take.
+- ``entries.4x4.<module>.<entry>``: the calls per clean 4x4 mesh cycle
+  into each generated function (``sys.settrace`` ``call`` events), by
+  module name and function name, over the same 20 cycles: how often
+  each entry point is entered, the calling protocol's share of a cycle.
 - ``setup.*``: the ``repro`` modules, their source lines and the
   ``@dataclass`` classes they define that the live loop (set-up, run,
   peek and one edit; ``test_public_api.LIVE_LOOP_SCRIPT``) loads up to
@@ -53,6 +57,26 @@ BUDGET = {
     "cycle.2x2.watched": 9,
     "cycle.2x2.lines": 1428.7,
     "cycle.4x4.lines": 5711.5,
+    "entries.4x4.pgas_mesh_4x4.cycle": 1,
+    "entries.4x4.pgas_mesh_4x4.eval_out": 1,
+    "entries.4x4.pgas_node.cycle": 16,
+    "entries.4x4.pgas_node.eval_out": 16,
+    "entries.4x4.ring_stop.cycle": 16,
+    "entries.4x4.ring_stop.eval_out": 32,
+    "entries.4x4.rv_core.cycle": 16,
+    "entries.4x4.rv_core.eval_out": 16,
+    "entries.4x4.rv_ex.cycle": 16,
+    "entries.4x4.rv_ex.eval_out": 16,
+    "entries.4x4.rv_id.cycle": 16,
+    "entries.4x4.rv_id.eval_out": 16,
+    "entries.4x4.rv_if.cycle": 16,
+    "entries.4x4.rv_if.eval_out": 16,
+    "entries.4x4.rv_mem.cycle": 16,
+    "entries.4x4.rv_mem.eval_out": 32,
+    "entries.4x4.rv_memory.cycle": 16,
+    "entries.4x4.rv_memory.eval_out": 16,
+    "entries.4x4.rv_wb.cycle": 16,
+    "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 58,
     "setup.lines": 16_416,
     "setup.dataclasses": 52,
@@ -148,6 +172,43 @@ def test_a_clean_mesh_cycle_stays_within_its_line_budget():
         tb.run(pipe, 200)
         measured[f"cycle.{n}x{n}.lines"] = generated_lines(tb, pipe, 20) / 20
     assert not moved(measured), f"per-cycle lines moved (pinned, now): {moved(measured)}"
+
+
+def entries(tb, pipe, cycles):
+    """Calls into each generated function while ``tb`` runs ``cycles``
+    cycles, by (module name, function name)."""
+    seen = Counter()
+
+    def trace(frame, event, arg):
+        filename = frame.f_code.co_filename
+        if filename.startswith("<lhdl:"):  # <lhdl:spec@digest>
+            module = filename[6:].partition("@")[0].partition("#")[0]
+            seen[module, frame.f_code.co_name] += 1
+        return None
+
+    sys.settrace(trace)
+    try:
+        tb.run(pipe, cycles)
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+def test_a_clean_4x4_cycle_enters_each_generated_function_as_pinned():
+    netlist = elaborate(parse(build_pgas_source(4)), mesh_top_name(4))
+    pipe = Pipe(netlist.top, compile_netlist(netlist))
+    tb = boot_testbench(node_images(node_programs(1, 16)))
+    tb.run(pipe, 200)
+    measured = {
+        f"entries.4x4.{module}.{entry}": calls / 20
+        for (module, entry), calls in entries(tb, pipe, 20).items()
+    }
+    pinned = {name for name in BUDGET if name.startswith("entries.")}
+    for name in pinned - measured.keys():
+        measured[name] = 0  # pinned, no longer entered
+    unpinned = measured.keys() - pinned
+    assert not unpinned, f"entry points not pinned: {sorted(unpinned)}"
+    assert not moved(measured), f"per-cycle entries moved (pinned, now): {moved(measured)}"
 
 
 SETUP_REPORT = """
