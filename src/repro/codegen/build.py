@@ -29,7 +29,7 @@ MUX_STYLES = ("branch", "select")
 # file the program persists names it in its header
 # (:func:`repro.live.checkpoint.write_sealed`), so a file of another
 # format is refused before it is decoded.
-STORE_FORMAT = "repro.store/v18"
+STORE_FORMAT = "repro.store/v19"
 
 
 @dataclass(frozen=True)
@@ -60,23 +60,26 @@ class BuildConfig:
 class ModuleKey:
     """The exact conditions under which a compiled module is reusable.
 
-    ``fingerprint`` is the module's own token fingerprint and
+    ``fingerprint`` is the module's own token fingerprint,
     ``child_fps`` its children's comb signatures (tagged ``+pure``
-    where the parent's code skips a pure subtree).  No value fact
-    joins the key: none changes what generated code computes, in any
-    flavour.
+    where the parent's code skips a pure subtree) and ``parts`` the
+    names of the parts of its settled body its parents call besides
+    ``eval_out`` (:func:`repro.codegen.pygen.part_demand`).  No value
+    fact joins the key: none changes what generated code computes, in
+    any flavour.
     """
 
     spec: str
     fingerprint: str = ""
     child_fps: Tuple[str, ...] = ()
     build: BuildConfig = BuildConfig()
+    parts: Tuple[str, ...] = ()
 
     @cached_property
     def digest(self) -> str:
         canonical = json.dumps([
             STORE_FORMAT, self.spec, self.fingerprint, self.child_fps,
-            astuple(self.build),
+            astuple(self.build), self.parts,
         ])
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -92,7 +95,9 @@ class ModuleKey:
             return "cold"
         if self.fingerprint != latest.fingerprint:
             return "fingerprint"
-        return "child_fps"
+        if self.child_fps != latest.child_fps:
+            return "child_fps"
+        return "parts"
 
 
 # Entries kept per (kind, spec, build): the most recently *used* ones.

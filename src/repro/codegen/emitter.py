@@ -42,6 +42,10 @@ class FunctionEmitter:
     def source(self) -> str:
         return "\n".join(self._lines) + "\n"
 
+    def __len__(self) -> int:
+        """The lines written so far."""
+        return len(self._lines)
+
 
 class Block:
     """Context manager for an indented block: ``with emit.block("if x:"):``."""

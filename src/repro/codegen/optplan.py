@@ -40,11 +40,12 @@ class OptPlan(NamedTuple):
 
     @property
     def is_noop(self) -> bool:
+        """Whether the plan rewrites nothing codegen emits (a skipped
+        child is a call left out, not a rewrite)."""
         return (
             not self.consts
             and not self.dead_assigns
             and not self.dead_blocks
-            and not self.skip_children
         )
 
     def expr(self, expr: ast.Expr) -> ast.Expr:

@@ -10,24 +10,38 @@ A cycle is two walks of the instance tree, through two entry points:
 
 * ``eval_out(state, children, *comb_inputs) -> outputs`` — a *pure*
   function of the instance state and the inputs that combinationally
-  affect outputs (see :mod:`repro.ir.dataflow`).  Results are memoized
-  per instance on the argument tuple, so repeated calls within one
-  cycle cost a tuple compare.  Sequential-only inputs (resets, stalls,
-  enables) are NOT arguments — which is what lets a pipeline with
-  feedback (branch redirect into fetch, writeback into decode)
-  schedule in one ordered pass with no fixed-point iteration.
+  affect outputs (see :mod:`repro.ir.dataflow`).  Sequential-only
+  inputs (resets, stalls, enables) are NOT arguments — which is what
+  lets a pipeline with feedback (branch redirect into fetch, writeback
+  into decode) schedule in one ordered pass with no fixed-point
+  iteration.  It leaves in the state the settled locals ``cycle``
+  reads (the stash).
 * ``cycle(state, children, *all_inputs)`` — runs once per cycle with
-  every input settled: finishes the combinational values, computes
-  pending register values and memory writes, runs the children's
-  ``cycle``, then commits its own pending state and drops the memo
-  (the clock edge, on the way back up).
+  every input settled: finishes the combinational values from the
+  stash, computes pending register values and memory writes, runs the
+  children's ``cycle``, then commits its own pending state (the clock
+  edge, on the way back up).
 
-Each combinational unit is emitted once, in one of the two functions,
-and runs only on a path that reads it.  That is not once per cycle: a
-comb loop's step repeats until it settles, and a child's ``eval_out``
-body runs again on each memo miss (an early-bind prepass, then the
-call with the real arguments, then ``cycle``'s refresh), so a child
-can run its body several times a cycle.  A continuous assign every
+No instance keeps a memo in its state.  Instead the generator orders
+the calls so that each instance's settled comb body runs exactly once
+per cycle, with its final arguments, before that instance's ``cycle``:
+the one memo is the pipe's settled outputs (:class:`~repro.sim.pipeline.Pipe`
+settles the top before an edge unless nothing changed since it last
+did).  A parent that needs some of a child's outputs before all the
+child's arguments are settled calls the child in *parts* (:class:`_Wiring`):
+first the part computable from the ports it has, then the rest with the
+final arguments.  Each part is one function of the child's code, shared
+by every instance (``eval_<lo>_<hi>``, :func:`part_name`), and it reads
+what the part before it left in the stash.  The early-bind prepass for
+wiring cycles is the part computable from no port at all: a ring stop's
+register outputs.  Which parts a module's parents call is part of its
+compile (:func:`part_demand`, ``ModuleKey.parts``).  Inside a comb loop
+a child is called again only when a pass changed its arguments.
+
+Each combinational unit is emitted once in ``eval_out`` or ``cycle``
+(and again in each part that computes it), and runs only on a path that
+reads it; one read nowhere (a pure continuous assign with no
+sanitizer hook) is not emitted.  A continuous assign every
 read of which sits in a guarded position of its function (an ``if`` /
 ``case`` arm, a ``?:`` arm, the right operand of ``&&`` / ``||``), no
 two on one path, is written at each read instead of at its schedule
@@ -40,16 +54,12 @@ they were.
 
 A signal is *settled in phase 1* when it depends on no input outside
 the ``eval_out`` arguments (``ModuleIR.signal_deps``); ``eval_out`` emits
-the scheduled units that define a settled signal and stores, next to
-the memo, one tuple of the settled locals ``cycle`` reads.  ``cycle``
-unpacks that tuple and emits only the units that define an unsettled
-signal.  A child instance is called from ``eval_out`` when one of its
-combinational outputs is settled, and again from ``cycle`` when one of
-its ``eval_out`` arguments reads an unsettled signal (the second call
-refreshes the child's own memo and tuple with the real arguments).
-``cycle`` first compares the memo key with its real arguments and
-calls ``eval_out`` on a mismatch, so the tuple it unpacks was always
-computed from these arguments and this state.
+the scheduled units that define a settled signal and stores one tuple
+of the settled locals ``cycle`` reads.  ``cycle`` unpacks that tuple and
+emits only the units that define an unsettled signal.  A part ending
+short of every comb port stores, the same way, the tuple of locals the
+parts after it read.  A child whose subtree holds no register, no
+memory and no sanitizer site is not sent its ``cycle``.
 
 Ordering invariant: a parent reads registered child outputs and
 evaluates every child argument from its locals and its own uncommitted
@@ -80,18 +90,16 @@ moving (:func:`settle_loop`).  Every signal on a cycle has the same
 input dependencies, so a loop an output reads settles in ``eval_out``
 and one only a register reads in ``cycle``; only a child instance on a
 loop can bind outputs on both sides.  A module with a loop takes
-``comb_input_ports`` like any other and is memoized, stashed and
-optimized the same way, at any depth of the tree.
+``comb_input_ports`` like any other and is stashed and optimized the
+same way, at any depth of the tree.
 
 State array layout per instance (a plain Python list)::
 
     [0 .. NR)          current register values
     [NR .. 2*NR)       pending (next-cycle) values
-    [2*NR]             eval_out memo key (args tuple or None)
-    [2*NR + 1]         eval_out memo value (outputs tuple)
-    [2*NR + 2]         settled locals ``cycle`` reads (tuple)
-    [2*NR+3 + j]       memory j contents (list of ints)
-    [2*NR+3+NM + j]    memory j pending writes (list of (addr, value))
+    [2*NR]             the stash: settled locals the next part or cycle reads
+    [2*NR+1 + j]       memory j contents (list of ints)
+    [2*NR+1+NM + j]    memory j pending writes (list of (addr, value))
 
 followed, in sanitized builds, by the poison bitmaps and the per-cycle
 nonblocking-write dict (see :class:`StateLayout`).
@@ -102,8 +110,9 @@ with one copy) and restores it; the other writers (``make_state``,
 ``StageInst.poke_reg`` / ``load``) set both halves.
 
 Anything that mutates state outside ``cycle`` (snapshot restore, pokes,
-direct memory writes) must drop the memo of the instance and of every
-ancestor — see :meth:`repro.sim.stage.StageInst.invalidate_cache`.
+direct memory writes) must drop the pipe's settled outputs, so that the
+next edge settles again and every stash is rewritten from the new
+state — see :meth:`repro.sim.stage.StageInst.invalidate_cache`.
 
 Build flavours: the emitter above is the whole of a clean build, and
 each optional flavour is one object it calls.  The optimizer's is an
@@ -126,13 +135,16 @@ from __future__ import annotations
 import hashlib
 import linecache
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
+)
 
 from .. import obs
 from ..hdl import ast_nodes as ast
-from ..hdl.consteval import width_of
+from ..hdl.consteval import expr_reads, width_of
 from ..hdl.errors import CodegenError, ConvergenceError
 from ..ir.netlist import ModuleIR, Netlist
 from .build import BuildConfig, ModuleKey
@@ -141,7 +153,7 @@ from .exprgen import ATOM, BAND, COND, Code, ExprGen, Resolver, StmtGen, mask_of
 from .optplan import NO_OPT, OptPlan
 from .sinking import MAX_COPIES, MAX_DEPTH, Path, PathReads, all_exclusive, carries_hook
 
-CACHE_SLOTS = 3  # eval_out memo key, memo value, settled locals for cycle
+CACHE_SLOTS = 1  # the stash: settled locals the next part or cycle reads
 
 # Passes a comb loop's generated settle loop runs before ConvergenceError.
 MAX_PASSES = 16
@@ -228,10 +240,204 @@ def _locals(names: Sequence[str]) -> List[str]:
     return [f"v_{name}" for name in names]
 
 
+# A part of a module's settled comb body: what is computed once the
+# comb ports in ``hi`` have settled, given what was computed once those
+# in ``lo`` had (None: nothing computed yet).  ``(None, all comb ports)``
+# is the whole of ``eval_out``.
+Boundary = Optional[FrozenSet[str]]
+Part = Tuple[Boundary, FrozenSet[str]]
+
+_NOTHING: FrozenSet[str] = frozenset()
+
+
+def part_name(ir: ModuleIR, part: Part) -> str:
+    """The name of the function of ``ir``'s code that computes ``part``
+    (and of the :class:`CompiledModule` attribute that holds it):
+    ``eval_out`` for the whole settled body, else ``eval_<lo>_<hi>``,
+    each boundary a hex mask over ``ir.comb_input_ports`` and ``n``
+    where nothing is computed yet."""
+    lo, hi = part
+    ports = ir.comb_input_ports
+    if lo is None and hi == frozenset(ports):
+        return "eval_out"
+
+    def tag(bound: Boundary) -> str:
+        if bound is None:
+            return "n"
+        return format(sum(1 << j for j, p in enumerate(ports) if p in bound), "x")
+
+    return f"eval_{tag(lo)}_{tag(hi)}"
+
+
+def part_outputs(ir: ModuleIR, part: Part) -> List[str]:
+    """The outputs ``part`` of ``ir`` returns, in declared order: those
+    computable from the ports in ``hi`` and not from those in ``lo``."""
+    lo, hi = part
+    return [name for name in ir.outputs
+            if _computed(ir.signal_deps.get(name, _NOTHING), lo, hi)]
+
+
+def _computed(deps, lo: Boundary, hi: FrozenSet[str]) -> bool:
+    return deps <= hi and (lo is None or not deps <= lo)
+
+
+class _Wiring:
+    """Which part of each child a part of one module calls, and when.
+
+    The generator writes these calls and :func:`part_demand` reads
+    them, so every child is compiled with each part its parents call.
+    A child is advanced, at most once per part of the parent, to the
+    boundary of its ports that part has settled (:meth:`reached`); one
+    whose outputs the part does not read is not called.  The part the
+    parent's ``cycle`` calls ends at all of the child's comb ports,
+    unless the child's own ``cycle`` is not called (a pure subtree,
+    ``plan.skip_children``) and nothing reads the rest.  A child on a
+    comb loop the part repeats is called from nothing each pass, since
+    the pass before has already moved it past where it started.
+    """
+
+    def __init__(self, ir: ModuleIR, netlist: Netlist, plan: OptPlan):
+        self.ir = ir
+        self.netlist = netlist
+        self.comb = frozenset(ir.comb_input_ports)
+        self.all = frozenset(ir.inputs)
+        self.skip = frozenset(plan.skip_children)
+        self.early: Dict[int, List[str]] = {}  # instance -> its dep-free ports
+        for index, _, _ in ir.early_bind:
+            if index not in self.early:
+                child = self.child(index)
+                registered = ir.instances[index].registered_ports
+                self.early[index] = [
+                    port for port in child.outputs
+                    if port not in registered
+                    and not child.signal_deps.get(port, _NOTHING)]
+        self.early_targets = {target for _, _, target in ir.early_bind}
+        # The schedule's steps without the units the plan drops.
+        dead = {("assign", i) for i in plan.dead_assigns}
+        dead |= {("block", i) for i in plan.dead_blocks}
+        self.steps = [([u for u in units if u not in dead], is_loop)
+                      for units, is_loop in ir.steps]
+        self._conn: Dict[Tuple[int, str], FrozenSet[str]] = {}
+
+    def child(self, index: int) -> ModuleIR:
+        return self.netlist.modules[self.ir.instances[index].child_key]
+
+    def deps(self, name: str):
+        return self.ir.signal_deps.get(name, _NOTHING)
+
+    def runs(self, unit, lo: Boundary, hi: FrozenSet[str]) -> bool:
+        """Whether comb ``unit`` (not an instance) is computed in part
+        (lo, hi).  (All defines of one block share one dependency set.)"""
+        return any(_computed(self.deps(name), lo, hi)
+                   for name in self.ir.unit_defines(unit))
+
+    def conn_deps(self, index: int, port: str) -> FrozenSet[str]:
+        """The input ports of this module that child ``index``'s
+        ``port`` depends on through its connection."""
+        key = (index, port)
+        if key not in self._conn:
+            expr = self.ir.instances[index].input_conns[port]
+            self._conn[key] = frozenset().union(
+                *(self.deps(name) for name in expr_reads(expr)))
+        return self._conn[key]
+
+    def reached(self, index: int, upto: Boundary, in_cycle: bool = False) -> Boundary:
+        """How far child ``index`` is computed once this module has
+        computed what the ports in ``upto`` settle (``in_cycle``: all of
+        it, in ``cycle``)."""
+        if upto is None:
+            return None
+        child = self.child(index)
+        if in_cycle and index not in self.skip:
+            return frozenset(child.comb_input_ports)
+        inst = self.ir.instances[index]
+        prebound = self.early.get(index, ())
+        if any(self.deps(target) <= upto
+               for port, target in inst.output_conns.items()
+               if port not in inst.registered_ports and port not in prebound):
+            return frozenset(port for port in child.comb_input_ports
+                             if self.conn_deps(index, port) <= upto)
+        return _NOTHING if index in self.early else None
+
+    def settles(self, units, lo: Boundary, hi: FrozenSet[str]) -> bool:
+        """Whether part (lo, hi) repeats comb loop step ``units``: it
+        computes locals of the loop, and a unit of the loop it runs
+        reads one (else one pass settles them all)."""
+        ir = self.ir
+        names = {n for u in units for n in ir.unit_defines(u)
+                 if n not in self.early_targets and _computed(self.deps(n), lo, hi)}
+        part = [u for u in units if u[0] == "inst" or self.runs(u, lo, hi)]
+        return not names.isdisjoint(n for u in part for n in ir.unit_reads(u))
+
+    def call(self, index: int, lo: Boundary, hi: FrozenSet[str],
+             in_cycle: bool, looped: bool) -> Optional[Part]:
+        """The part of child ``index`` that part (lo, hi) of this module
+        calls at the child's place in the schedule, or None."""
+        before = _NOTHING if lo is None and index in self.early else self.reached(index, lo)
+        after = self.reached(index, hi, in_cycle)
+        if after is None or after == before:
+            return None
+        return (None if looped else before), after
+
+    def calls(self, lo: Boundary, hi: FrozenSet[str],
+              in_cycle: bool) -> Iterator[Tuple[int, Part]]:
+        """Every child part part (lo, hi) of this module calls."""
+        if lo is None:
+            for index in self.early:  # the early-bind prepass
+                yield index, (None, _NOTHING)
+        for units, is_loop in self.steps:
+            looped = is_loop and self.settles(units, lo, hi)
+            for kind, index in units:
+                if kind == "inst":
+                    part = self.call(index, lo, hi, in_cycle, looped)
+                    if part is not None:
+                        yield index, part
+
+
+def part_names(ir: ModuleIR, parts: Iterable[Part]) -> Tuple[str, ...]:
+    """The function names of ``parts`` of ``ir``, sorted (what a
+    :class:`~repro.codegen.build.ModuleKey` holds of them)."""
+    return tuple(sorted(part_name(ir, part) for part in parts))
+
+
+def part_demand(netlist: Netlist,
+                plans: Optional[Dict[str, OptPlan]] = None) -> Dict[str, FrozenSet[Part]]:
+    """The parts other than ``eval_out`` each module's parents call
+    (:class:`_Wiring`), by module key; ``plans`` are the modules'
+    optimization plans (none: :data:`NO_OPT`).  A parent's own parts
+    are known before its children's are asked for."""
+    plans = plans or {}
+    modules = netlist.modules
+    order: List[str] = []
+    seen: Set[str] = set()
+
+    def visit(key: str) -> None:
+        if key not in seen:
+            seen.add(key)
+            for inst in modules[key].instances:
+                visit(inst.child_key)
+            order.append(key)
+
+    for key in modules:
+        visit(key)
+    demand: Dict[str, Set[Part]] = {key: set() for key in modules}
+    for key in reversed(order):  # parents first
+        ir = modules[key]
+        wiring = _Wiring(ir, netlist, plans.get(key, NO_OPT))
+        own = [(lo, hi, False) for lo, hi in demand[key]]
+        own += [(None, wiring.comb, False), (wiring.comb, wiring.all, True)]
+        for lo, hi, in_cycle in own:
+            for index, part in wiring.calls(lo, hi, in_cycle):
+                child = wiring.child(index)
+                if part_name(child, part) != "eval_out":
+                    demand[child.key].add(part)
+    return {key: frozenset(parts) for key, parts in demand.items()}
+
+
 class StateLayout(NamedTuple):
     """Where each region of an instance's state list starts."""
 
-    cache_key_slot: int  # eval_out memo key; value and locals sit above
+    stash_slot: int  # the settled locals the next part or cycle reads
     mem_base: int  # NM contents lists, then NM pending-write lists
     # Sanitized builds (repro.sanitize) add NM + 2 slots:
     #   [sanitize_base]           register poison bitmap (bit i <-> reg i)
@@ -243,12 +449,16 @@ class StateLayout(NamedTuple):
     state_size: int
 
 
-def state_layout(num_regs: int, num_mems: int, sanitize: bool) -> StateLayout:
-    cache_key_slot = 2 * num_regs
-    mem_base = cache_key_slot + CACHE_SLOTS
+def state_layout(num_regs: int, num_mems: int, sanitize: bool,
+                 between: int = CACHE_SLOTS) -> StateLayout:
+    """The layout of an instance with ``num_regs`` registers and
+    ``num_mems`` memories: ``between`` slots sit between the pending
+    registers and the memories."""
+    stash_slot = 2 * num_regs
+    mem_base = stash_slot + between
     sanitize_base = mem_base + 2 * num_mems
     return StateLayout(
-        cache_key_slot=cache_key_slot,
+        stash_slot=stash_slot,
         mem_base=mem_base,
         sanitize_base=sanitize_base,
         reg_poison_slot=sanitize_base if sanitize else -1,
@@ -304,17 +514,17 @@ class CompiledModule:
     # code from another generator (flatgen) takes them positionally.
     eval_out_packed: bool = False
     cycle_packed: bool = False
+    # The parts of the settled body parents call besides eval_out, by
+    # function name (part_name); each is also an attribute of that name.
+    parts_fn: Dict[str, Callable] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.__dict__.update(self.parts_fn)
 
     @property
     def sanitizer(self):
         """The SanitizerRuntime this code reports to (clean build: None)."""
         return self.cycle_fn.__globals__.get("_san")
-
-    @cached_property
-    def cycle_settles(self) -> bool:
-        """Whether ``cycle`` runs ``eval_out`` itself on a memo miss:
-        every pygen module's does, flatgen's commit-only one does not."""
-        return "eval_out" in self.cycle_fn.__code__.co_names
 
     @cached_property
     def reg_names(self) -> Tuple[str, ...]:
@@ -335,7 +545,7 @@ class CompiledModule:
 
     def make_state(self) -> list:
         state: list = [0] * (2 * self.num_regs)
-        state.extend([None] * CACHE_SLOTS)  # eval_out memo: cold
+        state.extend([None] * (self.layout.mem_base - 2 * self.num_regs))
         ordered = self.mem_order
         for spec in ordered:
             state.append([0] * spec.depth)
@@ -356,32 +566,32 @@ class CompiledModule:
 
 class _ModuleCompiler:
     def __init__(self, ir: ModuleIR, netlist: Netlist, build: BuildConfig,
-                 plan: OptPlan = NO_OPT):
+                 plan: OptPlan = NO_OPT, parts: Iterable[Part] = ()):
         self._ir = ir
         self._netlist = netlist
         self._mux_style = build.mux_style
         self._emit = FunctionEmitter()
         self._comb_ports = list(ir.comb_input_ports)
-        # The partition: signals that need an input eval_out does not
-        # get.  Their units run in cycle; everything else in eval_out.
-        comb = set(self._comb_ports)
-        self._unsettled: Set[str] = {
-            name for name, deps in ir.signal_deps.items() if not deps <= comb
-        }
-        # The settled comb locals cycle reads, in declaration order:
-        # what eval_out leaves in the tuple slot (set by _gen_cycle).
-        self._stash: List[str] = []
+        self._wiring = wiring = _Wiring(ir, netlist, plan)
+        self._steps = wiring.steps
+        # The parts of the settled body a parent calls besides eval_out.
+        self._parts = sorted(parts, key=lambda part: part_name(ir, part))
+        # The part being generated: what it computes (lo, hi), whether it
+        # is cycle, and the locals it leaves in the stash slot.
+        self._lo: Boundary = None
+        self._hi = wiring.comb
+        self._in_cycle = False
+        self._stash_out: List[str] = []
+        # Boundary -> the locals the stash slot holds there, for the
+        # parts that start from it (cycle: all comb ports).
+        self._stash: Dict[FrozenSet[str], List[str]] = {}
         self._plan = plan
         self._plans: Optional[Dict[int, object]] = (
             None if plan.is_noop else {})  # id(IR node) -> its plan
-        # The schedule's steps without the units the plan drops.
-        dead = {("assign", i) for i in plan.dead_assigns}
-        dead |= {("block", i) for i in plan.dead_blocks}
-        self._steps = [([u for u in units if u not in dead], is_loop)
-                       for units, is_loop in ir.steps]
         # The assigns the function being generated writes at their reads
-        # (by index), and the code of each one written so far.
+        # or not at all (by index), and the code of each one written so far.
         self._sunk: Set[int] = set()
+        self._dead: Set[int] = set()
         self._inlined: Dict[str, Code] = {}
         sanitize = build.sanitize
         nm = len(ir.memories)
@@ -414,6 +624,8 @@ class _ModuleCompiler:
             self.hooks = Instrumenter(
                 ir, layout, self._mem_slot, self._seq_writers, build.san_elide
             )
+        # The hooks of eval_out and cycle (the parts re-emit their sites).
+        self.sites = self.elided = 0
 
     @property
     def comb_ports(self) -> List[str]:
@@ -421,25 +633,21 @@ class _ModuleCompiler:
 
     # -- name resolution ------------------------------------------------------
 
-    def _open_body(
-        self, zeroed: Set[str] = frozenset()  # type: ignore[assignment]
-    ) -> Tuple[ExprGen, Set[str]]:
-        """Start one function's body in a fresh emitter.
+    def _open_body(self, lo: Boundary, hi: FrozenSet[str],
+                   in_cycle: bool = False) -> Tuple[ExprGen, Set[str]]:
+        """Start the body of the function computing part (lo, hi) (or
+        ``cycle``) in a fresh emitter.
 
         Returns the expression generator for it and the set it fills
         with every input, comb local and memory the emitted code names;
-        the function's prologue (binds, the tuple of settled locals) is
-        written from that set once the body is complete.
-        Reads of ``zeroed`` signals lower to literal 0.
-
-        Used by eval_out, which is not given the unsettled signals: the
-        per-signal dataflow guarantees that a value tainted by a zero
-        cannot reach a settled signal (if it could, that signal would
-        be unsettled too), so the zeros only flow into the arguments of
-        a child whose other outputs are wanted now; cycle calls that
-        child again with the real arguments.
+        the function's prologue (binds, the stash it starts from) is
+        written from that set once the body is complete.  A read of a
+        signal the ports in ``hi`` do not settle is a generator error:
+        a child is only ever passed the ports its part takes
+        (:class:`_Wiring`), so nothing else reads one.
         """
         ir = self._ir
+        self._lo, self._hi, self._in_cycle = lo, hi, in_cycle
         reads: Set[str] = set()
 
         def signal_ref(name: str) -> str:
@@ -448,8 +656,8 @@ class _ModuleCompiler:
                 raise CodegenError(f"unknown signal {name!r} in {ir.name}")
             if sig.state_index is not None:
                 return f"s[{sig.state_index}]"
-            if name in zeroed:
-                return "0"
+            if not ir.signal_deps.get(name, _NOTHING) <= hi:
+                raise CodegenError(f"{ir.key}: {name!r} read before it settles")
             reads.add(name)
             return f"i_{name}" if sig.kind == "input" else f"v_{name}"
 
@@ -475,10 +683,22 @@ class _ModuleCompiler:
     # -- generation ------------------------------------------------------------
 
     def generate(self) -> str:
-        # cycle first: the settled locals it reads are what eval_out
-        # must leave in the tuple slot.
+        # cycle first: the settled locals it reads are what the parts
+        # ending at all comb ports leave in the stash slot; then each
+        # boundary's parts, the largest first, for the same reason.
+        wiring = self._wiring
         cycle = self._gen_cycle()
-        source = self._gen_eval_out().source() + "\n" + cycle.source()
+        eval_out = self._gen_parts([(None, wiring.comb)])[0]
+        if self.hooks is not None:
+            self.sites, self.elided = self.hooks.sites, self.hooks.elided
+        starts = sorted({lo for lo, _ in self._parts if lo is not None},
+                        key=len, reverse=True)
+        parts: Dict[Part, FunctionEmitter] = {}
+        for lo in starts + [None]:
+            todo = [part for part in self._parts if part[0] == lo]
+            parts.update(zip(todo, self._gen_parts(todo)))
+        functions = [eval_out] + [parts[part] for part in self._parts] + [cycle]
+        source = "\n".join(fn.source() for fn in functions)
         if self.hooks is not None:
             source += self.hooks.epilogue()
         return source
@@ -486,7 +706,7 @@ class _ModuleCompiler:
     def gen_unit(self, kind: str, index: int) -> str:
         """The text of one comb schedule unit alone, as ``cycle`` would
         emit it (what :func:`site_count` counts the hooks of)."""
-        exprgen, _ = self._open_body()
+        exprgen, _ = self._open_body(None, self._wiring.all, in_cycle=True)
         if kind == "assign":
             self._gen_comb_assign(exprgen, index)
         else:
@@ -539,49 +759,48 @@ class _ModuleCompiler:
                     slot = child.signals[port].state_index
                     self._emit.line(f"v_{target} = ch[{index}].state[{slot}]")
 
-    # -- the combinational body, split between eval_out and cycle -------------
+    # -- the combinational body, split between the parts and cycle -------------
 
-    def _gen_early_binds(self) -> None:
-        """Prepass for wiring cycles (see repro.ir.schedule): call the
-        involved children with zero arguments and bind only their
-        dependency-free outputs, which are correct under any inputs
-        (and therefore always settled: eval_out only)."""
-        by_instance: Dict[int, Dict[str, str]] = {}
-        for index, port, target in self._ir.early_bind:
-            by_instance.setdefault(index, {})[port] = target
-        for index, binds in by_instance.items():
-            ports = self._child(index).comb_input_ports
-            self._call_eval_out(index, binds, _pass(ports, ["0"] * len(ports)))
+    def _gen_early_binds(self, exprgen: ExprGen) -> None:
+        """Prepass for wiring cycles (see repro.ir.schedule): each
+        involved child's part computable from no port at all binds its
+        dependency-free outputs, which are correct under any inputs."""
+        for index, ports in self._wiring.early.items():
+            self._call_part(exprgen, index, (None, _NOTHING), set(ports))
 
-    def _runs_here(self, defines, in_cycle: bool) -> bool:
-        """Whether the assign or block defining ``defines`` belongs to
-        this function.  (All defines of one block share one dependency
-        set, so a block is never split.)"""
-        return in_cycle != self._unsettled.isdisjoint(defines)
+    def _runs_here(self, unit) -> bool:
+        return self._wiring.runs(unit, self._lo, self._hi)
 
-    def _gen_comb_body(self, exprgen: ExprGen, in_cycle: bool) -> None:
-        ir = self._ir
-        early = {target for _, _, target in ir.early_bind}
-        if not in_cycle:
-            self._gen_early_binds()
+    def _gen_comb_body(self, exprgen: ExprGen) -> None:
+        ir, wiring = self._ir, self._wiring
+        lo, hi = self._lo, self._hi
+        if lo is None:
+            self._gen_early_binds(exprgen)
         for units, is_loop in self._steps:
             settle = nullcontext()
-            if is_loop:  # repeat the locals this function binds for it
+            memos: Dict[int, str] = {}
+            if is_loop and wiring.settles(units, lo, hi):
                 names = [n for u in units for n in ir.unit_defines(u)
-                         if n not in early and self._runs_here((n,), in_cycle)]
-                # ... while a unit of the part reads one (else one pass
-                # settles them all).
-                part = [u for u in units if u[0] == "inst"
-                        or self._runs_here(ir.unit_defines(u), in_cycle)]
-                if not set(names).isdisjoint(
-                        n for u in part for n in ir.unit_reads(u)):
-                    settle = settle_loop(self._emit, _locals(names), ir.key)
+                         if n not in wiring.early_targets
+                         and _computed(wiring.deps(n), lo, hi)]
+                # A child the loop calls runs again only when a pass
+                # changes its arguments.
+                for kind, index in units:
+                    if kind == "inst" and wiring.call(
+                            index, lo, hi, self._in_cycle, True) is not None:
+                        memos[index] = self._emit.fresh("a")
+                        self._emit.line(f"{memos[index]} = None")
+                settle = settle_loop(self._emit, _locals(names), ir.key)
             with settle:
                 for unit in units:
                     kind, index = unit
                     if kind == "inst":
-                        self._gen_instance_out(exprgen, index, in_cycle)
-                    elif self._runs_here(ir.unit_defines(unit), in_cycle):
+                        part = wiring.call(index, lo, hi, self._in_cycle,
+                                           bool(memos))
+                        if part is not None:
+                            self._call_part(exprgen, index, part, (),
+                                            memos.get(index))
+                    elif self._runs_here(unit):
                         gen = (self._gen_comb_assign if kind == "assign"
                                else self._gen_comb_block)
                         gen(exprgen, index)
@@ -607,31 +826,32 @@ class _ModuleCompiler:
         return carries_hook(
             self._planned(assign.value, self._plan.expr), hooked)
 
-    def _sink(self, in_cycle: bool) -> Set[int]:
+    def _sink(self) -> Tuple[Set[int], Set[int]]:
         """The continuous assigns this function writes at their reads
-        instead of at their schedule position (:mod:`.sinking`), by index.
+        instead of at their schedule position (:mod:`.sinking`), and
+        those it does not write at all, by index.
 
-        A candidate runs here and is not a port, not stashed for
-        ``cycle`` and not on a comb loop.  One walk back over what the
-        function emits gathers each candidate's reads with their paths
-        and reaches it after all its readers: it moves when its code
-        carries no sanitizer hook and its reads (one at least, at most
-        ``MAX_COPIES``) are all guarded and pairwise exclusive, so none
-        is a child argument or in a loop.  A moved assign's own reads
-        then sit at each of its places: a chain moves as far as its
-        last reader goes.
+        A candidate runs here and is not a port, not left in the stash
+        and not on a comb loop.  One walk back over what the function
+        emits gathers each candidate's reads with their paths and
+        reaches it after all its readers.  One with no hook in its code
+        and no read is not written; one with no hook whose reads (at
+        most ``MAX_COPIES``) are all guarded and pairwise exclusive, so
+        none is a child argument or in a loop, moves.  A moved assign's
+        own reads then sit at each of its places (a chain moves as far
+        as its last reader goes), and an unwritten one's reads are no
+        reads.
         """
         ir = self._ir
         units = [(unit, is_loop) for step, is_loop in self._steps
-                 for unit in step if unit[0] != "inst"
-                 and self._runs_here(ir.unit_defines(unit), in_cycle)]
+                 for unit in step if unit[0] != "inst" and self._runs_here(unit)]
         candidates = {
             ir.comb_assigns[index].defines
             for (kind, index), is_loop in units
             if kind == "assign" and not is_loop
-        }.difference(ir.outputs, () if in_cycle else self._stash)
+        }.difference(ir.outputs, self._stash_out)
         if not candidates:
-            return set()
+            return set(), set()
         reads: Dict[str, List[Path]] = {name: [] for name in candidates}
         walk = PathReads(branch=self._mux_style == "branch")
 
@@ -657,10 +877,11 @@ class _ModuleCompiler:
         for unit, is_loop in units:  # a loop repeats its reads
             if is_loop:
                 stays(ir.unit_reads(unit))
-        if in_cycle:  # after the comb body
+        if self._in_cycle:  # after the comb body
             for seq in ir.seq_blocks:
                 note_body(seq.body, seq.reads)
         sunk: Dict[int, List[str]] = {}  # index -> the names it reads
+        dead: Set[int] = set()
         for (kind, index), is_loop in reversed(units):
             if not reads:
                 break  # no candidate left undecided
@@ -672,8 +893,13 @@ class _ModuleCompiler:
                 continue
             assign = ir.comb_assigns[index]
             paths = reads.pop(assign.defines, None)
-            moves = (paths and all_exclusive(paths)
-                     and not self._hooked(assign))
+            if paths is not None and not self._hooked(assign):
+                if not paths:
+                    dead.add(index)
+                    continue
+                moves = all_exclusive(paths)
+            else:
+                moves = False
             if moves or not reads.keys().isdisjoint(assign.reads):
                 found = walk.expr(
                     self._planned(assign.value, self._plan.expr))
@@ -691,9 +917,11 @@ class _ModuleCompiler:
                     del sunk[index]
                 else:
                     depth[ir.comb_assigns[index].defines] = own
-        return set(sunk)
+        return set(sunk), dead
 
     def _gen_comb_assign(self, exprgen: ExprGen, index: int) -> None:
+        if index in self._dead:
+            return  # read nowhere
         assign = self._ir.comb_assigns[index]
         name = assign.target.name
         code = exprgen.code(self._planned(assign.value, self._plan.expr))
@@ -734,46 +962,41 @@ class _ModuleCompiler:
             f"memory {name!r} may only be written in always @(posedge)", line
         )
 
-    def _child(self, index: int) -> ModuleIR:
-        return self._netlist.modules[self._ir.instances[index].child_key]
-
-    def _gen_instance_out(self, exprgen: ExprGen, index: int,
-                          in_cycle: bool) -> None:
-        """Call one child's eval_out and bind the outputs this function
-        owns: the settled ones in eval_out, the unsettled ones in cycle
-        (which calls iff an argument reads an unsettled signal, i.e.
-        iff eval_out could not have passed the real arguments)."""
-        ir = self._ir
-        inst = ir.instances[index]
-        binds = {p: t for p, t in inst.output_conns.items()
-                 if p not in inst.registered_ports}
-        if in_cycle:
-            if self._unsettled.isdisjoint(inst.comb_reads):
-                return
-            binds = {p: t for p, t in binds.items() if t in self._unsettled}
-        else:
-            elsewhere = {t for i, _, t in ir.early_bind if i == index}
-            elsewhere |= self._unsettled
-            binds = {p: t for p, t in binds.items() if t not in elsewhere}
-            if not binds:
-                return  # its own cycle evaluates it, with every input
-        ports = self._child(index).comb_input_ports
-        args = self._child_args(exprgen, inst, ports)
-        self._call_eval_out(index, binds, _pass(ports, args))
-
-    def _call_eval_out(self, index: int, binds: Dict[str, str], args: str) -> None:
-        """Call child ``index``'s eval_out with ``args`` (:meth:`_pass`),
-        its result bound by one unpack: ``binds`` maps child output ->
-        local, the rest land in ``_``; a call that only refreshes the
-        child's memo (nothing bound) assigns nothing."""
-        names = [f"v_{binds[p]}" if p in binds else "_"
-                 for p in self._child(index).outputs]
-        lhs = f"({', '.join(names)}, ) = " if binds else ""
-        ref = self._emit.fresh("c")
-        self._emit.line(f"{ref} = ch[{index}]")
-        self._emit.line(
-            f"{lhs}{ref}.code.eval_out_fn({ref}.state, {ref}.children{args})"
-        )
+    def _call_part(self, exprgen: ExprGen, index: int, part: Part,
+                   ports: Iterable[str] = (), memo: Optional[str] = None) -> None:
+        """Call ``part`` of child ``index`` with the ports its boundary
+        settles, binding the outputs it returns (only ``ports`` of them
+        if given) by one unpack; the rest land in ``_``, and a call
+        whose outputs nothing binds assigns nothing.  Inside a comb
+        loop, ``memo`` is the local holding the last pass's arguments:
+        an unchanged pass does not call."""
+        inst = self._ir.instances[index]
+        child = self._wiring.child(index)
+        ports = set(ports) or {
+            port for port in inst.output_conns
+            if port not in inst.registered_ports
+            and port not in self._wiring.early.get(index, ())
+        }
+        outs = part_outputs(child, part)
+        names = [f"v_{inst.output_conns[p]}" if p in ports and p in inst.output_conns
+                 else "_" for p in outs]
+        lhs = f"({', '.join(names)}, ) = " if set(names) - {"_"} else ""
+        args = [p for p in child.comb_input_ports if p in part[1]]
+        values = self._child_args(exprgen, inst, args)
+        emit = self._emit
+        ref = emit.fresh("c")
+        emit.line(f"{ref} = ch[{index}]")
+        name = part_name(child, part)
+        call = f"{ref}.code.{name}_fn" if name == "eval_out" else f"{ref}.code.{name}"
+        if memo is None:
+            emit.line(f"{lhs}{call}({ref}.state, {ref}.children{_pass(args, values)})")
+            return
+        key = emit.fresh("k")
+        emit.line(f"{key} = {_flat(values)}")
+        with block(emit, f"if {key} != {memo}:"):
+            emit.line(f"{memo} = {key}")
+            spread = f", {key}" if packs(args) else f", *{key}"
+            emit.line(f"{lhs}{call}({ref}.state, {ref}.children{spread})")
 
     def _output_ref(self, name: str) -> str:
         sig = self._ir.signals[name]
@@ -782,48 +1005,63 @@ class _ModuleCompiler:
             return f"s[{sig.state_index}]"
         return f"v_{name}"
 
-    # -- phase 1: eval_out --------------------------------------------------------
+    # -- the parts of the settled body: eval_out and what parents split ---------
 
-    def _gen_eval_out(self) -> FunctionEmitter:
+    def _gen_parts(self, parts: List[Part]) -> List[FunctionEmitter]:
+        """The functions computing ``parts``, which all start from one
+        boundary; what they read from before it is that boundary's
+        stash (every boundary they end at has its stash already)."""
         ir = self._ir
-        key_slot = self.layout.cache_key_slot
-        exprgen, reads = self._open_body(zeroed=self._unsettled)
-        body = self._emit
-        self._sunk = self._sink(in_cycle=False)
-        self._gen_comb_body(exprgen, in_cycle=False)
-        returns = [self._output_ref(name) for name in ir.outputs]
-        body.line(f"_ret = {_flat(returns)}")
-        body.line(f"s[{key_slot}] = _ck")
-        body.line(f"s[{key_slot + 1}] = _ret")
-        if self._stash:
-            body.line(f"s[{key_slot + 2}] = {_slots(_locals(self._stash))}")
-        body.line("return _ret")
-
-        comb = self._comb_ports
-        self._emit = fn = FunctionEmitter()
-        with block(fn, f"def eval_out(s, ch{_params(comb)}):"):
-            # A packed eval_out's tuple is its memo key as it stands.
-            key = "_in" if packs(comb) else _flat([f"i_{n}" for n in comb])
-            fn.line(f"_ck = {key}")
-            with block(fn, f"if s[{key_slot}] == _ck:"):
-                fn.line(f"return s[{key_slot + 1}]")
-            _unpack_inputs(fn, comb)
+        bodies = []
+        for part in parts:
+            lo, hi = part
+            exprgen, reads = self._open_body(lo, hi)
+            body = self._emit
+            self._stash_out = stash = self._stash.get(hi, [])
+            self._sunk, self._dead = self._sink()
+            self._gen_comb_body(exprgen)
+            outs = part_outputs(ir, part)
+            if stash:
+                body.line(f"s[{self.layout.stash_slot}] = {_slots(_locals(stash))}")
+                reads.update(stash)  # those computed before come through
+            if outs:
+                body.line(f"return {_flat([self._output_ref(n) for n in outs])}")
+            # The binds this body needs, before the next body is written.
+            self._emit = binds = FunctionEmitter()
             if self.hooks is not None:
-                self.hooks.bind_poison(fn)
+                self.hooks.bind_poison(binds)
             self._bind_memories(reads)
-            self._bind_registered_child_outputs(
-                reads | set(self._stash) | set(ir.outputs)
-            )
-            fn.splice(body)
-        return fn
+            if lo is None:
+                self._bind_registered_child_outputs(reads | set(outs))
+            bodies.append((part, binds, body, reads))
+        lo = parts[0][0] if parts else None
+        stash_in = self._stash[lo] = [] if lo is None else [
+            name for name, sig in ir.signals.items()
+            if sig.kind != "input" and ir.signal_deps.get(name, _NOTHING) <= lo
+            and any(name in reads for _, _, _, reads in bodies)
+        ]
+        functions = []
+        for part, binds, body, _ in bodies:
+            ports = [p for p in self._comb_ports if p in part[1]]
+            fn = FunctionEmitter()
+            with block(fn, f"def {part_name(ir, part)}(s, ch{_params(ports)}):"):
+                _unpack_inputs(fn, ports)
+                if stash_in:
+                    fn.line(f"{_slots(_locals(stash_in))} = s[{self.layout.stash_slot}]")
+                fn.splice(binds)
+                fn.splice(body)
+                if len(fn) == 1:
+                    fn.line("pass")
+            functions.append(fn)
+        return functions
 
-    # -- phase 2: cycle -------------------------------------------------------------
+    # -- cycle ----------------------------------------------------------------------
 
     def _gen_cycle(self) -> FunctionEmitter:
         ir = self._ir
         num_regs = ir.num_regs
-        key_slot = self.layout.cache_key_slot
-        exprgen, reads = self._open_body()
+        comb = self._wiring.comb
+        exprgen, reads = self._open_body(comb, self._wiring.all, in_cycle=True)
         body = self._emit
         written = [n for n in self._mem_slot if n in self._seq_writers]
         for name in written:
@@ -831,11 +1069,12 @@ class _ModuleCompiler:
         hooks = self.hooks
         if hooks is not None:
             hooks.open_cycle(body)
-        self._sunk = self._sink(in_cycle=True)
-        self._gen_comb_body(exprgen, in_cycle=True)
+        self._stash_out = []
+        self._sunk, self._dead = self._sink()
+        self._gen_comb_body(exprgen)
         for block_id, seq in enumerate(ir.seq_blocks):
             self._gen_seq_block(exprgen, seq, block_id)
-        skip = self._plan.skip_children
+        skip = self._wiring.skip
         for index, inst in enumerate(ir.instances):
             if index in skip:
                 # Pure subtree: stateless, so its cycle would only
@@ -851,7 +1090,6 @@ class _ModuleCompiler:
         # layout invariant), so this one copy is the whole edge.
         if num_regs:
             body.line(f"s[0:{num_regs}] = s[{num_regs}:{2 * num_regs}]")
-        body.line(f"s[{key_slot}] = None")
         if hooks is not None:
             hooks.commit_regs(body)
         for name in written:
@@ -864,31 +1102,22 @@ class _ModuleCompiler:
                         hooks.commit_mem_word(body, name)
                 body.line(f"del _pw_{name}[:]")
 
-        self._stash = [
+        stash = self._stash[comb] = [
             name for name, sig in ir.signals.items()
             if name in reads and sig.kind != "input"
-            and name not in self._unsettled
+            and ir.signal_deps.get(name, _NOTHING) <= comb
         ]
         self._emit = fn = FunctionEmitter()
         with block(fn, f"def cycle(s, ch{_params(ir.inputs)}):"):
             _unpack_inputs(fn, ir.inputs)
-            comb = self._comb_ports
-            key = _flat([f"i_{name}" for name in comb])
-            args = _pass(comb, [f"i_{name}" for name in comb])
-            if packs(comb):  # the key is the argument: build it once
-                fn.line(f"_ck = {key}")
-                key, args = "_ck", ", _ck"
-            # The one compare that makes a stale tuple impossible:
-            # a poke, restore, swap, input change or a parent that
-            # did not call in phase 1 all land here.
-            with block(fn, f"if s[{key_slot}] != {key}:"):
-                fn.line(f"eval_out(s, ch{args})")
-            if self._stash:
-                fn.line(f"{_slots(_locals(self._stash))} = s[{key_slot + 2}]")
+            if stash:
+                fn.line(f"{_slots(_locals(stash))} = s[{self.layout.stash_slot}]")
             if hooks is not None:
                 hooks.bind_poison(fn)
-            self._bind_memories(reads)  # registered child outputs: the tuple
+            self._bind_memories(reads)  # registered child outputs: the stash
             fn.splice(body)
+            if len(fn) == 1:
+                fn.line("pass")
         return fn
 
     def _gen_seq_block(self, exprgen: ExprGen, seq, block_id: int) -> None:
@@ -939,6 +1168,7 @@ def compile_module(
     runtime: object = None,
     opt_plan: OptPlan = NO_OPT,
     key: Optional[ModuleKey] = None,
+    parts: Optional[Iterable[Part]] = None,
 ) -> CompiledModule:
     """Compile one specialization into a :class:`CompiledModule`.
 
@@ -949,22 +1179,26 @@ def compile_module(
     and shortens the rest.
 
     ``opt_plan`` (see :mod:`repro.passes`) says what to fold, which
-    dead logic to drop and, at opt=full, which pure subtrees' ``cycle``
-    to skip.
+    dead logic to drop and which pure subtrees' ``cycle`` to skip.
+
+    ``parts`` are the parts of the settled body the module's parents
+    call besides ``eval_out`` (:func:`part_demand`; by default those
+    ``netlist`` asks for with no plan anywhere).
 
     ``key`` is the cache address the pass pipeline compiles for; it
     names the ``linecache`` entry.  Direct callers have none and get
-    the bare ``(spec, build)`` key.
+    the bare ``(spec, build, parts)`` key.
     """
+    if parts is None:
+        parts = part_demand(netlist)[ir.key]
     if key is None:
-        key = ModuleKey(ir.key, build=build)
+        key = ModuleKey(ir.key, build=build, parts=part_names(ir, parts))
     with obs.span("codegen.compile_module", key=ir.key,
                   sanitize=build.sanitize, opt=build.opt):
-        compiler = _ModuleCompiler(ir, netlist, build, opt_plan)
+        compiler = _ModuleCompiler(ir, netlist, build, opt_plan, parts)
         source = compiler.generate()
         fns = exec_source(source, key.filename, build, runtime)
     obs.incr("codegen.modules_compiled")
-    hooks = compiler.hooks
     reg_slots = {
         name: sig.state_index
         for name, sig in ir.signals.items()
@@ -986,8 +1220,8 @@ def compile_module(
         child_insts=tuple((i.name, i.child_key) for i in ir.instances),
         source_hash=hashlib.sha256(source.encode()).hexdigest(),
         build=build,
-        san_sites=hooks.sites if hooks is not None else 0,
-        san_elided=hooks.elided if hooks is not None else 0,
+        san_sites=compiler.sites,
+        san_elided=compiler.elided,
         eval_out_packed=packs(compiler.comb_ports),
         cycle_packed=packs(ir.inputs),
         **fns,
@@ -1016,7 +1250,7 @@ def site_count(ir: ModuleIR, netlist: Netlist,
 def exec_source(
     source: str, filename: str, build: BuildConfig, runtime: object
 ) -> Dict[str, Callable]:
-    """Exec generated ``source`` and return the two entry points as
+    """Exec generated ``source`` and return its entry points as
     :class:`CompiledModule` keyword arguments (also how the artifact
     store rehydrates a module).  A comb loop raises the
     ``ConvergenceError`` global; instrumented source binds ``runtime``
@@ -1031,5 +1265,7 @@ def exec_source(
     return {
         "eval_out_fn": namespace["eval_out"],
         "cycle_fn": namespace["cycle"],
+        "parts_fn": {name: fn for name, fn in namespace.items()
+                     if name.startswith("eval_") and name != "eval_out"},
     }
 

@@ -25,7 +25,7 @@ from ..codegen.build import OPT_LEVELS, BuildConfig
 from ..codegen.pygen import CompiledModule
 from ..ir.netlist import Netlist
 from .base import Pass, PassData, PassPipeline
-from .codegen import CodegenPass, SanitizePlanPass
+from .codegen import CodegenPass, SanitizePlanPass, SensitivityPrunePass
 from .dataflow import (
     ModuleValueFacts,
     ValueFact,
@@ -35,7 +35,7 @@ from .dataflow import (
 from .facts import ElaborateFactsPass
 
 __getattr__ = lazy_exports(__name__, {
-    ".optimize": ("ConstPropPass", "DeadLogicPass", "SensitivityPrunePass"),
+    ".optimize": ("ConstPropPass", "DeadLogicPass"),
 })
 
 __all__ = [
@@ -82,7 +82,7 @@ def build_compile_pipeline() -> PassPipeline:
         _Optimizing("constprop", "ConstPropPass"),
         SanitizePlanPass(),
         _Optimizing("deadlogic", "DeadLogicPass"),
-        _Optimizing("sensitivity", "SensitivityPrunePass"),
+        SensitivityPrunePass(),
         CodegenPass(),
     ])
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Set
 from .. import obs
 from ..codegen.build import ModuleKey
 from ..codegen.optplan import NO_OPT
-from ..codegen.pygen import CompiledModule, compile_module, site_count
+from ..codegen.pygen import CompiledModule, compile_module, part_demand, part_names, site_count
 from ..hdl.errors import HDLError
 from .base import Pass, PassData
 
@@ -55,6 +55,27 @@ class SanitizePlanPass(Pass):
         data.san_free = frozenset(filter(subtree_bare, bare))
 
 
+class SensitivityPrunePass(Pass):
+    """Mark pure child subtrees, whose ``cycle`` call a parent elides
+    entirely (the plan's ``skip_children``), at every opt level: such a
+    ``cycle`` would only recompute values nothing commits.  Under
+    sanitize the skip additionally requires the child subtree to be
+    instrumentation-free: ``san_free``, a subset of ``pure``."""
+
+    name = "sensitivity"
+
+    def run(self, data: PassData) -> None:
+        skippable = data.san_free if data.build.sanitize else data.pure
+        # A dict walk over facts already computed: cheaper than the
+        # cache probe per module the other passes are worth.
+        for key, ir in data.netlist.modules.items():
+            skip = tuple(index for index, inst in enumerate(ir.instances)
+                         if inst.child_key in skippable)
+            if skip:
+                data.plans[key] = data.plans.get(key, NO_OPT)._replace(
+                    skip_children=skip)
+
+
 class CodegenPass(Pass):
     name = "codegen"
 
@@ -67,6 +88,7 @@ class CodegenPass(Pass):
         store = data.store
         library: Dict[str, CompiledModule] = {}
         recompiled: List[str] = []
+        demand = part_demand(netlist, data.plans)
 
         def visit(key: str) -> CompiledModule:
             if key in library:
@@ -80,13 +102,16 @@ class CodegenPass(Pass):
             # output* dependencies, which the interface fp (their
             # union) cannot see: key on the comb signature.  A child
             # whose cycle call the plan skips (a pure, and under
-            # sanitize san-free, subtree at opt=full) is tagged too.
+            # sanitize san-free, subtree) is tagged too.  The parts
+            # the parents call come from their wiring, which the key
+            # cannot otherwise see.
             child_fps = tuple(
                 netlist.modules[inst.child_key].comb_signature
                 + ("+pure" if index in plan.skip_children else "")
                 for index, inst in enumerate(ir.instances)
             )
-            cache_key = ModuleKey(*data.identity(key), child_fps, build)
+            cache_key = ModuleKey(*data.identity(key), child_fps, build,
+                                  part_names(ir, demand[key]))
 
             def obtain() -> CompiledModule:
                 obs.incr("compile.cache_miss." + cache_key.miss_reason(
@@ -107,6 +132,7 @@ class CodegenPass(Pass):
                         runtime=runtime,
                         opt_plan=plan,
                         key=cache_key,
+                        parts=demand[key],
                     )
                     recompiled.append(key)
                     if store is not None:

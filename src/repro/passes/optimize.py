@@ -1,12 +1,12 @@
-"""The optimization passes: constant propagation, dead-logic
-elimination, sensitivity pruning.
+"""The optimization passes: constant propagation and dead-logic
+elimination.
 
-All three are *facts-only*: they never mutate the shared ModuleIR.
+Both are *facts-only*: they never mutate the shared ModuleIR.
 Their conclusions are one :class:`~repro.codegen.optplan.OptPlan` per
 module in ``PassData.plans``, which codegen compiles under: constprop
-starts it from the module's own assigns (no plan at ``opt=none``),
-deadlogic fills in the dead units, and sensitivity the skippable
-children from ``pure`` or, in a sanitized build, ``san_free``.
+starts it from the module's own assigns (no plan at ``opt=none``) and
+deadlogic fills in the dead units.  The skippable children are the
+sensitivity pass's, at every level (:mod:`repro.passes.codegen`).
 
 Per-module results go through :meth:`PassData.cached` — the session's
 derived cache under the module identity (spec, fingerprint) plus each
@@ -20,8 +20,7 @@ any other module.
 
 Under sanitize the dynamic passes no longer stand down wholesale (the
 PR 9 posture): dead elimination drops only units with no sanitizer
-site, and child-subtree skips additionally require the subtree to be
-san-free.  The site count is asked of the generator
+site.  The site count is asked of the generator
 (:func:`repro.codegen.pygen.site_count` runs the emitter over the unit
 or module): nothing here decides where a hook would go.
 """
@@ -181,32 +180,3 @@ class DeadLogicPass(Pass):
                         ir.comb_assigns[index].value, consts, widths
                     )
         return tuple(sorted(dead["assign"])), tuple(sorted(dead["block"]))
-
-
-# -- sensitivity pruning -----------------------------------------------------
-
-
-class SensitivityPrunePass(Pass):
-    """Mark pure child subtrees, whose ``cycle`` call a parent can elide
-    entirely (the plan's ``skip_children``).  Under sanitize the skip
-    additionally requires the child subtree to be instrumentation-free:
-    ``san_free``, a subset of ``pure``.
-
-    (The pass used to emit per-block input-change guards as well, to
-    skip re-evaluating a comb block in the sequential half; since every
-    comb unit is emitted in only one of ``eval_out`` and ``cycle`` there
-    is nothing to skip.)
-    """
-
-    name = "sensitivity"
-
-    def run(self, data: PassData) -> None:
-        skippable = data.san_free if data.build.sanitize else data.pure
-        # A dict walk over facts already computed: cheaper than the
-        # cache probe per module the other passes are worth.
-        for key, plan in list(data.plans.items()):
-            data.plans[key] = plan._replace(skip_children=tuple(
-                index
-                for index, inst in enumerate(data.netlist.modules[key].instances)
-                if inst.child_key in skippable
-            ))

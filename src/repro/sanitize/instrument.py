@@ -213,8 +213,9 @@ class Instrumenter:
 
     def bind_poison(self, emit) -> None:
         """Prologue of a function, once its body is written: bind the
-        register poison bitmap as ``_pz`` if the body reads it (in
-        ``eval_out``, after the memo-hit return)."""
+        register poison bitmap as ``_pz`` if the body reads it (after
+        the unpack of the ports and of the stash the function starts
+        from)."""
         if self._reads_poison:
             emit.line(f"_pz = s[{self._poison_slot}]")
             self._reads_poison = False

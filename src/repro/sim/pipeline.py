@@ -5,8 +5,10 @@ values, and the cycle counter.  One simulated cycle is ``eval`` (settle
 the combinational logic the outputs need) followed by ``tick`` (finish
 the rest with every input known, compute and commit the next state —
 the clock edge), through the two entry points of
-:mod:`repro.codegen.pygen`.  ``eval`` runs before an edge only when
-something reads the outputs or the top needs it (:meth:`Pipe.step`).
+:mod:`repro.codegen.pygen`.  The pipe's settled outputs are the one
+memo: ``tick`` settles the top first unless nothing changed since the
+last ``eval``, and builds the outputs only for a watcher or a trace
+(:meth:`Pipe.step`).
 """
 
 from __future__ import annotations
@@ -91,10 +93,7 @@ class Pipe:
         called with bound — its calling convention has the caller mask, so
         each input is cut to its port width here, once per change, and
         packed where :func:`repro.codegen.pygen.packs` says so — then its
-        sanitizer and whether an edge needs ``eval`` first: in a sanitized
-        build (a trap while settling must leave ``cycle`` as it was) and
-        in the flat baseline, whose ``cycle`` is the commit alone
-        (``CompiledModule.cycle_settles``)."""
+        sanitizer."""
         top, inputs = self.top, self._inputs
         code = top.code
         signals = code.ir.signals  # flat and shared code alike
@@ -105,27 +104,26 @@ class Pipe:
                 return partial(fn, top.state, top.children, tuple(args))
             return partial(fn, top.state, top.children, *args)
 
-        sanitizer = code.sanitizer
         entries = self._entries = (
             bind(code.eval_out_fn, code.comb_input_ports, code.eval_out_packed),
             bind(code.cycle_fn, code.inputs, code.cycle_packed),
-            sanitizer,
-            sanitizer is not None or not code.cycle_settles,
+            code.sanitizer,
         )
         return entries
 
     def eval(self) -> Dict[str, int]:
-        """Settle combinational logic (phase 1); returns the outputs.
-        A comb loop settles inside its own module's generated code."""
-        eval_out = (self._entries or self._bind_entries())[0]
-        outputs = self._last_outputs = dict(zip(self.top.code.outputs, eval_out()))
+        """Settle combinational logic (phase 1); returns the outputs:
+        the pipe's own cache, not a copy.  The generated code keeps no
+        memo, so this is the one: a repeated ``eval`` with nothing
+        changed in between recomputes nothing.  A comb loop settles
+        inside its own module's generated code."""
+        outputs = self._last_outputs
+        if outputs is None:
+            eval_out = (self._entries or self._bind_entries())[0]
+            outputs = self._last_outputs = dict(zip(self.top.code.outputs, eval_out()))
         return outputs
 
-    def outputs(self) -> Dict[str, int]:
-        """The settled outputs: the pipe's own cache, not a copy."""
-        if self._last_outputs is None:
-            return self.eval()
-        return self._last_outputs
+    outputs = eval
 
     def attach_trace(self, buffer) -> None:
         """Capture ``buffer`` (a :class:`repro.trace.TraceBuffer`) on
@@ -141,11 +139,17 @@ class Pipe:
         every instance takes: a sanitizer trap inside it is raised from
         here once the edge is complete (state and ``cycle`` are what
         ``report`` mode holds), any other exception repairs the state
-        layout's invariant first.  The top may need ``eval`` before it."""
-        _, cycle, sanitizer, settle = self._entries or self._bind_entries()
-        if settle and self._last_outputs is None:
-            self.eval()
+        layout's invariant first.  ``cycle`` reads what ``eval_out``
+        left in the state, so the top is settled first unless nothing
+        changed since it last was (a trap while settling leaves
+        ``cycle`` as it was)."""
+        eval_out, cycle, sanitizer = self._entries or self._bind_entries()
         trace = self._trace
+        if self._last_outputs is None:
+            if trace is None:
+                eval_out()  # nothing reads the outputs
+            else:
+                self.eval()
         if trace is not None:
             trace.capture(self)
         if sanitizer is not None:
@@ -163,12 +167,13 @@ class Pipe:
             raise trap
 
     def invalidate(self) -> None:
-        """Invalidate every instance's memoized combinational result.
+        """Drop the settled outputs, so the next ``eval`` or ``tick``
+        settles again.
 
         Call after mutating state directly (e.g. writing into a memory
         list obtained from :meth:`StageInst.memory`).
         """
-        self.top.invalidate_cache()
+        self._last_outputs = None
 
     def step(
         self,
@@ -177,7 +182,7 @@ class Pipe:
         watcher: Optional[Watcher] = None,
     ) -> int:
         """Run ``cycles`` ticks, each settled first by ``eval`` for a
-        watcher, a trace or a top that needs it (:meth:`_bind_entries`).
+        watcher or a trace (else by ``tick`` itself).
 
         ``driver`` (if given) is called before each cycle to update the
         inputs.  ``watcher`` is called with the settled outputs before
@@ -185,8 +190,7 @@ class Pipe:
         condition holds at the current cycle).  Returns the number of
         cycles actually executed.
         """
-        settle = (watcher is not None or self._trace is not None
-                  or (self._entries or self._bind_entries())[3])
+        settle = watcher is not None or self._trace is not None
         for executed in range(cycles):
             if driver is not None:
                 driver(self)

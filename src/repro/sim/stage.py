@@ -319,9 +319,9 @@ class StageInst:
     """One instantiated stage: shared code + private state + children.
 
     ``parent`` is the instance whose compiled code calls this one (the
-    owning :class:`~repro.sim.pipeline.Pipe` for the top): what was
-    evaluated from this instance's state is memoized up that chain, so
-    a mutation outside ``cycle`` invalidates root-ward along it.
+    owning :class:`~repro.sim.pipeline.Pipe` for the top).  No instance
+    holds a memo: the pipe at the root of that chain caches the settled
+    outputs, so a mutation outside ``cycle`` drops them there.
     """
 
     __slots__ = ("code", "state", "children", "name", "parent")
@@ -597,27 +597,24 @@ class StageInst:
     def abandon_edge(self) -> None:
         """Restore the layout invariant over this subtree after an
         exception left ``cycle`` before every instance had committed:
-        pending := current, no pending memory write, no memo."""
+        pending := current, no pending memory write.  (The stash is
+        rewritten when the pipe settles before its next edge.)"""
         for _, inst in self.walk():
             state, code = inst.state, inst.code
             state[code.num_regs : 2 * code.num_regs] = state[0 : code.num_regs]
             for spec in code.mem_specs.values():
                 del state[spec.pending_slot][:]
-            state[code.layout.cache_key_slot] = None
 
     def _drop_cached_evals(self) -> None:
-        """Clear the eval_out memo of this instance and of every
-        ancestor, up to the pipe's cached outputs: all of them were
-        computed from state that is about to differ.  (Descendants
-        keep theirs: a child's result depends on its own state and
-        arguments only.)"""
-        self.state[self.code.layout.cache_key_slot] = None
+        """Drop the pipe's settled outputs, at the root of the parent
+        chain: they were computed from state that is about to differ."""
         if self.parent is not None:
             self.parent._drop_cached_evals()
 
     def invalidate_cache(self) -> None:
-        """Drop every memoized eval_out result in this subtree (and,
-        root-ward, of every ancestor).
+        """Drop what was settled from this subtree's state: the owning
+        pipe's outputs, and the stash each instance's next ``cycle``
+        reads, which the pipe's next edge settles again.
 
         The accessors on this class invalidate what they must by
         themselves; only callers who mutate state behind their back —
@@ -625,12 +622,10 @@ class StageInst:
         to call this (or go through :meth:`write_memory`).
         """
         self._drop_cached_evals()
-        for _, inst in self.walk():
-            inst.state[inst.code.layout.cache_key_slot] = None
 
     def write_memory(self, name: str, offset: int, words: List[int]) -> None:
         """Write ``words`` into memory ``name`` starting at ``offset``
-        (word-indexed), with memo invalidation."""
+        (word-indexed), dropping the pipe's settled outputs."""
         target = self.memory(name)
         if offset < 0 or offset + len(words) > len(target):
             raise SimulationError(

@@ -52,6 +52,8 @@ endmodule
 class RecordingHooks:
     """Writes the clean code and records every call made to it."""
 
+    sites = elided = 0  # counts nothing
+
     def __init__(self, ir, layout, mems, seq_writers, elide):
         self.elide = elide
         self.calls = []

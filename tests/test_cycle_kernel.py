@@ -40,11 +40,12 @@ def _libraries(netlist):
 
 def _binds(name, text):
     """Whether ``text`` computes local ``v_<name>``: a plain assignment
-    or one name on the left of a child-result unpack (the unpack of the
-    tuple slot re-reads a value, it does not compute one)."""
+    or one name on the left of the unpack of a child's ``eval_out`` or
+    part (the unpack of the stash re-reads a value, it does not compute
+    one)."""
     return re.search(
         rf"^\s*(?:v_{name} = |\((?:\w+, )*v_{name}, (?:\w+, )*\) = "
-        r"_\w+\.code\.eval_out_fn\()", text, re.M
+        r"_\w+\.code\.eval_\w+\()", text, re.M
     ) is not None
 
 
@@ -66,6 +67,7 @@ class TestOncePerCycle:
             lines = 0
             for key, code in library.items():
                 assert code.ir.loops == []
+                # eval_out and the parts a parent calls, then cycle.
                 eval_out, cycle = code.source.split("def cycle")
                 lines += code.source.count("\n")
                 for name in _comb_defines(code.ir):
@@ -82,19 +84,19 @@ class TestOncePerCycle:
             if flavour == "default":
                 assert lines <= 1000  # 1352 with eval_out/eval_seq/tick
 
-    def test_one_eval_out_entry_per_instance_per_cycle(
+    def test_each_settled_entry_once_per_instance_per_cycle(
         self, pgas2_netlist_library
     ):
         _, netlist, _ = pgas2_netlist_library
         library = compile_netlist(netlist)  # private: it gets patched
         entries: Counter = Counter()
         for key, code in library.items():
-            def counted(*args, _inner=code.eval_out_fn, _key=key):
-                entries[_key] += 1
-                return _inner(*args)
+            for name in ("eval_out_fn", *code.parts_fn):
+                def counted(*args, _inner=getattr(code, name), _at=(key, name)):
+                    entries[_at] += 1
+                    return _inner(*args)
 
-            code.eval_out_fn = counted  # calls from a parent or the pipe
-            code.cycle_fn.__globals__["eval_out"] = counted  # from cycle
+                setattr(code, name, counted)  # calls from a parent or the pipe
         pipe = Pipe(netlist.top, library)
         pipe.set_inputs(rst=1)
         pipe.step(2)
@@ -105,22 +107,25 @@ class TestOncePerCycle:
         pipe.step(cycles)
         instances = netlist.instance_count()
         per_cycle = {
-            key: entries[key] / (instances[key] * cycles) for key in library
+            (key, name): calls / (instances[key] * cycles)
+            for (key, name), calls in entries.items()
         }
         # rv_mem's d_rdata path crosses the core boundary twice by
-        # design (settled outputs first, then the load value); a
-        # ring_stop is first called with no arguments for its early-
-        # bound outputs.
-        twice = {"rv_mem", "ring_stop"}
+        # design (settled outputs first, then the load value), and a
+        # ring_stop's register outputs are bound before its arguments
+        # exist: each is called in two parts, each part once.
         assert per_cycle == {
-            key: 2.0 if key in twice else 1.0 for key in library
+            (key, name): 1.0 for key, code in library.items()
+            for name in code.parts_fn or ("eval_out_fn",)
         }
+        assert {key for key, code in library.items() if code.parts_fn} == {
+            "rv_mem", "ring_stop"}
 
 
-def test_cycle_compares_the_memo_key_with_its_real_arguments():
-    """The contract that makes the tuple slot safe: whoever called
-    eval_out last, and with whatever, ``cycle`` only unpacks a tuple
-    computed from the arguments it was given itself."""
+def test_cycle_reads_what_eval_out_left_with_the_final_arguments():
+    """The contract that makes the stash safe: the caller runs
+    ``eval_out`` with the final arguments after the last change to the
+    state and before ``cycle``, which unpacks what it left."""
     _, library = compile_design("""
 module m (input clk, input en, input [7:0] a, output [7:0] y);
   reg [7:0] q;
@@ -137,12 +142,13 @@ endmodule
     # as Pipe and the generated callers guarantee.
     state = code.make_state()
     assert code.eval_out_fn(state, (), 7) == (7,)
+    assert code.eval_out_fn(state, (), 5) == (5,)  # the last call counts
     code.cycle_fn(state, (), 0, 1, 5)  # clk, en, a
     assert state[code.reg_slots["q"]] == 5
     assert code.eval_out_fn(state, (), 1) == (6,)
     q = code.reg_slots["q"]
-    state[q] = state[q + code.num_regs] = 9  # behind the memo's back ...
-    state[code.layout.cache_key_slot] = None  # ... so it is dropped
+    state[q] = state[q + code.num_regs] = 9  # a change: settle again
+    assert code.eval_out_fn(state, (), 1) == (10,)
     code.cycle_fn(state, (), 0, 1, 1)
     assert state[code.reg_slots["q"]] == 10
 
@@ -287,13 +293,16 @@ def test_the_shapes_are_what_they_say():
     assert netlist.modules["mid"].comb_input_ports == ["x"]
     eval_out, cycle = library["mid"].source.split("def cycle")
     assert _binds("req", eval_out) and _binds("value", cycle)
-    assert "0)" in eval_out and "i_late)" in cycle  # the leaf's data port
+    # The leaf in two parts: eval_out's takes addr, cycle's adds data.
+    assert ".eval_n_1(" in eval_out and ".eval_1_3(" in cycle
+    assert "i_late)" in cycle  # the leaf's data port
 
     _, library = compile_design(MIXED_OUTPUTS, "top")
     eval_out, cycle = library["top"].source.split("def cycle")
     assert _binds("o1", eval_out) and not _binds("o2", eval_out)
     assert _binds("o2", cycle) and not _binds("o1", cycle)
-    assert all(".eval_out_fn(" in part for part in (eval_out, cycle))
+    # The child in two parts: o1's in eval_out, o2's (late) in cycle.
+    assert ".eval_n_1(" in eval_out and ".eval_1_3(" in cycle
 
     _, library = compile_design(SIBLINGS, "top")
     eval_out, cycle = library["top"].source.split("def cycle")
@@ -398,7 +407,7 @@ def _child_call_args(code, netlist):
             refs[bound[1]] = ir.instances[int(bound[2])]
             continue
         call = re.search(
-            r"(_c\d+)\.code\.(eval_out_fn|cycle_fn)\(\1\.state, "
+            r"(_c\d+)\.code\.(eval_out_fn|cycle_fn|eval_\w+)\(\1\.state, "
             r"\1\.children(.*)\)$", line,
         )
         if not call:
@@ -408,6 +417,9 @@ def _child_call_args(code, netlist):
         ports = child.inputs
         if call[2] == "eval_out_fn":
             ports = child.comb_input_ports
+        elif call[2] != "cycle_fn":  # a part: the ports its name's mask sets
+            mask = int(call[2].rpartition("_")[2], 16)
+            ports = [p for j, p in enumerate(child.comb_input_ports) if mask >> j & 1]
         args, depth, start = [], 0, 0
         text = call[3] + ","
         for at, char in enumerate(text):
@@ -431,13 +443,15 @@ def test_narrowing_connections_agree_with_the_flat_compiler(build):
     assert netlist.modules["loopy"].comb_input_ports == ["a"]  # not clk
     assert netlist.modules["leaf"].comb_input_ports == ["a", "b"]  # not k
     library = compile_netlist(netlist, build, sanitize_runtime=runtime)
-    # The optimizer works around the loop: k folds, unused is dropped.
+    # The optimizer works around the loop: k folds.  Unused is read by
+    # nothing, so no build writes it.
     loopy = library["loopy"].source
-    assert ("v_k" in loopy) == ("v_unused" in loopy) == (build.opt == "none")
+    assert ("v_k" in loopy) == (build.opt == "none")
+    assert "v_unused" not in loopy
     assert "v_u = " in loopy and "v_v = " in loopy
-    # mid's cycle calls the pure loop child (ch[2]) unless opt=full skips it.
+    # mid's cycle does not call the pure loop child (ch[2]): no build does.
     mid_cycle = library["mid"].source.split("def cycle")[1]
-    assert ("ch[2]" in mid_cycle) == (build.opt != "full")
+    assert "ch[2]" not in mid_cycle
     shared = Pipe(netlist.top, library)
     flat_code = compile_flat(elaborate(parse(NARROWING), "top"))
     flat = Pipe(flat_code.key, {flat_code.key: flat_code})

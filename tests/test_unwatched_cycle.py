@@ -1,9 +1,9 @@
 """Differential: a run nobody watches equals the same run watched.
 
 ``Pipe.step`` settles the top-level outputs (``Pipe.eval``) before an
-edge only for a watcher, an attached trace or a top whose edge needs it
-(the flat baseline, a sanitized build); otherwise the top's ``cycle``
-settles on its own memo miss, a comb loop's included.  Each case here runs
+edge only for a watcher or an attached trace; otherwise ``Pipe.tick``
+settles the top through its ``eval_out`` without building the outputs,
+a comb loop's included.  Each case here runs
 twice, once with no watcher and once with a watcher that never fires,
 and asserts that state, ``cycle``, outputs, sanitizer findings and trace
 samples come out the same — including where the run traps or fails to
@@ -430,13 +430,13 @@ def test_set_sanitize_and_an_edit_mid_session():
     assert seen["cycle"] == 32 and seen["replayed"] > 0
 
 
-def test_only_a_reader_or_the_top_settles_before_the_edge(
+def test_only_a_reader_settles_through_eval(
     pgas2_netlist_library, monkeypatch
 ):
-    """What the cases above compare: the clean unwatched run never calls
-    ``Pipe.eval``, nor does a comb loop's (its top's ``cycle`` settles
-    it); a watcher, a trace, the flat baseline and a sanitized build
-    settle once per cycle."""
+    """What the cases above compare: an unwatched run never calls
+    ``Pipe.eval``, whatever the build (``Pipe.tick`` settles the top
+    through its ``eval_out``, a comb loop's included); a watcher and a
+    trace settle through it once per cycle."""
     calls = []
     settle = Pipe.eval
     monkeypatch.setattr(Pipe, "eval", lambda self: calls.append(1) or settle(self))
@@ -455,8 +455,8 @@ def test_only_a_reader_or_the_top_settles_before_the_edge(
     flat = BaselineCompiler(mode="inline").compile(
         elaborate(parse(COUNTER_SRC), "top")
     )
-    assert evals(flat.make_pipe()) == 5
+    assert evals(flat.make_pipe()) == 0
     loop_netlist, loop_library = compile_design(LOOP_SRC, "m")
     assert evals(Pipe(loop_netlist.top, loop_library)) == 0
     san_netlist, san_library = sanitized(SAN_SRC, "top", SanitizerRuntime())
-    assert evals(Pipe(san_netlist.top, san_library)) == 5
+    assert evals(Pipe(san_netlist.top, san_library)) == 0
