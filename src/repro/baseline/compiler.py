@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from .. import obs
 from ..codegen.build import BuildConfig
 from ..codegen.flatgen import compile_flat
-from ..codegen.pygen import CompiledModule, compile_module
+from ..codegen.pygen import CompiledModule, compile_module, part_demand
 from ..hdl.errors import CompileBudgetExceeded
 from ..ir.netlist import Netlist
 from ..sim.pipeline import Pipe
@@ -151,10 +151,11 @@ class BaselineCompiler:
 
         library: Dict[str, CompiledModule] = {}
         build = BuildConfig(mux_style=self.mux_style)
+        demand = part_demand(synthetic)
         for key in self._postorder(synthetic, top_key):
             self._check_budget(started)
             library[key] = compile_module(
-                synthetic.modules[key], synthetic, build
+                synthetic.modules[key], synthetic, build, parts=demand[key]
             )
             result.instances_compiled += 1
         result.library = library

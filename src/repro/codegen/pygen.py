@@ -359,15 +359,18 @@ class _Wiring:
                              if self.conn_deps(index, port) <= upto)
         return _NOTHING if index in self.early else None
 
+    def loop_locals(self, units, lo: Boundary, hi: FrozenSet[str]) -> List[str]:
+        """The locals of comb loop step ``units`` part (lo, hi) binds."""
+        return [n for u in units for n in self.ir.unit_defines(u)
+                if n not in self.early_targets and _computed(self.deps(n), lo, hi)]
+
     def settles(self, units, lo: Boundary, hi: FrozenSet[str]) -> bool:
-        """Whether part (lo, hi) repeats comb loop step ``units``: it
-        computes locals of the loop, and a unit of the loop it runs
-        reads one (else one pass settles them all)."""
-        ir = self.ir
-        names = {n for u in units for n in ir.unit_defines(u)
-                 if n not in self.early_targets and _computed(self.deps(n), lo, hi)}
+        """Whether part (lo, hi) repeats comb loop step ``units``: a
+        unit of the loop it runs reads a local of the loop it binds
+        (else one pass settles them all)."""
+        names = set(self.loop_locals(units, lo, hi))
         part = [u for u in units if u[0] == "inst" or self.runs(u, lo, hi)]
-        return not names.isdisjoint(n for u in part for n in ir.unit_reads(u))
+        return not names.isdisjoint(n for u in part for n in self.ir.unit_reads(u))
 
     def call(self, index: int, lo: Boundary, hi: FrozenSet[str],
              in_cycle: bool, looped: bool) -> Optional[Part]:
@@ -777,28 +780,26 @@ class _ModuleCompiler:
         if lo is None:
             self._gen_early_binds(exprgen)
         for units, is_loop in self._steps:
+            looped = is_loop and wiring.settles(units, lo, hi)
+            calls = {index: wiring.call(index, lo, hi, self._in_cycle, looped)
+                     for kind, index in units if kind == "inst"}
             settle = nullcontext()
             memos: Dict[int, str] = {}
-            if is_loop and wiring.settles(units, lo, hi):
-                names = [n for u in units for n in ir.unit_defines(u)
-                         if n not in wiring.early_targets
-                         and _computed(wiring.deps(n), lo, hi)]
+            if looped:
                 # A child the loop calls runs again only when a pass
                 # changes its arguments.
-                for kind, index in units:
-                    if kind == "inst" and wiring.call(
-                            index, lo, hi, self._in_cycle, True) is not None:
+                for index, part in calls.items():
+                    if part is not None:
                         memos[index] = self._emit.fresh("a")
                         self._emit.line(f"{memos[index]} = None")
+                names = wiring.loop_locals(units, lo, hi)
                 settle = settle_loop(self._emit, _locals(names), ir.key)
             with settle:
                 for unit in units:
                     kind, index = unit
                     if kind == "inst":
-                        part = wiring.call(index, lo, hi, self._in_cycle,
-                                           bool(memos))
-                        if part is not None:
-                            self._call_part(exprgen, index, part, (),
+                        if calls[index] is not None:
+                            self._call_part(exprgen, index, calls[index], (),
                                             memos.get(index))
                     elif self._runs_here(unit):
                         gen = (self._gen_comb_assign if kind == "assign"

@@ -7,7 +7,8 @@ written by one pass and read only by passes after it:
 * ``pure`` (elab_facts): read by sanitize_plan and sensitivity;
 * ``value_facts`` (dataflow): no pass; the analyzer reads the same
   facts from the session cache;
-* ``plans`` (constprop; deadlogic and sensitivity refine it): codegen;
+* ``plans`` (constprop; deadlogic and sensitivity refine it, the last
+  at every opt level): codegen;
 * ``san_free`` (sanitize_plan): sensitivity;
 * ``library`` (codegen): the caller.
 
@@ -46,7 +47,8 @@ class PassData:
     pure: FrozenSet[str] = frozenset()  # keys with a stateless subtree
     # key -> ModuleValueFacts; empty while dataflow is gated off.
     value_facts: Dict[str, Any] = field(default_factory=dict)
-    plans: Dict[str, OptPlan] = field(default_factory=dict)  # empty at opt=none
+    # At opt=none only the skipped children (sensitivity).
+    plans: Dict[str, OptPlan] = field(default_factory=dict)
     san_free: FrozenSet[str] = frozenset()  # pure and no sanitizer site below
     library: Dict[str, CompiledModule] = field(default_factory=dict)
 
