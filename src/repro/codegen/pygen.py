@@ -328,8 +328,7 @@ class _Wiring:
     def runs(self, unit, lo: Boundary, hi: FrozenSet[str]) -> bool:
         """Whether comb ``unit`` (not an instance) is computed in part
         (lo, hi).  (All defines of one block share one dependency set.)"""
-        return any(_computed(self.deps(name), lo, hi)
-                   for name in self.ir.unit_defines(unit))
+        return _computed(self.deps(self.ir.unit_defines(unit)[0]), lo, hi)
 
     def conn_deps(self, index: int, port: str) -> FrozenSet[str]:
         """The input ports of this module that child ``index``'s
@@ -347,15 +346,15 @@ class _Wiring:
         it, in ``cycle``)."""
         if upto is None:
             return None
-        child = self.child(index)
+        ports = self.child(index).comb_input_ports
         if in_cycle and index not in self.skip:
-            return frozenset(child.comb_input_ports)
+            return frozenset(ports)
         inst = self.ir.instances[index]
         prebound = self.early.get(index, ())
         if any(self.deps(target) <= upto
                for port, target in inst.output_conns.items()
                if port not in inst.registered_ports and port not in prebound):
-            return frozenset(port for port in child.comb_input_ports
+            return frozenset(port for port in ports
                              if self.conn_deps(index, port) <= upto)
         return _NOTHING if index in self.early else None
 
