@@ -123,7 +123,9 @@ class Pipe:
             outputs = self._last_outputs = dict(zip(self.top.code.outputs, eval_out()))
         return outputs
 
-    outputs = eval
+    def outputs(self) -> Dict[str, int]:
+        """The settled outputs (:meth:`eval`)."""
+        return self.eval()
 
     def attach_trace(self, buffer) -> None:
         """Capture ``buffer`` (a :class:`repro.trace.TraceBuffer`) on
