@@ -250,14 +250,13 @@ Part = Tuple[Boundary, FrozenSet[str]]
 _NOTHING: FrozenSet[str] = frozenset()
 
 
-def part_name(ir: ModuleIR, part: Part) -> str:
-    """The name of the function of ``ir``'s code that computes ``part``
-    (and of the :class:`CompiledModule` attribute that holds it):
-    ``eval_out`` for the whole settled body, else ``eval_<lo>_<hi>``,
-    each boundary a hex mask over ``ir.comb_input_ports`` and ``n``
-    where nothing is computed yet."""
+def part_name(ports: Sequence[str], part: Part) -> str:
+    """The name of the function that computes ``part`` of a module
+    whose comb ports are ``ports`` (and of the :class:`CompiledModule`
+    attribute that holds it): ``eval_out`` for the whole settled body,
+    else ``eval_<lo>_<hi>``, each boundary a hex mask over ``ports``
+    and ``n`` where nothing is computed yet."""
     lo, hi = part
-    ports = ir.comb_input_ports
     if lo is None and hi == frozenset(ports):
         return "eval_out"
 
@@ -318,6 +317,9 @@ class _Wiring:
         self.steps = [([u for u in units if u not in dead], is_loop)
                       for units, is_loop in ir.steps]
         self._conn: Dict[Tuple[int, str], FrozenSet[str]] = {}
+        self._reached: Dict[tuple, Boundary] = {}
+        self._unit_deps: Dict[tuple, FrozenSet[str]] = {}
+        self._ports: Dict[int, List[str]] = {}
 
     def child(self, index: int) -> ModuleIR:
         return self.netlist.modules[self.ir.instances[index].child_key]
@@ -328,7 +330,17 @@ class _Wiring:
     def runs(self, unit, lo: Boundary, hi: FrozenSet[str]) -> bool:
         """Whether comb ``unit`` (not an instance) is computed in part
         (lo, hi).  (All defines of one block share one dependency set.)"""
-        return _computed(self.deps(self.ir.unit_defines(unit)[0]), lo, hi)
+        deps = self._unit_deps.get(unit)
+        if deps is None:
+            deps = self._unit_deps[unit] = self.deps(self.ir.unit_defines(unit)[0])
+        return deps <= hi and (lo is None or not deps <= lo)
+
+    def ports(self, index: int) -> List[str]:
+        """Child ``index``'s comb ports, which its IR works out anew on
+        each read."""
+        if index not in self._ports:
+            self._ports[index] = self.child(index).comb_input_ports
+        return self._ports[index]
 
     def conn_deps(self, index: int, port: str) -> FrozenSet[str]:
         """The input ports of this module that child ``index``'s
@@ -346,7 +358,13 @@ class _Wiring:
         it, in ``cycle``)."""
         if upto is None:
             return None
-        ports = self.child(index).comb_input_ports
+        key = (index, upto, in_cycle)
+        if key not in self._reached:
+            self._reached[key] = self._reach(index, upto, in_cycle)
+        return self._reached[key]
+
+    def _reach(self, index: int, upto: FrozenSet[str], in_cycle: bool) -> Boundary:
+        ports = self.ports(index)
         if in_cycle and index not in self.skip:
             return frozenset(ports)
         inst = self.ir.instances[index]
@@ -399,7 +417,8 @@ class _Wiring:
 def part_names(ir: ModuleIR, parts: Iterable[Part]) -> Tuple[str, ...]:
     """The function names of ``parts`` of ``ir``, sorted (what a
     :class:`~repro.codegen.build.ModuleKey` holds of them)."""
-    return tuple(sorted(part_name(ir, part) for part in parts))
+    ports = ir.comb_input_ports
+    return tuple(sorted(part_name(ports, part) for part in parts))
 
 
 def part_demand(netlist: Netlist,
@@ -431,7 +450,7 @@ def part_demand(netlist: Netlist,
         for lo, hi, in_cycle in own:
             for index, part in wiring.calls(lo, hi, in_cycle):
                 child = wiring.child(index)
-                if part_name(child, part) != "eval_out":
+                if part_name(wiring.ports(index), part) != "eval_out":
                     demand[child.key].add(part)
     return {key: frozenset(parts) for key, parts in demand.items()}
 
@@ -577,7 +596,7 @@ class _ModuleCompiler:
         self._wiring = wiring = _Wiring(ir, netlist, plan)
         self._steps = wiring.steps
         # The parts of the settled body a parent calls besides eval_out.
-        self._parts = sorted(parts, key=lambda part: part_name(ir, part))
+        self._parts = sorted(parts, key=lambda part: part_name(self._comb_ports, part))
         # The part being generated: what it computes (lo, hi), whether it
         # is cycle, and the locals it leaves in the stash slot.
         self._lo: Boundary = None
@@ -981,12 +1000,12 @@ class _ModuleCompiler:
         names = [f"v_{inst.output_conns[p]}" if p in ports and p in inst.output_conns
                  else "_" for p in outs]
         lhs = f"({', '.join(names)}, ) = " if set(names) - {"_"} else ""
-        args = [p for p in child.comb_input_ports if p in part[1]]
+        args = [p for p in self._wiring.ports(index) if p in part[1]]
         values = self._child_args(exprgen, inst, args)
         emit = self._emit
         ref = emit.fresh("c")
         emit.line(f"{ref} = ch[{index}]")
-        name = part_name(child, part)
+        name = part_name(self._wiring.ports(index), part)
         call = f"{ref}.code.{name}_fn" if name == "eval_out" else f"{ref}.code.{name}"
         if memo is None:
             emit.line(f"{lhs}{call}({ref}.state, {ref}.children{_pass(args, values)})")
@@ -1044,7 +1063,7 @@ class _ModuleCompiler:
         for part, binds, body, _ in bodies:
             ports = [p for p in self._comb_ports if p in part[1]]
             fn = FunctionEmitter()
-            with block(fn, f"def {part_name(ir, part)}(s, ch{_params(ports)}):"):
+            with block(fn, f"def {part_name(self._comb_ports, part)}(s, ch{_params(ports)}):"):
                 _unpack_inputs(fn, ports)
                 if stash_in:
                     fn.line(f"{_slots(_locals(stash_in))} = s[{self.layout.stash_slot}]")
