@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .. import obs
 from ..codegen.build import BuildConfig
@@ -151,31 +151,15 @@ class BaselineCompiler:
 
         library: Dict[str, CompiledModule] = {}
         build = BuildConfig(mux_style=self.mux_style)
-        demand = part_demand(synthetic)
-        for key in self._postorder(synthetic, top_key):
+        wirings = part_demand(synthetic)
+        # Each clone is inserted after its children, so this is the
+        # post-order walk from the top.
+        for key in synthetic.children_first():
             self._check_budget(started)
-            library[key] = compile_module(
-                synthetic.modules[key], synthetic, build, parts=demand[key]
-            )
+            library[key] = compile_module(wirings[key], build)
             result.instances_compiled += 1
         result.library = library
         return top_key
-
-    @staticmethod
-    def _postorder(netlist: Netlist, top_key: str) -> List[str]:
-        order: List[str] = []
-        seen = set()
-
-        def visit(key: str) -> None:
-            if key in seen:
-                return
-            seen.add(key)
-            for inst in netlist.modules[key].instances:
-                visit(inst.child_key)
-            order.append(key)
-
-        visit(top_key)
-        return order
 
     def _check_budget(self, started: float) -> None:
         if self.budget_seconds is None:

@@ -146,7 +146,7 @@ from .. import obs
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import expr_reads, width_of
 from ..hdl.errors import CodegenError, ConvergenceError
-from ..ir.netlist import ModuleIR, Netlist
+from ..ir.netlist import ModuleIR, Netlist, UnitId
 from .build import BuildConfig, ModuleKey
 from .emitter import FunctionEmitter, block
 from .exprgen import ATOM, BAND, COND, Code, ExprGen, Resolver, StmtGen, mask_of, paren
@@ -250,12 +250,13 @@ Part = Tuple[Boundary, FrozenSet[str]]
 _NOTHING: FrozenSet[str] = frozenset()
 
 
-def part_name(ports: Sequence[str], part: Part) -> str:
-    """The name of the function that computes ``part`` of a module
-    whose comb ports are ``ports`` (and of the :class:`CompiledModule`
-    attribute that holds it): ``eval_out`` for the whole settled body,
-    else ``eval_<lo>_<hi>``, each boundary a hex mask over ``ports``
-    and ``n`` where nothing is computed yet."""
+def part_name(ir: ModuleIR, part: Part) -> str:
+    """The name of the function that computes ``part`` of ``ir`` (and
+    of the :class:`CompiledModule` attribute that holds it):
+    ``eval_out`` for the whole settled body, else ``eval_<lo>_<hi>``,
+    each boundary a hex mask over ``ir.comb_input_ports`` and ``n``
+    where nothing is computed yet."""
+    ports = ir.comb_input_ports
     lo, hi = part
     if lo is None and hi == frozenset(ports):
         return "eval_out"
@@ -280,14 +281,26 @@ def _computed(deps, lo: Boundary, hi: FrozenSet[str]) -> bool:
     return deps <= hi and (lo is None or not deps <= lo)
 
 
-class _Wiring:
-    """Which part of each child a part of one module calls, and when.
+class _Step(NamedTuple):
+    """A stretch of the schedule as one part of a module runs it: one
+    comb loop, or the units between two loops."""
 
-    The generator writes these calls and :func:`part_demand` reads
-    them, so every child is compiled with each part its parents call.
-    A child is advanced, at most once per part of the parent, to the
-    boundary of its ports that part has settled (:meth:`reached`); one
-    whose outputs the part does not read is not called.  The part the
+    units: List[UnitId]  # what the part emits of it, in order
+    is_loop: bool  # a comb loop of the schedule
+    calls: Dict[int, Part]  # instance -> the part of it the step calls
+    settle: List[str]  # the locals the part repeats it until they settle
+
+
+class _Wiring:
+    """The call plan of one module under its :class:`OptPlan`: which
+    part of each child each part of the module calls, and when.
+
+    :func:`part_demand` builds one per module per compile, gives it the
+    parts its parents call (``parts``) and walks each of its own parts
+    once (:meth:`walk`); the generator writes those walks.  A child is
+    advanced, at most once per part of the parent, to the boundary of
+    its ports that part has settled (:meth:`reached`); one whose
+    outputs the part does not read is not called.  The part the
     parent's ``cycle`` calls ends at all of the child's comb ports,
     unless the child's own ``cycle`` is not called (a pure subtree,
     ``plan.skip_children``) and nothing reads the rest.  A child on a
@@ -295,9 +308,11 @@ class _Wiring:
     the pass before has already moved it past where it started.
     """
 
-    def __init__(self, ir: ModuleIR, netlist: Netlist, plan: OptPlan):
+    def __init__(self, ir: ModuleIR, netlist: Netlist, plan: OptPlan = NO_OPT):
         self.ir = ir
         self.netlist = netlist
+        self.plan = plan
+        self.parts: Set[Part] = set()  # what parents call besides eval_out
         self.comb = frozenset(ir.comb_input_ports)
         self.all = frozenset(ir.inputs)
         self.skip = frozenset(plan.skip_children)
@@ -311,15 +326,18 @@ class _Wiring:
                     if port not in registered
                     and not child.signal_deps.get(port, _NOTHING)]
         self.early_targets = {target for _, _, target in ir.early_bind}
-        # The schedule's steps without the units the plan drops.
+        # The schedule's steps without the units the plan drops, and
+        # the dependency set of each comb unit (all defines of one block
+        # share one).
         dead = {("assign", i) for i in plan.dead_assigns}
         dead |= {("block", i) for i in plan.dead_blocks}
         self.steps = [([u for u in units if u not in dead], is_loop)
                       for units, is_loop in ir.steps]
-        self._conn: Dict[Tuple[int, str], FrozenSet[str]] = {}
+        self._unit_deps = {unit: self.deps(ir.unit_defines(unit)[0])
+                           for units, _ in self.steps for unit in units
+                           if unit[0] != "inst"}
         self._reached: Dict[tuple, Boundary] = {}
-        self._unit_deps: Dict[tuple, FrozenSet[str]] = {}
-        self._ports: Dict[int, List[str]] = {}
+        self._walks: Dict[tuple, List[_Step]] = {}
 
     def child(self, index: int) -> ModuleIR:
         return self.netlist.modules[self.ir.instances[index].child_key]
@@ -327,30 +345,11 @@ class _Wiring:
     def deps(self, name: str):
         return self.ir.signal_deps.get(name, _NOTHING)
 
-    def runs(self, unit, lo: Boundary, hi: FrozenSet[str]) -> bool:
-        """Whether comb ``unit`` (not an instance) is computed in part
-        (lo, hi).  (All defines of one block share one dependency set.)"""
-        deps = self._unit_deps.get(unit)
-        if deps is None:
-            deps = self._unit_deps[unit] = self.deps(self.ir.unit_defines(unit)[0])
-        return deps <= hi and (lo is None or not deps <= lo)
-
-    def ports(self, index: int) -> List[str]:
-        """Child ``index``'s comb ports, which its IR works out anew on
-        each read."""
-        if index not in self._ports:
-            self._ports[index] = self.child(index).comb_input_ports
-        return self._ports[index]
-
     def conn_deps(self, index: int, port: str) -> FrozenSet[str]:
         """The input ports of this module that child ``index``'s
         ``port`` depends on through its connection."""
-        key = (index, port)
-        if key not in self._conn:
-            expr = self.ir.instances[index].input_conns[port]
-            self._conn[key] = frozenset().union(
-                *(self.deps(name) for name in expr_reads(expr)))
-        return self._conn[key]
+        expr = self.ir.instances[index].input_conns[port]
+        return frozenset().union(*(self.deps(name) for name in expr_reads(expr)))
 
     def reached(self, index: int, upto: Boundary, in_cycle: bool = False) -> Boundary:
         """How far child ``index`` is computed once this module has
@@ -364,7 +363,7 @@ class _Wiring:
         return self._reached[key]
 
     def _reach(self, index: int, upto: FrozenSet[str], in_cycle: bool) -> Boundary:
-        ports = self.ports(index)
+        ports = self.child(index).comb_input_ports
         if in_cycle and index not in self.skip:
             return frozenset(ports)
         inst = self.ir.instances[index]
@@ -376,21 +375,20 @@ class _Wiring:
                              if self.conn_deps(index, port) <= upto)
         return _NOTHING if index in self.early else None
 
-    def loop_locals(self, units, lo: Boundary, hi: FrozenSet[str]) -> List[str]:
-        """The locals of comb loop step ``units`` part (lo, hi) binds."""
-        return [n for u in units for n in self.ir.unit_defines(u)
-                if n not in self.early_targets and _computed(self.deps(n), lo, hi)]
+    def _settle(self, units, lo: Boundary, hi: FrozenSet[str]) -> List[str]:
+        """The locals of comb loop step ``units`` part (lo, hi) binds,
+        if a unit of the loop it runs reads one (else one pass settles
+        them all, and this is empty)."""
+        names = [n for u in units for n in self.ir.unit_defines(u)
+                 if n not in self.early_targets and _computed(self.deps(n), lo, hi)]
+        runs = [u for u in units
+                if u[0] == "inst" or _computed(self._unit_deps[u], lo, hi)]
+        if set(names).isdisjoint(n for u in runs for n in self.ir.unit_reads(u)):
+            return []
+        return names
 
-    def settles(self, units, lo: Boundary, hi: FrozenSet[str]) -> bool:
-        """Whether part (lo, hi) repeats comb loop step ``units``: a
-        unit of the loop it runs reads a local of the loop it binds
-        (else one pass settles them all)."""
-        names = set(self.loop_locals(units, lo, hi))
-        part = [u for u in units if u[0] == "inst" or self.runs(u, lo, hi)]
-        return not names.isdisjoint(n for u in part for n in self.ir.unit_reads(u))
-
-    def call(self, index: int, lo: Boundary, hi: FrozenSet[str],
-             in_cycle: bool, looped: bool) -> Optional[Part]:
+    def _call(self, index: int, lo: Boundary, hi: FrozenSet[str],
+              in_cycle: bool, looped: bool) -> Optional[Part]:
         """The part of child ``index`` that part (lo, hi) of this module
         calls at the child's place in the schedule, or None."""
         before = _NOTHING if lo is None and index in self.early else self.reached(index, lo)
@@ -399,60 +397,73 @@ class _Wiring:
             return None
         return (None if looped else before), after
 
-    def calls(self, lo: Boundary, hi: FrozenSet[str],
-              in_cycle: bool) -> Iterator[Tuple[int, Part]]:
-        """Every child part part (lo, hi) of this module calls."""
-        if lo is None:
-            for index in self.early:  # the early-bind prepass
-                yield index, (None, _NOTHING)
+    def own(self) -> List[Tuple[Boundary, FrozenSet[str], bool]]:
+        """Every part this module's code runs, as (lo, hi, in_cycle):
+        ``eval_out``, the parts its parents call, ``cycle``."""
+        return ([(None, self.comb, False)] + [(lo, hi, False) for lo, hi in self.parts]
+                + [(self.comb, self.all, True)])
+
+    def walk(self, lo: Boundary, hi: FrozenSet[str], in_cycle: bool = False) -> List[_Step]:
+        """The steps part (lo, hi) of this module runs (``in_cycle``:
+        ``cycle``), worked out on first use.  With nothing computed yet
+        the first is the early-bind prepass, which calls each child on a
+        wiring cycle (see repro.ir.schedule) for the part computable
+        from no port at all: its dependency-free outputs, correct under
+        any inputs."""
+        key = (lo, hi, in_cycle)
+        if key in self._walks:
+            return self._walks[key]
+        steps = self._walks[key] = []
+        if lo is None and self.early:
+            prepass = {index: (None, _NOTHING) for index in self.early}
+            steps.append(_Step([("inst", i) for i in prepass], False, prepass, []))
+        plain = _Step([], False, {}, [])
         for units, is_loop in self.steps:
-            looped = is_loop and self.settles(units, lo, hi)
-            for kind, index in units:
+            step = _Step([], True, {}, self._settle(units, lo, hi)) if is_loop else plain
+            for unit in units:
+                kind, index = unit
                 if kind == "inst":
-                    part = self.call(index, lo, hi, in_cycle, looped)
-                    if part is not None:
-                        yield index, part
+                    part = self._call(index, lo, hi, in_cycle, bool(step.settle))
+                    if part is None:
+                        continue
+                    step.calls[index] = part
+                elif not _computed(self._unit_deps[unit], lo, hi):
+                    continue  # not computed in this part
+                step.units.append(unit)
+            if is_loop:
+                if plain.units:
+                    steps.append(plain)
+                    plain = _Step([], False, {}, [])
+                steps.append(step)
+        if plain.units:
+            steps.append(plain)
+        return steps
 
 
 def part_names(ir: ModuleIR, parts: Iterable[Part]) -> Tuple[str, ...]:
     """The function names of ``parts`` of ``ir``, sorted (what a
     :class:`~repro.codegen.build.ModuleKey` holds of them)."""
-    ports = ir.comb_input_ports
-    return tuple(sorted(part_name(ports, part) for part in parts))
+    return tuple(sorted(part_name(ir, part) for part in parts))
 
 
 def part_demand(netlist: Netlist,
-                plans: Optional[Dict[str, OptPlan]] = None) -> Dict[str, FrozenSet[Part]]:
-    """The parts other than ``eval_out`` each module's parents call
-    (:class:`_Wiring`), by module key; ``plans`` are the modules'
-    optimization plans (none: :data:`NO_OPT`).  A parent's own parts
-    are known before its children's are asked for."""
+                plans: Optional[Dict[str, OptPlan]] = None) -> Dict[str, _Wiring]:
+    """Each module's wiring under its optimization plan in ``plans``
+    (none: :data:`NO_OPT`), by module key, with the parts other than
+    ``eval_out`` its parents call and the walk of each part it runs.  A
+    parent's own parts are known before its children's are asked for."""
     plans = plans or {}
-    modules = netlist.modules
-    order: List[str] = []
-    seen: Set[str] = set()
-
-    def visit(key: str) -> None:
-        if key not in seen:
-            seen.add(key)
-            for inst in modules[key].instances:
-                visit(inst.child_key)
-            order.append(key)
-
-    for key in modules:
-        visit(key)
-    demand: Dict[str, Set[Part]] = {key: set() for key in modules}
-    for key in reversed(order):  # parents first
-        ir = modules[key]
-        wiring = _Wiring(ir, netlist, plans.get(key, NO_OPT))
-        own = [(lo, hi, False) for lo, hi in demand[key]]
-        own += [(None, wiring.comb, False), (wiring.comb, wiring.all, True)]
-        for lo, hi, in_cycle in own:
-            for index, part in wiring.calls(lo, hi, in_cycle):
-                child = wiring.child(index)
-                if part_name(wiring.ports(index), part) != "eval_out":
-                    demand[child.key].add(part)
-    return {key: frozenset(parts) for key, parts in demand.items()}
+    wirings = {key: _Wiring(ir, netlist, plans.get(key, NO_OPT))
+               for key, ir in netlist.modules.items()}
+    for key in reversed(netlist.children_first()):  # parents first
+        wiring = wirings[key]
+        for lo, hi, in_cycle in wiring.own():
+            for step in wiring.walk(lo, hi, in_cycle):
+                for index, part in step.calls.items():
+                    child = wirings[wiring.ir.instances[index].child_key]
+                    if part_name(child.ir, part) != "eval_out":
+                        child.parts.add(part)
+    return wirings
 
 
 class StateLayout(NamedTuple):
@@ -586,27 +597,22 @@ class CompiledModule:
 
 
 class _ModuleCompiler:
-    def __init__(self, ir: ModuleIR, netlist: Netlist, build: BuildConfig,
-                 plan: OptPlan = NO_OPT, parts: Iterable[Part] = ()):
-        self._ir = ir
-        self._netlist = netlist
+    def __init__(self, wiring: _Wiring, build: BuildConfig):
+        self._ir = ir = wiring.ir
+        self._netlist = wiring.netlist
         self._mux_style = build.mux_style
         self._emit = FunctionEmitter()
-        self._comb_ports = list(ir.comb_input_ports)
-        self._wiring = wiring = _Wiring(ir, netlist, plan)
-        self._steps = wiring.steps
+        self._wiring = wiring
         # The parts of the settled body a parent calls besides eval_out.
-        self._parts = sorted(parts, key=lambda part: part_name(self._comb_ports, part))
-        # The part being generated: what it computes (lo, hi), whether it
-        # is cycle, and the locals it leaves in the stash slot.
-        self._lo: Boundary = None
-        self._hi = wiring.comb
+        self._parts = sorted(wiring.parts, key=lambda part: part_name(ir, part))
+        # The function being generated: whether it is cycle, and the
+        # locals it leaves in the stash slot.
         self._in_cycle = False
         self._stash_out: List[str] = []
         # Boundary -> the locals the stash slot holds there, for the
         # parts that start from it (cycle: all comb ports).
         self._stash: Dict[FrozenSet[str], List[str]] = {}
-        self._plan = plan
+        self._plan = plan = wiring.plan
         self._plans: Optional[Dict[int, object]] = (
             None if plan.is_noop else {})  # id(IR node) -> its plan
         # The assigns the function being generated writes at their reads
@@ -648,10 +654,6 @@ class _ModuleCompiler:
         # The hooks of eval_out and cycle (the parts re-emit their sites).
         self.sites = self.elided = 0
 
-    @property
-    def comb_ports(self) -> List[str]:
-        return self._comb_ports
-
     # -- name resolution ------------------------------------------------------
 
     def _open_body(self, lo: Boundary, hi: FrozenSet[str],
@@ -668,7 +670,7 @@ class _ModuleCompiler:
         (:class:`_Wiring`), so nothing else reads one.
         """
         ir = self._ir
-        self._lo, self._hi, self._in_cycle = lo, hi, in_cycle
+        self._in_cycle = in_cycle
         reads: Set[str] = set()
 
         def signal_ref(name: str) -> str:
@@ -782,44 +784,22 @@ class _ModuleCompiler:
 
     # -- the combinational body, split between the parts and cycle -------------
 
-    def _gen_early_binds(self, exprgen: ExprGen) -> None:
-        """Prepass for wiring cycles (see repro.ir.schedule): each
-        involved child's part computable from no port at all binds its
-        dependency-free outputs, which are correct under any inputs."""
-        for index, ports in self._wiring.early.items():
-            self._call_part(exprgen, index, (None, _NOTHING), set(ports))
-
-    def _runs_here(self, unit) -> bool:
-        return self._wiring.runs(unit, self._lo, self._hi)
-
-    def _gen_comb_body(self, exprgen: ExprGen) -> None:
-        ir, wiring = self._ir, self._wiring
-        lo, hi = self._lo, self._hi
-        if lo is None:
-            self._gen_early_binds(exprgen)
-        for units, is_loop in self._steps:
-            looped = is_loop and wiring.settles(units, lo, hi)
-            calls = {index: wiring.call(index, lo, hi, self._in_cycle, looped)
-                     for kind, index in units if kind == "inst"}
+    def _gen_comb_body(self, exprgen: ExprGen, walk: List[_Step]) -> None:
+        for step in walk:
             settle = nullcontext()
             memos: Dict[int, str] = {}
-            if looped:
+            if step.settle:
                 # A child the loop calls runs again only when a pass
                 # changes its arguments.
-                for index, part in calls.items():
-                    if part is not None:
-                        memos[index] = self._emit.fresh("a")
-                        self._emit.line(f"{memos[index]} = None")
-                names = wiring.loop_locals(units, lo, hi)
-                settle = settle_loop(self._emit, _locals(names), ir.key)
+                for index in step.calls:
+                    memos[index] = self._emit.fresh("a")
+                    self._emit.line(f"{memos[index]} = None")
+                settle = settle_loop(self._emit, _locals(step.settle), self._ir.key)
             with settle:
-                for unit in units:
-                    kind, index = unit
+                for kind, index in step.units:
                     if kind == "inst":
-                        if calls[index] is not None:
-                            self._call_part(exprgen, index, calls[index], (),
-                                            memos.get(index))
-                    elif self._runs_here(unit):
+                        self._call_part(exprgen, index, step.calls[index], memos.get(index))
+                    else:
                         gen = (self._gen_comb_assign if kind == "assign"
                                else self._gen_comb_block)
                         gen(exprgen, index)
@@ -845,10 +825,10 @@ class _ModuleCompiler:
         return carries_hook(
             self._planned(assign.value, self._plan.expr), hooked)
 
-    def _sink(self) -> Tuple[Set[int], Set[int]]:
-        """The continuous assigns this function writes at their reads
-        instead of at their schedule position (:mod:`.sinking`), and
-        those it does not write at all, by index.
+    def _sink(self, walk: List[_Step]) -> Tuple[Set[int], Set[int]]:
+        """The continuous assigns the function running ``walk`` writes
+        at their reads instead of at their schedule position
+        (:mod:`.sinking`), and those it does not write at all, by index.
 
         A candidate runs here and is not a port, not left in the stash
         and not on a comb loop.  One walk back over what the function
@@ -862,8 +842,8 @@ class _ModuleCompiler:
         reads.
         """
         ir = self._ir
-        units = [(unit, is_loop) for step, is_loop in self._steps
-                 for unit in step if unit[0] != "inst" and self._runs_here(unit)]
+        units = [(unit, step.is_loop) for step in walk
+                 for unit in step.units if unit[0] != "inst"]
         candidates = {
             ir.comb_assigns[index].defines
             for (kind, index), is_loop in units
@@ -982,30 +962,28 @@ class _ModuleCompiler:
         )
 
     def _call_part(self, exprgen: ExprGen, index: int, part: Part,
-                   ports: Iterable[str] = (), memo: Optional[str] = None) -> None:
+                   memo: Optional[str] = None) -> None:
         """Call ``part`` of child ``index`` with the ports its boundary
-        settles, binding the outputs it returns (only ``ports`` of them
-        if given) by one unpack; the rest land in ``_``, and a call
-        whose outputs nothing binds assigns nothing.  Inside a comb
-        loop, ``memo`` is the local holding the last pass's arguments:
-        an unchanged pass does not call."""
+        settles, binding the comb outputs it returns by one unpack; the
+        rest land in ``_``, and a call whose outputs nothing binds
+        assigns nothing.  The early-bind prepass (the part from no
+        port) binds the dependency-free outputs, so no later call of
+        that child binds them again.  Inside a comb loop, ``memo`` is
+        the local holding the last pass's arguments: an unchanged pass
+        does not call."""
         inst = self._ir.instances[index]
         child = self._wiring.child(index)
-        ports = set(ports) or {
-            port for port in inst.output_conns
-            if port not in inst.registered_ports
-            and port not in self._wiring.early.get(index, ())
-        }
-        outs = part_outputs(child, part)
-        names = [f"v_{inst.output_conns[p]}" if p in ports and p in inst.output_conns
-                 else "_" for p in outs]
+        prebound = self._wiring.early.get(index, ()) if part[1] else ()
+        names = [f"v_{inst.output_conns[p]}" if p in inst.output_conns
+                 and p not in inst.registered_ports and p not in prebound
+                 else "_" for p in part_outputs(child, part)]
         lhs = f"({', '.join(names)}, ) = " if set(names) - {"_"} else ""
-        args = [p for p in self._wiring.ports(index) if p in part[1]]
+        args = [p for p in child.comb_input_ports if p in part[1]]
         values = self._child_args(exprgen, inst, args)
         emit = self._emit
         ref = emit.fresh("c")
         emit.line(f"{ref} = ch[{index}]")
-        name = part_name(self._wiring.ports(index), part)
+        name = part_name(child, part)
         call = f"{ref}.code.{name}_fn" if name == "eval_out" else f"{ref}.code.{name}"
         if memo is None:
             emit.line(f"{lhs}{call}({ref}.state, {ref}.children{_pass(args, values)})")
@@ -1037,8 +1015,9 @@ class _ModuleCompiler:
             exprgen, reads = self._open_body(lo, hi)
             body = self._emit
             self._stash_out = stash = self._stash.get(hi, [])
-            self._sunk, self._dead = self._sink()
-            self._gen_comb_body(exprgen)
+            walk = self._wiring.walk(lo, hi)
+            self._sunk, self._dead = self._sink(walk)
+            self._gen_comb_body(exprgen, walk)
             outs = part_outputs(ir, part)
             if stash:
                 body.line(f"s[{self.layout.stash_slot}] = {_slots(_locals(stash))}")
@@ -1061,9 +1040,9 @@ class _ModuleCompiler:
         ]
         functions = []
         for part, binds, body, _ in bodies:
-            ports = [p for p in self._comb_ports if p in part[1]]
+            ports = [p for p in ir.comb_input_ports if p in part[1]]
             fn = FunctionEmitter()
-            with block(fn, f"def {part_name(self._comb_ports, part)}(s, ch{_params(ports)}):"):
+            with block(fn, f"def {part_name(ir, part)}(s, ch{_params(ports)}):"):
                 _unpack_inputs(fn, ports)
                 if stash_in:
                     fn.line(f"{_slots(_locals(stash_in))} = s[{self.layout.stash_slot}]")
@@ -1079,8 +1058,8 @@ class _ModuleCompiler:
     def _gen_cycle(self) -> FunctionEmitter:
         ir = self._ir
         num_regs = ir.num_regs
-        comb = self._wiring.comb
-        exprgen, reads = self._open_body(comb, self._wiring.all, in_cycle=True)
+        comb, everything = self._wiring.comb, self._wiring.all
+        exprgen, reads = self._open_body(comb, everything, in_cycle=True)
         body = self._emit
         written = [n for n in self._mem_slot if n in self._seq_writers]
         for name in written:
@@ -1089,8 +1068,9 @@ class _ModuleCompiler:
         if hooks is not None:
             hooks.open_cycle(body)
         self._stash_out = []
-        self._sunk, self._dead = self._sink()
-        self._gen_comb_body(exprgen)
+        walk = self._wiring.walk(comb, everything, in_cycle=True)
+        self._sunk, self._dead = self._sink(walk)
+        self._gen_comb_body(exprgen, walk)
         for block_id, seq in enumerate(ir.seq_blocks):
             self._gen_seq_block(exprgen, seq, block_id)
         skip = self._wiring.skip
@@ -1181,15 +1161,19 @@ class _ModuleCompiler:
 
 
 def compile_module(
-    ir: ModuleIR,
-    netlist: Netlist,
+    wiring: _Wiring,
     build: BuildConfig = BuildConfig(),
     runtime: object = None,
-    opt_plan: OptPlan = NO_OPT,
     key: Optional[ModuleKey] = None,
-    parts: Optional[Iterable[Part]] = None,
 ) -> CompiledModule:
-    """Compile one specialization into a :class:`CompiledModule`.
+    """Compile the specialization ``wiring`` plans into a
+    :class:`CompiledModule`.
+
+    ``wiring`` is the module's entry of :func:`part_demand`: its
+    optimization plan (see :mod:`repro.passes`: what to fold, which dead
+    logic to drop and which pure subtrees' ``cycle`` to skip), the parts
+    of its settled body its parents call besides ``eval_out``, and the
+    calls each of its parts makes.
 
     Under ``build.sanitize`` the generated source is instrumented with
     calls into ``runtime`` (a :class:`repro.sanitize.SanitizerRuntime`),
@@ -1197,24 +1181,16 @@ def compile_module(
     says whether the instrumenter drops the sites their widths make safe
     and shortens the rest.
 
-    ``opt_plan`` (see :mod:`repro.passes`) says what to fold, which
-    dead logic to drop and which pure subtrees' ``cycle`` to skip.
-
-    ``parts`` are the parts of the settled body the module's parents
-    call besides ``eval_out`` (:func:`part_demand`; by default those
-    ``netlist`` asks for with no plan anywhere).
-
     ``key`` is the cache address the pass pipeline compiles for; it
     names the ``linecache`` entry.  Direct callers have none and get
     the bare ``(spec, build, parts)`` key.
     """
-    if parts is None:
-        parts = part_demand(netlist)[ir.key]
+    ir = wiring.ir
     if key is None:
-        key = ModuleKey(ir.key, build=build, parts=part_names(ir, parts))
+        key = ModuleKey(ir.key, build=build, parts=part_names(ir, wiring.parts))
     with obs.span("codegen.compile_module", key=ir.key,
                   sanitize=build.sanitize, opt=build.opt):
-        compiler = _ModuleCompiler(ir, netlist, build, opt_plan, parts)
+        compiler = _ModuleCompiler(wiring, build)
         source = compiler.generate()
         fns = exec_source(source, key.filename, build, runtime)
     obs.incr("codegen.modules_compiled")
@@ -1229,7 +1205,7 @@ def compile_module(
         ir=ir,
         source=source,
         inputs=tuple(ir.inputs),
-        comb_input_ports=tuple(compiler.comb_ports),
+        comb_input_ports=ir.comb_input_ports,
         outputs=tuple(ir.outputs),
         num_regs=ir.num_regs,
         layout=compiler.layout,
@@ -1241,7 +1217,7 @@ def compile_module(
         build=build,
         san_sites=compiler.sites,
         san_elided=compiler.elided,
-        eval_out_packed=packs(compiler.comb_ports),
+        eval_out_packed=packs(ir.comb_input_ports),
         cycle_packed=packs(ir.inputs),
         **fns,
     )
@@ -1258,7 +1234,7 @@ def site_count(ir: ModuleIR, netlist: Netlist,
     which dead units and pure children it may drop under sanitize
     (zero: none of their findings would be silenced).
     """
-    compiler = _ModuleCompiler(ir, netlist, BuildConfig(sanitize=True))
+    compiler = _ModuleCompiler(_Wiring(ir, netlist), BuildConfig(sanitize=True))
     if unit is None:
         compiler.generate()
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..hdl import ast_nodes as ast
 
@@ -220,11 +220,12 @@ class ModuleIR:
             result |= deps
         return result
 
-    @property
-    def comb_input_ports(self) -> List[str]:
-        """comb_inputs in declared input order (the eval_out ABI)."""
+    @cached_property
+    def comb_input_ports(self) -> Tuple[str, ...]:
+        """comb_inputs in declared input order (the eval_out ABI),
+        worked out once per ``ModuleIR`` like :attr:`comb_signature`."""
         comb = self.comb_inputs
-        return [name for name in self.inputs if name in comb]
+        return tuple(name for name in self.inputs if name in comb)
 
     def signal_width(self, name: str) -> Optional[int]:
         sig = self.signals.get(name)
@@ -285,6 +286,23 @@ class Netlist:
     @property
     def top_module(self) -> ModuleIR:
         return self.modules[self.top]
+
+    def children_first(self) -> List[str]:
+        """Every module key, each after all its children: a depth-first
+        walk from each key in ``modules`` order in turn."""
+        order: List[str] = []
+        seen: Set[str] = set()
+
+        def visit(key: str) -> None:
+            if key not in seen:
+                seen.add(key)
+                for inst in self.modules[key].instances:
+                    visit(inst.child_key)
+                order.append(key)
+
+        for key in self.modules:
+            visit(key)
+        return order
 
     def instance_count(self, key: Optional[str] = None) -> Dict[str, int]:
         """Total instance count per specialization under the top.

@@ -88,7 +88,7 @@ class CodegenPass(Pass):
         store = data.store
         library: Dict[str, CompiledModule] = {}
         recompiled: List[str] = []
-        demand = part_demand(netlist, data.plans)
+        wirings = part_demand(netlist, data.plans)
 
         def visit(key: str) -> CompiledModule:
             if key in library:
@@ -96,7 +96,7 @@ class CodegenPass(Pass):
             ir = netlist.modules[key]
             for inst in ir.instances:
                 visit(inst.child_key)  # bottom-up
-            plan = data.plans.get(key, NO_OPT)
+            wiring = wirings[key]
             # A parent's schedule, its eval_out arguments and its
             # eval_out/cycle partition all read the child's *per-
             # output* dependencies, which the interface fp (their
@@ -107,11 +107,11 @@ class CodegenPass(Pass):
             # cannot otherwise see.
             child_fps = tuple(
                 netlist.modules[inst.child_key].comb_signature
-                + ("+pure" if index in plan.skip_children else "")
+                + ("+pure" if index in wiring.skip else "")
                 for index, inst in enumerate(ir.instances)
             )
             cache_key = ModuleKey(*data.identity(key), child_fps, build,
-                                  part_names(ir, demand[key]))
+                                  part_names(ir, wiring.parts))
 
             def obtain() -> CompiledModule:
                 obs.incr("compile.cache_miss." + cache_key.miss_reason(
@@ -125,15 +125,7 @@ class CodegenPass(Pass):
                 if store is not None:
                     compiled = store.load(cache_key, sanitize_runtime=runtime)
                 if compiled is None:
-                    compiled = compile_module(
-                        ir,
-                        netlist,
-                        build,
-                        runtime=runtime,
-                        opt_plan=plan,
-                        key=cache_key,
-                        parts=demand[key],
-                    )
+                    compiled = compile_module(wiring, build, runtime, cache_key)
                     recompiled.append(key)
                     if store is not None:
                         store.save(cache_key, compiled)

@@ -1181,24 +1181,6 @@ class _ModuleAnalysis:
 # ----------------------------------------------------------------------------
 
 
-def _topo_module_keys(netlist: Netlist) -> List[str]:
-    """Module keys, children before parents."""
-    order: List[str] = []
-    done: Set[str] = set()
-
-    def visit(key: str) -> None:
-        if key in done:
-            return
-        done.add(key)
-        for inst in netlist.modules[key].instances:
-            visit(inst.child_key)
-        order.append(key)
-
-    for key in netlist.modules:
-        visit(key)
-    return order
-
-
 def _join_port(slot: Dict[str, Optional[ValueFact]], port: str,
                fact: Optional[ValueFact]) -> None:
     if port in slot:
@@ -1242,7 +1224,7 @@ def compute_netlist_facts(netlist: Netlist, fps=None, cache=None,
     """
     fps = fps or {}
     cache = cache if cache is not None else DerivedCache()
-    topo = _topo_module_keys(netlist)
+    topo = netlist.children_first()
 
     def analysis(ir: ModuleIR, run_key: tuple, input_facts,
                  **origins) -> _ModuleAnalysis:

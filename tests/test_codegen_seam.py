@@ -11,7 +11,7 @@ import pytest
 
 from repro import BuildConfig
 from repro.codegen import pygen
-from repro.codegen.pygen import compile_module, site_count
+from repro.codegen.pygen import compile_module, part_demand, site_count
 from repro.hdl import elaborate, parse
 from repro.passes import compile_netlist
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
@@ -113,7 +113,7 @@ class TestHooksObject:
         monkeypatch.setattr(instrument, "Instrumenter", RecordingHooks)
         netlist = elaborate(parse(ONE_OF_EACH), "m")
         compiler = pygen._ModuleCompiler(
-            netlist.modules["m"], netlist, SANITIZED
+            pygen._Wiring(netlist.modules["m"], netlist), SANITIZED
         )
         source = compiler.generate()
         compile(source, "<seam>", "exec")  # the fake's text is clean code
@@ -148,7 +148,7 @@ class TestHooksObject:
     def test_clean_build_has_no_hooks_object(self):
         netlist = elaborate(parse(ONE_OF_EACH), "m")
         compiler = pygen._ModuleCompiler(
-            netlist.modules["m"], netlist, BuildConfig()
+            pygen._Wiring(netlist.modules["m"], netlist), BuildConfig()
         )
         assert compiler.hooks is None
         assert "_san" not in compiler.generate()
@@ -160,14 +160,15 @@ class TestCensusIsTheGenerator:
     )
     def test_site_count_is_what_the_build_emits(self, netlist):
         runtime = SanitizerRuntime(mode="report")
+        wirings = part_demand(netlist)
         for ir in netlist.modules.values():
-            compiled = compile_module(ir, netlist, SANITIZED, runtime)
+            compiled = compile_module(wirings[ir.key], SANITIZED, runtime)
             assert site_count(ir, netlist) == compiled.san_sites, ir.key
             for unit in ir.schedule:
                 if unit[0] == "inst":
                     continue
                 text = pygen._ModuleCompiler(
-                    ir, netlist, SANITIZED
+                    pygen._Wiring(ir, netlist), SANITIZED
                 ).gen_unit(*unit)
                 hooked = "_san." in text or "_SAN_I" in text
                 assert (site_count(ir, netlist, unit) > 0) == hooked, (

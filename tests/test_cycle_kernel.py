@@ -290,7 +290,7 @@ def test_the_shapes_are_what_they_say():
     assert top.early_bind and top.loops == []
 
     netlist, library = compile_design(THREE_LEVEL, "top")
-    assert netlist.modules["mid"].comb_input_ports == ["x"]
+    assert netlist.modules["mid"].comb_input_ports == ("x",)
     eval_out, cycle = library["mid"].source.split("def cycle")
     assert _binds("req", eval_out) and _binds("value", cycle)
     # The leaf in two parts: eval_out's takes addr, cycle's adds data.
@@ -440,8 +440,8 @@ def test_narrowing_connections_agree_with_the_flat_compiler(build):
     netlist = elaborate(parse(NARROWING), "top")
     assert netlist.modules["loopy"].loops == [(("assign", 1), ("assign", 2))]
     assert netlist.modules["ploop"].loops == [(("assign", 0), ("assign", 1))]
-    assert netlist.modules["loopy"].comb_input_ports == ["a"]  # not clk
-    assert netlist.modules["leaf"].comb_input_ports == ["a", "b"]  # not k
+    assert netlist.modules["loopy"].comb_input_ports == ("a",)  # not clk
+    assert netlist.modules["leaf"].comb_input_ports == ("a", "b")  # not k
     library = compile_netlist(netlist, build, sanitize_runtime=runtime)
     # The optimizer works around the loop: k folds.  Unused is read by
     # nothing, so no build writes it.

@@ -19,7 +19,7 @@ import pytest
 
 from repro.__main__ import Shell
 from repro.codegen.build import BuildConfig
-from repro.codegen.pygen import _ModuleCompiler, site_count
+from repro.codegen.pygen import _ModuleCompiler, _Wiring, site_count
 from repro.hdl import elaborate, parse
 from repro.hdl.errors import SimulationError
 from repro.live.commands import CommandError, CommandInterpreter
@@ -470,7 +470,7 @@ def test_the_sink_rule_knows_which_assigns_carry_a_hook(pgas2_netlist_library):
     hooked = 0
     for netlist in netlists:
         for ir in netlist.modules.values():
-            compiler = _ModuleCompiler(ir, netlist, BuildConfig(sanitize=True))
+            compiler = _ModuleCompiler(_Wiring(ir, netlist), BuildConfig(sanitize=True))
             for index, assign in enumerate(ir.comb_assigns):
                 sites = site_count(ir, netlist, ("assign", index))
                 assert compiler._hooked(assign) == (sites > 0), (

@@ -84,7 +84,7 @@ BUDGET = {
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 58,
-    "setup.lines": 16_710,
+    "setup.lines": 16_678,
     "setup.dataclasses": 52,
     "codegen.lines.mesh2x2": 535,
     "codegen.lines.mesh4x4": 655,
