@@ -620,6 +620,7 @@ class _ModuleCompiler:
         self._sunk: Set[int] = set()
         self._dead: Set[int] = set()
         self._inlined: Dict[str, Code] = {}
+        self._refs: Dict[int, str] = {}  # child index -> its local
         sanitize = build.sanitize
         nm = len(ir.memories)
         self.layout = layout = state_layout(ir.num_regs, nm, sanitize)
@@ -691,6 +692,7 @@ class _ModuleCompiler:
             return f"_m_{name}"
 
         self._inlined = {}
+        self._refs = {}
         resolver = Resolver(
             signal_ref=signal_ref,
             signal_width=ir.signal_width,
@@ -981,8 +983,7 @@ class _ModuleCompiler:
         args = [p for p in child.comb_input_ports if p in part[1]]
         values = self._child_args(exprgen, inst, args)
         emit = self._emit
-        ref = emit.fresh("c")
-        emit.line(f"{ref} = ch[{index}]")
+        ref = self._child_ref(index)
         name = part_name(child, part)
         call = f"{ref}.code.{name}_fn" if name == "eval_out" else f"{ref}.code.{name}"
         if memo is None:
@@ -994,6 +995,16 @@ class _ModuleCompiler:
             emit.line(f"{memo} = {key}")
             spread = f", {key}" if packs(args) else f", *{key}"
             emit.line(f"{lhs}{call}({ref}.state, {ref}.children{spread})")
+
+    def _child_ref(self, index: int) -> str:
+        """The local the function being generated holds child ``index``
+        in, bound where the function first calls it: each later call
+        is in the same block or after it."""
+        ref = self._refs.get(index)
+        if ref is None:
+            ref = self._refs[index] = self._emit.fresh("c")
+            self._emit.line(f"{ref} = ch[{index}]")
+        return ref
 
     def _output_ref(self, name: str) -> str:
         sig = self._ir.signals[name]
@@ -1080,8 +1091,7 @@ class _ModuleCompiler:
                 # recompute values nothing commits.  Skip it.
                 continue
             child = self._netlist.modules[inst.child_key]
-            ref = body.fresh("c")
-            body.line(f"{ref} = ch[{index}]")
+            ref = self._child_ref(index)
             args = _pass(child.inputs, self._child_args(exprgen, inst, child.inputs))
             body.line(f"{ref}.code.cycle_fn({ref}.state, {ref}.children{args})")
         # The commit, after every child's: nothing above reads this

@@ -55,8 +55,8 @@ from tests.test_unwatched_cycle import LOOP_SRC, loop_inputs, wrapped
 BUDGET = {
     "cycle.2x2.unwatched": 6,
     "cycle.2x2.watched": 9,
-    "cycle.2x2.lines": 1082.4,
-    "cycle.4x4.lines": 4316.2,
+    "cycle.2x2.lines": 1078.4,
+    "cycle.4x4.lines": 4300.2,
     "entries.4x4.pgas_mesh_4x4.cycle": 1,
     "entries.4x4.pgas_mesh_4x4.eval_out": 1,
     "entries.4x4.pgas_node.cycle": 16,
@@ -84,10 +84,10 @@ BUDGET = {
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 58,
-    "setup.lines": 16_678,
+    "setup.lines": 16_688,
     "setup.dataclasses": 52,
-    "codegen.lines.mesh2x2": 535,
-    "codegen.lines.mesh4x4": 655,
+    "codegen.lines.mesh2x2": 531,
+    "codegen.lines.mesh4x4": 639,
     "codegen.lines.counter.v:adder": 6,
     "codegen.lines.counter.v:counter": 18,
     "codegen.lines.counter.v:top": 30,
