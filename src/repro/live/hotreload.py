@@ -166,7 +166,7 @@ class HotReloader:
                 inst.children.append(old_child)
             else:
                 inst.children.append(StageInst.build(
-                    child_key, library, name=child_name, parent=inst
+                    child_key, library, name=child_name, pipe=inst.pipe
                 ))
                 report.rebuilt_instances += 1
 

@@ -36,7 +36,7 @@ class Pipe:
         self.name = name
         self.library = dict(library)
         self.top = StageInst.build(
-            top_key, self.library, name="top", parent=self
+            top_key, self.library, name="top", pipe=self
         )
         self.cycle = 0
         self._inputs: Dict[str, int] = {
@@ -82,11 +82,6 @@ class Pipe:
         reloader does this).
         """
         self._entries = self._last_outputs = None
-
-    def _drop_cached_evals(self) -> None:
-        """The root end of :meth:`StageInst._drop_cached_evals`: state
-        changed somewhere below, so the cached outputs are stale."""
-        self._last_outputs = None
 
     def _bind_entries(self) -> tuple:
         """The top's (eval_out, cycle) with what the generated code is

@@ -318,18 +318,18 @@ class StateSnapshot:
 class StageInst:
     """One instantiated stage: shared code + private state + children.
 
-    ``parent`` is the instance whose compiled code calls this one (the
-    owning :class:`~repro.sim.pipeline.Pipe` for the top).  No instance
-    holds a memo: the pipe at the root of that chain caches the settled
-    outputs, so a mutation outside ``cycle`` drops them there.
+    ``pipe`` is the :class:`~repro.sim.pipeline.Pipe` whose tree holds
+    this instance (None outside one).  No instance holds a memo: the
+    pipe caches the settled outputs, so a mutation outside ``cycle``
+    drops them there (:meth:`invalidate_cache`).
     """
 
-    __slots__ = ("code", "state", "children", "name", "parent")
+    __slots__ = ("code", "state", "children", "name", "pipe")
 
-    def __init__(self, code: CompiledModule, name: str = "top", parent=None):
+    def __init__(self, code: CompiledModule, name: str = "top", pipe=None):
         self.code = code
         self.name = name
-        self.parent = parent
+        self.pipe = pipe
         self.state = code.make_state()
         self.children: List[StageInst] = []
 
@@ -341,16 +341,17 @@ class StageInst:
         key: str,
         library: Dict[str, CompiledModule],
         name: str = "top",
-        parent=None,
+        pipe=None,
     ) -> "StageInst":
-        """Instantiate the subtree rooted at specialization ``key``."""
+        """Instantiate the subtree rooted at specialization ``key``, in
+        ``pipe``'s tree."""
         code = library.get(key)
         if code is None:
             raise SimulationError(f"no compiled module for {key!r}")
-        inst = cls(code, name=name, parent=parent)
+        inst = cls(code, name=name, pipe=pipe)
         for child_name, child_key in code.child_insts:
             inst.children.append(
-                cls.build(child_key, library, name=child_name, parent=inst)
+                cls.build(child_key, library, name=child_name, pipe=pipe)
             )
         return inst
 
@@ -398,7 +399,7 @@ class StageInst:
         self.state[slot + self.code.num_regs] = value & mask
         if self.code.build.sanitize:
             self.state[self.code.layout.reg_poison_slot] &= ~(1 << slot)
-        self._drop_cached_evals()
+        self.invalidate_cache()
 
     def memory(self, name: str) -> List[int]:
         spec = self.code.mem_specs.get(name)
@@ -578,7 +579,7 @@ class StageInst:
                     pbits |= 1 << slot
             state[code.layout.reg_poison_slot] = pbits
             state[code.layout.nw_slot].clear()
-        self._drop_cached_evals()
+        self.invalidate_cache()
         children = self.children
         if not children:
             return
@@ -590,7 +591,7 @@ class StageInst:
 
     def reset_state(self) -> None:
         """Zero all registers and memories (power-on state)."""
-        self._drop_cached_evals()
+        self.invalidate_cache()
         for _, inst in self.walk():
             inst.state = inst.code.make_state()
 
@@ -605,12 +606,6 @@ class StageInst:
             for spec in code.mem_specs.values():
                 del state[spec.pending_slot][:]
 
-    def _drop_cached_evals(self) -> None:
-        """Drop the pipe's settled outputs, at the root of the parent
-        chain: they were computed from state that is about to differ."""
-        if self.parent is not None:
-            self.parent._drop_cached_evals()
-
     def invalidate_cache(self) -> None:
         """Drop what was settled from this subtree's state: the owning
         pipe's outputs, and the stash each instance's next ``cycle``
@@ -621,7 +616,8 @@ class StageInst:
         grab a memory list via :meth:`memory` and write into it — need
         to call this (or go through :meth:`write_memory`).
         """
-        self._drop_cached_evals()
+        if self.pipe is not None:
+            self.pipe.invalidate()
 
     def write_memory(self, name: str, offset: int, words: List[int]) -> None:
         """Write ``words`` into memory ``name`` starting at ``offset``
@@ -639,7 +635,7 @@ class StageInst:
             self.state[spec.poison_slot] &= ~(
                 ((1 << len(words)) - 1) << offset
             )
-        self._drop_cached_evals()
+        self.invalidate_cache()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<StageInst {self.name} code={self.code.key}>"

@@ -48,7 +48,7 @@ class TestBasicSwap:
     def test_swap_between_eval_and_tick_drops_the_pipes_cache(self):
         """The pipe forgets what it settled under the old code, so the
         edge settles again under the new; a new or reused child points
-        at its parent, so later mutations still reach the pipe."""
+        at the pipe, so later mutations still reach it."""
         pipe = warmed_pipe(25)
         reference = warmed_pipe(25)
         pipe.eval()  # settled, under the old adder
@@ -60,10 +60,7 @@ class TestBasicSwap:
         HotReloader().swap_pipe(reference, new_lib)
         assert pipe._last_outputs is None
         for path, inst in pipe.top.walk():
-            parent = pipe if path == "top" else pipe.find(
-                ".".join(path.split(".")[1:-1])
-            )
-            assert inst.parent is parent, path
+            assert inst.pipe is pipe, path
         pipe.tick()
         reference.step(1)
         assert pipe.outputs() == reference.outputs() == {"c0": 27, "c1": 79}
