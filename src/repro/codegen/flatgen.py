@@ -43,12 +43,6 @@ from .emitter import FunctionEmitter, block
 from .exprgen import ExprGen, Resolver, StmtGen, mask_of
 from .pygen import CompiledModule, MemSpec, settle_loop, state_layout
 
-# Unused slots between the pending registers and the memories.  The
-# flat baseline's eval and cycle keep nothing there; the gap holds its
-# memory slots, and so its generated source, where they have always
-# been, whatever the shared generator's layout keeps between the two.
-FLAT_GAP = 3
-
 
 @dataclass
 class _Unit:
@@ -169,8 +163,10 @@ class _FlatCompiler:
             self._allocate(inst.child_key, child_path)
 
     def _finalize_slots(self) -> None:
-        # Layout matches CompiledModule.make_state under FLAT_GAP.
-        base = 2 * self._num_regs + FLAT_GAP
+        # The shared layout (CompiledModule.make_state); the stash slot
+        # stays unused.
+        self.layout = state_layout(self._num_regs, self._mem_count, False)
+        base = self.layout.mem_base
         for i, spec in enumerate(self._mem_specs.values()):
             spec.slot = base + i
             spec.pending_slot = base + self._mem_count + i
@@ -473,8 +469,7 @@ def compile_flat(
         comb_input_ports=tuple(top.inputs),  # flat eval takes everything
         outputs=tuple(top.outputs),
         num_regs=compiler._num_regs,
-        layout=state_layout(compiler._num_regs, compiler._mem_count, False,
-                            between=FLAT_GAP),
+        layout=compiler.layout,
         reg_slots=dict(compiler._reg_slots),
         reg_widths=dict(compiler._reg_widths),
         mem_specs=dict(compiler._mem_specs),

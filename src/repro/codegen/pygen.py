@@ -481,13 +481,11 @@ class StateLayout(NamedTuple):
     state_size: int
 
 
-def state_layout(num_regs: int, num_mems: int, sanitize: bool,
-                 between: int = CACHE_SLOTS) -> StateLayout:
+def state_layout(num_regs: int, num_mems: int, sanitize: bool) -> StateLayout:
     """The layout of an instance with ``num_regs`` registers and
-    ``num_mems`` memories: ``between`` slots sit between the pending
-    registers and the memories."""
+    ``num_mems`` memories."""
     stash_slot = 2 * num_regs
-    mem_base = stash_slot + between
+    mem_base = stash_slot + CACHE_SLOTS
     sanitize_base = mem_base + 2 * num_mems
     return StateLayout(
         stash_slot=stash_slot,
