@@ -108,8 +108,9 @@ def compile_design(
     Returns ``(netlist, library)``; build a runnable UUT with
     ``Pipe(netlist.top, library)``.  Compilation is the
     :mod:`repro.passes` pipeline; ``opt="full"`` turns on constant
-    propagation, dead-logic elimination and pure-subtree skips —
-    bit-identical to the plain build by construction.
+    propagation and dead-logic elimination — bit-identical to the
+    plain build by construction.  At every level a pure subtree's
+    ``cycle`` is not called and an assign nothing reads is not emitted.
     """
     from .codegen import BuildConfig
     from .hdl import elaborate, parse

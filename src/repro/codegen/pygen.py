@@ -34,9 +34,12 @@ final arguments.  Each part is one function of the child's code, shared
 by every instance (``eval_<lo>_<hi>``, :func:`part_name`), and it reads
 what the part before it left in the stash.  The early-bind prepass for
 wiring cycles is the part computable from no port at all: a ring stop's
-register outputs.  Which parts a module's parents call is part of its
-compile (:func:`part_demand`, ``ModuleKey.parts``).  Inside a comb loop
-a child is called again only when a pass changed its arguments.
+register outputs.  Inside a comb loop a child is called again only when
+a pass changed its arguments.  One plan per module per compile decides
+every call: :func:`part_demand` builds each module's :class:`_Wiring`,
+which walks each part the module runs once, and the generator writes
+those walks.  Which parts a module's parents call is part of its
+compile (``ModuleKey.parts``).
 
 Each combinational unit is emitted once in ``eval_out`` or ``cycle``
 (and again in each part that computes it), and runs only on a path that
@@ -117,8 +120,8 @@ state — see :meth:`repro.sim.stage.StageInst.invalidate_cache`.
 Build flavours: the emitter above is the whole of a clean build, and
 each optional flavour is one object it calls.  The optimizer's is an
 :class:`~repro.codegen.optplan.OptPlan` (assembled by
-:class:`repro.passes.codegen.CodegenPass` from the pass facts): the
-emitter asks it for the expression or block body to emit and reads its
+:class:`repro.passes.codegen.CodegenPass` from the pass facts, and
+carried by the module's wiring): the emitter asks it for the expression or block body to emit and reads its
 dead units and skippable children; ``NO_OPT`` applies nothing.  The
 sanitizer's is an :class:`~repro.sanitize.instrument.Instrumenter`
 (built here, one per sanitized module compile, told the build's

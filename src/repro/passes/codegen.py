@@ -12,9 +12,11 @@ store in front of ``compile_module``, and addresses all three by one
 :class:`~repro.codegen.build.ModuleKey` per specialization — the module
 identity (spec, source fingerprint), child interfaces and the session's
 :class:`~repro.codegen.build.BuildConfig` — so plain, optimized,
-sanitized and elided artifacts coexist.  A miss compiles under the
-module's ``plans`` entry (:data:`~repro.codegen.optplan.NO_OPT` when it
-has none), and a sanitized build binds the session's sanitizer runtime.
+sanitized and elided artifacts coexist.  A miss compiles the module's
+wiring from :func:`~repro.codegen.pygen.part_demand`, one per module per
+run, under its ``plans`` entry (:data:`~repro.codegen.optplan.NO_OPT`
+when it has none), and a sanitized build binds the session's sanitizer
+runtime.
 """
 
 from __future__ import annotations

@@ -26,6 +26,9 @@ A wall-clock bound cannot see a few per cent; a count can.  Each row of
   ``opt=none`` build, summed over the library, for the 2x2 and 4x4
   mesh and every module of ``examples/designs/*.v`` as a top, named
   and counted as ``tools/source_digests.py`` names and counts them.
+- ``compile.4x4.wirings``: the call plans (``pygen._Wiring``) a clean
+  ``compile_netlist`` of the 4x4 mesh builds: one per module, which
+  plans each part's child calls once for the whole compile.
 - ``settle.*``: the runs of a comb loop's settle loop per cycle (the
   calls of its module's settled body, which holds the loop) in an
   unwatched run, with a sequential-only input (the reset) held at 1.
@@ -42,6 +45,7 @@ from collections import Counter
 
 from benchmarks.livebench.workloads import boot_testbench, node_images, node_programs
 from repro import compile_design
+from repro.codegen import pygen
 from repro.codegen.build import BuildConfig
 from repro.hdl import elaborate, parse
 from repro.passes import compile_netlist
@@ -84,7 +88,7 @@ BUDGET = {
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 58,
-    "setup.lines": 16_688,
+    "setup.lines": 16_683,
     "setup.dataclasses": 52,
     "codegen.lines.mesh2x2": 531,
     "codegen.lines.mesh4x4": 639,
@@ -95,6 +99,7 @@ BUDGET = {
     "codegen.lines.ranges.v:narrows": 6,
     "codegen.lines.ranges.v:ranges": 37,
     "codegen.lines.ring.v:ring": 19,
+    "compile.4x4.wirings": 10,
     "settle.loop_child.unwatched": 1,
 }
 
@@ -256,6 +261,21 @@ def test_generated_source_stays_within_its_line_budget():
         )
     assert measured.keys() == {name for name in BUDGET if name.startswith("codegen.")}
     assert not moved(measured), f"generated lines moved (pinned, now): {moved(measured)}"
+
+
+def test_a_clean_4x4_compile_plans_each_module_once(monkeypatch):
+    netlist = elaborate(parse(build_pgas_source(4)), mesh_top_name(4))
+    built = []
+    init = pygen._Wiring.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pygen._Wiring, "__init__", counted)
+    compile_netlist(netlist)
+    measured = {"compile.4x4.wirings": len(built)}
+    assert not moved(measured), f"call plans moved (pinned, now): {moved(measured)}"
 
 
 def test_a_comb_loop_child_settles_once_per_cycle():
