@@ -121,10 +121,10 @@ Build flavours: the emitter above is the whole of a clean build, and
 each optional flavour is one object it calls.  The optimizer's is an
 :class:`~repro.codegen.optplan.OptPlan` (assembled by
 :class:`repro.passes.codegen.CodegenPass` from the pass facts, and
-carried by the module's wiring): the emitter asks it for the expression or block body to emit and reads its
-dead units and skippable children; ``NO_OPT`` applies nothing.  The
-sanitizer's is an :class:`~repro.sanitize.instrument.Instrumenter`
-(built here, one per sanitized module compile, told the build's
+carried by the module's wiring): the emitter asks it for the expression
+or block body to emit and reads its dead units and skippable children;
+``NO_OPT`` applies nothing.  The sanitizer's is an
+:class:`~repro.sanitize.instrument.Instrumenter` (built here, one per sanitized module compile, told the build's
 ``san_elide``): it writes every hook, at the sites :mod:`exprgen` comes to,
 at the four structural points of ``cycle`` (opening, register commit,
 memory-word commit, module epilogue) and in each function's prologue
@@ -400,12 +400,6 @@ class _Wiring:
             return None
         return (None if looped else before), after
 
-    def own(self) -> List[Tuple[Boundary, FrozenSet[str], bool]]:
-        """Every part this module's code runs, as (lo, hi, in_cycle):
-        ``eval_out``, the parts its parents call, ``cycle``."""
-        return ([(None, self.comb, False)] + [(lo, hi, False) for lo, hi in self.parts]
-                + [(self.comb, self.all, True)])
-
     def walk(self, lo: Boundary, hi: FrozenSet[str], in_cycle: bool = False) -> List[_Step]:
         """The steps part (lo, hi) of this module runs (``in_cycle``:
         ``cycle``), worked out on first use.  With nothing computed yet
@@ -460,7 +454,9 @@ def part_demand(netlist: Netlist,
                for key, ir in netlist.modules.items()}
     for key in reversed(netlist.children_first()):  # parents first
         wiring = wirings[key]
-        for lo, hi, in_cycle in wiring.own():
+        own = [(None, wiring.comb, False), (wiring.comb, wiring.all, True)]
+        own += [(lo, hi, False) for lo, hi in wiring.parts]  # eval_out, cycle, parts
+        for lo, hi, in_cycle in own:
             for step in wiring.walk(lo, hi, in_cycle):
                 for index, part in step.calls.items():
                     child = wirings[wiring.ir.instances[index].child_key]
