@@ -152,9 +152,7 @@ class BaselineCompiler:
         library: Dict[str, CompiledModule] = {}
         build = BuildConfig(mux_style=self.mux_style)
         wirings = part_demand(synthetic)
-        # Each clone is inserted after its children, so this is the
-        # post-order walk from the top.
-        for key in synthetic.children_first():
+        for key in synthetic.children_first(top_key):
             self._check_budget(started)
             library[key] = compile_module(wirings[key], build)
             result.instances_compiled += 1

@@ -287,9 +287,10 @@ class Netlist:
     def top_module(self) -> ModuleIR:
         return self.modules[self.top]
 
-    def children_first(self) -> List[str]:
-        """Every module key, each after all its children: a depth-first
-        walk from each key in ``modules`` order in turn."""
+    def children_first(self, root: Optional[str] = None) -> List[str]:
+        """Module keys, each after all its children: a depth-first walk
+        from ``root``, or by default from each key in ``modules`` order
+        in turn (every key)."""
         order: List[str] = []
         seen: Set[str] = set()
 
@@ -300,7 +301,7 @@ class Netlist:
                     visit(inst.child_key)
                 order.append(key)
 
-        for key in self.modules:
+        for key in self.modules if root is None else (root,):
             visit(key)
         return order
 

@@ -92,12 +92,8 @@ class CodegenPass(Pass):
         recompiled: List[str] = []
         wirings = part_demand(netlist, data.plans)
 
-        def visit(key: str) -> CompiledModule:
-            if key in library:
-                return library[key]
+        for key in netlist.children_first(netlist.top):  # bottom-up
             ir = netlist.modules[key]
-            for inst in ir.instances:
-                visit(inst.child_key)  # bottom-up
             wiring = wirings[key]
             # A parent's schedule, its eval_out arguments and its
             # eval_out/cycle partition all read the child's *per-
@@ -140,9 +136,6 @@ class CodegenPass(Pass):
             except HDLError as err:
                 err.place(ir.name, ir.line)
                 raise
-            return library[key]
-
-        visit(netlist.top)
         if report is not None:
             report.recompiled_keys.extend(recompiled)
             report.reused_keys.extend(
