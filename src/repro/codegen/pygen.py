@@ -334,11 +334,12 @@ class _Wiring:
         # share one).
         dead = {("assign", i) for i in plan.dead_assigns}
         dead |= {("block", i) for i in plan.dead_blocks}
-        self.steps = [([u for u in units if u not in dead], is_loop)
-                      for units, is_loop in ir.steps]
-        self._unit_deps = {unit: self.deps(ir.unit_defines(unit)[0])
-                           for units, _ in self.steps for unit in units
-                           if unit[0] != "inst"}
+        self.steps = ir.steps if not dead else [
+            ([u for u in units if u not in dead], is_loop) for units, is_loop in ir.steps]
+        self._unit_deps = {("assign", i): self.deps(assign.defines)
+                           for i, assign in enumerate(ir.comb_assigns)}
+        self._unit_deps.update((("block", i), self.deps(comb.defines[0]))
+                               for i, comb in enumerate(ir.comb_blocks))
         self._reached: Dict[tuple, Boundary] = {}
         self._walks: Dict[tuple, List[_Step]] = {}
 
