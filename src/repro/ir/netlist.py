@@ -293,17 +293,18 @@ class Netlist:
         in turn (every key)."""
         order: List[str] = []
         seen: Set[str] = set()
-
-        def visit(key: str) -> None:
-            if key not in seen:
-                seen.add(key)
-                for inst in self.modules[key].instances:
-                    visit(inst.child_key)
-                order.append(key)
-
         for key in self.modules if root is None else (root,):
-            visit(key)
+            self._visit(key, seen, order)
         return order
+
+    def _visit(self, key: str, seen: Set[str], order: List[str]) -> None:
+        # A method, not a closure: a closure that calls itself holds the
+        # netlist in a reference cycle until the cyclic collector runs.
+        if key not in seen:
+            seen.add(key)
+            for inst in self.modules[key].instances:
+                self._visit(inst.child_key, seen, order)
+            order.append(key)
 
     def instance_count(self, key: Optional[str] = None) -> Dict[str, int]:
         """Total instance count per specialization under the top.

@@ -47,14 +47,12 @@ class SanitizePlanPass(Pass):
                 ):
                     bare.add(key)
 
-        def subtree_bare(key: str) -> bool:
-            return key in bare and all(
-                subtree_bare(inst.child_key)
-                for inst in netlist.modules[key].instances
-            )
-
-        # A pure module's children are pure, so ``bare`` knows them.
-        data.san_free = frozenset(filter(subtree_bare, bare))
+        free: Set[str] = set()  # bare all the way down
+        for key in netlist.children_first():
+            if key in bare and all(inst.child_key in free
+                                   for inst in netlist.modules[key].instances):
+                free.add(key)
+        data.san_free = frozenset(free)
 
 
 class SensitivityPrunePass(Pass):

@@ -13,7 +13,7 @@ cache per fingerprint key.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Set
 
 from ..ir.netlist import ModuleIR
 from .base import Pass, PassData
@@ -35,16 +35,9 @@ class ElaborateFactsPass(Pass):
 
     def run(self, data: PassData) -> None:
         netlist = data.netlist
-        pure: Dict[str, bool] = {}
-
-        def visit(key: str) -> bool:
-            if key not in pure:
-                ir = netlist.modules[key]
-                pure[key] = module_is_pure(ir, all(
-                    visit(inst.child_key) for inst in ir.instances
-                ))
-            return pure[key]
-
-        for key in netlist.modules:
-            visit(key)
-        data.pure = frozenset(key for key, is_pure in pure.items() if is_pure)
+        pure: Set[str] = set()
+        for key in netlist.children_first():
+            ir = netlist.modules[key]
+            if module_is_pure(ir, all(inst.child_key in pure for inst in ir.instances)):
+                pure.add(key)
+        data.pure = frozenset(pure)

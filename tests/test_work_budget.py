@@ -88,7 +88,7 @@ BUDGET = {
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 58,
-    "setup.lines": 16_674,
+    "setup.lines": 16_666,
     "setup.dataclasses": 52,
     "codegen.lines.mesh2x2": 531,
     "codegen.lines.mesh4x4": 639,
