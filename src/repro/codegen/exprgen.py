@@ -7,6 +7,10 @@ behind :class:`Resolver`.
 
 Value invariant: every generated sub-expression evaluates to a Python
 int already masked to the node's width (non-negative, ``< 2**width``).
+A place that only tests a value (an ``if``, a ``?:`` condition, an
+operand of ``&&`` / ``||`` / ``!``) takes :meth:`ExprGen.test` instead:
+``a == b``, ``a and b``, ``not a``, where the value would be
+``1 if a == b else 0``.
 
 The width of every node is :func:`repro.hdl.consteval.width_of` (a
 documented deviation set from full Verilog, chosen to be predictable;
@@ -44,8 +48,10 @@ class Resolver:
       check.
 
     ``inlined`` maps a comb local the scope writes at its reads (see
-    :mod:`repro.codegen.sinking`) to the code it would have assigned;
-    a read of it is that code.  The generator fills it as it goes.
+    :mod:`repro.codegen.sinking`) to the code it would have assigned
+    and, when that is the 0/1 of a test, the bare test
+    (:meth:`ExprGen.forms`); a read of it is that code, a test of it
+    that test.  The generator fills it as it goes.
     """
 
     def __init__(
@@ -56,7 +62,7 @@ class Resolver:
         memory_width: Callable[[str], int],
         memory_depth: Callable[[str], int],
         hooks: Optional[object] = None,
-        inlined: Optional[Dict[str, "Code"]] = None,
+        inlined: Optional[Dict[str, Tuple["Code", Optional["Code"]]]] = None,
     ):
         self.signal_ref = signal_ref
         self.signal_width = signal_width
@@ -126,8 +132,71 @@ class ExprGen:
     def gen(self, expr: ast.Expr) -> str:
         """A Python expression for ``expr`` (masked), fit for any place
         that takes a whole expression: an assignment's right-hand side,
-        an argument, a subscript, an ``if`` test."""
+        an argument, a subscript."""
         return self.code(expr)[0]
+
+    def test(self, expr: ast.Expr) -> Code:
+        """A Python expression whose truth is whether ``expr`` is
+        nonzero, for a place that only tests it (an ``if``, a ``?:``
+        condition, an operand of ``&&`` / ``||`` / ``!``): the bare test
+        where the value would be ``1 if <test> else 0``, and a branching
+        ``?:`` whose arms are tests in turn."""
+        truth = self._truth(expr)
+        if truth is not None:
+            return truth
+        if isinstance(expr, ast.Ternary) and self._mux_style == "branch":
+            cond = self.test(expr.cond)
+            return (f"{paren(self.test(expr.if_true), OR)} if {paren(cond, OR)} "
+                    f"else {self.test(expr.if_false)[0]}", COND)
+        return self.code(expr)
+
+    def forms(self, expr: ast.Expr) -> Tuple[Code, Optional[Code]]:
+        """``expr``'s value and, when that value is the 0/1 of a test,
+        the bare test too (None otherwise), generated once: what a comb
+        local written at its reads is read as (:class:`Resolver`)."""
+        truth = self._truth(expr)
+        if truth is None:
+            return self.code(expr), None
+        return self._bit(truth), truth
+
+    # Binary operators whose value is the 0/1 of a test.
+    _COMPARE = frozenset({"==", "===", "!=", "!==", "<", "<=", ">", ">="})
+
+    def _truth(self, expr: ast.Expr) -> Optional[Code]:
+        """The bare test of an expression whose value is the 0/1 of one
+        (a comparison, ``&&``, ``||``, ``!``, a reduction ``&`` or ``|``,
+        a comb local written at its reads as one), else None."""
+        if isinstance(expr, ast.Binary):
+            op = expr.op
+            if op in self._COMPARE:
+                return self._compare(expr)
+            if op in ("&&", "||"):
+                # Both operands bind tighter than the operator: Python
+                # flattens ``a and b and c`` into one node, which the
+                # fully parenthesized spelling would not.
+                word, strength = ("and", AND) if op == "&&" else ("or", OR)
+                left = self.test(expr.left)
+                right = self.test(expr.right)
+                return (f"{paren(left, strength + 1)} {word} "
+                        f"{paren(right, strength + 1)}", strength)
+        elif isinstance(expr, ast.Unary):
+            if expr.op == "!":
+                return f"not {paren(self.test(expr.operand), NOT)}", NOT
+            if expr.op == "|":
+                return self.test(expr.operand)
+            if expr.op == "&":
+                mask = mask_of(self.width_of(expr.operand))
+                return f"{paren(self.code(expr.operand), BOR)} == {mask}", CMP
+        elif isinstance(expr, ast.Id):
+            inlined = self._resolver.inlined.get(expr.name)
+            if inlined is not None:
+                return inlined[1]
+        return None
+
+    @staticmethod
+    def _bit(truth: Code) -> Code:
+        """The 0/1 value of a bare test."""
+        return f"1 if {paren(truth, OR)} else 0", COND
 
     def code(self, expr: ast.Expr) -> Code:
         """:meth:`gen`'s text with its strength, for an operand place."""
@@ -168,7 +237,7 @@ class ExprGen:
         when hooks are installed; an inlined local is its code."""
         inlined = self._resolver.inlined.get(name)
         if inlined is not None:
-            return inlined
+            return inlined[0]
         ref = self._resolver.signal_ref(name)
         hooks = self._resolver.hooks
         if hooks is not None:
@@ -186,18 +255,12 @@ class ExprGen:
         return f"({paren(code, BXOR)} ^ {sign}) - {sign}", ARITH
 
     def _gen_unary(self, expr: ast.Unary) -> Code:
+        if expr.op in ("!", "&", "|"):
+            return self._bit(self._truth(expr))
         operand = self.code(expr.operand)
-        op_width = self.width_of(expr.operand)
         if expr.op in ("~", "-"):
-            return (f"{expr.op}{paren(operand, UNARY)} & {mask_of(op_width)}",
-                    BAND)
-        if expr.op == "!":
-            return f"0 if {paren(operand, OR)} else 1", COND
-        if expr.op == "&":
-            return (f"1 if {paren(operand, BOR)} == {mask_of(op_width)} "
-                    "else 0", COND)
-        if expr.op == "|":
-            return f"1 if {paren(operand, OR)} else 0", COND
+            mask = mask_of(self.width_of(expr.operand))
+            return f"{expr.op}{paren(operand, UNARY)} & {mask}", BAND
         if expr.op == "^":
             return f"bin({operand[0]}).count('1') & 1", BAND
         raise CodegenError(f"unknown unary {expr.op!r}", expr.line)
@@ -249,6 +312,8 @@ class ExprGen:
 
     def _gen_binary(self, expr: ast.Binary) -> Code:
         op = expr.op
+        if op in self._COMPARE or op in ("&&", "||"):
+            return self._bit(self._truth(expr))
         if op in self._FLATTENABLE:
             operands: List[ast.Expr] = []
             chain_width = self.width_of(expr) if op in ("+", "*") else None
@@ -287,24 +352,24 @@ class ExprGen:
             return self._masked(
                 (f"{paren(self._sext(left, wl), SHIFT)} >> "
                  f"{paren(right, ARITH)}", SHIFT), mask_of(wl))
-        if op in ("==", "===", "!=", "!==", "<", "<=", ">", ">="):
-            if op in ("<", "<=", ">", ">=") and (
-                    is_signed(expr.left) and is_signed(expr.right)):
-                left = self._sext(left, wl)
-                right = self._sext(right, wr)
-            compare = op[:2] if op[0] in "=!" else op
-            return (f"1 if {paren(left, BOR)} {compare} {paren(right, BOR)} "
-                    "else 0", COND)
-        if op in ("&&", "||"):
-            word = "and" if op == "&&" else "or"
-            return (f"1 if {paren(left, NOT)} {word} {paren(right, NOT)} "
-                    "else 0", COND)
         if op in ("&", "|", "^"):
             return self._chain(op, [left, right])
         raise CodegenError(f"unknown binary {op!r}", expr.line)
 
+    def _compare(self, expr: ast.Binary) -> Code:
+        """The bare test of a comparison."""
+        op = expr.op
+        left = self.code(expr.left)
+        right = self.code(expr.right)
+        if op in ("<", "<=", ">", ">=") and (
+                is_signed(expr.left) and is_signed(expr.right)):
+            left = self._sext(left, self.width_of(expr.left))
+            right = self._sext(right, self.width_of(expr.right))
+        compare = op[:2] if op[0] in "=!" else op
+        return f"{paren(left, BOR)} {compare} {paren(right, BOR)}", CMP
+
     def _gen_ternary(self, expr: ast.Ternary) -> Code:
-        cond = self.code(expr.cond)
+        cond = self.test(expr.cond)
         if_true = self.code(expr.if_true)
         if_false = self.code(expr.if_false)
         if self._mux_style == "branch":
@@ -541,7 +606,7 @@ class StmtGen:
         if isinstance(stmt.cond, ast.Num) and stmt.cond.value == 1 and not stmt.else_body:
             self.gen_stmts(stmt.then_body)
             return
-        cond = self._exprgen.gen(stmt.cond)
+        cond = self._exprgen.test(stmt.cond)[0]
         with block(self._emitter, f"if {cond}:"):
             if stmt.then_body:
                 self.gen_stmts(stmt.then_body)

@@ -72,6 +72,12 @@ own commit comes last.  An edge is atomic: a sanitizer trap inside
 ``cycle`` is raised once the edge is complete, and any other exception
 re-syncs the tree (:meth:`repro.sim.pipeline.Pipe.tick`).
 
+A child's entry points are instance attributes of its
+:class:`CompiledModule`, which CPython cannot load as a method with a
+specialised instruction; so every call names its callee,
+``(_e := _c1.code.eval_out_fn)(...)``, and the callee is a plain
+attribute load, which it specialises.
+
 Calling convention: arguments are in ``[0, 2**width)`` of their port
 and *the caller guarantees it*; the callee masks nothing.  By
 :mod:`exprgen`'s value invariant an argument can only exceed its port
@@ -109,7 +115,9 @@ nonblocking-write dict (see :class:`StateLayout`).
 
 Invariant: whenever no clock edge is in flight, pending == current and
 every pending-write list is empty.  ``cycle`` relies on it (it commits
-with one copy) and restores it; the other writers (``make_state``,
+by copying each pending value, ``s[i] = s[NR + i]`` per register, which
+for a module's few registers is cheaper than a slice read and a slice
+store) and restores it; the other writers (``make_state``,
 ``StageInst.poke_reg`` / ``load``) set both halves.
 
 Anything that mutates state outside ``cycle`` (snapshot restore, pokes,
@@ -232,6 +240,12 @@ def _pass(ports: Sequence[str], args: Sequence[str]) -> str:
     return "".join(f", {arg}" for arg in args)
 
 
+def _entry(ref: str, attr: str) -> str:
+    """The callee of a call to entry point ``attr`` of the child held in
+    local ``ref``: named, so that it loads as a plain attribute."""
+    return f"(_e := {ref}.code.{attr})"
+
+
 def _unpack_inputs(fn: FunctionEmitter, ports: Sequence[str]) -> None:
     """A packed entry point's first use of its tuple (one flat unpack:
     an assignment target has no stack limit)."""
@@ -300,7 +314,11 @@ class _Wiring:
 
     :func:`part_demand` builds one per module per compile, gives it the
     parts its parents call (``parts``) and walks each of its own parts
-    once (:meth:`walk`); the generator writes those walks.  A child is
+    once (:meth:`walk`); the generator writes those walks.  A walk reads
+    the module's IR, the plan's dead units and skipped children, and
+    each child's interface and per-output dependencies (its
+    ``comb_signature``), so a caller that keys the memo ``walks`` on
+    them can hand it to the next compile's wiring.  A child is
     advanced, at most once per part of the parent, to the boundary of
     its ports that part has settled (:meth:`reached`); one whose
     outputs the part does not read is not called.  The part the
@@ -311,7 +329,8 @@ class _Wiring:
     the pass before has already moved it past where it started.
     """
 
-    def __init__(self, ir: ModuleIR, netlist: Netlist, plan: OptPlan = NO_OPT):
+    def __init__(self, ir: ModuleIR, netlist: Netlist, plan: OptPlan = NO_OPT,
+                 walks: Optional[Dict[tuple, List[_Step]]] = None):
         self.ir = ir
         self.netlist = netlist
         self.plan = plan
@@ -329,19 +348,27 @@ class _Wiring:
                     if port not in registered
                     and not child.signal_deps.get(port, _NOTHING)]
         self.early_targets = {target for _, _, target in ir.early_bind}
-        # The schedule's steps without the units the plan drops, and
-        # the dependency set of each comb unit (all defines of one block
-        # share one).
-        dead = {("assign", i) for i in plan.dead_assigns}
-        dead |= {("block", i) for i in plan.dead_blocks}
-        self.steps = ir.steps if not dead else [
-            ([u for u in units if u not in dead], is_loop) for units, is_loop in ir.steps]
-        self._unit_deps = {("assign", i): self.deps(assign.defines)
-                           for i, assign in enumerate(ir.comb_assigns)}
-        self._unit_deps.update((("block", i), self.deps(comb.defines[0]))
-                               for i, comb in enumerate(ir.comb_blocks))
         self._reached: Dict[tuple, Boundary] = {}
-        self._walks: Dict[tuple, List[_Step]] = {}
+        self._walks = {} if walks is None else walks
+
+    @cached_property
+    def steps(self) -> List[Tuple[List[UnitId], bool]]:
+        """The schedule's steps without the units the plan drops."""
+        dead = {("assign", i) for i in self.plan.dead_assigns}
+        dead |= {("block", i) for i in self.plan.dead_blocks}
+        return self.ir.steps if not dead else [
+            ([u for u in units if u not in dead], is_loop) for units, is_loop in self.ir.steps]
+
+    @cached_property
+    def _unit_deps(self) -> Dict[UnitId, FrozenSet[str]]:
+        """The dependency set of each comb unit (all defines of one
+        block share one)."""
+        ir = self.ir
+        deps = {("assign", i): self.deps(assign.defines)
+                for i, assign in enumerate(ir.comb_assigns)}
+        deps.update((("block", i), self.deps(comb.defines[0]))
+                    for i, comb in enumerate(ir.comb_blocks))
+        return deps
 
     def child(self, index: int) -> ModuleIR:
         return self.netlist.modules[self.ir.instances[index].child_key]
@@ -409,9 +436,13 @@ class _Wiring:
         from no port at all: its dependency-free outputs, correct under
         any inputs."""
         key = (lo, hi, in_cycle)
-        if key in self._walks:
-            return self._walks[key]
-        steps = self._walks[key] = []
+        steps = self._walks.get(key)
+        if steps is None:
+            steps = self._walks[key] = self._walk(lo, hi, in_cycle)
+        return steps
+
+    def _walk(self, lo: Boundary, hi: FrozenSet[str], in_cycle: bool) -> List[_Step]:
+        steps = []
         if lo is None and self.early:
             prepass = {index: (None, _NOTHING) for index in self.early}
             steps.append(_Step([("inst", i) for i in prepass], False, prepass, []))
@@ -445,13 +476,18 @@ def part_names(ir: ModuleIR, parts: Iterable[Part]) -> Tuple[str, ...]:
 
 
 def part_demand(netlist: Netlist,
-                plans: Optional[Dict[str, OptPlan]] = None) -> Dict[str, _Wiring]:
+                plans: Optional[Dict[str, OptPlan]] = None,
+                walks: Optional[Dict[str, dict]] = None) -> Dict[str, _Wiring]:
     """Each module's wiring under its optimization plan in ``plans``
     (none: :data:`NO_OPT`), by module key, with the parts other than
     ``eval_out`` its parents call and the walk of each part it runs.  A
-    parent's own parts are known before its children's are asked for."""
+    parent's own parts are known before its children's are asked for.
+    ``walks`` holds, by module key, a walk memo a previous compile of
+    the same module under the same plan and children filled
+    (:class:`_Wiring`); only the walks it lacks are made."""
     plans = plans or {}
-    wirings = {key: _Wiring(ir, netlist, plans.get(key, NO_OPT))
+    walks = walks or {}
+    wirings = {key: _Wiring(ir, netlist, plans.get(key, NO_OPT), walks.get(key))
                for key, ir in netlist.modules.items()}
     for key in reversed(netlist.children_first()):  # parents first
         wiring = wirings[key]
@@ -617,7 +653,7 @@ class _ModuleCompiler:
         # or not at all (by index), and the code of each one written so far.
         self._sunk: Set[int] = set()
         self._dead: Set[int] = set()
-        self._inlined: Dict[str, Code] = {}
+        self._inlined: Dict[str, Tuple[Code, Optional[Code]]] = {}
         self._refs: Dict[int, str] = {}  # child index -> its local
         sanitize = build.sanitize
         nm = len(ir.memories)
@@ -923,9 +959,10 @@ class _ModuleCompiler:
             return  # read nowhere
         assign = self._ir.comb_assigns[index]
         name = assign.target.name
-        code = exprgen.code(self._planned(assign.value, self._plan.expr))
+        code, truth = exprgen.forms(self._planned(assign.value, self._plan.expr))
         width = self._ir.signals[name].width
         if exprgen.width_of(assign.value) > width:
+            truth = None
             if self.hooks is not None:
                 code = self.hooks.trunc(
                     code[0], width, getattr(assign.target, "line", 0), name,
@@ -933,7 +970,7 @@ class _ModuleCompiler:
             else:
                 code = f"{paren(code, BAND)} & {mask_of(width)}", BAND
         if index in self._sunk:
-            self._inlined[name] = code  # written where it is read
+            self._inlined[name] = code, truth  # written where it is read
         else:
             self._emit.line(f"v_{name} = {code[0]}")
 
@@ -983,7 +1020,7 @@ class _ModuleCompiler:
         emit = self._emit
         ref = self._child_ref(index)
         name = part_name(child, part)
-        call = f"{ref}.code.{name}_fn" if name == "eval_out" else f"{ref}.code.{name}"
+        call = _entry(ref, f"{name}_fn" if name == "eval_out" else name)
         if memo is None:
             emit.line(f"{lhs}{call}({ref}.state, {ref}.children{_pass(args, values)})")
             return
@@ -1091,12 +1128,13 @@ class _ModuleCompiler:
             child = self._netlist.modules[inst.child_key]
             ref = self._child_ref(index)
             args = _pass(child.inputs, self._child_args(exprgen, inst, child.inputs))
-            body.line(f"{ref}.code.cycle_fn({ref}.state, {ref}.children{args})")
+            body.line(f"{_entry(ref, 'cycle_fn')}({ref}.state, {ref}.children{args})")
         # The commit, after every child's: nothing above reads this
         # module's state again.  Pending == current held on entry (the
-        # layout invariant), so this one copy is the whole edge.
-        if num_regs:
-            body.line(f"s[0:{num_regs}] = s[{num_regs}:{2 * num_regs}]")
+        # layout invariant), so copying each pending value is the whole
+        # edge.
+        for slot in range(num_regs):
+            body.line(f"s[{slot}] = s[{num_regs + slot}]")
         if hooks is not None:
             hooks.commit_regs(body)
         for name in written:

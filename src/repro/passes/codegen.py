@@ -16,7 +16,11 @@ sanitized and elided artifacts coexist.  A miss compiles the module's
 wiring from :func:`~repro.codegen.pygen.part_demand`, one per module per
 run, under its ``plans`` entry (:data:`~repro.codegen.optplan.NO_OPT`
 when it has none), and a sanitized build binds the session's sanitizer
-runtime.
+runtime.  Each wiring's walks are kept in the derived cache (kind
+``codegen.walks``), keyed on what they read: the module identity, its
+children's comb signatures and the plan's dead units and skipped
+children.  A run re-walks only the modules that changed, and then
+propagates which parts each parent calls over every module.
 """
 
 from __future__ import annotations
@@ -88,7 +92,15 @@ class CodegenPass(Pass):
         store = data.store
         library: Dict[str, CompiledModule] = {}
         recompiled: List[str] = []
-        wirings = part_demand(netlist, data.plans)
+        walks = {}
+        for key, ir in netlist.modules.items():
+            plan = data.plans.get(key, NO_OPT)
+            walk_key = data.identity(key) + (
+                tuple(netlist.modules[inst.child_key].comb_signature
+                      for inst in ir.instances),
+                plan.dead_assigns, plan.dead_blocks, plan.skip_children)
+            walks[key] = cache.lookup("codegen.walks", key, walk_key, dict, build)
+        wirings = part_demand(netlist, data.plans, walks)
 
         for key in netlist.children_first(netlist.top):  # bottom-up
             ir = netlist.modules[key]

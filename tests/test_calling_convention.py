@@ -1,9 +1,15 @@
 """The generated calling convention keeps the kernel off CPython's slow
 paths: an entry point with more ports than ``packs`` allows takes them
 as one tuple, and no call or right-hand tuple display the generator
-writes holds more than ``STACK_ITEMS`` items.
+writes holds more than ``STACK_ITEMS`` items.  Nor does the generator
+write a shape CPython cannot specialise or that does work for nothing:
+a child's entry point called as a method off ``.code`` (a method load
+that never specialises: the entry is an instance attribute), a ``cycle``
+committing its registers through a slice (a slice read and a slice
+store), or a ``1 if ... else 0`` / ``0 if ... else 1`` whose value is
+only tested.
 
-A bytecode census over every design the repo ships, and a synthetic
+A bytecode and source census over every design the repo ships, and a synthetic
 design past every line the meshes do not reach (a 40-input child, a
 35-input top, a 98-name stash, a 31-input comb loop carrying 35 locals),
 checked against the inlining baseline through a hot reload across the
@@ -12,6 +18,7 @@ line, snapshot / restore and ``copyPipe``.
 
 from __future__ import annotations
 
+import ast
 import dis
 import random
 import re
@@ -66,6 +73,61 @@ def _slow_paths(library):
     return found
 
 
+def _tested(tree):
+    """The expressions of ``tree`` whose value Python only tests: the
+    test of an ``if``, ``while`` or conditional expression, and within
+    a tested expression the operands of ``and`` / ``or`` / ``not`` and
+    the arms of a conditional expression."""
+    stack = [node.test for node in ast.walk(tree)
+             if isinstance(node, (ast.If, ast.While, ast.IfExp))]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, ast.BoolOp):
+            stack.extend(node.values)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            stack.append(node.operand)
+        elif isinstance(node, ast.IfExp):
+            stack.extend((node.body, node.orelse))
+
+
+def _is_bit(node):
+    """``1 if ... else 0`` or ``0 if ... else 1``."""
+    return (isinstance(node, ast.IfExp)
+            and isinstance(node.body, ast.Constant)
+            and isinstance(node.orelse, ast.Constant)
+            and {node.body.value, node.orelse.value} == {0, 1})
+
+
+def _slow_shapes(library):
+    """``{(module key, shape): count}`` of the source shapes the kernel
+    must not run (the module docstring), read from each module's AST so
+    the census holds on every CPython whatever its opcodes are called:
+    ``method`` (a call whose callee is ``<x>.<attr>.<entry>``),
+    ``slice_commit`` (a slice store in ``cycle``) and ``tested_bit``."""
+    found = {}
+    for key, module in library.items():
+        tree = ast.parse(module.source)
+        shapes = [
+            "method" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute)
+        ]
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "cycle":
+                shapes += [
+                    "slice_commit" for node in ast.walk(fn)
+                    if isinstance(node, ast.Assign) and any(
+                        isinstance(target, ast.Subscript)
+                        and isinstance(target.slice, ast.Slice)
+                        for target in node.targets)
+                ]
+        shapes += ["tested_bit" for node in _tested(tree) if _is_bit(node)]
+        for shape in shapes:
+            found[key, shape] = found.get((key, shape), 0) + 1
+    return found
+
+
 @pytest.mark.parametrize("sanitize", [False, True], ids=["clean", "sanitized"])
 def test_no_generated_code_takes_a_slow_path(sanitize):
     designs = 0
@@ -77,6 +139,7 @@ def test_no_generated_code_takes_a_slow_path(sanitize):
                 netlist, BuildConfig(sanitize=sanitize, opt=opt), runtime
             )
             assert _slow_paths(library) == {}, (name, opt)
+            assert _slow_shapes(library) == {}, (name, opt)
         designs += 1
     assert designs >= 8
 
@@ -196,6 +259,7 @@ def test_the_design_crosses_every_line():
     assert len(re.findall(r"\bv_\w+", compare[1])) > STACK_ITEMS
     assert re.search(r"^    s\[\d+\] = \(v_v, \)$", library["loopy"].source, re.M)
     assert _slow_paths(library) == {}
+    assert _slow_shapes(library) == {}
     assert packs(["p"] * (STACK_ITEMS - 1)) and not packs(["p"] * (STACK_ITEMS - 2))
 
 

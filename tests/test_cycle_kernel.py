@@ -45,7 +45,7 @@ def _binds(name, text):
     one)."""
     return re.search(
         rf"^\s*(?:v_{name} = |\((?:\w+, )*v_{name}, (?:\w+, )*\) = "
-        r"_\w+\.code\.eval_\w+\()", text, re.M
+        r"\(_e := _\w+\.code\.eval_\w+\)\()", text, re.M
     ) is not None
 
 
@@ -294,7 +294,7 @@ def test_the_shapes_are_what_they_say():
     eval_out, cycle = library["mid"].source.split("def cycle")
     assert _binds("req", eval_out) and _binds("value", cycle)
     # The leaf in two parts: eval_out's takes addr, cycle's adds data.
-    assert ".eval_n_1(" in eval_out and ".eval_1_3(" in cycle
+    assert ".eval_n_1)(" in eval_out and ".eval_1_3)(" in cycle
     assert "i_late)" in cycle  # the leaf's data port
 
     _, library = compile_design(MIXED_OUTPUTS, "top")
@@ -302,7 +302,7 @@ def test_the_shapes_are_what_they_say():
     assert _binds("o1", eval_out) and not _binds("o2", eval_out)
     assert _binds("o2", cycle) and not _binds("o1", cycle)
     # The child in two parts: o1's in eval_out, o2's (late) in cycle.
-    assert ".eval_n_1(" in eval_out and ".eval_1_3(" in cycle
+    assert ".eval_n_1)(" in eval_out and ".eval_1_3)(" in cycle
 
     _, library = compile_design(SIBLINGS, "top")
     eval_out, cycle = library["top"].source.split("def cycle")
@@ -407,7 +407,7 @@ def _child_call_args(code, netlist):
             refs[bound[1]] = ir.instances[int(bound[2])]
             continue
         call = re.search(
-            r"(_c\d+)\.code\.(eval_out_fn|cycle_fn|eval_\w+)\(\1\.state, "
+            r"\(_e := (_c\d+)\.code\.(eval_out_fn|cycle_fn|eval_\w+)\)\(\1\.state, "
             r"\1\.children(.*)\)$", line,
         )
         if not call:
@@ -524,9 +524,9 @@ def test_a_top_level_input_is_masked_once_by_the_pipe(backend, raw):
 
 
 def test_the_kernel_carries_no_glue(pgas2_netlist_library):
-    """No callee-side input mask, one register copy per ``cycle`` (the
-    commit), child results bound by unpacking: in both flavours.  On
-    the PGAS mesh no connection narrows, so no caller masks either."""
+    """No callee-side input mask, one copy per register in ``cycle``
+    (the commit), child results bound by unpacking: in both flavours.
+    On the PGAS mesh no connection narrows, so no caller masks either."""
     _, netlist, _ = pgas2_netlist_library
     assert _narrowing(netlist) == {}
     for flavour, library in _libraries(netlist):
@@ -534,8 +534,10 @@ def test_the_kernel_carries_no_glue(pgas2_netlist_library):
             assert not re.search(r"\bi_\w+ &=", code.source), (flavour, key)
             assert not re.search(r"_r\d+\[", code.source), (flavour, key)
             _, cycle = code.source.split("def cycle")
-            copies = re.findall(r"^\s*s\[\d+:\d+\] = ", cycle, re.M)
-            assert len(copies) == (1 if code.num_regs else 0), (flavour, key)
+            nr = code.num_regs
+            copies = [(int(to), int(src)) for to, src in re.findall(
+                r"^\s*s\[(\d+)\] = s\[(\d+)\]$", cycle, re.M) if int(to) < nr]
+            assert copies == [(i, nr + i) for i in range(nr)], (flavour, key)
             # (The commit's ``del`` sits inside its ``if _pw_<mem>:``.)
             assert not re.search(r"^    del _pw_", cycle, re.M), (flavour, key)
 

@@ -29,6 +29,10 @@ A wall-clock bound cannot see a few per cent; a count can.  Each row of
 - ``compile.4x4.wirings``: the call plans (``pygen._Wiring``) a clean
   ``compile_netlist`` of the 4x4 mesh builds: one per module, which
   plans each part's child calls once for the whole compile.
+- ``edit.2x2.rv_ex.walks``: the walks (``pygen._Wiring._walk``) the
+  codegen pass makes when a live compile of the 2x2 mesh is edited in
+  ``rv_ex``'s body (``riscv.patches``' ``ex-forward-priority``): the
+  edited module's own, the rest kept from the compile before.
 - ``settle.*``: the runs of a comb loop's settle loop per cycle (the
   calls of its module's settled body, which holds the loop) in an
   unwatched run, with a sequential-only input (the reset) held at 1.
@@ -48,7 +52,9 @@ from repro import compile_design
 from repro.codegen import pygen
 from repro.codegen.build import BuildConfig
 from repro.hdl import elaborate, parse
+from repro.live.compiler_live import LiveCompiler
 from repro.passes import compile_netlist
+from repro.riscv.patches import PATCHES
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
 from repro.sim import Pipe
 from repro.sim.testbench import CallbackTestbench
@@ -59,8 +65,8 @@ from tests.test_unwatched_cycle import LOOP_SRC, loop_inputs, wrapped
 BUDGET = {
     "cycle.2x2.unwatched": 6,
     "cycle.2x2.watched": 9,
-    "cycle.2x2.lines": 1078.4,
-    "cycle.4x4.lines": 4300.2,
+    "cycle.2x2.lines": 1254.4,
+    "cycle.4x4.lines": 5004.2,
     "entries.4x4.pgas_mesh_4x4.cycle": 1,
     "entries.4x4.pgas_mesh_4x4.eval_out": 1,
     "entries.4x4.pgas_node.cycle": 16,
@@ -88,18 +94,19 @@ BUDGET = {
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 58,
-    "setup.lines": 16_666,
+    "setup.lines": 16_781,
     "setup.dataclasses": 52,
-    "codegen.lines.mesh2x2": 531,
-    "codegen.lines.mesh4x4": 639,
+    "codegen.lines.mesh2x2": 575,
+    "codegen.lines.mesh4x4": 683,
     "codegen.lines.counter.v:adder": 6,
     "codegen.lines.counter.v:counter": 18,
     "codegen.lines.counter.v:top": 30,
-    "codegen.lines.pitfalls.v:pitfalls": 17,
+    "codegen.lines.pitfalls.v:pitfalls": 19,
     "codegen.lines.ranges.v:narrows": 6,
     "codegen.lines.ranges.v:ranges": 37,
     "codegen.lines.ring.v:ring": 19,
     "compile.4x4.wirings": 10,
+    "edit.2x2.rv_ex.walks": 2,
     "settle.loop_child.unwatched": 1,
 }
 
@@ -276,6 +283,25 @@ def test_a_clean_4x4_compile_plans_each_module_once(monkeypatch):
     compile_netlist(netlist)
     measured = {"compile.4x4.wirings": len(built)}
     assert not moved(measured), f"call plans moved (pinned, now): {moved(measured)}"
+
+
+def test_an_rv_ex_edit_walks_only_rv_ex(monkeypatch):
+    source, top = build_pgas_source(2), mesh_top_name(2)
+    compiler = LiveCompiler(source)
+    compiler.compile_top(top)
+    walked = []
+    walk = pygen._Wiring._walk
+
+    def counted(self, *args):
+        walked.append(self.ir.key)
+        return walk(self, *args)
+
+    monkeypatch.setattr(pygen._Wiring, "_walk", counted)
+    compiler.update_source(PATCHES["ex-forward-priority"].inject(source))
+    compiler.compile_top(top)
+    assert set(walked) == {"rv_ex"}
+    measured = {"edit.2x2.rv_ex.walks": len(walked)}
+    assert not moved(measured), f"walks moved (pinned, now): {moved(measured)}"
 
 
 def test_a_comb_loop_child_settles_once_per_cycle():
