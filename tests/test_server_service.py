@@ -411,9 +411,12 @@ class TestIdleEviction:
                 client.open_session("alice", COUNTER_SRC)
                 client.command("alice", "instPipe p0, stage2")
                 result = {}
+                # Long enough to outlast the idle window below: about
+                # 1.4 s at the 1.4 us a counter cycle takes on a fast
+                # host (500 000 cycles could end inside the window).
                 runner = threading.Thread(
                     target=lambda: result.update(client.command(
-                        "alice", "run tb0, p0, 500000"
+                        "alice", "run tb0, p0, 1000000"
                     )),
                     daemon=True,
                 )
@@ -425,6 +428,6 @@ class TestIdleEviction:
                 assert runner.is_alive(), "the run ended too early to tell"
                 assert [s["session"] for s in other.sessions()] == ["alice"]
                 runner.join(60.0)
-                assert result["c0"] == (500000 - 2) % 256
+                assert result["c0"] == (1000000 - 2) % 256
                 # Once it has finished and idled, it goes.
                 assert _wait_until(lambda: not srv._sessions)
