@@ -122,6 +122,29 @@ def test_every_patch_in_and_out():
     assert checker.shared > checker.lowered
 
 
+@pytest.mark.parametrize("build", [
+    BuildConfig(), BuildConfig(sanitize=True, opt="full"),
+], ids=["default", "sanitize=report, opt=full"])
+def test_kept_walks_write_what_a_fresh_compile_writes(build):
+    """The codegen pass keeps each module's call-plan walks across
+    compiles (kind ``codegen.walks``): over every patch in and out and
+    livebench's edit stream, every module's source is what a compile
+    from nothing writes for the same netlist."""
+    source = build_pgas_source(2)
+    runtime = SanitizerRuntime("report") if build.sanitize else None
+    compiler = LiveCompiler(source, build, sanitize_runtime=runtime)
+    texts = [source] + [
+        text for patch in PATCHES.values() for text in (patch.inject(source), source)
+    ] + _livebench_edits(2, 3, 20)
+    for text in texts:
+        compiler.update_source(text)
+        result = compiler.compile_top(mesh_top_name(2))
+        fresh = compile_netlist(result.netlist, build, runtime)
+        assert {key: code.source for key, code in result.library.items()} == {
+            key: code.source for key, code in fresh.items()}
+    assert compiler.cache.size("codegen.walks") > len(result.netlist.modules)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_random_line_edits(seed):
     """Line inserts, deletes, duplicates and edits anywhere in the mesh,
