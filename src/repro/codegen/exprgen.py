@@ -391,10 +391,14 @@ class ExprGen:
         offset = total
         for part, width in zip(expr.parts, widths):
             offset -= width
+            if isinstance(part, ast.Num) and not num_value(part):
+                continue  # a zero part contributes no bit
             code = self.code(part)
             if offset:
                 code = f"{paren(code, SHIFT)} << {offset}", SHIFT
             parts.append(code)
+        if not parts:
+            return "0", ATOM
         return self._chain("|", parts) if len(parts) > 1 else parts[0]
 
     def _gen_repl(self, expr: ast.Repl) -> Code:
@@ -403,11 +407,16 @@ class ExprGen:
         factor = sum(1 << (i * value_width) for i in range(count))
         return f"{paren(self.code(expr.value), TERM)} * {factor}", TERM
 
-    def _mem_index_code(self, name: str, index: Code) -> str:
+    def mem_index(self, name: str, index: Code, width: int) -> Code:
+        """Index ``index``, ``width`` bits wide, of memory ``name``,
+        wrapped into its depth as the clean code reads and writes it; an
+        index too narrow to reach the depth needs no wrap."""
         depth = self._resolver.memory_depth(name)
+        if mask_of(width) < depth:
+            return index
         if depth & (depth - 1) == 0:
-            return f"{paren(index, BAND)} & {depth - 1}"
-        return f"{paren(index, TERM)} % {depth}"
+            return f"{paren(index, BAND)} & {depth - 1}", BAND
+        return f"{paren(index, TERM)} % {depth}", TERM
 
     def _bound_checked(self, name: str, index: Code, bound: int,
                        index_expr: ast.Expr, line: int) -> Code:
@@ -427,7 +436,8 @@ class ExprGen:
             hooks = self._resolver.hooks
             if hooks is not None:
                 return hooks.mem_read(expr.base, index[0], expr.line), COND
-            return f"{mem_ref}[{self._mem_index_code(expr.base, index)}]", ATOM
+            wrapped = self.mem_index(expr.base, index, self.width_of(expr.index))
+            return f"{mem_ref}[{wrapped[0]}]", ATOM
         base = self._signal_read(expr.base, expr.line)
         width = self._resolver.signal_width(expr.base)
         if width is not None:
@@ -487,7 +497,8 @@ class StmtGen:
           (for read-modify-write partial updates): a name or a
           subscript, an operand anywhere.
         * ``mem_write(name, addr_code, value_code, line)`` — memory
-          word write.
+          word write, to an address already wrapped into the depth
+          (:meth:`ExprGen.mem_index`), fit for a tuple item.
         * ``target_width(name)`` — declared width of a target signal.
 
         ``hooks`` is the resolver's instrumentation object (None: clean
@@ -544,13 +555,16 @@ class StmtGen:
                     f"memory {target.name!r} assignment needs an address",
                     stmt.line,
                 )
-            addr_code = self._exprgen.gen(target.index)
+            addr = self._exprgen.code(target.index)
+            width = self._exprgen.width_of(target.index)
             if self._hooks is not None:
-                addr_code = self._hooks.mem_write_addr(
-                    target.name, addr_code,
-                    self._exprgen.width_of(target.index), stmt.line,
+                checked = self._hooks.mem_write_addr(
+                    target.name, addr[0], width, stmt.line,
                 )
-            self._mem_write(target.name, addr_code, value_code, stmt.line)
+                if checked != addr[0]:
+                    addr = checked, COND
+            addr = self._exprgen.mem_index(target.name, addr, width)
+            self._mem_write(target.name, addr[0], value_code, stmt.line)
             return
         declared = self._target_width(target.name)
         if target.index is not None:

@@ -323,12 +323,8 @@ class _FlatCompiler:
 
         def mem_write(name: str, addr: str, value: str, line: int) -> None:
             spec = self._mem_specs[scope.global_id(name)]
-            if spec.depth & (spec.depth - 1) == 0:
-                addr_code = f"({addr}) & {spec.depth - 1}"
-            else:
-                addr_code = f"({addr}) % {spec.depth}"
             self._emit.line(
-                f"s[{spec.pending_slot}].append(({addr_code}, "
+                f"s[{spec.pending_slot}].append(({addr}, "
                 f"({value}) & {mask_of(spec.width)}))"
             )
 

@@ -139,6 +139,22 @@ memory-word commit, module epilogue) and in each function's prologue
 (the poison-bitmap binding), and counts them; a clean build
 has ``None`` in its place.  :func:`site_count` is that same emitter
 run for its count alone.
+
+Under ``san_elide`` a sanitized function whose body reads the register
+poison bitmap comes in two bodies (:meth:`_ModuleCompiler._define`):
+the hooked one, named ``_pz_<name>``, and the poison-free one, written
+again with the instrumenter in its poison-free mode, which keeps the
+function's name and whose first line is the dispatch rule::
+
+    if s[<register poison bitmap>]: return _pz_<name>(s, ch, <parameters>)
+
+So an instance runs its hooked bodies exactly while one of its
+registers is poisoned, and otherwise code without ``rr`` hooks, write
+notes or poison clearing, in which a register read carries no hook and
+mux shadowing moves what it moves in a clean build.  Both bodies share
+the stash layout (each boundary's stash holds what either body reads),
+the site table and the site counts (the hooked body's); see
+:mod:`repro.sanitize.instrument` for why the poison-free body is exact.
 """
 
 from __future__ import annotations
@@ -630,6 +646,15 @@ class CompiledModule:
 # ----------------------------------------------------------------------------
 
 
+class _Body(NamedTuple):
+    """One body of a generated function, written before its prologue."""
+
+    prologue: FunctionEmitter  # the binds the code needs
+    code: FunctionEmitter
+    reads: Set[str]  # every input, comb local and memory the code names
+    hooked: bool  # whether it names the register poison bitmap
+
+
 class _ModuleCompiler:
     def __init__(self, wiring: _Wiring, build: BuildConfig):
         self._ir = ir = wiring.ir
@@ -686,6 +711,9 @@ class _ModuleCompiler:
             self.hooks = Instrumenter(
                 ir, layout, self._mem_slot, self._seq_writers, build.san_elide
             )
+        # Whether a function that reads the register poison bitmap also
+        # gets a poison-free body (the shortened hooks only).
+        self._split = sanitize and build.san_elide
         # The hooks of eval_out and cycle (the parts re-emit their sites).
         self.sites = self.elided = 0
 
@@ -752,11 +780,11 @@ class _ModuleCompiler:
             self.sites, self.elided = self.hooks.sites, self.hooks.elided
         starts = sorted({lo for lo, _ in self._parts if lo is not None},
                         key=len, reverse=True)
-        parts: Dict[Part, FunctionEmitter] = {}
+        parts: Dict[Part, List[FunctionEmitter]] = {}
         for lo in starts + [None]:
             todo = [part for part in self._parts if part[0] == lo]
             parts.update(zip(todo, self._gen_parts(todo)))
-        functions = [eval_out] + [parts[part] for part in self._parts] + [cycle]
+        functions = eval_out + [fn for part in self._parts for fn in parts[part]] + cycle
         source = "\n".join(fn.source() for fn in functions)
         if self.hooks is not None:
             source += self.hooks.epilogue()
@@ -844,8 +872,10 @@ class _ModuleCompiler:
 
     def _hooked(self, assign) -> bool:
         """Whether a sanitized build's code for ``assign`` carries a hook
-        (what :meth:`_gen_comb_assign` would count in ``san_sites``)."""
-        if self.hooks is None:
+        (what :meth:`_gen_comb_assign` would count in ``san_sites``); a
+        register read carries none in a poison-free body."""
+        hooks = self.hooks
+        if hooks is None:
             return False
         ir = self._ir
         mems = self._mem_slot
@@ -856,7 +886,8 @@ class _ModuleCompiler:
 
         def hooked(name: str) -> bool:  # a register or a memory
             sig = ir.signals.get(name)
-            return name in mems or getattr(sig, "state_index", None) is not None
+            return name in mems or (not hooks.poison_free and getattr(
+                sig, "state_index", None) is not None)
 
         return carries_hook(
             self._planned(assign.value, self._plan.expr), hooked)
@@ -1050,69 +1081,102 @@ class _ModuleCompiler:
 
     # -- the parts of the settled body: eval_out and what parents split ---------
 
-    def _gen_parts(self, parts: List[Part]) -> List[FunctionEmitter]:
-        """The functions computing ``parts``, which all start from one
-        boundary; what they read from before it is that boundary's
-        stash (every boundary they end at has its stash already)."""
-        ir = self._ir
-        bodies = []
-        for part in parts:
-            lo, hi = part
-            exprgen, reads = self._open_body(lo, hi)
-            body = self._emit
-            self._stash_out = stash = self._stash.get(hi, [])
-            walk = self._wiring.walk(lo, hi)
-            self._sunk, self._dead = self._sink(walk)
-            self._gen_comb_body(exprgen, walk)
-            outs = part_outputs(ir, part)
-            if stash:
-                body.line(f"s[{self.layout.stash_slot}] = {_slots(_locals(stash))}")
-                reads.update(stash)  # those computed before come through
-            if outs:
-                body.line(f"return {_flat([self._output_ref(n) for n in outs])}")
-            # The binds this body needs, before the next body is written.
-            self._emit = binds = FunctionEmitter()
-            if self.hooks is not None:
-                self.hooks.bind_poison(binds)
-            self._bind_memories(reads)
-            if lo is None:
-                self._bind_registered_child_outputs(reads | set(outs))
-            bodies.append((part, binds, body, reads))
-        lo = parts[0][0] if parts else None
-        stash_in = self._stash[lo] = [] if lo is None else [
-            name for name, sig in ir.signals.items()
-            if sig.kind != "input" and ir.signal_deps.get(name, _NOTHING) <= lo
-            and any(name in reads for _, _, _, reads in bodies)
-        ]
+    def _bodies(self, write: Callable[[], _Body]) -> List[_Body]:
+        """The bodies of one function: what ``write`` writes, and when
+        that names the poison bitmap and the module splits (see
+        :meth:`_define`), what it writes again as the poison-free body."""
+        bodies = [write()]
+        if bodies[0].hooked and self._split:
+            with self.hooks.free_body():
+                bodies.append(write())
+        return bodies
+
+    def _define(self, name: str, ports: Sequence[str], head: List[str],
+                bodies: List[_Body]) -> List[FunctionEmitter]:
+        """Function ``name`` taking ``ports``: after the ports, ``head``
+        (the stash unpack every body shares), then each body's prologue
+        and code.  With two bodies the first, hooked, is named by
+        ``Instrumenter.hooked_name``, and the second, poison-free, keeps
+        ``name`` and first hands the call to the first while any
+        register of the instance is poisoned."""
+        names = [name] if len(bodies) == 1 else [self.hooks.hooked_name(name), name]
         functions = []
-        for part, binds, body, _ in bodies:
-            ports = [p for p in ir.comb_input_ports if p in part[1]]
+        for own, body in zip(names, bodies):
             fn = FunctionEmitter()
-            with block(fn, f"def {part_name(ir, part)}(s, ch{_params(ports)}):"):
+            with block(fn, f"def {own}(s, ch{_params(ports)}):"):
+                if own == name and len(bodies) > 1:
+                    self.hooks.dispatch(fn, name, _params(ports))
                 _unpack_inputs(fn, ports)
-                if stash_in:
-                    fn.line(f"{_slots(_locals(stash_in))} = s[{self.layout.stash_slot}]")
-                fn.splice(binds)
-                fn.splice(body)
+                for line in head:
+                    fn.line(line)
+                fn.splice(body.prologue)
+                fn.splice(body.code)
                 if len(fn) == 1:
                     fn.line("pass")
             functions.append(fn)
         return functions
 
+    def _gen_parts(self, parts: List[Part]) -> List[List[FunctionEmitter]]:
+        """The functions computing ``parts``, which all start from one
+        boundary; what they read from before it is that boundary's
+        stash (every boundary they end at has its stash already)."""
+        ir = self._ir
+        bodies = [(part, self._bodies(lambda: self._gen_part(part))) for part in parts]
+        lo = parts[0][0] if parts else None
+        stash_in = self._stash[lo] = [] if lo is None else [
+            name for name, sig in ir.signals.items()
+            if sig.kind != "input" and ir.signal_deps.get(name, _NOTHING) <= lo
+            and any(name in body.reads for _, versions in bodies for body in versions)
+        ]
+        head = [f"{_slots(_locals(stash_in))} = s[{self.layout.stash_slot}]"] if stash_in else []
+        return [
+            self._define(part_name(ir, part), [p for p in ir.comb_input_ports if p in part[1]],
+                         head, versions)
+            for part, versions in bodies
+        ]
+
+    def _gen_part(self, part: Part) -> _Body:
+        lo, hi = part
+        exprgen, reads = self._open_body(lo, hi)
+        body = self._emit
+        self._stash_out = stash = self._stash.get(hi, [])
+        walk = self._wiring.walk(lo, hi)
+        self._sunk, self._dead = self._sink(walk)
+        self._gen_comb_body(exprgen, walk)
+        outs = part_outputs(self._ir, part)
+        if stash:
+            body.line(f"s[{self.layout.stash_slot}] = {_slots(_locals(stash))}")
+            reads.update(stash)  # those computed before come through
+        if outs:
+            body.line(f"return {_flat([self._output_ref(n) for n in outs])}")
+        # The binds this body needs, before the next body is written.
+        self._emit = binds = FunctionEmitter()
+        hooked = self.hooks is not None and self.hooks.bind_poison(binds)
+        self._bind_memories(reads)
+        if lo is None:
+            self._bind_registered_child_outputs(reads | set(outs))
+        return _Body(binds, body, reads, hooked)
+
     # -- cycle ----------------------------------------------------------------------
 
-    def _gen_cycle(self) -> FunctionEmitter:
+    def _gen_cycle(self) -> List[FunctionEmitter]:
+        ir = self._ir
+        bodies = self._bodies(self._gen_cycle_body)
+        stash = self._stash[self._wiring.comb] = [
+            name for name, sig in ir.signals.items()
+            if sig.kind != "input" and ir.signal_deps.get(name, _NOTHING) <= self._wiring.comb
+            and any(name in body.reads for body in bodies)
+        ]
+        head = [f"{_slots(_locals(stash))} = s[{self.layout.stash_slot}]"] if stash else []
+        return self._define("cycle", ir.inputs, head, bodies)
+
+    def _gen_cycle_body(self) -> _Body:
         ir = self._ir
         num_regs = ir.num_regs
         comb, everything = self._wiring.comb, self._wiring.all
         exprgen, reads = self._open_body(comb, everything, in_cycle=True)
         body = self._emit
-        written = [n for n in self._mem_slot if n in self._seq_writers]
-        for name in written:
-            body.line(f"_pw_{name} = s[{self._mem_slot[name].pending_slot}]")
         hooks = self.hooks
-        if hooks is not None:
-            hooks.open_cycle(body)
         self._stash_out = []
         walk = self._wiring.walk(comb, everything, in_cycle=True)
         self._sunk, self._dead = self._sink(walk)
@@ -1137,6 +1201,7 @@ class _ModuleCompiler:
             body.line(f"s[{slot}] = s[{num_regs + slot}]")
         if hooks is not None:
             hooks.commit_regs(body)
+        written = [n for n in self._mem_slot if n in self._seq_writers]
         for name in written:
             spec = self._mem_slot[name]
             with block(body, f"if _pw_{name}:"):
@@ -1146,24 +1211,16 @@ class _ModuleCompiler:
                     if hooks is not None:
                         hooks.commit_mem_word(body, name)
                 body.line(f"del _pw_{name}[:]")
-
-        stash = self._stash[comb] = [
-            name for name, sig in ir.signals.items()
-            if name in reads and sig.kind != "input"
-            and ir.signal_deps.get(name, _NOTHING) <= comb
-        ]
-        self._emit = fn = FunctionEmitter()
-        with block(fn, f"def cycle(s, ch{_params(ir.inputs)}):"):
-            _unpack_inputs(fn, ir.inputs)
-            if stash:
-                fn.line(f"{_slots(_locals(stash))} = s[{self.layout.stash_slot}]")
-            if hooks is not None:
-                hooks.bind_poison(fn)
-            self._bind_memories(reads)  # registered child outputs: the stash
-            fn.splice(body)
-            if len(fn) == 1:
-                fn.line("pass")
-        return fn
+        # The prologue, once the body is written: the bitmap and the
+        # memories it reads, the pending writes and the write notes.
+        self._emit = binds = FunctionEmitter()
+        hooked = hooks is not None and hooks.bind_poison(binds)
+        self._bind_memories(reads)  # registered child outputs: the stash
+        for name in written:
+            binds.line(f"_pw_{name} = s[{self._mem_slot[name].pending_slot}]")
+        if hooks is not None:
+            hooks.open_cycle(binds)
+        return _Body(binds, body, reads, hooked)
 
     def _gen_seq_block(self, exprgen: ExprGen, seq, block_id: int) -> None:
         num_regs = self._ir.num_regs
@@ -1183,12 +1240,8 @@ class _ModuleCompiler:
 
         def mem_write(name: str, addr: str, value: str, line: int) -> None:
             spec = self._mem_slot[name]
-            if spec.depth & (spec.depth - 1) == 0:
-                addr_code = f"({addr}) & {spec.depth - 1}"
-            else:
-                addr_code = f"({addr}) % {spec.depth}"
             self._emit.line(
-                f"_pw_{name}.append(({addr_code}, "
+                f"_pw_{name}.append(({addr}, "
                 f"({value}) & {mask_of(spec.width)}))"
             )
 
@@ -1276,11 +1329,14 @@ def site_count(ir: ModuleIR, netlist: Netlist,
 
     The census is the generator: this runs the emitter with a fresh
     instrumenter and no plan, so it counts what ``san_sites`` counts
-    and nothing else decides where a hook goes.  The optimizer asks it
-    which dead units and pure children it may drop under sanitize
-    (zero: none of their findings would be silenced).
+    and nothing else decides where a hook goes.  It runs the plain-hook
+    build, which writes each function once and counts every site as
+    the elided build does.  The optimizer asks it which dead units and
+    pure children it may drop under sanitize (zero: none of their
+    findings would be silenced).
     """
-    compiler = _ModuleCompiler(_Wiring(ir, netlist), BuildConfig(sanitize=True))
+    compiler = _ModuleCompiler(_Wiring(ir, netlist),
+                               BuildConfig(sanitize=True, san_elide=False))
     if unit is None:
         compiler.generate()
     else:

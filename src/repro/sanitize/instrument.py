@@ -47,11 +47,38 @@ written only while ``_pz`` is nonzero; a multi-writer note also feeds
 the conflict check, which does not depend on poison, and is always
 written.  Memory word poison is cleared at the commit only while that
 memory's bitmap is nonzero.
+
+Two bodies.  The same argument lets a zero bitmap skip the test
+itself.  Under ``san_elide``, each function whose body binds ``_pz``
+is written twice (:mod:`repro.codegen.pygen`):
+
+* the *hooked* body, everything above, named ``_pz_<name>``
+  (:meth:`Instrumenter.hooked_name`: never ``eval_...``, the prefix
+  ``exec_source`` takes parts by);
+* the *poison-free* body, which keeps the function's name and opens by
+  handing the call to the hooked one while the bitmap is nonzero
+  (:meth:`Instrumenter.dispatch`,
+  ``if s[<bitmap>]: return _pz_<name>(s, ch, <its parameters>)``).
+  Written in :meth:`Instrumenter.free_body`, it has no ``rr`` hook, no
+  single-writer note, no commit clearing, and opens and clears ``_nw``
+  only if it writes a multi-writer note; ``mr``, ``ob``, ``tr`` and
+  multi-writer ``nw`` sites are as in the hooked body, since none of
+  them depends on register poison.
+
+A bitmap zero at the function's entry stays zero until the instance's
+commit, so the poison-free body computes what the hooked one would and
+no hook it leaves out could fire.  Both bodies index one ``_SAN_I``
+table (the poison-free body's sites add entries to it, so
+:func:`place_sites` moves every finding) and the sites are counted once,
+in the hooked body.  A function that does not bind ``_pz`` (no register
+read, no register write) has one body, as has every function of the
+plain-hook build (``san_elide`` off).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..hdl.consteval import mask_of
 from ..ir.netlist import ModuleIR
@@ -82,8 +109,12 @@ class Instrumenter:
         # literal table in the generated source, so store rehydration
         # carries it for free.
         self._infos: List[Tuple[str, str, int]] = []
-        # Whether the function being generated names ``_pz``.
+        # Whether the function being generated names ``_pz``, and
+        # whether it writes a note the conflict check reads.
         self._reads_poison = False
+        self._notes = False
+        # Writing a function's poison-free body (:meth:`free_body`).
+        self.poison_free = False
         self.sites = 0
         self.elided = 0
 
@@ -101,7 +132,7 @@ class Instrumenter:
         """The replacement for register read ``ref``, or None to keep
         it (inputs and comb wires carry no poison)."""
         sig = self._ir.signals.get(name)
-        if sig is None or sig.state_index is None:
+        if sig is None or sig.state_index is None or self.poison_free:
             return None
         self.sites += 1
         self._reads_poison = True
@@ -190,10 +221,12 @@ class Instrumenter:
             # One block can write it, so the cross-block conflict cannot
             # fire and only the commit's poison clearing reads the note:
             # no poison, no note.
-            emit.line(
-                f"if _pz: _nw[{sig.state_index}] = ({block_id}, {mask})"
-            )
+            if not self.poison_free:
+                emit.line(
+                    f"if _pz: _nw[{sig.state_index}] = ({block_id}, {mask})"
+                )
             return
+        self._notes = True
         emit.line(
             f"_san.nw(_nw, {sig.state_index}, "
             f"{block_id}, {mask}, {self._info(name, line)})"
@@ -211,18 +244,23 @@ class Instrumenter:
 
     # -- the structural points of eval_out and cycle (pygen) ------------------
 
-    def bind_poison(self, emit) -> None:
+    def bind_poison(self, emit) -> bool:
         """Prologue of a function, once its body is written: bind the
         register poison bitmap as ``_pz`` if the body reads it (after
         the unpack of the ports and of the stash the function starts
-        from)."""
-        if self._reads_poison:
+        from).  Returns whether it did: whether the function has a
+        poison-free body to write too."""
+        bound, self._reads_poison = self._reads_poison, False
+        if bound:
             emit.line(f"_pz = s[{self._poison_slot}]")
-            self._reads_poison = False
+        return bound
 
     def open_cycle(self, emit) -> None:
-        """Top of ``cycle``: this cycle's write notes start empty."""
-        if self._tracks_writes:
+        """Prologue of ``cycle``, once its body is written: this cycle's
+        write notes start empty (in a poison-free body, only if it
+        writes one)."""
+        notes, self._notes = self._notes, False
+        if self._tracks_writes and (notes or not self.poison_free):
             emit.line(f"_nw = s[{self._nw_slot}]")
             emit.line("_nw.clear()")
 
@@ -230,7 +268,7 @@ class Instrumenter:
         """After the register commit: a register written this cycle
         (a key of the notes) is defined from here on.  ``_pz`` is still
         the bitmap: nothing in the edge wrote it."""
-        if not self._tracks_writes:
+        if not self._tracks_writes or self.poison_free:
             return
         self._reads_poison = True
         emit.line("if _pz and _nw:")
@@ -250,6 +288,35 @@ class Instrumenter:
         emit.push()
         emit.line(f"s[{slot}] &= ~(1 << _a)")
         emit.pop()
+
+    # -- the two bodies of a function (pygen) ---------------------------------
+
+    @contextmanager
+    def free_body(self) -> Iterator[None]:
+        """Write the poison-free body of the function whose hooked body
+        was just written: no ``rr`` hook, no single-writer note, no
+        commit clearing.  Its sites add to the table but not to the
+        counts, which count the hooked body once."""
+        counts = self.sites, self.elided
+        self.poison_free = True
+        try:
+            yield
+        finally:
+            self.poison_free = False
+            self.sites, self.elided = counts
+
+    @staticmethod
+    def hooked_name(name: str) -> str:
+        """The name of function ``name``'s hooked body (never a part's:
+        ``exec_source`` takes those by their ``eval_`` prefix)."""
+        return f"_pz_{name}"
+
+    def dispatch(self, emit, name: str, args: str) -> None:
+        """First line of function ``name``'s poison-free body, which
+        takes ``s, ch`` and then ``args``: while any register is
+        poisoned, run the hooked body instead."""
+        emit.line(f"if s[{self._poison_slot}]: "
+                  f"return {self.hooked_name(name)}(s, ch{args})")
 
     def epilogue(self) -> str:
         """Module-level text after the two functions: the site table

@@ -7,6 +7,7 @@ which is cheap.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 
 import pytest
@@ -205,6 +206,33 @@ def assert_between_edges(pipe: Pipe) -> None:
         assert inst.state[regs : 2 * regs] == inst.state[0:regs], path
         for spec in inst.code.mem_specs.values():
             assert inst.state[spec.pending_slot] == [], (path, spec.name)
+
+
+def _bodies(source: str, hooked: bool) -> str:
+    """``source`` with one body of each function that has two."""
+    tree = ast.parse(source)
+    names = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    lines = source.splitlines(keepends=True)
+    for node in reversed(tree.body):
+        if isinstance(node, ast.FunctionDef) and (
+                f"_pz_{node.name}" in names if hooked else node.name.startswith("_pz_")):
+            del lines[node.lineno - 1:node.end_lineno]
+    text = "".join(lines)
+    return text.replace("def _pz_", "def ") if hooked else text
+
+
+def hooked_source(source: str) -> str:
+    """A sanitized module's generated source as its hooked bodies: where
+    a function has two bodies (``repro.codegen.pygen``), the hooked one
+    under the function's own name and the poison-free one left out;
+    what the hook counts count."""
+    return _bodies(source, hooked=True)
+
+
+def free_source(source: str) -> str:
+    """A module's generated source as its poison-free bodies (with
+    their opening dispatch): every ``_pz_`` function left out."""
+    return _bodies(source, hooked=False)
 
 
 def child_record(record, name: str):

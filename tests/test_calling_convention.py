@@ -9,7 +9,9 @@ committing its registers through a slice (a slice read and a slice
 store), or a ``1 if ... else 0`` / ``0 if ... else 1`` whose value is
 only tested.
 
-A bytecode and source census over every design the repo ships, and a synthetic
+A bytecode and source census over every design the repo ships (both
+bodies of each function of a sanitized build, and the dispatch that
+picks between them), and a synthetic
 design past every line the meshes do not reach (a 40-input child, a
 35-input top, a 98-name stash, a 31-input comb loop carrying 35 locals),
 checked against the inlining baseline through a hot reload across the
@@ -114,7 +116,7 @@ def _slow_shapes(library):
             and isinstance(node.func.value, ast.Attribute)
         ]
         for fn in tree.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name == "cycle":
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("cycle", "_pz_cycle"):
                 shapes += [
                     "slice_commit" for node in ast.walk(fn)
                     if isinstance(node, ast.Assign) and any(
@@ -128,9 +130,32 @@ def _slow_shapes(library):
     return found
 
 
+def _two_bodies(library):
+    """``{(module key, function)}`` of every function with two bodies
+    (a sanitized build's), each checked against the dispatch rule: the
+    poison-free body keeps the function's name and parameters, and its
+    first statement hands them all to the hooked body, ``_pz_<name>``,
+    while the register poison bitmap is nonzero."""
+    found = set()
+    for key, module in library.items():
+        tree = ast.parse(module.source)
+        fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        for name, hooked in fns.items():
+            if not name.startswith("_pz_"):
+                continue
+            free = fns[name[len("_pz_"):]]
+            params = [arg.arg for arg in free.args.args]
+            assert [arg.arg for arg in hooked.args.args] == params, (key, name)
+            assert ast.unparse(free.body[0]) == (
+                f"if s[{module.layout.reg_poison_slot}]:\n"
+                f"    return {name}({', '.join(params)})"), (key, name)
+            found.add((key, free.name))
+    return found
+
+
 @pytest.mark.parametrize("sanitize", [False, True], ids=["clean", "sanitized"])
 def test_no_generated_code_takes_a_slow_path(sanitize):
-    designs = 0
+    designs = split = 0
     for name, source, top in _designs():
         netlist = elaborate(parse(source), top)
         for opt in OPT_LEVELS:
@@ -138,10 +163,13 @@ def test_no_generated_code_takes_a_slow_path(sanitize):
             library = compile_netlist(
                 netlist, BuildConfig(sanitize=sanitize, opt=opt), runtime
             )
+            # Over every code object: both bodies of a sanitized function.
             assert _slow_paths(library) == {}, (name, opt)
             assert _slow_shapes(library) == {}, (name, opt)
+            split += len(_two_bodies(library))
         designs += 1
     assert designs >= 8
+    assert bool(split) == sanitize
 
 
 # -- a design past every line ------------------------------------------------

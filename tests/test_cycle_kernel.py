@@ -25,6 +25,7 @@ from repro.passes.dataflow import FactEval
 from repro.sanitize.runtime import SanitizerRuntime
 from repro.sim import Pipe
 from tests import test_schedule_dataflow
+from tests.conftest import free_source, hooked_source
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 RING_V = os.path.join(HERE, "..", "examples", "designs", "ring.v")
@@ -67,20 +68,22 @@ class TestOncePerCycle:
             lines = 0
             for key, code in library.items():
                 assert code.ir.loops == []
-                # eval_out and the parts a parent calls, then cycle.
-                eval_out, cycle = code.source.split("def cycle")
                 lines += code.source.count("\n")
-                for name in _comb_defines(code.ir):
-                    where = [_binds(name, part) for part in (eval_out, cycle)]
-                    # Neither: dead logic the optimizer dropped, or a
-                    # value written at its reads, which has no local.
-                    assert where != [True, True], (flavour, key, name)
-                    if flavour == "default" and not any(where):
-                        assert not re.search(rf"\bv_{name}\b", code.source), (
-                            key, name)
-                if key == "rv_ex":  # the ALU: in eval_out, nowhere else
-                    assert _binds("alu_full", eval_out)
-                    assert not _binds("alu_full", cycle)
+                # Each body of a sanitized function alike (see conftest).
+                for source in {hooked_source(code.source), free_source(code.source)}:
+                    # eval_out and the parts a parent calls, then cycle.
+                    eval_out, cycle = source.split("def cycle")
+                    for name in _comb_defines(code.ir):
+                        where = [_binds(name, part) for part in (eval_out, cycle)]
+                        # Neither: dead logic the optimizer dropped, or a
+                        # value written at its reads, which has no local.
+                        assert where != [True, True], (flavour, key, name)
+                        if flavour == "default" and not any(where):
+                            assert not re.search(rf"\bv_{name}\b", code.source), (
+                                key, name)
+                    if key == "rv_ex":  # the ALU: in eval_out, nowhere else
+                        assert _binds("alu_full", eval_out)
+                        assert not _binds("alu_full", cycle)
             if flavour == "default":
                 assert lines <= 1000  # 1352 with eval_out/eval_seq/tick
 

@@ -18,10 +18,12 @@ the hit counters of the unelided build — on the clean corpus and on a
 seeded-bug corpus where findings genuinely fire.  Elision removing a
 check that would have reported is the bug class these pin down.
 
-A cold start has no poison, so the elided build's poison-free path is
-all the corpora above exercise.  The poisoned-start differential loads
+A cold start has no poison, so the elided build's poison-free bodies
+are all the corpora above exercise.  The poisoned-start differential loads
 a snapshot with random registers and memory words poisoned into both
-builds and steps them side by side, and brings a register in through
+builds and steps them side by side (or, in one draw, exactly the
+registers the first cycle writes, so that the elided build goes back
+to its poison-free bodies after that cycle), and brings a register in through
 every route a new version takes into a running pipe: it is poisoned on
 each, with the same hits and findings in both builds.
 """
@@ -48,6 +50,7 @@ from repro.sanitize import (
 )
 from repro.sim import Pipe
 from repro.sim.pipeline import PipeSnapshot
+from tests.conftest import hooked_source
 from tests.test_fuzz_codegen import (
     OUT_WIDTH,
     STIMULI,
@@ -408,8 +411,23 @@ def _restore_poisoned(pipe, regs=(), words=None):
 
 
 def _reg_poison(pipe):
-    top = pipe.top
-    return top.state[top.code.layout.reg_poison_slot]
+    return _reg_poison_of(pipe.top)
+
+
+def _reg_poison_of(inst):
+    return inst.state[inst.code.layout.reg_poison_slot]
+
+
+def _first_written(snap, probe):
+    """``snap`` with exactly the registers poisoned that ``probe`` (the
+    same subtree one cycle on from ``snap`` with every register
+    poisoned) no longer has poisoned: those that cycle wrote."""
+    return snap.replace(
+        reg_poison=tuple(name for name in sorted(snap.regs)
+                         if name not in probe.reg_poison),
+        children=[_first_written(child, after)
+                  for child, after in zip(snap.children, probe.children)],
+    )
 
 
 # A child whose output is read every cycle, and an edit that gives it a
@@ -489,14 +507,29 @@ class TestPoisonedStart:
                 _drive(pipe, inputs)
                 pipe.step(1)
         snap = elided.snapshot()
-        state = _poisoned(
-            snap.state,
-            lambda names: data.draw(
-                st.lists(st.sampled_from(names), unique=True)
-                if names else st.just([])
-            ),
-            lambda name, depth: data.draw(st.integers(0, (1 << depth) - 1)),
-        )
+        switch_back = data.draw(st.booleans(), label="switch back")
+        if switch_back:
+            # Poison exactly the registers the first cycle writes: its
+            # commit leaves every bitmap zero, and the elided build runs
+            # its poison-free bodies from the second cycle on.  A probe
+            # cycle from every register poisoned tells which those are.
+            elided.restore(PipeSnapshot(snap.cycle, snap.inputs, _poisoned(
+                snap.state, lambda names: names, lambda name, depth: 0)))
+            _drive(elided, stim[0])
+            elided.eval()
+            elided.tick()
+            state = _first_written(snap.state, elided.top.snapshot())
+            for runtime in (e_rt, p_rt):
+                runtime.reset()
+        else:
+            state = _poisoned(
+                snap.state,
+                lambda names: data.draw(
+                    st.lists(st.sampled_from(names), unique=True)
+                    if names else st.just([])
+                ),
+                lambda name, depth: data.draw(st.integers(0, (1 << depth) - 1)),
+            )
         for pipe in pipes:
             pipe.restore(PipeSnapshot(snap.cycle, snap.inputs, state))
         for inputs in stim:
@@ -505,6 +538,8 @@ class TestPoisonedStart:
             assert elided.eval() == plain.eval(), source
             for pipe in pipes:
                 pipe.tick()
+            if switch_back:
+                assert not any(_reg_poison_of(inst) for _, inst in elided.top.walk())
             assert elided.top.snapshot() == plain.top.snapshot(), source
             assert e_rt.hits == p_rt.hits, source
             assert e_rt.findings == p_rt.findings, source
@@ -564,7 +599,7 @@ class TestPoisonLifecycle:
         pipe, library, runtime = pipeline_pipe(
             TWO_WRITERS, "top", san_elide=san_elide
         )
-        assert library["top"].source.count("_san.nw(") == 2
+        assert hooked_source(library["top"].source).count("_san.nw(") == 2
         pipe.set_inputs(en1=1, en2=0, a=3, b=9)
         pipe.step(1)
         assert runtime.hits[SAN_NB_CONFLICT] == 0
@@ -585,9 +620,9 @@ class TestWidthRule:
         # the elided ones.
         assert e_mod.san_sites == p_mod.san_sites
         assert (e_mod.san_elided, p_mod.san_elided) == (2, 0)
-        assert e_mod.source.count("_san.ob(") == 1  # small[idx_q + 2]
-        assert p_mod.source.count("_san.ob(") == 3
-        assert "_san.tr(" in e_mod.source  # its value fits; it stays
+        assert hooked_source(e_mod.source).count("_san.ob(") == 1  # small[idx_q + 2]
+        assert hooked_source(p_mod.source).count("_san.ob(") == 3
+        assert "_san.tr(" in hooked_source(e_mod.source)  # its value fits; it stays
         pipes = (elided, plain)
         for cycle in range(24):
             if cycle == 9:  # a restore poisons every register and word
