@@ -163,7 +163,7 @@ import hashlib
 import linecache
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
     Tuple,
@@ -1121,7 +1121,7 @@ class _ModuleCompiler:
         boundary; what they read from before it is that boundary's
         stash (every boundary they end at has its stash already)."""
         ir = self._ir
-        bodies = [(part, self._bodies(lambda: self._gen_part(part))) for part in parts]
+        bodies = [(part, self._bodies(partial(self._gen_part, part))) for part in parts]
         lo = parts[0][0] if parts else None
         stash_in = self._stash[lo] = [] if lo is None else [
             name for name, sig in ir.signals.items()
