@@ -25,8 +25,10 @@ from typing import Dict, Optional
 
 from .. import obs
 from ..codegen.build import BuildConfig
+from ..codegen.callplan import part_demand
 from ..codegen.flatgen import compile_flat
-from ..codegen.pygen import CompiledModule, compile_module, part_demand
+from ..codegen.module import CompiledModule
+from ..codegen.pygen import compile_module
 from ..hdl.errors import CompileBudgetExceeded
 from ..ir.netlist import Netlist
 from ..sim.pipeline import Pipe

@@ -29,7 +29,7 @@ MUX_STYLES = ("branch", "select")
 # file the program persists names it in its header
 # (:func:`repro.live.checkpoint.write_sealed`), so a file of another
 # format is refused before it is decoded.
-STORE_FORMAT = "repro.store/v21"
+STORE_FORMAT = "repro.store/v22"
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class ModuleKey:
     ``child_fps`` its children's comb signatures (tagged ``+pure``
     where the parent's code skips a pure subtree) and ``parts`` the
     names of the parts of its settled body its parents call besides
-    ``eval_out`` (:func:`repro.codegen.pygen.part_demand`).  No value
+    ``eval_out`` (:func:`repro.codegen.callplan.part_demand`).  No value
     fact joins the key: none changes what generated code computes, in
     any flavour.
     """

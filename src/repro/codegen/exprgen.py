@@ -483,9 +483,9 @@ class StmtGen:
         emitter: FunctionEmitter,
         write_target: Callable[[ast.LValue, str], None],
         read_target_current: Callable[[str], str],
-        mem_write: Callable[[str, str, str, int], None],
         is_memory: Callable[[str], bool],
         target_width: Callable[[str], int],
+        mem_write: Optional[Callable[[str, str, str, int], None]] = None,
         hooks: Optional[object] = None,
         block_id: Optional[int] = None,
     ):
@@ -498,7 +498,8 @@ class StmtGen:
           subscript, an operand anywhere.
         * ``mem_write(name, addr_code, value_code, line)`` — memory
           word write, to an address already wrapped into the depth
-          (:meth:`ExprGen.mem_index`), fit for a tuple item.
+          (:meth:`ExprGen.mem_index`), fit for a tuple item; None in a
+          comb block, where a memory write is an error.
         * ``target_width(name)`` — declared width of a target signal.
 
         ``hooks`` is the resolver's instrumentation object (None: clean
@@ -564,6 +565,9 @@ class StmtGen:
                 if checked != addr[0]:
                     addr = checked, COND
             addr = self._exprgen.mem_index(target.name, addr, width)
+            if self._mem_write is None:
+                raise CodegenError(
+                    f"memory {target.name!r} may only be written in always @(posedge)", stmt.line)
             self._mem_write(target.name, addr[0], value_code, stmt.line)
             return
         declared = self._target_width(target.name)

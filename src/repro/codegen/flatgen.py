@@ -16,7 +16,7 @@ does.  Registers and memories are state and never constrain ordering,
 so any design whose loops pass through a flop schedules in one pass;
 each genuine combinational loop is one group of the order, which
 ``eval`` repeats alone until it settles, in the generated loop the
-shared compiler uses (:func:`pygen.settle_loop`).
+shared compiler uses (:func:`~repro.codegen.module.settle_loop`).
 
 The result is packaged as a :class:`CompiledModule` with no children,
 so the same :class:`~repro.sim.pipeline.Pipe` runtime drives it.
@@ -27,7 +27,6 @@ paths like ``u_core.u_ifu.pc``.
 from __future__ import annotations
 
 import hashlib
-import linecache
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -35,13 +34,13 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..hdl import ast_nodes as ast
 from ..hdl.consteval import expr_reads
-from ..hdl.errors import CodegenError, CompileBudgetExceeded, ConvergenceError
+from ..hdl.errors import CodegenError, CompileBudgetExceeded
 from ..ir.netlist import ModuleIR, Netlist
 from ..ir.schedule import toposort
 from .build import BuildConfig
 from .emitter import FunctionEmitter, block
 from .exprgen import ExprGen, Resolver, StmtGen, mask_of
-from .pygen import CompiledModule, MemSpec, settle_loop, state_layout
+from .module import CompiledModule, MemSpec, exec_source, settle_loop, state_layout
 
 
 @dataclass
@@ -123,8 +122,8 @@ class _FlatCompiler:
         self._num_regs = 0
         self._reg_slots: Dict[str, int] = {}
         self._reg_widths: Dict[str, int] = {}
+        self._mems: List[Tuple[str, int, int]] = []  # (name, width, depth)
         self._mem_specs: Dict[str, MemSpec] = {}
-        self._mem_count = 0
         self._written_mems: Set[str] = set()
 
     def _check_budget(self) -> None:
@@ -153,23 +152,10 @@ class _FlatCompiler:
             ir.memories.items(), key=lambda kv: kv[1].mem_index
         ):
             full = f"{path}.{name}" if path else name
-            self._mem_specs[full] = MemSpec(
-                name=full, width=mem.width, depth=mem.depth,
-                slot=-1, pending_slot=-1,
-            )
-            self._mem_count += 1
+            self._mems.append((full, mem.width, mem.depth))
         for inst in ir.instances:
             child_path = f"{path}.{inst.name}" if path else inst.name
             self._allocate(inst.child_key, child_path)
-
-    def _finalize_slots(self) -> None:
-        # The shared layout (CompiledModule.make_state); the stash slot
-        # stays unused.
-        self.layout = state_layout(self._num_regs, self._mem_count, False)
-        base = self.layout.mem_base
-        for i, spec in enumerate(self._mem_specs.values()):
-            spec.slot = base + i
-            spec.pending_slot = base + self._mem_count + i
 
     # -- unit collection ----------------------------------------------------------
 
@@ -293,17 +279,10 @@ class _FlatCompiler:
                 f"{scope.local(target.name)} = {code}"
             ),
             read_target_current=lambda name: scope.local(name),
-            mem_write=self._forbid_comb_mem_write,
             is_memory=lambda name: name in scope.ir.memories,
             target_width=lambda name: scope.ir.signals[name].width,
         )
         stmtgen.gen_stmts(comb.body)
-
-    @staticmethod
-    def _forbid_comb_mem_write(name: str, addr: str, value: str, line: int) -> None:
-        raise CodegenError(
-            f"memory {name!r} may only be written in always @(posedge)", line
-        )
 
     def _emit_seq_block(self, scope: _FlatScope, exprgen: ExprGen, seq) -> None:
         num_regs = self._num_regs
@@ -344,7 +323,9 @@ class _FlatCompiler:
     def generate(self) -> str:
         top = self._netlist.top_module
         self._allocate(self._netlist.top, "")
-        self._finalize_slots()
+        # The shared layout (CompiledModule.make_state); the stash slot
+        # stays unused.
+        self.layout, self._mem_specs = state_layout(self._num_regs, self._mems, False)
         top_inputs = {
             name: (f"i_{name}", set()) for name in top.inputs
         }
@@ -434,15 +415,8 @@ def compile_flat(
     compiler = _FlatCompiler(netlist, mux_style, budget_seconds)
     source = compiler.generate()
     compiler._check_budget()
-    filename = f"<flat:{top.key}>"
-    code = compile(source, filename, "exec")
+    namespace = exec_source(source, f"<flat:{top.key}>", build, None)
     compiler._check_budget()
-    namespace: Dict[str, object] = {"ConvergenceError": ConvergenceError}
-    exec(code, namespace)  # noqa: S102 - generated, trusted code
-    compiler._check_budget()
-    linecache.cache[filename] = (
-        len(source), None, source.splitlines(keepends=True), filename
-    )
 
     flat_ir = ModuleIR(
         name=top.name,

@@ -14,7 +14,7 @@ its sequential logic, so its outputs depend on no inputs at all and it
 can evaluate first, even though the redirect producer evaluates later.
 The redirect still reaches the fetch stage's flops because sequential
 evaluation happens in a second phase with fully settled values (see
-:mod:`repro.codegen.pygen`).
+:mod:`repro.codegen.module`).
 
 Per-output precision matters: a memory unit's read-data output depends
 on the address input but *not* on the write-data input; collapsing all

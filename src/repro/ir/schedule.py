@@ -26,7 +26,7 @@ signals, with :func:`components`, for the real cycles).
 loop (a strongly connected component, or a unit that reads its own
 define) is one step of the order (``ModuleIR.steps``), which the
 generated code repeats alone until it settles
-(:func:`repro.codegen.pygen.settle_loop`).  The flattening compiler
+(:func:`repro.codegen.module.settle_loop`).  The flattening compiler
 (:mod:`repro.codegen.flatgen`) sorts its flattened units with the same
 function.
 """

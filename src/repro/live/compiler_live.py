@@ -51,7 +51,7 @@ from typing import Dict, List, NamedTuple, Optional
 
 from .. import obs
 from ..codegen.build import BuildConfig, DerivedCache
-from ..codegen.pygen import CompiledModule
+from ..codegen.module import CompiledModule
 from ..hdl import ast_nodes as ast
 from ..hdl.elaborate import elaborate
 from ..hdl.errors import HDLError

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Set
 
 from .. import obs
-from ..codegen.pygen import CompiledModule
+from ..codegen.module import CompiledModule
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
 from ..sim.stage import StageInst

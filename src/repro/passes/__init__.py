@@ -22,7 +22,7 @@ from typing import Dict
 
 from .. import lazy_exports
 from ..codegen.build import OPT_LEVELS, BuildConfig
-from ..codegen.pygen import CompiledModule
+from ..codegen.module import CompiledModule
 from ..ir.netlist import Netlist
 from .base import Pass, PassData, PassPipeline
 from .codegen import CodegenPass, SanitizePlanPass, SensitivityPrunePass

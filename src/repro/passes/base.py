@@ -26,8 +26,8 @@ from typing import Any, Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from .. import obs
 from ..codegen.build import BuildConfig, DerivedCache
+from ..codegen.module import CompiledModule
 from ..codegen.optplan import OptPlan
-from ..codegen.pygen import CompiledModule
 from ..hdl.errors import HDLError
 from ..ir.netlist import Netlist
 

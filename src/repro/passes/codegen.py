@@ -13,7 +13,7 @@ store in front of ``compile_module``, and addresses all three by one
 identity (spec, source fingerprint), child interfaces and the session's
 :class:`~repro.codegen.build.BuildConfig` — so plain, optimized,
 sanitized and elided artifacts coexist.  A miss compiles the module's
-wiring from :func:`~repro.codegen.pygen.part_demand`, one per module per
+wiring from :func:`~repro.codegen.callplan.part_demand`, one per module per
 run, under its ``plans`` entry (:data:`~repro.codegen.optplan.NO_OPT`
 when it has none), and a sanitized build binds the session's sanitizer
 runtime.  Each wiring's walks are kept in the derived cache (kind
@@ -29,8 +29,10 @@ from typing import Dict, List, Set
 
 from .. import obs
 from ..codegen.build import ModuleKey
+from ..codegen.callplan import part_demand, part_names
+from ..codegen.module import CompiledModule
 from ..codegen.optplan import NO_OPT
-from ..codegen.pygen import CompiledModule, compile_module, part_demand, part_names, site_count
+from ..codegen.pygen import compile_module, site_count
 from ..hdl.errors import HDLError
 from .base import Pass, PassData
 

@@ -31,7 +31,7 @@ whatever the registers hold.  Every other site tests its reporting
 condition inline and calls the hook only when it would report, so hit
 counts and findings are what the plain calls give.
 Sanitized state layout (the poison bitmaps, the ``_nw`` dict) is
-:class:`repro.codegen.pygen.StateLayout`'s.
+:class:`repro.codegen.module.StateLayout`'s.
 
 Each function that reads the register poison bitmap binds it once, as
 ``_pz`` (:meth:`Instrumenter.bind_poison`), and a zero bitmap skips all
@@ -54,7 +54,7 @@ is written twice (:mod:`repro.codegen.pygen`):
 
 * the *hooked* body, everything above, named ``_pz_<name>``
   (:meth:`Instrumenter.hooked_name`: never ``eval_...``, the prefix
-  ``exec_source`` takes parts by);
+  ``entry_points`` takes parts by);
 * the *poison-free* body, which keeps the function's name and opens by
   handing the call to the hooked one while the bitmap is nonzero
   (:meth:`Instrumenter.dispatch`,
@@ -308,7 +308,7 @@ class Instrumenter:
     @staticmethod
     def hooked_name(name: str) -> str:
         """The name of function ``name``'s hooked body (never a part's:
-        ``exec_source`` takes those by their ``eval_`` prefix)."""
+        ``entry_points`` takes those by their ``eval_`` prefix)."""
         return f"_pz_{name}"
 
     def dispatch(self, emit, name: str, args: str) -> None:

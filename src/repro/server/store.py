@@ -38,7 +38,7 @@ from typing import Optional, Tuple
 
 from .. import obs
 from ..codegen.build import ModuleKey
-from ..codegen.pygen import CompiledModule, exec_source
+from ..codegen.module import CompiledModule, entry_points, exec_source
 from ..hdl.errors import SimulationError
 from ..live.checkpoint import read_sealed, write_sealed
 
@@ -113,10 +113,10 @@ class ArtifactStore:
             return None
         # The source is the text that compiled when it was saved.
         return CompiledModule(
-            **exec_source(
+            **entry_points(exec_source(
                 fields["source"], cache_key.filename, cache_key.build,
                 sanitize_runtime,
-            ),
+            )),
             **fields,
         )
 

@@ -5,7 +5,7 @@ values, and the cycle counter.  One simulated cycle is ``eval`` (settle
 the combinational logic the outputs need) followed by ``tick`` (finish
 the rest with every input known, compute and commit the next state —
 the clock edge), through the two entry points of
-:mod:`repro.codegen.pygen`.  The pipe's settled outputs are the one
+:mod:`repro.codegen.module`.  The pipe's settled outputs are the one
 memo: ``tick`` settles the top first unless nothing changed since the
 last ``eval``, and builds the outputs only for a watcher or a trace
 (:meth:`Pipe.step`).
@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from ..codegen.pygen import CompiledModule
+from ..codegen.module import CompiledModule
 from ..hdl.errors import SimulationError
 from .stage import StageInst, StateSnapshot
 
@@ -87,7 +87,7 @@ class Pipe:
         """The top's (eval_out, cycle) with what the generated code is
         called with bound — its calling convention has the caller mask, so
         each input is cut to its port width here, once per change, and
-        packed where :func:`repro.codegen.pygen.packs` says so — then its
+        packed where :func:`repro.codegen.module.packs` says so — then its
         sanitizer."""
         top, inputs = self.top, self._inputs
         code = top.code

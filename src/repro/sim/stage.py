@@ -17,7 +17,7 @@ from typing import (
     Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
-from ..codegen.pygen import CompiledModule
+from ..codegen.module import CompiledModule
 from ..hdl.errors import SimulationError
 
 # Words per page of a memory image.  Smaller pages share more between
@@ -395,7 +395,7 @@ class StageInst:
             )
         mask = (1 << self.code.reg_widths[name]) - 1
         self.state[slot] = value & mask
-        # Both halves: pending == current between edges (pygen's layout).
+        # Both halves: pending == current between edges (codegen.module's layout).
         self.state[slot + self.code.num_regs] = value & mask
         if self.code.build.sanitize:
             self.state[self.code.layout.reg_poison_slot] &= ~(1 << slot)

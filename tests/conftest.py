@@ -198,7 +198,7 @@ def pgas2_pipe(pgas2_netlist_library) -> Pipe:
 
 
 def assert_between_edges(pipe: Pipe) -> None:
-    """The state layout's invariant (:mod:`repro.codegen.pygen`): with
+    """The state layout's invariant (:mod:`repro.codegen.module`): with
     no clock edge in flight, pending == current and no memory write is
     pending, in every instance."""
     for path, inst in pipe.top.walk():

@@ -2,7 +2,7 @@
 
 Generated code keeps no memo: each parent runs each child's settled
 comb body once per cycle, in parts where it must, with the final
-arguments, before the child's ``cycle`` (``repro.codegen.pygen``).  The
+arguments, before the child's ``cycle`` (``repro.codegen.callplan``).  The
 design below has a child of every shape that order has to get right:
 
 - ``u_split`` (``rv_mem``'s shape): one output is wanted in the

@@ -30,7 +30,7 @@ import pytest
 
 from repro.baseline import BaselineCompiler
 from repro.codegen.build import OPT_LEVELS, BuildConfig
-from repro.codegen.pygen import STACK_ITEMS, packs
+from repro.codegen.module import STACK_ITEMS, packs
 from repro.hdl import elaborate, parse
 from repro.live.session import LiveSession
 from repro.passes import compile_netlist

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro import BuildConfig
-from repro.codegen import pygen
-from repro.codegen.pygen import compile_module, part_demand, site_count
+from repro.codegen.callplan import Wiring, part_demand
+from repro.codegen.pygen import ModuleCompiler, compile_module, site_count
 from repro.hdl import elaborate, parse
 from repro.passes import compile_netlist
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
@@ -114,8 +114,8 @@ class TestHooksObject:
         # A sanitized compile takes the hooks class from its module.
         monkeypatch.setattr(instrument, "Instrumenter", RecordingHooks)
         netlist = elaborate(parse(ONE_OF_EACH), "m")
-        compiler = pygen._ModuleCompiler(
-            pygen._Wiring(netlist.modules["m"], netlist), SANITIZED
+        compiler = ModuleCompiler(
+            Wiring(netlist.modules["m"], netlist), SANITIZED
         )
         source = compiler.generate()
         compile(source, "<seam>", "exec")  # the fake's text is clean code
@@ -148,8 +148,8 @@ class TestHooksObject:
 
     def test_clean_build_has_no_hooks_object(self):
         netlist = elaborate(parse(ONE_OF_EACH), "m")
-        compiler = pygen._ModuleCompiler(
-            pygen._Wiring(netlist.modules["m"], netlist), BuildConfig()
+        compiler = ModuleCompiler(
+            Wiring(netlist.modules["m"], netlist), BuildConfig()
         )
         assert compiler.hooks is None
         assert "_san" not in compiler.generate()
@@ -168,8 +168,8 @@ class TestCensusIsTheGenerator:
             for unit in ir.schedule:
                 if unit[0] == "inst":
                     continue
-                text = pygen._ModuleCompiler(
-                    pygen._Wiring(ir, netlist), SANITIZED
+                text = ModuleCompiler(
+                    Wiring(ir, netlist), SANITIZED
                 ).gen_unit(*unit)
                 hooked = "_san." in text or "_SAN_I" in text
                 assert (site_count(ir, netlist, unit) > 0) == hooked, (

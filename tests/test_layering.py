@@ -10,6 +10,7 @@ passed.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -161,3 +162,77 @@ def test_every_unpickling_reads_what_read_sealed_checked():
         if target == "pickle" and names
     ]
     assert not imported, "\n".join(imported)
+
+
+# The simulator, the live layer, the artifact store, the sanitizer and
+# the analyzer run compiled modules, never the generator that built
+# them: of codegen they take the runtime contract and the build key.
+# The flat baseline also lowers with the expression and statement
+# generators both generators share, never with the shared-module one.
+CONTRACT = {"repro.codegen.module", "repro.codegen.build"}
+CONTRACT_ONLY = {
+    "repro.sim": CONTRACT,
+    "repro.live": CONTRACT,
+    "repro.server": CONTRACT,
+    "repro.sanitize": CONTRACT,
+    "repro.analyze": CONTRACT,
+    "repro.codegen.flatgen": CONTRACT | {"repro.codegen.emitter", "repro.codegen.exprgen"},
+}
+CODEGEN = SRC / "repro" / "codegen"
+TESTS = Path(__file__).resolve().parent
+
+
+def codegen_modules(target: str, names) -> set:
+    """The ``repro.codegen`` modules an import of ``names`` from
+    ``target`` reaches (a name off the package counts as a module)."""
+    if target == "repro.codegen":
+        return {f"repro.codegen.{name}" for name in names}
+    return {target} if target.startswith("repro.codegen.") else set()
+
+
+def test_the_runtime_imports_only_the_contract_of_codegen():
+    reaching = [
+        f"{path.relative_to(SRC)}:{line}: {here} imports {module}"
+        for path, line, here, target, names in imports()
+        for allowed in [CONTRACT_ONLY.get(here, CONTRACT_ONLY.get(package_of(here)))]
+        if allowed is not None
+        for module in sorted(codegen_modules(target, names) - allowed)
+    ]
+    assert not reaching, "\n".join(reaching)
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_test_names_a_private_attribute_of_codegen():
+    stems = "|".join(sorted(path.stem for path in CODEGEN.glob("*.py")))
+    spelled = re.compile(rf"\b(?:repro\.codegen\.)?(?:{stems})\._[A-Za-z]")
+    found = []
+    for path in sorted(TESTS.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # names this file binds to a repro.codegen module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro.codegen"):
+                for alias in node.names:
+                    if private(alias.name):
+                        found.append((path, node.lineno, f"imports {alias.name}"))
+                    if (CODEGEN / f"{alias.name}.py").exists():
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname for alias in node.names
+                               if alias.asname and alias.name.startswith("repro.codegen."))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr) and (
+                    getattr(node.value, "id", None) in modules
+                    or ast.unparse(node.value).startswith("repro.codegen.")):
+                found.append((path, node.lineno, ast.unparse(node)))
+            elif isinstance(node, ast.Call) and len(node.args) > 1 and getattr(
+                    node.args[0], "id", None) in modules and isinstance(
+                    node.args[1], ast.Constant) and private(str(node.args[1].value)):
+                found.append((path, node.lineno, ast.unparse(node)))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+                    spelled.search(node.value)):
+                found.append((path, node.lineno, spelled.search(node.value).group()))
+    assert not found, "\n".join(f"{path.relative_to(TESTS.parent)}:{line}: {what}"
+                                for path, line, what in found)

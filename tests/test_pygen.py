@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.codegen.pygen import CACHE_SLOTS
 from repro.sim import Pipe, StageInst
 
 
@@ -35,8 +34,10 @@ class TestStateLayout:
         _, library = counter_design
         code = library["counter#(W=8)"]
         state = code.make_state()
-        assert len(state) == 2 * code.num_regs + CACHE_SLOTS
-        assert state[code.layout.stash_slot] is None
+        layout = code.layout
+        assert layout.stash_slot == 2 * code.num_regs
+        assert len(state) == layout.mem_base == layout.stash_slot + 1
+        assert state[layout.stash_slot] is None
 
     def test_memory_slots(self, pgas1_netlist_library):
         _, _, library = pgas1_netlist_library

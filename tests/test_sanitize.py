@@ -19,7 +19,8 @@ import pytest
 
 from repro.__main__ import Shell
 from repro.codegen.build import BuildConfig
-from repro.codegen.pygen import _ModuleCompiler, _Wiring, site_count
+from repro.codegen.callplan import Wiring
+from repro.codegen.pygen import ModuleCompiler, site_count
 from repro.hdl import elaborate, parse
 from repro.hdl.errors import SimulationError
 from repro.live.commands import CommandError, CommandInterpreter
@@ -470,10 +471,10 @@ def test_the_sink_rule_knows_which_assigns_carry_a_hook(pgas2_netlist_library):
     hooked = 0
     for netlist in netlists:
         for ir in netlist.modules.values():
-            compiler = _ModuleCompiler(_Wiring(ir, netlist), BuildConfig(sanitize=True))
+            compiler = ModuleCompiler(Wiring(ir, netlist), BuildConfig(sanitize=True))
             for index, assign in enumerate(ir.comb_assigns):
                 sites = site_count(ir, netlist, ("assign", index))
-                assert compiler._hooked(assign) == (sites > 0), (
+                assert compiler.is_hooked(assign) == (sites > 0), (
                     ir.key, assign.defines)
                 hooked += sites > 0
     assert hooked > 20

@@ -21,7 +21,7 @@ from benchmarks.livebench.workloads import boot_testbench, node_images, node_pro
 from repro import compile_design
 from repro.baseline.compiler import BaselineCompiler
 from repro.codegen.build import BuildConfig
-from repro.codegen.pygen import MAX_PASSES
+from repro.codegen.module import MAX_PASSES
 from repro.hdl import elaborate, parse
 from repro.hdl.errors import ConvergenceError
 from repro.live.hotreload import HotReloader

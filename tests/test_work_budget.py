@@ -26,10 +26,11 @@ A wall-clock bound cannot see a few per cent; a count can.  Each row of
   ``opt=none`` build, summed over the library, for the 2x2 and 4x4
   mesh and every module of ``examples/designs/*.v`` as a top, named
   and counted as ``tools/source_digests.py`` names and counts them.
-- ``compile.4x4.wirings``: the call plans (``pygen._Wiring``) a clean
-  ``compile_netlist`` of the 4x4 mesh builds: one per module, which
-  plans each part's child calls once for the whole compile.
-- ``edit.2x2.rv_ex.walks``: the walks (``pygen._Wiring._walk``) the
+- ``compile.4x4.wirings``: the call plans (``callplan.Wiring``, counter
+  ``codegen.wirings``) a clean ``compile_netlist`` of the 4x4 mesh
+  builds: one per module, which plans each part's child calls once for
+  the whole compile.
+- ``edit.2x2.rv_ex.walks``: the walks (counter ``codegen.walks``) the
   codegen pass makes when a live compile of the 2x2 mesh is edited in
   ``rv_ex``'s body (``riscv.patches``' ``ex-forward-priority``): the
   edited module's own, the rest kept from the compile before.
@@ -48,8 +49,7 @@ import sys
 from collections import Counter
 
 from benchmarks.livebench.workloads import boot_testbench, node_images, node_programs
-from repro import compile_design
-from repro.codegen import pygen
+from repro import compile_design, obs
 from repro.codegen.build import BuildConfig
 from repro.hdl import elaborate, parse
 from repro.live.compiler_live import LiveCompiler
@@ -93,8 +93,8 @@ BUDGET = {
     "entries.4x4.rv_memory.eval_out": 16,
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
-    "setup.modules": 58,
-    "setup.lines": 16_851,
+    "setup.modules": 60,
+    "setup.lines": 16_867,
     "setup.dataclasses": 52,
     "codegen.lines.mesh2x2": 575,
     "codegen.lines.mesh4x4": 683,
@@ -270,37 +270,24 @@ def test_generated_source_stays_within_its_line_budget():
     assert not moved(measured), f"generated lines moved (pinned, now): {moved(measured)}"
 
 
-def test_a_clean_4x4_compile_plans_each_module_once(monkeypatch):
+def test_a_clean_4x4_compile_plans_each_module_once():
     netlist = elaborate(parse(build_pgas_source(4)), mesh_top_name(4))
-    built = []
-    init = pygen._Wiring.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(pygen._Wiring, "__init__", counted)
+    metrics = obs.get_metrics()
+    before = metrics.counter("codegen.wirings")
     compile_netlist(netlist)
-    measured = {"compile.4x4.wirings": len(built)}
+    measured = {"compile.4x4.wirings": metrics.counter("codegen.wirings") - before}
     assert not moved(measured), f"call plans moved (pinned, now): {moved(measured)}"
 
 
-def test_an_rv_ex_edit_walks_only_rv_ex(monkeypatch):
+def test_an_rv_ex_edit_walks_only_rv_ex():
     source, top = build_pgas_source(2), mesh_top_name(2)
     compiler = LiveCompiler(source)
     compiler.compile_top(top)
-    walked = []
-    walk = pygen._Wiring._walk
-
-    def counted(self, *args):
-        walked.append(self.ir.key)
-        return walk(self, *args)
-
-    monkeypatch.setattr(pygen._Wiring, "_walk", counted)
+    metrics = obs.get_metrics()
+    before = metrics.counter("codegen.walks")
     compiler.update_source(PATCHES["ex-forward-priority"].inject(source))
-    compiler.compile_top(top)
-    assert set(walked) == {"rv_ex"}
-    measured = {"edit.2x2.rv_ex.walks": len(walked)}
+    assert compiler.compile_top(top).report.recompiled_keys == ["rv_ex"]
+    measured = {"edit.2x2.rv_ex.walks": metrics.counter("codegen.walks") - before}
     assert not moved(measured), f"walks moved (pinned, now): {moved(measured)}"
 
 

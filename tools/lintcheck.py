@@ -25,7 +25,11 @@ Checks:
 * PLC2701 — under ``src/repro``: a ``_private`` name imported from
           another ``repro`` package (ruff's rule is preview-only at
           the pinned version, so CI relies on this script and on
-          ``tests/test_layering.py`` for it)
+          ``tests/test_layering.py`` for it).  Under ``tests/`` the
+          rule is stricter and lives only in ``tests/test_layering.py``:
+          no test imports or names a ``_private`` attribute of a
+          ``repro.codegen`` module, so a test reaches the generator
+          through its public names alone
 * RPR001 — under ``src/repro``: a public ``def`` whose name occurs
           nowhere in the ``.py`` files of ``src/``, ``tests/``,
           ``tools/``, ``benchmarks/`` or ``examples/`` but at its own
