@@ -41,8 +41,9 @@ class Resolver:
 
     * ``reg_read(name, ref_code, line)`` — wrap a register read;
       return the replacement expression, or None to keep ``ref_code``.
-    * ``mem_read(name, index_code, line)`` — replace an indexed
-      memory read entirely (bound + word-poison checked access).
+    * ``mem_read(name, index_code, width, line)`` — replace an indexed
+      memory read at a ``width``-bit index entirely (bound + word-poison
+      checked access).
     * ``index_bound(name, index_code, width, bound, line)`` — wrap a
       dynamic bit/part-select index, ``width`` bits wide, with a bound
       check.
@@ -434,9 +435,10 @@ class ExprGen:
         index = self.code(expr.index)
         if mem_ref is not None:
             hooks = self._resolver.hooks
+            width = self.width_of(expr.index)
             if hooks is not None:
-                return hooks.mem_read(expr.base, index[0], expr.line), COND
-            wrapped = self.mem_index(expr.base, index, self.width_of(expr.index))
+                return hooks.mem_read(expr.base, index[0], width, expr.line), COND
+            wrapped = self.mem_index(expr.base, index, width)
             return f"{mem_ref}[{wrapped[0]}]", ATOM
         base = self._signal_read(expr.base, expr.line)
         width = self._resolver.signal_width(expr.base)

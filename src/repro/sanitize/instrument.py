@@ -27,9 +27,11 @@ index is too narrow to reach its bound (``mask_of(width) < bound``) is
 written as the clean code would be and counted in
 :attr:`Instrumenter.elided`: every generated value is masked to its
 width (:mod:`repro.codegen.exprgen`), so the check can never fire,
-whatever the registers hold.  Every other site tests its reporting
-condition inline and calls the hook only when it would report, so hit
-counts and findings are what the plain calls give.
+whatever the registers hold; an ``mr`` site whose index is that narrow
+keeps its word-poison test alone (still a site, not elided).  Every
+other site tests its reporting condition inline and calls the hook only
+when it would report, so hit counts and findings are what the plain
+calls give.
 Sanitized state layout (the poison bitmaps, the ``_nw`` dict) is
 :class:`repro.codegen.module.StateLayout`'s.
 
@@ -145,21 +147,23 @@ class Instrumenter:
             return f"{call} if _pz and _pz >> {bit} & 1 else {ref}"
         return call
 
-    def mem_read(self, name: str, index_code: str, line: int) -> str:
-        """The whole indexed read of memory ``name``."""
+    def mem_read(self, name: str, index_code: str, width: int, line: int) -> str:
+        """The whole indexed read of memory ``name`` at a ``width``-bit
+        index."""
         mem = self._mems[name]
         self.sites += 1
         info = self._info(name, line)
         if self._elide:
             # The hook returns mem[index % depth], which is mem[t] when
-            # t < depth: in bounds and unpoisoned never calls.
-            t = self._temp()
-            return (
-                f"(_m_{name}[{t}] if ({t} := ({index_code})) < "
-                f"{mem.depth} and not s[{mem.poison_slot}] >> {t} & 1 "
-                f"else _san.mr(_m_{name}, s[{mem.poison_slot}], "
-                f"{t}, {info}))"
-            )
+            # t < depth: in bounds and unpoisoned never calls.  An index
+            # too narrow to reach the depth is always in bounds, so the
+            # test is its word poison alone (the width rule).
+            t, slot = self._temp(), mem.poison_slot
+            if mask_of(width) < mem.depth:
+                test = f"not s[{slot}] >> ({t} := ({index_code})) & 1"
+            else:
+                test = f"({t} := ({index_code})) < {mem.depth} and not s[{slot}] >> {t} & 1"
+            return f"(_m_{name}[{t}] if {test} else _san.mr(_m_{name}, s[{slot}], {t}, {info}))"
         return (
             f"_san.mr(_m_{name}, s[{mem.poison_slot}], "
             f"({index_code}), {info})"

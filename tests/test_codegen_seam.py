@@ -64,7 +64,7 @@ class RecordingHooks:
         self.calls.append(("reg_read", name))
         return None
 
-    def mem_read(self, name, index_code, line):
+    def mem_read(self, name, index_code, width, line):
         self.calls.append(("mem_read", name))
         return f"_m_{name}[{index_code}]"
 

@@ -94,7 +94,7 @@ BUDGET = {
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 60,
-    "setup.lines": 16_867,
+    "setup.lines": 16_869,
     "setup.dataclasses": 52,
     "codegen.lines.mesh2x2": 575,
     "codegen.lines.mesh4x4": 683,
