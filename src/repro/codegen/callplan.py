@@ -19,14 +19,19 @@ every call: :func:`part_demand` builds each module's :class:`Wiring`,
 which walks each part the module runs once, and the generator writes
 those walks.  Which parts a module's parents call is part of its
 compile (``ModuleKey.parts``).
+
+The plan also decides the order of a module's sequential statements in
+its ``cycle`` and which registers they write in place (:class:`EdgePlan`).
 """
 
 from __future__ import annotations
 
+import heapq
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .. import obs
+from ..hdl import ast_nodes as ast
 from ..hdl.consteval import expr_reads
 from ..ir.netlist import ModuleIR, Netlist, UnitId
 from .optplan import NO_OPT, OptPlan
@@ -126,6 +131,12 @@ class Wiring:
         self.early_targets = {target for _, _, target in ir.early_bind}
         self._reached: Dict[tuple, Boundary] = {}
         self._walks = {} if walks is None else walks
+
+    @cached_property
+    def edge(self) -> EdgePlan:
+        """The order of the sequential statements in ``cycle`` and the
+        registers they write in place (:func:`edge_plan`)."""
+        return edge_plan(self.ir, self.plan)
 
     @cached_property
     def steps(self) -> List[Tuple[List[UnitId], bool]]:
@@ -244,6 +255,250 @@ class Wiring:
         if plain.units:
             steps.append(plain)
         return steps
+
+
+class EdgePlan(NamedTuple):
+    """How a module's ``cycle`` writes its registers.
+
+    ``cycle`` runs the top-level statements of its sequential blocks in
+    ``order``, each with the index of its block (:func:`edge_units`).
+    A register in ``in_place`` is written straight into its current
+    slot: no read of its old value follows a write of it on any path
+    through ``cycle``.  Every other register (``pending``) is written to
+    its pending slot and committed at the end of the edge.
+    """
+
+    order: Tuple[Tuple[int, ast.Stmt], ...]
+    in_place: FrozenSet[str]
+    pending: FrozenSet[str]
+
+
+def edge_units(ir: ModuleIR) -> List[Tuple[int, ast.Stmt]]:
+    """The top-level statements of ``ir``'s sequential blocks, each with
+    its block's index, in source order (an anonymous ``begin``/``end``,
+    which comes through as ``if (1)``, opened).  Every register write
+    lands at the edge and every read sees the value from before it, so
+    these units are as independent of each other as blocks are."""
+    units: List[Tuple[int, ast.Stmt]] = []
+
+    def add(index: int, stmts: List[ast.Stmt]) -> None:
+        for stmt in stmts:
+            if (isinstance(stmt, ast.If) and isinstance(stmt.cond, ast.Num)
+                    and stmt.cond.value == 1 and not stmt.else_body):
+                add(index, stmt.then_body)
+            else:
+                units.append((index, stmt))
+
+    for index, blk in enumerate(ir.seq_blocks):
+        add(index, blk.body)
+    return units
+
+
+def edge_plan(ir: ModuleIR, plan: OptPlan = NO_OPT) -> EdgePlan:
+    """The :class:`EdgePlan` of ``ir`` under ``plan``.
+
+    What ``cycle`` runs after its comb body has read the old values:
+    the units of :func:`edge_units` in turn, the arms of an ``if`` or
+    ``case`` as alternative paths, then each child's arguments.  A read
+    of a continuous assign the generator may write inside the unit
+    (:class:`_EdgeReads`) is a read of the registers its code reads.
+    Nothing here depends on the sanitizer, so both bodies of a
+    sanitized function share the plan.
+
+    The units are ordered so that one reading register R runs before
+    another writing R, for as many registers as that can be done for
+    (taken in slot order, each kept only if the order stays acyclic).
+    Units that write one register or memory keep their relative order:
+    the later write wins, and the sanitizer's conflict check names the
+    later writer.  Otherwise the source order stands.
+    """
+    units = edge_units(ir)
+    regs = {name: sig.state_index for name, sig in ir.signals.items()
+            if sig.state_index is not None}
+    if not units or not regs:
+        return EdgePlan(tuple(units), frozenset(), frozenset())
+    walk = _EdgeWalk(_EdgeReads(ir, plan, regs, units))
+    reads, writes = [], []  # per unit: registers read, names written
+    for unit, (_, stmt) in enumerate(units):
+        walk.found = set()
+        writes.append(walk.stmts([stmt], unit, frozenset()))
+        reads.append(walk.found)
+    edges = {(early, late) for late in range(len(units)) for early in range(late)
+             if not writes[early].isdisjoint(writes[late])}
+    for name in sorted(regs, key=regs.__getitem__):
+        wanted = {(reader, writer)
+                  for reader, found in enumerate(reads) if name in found
+                  for writer, wrote in enumerate(writes)
+                  if writer != reader and name in wrote}
+        if not wanted <= edges and len(_stable_topo(len(units), edges | wanted)) == len(units):
+            edges |= wanted
+    order = _stable_topo(len(units), edges)
+    # The authority: walk the units in that order, then the children's
+    # arguments; a register read once written keeps its pending slot.
+    walk.clashes = set()
+    written: FrozenSet[str] = frozenset()
+    for unit in order:
+        written = walk.stmts([units[unit][1]], unit, written)
+    for inst in ir.instances:
+        walk.read(written.intersection(inst.reads, regs), written)
+    pending = frozenset(walk.clashes)
+    return EdgePlan(tuple(units[unit] for unit in order),
+                    frozenset(regs).difference(pending), pending)
+
+
+def _exprs(stmts: List[ast.Stmt]) -> Iterator[ast.Expr]:
+    """Every expression ``stmts`` evaluate, on any path."""
+    for stmt in stmts:
+        if isinstance(stmt, (ast.NonBlocking, ast.Blocking)):
+            yield stmt.value
+            if stmt.target.index is not None:
+                yield stmt.target.index
+        elif isinstance(stmt, ast.If):
+            yield stmt.cond
+            yield from _exprs(stmt.then_body + stmt.else_body)
+        elif isinstance(stmt, ast.Case):
+            yield stmt.subject
+            for labels, body in stmt.arms:
+                yield from labels
+                yield from _exprs(body)
+
+
+class _EdgeReads:
+    """The registers an expression's code reads where it stands in one
+    unit of :func:`edge_units` (by index into ``units``).
+
+    The generator may write a continuous assign at its reads instead of
+    in the comb body (:mod:`.sinking`), but only where those reads are
+    pairwise exclusive, which reads in two units (or in a unit and the
+    comb body, a child argument or a port) never are.  So an assign is
+    written inside a unit only when, under ``plan``, every live read of
+    it is in that unit, directly or through assigns that may be written
+    there too; a read of it there reads what its own code reads.  Any
+    other assign runs in the comb body, before every unit.
+    """
+
+    def __init__(self, ir: ModuleIR, plan: OptPlan, regs: Dict[str, int],
+                 units: List[Tuple[int, ast.Stmt]]):
+        self.regs = regs
+        looped = {unit for units in ir.loops for unit in units}
+        stays = set(ir.outputs).union(*(inst.reads for inst in ir.instances))
+        self._movable = {
+            assign.defines: assign for index, assign in enumerate(ir.comb_assigns)
+            if ("assign", index) not in looped and assign.defines not in stays}
+        # name -> where the plan's code reads it: a unit, None for a comb
+        # block, or the name the reading assign defines.
+        self._readers: Dict[str, Set[object]] = {}
+        for unit, (_, stmt) in enumerate(units):
+            self._note(_exprs(plan.body([stmt])), unit)
+        noop = plan.is_noop  # the IR's own read lists are the code's
+        for index, comb in enumerate(ir.comb_blocks):
+            if index not in plan.dead_blocks:
+                self._note(comb.reads if noop else _exprs(plan.body(comb.body)), None)
+        for index, assign in enumerate(ir.comb_assigns):
+            if index not in plan.dead_assigns:
+                self._note(assign.reads if noop else [plan.expr(assign.value)],
+                           assign.defines)
+        self._places: Dict[str, FrozenSet[object]] = {}
+        self._regs_of: Dict[str, Set[str]] = {}  # a movable assign's, where it is written
+        self._reads: Dict[int, Set[str]] = {}  # id(expression) -> the names it reads
+
+    def _note(self, reads: Iterable, reader: object) -> None:
+        """Note ``reader`` at every name in ``reads`` (names, or the
+        expressions that read them)."""
+        for read in reads:
+            for name in (read,) if isinstance(read, str) else expr_reads(read):
+                self._readers.setdefault(name, set()).add(reader)
+
+    def _place(self, name: str) -> FrozenSet[object]:
+        """Where movable assign ``name`` may be written: one unit, or
+        None (the comb body); empty when no code is left to read it."""
+        if name not in self._places:
+            self._places[name] = frozenset({None})  # until known
+            places: Set[object] = set()
+            for reader in self._readers.get(name, ()):
+                if isinstance(reader, str):
+                    inner = self._place(reader) if reader in self._movable else {None}
+                    if not inner:
+                        continue  # written nowhere: its reads are none
+                    reader = next(iter(inner)) if len(inner) == 1 else None
+                places.add(reader)
+            self._places[name] = frozenset(places if len(places) < 2 else {None})
+        return self._places[name]
+
+    def expr(self, expr: Optional[ast.Expr], unit: int) -> Set[str]:
+        if expr is None:
+            return set()
+        if id(expr) not in self._reads:
+            self._reads[id(expr)] = expr_reads(expr)
+        return self.names(self._reads[id(expr)], unit)
+
+    def names(self, names: Iterable[str], unit: int) -> Set[str]:
+        found: Set[str] = set()
+        for name in names:
+            if name in self.regs:
+                found.add(name)
+            elif name in self._movable and self._place(name) == {unit}:
+                if name not in self._regs_of:
+                    self._regs_of[name] = self.names(self._movable[name].reads, unit)
+                found |= self._regs_of[name]
+        return found
+
+
+class _EdgeWalk:
+    """Walks statements of a unit along every path, given the registers
+    and memories some path has already written: each register read is
+    noted in ``found``, and one read once written in ``clashes``."""
+
+    def __init__(self, reads: _EdgeReads):
+        self._reads = reads
+        self.found: Set[str] = set()
+        self.clashes: Set[str] = set()
+
+    def read(self, names: Set[str], written: FrozenSet[str]) -> None:
+        self.found |= names
+        self.clashes |= names & written
+
+    def stmts(self, stmts: List[ast.Stmt], unit: int,
+              written: FrozenSet[str]) -> FrozenSet[str]:
+        """What some path through ``stmts`` may have written once they
+        are done, from ``written``."""
+        reads = self._reads
+        for stmt in stmts:
+            if isinstance(stmt, (ast.NonBlocking, ast.Blocking)):
+                target = stmt.target
+                self.read(reads.expr(stmt.value, unit) | reads.expr(target.index, unit),
+                          written)
+                written = written | {target.name}
+            elif isinstance(stmt, ast.If):
+                self.read(reads.expr(stmt.cond, unit), written)
+                written = (self.stmts(stmt.then_body, unit, written)
+                           | self.stmts(stmt.else_body, unit, written))
+            elif isinstance(stmt, ast.Case):
+                labels = [label for labels, _ in stmt.arms for label in labels]
+                self.read(reads.expr(stmt.subject, unit).union(
+                    *(reads.expr(label, unit) for label in labels)), written)
+                written = written.union(
+                    *[self.stmts(body, unit, written) for _, body in stmt.arms])
+        return written
+
+
+def _stable_topo(count: int, edges: Set[Tuple[int, int]]) -> Tuple[int, ...]:
+    """The nodes ``0 .. count-1`` ordered along ``edges``, the lowest
+    ready one first (short of ``count`` when the edges make a cycle)."""
+    after: Dict[int, List[int]] = {}
+    waits = [0] * count
+    for a, b in edges:
+        after.setdefault(a, []).append(b)
+        waits[b] += 1
+    ready = [node for node in range(count) if not waits[node]]
+    order: List[int] = []
+    while ready:
+        order.append(heapq.heappop(ready))
+        for node in after.get(order[-1], ()):
+            waits[node] -= 1
+            if not waits[node]:
+                heapq.heappush(ready, node)
+    return tuple(order)
 
 
 def part_names(ir: ModuleIR, parts: Iterable[Part]) -> Tuple[str, ...]:

@@ -439,6 +439,7 @@ def compile_flat(
         comb_input_ports=tuple(top.inputs),  # flat eval takes everything
         outputs=tuple(top.outputs),
         num_regs=compiler._num_regs,
+        commits=tuple(range(compiler._num_regs)),
         layout=compiler.layout,
         reg_slots=dict(compiler._reg_slots),
         reg_widths=dict(compiler._reg_widths),

@@ -12,9 +12,9 @@ A cycle is two walks of the instance tree, through two entry points:
   reads (the stash).
 * ``cycle(state, children, *all_inputs)`` — runs once per cycle with
   every input settled: finishes the combinational values from the
-  stash, computes pending register values and memory writes, runs the
-  children's ``cycle``, then commits its own pending state (the clock
-  edge, on the way back up).
+  stash, writes the next register values (in place, or to pending
+  slots) and queues memory writes, runs the children's ``cycle``, then
+  commits its own pending state (the clock edge, on the way back up).
 
 Calling convention: arguments are in ``[0, 2**width)`` of their port
 and *the caller guarantees it*; the callee masks nothing.  By
@@ -51,12 +51,17 @@ State array layout per instance (a plain Python list)::
 followed, in sanitized builds, by the poison bitmaps and the per-cycle
 nonblocking-write dict (see :class:`StateLayout`).
 
-Invariant: whenever no clock edge is in flight, pending == current and
-every pending-write list is empty.  ``cycle`` relies on it (it commits
-by copying each pending value, ``s[i] = s[NR + i]`` per register, which
-for a module's few registers is cheaper than a slice read and a slice
-store) and restores it; the other writers (``make_state``,
-``StageInst.poke_reg`` / ``load``) set both halves.
+``cycle`` writes most registers straight into their current slot
+(pygen's in-place rule).  The rest, :attr:`CompiledModule.commits`, go
+through their pending slot.  Invariant: whenever no clock edge is in
+flight, pending == current for those, and every pending-write list is
+empty.  ``cycle`` relies on it (it commits by copying each pending
+value, ``s[i] = s[NR + i]`` per such register, which for a module's few
+registers is cheaper than a slice read and a slice store) and restores
+it; the other writers (``make_state``, ``StageInst.poke_reg`` /
+``load``) set both halves of every register.  An edge interrupted by
+an exception breaks it, and leaves its pipe torn until a restore
+(:attr:`repro.sim.pipeline.Pipe.torn`).
 
 Anything that mutates state outside ``cycle`` (snapshot restore, pokes,
 direct memory writes) must drop the pipe's settled outputs, so that the
@@ -205,6 +210,10 @@ class CompiledModule:
     comb_input_ports: Tuple[str, ...]  # the eval_out argument list
     outputs: Tuple[str, ...]
     num_regs: int
+    # The slots of the registers cycle writes to their pending slot and
+    # commits at the end of the edge; every other register is written
+    # in place.
+    commits: Tuple[int, ...]
     layout: StateLayout
     reg_slots: Dict[str, int]  # register name -> current-value slot
     reg_widths: Dict[str, int]

@@ -33,12 +33,22 @@ parts after it read.  A child whose subtree holds no register, no
 memory and no sanitizer site is not sent its ``cycle``.
 
 Ordering invariant: a parent reads registered child outputs and
-evaluates every child argument from its locals and its own uncommitted
+evaluates every child argument from its locals and its own pre-edge
 state, never from a child's state after that child's ``cycle``; so a
-sibling never sees another sibling's post-edge value, and the parent's
-own commit comes last.  An edge is atomic: a sanitizer trap inside
-``cycle`` is raised once the edge is complete, and any other exception
-re-syncs the tree (:meth:`repro.sim.pipeline.Pipe.tick`).
+sibling never sees another sibling's post-edge value.
+
+In-place rule: ``cycle`` writes a register straight into its current
+slot unless a read of its old value may follow a write of it on some
+path through ``cycle`` (a later statement or sequential block, a child
+argument, a continuous assign written where a later statement reads
+it).  Only such a register is written to its pending slot, and
+committed after every child's ``cycle``.  The call plan decides which,
+and orders the sequential statements so that as few as possible are
+(:class:`~repro.codegen.callplan.EdgePlan`); both bodies of a sanitized
+``cycle`` write to the same slots.  So an edge is not atomic: a
+sanitizer trap inside ``cycle`` is held until the edge is complete, and
+any other exception leaves the pipe torn until it is restored
+(:attr:`repro.sim.pipeline.Pipe.torn`).
 
 A child's entry points are instance attributes of its
 :class:`CompiledModule`, which CPython cannot load as a method with a
@@ -61,18 +71,21 @@ memory-word commit, module epilogue) and in each function's prologue
 has ``None`` in its place.  :func:`site_count` is that same emitter
 run for its count alone.
 
-Under ``san_elide`` a sanitized function whose body reads the register
-poison bitmap comes in two bodies (:meth:`ModuleCompiler._define`):
-the hooked one, named ``_pz_<name>``, and the poison-free one, written
-again with the instrumenter in its poison-free mode, which keeps the
-function's name and whose first line is the dispatch rule::
+Under ``san_elide`` a sanitized function whose body reads a poison
+bitmap (the register one, or a memory's word-poison one) comes in two
+bodies (:meth:`ModuleCompiler._define`): the hooked one, named
+``_pz_<name>``, and the poison-free one, written again with the
+instrumenter in its poison-free mode, which keeps the function's name
+and whose first line is the dispatch rule::
 
-    if s[<register poison bitmap>]: return _pz_<name>(s, ch, <parameters>)
+    if s[<bitmap>] or s[<bitmap>] ...: return _pz_<name>(s, ch, <parameters>)
 
-So an instance runs its hooked bodies exactly while one of its
-registers is poisoned, and otherwise code without ``rr`` hooks, write
-notes or poison clearing, in which a register read carries no hook and
-mux shadowing moves what it moves in a clean build.  Both bodies share
+testing each bitmap the hooked body reads.  So an instance runs its
+hooked bodies exactly while one of its registers or memory words is
+poisoned, and otherwise code without ``rr`` hooks, word-poison tests,
+write notes or poison clearing, in which a register read, or a memory
+read whose index cannot reach the depth, carries no hook and mux
+shadowing moves what it moves in a clean build.  Both bodies share
 the stash layout (each boundary's stash holds what either body reads),
 the site table and the site counts (the hooked body's); see
 :mod:`repro.sanitize.instrument` for why the poison-free body is exact.
@@ -144,7 +157,7 @@ class _Body(NamedTuple):
     prologue: FunctionEmitter  # the binds the code needs
     code: FunctionEmitter
     reads: Set[str]  # every input, comb local and memory the code names
-    hooked: bool  # whether it names the register poison bitmap
+    poison: Tuple[int, ...]  # the slots of the poison bitmaps it reads
 
 
 class ModuleCompiler:
@@ -180,6 +193,9 @@ class ModuleCompiler:
         for bid, blk in enumerate(ir.seq_blocks):
             for name in blk.writes:
                 self._seq_writers.setdefault(name, set()).add(bid)
+        # The registers cycle commits from their pending slot, by slot.
+        self.commits = tuple(sorted(ir.signals[name].state_index
+                                    for name in wiring.edge.pending))
         # The sanitizer flavour: every hook this compile writes.
         self.hooks = None
         if sanitize:
@@ -305,16 +321,17 @@ class ModuleCompiler:
             plans[id(node)] = rewrite(node)
         return plans[id(node)]
 
-    def _prologue(self, reads: Set[str]) -> Tuple[FunctionEmitter, bool]:
+    def _prologue(self, reads: Set[str]) -> Tuple[FunctionEmitter, Tuple[int, ...]]:
         """Start the binds a body needs, once it is written and before
-        the next body is: the poison bitmap, if the body reads it
-        (whether it does is returned), and the memories it reads."""
+        the next body is: the register poison bitmap, if the body reads
+        it, and the memories it reads.  Returns them with the slots of
+        every poison bitmap the body reads."""
         self._emit = binds = FunctionEmitter()
-        hooked = self.hooks is not None and self.hooks.bind_poison(binds)
+        poison = self.hooks.bind_poison(binds) if self.hooks is not None else ()
         for name, spec in self._mem_slot.items():
             if name in reads:
                 binds.line(f"_m_{name} = s[{spec.slot}]")
-        return binds, hooked
+        return binds, poison
 
     def _bind_registered_child_outputs(self, wanted: Set[str]) -> None:
         """Registered child outputs are state: bind them up front so
@@ -360,21 +377,29 @@ class ModuleCompiler:
     def is_hooked(self, assign) -> bool:
         """Whether a sanitized build's code for ``assign`` carries a hook
         (what :meth:`_gen_comb_assign` would count in ``san_sites``); a
-        register read carries none in a poison-free body."""
+        register read carries none in a poison-free body, nor does a
+        memory read whose index is too narrow to reach the depth."""
         hooks = self.hooks
         if hooks is None:
             return False
         ir = self._ir
         mems = self._mem_slot
-        width = width_of(assign.value, ir.signal_width,
-                         lambda n: mems[n].width if n in mems else None)
-        if width > ir.signals[assign.target.name].width:
+
+        def width(expr) -> int:
+            return width_of(expr, ir.signal_width,
+                            lambda n: mems[n].width if n in mems else None)
+
+        if width(assign.value) > ir.signals[assign.target.name].width:
             return True  # the truncation check
 
-        def hooked(name: str) -> bool:  # a register or a memory
-            sig = ir.signals.get(name)
-            return name in mems or (not hooks.poison_free and getattr(
-                sig, "state_index", None) is not None)
+        def hooked(name: str, index=None) -> bool:
+            if name in mems:
+                return not (hooks.poison_free
+                            and mask_of(width(index)) < mems[name].depth)
+            if index is not None and not isinstance(index, ast.Num):
+                return True  # a dynamic select
+            return not hooks.poison_free and getattr(
+                ir.signals.get(name), "state_index", None) is not None
 
         return carries_hook(
             self._planned(assign.value, self._plan.expr), hooked)
@@ -432,8 +457,9 @@ class ModuleCompiler:
             if is_loop:
                 stays(ir.unit_reads(unit))
         if in_cycle:  # after the comb body
-            for seq in ir.seq_blocks:
-                note_body(seq.body, seq.reads)
+            for block_id, stmt in self._wiring.edge.order:
+                if not reads.keys().isdisjoint(ir.seq_blocks[block_id].reads):
+                    note(walk.stmts(self._unit_body(stmt)))
         sunk: Dict[int, List[str]] = {}  # index -> the names it reads
         dead: Set[int] = set()
         for (kind, index), is_loop in reversed(units):
@@ -565,10 +591,10 @@ class ModuleCompiler:
 
     def _bodies(self, write: Callable[[], _Body]) -> List[_Body]:
         """The bodies of one function: what ``write`` writes, and when
-        that names the poison bitmap and the module splits (see
+        that reads a poison bitmap and the module splits (see
         :meth:`_define`), what it writes again as the poison-free body."""
         bodies = [write()]
-        if bodies[0].hooked and self._split:
+        if bodies[0].poison and self._split:
             with self.hooks.free_body():
                 bodies.append(write())
         return bodies
@@ -580,14 +606,14 @@ class ModuleCompiler:
         and code.  With two bodies the first, hooked, is named by
         ``Instrumenter.hooked_name``, and the second, poison-free, keeps
         ``name`` and first hands the call to the first while any
-        register of the instance is poisoned."""
+        poison bitmap the first reads is nonzero."""
         names = [name] if len(bodies) == 1 else [self.hooks.hooked_name(name), name]
         functions = []
         for own, body in zip(names, bodies):
             fn = FunctionEmitter()
             with block(fn, f"def {own}(s, ch{_params(ports)}):"):
                 if own == name and len(bodies) > 1:
-                    self.hooks.dispatch(fn, name, _params(ports))
+                    self.hooks.dispatch(fn, name, _params(ports), bodies[0].poison)
                 _unpack_inputs(fn, ports)
                 for line in head:
                     fn.line(line)
@@ -635,10 +661,10 @@ class ModuleCompiler:
             reads.update(stash)  # those computed before come through
         if outs:
             body.line(f"return {flat_tuple([self._output_ref(n) for n in outs])}")
-        binds, hooked = self._prologue(reads)
+        binds, poison = self._prologue(reads)
         if lo is None:
             self._bind_registered_child_outputs(reads | set(outs))
-        return _Body(binds, body, reads, hooked)
+        return _Body(binds, body, reads, poison)
 
     # -- cycle ----------------------------------------------------------------------
 
@@ -655,8 +681,8 @@ class ModuleCompiler:
         body = self._emit
         hooks = self.hooks
         self._gen_comb_body(exprgen, comb, everything, in_cycle=True)
-        for block_id, seq in enumerate(ir.seq_blocks):
-            self._gen_seq_block(exprgen, seq, block_id)
+        for block_id, stmt in self._wiring.edge.order:
+            self._gen_seq_unit(exprgen, block_id, stmt)
         skip = self._wiring.skip
         for index, inst in enumerate(ir.instances):
             if index in skip:
@@ -667,11 +693,12 @@ class ModuleCompiler:
             ref = self._child_ref(index)
             args = _pass(child.inputs, self._child_args(exprgen, inst, child.inputs))
             body.line(f"{_entry(ref, 'cycle_fn')}({ref}.state, {ref}.children{args})")
-        # The commit, after every child's: nothing above reads this
-        # module's state again.  Pending == current held on entry (the
-        # layout invariant), so copying each pending value is the whole
-        # edge.
-        for slot in range(num_regs):
+        # The commit of what went through a pending slot, after every
+        # child's: nothing above reads this module's state again.
+        # Pending == current held on entry for those registers (the
+        # layout invariant), so copying each pending value is the rest
+        # of the edge.
+        for slot in self.commits:
             body.line(f"s[{slot}] = s[{num_regs + slot}]")
         if hooks is not None:
             hooks.commit_regs(body)
@@ -687,28 +714,41 @@ class ModuleCompiler:
                 body.line(f"del _pw_{name}[:]")
         # The prologue, once the body is written: the bitmap and the
         # memories it reads, the pending writes and the write notes.
-        binds, hooked = self._prologue(reads)  # registered child outputs: the stash
+        binds, poison = self._prologue(reads)  # registered child outputs: the stash
         for name in written:
             binds.line(f"_pw_{name} = s[{self._mem_slot[name].pending_slot}]")
         if hooks is not None:
             hooks.open_cycle(binds)
-        return _Body(binds, body, reads, hooked)
+        return _Body(binds, body, reads, poison)
 
-    def _gen_seq_block(self, exprgen: ExprGen, seq, block_id: int) -> None:
+    def _unit_body(self, stmt: ast.Stmt) -> List[ast.Stmt]:
+        """The statements the plan emits for one unit of the edge
+        (:func:`~.callplan.edge_units`)."""
+        if self._plans is None:
+            return [stmt]
+        return self._planned(stmt, lambda node: self._plan.body([node]))
+
+    def _gen_seq_unit(self, exprgen: ExprGen, block_id: int, stmt: ast.Stmt) -> None:
+        """One top-level statement of sequential block ``block_id``: a
+        register in the edge plan's ``in_place`` is written to its
+        current slot, any other to its pending slot."""
         num_regs = self._ir.num_regs
+        in_place = self._wiring.edge.in_place
+
+        def slot(name: str) -> int:
+            sig = self._ir.signals[name]
+            return sig.state_index + (0 if name in in_place else num_regs)
 
         def write_target(target: ast.LValue, code: str) -> None:
-            sig = self._ir.signals[target.name]
-            if sig.state_index is None:
+            if self._ir.signals[target.name].state_index is None:
                 raise CodegenError(
                     f"sequential assignment to non-register {target.name!r}",
                     target.line,
                 )
-            self._emit.line(f"s[{sig.state_index + num_regs}] = {code}")
+            self._emit.line(f"s[{slot(target.name)}] = {code}")
 
-        def read_pending(name: str) -> str:
-            sig = self._ir.signals[name]
-            return f"s[{sig.state_index + num_regs}]"
+        def read_latest(name: str) -> str:  # a partial write's other bits
+            return f"s[{slot(name)}]"
 
         def mem_write(name: str, addr: str, value: str, line: int) -> None:
             spec = self._mem_slot[name]
@@ -717,9 +757,9 @@ class ModuleCompiler:
                 f"({value}) & {mask_of(spec.width)}))"
             )
 
-        stmtgen = self._stmtgen(exprgen, write_target=write_target, read_target_current=read_pending,
+        stmtgen = self._stmtgen(exprgen, write_target=write_target, read_target_current=read_latest,
                                 mem_write=mem_write, block_id=block_id)
-        stmtgen.gen_stmts(self._planned(seq.body, self._plan.body))
+        stmtgen.gen_stmts(self._unit_body(stmt))
 
 
 def compile_module(
@@ -767,6 +807,7 @@ def compile_module(
         comb_input_ports=ir.comb_input_ports,
         outputs=tuple(ir.outputs),
         num_regs=ir.num_regs,
+        commits=compiler.commits,
         layout=compiler.layout,
         reg_slots=reg_slots,  # type: ignore[arg-type]
         reg_widths={name: ir.signals[name].width for name in reg_slots},

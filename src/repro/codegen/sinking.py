@@ -153,10 +153,11 @@ class PathReads:
                     self._stmts(body, arm, out)
 
 
-def carries_hook(expr: ast.Expr, hooked: Callable[[str], bool]) -> bool:
+def carries_hook(expr: ast.Expr, hooked: Callable[..., bool]) -> bool:
     """Whether a sanitized build writes a hook into the code of
-    ``expr``: a read of a name ``hooked`` accepts (a register: ``rr``;
-    a memory: ``mr``) or a dynamic select index (``ob``)."""
+    ``expr``: a read ``hooked(name)`` accepts (a register: ``rr``), or
+    an indexed read ``hooked(name, index)`` accepts (a memory word:
+    ``mr``; a dynamic select index: ``ob``)."""
     if isinstance(expr, ast.Id):
         return hooked(expr.name)
     if isinstance(expr, ast.Unary):
@@ -172,8 +173,7 @@ def carries_hook(expr: ast.Expr, hooked: Callable[[str], bool]) -> bool:
     if isinstance(expr, ast.Repl):
         return carries_hook(expr.value, hooked)
     if isinstance(expr, ast.Index):
-        return (hooked(expr.base) or not isinstance(expr.index, ast.Num)
-                or carries_hook(expr.index, hooked))
+        return hooked(expr.base, expr.index) or carries_hook(expr.index, hooked)
     if isinstance(expr, ast.Slice):
         return hooked(expr.base)
     if isinstance(expr, ast.IndexedPart):

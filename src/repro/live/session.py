@@ -461,26 +461,47 @@ class LiveSession:
 
     def run(self, tb_handle: str, pipe_name: str, cycles: int) -> Dict[str, int]:
         """``run`` — apply a testbench for N cycles, recording history
-        and taking checkpoints at the configured cadence."""
+        and taking checkpoints at the configured cadence.
+
+        The cycles that ran are recorded however the run ends, so an
+        exception (the testbench's, or an interrupt) leaves a history
+        that reaches the pipe; an edge it tore is mended through that
+        history (:meth:`_mend`) before the exception goes on."""
         session = self.timeline(pipe_name)
         testbench = self.testbench(tb_handle)
         pipe = session.pipe
         start_cycle = pipe.cycle
         testbench.rebase(start_cycle)
         target = start_cycle + cycles
-        while pipe.cycle < target:
-            chunk = min(session.store.interval, target - pipe.cycle)
-            ran = testbench.run(pipe, chunk)
-            session.store.maybe_take(pipe, self.version, len(session.ops))
-            if ran == 0:
-                break  # testbench stopped itself
-        if pipe.cycle > start_cycle:
-            # The registered handle, not the caller's copy of its text:
-            # every op of a testbench shares one string.
-            session.ops.append(SessionOp(
-                self.objects.get(tb_handle).handle, start_cycle, pipe.cycle
-            ))
+        try:
+            while pipe.cycle < target:
+                chunk = min(session.store.interval, target - pipe.cycle)
+                ran = testbench.run(pipe, chunk)
+                session.store.maybe_take(pipe, self.version, len(session.ops))
+                if ran == 0:
+                    break  # testbench stopped itself
+        finally:
+            if pipe.cycle > start_cycle:
+                # The registered handle, not the caller's copy of its
+                # text: every op of a testbench shares one string.
+                session.ops.append(SessionOp(
+                    self.objects.get(tb_handle).handle, start_cycle, pipe.cycle
+                ))
+            if pipe.torn is not None:  # mended from where an edit would replay
+                self._mend(session, session.base(pipe.torn, self.reload_distance))
         return dict(pipe.outputs())  # a copy: the pipe's is its cache
+
+    def _mend(self, row: _PipeSession, base: Optional[Checkpoint]) -> None:
+        """Put a torn pipe back at the cycle its interrupted edge started
+        from, through the one rewind path: ``base``, the rewind, the
+        recorded ops.  History past that cycle (an edit's replay that
+        was cut short) is dropped with the checkpoints in it, as
+        ``ldch`` drops it: the pipe writes new history from there."""
+        cycle = row.pipe.torn
+        row.ops = ops_until(row.ops, cycle)
+        row.store.invalidate_after(cycle)
+        rewind(row.pipe, self.in_current_version(base))
+        replay_ops(row.pipe, row.ops, cycle, self.testbench)
 
     def chkp(self, pipe_name: str, path: Optional[str] = None):
         """``chkp`` — take a checkpoint now (optionally persist all)."""
@@ -701,9 +722,13 @@ class LiveSession:
             with obs.timed(
                 "live.replay", pipe=row.name, stop_cycle=stop_cycle
             ) as replaying:
-                replayed = replay_ops(
-                    row.pipe, row.ops, stop_cycle, self.testbench
-                )
+                try:
+                    replayed = replay_ops(
+                        row.pipe, row.ops, stop_cycle, self.testbench
+                    )
+                finally:
+                    if row.pipe.torn is not None:
+                        self._mend(row, bases[row.name])
             report.replay_seconds += replaying.seconds
             report.cycles_replayed += replayed
             obs.incr("live.cycles_replayed", replayed)

@@ -43,38 +43,41 @@ set between edges, by :meth:`repro.sim.stage.StageInst.load`;
 clear them, and nothing inside an edge writes this instance's bitmap
 before its own commit.  So a bitmap that is zero at the top of
 ``cycle`` is still zero at the commit: no register read in between can
-report, and there is no bit for a write to clear.  Under ``san_elide`` a
+report, and there is no bit for a write to clear.  The same holds for
+each memory's word-poison bitmap.  Under ``san_elide`` a
 single-writer write note exists only to feed that clearing, so it is
 written only while ``_pz`` is nonzero; a multi-writer note also feeds
 the conflict check, which does not depend on poison, and is always
 written.  Memory word poison is cleared at the commit only while that
 memory's bitmap is nonzero.
 
-Two bodies.  The same argument lets a zero bitmap skip the test
-itself.  Under ``san_elide``, each function whose body binds ``_pz``
-is written twice (:mod:`repro.codegen.pygen`):
+Two bodies.  The same argument lets zero bitmaps skip the tests
+themselves.  Under ``san_elide``, each function whose body reads a
+poison bitmap (binds ``_pz``, or tests or clears a memory's word
+poison) is written twice (:mod:`repro.codegen.pygen`):
 
 * the *hooked* body, everything above, named ``_pz_<name>``
   (:meth:`Instrumenter.hooked_name`: never ``eval_...``, the prefix
   ``entry_points`` takes parts by);
 * the *poison-free* body, which keeps the function's name and opens by
-  handing the call to the hooked one while the bitmap is nonzero
-  (:meth:`Instrumenter.dispatch`,
-  ``if s[<bitmap>]: return _pz_<name>(s, ch, <its parameters>)``).
+  handing the call to the hooked one while any bitmap the hooked body
+  reads is nonzero (:meth:`Instrumenter.dispatch`,
+  ``if s[<bitmap>] or ...: return _pz_<name>(s, ch, <its parameters>)``).
   Written in :meth:`Instrumenter.free_body`, it has no ``rr`` hook, no
-  single-writer note, no commit clearing, and opens and clears ``_nw``
-  only if it writes a multi-writer note; ``mr``, ``ob``, ``tr`` and
-  multi-writer ``nw`` sites are as in the hooked body, since none of
-  them depends on register poison.
+  word-poison test, no single-writer note, no commit clearing, and
+  opens and clears ``_nw`` only if it writes a multi-writer note.  An
+  ``mr`` site keeps only its bound test (none for an index too narrow
+  to reach the depth); ``ob``, ``tr`` and multi-writer ``nw`` sites are
+  as in the hooked body, since none of them depends on poison.
 
-A bitmap zero at the function's entry stays zero until the instance's
+Bitmaps zero at the function's entry stay zero until the instance's
 commit, so the poison-free body computes what the hooked one would and
 no hook it leaves out could fire.  Both bodies index one ``_SAN_I``
 table (the poison-free body's sites add entries to it, so
 :func:`place_sites` moves every finding) and the sites are counted once,
-in the hooked body.  A function that does not bind ``_pz`` (no register
-read, no register write) has one body, as has every function of the
-plain-hook build (``san_elide`` off).
+in the hooked body.  A function that reads no bitmap (no register read
+or write, no memory read or write) has one body, as has every function
+of the plain-hook build (``san_elide`` off).
 """
 
 from __future__ import annotations
@@ -111,9 +114,11 @@ class Instrumenter:
         # literal table in the generated source, so store rehydration
         # carries it for free.
         self._infos: List[Tuple[str, str, int]] = []
-        # Whether the function being generated names ``_pz``, and
-        # whether it writes a note the conflict check reads.
+        # Whether the function being generated names ``_pz``, the
+        # memories whose word-poison bitmap it tests, and whether it
+        # writes a note the conflict check reads.
         self._reads_poison = False
+        self._mem_poison: Set[str] = set()
         self._notes = False
         # Writing a function's poison-free body (:meth:`free_body`).
         self.poison_free = False
@@ -152,14 +157,21 @@ class Instrumenter:
         index."""
         mem = self._mems[name]
         self.sites += 1
+        if not self.poison_free:
+            self._mem_poison.add(name)
+        elif self._elide and mask_of(width) < mem.depth:
+            return f"_m_{name}[{index_code}]"
         info = self._info(name, line)
         if self._elide:
             # The hook returns mem[index % depth], which is mem[t] when
             # t < depth: in bounds and unpoisoned never calls.  An index
             # too narrow to reach the depth is always in bounds, so the
-            # test is its word poison alone (the width rule).
+            # test is its word poison alone (the width rule), and in a
+            # poison-free body no test at all.
             t, slot = self._temp(), mem.poison_slot
-            if mask_of(width) < mem.depth:
+            if self.poison_free:
+                test = f"({t} := ({index_code})) < {mem.depth}"
+            elif mask_of(width) < mem.depth:
                 test = f"not s[{slot}] >> ({t} := ({index_code})) & 1"
             else:
                 test = f"({t} := ({index_code})) < {mem.depth} and not s[{slot}] >> {t} & 1"
@@ -248,16 +260,21 @@ class Instrumenter:
 
     # -- the structural points of eval_out and cycle (pygen) ------------------
 
-    def bind_poison(self, emit) -> bool:
+    def bind_poison(self, emit) -> Tuple[int, ...]:
         """Prologue of a function, once its body is written: bind the
         register poison bitmap as ``_pz`` if the body reads it (after
         the unpack of the ports and of the stash the function starts
-        from).  Returns whether it did: whether the function has a
-        poison-free body to write too."""
+        from).  Returns the state slots of the poison bitmaps the body
+        reads, the register one first: while they are all zero the
+        function's poison-free body computes what this one does, and
+        none means it has no poison-free body to write."""
         bound, self._reads_poison = self._reads_poison, False
+        mems, self._mem_poison = self._mem_poison, set()
+        slots = [self._mems[name].poison_slot for name in mems]
         if bound:
             emit.line(f"_pz = s[{self._poison_slot}]")
-        return bound
+            slots.append(self._poison_slot)
+        return tuple(sorted(slots))
 
     def open_cycle(self, emit) -> None:
         """Prologue of ``cycle``, once its body is written: this cycle's
@@ -286,7 +303,11 @@ class Instrumenter:
 
     def commit_mem_word(self, emit, name: str) -> None:
         """Inside the commit loop of memory ``name``: word ``_a`` is
-        defined from here on."""
+        defined from here on (a poison-free body has no word to
+        clear)."""
+        if self.poison_free:
+            return
+        self._mem_poison.add(name)
         slot = self._mems[name].poison_slot
         emit.line(f"if s[{slot}]:")
         emit.push()
@@ -315,12 +336,13 @@ class Instrumenter:
         ``entry_points`` takes those by their ``eval_`` prefix)."""
         return f"_pz_{name}"
 
-    def dispatch(self, emit, name: str, args: str) -> None:
+    def dispatch(self, emit, name: str, args: str, slots: Tuple[int, ...]) -> None:
         """First line of function ``name``'s poison-free body, which
-        takes ``s, ch`` and then ``args``: while any register is
-        poisoned, run the hooked body instead."""
-        emit.line(f"if s[{self._poison_slot}]: "
-                  f"return {self.hooked_name(name)}(s, ch{args})")
+        takes ``s, ch`` and then ``args``: while any of the poison
+        bitmaps in ``slots`` (:meth:`bind_poison`) is nonzero, run the
+        hooked body instead."""
+        test = " or ".join(f"s[{slot}]" for slot in slots)
+        emit.line(f"if {test}: return {self.hooked_name(name)}(s, ch{args})")
 
     def epilogue(self) -> str:
         """Module-level text after the two functions: the site table

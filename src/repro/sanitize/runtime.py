@@ -101,7 +101,8 @@ class SanitizerRuntime:
         }
 
     def begin_edge(self) -> None:
-        """Pipe.tick, around ``cycle``: an edge is atomic, so until
+        """Pipe.tick, around ``cycle``: a trap must not tear the edge
+        (every instance takes it, as in ``report`` mode), so until
         :meth:`end_edge` a trap is held instead of raised."""
         self._held = []
 

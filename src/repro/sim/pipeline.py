@@ -9,6 +9,12 @@ the clock edge), through the two entry points of
 memo: ``tick`` settles the top first unless nothing changed since the
 last ``eval``, and builds the outputs only for a watcher or a trace
 (:meth:`Pipe.step`).
+
+An edge writes most registers in place (:mod:`repro.codegen.pygen`), so
+an exception out of one leaves the tree between two cycles: the pipe is
+then *torn* (:attr:`Pipe.torn`) and refuses to run or be snapshotted
+until a restore puts it at a cycle again.  The session does that through
+its tracked history (:mod:`repro.live.replay`).
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ class Pipe:
         self._entries: Optional[tuple] = None
         self._last_outputs: Optional[Dict[str, int]] = None
         self._trace = None  # Optional[repro.trace.TraceBuffer]
+        self._torn: Optional[int] = None
 
     # -- inputs / outputs -------------------------------------------------------
 
@@ -88,7 +95,10 @@ class Pipe:
         called with bound — its calling convention has the caller mask, so
         each input is cut to its port width here, once per change, and
         packed where :func:`repro.codegen.module.packs` says so — then its
-        sanitizer."""
+        sanitizer.  A torn pipe has none: every way to run it comes
+        here first, so it is refused here."""
+        if self._torn is not None:
+            raise SimulationError(self._torn_message())
         top, inputs = self.top, self._inputs
         code = top.code
         signals = code.ir.signals  # flat and shared code alike
@@ -131,15 +141,32 @@ class Pipe:
     def trace_buffer(self):
         return self._trace
 
+    @property
+    def torn(self) -> Optional[int]:
+        """The cycle an interrupted edge started from, or None.
+
+        An exception out of the top's ``cycle`` (other than a sanitizer
+        trap, which waits for the edge to end) leaves some instances
+        past the edge and some before it, and registers written in
+        place where they stood.  A torn pipe refuses :meth:`step`,
+        :meth:`tick`, :meth:`eval` and :meth:`snapshot` until
+        :meth:`restore`, :meth:`restore_transformed` or
+        :meth:`reset_state` replaces its state."""
+        return self._torn
+
+    def _torn_message(self) -> str:
+        return (f"pipe {self.name!r} is torn: the edge from cycle {self._torn} "
+                "was interrupted; restore it before it runs again")
+
     def tick(self) -> None:
         """Run phase 2 and commit pending state — the clock edge, which
         every instance takes: a sanitizer trap inside it is raised from
         here once the edge is complete (state and ``cycle`` are what
-        ``report`` mode holds), any other exception repairs the state
-        layout's invariant first.  ``cycle`` reads what ``eval_out``
-        left in the state, so the top is settled first unless nothing
-        changed since it last was (a trap while settling leaves
-        ``cycle`` as it was)."""
+        ``report`` mode holds), any other exception tears the pipe
+        (:attr:`torn`).  ``cycle`` reads what ``eval_out`` left in the
+        state, so the top is settled first unless nothing changed since
+        it last was (a trap while settling leaves ``cycle`` as it
+        was)."""
         eval_out, cycle, sanitizer = self._entries or self._bind_entries()
         trace = self._trace
         if self._last_outputs is None:
@@ -154,7 +181,7 @@ class Pipe:
         try:
             cycle()
         except BaseException:
-            self.top.abandon_edge()
+            self._torn, self._entries = self.cycle, None
             raise
         finally:
             self._last_outputs = None
@@ -213,6 +240,8 @@ class Pipe:
     def snapshot(self, base: Optional["PipeSnapshot"] = None) -> "PipeSnapshot":
         """The pipe's state now; what equals ``base``'s is shared with
         it (:meth:`StageInst.snapshot`), the inputs included."""
+        if self._torn is not None:
+            raise SimulationError(self._torn_message())
         if base is None:
             return PipeSnapshot(self.cycle, dict(self._inputs), self.top.snapshot())
         inputs = base.inputs
@@ -224,7 +253,7 @@ class Pipe:
         self.top.restore(snap.state)
         self.cycle = snap.cycle
         self._inputs = dict(snap.inputs)
-        self._entries = self._last_outputs = None
+        self._entries = self._last_outputs = self._torn = None
 
     def restore_transformed(self, snap: "PipeSnapshot") -> None:
         """Load a snapshot that need not match this design version.
@@ -237,7 +266,7 @@ class Pipe:
         self._inputs = {
             name: snap.inputs.get(name, 0) for name in self.top.code.inputs
         }
-        self._entries = self._last_outputs = None
+        self._entries = self._last_outputs = self._torn = None
 
     def reset_state(self) -> None:
         """Return every register/memory to power-on zero; cycle to 0.
@@ -249,7 +278,7 @@ class Pipe:
         """
         self.top.reset_state()  # new state lists
         self.cycle = 0
-        self._entries = self._last_outputs = None
+        self._entries = self._last_outputs = self._torn = None
 
     def copy(self, name: Optional[str] = None) -> "Pipe":
         """Duplicate this pipe, including its state (``copyPipe``)."""

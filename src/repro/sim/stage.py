@@ -595,17 +595,6 @@ class StageInst:
         for _, inst in self.walk():
             inst.state = inst.code.make_state()
 
-    def abandon_edge(self) -> None:
-        """Restore the layout invariant over this subtree after an
-        exception left ``cycle`` before every instance had committed:
-        pending := current, no pending memory write.  (The stash is
-        rewritten when the pipe settles before its next edge.)"""
-        for _, inst in self.walk():
-            state, code = inst.state, inst.code
-            state[code.num_regs : 2 * code.num_regs] = state[0 : code.num_regs]
-            for spec in code.mem_specs.values():
-                del state[spec.pending_slot][:]
-
     def invalidate_cache(self) -> None:
         """Drop what was settled from this subtree's state: the owning
         pipe's outputs, and the stash each instance's next ``cycle``

@@ -7,7 +7,8 @@ a child's entry point called as a method off ``.code`` (a method load
 that never specialises: the entry is an instance attribute), a ``cycle``
 committing its registers through a slice (a slice read and a slice
 store), or a ``1 if ... else 0`` / ``0 if ... else 1`` whose value is
-only tested.
+only tested.  Nor does a ``cycle`` read a register it writes in place
+after it may have written it (the edge plan, ``callplan.edge_plan``).
 
 A bytecode and source census over every design the repo ships (both
 bodies of each function of a sanitized build, and the dispatch that
@@ -39,6 +40,7 @@ from repro.sanitize.runtime import SanitizerRuntime
 from repro.sim import Pipe
 from repro.sim.testbench import CallbackTestbench
 from tests.test_cycle_kernel import _registers_by_path
+from tests.test_sequential_semantics import IN_PLACE
 
 DESIGNS = Path(__file__).resolve().parent.parent / "examples" / "designs"
 # CALL_FUNCTION_EX: a call with more than 30 arguments (or *args);
@@ -130,27 +132,119 @@ def _slow_shapes(library):
     return found
 
 
+def _state_slots(fn, ctx=ast.Load):
+    """The constant indices of ``s`` that ``fn`` reads (or, with
+    ``ast.Store``, writes), in the order Python evaluates them."""
+    return [node.slice.value for node in ast.walk(fn)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ctx)
+            and isinstance(node.value, ast.Name) and node.value.id == "s"
+            and isinstance(node.slice, ast.Constant)]
+
+
 def _two_bodies(library):
     """``{(module key, function)}`` of every function with two bodies
     (a sanitized build's), each checked against the dispatch rule: the
     poison-free body keeps the function's name and parameters, and its
     first statement hands them all to the hooked body, ``_pz_<name>``,
-    while the register poison bitmap is nonzero."""
+    while any poison bitmap the hooked body reads is nonzero (the
+    register one, then each memory's word bitmap) -- and the poison-free
+    body tests none of them."""
     found = set()
     for key, module in library.items():
         tree = ast.parse(module.source)
         fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+        bitmaps = {module.layout.reg_poison_slot} | {
+            spec.poison_slot for spec in module.mem_specs.values()}
         for name, hooked in fns.items():
             if not name.startswith("_pz_"):
                 continue
             free = fns[name[len("_pz_"):]]
             params = [arg.arg for arg in free.args.args]
             assert [arg.arg for arg in hooked.args.args] == params, (key, name)
+            tested = sorted(bitmaps.intersection(_state_slots(hooked)))
+            assert tested, (key, name)
             assert ast.unparse(free.body[0]) == (
-                f"if s[{module.layout.reg_poison_slot}]:\n"
+                f"if {' or '.join(f's[{slot}]' for slot in tested)}:\n"
                 f"    return {name}({', '.join(params)})"), (key, name)
+            # Past the dispatch, a bitmap is read only for a hook's call
+            # (a memory index out of bounds).
+            rest = ast.Module(body=free.body[1:], type_ignores=[])
+            for node in ast.walk(rest):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).startswith("_san."):
+                    node.args = []
+            assert bitmaps.isdisjoint(_state_slots(rest)), (key, name)
             found.add((key, free.name))
     return found
+
+
+class _EdgeReads(ast.NodeVisitor):
+    """Walks a generated ``cycle`` along every path (an ``if``'s arms
+    apart, a loop's body twice), noting each register slot of
+    ``in_place`` read once some path may have written it."""
+
+    def __init__(self, in_place):
+        self.in_place = in_place
+        self.written = frozenset()
+        self.clashes = set()
+
+    def _load(self, node):
+        for slot in _state_slots(node):
+            if slot in self.written:
+                self.clashes.add(slot)
+
+    def _stmts(self, stmts):
+        for stmt in stmts:
+            if isinstance(stmt, ast.If):
+                self._load(stmt.test)
+                before = self.written
+                self._stmts(stmt.body)
+                after, self.written = self.written, before
+                self._stmts(stmt.orelse)
+                self.written |= after
+            elif isinstance(stmt, (ast.For, ast.While)):
+                self._load(stmt.iter if isinstance(stmt, ast.For) else stmt.test)
+                self._stmts(stmt.body + stmt.body + stmt.orelse)
+            else:
+                self._load(stmt)
+                self.written |= self.in_place.intersection(
+                    _state_slots(stmt, ast.Store))
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["clean", "sanitized"])
+def test_no_register_written_in_place_is_read_after_its_write(sanitize):
+    """The census of the edge plan: in either body of ``cycle``, a
+    register is written to its pending slot exactly when the module
+    commits it, and no path reads a register written in place once it
+    may have been written.  Every register of the mesh library is
+    written in place (rv_ex's 32 through the order of its statements),
+    so a mesh ``cycle`` commits nothing; ``IN_PLACE`` keeps five
+    registers pending."""
+    for name, source, top in [*_designs(), ("in_place", IN_PLACE, "m")]:
+        netlist = elaborate(parse(source), top)
+        for opt in OPT_LEVELS:
+            runtime = SanitizerRuntime("report") if sanitize else None
+            library = compile_netlist(netlist, BuildConfig(sanitize=sanitize, opt=opt), runtime)
+            for key, module in library.items():
+                nr = module.num_regs
+                in_place = frozenset(range(nr)).difference(module.commits)
+                for fn in ast.parse(module.source).body:
+                    if not (isinstance(fn, ast.FunctionDef)
+                            and fn.name in ("cycle", "_pz_cycle")):
+                        continue
+                    pending = {slot - nr for ctx in (ast.Load, ast.Store)
+                               for slot in _state_slots(fn, ctx) if nr <= slot < 2 * nr}
+                    assert pending <= set(module.commits), (name, key, fn.name)
+                    walk = _EdgeReads(in_place)
+                    walk._stmts(fn.body)
+                    assert walk.clashes == set(), (name, key, fn.name)
+                if name.startswith("mesh"):
+                    assert module.commits == (), (name, key)  # no commit line
+                if name == "in_place" and key == "m":
+                    assert len(module.commits) == 5
+        if name.startswith("mesh"):
+            node = {module.name: module.num_regs for module in library.values()}
+            assert sum(node.values()) - node["pgas_mesh_" + name[4:]] == 50
+            assert node["rv_ex"] == 32
 
 
 @pytest.mark.parametrize("sanitize", [False, True], ids=["clean", "sanitized"])

@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from repro.codegen.build import BuildConfig
-from repro.codegen.callplan import Wiring, part_demand, part_name
+from repro.codegen.callplan import Wiring, edge_plan, edge_units, part_demand, part_name
 from repro.hdl import elaborate, parse
 from repro.passes import PassData, PassPipeline, build_compile_pipeline
 from tests.test_call_order import SRC as CALL_ORDER_SRC
@@ -116,3 +116,61 @@ def test_the_designs_hold_every_shape_the_chain_allows():
         netlist = elaborate(parse(source), top)
         check_netlist(netlist, plans_of(netlist, BUILDS[0]), seen)
     assert seen["restarted"] and seen["prepass"] and seen["skipped"], seen
+
+
+# -- the edge plan: which registers ``cycle`` writes in place ----------------
+
+# ``q`` reads ``hidden``, which the statement before it writes: run
+# second, that statement would clash; run first, neither does.  ``acc``
+# reads itself only before its write; ``pair`` is written by two
+# statements, which keep their order, and read by a child argument.
+# ``sunk`` is read only by the last statement, so it may be written
+# there: its read is a read of ``late``, which that statement writes
+# first.  ``late`` and ``pair`` keep their pending slot.
+EDGE = """
+module sink (input clk, input [7:0] v, output [7:0] o);
+  assign o = v;
+endmodule
+module m (input clk, input rst, input [7:0] d, input en, output [7:0] y, output [7:0] z);
+  reg [7:0] hidden, q, acc, pair, late;
+  wire [7:0] sunk;
+  assign sunk = late + 8'd1;
+  sink u (.clk(clk), .v(pair), .o(z));
+  assign y = q ^ acc;
+  always @(posedge clk) begin
+    hidden <= rst ? 8'd1 : hidden + d;
+    q <= rst ? 8'd0 : q + hidden;
+  end
+  always @(posedge clk) begin
+    acc <= acc + d;
+    pair <= d;
+  end
+  always @(posedge clk) begin
+    if (en) pair <= 8'd7;
+    if (en) begin
+      late <= d;
+      acc[0] <= sunk[0];
+    end
+  end
+endmodule
+"""
+
+
+def test_the_edge_plan_orders_readers_before_writers():
+    netlist = elaborate(parse(EDGE), "m")
+    ir = netlist.modules["m"]
+    units = edge_units(ir)
+    assert [block for block, _ in units] == [0, 0, 1, 1, 2, 2]
+    plan = edge_plan(ir)
+    lines = [stmt.line for _, stmt in plan.order]
+    # q's statement runs before hidden's; the two writers of pair, and
+    # of acc, stay in their order.
+    assert lines.index(units[1][1].line) < lines.index(units[0][1].line)
+    assert lines.index(units[3][1].line) < lines.index(units[4][1].line)
+    assert lines.index(units[2][1].line) < lines.index(units[5][1].line)
+    assert plan.pending == {"pair", "late"}
+    assert plan.in_place == {"hidden", "q", "acc"}
+    # Under the plan every build of the module makes, the same answer.
+    for build in BUILDS:
+        wiring = part_demand(netlist, plans_of(netlist, build))["m"]
+        assert wiring.edge.pending == plan.pending

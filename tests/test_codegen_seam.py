@@ -85,6 +85,7 @@ class RecordingHooks:
 
     def bind_poison(self, emit):
         self.calls.append(("bind_poison",))
+        return ()  # reads no bitmap: one body
 
     def open_cycle(self, emit):
         self.calls.append(("open_cycle",))

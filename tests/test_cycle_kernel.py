@@ -527,8 +527,9 @@ def test_a_top_level_input_is_masked_once_by_the_pipe(backend, raw):
 
 
 def test_the_kernel_carries_no_glue(pgas2_netlist_library):
-    """No callee-side input mask, one copy per register in ``cycle``
-    (the commit), child results bound by unpacking: in both flavours.
+    """No callee-side input mask, one copy per register ``cycle``
+    commits from its pending slot, child results bound by unpacking: in
+    both flavours.
     On the PGAS mesh no connection narrows, so no caller masks either."""
     _, netlist, _ = pgas2_netlist_library
     assert _narrowing(netlist) == {}
@@ -539,8 +540,9 @@ def test_the_kernel_carries_no_glue(pgas2_netlist_library):
             _, cycle = code.source.split("def cycle")
             nr = code.num_regs
             copies = [(int(to), int(src)) for to, src in re.findall(
-                r"^\s*s\[(\d+)\] = s\[(\d+)\]$", cycle, re.M) if int(to) < nr]
-            assert copies == [(i, nr + i) for i in range(nr)], (flavour, key)
+                r"^\s*s\[(\d+)\] = s\[(\d+)\]$", cycle, re.M)
+                      if int(src) == int(to) + nr]
+            assert copies == [(i, nr + i) for i in code.commits], (flavour, key)
             # (The commit's ``del`` sits inside its ``if _pw_<mem>:``.)
             assert not re.search(r"^    del _pw_", cycle, re.M), (flavour, key)
 

@@ -1,17 +1,20 @@
-"""Poison-free bodies: a sanitized module pays for its register hooks
-only while one of its registers is poisoned.
+"""Poison-free bodies: a sanitized module pays for its register and
+memory hooks only while one of its registers or memory words is
+poisoned.
 
 Under ``san_elide`` each generated function of a sanitized module that
-reads the register poison bitmap comes in two bodies
+reads a poison bitmap comes in two bodies
 (:mod:`repro.codegen.pygen`): the hooked one, ``_pz_<name>``, and the
 poison-free one under the function's own name, which hands the call to
-the hooked one while the instance's bitmap is nonzero.  The counts here
+the hooked one while one of the instance's bitmaps it reads is nonzero.  The counts here
 are exact, taken the way ``tests/test_work_budget.py`` takes its own:
 ``sys.setprofile`` ``call`` events, into generated functions by module
 and function name and into the sanitizer runtime by method name.
 
 - A cold sanitized 2x2 mesh (``report``, ``opt=full``) past reset makes
-  no hook call and enters no hooked body.
+  no hook call and enters no hooked body, ``rv_memory``'s included.
+- One poisoned memory word sends its ``rv_memory`` instance, and only
+  it, to its hooked bodies until the design writes the word.
 - An ``rv_ex`` edit that creates a register poisons it in every
   ``rv_ex`` instance: those run their hooked bodies for the cycle that
   first writes it, and report the findings and hits the plain-hook
@@ -90,19 +93,51 @@ def tb():
     return boot_testbench(node_images(node_programs(1, NODES)))
 
 
-def test_a_cold_sanitized_mesh_runs_no_hook():
+def cold_mesh():
+    """A sanitized 2x2 mesh past reset, and its boot testbench."""
     netlist = elaborate(parse(MESH), mesh_top_name(2))
     library = compile_netlist(netlist, BuildConfig(sanitize=True, opt="full"),
                               sanitize_runtime=SanitizerRuntime("report"))
-    assert any(name.startswith("_pz_") for code in library.values()
-               for name in code.cycle_fn.__globals__)  # it has hooked bodies
     pipe = Pipe(netlist.top, library)
     bench = tb()
-    bench.run(pipe, 200)  # past reset
+    bench.run(pipe, 200)
+    return pipe, bench
+
+
+def test_a_cold_sanitized_mesh_runs_no_hook():
+    pipe, bench = cold_mesh()
+    for name in ("rv_ex", "rv_memory"):  # each has hooked bodies
+        code = next(code for code in pipe.library.values() if code.name == name)
+        assert {"_pz_eval_out", "_pz_cycle"} <= set(code.cycle_fn.__globals__)
     seen = calls(lambda: bench.run(pipe, 20))
     assert not hooked(seen), hooked(seen)
-    assert seen["rv_ex", "cycle"] == 20 * NODES  # the poison-free bodies
+    for name in ("rv_ex", "rv_memory"):  # the poison-free bodies
+        assert seen[name, "cycle"] == 20 * NODES
     assert not poisoned(pipe)
+
+
+def test_a_poisoned_memory_word_runs_its_instance_hooked_until_written():
+    pipe, bench = cold_mesh()
+    twin, twin_bench = cold_mesh()
+    # The first word node 0's program stores to from here on.
+    words = twin.find("n_0.u_mem").memory("mem")
+    before, store = list(words), []
+    while not store:
+        twin_bench.run(twin, 1)
+        store = [at for at, (old, new) in enumerate(zip(before, words)) if old != new]
+    mem = pipe.find("n_0.u_mem")
+    slot = mem.code.mem_specs["mem"].poison_slot
+    mem.state[slot] = 1 << store[0]
+    pipe.invalidate()
+    cycles = twin.cycle - pipe.cycle
+    seen = calls(lambda: bench.run(pipe, cycles))
+    # Only that instance ran its hooked bodies, and the memory commit
+    # of the store cleared the word: it is back on the fast bodies.
+    entered = {at: n for at, n in hooked(seen).items() if at[0] != "_san"}
+    assert entered == {("rv_memory", "_pz_eval_out"): cycles,
+                       ("rv_memory", "_pz_cycle"): cycles}
+    assert mem.state[slot] == 0
+    assert not hooked(calls(lambda: bench.run(pipe, 20)))
 
 
 def _session(san_elide: bool):

@@ -278,7 +278,7 @@ endmodule
 
 
 # ---------------------------------------------------------------------------
-# A clock edge is atomic: a trap is raised after it, anything else repairs it
+# A trap is raised after the clock edge; anything else tears the pipe
 # ---------------------------------------------------------------------------
 
 # ``hidden`` is read at the edge only (no output depends on it), so a
@@ -308,8 +308,11 @@ module top (input clk, input rst, input [7:0] x, output [7:0] y);
   end
 endmodule
 """
+# ``cycle`` runs the statement writing ``q`` first: it reads ``hidden``,
+# which the other statement then writes in place (callplan.edge_plan).
+# So the first read of a poisoned ``hidden`` in an edge is this one.
 HIDDEN_READ_LINE = SIBLINGS.splitlines().index(
-    "    hidden <= rst ? 8'd1 : hidden + d;"
+    "    q <= rst ? 8'd0 : q + hidden;"
 ) + 1
 
 
@@ -326,7 +329,7 @@ def _poison(inst, reg):
     inst.state[inst.code.layout.reg_poison_slot] |= 1 << inst.code.reg_slots[reg]
 
 
-class TestAtomicEdge:
+class TestInterruptedEdge:
     def test_a_trap_in_the_second_sibling_does_not_tear_the_edge(self):
         pipe, runtime = _running_siblings("trap")
         twin, _ = _running_siblings("report")
@@ -361,8 +364,10 @@ class TestAtomicEdge:
         assert runtime.hits[SAN_UNINIT] == 4
         pipe.tick()  # the write defined them: nothing is left to raise
 
-    def test_any_other_exception_leaves_the_tree_between_edges(self):
+    def test_any_other_exception_tears_the_pipe_until_a_restore(self):
         pipe, _ = _running_siblings("trap")
+        twin, _ = _running_siblings("trap")
+        before = pipe.snapshot()
 
         def interrupted(*args):
             raise KeyboardInterrupt
@@ -372,15 +377,29 @@ class TestAtomicEdge:
         b.code = dataclasses.replace(real, cycle_fn=interrupted)
         with pytest.raises(KeyboardInterrupt):
             pipe.tick()
-        # ``a`` had committed and the top had computed its next state
-        # and queued its memory write when the stub raised.
-        assert_between_edges(pipe)
-        assert pipe._last_outputs is None  # the next edge settles again
-        # The edge is over for the sanitizer too: phase 1 traps at once.
+        # ``a`` had taken the edge and the top had written its register
+        # in place and queued its memory write when the stub raised: the
+        # pipe is at no cycle, and says which edge it lost.
         b.code = real
+        assert pipe.torn == before.cycle == 6
+        assert pipe.cycle == 6
+        for refused in (pipe.step, pipe.tick, pipe.eval, pipe.snapshot):
+            with pytest.raises(SimulationError, match="torn: the edge from cycle 6"):
+                refused()
+        with pytest.raises(SimulationError, match="torn"):
+            pipe.copy()
+        # The edge is over for the sanitizer too: a restore clears the
+        # mark, and phase 1 then traps at once.
+        pipe.restore(before)
+        assert pipe.torn is None
+        assert_between_edges(pipe)
         _poison(pipe.top, "r")
         with pytest.raises(SanitizerError):
             pipe.eval()
+        pipe.restore(before)
+        for each in (pipe, twin):
+            each.step(5)
+        assert pipe.snapshot().state.equal_state(twin.snapshot().state)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.bench.tables import ERD_PHASES
 from repro.hdl.errors import SimulationError
 from repro.live.session import LiveSession
 from repro.live.transform import RegisterTransform, TransformOp
-from repro.sim.testbench import hold_inputs
+from repro.sim.testbench import CallbackTestbench, hold_inputs
 from tests.conftest import COUNTER_SRC, TWO_COUNTERS
 
 BUGGY = COUNTER_SRC.replace("assign sum = a + b;", "assign sum = a + b + 8'd1;")
@@ -166,6 +166,99 @@ endmodule
         rows = session.objects.rows()
         types = {t for _, t, _, _ in rows}
         assert types == {"Stage", "Testbench"}
+
+
+def failing_at(cycle):
+    """A testbench holding ``rst`` low whose driver raises once, before
+    the cycle ``cycle`` starts."""
+    armed = [True]
+
+    def drive(pipe):
+        if armed[0] and pipe.cycle == cycle:
+            armed[0] = False
+            raise RuntimeError("testbench failed")
+        pipe.set_inputs(rst=0)
+
+    return CallbackTestbench(name="flaky", drive=drive)
+
+
+def interrupting(monkeypatch, pipe, path, cycle):
+    """Make the code instance ``path`` of ``pipe`` runs (shared by every
+    instance of its module, and kept by a swap that does not recompile
+    it) raise ``KeyboardInterrupt`` from ``cycle`` on the edge from
+    ``cycle``."""
+    code = pipe.find(path).code
+    real = code.cycle_fn
+
+    def cycle_fn(*args):
+        if pipe.cycle == cycle:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(code, "cycle_fn", cycle_fn)
+
+
+class TestInterruptedRun:
+    def test_a_run_that_raises_keeps_the_cycles_it_ran(self):
+        # No checkpoint before the failure: the history is all the
+        # edit has to replay from power-on.
+        session = LiveSession(COUNTER_SRC, checkpoint_interval=100)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        tb = session.load_testbench(failing_at(30))
+        with pytest.raises(RuntimeError, match="testbench failed"):
+            session.run(tb, "p0", 50)
+        assert session.ops("p0") == [(tb, 0, 30)]
+        session.run(tb, "p0", 20)
+        session.apply_change(BUGGY)
+        twin, twin_tb = make_session(interval=100)
+        session.run(twin_tb, "p0", 0)
+        twin.run(twin_tb, "p0", 30)
+        twin.run(twin_tb, "p0", 20)
+        twin.apply_change(BUGGY)
+        pipe, other = session.pipe("p0"), twin.pipe("p0")
+        assert pipe.cycle == other.cycle == 50
+        assert pipe.snapshot().state.equal_state(other.snapshot().state)
+        assert pipe.outputs() == other.outputs() == {"c0": 100, "c1": 200}
+
+    def test_an_interrupted_edge_is_mended_from_the_history(self, monkeypatch):
+        session, tb = make_session(interval=10)
+        session.run(tb, "p0", 12)
+        pipe = session.pipe("p0")
+        interrupting(monkeypatch, pipe, "u1", 25)
+        with pytest.raises(KeyboardInterrupt):
+            session.run(tb, "p0", 30)
+        monkeypatch.undo()
+        # Back at the cycle the lost edge started from, with the cycles
+        # before it recorded, equal to a pipe that was never stopped.
+        assert pipe.torn is None and pipe.cycle == 25
+        assert session.ops("p0")[-1] == (tb, 12, 25)
+        twin, twin_tb = make_session(interval=10)
+        twin.run(twin_tb, "p0", 25)
+        assert pipe.snapshot().state.equal_state(twin.pipe("p0").snapshot().state)
+        for each, handle in ((session, tb), (twin, twin_tb)):
+            each.run(handle, "p0", 5)
+            each.apply_change(BUGGY)
+        assert session.peek("p0") == twin.peek("p0")
+
+    def test_an_edit_interrupted_in_its_replay_keeps_the_cycles_it_replayed(
+            self, monkeypatch):
+        session, tb = make_session(interval=10)
+        session.run(tb, "p0", 40)
+        pipe = session.pipe("p0")
+        interrupting(monkeypatch, pipe, "u0", 33)
+        with pytest.raises(KeyboardInterrupt):
+            session.apply_change(BUGGY)
+        monkeypatch.undo()
+        # The edit landed and its replay from the checkpoint at 10 is
+        # back at cycle 33, two per cycle; what it had not replayed yet
+        # is no longer history.
+        assert pipe.torn is None and pipe.cycle == 33
+        assert session.ops("p0")[-1].end_cycle == 33
+        assert max(session.store("p0").cycles()) <= 33
+        assert session.peek("p0") == {"c0": 10 + 2 * 23, "c1": 30 + 4 * 23}
+        session.run(tb, "p0", 7)
+        assert session.ops("p0")[-1][1:] == (33, 40)
+        assert session.peek("p0") == {"c0": 10 + 2 * 30, "c1": 30 + 4 * 30}
 
 
 class TestSessionSettings:

@@ -24,10 +24,16 @@ the counter's compiled code may assume about ``echo`` does not, and a
 counter left stale adds a non-zero term to every count.
 
 Whatever moves the pipe or replaces its code -- an edit's hot swap, a
-build-flavour toggle, ``ldch``, a replay window -- must leave no memoized
-evaluation behind that the next cycle could consume: each such rule
-ends by running one more cycle, which the invariants then hold to the
-ground truth like any other.
+build-flavour toggle, ``ldch``, a replay window, an interrupted edge the
+session mends -- must leave no memoized evaluation behind that the next
+cycle could consume: each such rule ends by running one more cycle,
+which the invariants then hold to the ground truth like any other.
+
+An edge writes registers in place, so an exception out of one (here a
+``KeyboardInterrupt`` from a random instance's ``cycle``) tears the
+pipe; the session puts it back through its history at the cycle the
+edge started from, where it must equal a twin that was never
+interrupted.  No rule leaves a torn pipe behind.
 
 ``rehydrate`` is what a server worker does to a migrated or recovered
 session: checkpoint where the pipe stands, save the store, build a
@@ -36,6 +42,7 @@ checkpoints come along, the run history does not; from then on the
 ground truth starts at the state the pipe was handed over in.
 """
 
+import dataclasses
 import os
 import shutil
 import tempfile
@@ -251,6 +258,53 @@ class LiveLoopMachine(RuleBasedStateMachine):
         assert self.session.peek("p0") == before
         self.run("step1", 1)
 
+    @rule(
+        tb=st.sampled_from(sorted(TESTBENCHES)),
+        cycles=st.integers(min_value=1, max_value=23),
+        data=st.data(),
+    )
+    def interrupted_run(self, tb: str, cycles: int, data) -> None:
+        pipe = self.session.pipe("p0")
+        start = pipe.cycle
+        stop = data.draw(st.integers(start, start + cycles - 1), label="stop")
+        # An instance whose ``cycle`` runs: the top, or one with state
+        # (an adder is pure, so its parent never sends it ``cycle``).
+        path, inst = data.draw(st.sampled_from([
+            (path, inst) for path, inst in pipe.top.walk()
+            if inst is pipe.top or inst.code.num_regs]), label="at")
+        twin = pipe.copy()
+        code = inst.code
+
+        def cycle_fn(*args):
+            if pipe.cycle == stop:
+                raise KeyboardInterrupt
+            return code.cycle_fn(*args)
+
+        inst.code = dataclasses.replace(code, cycle_fn=cycle_fn)
+        pipe.refresh_library_traits()  # the top's entry is bound on the pipe
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                self.session.run(self.tbs[tb], "p0", cycles)
+        finally:
+            inst.code = code
+            pipe.refresh_library_traits()
+        assert pipe.torn is None and pipe.cycle == stop
+        if stop > start:
+            assert self.session.ops("p0")[-1][1:] == (start, stop)
+        port = TESTBENCHES[tb][0]
+        for cycle in range(start, stop):
+            value = int(cycle < RESET_CYCLES) if port == "rst" else int(tb[4:])
+            self.driven.append((port, value))
+        if self.repaired:
+            # History agrees with the design, so any base replays to
+            # the state the pipe would have had.
+            bench = self.session.testbench(self.tbs[tb])
+            bench.rebase(start)
+            bench.run(twin, stop - start)
+            assert pipe.snapshot().state.equal_state(twin.snapshot().state)
+            assert pipe.snapshot().inputs == twin.snapshot().inputs
+        self.run("step1", 1)
+
     @rule()
     def rewind_to_some_checkpoint(self) -> None:
         store = self.session.store("p0")
@@ -312,11 +366,14 @@ class LiveLoopMachine(RuleBasedStateMachine):
 
     @invariant()
     def no_edge_is_in_flight(self) -> None:
-        # The generated ``cycle`` commits pending without first copying
-        # current into it: whatever else writes state -- a swap's load,
-        # a rewind, a repair, a rehydrated session's ``ldch`` -- has to
-        # leave both halves equal and no memory write queued.
-        assert_between_edges(self.session.pipe("p0"))
+        # No rule leaves a torn pipe.  The generated ``cycle`` commits a
+        # register it does not write in place without first copying
+        # current into pending: whatever else writes state -- a swap's
+        # load, a rewind, a repair, a rehydrated session's ``ldch`` --
+        # has to leave both halves equal and no memory write queued.
+        pipe = self.session.pipe("p0")
+        assert pipe.torn is None
+        assert_between_edges(pipe)
 
     @invariant()
     def history_covers_pipe_position(self) -> None:

@@ -65,8 +65,8 @@ from tests.test_unwatched_cycle import LOOP_SRC, loop_inputs, wrapped
 BUDGET = {
     "cycle.2x2.unwatched": 6,
     "cycle.2x2.watched": 9,
-    "cycle.2x2.lines": 1254.4,
-    "cycle.4x4.lines": 5004.2,
+    "cycle.2x2.lines": 1054.4,
+    "cycle.4x4.lines": 4204.2,
     "entries.4x4.pgas_mesh_4x4.cycle": 1,
     "entries.4x4.pgas_mesh_4x4.eval_out": 1,
     "entries.4x4.pgas_node.cycle": 16,
@@ -94,17 +94,17 @@ BUDGET = {
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 60,
-    "setup.lines": 16_869,
+    "setup.lines": 17_218,
     "setup.dataclasses": 52,
-    "codegen.lines.mesh2x2": 575,
-    "codegen.lines.mesh4x4": 683,
+    "codegen.lines.mesh2x2": 525,
+    "codegen.lines.mesh4x4": 633,
     "codegen.lines.counter.v:adder": 6,
     "codegen.lines.counter.v:counter": 18,
     "codegen.lines.counter.v:top": 30,
-    "codegen.lines.pitfalls.v:pitfalls": 19,
+    "codegen.lines.pitfalls.v:pitfalls": 16,
     "codegen.lines.ranges.v:narrows": 6,
     "codegen.lines.ranges.v:ranges": 37,
-    "codegen.lines.ring.v:ring": 19,
+    "codegen.lines.ring.v:ring": 18,
     "compile.4x4.wirings": 10,
     "edit.2x2.rv_ex.walks": 2,
     "settle.loop_child.unwatched": 1,
