@@ -30,6 +30,7 @@ from typing import Dict, List
 
 from ..hdl import ast_nodes as ast
 from ..ir.netlist import ModuleIR, Netlist
+from .callplan import edge_plan
 
 _BYTES_PER_INSTR = 4.2  # x86-64 average instruction length
 _CALL_OVERHEAD = 12  # instructions per child-module call (LiveSim style)
@@ -284,10 +285,12 @@ def module_cost(ir: ModuleIR, style: str) -> ModuleCost:
     for seq in ir.seq_blocks:
         dynamic.add(walker.stmts(seq.body, is_seq=True))
         static_ops += walker.static_stmts(seq.body)
-    # Register pending-copy + commit work.
-    dynamic.loads += ir.num_regs
-    dynamic.stores += 2 * ir.num_regs
-    static_ops += 2 * ir.num_regs
+    # Pending-copy + commit work: only for the registers ``cycle`` does
+    # not write in place.
+    pending = len(edge_plan(ir).pending)
+    dynamic.loads += pending
+    dynamic.stores += 2 * pending
+    static_ops += 2 * pending
     # Child call glue.
     for inst in ir.instances:
         child_args = len(inst.input_conns) + len(inst.output_conns)

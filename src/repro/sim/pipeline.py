@@ -7,8 +7,8 @@ the rest with every input known, compute and commit the next state —
 the clock edge), through the two entry points of
 :mod:`repro.codegen.module`.  The pipe's settled outputs are the one
 memo: ``tick`` settles the top first unless nothing changed since the
-last ``eval``, and builds the outputs only for a watcher or a trace
-(:meth:`Pipe.step`).
+last ``eval``, and builds the outputs dict only for a watcher
+(:meth:`Pipe.step`); an attached trace takes the output tuple.
 
 An edge writes most registers in place (:mod:`repro.codegen.pygen`), so
 an exception out of one leaves the tree between two cycles: the pipe is
@@ -52,6 +52,7 @@ class Pipe:
         # the state lists or library are replaced, not every cycle.
         self._entries: Optional[tuple] = None
         self._last_outputs: Optional[Dict[str, int]] = None
+        self._last_values: tuple = ()  # the eval_out _last_outputs holds
         self._trace = None  # Optional[repro.trace.TraceBuffer]
         self._torn: Optional[int] = None
 
@@ -125,7 +126,8 @@ class Pipe:
         outputs = self._last_outputs
         if outputs is None:
             eval_out = (self._entries or self._bind_entries())[0]
-            outputs = self._last_outputs = dict(zip(self.top.code.outputs, eval_out()))
+            values = self._last_values = eval_out()
+            outputs = self._last_outputs = dict(zip(self.top.code.outputs, values))
         return outputs
 
     def outputs(self) -> Dict[str, int]:
@@ -166,16 +168,17 @@ class Pipe:
         (:attr:`torn`).  ``cycle`` reads what ``eval_out`` left in the
         state, so the top is settled first unless nothing changed since
         it last was (a trap while settling leaves ``cycle`` as it
-        was)."""
+        was).  An attached trace captures the settled output tuple."""
         eval_out, cycle, sanitizer = self._entries or self._bind_entries()
         trace = self._trace
-        if self._last_outputs is None:
-            if trace is None:
+        if trace is None:
+            if self._last_outputs is None:
                 eval_out()  # nothing reads the outputs
-            else:
-                self.eval()
-        if trace is not None:
-            trace.capture(self)
+        elif self._last_outputs is None and not trace.reads_outputs:
+            trace.capture(self, eval_out())
+        else:  # settled, or for an expression probe that reads outputs()
+            self.eval()
+            trace.capture(self, self._last_values)
         if sanitizer is not None:
             sanitizer.begin_edge()
         try:
@@ -206,7 +209,7 @@ class Pipe:
         watcher: Optional[Watcher] = None,
     ) -> int:
         """Run ``cycles`` ticks, each settled first by ``eval`` for a
-        watcher or a trace (else by ``tick`` itself).
+        watcher (else by ``tick`` itself).
 
         ``driver`` (if given) is called before each cycle to update the
         inputs.  ``watcher`` is called with the settled outputs before
@@ -214,14 +217,11 @@ class Pipe:
         condition holds at the current cycle).  Returns the number of
         cycles actually executed.
         """
-        settle = watcher is not None or self._trace is not None
         for executed in range(cycles):
             if driver is not None:
                 driver(self)
-            if settle:
-                outputs = self.eval()
-                if watcher is not None and watcher(self, outputs):
-                    return executed
+            if watcher is not None and watcher(self, self.eval()):
+                return executed
             self.tick()
         return max(cycles, 0)
 

@@ -12,71 +12,41 @@ a ring of ``capacity`` samples (drop-oldest, counted on the
 bounded deques that drop their *oldest* event under backpressure — the
 simulation loop never blocks on a slow consumer.
 
+Capture follows a *plan*, rebuilt only when the probe set or its
+binding changes (a watch, an unwatch, a rebind, a rewind): one row per
+live probe, by what it reads — a position in the top's settled output
+tuple ``tick`` hands over, a register or memory word by instance and
+slot (the same ones the probe's getter holds, so a row goes stale
+exactly when the getter would, and :meth:`rebind` rebuilds both), or an
+expression probe's getter.  Value changes are worked out only while a
+subscription exists.
+
 A rewind of the pipe (:func:`repro.live.replay.rewind`: ``ldch``, a
 reload, a repair) calls :meth:`truncate_from`: samples at-or-after the
 restore cycle are discarded (they describe an abandoned timeline) and
 every subscriber receives a ``{"rewind": cycle}`` marker so it can do
-the same.
+the same.  So a probe's samples are in increasing cycle order, which
+:meth:`TraceBuffer.window` bisects on.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import deque
+from itertools import islice
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
-from .probes import TraceProbe
+from .probes import MEMORY_WORD, OUTPUT, REGISTER, TraceProbe
 from .vcd import write_vcd
 
 DEFAULT_CAPACITY = 4096
 DEFAULT_SUB_QUEUE = 256
 
 _UNSET = object()
-
-
-class _Ring:
-    """(cycle, value) samples; drop-oldest beyond ``capacity``."""
-
-    __slots__ = ("_items", "_capacity")
-
-    def __init__(self, capacity: Optional[int]):
-        self._capacity = capacity
-        self._items: deque = deque(maxlen=capacity)
-
-    def append(self, cycle: int, value: int) -> bool:
-        """Append one sample; True when an old sample was evicted."""
-        evicted = (
-            self._capacity is not None
-            and len(self._items) == self._capacity
-        )
-        self._items.append((cycle, value))
-        return evicted
-
-    def truncate_from(self, cycle: int) -> int:
-        """Drop samples with cycle >= ``cycle``; returns count dropped."""
-        dropped = 0
-        items = self._items
-        while items and items[-1][0] >= cycle:
-            items.pop()
-            dropped += 1
-        return dropped
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def items(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(self._items)
-
-    @property
-    def first_cycle(self) -> Optional[int]:
-        return self._items[0][0] if self._items else None
-
-    @property
-    def last_cycle(self) -> Optional[int]:
-        return self._items[-1][0] if self._items else None
 
 
 class TraceSubscription:
@@ -137,12 +107,42 @@ class TraceSubscription:
 
 
 class _Entry:
-    __slots__ = ("probe", "ring", "last")
+    """One probe, its ``(cycle, value)`` samples (drop-oldest beyond the
+    buffer's capacity) and the last value published for it.
+
+    ``mark`` is the newest sample when ``last`` was last forgotten:
+    while nobody subscribes ``last`` is not kept, and a first subscriber
+    finds it again as the newest sample if one came after the mark."""
+
+    __slots__ = ("probe", "samples", "last", "mark")
 
     def __init__(self, probe: TraceProbe, capacity: Optional[int]):
         self.probe = probe
-        self.ring = _Ring(capacity)
-        self.last: Any = _UNSET
+        self.samples: deque = deque(maxlen=capacity)
+        self.forget()
+
+    def forget(self) -> None:
+        """Publish the next sample whatever it is."""
+        self.last = _UNSET
+        self.mark = self.samples[-1] if self.samples else None
+
+    def recall(self) -> None:
+        """``last`` as a capture that had published every sample since
+        :meth:`forget` would have left it."""
+        samples = self.samples
+        if samples and samples[-1] is not self.mark:
+            self.last = samples[-1][1]
+        else:
+            self.last = _UNSET
+
+    def truncate_from(self, cycle: int) -> int:
+        """Drop samples with cycle >= ``cycle``; returns count dropped."""
+        dropped = 0
+        samples = self.samples
+        while samples and samples[-1][0] >= cycle:
+            samples.pop()
+            dropped += 1
+        return dropped
 
 
 class TraceBuffer:
@@ -156,6 +156,7 @@ class TraceBuffer:
         self.events_dropped = 0
         self._entries: Dict[str, _Entry] = {}
         self._subs: List[TraceSubscription] = []
+        self._replan()
 
     # -- probes ---------------------------------------------------------------
 
@@ -163,6 +164,7 @@ class TraceBuffer:
         if probe.name in self._entries:
             raise SimulationError(f"duplicate probe {probe.name!r}")
         self._entries[probe.name] = _Entry(probe, self.capacity)
+        self._replan()
         return probe
 
     def watch(self, pipe: Pipe, signal: str) -> TraceProbe:
@@ -180,6 +182,7 @@ class TraceBuffer:
         entry = self._entries.pop(signal, None)
         if entry is None:
             return False
+        self._replan()
         for sub in list(self._subs):
             if sub.signals is not None and sub.signals == {signal}:
                 sub.close()
@@ -194,33 +197,56 @@ class TraceBuffer:
 
     # -- capture --------------------------------------------------------------
 
-    def capture(self, pipe: Pipe) -> None:
+    def _replan(self) -> None:
+        """Rebuild the capture plan from the live (not missing) probes.
+
+        ``reads_outputs`` tells ``Pipe.tick`` to leave its outputs
+        settled for an expression probe's getter; ``_gauge`` is the
+        fullest live ring (between two plans every live ring takes one
+        sample per capture, so it stays the fullest), an empty deque
+        when nothing can evict."""
+        rows: Dict[Optional[str], list] = {
+            OUTPUT: [], REGISTER: [], MEMORY_WORD: [], None: []}
+        live = [e for e in self._entries.values() if not e.probe.missing]
+        for entry in live:
+            kind, *where = entry.probe.site or (None, entry.probe.getter)
+            rows[kind].append((entry.samples.append, *where))
+        self._live = live
+        self._outputs, self._registers = tuple(rows[OUTPUT]), tuple(rows[REGISTER])
+        self._words, self._expressions = tuple(rows[MEMORY_WORD]), tuple(rows[None])
+        self.reads_outputs = bool(self._expressions)
+        self._gauge = max((e.samples for e in live), key=len,
+                          default=deque())
+
+    def capture(self, pipe: Pipe, outputs: Sequence[int]) -> None:
         """Sample every live probe at the pipe's current cycle.
 
-        Called from ``Pipe.tick`` after combinational settle; missing
-        probes (signal vanished in a reload) are skipped.
+        Called from ``Pipe.tick`` after combinational settle, with the
+        top's settled ``outputs`` in port order; missing probes
+        (signal vanished in a reload) are not in the plan.
         """
         cycle = pipe.cycle
-        evicted = False
-        publish = bool(self._subs)
-        for entry in self._entries.values():
-            probe = entry.probe
-            if probe.missing:
-                continue
-            value = probe.getter(pipe)
-            if entry.ring.append(cycle, value):
-                evicted = True
-            if value != entry.last:
-                entry.last = value
-                if publish:
-                    self._publish(
-                        probe.name,
-                        {"signal": probe.name, "cycle": cycle,
-                         "value": value},
-                    )
-        if evicted:
+        evicts = len(self._gauge) == self.capacity
+        for append, position in self._outputs:
+            append((cycle, outputs[position]))
+        for append, inst, slot in self._registers:
+            append((cycle, inst.state[slot]))
+        for append, inst, slot, index in self._words:
+            append((cycle, inst.state[slot][index]))
+        for append, getter in self._expressions:
+            append((cycle, getter(pipe)))
+        if evicts:
             self.cycles_dropped += 1
             obs.incr("trace.cycles_dropped")
+        if self._subs:
+            for entry in self._live:
+                value = entry.samples[-1][1]
+                if value != entry.last:
+                    entry.last = value
+                    name = entry.probe.name
+                    self._publish(
+                        name, {"signal": name, "cycle": cycle, "value": value}
+                    )
 
     def rebind(self, pipe: Pipe) -> List[str]:
         """Re-resolve every named probe after a design swap.
@@ -234,7 +260,7 @@ class TraceBuffer:
         for entry in self._entries.values():
             was_missing = entry.probe.missing
             bound = entry.probe.bind(pipe)
-            entry.last = _UNSET
+            entry.forget()
             if not bound:
                 missing.append(entry.probe.name)
                 if not was_missing:
@@ -242,6 +268,7 @@ class TraceBuffer:
                         entry.probe.name,
                         {"signal": entry.probe.name, "missing": True},
                     )
+        self._replan()
         return missing
 
     def truncate_from(self, cycle: int) -> int:
@@ -249,8 +276,9 @@ class TraceBuffer:
         timeline) and tell every subscriber to do the same."""
         dropped = 0
         for entry in self._entries.values():
-            dropped += entry.ring.truncate_from(cycle)
-            entry.last = _UNSET
+            dropped += entry.truncate_from(cycle)
+            entry.forget()
+        self._replan()
         if dropped or self._subs:
             self._publish(None, {"rewind": cycle})
         return dropped
@@ -264,6 +292,9 @@ class TraceBuffer:
     ) -> TraceSubscription:
         sub = TraceSubscription(self, signals=signals,
                                 max_events=max_events)
+        if not self._subs:  # capture kept no ``last`` without one
+            for entry in self._entries.values():
+                entry.recall()
         self._subs.append(sub)
         return sub
 
@@ -303,14 +334,19 @@ class TraceBuffer:
         entry = self._entries.get(signal)
         if entry is None:
             raise SimulationError(f"no probe named {signal!r}")
-        out: List[List[int]] = []
-        for cycle, value in entry.ring.items():
-            if start is not None and cycle < start:
-                continue
-            if end is not None and cycle >= end:
-                break
-            out.append([cycle, value])
-        return out
+        samples = entry.samples
+        count = len(samples)
+        # (c,) sorts before every (c, value): the first sample at >= c.
+        low = 0 if start is None else bisect_left(samples, (start,))
+        high = count if end is None else bisect_left(samples, (end,))
+        if low >= high:
+            return []
+        if low < count - high:  # walk from the nearer end
+            span = islice(samples, low, high)
+        else:
+            span = reversed(list(islice(reversed(samples), count - high,
+                                        count - low)))
+        return [[cycle, value] for cycle, value in span]
 
     def changes_of(self, name: str) -> List[Tuple[int, int]]:
         """(cycle, value) pairs where the value changed — the VCD
@@ -320,7 +356,7 @@ class TraceBuffer:
             raise SimulationError(f"no probe named {name!r}")
         out: List[Tuple[int, int]] = []
         last: Any = _UNSET
-        for cycle, value in entry.ring.items():
+        for cycle, value in entry.samples:
             if value != last:
                 out.append((cycle, value))
                 last = value
@@ -334,9 +370,9 @@ class TraceBuffer:
                 "signal": entry.probe.name,
                 "width": entry.probe.width,
                 "missing": entry.probe.missing,
-                "samples": len(entry.ring),
-                "first_cycle": entry.ring.first_cycle,
-                "last_cycle": entry.ring.last_cycle,
+                "samples": len(entry.samples),
+                "first_cycle": entry.samples[0][0] if entry.samples else None,
+                "last_cycle": entry.samples[-1][0] if entry.samples else None,
             })
         return {
             "capacity": self.capacity,

@@ -17,12 +17,21 @@ capture simply skips it until a later design brings the signal back.
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 from ..hdl.errors import SimulationError
 from ..sim.pipeline import Pipe
+from ..sim.stage import StageInst
 
 _MEM_WORD_RE = re.compile(r"^(?P<base>.+)\[(?P<index>\d+)\]$")
+
+# Where a named probe's value lives, for a TraceBuffer's capture plan:
+# (OUTPUT, position in the top's output tuple), (REGISTER, inst, slot)
+# or (MEMORY_WORD, inst, slot, index), read as ``inst.state[slot]``
+# (and ``[index]``) on every capture, as the getter reads it.
+OUTPUT, REGISTER, MEMORY_WORD = "output", "register", "memory word"
+Site = Union[Tuple[str, int], Tuple[str, StageInst, int],
+             Tuple[str, StageInst, int, int]]
 
 
 def _split_path(name: str) -> Tuple[str, str]:
@@ -36,7 +45,17 @@ def _split_path(name: str) -> Tuple[str, str]:
 def resolve_signal(
     pipe: Pipe, signal: str
 ) -> Tuple[int, Callable[[Pipe], int]]:
-    """Resolve ``signal`` against ``pipe``; return ``(width, getter)``.
+    """Resolve ``signal`` against ``pipe``; return ``(width, getter)``
+    (:func:`resolve_site`)."""
+    width, getter, _ = resolve_site(pipe, signal)
+    return width, getter
+
+
+def resolve_site(
+    pipe: Pipe, signal: str
+) -> Tuple[int, Callable[[Pipe], int], Site]:
+    """Resolve ``signal`` against ``pipe``; return ``(width, getter,
+    site)``: the getter reads what the :data:`Site` names.
 
     Raises :class:`SimulationError` when the name does not name a
     register, output port, or memory word of the current design.
@@ -66,7 +85,7 @@ def resolve_signal(
                        _i=index) -> int:
             return _inst.state[_slot][_i]
 
-        return spec.width, mem_getter
+        return spec.width, mem_getter, (MEMORY_WORD, inst, spec.slot, index)
 
     path, leaf = _split_path(signal)
     if not path:
@@ -80,7 +99,7 @@ def resolve_signal(
             def out_getter(p: Pipe, _port=leaf) -> int:
                 return p.outputs()[_port]
 
-            return width, out_getter
+            return width, out_getter, (OUTPUT, code.outputs.index(leaf))
 
     inst = pipe.find(path)
     if leaf not in inst.code.reg_slots:
@@ -90,12 +109,12 @@ def resolve_signal(
             f"{'or output ' if not path else ''}{leaf!r}"
         )
     width = inst.code.reg_widths[leaf]
+    slot = inst.code.reg_slots[leaf]
 
-    def reg_getter(p: Pipe, _inst=inst,
-                   _slot=inst.code.reg_slots[leaf]) -> int:
+    def reg_getter(p: Pipe, _inst=inst, _slot=slot) -> int:
         return _inst.state[_slot]
 
-    return width, reg_getter
+    return width, reg_getter, (REGISTER, inst, slot)
 
 
 class TraceProbe:
@@ -108,9 +127,12 @@ class TraceProbe:
     - *expression* probes (``signal`` None, explicit getter) compute a
       value from the pipe, the 'printf' of the live flow
       (``TraceBuffer.add_probe``), and are never re-bound.
+
+    A bound named probe also holds its :data:`Site` (None otherwise),
+    which a buffer's capture plan reads in place of the getter.
     """
 
-    __slots__ = ("name", "signal", "width", "getter", "missing")
+    __slots__ = ("name", "signal", "width", "getter", "missing", "site")
 
     def __init__(
         self,
@@ -124,12 +146,15 @@ class TraceProbe:
         self.width = width
         self.getter = getter
         self.missing = getter is None
+        self.site: Optional[Site] = None
 
     @classmethod
     def named(cls, pipe: Pipe, signal: str) -> "TraceProbe":
         """Resolve ``signal`` now; raises if it does not exist."""
-        width, getter = resolve_signal(pipe, signal)
-        return cls(signal, width, getter, signal=signal)
+        width, getter, site = resolve_site(pipe, signal)
+        probe = cls(signal, width, getter, signal=signal)
+        probe.site = site
+        return probe
 
     def bind(self, pipe: Pipe) -> bool:
         """Re-resolve a named probe after a design swap.
@@ -141,9 +166,9 @@ class TraceProbe:
         if self.signal is None:
             return not self.missing
         try:
-            self.width, self.getter = resolve_signal(pipe, self.signal)
+            self.width, self.getter, self.site = resolve_site(pipe, self.signal)
         except SimulationError:
-            self.getter = None
+            self.getter = self.site = None
             self.missing = True
             return False
         self.missing = False

@@ -2,6 +2,8 @@
 subscription backpressure, hot-reload rebind, rewind, and time-travel
 replay (repro.trace + the LiveSession trace verbs)."""
 
+from collections import deque
+
 import pytest
 
 from repro import obs
@@ -459,3 +461,199 @@ class TestVcdExport:
     def test_standalone_buffer_rejects_bad_capacity(self):
         with pytest.raises(SimulationError, match="capacity"):
             TraceBuffer(capacity=0)
+
+
+# LOGGED with its counter register renamed: watches on ``u0.count_q``
+# go missing until LOGGED comes back.
+LOGGED_RENAMED = LOGGED.replace("count_q", "cnt_q")
+_UNSET = object()
+
+
+def old_window(samples, start, end):
+    """``TraceBuffer.window`` as a walk of every sample from the oldest."""
+    out = []
+    for cycle, value in samples:
+        if start is not None and cycle < start:
+            continue
+        if end is not None and cycle >= end:
+            break
+        out.append([cycle, value])
+    return out
+
+
+class SampledReference:
+    """What a buffer must hold and publish, from each live probe read
+    through its getter (``TraceProbe.read``) at capture time: one ring,
+    one ``last`` value and one eviction test per probe, every cycle.
+
+    It sees what the buffer sees by wrapping the instance's
+    ``capture``, ``rebind`` and ``truncate_from``; the test script
+    registers probes and subscriptions with both."""
+
+    def __init__(self, buffer):
+        self.buffer = buffer
+        self.probes = {}
+        self.rings = {}
+        self.last = {}
+        self.subs = []  # (subscription, events it must have received)
+        self.dropped = 0
+        for name in ("capture", "rebind", "truncate_from"):
+            setattr(buffer, name, self._wrap(name, getattr(buffer, name)))
+
+    def _wrap(self, name, real):
+        mirror = getattr(self, "_" + name)
+
+        def both(pipe_or_cycle, *args):
+            missing = {n: p.missing for n, p in self.probes.items()}
+            result = real(pipe_or_cycle, *args)
+            mirror(pipe_or_cycle, missing)
+            return result
+
+        return both
+
+    def add(self, probe):
+        self.probes[probe.name] = probe
+        self.rings[probe.name] = deque()
+        self.last[probe.name] = _UNSET
+
+    def drop(self, name):
+        for table in (self.probes, self.rings, self.last):
+            del table[name]
+
+    def subscribe(self, signals=None):
+        sub = self.buffer.subscribe(signals, max_events=100_000)
+        self.subs.append((sub, []))
+        return sub
+
+    def _publish(self, signal, event):
+        for sub, events in self.subs:
+            if not sub.closed and sub.wants(signal):
+                events.append(event)
+
+    def _capture(self, pipe, _missing):
+        cycle, evicted = pipe.cycle, False
+        capacity = self.buffer.capacity
+        for name, probe in self.probes.items():
+            if probe.missing:
+                continue
+            value, ring = probe.read(pipe), self.rings[name]
+            ring.append((cycle, value))
+            if capacity is not None and len(ring) > capacity:
+                ring.popleft()
+                evicted = True
+            if value != self.last[name]:
+                self.last[name] = value
+                self._publish(name, {"signal": name, "cycle": cycle,
+                                     "value": value})
+        self.dropped += evicted
+
+    def _rebind(self, _pipe, was_missing):
+        for name, probe in self.probes.items():
+            self.last[name] = _UNSET
+            if probe.missing and not was_missing[name]:
+                self._publish(name, {"signal": name, "missing": True})
+
+    def _truncate_from(self, cycle, _missing):
+        for name, ring in self.rings.items():
+            while ring and ring[-1][0] >= cycle:
+                ring.pop()
+            self.last[name] = _UNSET
+        self._publish(None, {"rewind": cycle})
+
+    def check(self, dropped_before):
+        buffer = self.buffer
+        assert buffer.names() == list(self.probes)
+        for name, ring in self.rings.items():
+            samples = list(ring)
+            assert buffer.window(name) == old_window(samples, None, None)
+            cycles = [c for c, _ in samples]
+            edges = {None, *cycles[::3], cycles[-1] + 1 if cycles else 0, -1}
+            for start in edges:
+                for end in edges:
+                    assert buffer.window(name, start, end) == old_window(
+                        samples, start, end), (name, start, end)
+        assert buffer.cycles_dropped == self.dropped
+        dropped_now = counters().get("trace.cycles_dropped", 0)
+        assert dropped_now - dropped_before == self.dropped
+        for sub, events in self.subs:
+            if not sub.closed:
+                assert sub.drain() == (events, 0)
+                events.clear()
+
+
+class TestCapturePlan:
+    @pytest.mark.parametrize("capacity", [8, None])
+    def test_capture_equals_a_per_probe_getter_reference(self, capacity):
+        session, tb = make_session(LOGGED, reload_distance=0)
+        in_reset = session.load_testbench(hold_inputs(rst=1))
+        pipe = session.pipe("p0")
+        buffer = TraceBuffer(capacity=capacity)
+        session.timeline("p0").trace = buffer
+        pipe.attach_trace(buffer)
+        ref = SampledReference(buffer)
+        before = counters().get("trace.cycles_dropped", 0)
+
+        def watch(signal):
+            session.watch("p0", signal)
+            ref.add(buffer.watch(pipe, signal))
+
+        def unwatch(signal):
+            session.unwatch("p0", signal)
+            ref.drop(signal)
+
+        watch("c0")
+        watch("u0.count_q")
+        everything = ref.subscribe()
+        session.run(in_reset, "p0", 3)  # one event each: the plateau
+        assert [e["cycle"] for e in everything.drain()[0]] == [0, 0]
+        ref.subs[0][1].clear()
+        session.run(tb, "p0", 7)
+        ref.check(before)
+        watch("u1.log_m[2]")  # a memory word, mid-run
+        watch("c1")
+        session.run(tb, "p0", 5)
+        late = ref.subscribe(["u1.log_m[2]", "u0.count_q"])  # mid-run
+        only_c1 = ref.subscribe(["c1"])
+        session.run(tb, "p0", 9)
+        ref.check(before)
+        probe = TraceProbe("sum", 9,
+                           lambda p: p.outputs()["c0"] + p.outputs()["c1"])
+        buffer.add_probe(probe)
+        ref.add(probe)
+        session.run(tb, "p0", 6)
+        ref.check(before)
+        session.apply_change(LOGGED_RENAMED)  # u0.count_q goes missing
+        assert buffer.status()["probes"][1]["missing"] is True
+        session.run(tb, "p0", 5)
+        ref.check(before)
+        buffer.unsubscribe(everything)  # nobody takes every change ...
+        buffer.unsubscribe(late)
+        buffer.unsubscribe(only_c1)
+        session.run(tb, "p0", 4)
+        again = ref.subscribe()  # ... until someone subscribes again
+        again_m = ref.subscribe(["u1.log_m[2]"])
+        session.run(tb, "p0", 3)
+        ref.check(before)
+        session.apply_change(LOGGED)  # u0.count_q comes back
+        session.run(tb, "p0", 6)
+        ref.check(before)
+        if capacity is None:  # the windows above spanned the missing stretch
+            kept = [c for c, _ in buffer.window("u0.count_q")]
+            assert kept != list(range(kept[0], kept[-1] + 1))
+        buffer.unsubscribe(again)
+        buffer.unsubscribe(again_m)
+        session.ldch("p0", session.store("p0").nearest_before(30))
+        # Nothing captured since the rewind: each first sample publishes,
+        # whether or not it equals the newest one kept (log_m[2] often does).
+        ref.subscribe(["u0.count_q", "u1.log_m[2]", "sum"])
+        session.run(in_reset, "p0", 4)
+        session.run(tb, "p0", 5)
+        ref.check(before)
+        narrowed = ref.subscribe(["c1"])
+        unwatch("c1")
+        assert narrowed.closed
+        session.run(tb, "p0", 5)
+        ref.check(before)
+        assert [name for name in ref.probes] == [
+            "c0", "u0.count_q", "u1.log_m[2]", "sum"]
+        assert (ref.dropped > 0) == (capacity is not None)

@@ -30,7 +30,7 @@ from repro.passes import compile_netlist
 from repro.sanitize import SAN_UNINIT, SanitizerError, SanitizerRuntime
 from repro.sim import Pipe, VectorTestbench
 from repro.sim.testbench import CallbackTestbench
-from repro.trace import TraceBuffer
+from repro.trace import TraceBuffer, TraceProbe
 from tests.conftest import COUNTER_SRC
 
 DOUBLED = COUNTER_SRC.replace("assign sum = a + b;", "assign sum = a + b + b;")
@@ -435,8 +435,10 @@ def test_only_a_reader_settles_through_eval(
 ):
     """What the cases above compare: an unwatched run never calls
     ``Pipe.eval``, whatever the build (``Pipe.tick`` settles the top
-    through its ``eval_out``, a comb loop's included); a watcher and a
-    trace settle through it once per cycle."""
+    through its ``eval_out``, a comb loop's included); a watcher settles
+    through it once per cycle.  A trace takes the output tuple from
+    ``tick``, with or without an expression probe that reads
+    ``outputs()``."""
     calls = []
     settle = Pipe.eval
     monkeypatch.setattr(Pipe, "eval", lambda self: calls.append(1) or settle(self))
@@ -450,8 +452,18 @@ def test_only_a_reader_settles_through_eval(
     assert evals(Pipe(netlist.top, library)) == 0
     assert evals(Pipe(netlist.top, library), watcher=never) == 5
     traced = counter_pipe()
-    traced.attach_trace(TraceBuffer())
-    assert evals(traced) == 5
+    settles = []
+    code = traced.top.code
+    monkeypatch.setattr(code, "eval_out_fn",
+                        lambda *a, _f=code.eval_out_fn: settles.append(1) or _f(*a))
+    buffer = TraceBuffer()
+    traced.attach_trace(buffer)
+    buffer.watch(traced, "c0")
+    assert evals(traced) == 0 and len(settles) == 5
+    buffer.add_probe(TraceProbe("c0+1", 8, lambda p: p.outputs()["c0"] + 1))
+    # tick settles through eval once, then the probe reads the memo
+    assert evals(traced) == 10 and len(settles) == 10
+    assert buffer.window("c0+1") == [[c, v + 1] for c, v in buffer.window("c0")[5:]]
     flat = BaselineCompiler(mode="inline").compile(
         elaborate(parse(COUNTER_SRC), "top")
     )

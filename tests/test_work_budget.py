@@ -7,9 +7,10 @@ A wall-clock bound cannot see a few per cent; a count can.  Each row of
 - ``cycle.2x2.*``: the Python-level ``call`` and ``c_call`` events
   (``sys.setprofile``) a clean 2x2 mesh cycle makes outside generated
   (``<lhdl:...>``) code, driven by livebench's boot testbench once past
-  reset — with no check (``unwatched``) and with a check that never
-  stops the run (``watched``).  A call into generated code counts; the
-  calls generated code makes do not.
+  reset — with no check (``unwatched``), with a check that never
+  stops the run (``watched``), and with no check but ``sim_allon2``'s
+  8 probes captured into a trace buffer (``traced``).  A call into
+  generated code counts; the calls generated code makes do not.
 - ``cycle.<n>x<n>.lines``: the line events (``sys.settrace``) in
   generated code per clean cycle of the 2x2 and 4x4 mesh, over 20
   cycles after cycle 200 of livebench's boot testbench: how many
@@ -44,11 +45,18 @@ raises a count says so in CHANGES.md with the reason.
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from collections import Counter
 
-from benchmarks.livebench.workloads import boot_testbench, node_images, node_programs
+from benchmarks.livebench.workloads import (
+    WORKLOADS,
+    boot_testbench,
+    node_images,
+    node_programs,
+    probe_signals,
+)
 from repro import compile_design, obs
 from repro.codegen.build import BuildConfig
 from repro.hdl import elaborate, parse
@@ -58,6 +66,7 @@ from repro.riscv.patches import PATCHES
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
 from repro.sim import Pipe
 from repro.sim.testbench import CallbackTestbench
+from repro.trace import TraceBuffer
 from tests.test_codegen_seam import _digests_tool
 from tests.test_public_api import LIVE_LOOP_SCRIPT, run_fresh
 from tests.test_unwatched_cycle import LOOP_SRC, loop_inputs, wrapped
@@ -65,6 +74,7 @@ from tests.test_unwatched_cycle import LOOP_SRC, loop_inputs, wrapped
 BUDGET = {
     "cycle.2x2.unwatched": 6,
     "cycle.2x2.watched": 9,
+    "cycle.2x2.traced": 16,
     "cycle.2x2.lines": 1054.4,
     "cycle.4x4.lines": 4204.2,
     "entries.4x4.pgas_mesh_4x4.cycle": 1,
@@ -121,7 +131,10 @@ def moved(measured):
 
 def events(tb, pipe, cycles):
     """``call`` / ``c_call`` events outside generated code while
-    ``tb`` runs ``cycles`` cycles, by kind and callee."""
+    ``tb`` runs ``cycles`` cycles, by kind and callee.  The garbage
+    collector is off meanwhile: a collection calls whatever
+    ``gc.callbacks`` another test left (hypothesis registers one),
+    in one run and not the other."""
     seen = Counter()
 
     def profile(frame, event, arg):
@@ -132,11 +145,13 @@ def events(tb, pipe, cycles):
         elif event == "c_call" and not frame.f_code.co_filename.startswith("<lhdl:"):
             seen["c_call", getattr(arg, "__qualname__", repr(arg))] += 1
 
+    gc.disable()
     sys.setprofile(profile)
     try:
         tb.run(pipe, cycles)
     finally:
         sys.setprofile(None)
+        gc.enable()
     return seen
 
 
@@ -144,11 +159,15 @@ def test_a_clean_2x2_cycle_stays_within_its_call_budget(pgas2_netlist_library):
     _, netlist, library = pgas2_netlist_library
     images = node_images(node_programs(1, 4))
     measured, detail = {}, {}
-    for row in ("unwatched", "watched"):
+    for row in ("unwatched", "watched", "traced"):
         pipe = Pipe(netlist.top, library)
         tb = boot_testbench(images)
         if row == "watched":
             tb = CallbackTestbench(tb.name, drive=tb.drive, check=lambda p, o: False)
+        if row == "traced":
+            pipe.attach_trace(TraceBuffer())
+            for signal in probe_signals(WORKLOADS["sim_allon2"]):
+                pipe.trace_buffer.watch(pipe, signal)
         tb.run(pipe, 20)  # past reset: the inputs hold from here on
         # A run's own events cancel out of the difference of two runs.
         per_cycle = events(tb, pipe, 20) - events(tb, pipe, 10)
