@@ -299,9 +299,10 @@ def edge_plan(ir: ModuleIR, plan: OptPlan = NO_OPT) -> EdgePlan:
 
     What ``cycle`` runs after its comb body has read the old values:
     the units of :func:`edge_units` in turn, the arms of an ``if`` or
-    ``case`` as alternative paths, then each child's arguments.  A read
-    of a continuous assign the generator may write inside the unit
-    (:class:`_EdgeReads`) is a read of the registers its code reads.
+    ``case`` as alternative paths, then the arguments of each child
+    whose ``cycle`` it calls.  A read of a continuous assign the
+    generator may write inside the unit (:class:`_EdgeReads`) is a read
+    of the registers its code reads.
     Nothing here depends on the sanitizer, so both bodies of a
     sanitized function share the plan.
 
@@ -333,14 +334,16 @@ def edge_plan(ir: ModuleIR, plan: OptPlan = NO_OPT) -> EdgePlan:
         if not wanted <= edges and len(_stable_topo(len(units), edges | wanted)) == len(units):
             edges |= wanted
     order = _stable_topo(len(units), edges)
-    # The authority: walk the units in that order, then the children's
-    # arguments; a register read once written keeps its pending slot.
+    # The authority: walk the units in that order, then the arguments of
+    # each child whose cycle runs; a register read once written keeps
+    # its pending slot.
     walk.clashes = set()
     written: FrozenSet[str] = frozenset()
     for unit in order:
         written = walk.stmts([units[unit][1]], unit, written)
-    for inst in ir.instances:
-        walk.read(written.intersection(inst.reads, regs), written)
+    for index, inst in enumerate(ir.instances):
+        if index not in plan.skip_children:
+            walk.read(written.intersection(inst.reads, regs), written)
     pending = frozenset(walk.clashes)
     return EdgePlan(tuple(units[unit] for unit in order),
                     frozenset(regs).difference(pending), pending)
