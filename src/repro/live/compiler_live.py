@@ -29,7 +29,10 @@ installed (a rejected edit leaves the design as it was), and
 elaboration reuses one ``ModuleIR`` per specialization from the same
 cache under ``(spec key, module fingerprint, child key + comb signature
 per instance)``.  The initial design is parsed from the regions' tokens
-too, unless it needs the preprocessor.
+too.  Both rest on one rule (:func:`assembles`): a design is put
+together from region parses only where the whole-file parse would give
+the same design, and text that parse would refuse is parsed whole, so
+that an edit raises on it and rolls back.
 
 No cache key holds a position, so a module an edit only moved keeps its
 AST, IR, facts, findings and compiled code, all in the coordinates of
@@ -47,7 +50,7 @@ an error raised in a module (``HDLError.place`` / ``HDLError.move``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from .. import obs
 from ..codegen.build import BuildConfig, DerivedCache
@@ -57,11 +60,35 @@ from ..hdl.elaborate import elaborate
 from ..hdl.errors import HDLError
 from ..hdl.lexer import tokenize
 from ..hdl.parser import parse
-from ..hdl.source_regions import MODULE_REGION, TOPLEVEL_REGION
+from ..hdl.source_regions import DIRECTIVE_REGION, MODULE_REGION, SourceRegion
 from ..ir.netlist import Netlist
 from ..passes import PassData, build_compile_pipeline
 from ..passes.dataflow import ITEMS
 from .parser_live import LiveParseResult, LiveParser
+
+
+def assembles(regions: List[SourceRegion], parsed: Iterable[str]) -> bool:
+    """Whether a design with ``regions`` may be assembled from region
+    parses, the modules ``parsed`` parsed alone: nothing but comments
+    lies between modules and ``define`` / ``undef`` directives (any
+    other top-level token is one the whole-file parse refuses), no
+    module is defined twice, no conditional directive can drop a
+    module, and none of ``parsed`` uses a macro."""
+    modules: Dict[str, SourceRegion] = {}
+    try:
+        for region in regions:
+            if region.kind == MODULE_REGION:
+                if region.name in modules:
+                    return False
+                modules[region.name] = region
+            elif region.kind == DIRECTIVE_REGION:
+                if not region.name.lstrip().startswith(("`define", "`undef")):
+                    return False
+            elif len(tokenize(region.text)) > 1:
+                return False
+    except HDLError:
+        return False  # the whole-file parse raises it in its own terms
+    return all(name in modules and "`" not in modules[name].text for name in parsed)
 
 
 @dataclass
@@ -122,26 +149,22 @@ class LiveCompiler:
         self._pipeline = build_compile_pipeline()
 
     def _parse_initial(self, source: str) -> ast.Design:
-        """``parse(source)``, from the tokens LiveParser lexed when the
-        module regions alone make up the design: no directive, no macro
-        (the incremental rule of :meth:`update_source`), nothing but
-        comments between modules and no module defined twice."""
-        design = ast.Design()
-        try:
-            for region in self.parser.regions:
-                if region.kind == MODULE_REGION and "`" not in region.text:
-                    modules = self.parser.region_parse(
-                        region.name).design().modules
+        """``parse(source)``, from the tokens LiveParser lexed where the
+        module regions alone make up the design (:func:`assembles`)."""
+        regions = self.parser.regions
+        names = [region.name for region in regions if region.kind == MODULE_REGION]
+        if assembles(regions, names):
+            design = ast.Design()
+            try:
+                for name in names:
+                    modules = self.parser.region_parse(name).design().modules
                     if design.modules.keys() & modules.keys():
-                        break
+                        break  # a second module on a region's line
                     design.modules.update(modules)
-                elif region.kind != TOPLEVEL_REGION or len(
-                        tokenize(region.text)) > 1:
-                    break
-            else:
-                return design
-        except HDLError:
-            pass  # the whole-file parse below raises it in its own terms
+                else:
+                    return design
+            except HDLError:
+                pass  # the whole-file parse below raises it in its own terms
         return parse(source)
 
     @property
@@ -169,34 +192,22 @@ class LiveCompiler:
     def update_source(self, new_source: str) -> LiveParseResult:
         """Analyze and commit an edit.
 
-        Changed module regions are re-parsed individually when it is
-        safe to do so (no macro usage in the changed regions and no
-        directive change); otherwise the whole file is re-parsed.
-        Raises :class:`HDLError` on syntax errors, leaving the previous
-        good source in place.
+        Changed module regions are re-parsed individually when the
+        design may be assembled from them (:func:`assembles`), no
+        directive changed and no module went; otherwise the whole file
+        is re-parsed.  Raises :class:`HDLError` on syntax errors and on
+        text a fresh parse refuses, leaving the previous good source in
+        place.
         """
         result = self.parser.analyze(new_source)
-        if not result.behavioral:
-            # Comments/whitespace only: commit the text, keep everything.
-            self._commit(result)
-            return result
-
-        regions = {
-            r.name: r for r in result.regions if r.kind == MODULE_REGION
-        }
-        incremental_ok = (
-            not result.directive_changed
-            and not result.removed_modules
-            and all(
-                name in regions and "`" not in regions[name].text
-                for name in result.changed_modules | result.added_modules
-            )
-        )
-        if incremental_ok:
+        edited = result.changed_modules | result.added_modules if result.behavioral else set()
+        if (not result.directive_changed and not result.removed_modules
+                and assembles(result.regions, edited)):
             # Every changed region parses before any is installed, so a
-            # syntax error in one leaves the design untouched.
+            # syntax error in one leaves the design untouched; a
+            # cosmetic edit parses nothing.
             parsed = {}
-            for name in sorted(result.changed_modules | result.added_modules):
+            for name in sorted(edited):
                 sub_design = result.parses[name].design()
                 if name not in sub_design.modules:
                     raise HDLError(
@@ -205,7 +216,8 @@ class LiveCompiler:
                 parsed[name] = sub_design.modules[name]
             self._design.modules.update(parsed)
         else:
-            # Removed modules go with the old design.
+            # Removed modules go with the old design; text a fresh parse
+            # refuses raises here.
             self._design = parse(new_source)
         self._commit(result)
         return result

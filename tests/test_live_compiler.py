@@ -208,10 +208,11 @@ class TestIncrementalRecompile:
             ("assign sum = a + b;", "assign sum = a + b;  // reviewed",
              False, 0, ["adder"]),
             # A region that uses a macro cannot be parsed on its own:
-            # its raw text is scanned for the fingerprint, then the
-            # whole preprocessed file for the parse (two texts).
+            # its raw text past the items its committed parse reuses is
+            # scanned for the fingerprint, then the whole preprocessed
+            # file for the parse (two texts).
             ("count_q <= 0;", "count_q <= `ZERO + 1;", True, 1,
-             ["counter", "<preprocessed file>"]),
+             [("counter", "  always"), "<preprocessed file>"]),
             # A `define edit changes no region text: only the whole
             # preprocessed file is scanned.
             ("`define ZERO 0", "`define ZERO 1", True, 1,
@@ -279,11 +280,14 @@ class TestIncrementalRecompile:
         assert report.behavioral == behavioral
         assert calls == {"split": 1, "parse": parsed}
         regions = source_regions.module_regions(edited)
-        assert scans == [
-            regions[name].text if name in regions
-            else preprocess(edited).text
-            for name in scanned
-        ]
+
+        def text(name):  # a region, its text from a line on, or the file
+            if isinstance(name, tuple):
+                whole = regions[name[0]].text
+                return whole[whole.index(name[1]):]
+            return regions[name].text if name in regions else preprocess(edited).text
+
+        assert scans == [text(name) for name in scanned]
 
     def test_added_module_compiles(self):
         compiler = LiveCompiler(COUNTER_SRC)
@@ -348,6 +352,52 @@ class TestRejectedEdit:
         pipe.set_inputs(x=10)  # the replay rewound to power-on
         assert pipe.eval()["y"] == 12
 
+
+    # Text a fresh session refuses (a token between modules, a module
+    # defined twice) is refused as an edit too, where a region parse
+    # alone would take it: a stray token with nothing else changed reads
+    # as cosmetic, and a second ``adder`` would replace the first.
+    @pytest.mark.parametrize("edit", [
+        lambda src: src + "\ngarbage ;\n",
+        lambda src: src.replace("a + b;", "a - b;") + "\ngarbage ;\n",
+        lambda src: src + src[:src.index("module counter")].replace("a + b", "a - b"),
+    ], ids=["garbage-only", "garbage-and-body", "second-adder"])
+    def test_an_edit_a_fresh_parse_refuses(self, edit):
+        from repro.hdl.errors import ParseError
+        from repro.hdl.parser import parse
+
+        edited = edit(COUNTER_SRC)
+        with pytest.raises(ParseError):
+            LiveSession(edited)
+        session = LiveSession(COUNTER_SRC)
+        session.inst_pipe("p0", session.stage_handle_for("top"))
+        pipe = session.pipe("p0")
+        pipe.set_inputs(rst=1)
+        pipe.step(1)
+        pipe.set_inputs(rst=0)
+        pipe.step(3)
+        before = pipe.outputs()
+        with pytest.raises(ParseError):
+            session.apply_change(edited)
+        assert session.compiler.source == COUNTER_SRC
+        assert session.compiler.design.modules == parse(COUNTER_SRC).modules
+        assert session.version == "1.0"
+        pipe.step(1)
+        assert pipe.outputs() == {"c0": before["c0"] + 1, "c1": before["c1"] + 3}
+
+
+    def test_an_edit_inside_a_conditional_is_parsed_whole(self):
+        """A module the preprocessor drops stays dropped when it is
+        edited: a conditional directive makes every edit a whole-file
+        parse."""
+        from repro.hdl.parser import parse
+
+        source = COUNTER_SRC + "`ifdef NOPE\nmodule gone (input clk);\nendmodule\n`endif\n"
+        compiler = LiveCompiler(source)
+        edited = source.replace("(input clk);", "(input clk, input d);")
+        compiler.update_source(edited)
+        assert compiler.design.modules == parse(edited).modules
+        assert "gone" not in compiler.design.modules
 
 class TestFileCoordinates:
     """A diagnostic for an incrementally re-parsed module carries the
@@ -966,7 +1016,11 @@ class TestInitialParse:
 
         examples = Path(__file__).resolve().parent.parent / "examples"
         sources = [build_pgas_source(2), COUNTER_SRC, PARAM_SRC,
-                   "// a comment first\n" + COUNTER_SRC] + [
+                   "// a comment first\n" + COUNTER_SRC,
+                   "`define ZERO 0\n" + COUNTER_SRC,  # assembled all the same
+                   # A module the preprocessor drops: parsed whole.
+                   COUNTER_SRC + "`ifdef NOPE\nmodule gone (input clk);\nendmodule\n`endif\n",
+                   ] + [
             path.read_text()
             for path in sorted((examples / "designs").glob("*.v"))]
         for source in sources:
