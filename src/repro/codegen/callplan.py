@@ -21,7 +21,8 @@ those walks.  Which parts a module's parents call is part of its
 compile (``ModuleKey.parts``).
 
 The plan also decides the order of a module's sequential statements in
-its ``cycle`` and which registers they write in place (:class:`EdgePlan`).
+its ``cycle`` and which registers it reads the old value of after a
+write (:class:`EdgePlan`).
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ class Wiring:
     @cached_property
     def edge(self) -> EdgePlan:
         """The order of the sequential statements in ``cycle`` and the
-        registers they write in place (:func:`edge_plan`)."""
+        registers it reads the old value of after a write
+        (:func:`edge_plan`)."""
         return edge_plan(self.ir, self.plan)
 
     @cached_property
@@ -262,15 +264,14 @@ class EdgePlan(NamedTuple):
 
     ``cycle`` runs the top-level statements of its sequential blocks in
     ``order``, each with the index of its block (:func:`edge_units`).
-    A register in ``in_place`` is written straight into its current
-    slot: no read of its old value follows a write of it on any path
-    through ``cycle``.  Every other register (``pending``) is written to
-    its pending slot and committed at the end of the edge.
+    Every register is written straight into its slot.  A register in
+    ``reads_old`` has a read of its old value after a write of it on
+    some path through ``cycle``, so ``cycle`` reads it through a local
+    bound before any write; no other register has such a read.
     """
 
     order: Tuple[Tuple[int, ast.Stmt], ...]
-    in_place: FrozenSet[str]
-    pending: FrozenSet[str]
+    reads_old: FrozenSet[str]
 
 
 def edge_units(ir: ModuleIR) -> List[Tuple[int, ast.Stmt]]:
@@ -317,7 +318,7 @@ def edge_plan(ir: ModuleIR, plan: OptPlan = NO_OPT) -> EdgePlan:
     regs = {name: sig.state_index for name, sig in ir.signals.items()
             if sig.state_index is not None}
     if not units or not regs:
-        return EdgePlan(tuple(units), frozenset(), frozenset())
+        return EdgePlan(tuple(units), frozenset())
     walk = _EdgeWalk(_EdgeReads(ir, plan, regs, units))
     reads, writes = [], []  # per unit: registers read, names written
     for unit, (_, stmt) in enumerate(units):
@@ -335,8 +336,8 @@ def edge_plan(ir: ModuleIR, plan: OptPlan = NO_OPT) -> EdgePlan:
             edges |= wanted
     order = _stable_topo(len(units), edges)
     # The authority: walk the units in that order, then the arguments of
-    # each child whose cycle runs; a register read once written keeps
-    # its pending slot.
+    # each child whose cycle runs; a register read once written reads
+    # its old value from a local.
     walk.clashes = set()
     written: FrozenSet[str] = frozenset()
     for unit in order:
@@ -344,9 +345,7 @@ def edge_plan(ir: ModuleIR, plan: OptPlan = NO_OPT) -> EdgePlan:
     for index, inst in enumerate(ir.instances):
         if index not in plan.skip_children:
             walk.read(written.intersection(inst.reads, regs), written)
-    pending = frozenset(walk.clashes)
-    return EdgePlan(tuple(units[unit] for unit in order),
-                    frozenset(regs).difference(pending), pending)
+    return EdgePlan(tuple(units[unit] for unit in order), frozenset(walk.clashes))
 
 
 def _exprs(stmts: List[ast.Stmt]) -> Iterator[ast.Expr]:

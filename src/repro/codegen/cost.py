@@ -285,12 +285,10 @@ def module_cost(ir: ModuleIR, style: str) -> ModuleCost:
     for seq in ir.seq_blocks:
         dynamic.add(walker.stmts(seq.body, is_seq=True))
         static_ops += walker.static_stmts(seq.body)
-    # Pending-copy + commit work: only for the registers ``cycle`` does
-    # not write in place.
-    pending = len(edge_plan(ir).pending)
-    dynamic.loads += pending
-    dynamic.stores += 2 * pending
-    static_ops += 2 * pending
+    # One bind per register whose old value ``cycle`` reads after a write.
+    old = len(edge_plan(ir).reads_old)
+    dynamic.loads += old
+    static_ops += old
     # Child call glue.
     for inst in ir.instances:
         child_args = len(inst.input_conns) + len(inst.output_conns)
@@ -307,9 +305,9 @@ def module_cost(ir: ModuleIR, style: str) -> ModuleCost:
             static_ops += walker.static_expr(expr)
 
     instructions = dynamic.alu + dynamic.branches + dynamic.loads + dynamic.stores
-    state_bytes = 8 * 2 * ir.num_regs + sum(
-        8 * m.depth for m in ir.memories.values()
-    )
+    # One slot per register; the inlined style keeps a next-state copy.
+    slots = ir.num_regs if style == "branch" else 2 * ir.num_regs
+    state_bytes = 8 * slots + sum(8 * m.depth for m in ir.memories.values())
     if style == "select":
         instructions *= _INLINE_FACTOR
         static_ops *= _INLINE_FACTOR

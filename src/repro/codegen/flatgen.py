@@ -285,8 +285,6 @@ class _FlatCompiler:
         stmtgen.gen_stmts(comb.body)
 
     def _emit_seq_block(self, scope: _FlatScope, exprgen: ExprGen, seq) -> None:
-        num_regs = self._num_regs
-
         def write_target(target: ast.LValue, code: str) -> None:
             slot = self._reg_slots.get(scope.global_id(target.name))
             if slot is None:
@@ -294,11 +292,10 @@ class _FlatCompiler:
                     f"sequential assignment to non-register {target.name!r}",
                     target.line,
                 )
-            self._emit.line(f"s[{slot + num_regs}] = {code}")
+            self._emit.line(f"_p[{slot}] = {code}")
 
-        def read_pending(name: str) -> str:
-            slot = self._reg_slots[scope.global_id(name)]
-            return f"s[{slot + num_regs}]"
+        def read_next(name: str) -> str:
+            return f"_p[{self._reg_slots[scope.global_id(name)]}]"
 
         def mem_write(name: str, addr: str, value: str, line: int) -> None:
             spec = self._mem_specs[scope.global_id(name)]
@@ -311,7 +308,7 @@ class _FlatCompiler:
             exprgen=exprgen,
             emitter=self._emit,
             write_target=write_target,
-            read_target_current=read_pending,
+            read_target_current=read_next,
             mem_write=mem_write,
             is_memory=lambda name: name in scope.ir.memories,
             target_width=lambda name: scope.ir.signals[name].width,
@@ -324,7 +321,7 @@ class _FlatCompiler:
         top = self._netlist.top_module
         self._allocate(self._netlist.top, "")
         # The shared layout (CompiledModule.make_state); the stash slot
-        # stays unused.
+        # holds the next register values.
         self.layout, self._mem_specs = state_layout(self._num_regs, self._mems, False)
         top_inputs = {
             name: (f"i_{name}", set()) for name in top.inputs
@@ -354,10 +351,7 @@ class _FlatCompiler:
                         unit.emit()
                 self._check_budget()
             if self._num_regs:
-                emit.line(
-                    f"s[{self._num_regs}:{2 * self._num_regs}] = "
-                    f"s[0:{self._num_regs}]"
-                )
+                emit.line(f"_p = s[{self.layout.stash_slot}] = s[:{self._num_regs}]")
             for emit_seq in self._seq_emitters:
                 emit_seq()
             returns = ", ".join(
@@ -369,14 +363,11 @@ class _FlatCompiler:
             emit.line(f"return ({returns})")
 
         emit.blank()
-        # comb and pending are both computed in eval: cycle is the commit.
+        # comb and next state are both computed in eval: cycle is the commit.
         with block(emit, f"def cycle(s, ch{', ' + args if args else ''}):"):
             wrote = False
             if self._num_regs:
-                emit.line(
-                    f"s[0:{self._num_regs}] = "
-                    f"s[{self._num_regs}:{2 * self._num_regs}]"
-                )
+                emit.line(f"s[:{self._num_regs}] = s[{self.layout.stash_slot}]")
                 wrote = True
             for spec in self._mem_specs.values():
                 if spec.name not in self._written_mems:
@@ -439,7 +430,6 @@ def compile_flat(
         comb_input_ports=tuple(top.inputs),  # flat eval takes everything
         outputs=tuple(top.outputs),
         num_regs=compiler._num_regs,
-        commits=tuple(range(compiler._num_regs)),
         layout=compiler.layout,
         reg_slots=dict(compiler._reg_slots),
         reg_widths=dict(compiler._reg_widths),

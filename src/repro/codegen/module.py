@@ -12,9 +12,9 @@ A cycle is two walks of the instance tree, through two entry points:
   reads (the stash).
 * ``cycle(state, children, *all_inputs)`` — runs once per cycle with
   every input settled: finishes the combinational values from the
-  stash, writes the next register values (in place, or to pending
-  slots) and queues memory writes, runs the children's ``cycle``, then
-  commits its own pending state (the clock edge, on the way back up).
+  stash, writes the next register values in place and queues memory
+  writes, runs the children's ``cycle``, then commits its own memory
+  writes (the clock edge, on the way back up).
 
 Calling convention: arguments are in ``[0, 2**width)`` of their port
 and *the caller guarantees it*; the callee masks nothing.  By
@@ -42,25 +42,21 @@ same way, at any depth of the tree.
 
 State array layout per instance (a plain Python list)::
 
-    [0 .. NR)          current register values
-    [NR .. 2*NR)       pending (next-cycle) values
-    [2*NR]             the stash: settled locals the next part or cycle reads
-    [2*NR+1 + j]       memory j contents (list of ints)
-    [2*NR+1+NM + j]    memory j pending writes (list of (addr, value))
+    [0 .. NR)          register values, one slot each
+    [NR]               the stash: settled locals the next part or cycle reads
+    [NR+1 + j]         memory j contents (list of ints)
+    [NR+1+NM + j]      memory j pending writes (list of (addr, value))
 
 followed, in sanitized builds, by the poison bitmaps and the per-cycle
 nonblocking-write dict (see :class:`StateLayout`).
 
-``cycle`` writes most registers straight into their current slot
-(pygen's in-place rule).  The rest, :attr:`CompiledModule.commits`, go
-through their pending slot.  Invariant: whenever no clock edge is in
-flight, pending == current for those, and every pending-write list is
-empty.  ``cycle`` relies on it (it commits by copying each pending
-value, ``s[i] = s[NR + i]`` per such register, which for a module's few
-registers is cheaper than a slice read and a slice store) and restores
-it; the other writers (``make_state``, ``StageInst.poke_reg`` /
-``load``) set both halves of every register.  An edge interrupted by
-an exception breaks it, and leaves its pipe torn until a restore
+``cycle`` writes every register straight into its slot (pygen's
+in-place rule); one whose old value it reads after a write it reads
+from a local bound before any write.  Invariant: whenever no clock edge
+is in flight, every pending-write list is empty.  ``cycle`` relies on
+it and restores it; the other writers (``make_state``,
+``StageInst.load``) leave the lists empty.  An edge interrupted by an
+exception breaks it, and leaves its pipe torn until a restore
 (:attr:`repro.sim.pipeline.Pipe.torn`).
 
 Anything that mutates state outside ``cycle`` (snapshot restore, pokes,
@@ -173,7 +169,7 @@ def state_layout(num_regs: int, memories: Sequence[Tuple[str, int, int]],
     ``memories`` (name, width, depth) in slot order, and the spec of
     each memory under it, by name."""
     num_mems = len(memories)
-    stash_slot = 2 * num_regs
+    stash_slot = num_regs
     mem_base = stash_slot + 1  # the stash is one slot
     sanitize_base = mem_base + 2 * num_mems
     layout = StateLayout(
@@ -210,12 +206,8 @@ class CompiledModule:
     comb_input_ports: Tuple[str, ...]  # the eval_out argument list
     outputs: Tuple[str, ...]
     num_regs: int
-    # The slots of the registers cycle writes to their pending slot and
-    # commits at the end of the edge; every other register is written
-    # in place.
-    commits: Tuple[int, ...]
     layout: StateLayout
-    reg_slots: Dict[str, int]  # register name -> current-value slot
+    reg_slots: Dict[str, int]  # register name -> its slot
     reg_widths: Dict[str, int]
     mem_specs: Dict[str, MemSpec]
     child_insts: Tuple[Tuple[str, str], ...]  # (instance name, child key)
@@ -262,8 +254,8 @@ class CompiledModule:
         return tuple(spec.name for spec in self.mem_order)
 
     def make_state(self) -> list:
-        state: list = [0] * (2 * self.num_regs)
-        state.extend([None] * (self.layout.mem_base - 2 * self.num_regs))
+        state: list = [0] * self.num_regs
+        state.extend([None] * (self.layout.mem_base - self.num_regs))
         ordered = self.mem_order
         for spec in ordered:
             state.append([0] * spec.depth)

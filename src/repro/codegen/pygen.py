@@ -37,15 +37,17 @@ evaluates every child argument from its locals and its own pre-edge
 state, never from a child's state after that child's ``cycle``; so a
 sibling never sees another sibling's post-edge value.
 
-In-place rule: ``cycle`` writes a register straight into its current
-slot unless a read of its old value may follow a write of it on some
-path through ``cycle`` (a later statement or sequential block, a child
-argument, a continuous assign written where a later statement reads
-it).  Only such a register is written to its pending slot, and
-committed after every child's ``cycle``.  The call plan decides which,
-and orders the sequential statements so that as few as possible are
+In-place rule: ``cycle`` writes every register straight into its one
+slot.  A register whose old value may be read after a write of it on
+some path through ``cycle`` (a later statement or sequential block, a
+child argument, a continuous assign written where a later statement
+reads it) is bound once to a local, ``r_<name>``, before any write,
+and every read of it in ``cycle`` reads that local; a partial write's
+other bits come from the slot, which holds the value written so far.
+The call plan decides which registers those are, and orders the
+sequential statements so that as few as possible are
 (:class:`~repro.codegen.callplan.EdgePlan`); both bodies of a sanitized
-``cycle`` write to the same slots.  So an edge is not atomic: a
+``cycle`` bind the same ones.  So an edge is not atomic: a
 sanitizer trap inside ``cycle`` is held until the edge is complete, and
 any other exception leaves the pipe torn until it is restored
 (:attr:`repro.sim.pipeline.Pipe.torn`).
@@ -65,8 +67,8 @@ or block body to emit and reads its dead units and skippable children;
 ``NO_OPT`` applies nothing.  The sanitizer's is an
 :class:`~repro.sanitize.instrument.Instrumenter` (built here, one per sanitized module compile, told the build's
 ``san_elide``): it writes every hook, at the sites :mod:`exprgen` comes to,
-at the four structural points of ``cycle`` (opening, register commit,
-memory-word commit, module epilogue) and in each function's prologue
+at the four structural points of ``cycle`` (opening, end of the
+register writes, memory-word commit, module epilogue) and in each function's prologue
 (the poison-bitmap binding), and counts them; a clean build
 has ``None`` in its place.  :func:`site_count` is that same emitter
 run for its count alone.
@@ -181,6 +183,7 @@ class ModuleCompiler:
         self._dead: Set[int] = set()
         self._inlined: Dict[str, Tuple[Code, Optional[Code]]] = {}
         self._refs: Dict[int, str] = {}  # child index -> its local
+        self._old: Set[str] = set()  # the registers read through r_<name> so far
         sanitize = build.sanitize
         mems = sorted(ir.memories.values(), key=lambda m: m.mem_index)
         self.layout, self._mem_slot = state_layout(
@@ -193,9 +196,6 @@ class ModuleCompiler:
         for bid, blk in enumerate(ir.seq_blocks):
             for name in blk.writes:
                 self._seq_writers.setdefault(name, set()).add(bid)
-        # The registers cycle commits from their pending slot, by slot.
-        self.commits = tuple(sorted(ir.signals[name].state_index
-                                    for name in wiring.edge.pending))
         # The sanitizer flavour: every hook this compile writes.
         self.hooks = None
         if sanitize:
@@ -212,10 +212,12 @@ class ModuleCompiler:
 
     # -- name resolution ------------------------------------------------------
 
-    def _open_body(self, hi: FrozenSet[str]) -> Tuple[ExprGen, Set[str]]:
+    def _open_body(self, hi: FrozenSet[str],
+                   old: FrozenSet[str] = frozenset()) -> Tuple[ExprGen, Set[str]]:
         """Start the body of a function that runs once the ports in
         ``hi`` have settled (a part ending there, or ``cycle``) in a
-        fresh emitter.
+        fresh emitter; a read of a register in ``old`` reads its local
+        ``r_<name>`` (``cycle``'s old values), noted in ``self._old``.
 
         Returns the expression generator for it and the set it fills
         with every input, comb local and memory the emitted code names;
@@ -227,11 +229,15 @@ class ModuleCompiler:
         """
         ir = self._ir
         reads: Set[str] = set()
+        self._old = set()
 
         def signal_ref(name: str) -> str:
             sig = ir.signals.get(name)
             if sig is None:
                 raise CodegenError(f"unknown signal {name!r} in {ir.name}")
+            if name in old:
+                self._old.add(name)
+                return f"r_{name}"
             if sig.state_index is not None:
                 return f"s[{sig.state_index}]"
             if not self._wiring.deps(name) <= hi:
@@ -675,9 +681,8 @@ class ModuleCompiler:
 
     def _gen_cycle_body(self) -> _Body:
         ir = self._ir
-        num_regs = ir.num_regs
         comb, everything = self._wiring.comb, self._wiring.all
-        exprgen, reads = self._open_body(everything)
+        exprgen, reads = self._open_body(everything, self._wiring.edge.reads_old)
         body = self._emit
         hooks = self.hooks
         self._gen_comb_body(exprgen, comb, everything, in_cycle=True)
@@ -693,13 +698,6 @@ class ModuleCompiler:
             ref = self._child_ref(index)
             args = _pass(child.inputs, self._child_args(exprgen, inst, child.inputs))
             body.line(f"{_entry(ref, 'cycle_fn')}({ref}.state, {ref}.children{args})")
-        # The commit of what went through a pending slot, after every
-        # child's: nothing above reads this module's state again.
-        # Pending == current held on entry for those registers (the
-        # layout invariant), so copying each pending value is the rest
-        # of the edge.
-        for slot in self.commits:
-            body.line(f"s[{slot}] = s[{num_regs + slot}]")
         if hooks is not None:
             hooks.commit_regs(body)
         written = [n for n in self._mem_slot if n in self._seq_writers]
@@ -713,8 +711,11 @@ class ModuleCompiler:
                         hooks.commit_mem_word(body, name)
                 body.line(f"del _pw_{name}[:]")
         # The prologue, once the body is written: the bitmap and the
-        # memories it reads, the pending writes and the write notes.
+        # memories it reads, the old values it reads, the pending writes
+        # and the write notes.
         binds, poison = self._prologue(reads)  # registered child outputs: the stash
+        for name in sorted(self._old, key=lambda name: ir.signals[name].state_index):
+            binds.line(f"r_{name} = s[{ir.signals[name].state_index}]")
         for name in written:
             binds.line(f"_pw_{name} = s[{self._mem_slot[name].pending_slot}]")
         if hooks is not None:
@@ -729,26 +730,20 @@ class ModuleCompiler:
         return self._planned(stmt, lambda node: self._plan.body([node]))
 
     def _gen_seq_unit(self, exprgen: ExprGen, block_id: int, stmt: ast.Stmt) -> None:
-        """One top-level statement of sequential block ``block_id``: a
-        register in the edge plan's ``in_place`` is written to its
-        current slot, any other to its pending slot."""
-        num_regs = self._ir.num_regs
-        in_place = self._wiring.edge.in_place
-
-        def slot(name: str) -> int:
-            sig = self._ir.signals[name]
-            return sig.state_index + (0 if name in in_place else num_regs)
+        """One top-level statement of sequential block ``block_id``:
+        each register it writes is written to its slot."""
+        signals = self._ir.signals
 
         def write_target(target: ast.LValue, code: str) -> None:
-            if self._ir.signals[target.name].state_index is None:
+            if signals[target.name].state_index is None:
                 raise CodegenError(
                     f"sequential assignment to non-register {target.name!r}",
                     target.line,
                 )
-            self._emit.line(f"s[{slot(target.name)}] = {code}")
+            self._emit.line(f"s[{signals[target.name].state_index}] = {code}")
 
         def read_latest(name: str) -> str:  # a partial write's other bits
-            return f"s[{slot(name)}]"
+            return f"s[{signals[name].state_index}]"
 
         def mem_write(name: str, addr: str, value: str, line: int) -> None:
             spec = self._mem_slot[name]
@@ -807,7 +802,6 @@ def compile_module(
         comb_input_ports=ir.comb_input_ports,
         outputs=tuple(ir.outputs),
         num_regs=ir.num_regs,
-        commits=compiler.commits,
         layout=compiler.layout,
         reg_slots=reg_slots,  # type: ignore[arg-type]
         reg_widths={name: ir.signals[name].width for name in reg_slots},

@@ -286,8 +286,9 @@ class Instrumenter:
             emit.line("_nw.clear()")
 
     def commit_regs(self, emit) -> None:
-        """After the register commit: a register written this cycle
-        (a key of the notes) is defined from here on.  ``_pz`` is still
+        """After the children's ``cycle``s, where the edge's register
+        writes are all done: a register written this cycle (a key of the
+        notes) is defined from here on.  ``_pz`` is still
         the bitmap: nothing in the edge wrote it."""
         if not self._tracks_writes or self.poison_free:
             return

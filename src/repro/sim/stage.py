@@ -395,8 +395,6 @@ class StageInst:
             )
         mask = (1 << self.code.reg_widths[name]) - 1
         self.state[slot] = value & mask
-        # Both halves: pending == current between edges (codegen.module's layout).
-        self.state[slot + self.code.num_regs] = value & mask
         if self.code.build.sanitize:
             self.state[self.code.layout.reg_poison_slot] &= ~(1 << slot)
         self.invalidate_cache()
@@ -548,9 +546,7 @@ class StageInst:
             if value is None:
                 value = 0
                 poisoned.append(name)
-            value &= (1 << code.reg_widths[name]) - 1
-            state[slot] = value
-            state[slot + num_regs] = value
+            state[slot] = value & ((1 << code.reg_widths[name]) - 1)
         mems = mem_poison = {}
         if code.mem_specs:
             mems, mem_poison = snap.mems, snap.mem_poison

@@ -7,8 +7,8 @@ a child's entry point called as a method off ``.code`` (a method load
 that never specialises: the entry is an instance attribute), a ``cycle``
 committing its registers through a slice (a slice read and a slice
 store), or a ``1 if ... else 0`` / ``0 if ... else 1`` whose value is
-only tested.  Nor does a ``cycle`` read a register it writes in place
-after it may have written it (the edge plan, ``callplan.edge_plan``).
+only tested.  Nor does a ``cycle`` read a register's slot after it may
+have written it (the edge plan, ``callplan.edge_plan``).
 
 A bytecode and source census over every design the repo ships (both
 bodies of each function of a sanitized build, and the dispatch that
@@ -177,20 +177,31 @@ def _two_bodies(library):
     return found
 
 
+def _slot(node):
+    """The constant index of ``s`` that ``node`` reads, or None."""
+    if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "s"
+            and isinstance(node.slice, ast.Constant)):
+        return node.slice.value
+    return None
+
+
 class _EdgeReads(ast.NodeVisitor):
     """Walks a generated ``cycle`` along every path (an ``if``'s arms
-    apart, a loop's body twice), noting each register slot of
-    ``in_place`` read once some path may have written it."""
+    apart, a loop's body twice), noting each register slot read once
+    some path may have written it.  A partial write's other bits are the
+    value written so far, not the old one: in a statement writing
+    ``s[i]``, the ``s[i]`` of ``s[i] & <hole> | ...`` is not a read."""
 
-    def __init__(self, in_place):
-        self.in_place = in_place
+    def __init__(self, num_regs):
+        self.num_regs = num_regs
         self.written = frozenset()
         self.clashes = set()
 
-    def _load(self, node):
-        for slot in _state_slots(node):
-            if slot in self.written:
-                self.clashes.add(slot)
+    def _load(self, node, merged=frozenset()):
+        for sub in ast.walk(node):
+            if _slot(sub) in self.written and id(sub) not in merged:
+                self.clashes.add(_slot(sub))
 
     def _stmts(self, stmts):
         for stmt in stmts:
@@ -205,42 +216,53 @@ class _EdgeReads(ast.NodeVisitor):
                 self._load(stmt.iter if isinstance(stmt, ast.For) else stmt.test)
                 self._stmts(stmt.body + stmt.body + stmt.orelse)
             else:
-                self._load(stmt)
-                self.written |= self.in_place.intersection(
-                    _state_slots(stmt, ast.Store))
+                stores = {slot for slot in _state_slots(stmt, ast.Store) if slot < self.num_regs}
+                self._load(stmt, {
+                    id(node.left.left) for node in ast.walk(stmt)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+                    and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.BitAnd)
+                    and _slot(node.left.left) in stores})
+                self.written |= stores
 
 
 @pytest.mark.parametrize("sanitize", [False, True], ids=["clean", "sanitized"])
 def test_no_register_written_in_place_is_read_after_its_write(sanitize):
-    """The census of the edge plan: in either body of ``cycle``, a
-    register is written to its pending slot exactly when the module
-    commits it, and no path reads a register written in place once it
-    may have been written.  Every register of the mesh library is
-    written in place (rv_ex's 32 through the order of its statements),
-    so a mesh ``cycle`` commits nothing; ``IN_PLACE`` keeps five
-    registers pending."""
+    """The census of the edge plan: every register has one slot, and in
+    either body of ``cycle`` no path reads a register's slot once it may
+    have been written.  A register whose old value ``cycle`` reads after
+    a write is bound to ``r_<name>`` before any write; none in the
+    shipped designs is (rv_ex's 32 through the order of its statements),
+    and ``IN_PLACE`` has five.  Past the registers, ``cycle`` names only
+    the layout's own slots (the stash, the memories, the sanitizer's),
+    and writes only the poison bitmaps of those."""
     for name, source, top in [*_designs(), ("in_place", IN_PLACE, "m")]:
         netlist = elaborate(parse(source), top)
         for opt in OPT_LEVELS:
             runtime = SanitizerRuntime("report") if sanitize else None
             library = compile_netlist(netlist, BuildConfig(sanitize=sanitize, opt=opt), runtime)
             for key, module in library.items():
-                nr = module.num_regs
-                in_place = frozenset(range(nr)).difference(module.commits)
+                nr, layout = module.num_regs, module.layout
+                assert layout.stash_slot == nr, (name, key)
+                poison = {layout.reg_poison_slot} | {
+                    spec.poison_slot for spec in module.mem_specs.values()}
                 for fn in ast.parse(module.source).body:
                     if not (isinstance(fn, ast.FunctionDef)
                             and fn.name in ("cycle", "_pz_cycle")):
                         continue
-                    pending = {slot - nr for ctx in (ast.Load, ast.Store)
-                               for slot in _state_slots(fn, ctx) if nr <= slot < 2 * nr}
-                    assert pending <= set(module.commits), (name, key, fn.name)
-                    walk = _EdgeReads(in_place)
+                    assert max(_state_slots(fn), default=0) < layout.state_size, (name, key)
+                    assert {slot for slot in _state_slots(fn, ast.Store)
+                            if slot >= nr} <= poison, (name, key, fn.name)
+                    walk = _EdgeReads(nr)
                     walk._stmts(fn.body)
                     assert walk.clashes == set(), (name, key, fn.name)
-                if name.startswith("mesh"):
-                    assert module.commits == (), (name, key)  # no commit line
-                if name == "in_place" and key == "m":
-                    assert len(module.commits) == 5
+                    # The old values are bound before the first write.
+                    binds = [stmt for stmt in fn.body if isinstance(stmt, ast.Assign)
+                             and getattr(stmt.targets[0], "id", "").startswith("r_")]
+                    first = min((i for i, stmt in enumerate(fn.body)
+                                 if _state_slots(stmt, ast.Store)), default=len(fn.body))
+                    assert all(fn.body.index(bind) < first for bind in binds), (name, key)
+                    assert len(binds) == (5 if (name, key) == ("in_place", "m") else 0), (
+                        name, key, fn.name)
         if name.startswith("mesh"):
             node = {module.name: module.num_regs for module in library.values()}
             assert sum(node.values()) - node["pgas_mesh_" + name[4:]] == 50

@@ -118,7 +118,7 @@ def test_the_designs_hold_every_shape_the_chain_allows():
     assert seen["restarted"] and seen["prepass"] and seen["skipped"], seen
 
 
-# -- the edge plan: which registers ``cycle`` writes in place ----------------
+# -- the edge plan: which registers ``cycle`` reads the old value of -------
 
 # ``q`` reads ``hidden``, which the statement before it writes: run
 # second, that statement would clash; run first, neither does.  ``acc``
@@ -126,7 +126,7 @@ def test_the_designs_hold_every_shape_the_chain_allows():
 # statements, which keep their order, and read by a child argument.
 # ``sunk`` is read only by the last statement, so it may be written
 # there: its read is a read of ``late``, which that statement writes
-# first.  ``late`` and ``pair`` keep their pending slot.
+# first.  ``late`` and ``pair`` are read through their old value.
 EDGE = """
 module sink (input clk, input [7:0] v, output [7:0] o);
   assign o = v;
@@ -168,25 +168,24 @@ def test_the_edge_plan_orders_readers_before_writers():
     assert lines.index(units[1][1].line) < lines.index(units[0][1].line)
     assert lines.index(units[3][1].line) < lines.index(units[4][1].line)
     assert lines.index(units[2][1].line) < lines.index(units[5][1].line)
-    assert plan.pending == {"pair", "late"}
-    assert plan.in_place == {"hidden", "q", "acc"}
+    assert plan.reads_old == {"pair", "late"}
     # Under the plan every build of the module makes, ``sink`` is a pure
     # subtree whose ``cycle`` is not called, so its argument is read
-    # only in the comb body, before any write: ``pair`` is written in
-    # place.
+    # only in the comb body, before any write of ``pair``.
     for build in BUILDS:
         wiring = part_demand(netlist, plans_of(netlist, build))["m"]
-        assert wiring.edge.pending == {"late"}
+        assert wiring.edge.reads_old == {"late"}
 
 
 @pytest.mark.parametrize("sanitize", [False, True], ids=["clean", "sanitized"])
 def test_no_shipped_design_reads_a_register_after_its_write(sanitize):
-    """Every register of every shipped design (the meshes, each patch
-    variant, each ``examples/designs`` top) is written in place, under
-    the plan of each opt level."""
+    """No register of any shipped design (the meshes, each patch variant,
+    each ``examples/designs`` top) is read after its write, under the
+    plan of each opt level: none needs an old-value local."""
     for name, source, top in SHIPPED:
         netlist = elaborate(parse(source), top)
         for opt in OPT_LEVELS:
-            wirings = part_demand(netlist, plans_of(netlist, BuildConfig(sanitize=sanitize, opt=opt)))
+            build = BuildConfig(sanitize=sanitize, opt=opt)
+            wirings = part_demand(netlist, plans_of(netlist, build))
             for key, wiring in wirings.items():
-                assert wiring.edge.pending == frozenset(), (name, opt, key)
+                assert wiring.edge.reads_old == frozenset(), (name, opt, key)

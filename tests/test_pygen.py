@@ -35,7 +35,7 @@ class TestStateLayout:
         code = library["counter#(W=8)"]
         state = code.make_state()
         layout = code.layout
-        assert layout.stash_slot == 2 * code.num_regs
+        assert layout.stash_slot == code.num_regs  # one slot per register
         assert len(state) == layout.mem_base == layout.stash_slot + 1
         assert state[layout.stash_slot] is None
 

@@ -406,9 +406,10 @@ endmodule
 
 # Registers written in place (``callplan.edge_plan``): statements that
 # read a register run before those that write it, two writers keep
-# their order, and a register read after its write keeps its pending
-# slot -- across blocks, ``case`` arms, part and bit selects, a memory
-# two blocks write and a continuous assign read late.
+# their order, and a register read after its write is read through a
+# local bound before any write -- across blocks, ``case`` arms, part and
+# bit selects, a memory two blocks write and a continuous assign read
+# late.
 IN_PLACE = """
 module sink (input clk, input [7:0] v, output [7:0] o);
   assign o = v;
@@ -449,24 +450,44 @@ endmodule
 """
 
 
+# Two blocks that swap ``a`` and ``b``: no order of them reads neither
+# after the other's write.  ``c`` is written in parts, each part read
+# (by the next part, a bit select, a dynamic bit) after a write.
+SWAP = """
+module swap (input clk, input rst, input [7:0] d, input [1:0] sel, output [7:0] y);
+  reg [7:0] a, b, c;
+  assign y = a ^ {b[3:0], c[7:4]};
+  always @(posedge clk) a <= rst ? d : b;
+  always @(posedge clk) b <= rst ? ~d : a;
+  always @(posedge clk) begin
+    c[3:0] <= c[7:4] ^ d[3:0];
+    if (sel[0]) c[7:4] <= c[3:0] + d[7:4];
+    if (sel[1]) c[sel] <= ~c[0];
+    else c[1] <= c[2];
+  end
+endmodule
+"""
+
+
 class TestInPlaceWrites:
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 255), st.integers(0, 3)),
-                    min_size=1, max_size=40))
-    def test_every_build_agrees_with_the_inline_baseline(self, stimulus):
+    """Every build, clean and sanitized at each opt level, agrees with
+    the inline baseline cycle by cycle."""
+
+    @staticmethod
+    def agree(source, top, stimulus):
         from repro.baseline import BaselineCompiler
-        from repro.codegen.build import BuildConfig
+        from repro.codegen.build import OPT_LEVELS, BuildConfig
         from repro.hdl import elaborate, parse
         from repro.passes import compile_netlist
         from repro.sanitize import SanitizerRuntime
 
-        netlist = elaborate(parse(IN_PLACE), "m")
+        netlist = elaborate(parse(source), top)
         pipes = [BaselineCompiler(mode="inline").compile(netlist).make_pipe()]
-        for build in (BuildConfig(), BuildConfig(opt="full"),
-                      BuildConfig(sanitize=True), BuildConfig(sanitize=True, san_elide=False)):
+        builds = [BuildConfig(sanitize=sanitize, opt=opt)
+                  for sanitize in (False, True) for opt in OPT_LEVELS]
+        for build in builds + [BuildConfig(sanitize=True, san_elide=False)]:
             runtime = SanitizerRuntime("report") if build.sanitize else None
             pipes.append(Pipe(netlist.top, compile_netlist(netlist, build, runtime)))
-        assert netlist.modules["m"].num_regs == 7
         for rst, d, sel in [(True, 0, 0)] + stimulus:
             outputs = []
             for pipe in pipes:
@@ -478,3 +499,20 @@ class TestInPlaceWrites:
         for pipe in pipes[1:]:
             shared = {f"{name}": value for name, value in pipe.top.registers().items()}
             assert shared == {name: flat[name] for name in shared}
+        return netlist
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 255), st.integers(0, 3)),
+                    min_size=1, max_size=40))
+    def test_every_build_agrees_with_the_inline_baseline(self, stimulus):
+        netlist = self.agree(IN_PLACE, "m", stimulus)
+        assert netlist.modules["m"].num_regs == 7
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 255), st.integers(0, 3)),
+                    min_size=1, max_size=40))
+    def test_a_swap_and_partial_writes_agree_with_the_inline_baseline(self, stimulus):
+        from repro.codegen.callplan import edge_plan
+
+        netlist = self.agree(SWAP, "swap", stimulus)
+        assert edge_plan(netlist.modules["swap"]).reads_old == {"b", "c"}
