@@ -450,8 +450,8 @@ endmodule
 """
 
 
-# Two blocks that swap ``a`` and ``b``: no order of them reads neither
-# after the other's write.  ``c`` is written in parts, each part read
+# Two blocks that swap ``a`` and ``b``: in either order, one reads a
+# register the other has written.  ``c`` is written in parts, each part read
 # (by the next part, a bit select, a dynamic bit) after a write.
 SWAP = """
 module swap (input clk, input rst, input [7:0] d, input [1:0] sel, output [7:0] y);
