@@ -6,9 +6,17 @@ quantities on this substrate.
 """
 
 
+import statistics
+from time import perf_counter
+
+import pytest
+
+from repro import obs
 from repro.bench.figures import checkpoint_overhead
 from repro.bench.reporting import format_table
 from repro.bench.workloads import PGASWorkbench
+from repro.live.checkpoint import CheckpointStore
+from repro.sim import Pipe, stage
 
 from .conftest import emit
 
@@ -82,3 +90,103 @@ def test_bench_checkpoint_capture(benchmark, sizes):
 
     checkpoint = benchmark(capture)
     assert checkpoint.total_bytes() > 0
+
+
+# The parts of a take, in the order the split prints them.
+PARTS = ("pages", "registers", "records", "obs span", "store")
+
+
+def _timed(fn, part, spent):
+    def timed(*args):
+        started = perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            spent[part] = spent.get(part, 0.0) + perf_counter() - started
+    return timed
+
+
+def _register_compare(inst, record):
+    """What a take spends on register tuples: build each instance's and
+    compare it with the base's (timed apart, on the same state)."""
+    started = perf_counter()
+    stack = [(inst, record)]
+    while stack:
+        inst, record = stack.pop()
+        tuple(inst.state[: inst.code.num_regs]) == record.values
+        stack.extend(zip(inst.children, record.children))
+    return perf_counter() - started
+
+
+def _marked_pages(pipe):
+    """The pages a take against the capture before compares: each
+    memory's marked pages, and a memory of one page whole."""
+    return sum(
+        len(inst.state[spec.marks_slot]) if spec.marks_slot >= 0 else 1
+        for _, inst in pipe.top.walk() for spec in inst.code.mem_order
+    )
+
+
+def take_split(n, takes=20, interval=25):
+    """The first (baseless) take and the median parts of a steady-state
+    take one ``interval`` after the one before, in microseconds, and the
+    pages each steady-state take compared and had marked."""
+    bench = PGASWorkbench(n, checkpoint_interval=1_000_000)
+    session = bench.build_session()
+    pipe, store = session.pipe("uut"), session.store("uut")
+    metrics = obs.get_metrics()
+    try:
+        bench.run(50)
+        started = perf_counter()
+        store.take(pipe, "1.0", 0)
+        first = perf_counter() - started
+        parts = {part: [] for part in ("take",) + PARTS}
+        compared, marked = [], []
+        spent = {}
+        with pytest.MonkeyPatch.context() as patched:
+            for owner, name, part in (
+                (stage, "_capture", "pages"), (Pipe, "snapshot", "snapshot"),
+                (CheckpointStore, "_insert", "store"), (CheckpointStore, "gc", "store"),
+            ):
+                patched.setattr(owner, name, _timed(getattr(owner, name), part, spent))
+            for _ in range(takes):
+                bench.run(interval)
+                marked.append(_marked_pages(pipe))
+                spent.clear()
+                before = metrics.counter("checkpoint.pages_compared")
+                started = perf_counter()
+                store.take(pipe, "1.0", 0)
+                total = perf_counter() - started
+                compared.append(metrics.counter("checkpoint.pages_compared") - before)
+                registers = _register_compare(pipe.top, store.all()[-2].snapshot.state)
+                parts["take"].append(total)
+                parts["pages"].append(spent.get("pages", 0.0))
+                parts["registers"].append(registers)
+                parts["records"].append(spent["snapshot"] - spent.get("pages", 0.0) - registers)
+                parts["store"].append(spent.get("store", 0.0))
+                parts["obs span"].append(total - spent["snapshot"] - spent.get("store", 0.0))
+    finally:
+        session.close()
+    split = {part: 1e6 * statistics.median(values) for part, values in parts.items()}
+    split["first take"] = 1e6 * first
+    return split, compared, marked
+
+
+def test_a_steady_take_compares_only_the_pages_its_interval_marked(benchmark, sizes):
+    """§V-B's take, split into its parts (the sum of the parts is the
+    median take, the timers around them included), and the exact count:
+    a take one interval after the one before compares the pages the
+    interval wrote, and nothing else."""
+    splits = benchmark.pedantic(
+        lambda: [take_split(n) for n in sizes[:2]], rounds=1, iterations=1,
+    )
+    columns = ("first take", "take") + PARTS
+    emit(format_table(
+        "§V-B — one steady-state take (interval 25), median us",
+        list(columns) + ["pages compared"],
+        [[round(split[c], 1) for c in columns] + [statistics.median(compared)]
+         for split, compared, _ in splits],
+        row_labels=[f"{n}x{n}" for n in sizes[:2]],
+    ))
+    for _, compared, marked in splits:
+        assert compared == marked

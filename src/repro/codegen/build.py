@@ -29,7 +29,7 @@ MUX_STYLES = ("branch", "select")
 # file the program persists names it in its header
 # (:func:`repro.live.checkpoint.write_sealed`), so a file of another
 # format is refused before it is decoded.
-STORE_FORMAT = "repro.store/v24"
+STORE_FORMAT = "repro.store/v25"
 
 
 @dataclass(frozen=True)

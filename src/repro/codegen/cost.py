@@ -26,11 +26,12 @@ Styles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..hdl import ast_nodes as ast
 from ..ir.netlist import ModuleIR, Netlist
 from .callplan import edge_plan
+from .optplan import NO_OPT
 
 _BYTES_PER_INSTR = 4.2  # x86-64 average instruction length
 _CALL_OVERHEAD = 12  # instructions per child-module call (LiveSim style)
@@ -270,8 +271,10 @@ class _CostWalker:
         return total
 
 
-def module_cost(ir: ModuleIR, style: str) -> ModuleCost:
-    """Per-instance, per-cycle cost of one module in one style."""
+def module_cost(ir: ModuleIR, style: str, skip_children: Tuple[int, ...] = ()) -> ModuleCost:
+    """Per-instance, per-cycle cost of one module in one style, whose
+    ``cycle`` skips the children at ``skip_children`` (the pure ones,
+    at every opt level: :meth:`~repro.ir.netlist.Netlist.pure_keys`)."""
     walker = _CostWalker(ir, style)
     dynamic = OpCount()
     static_ops = 0.0
@@ -286,7 +289,7 @@ def module_cost(ir: ModuleIR, style: str) -> ModuleCost:
         dynamic.add(walker.stmts(seq.body, is_seq=True))
         static_ops += walker.static_stmts(seq.body)
     # One bind per register whose old value ``cycle`` reads after a write.
-    old = len(edge_plan(ir).reads_old)
+    old = len(edge_plan(ir, NO_OPT._replace(skip_children=skip_children)).reads_old)
     dynamic.loads += old
     static_ops += old
     # Child call glue.
@@ -334,8 +337,13 @@ def design_cost(netlist: Netlist, style: str) -> DesignCost:
       is the sum over *instances*.
     """
     counts = netlist.instance_count()
+    pure = netlist.pure_keys()
     module_costs = {
-        key: module_cost(netlist.modules[key], style) for key in counts
+        key: module_cost(netlist.modules[key], style, tuple(
+            index for index, inst in enumerate(netlist.modules[key].instances)
+            if inst.child_key in pure
+        ))
+        for key in counts
     }
     total = DesignCost(style=style, instructions=0.0, branches=0.0, loads=0.0,
                        stores=0.0, code_bytes=0.0, data_bytes=0.0,

@@ -40,7 +40,7 @@ from ..ir.schedule import toposort
 from .build import BuildConfig
 from .emitter import FunctionEmitter, block
 from .exprgen import ExprGen, Resolver, StmtGen, mask_of
-from .module import CompiledModule, MemSpec, exec_source, settle_loop, state_layout
+from .module import PAGE_SHIFT, CompiledModule, MemSpec, exec_source, settle_loop, state_layout
 
 
 @dataclass
@@ -375,8 +375,12 @@ class _FlatCompiler:
                 emit.line(f"_pw = s[{spec.pending_slot}]")
                 with block(emit, "if _pw:"):
                     emit.line(f"_m = s[{spec.slot}]")
+                    if spec.marks_slot >= 0:
+                        emit.line(f"_d = s[{spec.marks_slot}]")
                     with block(emit, "for _a, _v in _pw:"):
                         emit.line("_m[_a] = _v")
+                        if spec.marks_slot >= 0:
+                            emit.line(f"_d.add(_a >> {PAGE_SHIFT})")
                     emit.line("del _pw[:]")
                 wrote = True
             if not wrote:

@@ -46,6 +46,8 @@ State array layout per instance (a plain Python list)::
     [NR]               the stash: settled locals the next part or cycle reads
     [NR+1 + j]         memory j contents (list of ints)
     [NR+1+NM + j]      memory j pending writes (list of (addr, value))
+    [NR+1+2NM + k]     the page marks of the k-th memory deeper than one
+                       page (:class:`PageMarks`)
 
 followed, in sanitized builds, by the poison bitmaps and the per-cycle
 nonblocking-write dict (see :class:`StateLayout`).
@@ -58,6 +60,14 @@ it and restores it; the other writers (``make_state``,
 ``StageInst.load``) leave the lists empty.  An edge interrupted by an
 exception breaks it, and leaves its pipe torn until a restore
 (:attr:`repro.sim.pipeline.Pipe.torn`).
+
+Invariant: a memory with page marks equals the image its marks were
+last synced with (:attr:`PageMarks.image`) outside its marked pages.
+Every writer keeps it: ``cycle``'s commit marks the page of each word
+it writes, ``StageInst.write_memory`` the pages it writes, and a
+capture or a load of the memory syncs the marks to that image.  A
+checkpoint take then compares, and a rewind copies, only the pages where
+the words can differ from its base or its target.
 
 Anything that mutates state outside ``cycle`` (snapshot restore, pokes,
 direct memory writes) must drop the pipe's settled outputs, so that the
@@ -80,6 +90,13 @@ from .emitter import FunctionEmitter, block
 
 # Passes a comb loop's generated settle loop runs before ConvergenceError.
 MAX_PASSES = 16
+
+# Words per page of a memory, in its marks and its checkpoint images:
+# word ``a`` is on page ``a >> PAGE_SHIFT``.  Smaller pages share more
+# between consecutive checkpoints but cost more to capture, larger ones
+# the reverse (the table in EXPERIMENTS.md, §V-B).
+PAGE_SHIFT = 8
+PAGE_WORDS = 1 << PAGE_SHIFT
 
 # The most items CPython (3.10-3.12) puts on its stack for one call or
 # one tuple display: a call with more arguments compiles to
@@ -137,11 +154,29 @@ def settle_loop(emit: FunctionEmitter, names: Sequence[str],
         emit.line(f"raise ConvergenceError({message!r})")
 
 
+class PageMarks(set):
+    """The pages one memory's writers wrote since its words last equalled
+    ``image`` (an earlier capture of them, or None when no image is
+    known and every page counts as written)."""
+
+    __slots__ = ("image",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.image = None
+
+    def sync(self, image, pages=()) -> None:
+        """The words now equal ``image`` outside ``pages``."""
+        self.clear()
+        self.update(pages)
+        self.image = image
+
+
 class StateLayout(NamedTuple):
     """Where each region of an instance's state list starts."""
 
     stash_slot: int  # the settled locals the next part or cycle reads
-    mem_base: int  # NM contents lists, then NM pending-write lists
+    mem_base: int  # NM contents lists, NM pending-write lists, the page marks
     # Sanitized builds (repro.sanitize) add NM + 2 slots:
     #   [sanitize_base]           register poison bitmap (bit i <-> reg i)
     #   [sanitize_base + 1 + j]   memory j word-poison bitmap
@@ -161,6 +196,7 @@ class MemSpec:
     slot: int  # state index of the contents list
     pending_slot: int  # state index of the pending-writes list
     poison_slot: int = -1  # word-poison bitmap slot (sanitized builds only)
+    marks_slot: int = -1  # PageMarks slot (memories deeper than one page)
 
 
 def state_layout(num_regs: int, memories: Sequence[Tuple[str, int, int]],
@@ -171,7 +207,9 @@ def state_layout(num_regs: int, memories: Sequence[Tuple[str, int, int]],
     num_mems = len(memories)
     stash_slot = num_regs
     mem_base = stash_slot + 1  # the stash is one slot
-    sanitize_base = mem_base + 2 * num_mems
+    paged = [j for j, (_, _, depth) in enumerate(memories) if depth > PAGE_WORDS]
+    marks = {j: mem_base + 2 * num_mems + k for k, j in enumerate(paged)}
+    sanitize_base = mem_base + 2 * num_mems + len(paged)
     layout = StateLayout(
         stash_slot=stash_slot,
         mem_base=mem_base,
@@ -182,7 +220,8 @@ def state_layout(num_regs: int, memories: Sequence[Tuple[str, int, int]],
     )
     return layout, {
         name: MemSpec(name, width, depth, slot=mem_base + j, pending_slot=mem_base + num_mems + j,
-                      poison_slot=sanitize_base + 1 + j if sanitize else -1)
+                      poison_slot=sanitize_base + 1 + j if sanitize else -1,
+                      marks_slot=marks.get(j, -1))
         for j, (name, width, depth) in enumerate(memories)
     }
 
@@ -244,6 +283,11 @@ class CompiledModule:
         return tuple(sorted(self.reg_slots, key=self.reg_slots.__getitem__))
 
     @cached_property
+    def reg_masks(self) -> Tuple[int, ...]:
+        """Each register's largest value, in slot order."""
+        return tuple((1 << self.reg_widths[name]) - 1 for name in self.reg_names)
+
+    @cached_property
     def mem_order(self) -> Tuple[MemSpec, ...]:
         """The memory specs in slot order."""
         return tuple(sorted(self.mem_specs.values(), key=lambda m: m.slot))
@@ -261,6 +305,7 @@ class CompiledModule:
             state.append([0] * spec.depth)
         for spec in ordered:
             state.append([])
+        state.extend(PageMarks() for spec in ordered if spec.marks_slot >= 0)
         if self.build.sanitize:
             # Cold start is defined power-on zero: all poison clear.
             state.append(0)  # register poison bitmap

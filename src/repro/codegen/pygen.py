@@ -110,8 +110,8 @@ from .callplan import Boundary, Part, Step, Wiring, part_name, part_names, part_
 from .emitter import FunctionEmitter, block
 from .exprgen import ATOM, BAND, COND, Code, ExprGen, Resolver, StmtGen, mask_of, paren
 from .module import (
-    CompiledModule, entry_points, exec_source, flat_tuple, nested_tuple, packs,
-    settle_loop, state_layout,
+    PAGE_SHIFT, CompiledModule, entry_points, exec_source, flat_tuple, nested_tuple,
+    packs, settle_loop, state_layout,
 )
 from .sinking import MAX_COPIES, MAX_DEPTH, Path, PathReads, all_exclusive, carries_hook
 
@@ -705,8 +705,12 @@ class ModuleCompiler:
             spec = self._mem_slot[name]
             with block(body, f"if _pw_{name}:"):
                 body.line(f"_m = s[{spec.slot}]")
+                if spec.marks_slot >= 0:
+                    body.line(f"_d = s[{spec.marks_slot}]")
                 with block(body, f"for _a, _v in _pw_{name}:"):
                     body.line("_m[_a] = _v")
+                    if spec.marks_slot >= 0:
+                        body.line(f"_d.add(_a >> {PAGE_SHIFT})")
                     if hooks is not None:
                         hooks.commit_mem_word(body, name)
                 body.line(f"del _pw_{name}[:]")

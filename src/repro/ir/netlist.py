@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..hdl import ast_nodes as ast
 
@@ -305,6 +305,19 @@ class Netlist:
             for inst in self.modules[key].instances:
                 self._visit(inst.child_key, seen, order)
             order.append(key)
+
+    def pure_keys(self) -> FrozenSet[str]:
+        """The specializations whose whole subtree is stateless: no
+        registers, memories or sequential blocks anywhere below (a comb
+        loop settles inside ``eval_out``, so it carries nothing either).
+        A pure child's ``cycle`` call is a no-op a parent may elide."""
+        pure: Set[str] = set()
+        for key in self.children_first():
+            ir = self.modules[key]
+            if (not ir.num_regs and not ir.memories and not ir.seq_blocks
+                    and all(inst.child_key in pure for inst in ir.instances)):
+                pure.add(key)
+        return frozenset(pure)
 
     def instance_count(self, key: Optional[str] = None) -> Dict[str, int]:
         """Total instance count per specialization under the top.

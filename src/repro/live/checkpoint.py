@@ -16,8 +16,10 @@ shares with that checkpoint every register tuple, memory page
 (:class:`~repro.sim.stage.MemImage`), image and whole record the
 interval did not change, so a checkpoint holds what its interval
 changed (:meth:`CheckpointStore.resident_bytes`), and a saved store
-writes a shared object once.  Capture cost is measured and reported by
-the overhead bench exactly as §V-B does.
+writes a shared object once.  A memory's writers mark the pages they
+write (:class:`~repro.codegen.module.PageMarks`), so a take compares,
+and a rewind copies, only the pages the interval wrote.  Capture cost
+is measured and reported by the overhead bench exactly as §V-B does.
 """
 
 from __future__ import annotations

@@ -11,19 +11,15 @@ rules that carry it across a design version live in
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import is_
+from itertools import chain, compress, count
+from operator import is_, is_not, le
 from typing import (
     Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
-from ..codegen.module import CompiledModule
+from .. import obs
+from ..codegen.module import PAGE_SHIFT, PAGE_WORDS, CompiledModule, MemSpec
 from ..hdl.errors import SimulationError
-
-# Words per page of a memory image.  Smaller pages share more between
-# consecutive checkpoints but cost more to capture, larger ones the
-# reverse (the table in EXPERIMENTS.md, §V-B).
-PAGE_WORDS = 256
 
 
 class MemImage:
@@ -45,13 +41,25 @@ class MemImage:
         self._length = length
 
     @classmethod
-    def capture(cls, words: List[int], base=None) -> "MemImage":
+    def capture(cls, words: List[int], base=None, pages=None) -> "MemImage":
         """An image of ``words``.  ``base`` (any earlier image of the
         same memory, or None) only decides which objects are reused: a
         page only when its contents are equal, the image itself when
-        every page is."""
+        every page is.  ``pages``, when given, holds every page where
+        ``words`` can differ from ``base``: only those are compared,
+        and every other page is ``base``'s."""
         starts = range(0, len(words), PAGE_WORDS)
         if base is not None and base._length == len(words):
+            if pages is not None:
+                new = None
+                for index in pages:
+                    start = index << PAGE_SHIFT
+                    page = words[start : start + PAGE_WORDS]
+                    if page != base.pages[index]:
+                        if new is None:
+                            new = list(base.pages)
+                        new[index] = page
+                return base if new is None else cls(tuple(new), len(words))
             pages = tuple([
                 old if old == (page := words[start : start + PAGE_WORDS])
                 else page
@@ -106,6 +114,95 @@ class MemImage:
 def _same_items(new: tuple, old: tuple) -> bool:
     """Whether ``new`` holds ``old``'s objects, position by position."""
     return len(new) == len(old) and all(map(is_, new, old))
+
+
+def _unsynced(marks, image: MemImage) -> Optional[Set[int]]:
+    """The pages where a memory whose marks are ``marks`` can differ
+    from ``image`` (an image of its depth): the marked pages, and the
+    pages of ``image`` that are not those of the image the marks were
+    synced with.  None when the marks hold no image: every page can."""
+    synced = marks.image
+    if synced is None:
+        return None
+    pages = set(marks)
+    if image is not synced:
+        pages.update(compress(count(), map(is_not, image.pages, synced.pages)))
+    return pages
+
+
+def _capture(state: list, spec: MemSpec, old: Optional[MemImage],
+             tally: List[int]) -> MemImage:
+    """Memory ``spec`` of ``state`` as an image against ``old`` (an
+    earlier image of it, or None), its page marks synced to the result;
+    ``tally[0]`` counts the pages compared: those where the words can
+    differ from ``old`` (:func:`_unsynced`), or all of them."""
+    words = state[spec.slot]
+    if old is not None and len(old) != len(words):
+        old = None
+    if spec.marks_slot < 0:
+        if old is not None:
+            tally[0] += len(old.pages)
+        return MemImage.capture(words, old)
+    marks = state[spec.marks_slot]
+    if old is None:
+        image = MemImage.capture(words)
+    else:
+        todo = _unsynced(marks, old)
+        tally[0] += len(old.pages) if todo is None else len(todo)
+        image = MemImage.capture(words, old, todo)
+    marks.sync(image)
+    return image
+
+
+def _fill(state: list, spec: MemSpec, words: Optional[Sequence[int]]) -> int:
+    """Put ``words`` (an image, a list or None) into memory ``spec`` of
+    ``state``, masked to its width, and return how many words were
+    copied.  A memory keeps the words that overlap and a tail they do
+    not cover reads zero.  An image of the memory's depth is copied by
+    page, and only the pages where the live words can differ from it
+    (:func:`_unsynced`)."""
+    live = state[spec.slot]
+    mask = (1 << spec.width) - 1
+    marks = state[spec.marks_slot] if spec.marks_slot >= 0 else None
+    if type(words) is MemImage and len(words) == spec.depth:
+        pages = words.pages
+        todo = None if marks is None else _unsynced(marks, words)
+        masked, copied = [], 0
+        for index in range(len(pages)) if todo is None else todo:
+            page = pages[index]
+            # Same-width words (the common case) are copied, not
+            # re-masked one by one.
+            if max(page) > mask:
+                page = [w & mask for w in page]
+                masked.append(index)
+            start = index << PAGE_SHIFT
+            live[start : start + len(page)] = page
+            copied += len(page)
+        if marks is not None:
+            marks.sync(words, masked)
+        return copied
+    # A slice is a new flat list of an image or a list alike.
+    words = (words or [])[: spec.depth]
+    carried = len(words)
+    if words and max(words) > mask:
+        words = [w & mask for w in words]
+    words += [0] * (spec.depth - carried)
+    live[:] = words
+    if marks is not None:
+        marks.sync(None)
+    return spec.depth
+
+
+def _fits(snap: "StateSnapshot", code: CompiledModule) -> bool:
+    """Whether ``snap`` is a record of ``code``'s module (its key,
+    register names and memory names) whose values fit their widths, so
+    that they load slot by slot as they are."""
+    return (
+        snap.key == code.key
+        and snap.reg_names == code.reg_names
+        and snap.mem_names == code.mem_names
+        and all(map(le, snap.values, code.reg_masks))
+    )
 
 
 def _paired(insts: Sequence["StageInst"], snaps: Sequence["StateSnapshot"]):
@@ -400,9 +497,14 @@ class StageInst:
         self.invalidate_cache()
 
     def memory(self, name: str) -> List[int]:
+        """The live words of memory ``name``.  A caller may write them
+        (then :meth:`invalidate_cache`), so the next capture of the
+        memory compares every page."""
         spec = self.code.mem_specs.get(name)
         if spec is None:
             raise SimulationError(f"{self.code.name!r} has no memory {name!r}")
+        if spec.marks_slot >= 0:
+            self.state[spec.marks_slot].sync(None)
         return self.state[spec.slot]
 
     def registers(self) -> Dict[str, int]:
@@ -421,7 +523,21 @@ class StageInst:
         the base's record, so an idle subtree costs nothing.  Children
         pair with the base's by instance name, by position whenever
         the two lists agree (always, against a base of this module).
+
+        Each memory with page marks is compared only where its words
+        can differ from the base's image: its marked pages, and the
+        pages of that image which are not the image the marks were last
+        synced with (none, when the base is the previous capture); it
+        is then synced to its new image.  Counter
+        ``checkpoint.pages_compared`` counts the pages compared.
         """
+        tally = [0]
+        snap = self._snapshot(base, tally)
+        if tally[0]:
+            obs.incr("checkpoint.pages_compared", tally[0])
+        return snap
+
+    def _snapshot(self, base: Optional[StateSnapshot], tally: List[int]) -> StateSnapshot:
         code = self.code
         state = self.state
         reg_names = code.reg_names
@@ -442,10 +558,10 @@ class StageInst:
             return StateSnapshot(
                 code.key, self.name, reg_names, values, mem_names,
                 tuple([
-                    MemImage.capture(state[spec.slot])
+                    _capture(state, spec, None, tally)
                     for spec in code.mem_order
                 ]),
-                tuple([child.snapshot() for child in self.children]),
+                tuple([child._snapshot(None, tally) for child in self.children]),
                 reg_poison, poison_words,
             )
         if values == base.values:
@@ -458,7 +574,7 @@ class StageInst:
                 by_name = base.mems
                 olds = [by_name.get(name) for name in mem_names]
             images = tuple([
-                MemImage.capture(state[spec.slot], old)
+                _capture(state, spec, old, tally)
                 for spec, old in zip(code.mem_order, olds)
             ])
             if _same_items(images, base.images):
@@ -466,7 +582,7 @@ class StageInst:
         children = ()
         if self.children:
             children = tuple([
-                child.snapshot(old)
+                child._snapshot(old, tally)
                 for child, old in zip(
                     self.children, _paired(self.children, base.children)
                 )
@@ -533,40 +649,50 @@ class StageInst:
         from-reset run would hold there.  Children are matched by
         instance name (by position when the lists agree); one the
         snapshot lacks restarts at power-on.
+
+        A record of this module (its key, register and memory names)
+        whose values fit their widths is written slot by slot, its
+        registers in one slice store.  A memory takes only the pages
+        of its image that can differ from its words (:func:`_fill`);
+        counter ``checkpoint.words_restored`` counts the words copied.
         """
+        restored = self._load(snap)
+        if restored:
+            obs.incr("checkpoint.words_restored", restored)
+
+    def _load(self, snap: StateSnapshot) -> int:
         code = self.code
         state = self.state
         num_regs = code.num_regs
-        poisoned = list(snap.reg_poison)
-        # The name-keyed views are built only for an instance that has
-        # registers or memories to fill.
-        regs = snap.regs if num_regs else {}
-        for name, slot in code.reg_slots.items():
-            value = regs.get(name)
-            if value is None:
-                value = 0
-                poisoned.append(name)
-            state[slot] = value & ((1 << code.reg_widths[name]) - 1)
-        mems = mem_poison = {}
+        if _fits(snap, code):
+            state[:num_regs] = snap.values
+            poisoned = snap.reg_poison
+            images = snap.images
+        else:
+            poisoned = list(snap.reg_poison)
+            # The name-keyed views are built only for an instance that
+            # has registers or memories to fill.
+            regs = snap.regs if num_regs else {}
+            for name, slot in code.reg_slots.items():
+                value = regs.get(name)
+                if value is None:
+                    value = 0
+                    poisoned.append(name)
+                state[slot] = value & ((1 << code.reg_widths[name]) - 1)
+            mems = snap.mems if code.mem_specs else {}
+            images = [mems.get(spec.name) for spec in code.mem_order]
+        restored = 0
         if code.mem_specs:
-            mems, mem_poison = snap.mems, snap.mem_poison
-        for name, spec in code.mem_specs.items():
-            # A slice is a new flat list of an image or a list alike.
-            words = mems.get(name, [])[: spec.depth]
-            count = len(words)
-            mask = (1 << spec.width) - 1
-            # Same-width words (the common case) are copied, not
-            # re-masked one by one.
-            if words and max(words) > mask:
-                words = [w & mask for w in words]
-            words += [0] * (spec.depth - count)
-            state[spec.slot][:] = words
-            del state[spec.pending_slot][:]
-            if code.build.sanitize:
-                carried = (1 << count) - 1
-                state[spec.poison_slot] = (
-                    ((1 << spec.depth) - 1) & ~carried
-                ) | (mem_poison.get(name, 0) & carried)
+            mem_poison = snap.mem_poison
+            sanitize = code.build.sanitize
+            for spec, words in zip(code.mem_order, images):
+                if sanitize:
+                    carried = (1 << min(len(words or ()), spec.depth)) - 1
+                    state[spec.poison_slot] = (
+                        ((1 << spec.depth) - 1) & ~carried
+                    ) | (mem_poison.get(spec.name, 0) & carried)
+                restored += _fill(state, spec, words)
+                del state[spec.pending_slot][:]
         if code.build.sanitize:
             pbits = 0
             for name in poisoned:
@@ -578,12 +704,13 @@ class StageInst:
         self.invalidate_cache()
         children = self.children
         if not children:
-            return
+            return restored
         for child, child_snap in zip(children, _paired(children, snap.children)):
             if child_snap is not None:
-                child.load(child_snap)
+                restored += child._load(child_snap)
             else:
                 child.reset_state()
+        return restored
 
     def reset_state(self) -> None:
         """Zero all registers and memories (power-on state)."""
@@ -606,16 +733,23 @@ class StageInst:
 
     def write_memory(self, name: str, offset: int, words: List[int]) -> None:
         """Write ``words`` into memory ``name`` starting at ``offset``
-        (word-indexed), dropping the pipe's settled outputs."""
-        target = self.memory(name)
+        (word-indexed), dropping the pipe's settled outputs and marking
+        the pages written."""
+        spec = self.code.mem_specs.get(name)
+        if spec is None:
+            raise SimulationError(f"{self.code.name!r} has no memory {name!r}")
+        target = self.state[spec.slot]
         if offset < 0 or offset + len(words) > len(target):
             raise SimulationError(
                 f"write of {len(words)} words at {offset} exceeds "
                 f"memory {name!r}"
             )
-        spec = self.code.mem_specs[name]
         mask = (1 << spec.width) - 1
         target[offset : offset + len(words)] = [w & mask for w in words]
+        if spec.marks_slot >= 0 and words:
+            self.state[spec.marks_slot].update(range(
+                offset >> PAGE_SHIFT, ((offset + len(words) - 1) >> PAGE_SHIFT) + 1
+            ))
         if self.code.build.sanitize:
             self.state[spec.poison_slot] &= ~(
                 ((1 << len(words)) - 1) << offset

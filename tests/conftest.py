@@ -206,6 +206,28 @@ def assert_between_edges(pipe: Pipe) -> None:
             assert inst.state[spec.pending_slot] == [], (path, spec.name)
 
 
+def assert_marks_hold(pipe: Pipe) -> int:
+    """The page marks' invariant (:mod:`repro.codegen.module`): every
+    memory with page marks equals the image they were last synced with
+    outside its marked pages, in every instance.  Returns how many
+    memories had an image to hold to."""
+    held = 0
+    for path, inst in pipe.top.walk():
+        for spec in inst.code.mem_order:
+            if spec.marks_slot < 0:
+                continue
+            marks = inst.state[spec.marks_slot]
+            if marks.image is None:
+                continue
+            held += 1
+            words = inst.state[spec.slot]
+            for index, page in enumerate(marks.image.pages):
+                if index not in marks:
+                    start = index * len(marks.image.pages[0])
+                    assert words[start : start + len(page)] == page, (path, spec.name, index)
+    return held
+
+
 def _bodies(source: str, hooked: bool) -> str:
     """``source`` with one body of each function that has two."""
     tree = ast.parse(source)

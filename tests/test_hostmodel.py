@@ -250,3 +250,19 @@ class TestCostModelGroundTruth:
         ex = module_cost(netlist.modules["rv_ex"], "branch").instructions
         iff = module_cost(netlist.modules["rv_if"], "branch").instructions
         assert ex > 5 * iff
+
+    def test_a_skipped_pure_child_costs_its_parent_no_old_value_bind(self):
+        """``counter.v``'s ``cycle`` skips the pure ``adder`` at every
+        opt level, so it reads ``count_q`` once and binds no old value;
+        the model charges the bind only when the child is not skipped."""
+        from pathlib import Path
+
+        from repro.codegen.cost import module_cost
+
+        source = (Path(__file__).resolve().parent.parent / "examples" / "designs"
+                  / "counter.v").read_text()
+        netlist = elaborate(parse(source), "top")
+        key = next(key for key in netlist.modules if key.startswith("counter"))
+        charged = design_cost(netlist, "branch").module_costs[key]
+        assert charged == module_cost(netlist.modules[key], "branch", (0,))
+        assert module_cost(netlist.modules[key], "branch").loads == charged.loads + 1

@@ -65,7 +65,7 @@ from repro.hdl.parser import parse
 from repro.live.session import LiveSession
 from repro.live.transform import RegisterTransform, TransformOp
 from repro.sim.testbench import hold_inputs, reset_sequence
-from tests.conftest import COUNTER_SRC, assert_between_edges, child_record
+from tests.conftest import COUNTER_SRC, assert_between_edges, assert_marks_hold, child_record
 
 DELTAS = [0, 1, 2, 5]
 REG_NAMES = ["count_q", "tally_q"]
@@ -91,8 +91,17 @@ STEPPED_SRC = COUNTER_SRC.replace(
 ).replace(".sum(next));", ".sum(next), .echo(echo));").replace(
     "count_q <= next;", "count_q <= next + (echo - count_q) * (echo - step);"
 )
+# A write-only memory of four pages, whose page the step picks: it gives
+# the checkpoints pages to mark, share and rewind, and the outputs no
+# term.
+STEPPED_SRC = STEPPED_SRC.replace(
+    "  assign count = count_q;",
+    "  assign count = count_q;\n  reg [W-1:0] hist [0:1023];\n"
+    "  always @(posedge clk)\n    if (!rst)\n      hist[{step[1:0], count_q}] <= next;",
+)
 assert STEPPED_SRC.count("step(step)") == 1
 assert STEPPED_SRC.count("echo") == 7
+assert STEPPED_SRC.count("hist[") == 1
 
 
 def design(delta: int, reg: str = "count_q", shadow: bool = False,
@@ -370,6 +379,12 @@ class LiveLoopMachine(RuleBasedStateMachine):
         pipe = self.session.pipe("p0")
         assert pipe.torn is None
         assert_between_edges(pipe)
+
+    @invariant()
+    def memories_equal_their_synced_images_outside_marked_pages(self) -> None:
+        # Every writer of a memory marks what it writes (the commit,
+        # ``write_memory``) or syncs the marks (a capture, a load).
+        assert_marks_hold(self.session.pipe("p0"))
 
     @invariant()
     def history_covers_pipe_position(self) -> None:

@@ -35,6 +35,14 @@ A wall-clock bound cannot see a few per cent; a count can.  Each row of
   codegen pass makes when a live compile of the 2x2 mesh is edited in
   ``rv_ex``'s body (``riscv.patches``' ``ex-forward-priority``): the
   edited module's own, the rest kept from the compile before.
+- ``ckpt.2x2.*``: a clean 2x2 mesh on livebench's boot testbench,
+  checkpointed at cycles 200 and 300 and rewound from cycle 400 to the
+  first: the pages the second take compares (counter
+  ``checkpoint.pages_compared``: the pages its interval wrote, and each
+  single-page register file) and the words the rewind copies (counter
+  ``checkpoint.words_restored``: the pages written since the second
+  take, the pages the first differs from it in, and every register
+  file).
 - ``settle.*``: the runs of a comb loop's settle loop per cycle (the
   calls of its module's settled body, which holds the loop) in an
   unwatched run, with a sequential-only input (the reset) held at 1.
@@ -60,6 +68,7 @@ from benchmarks.livebench.workloads import (
 from repro import compile_design, obs
 from repro.codegen.build import BuildConfig
 from repro.hdl import elaborate, parse
+from repro.live.checkpoint import CheckpointStore
 from repro.live.compiler_live import LiveCompiler
 from repro.passes import compile_netlist
 from repro.riscv.patches import PATCHES
@@ -75,8 +84,8 @@ BUDGET = {
     "cycle.2x2.unwatched": 6,
     "cycle.2x2.watched": 9,
     "cycle.2x2.traced": 16,
-    "cycle.2x2.lines": 1054.4,
-    "cycle.4x4.lines": 4204.2,
+    "cycle.2x2.lines": 1054.8,
+    "cycle.4x4.lines": 4205.8,
     "entries.4x4.pgas_mesh_4x4.cycle": 1,
     "entries.4x4.pgas_mesh_4x4.eval_out": 1,
     "entries.4x4.pgas_node.cycle": 16,
@@ -104,10 +113,10 @@ BUDGET = {
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 60,
-    "setup.lines": 17_214,
+    "setup.lines": 17_393,
     "setup.dataclasses": 52,
-    "codegen.lines.mesh2x2": 525,
-    "codegen.lines.mesh4x4": 633,
+    "codegen.lines.mesh2x2": 527,
+    "codegen.lines.mesh4x4": 635,
     "codegen.lines.counter.v:adder": 6,
     "codegen.lines.counter.v:counter": 17,
     "codegen.lines.counter.v:top": 29,
@@ -118,6 +127,8 @@ BUDGET = {
     "compile.4x4.wirings": 10,
     "edit.2x2.rv_ex.walks": 2,
     "settle.loop_child.unwatched": 1,
+    "ckpt.2x2.take.pages_compared": 8,
+    "ckpt.2x2.rewind.words_copied": 1_152,
 }
 
 
@@ -336,3 +347,25 @@ def test_a_comb_loop_child_settles_once_per_cycle():
     pipe.step(10, driver=drive)
     measured = {"settle.loop_child.unwatched": sum(runs) / 10}
     assert not moved(measured), f"settle runs moved (pinned, now): {moved(measured)}"
+
+
+def test_a_2x2_checkpoint_moves_only_what_changed(pgas2_netlist_library):
+    _, netlist, library = pgas2_netlist_library
+    pipe = Pipe(netlist.top, library)
+    tb = boot_testbench(node_images(node_programs(1, 4)))
+    store = CheckpointStore(interval=100)
+    metrics = obs.get_metrics()
+    tb.run(pipe, 200)
+    first = store.take(pipe, "1.0", 0)
+    tb.run(pipe, 100)
+    before = metrics.counter("checkpoint.pages_compared")
+    store.take(pipe, "1.0", 0)
+    compared = metrics.counter("checkpoint.pages_compared") - before
+    tb.run(pipe, 100)
+    before = metrics.counter("checkpoint.words_restored")
+    pipe.restore_transformed(first.snapshot)
+    measured = {
+        "ckpt.2x2.take.pages_compared": compared,
+        "ckpt.2x2.rewind.words_copied": metrics.counter("checkpoint.words_restored") - before,
+    }
+    assert not moved(measured), f"checkpoint work moved (pinned, now): {moved(measured)}"
