@@ -48,28 +48,21 @@ class MemImage:
         every page is.  ``pages``, when given, holds every page where
         ``words`` can differ from ``base``: only those are compared,
         and every other page is ``base``'s."""
-        starts = range(0, len(words), PAGE_WORDS)
         if base is not None and base._length == len(words):
-            if pages is not None:
-                new = None
-                for index in pages:
-                    start = index << PAGE_SHIFT
-                    page = words[start : start + PAGE_WORDS]
-                    if page != base.pages[index]:
-                        if new is None:
-                            new = list(base.pages)
-                        new[index] = page
-                return base if new is None else cls(tuple(new), len(words))
-            pages = tuple([
-                old if old == (page := words[start : start + PAGE_WORDS])
-                else page
-                for start, old in zip(starts, base.pages)
-            ])
-            if _same_items(pages, base.pages):
-                return base
-            return cls(pages, len(words))
+            new = None
+            for index in range(len(base.pages)) if pages is None else pages:
+                start = index << PAGE_SHIFT
+                page = words[start : start + PAGE_WORDS]
+                if page != base.pages[index]:
+                    if new is None:
+                        new = list(base.pages)
+                    new[index] = page
+            return base if new is None else cls(tuple(new), len(words))
         return cls(
-            tuple([words[start : start + PAGE_WORDS] for start in starts]),
+            tuple([
+                words[start : start + PAGE_WORDS]
+                for start in range(0, len(words), PAGE_WORDS)
+            ]),
             len(words),
         )
 

@@ -113,7 +113,7 @@ BUDGET = {
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 60,
-    "setup.lines": 17_393,
+    "setup.lines": 17_386,
     "setup.dataclasses": 52,
     "codegen.lines.mesh2x2": 527,
     "codegen.lines.mesh4x4": 635,
