@@ -3,6 +3,7 @@ measurement."""
 
 from __future__ import annotations
 
+import gc
 import time
 import tracemalloc
 from collections import Counter
@@ -197,15 +198,20 @@ def checkpoint_overhead(
     assert tb is not None
     store = session.store("uut")
 
-    # Without checkpoints.
+    # Without checkpoints.  Each timed run starts from a collected heap:
+    # a run is a few milliseconds, and a collection that the allocations
+    # since start-up happen to trigger in one of them would outweigh
+    # every take in it.
     store.enabled = False
     session.run(tb, "uut", 50)  # warmup past reset
+    gc.collect()
     started = time.perf_counter()
     session.run(tb, "uut", cycles)
     hz_without = cycles / (time.perf_counter() - started)
 
     # With checkpoints.
     store.enabled = True
+    gc.collect()
     started = time.perf_counter()
     session.run(tb, "uut", cycles)
     hz_with = cycles / (time.perf_counter() - started)
