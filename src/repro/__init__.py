@@ -6,7 +6,7 @@ A from-scratch Python implementation of the system described in
 * :mod:`repro.hdl` — LHDL, a Verilog-subset frontend (lexer,
   preprocessor, parser, elaborator).
 * :mod:`repro.codegen` — the LiveSim compiler (one shared code object
-  per module specialization) and the static cost model.
+  per module specialization).
 * :mod:`repro.sim` — the simulation kernel (stages, pipes,
   testbenches).
 * :mod:`repro.live` — the live flow: LiveParser, LiveCompiler, hot
@@ -14,7 +14,7 @@ A from-scratch Python implementation of the system described in
 * :mod:`repro.baseline` — a Verilator-like flattening/replicating
   compiler used as the evaluation baseline.
 * :mod:`repro.hostmodel` — host cache/branch-predictor model behind the
-  Table VII numbers.
+  Table VII numbers, fed by a census of the generated code running.
 * :mod:`repro.riscv` — the RV64I PGAS multicore workload.
 
 Quick start::
@@ -51,7 +51,7 @@ def lazy_exports(
     Package roots resolve their public names this way, so that a process
     imports a subsystem when it first uses one: opening a session,
     running and editing never load verification, the baseline compiler,
-    the cost model, regression, cosimulation or trace reports.
+    the host model, regression, cosimulation or trace reports.
     """
     where = {
         name: module for module, names in exports.items() for name in names
@@ -73,7 +73,7 @@ def lazy_exports(
 
 _EXPORTS = {
     ".baseline": ("BaselineCompiler", "BaselineResult"),
-    ".codegen": ("BuildConfig", "CompiledModule", "design_cost"),
+    ".codegen": ("BuildConfig", "CompiledModule"),
     ".hdl": (
         "CompileBudgetExceeded", "ElaborationError", "HDLError",
         "ParseError", "SimulationError", "elaborate", "parse",

@@ -82,6 +82,9 @@ def run_bench(
             measure_baseline_speed=False,
             hot_reload_repeats=5,
         )
+    rows7 = []
+    if any(t in targets for t in ("fig7", "table7")):
+        rows7 = table7(sizes=list(sizes), trace_cycles=5)
 
     if "fig7" in targets:
         per_edit = {
@@ -89,8 +92,7 @@ def run_bench(
             for r in results
             if r.livesim_hot_reload_s is not None
         }
-        rows = table7(sizes=list(sizes), trace_cycles=5)
-        series = fig7_series(results, table7_rows=rows)
+        series = fig7_series(results, table7_rows=rows7)
         n0 = sizes[0]
         live = next(
             s for s in series
@@ -122,14 +124,13 @@ def run_bench(
         payload["fig8"] = [asdict(bar) for bar in fig8_bars(results)]
 
     if "table7" in targets:
-        rows = table7(sizes=list(sizes), trace_cycles=5)
         payload["table7"] = [
             {
                 "n": row.n,
                 "livesim": row.livesim.row(),
                 "verilator": row.verilator.row() if row.verilator else None,
             }
-            for row in rows
+            for row in rows7
         ]
 
     if "table8" in targets:

@@ -5,15 +5,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..codegen.cost import design_cost
+from ..baseline import BaselineCompiler
+from ..codegen.module import CompiledModule
 from ..hdl.elaborate import elaborate
 from ..hdl.parser import parse
+from ..hostmodel.cost import DesignCost, design_cost
 from ..hostmodel.perf import HostMachine, PerfModel, PerfResult
+from ..obs.census import census
+from ..passes import compile_netlist
+from ..riscv import programs
 from ..riscv.pgas import build_pgas_source, mesh_top_name
+from ..sim.pipeline import Pipe
 from .workloads import SizeResult
 
 # Paper Table VII anchor: LiveSim on the 1x1 PGAS measured 1974 KHz.
 PAPER_1X1_LIVESIM_KHZ = 1974.0
+
+# Cycles the busy-counter program runs past its two reset cycles before
+# a census starts: the cores are in their loop by then.
+CENSUS_AFTER = 50
 
 TABLE7_METRICS = ("KHz", "IPC", "I$ MPKI", "D$ MPKI", "BR MPKI")
 
@@ -26,6 +36,19 @@ class Table7Row:
     verilator: Optional[PerfResult]  # None => NA (didn't compile)
 
 
+def census_cost(library: Dict[str, CompiledModule], top: str, n: int,
+                cycles: int) -> DesignCost:
+    """The host cost of ``library``'s n x n mesh running the busy-counter
+    program on every core, read off a census of ``cycles`` cycles."""
+    pipe = Pipe(top, library)
+    programs.load_same_program(pipe, n * n, programs.busy_counter(10_000_000))
+    pipe.set_inputs(rst=1)
+    pipe.step(2)
+    pipe.set_inputs(rst=0)
+    pipe.step(CENSUS_AFTER)
+    return design_cost(library, top, census(pipe.step, cycles))
+
+
 def table7(
     sizes: Sequence[int] = (1, 2, 4, 8, 16),
     trace_cycles: int = 6,
@@ -34,6 +57,9 @@ def table7(
 ) -> List[Table7Row]:
     """Regenerate Table VII through the host model.
 
+    Each column is a census of ``trace_cycles`` cycles of the code that
+    runs: LiveSim's is the shared library ``compile_netlist`` builds,
+    Verilator's the replicated baseline (Table VIII's and Fig. 7's).
     ``verilator_na_at``: mesh size at/above which the baseline is
     reported NA (its compile exceeds any budget — paper: the 16x16
     never compiled in 24 h).
@@ -41,10 +67,12 @@ def table7(
     costs = {}
     for n in sizes:
         netlist = elaborate(parse(build_pgas_source(n)), mesh_top_name(n))
-        costs[n] = {
-            "livesim": design_cost(netlist, "branch"),
-            "verilator": design_cost(netlist, "select"),
-        }
+        costs[n] = {"livesim": census_cost(
+            compile_netlist(netlist), netlist.top, n, trace_cycles)}
+        if n < verilator_na_at:
+            baseline = BaselineCompiler(mode="replicate").compile(netlist)
+            costs[n]["verilator"] = census_cost(
+                baseline.library, baseline.top_key, n, trace_cycles)
     model = PerfModel(machine).calibrated(
         costs[sizes[0]]["livesim"], PAPER_1X1_LIVESIM_KHZ,
         trace_cycles=trace_cycles,

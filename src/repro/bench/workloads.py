@@ -1,15 +1,14 @@
 """The PGAS workbench: one object per mesh size with everything the
 figure/table generators need — LiveSim session, baseline compiles,
-measured simulation speeds, cost models."""
+measured simulation speeds."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..baseline import BaselineCompiler, BaselineResult
-from ..codegen.cost import DesignCost, design_cost
 from ..hdl.elaborate import elaborate
 from ..hdl.parser import parse
 from ..live.session import ERDReport, LiveSession
@@ -34,8 +33,6 @@ class SizeResult:
     baseline_instances: int = 0
     livesim_sim_hz: Optional[float] = None  # measured cycles/second
     baseline_sim_hz: Optional[float] = None
-    livesim_cost: Optional[DesignCost] = None
-    baseline_cost: Optional[DesignCost] = None
     erd_report: Optional[ERDReport] = None
 
 
@@ -108,13 +105,6 @@ class PGASWorkbench:
         )
         return compiler.compile(netlist)
 
-    def costs(self) -> Dict[str, DesignCost]:
-        netlist = elaborate(parse(self.source), self.top)
-        return {
-            "livesim": design_cost(netlist, "branch"),
-            "verilator": design_cost(netlist, "select"),
-        }
-
     def hot_reload(self, patch_name: str = "id-imm-sign") -> ERDReport:
         """Apply a realistic single-stage code change through the live
         loop; returns the ERD report (the Fig. 8 measurement).
@@ -165,10 +155,6 @@ class PGASWorkbench:
                 report = candidate
         result.erd_report = report
         result.livesim_hot_reload_s = report.total_seconds
-
-        costs = self.costs()
-        result.livesim_cost = costs["livesim"]
-        result.baseline_cost = costs["verilator"]
 
         if measure_baseline:
             baseline = self.compile_baseline()

@@ -11,17 +11,15 @@ contrasts (Fig. 4):
   fully inlined into one function), trading compile time and code
   footprint for intra-instance optimization.
 
-:mod:`repro.codegen.cost` derives static instruction/branch/memory
-costs from the IR for the host performance model (Table VII).
 Both write to the runtime contract, :mod:`repro.codegen.module`: all of
-codegen the simulator imports, with ``build``.
+codegen the simulator imports, with ``build``, and all the host model
+(:mod:`repro.hostmodel`) imports; it reads the rest off the code running.
 """
 
 from .. import lazy_exports
 
 _EXPORTS = {
     ".build": ("BuildConfig", "ModuleKey"),
-    ".cost": ("DesignCost", "ModuleCost", "design_cost", "module_cost"),
     ".module": ("CompiledModule",),
     ".pygen": ("compile_module",),
 }

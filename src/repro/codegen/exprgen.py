@@ -377,12 +377,13 @@ class ExprGen:
             return (f"{paren(if_true, OR)} if {paren(cond, OR)} "
                     f"else {if_false[0]}", COND)
         # Arithmetic select: evaluate both arms, pick by multiplication
-        # (the Verilator-like no-branch lowering).
+        # (the Verilator-like no-branch lowering).  The selector is the
+        # test compared with zero, a bool: no jump picks it.
         width = max(self.width_of(expr.if_true), self.width_of(expr.if_false))
         sel = self._emitter.fresh("sel")
         return self._masked((
-            f"{paren(if_true, TERM)} * ({sel} := 1 if {paren(cond, OR)} "
-            f"else 0) + {paren(if_false, TERM)} * (1 - {sel})", ARITH,
+            f"{paren(if_true, TERM)} * ({sel} := {paren(cond, BOR)} != 0) "
+            f"+ {paren(if_false, TERM)} * (1 - {sel})", ARITH,
         ), mask_of(width))
 
     def _gen_concat(self, expr: ast.Concat) -> Code:

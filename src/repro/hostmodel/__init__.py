@@ -9,15 +9,17 @@ I-footprint at the cost of call glue and extra branches.
 Pure-Python wall-clock timing cannot exhibit those effects (the
 interpreter's own footprint dominates), so this package *simulates* the
 mechanism: a set-associative cache model and a 2-bit branch predictor
-replay synthetic traces derived from each compiler's measured
-code/data footprint (see :mod:`repro.codegen.cost`), and an in-order
-IPC model turns miss rates into simulated-KHz.  Absolute numbers are
-calibrated against the paper's 1x1 column; the *shape* across design
-sizes is the reproduction target.
+replay synthetic traces sized by what each compiler's generated code
+executed and occupied (a :mod:`repro.obs.census` of it running, read by
+:mod:`repro.hostmodel.cost`), and an in-order IPC model turns miss
+rates into simulated-KHz.  Absolute numbers are calibrated against the
+paper's 1x1 column; the *shape* across design sizes is the
+reproduction target.
 """
 
 from .branch import BranchPredictor
 from .cache import CacheConfig, CacheSim, CacheStats
+from .cost import DesignCost, ModuleCost, design_cost
 from .perf import HostMachine, PerfModel, PerfResult
 from .trace import HostTraceStats, TraceSynthesizer
 
@@ -26,6 +28,9 @@ __all__ = [
     "CacheSim",
     "CacheStats",
     "BranchPredictor",
+    "DesignCost",
+    "ModuleCost",
+    "design_cost",
     "TraceSynthesizer",
     "HostTraceStats",
     "HostMachine",

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..codegen.cost import DesignCost
 from .cache import CacheConfig
+from .cost import DesignCost
 from .trace import HostTraceStats, TraceSynthesizer
 
 
@@ -42,7 +42,6 @@ class HostMachine:
 class PerfResult:
     """One Table VII column."""
 
-    style: str
     khz: float
     ipc: float
     i_mpki: float
@@ -63,7 +62,7 @@ class PerfResult:
 
 
 class PerfModel:
-    """Turns a design cost + trace statistics into Table VII numbers."""
+    """Turns a design cost and trace statistics into Table VII numbers."""
 
     def __init__(self, machine: HostMachine = HostMachine(),
                  khz_scale: float = 1.0):
@@ -112,7 +111,6 @@ class PerfModel:
             * cores
         )
         return PerfResult(
-            style=cost.style,
             khz=khz,
             ipc=ipc,
             i_mpki=stats.i_mpki,

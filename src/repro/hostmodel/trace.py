@@ -1,18 +1,18 @@
-"""Synthetic host-trace generation from design cost models.
+"""Synthetic host-trace generation from a design's census-read cost.
 
 One simulated design cycle produces, per instance, the host-level
 activity of evaluating that instance:
 
-* an instruction-fetch sweep over the instance's *code block* — shared
-  across instances under the LiveSim model, private per instance under
-  the Verilator model (this single difference produces the paper's
-  I$ cliff);
+* an instruction-fetch sweep over its library key's *code block* — one
+  block per key, so the instances of a shared module fetch the same
+  lines and a replicated library's instances each their own (this
+  single difference produces the paper's I$ cliff);
 * data traffic over the instance's private state array (plus sparse
   touches into its big memories);
-* branch events at the module's branch sites — shared sites across
-  instances for shared code, private sites for replicated code (which
-  is why shared code predicts *worse*: one 2-bit counter sees many
-  instances' disagreeing outcomes).
+* its share of the key's conditional jumps, spread over the key's
+  branch sites — sites shared by the key's instances (which is why
+  shared code predicts *worse*: one 2-bit counter sees many instances'
+  disagreeing outcomes).
 
 All pseudo-randomness is a deterministic splitmix-style hash, so runs
 are reproducible.
@@ -21,11 +21,11 @@ are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from ..codegen.cost import DesignCost
 from .branch import BranchPredictor, BranchStats
 from .cache import CacheConfig, CacheSim, CacheStats
+from .cost import DesignCost
 
 _CODE_REGION_GAP = 4096  # pad between code blocks (alignment, literals)
 _DATA_REGION_GAP = 256
@@ -42,7 +42,6 @@ def _mix(value: int) -> int:
 @dataclass
 class _InstanceRecord:
     """Where one instance's code and state sit in the modelled address space."""
-    module_key: str
     code_base: int
     code_bytes: int
     data_base: int
@@ -50,6 +49,7 @@ class _InstanceRecord:
     touched_bytes: int
     has_big_memory: bool
     branch_sites: Tuple[int, ...]
+    branches: int  # jumps per cycle, over ``branch_sites`` in turn
     instance_id: int
 
 
@@ -77,7 +77,7 @@ class HostTraceStats:
 
 
 class TraceSynthesizer:
-    """Builds and replays the synthetic trace for one design+style."""
+    """Builds and replays the synthetic trace of one design cost."""
 
     def __init__(
         self,
@@ -98,74 +98,35 @@ class TraceSynthesizer:
         self._seed = seed
         self._instances = self._layout()
 
-    @property
-    def shared_code(self) -> bool:
-        return self._cost.style == "branch"
-
     # -- address-space layout -----------------------------------------------------
 
     def _layout(self) -> List[_InstanceRecord]:
-        cost = self._cost
         records: List[_InstanceRecord] = []
         code_cursor = 0
         data_cursor = 0
         site_cursor = 0
-        shared_code_base: Dict[str, int] = {}
-        shared_sites: Dict[str, Tuple[int, ...]] = {}
-        instance_id = 0
-        for key in sorted(cost.instance_counts):
-            module = cost.module_costs[key]
-            count = cost.instance_counts[key]
-            code_bytes = max(int(module.code_bytes), 16)
-            n_sites = max(int(round(module.branches)), 0)
-            if self.shared_code:
-                if key not in shared_code_base:
-                    shared_code_base[key] = code_cursor
-                    code_cursor += code_bytes + _CODE_REGION_GAP
-                    shared_sites[key] = tuple(
-                        range(site_cursor, site_cursor + n_sites)
-                    )
-                    site_cursor += n_sites
-            for _ in range(count):
-                if self.shared_code:
-                    code_base = shared_code_base[key]
-                    sites = shared_sites[key]
-                else:
-                    code_base = code_cursor
-                    code_cursor += code_bytes + _CODE_REGION_GAP
-                    sites = tuple(range(site_cursor, site_cursor + n_sites))
-                    site_cursor += n_sites
-                state_bytes = max(module.state_bytes, 16)
-                touched = int(
-                    min(state_bytes, 8 * (module.loads + module.stores) + 16)
-                )
+        for module in self._cost.module_costs.values():
+            sites = tuple(range(site_cursor, site_cursor + module.branch_sites))
+            site_cursor += module.branch_sites
+            state_bytes = max(module.state_bytes, 16)
+            touched = int(min(state_bytes, 8 * (module.loads + module.stores) + 16))
+            for _ in range(module.instances):
                 records.append(
                     _InstanceRecord(
-                        module_key=key,
-                        code_base=code_base,
-                        code_bytes=code_bytes,
+                        code_base=code_cursor,
+                        code_bytes=module.code_bytes,
                         data_base=data_cursor,
                         state_bytes=state_bytes,
                         touched_bytes=touched,
                         has_big_memory=state_bytes > 4096,
                         branch_sites=sites,
-                        instance_id=instance_id,
+                        branches=round(module.branches),
+                        instance_id=len(records),
                     )
                 )
                 data_cursor += state_bytes + _DATA_REGION_GAP
-                instance_id += 1
+            code_cursor += module.code_bytes + _CODE_REGION_GAP
         return records
-
-    @property
-    def total_code_bytes(self) -> int:
-        if not self._instances:
-            return 0
-        if self.shared_code:
-            seen = {}
-            for rec in self._instances:
-                seen[rec.code_base] = rec.code_bytes
-            return sum(seen.values())
-        return sum(rec.code_bytes for rec in self._instances)
 
     # -- trace replay ---------------------------------------------------------------
 
@@ -206,7 +167,9 @@ class TraceSynthesizer:
                     offset = _mix(seed ^ (rec.instance_id << 20) ^ (cycle << 4)
                                   ^ i) % rec.state_bytes
                     dcache.access(rec.data_base + offset)
-            for site in rec.branch_sites:
+            sites = rec.branch_sites
+            for j in range(rec.branches):
+                site = sites[j % len(sites)]
                 base = _mix(seed ^ (site << 24) ^ (rec.instance_id + 1))
                 taken = (base % 100) < taken_bias
                 if (_mix(base ^ cycle) % 100) < flip:

@@ -1,15 +1,22 @@
-"""Host model tests: cache simulator, branch predictor, trace
-synthesis, and the Table VII qualitative shapes."""
+"""Host model tests: cache simulator, branch predictor, the census-read
+cost, trace synthesis, and the Table VII qualitative shapes."""
+
+import dataclasses
+import dis
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codegen.cost import design_cost
+from repro.baseline import BaselineCompiler
+from repro.bench.tables import census_cost
+from repro.codegen.module import entry_points, exec_source
 from repro.hdl import elaborate, parse
 from repro.hostmodel.branch import BranchPredictor
 from repro.hostmodel.cache import CacheConfig, CacheSim
 from repro.hostmodel.perf import HostMachine, PerfModel
 from repro.hostmodel.trace import TraceSynthesizer
+from repro.passes import compile_netlist
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
 
 
@@ -124,11 +131,16 @@ class TestBranchPredictor:
             BranchPredictor(table_size=1000)
 
 
+@functools.lru_cache(maxsize=None)
 def costs_for(n):
+    """The census-read cost of the n x n mesh compiled by the shared
+    compiler (``livesim``) and by the replicated baseline
+    (``verilator``), over 4 cycles of the busy-counter program."""
     netlist = elaborate(parse(build_pgas_source(n)), mesh_top_name(n))
+    baseline = BaselineCompiler(mode="replicate").compile(netlist)
     return {
-        "livesim": design_cost(netlist, "branch"),
-        "verilator": design_cost(netlist, "select"),
+        "livesim": census_cost(compile_netlist(netlist), netlist.top, n, 4),
+        "verilator": census_cost(baseline.library, baseline.top_key, n, 4),
     }
 
 
@@ -148,28 +160,31 @@ class TestCostModel:
         c2 = costs_for(2)["livesim"]
         assert c2.instructions > 3 * c1.instructions
 
-    def test_select_style_more_work_per_module(self):
+    def test_select_style_evaluates_both_arms_without_a_jump(self):
+        """§V-A's trade-off, read off the code that ran: the baseline's
+        select lowering executes more instructions and fewer jumps."""
         costs = costs_for(1)
-        # Evaluating both mux arms costs more executed work... but the
-        # inline factor gives some back; footprints differ regardless.
-        assert costs["verilator"].code_bytes != costs["livesim"].code_bytes
+        assert costs["verilator"].instructions > costs["livesim"].instructions
+        assert costs["verilator"].branches < costs["livesim"].branches
 
-    def test_data_footprint_differs_by_the_next_state_copy(self):
-        """Shared code keeps one slot per register; the inlined style
-        also keeps a next-state copy of each.  Memories are the same."""
-        netlist = elaborate(parse(build_pgas_source(1)), mesh_top_name(1))
-        regs = sum(n * netlist.modules[key].num_regs
-                   for key, n in netlist.instance_count().items())
-        costs = costs_for(1)
-        assert costs["verilator"].data_bytes - costs["livesim"].data_bytes == 8 * regs > 0
+    def test_both_libraries_hold_the_same_state(self):
+        """Both compile each instance through pygen, which keeps one
+        slot per register: the data footprints are equal."""
+        costs = costs_for(2)
+        assert costs["verilator"].data_bytes == costs["livesim"].data_bytes > 0
+
+    def test_a_replicated_library_has_a_key_per_instance(self):
+        costs = costs_for(2)
+        shared = costs["livesim"].module_costs
+        replicated = costs["verilator"].module_costs
+        assert {m.instances for m in replicated.values()} == {1}
+        assert len(replicated) == sum(m.instances for m in shared.values()) == 37
 
 
 class TestTraceAndPerf:
     def test_trace_reports_shared_vs_private_code(self):
         costs = costs_for(2)
-        shared = TraceSynthesizer(costs["livesim"])
-        private = TraceSynthesizer(costs["verilator"])
-        assert shared.total_code_bytes < private.total_code_bytes
+        assert costs["livesim"].code_bytes < costs["verilator"].code_bytes
 
     def test_livesim_icache_stays_cold_verilator_thrashes(self):
         costs = costs_for(4)  # 16 cores: replicated code >> 32 KB I$
@@ -211,58 +226,43 @@ class TestTraceAndPerf:
         assert (a.i_mpki, a.d_mpki, a.br_mpki) == (b.i_mpki, b.d_mpki, b.br_mpki)
 
 
-class TestCostModelGroundTruth:
-    def test_code_bytes_track_generated_source(self, pgas1_netlist_library):
-        """The cost model's footprint estimate must correlate with the
-        real generated code: bigger modules get bigger estimates (rank
-        agreement), and totals stay within an order of magnitude of a
-        bytes-per-source-byte scale factor."""
-        from repro.codegen.cost import module_cost
+def opcodes(fn):
+    """Instructions in ``fn``'s code, an ``EXTENDED_ARG`` prefix with
+    the instruction it extends counted once (as the census counts)."""
+    return sum(i.opname != "EXTENDED_ARG" for i in dis.get_instructions(fn))
 
-        _, netlist, library = pgas1_netlist_library
-        pairs = []
-        for key, code in library.items():
-            est = module_cost(netlist.modules[key], "branch").code_bytes
-            real = len(code.source)
-            pairs.append((est, real, key))
-        # Rank agreement on the extremes: the two biggest modules by
-        # estimate are the two biggest by generated source (rv_ex and
-        # rv_id are a near-tie, so exact top-1 is not required), and
-        # the smallest agrees exactly.
-        top2_est = {p[2] for p in sorted(pairs)[-2:]}
-        top2_real = {p[2] for p in sorted(pairs, key=lambda p: p[1])[-2:]}
-        assert top2_est == top2_real
-        smallest_est = min(pairs)[2]
-        smallest_real = min(pairs, key=lambda p: p[1])[2]
-        assert smallest_est == smallest_real
-        # Scale: estimate/real ratio within 10x across all modules.
-        ratios = [est / real for est, real, _ in pairs]
-        assert max(ratios) / min(ratios) < 10
 
-    def test_instruction_estimate_tracks_measured_work(
-        self, pgas1_netlist_library
+class TestCensusExactness:
+    def test_one_more_statement_moves_the_model_by_its_opcodes(
+        self, pgas2_netlist_library
     ):
-        """Modules the cost model says are heavier really take longer
-        to evaluate (coarse: the core's EX stage vs the tiny IF stage)."""
-        from repro.codegen.cost import module_cost
+        """Re-exec ``rv_ex``'s generated source with one more statement
+        at the top of ``cycle``: the census, and the model's
+        instructions per cycle, move by exactly that statement's
+        instructions per instance, and nothing else moves."""
+        _, netlist, library = pgas2_netlist_library
+        key, cycles = "rv_ex", 4
+        code = library[key]
+        head, marker, tail = code.source.partition("\ndef cycle(")
+        signature, newline, body = tail.partition("\n")
+        source = head + marker + signature + newline + "    _extra = 1\n" + body
+        edited = dataclasses.replace(code, source=source, **entry_points(
+            exec_source(source, f"<lhdl:{key}@edited>", code.build, None)))
+        added = opcodes(edited.cycle_fn) - opcodes(code.cycle_fn)
+        assert added == 2  # LOAD_CONST, STORE_FAST
 
-        _, netlist, _ = pgas1_netlist_library
-        ex = module_cost(netlist.modules["rv_ex"], "branch").instructions
-        iff = module_cost(netlist.modules["rv_if"], "branch").instructions
-        assert ex > 5 * iff
-
-    def test_a_skipped_pure_child_costs_its_parent_no_old_value_bind(self):
-        """``counter.v``'s ``cycle`` skips the pure ``adder`` at every
-        opt level, so it reads ``count_q`` once and binds no old value;
-        the model charges the bind only when the child is not skipped."""
-        from pathlib import Path
-
-        from repro.codegen.cost import module_cost
-
-        source = (Path(__file__).resolve().parent.parent / "examples" / "designs"
-                  / "counter.v").read_text()
-        netlist = elaborate(parse(source), "top")
-        key = next(key for key in netlist.modules if key.startswith("counter"))
-        charged = design_cost(netlist, "branch").module_costs[key]
-        assert charged == module_cost(netlist.modules[key], "branch", (0,))
-        assert module_cost(netlist.modules[key], "branch").loads == charged.loads + 1
+        before = census_cost(library, netlist.top, 2, cycles)
+        after = census_cost({**library, key: edited}, netlist.top, 2, cycles)
+        instances = before.module_costs[key].instances
+        assert instances == 4
+        moved = {
+            name: (old, after.module_costs[name])
+            for name, old in before.module_costs.items()
+            if old != after.module_costs[name]
+        }
+        assert moved.keys() == {key}
+        assert (after.module_costs[key].instructions
+                == before.module_costs[key].instructions + added)
+        assert after.instructions == pytest.approx(
+            before.instructions + added * instances, abs=1e-9)
+        assert after.code_bytes > before.code_bytes

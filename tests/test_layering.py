@@ -74,6 +74,21 @@ def test_the_passes_do_not_import_the_expression_generator():
     assert not reaching, "\n".join(reaching)
 
 
+def test_the_host_model_reads_only_the_runtime_contract():
+    # Table VII reads what generated code did (a census of it running)
+    # and what an instance's state holds; it re-derives no decision of
+    # a generator, so nothing else of codegen reaches it.
+    reaching = [
+        f"{path.relative_to(SRC)}:{line}: {here} imports {target}"
+        for path, line, here, target, names in imports()
+        if package_of(here) == "repro.hostmodel"
+        and package_of(target) == "repro.codegen"
+        and target != "repro.codegen.module"
+        and not (target == "repro.codegen" and set(names) <= {"module"})
+    ]
+    assert not reaching, "\n".join(reaching)
+
+
 def test_no_private_name_crosses_a_package():
     private = [
         f"{path.relative_to(SRC)}:{line}: {name} from {target}"

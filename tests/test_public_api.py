@@ -34,16 +34,16 @@ PACKAGES = [
 
 # What opening a session, running it and editing it never import: the
 # verifier pool (multiprocessing and what it pulls in), regression, the
-# baseline compiler and its flat generator, the cost model, the
-# cosimulator and its golden model, trace reports, live trace capture,
-# the sanitizer's instrumenter, the optimizer, the preprocessor (the
-# mesh has no directive), the analyzer's JSON report, checkpoint files
-# (pickle) and rename guesses (difflib: no edit drops a register).
+# baseline compiler and its flat generator, the census of generated
+# code, the cosimulator and its golden model, trace reports, live trace
+# capture, the sanitizer's instrumenter, the optimizer, the preprocessor
+# (the mesh has no directive), the analyzer's JSON report, checkpoint
+# files (pickle) and rename guesses (difflib: no edit drops a register).
 OFF_THE_LIVE_LOOP = [
     "multiprocessing", "concurrent.futures", "socket", "selectors",
     "subprocess", "logging", "pickle", "difflib",
     "repro.live.consistency", "repro.live.regression",
-    "repro.baseline", "repro.codegen.flatgen", "repro.codegen.cost",
+    "repro.baseline", "repro.codegen.flatgen", "repro.obs.census",
     "repro.riscv.cosim", "repro.riscv.golden",
     "repro.obs.report",
     "repro.trace", "repro.trace.buffer", "repro.trace.probes",

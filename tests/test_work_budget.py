@@ -11,14 +11,14 @@ A wall-clock bound cannot see a few per cent; a count can.  Each row of
   stops the run (``watched``), and with no check but ``sim_allon2``'s
   8 probes captured into a trace buffer (``traced``).  A call into
   generated code counts; the calls generated code makes do not.
-- ``cycle.<n>x<n>.lines``: the line events (``sys.settrace``) in
-  generated code per clean cycle of the 2x2 and 4x4 mesh, over 20
-  cycles after cycle 200 of livebench's boot testbench: how many
+- ``cycle.<n>x<n>.lines``: the line events in generated code per clean
+  cycle of the 2x2 and 4x4 mesh (:func:`repro.obs.census.census`), over
+  20 cycles after cycle 200 of livebench's boot testbench: how many
   statements the kernel runs, not how long they take.
 - ``entries.4x4.<module>.<entry>``: the calls per clean 4x4 mesh cycle
-  into each generated function (``sys.settrace`` ``call`` events), by
-  module name and function name, over the same 20 cycles: how often
-  each entry point is entered, the calling protocol's share of a cycle.
+  into each generated function (the census's ``calls``), by module name
+  and function name, over the same 20 cycles: how often each entry
+  point is entered, the calling protocol's share of a cycle.
 - ``setup.*``: the ``repro`` modules, their source lines and the
   ``@dataclass`` classes they define that the live loop (set-up, run,
   peek and one edit; ``test_public_api.LIVE_LOOP_SCRIPT``) loads up to
@@ -70,6 +70,7 @@ from repro.codegen.build import BuildConfig
 from repro.hdl import elaborate, parse
 from repro.live.checkpoint import CheckpointStore
 from repro.live.compiler_live import LiveCompiler
+from repro.obs.census import census
 from repro.passes import compile_netlist
 from repro.riscv.patches import PATCHES
 from repro.riscv.pgas import build_pgas_source, mesh_top_name
@@ -113,7 +114,7 @@ BUDGET = {
     "entries.4x4.rv_wb.cycle": 16,
     "entries.4x4.rv_wb.eval_out": 16,
     "setup.modules": 60,
-    "setup.lines": 17_386,
+    "setup.lines": 17_385,
     "setup.dataclasses": 52,
     "codegen.lines.mesh2x2": 527,
     "codegen.lines.mesh4x4": 635,
@@ -191,24 +192,9 @@ def test_a_clean_2x2_cycle_stays_within_its_call_budget(pgas2_netlist_library):
 
 def generated_lines(tb, pipe, cycles):
     """Line events in generated (``<lhdl:...>``) frames while ``tb``
-    runs ``cycles`` cycles."""
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-        return local
-
-    def trace(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith("<lhdl:") else None
-
-    sys.settrace(trace)
-    try:
-        tb.run(pipe, cycles)
-    finally:
-        sys.settrace(None)
-    return count
+    runs ``cycles`` cycles, read off a census."""
+    counted = census(lambda n: tb.run(pipe, n), cycles)
+    return sum(counts.lines for counts in counted.functions.values())
 
 
 def test_a_clean_mesh_cycle_stays_within_its_line_budget():
@@ -224,21 +210,10 @@ def test_a_clean_mesh_cycle_stays_within_its_line_budget():
 
 def entries(tb, pipe, cycles):
     """Calls into each generated function while ``tb`` runs ``cycles``
-    cycles, by (module name, function name)."""
+    cycles, by (module name, function name), read off a census."""
     seen = Counter()
-
-    def trace(frame, event, arg):
-        filename = frame.f_code.co_filename
-        if filename.startswith("<lhdl:"):  # <lhdl:spec@digest>
-            module = filename[6:].partition("@")[0].partition("#")[0]
-            seen[module, frame.f_code.co_name] += 1
-        return None
-
-    sys.settrace(trace)
-    try:
-        tb.run(pipe, cycles)
-    finally:
-        sys.settrace(None)
+    for (spec, name), counts in census(lambda n: tb.run(pipe, n), cycles).functions.items():
+        seen[spec.partition("#")[0], name] += counts.calls
     return seen
 
 
